@@ -3,37 +3,13 @@
 //
 // Usage:
 //
-//	tahoma-bench [-scale quick|default|test] [-exp all|none|tab2|fig4|fig5|fig6|fig7|fig8|fig9|tab3|fig10|fig11] [-out file] [-json file] [-serve-json file] [-e2e-json file]
+//	tahoma-bench [-scale quick|default|test] [-exp all|tab2|fig4|fig5|fig6|fig7|fig8|fig9|tab3|fig10|fig11] [-out file]
 //
 // The default scale trains the full 4-size × 5-color × 8-architecture grid
 // for all ten predicates (minutes of CPU time); -scale quick runs three
 // predicates on a reduced grid; -scale test is the tiny grid the unit tests
-// use (seconds).
-//
-// -json runs the execution-engine throughput sweeps — level-major vs
-// frame-major at several batch sizes, fused multi-predicate execution
-// vs sequential per-predicate runs (1/2/3 predicates, shared vs disjoint
-// representation grids), and the cost-based planner sweep (skewed-
-// selectivity AND-chains under static vs rank predicate ordering, plus a
-// cold-vs-warm shared-rep-cache pair with the planner's adjusted cost
-// estimates) — on deterministic synthetic cascades and writes
-// machine-readable results, tracking the perf trajectory across PRs (the
-// committed snapshots are the BENCH_*.json files). Combine with -exp none
-// to run only the sweeps.
-//
-// -serve-json runs the concurrent-serving sweep: an in-process `tahoma
-// serve` instance answering 1/2/4/8 closed-loop HTTP clients over a
-// two-predicate query mix, every response checked bit-identical against a
-// serial baseline, with throughput, the server's latency histogram and the
-// cross-query shared-representation-cache counters in the output
-// (BENCH_serve.json).
-//
-// -e2e-json replays the end-to-end harness's committed traffic mixes (see
-// the e2e package) against a real `tahoma serve` subprocess — bursts, long
-// scans, ingest-while-querying, repeat-query materialization, fault-armed
-// rep reads — byte-comparing every response against the serial in-process
-// reference and recording per-mix qps, latency percentiles and bit-parity
-// cells (BENCH_e2e.json).
+// use (seconds). Performance is measured by the scenario benchmark under
+// bench/ (see bench/README.md), not here.
 package main
 
 import (
@@ -52,36 +28,11 @@ func main() {
 	log.SetPrefix("tahoma-bench: ")
 
 	scale := flag.String("scale", "quick", "experiment scale: test, quick or default")
-	exp := flag.String("exp", "all", "experiment: all, none, tab2, fig4, fig5, fig6, fig7, fig8, fig9, tab3, fig10, fig11")
+	exp := flag.String("exp", "all", "experiment: all, tab2, fig4, fig5, fig6, fig7, fig8, fig9, tab3, fig10, fig11")
 	out := flag.String("out", "", "write results to this file as well as stdout")
-	jsonPath := flag.String("json", "", "run the exec-engine sweep and write machine-readable results to this file")
-	serveJSON := flag.String("serve-json", "", "run the concurrent-serving sweep (closed-loop multi-client) and write machine-readable results to this file")
-	e2eJSON := flag.String("e2e-json", "", "replay the e2e traffic mixes against a live `tahoma serve` subprocess and write per-mix qps/p99/bit-parity cells to this file")
 	workers := flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 	batch := flag.Int("batch", 0, "results per evaluation batch (0 = default)")
 	flag.Parse()
-
-	if *jsonPath != "" {
-		if err := runExecSweep(*jsonPath); err != nil {
-			log.Fatalf("exec sweep: %v", err)
-		}
-		log.Printf("exec sweep written to %s", *jsonPath)
-	}
-	if *serveJSON != "" {
-		if err := runServeSweep(*serveJSON); err != nil {
-			log.Fatalf("serve sweep: %v", err)
-		}
-		log.Printf("serve sweep written to %s", *serveJSON)
-	}
-	if *e2eJSON != "" {
-		if err := runE2ESweep(*e2eJSON); err != nil {
-			log.Fatalf("e2e sweep: %v", err)
-		}
-		log.Printf("e2e sweep written to %s", *e2eJSON)
-	}
-	if *exp == "none" {
-		return
-	}
 
 	var cfg experiments.Config
 	switch *scale {

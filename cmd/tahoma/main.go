@@ -22,15 +22,12 @@
 // and -order=static restores the cheapest-expected-cascade-first ordering
 // as an escape hatch (labels are bit-identical either way). Multi-predicate
 // queries fuse their cascades into one shared representation plan when the
-// planner's cost comparison favors it (-fused=false for sequential
-// predicate-at-a-time execution); -store-corpus queries straight out of the
-// representation store through a -cache-mb LRU instead of loading every
-// source into memory; -serve-reps additionally loads pre-materialized
+// planner's cost comparison favors it; -store-corpus queries straight out
+// of the representation store through a -cache-mb LRU instead of loading
+// every source into memory; -serve-reps additionally loads pre-materialized
 // representations from the store, skipping decode + transform for the
-// transforms it covers; -prefetch sizes the async ingest ring that overlaps
-// decode/transform with inference. Each query prints its classifier
-// invocations, representation work (transformed vs served) and the
-// rep-cache hit rate.
+// transforms it covers. Each query prints its classifier invocations,
+// representation work (transformed vs served) and the rep-cache hit rate.
 package main
 
 import (
@@ -276,9 +273,7 @@ func cmdQuery(mode string, args []string) error {
 	loss := fs.Float64("accuracy-loss", 0.05, "permissible accuracy loss (Uacc)")
 	workers := fs.Int("workers", 0, "classification worker goroutines (0 = GOMAXPROCS)")
 	batch := fs.Int("batch", 0, "frames per execution-engine batch (0 = engine default)")
-	fused := fs.Bool("fused", true, "fuse multi-predicate queries into one shared representation-slot plan")
 	order := fs.String("order", "rank", "content-predicate ordering: rank (cost/(1-selectivity), adaptive) or static (cheapest expected cascade first)")
-	prefetch := fs.Int("prefetch", 0, "async ingest ring depth for fused queries (0 = auto, <0 = synchronous)")
 	storeCorpus := fs.Bool("store-corpus", false, "query straight out of the representation store through an LRU cache instead of loading sources into memory")
 	cacheMB := fs.Int("cache-mb", 64, "decoded-record LRU cache budget in MiB for -store-corpus")
 	serveReps := fs.Bool("serve-reps", false, "load pre-materialized representations from the store (implies -store-corpus); skips decode+transform for covered transforms")
@@ -325,8 +320,7 @@ func cmdQuery(mode string, args []string) error {
 		return err
 	}
 	db := vdb.New(cm)
-	db.SetExecOptions(exec.Options{Workers: *workers, Batch: *batch, Prefetch: *prefetch})
-	db.SetFusion(*fused)
+	db.SetExecOptions(exec.Options{Workers: *workers, Batch: *batch})
 	db.SetPlanOptions(vdb.PlanOptions{Order: ord})
 	db.SetMaterialization(matMode)
 	db.SetMatBudget(int64(*matMB) << 20)

@@ -42,9 +42,7 @@ func cmdServe(args []string) error {
 	loss := fs.Float64("accuracy-loss", 0.05, "default permissible accuracy loss (Uacc) when a request names none; 0 = no loss (most accurate cascade)")
 	workers := fs.Int("workers", 0, "classification worker goroutines per query (0 = GOMAXPROCS)")
 	batch := fs.Int("batch", 0, "frames per execution-engine batch (0 = engine default)")
-	fused := fs.Bool("fused", true, "fuse multi-predicate queries into one shared representation-slot plan")
 	order := fs.String("order", "rank", "content-predicate ordering: rank (cost/(1-selectivity), adaptive) or static (cheapest expected cascade first)")
-	prefetch := fs.Int("prefetch", 0, "async ingest ring depth for fused queries (0 = auto, <0 = synchronous)")
 	storeCorpus := fs.Bool("store-corpus", false, "serve straight out of the representation store through an LRU cache instead of loading sources into memory")
 	cacheMB := fs.Int("cache-mb", 64, "decoded-record LRU cache budget in MiB for -store-corpus")
 	serveReps := fs.Bool("serve-reps", false, "load pre-materialized representations from the store (implies -store-corpus)")
@@ -107,8 +105,7 @@ func cmdServe(args []string) error {
 		return err
 	}
 	db := vdb.New(cm)
-	db.SetExecOptions(exec.Options{Workers: *workers, Batch: *batch, Prefetch: *prefetch})
-	db.SetFusion(*fused)
+	db.SetExecOptions(exec.Options{Workers: *workers, Batch: *batch})
 	db.SetPlanOptions(vdb.PlanOptions{Order: ord})
 	db.SetMaterialization(matMode)
 	db.SetMatBudget(int64(*matMB) << 20)

@@ -19,7 +19,7 @@ import (
 )
 
 // TB is the subset of *testing.T the harness needs — an interface so the
-// non-test half of the package (tahoma-bench's sweep) never imports testing.
+// non-test half of the package never imports testing.
 type TB interface {
 	Helper()
 	Logf(format string, args ...any)

@@ -5,8 +5,8 @@
 // serial in-process reference replay of the same trace) and latency SLOs
 // (per-mix p99 budgets read from /stats).
 //
-// The package is a library, not just tests, so `tahoma-bench -e2e-json` can
-// replay the same mixes in-process and feed the BENCH trajectory. The test
+// The package is a library, not just tests, so other suites (the crash
+// tests under cmd/tahoma) can reuse the subprocess machinery. The test
 // files add the subprocess suite on top: the traffic-mix matrix
 // (TestScenarioMixes) and the live camera-fleet workload (TestCameraFleet),
 // which is the paper's motivating deployment.

@@ -142,7 +142,7 @@ func ExampleClassifier_ClassifyBatchReport() {
 		panic(err)
 	}
 	fmt.Println(rep.Frames == len(images))
-	fmt.Println(rep.LevelsRun >= rep.Frames)        // every frame runs >= 1 level
+	fmt.Println(rep.LevelsRun[0] >= rep.Frames)     // every frame runs >= 1 level
 	fmt.Println(rep.RepsMaterialized >= rep.Frames) // >= 1 representation each
 	fmt.Println(rep.Throughput > 0 && len(rep.Batches) == (len(images)+15)/16)
 	// Output:

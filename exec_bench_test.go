@@ -1,12 +1,14 @@
 package tahoma
 
-// BenchmarkExecEngine measures the batched execution engine against the
-// sequential per-image classify path on a synthetic corpus. On multi-core
-// hardware the worker-parallel sub-benchmarks scale with GOMAXPROCS (the
-// per-frame cascade work is embarrassingly parallel); every sizing returns
-// bit-identical labels, so the comparison is pure throughput.
+// BenchmarkExecEngine measures the execution engine over N ∈ {1, 2, 3}
+// cascades on a synthetic corpus: the per-frame reference walk against the
+// batched loop, worker scaling, and — for N > 1 — one engine over all
+// cascades against one engine run per cascade, on shared and disjoint
+// representation grids. Every configuration returns bit-identical labels, so
+// the comparison is pure throughput; run with -benchmem to see that the
+// batched steady state allocates ~nothing per frame.
 //
-//	go test -run=NONE -bench=BenchmarkExecEngine -benchtime=1x
+//	go test -run=NONE -bench=BenchmarkExecEngine -benchtime=1x -benchmem .
 
 import (
 	"fmt"
@@ -14,7 +16,6 @@ import (
 	"testing"
 
 	"tahoma/internal/arch"
-	"tahoma/internal/cascade"
 	"tahoma/internal/exec"
 	"tahoma/internal/img"
 	"tahoma/internal/model"
@@ -22,102 +23,15 @@ import (
 	"tahoma/internal/xform"
 )
 
-func benchRuntime(b *testing.B) *cascade.Runtime {
-	b.Helper()
-	xfs := []xform.Transform{
-		{Size: 8, Color: img.Gray},
-		{Size: 16, Color: img.Gray},
-		{Size: 32, Color: img.RGB},
-	}
-	spec := arch.Spec{ConvLayers: 1, ConvWidth: 4, DenseWidth: 8, Kernel: 3}
-	var models []*model.Model
-	ths := make([][]thresh.Thresholds, len(xfs))
-	for i, t := range xfs {
-		m, err := model.New(spec, t, model.Basic, int64(40+i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		models = append(models, m)
-		// Wide uncertain bands: most frames descend several levels, so the
-		// benchmark exercises representation sharing, not just level 1.
-		ths[i] = []thresh.Thresholds{{Low: 0.4, High: 0.6}}
-	}
-	cs := cascade.Spec{Depth: 3, L: [cascade.MaxLevels]cascade.LevelRef{
-		{Model: 0, Thresh: 0}, {Model: 1, Thresh: 0}, {Model: 2, Thresh: cascade.Final}}}
-	rt, err := cascade.NewRuntime(cs, models, ths)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return rt
-}
-
-func BenchmarkExecEngine(b *testing.B) {
-	rt := benchRuntime(b)
-	rng := rand.New(rand.NewSource(41))
-	frames := make([]*img.Image, 256)
-	for i := range frames {
-		im := img.New(32, 32, img.RGB)
-		for p := range im.Pix {
-			im.Pix[p] = rng.Float32()
-		}
-		frames[i] = im
-	}
-
-	reportThroughput := func(b *testing.B) {
-		b.ReportMetric(float64(b.N*len(frames))/b.Elapsed().Seconds(), "frames/sec")
-	}
-
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, f := range frames {
-				if _, _, err := rt.Classify(f); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		reportThroughput(b)
-	})
-	// Frame-major vs level-major at one worker isolates the gain of the
-	// batched inner loop (one ScoreBatch per level over pooled
-	// representation buffers) from worker parallelism. Run with -benchmem:
-	// level-major's steady state allocates ~nothing per frame.
-	b.Run("frame-major", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := rt.ClassifyBatch(frames, exec.Options{Workers: 1, Batch: 32, FrameMajor: true}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		reportThroughput(b)
-	})
-	b.Run("level-major", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := rt.ClassifyBatch(frames, exec.Options{Workers: 1, Batch: 32}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		reportThroughput(b)
-	})
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := rt.ClassifyBatch(frames, exec.Options{Workers: workers, Batch: 32}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			reportThroughput(b)
-		})
-	}
-}
-
-// benchFusedCascades builds preds cascades of depth 2: shared grids draw
-// every cascade's representations from the same gray ladder, disjoint grids
-// give each cascade its own color channel.
-func benchFusedCascades(b *testing.B, preds int, shared bool) [][]exec.Level {
+// benchCascades builds n cascades of depth 2: shared grids draw every
+// cascade's representations from the same gray ladder, disjoint grids give
+// each cascade its own color channel.
+func benchCascades(b *testing.B, n int, shared bool) [][]exec.Level {
 	b.Helper()
 	colors := []img.ColorMode{img.Red, img.Green, img.Blue}
 	spec := arch.Spec{ConvLayers: 1, ConvWidth: 2, DenseWidth: 2, Kernel: 3}
-	cascades := make([][]exec.Level, preds)
-	for p := 0; p < preds; p++ {
+	cascades := make([][]exec.Level, n)
+	for p := 0; p < n; p++ {
 		color := img.Gray
 		if !shared {
 			color = colors[p%len(colors)]
@@ -132,8 +46,8 @@ func benchFusedCascades(b *testing.B, preds int, shared bool) [][]exec.Level {
 			levels[i] = exec.Level{
 				Model: m,
 				// Wide uncertain bands: most frames descend both levels, so
-				// the benchmark exercises cross-cascade representation
-				// sharing, not just level 1.
+				// the benchmark exercises representation sharing across
+				// levels and cascades, not just level 1.
 				Thresholds: thresh.Thresholds{Low: 0.4, High: 0.6},
 				Last:       i == len(xfs)-1,
 			}
@@ -143,14 +57,7 @@ func benchFusedCascades(b *testing.B, preds int, shared bool) [][]exec.Level {
 	return cascades
 }
 
-// BenchmarkExecFused measures fused multi-predicate execution against
-// sequential per-predicate engine runs: 1/2/3 predicates over shared vs
-// disjoint representation grids. With shared grids the fused engine
-// materializes each (frame, slot) once for the whole predicate set; run
-// with -benchmem to see that the steady state allocates ~nothing per frame.
-//
-//	go test -run=NONE -bench=BenchmarkExecFused -benchtime=1x -benchmem
-func BenchmarkExecFused(b *testing.B) {
+func BenchmarkExecEngine(b *testing.B) {
 	rng := rand.New(rand.NewSource(43))
 	frames := make([]*img.Image, 256)
 	for i := range frames {
@@ -160,50 +67,78 @@ func BenchmarkExecFused(b *testing.B) {
 		}
 		frames[i] = im
 	}
+	src := exec.Frames(frames)
+	newEngine := func(b *testing.B, cascades ...[]exec.Level) *exec.Engine {
+		b.Helper()
+		eng, err := exec.New(cascades...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return eng
+	}
+	// bench times one pass of run over the corpus per iteration.
+	bench := func(b *testing.B, name string, run func() error) {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.N*len(frames))/b.Elapsed().Seconds(), "frames/sec")
+		})
+	}
+
+	// One cascade: the per-frame walk isolates the gain of the batched inner
+	// loop (one ScoreBatch per level over pooled representation buffers);
+	// the worker counts isolate parallelism.
+	solo := newEngine(b, benchCascades(b, 1, true)...)
+	bench(b, "n=1/per-frame", func() error {
+		for _, f := range frames {
+			if _, _, err := solo.ClassifyOne(0, f); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	for _, workers := range []int{1, 2, 4, 8} {
+		opts := exec.Options{Workers: workers, Batch: 32}
+		bench(b, fmt.Sprintf("n=1/workers=%d", workers), func() error {
+			_, err := solo.Run(src, nil, opts)
+			return err
+		})
+	}
+
+	// Several cascades: with shared grids one engine materializes each
+	// (frame, slot) once for the whole set; one run per cascade pays it once
+	// per cascade.
 	opts := exec.Options{Workers: 1, Batch: 64}
 	for _, cfg := range []struct {
-		preds  int
+		n      int
 		shared bool
 		grid   string
 	}{
-		{1, true, "shared"},
 		{2, true, "shared"},
 		{3, true, "shared"},
 		{2, false, "disjoint"},
 		{3, false, "disjoint"},
 	} {
-		cascades := benchFusedCascades(b, cfg.preds, cfg.shared)
-		b.Run(fmt.Sprintf("preds=%d/%s/sequential", cfg.preds, cfg.grid), func(b *testing.B) {
-			engines := make([]*exec.Engine, len(cascades))
-			for p, levels := range cascades {
-				eng, err := exec.New(levels)
-				if err != nil {
-					b.Fatal(err)
-				}
-				engines[p] = eng
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, eng := range engines {
-					if _, err := eng.RunAll(exec.Frames(frames), opts); err != nil {
-						b.Fatal(err)
-					}
+		cascades := benchCascades(b, cfg.n, cfg.shared)
+		each := make([]*exec.Engine, len(cascades))
+		for p, levels := range cascades {
+			each[p] = newEngine(b, levels)
+		}
+		bench(b, fmt.Sprintf("n=%d/%s/run-per-cascade", cfg.n, cfg.grid), func() error {
+			for _, eng := range each {
+				if _, err := eng.Run(src, nil, opts); err != nil {
+					return err
 				}
 			}
-			b.ReportMetric(float64(b.N*len(frames))/b.Elapsed().Seconds(), "frames/sec")
+			return nil
 		})
-		b.Run(fmt.Sprintf("preds=%d/%s/fused", cfg.preds, cfg.grid), func(b *testing.B) {
-			fe, err := exec.NewFused(cascades...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := fe.RunAll(exec.Frames(frames), opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.N*len(frames))/b.Elapsed().Seconds(), "frames/sec")
+		all := newEngine(b, cascades...)
+		bench(b, fmt.Sprintf("n=%d/%s/one-engine", cfg.n, cfg.grid), func() error {
+			_, err := all.Run(src, nil, opts)
+			return err
 		})
 	}
 }

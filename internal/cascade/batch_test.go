@@ -60,87 +60,28 @@ func TestClassifyBatchParity(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i := range srcs {
-					if rep.Labels[i] != wantLabels[i] {
-						t.Fatalf("image %d: batch label %v != sequential %v", i, rep.Labels[i], wantLabels[i])
+					if rep.Labels[0][i] != wantLabels[i] {
+						t.Fatalf("image %d: batch label %v != sequential %v", i, rep.Labels[0][i], wantLabels[i])
 					}
 				}
 				if rep.RepsMaterialized != wantReps {
 					t.Fatalf("batch created %d reps, sequential created %d", rep.RepsMaterialized, wantReps)
 				}
-				if rep.LevelsRun != wantLevels {
-					t.Fatalf("batch ran %d levels, sequential ran %d", rep.LevelsRun, wantLevels)
+				if rep.LevelsRun[0] != wantLevels {
+					t.Fatalf("batch ran %d levels, sequential ran %d", rep.LevelsRun[0], wantLevels)
 				}
 			})
 		}
 	}
 }
 
-func TestStreamMatchesBatch(t *testing.T) {
-	rt := batchFixtureRuntime(t, 93)
-	rng := rand.New(rand.NewSource(94))
-	srcs := make([]*img.Image, 23)
-	for i := range srcs {
-		srcs[i] = randSource(rng, 32)
+// TestEmptyRuntimeRejected: a manually-assembled runtime with no levels has
+// no engine, and every batch entry point says so instead of panicking.
+func TestEmptyRuntimeRejected(t *testing.T) {
+	if _, err := (&Runtime{}).ClassifyBatch(nil, exec.Options{}); err == nil {
+		t.Fatal("classifying through an empty runtime must error")
 	}
-	want, err := rt.ClassifyAll(srcs)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, batch := range []int{1, 4, 23, 64} {
-		got := make([]bool, 0, len(srcs))
-		order := make([]int, 0, len(srcs))
-		st, err := NewStream(rt, exec.Options{Batch: batch}, func(i int, label bool) {
-			order = append(order, i)
-			got = append(got, label)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Push in uneven chunks to exercise buffering.
-		for lo := 0; lo < len(srcs); lo += 5 {
-			hi := lo + 5
-			if hi > len(srcs) {
-				hi = len(srcs)
-			}
-			if err := st.Push(srcs[lo:hi]...); err != nil {
-				t.Fatal(err)
-			}
-		}
-		stats, err := st.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.Frames != len(srcs) {
-			t.Fatalf("batch %d: stream stats report %d frames, want %d", batch, stats.Frames, len(srcs))
-		}
-		if len(got) != len(srcs) {
-			t.Fatalf("batch %d: emitted %d labels, want %d", batch, len(got), len(srcs))
-		}
-		for i := range srcs {
-			if order[i] != i {
-				t.Fatalf("batch %d: emit order %v not sequential", batch, order[:i+1])
-			}
-			if got[i] != want[i] {
-				t.Fatalf("batch %d: stream label %d = %v, want %v", batch, i, got[i], want[i])
-			}
-		}
-		// The stream remains usable after Close.
-		if err := st.Push(srcs[0]); err != nil {
-			t.Fatal(err)
-		}
-		stats2, err := st.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats2.Frames != len(srcs)+1 {
-			t.Fatalf("batch %d: post-Close push not counted (%d frames)", batch, stats2.Frames)
-		}
-	}
-}
-
-func TestStreamEmptyRuntime(t *testing.T) {
-	if _, err := NewStream(&Runtime{}, exec.Options{}, nil); err == nil {
-		t.Fatal("stream over an empty runtime must error")
+	if _, err := NewEngine(batchFixtureRuntime(t, 95), &Runtime{}); err == nil {
+		t.Fatal("an engine over an empty member runtime must error")
 	}
 }

@@ -56,38 +56,29 @@ func NewRuntime(s Spec, models []*model.Model, ths [][]thresh.Thresholds) (*Runt
 	return rt, nil
 }
 
-// Engine returns the runtime's execution engine, building it on first use
-// for manually-assembled runtimes (goroutine-safe).
+// Engine returns the runtime's single-cascade execution engine, building it
+// on first use for manually-assembled runtimes (goroutine-safe).
 func (rt *Runtime) Engine() (*exec.Engine, error) {
-	rt.engOnce.Do(func() {
-		if len(rt.Levels) == 0 {
-			rt.engErr = fmt.Errorf("cascade: empty runtime")
-			return
-		}
-		levels := make([]exec.Level, len(rt.Levels))
-		for i, lv := range rt.Levels {
-			levels[i] = exec.Level{Model: lv.Model, Thresholds: lv.Thresholds, Last: lv.Last}
-		}
-		rt.engine, rt.engErr = exec.New(levels)
-	})
+	rt.engOnce.Do(func() { rt.engine, rt.engErr = NewEngine(rt) })
 	return rt.engine, rt.engErr
 }
 
-// FusedEngine builds a fused execution engine over several runtimes'
-// cascades: one global representation-slot plan spanning all of them, so a
-// transform shared by two predicates is materialized once per frame for the
-// whole set. The query executor fuses all content predicates of a query
-// this way.
-func FusedEngine(rts ...*Runtime) (*exec.Fused, error) {
+// NewEngine plans one execution engine over several runtimes' cascades: one
+// global representation-slot plan spanning all of them, so a transform
+// shared by two predicates is materialized once per frame for the whole
+// set. The query executor runs the content predicates it fuses this way.
+func NewEngine(rts ...*Runtime) (*exec.Engine, error) {
 	cascades := make([][]exec.Level, len(rts))
 	for i, rt := range rts {
-		eng, err := rt.Engine()
-		if err != nil {
-			return nil, err
+		if len(rt.Levels) == 0 {
+			return nil, fmt.Errorf("cascade: empty runtime")
 		}
-		cascades[i] = eng.Levels()
+		cascades[i] = make([]exec.Level, len(rt.Levels))
+		for l, lv := range rt.Levels {
+			cascades[i][l] = exec.Level{Model: lv.Model, Thresholds: lv.Thresholds, Last: lv.Last}
+		}
 	}
-	return exec.NewFused(cascades...)
+	return exec.New(cascades...)
 }
 
 // Trace records what one classification did, for cost verification and
@@ -106,7 +97,7 @@ func (rt *Runtime) Classify(src *img.Image) (bool, Trace, error) {
 	if err != nil {
 		return false, Trace{}, err
 	}
-	label, tr, err := eng.ClassifyOne(src)
+	label, tr, err := eng.ClassifyOne(0, src)
 	return label, Trace{LevelsRun: tr.LevelsRun, RepsCreated: tr.RepsCreated, Scores: tr.Scores}, err
 }
 
@@ -117,13 +108,13 @@ func (rt *Runtime) ClassifyAll(srcs []*img.Image) ([]bool, error) {
 	if err != nil {
 		return nil, err
 	}
-	return rep.Labels, nil
+	return rep.Labels[0], nil
 }
 
 // ClassifyBatch labels a batch of source images across the engine's worker
-// pool, returning the full execution report (labels plus per-batch stats).
-// Labels are bit-identical to per-image Classify calls at every worker
-// count and batch size.
+// pool, returning the full execution report (labels — Labels[0], the
+// runtime's one cascade — plus per-batch stats). Labels are bit-identical to
+// per-image Classify calls at every worker count and batch size.
 func (rt *Runtime) ClassifyBatch(srcs []*img.Image, opts exec.Options) (*exec.Report, error) {
 	return rt.ClassifyBatchContext(context.Background(), srcs, opts)
 }

@@ -1,112 +1,6 @@
 package cascade
 
-import (
-	"fmt"
-	"runtime"
-	"time"
-
-	"tahoma/internal/exec"
-	"tahoma/internal/img"
-	"tahoma/internal/pareto"
-)
-
-// Stream incrementally classifies an ordered frame sequence — the ONGOING /
-// CAMERA ingest shape — as a thin adapter over the exec engine. Frames are
-// buffered until a batch per worker accumulates, then classified across
-// the worker pool; the emit callback observes (stream index, label) pairs
-// strictly in push order. Labels are bit-identical to per-frame
-// Runtime.Classify calls.
-type Stream struct {
-	eng    *exec.Engine
-	opts   exec.Options
-	target int // frames buffered before a flush: one batch per worker
-	emit   func(i int, label bool)
-	buf    []*img.Image
-	base   int // stream index of buf[0]
-	stats  StreamStats
-	err    error
-}
-
-// StreamStats aggregates a stream's engine work.
-type StreamStats struct {
-	Frames           int
-	LevelsRun        int
-	RepsMaterialized int
-	Batches          int
-	Wall             time.Duration
-}
-
-// NewStream builds a streaming classifier over rt's engine. emit receives
-// every frame's label in push order and may be nil.
-func NewStream(rt *Runtime, opts exec.Options, emit func(i int, label bool)) (*Stream, error) {
-	eng, err := rt.Engine()
-	if err != nil {
-		return nil, err
-	}
-	if opts.Batch <= 0 {
-		opts.Batch = exec.DefaultBatch
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	// Flush a batch per worker at a time, so the engine's pool actually
-	// fans out instead of receiving one batch per flush.
-	return &Stream{eng: eng, opts: opts, target: opts.Batch * workers, emit: emit}, nil
-}
-
-// Push appends frames to the stream, flushing full batches through the
-// engine. An error is sticky: once classification fails, the stream
-// refuses further work.
-func (st *Stream) Push(frames ...*img.Image) error {
-	if st.err != nil {
-		return st.err
-	}
-	st.buf = append(st.buf, frames...)
-	for len(st.buf) >= st.target {
-		if err := st.flush(st.target); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// flush classifies the first n buffered frames.
-func (st *Stream) flush(n int) error {
-	rep, err := st.eng.RunAll(exec.Frames(st.buf[:n]), st.opts)
-	if err != nil {
-		st.err = fmt.Errorf("cascade: stream frame %d+: %w", st.base, err)
-		return st.err
-	}
-	if st.emit != nil {
-		for j, label := range rep.Labels {
-			st.emit(st.base+j, label)
-		}
-	}
-	st.stats.Frames += rep.Frames
-	st.stats.LevelsRun += rep.LevelsRun
-	st.stats.RepsMaterialized += rep.RepsMaterialized
-	st.stats.Batches += len(rep.Batches)
-	st.stats.Wall += rep.Wall
-	st.base += n
-	st.buf = st.buf[n:]
-	return nil
-}
-
-// Close drains buffered frames and returns the stream's aggregate stats.
-// The stream remains usable for further pushes after Close (it acts as a
-// checkpointing flush).
-func (st *Stream) Close() (StreamStats, error) {
-	if st.err != nil {
-		return st.stats, st.err
-	}
-	if len(st.buf) > 0 {
-		if err := st.flush(len(st.buf)); err != nil {
-			return st.stats, err
-		}
-	}
-	return st.stats, nil
-}
+import "tahoma/internal/pareto"
 
 // FrontierStats summarizes a streamed evaluation of a cascade set.
 type FrontierStats struct {

@@ -1,24 +1,24 @@
-// Package exec is TAHOMA's batched, worker-parallel predicate execution
-// engine. Every inference consumer — the cascade runtime, the streaming
-// ingest path, the VDB query executor and the public Classifier — routes
-// frame classification through an Engine so that batching, physical-
-// representation sharing and multi-core parallelism live in one place.
+// Package exec is TAHOMA's predicate execution engine: the paper's one
+// loop — load, transform, infer, short-circuit — batched and worker-parallel.
+// Every inference consumer (the cascade runtime, the ingest trigger, the
+// background analyzer, the VDB query executor and the public Classifier)
+// classifies frames through an Engine, so batching, physical-representation
+// sharing and multi-core parallelism live in one place.
 //
-// The engine plans the physical-representation transform work once per
-// cascade: levels sharing a transform (xform.Transform.ID identity) are
-// assigned the same representation slot, so each slot is materialized at
-// most once per frame, matching the evaluator's Section VI cost accounting
-// without the per-image map lookups the old per-consumer loops paid.
-// Frames execute in configurable batches across a worker pool, and within a
-// batch execution is level-major: each level materializes its
-// representation slot for the still-undecided frames (into pooled, reused
-// buffers), scores them all with one batched inference call, applies the
-// thresholds and compacts the survivor set before descending. Each frame
-// still short-circuits at the earliest deciding level, and labels and stats
-// are bit-identical to the per-frame walk at every worker count and batch
-// size. Per-batch and per-run stats (levels run, representations
-// materialized, wall time, measured throughput) let callers compare real
-// throughput against the evaluator's analytic estimate.
+// An Engine is planned over one or more cascades — typically the content
+// predicates of one query. Planning assigns every distinct transform
+// (xform.Transform.ID identity) across all of them one global representation
+// slot, so each (frame, slot) pair is materialized at most once per run no
+// matter how many levels or cascades consume it, matching the evaluator's
+// Section VI cost accounting. A run splits its frame list into batches and
+// hands them to share-nothing workers: each worker loads its batch's source
+// frames, then walks the cascades level-major — materialize the level's slot
+// for the still-undecided frames into pooled buffers, score them with one
+// batched inference call, apply the thresholds, compact the survivors — so
+// every frame still short-circuits at its earliest deciding level. Labels
+// and accounting are bit-identical to the per-frame walk (ClassifyOne) at
+// every worker count and batch size; per-batch and per-run stats let callers
+// compare measured throughput against the evaluator's analytic estimate.
 package exec
 
 import (
@@ -35,6 +35,7 @@ import (
 	"tahoma/internal/img"
 	"tahoma/internal/model"
 	"tahoma/internal/thresh"
+	"tahoma/internal/xform"
 )
 
 // PanicError is a panic contained by an engine worker (or a server handler):
@@ -87,20 +88,20 @@ type Source interface {
 
 // RepSource serves pre-materialized physical representations by source frame
 // index and transform identity (xform.Transform.ID). When a run has one, the
-// engines skip both the source decode and the transform for every slot the
+// engine skips both the source decode and the transform for every slot the
 // source covers — the representation-store fast path the ARCHIVE and ONGOING
 // scenarios price. Implementations must be safe for concurrent use and must
-// return images the caller may read but never write: engines treat served
-// representations as immutable and keep them out of their pooled buffers.
+// return images the caller may read but never write: the engine treats served
+// representations as immutable and keeps them out of its pooled buffers.
 //
 // Served pixels are whatever the source stored (for repstore, the uint8-
 // quantized record), not a fresh transform of the decoded source, so labels
 // can legitimately differ from a RepSource-less run. Serving is decided once
 // per slot per run, so results remain deterministic and independent of
-// worker count, batch size and loop order.
+// worker count and batch size.
 type RepSource interface {
 	// HasRep reports whether representations of transform id can be
-	// served. Engines consult it once per run per slot; availability must
+	// served. The engine consults it once per run per slot; availability must
 	// not change during a run.
 	HasRep(id string) bool
 	// Rep returns the representation of source frame i under transform id.
@@ -114,15 +115,15 @@ type RepSource interface {
 // one query becomes a RepHit for every concurrent or later query over the
 // same corpus. Implementations must be safe for concurrent use.
 //
-// Cached pixels are bit-identical copies of the transform output (engines
-// clone out of their pooled buffers before publishing), so — unlike
+// Cached pixels are bit-identical copies of the transform output (the engine
+// clones out of its pooled buffers before publishing), so — unlike
 // RepSource's quantized records — serving from a RepCache never changes
 // labels: results stay bit-identical to cacheless runs at every hit pattern.
 // repstore.SharedReps is the canonical implementation.
 type RepCache interface {
 	// GetRep returns the cached representation of source frame i under
-	// transform id, or nil. Returned images are shared: engines read them
-	// but never write them, and keep them out of pooled ApplyInto buffers.
+	// transform id, or nil. Returned images are shared: the engine reads them
+	// but never writes them, and keeps them out of pooled ApplyInto buffers.
 	GetRep(i int, id string) *img.Image
 	// PutRep publishes a representation. The image becomes cache-owned;
 	// callers must pass an image no engine buffer aliases.
@@ -187,17 +188,9 @@ type Options struct {
 	Workers int
 	// Batch is the number of frames dispatched to a worker at a time
 	// (0 = DefaultBatch). Batching amortizes dispatch overhead, sets the
-	// granularity of the per-batch stats, and bounds the level-major
-	// inner loop's working set.
+	// granularity of the per-batch stats, and bounds the inner loop's
+	// working set.
 	Batch int
-	// FrameMajor selects the legacy inner loop: each frame of a batch
-	// runs the whole cascade (per-frame Score, allocating a fresh
-	// representation per transform) before the next frame starts. The
-	// default level-major loop scores all still-undecided frames of a
-	// batch per level with one ScoreBatch call over pooled representation
-	// buffers. Labels and stats are bit-identical either way; the flag
-	// exists as the parity oracle and benchmark baseline.
-	FrameMajor bool
 	// RepSource, when set, serves pre-materialized representations for
 	// the transforms it covers: served slots skip decode and transform
 	// entirely and are counted as RepHits instead of RepsMaterialized.
@@ -209,12 +202,6 @@ type Options struct {
 	// typically concurrent queries — to reuse. Labels are unchanged: cached
 	// pixels are bit-identical to the transform output.
 	RepCache RepCache
-	// Prefetch sizes the fused engine's async ingest ring: how many
-	// batches may be decoded and first-level-materialized ahead of
-	// inference. 0 means default double buffering (Workers+1, at least
-	// 2); negative disables the pipeline and prepares batches inline.
-	// Engine.Run ignores it — only Fused.Run has the ingest stage.
-	Prefetch int
 	// Quantize selects the scoring representation: QuantOff (the zero
 	// value) is float32 everywhere; QuantAuto scores int8 where a model
 	// carries an armed calibration, with the per-frame guard-band fallback
@@ -242,28 +229,32 @@ type Trace struct {
 
 // BatchStats reports one batch's work.
 type BatchStats struct {
-	Start            int // offset of the batch within the run's frame list
-	Frames           int
-	LevelsRun        int
+	Start  int // offset of the batch within the run's frame list
+	Frames int
+	// LevelsRun is per cascade; the representation counters are global (a
+	// slot materialized once serves every cascade consuming it).
+	LevelsRun        []int
 	RepsMaterialized int
-	RepHits          int // slots served by the RepSource instead of transformed
+	RepHits          int // slots served by the RepSource or RepCache instead of transformed
 	// RepFallbacks counts representation reads the RepSource failed that
 	// were degraded to decode + transform instead of failing the run (they
 	// also count in RepsMaterialized — a transform really ran).
 	RepFallbacks int
+	// QuantStats counts int8 scorings and guard-band fallbacks, summed
+	// across cascades (per (frame, level), like LevelsRun).
 	QuantStats
 	Wall time.Duration
 }
 
 // Report is one run's accounting.
 type Report struct {
-	// Labels holds the binary label per classified frame, parallel to the
-	// index list the run was given.
-	Labels []bool
-	// Frames, LevelsRun, RepsMaterialized and RepHits aggregate the
-	// batch stats.
+	// Labels[c][j] is cascade c's label for frame indices[j]. Positions a
+	// cascade was masked out of (see RunMasked) are false.
+	Labels [][]bool
+	// Frames counts the positions of the run's frame list; LevelsRun is per
+	// cascade, RepsMaterialized and RepHits are global.
 	Frames           int
-	LevelsRun        int
+	LevelsRun        []int
 	RepsMaterialized int
 	RepHits          int
 	// RepFallbacks counts RepSource read failures degraded to plain
@@ -275,18 +266,19 @@ type Report struct {
 	QuantStats
 	// Cancelled marks a run cut short by context cancellation or deadline.
 	// The report is partial: labels are valid only for batches that
-	// completed, and RunContext returns it alongside the context error so
+	// completed, and the run returns it alongside the context error so
 	// callers can observe how far the run got. Partial labels must never be
 	// cached or merged.
 	Cancelled bool
-	// Positives counts the true labels — the run's observed pass rate is
-	// Positives/Frames, the adaptive-selectivity feedback signal the query
-	// planner consumes.
-	Positives int
+	// Positives[c] counts cascade c's true labels over the positions it was
+	// asked to classify — Positives[c] over that count is the observed pass
+	// rate, the adaptive-selectivity feedback signal the query planner
+	// consumes.
+	Positives []int
 	// Batches reports per-batch work in frame order.
 	Batches []BatchStats
-	// Cache carries the run's delta of the RepSource's own cache
-	// counters when the source implements CacheStatser (HasCache then).
+	// Cache carries the run's delta of the RepSource's (else the RepCache's)
+	// own counters when it implements CacheStatser (HasCache then).
 	Cache    CacheStats
 	HasCache bool
 	// Wall is the end-to-end run time; Throughput is Frames/Wall in
@@ -296,83 +288,121 @@ type Report struct {
 	Throughput float64
 }
 
-// Engine executes one cascade. Build it once per cascade with New; Run is
-// safe for concurrent use (each worker clones the models' scratch state),
-// ClassifyOne is not.
+// Engine executes one or more cascades over a shared representation-slot
+// plan. Build it once per cascade set with New; runs are safe for concurrent
+// use (each worker clones the models' scratch state), ClassifyOne is not.
 type Engine struct {
-	levels  []Level
-	repSlot []int    // per level: representation slot consumed
-	repIDs  []string // per slot: transform identity
-	scratch []*img.Image
-	// workers pools per-goroutine worker state (level clones, survivor
-	// bookkeeping, pooled representation buffers) so repeated runs — the
-	// streaming path especially — reach a steady state with no per-frame
-	// allocations.
+	cascades [][]Level
+	slot     [][]int           // [cascade][level] -> global representation slot
+	repIDs   []string          // per slot: transform identity
+	repXf    []xform.Transform // per slot: the transform itself
+	// workers pools per-goroutine state (model clones shared across
+	// cascades, survivor bookkeeping, pooled representation buffers) so
+	// repeated runs reach a steady state with no per-frame allocations.
 	workers sync.Pool
 }
 
-// validateLevels checks cascade shape: non-empty, every level has a model,
-// exactly the final level has Last set.
-func validateLevels(levels []Level) error {
-	if len(levels) == 0 {
-		return fmt.Errorf("empty cascade")
+// New plans an engine over the given cascades (at least one). In each,
+// exactly the final level must have Last set. Transform dedup spans levels
+// and cascades and is planned here, once, instead of per frame: a transform
+// appearing anywhere in the set gets a single global slot.
+func New(cascades ...[]Level) (*Engine, error) {
+	if len(cascades) == 0 {
+		return nil, fmt.Errorf("exec: engine needs at least one cascade")
 	}
-	for i, lv := range levels {
-		if lv.Model == nil {
-			return fmt.Errorf("level %d has no model", i)
+	e := &Engine{slot: make([][]int, len(cascades))}
+	slots := make(map[string]int)
+	for c, levels := range cascades {
+		if len(levels) == 0 {
+			return nil, fmt.Errorf("exec: cascade %d: empty cascade", c)
 		}
-		if last := i == len(levels)-1; lv.Last != last {
-			return fmt.Errorf("level %d/%d has Last=%v", i+1, len(levels), lv.Last)
+		e.cascades = append(e.cascades, append([]Level(nil), levels...))
+		e.slot[c] = make([]int, len(levels))
+		for i, lv := range levels {
+			if lv.Model == nil {
+				return nil, fmt.Errorf("exec: cascade %d: level %d has no model", c, i)
+			}
+			if last := i == len(levels)-1; lv.Last != last {
+				return nil, fmt.Errorf("exec: cascade %d: level %d/%d has Last=%v", c, i+1, len(levels), lv.Last)
+			}
+			id := lv.Model.Xform.ID()
+			s, ok := slots[id]
+			if !ok {
+				s = len(e.repIDs)
+				slots[id] = s
+				e.repIDs = append(e.repIDs, id)
+				e.repXf = append(e.repXf, lv.Model.Xform)
+			}
+			e.slot[c][i] = s
 		}
 	}
-	return nil
-}
-
-// New plans an engine for the cascade described by levels: exactly the
-// final level must have Last set. Transform dedup across levels is planned
-// here, once, instead of per frame.
-func New(levels []Level) (*Engine, error) {
-	if err := validateLevels(levels); err != nil {
-		return nil, fmt.Errorf("exec: %w", err)
-	}
-	e := &Engine{
-		levels:  append([]Level(nil), levels...),
-		repSlot: make([]int, len(levels)),
-	}
-	slots := make(map[string]int, len(levels))
-	for i, lv := range levels {
-		id := lv.Model.Xform.ID()
-		slot, ok := slots[id]
-		if !ok {
-			slot = len(e.repIDs)
-			slots[id] = slot
-			e.repIDs = append(e.repIDs, id)
-		}
-		e.repSlot[i] = slot
-	}
-	e.workers.New = func() any { return &worker{levels: e.cloneLevels()} }
+	e.workers.New = func() any { return &worker{cascades: e.cloneCascades()} }
 	return e, nil
 }
 
-// runCacher picks the cache whose per-run stats delta lands on the report:
-// the RepSource's own counters when it keeps them, else the cross-run
-// RepCache's. Returns the statser (nil if neither) and its before snapshot.
-func runCacher(sv *serving, rc RepCache) (CacheStatser, CacheStats) {
-	if sv != nil {
-		if c, ok := sv.rs.(CacheStatser); ok {
-			return c, c.CacheStats()
+// Reps returns the planned representation slots: the distinct transform
+// identities across every cascade, in first-use order.
+func (e *Engine) Reps() []string { return append([]string(nil), e.repIDs...) }
+
+// cloneCascades builds worker-local level sets: models are cloned (weights
+// shared, inference scratch independent), deduplicated so a model appearing
+// at several levels or in several cascades is cloned once per worker.
+func (e *Engine) cloneCascades() [][]Level {
+	clones := make(map[*model.Model]*model.Model)
+	out := make([][]Level, len(e.cascades))
+	for c, levels := range e.cascades {
+		out[c] = make([]Level, len(levels))
+		for i, lv := range levels {
+			m, ok := clones[lv.Model]
+			if !ok {
+				m = lv.Model.Clone()
+				clones[lv.Model] = m
+			}
+			out[c][i] = Level{Model: m, Thresholds: lv.Thresholds, Last: lv.Last}
 		}
 	}
-	if c, ok := rc.(CacheStatser); ok {
-		return c, c.CacheStats()
+	return out
+}
+
+// ClassifyOne labels a single frame under cascade c with a full trace — the
+// per-frame reference walk: one frame descends the cascade alone, float32,
+// materializing each distinct representation into a fresh image. The batched
+// runs are held bit-identical to it. It scores on the engine's own models
+// and is not safe for concurrent use; use Run for parallel work.
+func (e *Engine) ClassifyOne(c int, src *img.Image) (bool, Trace, error) {
+	var tr Trace
+	if c < 0 || c >= len(e.cascades) {
+		return false, tr, fmt.Errorf("exec: cascade %d out of range [0,%d)", c, len(e.cascades))
 	}
-	return nil, CacheStats{}
+	reps := make([]*img.Image, len(e.repIDs))
+	for li := range e.cascades[c] {
+		lv := &e.cascades[c][li]
+		slot := e.slot[c][li]
+		if reps[slot] == nil {
+			reps[slot] = lv.Model.Xform.Apply(src)
+			tr.RepsCreated = append(tr.RepsCreated, e.repIDs[slot])
+		}
+		score, err := lv.Model.Score(reps[slot])
+		if err != nil {
+			return false, tr, err
+		}
+		tr.LevelsRun++
+		tr.Scores = append(tr.Scores, score)
+		if lv.Last {
+			return score >= 0.5, tr, nil
+		}
+		if decided, positive := lv.Thresholds.Decide(score); decided {
+			return positive, tr, nil
+		}
+	}
+	// Unreachable: New guarantees a deciding last level. Guard anyway.
+	return false, tr, fmt.Errorf("exec: no level decided (malformed cascade)")
 }
 
 // serving is run-scoped RepSource state: the source plus the per-slot
 // serve-or-transform decision, fixed before the first batch so results are
-// independent of worker count, batch size and loop order. A nil *serving
-// means every slot is transformed.
+// independent of worker count and batch size. A nil *serving means every
+// slot is transformed.
 type serving struct {
 	rs     RepSource
 	served []bool // per slot
@@ -412,149 +442,43 @@ func newServing(rs RepSource, repIDs []string) *serving {
 	return &serving{rs: rs, served: served}
 }
 
-// Levels returns the engine's cascade stages.
-func (e *Engine) Levels() []Level { return e.levels }
-
-// Reps returns the planned representation slots: the distinct transform
-// identities the cascade can materialize per frame, in first-use order.
-func (e *Engine) Reps() []string { return append([]string(nil), e.repIDs...) }
-
-// classify runs the cascade on one frame. levels must be worker-local (or
-// otherwise exclusively held); slots must have len(e.repIDs) entries and is
-// clobbered. getSrc lazily supplies the decoded source frame (it may be
-// called zero times when every slot is served). sv (optional) serves
-// pre-materialized slots for source frame idx; rc (optional) is the
-// cross-run representation cache consulted for slots sv does not serve. tr
-// and st, when non-nil, receive per-frame and aggregate accounting. quant
-// selects int8 scoring with guard-band fallback (qsc is its scratch; st must
-// be non-nil then). A RepSource read failure degrades to decode + transform
-// instead of failing the frame — the cache→inference degradation ladder.
-func (e *Engine) classify(ctx context.Context, levels []Level, slots []*img.Image, getSrc func() (*img.Image, error), sv *serving, rc RepCache, idx int, tr *Trace, st *BatchStats, quant bool, qsc *quantScratch) (bool, error) {
-	for i := range slots {
-		slots[i] = nil
-	}
-	for li := range levels {
-		lv := &levels[li]
-		if err := ctx.Err(); err != nil {
-			return false, err
-		}
-		slot := e.repSlot[li]
-		rep := slots[slot]
-		if rep == nil {
-			if sv.on(slot) {
-				var err error
-				rep, err = sv.rs.Rep(idx, e.repIDs[slot])
-				if err != nil {
-					// Serving failed: fall back to transforming the decoded
-					// source rather than failing the query. Pixels are the
-					// fresh transform, not the store's quantized record.
-					src, serr := getSrc()
-					if serr != nil {
-						return false, fmt.Errorf("serving rep %s failed (%v) and source fallback failed: %w", e.repIDs[slot], err, serr)
-					}
-					rep = lv.Model.Xform.Apply(src)
-					if st != nil {
-						st.RepFallbacks++
-						st.RepsMaterialized++
-					}
-				} else if st != nil {
-					st.RepHits++
-				}
-				slots[slot] = rep
-			} else if cached := getCachedRep(rc, idx, e.repIDs[slot]); cached != nil {
-				rep = cached
-				slots[slot] = rep
-				if st != nil {
-					st.RepHits++
-				}
-			} else {
-				src, serr := getSrc()
-				if serr != nil {
-					return false, serr
-				}
-				rep = lv.Model.Xform.Apply(src)
-				if rc != nil {
-					// Apply allocates a fresh image per frame, so the cache
-					// can own it as-is — nothing writes it after this point.
-					rc.PutRep(idx, e.repIDs[slot], rep)
-				}
-				slots[slot] = rep
-				if st != nil {
-					st.RepsMaterialized++
-				}
-			}
-			if tr != nil {
-				tr.RepsCreated = append(tr.RepsCreated, e.repIDs[slot])
-			}
-		}
-		score, err := scoreLevelOne(lv, rep, qsc, quant, quantCounters(st))
-		if err != nil {
-			return false, err
-		}
-		if tr != nil {
-			tr.LevelsRun++
-			tr.Scores = append(tr.Scores, score)
-		}
-		if st != nil {
-			st.LevelsRun++
-		}
-		if lv.Last {
-			return score >= 0.5, nil
-		}
-		if decided, positive := lv.Thresholds.Decide(score); decided {
-			return positive, nil
+// runCacher picks the cache whose per-run stats delta lands on the report:
+// the RepSource's own counters when it keeps them, else the cross-run
+// RepCache's. Returns the statser (nil if neither) and its before snapshot.
+func runCacher(sv *serving, rc RepCache) (CacheStatser, CacheStats) {
+	if sv != nil {
+		if c, ok := sv.rs.(CacheStatser); ok {
+			return c, c.CacheStats()
 		}
 	}
-	// Unreachable: the last level always decides. Guard anyway.
-	return false, fmt.Errorf("exec: no level decided (malformed cascade)")
-}
-
-// ClassifyOne labels a single frame with a full trace. It reuses
-// engine-owned scratch state and is not safe for concurrent use; use Run
-// for parallel work.
-func (e *Engine) ClassifyOne(src *img.Image) (bool, Trace, error) {
-	if e.scratch == nil {
-		e.scratch = make([]*img.Image, len(e.repIDs))
+	if c, ok := rc.(CacheStatser); ok {
+		return c, c.CacheStats()
 	}
-	var tr Trace
-	getSrc := func() (*img.Image, error) { return src, nil }
-	label, err := e.classify(context.Background(), e.levels, e.scratch, getSrc, nil, nil, -1, &tr, nil, false, nil)
-	return label, tr, err
-}
-
-// getCachedRep consults the optional cross-run cache; nil means transform.
-func getCachedRep(rc RepCache, idx int, id string) *img.Image {
-	if rc == nil {
-		return nil
-	}
-	return rc.GetRep(idx, id)
+	return nil, CacheStats{}
 }
 
 // worker is one goroutine's private execution state, pooled on the engine so
-// repeated runs (the streaming path) reach a steady state with no per-frame
-// allocations: model clones, the level-major survivor bookkeeping, and the
-// pooled representation buffers that ApplyInto materializes into.
+// repeated runs reach a steady state with no per-frame allocations: model
+// clones, the survivor bookkeeping, and the pooled representation buffers
+// that ApplyInto materializes into. All batch-indexed scratch is sized to the
+// largest batch seen.
 type worker struct {
-	levels []Level
-	// Frame-major scratch: one representation slot set, reused per frame.
-	slots []*img.Image
-	// Level-major scratch, sized to the largest batch seen.
-	srcs   []*img.Image   // source frames of the current batch
-	und    []int          // undecided positions, compacted level by level
-	gather []*img.Image   // representations of the undecided frames
-	scores []float32      // ScoreBatch output
-	reps   [][]*img.Image // [slot][pos] pooled representation buffers
-	repOK  [][]bool       // [slot][pos] materialized for the current batch?
+	cascades [][]Level
+	srcs     []*img.Image   // source frames of the current batch
+	und      []int          // undecided positions, compacted level by level
+	gather   []*img.Image   // representations of the undecided frames
+	scores   []float32      // ScoreBatch output
+	reps     [][]*img.Image // [slot][pos] pooled representation buffers
+	repOK    [][]bool       // [slot][pos] materialized for the current batch?
 	// repShared marks positions whose rep entry is a cache-owned image from
 	// Options.RepCache rather than a pooled buffer: those entries must be
 	// dropped after the batch so they never become ApplyInto targets.
 	repShared [][]bool     // [slot][pos]
 	proj      []*img.Image // [slot] projection scratch for ApplyInto
-	// qsc is the guard-band scoring scratch shared by both inner loops.
-	qsc quantScratch
+	qsc       quantScratch
 }
 
-// ensure grows the level-major scratch to batch capacity n.
+// ensure grows the scratch to batch capacity n.
 func (w *worker) ensure(n, nslots int) {
 	if cap(w.srcs) < n {
 		w.srcs = make([]*img.Image, n)
@@ -579,260 +503,254 @@ func (w *worker) ensure(n, nslots int) {
 	}
 }
 
-// cloneLevels builds a worker-local level set: models are cloned (weights
-// shared, inference scratch independent), deduplicated so a model appearing
-// at several levels is cloned once.
-func (e *Engine) cloneLevels() []Level {
-	clones := make(map[*model.Model]*model.Model, len(e.levels))
-	out := make([]Level, len(e.levels))
-	for i, lv := range e.levels {
-		c, ok := clones[lv.Model]
-		if !ok {
-			c = lv.Model.Clone()
-			clones[lv.Model] = c
-		}
-		out[i] = Level{Model: c, Thresholds: lv.Thresholds, Last: lv.Last}
-	}
-	return out
+// run bundles one run's immutable parameters.
+type run struct {
+	ctx     context.Context
+	e       *Engine
+	src     Source
+	indices []int
+	need    [][]bool // per cascade, positional over indices; nil = all
+	sv      *serving
+	rc      RepCache
+	labels  [][]bool
+	quant   bool // QuantAuto run: int8 scoring with guard-band fallback
 }
 
-// runBatchFrameMajor is the legacy inner loop: each frame descends the
-// cascade alone via per-frame Score calls, materializing representations
-// into freshly allocated images (or taking them from the RepSource).
-func (e *Engine) runBatchFrameMajor(ctx context.Context, w *worker, src Source, indices []int, lo, hi int, sv *serving, rc RepCache, labels []bool, st *BatchStats, quant bool) error {
-	if w.slots == nil {
-		w.slots = make([]*img.Image, len(e.repIDs))
+// needs reports whether cascade c must classify position pos.
+func (r *run) needs(c, pos int) bool {
+	return r.need == nil || r.need[c] == nil || r.need[c][pos]
+}
+
+// anyNeeds reports whether any cascade must classify position pos.
+func (r *run) anyNeeds(pos int) bool {
+	for c := range r.e.cascades {
+		if r.needs(c, pos) {
+			return true
+		}
 	}
-	// Served and cached slots hold cache-owned images; drop the references
-	// so the pooled worker does not pin them (and a later RepSource-less run
-	// cannot mistake one for an engine-owned buffer).
-	defer func() {
-		for i := range w.slots {
-			w.slots[i] = nil
-		}
-	}()
-	needSrc := sv.needSource()
-	for j := lo; j < hi; j++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		idx := indices[j]
-		// The source decode is lazy so fully-served frames skip it, yet stays
-		// available to classify's degradation path when a served read fails.
-		var im *img.Image
-		getSrc := func() (*img.Image, error) {
-			if im != nil {
-				return im, nil
-			}
-			var err error
-			im, err = src.Image(idx)
-			if err != nil {
-				return nil, fmt.Errorf("exec: loading frame %d: %w", idx, err)
-			}
-			return im, nil
-		}
-		if needSrc {
-			if _, err := getSrc(); err != nil {
-				return err
-			}
-		}
-		label, err := e.classify(ctx, w.levels, w.slots, getSrc, sv, rc, idx, nil, st, quant, &w.qsc)
+	return false
+}
+
+// materialize fills slot for batch position j (frame indices[lo+j]): served
+// from the RepSource, hit in the RepCache, or transformed from the decoded
+// source into the worker's pooled buffer.
+func (r *run) materialize(w *worker, st *BatchStats, lo, slot, j int) error {
+	// Serving and transforming can both stall (slow store, big frame);
+	// check the ctx at the same per-slot-fill grain so a deadline fires
+	// promptly even inside a large batch.
+	if err := r.ctx.Err(); err != nil {
+		return err
+	}
+	idx, id := r.indices[lo+j], r.e.repIDs[slot]
+	bufs := w.reps[slot]
+	if r.sv.on(slot) {
+		rep, err := r.sv.rs.Rep(idx, id)
 		if err != nil {
-			if canceled(err) {
-				return err
+			// Serving failed: degrade to decode + transform (the
+			// cache→inference ladder) instead of failing the run. The source
+			// may not have been decoded when every slot is served, so load it
+			// on demand. The fallback buffer lands at a served position,
+			// which release drops after the batch — a benign per-batch
+			// allocation, only ever paid under store failure.
+			im := w.srcs[j]
+			if im == nil {
+				im, err = r.src.Image(idx)
+				if err != nil {
+					return fmt.Errorf("exec: frame %d: loading source for rep fallback: %w", idx, err)
+				}
+				w.srcs[j] = im
 			}
-			return fmt.Errorf("exec: frame %d: %w", idx, err)
+			bufs[j], w.proj[slot] = r.e.repXf[slot].ApplyInto(bufs[j], im, w.proj[slot])
+			st.RepFallbacks++
+			st.RepsMaterialized++
+		} else {
+			bufs[j] = rep
+			st.RepHits++
 		}
-		labels[j] = label
+	} else if cached := getCachedRep(r.rc, idx, id); cached != nil {
+		// The pooled buffer at this position is dropped in favor of the
+		// shared image; release unpins it so it can never become an
+		// ApplyInto target.
+		bufs[j] = cached
+		w.repShared[slot][j] = true
+		st.RepHits++
+	} else {
+		bufs[j], w.proj[slot] = r.e.repXf[slot].ApplyInto(bufs[j], w.srcs[j], w.proj[slot])
+		if r.rc != nil {
+			r.rc.PutRep(idx, id, bufs[j].Clone())
+		}
+		st.RepsMaterialized++
 	}
+	w.repOK[slot][j] = true
 	return nil
 }
 
-// runBatchLevelMajor is the batched inner loop: per level, the
-// representation slot is materialized once per still-undecided frame into
-// the worker's pooled buffers, all undecided frames are scored with one
-// ScoreBatch call, thresholds are applied, and the survivor index vector is
-// compacted in place before descending. Each frame still short-circuits at
-// its earliest deciding level — the (frame, level) pairs executed, the
-// representations materialized and the resulting labels are exactly those
-// of the frame-major loop, just reordered — so LevelsRun/RepsMaterialized
-// accounting and labels are bit-identical to runBatchFrameMajor.
-func (e *Engine) runBatchLevelMajor(ctx context.Context, w *worker, src Source, indices []int, lo, hi int, sv *serving, rc RepCache, labels []bool, st *BatchStats, quant bool) error {
+// getCachedRep consults the optional cross-run cache; nil means transform.
+func getCachedRep(rc RepCache, idx int, id string) *img.Image {
+	if rc == nil {
+		return nil
+	}
+	return rc.GetRep(idx, id)
+}
+
+// runBatch is the engine's one inner loop, over positions [lo,hi) of the
+// run's frame list. It loads the batch's source frames (when any slot still
+// needs them), then walks the cascades in turn, each level-major: the
+// level's representation slot is materialized once per still-undecided frame
+// — whichever cascade touches a (frame, slot) first fills it, every later
+// level or cascade reuses it — all undecided frames are scored with one
+// batched call, thresholds are applied, and the survivor vector is compacted
+// in place before descending. Each frame short-circuits at its earliest
+// deciding level, so the (frame, level) pairs executed, the representations
+// materialized and the labels are exactly those of the per-frame walk.
+func (r *run) runBatch(w *worker, lo, hi int, st *BatchStats) error {
 	n := hi - lo
-	w.ensure(n, len(e.repIDs))
-	// Unpin the borrowed source frames on every exit path: the worker goes
-	// back into the pool even when a batch fails, and must not keep frames
-	// reachable for the engine's lifetime. Served slots and RepCache hits
-	// hold cache-owned images — drop those references too, so the pool never
-	// offers a shared image as a writable ApplyInto target to a later run.
-	defer func() {
-		for j := 0; j < n; j++ {
-			w.srcs[j] = nil
-		}
-		if sv != nil {
-			for s, on := range sv.served {
-				if !on {
-					continue
-				}
-				row := w.reps[s]
-				for j := 0; j < n; j++ {
-					row[j] = nil
-				}
-			}
-		}
-		if rc != nil {
-			for s := range w.repShared {
-				row, shared := w.reps[s], w.repShared[s]
-				for j := 0; j < n; j++ {
-					if shared[j] {
-						row[j] = nil
-						shared[j] = false
-					}
-				}
-			}
-		}
-	}()
-	if sv.needSource() {
-		for j := 0; j < n; j++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			im, err := src.Image(indices[lo+j])
-			if err != nil {
-				return fmt.Errorf("exec: loading frame %d: %w", indices[lo+j], err)
-			}
-			w.srcs[j] = im
-		}
-	}
-	und := w.und[:0]
-	for j := 0; j < n; j++ {
-		und = append(und, j)
-	}
+	w.ensure(n, len(r.e.repIDs))
+	defer r.release(w, n)
 	for s := range w.repOK {
 		ok := w.repOK[s][:n]
 		for j := range ok {
 			ok[j] = false
 		}
 	}
-	for li := range w.levels {
-		if len(und) == 0 {
-			break
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		lv := &w.levels[li]
-		slot := e.repSlot[li]
-		bufs, ok := w.reps[slot], w.repOK[slot]
-		gather := w.gather[:0]
-		for _, j := range und {
-			if !ok[j] {
-				// Rep loads can stall on a slow store; check the ctx at the
-				// same per-frame grain so a deadline fires promptly.
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				if sv.on(slot) {
-					rep, err := sv.rs.Rep(indices[lo+j], e.repIDs[slot])
-					if err != nil {
-						// Serving failed: degrade to decode + transform (the
-						// cache→inference ladder) instead of failing the run.
-						// The source may not have been decoded when every slot
-						// is served, so load it on demand. The fallback buffer
-						// lands at a served position, which the deferred
-						// cleanup drops after the batch — a benign per-batch
-						// allocation, only ever paid under store failure.
-						im := w.srcs[j]
-						if im == nil {
-							im, err = src.Image(indices[lo+j])
-							if err != nil {
-								return fmt.Errorf("exec: frame %d: loading source for rep fallback: %w", indices[lo+j], err)
-							}
-							w.srcs[j] = im
-						}
-						bufs[j], w.proj[slot] = lv.Model.Xform.ApplyInto(bufs[j], im, w.proj[slot])
-						st.RepFallbacks++
-						st.RepsMaterialized++
-					} else {
-						bufs[j] = rep
-						st.RepHits++
-					}
-				} else if cached := getCachedRep(rc, indices[lo+j], e.repIDs[slot]); cached != nil {
-					// The pooled buffer at this position is dropped in favor
-					// of the shared image; the deferred cleanup unpins it so
-					// it can never become an ApplyInto target.
-					bufs[j] = cached
-					w.repShared[slot][j] = true
-					st.RepHits++
-				} else {
-					bufs[j], w.proj[slot] = lv.Model.Xform.ApplyInto(bufs[j], w.srcs[j], w.proj[slot])
-					if rc != nil {
-						rc.PutRep(indices[lo+j], e.repIDs[slot], bufs[j].Clone())
-					}
-					st.RepsMaterialized++
-				}
-				ok[j] = true
+	if r.sv.needSource() {
+		for j := 0; j < n; j++ {
+			if !r.anyNeeds(lo + j) {
+				continue
 			}
-			gather = append(gather, bufs[j])
-		}
-		scores := w.scores[:len(und)]
-		if err := scoreLevelBatch(lv, gather, scores, &w.qsc, quant, &st.QuantStats); err != nil {
-			// Re-score frame by frame to attribute the failure to a corpus
-			// index (the batch error only knows gather positions). Cold
-			// path: scoring errors abort the whole run.
-			for i, j := range und {
-				if _, ferr := lv.Model.Score(gather[i]); ferr != nil {
-					return fmt.Errorf("exec: frame %d: level %d: %w", indices[lo+j], li, ferr)
-				}
+			if err := r.ctx.Err(); err != nil {
+				return err
 			}
-			return fmt.Errorf("exec: level %d: %w", li, err)
-		}
-		st.LevelsRun += len(und)
-		if lv.Last {
-			for i, j := range und {
-				labels[lo+j] = scores[i] >= 0.5
+			im, err := r.src.Image(r.indices[lo+j])
+			if err != nil {
+				return fmt.Errorf("exec: loading frame %d: %w", r.indices[lo+j], err)
 			}
-			und = und[:0]
-			break
+			w.srcs[j] = im
 		}
-		keep := und[:0]
-		for i, j := range und {
-			if decided, positive := lv.Thresholds.Decide(scores[i]); decided {
-				labels[lo+j] = positive
-			} else {
-				keep = append(keep, j)
-			}
-		}
-		und = keep
 	}
-	if len(und) != 0 {
-		// Unreachable: the last level always decides. Guard anyway.
-		return fmt.Errorf("exec: no level decided (malformed cascade)")
+	for c, levels := range w.cascades {
+		und := w.und[:0]
+		for j := 0; j < n; j++ {
+			if r.needs(c, lo+j) {
+				und = append(und, j)
+			}
+		}
+		for li := range levels {
+			if len(und) == 0 {
+				break
+			}
+			if err := r.ctx.Err(); err != nil {
+				return err
+			}
+			lv := &levels[li]
+			slot := r.e.slot[c][li]
+			gather := w.gather[:0]
+			for _, j := range und {
+				if !w.repOK[slot][j] {
+					if err := r.materialize(w, st, lo, slot, j); err != nil {
+						return err
+					}
+				}
+				gather = append(gather, w.reps[slot][j])
+			}
+			scores := w.scores[:len(und)]
+			if err := scoreLevelBatch(lv, gather, scores, &w.qsc, r.quant, &st.QuantStats); err != nil {
+				// Re-score frame by frame to attribute the failure to a
+				// corpus index (the batch error only knows gather positions).
+				// Cold path: scoring errors abort the whole run.
+				for i, j := range und {
+					if _, ferr := lv.Model.Score(gather[i]); ferr != nil {
+						return fmt.Errorf("exec: frame %d: cascade %d level %d: %w", r.indices[lo+j], c, li, ferr)
+					}
+				}
+				return fmt.Errorf("exec: cascade %d level %d: %w", c, li, err)
+			}
+			st.LevelsRun[c] += len(und)
+			if lv.Last {
+				for i, j := range und {
+					r.labels[c][lo+j] = scores[i] >= 0.5
+				}
+				und = und[:0]
+				break
+			}
+			keep := und[:0]
+			for i, j := range und {
+				if decided, positive := lv.Thresholds.Decide(scores[i]); decided {
+					r.labels[c][lo+j] = positive
+				} else {
+					keep = append(keep, j)
+				}
+			}
+			und = keep
+		}
+		if len(und) != 0 {
+			// Unreachable: New guarantees a deciding last level. Guard anyway.
+			return fmt.Errorf("exec: no level decided (malformed cascade)")
+		}
 	}
 	return nil
 }
 
-// RunAll classifies every frame of src.
-func (e *Engine) RunAll(src Source, opts Options) (*Report, error) {
-	return e.Run(src, nil, opts)
+// release unpins what a batch borrowed, on every exit path: the worker goes
+// back into the pool even when a batch fails, and must not keep source
+// frames reachable for the engine's lifetime. Served slots and RepCache hits
+// hold cache-owned images — those references are dropped too, so the pool
+// never offers a shared image as a writable ApplyInto target to a later run.
+func (r *run) release(w *worker, n int) {
+	for j := 0; j < n; j++ {
+		w.srcs[j] = nil
+	}
+	if r.sv != nil {
+		for s, on := range r.sv.served {
+			if !on {
+				continue
+			}
+			row := w.reps[s]
+			for j := 0; j < n; j++ {
+				row[j] = nil
+			}
+		}
+	}
+	if r.rc != nil {
+		for s := range w.repShared {
+			row, shared := w.reps[s], w.repShared[s]
+			for j := 0; j < n; j++ {
+				if shared[j] {
+					row[j] = nil
+					shared[j] = false
+				}
+			}
+		}
+	}
 }
 
-// Run classifies the frames of src named by indices (nil = all), in
-// batches across a worker pool. Labels are positional: Labels[j] is the
-// label of src frame indices[j]. Results are bit-identical regardless of
+// Run classifies the frames of src named by indices (nil = all) under every
+// cascade. Labels are positional and per cascade: Labels[c][j] is cascade
+// c's label of src frame indices[j]. Results are bit-identical regardless of
 // worker count and batch size; only the stats' batch boundaries and wall
 // times vary.
 func (e *Engine) Run(src Source, indices []int, opts Options) (*Report, error) {
-	return e.RunContext(context.Background(), src, indices, opts)
+	return e.RunMasked(context.Background(), src, indices, nil, opts)
 }
 
-// RunContext is Run with cooperative cancellation: workers check ctx between
-// batches (and the inner loops between levels), so a cancelled or deadlined
-// run returns promptly with ctx's error and a partial Report whose Cancelled
-// flag is set — the partial labels must never be cached or merged. A panic in
-// any worker (a misbehaving model, an injected fault) is contained to the run
-// and surfaces as a *PanicError instead of crashing the process.
+// RunContext is Run with cooperative cancellation (see RunMasked).
 func (e *Engine) RunContext(ctx context.Context, src Source, indices []int, opts Options) (*Report, error) {
+	return e.RunMasked(ctx, src, indices, nil, opts)
+}
+
+// RunMasked is the full form of a run. need (optional) masks positions per
+// cascade: cascade c classifies position j only when need[c] is nil or
+// need[c][j] — the shape the query executor uses when predicates have
+// different cached coverage.
+//
+// Batches are dealt to share-nothing workers, each preparing and scoring its
+// own. Workers check ctx between batches (and the inner loop between levels
+// and slot fills), so a cancelled or deadlined run returns promptly with
+// ctx's error and a partial Report whose Cancelled flag is set — the partial
+// labels must never be cached or merged. A panic in any worker (a
+// misbehaving model, an injected fault) is contained to the run and surfaces
+// as a *PanicError instead of crashing the process.
+func (e *Engine) RunMasked(ctx context.Context, src Source, indices []int, need [][]bool, opts Options) (*Report, error) {
 	opts = opts.normalized()
 	if indices == nil {
 		indices = make([]int, src.Len())
@@ -840,8 +758,26 @@ func (e *Engine) RunContext(ctx context.Context, src Source, indices []int, opts
 			indices[i] = i
 		}
 	}
+	nc := len(e.cascades)
+	if need != nil {
+		if len(need) != nc {
+			return nil, fmt.Errorf("exec: need mask covers %d cascades, engine has %d", len(need), nc)
+		}
+		for c, m := range need {
+			if m != nil && len(m) != len(indices) {
+				return nil, fmt.Errorf("exec: need mask %d covers %d positions, run has %d", c, len(m), len(indices))
+			}
+		}
+	}
 	start := time.Now()
-	rep := &Report{Labels: make([]bool, len(indices))}
+	rep := &Report{
+		Labels:    make([][]bool, nc),
+		LevelsRun: make([]int, nc),
+		Positives: make([]int, nc),
+	}
+	for c := range rep.Labels {
+		rep.Labels[c] = make([]bool, len(indices))
+	}
 	sv := newServing(opts.RepSource, e.repIDs)
 	cacher, cacheBefore := runCacher(sv, opts.RepCache)
 	if len(indices) == 0 {
@@ -851,60 +787,53 @@ func (e *Engine) RunContext(ctx context.Context, src Source, indices []int, opts
 
 	numBatches := (len(indices) + opts.Batch - 1) / opts.Batch
 	rep.Batches = make([]BatchStats, numBatches)
+	levelsRun := make([]int, numBatches*nc) // one backing array for every batch's per-cascade counts
 	jobs := make(chan int, numBatches)
-	for b := 0; b < numBatches; b++ {
+	for b := range rep.Batches {
+		lo := b * opts.Batch
+		hi := min(lo+opts.Batch, len(indices))
+		rep.Batches[b] = BatchStats{Start: lo, Frames: hi - lo, LevelsRun: levelsRun[b*nc : (b+1)*nc : (b+1)*nc]}
 		jobs <- b
 	}
 	close(jobs)
+	r := &run{ctx: ctx, e: e, src: src, indices: indices, need: need, sv: sv, rc: opts.RepCache, labels: rep.Labels, quant: opts.Quantize == QuantAuto}
 
-	workers := opts.Workers
-	if workers > numBatches {
-		workers = numBatches
-	}
+	workers := min(opts.Workers, numBatches)
 	errs := make(chan error, workers)
 	var failed atomic.Bool
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			wk := e.workers.Get().(*worker)
-			defer e.workers.Put(wk)
+			w := e.workers.Get().(*worker)
+			defer e.workers.Put(w)
 			for b := range jobs {
 				// A failed run is doomed: drain instead of classifying the
 				// remaining batches.
 				if failed.Load() {
 					continue
 				}
-				if err := ctx.Err(); err != nil {
-					failed.Store(true)
-					errs <- err
-					return
-				}
 				st := &rep.Batches[b]
-				t0 := time.Now()
-				lo := b * opts.Batch
-				hi := min(lo+opts.Batch, len(indices))
-				st.Start, st.Frames = lo, hi-lo
-				// The recover wall converts a panicking batch into a failed
-				// run: the worker's deferred cleanups (buffer unpinning) run
-				// first, so containment never leaks engine state.
-				err := runProtected(func() error {
-					if ferr := faults.Fire(faults.ExecWorkerPanic); ferr != nil {
-						return ferr
-					}
-					quant := opts.Quantize == QuantAuto
-					if opts.FrameMajor {
-						return e.runBatchFrameMajor(ctx, wk, src, indices, lo, hi, sv, opts.RepCache, rep.Labels, st, quant)
-					}
-					return e.runBatchLevelMajor(ctx, wk, src, indices, lo, hi, sv, opts.RepCache, rep.Labels, st, quant)
-				})
+				err := ctx.Err()
+				if err == nil {
+					t0 := time.Now()
+					// The recover wall converts a panicking batch into a
+					// failed run: runBatch's deferred release runs first, so
+					// containment never leaks engine state.
+					err = runProtected(func() error {
+						if ferr := faults.Fire(faults.ExecWorkerPanic); ferr != nil {
+							return ferr
+						}
+						return r.runBatch(w, st.Start, st.Start+st.Frames, st)
+					})
+					st.Wall = time.Since(t0)
+				}
 				if err != nil {
 					failed.Store(true)
 					errs <- err
 					return
 				}
-				st.Wall = time.Since(t0)
 			}
 		}()
 	}
@@ -918,17 +847,22 @@ func (e *Engine) RunContext(ctx context.Context, src Source, indices []int, opts
 		return nil, runErr
 	}
 
-	for _, st := range rep.Batches {
+	for b := range rep.Batches {
+		st := &rep.Batches[b]
 		rep.Frames += st.Frames
-		rep.LevelsRun += st.LevelsRun
 		rep.RepsMaterialized += st.RepsMaterialized
 		rep.RepHits += st.RepHits
 		rep.RepFallbacks += st.RepFallbacks
 		rep.QuantStats.add(st.QuantStats)
+		for c, lr := range st.LevelsRun {
+			rep.LevelsRun[c] += lr
+		}
 	}
-	for _, l := range rep.Labels {
-		if l {
-			rep.Positives++
+	for c, labels := range rep.Labels {
+		for _, l := range labels { // masked-out positions are never labeled, so stay false
+			if l {
+				rep.Positives[c]++
+			}
 		}
 	}
 	if cacher != nil {

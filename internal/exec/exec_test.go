@@ -1,31 +1,39 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"tahoma/internal/arch"
 	"tahoma/internal/img"
 	"tahoma/internal/model"
+	"tahoma/internal/repstore"
 	"tahoma/internal/thresh"
 	"tahoma/internal/xform"
 )
 
-// buildLevels constructs a cascade over real (untrained, deterministically
-// initialized) models. Transforms repeat so representation sharing happens.
-func buildLevels(t *testing.T, seed int64, depth int) []Level {
+// sharedGrid is the transform ladder cascades draw from by default. Levels 0
+// and 2 share a representation, and every cascade built over it overlaps the
+// others exactly as a real multi-predicate query's would.
+var sharedGrid = []xform.Transform{
+	{Size: 8, Color: img.Gray},
+	{Size: 16, Color: img.RGB},
+	{Size: 8, Color: img.Gray},
+	{Size: 16, Color: img.Gray},
+}
+
+// buildLevelsOn constructs a cascade over real (untrained, deterministically
+// initialized) models drawing transforms from grid in order.
+func buildLevelsOn(t *testing.T, grid []xform.Transform, seed int64, depth int) []Level {
 	t.Helper()
-	xfs := []xform.Transform{
-		{Size: 8, Color: img.Gray},
-		{Size: 16, Color: img.RGB},
-		{Size: 8, Color: img.Gray}, // shares a representation with level 0
-		{Size: 16, Color: img.Gray},
-	}
 	spec := arch.Spec{ConvLayers: 1, ConvWidth: 2, DenseWidth: 2, Kernel: 3}
 	levels := make([]Level, depth)
 	for i := 0; i < depth; i++ {
-		m, err := model.New(spec, xfs[i%len(xfs)], model.Basic, seed+int64(i))
+		m, err := model.New(spec, grid[i%len(grid)], model.Basic, seed+int64(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,6 +45,29 @@ func buildLevels(t *testing.T, seed int64, depth int) []Level {
 		}
 	}
 	return levels
+}
+
+func buildLevels(t *testing.T, seed int64, depth int) []Level {
+	t.Helper()
+	return buildLevelsOn(t, sharedGrid, seed, depth)
+}
+
+// buildCascades constructs one cascade per depth with distinct model seeds.
+// Shared grids all draw from sharedGrid; disjoint grids give each cascade
+// its own color channel, so no representation is shared across cascades.
+func buildCascades(t *testing.T, seed int64, depths []int, shared bool) [][]Level {
+	t.Helper()
+	colors := []img.ColorMode{img.Red, img.Green, img.Blue}
+	out := make([][]Level, len(depths))
+	for c, d := range depths {
+		grid := sharedGrid
+		if !shared {
+			col := colors[c%len(colors)]
+			grid = []xform.Transform{{Size: 8, Color: col}, {Size: 16, Color: col}}
+		}
+		out[c] = buildLevelsOn(t, grid, seed+int64(100*c), d)
+	}
+	return out
 }
 
 func randFrames(seed int64, n, size int) []*img.Image {
@@ -52,126 +83,412 @@ func randFrames(seed int64, n, size int) []*img.Image {
 	return out
 }
 
-// referenceClassify is an independent per-image walk with map-based
-// representation dedup — the semantics the seed runtime implemented — used
-// as the parity oracle for the engine.
-func referenceClassify(t *testing.T, levels []Level, src *img.Image) (label bool, levelsRun, reps int) {
+// calibrate arms the int8 path of every model in cascades, calibrating each
+// on samples drawn from the same distribution the test frames use
+// (transforms of random RGB sources), as install-time calibration does with
+// the eval split.
+func calibrate(t *testing.T, seed int64, cascades ...[]Level) {
 	t.Helper()
-	cache := make(map[string]*img.Image)
-	for _, lv := range levels {
-		id := lv.Model.Xform.ID()
-		rep, ok := cache[id]
-		if !ok {
-			rep = lv.Model.Xform.Apply(src)
-			cache[id] = rep
-			reps++
-		}
-		score, err := lv.Model.Score(rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		levelsRun++
-		if lv.Last {
-			return score >= 0.5, levelsRun, reps
-		}
-		if decided, positive := lv.Thresholds.Decide(score); decided {
-			return positive, levelsRun, reps
-		}
-	}
-	t.Fatal("no level decided")
-	return false, 0, 0
-}
-
-// TestRunParity: for every worker count and batch size, Run must return
-// bit-identical labels and identical levels-run / reps-materialized
-// accounting to the sequential per-image reference walk.
-func TestRunParity(t *testing.T) {
-	for _, depth := range []int{1, 2, 4} {
-		levels := buildLevels(t, 101+int64(depth), depth)
-		eng, err := New(levels)
-		if err != nil {
-			t.Fatal(err)
-		}
-		frames := randFrames(202, 45, 32)
-
-		wantLabels := make([]bool, len(frames))
-		wantLevels, wantReps := 0, 0
-		for i, f := range frames {
-			label, lr, rc := referenceClassify(t, levels, f)
-			wantLabels[i] = label
-			wantLevels += lr
-			wantReps += rc
-		}
-
-		for _, workers := range []int{1, 2, 3, 4} {
-			for _, batch := range []int{1, 3, 7, 64, 1000} {
-				t.Run(fmt.Sprintf("depth=%d/w=%d/b=%d", depth, workers, batch), func(t *testing.T) {
-					rep, err := eng.RunAll(Frames(frames), Options{Workers: workers, Batch: batch})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if rep.Frames != len(frames) {
-						t.Fatalf("processed %d frames, want %d", rep.Frames, len(frames))
-					}
-					for i := range frames {
-						if rep.Labels[i] != wantLabels[i] {
-							t.Fatalf("label %d = %v, reference = %v", i, rep.Labels[i], wantLabels[i])
-						}
-					}
-					if rep.LevelsRun != wantLevels {
-						t.Fatalf("LevelsRun = %d, reference = %d", rep.LevelsRun, wantLevels)
-					}
-					if rep.RepsMaterialized != wantReps {
-						t.Fatalf("RepsMaterialized = %d, reference = %d", rep.RepsMaterialized, wantReps)
-					}
-					wantBatches := (len(frames) + batch - 1) / batch
-					if len(rep.Batches) != wantBatches {
-						t.Fatalf("%d batches, want %d", len(rep.Batches), wantBatches)
-					}
-					gotFrames := 0
-					for _, st := range rep.Batches {
-						gotFrames += st.Frames
-					}
-					if gotFrames != len(frames) {
-						t.Fatalf("batch stats cover %d frames, want %d", gotFrames, len(frames))
-					}
-				})
+	srcs := randFrames(seed, 48, 32)
+	done := make(map[*model.Model]bool)
+	for _, levels := range cascades {
+		for _, lv := range levels {
+			if done[lv.Model] {
+				continue
+			}
+			done[lv.Model] = true
+			reps := make([]*img.Image, len(srcs))
+			for i, src := range srcs {
+				reps[i] = lv.Model.Xform.Apply(src)
+			}
+			if _, err := lv.Model.CalibrateQuant(reps); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
 }
 
-// TestClassifyOneMatchesRun: the single-frame traced path and the batched
-// path agree frame by frame, and traces carry the planned rep identities.
-func TestClassifyOneMatchesRun(t *testing.T) {
+// fakeRepSource serves pre-computed representations for a subset of
+// transforms, keyed by source frame index, and counts Rep calls as cache
+// hits.
+type fakeRepSource struct {
+	reps map[string][]*img.Image // transform id -> per-frame representation
+	hits atomic.Int64
+}
+
+// newFakeRepSource serves exactly what served would produce for each frame.
+func newFakeRepSource(frames []*img.Image, served xform.Transform) *fakeRepSource {
+	s := &fakeRepSource{reps: map[string][]*img.Image{served.ID(): nil}}
+	for _, f := range frames {
+		s.reps[served.ID()] = append(s.reps[served.ID()], served.Apply(f))
+	}
+	return s
+}
+
+func (s *fakeRepSource) HasRep(id string) bool { _, ok := s.reps[id]; return ok }
+
+func (s *fakeRepSource) Rep(i int, id string) (*img.Image, error) {
+	reps, ok := s.reps[id]
+	if !ok || i < 0 || i >= len(reps) {
+		return nil, fmt.Errorf("fake: no rep %s/%d", id, i)
+	}
+	s.hits.Add(1)
+	return reps[i], nil
+}
+
+func (s *fakeRepSource) CacheStats() CacheStats {
+	return CacheStats{Hits: s.hits.Load()}
+}
+
+// statsRepCache adapts repstore.SharedReps to CacheStatser so per-run deltas
+// land on reports (the shape vdb's shared-cache adapter has).
+type statsRepCache struct {
+	*repstore.SharedReps
+}
+
+func (s statsRepCache) CacheStats() CacheStats {
+	st := s.Stats()
+	return CacheStats{Hits: st.Hits, Misses: st.Misses, EvictedBytes: st.EvictedBytes, ResidentBytes: st.ResidentBytes}
+}
+
+func newTestRepCache(t *testing.T) statsRepCache {
+	t.Helper()
+	sr, err := repstore.NewSharedReps(64 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return statsRepCache{sr}
+}
+
+// refFrame is what the independent reference expects one position of a run
+// to have done.
+type refFrame struct {
+	labels []bool // per cascade; false where masked out
+	levels []int  // per cascade
+	reps   int    // (frame, slot) pairs transformed
+	hits   int    // (frame, slot) pairs the RepSource serves instead
+	quant  QuantStats
+}
+
+// referenceWalk is the independent oracle: a per-frame walk over every
+// cascade with ONE shared representation map per frame — the semantics the
+// seed runtime implemented per cascade, extended across cascades. It shares
+// no code with the engine beyond the trust rule quantTrusted (pinned on its
+// own by TestQuantTrusted): served transforms count as hits instead of
+// reps, and under quant each calibrated level's single-frame int8 score is
+// put to the trust rule and counted as trusted or fallback.
+func referenceWalk(t *testing.T, cascades [][]Level, frames []*img.Image, indices []int, need [][]bool, served map[string]bool, quant bool) []refFrame {
+	t.Helper()
+	out := make([]refFrame, len(indices))
+	for j, idx := range indices {
+		rf := refFrame{labels: make([]bool, len(cascades)), levels: make([]int, len(cascades))}
+		cache := make(map[string]*img.Image)
+		for c, levels := range cascades {
+			if need != nil && need[c] != nil && !need[c][j] {
+				continue
+			}
+			decided := false
+			for li := range levels {
+				lv := &levels[li]
+				id := lv.Model.Xform.ID()
+				rep, ok := cache[id]
+				if !ok {
+					rep = lv.Model.Xform.Apply(frames[idx])
+					cache[id] = rep
+					if served[id] {
+						rf.hits++
+					} else {
+						rf.reps++
+					}
+				}
+				score, err := lv.Model.Score(rep)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if quant && lv.Model.Quantized() {
+					var q [1]float32
+					if err := lv.Model.ScoreBatchQuantInto([]*img.Image{rep}, q[:]); err != nil {
+						t.Fatal(err)
+					}
+					if quantTrusted(q[0], lv, lv.Model.Quant.GuardBand()) {
+						rf.quant.QuantScored++
+					} else {
+						rf.quant.QuantFallbacks++
+					}
+				}
+				rf.levels[c]++
+				if lv.Last {
+					rf.labels[c] = score >= 0.5
+					decided = true
+					break
+				}
+				if dec, positive := lv.Thresholds.Decide(score); dec {
+					rf.labels[c] = positive
+					decided = true
+					break
+				}
+			}
+			if !decided {
+				t.Fatal("no level decided")
+			}
+		}
+		out[j] = rf
+	}
+	return out
+}
+
+// checkAgainstReference holds a report to the reference walk: labels,
+// positives, and — per batch and in aggregate — per-cascade LevelsRun,
+// exactly-once RepsMaterialized, RepHits and the int8 counters. warm flips
+// the expectation for a run over a RepCache an identical run already filled:
+// every slot the reference transforms is a hit instead.
+func checkAgainstReference(t *testing.T, rep *Report, ref []refFrame, need [][]bool, batch int, warm bool) {
+	t.Helper()
+	if rep.Frames != len(ref) {
+		t.Fatalf("processed %d frames, want %d", rep.Frames, len(ref))
+	}
+	if want := (len(ref) + batch - 1) / batch; len(rep.Batches) != want {
+		t.Fatalf("%d batches, want %d", len(rep.Batches), want)
+	}
+	nc := len(rep.Labels)
+	totLevels := make([]int, nc)
+	totReps, totHits, next := 0, 0, 0
+	var totQuant QuantStats
+	for b, st := range rep.Batches {
+		if st.Start != next {
+			t.Fatalf("batch %d starts at %d, want %d", b, st.Start, next)
+		}
+		next += st.Frames
+		wantLevels := make([]int, nc)
+		wantReps, wantHits := 0, 0
+		var wantQuant QuantStats
+		for _, rf := range ref[st.Start : st.Start+st.Frames] {
+			for c := range wantLevels {
+				wantLevels[c] += rf.levels[c]
+			}
+			wantReps += rf.reps
+			wantHits += rf.hits
+			wantQuant.add(rf.quant)
+		}
+		if warm {
+			wantReps, wantHits = 0, wantHits+wantReps
+		}
+		for c := range wantLevels {
+			if st.LevelsRun[c] != wantLevels[c] {
+				t.Fatalf("batch %d cascade %d: LevelsRun = %d, reference = %d", b, c, st.LevelsRun[c], wantLevels[c])
+			}
+			totLevels[c] += wantLevels[c]
+		}
+		if st.RepsMaterialized != wantReps || st.RepHits != wantHits {
+			t.Fatalf("batch %d: %d reps / %d hits, reference %d / %d", b, st.RepsMaterialized, st.RepHits, wantReps, wantHits)
+		}
+		if st.QuantStats != wantQuant {
+			t.Fatalf("batch %d: int8 counters %+v, reference %+v", b, st.QuantStats, wantQuant)
+		}
+		totReps, totHits = totReps+wantReps, totHits+wantHits
+		totQuant.add(wantQuant)
+	}
+	if next != len(ref) {
+		t.Fatalf("batch stats cover %d frames, want %d", next, len(ref))
+	}
+	if rep.RepsMaterialized != totReps || rep.RepHits != totHits || rep.RepFallbacks != 0 {
+		t.Fatalf("run: %d reps / %d hits / %d fallbacks, reference %d / %d / 0",
+			rep.RepsMaterialized, rep.RepHits, rep.RepFallbacks, totReps, totHits)
+	}
+	if rep.QuantStats != totQuant {
+		t.Fatalf("run: int8 counters %+v, reference %+v", rep.QuantStats, totQuant)
+	}
+	for c := 0; c < nc; c++ {
+		if rep.LevelsRun[c] != totLevels[c] {
+			t.Fatalf("cascade %d: LevelsRun = %d, reference = %d", c, rep.LevelsRun[c], totLevels[c])
+		}
+		positives := 0
+		for j, rf := range ref {
+			if rep.Labels[c][j] != rf.labels[c] {
+				t.Fatalf("cascade %d position %d: label %v, reference %v", c, j, rep.Labels[c][j], rf.labels[c])
+			}
+			if rf.labels[c] {
+				positives++
+			}
+		}
+		if rep.Positives[c] != positives {
+			t.Fatalf("cascade %d: Positives = %d, reference = %d", c, rep.Positives[c], positives)
+		}
+	}
+}
+
+// TestEngineParity is the engine's core property, as one table: cascades
+// 1–3 × shared/disjoint representation grid × need masks × RepSource ×
+// RepCache (cold and warm) × quantization × workers × batch size. Every run
+// must match the independent shared-map reference walk — labels,
+// per-cascade LevelsRun, exactly-once RepsMaterialized, RepHits and
+// QuantScored/QuantFallbacks, per batch and in aggregate — and its unmasked
+// labels and level counts must equal the engine's own per-frame ClassifyOne
+// walk. Nothing about scheduling may move any of them.
+func TestEngineParity(t *testing.T) {
+	frames := randFrames(2200, 47, 32)
+	// A permuted, gapped frame list, so positions and corpus indices differ
+	// everywhere: labels are positional, rep serving is by corpus index.
+	var indices []int
+	for i := len(frames) - 1; i >= 0; i-- {
+		if i%5 != 4 {
+			indices = append(indices, i)
+		}
+	}
+	for _, depths := range [][]int{{3}, {2, 3}, {2, 4, 1}} {
+		for _, shared := range []bool{true, false} {
+			cascades := buildCascades(t, 2100, depths, shared)
+			calibrate(t, 899, cascades...)
+			// The RepSource rows serve cascade 0's first-level transform (on
+			// the shared grid, every cascade's).
+			servedXf := cascades[0][0].Model.Xform
+			eng, err := New(cascades...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			masked := make([][]bool, len(cascades)) // cascade 1 (when present) stays nil: all positions
+			for c := range masked {
+				if c == 1 {
+					continue
+				}
+				masked[c] = make([]bool, len(indices))
+				for j := range masked[c] {
+					masked[c][j] = j%(3-c/2) == c/2
+				}
+			}
+			for _, need := range [][][]bool{nil, masked} {
+				for _, serve := range []string{"none", "repsource", "repcache"} {
+					for _, quant := range []QuantMode{QuantOff, QuantAuto} {
+						var served map[string]bool
+						if serve == "repsource" {
+							served = map[string]bool{servedXf.ID(): true}
+						}
+						ref := referenceWalk(t, cascades, frames, indices, need, served, quant == QuantAuto)
+						if need == nil {
+							// The engine's own per-frame walk agrees with the
+							// independent one, cascade by cascade.
+							for c := range cascades {
+								for j, idx := range indices {
+									label, tr, err := eng.ClassifyOne(c, frames[idx])
+									if err != nil {
+										t.Fatal(err)
+									}
+									if label != ref[j].labels[c] || tr.LevelsRun != ref[j].levels[c] {
+										t.Fatalf("cascade %d frame %d: ClassifyOne (%v, %d levels) != reference (%v, %d)",
+											c, idx, label, tr.LevelsRun, ref[j].labels[c], ref[j].levels[c])
+									}
+								}
+							}
+						}
+						for _, workers := range []int{1, 2, 4} {
+							for _, batch := range []int{1, 5, 16, 100} {
+								name := fmt.Sprintf("n=%d/shared=%v/masked=%v/%s/quant=%v/w=%d/b=%d",
+									len(cascades), shared, need != nil, serve, quant, workers, batch)
+								t.Run(name, func(t *testing.T) {
+									opts := Options{Workers: workers, Batch: batch, Quantize: quant}
+									switch serve {
+									case "repsource":
+										opts.RepSource = newFakeRepSource(frames, servedXf)
+									case "repcache":
+										opts.RepCache = newTestRepCache(t)
+									}
+									rep, err := eng.RunMasked(context.Background(), Frames(frames), indices, need, opts)
+									if err != nil {
+										t.Fatal(err)
+									}
+									checkAgainstReference(t, rep, ref, need, batch, false)
+									switch serve {
+									case "none":
+										if rep.HasCache {
+											t.Fatal("no RepSource or RepCache, but HasCache is set")
+										}
+									case "repsource":
+										if rep.RepHits == 0 {
+											t.Fatal("served slot produced no RepHits")
+										}
+										if !rep.HasCache || rep.Cache.Hits != int64(rep.RepHits) {
+											t.Fatalf("cache stats %+v (HasCache=%v) vs RepHits %d", rep.Cache, rep.HasCache, rep.RepHits)
+										}
+									case "repcache":
+										if !rep.HasCache {
+											t.Fatal("RepCache statser did not reach the report")
+										}
+										// A different engine over the same cascades —
+										// a second query — serves every slot from the
+										// shared cache, labels unchanged.
+										eng2, err := New(cascades...)
+										if err != nil {
+											t.Fatal(err)
+										}
+										warm, err := eng2.RunMasked(context.Background(), Frames(frames), indices, need, opts)
+										if err != nil {
+											t.Fatal(err)
+										}
+										checkAgainstReference(t, warm, ref, need, batch, true)
+										if warm.Cache.Hits != int64(warm.RepHits) {
+											t.Fatalf("warm cache delta %+v, want %d hits", warm.Cache, warm.RepHits)
+										}
+									}
+									if quant == QuantAuto {
+										levels := 0
+										for _, lr := range rep.LevelsRun {
+											levels += lr
+										}
+										if got := rep.QuantScored + rep.QuantFallbacks; got != levels {
+											t.Fatalf("int8 scorings (%d trusted + %d fallbacks) != %d levels run", rep.QuantScored, rep.QuantFallbacks, levels)
+										}
+										if rep.QuantScored == 0 {
+											t.Fatal("int8 path never trusted a score — quantization is not engaged")
+										}
+									}
+								})
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestClassifyOneTrace: the per-frame walk's trace carries one score per
+// level run and the planned rep identities, and for a single cascade its
+// totals are the batched run's.
+func TestClassifyOneTrace(t *testing.T) {
 	levels := buildLevels(t, 303, 3)
 	eng, err := New(levels)
 	if err != nil {
 		t.Fatal(err)
 	}
 	frames := randFrames(404, 20, 32)
-	rep, err := eng.RunAll(Frames(frames), Options{Workers: 2, Batch: 4})
+	rep, err := eng.Run(Frames(frames), nil, Options{Workers: 2, Batch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	totalLevels, totalReps := 0, 0
 	for i, f := range frames {
-		label, tr, err := eng.ClassifyOne(f)
+		label, tr, err := eng.ClassifyOne(0, f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if label != rep.Labels[i] {
-			t.Fatalf("frame %d: ClassifyOne = %v, Run = %v", i, label, rep.Labels[i])
+		if label != rep.Labels[0][i] {
+			t.Fatalf("frame %d: ClassifyOne = %v, Run = %v", i, label, rep.Labels[0][i])
 		}
 		if len(tr.Scores) != tr.LevelsRun {
 			t.Fatalf("frame %d: %d scores for %d levels", i, len(tr.Scores), tr.LevelsRun)
 		}
+		if len(tr.RepsCreated) == 0 || tr.RepsCreated[0] != levels[0].Model.Xform.ID() {
+			t.Fatalf("frame %d: trace reps %v do not start at the first level's transform", i, tr.RepsCreated)
+		}
 		totalLevels += tr.LevelsRun
 		totalReps += len(tr.RepsCreated)
 	}
-	if totalLevels != rep.LevelsRun || totalReps != rep.RepsMaterialized {
+	if totalLevels != rep.LevelsRun[0] || totalReps != rep.RepsMaterialized {
 		t.Fatalf("trace totals (%d levels, %d reps) != run totals (%d, %d)",
-			totalLevels, totalReps, rep.LevelsRun, rep.RepsMaterialized)
+			totalLevels, totalReps, rep.LevelsRun[0], rep.RepsMaterialized)
+	}
+	if _, _, err := eng.ClassifyOne(1, frames[0]); err == nil {
+		t.Fatal("out-of-range cascade must be rejected")
 	}
 }
 
@@ -189,9 +506,27 @@ func TestRepPlanning(t *testing.T) {
 	if reps[0] != levels[0].Model.Xform.ID() {
 		t.Fatalf("slot 0 = %q, want first level's transform", reps[0])
 	}
+	// A second cascade over the same grid adds no slot; a disjoint one does.
+	both, err := New(levels, buildLevels(t, 515, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(both.Reps()); got != 3 {
+		t.Fatalf("overlapping cascades planned %d slots, want 3", got)
+	}
+	disjoint, err := New(buildCascades(t, 525, []int{2, 2}, false)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(disjoint.Reps()); got != 4 {
+		t.Fatalf("disjoint cascades planned %d slots, want 4", got)
+	}
 }
 
 func TestNewValidation(t *testing.T) {
+	if _, err := New(); err == nil {
+		t.Fatal("empty cascade set must be rejected")
+	}
 	if _, err := New(nil); err == nil {
 		t.Fatal("empty cascade must be rejected")
 	}
@@ -210,21 +545,30 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(levels); err == nil {
 		t.Fatal("nil model must be rejected")
 	}
+	good := buildLevels(t, 609, 2)
+	bad := append([]Level(nil), good...)
+	bad[1].Last = false
+	if _, err := New(good, bad); err == nil {
+		t.Fatal("malformed member cascade must be rejected")
+	}
+	if _, err := New(good, nil); err == nil {
+		t.Fatal("nil member cascade must be rejected")
+	}
 }
 
 func TestRunEdgeCases(t *testing.T) {
-	eng, err := New(buildLevels(t, 707, 2))
+	eng, err := New(buildCascades(t, 707, []int{2, 2}, true)...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Empty run.
-	rep, err := eng.RunAll(Frames(nil), Options{})
-	if err != nil || rep.Frames != 0 || len(rep.Labels) != 0 {
+	rep, err := eng.Run(Frames(nil), nil, Options{})
+	if err != nil || rep.Frames != 0 || len(rep.Labels) != 2 || len(rep.Labels[0]) != 0 {
 		t.Fatalf("empty run: %+v, %v", rep, err)
 	}
 	// Index subsets are positional.
 	frames := randFrames(808, 10, 32)
-	full, err := eng.RunAll(Frames(frames), Options{})
+	full, err := eng.Run(Frames(frames), nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,13 +576,343 @@ func TestRunEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for j, idx := range []int{7, 2, 9} {
-		if sub.Labels[j] != full.Labels[idx] {
-			t.Fatalf("subset label %d (row %d) disagrees with full run", j, idx)
+	for c := range sub.Labels {
+		for j, idx := range []int{7, 2, 9} {
+			if sub.Labels[c][j] != full.Labels[c][idx] {
+				t.Fatalf("cascade %d: subset label %d (row %d) disagrees with full run", c, j, idx)
+			}
 		}
 	}
 	// Source errors surface.
 	if _, err := eng.Run(Frames(frames), []int{99}, Options{}); err == nil {
 		t.Fatal("out-of-range index must error")
+	}
+	// Mask shape errors.
+	if _, err := eng.RunMasked(context.Background(), Frames(frames), nil, [][]bool{nil}, Options{}); err == nil {
+		t.Fatal("mask with wrong cascade count must be rejected")
+	}
+	if _, err := eng.RunMasked(context.Background(), Frames(frames), nil, [][]bool{make([]bool, 3), nil}, Options{}); err == nil {
+		t.Fatal("mask with wrong position count must be rejected")
+	}
+}
+
+// TestExactlyOnceMaterialization pins the headline economics: two cascades
+// with fully-overlapping representation grids materialize each (frame, slot)
+// pair exactly once per run — half what one run per predicate pays — at
+// every worker count and batch size.
+func TestExactlyOnceMaterialization(t *testing.T) {
+	grid := []xform.Transform{
+		{Size: 8, Color: img.Gray},
+		{Size: 16, Color: img.Gray},
+	}
+	mkCascade := func(seed int64) []Level {
+		levels := buildLevelsOn(t, grid, seed, len(grid))
+		// Never-deciding band: every frame descends every level, so every
+		// (frame, slot) pair is touched by both cascades.
+		levels[0].Thresholds = thresh.Thresholds{Low: -1, High: 2}
+		return levels
+	}
+	a, b := mkCascade(3100), mkCascade(3200)
+	eng, err := New(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(eng.Reps()); got != len(grid) {
+		t.Fatalf("global plan has %d slots, want %d (fully overlapping)", got, len(grid))
+	}
+	frames := randFrames(3300, 40, 32)
+
+	seqReps := 0
+	for _, levels := range [][]Level{a, b} {
+		solo, err := New(levels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := solo.Run(Frames(frames), nil, Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seqReps += rep.RepsMaterialized
+	}
+	want := len(frames) * len(grid)
+	if seqReps != 2*want {
+		t.Fatalf("one run per cascade materialized %d reps, want %d (once per cascade)", seqReps, 2*want)
+	}
+	for _, workers := range []int{1, 3} {
+		for _, batch := range []int{1, 7, 64} {
+			rep, err := eng.Run(Frames(frames), nil, Options{Workers: workers, Batch: batch})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.RepsMaterialized != want {
+				t.Fatalf("w=%d b=%d: shared run materialized %d reps, want exactly %d (once per frame-slot)",
+					workers, batch, rep.RepsMaterialized, want)
+			}
+		}
+	}
+}
+
+// TestRepSourcePoolHygiene: served (cache-owned) images must not survive in
+// the pooled worker buffers — a later run without the source transforms
+// everything itself and is unaffected by what the served run left behind.
+func TestRepSourcePoolHygiene(t *testing.T) {
+	eng, err := New(buildLevels(t, 5500, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := randFrames(5600, 25, 32)
+	base, err := eng.Run(Frames(frames), nil, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := newFakeRepSource(frames, xform.Transform{Size: 8, Color: img.Gray})
+	if _, err := eng.Run(Frames(frames), nil, Options{Workers: 1, Batch: 8, RepSource: src}); err != nil {
+		t.Fatal(err)
+	}
+	again, err := eng.Run(Frames(frames), nil, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.RepsMaterialized != base.RepsMaterialized || again.RepHits != 0 {
+		t.Fatalf("post-serving run: %d reps / %d hits, want %d / 0",
+			again.RepsMaterialized, again.RepHits, base.RepsMaterialized)
+	}
+	for i := range frames {
+		if again.Labels[0][i] != base.Labels[0][i] {
+			t.Fatalf("post-serving label differs at frame %d", i)
+		}
+	}
+}
+
+// TestRepCacheCrossEngine: a multi-cascade run after a single-cascade run
+// over the same cross-run cache rehits everything that run published, and
+// materializes only the rest — labels unchanged.
+func TestRepCacheCrossEngine(t *testing.T) {
+	frames := randFrames(13, 80, 32)
+	a := buildLevels(t, 31, 3)
+	b := buildLevels(t, 77, 2) // same transform ladder prefix, different weights
+	both, err := New(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := both.Run(Frames(frames), nil, Options{Workers: 2, Batch: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := newTestRepCache(t)
+	solo, err := New(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runA, err := solo.Run(Frames(frames), nil, Options{Workers: 2, Batch: 16, RepCache: rc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached, err := both.Run(Frames(frames), nil, Options{Workers: 2, Batch: 16, RepCache: rc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := range base.Labels {
+		for i := range frames {
+			if cached.Labels[c][i] != base.Labels[c][i] {
+				t.Fatalf("cascade %d frame %d: label differs under RepCache", c, i)
+			}
+		}
+	}
+	if cached.RepHits < runA.RepsMaterialized {
+		t.Fatalf("rehit %d reps, want at least the %d the first run published", cached.RepHits, runA.RepsMaterialized)
+	}
+	if cached.RepsMaterialized+cached.RepHits != base.RepsMaterialized {
+		t.Fatalf("reps+hits = %d+%d, want %d (the cacheless union)",
+			cached.RepsMaterialized, cached.RepHits, base.RepsMaterialized)
+	}
+}
+
+// TestErrorNamesFrame: a scoring failure must name the offending corpus
+// frame, not a batch-local position, and so must a failed source load. An
+// RGB-transform level over a grayscale frame is the reachable scoring
+// failure: ApplyInto keeps the source's mode and model geometry validation
+// rejects the single-channel representation.
+func TestErrorNamesFrame(t *testing.T) {
+	for _, depths := range [][]int{{2}, {2, 2}} {
+		cascades := buildCascades(t, 6100, depths, true)
+		// Never-deciding first levels so every frame reaches the 16x16/rgb level.
+		for c := range cascades {
+			cascades[c][0].Thresholds.Low, cascades[c][0].Thresholds.High = -1, 2
+		}
+		eng, err := New(cascades...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames := randFrames(6200, 10, 32)
+		frames[7] = img.New(32, 32, img.Gray)
+		for _, opts := range []Options{{Workers: 1, Batch: 5}, {Workers: 2, Batch: 3}} {
+			_, err := eng.Run(Frames(frames), nil, opts)
+			if err == nil {
+				t.Fatalf("n=%d opts %+v: grayscale frame under an RGB level must fail", len(depths), opts)
+			}
+			if !strings.Contains(err.Error(), "frame 7") {
+				t.Fatalf("n=%d opts %+v: error %q does not name frame 7", len(depths), opts, err)
+			}
+		}
+		_, err = eng.Run(Frames(frames), []int{0, 99}, Options{Workers: 2, Batch: 1})
+		if err == nil || !strings.Contains(err.Error(), "frame 99") {
+			t.Fatalf("n=%d: out-of-range load error = %v, want frame 99 named", len(depths), err)
+		}
+	}
+}
+
+// TestSteadyStateAllocs: once the worker pool is warm, a run must allocate
+// (amortized) well under one object per frame — pooled representation
+// buffers instead of a fresh image per Xform.Apply.
+func TestSteadyStateAllocs(t *testing.T) {
+	for _, depths := range [][]int{{3}, {3, 2}} {
+		eng, err := New(buildCascades(t, 1300, depths, true)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames := randFrames(1400, 256, 32)
+		opts := Options{Workers: 1, Batch: 32}
+		if _, err := eng.Run(Frames(frames), nil, opts); err != nil {
+			t.Fatal(err)
+		}
+		avg := testing.AllocsPerRun(5, func() {
+			if _, err := eng.Run(Frames(frames), nil, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		perFrame := avg / float64(len(frames))
+		// A run allocates its Report/Labels/Batches and goroutine plumbing
+		// (~20 allocations), but nothing per frame. The bound is loose
+		// because a GC during the measurement clears the worker pool and
+		// re-clones the models once.
+		if perFrame > 1 {
+			t.Fatalf("n=%d: steady-state allocations = %.2f/frame (%.0f per run), want < 1", len(depths), perFrame, avg)
+		}
+	}
+}
+
+// TestQuantOffUncalibrated: QuantAuto over a cascade with no armed models is
+// exactly the float32 run — no counters, same labels.
+func TestQuantOffUncalibrated(t *testing.T) {
+	eng, err := New(buildLevels(t, 941, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := randFrames(947, 20, 32)
+	want, err := eng.Run(Frames(frames), nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := eng.Run(Frames(frames), nil, Options{Quantize: QuantAuto})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range frames {
+		if got.Labels[0][i] != want.Labels[0][i] {
+			t.Fatalf("label %d differs", i)
+		}
+	}
+	if got.QuantScored != 0 || got.QuantFallbacks != 0 {
+		t.Fatalf("uncalibrated cascade counted int8 work: %+v", got.QuantStats)
+	}
+}
+
+// TestQuantGuardBandSweep places the decision thresholds directly onto the
+// observed float32 score distribution — including bands exactly MaxErr wide
+// around individual scores, the tightest calibrated margin — and requires
+// label parity at every placement. This is the adversarial case for the
+// guard band: scores sit as close to the boundary as the calibration says
+// they ever can.
+func TestQuantGuardBandSweep(t *testing.T) {
+	levels := buildLevels(t, 1201, 2)
+	calibrate(t, 1217, levels)
+	frames := randFrames(1231, 40, 32)
+
+	// The float32 scores of level 0 drive the threshold placements.
+	m := levels[0].Model
+	reps := make([]*img.Image, len(frames))
+	for i, src := range frames {
+		reps[i] = m.Xform.Apply(src)
+	}
+	scores := make([]float32, len(reps))
+	if err := m.ScoreBatchInto(reps, scores); err != nil {
+		t.Fatal(err)
+	}
+	maxErr := m.Quant.MaxErr
+
+	var cuts []float32
+	for _, s := range scores[:8] {
+		cuts = append(cuts, s, s+maxErr, s-maxErr, s+maxErr/2)
+	}
+	cuts = append(cuts, 0.5)
+
+	sawFallback := false
+	for ci, cut := range cuts {
+		lo, hi := cut-maxErr/2, cut+maxErr/2
+		if lo < 0 || hi > 1 {
+			continue
+		}
+		eng, err := New([]Level{
+			{Model: levels[0].Model, Thresholds: thresh.Thresholds{Low: lo, High: hi}},
+			{Model: levels[1].Model, Last: true},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := eng.Run(Frames(frames), nil, Options{Workers: 2, Batch: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := eng.Run(Frames(frames), nil, Options{Workers: 2, Batch: 8, Quantize: QuantAuto})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range frames {
+			if got.Labels[0][i] != want.Labels[0][i] {
+				t.Fatalf("cut %d (%.6f): label %d = %v, float32 = %v (MaxErr %.6f)", ci, cut, i, got.Labels[0][i], want.Labels[0][i], maxErr)
+			}
+		}
+		if got.LevelsRun[0] != want.LevelsRun[0] {
+			t.Fatalf("cut %d: LevelsRun %d vs %d", ci, got.LevelsRun[0], want.LevelsRun[0])
+		}
+		if got.QuantFallbacks > 0 {
+			sawFallback = true
+		}
+	}
+	if !sawFallback {
+		t.Fatal("thresholds placed on the score distribution never triggered a guard-band fallback — the sweep is not exercising the band")
+	}
+}
+
+// TestQuantTrusted pins the trust rule's boundary semantics: inclusive
+// where Decide is strict and strict where Decide is inclusive, so a float32
+// score sitting exactly on a threshold can never be decided from int8.
+func TestQuantTrusted(t *testing.T) {
+	mid := &Level{Thresholds: thresh.Thresholds{Low: 0.3, High: 0.7}}
+	last := &Level{Last: true}
+	band := float32(0.01)
+	cases := []struct {
+		lv   *Level
+		q    float32
+		want bool
+	}{
+		{mid, 0.71, true},   // clears High+band
+		{mid, 0.705, false}, // inside [High, High+band)
+		{mid, 0.695, false}, // inside (High-band, High]
+		{mid, 0.6, true},    // strictly inside the undecided zone
+		{mid, 0.31, false},  // inside (Low, Low+band]
+		{mid, 0.295, false}, // inside (Low-band, Low)
+		{mid, 0.29, true},   // exactly Low-band: f32 ≤ Low, Decide inclusive
+		{mid, 0.28, true},   // clears Low-band
+		{last, 0.52, true},
+		{last, 0.51, false}, // exactly 0.5+band: f32 could sit on 0.5
+		{last, 0.49, false},
+		{last, 0.48, true},
+	}
+	for _, c := range cases {
+		if got := quantTrusted(c.q, c.lv, band); got != c.want {
+			t.Errorf("quantTrusted(%v, last=%v) = %v, want %v", c.q, c.lv.Last, got, c.want)
+		}
 	}
 }

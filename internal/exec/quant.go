@@ -7,9 +7,8 @@
 // therefore bit-identical to a float32 run — the representation trade shows
 // up only in wall time and in the QuantScored/QuantFallbacks accounting.
 //
-// All four inner loops (Engine level-/frame-major, Fused consume/
-// consumeFrameMajor) score through the two helpers here, so the trust rule —
-// and with it labels and counters — cannot drift between paths.
+// The engine's one inner loop scores through scoreLevelBatch, so the trust
+// rule — and with it labels and counters — lives in this file alone.
 package exec
 
 import (
@@ -53,7 +52,7 @@ func ParseQuantMode(s string) (QuantMode, error) {
 }
 
 // QuantStats counts the int8 path's work. Embedded in the per-batch and
-// per-run stats of both engines.
+// per-run stats.
 type QuantStats struct {
 	// QuantScored counts (frame, level) scorings decided by the int8 path:
 	// the quantized score cleared the guard band and its decision stood.
@@ -69,15 +68,6 @@ type QuantStats struct {
 func (q *QuantStats) add(o QuantStats) {
 	q.QuantScored += o.QuantScored
 	q.QuantFallbacks += o.QuantFallbacks
-}
-
-// quantCounters projects a batch's embedded counters; nil stays nil (only
-// the never-quantized ClassifyOne path passes a nil *BatchStats).
-func quantCounters(st *BatchStats) *QuantStats {
-	if st == nil {
-		return nil
-	}
-	return &st.QuantStats
 }
 
 // quantLevel reports whether this run scores lv over int8.
@@ -102,11 +92,9 @@ func quantTrusted(q float32, lv *Level, band float32) bool {
 	return q >= t.High+band || q <= t.Low-band || (q > t.Low+band && q < t.High-band)
 }
 
-// quantScratch is a worker's scratch for the guard-band scoring helpers,
-// sized once per batch so the steady state allocates nothing.
+// quantScratch is a worker's scratch for guard-band scoring, sized once per
+// batch so the steady state allocates nothing.
 type quantScratch struct {
-	one    [1]*img.Image // single-frame gather for scoreLevelOne
-	oneOut [1]float32
 	fbIdx  []int        // gather positions that fell inside the guard band
 	fbReps []*img.Image // their representations, regathered for the f32 pass
 	fbOut  []float32    // their float32 scores
@@ -158,27 +146,4 @@ func scoreLevelBatch(lv *Level, gather []*img.Image, scores []float32, qsc *quan
 		reps[t] = nil // don't pin representations between batches
 	}
 	return nil
-}
-
-// scoreLevelOne is scoreLevelBatch for a single frame — the frame-major
-// loops' scoring primitive, so the oracle paths take the identical
-// trust-or-fallback decision (and count it identically) per (frame, level).
-// st may be nil only when quant is false.
-func scoreLevelOne(lv *Level, rep *img.Image, qsc *quantScratch, quant bool, st *QuantStats) (float32, error) {
-	if !quantLevel(quant, lv) {
-		return lv.Model.Score(rep)
-	}
-	qsc.one[0] = rep
-	err := lv.Model.ScoreBatchQuantInto(qsc.one[:], qsc.oneOut[:])
-	qsc.one[0] = nil
-	if err != nil {
-		return 0, err
-	}
-	q := qsc.oneOut[0]
-	if quantTrusted(q, lv, lv.Model.Quant.GuardBand()) {
-		st.QuantScored++
-		return q, nil
-	}
-	st.QuantFallbacks++
-	return lv.Model.Score(rep)
 }

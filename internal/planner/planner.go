@@ -58,7 +58,7 @@ func ParseOrder(s string) (Order, error) {
 }
 
 // FusionPolicy selects how the fused-vs-sequential decision is made once it
-// is live (fusion enabled, two or more pending predicates).
+// is live (two or more pending predicates).
 type FusionPolicy int
 
 const (
@@ -69,6 +69,9 @@ const (
 	// representation slot — the pre-cost-model gate, kept as an escape
 	// hatch and as the oracle for tests that pin the fused executor.
 	FusionShared
+	// FusionNever keeps every plan sequential regardless of cost: the
+	// decision is not live and EXPLAIN prints no fusion line.
+	FusionNever
 )
 
 // Options configure one planning call.
@@ -77,8 +80,6 @@ type Options struct {
 	Order Order
 	// Fusion is the fused-vs-sequential decision policy.
 	Fusion FusionPolicy
-	// FusionOff disables fused content execution regardless of cost.
-	FusionOff bool
 	// Rows is the corpus size, for rendering.
 	Rows int
 	// CostModel names the pricing source, for rendering.
@@ -211,8 +212,8 @@ type PlannedStep struct {
 
 // Fusion is the planner's content-phase execution decision.
 type Fusion struct {
-	// Considered is set when the decision was live: fusion enabled and at
-	// least two distinct predicates still have uncached rows.
+	// Considered is set when the decision was live: the policy allows fusion
+	// and at least two distinct predicates still have uncached rows.
 	Considered bool
 	// Fuse selects the fused path: every pending cascade over the union of
 	// missing rows, sharing one representation-slot plan.
@@ -363,7 +364,7 @@ func decideFusion(steps []PlannedStep, av Availability, opts Options) Fusion {
 		pending = append(pending, ps)
 	}
 	f.Pending = len(pending)
-	if opts.FusionOff || len(pending) < 2 {
+	if opts.Fusion == FusionNever || len(pending) < 2 {
 		return f
 	}
 	f.Considered = true
@@ -507,7 +508,7 @@ func (p *Plan) OrderLine() string {
 }
 
 // Line renders the fusion decision for EXPLAIN; empty when the decision was
-// not live (fusion off, or fewer than two pending predicates).
+// not live (FusionNever, or fewer than two pending predicates).
 func (f Fusion) Line() string {
 	if !f.Considered {
 		return ""

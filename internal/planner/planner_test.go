@@ -186,10 +186,10 @@ func TestFusionDecision(t *testing.T) {
 		t.Fatalf("FusionShared did not fuse a shared-slot workload: %+v", gated.Fusion)
 	}
 
-	// Fusion off: decision not live, no line.
-	off := PlanContent(sharedSteps(10e-3, 1e-3, 0.5, 0.5), Availability{}, Options{FusionOff: true})
+	// FusionNever: decision not live, no line.
+	off := PlanContent(sharedSteps(10e-3, 1e-3, 0.5, 0.5), Availability{}, Options{Fusion: FusionNever})
 	if off.Fusion.Considered || off.Fusion.Line() != "" {
-		t.Fatalf("fusion-off plan still decides: %+v", off.Fusion)
+		t.Fatalf("FusionNever plan still decides: %+v", off.Fusion)
 	}
 
 	// A fully cached step is not pending: one pending predicate left means

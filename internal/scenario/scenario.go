@@ -137,9 +137,10 @@ func DefaultParams() Params {
 		InferOverheadSec:  3e-6,
 		SourceW:           64,
 		SourceH:           64,
-		// Measured on the committed BENCH_exec sweep: the SWAR int8 dense
-		// kernel runs ~2.3x the float32 GEMM at batch, while the byte-wise
-		// conv path gives back ~35%.
+		// Measured with BenchmarkScoreBatchQuant (internal/model) when the
+		// int8 kernels landed: the SWAR int8 dense kernel runs ~2.3x the
+		// float32 GEMM at batch, while the byte-wise conv path gives back
+		// ~35%.
 		QuantDenseSpeedup: 2.3,
 		QuantConvSpeedup:  0.65,
 	}

@@ -180,10 +180,8 @@ func (db *DB) analyzeOnce(ctx context.Context, o AnalyzerOptions) (worked bool, 
 	opts.Workers = o.workers()
 	db.mu.Unlock()
 
-	// Classification outside the lock, exactly like a query: row-indexed
-	// engine run over a fixed-length view, so the row-keyed RepSource and
-	// RepCache fast paths stay valid (unlike the position-numbered ingest
-	// stream).
+	// Classification outside the lock, exactly like a query: a row-indexed
+	// engine run over a fixed-length view, RepSource and RepCache included.
 	rt, err := cascade.NewRuntime(*spec, pred.System.Models, pred.System.Thresholds)
 	if err != nil {
 		return false, err
@@ -201,7 +199,7 @@ func (db *DB) analyzeOnce(ctx context.Context, o AnalyzerOptions) (worked bool, 
 		return false, fmt.Errorf("vdb: analyzer classifying %q: %w", key.Category, err)
 	}
 	for j, idx := range batch {
-		priv.SetLabel(idx, rep.Labels[j])
+		priv.SetLabel(idx, rep.Labels[0][j])
 	}
 
 	db.mu.Lock()
@@ -225,6 +223,6 @@ func (db *DB) analyzeOnce(ctx context.Context, o AnalyzerOptions) (worked bool, 
 	db.mu.Unlock()
 	// Analyzer labels are observations too: they tune the selectivity
 	// catalog exactly like query- and trigger-time classifications.
-	db.catalog.Observe(key.Category, rep.Frames, rep.Positives)
+	db.catalog.Observe(key.Category, rep.Frames, rep.Positives[0])
 	return true, nil
 }

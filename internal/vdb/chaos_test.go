@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"tahoma/internal/faults"
 	"tahoma/internal/img"
 	"tahoma/internal/leakcheck"
+	"tahoma/internal/matstore"
 	"tahoma/internal/repstore"
 	"tahoma/internal/scenario"
 	"tahoma/internal/synth"
@@ -249,6 +251,130 @@ func TestFaultWorkerPanicContained(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameRows(t, "post-panic retry", chaosRows(t, res), chaosRows(t, want))
+}
+
+// armingCorpus is an in-memory corpus that arms a fault point on its armAt-th
+// source load, so a test can fail a specific engine run of a multi-run
+// operation (the process-global registry only bounds how often a point
+// fires, not when it starts).
+type armingCorpus struct {
+	*memoryCorpus
+	loads atomic.Int64
+	armAt int64
+	point string
+	spec  faults.Spec
+}
+
+func (c *armingCorpus) Image(i int) (*img.Image, error) {
+	if c.loads.Add(1) == c.armAt {
+		if err := faults.Enable(c.point, c.spec); err != nil {
+			return nil, err
+		}
+	}
+	return c.memoryCorpus.Image(i)
+}
+
+// TestFaultTriggerWorkerPanic pins the ingest trigger's failure semantics: a
+// worker panic during one predicate's trigger run surfaces from Append as a
+// typed *exec.PanicError, that predicate publishes nothing — not even the
+// batches that completed before the panic — while predicates that finished
+// earlier keep their labels and udfCalls counts exactly those, and a
+// follow-up Append backfills the gap to columns bit-identical to a DB that
+// never saw the fault.
+func TestFaultTriggerWorkerPanic(t *testing.T) {
+	defer faults.Reset()
+	cons := core.Constraints{MaxAccuracyLoss: 0}
+	build := func() *DB {
+		db := buildFusedDB(t)
+		// One worker, small batches: every trigger run is several batches,
+		// and source loads happen in a deterministic order.
+		db.SetExecOptions(exec.Options{Workers: 1, Batch: 8})
+		db.SetTriggerPolicy(TriggerPolicy{Enabled: true, Constraints: cons})
+		return db
+	}
+	first := []*img.Image{img.New(16, 16, img.RGB), img.New(16, 16, img.RGB)}
+	firstMeta := []Metadata{{ID: 100, TS: 1000}, {ID: 101, TS: 1001}}
+	second := []*img.Image{img.New(16, 16, img.RGB)}
+	secondMeta := []Metadata{{ID: 102, TS: 1002}}
+	triggerKeys := func(db *DB) []matstore.Key {
+		var keys []matstore.Key
+		for _, pred := range db.predicates {
+			point, err := core.Select(pred.Frontier, cons)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys = append(keys, matKey(pred, pred.Results[point.Index].Spec))
+		}
+		return keys
+	}
+
+	clean := build()
+	rows := clean.Count() + len(first)
+	if calls, err := clean.Append(first, firstMeta); err != nil || calls != 3*rows {
+		t.Fatalf("un-faulted trigger append: %d calls, %v; want %d", calls, err, 3*rows)
+	}
+	if calls, err := clean.Append(second, secondMeta); err != nil || calls != 3 {
+		t.Fatalf("un-faulted incremental append: %d calls, %v; want 3", calls, err)
+	}
+
+	// The first predicate's run loads `rows` sources; load rows+9 belongs to
+	// the second run's second batch (batches are 8 frames), so the panic
+	// lands on that run's third batch — after it has labeled whole batches
+	// internally, none of which may be published.
+	db := build()
+	db.corpus = &armingCorpus{
+		memoryCorpus: db.corpus.(*memoryCorpus),
+		armAt:        int64(rows) + 9,
+		point:        faults.ExecWorkerPanic,
+		spec:         faults.Spec{Panic: true, Times: 1},
+	}
+	calls, err := db.Append(first, firstMeta)
+	var pe *exec.PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("want *exec.PanicError from the trigger run, got %v", err)
+	}
+	if calls != rows {
+		t.Fatalf("failed append reported %d classifications, want the %d the finished predicate merged", calls, rows)
+	}
+	covered := 0
+	for _, k := range triggerKeys(db) {
+		switch n := db.mat.Coverage(k); n {
+		case rows:
+			covered++
+		case 0:
+		default:
+			t.Fatalf("column %v holds %d/%d labels: a failed trigger run published partial labels", k, n, rows)
+		}
+	}
+	if covered != 1 {
+		t.Fatalf("%d predicates fully covered after the failed append, want exactly the 1 that finished first", covered)
+	}
+
+	// The fault spent itself; the next append backfills the two predicates
+	// that published nothing, plus the new row for all three.
+	calls, err = db.Append(second, secondMeta)
+	if err != nil {
+		t.Fatalf("append after the panic budget was spent: %v", err)
+	}
+	if want := 2*rows + 3; calls != want {
+		t.Fatalf("backfilling append classified %d rows, want %d", calls, want)
+	}
+	for _, k := range triggerKeys(db) {
+		got, want := db.mat.Column(k), clean.mat.Column(k)
+		for i := 0; i < rows+1; i++ {
+			if !got.Valid(i) || !want.Valid(i) || got.Label(i) != want.Label(i) {
+				t.Fatalf("column %v row %d: (valid %v, label %v) after the fault, (valid %v, label %v) un-faulted",
+					k, i, got.Valid(i), got.Label(i), want.Valid(i), want.Label(i))
+			}
+		}
+	}
+	res, err := db.Query("SELECT id FROM images WHERE contains_object('cloak') AND contains_object('coho')", cons)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.UDFCalls != 0 {
+		t.Fatalf("query after the backfill ran %d classifications, want 0", res.UDFCalls)
+	}
 }
 
 // TestCancelMidFlightNoLeak: cancelling a query mid-flight leaves no worker

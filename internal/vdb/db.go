@@ -164,7 +164,6 @@ type DB struct {
 	trigger    TriggerPolicy
 	execOpts   exec.Options
 	planOpts   PlanOptions
-	fusionOff  bool
 	// quant selects the scoring representation of content-predicate
 	// execution (default QuantAuto — the guard band keeps labels
 	// bit-identical, so int8 is safe to prefer). Plan pricing and execution
@@ -398,10 +397,12 @@ const (
 // execution; see the planner package for semantics.
 type FusionPolicy = planner.FusionPolicy
 
-// Fusion policies: cost-based (default) and the legacy slot-sharing gate.
+// Fusion policies: cost-based (default), the legacy slot-sharing gate, and
+// never (every plan sequential).
 const (
 	FusionCost   = planner.FusionCost
 	FusionShared = planner.FusionShared
+	FusionNever  = planner.FusionNever
 )
 
 // PlanOptions control query planning.
@@ -417,7 +418,9 @@ type PlanOptions struct {
 	// value is FusionCost: fuse only when the estimated fused cost beats
 	// sequential narrowing. FusionShared restores the pre-cost-model gate
 	// (fuse whenever pending cascades share a representation slot);
-	// SetFusion(false) still disables fusion entirely.
+	// FusionNever keeps predicates sequential, each narrowing the row set
+	// for the next. Labels are identical under every policy, since
+	// per-predicate decisions are independent.
 	Fusion FusionPolicy
 }
 
@@ -541,18 +544,6 @@ func (db *DB) SetExecOptions(o exec.Options) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.execOpts = o
-}
-
-// SetFusion toggles fused multi-predicate execution (default on): when a
-// query has two or more content predicates with uncached rows, their
-// cascades share one representation-slot plan and each distinct transform
-// is materialized once per frame for the whole query. Off, predicates run
-// sequentially, each narrowing the row set for the next — today's labels
-// either way, since per-predicate decisions are independent.
-func (db *DB) SetFusion(on bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.fusionOff = !on
 }
 
 // ServeReps toggles loading pre-materialized representations straight from

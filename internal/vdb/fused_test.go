@@ -121,7 +121,7 @@ func TestFusedQueryMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	dbS := buildFusedDB(t)
-	dbS.SetFusion(false)
+	dbS.SetPlanOptions(PlanOptions{Fusion: FusionNever})
 	resS, err := dbS.Query(sql, cons)
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +131,7 @@ func TestFusedQueryMatchesSequential(t *testing.T) {
 		t.Fatal("two pending predicates should take the fused path")
 	}
 	if resS.Fused {
-		t.Fatal("SetFusion(false) must keep the sequential path")
+		t.Fatal("FusionNever must keep the sequential path")
 	}
 	if resF.Count != resS.Count {
 		t.Fatalf("fused %d rows, sequential %d", resF.Count, resS.Count)
@@ -172,22 +172,22 @@ func TestFusedQueryMatchesSequential(t *testing.T) {
 
 // TestFusedDistinctSystems: fusing predicates from different systems (cloak
 // + coho) returns the same rows as sequential execution at every engine
-// sizing, including through the async ingest pipeline.
+// sizing.
 func TestFusedDistinctSystems(t *testing.T) {
 	cons := core.Constraints{MaxAccuracyLoss: 0.05}
 	sql := "SELECT id FROM images WHERE contains_object('cloak') AND contains_object('coho')"
 	dbS := buildFusedDB(t)
-	dbS.SetFusion(false)
+	dbS.SetPlanOptions(PlanOptions{Fusion: FusionNever})
 	resS, err := dbS.Query(sql, cons)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, o := range []struct {
-		workers, batch, prefetch int
-	}{{1, 1, 0}, {4, 3, 0}, {2, 64, 0}, {2, 8, -1}, {1, 4, 3}} {
+		workers, batch int
+	}{{1, 1}, {4, 3}, {2, 64}, {2, 8}, {1, 4}} {
 		db := buildFusedDB(t)
 		opts := db.execOpts
-		opts.Workers, opts.Batch, opts.Prefetch = o.workers, o.batch, o.prefetch
+		opts.Workers, opts.Batch = o.workers, o.batch
 		db.SetExecOptions(opts)
 		res, err := db.Query(sql, cons)
 		if err != nil {
@@ -235,7 +235,7 @@ func TestFusedPartialCoverage(t *testing.T) {
 	}
 	// Same rows as a sequential run on a fresh DB.
 	dbS := buildFusedDB(t)
-	dbS.SetFusion(false)
+	dbS.SetPlanOptions(PlanOptions{Fusion: FusionNever})
 	resS, err := dbS.Query("SELECT id FROM images WHERE contains_object('cloak') AND contains_object('coho')", cons)
 	if err != nil {
 		t.Fatal(err)
@@ -448,7 +448,7 @@ func TestExplainFused(t *testing.T) {
 	if !strings.Contains(out, "Fused: 2 content predicates") {
 		t.Fatalf("explain missing fused line:\n%s", out)
 	}
-	db.SetFusion(false)
+	db.SetPlanOptions(PlanOptions{Fusion: FusionNever})
 	out, err = db.Explain("SELECT id FROM images WHERE contains_object('cloak') AND contains_object('coho')", cons)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package vdb
 
 import (
+	"context"
 	"fmt"
 
 	"tahoma/internal/cascade"
@@ -40,8 +41,8 @@ type triggerJob struct {
 	shared   *column
 	priv     *column
 	missing  []int
-	// frames/positives count emitted labels, feeding the adaptive
-	// selectivity catalog alongside the query path.
+	// frames/positives count the labels of a completed run, feeding the
+	// adaptive selectivity catalog alongside the query path.
 	frames    int
 	positives int
 }
@@ -120,10 +121,10 @@ func (db *DB) Append(images []*img.Image, meta []Metadata) (udfCalls int, err er
 	// cascade, grow its column, and copy the rows still missing.
 	n := len(db.meta)
 	view := corpusView(db.corpus, n)
-	// Plain exec options only: the streaming path numbers frames by stream
-	// position, not corpus row, so the row-keyed RepSource/RepCache fast
-	// paths must stay out of trigger classification — including any the
-	// caller put into SetExecOptions directly.
+	// Plain exec options only: trigger runs have always classified from
+	// freshly decoded sources, and freshly appended rows have no stored or
+	// cached representation to hit anyway — so RepSource and RepCache stay
+	// out, including any the caller put into SetExecOptions directly.
 	opts := db.execOpts
 	opts.RepSource = nil
 	opts.RepCache = nil
@@ -135,8 +136,8 @@ func (db *DB) Append(images []*img.Image, meta []Metadata) (udfCalls int, err er
 			return 0, fmt.Errorf("vdb: trigger cascade for %q: %w", pred.Category, serr)
 		}
 		res := pred.Results[point.Index]
-		// First materialization: the stream below backfills the whole
-		// corpus (old rows included) so the column is complete.
+		// First materialization: the run below backfills the whole corpus
+		// (old rows included) so the column is complete.
 		col := db.mat.Column(matKey(pred, res.Spec))
 		col.Grow(n)
 		priv := col.CopyN(n)
@@ -156,9 +157,11 @@ func (db *DB) Append(images []*img.Image, meta []Metadata) (udfCalls int, err er
 	}
 	db.mu.Unlock()
 
-	// Classify outside the lock; merge whatever finished — even on a
-	// mid-stream failure — so reported udfCalls always matches the labels
-	// actually published.
+	// Classify outside the lock, one engine run per predicate over the rows
+	// its column is missing. A run publishes all of its labels or none: a
+	// failed predicate leaves its private column untouched, so the merge
+	// below carries only the predicates that finished before it and the
+	// reported udfCalls always matches the labels actually published.
 	defer func() {
 		db.mu.Lock()
 		deltas := make([]mergeDelta, 0, len(jobs))
@@ -188,35 +191,19 @@ func (db *DB) Append(images []*img.Image, meta []Metadata) (udfCalls int, err er
 		}
 	}()
 	for _, jb := range jobs {
-		jb := jb
-		// Newly ingested rows flow through the streaming classification
-		// path: frames are batched through the execution engine as they
-		// accumulate, the ONGOING/CAMERA ingest shape. udfCalls counts
-		// emitted labels so work done before a mid-stream failure is still
-		// reported.
-		stream, err := cascade.NewStream(jb.rt, opts, func(j int, label bool) {
-			jb.priv.SetLabel(jb.missing[j], label)
-			jb.frames++
-			if label {
-				jb.positives++
-			}
-			udfCalls++
-		})
+		eng, err := jb.rt.Engine()
 		if err != nil {
 			return udfCalls, err
 		}
-		for _, idx := range jb.missing {
-			im, err := view.Image(idx)
-			if err != nil {
-				return udfCalls, fmt.Errorf("vdb: trigger load row %d: %w", idx, err)
-			}
-			if err := stream.Push(im); err != nil {
-				return udfCalls, fmt.Errorf("vdb: trigger classify row %d: %w", idx, err)
-			}
-		}
-		if _, err := stream.Close(); err != nil {
+		rep, err := eng.RunContext(context.TODO(), view, jb.missing, opts)
+		if err != nil {
 			return udfCalls, fmt.Errorf("vdb: trigger classify for %q: %w", jb.category, err)
 		}
+		for j, idx := range jb.missing {
+			jb.priv.SetLabel(idx, rep.Labels[0][j])
+		}
+		jb.frames, jb.positives = rep.Frames, rep.Positives[0]
+		udfCalls += rep.Frames
 	}
 	return udfCalls, nil
 }

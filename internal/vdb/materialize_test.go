@@ -52,7 +52,9 @@ func TestMaterializedParityMatrix(t *testing.T) {
 					t.Run(name, func(t *testing.T) {
 						db := buildConcurrentDB(t)
 						db.SetExecOptions(exec.Options{Workers: workers, Batch: batch})
-						db.SetFusion(fused)
+						if !fused {
+							db.SetPlanOptions(PlanOptions{Fusion: FusionNever})
+						}
 						if cover > 0 {
 							// Pre-cover the first `cover` rows of cloak's
 							// column via a metadata window (ts = 10·row).

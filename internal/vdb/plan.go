@@ -71,7 +71,6 @@ func (db *DB) plan(q *Query, constraints core.Constraints) (*queryPlan, error) {
 	plan.pp = planner.PlanContent(steps, db.availability(), planner.Options{
 		Order:     db.planOpts.Order,
 		Fusion:    db.planOpts.Fusion,
-		FusionOff: db.fusionOff,
 		Rows:      len(db.meta),
 		CostModel: db.costModel.Name(),
 	})
@@ -239,7 +238,6 @@ func executeQuery(ctx context.Context, plan *queryPlan, snap *querySnapshot) (*R
 	// rows classified under a metadata filter are cached too, so a later
 	// broader query only pays for the rows it has not yet seen.
 	res := &Result{}
-	execOpts := snap.opts
 	// The snapshot's private columns; steps sharing a live column (the same
 	// predicate referenced twice, e.g. X AND NOT X) share the private copy
 	// too, so they are one classification, not two. shares re-checks slot
@@ -291,100 +289,122 @@ func executeQuery(ctx context.Context, plan *queryPlan, snap *querySnapshot) (*R
 		}
 	}
 
-	// 2b. Fused pre-pass: the planner priced one fused run of every pending
-	// cascade over the union of their missing rows (each distinct transform
-	// materialized once per frame for the whole query) against sequential
-	// narrowing, and chose fusion. The plan-time decision is re-guarded
-	// against this snapshot's live rows: with fewer than two predicates
-	// still pending here, or no slot shared among those actually pending —
-	// a metadata filter can shrink coverage gaps the planner judged
-	// corpus-wide — the fused pre-pass has nothing to amortize, so
-	// execution falls back to the sequential loop. Per-cascade need masks
-	// keep predicates with different cached coverage from re-classifying
-	// rows they already know, and the columns end up covering every live
-	// row, so later queries (and the filtering below) are all cache reads.
-	if pending >= 2 && shares && !snap.fusionOff && plan.pp.Fusion.Fuse {
-		// The executed engine spans every step (need masks zero out
-		// duplicates) so Labels indexing stays per content step.
-		rts := make([]*cascade.Runtime, len(plan.content))
-		for si, cs := range plan.content {
-			rt, err := cascade.NewRuntime(cs.spec, cs.pred.System.Models, cs.pred.System.Thresholds)
-			if err != nil {
-				return nil, err
-			}
-			rts[si] = rt
+	// 2b. Classify what is missing, then narrow. The planner priced one
+	// fused run of every pending cascade over the union of their missing
+	// rows (each distinct transform materialized once per frame for the
+	// whole query) against sequential narrowing; its choice sets the stride
+	// of this loop — all steps classified at once, or one step at a time,
+	// each over the rows the steps before it left. The plan-time decision is
+	// re-guarded against this snapshot's live rows: with fewer than two
+	// predicates still pending here, or no slot shared among those actually
+	// pending — a metadata filter can shrink coverage gaps the planner
+	// judged corpus-wide — fusing has nothing to amortize, so execution
+	// stays sequential.
+	res.Fused = pending >= 2 && shares && plan.pp.Fusion.Fuse
+	for lo := 0; lo < len(plan.content); {
+		hi := lo + 1
+		if res.Fused {
+			hi = len(plan.content)
 		}
-		fe, err := cascade.FusedEngine(rts...)
-		if err != nil {
+		if err := classifyMissing(ctx, plan, snap, res, lo, hi, live); err != nil {
 			return nil, err
 		}
-		return executeFused(ctx, plan, snap, res, ccols, live, fe, execOpts, q)
+		for ; lo < hi; lo++ {
+			var next []int
+			for _, idx := range live {
+				if ccols[lo].Label(idx) != plan.content[lo].cond.Negated {
+					next = append(next, idx)
+				}
+			}
+			live = next
+		}
 	}
-
-	return executeSequential(ctx, plan, snap, res, ccols, live, execOpts, q)
+	return project(snap, res, live, q)
 }
 
-// executeFused runs the fused content pre-pass — filling every predicate's
-// column for every live row in one shared-representation engine run — and
-// then delegates to the sequential tail, which finds nothing left to
-// classify and only filters and projects.
-func executeFused(ctx context.Context, plan *queryPlan, snap *querySnapshot, res *Result, ccols []*column, live []int, fe *exec.Fused, execOpts exec.Options, q *Query) (*Result, error) {
+// classifyMissing fills the columns of content steps [lo,hi) for every live
+// row they do not cover yet, in one engine run over the union of those rows:
+// the steps' cascades share one representation-slot plan, and per-cascade
+// need masks keep steps with different cached coverage from re-classifying
+// rows they already know. Steps with nothing to classify — fully covered, or
+// a later mention of a column an earlier step fills — stay out of the run.
+func classifyMissing(ctx context.Context, plan *queryPlan, snap *querySnapshot, res *Result, lo, hi int, live []int) error {
+	var steps []int
+	var rts []*cascade.Runtime
+	taken := make(map[*column]bool, hi-lo)
+	for si := lo; si < hi; si++ {
+		col, cs := snap.cols[si], plan.content[si]
+		if taken[col] || len(col.Missing(live)) == 0 {
+			continue
+		}
+		taken[col] = true
+		rt, err := cascade.NewRuntime(cs.spec, cs.pred.System.Models, cs.pred.System.Thresholds)
+		if err != nil {
+			return err
+		}
+		steps, rts = append(steps, si), append(rts, rt)
+	}
+	if len(steps) == 0 {
+		return nil
+	}
 	var union []int
 	for _, idx := range live {
-		for si := range plan.content {
-			if !ccols[si].Valid(idx) {
+		for _, si := range steps {
+			if !snap.cols[si].Valid(idx) {
 				union = append(union, idx)
 				break
 			}
 		}
 	}
-	need := make([][]bool, len(plan.content))
-	fusedCols := make(map[*column]bool, len(plan.content))
-	for si := range plan.content {
-		need[si] = make([]bool, len(union))
-		// A later step over an already-fused column classifies nothing:
-		// the first step fills it for every union row.
-		if !fusedCols[ccols[si]] {
-			for j, idx := range union {
-				need[si][j] = !ccols[si].Valid(idx)
-			}
-			fusedCols[ccols[si]] = true
+	need := make([][]bool, len(steps))
+	for k, si := range steps {
+		need[k] = make([]bool, len(union))
+		for j, idx := range union {
+			need[k][j] = !snap.cols[si].Valid(idx)
 		}
 	}
-	frep, err := fe.RunContext(ctx, snap.corpus, union, need, execOpts)
+	eng, err := cascade.NewEngine(rts...)
 	if err != nil {
-		return nil, fmt.Errorf("vdb: fused content predicates: %w", err)
+		return err
 	}
-	for si := range plan.content {
-		col := ccols[si]
+	rep, err := eng.RunMasked(ctx, snap.corpus, union, need, snap.opts)
+	if err != nil {
+		names := make([]string, len(steps))
+		for k, si := range steps {
+			names[k] = plan.content[si].cond.Category
+		}
+		return fmt.Errorf("vdb: classifying %q: %w", strings.Join(names, ", "), err)
+	}
+	for k, si := range steps {
+		cs := plan.content[si]
 		frames := 0
 		for j, idx := range union {
-			if need[si][j] {
-				col.SetLabel(idx, frep.Labels[si][j])
-				res.UDFCalls++
+			if need[k][j] {
+				snap.cols[si].SetLabel(idx, rep.Labels[k][j])
 				frames++
 			}
 		}
-		if frames > 0 {
-			res.Observed = append(res.Observed, ObservedSelectivity{
-				Category:  plan.content[si].pred.Category,
-				Cascade:   plan.content[si].spec.ID(),
-				Frames:    frames,
-				Positives: frep.Positives[si],
-			})
-		}
+		res.UDFCalls += frames
+		res.Observed = append(res.Observed, ObservedSelectivity{
+			Category:  cs.pred.Category,
+			Cascade:   cs.spec.ID(),
+			Frames:    frames,
+			Positives: rep.Positives[k],
+		})
 	}
-	res.Fused = true
-	res.RepsMaterialized += frep.RepsMaterialized
-	res.RepHits += frep.RepHits
-	res.RepFallbacks += frep.RepFallbacks
-	res.QuantScored += frep.QuantScored
-	res.QuantFallbacks += frep.QuantFallbacks
-	if frep.HasCache {
+	res.RepsMaterialized += rep.RepsMaterialized
+	res.RepHits += rep.RepHits
+	res.RepFallbacks += rep.RepFallbacks
+	res.QuantScored += rep.QuantScored
+	res.QuantFallbacks += rep.QuantFallbacks
+	if rep.HasCache {
 		res.HasRepCache = true
-		res.RepCache = frep.Cache
+		res.RepCache.Hits += rep.Cache.Hits
+		res.RepCache.Misses += rep.Cache.Misses
+		res.RepCache.EvictedBytes += rep.Cache.EvictedBytes
+		res.RepCache.ResidentBytes = rep.Cache.ResidentBytes
 	}
-	return executeSequential(ctx, plan, snap, res, ccols, live, execOpts, q)
+	return nil
 }
 
 // tryBitmap attempts the content phase as pure bitmap algebra. Each step
@@ -415,59 +435,6 @@ func tryBitmap(plan *queryPlan, snap *querySnapshot, res *Result, ccols []*colum
 	res.Bitmap = true
 	r, err := project(snap, res, live, q)
 	return r, true, err
-}
-
-// executeSequential classifies whatever is still uncached (everything when
-// the fused pre-pass did not run, nothing when it did), narrows the live
-// set predicate by predicate, and applies limit + projection.
-func executeSequential(ctx context.Context, plan *queryPlan, snap *querySnapshot, res *Result, ccols []*column, live []int, execOpts exec.Options, q *Query) (*Result, error) {
-	for si, cs := range plan.content {
-		col := ccols[si]
-		if missing := col.Missing(live); len(missing) > 0 {
-			rt, err := cascade.NewRuntime(cs.spec, cs.pred.System.Models, cs.pred.System.Thresholds)
-			if err != nil {
-				return nil, err
-			}
-			eng, err := rt.Engine()
-			if err != nil {
-				return nil, err
-			}
-			rep, err := eng.RunContext(ctx, snap.corpus, missing, execOpts)
-			if err != nil {
-				return nil, fmt.Errorf("vdb: classifying %q: %w", cs.cond.Category, err)
-			}
-			for j, idx := range missing {
-				col.SetLabel(idx, rep.Labels[j])
-			}
-			res.UDFCalls += rep.Frames
-			res.RepsMaterialized += rep.RepsMaterialized
-			res.RepHits += rep.RepHits
-			res.RepFallbacks += rep.RepFallbacks
-			res.QuantScored += rep.QuantScored
-			res.QuantFallbacks += rep.QuantFallbacks
-			res.Observed = append(res.Observed, ObservedSelectivity{
-				Category:  cs.pred.Category,
-				Cascade:   cs.spec.ID(),
-				Frames:    rep.Frames,
-				Positives: rep.Positives,
-			})
-			if rep.HasCache {
-				res.HasRepCache = true
-				res.RepCache.Hits += rep.Cache.Hits
-				res.RepCache.Misses += rep.Cache.Misses
-				res.RepCache.EvictedBytes += rep.Cache.EvictedBytes
-				res.RepCache.ResidentBytes = rep.Cache.ResidentBytes
-			}
-		}
-		var next []int
-		for _, idx := range live {
-			if col.Label(idx) != cs.cond.Negated {
-				next = append(next, idx)
-			}
-		}
-		live = next
-	}
-	return project(snap, res, live, q)
 }
 
 // project applies limit + projection over the surviving rows.

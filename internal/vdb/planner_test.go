@@ -61,13 +61,10 @@ func TestContentOrderInvariance(t *testing.T) {
 	cons := core.Constraints{MaxAccuracyLoss: 0.05}
 	perms := permutations(len(planOrderConds))
 
-	run := func(perm []int, po PlanOptions, fusionOff bool, opts exec.Options) *Result {
+	run := func(perm []int, po PlanOptions, opts exec.Options) *Result {
 		t.Helper()
 		db := buildFusedDB(t)
 		db.SetPlanOptions(po)
-		if fusionOff {
-			db.SetFusion(false)
-		}
 		if opts != (exec.Options{}) {
 			db.SetExecOptions(opts)
 		}
@@ -78,7 +75,7 @@ func TestContentOrderInvariance(t *testing.T) {
 		return res
 	}
 
-	base := run(perms[0], PlanOptions{}, false, exec.Options{})
+	base := run(perms[0], PlanOptions{}, exec.Options{})
 	baseRows := rowSet(t, base)
 	check := func(res *Result, label string) {
 		t.Helper()
@@ -95,18 +92,18 @@ func TestContentOrderInvariance(t *testing.T) {
 
 	// Every textual permutation under the default (rank, cost-based fusion).
 	for _, perm := range perms[1:] {
-		check(run(perm, PlanOptions{}, false, exec.Options{}), fmt.Sprintf("perm %v", perm))
+		check(run(perm, PlanOptions{}, exec.Options{}), fmt.Sprintf("perm %v", perm))
 	}
 	// Policy × fusion matrix on a representative permutation.
 	perm := perms[3]
-	check(run(perm, PlanOptions{Order: OrderStatic}, false, exec.Options{}), "static order")
-	check(run(perm, PlanOptions{Fusion: FusionShared}, false, exec.Options{}), "forced fusion")
-	check(run(perm, PlanOptions{Order: OrderStatic, Fusion: FusionShared}, false, exec.Options{}), "static+forced fusion")
-	check(run(perm, PlanOptions{}, true, exec.Options{}), "fusion off")
+	check(run(perm, PlanOptions{Order: OrderStatic}, exec.Options{}), "static order")
+	check(run(perm, PlanOptions{Fusion: FusionShared}, exec.Options{}), "forced fusion")
+	check(run(perm, PlanOptions{Order: OrderStatic, Fusion: FusionShared}, exec.Options{}), "static+forced fusion")
+	check(run(perm, PlanOptions{Fusion: FusionNever}, exec.Options{}), "fusion off")
 	// Engine sizings, fused and sequential.
 	for _, o := range []exec.Options{{Workers: 1, Batch: 1}, {Workers: 4, Batch: 3}, {Workers: 2, Batch: 64}} {
-		check(run(perm, PlanOptions{Fusion: FusionShared}, false, o), fmt.Sprintf("fused w=%d b=%d", o.Workers, o.Batch))
-		check(run(perm, PlanOptions{}, true, o), fmt.Sprintf("sequential w=%d b=%d", o.Workers, o.Batch))
+		check(run(perm, PlanOptions{Fusion: FusionShared}, o), fmt.Sprintf("fused w=%d b=%d", o.Workers, o.Batch))
+		check(run(perm, PlanOptions{Fusion: FusionNever}, o), fmt.Sprintf("sequential w=%d b=%d", o.Workers, o.Batch))
 	}
 }
 

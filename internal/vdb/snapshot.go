@@ -16,10 +16,9 @@ import (
 // back under db.mu — the snapshot-per-query half of the DB's concurrency
 // model (Append and other queries proceed meanwhile).
 type querySnapshot struct {
-	corpus    Corpus     // fixed-length view of the corpus at snapshot time
-	meta      []Metadata // parallel metadata rows (entries are immutable)
-	opts      exec.Options
-	fusionOff bool
+	corpus Corpus     // fixed-length view of the corpus at snapshot time
+	meta   []Metadata // parallel metadata rows (entries are immutable)
+	opts   exec.Options
 	// cols are private column copies, parallel to plan.content; steps that
 	// share a live column (the same predicate mentioned twice) share the
 	// private copy too, so pointer-identity dedup in the executor still
@@ -37,10 +36,9 @@ type querySnapshot struct {
 func (db *DB) snapshotForPlan(plan *queryPlan) *querySnapshot {
 	n := len(db.meta)
 	snap := &querySnapshot{
-		corpus:    corpusView(db.corpus, n),
-		meta:      db.meta[:n:n],
-		opts:      db.contentExecOpts(),
-		fusionOff: db.fusionOff,
+		corpus: corpusView(db.corpus, n),
+		meta:   db.meta[:n:n],
+		opts:   db.contentExecOpts(),
 	}
 	if db.matMode == MatOff {
 		// Materialization off: every query classifies into transient
@@ -145,7 +143,7 @@ func (v *storeView) Image(i int) (*img.Image, error) {
 // SharedRepCache is the cross-query representation cache: an LRU of
 // materialized representations keyed by (transform, row) that every
 // concurrent query reads from and publishes to, wired into the execution
-// engines through DB.SetRepCache. Pixels are bit-identical to the transform
+// engine through DB.SetRepCache. Pixels are bit-identical to the transform
 // output, so sharing never changes labels. It implements exec.RepCache and
 // exec.CacheStatser (per-query hit/miss deltas land on query results).
 type SharedRepCache struct {

@@ -63,17 +63,15 @@ type (
 	// frames per batch. The zero value means GOMAXPROCS workers and the
 	// engine's default batch size.
 	ExecOptions = exec.Options
-	// ExecReport is one engine run's accounting: labels, per-batch stats
-	// and measured throughput (comparable to the evaluator's analytic
-	// estimate).
+	// ExecReport is one engine run's accounting: per-classifier labels,
+	// levels-run and positives (index 0 for a single classifier's run),
+	// global representation work, per-batch stats and measured throughput
+	// (comparable to the evaluator's analytic estimate).
 	ExecReport = exec.Report
 	// ExecBatchStats reports one engine batch's work.
 	ExecBatchStats = exec.BatchStats
-	// FusedReport is one fused multi-classifier run's accounting:
-	// per-classifier labels and levels-run, global representation work.
-	FusedReport = exec.FusedReport
 	// RepSource serves pre-materialized physical representations to the
-	// execution engines (ExecOptions.RepSource), skipping decode and
+	// execution engine (ExecOptions.RepSource), skipping decode and
 	// transform for the slots it covers.
 	RepSource = exec.RepSource
 	// CacheStats is a RepSource cache's hit/miss/eviction accounting as
@@ -115,7 +113,7 @@ type (
 	// OrderStatic).
 	PlanOrder = vdb.PlanOrder
 	// FusionPolicy is the fused-vs-sequential decision policy (FusionCost,
-	// FusionShared).
+	// FusionShared, FusionNever).
 	FusionPolicy = vdb.FusionPolicy
 	// PlannerStats is the planner's observability snapshot: plan-choice
 	// counters plus the adaptive selectivity catalog (DB.PlannerStats).
@@ -174,6 +172,7 @@ const (
 	OrderStatic  = vdb.OrderStatic
 	FusionCost   = vdb.FusionCost
 	FusionShared = vdb.FusionShared
+	FusionNever  = vdb.FusionNever
 )
 
 // Quantization modes (ExecOptions.Quantize, DB.SetQuantization):
@@ -366,16 +365,13 @@ func (c *Classifier) Classify(im *Image) (bool, error) {
 // ClassifyBatch labels a batch of images through the execution engine with
 // default options. Labels are bit-identical to per-image Classify calls.
 func (c *Classifier) ClassifyBatch(ims []*Image) ([]bool, error) {
-	rep, err := c.rt.ClassifyBatch(ims, exec.Options{})
-	if err != nil {
-		return nil, err
-	}
-	return rep.Labels, nil
+	return c.rt.ClassifyAll(ims)
 }
 
 // ClassifyBatchReport labels a batch of images under explicit engine
-// options and returns the full execution report, including per-batch stats
-// and the measured throughput to hold against Expected.Throughput.
+// options and returns the full execution report (labels are Labels[0]),
+// including per-batch stats and the measured throughput to hold against
+// Expected.Throughput.
 func (c *Classifier) ClassifyBatchReport(ims []*Image, opts ExecOptions) (*ExecReport, error) {
 	return c.rt.ClassifyBatch(ims, opts)
 }
@@ -386,20 +382,19 @@ func (c *Classifier) String() string { return c.desc }
 // ClassifyBatchFused labels ims under several chosen classifiers at once,
 // fusing their cascades into one shared representation-slot plan: each
 // distinct input transform is materialized once per frame for the whole
-// classifier set instead of once per classifier, and an async ingest stage
-// overlaps decode + first-level transformation with inference. Labels[i]
-// are bit-identical to clfs[i].ClassifyBatch alone; see FusedReport for the
+// classifier set instead of once per classifier. Labels[i] are bit-identical
+// to clfs[i].ClassifyBatch alone; see ExecReport for the
 // shared-representation accounting.
-func ClassifyBatchFused(clfs []*Classifier, ims []*Image, opts ExecOptions) (*FusedReport, error) {
+func ClassifyBatchFused(clfs []*Classifier, ims []*Image, opts ExecOptions) (*ExecReport, error) {
 	rts := make([]*cascade.Runtime, len(clfs))
 	for i, c := range clfs {
 		rts[i] = c.rt
 	}
-	fe, err := cascade.FusedEngine(rts...)
+	eng, err := cascade.NewEngine(rts...)
 	if err != nil {
 		return nil, err
 	}
-	return fe.RunAll(exec.Frames(ims), opts)
+	return eng.Run(exec.Frames(ims), nil, opts)
 }
 
 // ClassifyBatch chooses the Pareto-optimal cascade for the constraints and
@@ -413,7 +408,7 @@ func (p *Predicate) ClassifyBatch(c Constraints, ims []*Image, opts ExecOptions)
 	if err != nil {
 		return nil, err
 	}
-	return rep.Labels, nil
+	return rep.Labels[0], nil
 }
 
 // System exposes the underlying initialized system for advanced use

@@ -138,12 +138,12 @@ func TestClassifyBatchMatchesClassify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Frames != len(ims) || rep.LevelsRun < len(ims) || rep.Throughput <= 0 {
+	if rep.Frames != len(ims) || rep.LevelsRun[0] < len(ims) || rep.Throughput <= 0 {
 		t.Fatalf("degenerate report: %+v", rep)
 	}
 	for i := range ims {
-		if rep.Labels[i] != want[i] {
-			t.Fatalf("report label %d = %v, Classify = %v", i, rep.Labels[i], want[i])
+		if rep.Labels[0][i] != want[i] {
+			t.Fatalf("report label %d = %v, Classify = %v", i, rep.Labels[0][i], want[i])
 		}
 	}
 
@@ -196,12 +196,12 @@ func TestClassifyBatchFused(t *testing.T) {
 			t.Fatal(err)
 		}
 		seqReps += solo.RepsMaterialized
-		if rep.LevelsRun[c] != solo.LevelsRun {
-			t.Fatalf("classifier %d: fused ran %d levels, solo %d", c, rep.LevelsRun[c], solo.LevelsRun)
+		if rep.LevelsRun[c] != solo.LevelsRun[0] {
+			t.Fatalf("classifier %d: fused ran %d levels, solo %d", c, rep.LevelsRun[c], solo.LevelsRun[0])
 		}
 		for i := range ims {
-			if rep.Labels[c][i] != solo.Labels[i] {
-				t.Fatalf("classifier %d frame %d: fused %v, solo %v", c, i, rep.Labels[c][i], solo.Labels[i])
+			if rep.Labels[c][i] != solo.Labels[0][i] {
+				t.Fatalf("classifier %d frame %d: fused %v, solo %v", c, i, rep.Labels[c][i], solo.Labels[0][i])
 			}
 		}
 	}
