@@ -275,7 +275,7 @@ func cmdQuery(mode string, args []string) error {
 	batch := fs.Int("batch", 0, "frames per execution-engine batch (0 = engine default)")
 	order := fs.String("order", "rank", "content-predicate ordering: rank (cost/(1-selectivity), adaptive) or static (cheapest expected cascade first)")
 	storeCorpus := fs.Bool("store-corpus", false, "query straight out of the representation store through an LRU cache instead of loading sources into memory")
-	cacheMB := fs.Int("cache-mb", 64, "decoded-record LRU cache budget in MiB for -store-corpus")
+	cacheMB := fs.Int("cache-mb", 64, "LRU cache budget in MiB for -store-corpus: sources are held as stored records (1 byte/sample), served reps as float32 (0 = no cache)")
 	serveReps := fs.Bool("serve-reps", false, "load pre-materialized representations from the store (implies -store-corpus); skips decode+transform for covered transforms")
 	materialize := fs.String("materialize", "on", "label materialization: on (cache classified labels as bitmap columns), off (re-infer every query), bg (on + background analyzer pre-materializes hot predicates)")
 	matMB := fs.Int("mat-mb", 0, "materialized-label byte budget in MiB (0 = unbounded); coldest columns are evicted over budget")

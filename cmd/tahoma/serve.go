@@ -44,7 +44,7 @@ func cmdServe(args []string) error {
 	batch := fs.Int("batch", 0, "frames per execution-engine batch (0 = engine default)")
 	order := fs.String("order", "rank", "content-predicate ordering: rank (cost/(1-selectivity), adaptive) or static (cheapest expected cascade first)")
 	storeCorpus := fs.Bool("store-corpus", false, "serve straight out of the representation store through an LRU cache instead of loading sources into memory")
-	cacheMB := fs.Int("cache-mb", 64, "decoded-record LRU cache budget in MiB for -store-corpus")
+	cacheMB := fs.Int("cache-mb", 64, "LRU cache budget in MiB for -store-corpus: sources are held as stored records (1 byte/sample), served reps as float32 (0 = no cache)")
 	serveReps := fs.Bool("serve-reps", false, "load pre-materialized representations from the store (implies -store-corpus)")
 	shareRepsMB := fs.Int("share-reps-mb", 64, "cross-query shared representation cache budget in MiB (0 disables)")
 	maxConcurrent := fs.Int("max-concurrent", 0, "queries executing at once (0 = GOMAXPROCS)")

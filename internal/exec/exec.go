@@ -12,10 +12,14 @@
 // matter how many levels or cascades consume it, matching the evaluator's
 // Section VI cost accounting. A run splits its frame list into batches and
 // hands them to share-nothing workers: each worker loads its batch's source
-// frames, then walks the cascades level-major — materialize the level's slot
-// for the still-undecided frames into pooled buffers, score them with one
-// batched inference call, apply the thresholds, compact the survivors — so
-// every frame still short-circuits at its earliest deciding level. Labels
+// frames — in the physical form the Source holds them, stored records for a
+// store-backed corpus (RecordSource), decoded images otherwise — then walks
+// the cascades level-major: materialize the level's slot for the
+// still-undecided frames into pooled buffers (one pass straight from a
+// record's bytes, or ApplyInto over an image; the samples are identical),
+// score them with one batched inference call, apply the thresholds, compact
+// the survivors — so every frame still short-circuits at its earliest
+// deciding level. Labels
 // and accounting are bit-identical to the per-frame walk (ClassifyOne) at
 // every worker count and batch size; per-batch and per-run stats let callers
 // compare measured throughput against the evaluator's analytic estimate.
@@ -84,6 +88,25 @@ type Level struct {
 type Source interface {
 	Len() int
 	Image(i int) (*img.Image, error)
+}
+
+// RecordSource is optionally implemented by Sources whose frames are held as
+// stored TIMG records (vdb's store-backed corpus). A run over one takes the
+// byte-domain load path: each batch pins its frames' records instead of
+// decoded images and every representation is transformed straight from the
+// record's bytes (xform.Transform.ApplyRecord), so no float32 source image is
+// ever built. Which path a run takes is decided by what its input is, once
+// per run; representations, labels and accounting are bit-identical either
+// way.
+type RecordSource interface {
+	Source
+	// Record returns the stored record of frame i. A source that holds the
+	// record resident returns that copy — shared and immutable, valid for as
+	// long as the caller references it. One that does not reads it into
+	// *scratch (growing it when too small) and returns a view aliasing it,
+	// valid until the caller reuses that scratch. Must be safe for concurrent
+	// use with distinct scratch buffers.
+	Record(i int, scratch *[]byte) (img.Record, error)
 }
 
 // RepSource serves pre-materialized physical representations by source frame
@@ -460,16 +483,21 @@ func runCacher(sv *serving, rc RepCache) (CacheStatser, CacheStats) {
 // worker is one goroutine's private execution state, pooled on the engine so
 // repeated runs reach a steady state with no per-frame allocations: model
 // clones, the survivor bookkeeping, and the pooled representation buffers
-// that ApplyInto materializes into. All batch-indexed scratch is sized to the
-// largest batch seen.
+// that the transforms materialize into. All batch-indexed scratch is sized to
+// the largest batch seen.
 type worker struct {
 	cascades [][]Level
-	srcs     []*img.Image   // source frames of the current batch
-	und      []int          // undecided positions, compacted level by level
-	gather   []*img.Image   // representations of the undecided frames
-	scores   []float32      // ScoreBatch output
-	reps     [][]*img.Image // [slot][pos] pooled representation buffers
-	repOK    [][]bool       // [slot][pos] materialized for the current batch?
+	srcs     []*img.Image // source frames of the current batch (image-backed runs)
+	// Record-backed runs pin recs instead of srcs. recBuf is each position's
+	// read buffer, handed to RecordSource.Record; it stays nil when the source
+	// serves resident records and never needs to read into it.
+	recs   []img.Record
+	recBuf [][]byte
+	und    []int          // undecided positions, compacted level by level
+	gather []*img.Image   // representations of the undecided frames
+	scores []float32      // ScoreBatch output
+	reps   [][]*img.Image // [slot][pos] pooled representation buffers
+	repOK  [][]bool       // [slot][pos] materialized for the current batch?
 	// repShared marks positions whose rep entry is a cache-owned image from
 	// Options.RepCache rather than a pooled buffer: those entries must be
 	// dropped after the batch so they never become ApplyInto targets.
@@ -482,6 +510,8 @@ type worker struct {
 func (w *worker) ensure(n, nslots int) {
 	if cap(w.srcs) < n {
 		w.srcs = make([]*img.Image, n)
+		w.recs = make([]img.Record, n)
+		w.recBuf = make([][]byte, n)
 		w.und = make([]int, n)
 		w.gather = make([]*img.Image, n)
 		w.scores = make([]float32, n)
@@ -508,6 +538,7 @@ type run struct {
 	ctx     context.Context
 	e       *Engine
 	src     Source
+	recSrc  RecordSource // src, when it holds stored records: the byte-domain path
 	indices []int
 	need    [][]bool // per cascade, positional over indices; nil = all
 	sv      *serving
@@ -531,8 +562,31 @@ func (r *run) anyNeeds(pos int) bool {
 	return false
 }
 
+// loadSource pins frame idx at batch position j in whichever form the run's
+// source holds it: the stored record, or the decoded image.
+func (r *run) loadSource(w *worker, j, idx int) (err error) {
+	if r.recSrc != nil {
+		w.recs[j], err = r.recSrc.Record(idx, &w.recBuf[j])
+	} else {
+		w.srcs[j], err = r.src.Image(idx)
+	}
+	return err
+}
+
+// transform materializes slot for batch position j from the pinned source
+// into the worker's pooled buffer — one fused pass over the record's bytes,
+// or ApplyInto over the decoded image. The two produce identical samples.
+func (r *run) transform(w *worker, slot, j int) {
+	bufs := w.reps[slot]
+	if r.recSrc != nil {
+		bufs[j] = r.e.repXf[slot].ApplyRecord(bufs[j], w.recs[j])
+	} else {
+		bufs[j], w.proj[slot] = r.e.repXf[slot].ApplyInto(bufs[j], w.srcs[j], w.proj[slot])
+	}
+}
+
 // materialize fills slot for batch position j (frame indices[lo+j]): served
-// from the RepSource, hit in the RepCache, or transformed from the decoded
+// from the RepSource, hit in the RepCache, or transformed from the pinned
 // source into the worker's pooled buffer.
 func (r *run) materialize(w *worker, st *BatchStats, lo, slot, j int) error {
 	// Serving and transforming can both stall (slow store, big frame);
@@ -546,21 +600,18 @@ func (r *run) materialize(w *worker, st *BatchStats, lo, slot, j int) error {
 	if r.sv.on(slot) {
 		rep, err := r.sv.rs.Rep(idx, id)
 		if err != nil {
-			// Serving failed: degrade to decode + transform (the
+			// Serving failed: degrade to load + transform (the
 			// cache→inference ladder) instead of failing the run. The source
-			// may not have been decoded when every slot is served, so load it
+			// may not have been loaded when every slot is served, so load it
 			// on demand. The fallback buffer lands at a served position,
 			// which release drops after the batch — a benign per-batch
 			// allocation, only ever paid under store failure.
-			im := w.srcs[j]
-			if im == nil {
-				im, err = r.src.Image(idx)
-				if err != nil {
+			if w.srcs[j] == nil && w.recs[j].Pix == nil {
+				if err := r.loadSource(w, j, idx); err != nil {
 					return fmt.Errorf("exec: frame %d: loading source for rep fallback: %w", idx, err)
 				}
-				w.srcs[j] = im
 			}
-			bufs[j], w.proj[slot] = r.e.repXf[slot].ApplyInto(bufs[j], im, w.proj[slot])
+			r.transform(w, slot, j)
 			st.RepFallbacks++
 			st.RepsMaterialized++
 		} else {
@@ -569,13 +620,13 @@ func (r *run) materialize(w *worker, st *BatchStats, lo, slot, j int) error {
 		}
 	} else if cached := getCachedRep(r.rc, idx, id); cached != nil {
 		// The pooled buffer at this position is dropped in favor of the
-		// shared image; release unpins it so it can never become an
-		// ApplyInto target.
+		// shared image; release unpins it so it can never become a
+		// transform target.
 		bufs[j] = cached
 		w.repShared[slot][j] = true
 		st.RepHits++
 	} else {
-		bufs[j], w.proj[slot] = r.e.repXf[slot].ApplyInto(bufs[j], w.srcs[j], w.proj[slot])
+		r.transform(w, slot, j)
 		if r.rc != nil {
 			r.rc.PutRep(idx, id, bufs[j].Clone())
 		}
@@ -621,11 +672,9 @@ func (r *run) runBatch(w *worker, lo, hi int, st *BatchStats) error {
 			if err := r.ctx.Err(); err != nil {
 				return err
 			}
-			im, err := r.src.Image(r.indices[lo+j])
-			if err != nil {
+			if err := r.loadSource(w, j, r.indices[lo+j]); err != nil {
 				return fmt.Errorf("exec: loading frame %d: %w", r.indices[lo+j], err)
 			}
-			w.srcs[j] = im
 		}
 	}
 	for c, levels := range w.cascades {
@@ -699,6 +748,7 @@ func (r *run) runBatch(w *worker, lo, hi int, st *BatchStats) error {
 func (r *run) release(w *worker, n int) {
 	for j := 0; j < n; j++ {
 		w.srcs[j] = nil
+		w.recs[j] = img.Record{}
 	}
 	if r.sv != nil {
 		for s, on := range r.sv.served {
@@ -796,7 +846,8 @@ func (e *Engine) RunMasked(ctx context.Context, src Source, indices []int, need 
 		jobs <- b
 	}
 	close(jobs)
-	r := &run{ctx: ctx, e: e, src: src, indices: indices, need: need, sv: sv, rc: opts.RepCache, labels: rep.Labels, quant: opts.Quantize == QuantAuto}
+	recSrc, _ := src.(RecordSource)
+	r := &run{ctx: ctx, e: e, src: src, recSrc: recSrc, indices: indices, need: need, sv: sv, rc: opts.RepCache, labels: rep.Labels, quant: opts.Quantize == QuantAuto}
 
 	workers := min(opts.Workers, numBatches)
 	errs := make(chan error, workers)

@@ -83,6 +83,54 @@ func randFrames(seed int64, n, size int) []*img.Image {
 	return out
 }
 
+// storedFrames is randFrames as a store would hold them: each frame's TIMG
+// record, and the frame decoded back from it. The two are the same pixels in
+// two physical forms — what an image-backed and a record-backed run of one
+// corpus see.
+func storedFrames(t testing.TB, seed int64, n, size int) (frames []*img.Image, records [][]byte) {
+	t.Helper()
+	frames = randFrames(seed, n, size)
+	records = make([][]byte, n)
+	for i, im := range frames {
+		raw, err := img.AppendRecord(nil, im)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := img.ParseRecord(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames[i], records[i] = rec.Image(), raw
+	}
+	return frames, records
+}
+
+// recordFrames is a record-backed Source. Resident records are handed out
+// shared, like a cache's; otherwise each is copied into the caller's scratch,
+// like a read from disk. Image always fails: a record-backed run must never
+// ask for a decoded source.
+type recordFrames struct {
+	records  [][]byte
+	resident bool
+}
+
+func (s recordFrames) Len() int { return len(s.records) }
+
+func (s recordFrames) Image(i int) (*img.Image, error) {
+	return nil, fmt.Errorf("record source asked to decode frame %d", i)
+}
+
+func (s recordFrames) Record(i int, scratch *[]byte) (img.Record, error) {
+	if i < 0 || i >= len(s.records) {
+		return img.Record{}, fmt.Errorf("record %d out of range [0,%d)", i, len(s.records))
+	}
+	if s.resident {
+		return img.ParseRecord(s.records[i])
+	}
+	*scratch = append((*scratch)[:0], s.records[i]...)
+	return img.ParseRecord(*scratch)
+}
+
 // calibrate arms the int8 path of every model in cascades, calibrating each
 // on samples drawn from the same distribution the test frames use
 // (transforms of random RGB sources), as install-time calibration does with
@@ -319,14 +367,24 @@ func checkAgainstReference(t *testing.T, rep *Report, ref []refFrame, need [][]b
 
 // TestEngineParity is the engine's core property, as one table: cascades
 // 1–3 × shared/disjoint representation grid × need masks × RepSource ×
-// RepCache (cold and warm) × quantization × workers × batch size. Every run
-// must match the independent shared-map reference walk — labels,
-// per-cascade LevelsRun, exactly-once RepsMaterialized, RepHits and
-// QuantScored/QuantFallbacks, per batch and in aggregate — and its unmasked
-// labels and level counts must equal the engine's own per-frame ClassifyOne
-// walk. Nothing about scheduling may move any of them.
+// RepCache (cold and warm) × quantization × workers × batch size × the
+// physical form of the source (decoded images, or stored records taking the
+// byte-domain load path). Every run must match the independent shared-map
+// reference walk — labels, per-cascade LevelsRun, exactly-once
+// RepsMaterialized, RepHits and QuantScored/QuantFallbacks, per batch and in
+// aggregate — and its unmasked labels and level counts must equal the
+// engine's own per-frame ClassifyOne walk. Nothing about scheduling, and
+// nothing about how the source is held, may move any of them.
 func TestEngineParity(t *testing.T) {
-	frames := randFrames(2200, 47, 32)
+	frames, records := storedFrames(t, 2200, 47, 32)
+	sources := []struct {
+		suffix string
+		src    Source
+	}{
+		{"", Frames(frames)},
+		{"/src=record", recordFrames{records: records, resident: true}},
+		{"/src=record-read", recordFrames{records: records}},
+	}
 	// A permuted, gapped frame list, so positions and corpus indices differ
 	// everywhere: labels are positional, rep serving is by corpus index.
 	var indices []int
@@ -384,64 +442,67 @@ func TestEngineParity(t *testing.T) {
 							for _, batch := range []int{1, 5, 16, 100} {
 								name := fmt.Sprintf("n=%d/shared=%v/masked=%v/%s/quant=%v/w=%d/b=%d",
 									len(cascades), shared, need != nil, serve, quant, workers, batch)
-								t.Run(name, func(t *testing.T) {
-									opts := Options{Workers: workers, Batch: batch, Quantize: quant}
-									switch serve {
-									case "repsource":
-										opts.RepSource = newFakeRepSource(frames, servedXf)
-									case "repcache":
-										opts.RepCache = newTestRepCache(t)
-									}
-									rep, err := eng.RunMasked(context.Background(), Frames(frames), indices, need, opts)
-									if err != nil {
-										t.Fatal(err)
-									}
-									checkAgainstReference(t, rep, ref, need, batch, false)
-									switch serve {
-									case "none":
-										if rep.HasCache {
-											t.Fatal("no RepSource or RepCache, but HasCache is set")
+								for _, source := range sources {
+									src := source.src
+									t.Run(name+source.suffix, func(t *testing.T) {
+										opts := Options{Workers: workers, Batch: batch, Quantize: quant}
+										switch serve {
+										case "repsource":
+											opts.RepSource = newFakeRepSource(frames, servedXf)
+										case "repcache":
+											opts.RepCache = newTestRepCache(t)
 										}
-									case "repsource":
-										if rep.RepHits == 0 {
-											t.Fatal("served slot produced no RepHits")
-										}
-										if !rep.HasCache || rep.Cache.Hits != int64(rep.RepHits) {
-											t.Fatalf("cache stats %+v (HasCache=%v) vs RepHits %d", rep.Cache, rep.HasCache, rep.RepHits)
-										}
-									case "repcache":
-										if !rep.HasCache {
-											t.Fatal("RepCache statser did not reach the report")
-										}
-										// A different engine over the same cascades —
-										// a second query — serves every slot from the
-										// shared cache, labels unchanged.
-										eng2, err := New(cascades...)
+										rep, err := eng.RunMasked(context.Background(), src, indices, need, opts)
 										if err != nil {
 											t.Fatal(err)
 										}
-										warm, err := eng2.RunMasked(context.Background(), Frames(frames), indices, need, opts)
-										if err != nil {
-											t.Fatal(err)
+										checkAgainstReference(t, rep, ref, need, batch, false)
+										switch serve {
+										case "none":
+											if rep.HasCache {
+												t.Fatal("no RepSource or RepCache, but HasCache is set")
+											}
+										case "repsource":
+											if rep.RepHits == 0 {
+												t.Fatal("served slot produced no RepHits")
+											}
+											if !rep.HasCache || rep.Cache.Hits != int64(rep.RepHits) {
+												t.Fatalf("cache stats %+v (HasCache=%v) vs RepHits %d", rep.Cache, rep.HasCache, rep.RepHits)
+											}
+										case "repcache":
+											if !rep.HasCache {
+												t.Fatal("RepCache statser did not reach the report")
+											}
+											// A different engine over the same cascades —
+											// a second query — serves every slot from the
+											// shared cache, labels unchanged.
+											eng2, err := New(cascades...)
+											if err != nil {
+												t.Fatal(err)
+											}
+											warm, err := eng2.RunMasked(context.Background(), src, indices, need, opts)
+											if err != nil {
+												t.Fatal(err)
+											}
+											checkAgainstReference(t, warm, ref, need, batch, true)
+											if warm.Cache.Hits != int64(warm.RepHits) {
+												t.Fatalf("warm cache delta %+v, want %d hits", warm.Cache, warm.RepHits)
+											}
 										}
-										checkAgainstReference(t, warm, ref, need, batch, true)
-										if warm.Cache.Hits != int64(warm.RepHits) {
-											t.Fatalf("warm cache delta %+v, want %d hits", warm.Cache, warm.RepHits)
+										if quant == QuantAuto {
+											levels := 0
+											for _, lr := range rep.LevelsRun {
+												levels += lr
+											}
+											if got := rep.QuantScored + rep.QuantFallbacks; got != levels {
+												t.Fatalf("int8 scorings (%d trusted + %d fallbacks) != %d levels run", rep.QuantScored, rep.QuantFallbacks, levels)
+											}
+											if rep.QuantScored == 0 {
+												t.Fatal("int8 path never trusted a score — quantization is not engaged")
+											}
 										}
-									}
-									if quant == QuantAuto {
-										levels := 0
-										for _, lr := range rep.LevelsRun {
-											levels += lr
-										}
-										if got := rep.QuantScored + rep.QuantFallbacks; got != levels {
-											t.Fatalf("int8 scorings (%d trusted + %d fallbacks) != %d levels run", rep.QuantScored, rep.QuantFallbacks, levels)
-										}
-										if rep.QuantScored == 0 {
-											t.Fatal("int8 path never trusted a score — quantization is not engaged")
-										}
-									}
-								})
+									})
+								}
 							}
 						}
 					}
@@ -684,6 +745,64 @@ func TestRepSourcePoolHygiene(t *testing.T) {
 	}
 }
 
+// failingRepSource claims to serve every transform and fails every read.
+type failingRepSource struct{}
+
+func (failingRepSource) HasRep(string) bool { return true }
+
+func (failingRepSource) Rep(i int, id string) (*img.Image, error) {
+	return nil, fmt.Errorf("rep %s/%d unreadable", id, i)
+}
+
+// TestRepFallbackAcrossSources: when every served read fails — so no batch
+// pre-loads its sources and each fallback loads on demand — an image-backed
+// and a record-backed run degrade to the same thing: the labels and level
+// counts of the plain run, every slot a counted fallback transform.
+func TestRepFallbackAcrossSources(t *testing.T) {
+	cascades := buildCascades(t, 5700, []int{3, 2}, true)
+	calibrate(t, 5701, cascades...)
+	eng, err := New(cascades...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames, records := storedFrames(t, 5800, 40, 32)
+	for _, quant := range []QuantMode{QuantOff, QuantAuto} {
+		plain, err := eng.Run(Frames(frames), nil, Options{Workers: 1, Quantize: quant})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2, 4} {
+			for name, src := range map[string]Source{
+				"image":       Frames(frames),
+				"record":      recordFrames{records: records, resident: true},
+				"record-read": recordFrames{records: records},
+			} {
+				rep, err := eng.Run(src, nil, Options{Workers: workers, Batch: 7, Quantize: quant, RepSource: failingRepSource{}})
+				if err != nil {
+					t.Fatalf("%s w=%d quant=%v: rep-read failure must degrade, not error: %v", name, workers, quant, err)
+				}
+				if rep.RepHits != 0 || rep.RepFallbacks != plain.RepsMaterialized || rep.RepsMaterialized != plain.RepsMaterialized {
+					t.Fatalf("%s w=%d quant=%v: %d hits / %d fallbacks / %d reps, want 0 / %d / %d", name, workers, quant,
+						rep.RepHits, rep.RepFallbacks, rep.RepsMaterialized, plain.RepsMaterialized, plain.RepsMaterialized)
+				}
+				if rep.QuantStats != plain.QuantStats {
+					t.Fatalf("%s w=%d quant=%v: int8 counters %+v, plain run %+v", name, workers, quant, rep.QuantStats, plain.QuantStats)
+				}
+				for c := range plain.Labels {
+					if rep.LevelsRun[c] != plain.LevelsRun[c] {
+						t.Fatalf("%s w=%d quant=%v cascade %d: LevelsRun %d, plain run %d", name, workers, quant, c, rep.LevelsRun[c], plain.LevelsRun[c])
+					}
+					for i := range frames {
+						if rep.Labels[c][i] != plain.Labels[c][i] {
+							t.Fatalf("%s w=%d quant=%v cascade %d frame %d: label differs from the plain run", name, workers, quant, c, i)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestRepCacheCrossEngine: a multi-cascade run after a single-cascade run
 // over the same cross-run cache rehits everything that run published, and
 // materializes only the rest — labels unchanged.
@@ -762,32 +881,84 @@ func TestErrorNamesFrame(t *testing.T) {
 	}
 }
 
-// TestSteadyStateAllocs: once the worker pool is warm, a run must allocate
-// (amortized) well under one object per frame — pooled representation
-// buffers instead of a fresh image per Xform.Apply.
+// storeSource is a Source over a real on-disk store, with or without its
+// record cache — the shape of vdb's store-backed corpus.
+type storeSource struct {
+	store *repstore.Store
+	cache *repstore.Cache
+}
+
+func (s storeSource) Len() int { return s.store.Count() }
+
+func (s storeSource) Image(i int) (*img.Image, error) {
+	return nil, fmt.Errorf("record source asked to decode frame %d", i)
+}
+
+func (s storeSource) Record(i int, scratch *[]byte) (img.Record, error) {
+	if s.cache != nil {
+		return s.cache.Record(i)
+	}
+	return s.store.SourceRecord(i, scratch)
+}
+
+// TestSteadyStateAllocs: once the worker pool is warm, a run allocates its
+// Report/Labels/Batches and goroutine plumbing (~20 objects) and nothing per
+// frame — pooled representation buffers instead of a fresh image per
+// transform, and on the record path no decoded source either. A store-backed
+// run allocates nothing per frame when every record is resident or is read
+// into the worker's pooled scratch, and exactly the record itself — which
+// the cache then owns — when every read is a cache miss.
 func TestSteadyStateAllocs(t *testing.T) {
-	for _, depths := range [][]int{{3}, {3, 2}} {
-		eng, err := New(buildCascades(t, 1300, depths, true)...)
+	const n = 256
+	frames, _ := storedFrames(t, 1400, n, 32)
+	store, err := repstore.Create(t.TempDir(), 32, 32, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if err := store.IngestAll(frames); err != nil {
+		t.Fatal(err)
+	}
+	newCache := func(capacity int64) *repstore.Cache {
+		c, err := repstore.NewCache(store, capacity)
 		if err != nil {
 			t.Fatal(err)
 		}
-		frames := randFrames(1400, 256, 32)
-		opts := Options{Workers: 1, Batch: 32}
-		if _, err := eng.Run(Frames(frames), nil, opts); err != nil {
-			t.Fatal(err)
-		}
-		avg := testing.AllocsPerRun(5, func() {
-			if _, err := eng.Run(Frames(frames), nil, opts); err != nil {
+		return c
+	}
+	record := int64(frames[0].StoredBytes())
+	for _, tc := range []struct {
+		name     string
+		src      Source
+		perFrame float64 // allocations every frame must cost
+	}{
+		{"image", Frames(frames), 0},
+		{"record/hit", storeSource{store, newCache(2 * n * record)}, 0},
+		{"record/miss", storeSource{store, newCache(n / 2 * record)}, 1}, // a sequential scan of twice the cache never hits
+		{"record/nocache", storeSource{store, nil}, 0},
+	} {
+		for _, depths := range [][]int{{3}, {3, 2}} {
+			eng, err := New(buildCascades(t, 1300, depths, true)...)
+			if err != nil {
 				t.Fatal(err)
 			}
-		})
-		perFrame := avg / float64(len(frames))
-		// A run allocates its Report/Labels/Batches and goroutine plumbing
-		// (~20 allocations), but nothing per frame. The bound is loose
-		// because a GC during the measurement clears the worker pool and
-		// re-clones the models once.
-		if perFrame > 1 {
-			t.Fatalf("n=%d: steady-state allocations = %.2f/frame (%.0f per run), want < 1", len(depths), perFrame, avg)
+			opts := Options{Workers: 1, Batch: 32}
+			if _, err := eng.Run(tc.src, nil, opts); err != nil {
+				t.Fatal(err)
+			}
+			avg := testing.AllocsPerRun(5, func() {
+				if _, err := eng.Run(tc.src, nil, opts); err != nil {
+					t.Fatal(err)
+				}
+			})
+			// What is left after the per-frame cost is the per-run overhead.
+			// The bound on it is loose because a GC during the measurement
+			// clears the worker pool and re-clones the models once.
+			overhead := avg - tc.perFrame*n
+			if overhead < 0 || overhead > n/2 {
+				t.Fatalf("%s n=%d: %.0f allocations per %d-frame run: want %.0f per frame plus a small per-run overhead, got overhead %.0f",
+					tc.name, len(depths), avg, n, tc.perFrame, overhead)
+			}
 		}
 	}
 }

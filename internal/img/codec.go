@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 )
 
 // TIMG is the raw on-disk image format used by the representation store:
@@ -28,32 +30,121 @@ const (
 // truncated pixel data.
 var ErrCorrupt = errors.New("img: corrupt TIMG data")
 
-// Encode writes im in TIMG format. Samples are clamped to [0,1] and quantized
-// to 8 bits.
-func Encode(w io.Writer, im *Image) error {
+// unit maps a stored sample to its float32 value: unit[b] == float32(b)/255,
+// the division done once per level instead of once per sample.
+var unit = func() (t [256]float32) {
+	for b := range t {
+		t[b] = float32(b) / 255
+	}
+	return t
+}()
+
+// Unit returns the float32 value of stored sample b, exactly float32(b)/255.
+func Unit(b byte) float32 { return unit[b] }
+
+// Record is a validated TIMG record viewed in place: the geometry from its
+// header and the stored samples, still one byte each. Pix aliases the parsed
+// bytes, so a Record is as immutable as the slice it came from.
+type Record struct {
+	W, H int
+	Mode ColorMode
+	Pix  []byte // C·H·W samples, plane-major
+}
+
+// Plane returns the stored samples of channel c.
+func (r Record) Plane(c int) []byte {
+	n := r.W * r.H
+	return r.Pix[c*n : (c+1)*n]
+}
+
+// StoredBytes returns the length of the record the view was parsed from.
+func (r Record) StoredBytes() int { return timgHeaderSize + len(r.Pix) }
+
+// Image expands the record into a fresh float32 image.
+func (r Record) Image() *Image {
+	im := New(r.W, r.H, r.Mode)
+	for i, b := range r.Pix {
+		im.Pix[i] = unit[b]
+	}
+	return im
+}
+
+// parseHeader is the one TIMG validator: magic, version, color mode and
+// non-zero dimensions. It returns the record's geometry (Pix unset) and the
+// sample count the header promises; nothing is allocated from those numbers
+// here.
+func parseHeader(hdr []byte) (rec Record, samples int, err error) {
+	if len(hdr) < timgHeaderSize {
+		return Record{}, 0, fmt.Errorf("%w: short header: %d bytes", ErrCorrupt, len(hdr))
+	}
+	if string(hdr[:4]) != timgMagic {
+		return Record{}, 0, fmt.Errorf("%w: bad magic %q", ErrCorrupt, hdr[:4])
+	}
+	if hdr[4] != timgVersion {
+		return Record{}, 0, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, hdr[4])
+	}
+	rec.Mode = ColorMode(hdr[5])
+	if rec.Mode > Gray {
+		return Record{}, 0, fmt.Errorf("%w: unknown color mode %d", ErrCorrupt, hdr[5])
+	}
+	rec.W = int(binary.LittleEndian.Uint16(hdr[6:8]))
+	rec.H = int(binary.LittleEndian.Uint16(hdr[8:10]))
+	if rec.W == 0 || rec.H == 0 {
+		return Record{}, 0, fmt.Errorf("%w: zero dimension %dx%d", ErrCorrupt, rec.W, rec.H)
+	}
+	n := int64(rec.Mode.Channels()) * int64(rec.W) * int64(rec.H)
+	if n > math.MaxInt {
+		return Record{}, 0, fmt.Errorf("%w: %dx%d/%v does not fit this platform's int", ErrCorrupt, rec.W, rec.H, rec.Mode)
+	}
+	return rec, int(n), nil
+}
+
+// ParseRecord validates one complete TIMG record held in memory and returns
+// a view of it. The header's promise is checked against the bytes actually
+// present — len(raw) must be exactly header + C·W·H — before anything is
+// sized from it, so a hostile header costs nothing.
+func ParseRecord(raw []byte) (Record, error) {
+	rec, samples, err := parseHeader(raw)
+	if err != nil {
+		return Record{}, err
+	}
+	if len(raw)-timgHeaderSize != samples {
+		return Record{}, fmt.Errorf("%w: %dx%d/%v record holds %d sample bytes, header implies %d",
+			ErrCorrupt, rec.W, rec.H, rec.Mode, len(raw)-timgHeaderSize, samples)
+	}
+	rec.Pix = raw[timgHeaderSize:]
+	return rec, nil
+}
+
+// AppendRecord appends im's TIMG encoding to dst and returns the extended
+// slice. Samples are clamped to [0,1] and quantized to 8 bits.
+func AppendRecord(dst []byte, im *Image) ([]byte, error) {
 	if im.W > 0xFFFF || im.H > 0xFFFF {
-		return fmt.Errorf("img: image %dx%d too large for TIMG", im.W, im.H)
+		return dst, fmt.Errorf("img: image %dx%d too large for TIMG", im.W, im.H)
 	}
-	var hdr [timgHeaderSize]byte
-	copy(hdr[:4], timgMagic)
-	hdr[4] = timgVersion
-	hdr[5] = byte(im.Mode)
-	binary.LittleEndian.PutUint16(hdr[6:8], uint16(im.W))
-	binary.LittleEndian.PutUint16(hdr[8:10], uint16(im.H))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("img: writing TIMG header: %w", err)
-	}
-	buf := make([]byte, len(im.Pix))
+	start := len(dst)
+	dst = slices.Grow(dst, im.StoredBytes())[:start+im.StoredBytes()]
+	rec := dst[start:]
+	copy(rec, timgMagic)
+	rec[4] = timgVersion
+	rec[5] = byte(im.Mode)
+	binary.LittleEndian.PutUint16(rec[6:8], uint16(im.W))
+	binary.LittleEndian.PutUint16(rec[8:10], uint16(im.H))
+	pix := rec[timgHeaderSize:][:len(im.Pix)]
 	for i, v := range im.Pix {
-		if v < 0 {
-			v = 0
-		} else if v > 1 {
-			v = 1
-		}
-		buf[i] = byte(v*255 + 0.5)
+		pix[i] = quant(v)
 	}
-	if _, err := w.Write(buf); err != nil {
-		return fmt.Errorf("img: writing TIMG pixels: %w", err)
+	return dst, nil
+}
+
+// Encode writes im in TIMG format (see AppendRecord).
+func Encode(w io.Writer, im *Image) error {
+	rec, err := AppendRecord(nil, im)
+	if err != nil {
+		return err
+	}
+	if _, err := w.Write(rec); err != nil {
+		return fmt.Errorf("img: writing TIMG record: %w", err)
 	}
 	return nil
 }
@@ -63,36 +154,38 @@ func EncodedSize(w, h int, mode ColorMode) int {
 	return timgHeaderSize + mode.Channels()*w*h
 }
 
-// Decode reads one TIMG image from r.
+// decodeChunk bounds how far Decode's read buffer runs ahead of the bytes a
+// reader has actually delivered.
+const decodeChunk = 32 << 10
+
+// Decode reads one TIMG image from r. The sample bytes are read before the
+// float32 planes are allocated, into a buffer that only grows as data
+// arrives, so a header promising gigabytes over a short body fails with
+// ErrCorrupt after a bounded allocation.
 func Decode(r io.Reader) (*Image, error) {
 	var hdr [timgHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("%w: short header: %v", ErrCorrupt, err)
 	}
-	if string(hdr[:4]) != timgMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, hdr[:4])
+	rec, samples, err := parseHeader(hdr[:])
+	if err != nil {
+		return nil, err
 	}
-	if hdr[4] != timgVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, hdr[4])
+	pix := make([]byte, 0, min(samples, decodeChunk))
+	for len(pix) < samples {
+		if len(pix) == cap(pix) {
+			grown := make([]byte, len(pix), min(samples, 2*cap(pix)))
+			copy(grown, pix)
+			pix = grown
+		}
+		n, err := io.ReadFull(r, pix[len(pix):cap(pix)])
+		pix = pix[:len(pix)+n]
+		if err != nil {
+			return nil, fmt.Errorf("%w: short pixel data: %v", ErrCorrupt, err)
+		}
 	}
-	mode := ColorMode(hdr[5])
-	if mode > Gray {
-		return nil, fmt.Errorf("%w: unknown color mode %d", ErrCorrupt, hdr[5])
-	}
-	w := int(binary.LittleEndian.Uint16(hdr[6:8]))
-	h := int(binary.LittleEndian.Uint16(hdr[8:10]))
-	if w == 0 || h == 0 {
-		return nil, fmt.Errorf("%w: zero dimension %dx%d", ErrCorrupt, w, h)
-	}
-	im := New(w, h, mode)
-	buf := make([]byte, len(im.Pix))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, fmt.Errorf("%w: short pixel data: %v", ErrCorrupt, err)
-	}
-	for i, b := range buf {
-		im.Pix[i] = float32(b) / 255
-	}
-	return im, nil
+	rec.Pix = pix
+	return rec.Image(), nil
 }
 
 // WritePNM writes the image as a binary PGM (single channel) or PPM (RGB),

@@ -107,6 +107,41 @@ func (im *Image) Clamp() *Image {
 	return im
 }
 
+// Tap, Bilerp and Luma are the per-sample arithmetic of the representation
+// transforms, written once. ResizeInto and ToGrayInto use them over float32
+// planes and xform's byte-domain transform uses them over stored records;
+// because both sides compile the same source expressions (in the same order,
+// with the same fused-multiply-add opportunities on platforms that fuse) a
+// representation is bit-identical whichever path produced it.
+
+// Tap returns the two source coordinates and the blend weight bilinear
+// resampling uses for destination coordinate i along an axis of srcN
+// samples; scale is float32(srcN)/float32(dstN). Coordinates clamp at the
+// borders (nearest sample).
+func Tap(i int, scale float32, srcN int) (i0, i1 int, f float32) {
+	s := (float32(i)+0.5)*scale - 0.5
+	if s < 0 {
+		s = 0
+	}
+	i0 = int(s)
+	i1 = i0 + 1
+	if i1 >= srcN {
+		i1 = srcN - 1
+	}
+	return i0, i1, s - float32(i0)
+}
+
+// Bilerp blends four neighbouring samples: along x within the top and bottom
+// rows, then along y between them.
+func Bilerp(v00, v01, v10, v11, fx, fy float32) float32 {
+	top := v00 + (v01-v00)*fx
+	bot := v10 + (v11-v10)*fx
+	return top + (bot-top)*fy
+}
+
+// Luma is the Rec.601 grayscale projection of one pixel.
+func Luma(r, g, b float32) float32 { return 0.299*r + 0.587*g + 0.114*b }
+
 // Resize returns a new image of size w×h using bilinear interpolation
 // (nearest-sample at the borders). Shrinking large factors uses simple
 // bilinear sampling, which is what lightweight ingest pipelines typically do.
@@ -138,34 +173,10 @@ func ResizeInto(dst, src *Image) {
 		sp := src.Plane(c)
 		dp := dst.Plane(c)
 		for y := 0; y < h; y++ {
-			sy := (float32(y)+0.5)*yScale - 0.5
-			if sy < 0 {
-				sy = 0
-			}
-			y0 := int(sy)
-			y1 := y0 + 1
-			if y1 >= src.H {
-				y1 = src.H - 1
-			}
-			fy := sy - float32(y0)
+			y0, y1, fy := Tap(y, yScale, src.H)
 			for x := 0; x < w; x++ {
-				sx := (float32(x)+0.5)*xScale - 0.5
-				if sx < 0 {
-					sx = 0
-				}
-				x0 := int(sx)
-				x1 := x0 + 1
-				if x1 >= src.W {
-					x1 = src.W - 1
-				}
-				fx := sx - float32(x0)
-				v00 := sp[y0*src.W+x0]
-				v01 := sp[y0*src.W+x1]
-				v10 := sp[y1*src.W+x0]
-				v11 := sp[y1*src.W+x1]
-				top := v00 + (v01-v00)*fx
-				bot := v10 + (v11-v10)*fx
-				dp[y*w+x] = top + (bot-top)*fy
+				x0, x1, fx := Tap(x, xScale, src.W)
+				dp[y*w+x] = Bilerp(sp[y0*src.W+x0], sp[y0*src.W+x1], sp[y1*src.W+x0], sp[y1*src.W+x1], fx, fy)
 			}
 		}
 	}
@@ -225,7 +236,7 @@ func ToGrayInto(dst, src *Image) {
 	}
 	r, g, b := src.Plane(0), src.Plane(1), src.Plane(2)
 	for i := range dst.Pix {
-		dst.Pix[i] = 0.299*r[i] + 0.587*g[i] + 0.114*b[i]
+		dst.Pix[i] = Luma(r[i], g[i], b[i])
 	}
 }
 

@@ -149,8 +149,9 @@ type Availability struct {
 	// under id is resident in the cross-query rep cache, in [0,1]
 	// (typically a small deterministic sample of residency probes).
 	CachedFrac func(id string) float64
-	// SourceCachedFrac estimates the fraction of rows whose decoded source
-	// is resident in the decode cache.
+	// SourceCachedFrac estimates the fraction of rows whose source record is
+	// resident in the store cache: using them costs no disk read (the
+	// transform from the record's bytes is still paid per representation).
 	SourceCachedFrac float64
 }
 

@@ -1,0 +1,87 @@
+package repstore
+
+import (
+	"math/rand"
+	"testing"
+
+	"tahoma/internal/img"
+	"tahoma/internal/xform"
+)
+
+// BenchmarkLoadTransform prices one frame of a store-backed scan from disk
+// to the model's input buffer — load + transform, the two terms of the
+// paper's cost model that precede inference — over an on-disk store of 8 000
+// 32×32 frames (the scenario benchmark's archive), per physical path:
+//
+//	f32/miss     read the record, expand it to a float32 image, ApplyInto
+//	             (the image path; what every store-backed scan paid before
+//	             the byte-domain path)
+//	record/miss  read the record into a slice the cache keeps, ApplyRecord
+//	record/hit   the record is resident, ApplyRecord
+//
+// record/miss against f32/miss is the part of the byte-domain path's gain
+// that does not depend on the corpus fitting the cache.
+func BenchmarkLoadTransform(b *testing.B) {
+	const rows, side, chunk = 8000, 32, 500
+	store, err := Create(b.TempDir(), side, side, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer store.Close()
+	rng := rand.New(rand.NewSource(41))
+	for done := 0; done < rows; done += chunk {
+		ims := make([]*img.Image, chunk)
+		for i := range ims {
+			ims[i] = randRGB(rng, side)
+		}
+		if err := store.IngestAll(ims); err != nil {
+			b.Fatal(err)
+		}
+	}
+	record := int64(img.EncodedSize(side, side, img.RGB))
+	newCache := func(capacity int64) *Cache {
+		c, err := NewCache(store, capacity)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return c
+	}
+	for _, tr := range []xform.Transform{{Size: 16, Color: img.Gray}, {Size: 8, Color: img.RGB}, {Size: 32, Color: img.RGB}} {
+		b.Run("f32/miss/"+tr.ID(), func(b *testing.B) {
+			cache := newCache(rows / 4 * record) // a sequential scan of 4× the cache never hits
+			var dst, proj *img.Image
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				src, err := cache.Source(i % rows)
+				if err != nil {
+					b.Fatal(err)
+				}
+				dst, proj = tr.ApplyInto(dst, src, proj)
+			}
+		})
+		for _, mode := range []struct {
+			name     string
+			capacity int64
+		}{{"record/miss/", rows / 4 * record}, {"record/hit/", 2 * rows * record}} {
+			b.Run(mode.name+tr.ID(), func(b *testing.B) {
+				cache := newCache(mode.capacity)
+				for i := 0; i < rows; i++ { // warm: fills the big cache, churns the small one
+					if _, err := cache.Record(i); err != nil {
+						b.Fatal(err)
+					}
+				}
+				var dst *img.Image
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					rec, err := cache.Record(i % rows)
+					if err != nil {
+						b.Fatal(err)
+					}
+					dst = tr.ApplyRecord(dst, rec)
+				}
+			})
+		}
+	}
+}

@@ -8,11 +8,17 @@ import (
 	"tahoma/internal/xform"
 )
 
-// Cache is a bounded LRU over decoded records of a Store, keyed by
-// (representation, index). Query execution in the ONGOING and ARCHIVE
-// scenarios re-reads the same representations across predicates and repeat
-// queries; the cache turns those re-reads into memory hits while bounding
-// resident pixel bytes. Safe for concurrent use.
+// Cache is a bounded LRU over records of a Store, keyed by (representation,
+// index), each kept in the physical form its consumers read. A source image
+// stays the stored record — one byte per sample, a quarter of its float32
+// expansion — because the load path transforms straight from those bytes
+// (xform.Transform.ApplyRecord) and never needs the expansion. A
+// pre-materialized representation is kept decoded, as float32 planes: it
+// already is the representation a model consumes, so a hit must cost nothing.
+// Query execution in the ONGOING and ARCHIVE scenarios re-reads the same
+// records across predicates and repeat queries; the cache turns those
+// re-reads into memory hits while bounding resident bytes. Safe for
+// concurrent use.
 type Cache struct {
 	store *Store
 
@@ -33,8 +39,9 @@ type CacheStats struct {
 	ResidentBytes int64
 }
 
-// NewCache wraps store with a cache holding up to capacityBytes of decoded
-// pixel data (float32 samples; a 64×64 RGB image is 48 KiB).
+// NewCache wraps store with a cache holding up to capacityBytes of resident
+// records: source images are charged their stored size (a 64×64 RGB record is
+// 12 KiB), representations their float32 planes (a 16×16 gray one is 1 KiB).
 func NewCache(store *Store, capacityBytes int64) (*Cache, error) {
 	if capacityBytes <= 0 {
 		return nil, fmt.Errorf("repstore: cache capacity must be positive, got %d", capacityBytes)
@@ -42,39 +49,56 @@ func NewCache(store *Store, capacityBytes int64) (*Cache, error) {
 	return &Cache{store: store, lru: newLRUCore(capacityBytes)}, nil
 }
 
-// Source returns full-size image i, from cache when possible.
-func (c *Cache) Source(i int) (*img.Image, error) {
-	return c.get(cacheKey{rep: "", idx: i}, func() (*img.Image, error) {
-		return c.store.LoadSource(i)
+// Record returns full-size image i as stored, from cache when possible. A
+// miss is one read into one exact-size slice the cache then owns; the
+// returned view is shared with every other caller and must not be written.
+func (c *Cache) Record(i int) (img.Record, error) {
+	v, err := c.get(cacheKey{rep: "", idx: i}, func() (cacheValue, error) {
+		var owned []byte
+		rec, err := c.store.SourceRecord(i, &owned)
+		return cacheValue{rec: rec}, err
 	})
+	return v.rec, err
+}
+
+// Source returns full-size image i decoded into a fresh image, reading the
+// record from cache when possible (hits and misses count record residency).
+func (c *Cache) Source(i int) (*img.Image, error) {
+	rec, err := c.Record(i)
+	if err != nil {
+		return nil, err
+	}
+	return rec.Image(), nil
 }
 
 // Rep returns representation i of transform t, from cache when possible.
 func (c *Cache) Rep(i int, t xform.Transform) (*img.Image, error) {
-	return c.get(cacheKey{rep: t.ID(), idx: i}, func() (*img.Image, error) {
-		return c.store.LoadRep(i, t)
+	v, err := c.get(cacheKey{rep: t.ID(), idx: i}, func() (cacheValue, error) {
+		im, err := c.store.LoadRep(i, t)
+		return cacheValue{im: im}, err
 	})
+	return v.im, err
 }
 
-func (c *Cache) get(key cacheKey, load func() (*img.Image, error)) (*img.Image, error) {
+func (c *Cache) get(key cacheKey, load func() (cacheValue, error)) (cacheValue, error) {
 	c.mu.Lock()
-	if im := c.lru.lookup(key); im != nil {
+	if v, ok := c.lru.lookup(key); ok {
 		c.mu.Unlock()
-		return im, nil
+		return v, nil
 	}
 	c.mu.Unlock()
 
 	// Load outside the lock; concurrent misses on the same key may load
 	// twice, which is wasteful but correct (records are immutable, and
 	// insert keeps whichever copy got there first).
-	im, err := load()
+	v, err := load()
 	if err != nil {
-		return nil, err
+		return cacheValue{}, err
 	}
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.lru.insert(key, im), nil
+	return c.lru.insert(key, v), nil
 }
 
 // Stats reports cache effectiveness.
@@ -108,9 +132,9 @@ func (c *Cache) Has(t xform.Transform) bool {
 	return ok
 }
 
-// HasSource reports whether the decoded source of image i is resident,
-// without promoting it or counting a hit or miss — the query planner's
-// decode-cache probe.
+// HasSource reports whether the stored record of image i is resident — using
+// it costs no disk read — without promoting it or counting a hit or miss: the
+// query planner's source-cache probe.
 func (c *Cache) HasSource(i int) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -121,5 +145,5 @@ func (c *Cache) HasSource(i int) bool {
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.lru.list.Len()
+	return len(c.lru.items)
 }

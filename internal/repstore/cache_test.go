@@ -28,13 +28,18 @@ func cacheFixture(t *testing.T, n int) (*Store, []*img.Image) {
 	return s, ims
 }
 
+// srcRecord is the stored size of the fixture's 16×16 RGB sources — what a
+// resident source is charged (header + one byte per sample).
+const srcRecord = 10 + 3*16*16
+
 func TestCacheHitsAndCorrectness(t *testing.T) {
 	s, _ := cacheFixture(t, 4)
 	c, err := NewCache(s, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// First read misses, second hits; contents identical both times.
+	// First read misses, second hits the resident record; each Source call
+	// decodes its own image, with identical contents both times.
 	a, err := c.Source(2)
 	if err != nil {
 		t.Fatal(err)
@@ -43,21 +48,36 @@ func TestCacheHitsAndCorrectness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b {
-		t.Fatal("second read should return the cached object")
+	if a == b {
+		t.Fatal("Source must decode a fresh image per call (the cache holds the record, not an image)")
 	}
 	direct, err := s.LoadSource(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range direct.Pix {
-		if a.Pix[i] != direct.Pix[i] {
+		if a.Pix[i] != direct.Pix[i] || b.Pix[i] != direct.Pix[i] {
 			t.Fatal("cached content differs from direct read")
 		}
 	}
 	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.ResidentBytes <= 0 {
+	if st.Hits != 1 || st.Misses != 1 || st.ResidentBytes != srcRecord {
 		t.Fatalf("stats: %+v", st)
+	}
+	// Record reads share the one resident copy.
+	s1, err := c.Record(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, err := c.Record(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &s1.Pix[0] != &s2.Pix[0] {
+		t.Fatal("second record read should return the resident bytes")
+	}
+	if s1.W != 16 || s1.H != 16 || s1.Mode != img.RGB || s1.StoredBytes() != srcRecord {
+		t.Fatalf("record geometry %dx%d/%v, %d bytes", s1.W, s1.H, s1.Mode, s1.StoredBytes())
 	}
 
 	// Representation reads cache under a distinct key.
@@ -79,8 +99,9 @@ func TestCacheHitsAndCorrectness(t *testing.T) {
 
 func TestCacheEviction(t *testing.T) {
 	s, _ := cacheFixture(t, 8)
-	// Capacity for roughly two 16×16 RGB images (3·256·4 = 3072 bytes each).
-	c, err := NewCache(s, 7000)
+	// Capacity for two 16×16 RGB source records (778 bytes each) and change.
+	const capacity = 2*srcRecord + 200
+	c, err := NewCache(s, capacity)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +114,11 @@ func TestCacheEviction(t *testing.T) {
 		t.Fatalf("cache holds %d entries over budget", c.Len())
 	}
 	st := c.Stats()
-	if st.ResidentBytes > 7000 {
-		t.Fatalf("resident %d exceeds capacity", st.ResidentBytes)
+	if st.ResidentBytes != 2*srcRecord {
+		t.Fatalf("resident %d bytes, want two records (%d)", st.ResidentBytes, 2*srcRecord)
 	}
-	// 8 sources were loaded and at most 2 fit: the other 6 were evicted.
-	if want := int64(6 * 3072); st.EvictedBytes != want {
+	// 8 sources were loaded and 2 fit: the other 6 were evicted.
+	if want := int64(6 * srcRecord); st.EvictedBytes != want {
 		t.Fatalf("evicted %d bytes, want %d", st.EvictedBytes, want)
 	}
 	// Most recent entry must still hit.
@@ -113,7 +134,7 @@ func TestCacheEviction(t *testing.T) {
 
 func TestCacheLRUOrder(t *testing.T) {
 	s, _ := cacheFixture(t, 3)
-	c, err := NewCache(s, 2*3072+100) // room for two sources
+	c, err := NewCache(s, 2*srcRecord+100) // room for two sources
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,8 +202,8 @@ func TestCacheConcurrent(t *testing.T) {
 // JSON, so their arithmetic must not drift.
 func TestCacheStatsPinned(t *testing.T) {
 	s, _ := cacheFixture(t, 4)
-	// Room for exactly two 16×16 RGB sources (3·256·4 = 3072 bytes each).
-	c, err := NewCache(s, 2*3072)
+	// Room for exactly two 16×16 RGB source records.
+	c, err := NewCache(s, 2*srcRecord)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +214,7 @@ func TestCacheStatsPinned(t *testing.T) {
 		}
 	}
 	st := c.Stats()
-	want := CacheStats{Hits: 2, Misses: 4, EvictedBytes: 2 * 3072, ResidentBytes: 2 * 3072}
+	want := CacheStats{Hits: 2, Misses: 4, EvictedBytes: 2 * srcRecord, ResidentBytes: 2 * srcRecord}
 	if st != want {
 		t.Fatalf("stats %+v, want %+v", st, want)
 	}
@@ -202,6 +223,89 @@ func TestCacheStatsPinned(t *testing.T) {
 	}
 	if c.Has(xform.Transform{Size: 4, Color: img.Gray}) {
 		t.Fatal("Has must reject a transform the store lacks")
+	}
+}
+
+// TestCacheByteAccounting: the cache charges each entry what it holds — a
+// source its stored record, a representation its float32 planes — and
+// HasSource reports record residency without touching the counters.
+func TestCacheByteAccounting(t *testing.T) {
+	s, _ := cacheFixture(t, 5)
+	c, err := NewCache(s, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.HasSource(3) {
+		t.Fatal("nothing is resident in a fresh cache")
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := c.Record(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := c.Stats().ResidentBytes; got != 5*srcRecord {
+		t.Fatalf("5 resident sources charge %d bytes, want Σ record lengths = %d", got, 5*srcRecord)
+	}
+	tr := testTransforms[0]
+	rep, err := c.Rep(0, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := c.Bytes(), int64(5*srcRecord+rep.Bytes()); got != want {
+		t.Fatalf("with one %s rep resident: %d bytes, want %d (reps stay float32)", tr.ID(), got, want)
+	}
+	before := c.Stats()
+	if !c.HasSource(3) {
+		t.Fatal("HasSource must report the resident record")
+	}
+	if c.Stats() != before {
+		t.Fatal("HasSource moved the counters")
+	}
+}
+
+// TestCacheDoubleMissKeepsOneCopy: readers missing the same record at once
+// may each read it, but the cache keeps one copy, charges it once, and every
+// reader ends up holding that copy.
+func TestCacheDoubleMissKeepsOneCopy(t *testing.T) {
+	s, _ := cacheFixture(t, 2)
+	c, err := NewCache(s, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const readers = 8
+	recs := make([]img.Record, readers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			rec, err := c.Record(1)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			recs[g] = rec
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	st := c.Stats()
+	if c.Len() != 1 || st.ResidentBytes != srcRecord || st.Hits+st.Misses != readers || st.Misses < 1 {
+		t.Fatalf("%d entries, stats %+v: want one resident record and %d counted reads", c.Len(), st, readers)
+	}
+	resident, err := c.Record(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g, rec := range recs {
+		if &rec.Pix[0] != &resident.Pix[0] {
+			t.Fatalf("reader %d holds a private copy, not the resident record", g)
+		}
 	}
 }
 

@@ -1,19 +1,19 @@
 package repstore
 
-import (
-	"container/list"
-
-	"tahoma/internal/img"
-)
+import "tahoma/internal/img"
 
 // lruCore is the shared LRU machinery behind Cache and SharedReps: a
-// byte-budgeted recency list over decoded images with hit/miss/eviction
+// byte-budgeted recency list over cached values with hit/miss/eviction
 // accounting. It is not goroutine-safe — the owning cache holds the lock.
 type lruCore struct {
-	capacity int64 // pixel-byte budget
+	capacity int64 // resident-byte budget
 	bytes    int64
-	list     *list.List // front = most recent; values are *cacheEntry
-	items    map[cacheKey]*list.Element
+	// root is the sentinel of an intrusive ring of entries: root.next is the
+	// most recent, root.prev the eviction victim. An entry evicted to make
+	// room is reused for the value that displaced it, so a cache churning at
+	// capacity allocates nothing of its own per insert.
+	root  cacheEntry
+	items map[cacheKey]*cacheEntry
 
 	hits    int64
 	misses  int64
@@ -25,51 +25,86 @@ type cacheKey struct {
 	idx int
 }
 
-type cacheEntry struct {
-	key cacheKey
+// cacheValue is what an entry holds, in the physical form it is kept in: a
+// representation as float32 planes (im) or a source image as its stored
+// record (rec). Exactly one is set; the zero value is "absent".
+type cacheValue struct {
 	im  *img.Image
+	rec img.Record
+}
+
+// bytes is the value's charge against the budget: what it occupies in memory.
+func (v cacheValue) bytes() int64 {
+	if v.im != nil {
+		return int64(v.im.Bytes())
+	}
+	return int64(v.rec.StoredBytes())
+}
+
+type cacheEntry struct {
+	prev, next *cacheEntry
+	key        cacheKey
+	val        cacheValue
 }
 
 func newLRUCore(capacityBytes int64) *lruCore {
-	return &lruCore{
-		capacity: capacityBytes,
-		list:     list.New(),
-		items:    make(map[cacheKey]*list.Element),
-	}
+	c := &lruCore{capacity: capacityBytes, items: make(map[cacheKey]*cacheEntry)}
+	c.root.prev, c.root.next = &c.root, &c.root
+	return c
 }
 
-// lookup returns the cached image for key and records a hit, or records a
-// miss and returns nil.
-func (c *lruCore) lookup(key cacheKey) *img.Image {
-	if el, ok := c.items[key]; ok {
-		c.list.MoveToFront(el)
+func (c *lruCore) unlink(e *cacheEntry) {
+	e.prev.next, e.next.prev = e.next, e.prev
+}
+
+func (c *lruCore) pushFront(e *cacheEntry) {
+	e.prev, e.next = &c.root, c.root.next
+	e.prev.next, e.next.prev = e, e
+}
+
+func (c *lruCore) touch(e *cacheEntry) {
+	c.unlink(e)
+	c.pushFront(e)
+}
+
+// lookup returns the cached value for key and records a hit, or records a
+// miss and reports false.
+func (c *lruCore) lookup(key cacheKey) (cacheValue, bool) {
+	if e, ok := c.items[key]; ok {
+		c.touch(e)
 		c.hits++
-		return el.Value.(*cacheEntry).im
+		return e.val, true
 	}
 	c.misses++
-	return nil
+	return cacheValue{}, false
 }
 
-// insert stores im under key unless an entry is already resident (the
-// resident image wins — records are immutable, so the pixels are identical),
-// evicting from the cold end until the budget holds. It returns the resident
-// image for key.
-func (c *lruCore) insert(key cacheKey, im *img.Image) *img.Image {
-	if el, ok := c.items[key]; ok {
-		c.list.MoveToFront(el)
-		return el.Value.(*cacheEntry).im
+// insert stores v under key unless an entry is already resident (the
+// resident value wins — records are immutable, so the pixels are identical),
+// evicting from the cold end until the budget holds; the newest entry always
+// stays, even when it alone exceeds the budget. It returns the resident value
+// for key.
+func (c *lruCore) insert(key cacheKey, v cacheValue) cacheValue {
+	if e, ok := c.items[key]; ok {
+		c.touch(e)
+		return e.val
 	}
-	c.items[key] = c.list.PushFront(&cacheEntry{key: key, im: im})
-	c.bytes += int64(im.Bytes())
-	for c.bytes > c.capacity && c.list.Len() > 1 {
-		oldest := c.list.Back()
-		entry := oldest.Value.(*cacheEntry)
-		c.list.Remove(oldest)
-		delete(c.items, entry.key)
-		c.bytes -= int64(entry.im.Bytes())
-		c.evicted += int64(entry.im.Bytes())
+	var e *cacheEntry
+	for c.bytes+v.bytes() > c.capacity && len(c.items) > 0 {
+		e = c.root.prev
+		c.unlink(e)
+		delete(c.items, e.key)
+		c.bytes -= e.val.bytes()
+		c.evicted += e.val.bytes()
 	}
-	return im
+	if e == nil {
+		e = new(cacheEntry)
+	}
+	e.key, e.val = key, v
+	c.pushFront(e)
+	c.items[key] = e
+	c.bytes += v.bytes()
+	return v
 }
 
 // contains reports residency without promoting the entry or touching the

@@ -16,7 +16,6 @@
 package repstore
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -59,6 +58,10 @@ type Store struct {
 	// ReadAt needs no lock of its own.
 	mu       sync.RWMutex
 	manifest Manifest
+
+	// scratch pools the read buffers (*[]byte) of loads that hand back a
+	// decoded image and so have no caller-owned buffer to read into.
+	scratch sync.Pool
 }
 
 // Create initializes a new store in dir (which must be empty or absent) that
@@ -260,14 +263,8 @@ func (s *Store) Ingest(im *img.Image) (int, error) {
 			im.W, im.H, im.Mode, s.manifest.BaseW, s.manifest.BaseH)
 	}
 	idx := s.manifest.Count
-	if err := s.appendRecord(s.source, im, idx, s.sourceRecordSize(), "source.dat"); err != nil {
+	if _, err := s.appendRow(nil, im, idx); err != nil {
 		return 0, err
-	}
-	for _, t := range s.xforms {
-		rep := t.Apply(im)
-		if err := s.appendRecord(s.reps[t.ID()], rep, idx, t.StoredBytes(), repFileName(t.ID())); err != nil {
-			return 0, err
-		}
 	}
 	// Durability ordering: data fsync, then manifest. A crash in between
 	// leaves a torn data tail beyond the manifest count, which Open repairs.
@@ -288,22 +285,17 @@ func (s *Store) IngestAll(ims []*img.Image) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	start := s.manifest.Count
+	var buf []byte // one encode buffer for every record of the batch
 	for k, im := range ims {
 		if im.W != s.manifest.BaseW || im.H != s.manifest.BaseH || im.Mode != img.RGB {
 			s.manifest.Count = start
 			return fmt.Errorf("repstore: ingest image %dx%d/%v, store wants %dx%d/rgb",
 				im.W, im.H, im.Mode, s.manifest.BaseW, s.manifest.BaseH)
 		}
-		if err := s.appendRecord(s.source, im, start+k, s.sourceRecordSize(), "source.dat"); err != nil {
+		var err error
+		if buf, err = s.appendRow(buf, im, start+k); err != nil {
 			s.manifest.Count = start
 			return err
-		}
-		for _, t := range s.xforms {
-			rep := t.Apply(im)
-			if err := s.appendRecord(s.reps[t.ID()], rep, start+k, t.StoredBytes(), repFileName(t.ID())); err != nil {
-				s.manifest.Count = start
-				return err
-			}
 		}
 		s.manifest.Count++
 	}
@@ -319,22 +311,39 @@ func (s *Store) IngestAll(ims []*img.Image) error {
 	return nil
 }
 
-// appendRecord writes image im as record index idx of f. Writes are offset-
-// addressed (not position-dependent) so a store opened with Open can keep
-// appending, and a re-crashed append simply overwrites its own torn tail.
-func (s *Store) appendRecord(f *os.File, im *img.Image, idx, record int, name string) error {
-	var buf bytes.Buffer
-	buf.Grow(record)
-	if err := img.Encode(&buf, im); err != nil {
-		return fmt.Errorf("repstore: encoding record for %s: %w", name, err)
+// appendRow writes im as source record idx and materializes every configured
+// representation beside it. buf is the encode buffer, returned (possibly
+// grown) so a batch reuses one.
+func (s *Store) appendRow(buf []byte, im *img.Image, idx int) ([]byte, error) {
+	buf, err := s.appendRecord(buf, s.source, im, idx, s.sourceRecordSize(), "source.dat")
+	if err != nil {
+		return buf, err
 	}
-	if buf.Len() != record {
-		return fmt.Errorf("repstore: record for %s is %d bytes, want %d", name, buf.Len(), record)
+	for _, t := range s.xforms {
+		buf, err = s.appendRecord(buf, s.reps[t.ID()], t.Apply(im), idx, t.StoredBytes(), repFileName(t.ID()))
+		if err != nil {
+			return buf, err
+		}
 	}
-	if _, err := f.WriteAt(buf.Bytes(), int64(idx)*int64(record)); err != nil {
-		return fmt.Errorf("repstore: appending to %s: %w", name, err)
+	return buf, nil
+}
+
+// appendRecord encodes image im into buf and writes it as record index idx
+// of f. Writes are offset-addressed (not position-dependent) so a store
+// opened with Open can keep appending, and a re-crashed append simply
+// overwrites its own torn tail.
+func (s *Store) appendRecord(buf []byte, f *os.File, im *img.Image, idx, record int, name string) ([]byte, error) {
+	buf, err := img.AppendRecord(buf[:0], im)
+	if err != nil {
+		return buf, fmt.Errorf("repstore: encoding record for %s: %w", name, err)
 	}
-	return nil
+	if len(buf) != record {
+		return buf, fmt.Errorf("repstore: record for %s is %d bytes, want %d", name, len(buf), record)
+	}
+	if _, err := f.WriteAt(buf, int64(idx)*int64(record)); err != nil {
+		return buf, fmt.Errorf("repstore: appending to %s: %w", name, err)
+	}
+	return buf, nil
 }
 
 // syncDataLocked fsyncs every data file — the first half of the durability
@@ -393,14 +402,29 @@ func (s *Store) TruncateTo(n int) error {
 	return s.writeManifest()
 }
 
-// LoadSource reads full-size image i.
-func (s *Store) LoadSource(i int) (*img.Image, error) {
+// SourceRecord reads full-size image i as stored: one ReadAt of the record's
+// bytes, validated but not expanded. It reads into *scratch, growing it to
+// the record size when it is smaller, and the returned view aliases it — a
+// caller that keeps the record (the cache) passes a fresh slice, one that
+// consumes it at once (a scan without a cache) passes the same slice again.
+func (s *Store) SourceRecord(i int, scratch *[]byte) (img.Record, error) {
 	// faults.StoreDecode models a corrupt or unreadable source record — the
 	// chaos suite's "disk ate a frame" case.
 	if err := faults.Fire(faults.StoreDecode); err != nil {
-		return nil, fmt.Errorf("repstore: source record %d: %w", i, err)
+		return img.Record{}, fmt.Errorf("repstore: source record %d: %w", i, err)
 	}
-	return s.loadRecord(s.source, i, s.sourceRecordSize(), "source.dat")
+	return s.readRecord(s.source, i, s.sourceRecordSize(), "source.dat", scratch)
+}
+
+// LoadSource reads full-size image i, decoded.
+func (s *Store) LoadSource(i int) (*img.Image, error) {
+	buf := s.getScratch()
+	defer s.scratch.Put(buf)
+	rec, err := s.SourceRecord(i, buf)
+	if err != nil {
+		return nil, err
+	}
+	return rec.Image(), nil
 }
 
 // LoadRep reads representation i for transform t. The transform must be one
@@ -416,22 +440,40 @@ func (s *Store) LoadRep(i int, t xform.Transform) (*img.Image, error) {
 	if !ok {
 		return nil, fmt.Errorf("repstore: transform %s not materialized in this store", t.ID())
 	}
-	return s.loadRecord(f, i, t.StoredBytes(), repFileName(t.ID()))
+	buf := s.getScratch()
+	defer s.scratch.Put(buf)
+	rec, err := s.readRecord(f, i, t.StoredBytes(), repFileName(t.ID()), buf)
+	if err != nil {
+		return nil, err
+	}
+	return rec.Image(), nil
 }
 
-func (s *Store) loadRecord(f *os.File, i, record int, name string) (*img.Image, error) {
+func (s *Store) getScratch() *[]byte {
+	if buf, ok := s.scratch.Get().(*[]byte); ok {
+		return buf
+	}
+	return new([]byte)
+}
+
+// readRecord reads and validates record i of f into *scratch (grown to the
+// record size when smaller) and returns a view aliasing it.
+func (s *Store) readRecord(f *os.File, i, record int, name string, scratch *[]byte) (img.Record, error) {
 	if n := s.Count(); i < 0 || i >= n {
-		return nil, fmt.Errorf("repstore: index %d out of range [0,%d)", i, n)
+		return img.Record{}, fmt.Errorf("repstore: index %d out of range [0,%d)", i, n)
 	}
-	buf := make([]byte, record)
+	if cap(*scratch) < record {
+		*scratch = make([]byte, record)
+	}
+	buf := (*scratch)[:record]
 	if _, err := f.ReadAt(buf, int64(i)*int64(record)); err != nil {
-		return nil, fmt.Errorf("repstore: reading %s record %d: %w", name, i, err)
+		return img.Record{}, fmt.Errorf("repstore: reading %s record %d: %w", name, i, err)
 	}
-	im, err := img.Decode(bytes.NewReader(buf))
+	rec, err := img.ParseRecord(buf)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %s record %d: %v", ErrCorrupt, name, i, err)
+		return img.Record{}, fmt.Errorf("%w: %s record %d: %v", ErrCorrupt, name, i, err)
 	}
-	return im, nil
+	return rec, nil
 }
 
 // ScanSource streams every full-size image in order.

@@ -43,7 +43,8 @@ func NewSharedReps(capacityBytes int64) (*SharedReps, error) {
 func (s *SharedReps) GetRep(i int, id string) *img.Image {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.lru.lookup(cacheKey{rep: id, idx: i})
+	v, _ := s.lru.lookup(cacheKey{rep: id, idx: i})
+	return v.im
 }
 
 // PutRep publishes a representation. The image becomes cache-owned and must
@@ -53,7 +54,7 @@ func (s *SharedReps) GetRep(i int, id string) *img.Image {
 func (s *SharedReps) PutRep(i int, id string, im *img.Image) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.lru.insert(cacheKey{rep: id, idx: i}, im)
+	s.lru.insert(cacheKey{rep: id, idx: i}, cacheValue{im: im})
 }
 
 // Contains reports whether the representation of source frame i under
@@ -93,5 +94,5 @@ func (s *SharedReps) Evicted() int64 {
 func (s *SharedReps) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.lru.list.Len()
+	return len(s.lru.items)
 }

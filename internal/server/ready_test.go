@@ -5,6 +5,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -100,6 +101,37 @@ func TestReadyGateAndIngest(t *testing.T) {
 	}
 	if _, err := c.Ingest([]IngestRow{{ID: 1, Image: []byte("junk")}}); err == nil || !strings.Contains(err.Error(), "400") {
 		t.Fatalf("undecodable image: want 400, got %v", err)
+	}
+}
+
+// TestIngestHeaderBomb: POST /ingest feeds untrusted bytes to the TIMG
+// reader, so a 10-byte "image" whose header promises 65535×65535 RGB (51 GB
+// of float32 planes) must be the caller's 400 — rejected from the header
+// against the bytes actually sent, before anything is sized from it. At the
+// parent commit this request ended the process.
+func TestIngestHeaderBomb(t *testing.T) {
+	db := buildTestDB(t)
+	ts := httptest.NewServer(New(db, Options{}).Handler())
+	t.Cleanup(ts.Close)
+	c := NewClientWith(ts.URL, ClientOptions{MaxRetries: -1})
+
+	rows := testIngestRows(t, 3000, 2)
+	rows[1].Image = []byte("TIMG\x01\x00\xff\xff\xff\xff")
+	before := db.Count()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	_, err := c.Ingest(rows)
+	runtime.ReadMemStats(&m1)
+	if err == nil || !strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), "row 1") {
+		t.Fatalf("header bomb: want a 400 naming row 1, got %v", err)
+	}
+	// Whole-process allocation across the request: HTTP and JSON plumbing,
+	// nowhere near a plane buffer.
+	if got := m1.TotalAlloc - m0.TotalAlloc; got > 8<<20 {
+		t.Fatalf("rejecting the bomb allocated %d bytes", got)
+	}
+	if db.Count() != before {
+		t.Fatalf("rejected batch changed the row count: %d → %d", before, db.Count())
 	}
 }
 

@@ -24,7 +24,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -627,12 +626,14 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	images := make([]*img.Image, len(req.Rows))
 	metas := make([]vdb.Metadata, len(req.Rows))
 	for i, row := range req.Rows {
-		im, err := img.Decode(bytes.NewReader(row.Image))
+		// The body is untrusted: ParseRecord holds the header's geometry to
+		// the bytes actually sent before anything is allocated from it.
+		rec, err := img.ParseRecord(row.Image)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("row %d: decoding image: %w", i, err))
 			return
 		}
-		images[i] = im
+		images[i] = rec.Image()
 		metas[i] = vdb.Metadata{ID: row.ID, TS: row.TS, Location: row.Location, Camera: row.Camera}
 	}
 
@@ -828,12 +829,12 @@ type StatsResponse struct {
 
 	// SharedRepCache is the cross-query representation cache's counters
 	// (present when the server was built with one); StoreCache is the
-	// store-backed corpus's decode cache (present for store corpora).
+	// store-backed corpus's record cache (present for store corpora).
 	SharedRepCache *CacheStats `json:"shared_rep_cache,omitempty"`
 	StoreCache     *CacheStats `json:"store_cache,omitempty"`
 
 	// CacheBytes / CacheEvictedBytes sum resident and cumulative-evicted
-	// bytes across the decode cache, the shared rep cache and the
+	// bytes across the store cache, the shared rep cache and the
 	// materialized-label store, through the uniform Bytes()/Evicted()
 	// accessors all three expose.
 	CacheBytes        int64 `json:"cache_bytes"`

@@ -101,6 +101,17 @@ func (s *storeCorpus) Image(i int) (*img.Image, error) {
 	return s.store.LoadSource(i)
 }
 
+// Record implements exec.RecordSource: the row's source record as stored, so
+// the engine transforms straight from its bytes. With a cache the resident
+// (shared, immutable) record is returned and scratch is untouched; without
+// one the record is read into the caller's scratch.
+func (s *storeCorpus) Record(i int, scratch *[]byte) (img.Record, error) {
+	if s.cache != nil {
+		return s.cache.Record(i)
+	}
+	return s.store.SourceRecord(i, scratch)
+}
+
 func (s *storeCorpus) appendImages(ims []*img.Image) error {
 	return s.store.IngestAll(ims)
 }
@@ -320,7 +331,7 @@ func (f MatFootprint) Evicted() int64 {
 	return f.db.mat.Evicted()
 }
 
-// DecodeCache returns the store-backed corpus's decoded-record cache (ok is
+// DecodeCache returns the store-backed corpus's record cache (ok is
 // false for in-memory corpora and cacheless stores), exposing the uniform
 // Bytes/Evicted accessors to /stats.
 func (db *DB) DecodeCache() (*repstore.Cache, bool) {
@@ -573,9 +584,9 @@ func (db *DB) SetRepCache(rc exec.RepCache) {
 	db.repCache = rc
 }
 
-// RepCacheStats returns the store-backed corpus's decoded-record cache
+// RepCacheStats returns the store-backed corpus's record cache
 // counters, cumulative since load (ok is false for in-memory corpora and
-// cacheless stores). The cache fronts source decodes always and
+// cacheless stores). The cache fronts source record reads always and
 // representation loads when ServeReps is on; callers diff two snapshots to
 // attribute traffic to one query.
 func (db *DB) RepCacheStats() (stats exec.CacheStats, ok bool) {

@@ -122,7 +122,7 @@ func (db *DB) Append(images []*img.Image, meta []Metadata) (udfCalls int, err er
 	n := len(db.meta)
 	view := corpusView(db.corpus, n)
 	// Plain exec options only: trigger runs have always classified from
-	// freshly decoded sources, and freshly appended rows have no stored or
+	// the freshly appended sources, and those rows have no stored or
 	// cached representation to hit anyway — so RepSource and RepCache stay
 	// out, including any the caller put into SetExecOptions directly.
 	opts := db.execOpts

@@ -135,8 +135,8 @@ func (db *DB) plannerStep(input int, cc ContentCond, pred *Predicate, res cascad
 
 // availability snapshots plan-time physical-representation residency: the
 // store-backed RepSource's transform coverage, a sampled residency estimate
-// over the cross-query rep cache, and a sampled decode-cache estimate for
-// sources. Caller holds db.mu; the caches have their own locks and never
+// over the cross-query rep cache, and a sampled record-residency estimate
+// for sources. Caller holds db.mu; the caches have their own locks and never
 // take db.mu, so probing under the plan lock is safe.
 func (db *DB) availability() planner.Availability {
 	av := planner.Availability{}

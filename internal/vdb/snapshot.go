@@ -140,6 +140,14 @@ func (v *storeView) Image(i int) (*img.Image, error) {
 	return v.sc.Image(i)
 }
 
+// Record implements exec.RecordSource over the bounded view.
+func (v *storeView) Record(i int, scratch *[]byte) (img.Record, error) {
+	if i < 0 || i >= v.n {
+		return img.Record{}, fmt.Errorf("vdb: row %d out of range [0,%d)", i, v.n)
+	}
+	return v.sc.Record(i, scratch)
+}
+
 // SharedRepCache is the cross-query representation cache: an LRU of
 // materialized representations keyed by (transform, row) that every
 // concurrent query reads from and publishes to, wired into the execution

@@ -102,6 +102,30 @@ func TestStoreBackedCorpus(t *testing.T) {
 		t.Fatalf("store-backed count %d != in-memory count %d", res.Rows[0][0].Int, res2.Rows[0][0].Int)
 	}
 
+	// The store-backed run took the byte-domain path: what its cache holds
+	// is the 40 source records as stored (10 + 3·16·16 bytes each), not
+	// their float32 expansions.
+	cache, ok := db.DecodeCache()
+	if !ok || cache.Len() != 40 || cache.Bytes() != 40*(10+3*16*16) {
+		t.Fatalf("store cache after one scan: ok=%v, %d entries, %d bytes; want 40 stored records", ok, cache.Len(), cache.Bytes())
+	}
+	// Without a cache the engine reads each record into pooled scratch —
+	// same path, same answer.
+	db3 := New(cm)
+	if err := db3.LoadCorpusFromStore(store, 0, meta); err != nil {
+		t.Fatal(err)
+	}
+	if err := db3.InstallPredicate("cloak", sys, 2); err != nil {
+		t.Fatal(err)
+	}
+	res3, err := db3.Query("SELECT COUNT(*) FROM images WHERE contains_object('cloak')", cons)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res3.Rows[0][0].Int != res.Rows[0][0].Int {
+		t.Fatalf("cacheless store-backed count %d != cached count %d", res3.Rows[0][0].Int, res.Rows[0][0].Int)
+	}
+
 	// Appending through the store-backed corpus works and invalidates.
 	if _, err := db.Append([]*img.Image{img.New(16, 16, img.RGB)},
 		[]Metadata{{ID: 100, TS: 100}}); err != nil {

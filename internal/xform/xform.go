@@ -95,6 +95,109 @@ func (t Transform) ApplyInto(dst, src, proj *img.Image) (rep, projOut *img.Image
 	return dst, proj
 }
 
+// colTap is one destination column's bilinear taps (see img.Tap).
+type colTap struct {
+	x0, x1 int
+	fx     float32
+}
+
+// stackTaps is how many column taps ApplyRecord keeps on its stack; wider
+// representations take one small allocation per call.
+const stackTaps = 128
+
+// ApplyRecord is ApplyInto over a stored record: the load path's one pass
+// from the bytes a store holds to the float32 representation a model reads.
+// Each output sample is computed from its bilinear taps, and each tap from
+// the record's bytes through img.Unit (and img.Luma for grayscale) — no
+// float32 source image and no projection plane are built, and a channel
+// transform touches one stored plane in three. dst is reused when its
+// geometry matches (otherwise a fresh image is allocated) and the image
+// holding the representation is returned.
+//
+// The samples are bit-identical to Apply over the decoded record: the same
+// img.Tap, img.Bilerp, img.Luma and img.Unit expressions run in the same
+// order, only without the intermediate images in between.
+func (t Transform) ApplyRecord(dst *img.Image, rec img.Record) *img.Image {
+	// Mirror ApplyInto: an RGB transform keeps the record's own mode, and
+	// every projection of a single-plane record reads that plane.
+	mode := t.Color
+	if t.Color == img.RGB {
+		mode = rec.Mode
+	}
+	if dst == nil || dst.W != t.Size || dst.H != t.Size || dst.Mode != mode {
+		dst = img.New(t.Size, t.Size, mode)
+	}
+	var stack [stackTaps]colTap
+	cols := stack[:]
+	if t.Size > stackTaps {
+		cols = make([]colTap, t.Size)
+	}
+	cols = cols[:t.Size]
+	xScale := float32(rec.W) / float32(t.Size)
+	for x := range cols {
+		cols[x].x0, cols[x].x1, cols[x].fx = img.Tap(x, xScale, rec.W)
+	}
+	switch {
+	case rec.Mode != img.RGB:
+		resizePlane(dst.Pix, rec.Plane(0), rec.W, rec.H, cols)
+	case t.Color == img.RGB:
+		for c := 0; c < 3; c++ {
+			resizePlane(dst.Plane(c), rec.Plane(c), rec.W, rec.H, cols)
+		}
+	case t.Color == img.Gray:
+		resizeLuma(dst.Pix, rec.Plane(0), rec.Plane(1), rec.Plane(2), rec.W, rec.H, cols)
+	default:
+		resizePlane(dst.Pix, rec.Plane(int(t.Color-img.Red)), rec.W, rec.H, cols)
+	}
+	return dst
+}
+
+// resizePlane writes the len(cols)-square bilinear resample of one stored
+// w×h plane into dst.
+func resizePlane(dst []float32, src []byte, w, h int, cols []colTap) {
+	size := len(cols)
+	if w == size && h == size {
+		for i, b := range src {
+			dst[i] = img.Unit(b)
+		}
+		return
+	}
+	yScale := float32(h) / float32(size)
+	for y := 0; y < size; y++ {
+		y0, y1, fy := img.Tap(y, yScale, h)
+		r0, r1 := src[y0*w:(y0+1)*w], src[y1*w:(y1+1)*w]
+		out := dst[y*size : (y+1)*size]
+		for x, c := range cols {
+			out[x] = img.Bilerp(img.Unit(r0[c.x0]), img.Unit(r0[c.x1]), img.Unit(r1[c.x0]), img.Unit(r1[c.x1]), c.fx, fy)
+		}
+	}
+}
+
+// resizeLuma is resizePlane over the grayscale projection of three stored
+// planes, projecting each tap as it is read.
+func resizeLuma(dst []float32, r, g, b []byte, w, h int, cols []colTap) {
+	size := len(cols)
+	if w == size && h == size {
+		for i := range dst {
+			dst[i] = img.Luma(img.Unit(r[i]), img.Unit(g[i]), img.Unit(b[i]))
+		}
+		return
+	}
+	luma := func(row, x int) float32 {
+		i := row + x
+		return img.Luma(img.Unit(r[i]), img.Unit(g[i]), img.Unit(b[i]))
+	}
+	yScale := float32(h) / float32(size)
+	for y := 0; y < size; y++ {
+		y0, y1, fy := img.Tap(y, yScale, h)
+		top, bot := y0*w, y1*w
+		out := dst[y*size : (y+1)*size]
+		for x, c := range cols {
+			out[x] = img.Bilerp(luma(top, c.x0), luma(top, c.x1), luma(bot, c.x0), luma(bot, c.x1), c.fx, fy)
+		}
+	}
+}
+
 // Validate reports whether the transform is well-formed.
 func (t Transform) Validate() error {
 	if t.Size < 2 {
