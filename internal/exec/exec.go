@@ -319,10 +319,35 @@ type Engine struct {
 	slot     [][]int           // [cascade][level] -> global representation slot
 	repIDs   []string          // per slot: transform identity
 	repXf    []xform.Transform // per slot: the transform itself
-	// workers pools per-goroutine state (model clones shared across
-	// cascades, survivor bookkeeping, pooled representation buffers) so
-	// repeated runs reach a steady state with no per-frame allocations.
-	workers sync.Pool
+	// idle holds per-goroutine state (model clones shared across cascades,
+	// survivor bookkeeping, pooled representation buffers) between runs, so
+	// repeated runs reach a steady state with no per-frame allocations. A
+	// plain free list, not a sync.Pool: the runtime keeps every sync.Pool
+	// that was ever used — and what it holds — reachable through two more
+	// GC cycles, and vdb plans a fresh engine per statement, so pooled
+	// worker state of engines long dead was most of a scanning server's
+	// resident set. Idle workers die with their engine.
+	mu   sync.Mutex
+	idle []*worker
+}
+
+// takeWorker takes an idle worker or builds one.
+func (e *Engine) takeWorker() *worker {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if n := len(e.idle); n > 0 {
+		w := e.idle[n-1]
+		e.idle = e.idle[:n-1]
+		return w
+	}
+	return &worker{cascades: e.cloneCascades()}
+}
+
+// parkWorker returns a worker to the free list.
+func (e *Engine) parkWorker(w *worker) {
+	e.mu.Lock()
+	e.idle = append(e.idle, w)
+	e.mu.Unlock()
 }
 
 // New plans an engine over the given cascades (at least one). In each,
@@ -359,7 +384,6 @@ func New(cascades ...[]Level) (*Engine, error) {
 			e.slot[c][i] = s
 		}
 	}
-	e.workers.New = func() any { return &worker{cascades: e.cloneCascades()} }
 	return e, nil
 }
 
@@ -857,8 +881,8 @@ func (e *Engine) RunMasked(ctx context.Context, src Source, indices []int, need 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w := e.workers.Get().(*worker)
-			defer e.workers.Put(w)
+			w := e.takeWorker()
+			defer e.parkWorker(w)
 			for b := range jobs {
 				// A failed run is doomed: drain instead of classifying the
 				// remaining batches.

@@ -10,15 +10,22 @@
 // store keeps a TiDB-style usage table (per-key touch counts) so background
 // capacity is spent only on the predicates queries actually ask about.
 //
-// The Store is NOT internally synchronized: it is owned by vdb.DB and every
-// access — queries, ingest triggers, the analyzer, stats — happens under the
-// DB's lock. The store never calls back into its owner, so no lock ordering
-// issue can arise.
+// Concurrency: a column held by the Store is a published, immutable version.
+// Queries pin the current set (Columns) and read it without any lock; fresh
+// labels are written into a private overlay Column and folded in by Publish,
+// which installs a new version instead of touching the old one. The owner
+// (vdb.DB) serializes everything that changes the set — Publish, Enforce,
+// Invalidate, Load, SetBudget — under its own lock. The usage table and the
+// lookup/analyzer counters are synchronized here, so the read path records
+// its bookkeeping without that lock. The store never calls back into its
+// owner, so no lock ordering issue can arise.
 package matstore
 
 import (
 	"math/bits"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"tahoma/internal/bitset"
 )
@@ -33,18 +40,46 @@ type Key struct {
 }
 
 // Column is a partially materialized virtual predicate column: a label
-// bitmap plus a per-row validity bitmap, extended lazily as rows are
-// classified or appended. A label bit is meaningful only where the validity
-// bit is set; invalid rows keep their label bit zero.
+// bitmap plus a per-row validity bitmap. A label bit is meaningful only where
+// the validity bit is set; invalid rows keep their label bit zero. A column
+// is either a private overlay its one owner fills (NewColumn, CopyN), or a
+// version a Store published — frozen: many readers, and every mutating
+// method panics. Read methods accept a live set longer than the column; rows
+// past its end have no label.
 type Column struct {
 	labels *bitset.Set
 	valid  *bitset.Set
 	prefix int // rows [0,prefix) are all valid (ingest watermark)
+	// frozen marks a published version; covered is its valid-row count,
+	// taken once at publication so plan-time coverage reads are O(1).
+	frozen  bool
+	covered int
 }
+
+// none stands in for every column a Columns set does not hold.
+var none = NewColumn().freeze()
 
 // NewColumn returns an empty column.
 func NewColumn() *Column {
 	return &Column{labels: bitset.New(0), valid: bitset.New(0)}
+}
+
+func (c *Column) mutable() {
+	if c.frozen {
+		panic("matstore: write to a published column (fill an overlay and Publish it)")
+	}
+}
+
+// freeze turns c into a published version: the all-valid watermark advances
+// (from where the previous version left it, so steady-state ingest pays for
+// the new tail only) and the coverage count is fixed.
+func (c *Column) freeze() *Column {
+	for c.prefix < c.valid.Len() && c.valid.Get(c.prefix) {
+		c.prefix++
+	}
+	c.covered = c.valid.Count()
+	c.frozen = true
+	return c
 }
 
 // Len returns the number of rows the column spans (valid or not).
@@ -52,6 +87,7 @@ func (c *Column) Len() int { return c.valid.Len() }
 
 // Grow extends the column with invalid rows up to n.
 func (c *Column) Grow(n int) {
+	c.mutable()
 	c.labels.Grow(n)
 	c.valid.Grow(n)
 }
@@ -64,6 +100,7 @@ func (c *Column) Valid(i int) bool { return c.valid.Get(i) }
 
 // SetLabel caches row i's label, marking the row valid.
 func (c *Column) SetLabel(i int, label bool) {
+	c.mutable()
 	if label {
 		c.labels.Set(i)
 	} else {
@@ -72,37 +109,13 @@ func (c *Column) SetLabel(i int, label bool) {
 	c.valid.Set(i)
 }
 
-// Missing returns the subset of rows with no cached label.
-func (c *Column) Missing(rows []int) []int {
+// InvalidN returns up to max of the rows in [0,n) with no cached label,
+// lowest first (max < 0 means all) — the ingest trigger's backfill list and
+// the analyzer's bounded batch. The scan starts at the all-valid watermark.
+func (c *Column) InvalidN(n, max int) []int {
 	var out []int
-	for _, idx := range rows {
-		if !c.valid.Get(idx) {
-			out = append(out, idx)
-		}
-	}
-	return out
-}
-
-// Invalid returns every row with no cached label, advancing the all-valid
-// prefix watermark first so steady-state ingest scans only the new tail
-// instead of the whole corpus.
-func (c *Column) Invalid() []int { return c.invalidMax(-1) }
-
-// InvalidN returns up to max rows with no cached label, lowest first — the
-// analyzer's bounded batch. max < 0 means unbounded.
-func (c *Column) InvalidN(max int) []int { return c.invalidMax(max) }
-
-func (c *Column) invalidMax(max int) []int {
-	n := c.valid.Len()
-	for c.prefix < n && c.valid.Get(c.prefix) {
-		c.prefix++
-	}
-	var out []int
-	for i := c.prefix; i < n; i++ {
-		if max >= 0 && len(out) >= max {
-			break
-		}
-		if !c.valid.Get(i) {
+	for i := c.prefix; i < n && (max < 0 || len(out) < max); i++ {
+		if i >= c.valid.Len() || !c.valid.Get(i) {
 			out = append(out, i)
 		}
 	}
@@ -110,14 +123,20 @@ func (c *Column) invalidMax(max int) []int {
 }
 
 // Coverage counts the valid rows.
-func (c *Column) Coverage() int { return c.valid.Count() }
+func (c *Column) Coverage() int {
+	if c.frozen {
+		return c.covered
+	}
+	return c.valid.Count()
+}
 
 // Bytes reports the column's resident footprint (both bitmaps).
 func (c *Column) Bytes() int64 {
 	return int64(len(c.labels.Words())+len(c.valid.Words())) * 8
 }
 
-// CopyN clones the first n rows of the column — a query's private snapshot.
+// CopyN returns a private, mutable copy spanning n rows: c's first n rows,
+// zero-extended with invalid rows when c is shorter.
 func (c *Column) CopyN(n int) *Column {
 	cp := &Column{labels: bitset.New(n), valid: bitset.New(n), prefix: c.prefix}
 	if cp.prefix > n {
@@ -128,28 +147,24 @@ func (c *Column) CopyN(n int) *Column {
 	return cp
 }
 
-// copyPrefixInto copies the first n bits of src into dst (dst.Len() == n,
-// src.Len() >= n), word-parallel with the tail masked.
+// copyPrefixInto copies the first n bits of src into dst (dst.Len() == n),
+// word-parallel with the tail masked.
 func copyPrefixInto(dst, src *bitset.Set, n int) {
-	dw, sw := dst.Words(), src.Words()
-	copy(dw, sw[:len(dw)])
+	dw := dst.Words()
+	copy(dw, src.Words())
 	if n%64 != 0 && len(dw) > 0 {
 		dw[len(dw)-1] &= (1 << (uint(n) & 63)) - 1
 	}
 }
 
-// Merge folds a private column's valid labels into c, first-writer-wins:
-// rows c already validated keep their labels. c may have grown past the
-// private length (Append during the query); only the common prefix merges.
-// Classification is deterministic per (cascade, row), so the values are
-// identical either way and merge order cannot change any result. Returns
-// the number of newly adopted rows.
-func (c *Column) Merge(priv *Column) int { return c.MergeDelta(priv, nil) }
-
-// MergeDelta is Merge with a delta callback: emit (when non-nil) receives
-// every newly adopted (row, label) pair — the exact state change, which the
-// durability layer journals so a replayed merge reproduces it bit-identically.
+// MergeDelta folds a private column's valid labels into c, first-writer-wins:
+// rows c already validated keep their labels. c may span more rows than priv;
+// only the common prefix merges. emit (when non-nil) receives every newly
+// adopted (row, label) pair — the exact state change, which the durability
+// layer journals so a replayed merge reproduces it bit-identically. Returns
+// the number of rows adopted.
 func (c *Column) MergeDelta(priv *Column, emit func(row int, label bool)) int {
+	c.mutable()
 	n := priv.Len()
 	if n > c.Len() {
 		n = c.Len()
@@ -181,11 +196,6 @@ func (c *Column) MergeDelta(priv *Column, emit func(row int, label bool)) int {
 	return adopted
 }
 
-// Narrow intersects live with the column's labels, word-parallel: the
-// fully-covered fast path where a predicate is a bitmap AND (or ANDNOT for
-// a negated condition). Precondition: every set bit of live is a valid row
-// of the column, and live.Len() <= Len(); rows the column has not
-// classified would otherwise read as label=false.
 // Covers reports whether every member of live has a valid label — the
 // word-parallel precondition for Narrow serving a query step exactly.
 func (c *Column) Covers(live *bitset.Set) bool {
@@ -204,16 +214,52 @@ func (c *Column) Covers(live *bitset.Set) bool {
 	return true
 }
 
+// Hits counts the members of live that have a valid label: the lookups the
+// column serves that would otherwise have been classifications.
+func (c *Column) Hits(live *bitset.Set) int {
+	lw, vw := live.Words(), c.valid.Words()
+	if len(lw) > len(vw) {
+		lw = lw[:len(vw)]
+	}
+	n := 0
+	for w, word := range lw {
+		n += bits.OnesCount64(word & vw[w])
+	}
+	return n
+}
+
+// ClearValid removes from need every row that has a valid label, leaving
+// the rows still to classify.
+func (c *Column) ClearValid(need *bitset.Set) {
+	nw, vw := need.Words(), c.valid.Words()
+	if len(nw) > len(vw) {
+		nw = nw[:len(vw)]
+	}
+	for w := range nw {
+		nw[w] &^= vw[w]
+	}
+}
+
+// Narrow intersects live with the column's labels, word-parallel: a covered
+// predicate is a bitmap AND (ANDNOT for a negated condition). Exact only over
+// rows the column Covers — a row it has not classified reads as label=false.
 func (c *Column) Narrow(live *bitset.Set, negated bool) {
 	lw, cw := live.Words(), c.labels.Words()
+	m := len(lw)
+	if m > len(cw) {
+		m = len(cw)
+	}
 	if negated {
-		for w := range lw {
+		for w := 0; w < m; w++ {
 			lw[w] &^= cw[w]
 		}
 		return
 	}
-	for w := range lw {
+	for w := 0; w < m; w++ {
 		lw[w] &= cw[w]
+	}
+	for w := m; w < len(lw); w++ {
+		lw[w] = 0
 	}
 }
 
@@ -224,30 +270,59 @@ type usage struct {
 	last    int64 // store clock at most recent touch
 }
 
-// Store owns the materialized columns for one DB: get-or-create access,
-// usage tracking, a byte budget with LRU eviction of cold columns, and
-// corpus-generation invalidation. Not internally synchronized — see the
-// package comment.
+// Columns is an immutable set of published columns — what a read state pins
+// with the row count it was published for. The map is never written after
+// publication; a change to the set installs a fresh one.
+type Columns map[Key]*Column
+
+// Get returns k's column, or an empty one when the set has none.
+func (cs Columns) Get(k Key) *Column {
+	if col, ok := cs[k]; ok {
+		return col
+	}
+	return none
+}
+
+// with returns a copy of cs with k bound to col (col == nil removes k).
+func (cs Columns) with(k Key, col *Column) Columns {
+	next := make(Columns, len(cs)+1)
+	for key, c := range cs {
+		next[key] = c
+	}
+	if col == nil {
+		delete(next, k)
+	} else {
+		next[k] = col
+	}
+	return next
+}
+
+// Store owns the materialized columns for one DB: the published set,
+// first-writer-wins publication of fresh labels, usage tracking, a byte
+// budget with LRU eviction of cold columns, and corpus-generation
+// invalidation. See the package comment for what the owner must serialize.
 type Store struct {
 	budget int64 // bytes; 0 means unbounded
 	gen    int64 // bumped on Invalidate; labels are per-generation
-	clock  int64 // logical touch clock
+	cols   Columns
 
-	cols map[Key]*Column
-	use  map[Key]*usage
+	evictedBytes int64
+	evictedCols  int64
 
-	hits, misses    int64 // label lookups served / classified
-	evictedBytes    int64
-	evictedCols     int64
-	analyzerBatches int64
-	analyzerRows    int64
+	umu   sync.Mutex // guards clock and use
+	clock int64      // logical touch clock
+	use   map[Key]*usage
+
+	hits, misses    atomic.Int64 // label lookups served / classified
+	analyzerBatches atomic.Int64
+	analyzerRows    atomic.Int64
 }
 
 // New returns an empty store with the given byte budget (0 = unbounded).
 func New(budgetBytes int64) *Store {
 	return &Store{
 		budget: budgetBytes,
-		cols:   make(map[Key]*Column),
+		cols:   Columns{},
 		use:    make(map[Key]*usage),
 	}
 }
@@ -255,39 +330,45 @@ func New(budgetBytes int64) *Store {
 // SetBudget installs a new byte budget (0 = unbounded). Enforce applies it.
 func (s *Store) SetBudget(b int64) { s.budget = b }
 
-// Budget returns the byte budget (0 = unbounded).
-func (s *Store) Budget() int64 { return s.budget }
-
 // Generation returns the corpus generation the resident columns describe.
 func (s *Store) Generation() int64 { return s.gen }
 
-// Column returns the column for k, creating it empty if absent.
-func (s *Store) Column(k Key) *Column {
-	col, ok := s.cols[k]
-	if !ok {
-		col = NewColumn()
-		s.cols[k] = col
-	}
-	return col
-}
+// Columns returns the current published set.
+func (s *Store) Columns() Columns { return s.cols }
 
-// Lookup returns the column for k without creating it.
-func (s *Store) Lookup(k Key) (*Column, bool) {
-	col, ok := s.cols[k]
-	return col, ok
-}
+// Column returns k's current version (empty when absent).
+func (s *Store) Column(k Key) *Column { return s.cols.Get(k) }
 
 // Coverage returns the number of valid rows in k's column (0 if absent).
-func (s *Store) Coverage(k Key) int {
-	if col, ok := s.cols[k]; ok {
-		return col.Coverage()
+func (s *Store) Coverage(k Key) int { return s.cols.Get(k).Coverage() }
+
+// Publish folds fresh's valid labels into k's column and installs the result
+// as k's next version, first-writer-wins: rows the current version already
+// holds keep their labels (classification is deterministic per (cascade,
+// row), so the values are identical either way and publication order cannot
+// change any result). The current version is left untouched for the readers
+// that pinned it. emit (when non-nil) receives every newly adopted (row,
+// label) pair — the exact state change, which the durability layer journals.
+// Returns the number of rows adopted; zero installs nothing.
+func (s *Store) Publish(k Key, fresh *Column, emit func(row int, label bool)) int {
+	cur := s.cols.Get(k)
+	n := cur.Len()
+	if fresh.Len() > n {
+		n = fresh.Len()
 	}
-	return 0
+	next := cur.CopyN(n)
+	adopted := next.MergeDelta(fresh, emit)
+	if adopted > 0 {
+		s.cols = s.cols.with(k, next.freeze())
+	}
+	return adopted
 }
 
 // Touch records one query touching k — the usage signal the analyzer ranks
 // by — and refreshes k's LRU recency.
 func (s *Store) Touch(k Key) {
+	s.umu.Lock()
+	defer s.umu.Unlock()
 	s.clock++
 	u, ok := s.use[k]
 	if !ok {
@@ -301,24 +382,27 @@ func (s *Store) Touch(k Key) {
 // RecordLookup accumulates label-lookup accounting: hits are rows served
 // from materialized columns, misses rows that had to be classified.
 func (s *Store) RecordLookup(hits, misses int64) {
-	s.hits += hits
-	s.misses += misses
+	s.hits.Add(hits)
+	s.misses.Add(misses)
 }
 
 // RecordAnalyzer accumulates one background-analyzer batch of rows.
 func (s *Store) RecordAnalyzer(rows int) {
-	s.analyzerBatches++
-	s.analyzerRows += int64(rows)
+	s.analyzerBatches.Add(1)
+	s.analyzerRows.Add(int64(rows))
 }
 
-// Hottest returns the most-touched key whose column does not yet cover rows
-// — the analyzer's next target. Ties break by recency, then by key for
-// determinism. ok is false when every touched key is fully covered.
-func (s *Store) Hottest(rows int) (Key, bool) {
+// Hottest returns the most-touched key whose column in cols does not yet
+// cover rows — the analyzer's next target over the state it pinned. Ties
+// break by recency, then by key for determinism. ok is false when every
+// touched key is fully covered.
+func (s *Store) Hottest(cols Columns, rows int) (Key, bool) {
+	s.umu.Lock()
+	defer s.umu.Unlock()
 	var best Key
 	var bestUse *usage
 	for k, u := range s.use {
-		if s.Coverage(k) >= rows {
+		if cols.Get(k).Coverage() >= rows {
 			continue
 		}
 		if bestUse == nil || u.touches > bestUse.touches ||
@@ -340,11 +424,12 @@ func keyLess(a, b Key) bool {
 // Invalidate drops every column and bumps the corpus generation — corpus
 // swap and zoo reinstall both make resident labels meaningless. Usage
 // counts survive: they describe the query workload, not the corpus, and
-// keep steering the analyzer after a swap. In-flight queries merging into
-// orphaned columns is harmless; they are unreachable.
+// keep steering the analyzer after a swap. Readers that pinned the dropped
+// set keep reading it; labels they computed against it are refused at
+// publication by the generation check their owner makes.
 func (s *Store) Invalidate() {
 	s.gen++
-	s.cols = make(map[Key]*Column)
+	s.cols = Columns{}
 }
 
 // Bytes reports the resident footprint of every column — the uniform cache
@@ -375,10 +460,9 @@ func (s *Store) Enforce() int {
 		if !ok {
 			break
 		}
-		col := s.cols[coldest]
-		s.evictedBytes += col.Bytes()
+		s.evictedBytes += s.cols[coldest].Bytes()
 		s.evictedCols++
-		delete(s.cols, coldest)
+		s.cols = s.cols.with(coldest, nil)
 		evicted++
 	}
 	return evicted
@@ -387,6 +471,8 @@ func (s *Store) Enforce() int {
 // coldest returns the resident key with the oldest touch (never-touched
 // columns are coldest of all), key order breaking ties.
 func (s *Store) coldest() (Key, bool) {
+	s.umu.Lock()
+	defer s.umu.Unlock()
 	var best Key
 	found := false
 	var bestLast int64
@@ -421,6 +507,8 @@ type UsageStateEntry struct {
 
 // ExportUsage snapshots the usage table, entries sorted by key.
 func (s *Store) ExportUsage() UsageState {
+	s.umu.Lock()
+	defer s.umu.Unlock()
 	u := UsageState{Clock: s.clock}
 	for k, use := range s.use {
 		u.Entries = append(u.Entries, UsageStateEntry{
@@ -436,6 +524,8 @@ func (s *Store) ExportUsage() UsageState {
 
 // RestoreUsage replaces the usage table with a previously exported snapshot.
 func (s *Store) RestoreUsage(u UsageState) {
+	s.umu.Lock()
+	defer s.umu.Unlock()
 	s.clock = u.Clock
 	s.use = make(map[Key]*usage, len(u.Entries))
 	for _, e := range u.Entries {
@@ -477,22 +567,24 @@ func (s *Store) Stats() Stats {
 		BudgetBytes:     s.budget,
 		EvictedBytes:    s.evictedBytes,
 		ColumnsEvicted:  s.evictedCols,
-		Hits:            s.hits,
-		Misses:          s.misses,
-		AnalyzerBatches: s.analyzerBatches,
-		AnalyzerRows:    s.analyzerRows,
+		Hits:            s.hits.Load(),
+		Misses:          s.misses.Load(),
+		AnalyzerBatches: s.analyzerBatches.Load(),
+		AnalyzerRows:    s.analyzerRows.Load(),
 		Generation:      s.gen,
 	}
 	for _, col := range s.cols {
 		st.CoveredRows += int64(col.Coverage())
 	}
+	s.umu.Lock()
 	for k, u := range s.use {
-		e := UsageEntry{Category: k.Category, Cascade: k.Cascade, Touches: u.touches}
-		if col, ok := s.cols[k]; ok {
-			e.Covered, e.Rows = col.Coverage(), col.Len()
-		}
-		st.Usage = append(st.Usage, e)
+		col := s.cols.Get(k)
+		st.Usage = append(st.Usage, UsageEntry{
+			Category: k.Category, Cascade: k.Cascade, Touches: u.touches,
+			Covered: col.Coverage(), Rows: col.Len(),
+		})
 	}
+	s.umu.Unlock()
 	sort.Slice(st.Usage, func(i, j int) bool {
 		a, b := st.Usage[i], st.Usage[j]
 		if a.Touches != b.Touches {

@@ -9,6 +9,21 @@ import (
 	"tahoma/internal/bitset"
 )
 
+// publish fills an n-row overlay with label(i) wherever have(i) and publishes
+// it under k — how every writer reaches a Store.
+func publish(s *Store, k Key, n int, have func(i int) bool, label func(i int) bool) {
+	fresh := NewColumn()
+	fresh.Grow(n)
+	for i := 0; i < n; i++ {
+		if have(i) {
+			fresh.SetLabel(i, label(i))
+		}
+	}
+	s.Publish(k, fresh, nil)
+}
+
+func all(int) bool { return true }
+
 func TestColumnBasics(t *testing.T) {
 	c := NewColumn()
 	c.Grow(100)
@@ -26,34 +41,117 @@ func TestColumnBasics(t *testing.T) {
 	if c.Coverage() != 2 {
 		t.Fatalf("coverage %d, want 2", c.Coverage())
 	}
-	miss := c.Missing([]int{2, 3, 4, 64})
-	if len(miss) != 2 || miss[0] != 2 || miss[1] != 4 {
-		t.Fatalf("missing %v", miss)
+	if got := c.InvalidN(100, 3); len(got) != 3 || got[0] != 0 || got[2] != 2 {
+		t.Fatalf("InvalidN(100, 3) = %v", got)
 	}
-	if got := c.InvalidN(3); len(got) != 3 || got[0] != 0 || got[2] != 2 {
-		t.Fatalf("InvalidN(3) = %v", got)
+	if got := len(c.InvalidN(100, -1)); got != 98 {
+		t.Fatalf("InvalidN(100, -1) returned %d rows, want 98", got)
 	}
-	if got := len(c.Invalid()); got != 98 {
-		t.Fatalf("Invalid() returned %d rows, want 98", got)
+	// Rows past the column's end have no label either.
+	if got := c.InvalidN(103, -1); len(got) != 101 || got[100] != 102 {
+		t.Fatalf("InvalidN past the end: %d rows", len(got))
 	}
 }
 
-func TestColumnPrefixWatermark(t *testing.T) {
+// TestColumnLiveSetOps: Hits, Covers, ClearValid and Narrow against a live
+// set longer than the column — the rows past its end are simply unlabeled.
+func TestColumnLiveSetOps(t *testing.T) {
 	c := NewColumn()
-	c.Grow(64)
-	for i := 0; i < 64; i++ {
-		c.SetLabel(i, i%2 == 0)
+	c.Grow(70)
+	for i := 0; i < 70; i += 2 {
+		c.SetLabel(i, i%4 == 0)
 	}
-	if got := c.Invalid(); len(got) != 0 {
-		t.Fatalf("Invalid on full column: %v", got)
+	live := bitset.New(200)
+	for _, i := range []int{0, 1, 2, 68, 69, 70, 130, 199} {
+		live.Set(i)
 	}
-	c.Grow(80)
-	got := c.Invalid()
-	if len(got) != 16 || got[0] != 64 {
-		t.Fatalf("Invalid after grow: %v", got)
+	if got := c.Hits(live); got != 3 {
+		t.Fatalf("Hits = %d, want 3 (rows 0, 2, 68)", got)
 	}
-	if c.prefix != 64 {
-		t.Fatalf("prefix %d, want 64", c.prefix)
+	if c.Covers(live) {
+		t.Fatal("Covers a live set with unlabeled rows")
+	}
+	need := live.Clone()
+	c.ClearValid(need)
+	if got := need.AppendMembers(nil); len(got) != 5 || got[0] != 1 || got[1] != 69 || got[4] != 199 {
+		t.Fatalf("ClearValid left %v", got)
+	}
+	covered := bitset.New(200)
+	covered.Set(0)
+	covered.Set(2)
+	covered.Set(68)
+	if !c.Covers(covered) {
+		t.Fatal("Covers rejects a live set it labels entirely")
+	}
+	pos := live.Clone()
+	c.Narrow(pos, false)
+	if got := pos.AppendMembers(nil); len(got) != 2 || got[0] != 0 || got[1] != 68 {
+		t.Fatalf("AND narrow past the end: %v", got)
+	}
+	neg := live.Clone()
+	c.Narrow(neg, true)
+	if neg.Get(0) || neg.Get(68) || !neg.Get(2) || !neg.Get(199) {
+		t.Fatalf("ANDNOT narrow past the end: %v", neg.AppendMembers(nil))
+	}
+}
+
+// TestPublishVersions: Publish installs a new frozen version and leaves the
+// one readers pinned untouched; the all-valid watermark advances at
+// publication, so a reader's InvalidN never writes.
+func TestPublishVersions(t *testing.T) {
+	s := New(0)
+	k := Key{"cloak", "c1"}
+	publish(s, k, 64, all, func(i int) bool { return i%2 == 0 })
+	v1 := s.Column(k)
+	if v1.prefix != 64 || v1.Coverage() != 64 {
+		t.Fatalf("first version: prefix %d coverage %d, want 64/64", v1.prefix, v1.Coverage())
+	}
+	if got := v1.InvalidN(80, -1); len(got) != 16 || got[0] != 64 {
+		t.Fatalf("InvalidN over a longer table: %v", got)
+	}
+	pinned := s.Columns()
+
+	// First writer wins, and an overlay that adds nothing installs nothing.
+	fresh := NewColumn()
+	fresh.Grow(64)
+	fresh.SetLabel(1, true)
+	if got := s.Publish(k, fresh, nil); got != 0 || s.Column(k) != v1 {
+		t.Fatalf("no-op publish adopted %d rows or replaced the version", got)
+	}
+
+	var rows []int
+	publish(s, k, 80, func(i int) bool { return i >= 60 }, all)
+	fresh = NewColumn()
+	fresh.Grow(90)
+	fresh.SetLabel(85, false)
+	fresh.SetLabel(3, true) // already valid: must not win
+	if got := s.Publish(k, fresh, func(row int, label bool) { rows = append(rows, row) }); got != 1 || len(rows) != 1 || rows[0] != 85 {
+		t.Fatalf("publish adopted %d rows, emitted %v; want exactly row 85", got, rows)
+	}
+	v3 := s.Column(k)
+	if v3.Len() != 90 || v3.prefix != 80 || v3.Coverage() != 81 || v3.Label(3) {
+		t.Fatalf("latest version: len %d prefix %d coverage %d label(3) %v", v3.Len(), v3.prefix, v3.Coverage(), v3.Label(3))
+	}
+	if pinned.Get(k) != v1 || v1.Len() != 64 || v1.Coverage() != 64 {
+		t.Fatal("a pinned version changed under its readers")
+	}
+	if got := pinned.Get(Key{"absent", "c"}); got.Len() != 0 || got.Coverage() != 0 {
+		t.Fatal("absent key is not the empty column")
+	}
+
+	for name, write := range map[string]func(){
+		"SetLabel":   func() { v3.SetLabel(0, true) },
+		"Grow":       func() { v3.Grow(100) },
+		"MergeDelta": func() { v3.MergeDelta(fresh, nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a published column did not panic", name)
+				}
+			}()
+			write()
+		}()
 	}
 }
 
@@ -72,8 +170,8 @@ func TestColumnMergeFirstWriterWins(t *testing.T) {
 	shared.Grow(200)
 	shared.SetLabel(150, true)
 
-	if got := shared.Merge(priv); got != 2 {
-		t.Fatalf("Merge adopted %d rows, want 2", got)
+	if got := shared.MergeDelta(priv, nil); got != 2 {
+		t.Fatalf("MergeDelta adopted %d rows, want 2", got)
 	}
 	if !shared.Label(5) {
 		t.Fatal("first writer lost row 5")
@@ -114,7 +212,7 @@ func TestColumnMergeMatchesRowLoop(t *testing.T) {
 				}
 			}
 		}
-		shared.Merge(priv)
+		shared.MergeDelta(priv, nil)
 		for i := 0; i < n; i++ {
 			if shared.Valid(i) != refValid[i] || (refValid[i] && shared.Label(i) != refLabels[i]) {
 				t.Fatalf("trial %d row %d: got (%v,%v) want (%v,%v)",
@@ -155,21 +253,14 @@ func TestStoreUsageAndHottest(t *testing.T) {
 	s.Touch(a)
 	s.Touch(b)
 	s.Touch(b)
-	col := s.Column(b)
-	col.Grow(40)
-	for i := 0; i < 40; i++ {
-		col.SetLabel(i, true)
-	}
+	publish(s, b, 40, all, all)
 	// b is hotter but fully covered; a is the analyzer target.
-	k, ok := s.Hottest(40)
+	k, ok := s.Hottest(s.Columns(), 40)
 	if !ok || k != a {
 		t.Fatalf("Hottest = %v/%v, want %v", k, ok, a)
 	}
-	s.Column(a).Grow(40)
-	for i := 0; i < 40; i++ {
-		s.Column(a).SetLabel(i, false)
-	}
-	if _, ok := s.Hottest(40); ok {
+	publish(s, a, 40, all, func(int) bool { return false })
+	if _, ok := s.Hottest(s.Columns(), 40); ok {
 		t.Fatal("Hottest found a target with everything covered")
 	}
 }
@@ -178,21 +269,17 @@ func TestStoreEnforceEvictsColdest(t *testing.T) {
 	s := New(1) // absurd budget: everything but the hottest must go
 	hot, cold := Key{"hot", "c"}, Key{"cold", "c"}
 	for _, k := range []Key{cold, hot} {
-		col := s.Column(k)
-		col.Grow(1024)
-		for i := 0; i < 1024; i++ {
-			col.SetLabel(i, true)
-		}
+		publish(s, k, 1024, all, all)
 	}
 	s.Touch(cold)
 	s.Touch(hot) // hot touched last → cold is LRU
 	if got := s.Enforce(); got != 1 {
 		t.Fatalf("Enforce evicted %d columns, want 1", got)
 	}
-	if _, ok := s.Lookup(cold); ok {
+	if _, ok := s.Columns()[cold]; ok {
 		t.Fatal("cold column survived eviction")
 	}
-	if _, ok := s.Lookup(hot); !ok {
+	if _, ok := s.Columns()[hot]; !ok {
 		t.Fatal("hot column evicted — the last column must always survive")
 	}
 	if s.Evicted() == 0 || s.Stats().ColumnsEvicted != 1 {
@@ -208,8 +295,7 @@ func TestStoreInvalidate(t *testing.T) {
 	s := New(0)
 	k := Key{"cloak", "c1"}
 	s.Touch(k)
-	s.Column(k).Grow(8)
-	s.Column(k).SetLabel(0, true)
+	publish(s, k, 8, func(i int) bool { return i == 0 }, all)
 	gen := s.Generation()
 	s.Invalidate()
 	if s.Generation() != gen+1 {
@@ -229,11 +315,7 @@ func TestStoreStats(t *testing.T) {
 	s.Touch(a)
 	s.Touch(b)
 	s.Touch(b)
-	col := s.Column(b)
-	col.Grow(100)
-	for i := 0; i < 30; i++ {
-		col.SetLabel(i, true)
-	}
+	publish(s, b, 100, func(i int) bool { return i < 30 }, all)
 	s.RecordLookup(7, 3)
 	s.RecordAnalyzer(16)
 	st := s.Stats()
@@ -255,24 +337,15 @@ func TestPersistRoundTrip(t *testing.T) {
 	s := New(0)
 	rng := rand.New(rand.NewSource(3))
 	keys := []Key{{"cloak", "c1"}, {"cloak", "c2"}, {"fence", "c9"}}
+	coin := func(int) bool { return rng.Intn(2) == 0 }
 	for _, k := range keys {
-		col := s.Column(k)
-		n := 50 + rng.Intn(200)
-		col.Grow(n)
-		for i := 0; i < n; i++ {
-			if rng.Intn(2) == 0 {
-				col.SetLabel(i, rng.Intn(2) == 0)
-			}
-		}
-		col.Invalid() // advance the watermark so prefix round-trips too
+		publish(s, k, 50+rng.Intn(200), coin, coin)
 	}
 	s.Invalidate()
 	for _, k := range keys { // rebuild after gen bump so gen=1 persists
-		col := s.Column(k)
-		col.Grow(64)
-		for i := 0; i < 64; i++ {
-			col.SetLabel(i, i%5 == 0)
-		}
+		// A gap at row 40 keeps the watermark short of the end, so the
+		// prefix round-trips as something other than Len.
+		publish(s, k, 64, func(i int) bool { return i != 40 }, func(i int) bool { return i%5 == 0 })
 	}
 
 	var buf bytes.Buffer
@@ -287,9 +360,9 @@ func TestPersistRoundTrip(t *testing.T) {
 		t.Fatalf("generation %d, want %d", loaded.Generation(), s.Generation())
 	}
 	for _, k := range keys {
-		orig, _ := s.Lookup(k)
-		got, ok := loaded.Lookup(k)
-		if !ok || got.Len() != orig.Len() || got.prefix != orig.prefix {
+		orig := s.Column(k)
+		got, ok := loaded.Columns()[k]
+		if !ok || got.Len() != orig.Len() || got.prefix != orig.prefix || orig.prefix != 40 {
 			t.Fatalf("%v: shape mismatch", k)
 		}
 		for i := 0; i < orig.Len(); i++ {

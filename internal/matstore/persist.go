@@ -159,7 +159,7 @@ func (s *Store) Load(r io.Reader, wantTag uint64) error {
 		return fmt.Errorf("matstore: corrupt column count %d", count)
 	}
 
-	cols := make(map[Key]*Column, count)
+	cols := make(Columns, count)
 	for i := int64(0); i < count; i++ {
 		frame, err := readFrame(br, fmt.Sprintf("column %d", i))
 		if err != nil {
@@ -206,7 +206,7 @@ func (s *Store) Load(r io.Reader, wantTag uint64) error {
 		for w := range lw {
 			lw[w] &= vw[w]
 		}
-		cols[Key{Category: cat, Cascade: casc}] = col
+		cols[Key{Category: cat, Cascade: casc}] = col.freeze()
 	}
 	// A valid file has nothing after the last column.
 	if _, err := br.ReadByte(); err != io.EOF {

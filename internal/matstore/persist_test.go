@@ -16,11 +16,7 @@ func persistFixture(t *testing.T, tag uint64) (*Store, []byte) {
 	t.Helper()
 	s := New(0)
 	for _, k := range []Key{{"cloak", "c1"}, {"fence", "c9"}} {
-		col := s.Column(k)
-		col.Grow(200)
-		for i := 0; i < 200; i += 3 {
-			col.SetLabel(i, i%2 == 0)
-		}
+		publish(s, k, 200, func(i int) bool { return i%3 == 0 }, func(i int) bool { return i%2 == 0 })
 	}
 	var buf bytes.Buffer
 	if err := s.Save(&buf, tag); err != nil {
@@ -33,7 +29,7 @@ func TestPersistBitFlipRefusedStoreUntouched(t *testing.T) {
 	_, image := persistFixture(t, 7)
 
 	dst := New(0)
-	dst.Column(Key{"resident", "r"}).Grow(10)
+	publish(dst, Key{"resident", "r"}, 10, all, all)
 	before := dst.Stats().CoveredRows
 
 	// Flip one bit in every byte position in turn is overkill; flip a byte in
@@ -48,7 +44,7 @@ func TestPersistBitFlipRefusedStoreUntouched(t *testing.T) {
 		if dst.Stats().CoveredRows != before {
 			t.Fatalf("failed load at offset %d mutated the resident store", off)
 		}
-		if _, ok := dst.Lookup(Key{"resident", "r"}); !ok {
+		if _, ok := dst.Columns()[Key{"resident", "r"}]; !ok {
 			t.Fatalf("failed load at offset %d dropped resident columns", off)
 		}
 	}
@@ -57,14 +53,14 @@ func TestPersistBitFlipRefusedStoreUntouched(t *testing.T) {
 func TestPersistTruncationRefusedStoreUntouched(t *testing.T) {
 	_, image := persistFixture(t, 7)
 	dst := New(0)
-	dst.Column(Key{"resident", "r"}).Grow(10)
+	publish(dst, Key{"resident", "r"}, 10, all, all)
 	// Cut mid-column (anywhere strictly inside the file).
 	for _, cut := range []int{len(image) - 1, len(image) - 20, len(image) / 2, len(persistMagic) + 3} {
 		err := dst.Load(bytes.NewReader(image[:cut]), 7)
 		if err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
-		if _, ok := dst.Lookup(Key{"resident", "r"}); !ok {
+		if _, ok := dst.Columns()[Key{"resident", "r"}]; !ok {
 			t.Fatalf("failed load at cut %d dropped resident columns", cut)
 		}
 	}

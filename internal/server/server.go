@@ -18,9 +18,10 @@
 //	GET  /readyz   readiness: 503 until crash recovery has replayed the
 //	               journal, 200 after
 //
-// Concurrent queries return results bit-identical to serial execution: the
-// DB snapshots its column state per query and classification is
-// deterministic per row, so interleaving cannot change any answer.
+// Concurrent queries return results bit-identical to serial execution: each
+// statement runs against one immutable read state it pinned and
+// classification is deterministic per row, so interleaving cannot change any
+// answer.
 package server
 
 import (
@@ -431,16 +432,51 @@ func (s *Server) constraints(req QueryRequest) core.Constraints {
 	return core.Constraints{MaxAccuracyLoss: loss, MinThroughput: req.MinThroughput}
 }
 
-func rowValues(row []vdb.Value) []any {
-	out := make([]any, len(row))
+// appendRow appends one result row as a JSON array, exactly as encoding/json
+// renders the equivalent []any — integers in decimal, strings through
+// json.Marshal (same escaping, same treatment of invalid UTF-8) — without
+// boxing a cell into an interface.
+func appendRow(b []byte, row []vdb.Value) []byte {
+	b = append(b, '[')
 	for i, v := range row {
+		if i > 0 {
+			b = append(b, ',')
+		}
 		if v.IsString {
-			out[i] = v.Str
+			str, _ := json.Marshal(v.Str) // a string cannot fail to marshal
+			b = append(b, str...)
 		} else {
-			out[i] = v.Int
+			b = strconv.AppendInt(b, v.Int, 10)
 		}
 	}
-	return out
+	return append(b, ']')
+}
+
+// encodeQueryResponse renders the buffered /query body: resp (whose Rows are
+// unset) with rows written directly as its "rows" member. The bytes are what
+// json.Encoder produces for a QueryResponse holding the same rows boxed:
+// every other member is encoded by encoding/json itself, and rows is spliced
+// in where the struct declares it — after columns, which leads the object.
+func encodeQueryResponse(resp *QueryResponse, rows [][]vdb.Value) []byte {
+	rest, _ := json.Marshal(resp) // strings, numbers and bools only
+	if len(rows) == 0 {
+		return append(rest, '\n')
+	}
+	head := []byte{'{'}
+	if len(resp.Columns) > 0 {
+		cols, _ := json.Marshal(resp.Columns)
+		head = append(append(append(head, `"columns":`...), cols...), ',')
+	}
+	out := make([]byte, 0, len(rest)+len(rows)*len(rows[0])*12)
+	out = append(append(out, head...), `"rows":[`...)
+	for i, row := range rows {
+		if i > 0 {
+			out = append(out, ',')
+		}
+		out = appendRow(out, row)
+	}
+	out = append(append(out, `],`...), rest[len(head):]...)
+	return append(out, '\n')
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -469,18 +505,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.inflight.Add(1)
-	// Validate under the admission slot (planning is cheap but must stay
-	// bounded too): a plan that cannot be built — bad SQL, unknown column
-	// or predicate, unreachable constraint — is the caller's error, 400.
-	// Failures past this point are execution-side (store I/O, engine
-	// faults) and 500.
-	if _, planErr := s.db.Explain(req.SQL, cons); planErr != nil {
-		s.inflight.Add(-1)
-		release()
-		s.stats.errors.Add(1)
-		writeError(w, http.StatusBadRequest, planErr)
-		return
-	}
 	t0 := time.Now()
 	res, err := s.db.QueryContext(ctx, req.SQL, cons)
 	wall := time.Since(t0)
@@ -489,7 +513,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		s.stats.errors.Add(1)
 		var pe *exec.PanicError
+		var planErr *vdb.PlanError
 		switch {
+		case errors.As(err, &planErr):
+			// A plan that cannot be built — bad SQL, unknown column or
+			// predicate, a literal of the wrong type, an unreachable
+			// constraint — is the caller's error. Every other failure is
+			// execution-side (store I/O, engine faults) and 500.
+			writeError(w, http.StatusBadRequest, err)
 		case errors.Is(err, context.DeadlineExceeded):
 			s.stats.deadlined.Add(1)
 			writeError(w, http.StatusGatewayTimeout, fmt.Errorf("query deadline exceeded: %w", err))
@@ -524,11 +555,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		WallMS:           float64(wall.Microseconds()) / 1e3,
 	}
 	if !req.NDJSON {
-		resp.Rows = make([][]any, len(res.Rows))
-		for i, row := range res.Rows {
-			resp.Rows[i] = rowValues(row)
-		}
-		writeJSON(w, http.StatusOK, resp)
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(encodeQueryResponse(&resp, res.Rows))
 		return
 	}
 
@@ -541,8 +570,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	_ = enc.Encode(struct {
 		Columns []string `json:"columns"`
 	}{Columns: res.Columns})
+	var line []byte
 	for i, row := range res.Rows {
-		_ = enc.Encode(rowValues(row))
+		line = append(appendRow(line[:0], row), '\n')
+		_, _ = w.Write(line)
 		if flusher != nil && i%256 == 255 {
 			flusher.Flush()
 		}

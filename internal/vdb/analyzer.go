@@ -63,11 +63,11 @@ func (o AnalyzerOptions) idle() bool {
 // paying the materialization cost. TiDB's "analyze predicate columns"
 // shape: background capacity is spent only on predicates queries touched.
 //
-// Each batch follows the query path's snapshot discipline: target selection
-// and the private column copy happen under the lock, classification runs
-// lock-free over a fixed-length corpus view, and labels merge back
-// first-writer-wins — bit-identical to query-time classification, so the
-// analyzer can never change a result, only prepay it.
+// Each batch follows the query path's discipline: it pins the current read
+// state, selects its target and classifies against that state without any
+// lock, and publishes its labels first-writer-wins — bit-identical to
+// query-time classification, so the analyzer can never change a result, only
+// prepay it.
 //
 // The returned stop function cancels the goroutine and blocks until it has
 // fully exited (deterministic shutdown); cancelling ctx does the same
@@ -134,22 +134,19 @@ func (db *DB) analyzerLoop(ctx context.Context, o AnalyzerOptions, done chan<- s
 // predicate. worked is false when there is nothing to do. The analyzer's ctx
 // reaches the engine run, so stopping the analyzer cancels an in-flight
 // batch instead of waiting it out — a cancelled batch's labels are discarded
-// before the merge, exactly like a cancelled query's.
+// before publication, exactly like a cancelled query's. A corpus swapped
+// mid-batch makes publish refuse the labels: they describe dead rows.
 func (db *DB) analyzeOnce(ctx context.Context, o AnalyzerOptions) (worked bool, err error) {
-	db.mu.Lock()
-	n := len(db.meta)
-	if n == 0 || db.matMode == MatOff {
-		db.mu.Unlock()
+	st := db.state.Load()
+	if st.n == 0 || st.matMode == MatOff {
 		return false, nil
 	}
-	key, ok := db.mat.Hottest(n)
+	key, ok := db.mat.Hottest(st.cols, st.n)
 	if !ok {
-		db.mu.Unlock()
 		return false, nil
 	}
-	pred := db.predicates[key.Category]
+	pred := st.predicates[key.Category]
 	if pred == nil {
-		db.mu.Unlock()
 		return false, nil
 	}
 	// The usage table keys by the exact cascade queries selected; if the
@@ -163,64 +160,29 @@ func (db *DB) analyzeOnce(ctx context.Context, o AnalyzerOptions) (worked bool, 
 		}
 	}
 	if spec == nil {
-		db.mu.Unlock()
 		return false, nil
 	}
-	gen := db.mat.Generation()
-	col := db.mat.Column(key)
-	col.Grow(n)
-	priv := col.CopyN(n)
-	batch := priv.InvalidN(o.batchRows())
+	batch := st.cols.Get(key).InvalidN(st.n, o.batchRows())
 	if len(batch) == 0 {
-		db.mu.Unlock()
 		return false, nil
 	}
-	view := corpusView(db.corpus, n)
-	opts := db.contentExecOpts()
+	// Exactly like a query: a row-indexed engine run over the pinned view,
+	// RepSource and RepCache included.
+	opts := st.contentExecOpts()
 	opts.Workers = o.workers()
-	db.mu.Unlock()
-
-	// Classification outside the lock, exactly like a query: a row-indexed
-	// engine run over a fixed-length view, RepSource and RepCache included.
-	rt, err := cascade.NewRuntime(*spec, pred.System.Models, pred.System.Thresholds)
-	if err != nil {
-		return false, err
-	}
-	eng, err := rt.Engine()
-	if err != nil {
-		return false, err
-	}
-	rep, err := eng.RunContext(ctx, view, batch, opts)
+	fresh, rep, err := st.classify(ctx, pred, *spec, batch, opts)
 	if err != nil {
 		if ctx.Err() != nil {
-			// Shutdown mid-batch: not an analyzer failure, nothing merges.
+			// Shutdown mid-batch: not an analyzer failure, nothing publishes.
 			return false, nil
 		}
 		return false, fmt.Errorf("vdb: analyzer classifying %q: %w", key.Category, err)
 	}
-	for j, idx := range batch {
-		priv.SetLabel(idx, rep.Labels[0][j])
-	}
-
-	db.mu.Lock()
-	if db.mat.Generation() != gen {
-		// Corpus swapped mid-batch: these labels describe dead rows.
-		db.mu.Unlock()
-		return true, nil
-	}
-	cur := db.mat.Column(key) // re-resolve: the column may have been evicted
-	cur.Grow(n)
-	d := mergeDelta{key: key}
-	cur.MergeDelta(priv, func(row int, label bool) {
-		d.rows = append(d.rows, row)
-		d.labels = append(d.labels, label)
-	})
-	// Analyzer labels are lazily journaled like query merges: losing them
+	// Analyzer labels are lazily journaled like query labels: losing them
 	// only costs re-materialization.
-	db.journalMergesLocked([]mergeDelta{d})
-	db.mat.RecordAnalyzer(len(batch))
-	db.mat.Enforce()
-	db.mu.Unlock()
+	if db.publish(st, []overlay{fresh}) {
+		db.mat.RecordAnalyzer(len(batch))
+	}
 	// Analyzer labels are observations too: they tune the selectivity
 	// catalog exactly like query- and trigger-time classifications.
 	db.catalog.Observe(key.Category, rep.Frames, rep.Positives[0])

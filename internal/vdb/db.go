@@ -5,9 +5,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"maps"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tahoma/internal/cascade"
@@ -159,46 +160,56 @@ func (r *repSource) CacheStats() exec.CacheStats {
 }
 
 // DB is a visual analytics database over one images table. It is safe for
-// concurrent use: queries, EXPLAINs and Append may overlap freely. Each query
-// takes a snapshot of the catalog and the materialized-column state under the
-// lock, classifies lock-free against a fixed-length corpus view, and merges
-// freshly computed labels back under the lock — so concurrent results are
-// bit-identical to serial runs (classification is deterministic per row), and
-// rows ingested mid-query become visible to the queries that start after the
-// Append's catalog update.
+// concurrent use: queries, EXPLAINs and Append may overlap freely, and
+// readers never wait for writers.
+//
+// Everything a statement reads lives in one immutable read state (see
+// readState) that writers publish and readers pin: Query and Explain do one
+// atomic load, then plan and execute against that state without taking db.mu
+// — a statement served entirely from materialized columns never takes it at
+// all. A statement that had to classify writes its labels into private
+// overlay columns and publishes them at the end, under db.mu, first writer
+// wins. Writers — Append, label publication from queries, triggers and the
+// analyzer, InstallPredicate, every Set* — serialize on db.mu, build the next
+// state and publish it with one atomic store.
+//
+// What a reader can observe: exactly one published state. A query that
+// overlaps an Append sees either all of the batch's rows or none, never a
+// partial batch; rows become visible to statements that start after the
+// Append's catalog update, which is before its trigger labels are published
+// and before its fsync-acknowledgement. Concurrent results are bit-identical
+// to a serial run over the same published prefix, because classification is
+// deterministic per row.
 type DB struct {
-	mu         sync.RWMutex
+	// mu serializes writers. The fields below it are the master copy the
+	// next read state is built from; only writers touch them.
+	mu    sync.RWMutex
+	state atomic.Pointer[readState]
+
+	settings
 	corpus     Corpus
 	meta       []Metadata
+	zones      []zone // block index over meta's complete blocks (derived)
 	costModel  scenario.CostModel
-	predicates map[string]*Predicate
+	predicates map[string]*Predicate // copied on install; published maps are never written
 	trigger    TriggerPolicy
-	execOpts   exec.Options
-	planOpts   PlanOptions
-	// quant selects the scoring representation of content-predicate
-	// execution (default QuantAuto — the guard band keeps labels
-	// bit-identical, so int8 is safe to prefer). Plan pricing and execution
-	// read the same field, so EXPLAIN's int8 levels are the ones that run.
-	quant     exec.QuantMode
-	serveReps bool
-	reps      *repSource    // built with the store-backed corpus
-	repCache  exec.RepCache // cross-query representation cache (SetRepCache)
+	reps       *repSource // built with the store-backed corpus
 	// catalog is the adaptive selectivity store: seeded at predicate
 	// install, updated from every executed query's survivor counts, read at
 	// plan time. It has its own lock.
 	catalog *planner.Catalog
 	// mat owns the materialized label columns, their usage table and the
-	// byte budget. Not internally synchronized: every access is under mu.
+	// byte budget. Its column set changes only under mu; its usage table and
+	// counters synchronize themselves (the read path records into them).
 	mat        *matstore.Store
-	matMode    MatMode
 	analyzerOn bool
-	// Plan-choice counters (under mu): executed content queries by ordering
-	// policy and by content-phase execution choice.
-	planRank, planStatic int64
-	planFused, planSeq   int64
-	// Cumulative int8 scoring counters across executed queries (under mu):
-	// trusted int8 decisions and guard-band float32 re-scores.
-	quantScored, quantFallbacks int64
+	// Plan-choice counters: executed content queries by ordering policy and
+	// by content-phase execution choice.
+	planRank, planStatic atomic.Int64
+	planFused, planSeq   atomic.Int64
+	// Cumulative int8 scoring counters across executed queries: trusted
+	// int8 decisions and guard-band float32 re-scores.
+	quantScored, quantFallbacks atomic.Int64
 	// Durability (under mu; see durable.go). While durable, Append write-
 	// ahead journals through wal, periodic checkpoints collapse the journal,
 	// and corpus swaps are refused.
@@ -267,6 +278,7 @@ func (db *DB) SetMaterialization(m MatMode) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.matMode = m
+	db.publishLocked()
 }
 
 // SetMatBudget bounds the materialized columns at budgetBytes (0 =
@@ -277,6 +289,7 @@ func (db *DB) SetMatBudget(budgetBytes int64) {
 	defer db.mu.Unlock()
 	db.mat.SetBudget(budgetBytes)
 	db.mat.Enforce()
+	db.publishLocked()
 }
 
 // MatStats is the materialization layer's observability snapshot: the
@@ -297,11 +310,6 @@ type MatUsage = matstore.UsageEntry
 func (db *DB) MatStats() MatStats {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.matStatsLocked()
-}
-
-// matStatsLocked assembles MatStats. Caller holds db.mu.
-func (db *DB) matStatsLocked() MatStats {
 	mode := db.matMode
 	if db.analyzerOn && mode != MatOff {
 		mode = MatBg
@@ -335,12 +343,11 @@ func (f MatFootprint) Evicted() int64 {
 // false for in-memory corpora and cacheless stores), exposing the uniform
 // Bytes/Evicted accessors to /stats.
 func (db *DB) DecodeCache() (*repstore.Cache, bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.reps == nil || db.reps.sc.cache == nil {
+	reps := db.state.Load().reps
+	if reps == nil || reps.sc.cache == nil {
 		return nil, false
 	}
-	return db.reps.sc.cache, true
+	return reps.sc.cache, true
 }
 
 // corpusFingerprintLocked hashes the relational metadata — row count plus
@@ -390,6 +397,7 @@ func (db *DB) LoadMaterialized(path string) error {
 		return err
 	}
 	db.mat.Enforce()
+	db.publishLocked()
 	return nil
 }
 
@@ -440,6 +448,7 @@ func (db *DB) SetPlanOptions(po PlanOptions) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.planOpts = po
+	db.publishLocked()
 }
 
 // PlannerStats is the planner's observability snapshot: plan-choice
@@ -462,17 +471,14 @@ type PlannerStats struct {
 // PlannerStats snapshots the plan-choice counters, selectivity catalog and
 // materialization state.
 func (db *DB) PlannerStats() PlannerStats {
-	db.mu.RLock()
-	ps := PlannerStats{
-		RankPlans:       db.planRank,
-		StaticPlans:     db.planStatic,
-		FusedPlans:      db.planFused,
-		SequentialPlans: db.planSeq,
-		Materialization: db.matStatsLocked(),
+	return PlannerStats{
+		RankPlans:       db.planRank.Load(),
+		StaticPlans:     db.planStatic.Load(),
+		FusedPlans:      db.planFused.Load(),
+		SequentialPlans: db.planSeq.Load(),
+		Materialization: db.MatStats(),
+		Selectivity:     db.catalog.Snapshot(),
 	}
-	db.mu.RUnlock()
-	ps.Selectivity = db.catalog.Snapshot()
-	return ps
 }
 
 // SetQuantization selects the scoring representation for content-predicate
@@ -486,14 +492,11 @@ func (db *DB) SetQuantization(m exec.QuantMode) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.quant = m
+	db.publishLocked()
 }
 
 // Quantization reports the current scoring-representation mode.
-func (db *DB) Quantization() exec.QuantMode {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.quant
-}
+func (db *DB) Quantization() exec.QuantMode { return db.state.Load().quant }
 
 // QuantUsage is the DB's cumulative int8 scoring accounting across executed
 // queries: trusted int8 decisions vs guard-band float32 re-scores.
@@ -504,9 +507,7 @@ type QuantUsage struct {
 
 // QuantUsage snapshots the cumulative int8 counters.
 func (db *DB) QuantUsage() QuantUsage {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return QuantUsage{Scored: db.quantScored, Fallbacks: db.quantFallbacks}
+	return QuantUsage{Scored: db.quantScored.Load(), Fallbacks: db.quantFallbacks.Load()}
 }
 
 // QuantModelInfo describes one installed model's armed int8 calibration, for
@@ -525,11 +526,10 @@ type QuantModelInfo struct {
 // QuantModels lists every installed model with an armed int8 path, ordered by
 // predicate then model ID.
 func (db *DB) QuantModels() []QuantModelInfo {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
+	st := db.state.Load()
 	var out []QuantModelInfo
-	for _, name := range db.predicateNames() {
-		pred := db.predicates[name]
+	for _, name := range st.predicateNames() {
+		pred := st.predicates[name]
 		for _, m := range pred.System.Models {
 			if !m.Quantized() {
 				continue
@@ -555,6 +555,7 @@ func (db *DB) SetExecOptions(o exec.Options) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.execOpts = o
+	db.publishLocked()
 }
 
 // ServeReps toggles loading pre-materialized representations straight from
@@ -568,6 +569,7 @@ func (db *DB) ServeReps(on bool) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.serveReps = on
+	db.publishLocked()
 }
 
 // SetRepCache installs a cross-query representation cache (typically a
@@ -582,6 +584,7 @@ func (db *DB) SetRepCache(rc exec.RepCache) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.repCache = rc
+	db.publishLocked()
 }
 
 // RepCacheStats returns the store-backed corpus's record cache
@@ -590,48 +593,47 @@ func (db *DB) SetRepCache(rc exec.RepCache) {
 // representation loads when ServeReps is on; callers diff two snapshots to
 // attribute traffic to one query.
 func (db *DB) RepCacheStats() (stats exec.CacheStats, ok bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.reps == nil || db.reps.sc.cache == nil {
+	reps := db.state.Load().reps
+	if reps == nil || reps.sc.cache == nil {
 		return exec.CacheStats{}, false
 	}
-	return db.reps.CacheStats(), true
-}
-
-// contentExecOpts resolves the engine options for one content-predicate
-// phase, attaching the corpus-backed RepSource when rep serving is on and
-// the cross-query representation cache when one is installed. Caller holds
-// db.mu.
-func (db *DB) contentExecOpts() exec.Options {
-	opts := db.execOpts
-	if db.serveReps && db.reps != nil {
-		opts.RepSource = db.reps
-	}
-	opts.RepCache = db.repCache
-	opts.Quantize = db.quant
-	return opts
+	return reps.CacheStats(), true
 }
 
 // New creates an empty database priced under the given deployment scenario.
 func New(cm scenario.CostModel) *DB {
-	return &DB{
+	db := &DB{
+		settings:   settings{quant: exec.QuantAuto},
 		costModel:  cm,
 		predicates: make(map[string]*Predicate),
 		corpus:     &memoryCorpus{},
 		catalog:    planner.NewCatalog(),
 		mat:        matstore.New(0),
-		quant:      exec.QuantAuto,
 	}
+	db.publishLocked() // nothing else can see db yet
+	return db
 }
 
-// resetMaterialized invalidates every materialized column: a corpus swap
-// (or trigger-less Append) makes resident labels meaningless. The usage
-// table survives — it describes the query workload, not the corpus — so the
-// analyzer keeps steering toward the same hot predicates. Caller holds
-// db.mu. In-flight queries merge into the orphaned columns, which is
-// harmless.
-func (db *DB) resetMaterialized() {
+// installCorpusLocked swaps in a new corpus and its metadata. Resident labels
+// describe the old rows, so every materialized column is invalidated (the
+// usage table survives — it describes the query workload, not the corpus —
+// so the analyzer keeps steering toward the same hot predicates; statements
+// still running against the old state have their labels refused at
+// publication). Observed pass rates describe the old corpus too; the catalog
+// falls back to its seeds. Caller holds db.mu.
+func (db *DB) installCorpusLocked(c Corpus, reps *repSource, meta []Metadata) error {
+	if db.durable {
+		return fmt.Errorf("vdb: corpus is durable; disable durability before swapping the corpus")
+	}
+	db.corpus = c
+	db.reps = reps
+	db.repCache = nil // keyed by row index; stale for the new corpus
+	db.meta = meta
+	db.zones = extendZones(nil, meta)
 	db.mat.Invalidate()
+	db.catalog.Reset()
+	db.publishLocked()
+	return nil
 }
 
 // LoadCorpus installs an in-memory image corpus and its metadata (parallel
@@ -642,17 +644,7 @@ func (db *DB) LoadCorpus(images []*img.Image, meta []Metadata) error {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.durable {
-		return fmt.Errorf("vdb: corpus is durable; disable durability before swapping the corpus")
-	}
-	db.corpus = &memoryCorpus{images: images}
-	db.reps = nil
-	db.repCache = nil // keyed by row index; stale for the new corpus
-	db.meta = meta
-	db.resetMaterialized()
-	// Observed pass rates describe the old corpus; fall back to the seeds.
-	db.catalog.Reset()
-	return nil
+	return db.installCorpusLocked(&memoryCorpus{images: images}, nil, meta)
 }
 
 // LoadCorpusFromStore installs a representation store as the corpus. Rows
@@ -672,25 +664,11 @@ func (db *DB) LoadCorpusFromStore(store *repstore.Store, cacheBytes int64, meta 
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.durable {
-		return fmt.Errorf("vdb: corpus is durable; disable durability before swapping the corpus")
-	}
-	db.corpus = sc
-	db.reps = sc.repSource()
-	db.repCache = nil // keyed by row index; stale for the new corpus
-	db.meta = meta
-	db.resetMaterialized()
-	// Observed pass rates describe the old corpus; fall back to the seeds.
-	db.catalog.Reset()
-	return nil
+	return db.installCorpusLocked(sc, sc.repSource(), meta)
 }
 
 // Count returns the number of rows.
-func (db *DB) Count() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return len(db.meta)
-}
+func (db *DB) Count() int { return db.state.Load().n }
 
 // InstallPredicate evaluates the system's cascade set under the DB's cost
 // model and registers the category for use in queries. Evaluation — the
@@ -698,10 +676,7 @@ func (db *DB) Count() int {
 // in-flight queries over other predicates.
 func (db *DB) InstallPredicate(category string, sys *core.System, maxDepth int) error {
 	category = strings.ToLower(category)
-	db.mu.RLock()
-	_, dup := db.predicates[category]
-	db.mu.RUnlock()
-	if dup {
+	if _, dup := db.state.Load().predicates[category]; dup {
 		return fmt.Errorf("vdb: predicate %q already installed", category)
 	}
 	results, err := sys.EvaluateCascades(sys.BuildOptions(maxDepth), db.costModel)
@@ -714,6 +689,9 @@ func (db *DB) InstallPredicate(category string, sys *core.System, maxDepth int) 
 	if _, ok := db.predicates[category]; ok {
 		return fmt.Errorf("vdb: predicate %q already installed", category)
 	}
+	// Published states share the map they were built from: install into a
+	// copy.
+	db.predicates = maps.Clone(db.predicates)
 	db.predicates[category] = &Predicate{
 		Category: category,
 		System:   sys,
@@ -734,25 +712,12 @@ func (db *DB) InstallPredicate(category string, sys *core.System, maxDepth int) 
 		seed = float64(positives) / float64(len(sys.EvalTruth))
 	}
 	db.catalog.Seed(category, seed)
+	db.publishLocked()
 	return nil
 }
 
 // Predicates lists installed categories.
-func (db *DB) Predicates() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.predicateNames()
-}
-
-// predicateNames lists installed categories. Caller holds db.mu.
-func (db *DB) predicateNames() []string {
-	var out []string
-	for c := range db.predicates {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
-}
+func (db *DB) Predicates() []string { return db.state.Load().predicateNames() }
 
 // Result is a query result: either a count or a set of rows over the
 // selected columns.
@@ -812,10 +777,35 @@ type ObservedSelectivity struct {
 	Positives int
 }
 
+// PlanError marks a failure that is the statement's fault, found before any
+// row was read: SQL that does not parse, an unknown table, column or
+// predicate, a literal of the wrong type for its column, or constraints no
+// cascade satisfies. Query and Explain return every such failure as a
+// *PlanError (and nothing else as one), so a front end can answer it as the
+// caller's error and everything else as its own.
+type PlanError struct{ Err error }
+
+func (e *PlanError) Error() string { return e.Err.Error() }
+func (e *PlanError) Unwrap() error { return e.Err }
+
+// prepare parses sql and plans it against the current read state — the one
+// front half Query and Explain share.
+func (db *DB) prepare(sql string, constraints core.Constraints) (*queryPlan, error) {
+	q, err := Parse(sql)
+	if err != nil {
+		return nil, &PlanError{err}
+	}
+	plan, err := db.state.Load().plan(q, constraints)
+	if err != nil {
+		return nil, &PlanError{err}
+	}
+	return plan, nil
+}
+
 // Query parses, plans and executes sql under the user's constraints. Safe
-// for concurrent use: planning and the column-state snapshot happen under
-// the lock, classification runs lock-free over a fixed-length corpus view,
-// and freshly computed labels merge back at the end. Results are
+// for concurrent use, and it waits for no writer: the statement pins the
+// current read state, plans and executes against it, and takes the DB lock
+// only if it classified rows whose labels it then publishes. Results are
 // bit-identical to a serial run over the same rows.
 func (db *DB) Query(sql string, constraints core.Constraints) (*Result, error) {
 	return db.QueryContext(context.Background(), sql, constraints)
@@ -824,66 +814,49 @@ func (db *DB) Query(sql string, constraints core.Constraints) (*Result, error) {
 // QueryContext is Query with cooperative cancellation: the execution engines
 // check ctx between batches and levels, so a cancelled or deadlined query
 // returns promptly with ctx's error. Cancellation is an error path — the
-// query's partial labels are discarded before the merge step, so nothing
+// query's partial labels are discarded before publication, so nothing
 // partial ever reaches the materialized columns or the catalog, and a retry
 // returns labels bit-identical to an uninterrupted run.
 func (db *DB) QueryContext(ctx context.Context, sql string, constraints core.Constraints) (*Result, error) {
-	q, err := Parse(sql)
+	plan, err := db.prepare(sql, constraints)
 	if err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// The write lock (not RLock): snapshotForPlan may create and grow the
-	// shared materialized columns. Both steps are cheap — no inference.
-	db.mu.Lock()
-	plan, err := db.plan(q, constraints)
-	if err != nil {
-		db.mu.Unlock()
-		return nil, err
-	}
-	snap := db.snapshotForPlan(plan)
-	db.mu.Unlock()
-
-	res, err := executeQuery(ctx, plan, snap)
+	res, fresh, err := plan.execute(ctx)
 	if err != nil {
 		return nil, err
 	}
-
-	db.mu.Lock()
-	// merge returns the newly adopted labels per column; under durability
-	// they are lazily journaled so a restart restores the warm columns.
-	db.journalMergesLocked(snap.merge())
 	if len(plan.content) > 0 {
 		if plan.pp.Order == planner.OrderStatic {
-			db.planStatic++
+			db.planStatic.Add(1)
 		} else {
-			db.planRank++
+			db.planRank.Add(1)
 		}
 		if res.Fused {
-			db.planFused++
+			db.planFused.Add(1)
 		} else {
-			db.planSeq++
+			db.planSeq.Add(1)
 		}
-		db.quantScored += int64(res.QuantScored)
-		db.quantFallbacks += int64(res.QuantFallbacks)
-		// Materialization bookkeeping: every touched column feeds the
-		// usage table the analyzer ranks by (even under MatOff — usage
-		// describes the workload), lookup hits/misses accumulate, and the
-		// byte budget is enforced now that fresh labels have merged.
-		seen := make(map[matstore.Key]bool, len(plan.content))
-		for _, cs := range plan.content {
-			k := matKey(cs.pred, cs.spec)
-			if !seen[k] {
-				seen[k] = true
-				db.mat.Touch(k)
-			}
+		db.quantScored.Add(int64(res.QuantScored))
+		db.quantFallbacks.Add(int64(res.QuantFallbacks))
+		// Materialization bookkeeping: every touched column feeds the usage
+		// table the analyzer ranks by (even under MatOff — usage describes
+		// the workload) and lookup hits/misses accumulate. Touch before
+		// publishing: the budget must see the columns this statement just
+		// filled as the most recently used.
+		for _, k := range plan.keys {
+			db.mat.Touch(k)
 		}
 		db.mat.RecordLookup(int64(res.MatHits), int64(res.UDFCalls))
-		db.mat.Enforce()
 	}
-	db.mu.Unlock()
+	if len(fresh) > 0 {
+		// Under durability the adopted labels are lazily journaled so a
+		// restart restores the warm columns.
+		db.publish(plan.st, fresh)
+	}
 	// Feed the observed pass rates back into the catalog (its own lock):
 	// the adaptive half of cost-based planning.
 	for _, ob := range res.Observed {
@@ -892,67 +865,12 @@ func (db *DB) QueryContext(ctx context.Context, sql string, constraints core.Con
 	return res, nil
 }
 
-// Explain returns the plan description without executing it.
+// Explain returns the plan description without executing it. Like Query it
+// reads one pinned state and takes no lock.
 func (db *DB) Explain(sql string, constraints core.Constraints) (string, error) {
-	q, err := Parse(sql)
+	plan, err := db.prepare(sql, constraints)
 	if err != nil {
 		return "", err
 	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	plan, err := db.plan(q, constraints)
-	if err != nil {
-		return "", err
-	}
-	return plan.describe(db), nil
-}
-
-var metaColumns = []string{"id", "location", "camera", "ts"}
-
-func metaValue(m Metadata, col string) (Value, error) {
-	switch col {
-	case "id":
-		return Value{Int: m.ID}, nil
-	case "location":
-		return Value{IsString: true, Str: m.Location}, nil
-	case "camera":
-		return Value{IsString: true, Str: m.Camera}, nil
-	case "ts":
-		return Value{Int: m.TS}, nil
-	default:
-		return Value{}, fmt.Errorf("vdb: unknown column %q (have %s)", col, strings.Join(metaColumns, ", "))
-	}
-}
-
-func compare(a Value, op CompareOp, b Value) (bool, error) {
-	if a.IsString != b.IsString {
-		return false, fmt.Errorf("vdb: type mismatch comparing %s %s %s", a, op, b)
-	}
-	var c int
-	if a.IsString {
-		c = strings.Compare(a.Str, b.Str)
-	} else {
-		switch {
-		case a.Int < b.Int:
-			c = -1
-		case a.Int > b.Int:
-			c = 1
-		}
-	}
-	switch op {
-	case OpEq:
-		return c == 0, nil
-	case OpNe:
-		return c != 0, nil
-	case OpLt:
-		return c < 0, nil
-	case OpLe:
-		return c <= 0, nil
-	case OpGt:
-		return c > 0, nil
-	case OpGe:
-		return c >= 0, nil
-	default:
-		return false, fmt.Errorf("vdb: unknown operator %q", op)
-	}
+	return plan.describe(), nil
 }

@@ -117,6 +117,9 @@ func (db *DB) EnableDurability(o DurabilityOptions) (RecoveryStats, error) {
 	if db.durable {
 		return RecoveryStats{}, fmt.Errorf("vdb: durability already enabled")
 	}
+	// Recovery replaces the metadata and the columns; whatever it leaves —
+	// on success or on a refused journal — is what statements must see.
+	defer db.publishLocked()
 	sc, ok := db.corpus.(*storeCorpus)
 	if !ok {
 		return RecoveryStats{}, fmt.Errorf("vdb: durability requires a store-backed corpus (LoadCorpusFromStore)")
@@ -150,6 +153,7 @@ func (db *DB) EnableDurability(o DurabilityOptions) (RecoveryStats, error) {
 		// recovered truth, and the mat image is verified against a fingerprint
 		// of exactly that meta.
 		db.meta = ckpt.meta
+		db.zones = extendZones(nil, db.meta)
 		if len(ckpt.matImage) > 0 {
 			if err := db.mat.Load(bytes.NewReader(ckpt.matImage), db.corpusFingerprintLocked()); err != nil {
 				log.Close()
@@ -223,6 +227,7 @@ func (db *DB) applyRecordLocked(sc *storeCorpus, r wal.Record) error {
 				r.Seq, base, int(base)+len(metas), sc.store.Count())
 		}
 		db.meta = append(db.meta, metas...)
+		db.zones = extendZones(db.zones, db.meta)
 		if invalidate {
 			db.mat.Invalidate()
 		}
@@ -231,15 +236,20 @@ func (db *DB) applyRecordLocked(sc *storeCorpus, r wal.Record) error {
 		if err != nil {
 			return fmt.Errorf("record %d: %w", r.Seq, err)
 		}
-		col := db.mat.Column(key)
-		col.Grow(len(db.meta))
+		// Replay goes through the same publication as the live path. A row
+		// journaled twice (its column was evicted and rebuilt in between)
+		// carries the same label both times, so first-writer-wins restores
+		// exactly what overwriting would.
+		fresh := matstore.NewColumn()
+		fresh.Grow(len(db.meta))
 		for i, row := range rows {
 			// A query that raced an in-flight append can journal labels for
 			// rows whose append record never committed; clamp them out.
 			if row < len(db.meta) {
-				col.SetLabel(row, labels[i])
+				fresh.SetLabel(row, labels[i])
 			}
 		}
+		db.mat.Publish(key, fresh, nil)
 	default:
 		return fmt.Errorf("record %d: unknown type %d", r.Seq, r.Type)
 	}

@@ -24,7 +24,7 @@ var (
 	fusedMeta   []Metadata
 )
 
-func fusedFixture(t *testing.T) {
+func fusedFixture(t testing.TB) {
 	t.Helper()
 	fusedOnce.Do(func() {
 		train := func(category string) (*core.System, synth.Splits, error) {
@@ -64,7 +64,7 @@ func fusedFixture(t *testing.T) {
 // buildFusedDB assembles a fresh DB over the shared corpus with the cloak
 // system installed under two categories (fully-overlapping rep grids) and
 // the coho system as a third, independent predicate.
-func buildFusedDB(t *testing.T) *DB {
+func buildFusedDB(t testing.TB) *DB {
 	t.Helper()
 	fusedFixture(t)
 	cm, err := scenario.NewAnalytic(scenario.Camera, scenario.DefaultParams())

@@ -7,7 +7,6 @@ import (
 	"tahoma/internal/cascade"
 	"tahoma/internal/core"
 	"tahoma/internal/img"
-	"tahoma/internal/matstore"
 )
 
 // TriggerPolicy controls how content predicates are pre-materialized for
@@ -31,32 +30,18 @@ func (db *DB) SetTriggerPolicy(p TriggerPolicy) {
 	db.trigger = p
 }
 
-// triggerJob is one predicate's planned ingest-time classification: the
-// rows still missing from its trigger column, classified outside the lock
-// into a private copy and merged back when done.
-type triggerJob struct {
-	category string
-	spec     cascade.Spec
-	rt       *cascade.Runtime
-	shared   *column
-	priv     *column
-	missing  []int
-	// frames/positives count the labels of a completed run, feeding the
-	// adaptive selectivity catalog alongside the query path.
-	frames    int
-	positives int
-}
-
 // Append adds rows to the corpus. Under an enabled trigger policy, every
 // installed predicate classifies the new rows immediately with its
 // ingest-time cascade, extending the materialized virtual columns so that
 // later queries pay no inference for these rows.
 //
-// Append coexists with in-flight queries: the catalog update (corpus + meta)
-// happens under the DB lock, but trigger classification runs lock-free
-// against a fixed-length corpus view and merges its labels at the end, the
-// same snapshot discipline queries use. Queries snapshotted before the
-// catalog update simply do not see the new rows.
+// Append coexists with in-flight queries, and no reader waits for it: the
+// catalog update (corpus + meta + journal record, store fsyncs included)
+// happens under the DB lock, which the read path never takes, and ends by
+// publishing the read state that contains the batch. Trigger classification
+// then runs against that pinned state and publishes its labels at the end,
+// the same discipline queries use. Statements that pinned an earlier state
+// simply do not see the new rows.
 // Under durability (EnableDurability), Append is write-ahead: the store's
 // data and manifest are fsynced first (inside the corpus append), then the
 // batch's journal record — and the trigger labels' merge records — are
@@ -88,39 +73,27 @@ func (db *DB) Append(images []*img.Image, meta []Metadata) (udfCalls int, err er
 	}
 	base := len(db.meta)
 	db.meta = append(db.meta, meta...)
+	db.zones = extendZones(db.zones, db.meta)
 
 	noTriggers := !db.trigger.Enabled || db.matMode == MatOff
+	var werr error
 	if durable {
 		// Journal the batch under the same critical section that appended it,
 		// so journal order always matches row order (and a concurrent
 		// checkpoint sees the two consistently). Buffered here; the fsync
 		// below is the ack barrier.
-		if _, werr := db.wal.Append(recAppend, encodeAppendRec(uint64(base), meta, noTriggers)); werr != nil {
-			db.mu.Unlock()
-			return 0, werr
-		}
+		_, werr = db.wal.Append(recAppend, encodeAppendRec(uint64(base), meta, noTriggers))
 	}
-
-	if noTriggers {
+	if noTriggers && werr == nil {
 		// Without triggers (or with materialization off, where trigger
 		// labels would have nowhere to live), existing materialized columns
 		// no longer cover the corpus; drop them so queries recompute.
-		// In-flight queries merge into the orphaned columns, which is
-		// harmless.
-		db.resetMaterialized()
-		db.mu.Unlock()
-		if durable {
-			if werr := db.wal.Sync(); werr != nil {
-				return 0, werr
-			}
-		}
-		return 0, nil
+		// Statements still running against the old state have their labels
+		// refused at publication.
+		db.mat.Invalidate()
 	}
-
-	// Plan the trigger work under the lock: select each predicate's ingest
-	// cascade, grow its column, and copy the rows still missing.
-	n := len(db.meta)
-	view := corpusView(db.corpus, n)
+	st := db.publishLocked()
+	trigger := db.trigger
 	// Plain exec options only: trigger runs have always classified from
 	// the freshly appended sources, and those rows have no stored or
 	// cached representation to hit anyway — so RepSource and RepCache stay
@@ -128,82 +101,66 @@ func (db *DB) Append(images []*img.Image, meta []Metadata) (udfCalls int, err er
 	opts := db.execOpts
 	opts.RepSource = nil
 	opts.RepCache = nil
-	var jobs []*triggerJob
-	for _, pred := range db.predicates {
-		point, serr := core.Select(pred.Frontier, db.trigger.Constraints)
-		if serr != nil {
-			db.mu.Unlock()
-			return 0, fmt.Errorf("vdb: trigger cascade for %q: %w", pred.Category, serr)
-		}
-		res := pred.Results[point.Index]
-		// First materialization: the run below backfills the whole corpus
-		// (old rows included) so the column is complete.
-		col := db.mat.Column(matKey(pred, res.Spec))
-		col.Grow(n)
-		priv := col.CopyN(n)
-		missing := priv.Invalid()
-		if len(missing) == 0 {
-			continue
-		}
-		rt, rerr := cascade.NewRuntime(res.Spec, pred.System.Models, pred.System.Thresholds)
-		if rerr != nil {
-			db.mu.Unlock()
-			return 0, rerr
-		}
-		jobs = append(jobs, &triggerJob{
-			category: pred.Category, spec: res.Spec, rt: rt,
-			shared: col, priv: priv, missing: missing,
-		})
-	}
 	db.mu.Unlock()
+	if werr != nil {
+		return 0, werr
+	}
 
-	// Classify outside the lock, one engine run per predicate over the rows
-	// its column is missing. A run publishes all of its labels or none: a
-	// failed predicate leaves its private column untouched, so the merge
-	// below carries only the predicates that finished before it and the
-	// reported udfCalls always matches the labels actually published.
-	defer func() {
-		db.mu.Lock()
-		deltas := make([]mergeDelta, 0, len(jobs))
-		for _, jb := range jobs {
-			d := mergeDelta{key: matstore.Key{Category: jb.category, Cascade: jb.spec.ID()}}
-			jb.shared.MergeDelta(jb.priv, func(row int, label bool) {
-				d.rows = append(d.rows, row)
-				d.labels = append(d.labels, label)
-			})
-			deltas = append(deltas, d)
-		}
-		db.journalMergesLocked(deltas)
-		db.mat.Enforce()
-		db.mu.Unlock()
-		// Trigger classifications are observations too: ingest-time labels
-		// tune the selectivity catalog just like query-time ones.
-		for _, jb := range jobs {
-			db.catalog.Observe(jb.category, jb.frames, jb.positives)
-		}
-		// The ack barrier: the batch's journal record (and the trigger
-		// labels that rode behind it) hit disk before Append returns
-		// success. A sync failure un-acknowledges the batch.
+	// ack is the barrier: the batch's journal record (and the trigger labels
+	// that rode behind it) hit disk before Append returns success. A sync
+	// failure un-acknowledges the batch.
+	ack := func() {
 		if durable {
-			if werr := db.wal.Sync(); werr != nil && err == nil {
-				err = werr
+			if serr := db.wal.Sync(); serr != nil && err == nil {
+				err = serr
 			}
 		}
+	}
+	if noTriggers {
+		ack()
+		return 0, err
+	}
+
+	// Plan the trigger work against the state just published: each
+	// predicate's ingest cascade and the rows its column has no label for —
+	// on first materialization the whole corpus (old rows included), so the
+	// column is complete.
+	type triggerJob struct {
+		pred    *Predicate
+		spec    cascade.Spec
+		missing []int
+	}
+	var jobs []triggerJob
+	for _, pred := range st.predicates {
+		point, serr := core.Select(pred.Frontier, trigger.Constraints)
+		if serr != nil {
+			return 0, fmt.Errorf("vdb: trigger cascade for %q: %w", pred.Category, serr)
+		}
+		spec := pred.Results[point.Index].Spec
+		if missing := st.cols.Get(matKey(pred, spec)).InvalidN(st.n, -1); len(missing) > 0 {
+			jobs = append(jobs, triggerJob{pred, spec, missing})
+		}
+	}
+
+	// One engine run per predicate. A run publishes all of its labels or
+	// none: a failed predicate contributes no overlay, so what is published
+	// carries only the predicates that finished before it and the reported
+	// udfCalls always matches the labels actually published.
+	var fresh []overlay
+	defer func() {
+		db.publish(st, fresh)
+		ack()
 	}()
 	for _, jb := range jobs {
-		eng, err := jb.rt.Engine()
-		if err != nil {
-			return udfCalls, err
+		o, rep, cerr := st.classify(context.TODO(), jb.pred, jb.spec, jb.missing, opts)
+		if cerr != nil {
+			return udfCalls, fmt.Errorf("vdb: trigger classify for %q: %w", jb.pred.Category, cerr)
 		}
-		rep, err := eng.RunContext(context.TODO(), view, jb.missing, opts)
-		if err != nil {
-			return udfCalls, fmt.Errorf("vdb: trigger classify for %q: %w", jb.category, err)
-		}
-		for j, idx := range jb.missing {
-			jb.priv.SetLabel(idx, rep.Labels[0][j])
-		}
-		jb.frames, jb.positives = rep.Frames, rep.Positives[0]
+		fresh = append(fresh, o)
 		udfCalls += rep.Frames
+		// Trigger classifications are observations too: ingest-time labels
+		// tune the selectivity catalog just like query-time ones.
+		db.catalog.Observe(jb.pred.Category, rep.Frames, rep.Positives[0])
 	}
 	return udfCalls, nil
 }
@@ -212,12 +169,13 @@ func (db *DB) Append(images []*img.Image, meta []Metadata) (udfCalls int, err er
 // category, for EXPLAIN-style introspection.
 func (db *DB) TriggerCascade(category string) (string, error) {
 	db.mu.RLock()
-	defer db.mu.RUnlock()
-	pred, ok := db.predicates[category]
+	trigger := db.trigger
+	db.mu.RUnlock()
+	pred, ok := db.state.Load().predicates[category]
 	if !ok {
 		return "", fmt.Errorf("vdb: no classifier installed for %q", category)
 	}
-	point, err := core.Select(pred.Frontier, db.trigger.Constraints)
+	point, err := core.Select(pred.Frontier, trigger.Constraints)
 	if err != nil {
 		return "", err
 	}

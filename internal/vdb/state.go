@@ -1,0 +1,255 @@
+package vdb
+
+import (
+	"context"
+	"fmt"
+	"sort"
+
+	"tahoma/internal/cascade"
+	"tahoma/internal/exec"
+	"tahoma/internal/img"
+	"tahoma/internal/matstore"
+	"tahoma/internal/planner"
+	"tahoma/internal/repstore"
+	"tahoma/internal/scenario"
+)
+
+// settings is the configuration a read state carries: what the Set* calls
+// change. The DB holds the master copy under db.mu; every published state
+// holds the copy that was current at publication.
+type settings struct {
+	execOpts exec.Options
+	planOpts PlanOptions
+	// quant selects the scoring representation of content-predicate
+	// execution (default QuantAuto — the guard band keeps labels
+	// bit-identical, so int8 is safe to prefer). Plan pricing and execution
+	// read the same field, so EXPLAIN's int8 levels are the ones that run.
+	quant     exec.QuantMode
+	serveReps bool
+	repCache  exec.RepCache // cross-query representation cache (SetRepCache)
+	matMode   MatMode
+}
+
+// readState is everything a statement reads, immutable once published: the
+// row count, the metadata rows [0,n) with their block index, a corpus view
+// bounded at n, the predicate catalog, the configuration, and the
+// materialized column versions current at publication. Writers build the
+// next state under db.mu and publish it with one atomic store; a reader pins
+// the current one with one atomic load and plans, explains and executes
+// against it without touching db.mu. The caches and the selectivity catalog
+// it points at are shared and synchronize themselves.
+type readState struct {
+	settings
+	n          int
+	meta       []Metadata // [0,n); entries are never written again
+	zones      []zone     // complete blocks of meta
+	corpus     Corpus     // fixed-length view: rows [0,n)
+	costModel  scenario.CostModel
+	predicates map[string]*Predicate // replaced, never written, on install
+	catalog    *planner.Catalog
+	reps       *repSource
+	cols       matstore.Columns
+	gen        int64 // matstore generation cols belongs to
+}
+
+// publishLocked builds the read state for the DB's current contents and makes
+// it the one new statements pin. Every mutation of what a statement reads
+// ends here. Caller holds db.mu for writing.
+func (db *DB) publishLocked() *readState {
+	n := len(db.meta)
+	st := &readState{
+		settings:   db.settings,
+		n:          n,
+		meta:       db.meta[:n:n],
+		zones:      db.zones,
+		corpus:     corpusView(db.corpus, n),
+		costModel:  db.costModel,
+		predicates: db.predicates,
+		catalog:    db.catalog,
+		reps:       db.reps,
+		cols:       db.mat.Columns(),
+		gen:        db.mat.Generation(),
+	}
+	db.state.Store(st)
+	return st
+}
+
+// contentExecOpts resolves the engine options for one content-predicate
+// phase, attaching the corpus-backed RepSource when rep serving is on and
+// the cross-query representation cache when one is installed.
+func (st *readState) contentExecOpts() exec.Options {
+	opts := st.execOpts
+	if st.serveReps && st.reps != nil {
+		opts.RepSource = st.reps
+	}
+	opts.RepCache = st.repCache
+	opts.Quantize = st.quant
+	return opts
+}
+
+// predicateNames lists installed categories, sorted.
+func (st *readState) predicateNames() []string {
+	out := make([]string, 0, len(st.predicates))
+	for c := range st.predicates {
+		out = append(out, c)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// overlay is freshly classified labels for one materialized column, computed
+// against a pinned read state: a private column holding only the rows that
+// state's version had no label for.
+type overlay struct {
+	key matstore.Key
+	col *column
+}
+
+// classify runs one cascade over rows of the pinned corpus and returns the
+// labels as an overlay for that cascade's column — the whole of what the
+// ingest trigger and the analyzer do between pinning a state and publishing.
+func (st *readState) classify(ctx context.Context, pred *Predicate, spec cascade.Spec, rows []int, opts exec.Options) (overlay, *exec.Report, error) {
+	rt, err := cascade.NewRuntime(spec, pred.System.Models, pred.System.Thresholds)
+	if err != nil {
+		return overlay{}, nil, err
+	}
+	eng, err := rt.Engine()
+	if err != nil {
+		return overlay{}, nil, err
+	}
+	rep, err := eng.RunContext(ctx, st.corpus, rows, opts)
+	if err != nil {
+		return overlay{}, nil, err
+	}
+	o := overlay{key: matKey(pred, spec), col: matstore.NewColumn()}
+	o.col.Grow(st.n)
+	for j, idx := range rows {
+		o.col.SetLabel(idx, rep.Labels[0][j])
+	}
+	return o, rep, nil
+}
+
+// publish folds labels computed against the pinned state st into the shared
+// columns and publishes the next read state. First writer wins: rows another
+// statement published meanwhile keep their labels — classification is
+// deterministic per (cascade, row), so the values are identical either way
+// and publication order cannot change any result. Exactly the newly adopted
+// (row, label) pairs are journaled. Labels computed against an older corpus
+// generation describe rows that are gone: they are dropped, and publish
+// reports false. The byte budget is enforced only when a publication changed
+// the columns.
+func (db *DB) publish(st *readState, fresh []overlay) bool {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if st.gen != db.mat.Generation() {
+		return false
+	}
+	var deltas []mergeDelta
+	for _, o := range fresh {
+		d := mergeDelta{key: o.key}
+		db.mat.Publish(o.key, o.col, func(row int, label bool) {
+			d.rows = append(d.rows, row)
+			d.labels = append(d.labels, label)
+		})
+		if len(d.rows) > 0 {
+			deltas = append(deltas, d)
+		}
+	}
+	if len(deltas) > 0 {
+		db.journalMergesLocked(deltas)
+		db.mat.Enforce()
+		db.publishLocked()
+	}
+	return true
+}
+
+// corpusView returns a fixed-length view of the corpus: rows [0,n) keep
+// resolving to the same images even if an Append lands mid-query. Both
+// built-in corpora are append-only, so a bounded view over the snapshotted
+// backing state is race-free without copying pixels.
+func corpusView(c Corpus, n int) Corpus {
+	switch cc := c.(type) {
+	case *memoryCorpus:
+		// Full slice expression: a concurrent append can never write into
+		// this view's backing window.
+		return &memoryCorpus{images: cc.images[:n:n]}
+	case *storeCorpus:
+		return &storeView{sc: cc, n: n}
+	default:
+		// Unknown implementations must be safe for concurrent use on their
+		// own terms.
+		return c
+	}
+}
+
+// storeView bounds a store-backed corpus at n rows. The store itself is
+// append-only and internally synchronized; the bound keeps a statement's
+// world stable while ingest proceeds.
+type storeView struct {
+	sc *storeCorpus
+	n  int
+}
+
+func (v *storeView) Len() int { return v.n }
+
+func (v *storeView) Image(i int) (*img.Image, error) {
+	if i < 0 || i >= v.n {
+		return nil, fmt.Errorf("vdb: row %d out of range [0,%d)", i, v.n)
+	}
+	return v.sc.Image(i)
+}
+
+// Record implements exec.RecordSource over the bounded view.
+func (v *storeView) Record(i int, scratch *[]byte) (img.Record, error) {
+	if i < 0 || i >= v.n {
+		return img.Record{}, fmt.Errorf("vdb: row %d out of range [0,%d)", i, v.n)
+	}
+	return v.sc.Record(i, scratch)
+}
+
+// SharedRepCache is the cross-query representation cache: an LRU of
+// materialized representations keyed by (transform, row) that every
+// concurrent query reads from and publishes to, wired into the execution
+// engine through DB.SetRepCache. Pixels are bit-identical to the transform
+// output, so sharing never changes labels. It implements exec.RepCache and
+// exec.CacheStatser (per-query hit/miss deltas land on query results).
+type SharedRepCache struct {
+	reps *repstore.SharedReps
+}
+
+// NewSharedRepCache builds a cross-query representation cache bounded at
+// capacityBytes of decoded pixels.
+func NewSharedRepCache(capacityBytes int64) (*SharedRepCache, error) {
+	reps, err := repstore.NewSharedReps(capacityBytes)
+	if err != nil {
+		return nil, err
+	}
+	return &SharedRepCache{reps: reps}, nil
+}
+
+// GetRep implements exec.RepCache.
+func (c *SharedRepCache) GetRep(i int, id string) *img.Image { return c.reps.GetRep(i, id) }
+
+// PutRep implements exec.RepCache.
+func (c *SharedRepCache) PutRep(i int, id string, im *img.Image) { c.reps.PutRep(i, id, im) }
+
+// ContainsRep implements exec.RepContainser: a residency probe that touches
+// neither the LRU order nor the hit/miss counters. The query planner samples
+// it to discount cascade costs by what is already materialized — how the
+// same query plans differently against a cold and a warm cache.
+func (c *SharedRepCache) ContainsRep(i int, id string) bool { return c.reps.Contains(i, id) }
+
+// CacheStats implements exec.CacheStatser: cumulative lookup counters and
+// the current resident footprint.
+func (c *SharedRepCache) CacheStats() exec.CacheStats {
+	st := c.reps.Stats()
+	return exec.CacheStats{Hits: st.Hits, Misses: st.Misses, EvictedBytes: st.EvictedBytes, ResidentBytes: st.ResidentBytes}
+}
+
+// Bytes reports the resident footprint — the uniform accessor shared with
+// repstore.Cache and the matstore, so /stats sums the caches consistently.
+func (c *SharedRepCache) Bytes() int64 { return c.reps.Bytes() }
+
+// Evicted reports cumulative evicted bytes — the uniform accessor shared
+// with repstore.Cache and the matstore.
+func (c *SharedRepCache) Evicted() int64 { return c.reps.Evicted() }
