@@ -100,8 +100,12 @@ type Spec struct {
 	// point is a pure slowdown: Fire sleeps and returns nil.
 	Delay time.Duration
 	// Times bounds how often the point fires (0 = every hit). After Times
-	// hits the point disarms itself.
+	// fires the point disarms itself.
 	Times int
+	// Skip lets the first Skip hits pass untouched: the point fires on hit
+	// Skip+1. Crash-point enumeration counts a clean run's hits (see Hits)
+	// and then fails each one in turn.
+	Skip int
 }
 
 type armedPoint struct {
@@ -166,6 +170,18 @@ func Active() []string {
 	return out
 }
 
+// Hits reports how many times the call sites of an armed point have been
+// reached since it was armed, skipped hits included (0 when not armed). Armed
+// with a Skip no run reaches, a point counts its hits without ever firing.
+func Hits(name string) int64 {
+	mu.Lock()
+	defer mu.Unlock()
+	if p, ok := points[name]; ok {
+		return p.hits
+	}
+	return 0
+}
+
 // take consumes one hit of an armed point, disarming it when its Times
 // budget runs out. Returns the spec and whether the point fired.
 func take(name string) (Spec, bool) {
@@ -176,7 +192,11 @@ func take(name string) (Spec, bool) {
 		return Spec{}, false
 	}
 	p.hits++
-	if p.spec.Times > 0 && p.hits >= int64(p.spec.Times) {
+	fired := p.hits - int64(p.spec.Skip)
+	if fired <= 0 {
+		return Spec{}, false
+	}
+	if p.spec.Times > 0 && fired >= int64(p.spec.Times) {
 		delete(points, name)
 		armed.Add(-1)
 	}

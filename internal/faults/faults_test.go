@@ -121,3 +121,26 @@ func TestParse(t *testing.T) {
 		t.Fatal("unknown point accepted by Parse")
 	}
 }
+
+func TestSkipFiresOnLaterHitAndCountsAll(t *testing.T) {
+	Reset()
+	defer Reset()
+	if err := Enable(FSSyncError, Spec{Skip: 2, Times: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if Fire(FSSyncError) != nil || Firing(FSSyncError) {
+		t.Fatal("skipped hit fired")
+	}
+	if got := Hits(FSSyncError); got != 2 {
+		t.Fatalf("Hits = %d after two skipped hits, want 2", got)
+	}
+	if Fire(FSSyncError) == nil {
+		t.Fatal("hit Skip+1 did not fire")
+	}
+	if Fire(FSSyncError) != nil {
+		t.Fatal("point survived its Times budget after the skip")
+	}
+	if got := Hits(FSSyncError); got != 0 {
+		t.Fatalf("Hits = %d for a disarmed point, want 0", got)
+	}
+}

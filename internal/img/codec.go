@@ -60,6 +60,20 @@ func (r Record) Plane(c int) []byte {
 // StoredBytes returns the length of the record the view was parsed from.
 func (r Record) StoredBytes() int { return timgHeaderSize + len(r.Pix) }
 
+// AppendTo appends the record as stored — header and samples, the bytes it was
+// parsed from — to dst and returns the extended slice: how a record moves
+// between a request body, the journal and a data file without ever being
+// expanded and re-quantized.
+func (r Record) AppendTo(dst []byte) []byte {
+	return append(r.AppendHeader(dst), r.Pix...)
+}
+
+// AppendHeader appends just the record's TIMG header: with Pix, the two
+// pieces of the stored record, for a writer that gathers instead of copying.
+func (r Record) AppendHeader(dst []byte) []byte {
+	return appendHeader(dst, r.W, r.H, r.Mode)
+}
+
 // Image expands the record into a fresh float32 image.
 func (r Record) Image() *Image {
 	im := New(r.W, r.H, r.Mode)
@@ -122,19 +136,22 @@ func AppendRecord(dst []byte, im *Image) ([]byte, error) {
 	if im.W > 0xFFFF || im.H > 0xFFFF {
 		return dst, fmt.Errorf("img: image %dx%d too large for TIMG", im.W, im.H)
 	}
+	dst = appendHeader(slices.Grow(dst, im.StoredBytes()), im.W, im.H, im.Mode)
 	start := len(dst)
-	dst = slices.Grow(dst, im.StoredBytes())[:start+im.StoredBytes()]
-	rec := dst[start:]
-	copy(rec, timgMagic)
-	rec[4] = timgVersion
-	rec[5] = byte(im.Mode)
-	binary.LittleEndian.PutUint16(rec[6:8], uint16(im.W))
-	binary.LittleEndian.PutUint16(rec[8:10], uint16(im.H))
-	pix := rec[timgHeaderSize:][:len(im.Pix)]
+	dst = dst[:start+len(im.Pix)]
+	pix := dst[start:]
 	for i, v := range im.Pix {
 		pix[i] = quant(v)
 	}
 	return dst, nil
+}
+
+// appendHeader appends the TIMG header of a w×h image in the given mode.
+func appendHeader(dst []byte, w, h int, mode ColorMode) []byte {
+	dst = append(dst, timgMagic...)
+	dst = append(dst, timgVersion, byte(mode))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(w))
+	return binary.LittleEndian.AppendUint16(dst, uint16(h))
 }
 
 // Encode writes im in TIMG format (see AppendRecord).

@@ -156,6 +156,9 @@ func FuzzRecord(f *testing.F) {
 		if rec.W != im.W || rec.H != im.H || rec.Mode != im.Mode || len(rec.Pix) != len(im.Pix) {
 			t.Fatalf("ParseRecord saw %dx%d/%v (%d samples), Decode %dx%d/%v (%d)", rec.W, rec.H, rec.Mode, len(rec.Pix), im.W, im.H, im.Mode, len(im.Pix))
 		}
+		if !bytes.Equal(rec.AppendTo(nil), data) {
+			t.Fatal("Record.AppendTo does not reproduce the bytes the record was parsed from")
+		}
 		viaRecord := rec.Image()
 		for i, b := range rec.Pix {
 			if math.Float32bits(im.Pix[i]) != math.Float32bits(float32(b)/255) || math.Float32bits(viaRecord.Pix[i]) != math.Float32bits(im.Pix[i]) {

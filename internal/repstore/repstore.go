@@ -13,6 +13,17 @@
 //
 // Fixed record sizes make random access an offset multiplication and make
 // truncation detectable on open (file size must be count × record size).
+//
+// Who vouches for a row. A row exists once something durable says so. Stand-
+// alone — the CLI's ingest, a server without a journal — that is the manifest:
+// Ingest, IngestAll and AppendRecords fsync the data files and then replace
+// the manifest before they return, and Open drops whatever lies past the
+// manifest's count. Under vdb's durability the journal vouches first: a batch
+// is written here with WriteRecords (no fsync, no manifest), acknowledged once
+// the journal holding its records is fsynced, and only at the next checkpoint
+// does Sync move the manifest past it. Open's rule is the same either way —
+// bytes past the manifest were never vouched for by this store — and recovery
+// rewrites from the journal the rows it cut.
 package repstore
 
 import (
@@ -23,6 +34,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"tahoma/internal/faults"
 	"tahoma/internal/img"
@@ -53,11 +65,20 @@ type Store struct {
 	source *os.File
 	reps   map[string]*os.File
 
-	// mu guards manifest (Count grows on ingest). Data files are append-
-	// only with fixed record sizes: a record below Count is complete, so
-	// ReadAt needs no lock of its own.
+	// mu guards manifest (Count grows on ingest) and serializes writers. Data
+	// files are append-only with fixed record sizes: a record below Count is
+	// complete, so ReadAt needs no lock of its own.
 	mu       sync.RWMutex
 	manifest Manifest
+	// vouched is the count in the manifest file on disk — the rows a stand-
+	// alone Open keeps. It trails manifest.Count between a WriteRecords and
+	// the next Sync.
+	vouched int
+	// writes counts completed write batches; dataSynced is its value when the
+	// last data fsync began, so a sync with nothing new to cover is skipped.
+	writes, dataSynced atomic.Int64
+	// stage holds the writer's per-file buffers, reused across batches.
+	stage staged
 
 	// scratch pools the read buffers (*[]byte) of loads that hand back a
 	// decoded image and so have no caller-owned buffer to read into.
@@ -116,11 +137,13 @@ func Create(dir string, baseW, baseH int, transforms []xform.Transform) (*Store,
 
 // Open opens an existing store and validates record counts against file
 // sizes. A data file *shorter* than the manifest implies is corruption (the
-// manifest is only made durable after the data it describes, so acknowledged
-// records cannot be missing). A data file *longer* than the manifest implies
-// is a torn tail — a crash between appending records and committing the
-// manifest — and is repaired by truncating back to the manifest's count: the
-// extra records were never acknowledged.
+// manifest is only made durable after the data it describes, so records it
+// vouches for cannot be missing). A data file *longer* than the manifest
+// implies is a tail the manifest never vouched for — a crash between writing
+// records and committing the manifest, or rows written under a journal since
+// the last checkpoint — and is cut back to the manifest's count. Stand-alone
+// those rows were never acknowledged; under vdb the journal that acknowledged
+// them still holds their records, and recovery writes them back.
 //
 // Files are opened read-write so an opened store can keep ingesting (the
 // serving tier's ONGOING scenario).
@@ -136,7 +159,7 @@ func Open(dir string) (*Store, error) {
 	if m.Version != 1 {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, m.Version)
 	}
-	s := &Store{dir: dir, manifest: m, reps: make(map[string]*os.File)}
+	s := &Store{dir: dir, manifest: m, vouched: m.Count, reps: make(map[string]*os.File)}
 	for _, id := range m.Transforms {
 		t, err := xform.Parse(id)
 		if err != nil {
@@ -234,6 +257,7 @@ func (s *Store) writeManifest() error {
 	if err := d.Sync(); err != nil {
 		return fmt.Errorf("repstore: syncing dir: %w", err)
 	}
+	s.vouched = s.manifest.Count
 	return nil
 }
 
@@ -258,97 +282,205 @@ func (s *Store) BaseSize() (w, h int) { return s.manifest.BaseW, s.manifest.Base
 func (s *Store) Ingest(im *img.Image) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if im.W != s.manifest.BaseW || im.H != s.manifest.BaseH || im.Mode != img.RGB {
-		return 0, fmt.Errorf("repstore: ingest image %dx%d/%v, store wants %dx%d/rgb",
-			im.W, im.H, im.Mode, s.manifest.BaseW, s.manifest.BaseH)
-	}
 	idx := s.manifest.Count
-	if _, err := s.appendRow(nil, im, idx); err != nil {
-		return 0, err
-	}
-	// Durability ordering: data fsync, then manifest. A crash in between
-	// leaves a torn data tail beyond the manifest count, which Open repairs.
-	if err := s.syncDataLocked(); err != nil {
-		return 0, err
-	}
-	s.manifest.Count++
-	if err := s.writeManifest(); err != nil {
-		s.manifest.Count--
+	if err := s.ingestLocked([]*img.Image{im}); err != nil {
 		return 0, err
 	}
 	return idx, nil
 }
 
-// IngestAll appends a batch of images, deferring the manifest write to the
-// end (one fsync-visible update per batch rather than per image).
+// IngestAll appends a batch of images and makes it durable on the store's own
+// terms: the rows are written, the data files fsynced, and only then is the
+// manifest replaced (one commit per batch rather than per image). When it
+// returns nil the manifest vouches for the batch; on failure the count is
+// unchanged and a retry overwrites whatever bytes the attempt left.
 func (s *Store) IngestAll(ims []*img.Image) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.ingestLocked(ims)
+}
+
+func (s *Store) ingestLocked(ims []*img.Image) error {
 	start := s.manifest.Count
-	var buf []byte // one encode buffer for every record of the batch
-	for k, im := range ims {
-		if im.W != s.manifest.BaseW || im.H != s.manifest.BaseH || im.Mode != img.RGB {
-			s.manifest.Count = start
-			return fmt.Errorf("repstore: ingest image %dx%d/%v, store wants %dx%d/rgb",
-				im.W, im.H, im.Mode, s.manifest.BaseW, s.manifest.BaseH)
-		}
-		var err error
-		if buf, err = s.appendRow(buf, im, start+k); err != nil {
-			s.manifest.Count = start
+	err := s.writeRows(start, len(ims), func(j int, b *staged) (err error) {
+		im := ims[j]
+		if err := s.checkGeometry(im.W, im.H, im.Mode); err != nil {
 			return err
 		}
-		s.manifest.Count++
-	}
-	// Durability ordering: data fsync, then manifest (see Ingest).
-	if err := s.syncDataLocked(); err != nil {
-		s.manifest.Count = start
+		if b.src, err = img.AppendRecord(b.src, im); err != nil {
+			return fmt.Errorf("repstore: encoding record for source.dat: %w", err)
+		}
+		// Representations come from the caller's pixels, not from the record
+		// just quantized: what IngestAll has always stored.
+		for i, t := range s.xforms {
+			if b.reps[i], err = img.AppendRecord(b.reps[i], t.Apply(im)); err != nil {
+				return fmt.Errorf("repstore: encoding record for %s: %w", repFileName(t.ID()), err)
+			}
+		}
+		return nil
+	})
+	if err != nil {
 		return err
 	}
-	if err := s.writeManifest(); err != nil {
-		s.manifest.Count = start
+	return s.commitLocked(start, start+len(ims))
+}
+
+// AppendRecords is IngestAll for images already held as stored records: the
+// bytes go to source.dat as received, and every representation is the
+// transform of that record's pixels (xform.Transform.ApplyRecord) — derived
+// from what is stored, which is all a replay would have.
+func (s *Store) AppendRecords(recs []img.Record) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	start := s.manifest.Count
+	if err := s.writeRecordsLocked(start, recs); err != nil {
 		return err
+	}
+	return s.commitLocked(start, start+len(recs))
+}
+
+// WriteRecords makes recs rows [base, base+len(recs)) without making them
+// durable: no fsync, no manifest. It is the journaled append — the caller
+// holds the same records in a journal it fsyncs before acknowledging them, and
+// calls Sync when it wants the store to vouch for them itself (a checkpoint).
+// base may lie below Count — recovery replaying a batch whose tail Open cut —
+// and the write is idempotent: the same records at the same base produce the
+// same bytes. Rows become readable when it returns.
+func (s *Store) WriteRecords(base int, recs []img.Record) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if base < 0 || base > s.manifest.Count {
+		return fmt.Errorf("repstore: WriteRecords at row %d would leave a gap after %d rows", base, s.manifest.Count)
+	}
+	if err := s.writeRecordsLocked(base, recs); err != nil {
+		return err
+	}
+	s.manifest.Count = max(s.manifest.Count, base+len(recs))
+	return nil
+}
+
+func (s *Store) writeRecordsLocked(base int, recs []img.Record) error {
+	return s.writeRows(base, len(recs), func(j int, b *staged) (err error) {
+		rec := recs[j]
+		if err := s.checkGeometry(rec.W, rec.H, rec.Mode); err != nil {
+			return err
+		}
+		b.src = rec.AppendTo(b.src)
+		for i, t := range s.xforms {
+			b.repIm[i] = t.ApplyRecord(b.repIm[i], rec)
+			if b.reps[i], err = img.AppendRecord(b.reps[i], b.repIm[i]); err != nil {
+				return fmt.Errorf("repstore: encoding record for %s: %w", repFileName(t.ID()), err)
+			}
+		}
+		return nil
+	})
+}
+
+func (s *Store) checkGeometry(w, h int, mode img.ColorMode) error {
+	if w != s.manifest.BaseW || h != s.manifest.BaseH || mode != img.RGB {
+		return fmt.Errorf("repstore: ingest image %dx%d/%v, store wants %dx%d/rgb",
+			w, h, mode, s.manifest.BaseW, s.manifest.BaseH)
 	}
 	return nil
 }
 
-// appendRow writes im as source record idx and materializes every configured
-// representation beside it. buf is the encode buffer, returned (possibly
-// grown) so a batch reuses one.
-func (s *Store) appendRow(buf []byte, im *img.Image, idx int) ([]byte, error) {
-	buf, err := s.appendRecord(buf, s.source, im, idx, s.sourceRecordSize(), "source.dat")
-	if err != nil {
-		return buf, err
+// commitLocked is the stand-alone commit of rows [start, end): data fsync,
+// then the manifest. On failure the count is back at start.
+func (s *Store) commitLocked(start, end int) error {
+	s.manifest.Count = end
+	err := s.syncData()
+	if err == nil {
+		err = s.writeManifest()
 	}
-	for _, t := range s.xforms {
-		buf, err = s.appendRecord(buf, s.reps[t.ID()], t.Apply(im), idx, t.StoredBytes(), repFileName(t.ID()))
-		if err != nil {
-			return buf, err
+	if err != nil {
+		s.manifest.Count = start
+	}
+	return err
+}
+
+// staged is the writer's working set: one contiguous run of encoded records
+// per data file, plus the images WriteRecords transforms into.
+type staged struct {
+	src   []byte
+	reps  [][]byte     // parallel to Store.xforms
+	repIm []*img.Image // parallel to Store.xforms
+}
+
+// writeChunk bounds how many source bytes are staged before they are written:
+// enough that an ingest batch is one write per file and a bulk load a few
+// thousand, small enough to cost nothing to keep.
+const writeChunk = 64 << 10
+
+// writeRows is the store's one writer. It stages rows [base, base+k) — stage
+// appends row j's source record and representations to the buffers it is
+// handed — and writes each data file's run with a single offset-addressed
+// WriteAt per chunk. Offset addressing means a store opened with Open keeps
+// appending, a retried or replayed batch overwrites its own bytes, and
+// nothing here depends on a file position. It neither syncs nor moves Count:
+// whether the rows are visible, and who vouches for them, is the caller's
+// business.
+func (s *Store) writeRows(base, k int, stage func(j int, b *staged) error) error {
+	b := &s.stage
+	if len(b.reps) != len(s.xforms) {
+		b.reps = make([][]byte, len(s.xforms))
+		b.repIm = make([]*img.Image, len(s.xforms))
+	}
+	first := base // row of the first staged, unwritten record
+	for j := 0; j < k; j++ {
+		if first == base+j {
+			b.src = b.src[:0]
+			for i := range b.reps {
+				b.reps[i] = b.reps[i][:0]
+			}
+		}
+		if err := stage(j, b); err != nil {
+			return err
+		}
+		if len(b.src) >= writeChunk || j == k-1 {
+			if err := s.writeStaged(first); err != nil {
+				return err
+			}
+			first = base + j + 1
 		}
 	}
-	return buf, nil
+	return nil
 }
 
-// appendRecord encodes image im into buf and writes it as record index idx
-// of f. Writes are offset-addressed (not position-dependent) so a store
-// opened with Open can keep appending, and a re-crashed append simply
-// overwrites its own torn tail.
-func (s *Store) appendRecord(buf []byte, f *os.File, im *img.Image, idx, record int, name string) ([]byte, error) {
-	buf, err := img.AppendRecord(buf[:0], im)
-	if err != nil {
-		return buf, fmt.Errorf("repstore: encoding record for %s: %w", name, err)
+// writeStaged writes the staged run of each data file at row first.
+func (s *Store) writeStaged(first int) error {
+	b := &s.stage
+	srcOff := int64(first) * int64(s.sourceRecordSize())
+	// Fault points: a failed or short write leaves torn bytes past the count,
+	// which nothing vouches for; the batch fails and a retry overwrites them.
+	if err := faults.Fire(faults.FSWriteError); err != nil {
+		return fmt.Errorf("repstore: appending to source.dat: %w", err)
 	}
-	if len(buf) != record {
-		return buf, fmt.Errorf("repstore: record for %s is %d bytes, want %d", name, len(buf), record)
+	if faults.Firing(faults.FSShortWrite) {
+		_, _ = s.source.WriteAt(b.src[:len(b.src)/2], srcOff)
+		return errors.New("repstore: appending to source.dat: short write (injected)")
 	}
-	if _, err := f.WriteAt(buf, int64(idx)*int64(record)); err != nil {
-		return buf, fmt.Errorf("repstore: appending to %s: %w", name, err)
+	if _, err := s.source.WriteAt(b.src, srcOff); err != nil {
+		return fmt.Errorf("repstore: appending to source.dat: %w", err)
 	}
-	return buf, nil
+	for i, t := range s.xforms {
+		if _, err := s.reps[t.ID()].WriteAt(b.reps[i], int64(first)*int64(t.StoredBytes())); err != nil {
+			return fmt.Errorf("repstore: appending to %s: %w", repFileName(t.ID()), err)
+		}
+	}
+	s.writes.Add(1)
+	return nil
 }
 
-// syncDataLocked fsyncs every data file — the first half of the durability
-// ordering: data reaches disk before the manifest that describes it.
-func (s *Store) syncDataLocked() error {
+// syncData fsyncs every data file — the first half of the store's durability
+// ordering: data reaches disk before the manifest that describes it. It is
+// skipped when no write has completed since the last one began. It takes no
+// lock: fsync may run beside a writer, and what that writer adds is simply
+// left for the next sync.
+func (s *Store) syncData() error {
+	w := s.writes.Load()
+	if w == s.dataSynced.Load() {
+		return nil
+	}
 	if err := faults.Fire(faults.FSSyncError); err != nil {
 		return fmt.Errorf("repstore: syncing data: %w", err)
 	}
@@ -360,17 +492,29 @@ func (s *Store) syncDataLocked() error {
 			return fmt.Errorf("repstore: syncing %s: %w", repFileName(id), err)
 		}
 	}
+	s.dataSynced.Store(w)
 	return nil
 }
 
-// Sync makes every ingested record and the manifest durable. Ingest and
-// IngestAll already sync internally; Sync is for callers that need an
-// explicit barrier (e.g. before journaling a commit that references rows).
+// SyncData fsyncs the data files without blocking writers or readers and
+// without touching the manifest. It is the bulk half of Sync for a caller
+// that must not stall ingest: sync here first, then take whatever lock
+// excludes writers and call Sync, which has only the stragglers left to
+// cover.
+func (s *Store) SyncData() error { return s.syncData() }
+
+// Sync makes the store vouch for every row it holds: data fsync, then the
+// manifest, each only if something changed since the last. Ingest, IngestAll
+// and AppendRecords commit on their own; Sync is the commit of rows written
+// with WriteRecords.
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.syncDataLocked(); err != nil {
+	if err := s.syncData(); err != nil {
 		return err
+	}
+	if s.vouched == s.manifest.Count {
+		return nil
 	}
 	return s.writeManifest()
 }
@@ -396,7 +540,8 @@ func (s *Store) TruncateTo(n int) error {
 		}
 	}
 	s.manifest.Count = n
-	if err := s.syncDataLocked(); err != nil {
+	s.writes.Add(1) // a truncation is a write the next data fsync must cover
+	if err := s.syncData(); err != nil {
 		return err
 	}
 	return s.writeManifest()

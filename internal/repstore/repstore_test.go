@@ -1,10 +1,14 @@
 package repstore
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"tahoma/internal/faults"
@@ -414,7 +418,9 @@ func TestFaultManifestWriteError(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := errors.New("manifest write lost")
-	if err := faults.Enable(faults.FSWriteError, faults.Spec{Err: boom, Times: 1}); err != nil {
+	// The first fs.write-error hit of an ingest is its data write; the
+	// second is the manifest.
+	if err := faults.Enable(faults.FSWriteError, faults.Spec{Err: boom, Skip: 1, Times: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Ingest(randRGB(rng, 16)); !errors.Is(err, boom) {
@@ -436,5 +442,279 @@ func TestFaultManifestWriteError(t *testing.T) {
 	defer s2.Close()
 	if s2.Count() != 2 {
 		t.Fatalf("reopened Count = %d, want 2", s2.Count())
+	}
+}
+
+// hashDir is the SHA-256 over every file of a store directory, names
+// included, in name order.
+func hashDir(t *testing.T, dir string) string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Slice(entries, func(i, j int) bool { return entries[i].Name() < entries[j].Name() })
+	h := sha256.New()
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%s %d\n", e.Name(), len(data))
+		h.Write(data)
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// TestIngestAllBytesPinned holds IngestAll and Ingest to the files they have
+// always written: the hash was taken from the per-record writer this store
+// had before rows were staged and written a run at a time. The input is not
+// u8-exact, so a rep derived from the quantized record instead of the
+// caller's pixels would change it; 400 rows of 32×32 cross a write chunk; the
+// second half is appended after a reopen.
+func TestIngestAllBytesPinned(t *testing.T) {
+	const pinned = "14c2dabd6d95caeb3ff349e4a99d928bdadca8b371a544320ed8c28cb12f1a31"
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(42))
+	ims := make([]*img.Image, 400)
+	for i := range ims {
+		ims[i] = randRGB(rng, 32)
+	}
+	s, err := Create(dir, 32, 32, testTransforms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.IngestAll(ims[:399]); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if s, err = Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if idx, err := s.Ingest(ims[399]); err != nil || idx != 399 {
+		t.Fatalf("Ingest after reopen = (%d, %v), want index 399", idx, err)
+	}
+	if got := hashDir(t, dir); got != pinned {
+		t.Fatalf("store files hash to %s, pinned %s", got, pinned)
+	}
+}
+
+// u8Exact returns a random image whose samples are all multiples of 1/255 —
+// what a decoded record holds, and all /ingest can send.
+func u8Exact(rng *rand.Rand, size int) *img.Image {
+	im := img.New(size, size, img.RGB)
+	for i := range im.Pix {
+		im.Pix[i] = img.Unit(byte(rng.Intn(256)))
+	}
+	return im
+}
+
+func recordsOf(t *testing.T, ims []*img.Image) []img.Record {
+	t.Helper()
+	recs := make([]img.Record, len(ims))
+	for i, im := range ims {
+		raw, err := img.AppendRecord(nil, im)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if recs[i], err = img.ParseRecord(raw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return recs
+}
+
+// TestRecordAppendMatchesImageIngest: for u8-exact frames the three ways in —
+// IngestAll of the images, AppendRecords of their records, WriteRecords plus
+// Sync — leave byte-identical store directories, reps included.
+func TestRecordAppendMatchesImageIngest(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	ims := make([]*img.Image, 9)
+	for i := range ims {
+		ims[i] = u8Exact(rng, 32)
+	}
+	recs := recordsOf(t, ims)
+	var hashes []string
+	for _, fill := range []func(s *Store) error{
+		func(s *Store) error { return s.IngestAll(ims) },
+		func(s *Store) error {
+			if err := s.AppendRecords(recs[:4]); err != nil {
+				return err
+			}
+			return s.AppendRecords(recs[4:])
+		},
+		func(s *Store) error {
+			if err := s.WriteRecords(0, recs[:4]); err != nil {
+				return err
+			}
+			if err := s.WriteRecords(4, recs[4:]); err != nil {
+				return err
+			}
+			// Replaying a batch over itself changes nothing.
+			if err := s.WriteRecords(2, recs[2:6]); err != nil {
+				return err
+			}
+			return s.Sync()
+		},
+	} {
+		dir := t.TempDir()
+		s, err := Create(dir, 32, 32, testTransforms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fill(s); err != nil {
+			t.Fatal(err)
+		}
+		if s.Count() != len(ims) {
+			t.Fatalf("Count = %d, want %d", s.Count(), len(ims))
+		}
+		s.Close()
+		hashes = append(hashes, hashDir(t, dir))
+	}
+	if hashes[1] != hashes[0] || hashes[2] != hashes[0] {
+		t.Fatalf("store directories differ: images %s, AppendRecords %s, WriteRecords+Sync %s", hashes[0], hashes[1], hashes[2])
+	}
+}
+
+// TestWriteRecordsUnvouchedUntilSync is the journaled append's contract: the
+// rows are readable at once and cost no fsync and no manifest write, a crash
+// before Sync loses them to Open's tail rule, writing them again from the
+// same records restores the same bytes, and after Sync the manifest keeps
+// them.
+func TestWriteRecordsUnvouchedUntilSync(t *testing.T) {
+	faults.Reset()
+	defer faults.Reset()
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(6))
+	ims := []*img.Image{u8Exact(rng, 16), u8Exact(rng, 16), u8Exact(rng, 16), u8Exact(rng, 16), u8Exact(rng, 16)}
+	recs := recordsOf(t, ims)
+	s, err := Create(dir, 16, 16, testTransforms[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.AppendRecords(recs[:2]); err != nil {
+		t.Fatal(err)
+	}
+
+	// Count the durability-layer calls of the unsynced write: one data write,
+	// no fsync, no manifest (a second fs.write-error hit).
+	for _, p := range []string{faults.FSWriteError, faults.FSSyncError} {
+		if err := faults.Enable(p, faults.Spec{Skip: 1 << 30}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.WriteRecords(2, recs[2:]); err != nil {
+		t.Fatal(err)
+	}
+	if w, f := faults.Hits(faults.FSWriteError), faults.Hits(faults.FSSyncError); w != 1 || f != 0 {
+		t.Fatalf("WriteRecords made %d write-point and %d fsync-point calls, want 1 and 0", w, f)
+	}
+	faults.Reset()
+	if s.Count() != 5 {
+		t.Fatalf("Count = %d after WriteRecords, want 5", s.Count())
+	}
+	var scratch []byte
+	if got, err := s.SourceRecord(4, &scratch); err != nil || !bytes.Equal(got.Pix, recs[4].Pix) {
+		t.Fatalf("row 4 unreadable before Sync: %v", err)
+	}
+	if err := s.WriteRecords(7, recs[:1]); err == nil {
+		t.Fatal("a write leaving a gap was accepted")
+	}
+	if err := s.WriteRecords(5, recordsOf(t, []*img.Image{img.New(8, 8, img.RGB)})); err == nil {
+		t.Fatal("a record of the wrong geometry was accepted")
+	}
+
+	// Crash before Sync: the manifest still says 2, so Open cuts the tail.
+	crashed := t.TempDir()
+	copyStore(t, dir, crashed)
+	s2, err := Open(crashed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if s2.Count() != 2 {
+		t.Fatalf("reopened an unsynced store with %d rows, want the 2 the manifest vouches for", s2.Count())
+	}
+	// Redo from the same records, then Sync: the two directories match.
+	if err := s2.WriteRecords(2, recs[2:]); err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range []*Store{s, s2} {
+		if err := st.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a, b := hashDir(t, dir), hashDir(t, crashed); a != b {
+		t.Fatalf("redo left different bytes than the live write: %s vs %s", a, b)
+	}
+	s3, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	if s3.Count() != 5 {
+		t.Fatalf("reopened a synced store with %d rows, want 5", s3.Count())
+	}
+}
+
+func copyStore(t *testing.T, src, dst string) {
+	t.Helper()
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestFaultDataWriteErrorRetryable: a failed or short data write fails the
+// batch before anything vouches for it — the count holds, and the retry
+// overwrites the torn bytes in place.
+func TestFaultDataWriteErrorRetryable(t *testing.T) {
+	faults.Reset()
+	defer faults.Reset()
+	rng := rand.New(rand.NewSource(10))
+	ims := []*img.Image{u8Exact(rng, 16), u8Exact(rng, 16), u8Exact(rng, 16)}
+	recs := recordsOf(t, ims)
+	clean := t.TempDir()
+	ref, err := Create(clean, 16, 16, testTransforms[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.AppendRecords(recs); err != nil {
+		t.Fatal(err)
+	}
+	ref.Close()
+	for _, point := range []string{faults.FSWriteError, faults.FSShortWrite} {
+		dir := t.TempDir()
+		s, err := Create(dir, 16, 16, testTransforms[:1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := faults.Enable(point, faults.Spec{Times: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AppendRecords(recs); err == nil {
+			t.Fatalf("%s: append acknowledged", point)
+		}
+		if s.Count() != 0 {
+			t.Fatalf("%s: failed append left Count = %d", point, s.Count())
+		}
+		if err := s.AppendRecords(recs); err != nil {
+			t.Fatalf("%s: retry: %v", point, err)
+		}
+		s.Close()
+		if a, b := hashDir(t, dir), hashDir(t, clean); a != b {
+			t.Fatalf("%s: retried store differs from a clean one", point)
+		}
 	}
 }

@@ -631,7 +631,9 @@ const maxIngestBody = 64 << 20
 
 // handleIngest appends a batch through the durable ingest path. Ingest goes
 // through the same admission pool as queries — trigger classification is
-// engine work — and is gated on readiness like everything else.
+// engine work — and is gated on readiness like everything else. Each row's
+// image stays the TIMG record it arrived as: validated in place, handed to
+// the DB as stored bytes, never expanded to float32 on the way.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, errors.New("use POST"))
@@ -640,7 +642,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if !s.gateReady(w) {
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxIngestBody))
+	body, err := readBody(r, maxIngestBody)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
 		return
@@ -654,17 +656,15 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errors.New("no rows"))
 		return
 	}
-	images := make([]*img.Image, len(req.Rows))
+	recs := make([]img.Record, len(req.Rows))
 	metas := make([]vdb.Metadata, len(req.Rows))
 	for i, row := range req.Rows {
 		// The body is untrusted: ParseRecord holds the header's geometry to
-		// the bytes actually sent before anything is allocated from it.
-		rec, err := img.ParseRecord(row.Image)
-		if err != nil {
+		// the bytes actually sent before anything is sized from it.
+		if recs[i], err = img.ParseRecord(row.Image); err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("row %d: decoding image: %w", i, err))
 			return
 		}
-		images[i] = rec.Image()
 		metas[i] = vdb.Metadata{ID: row.ID, TS: row.TS, Location: row.Location, Camera: row.Camera}
 	}
 
@@ -680,7 +680,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.inflight.Add(1)
-	udf, err := s.db.Append(images, metas)
+	udf, err := s.db.AppendRecords(recs, metas)
 	s.inflight.Add(-1)
 	release()
 	if err != nil {
@@ -690,6 +690,18 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	s.stats.ingested.Add(int64(len(req.Rows)))
 	writeJSON(w, http.StatusOK, IngestResponse{Rows: len(req.Rows), UDFCalls: udf})
+}
+
+// readBody reads a request body of at most limit bytes. A modest declared
+// length is read into one buffer of that size instead of growing one by
+// doubling; a large one is a claim, and is only believed as bytes arrive.
+func readBody(r *http.Request, limit int64) ([]byte, error) {
+	if n := r.ContentLength; n >= 0 && n <= min(limit, 1<<20) {
+		body := make([]byte, n)
+		_, err := io.ReadFull(r.Body, body)
+		return body, err
+	}
+	return io.ReadAll(io.LimitReader(r.Body, limit))
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {

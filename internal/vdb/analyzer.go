@@ -170,7 +170,7 @@ func (db *DB) analyzeOnce(ctx context.Context, o AnalyzerOptions) (worked bool, 
 	// RepSource and RepCache included.
 	opts := st.contentExecOpts()
 	opts.Workers = o.workers()
-	fresh, rep, err := st.classify(ctx, pred, *spec, batch, opts)
+	fresh, rep, err := st.classify(ctx, st.corpus, pred, *spec, batch, opts)
 	if err != nil {
 		if ctx.Err() != nil {
 			// Shutdown mid-batch: not an analyzer failure, nothing publishes.

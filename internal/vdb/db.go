@@ -65,9 +65,11 @@ type Corpus interface {
 	Image(i int) (*img.Image, error)
 }
 
-// appender is implemented by corpora that accept new rows (Append).
+// appender is implemented by corpora that accept new rows (AppendRecords).
+// journaled says the caller's journal vouches for the batch, so the corpus
+// need not make it durable itself.
 type appender interface {
-	appendImages(ims []*img.Image) error
+	appendRecords(base int, recs []img.Record, journaled bool) error
 }
 
 type memoryCorpus struct {
@@ -83,8 +85,10 @@ func (m *memoryCorpus) Image(i int) (*img.Image, error) {
 	return m.images[i], nil
 }
 
-func (m *memoryCorpus) appendImages(ims []*img.Image) error {
-	m.images = append(m.images, ims...)
+func (m *memoryCorpus) appendRecords(_ int, recs []img.Record, _ bool) error {
+	for _, rec := range recs {
+		m.images = append(m.images, rec.Image())
+	}
 	return nil
 }
 
@@ -113,8 +117,15 @@ func (s *storeCorpus) Record(i int, scratch *[]byte) (img.Record, error) {
 	return s.store.SourceRecord(i, scratch)
 }
 
-func (s *storeCorpus) appendImages(ims []*img.Image) error {
-	return s.store.IngestAll(ims)
+// appendRecords writes the batch as rows [base, base+len(recs)). Journaled,
+// it costs no fsync: the journal's is the commit, and the store vouches for
+// the rows at the next checkpoint. Otherwise the store commits the batch
+// itself (data fsync, then manifest) before returning.
+func (s *storeCorpus) appendRecords(base int, recs []img.Record, journaled bool) error {
+	if journaled {
+		return s.store.WriteRecords(base, recs)
+	}
+	return s.store.AppendRecords(recs)
 }
 
 // repSource adapts a store-backed corpus (and its LRU cache) to
@@ -218,7 +229,12 @@ type DB struct {
 	walDir         string
 	ckptPath       string
 	checkpointerOn bool
-	durStats       struct {
+	// journaled is the bytes journaled since the last checkpoint; past
+	// checkpointJournalBytes an append nudges the checkpointer through
+	// ckptKick instead of waiting out its period.
+	journaled int64
+	ckptKick  chan struct{}
+	durStats  struct {
 		walReplayed       int64
 		walTruncatedBytes int64
 		recoveryMS        int64
@@ -609,6 +625,7 @@ func New(cm scenario.CostModel) *DB {
 		corpus:     &memoryCorpus{},
 		catalog:    planner.NewCatalog(),
 		mat:        matstore.New(0),
+		ckptKick:   make(chan struct{}, 1),
 	}
 	db.publishLocked() // nothing else can see db yet
 	return db

@@ -3,8 +3,10 @@ package vdb
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -15,6 +17,7 @@ import (
 	"time"
 
 	"tahoma/internal/faults"
+	"tahoma/internal/img"
 	"tahoma/internal/matstore"
 	"tahoma/internal/planner"
 	"tahoma/internal/wal"
@@ -26,37 +29,66 @@ import (
 // at any instant restarts into a state bit-identical to some prefix of the
 // acknowledged writes.
 //
-// The invariants, in ack order within one Append:
+// The journal is the one commit point of an acknowledged ingest. The
+// invariants, in ack order within one Append:
 //
-//  1. repstore data fsync, then its manifest (inside Store.IngestAll) —
-//     pixels reach disk before anything references them;
-//  2. the recAppend journal record (metadata + base offset), fsynced before
-//     Append returns — the ack barrier;
+//  1. the batch's rows are written to the repstore — no fsync, no manifest
+//     update; nothing durable references them yet, so a failure here fails
+//     the batch cleanly and a retry overwrites its own bytes;
+//  2. the recAppend journal record — base row, metadata and the rows' stored
+//     records, verbatim — is appended, and fsynced before Append returns: the
+//     ack barrier, and the only fsync an acknowledged batch pays;
 //  3. trigger-label merge records ride the same fsync.
 //
-// Query- and analyzer-merge records are journaled lazily (buffered, no
-// fsync): losing them only costs recomputation — cascades are deterministic,
-// so a repeat query rebuilds bit-identical labels. They become durable with
-// the next Append's commit or the next checkpoint.
+// The store catches up at a checkpoint, which first makes it durable on its
+// own terms (data fsync, then manifest) and only then writes the checkpoint
+// and drops the journal prefix. Three invariants hold at every instant, and
+// recovery needs nothing else:
+//
+//	(a) the store's manifest count ≤ the rows fsynced in every data file;
+//	(b) the checkpoint's row count ≤ the store's manifest count;
+//	(c) every row past the checkpoint has its record in the journal suffix
+//	    the checkpoint's sequence number starts.
+//
+// Recovery walks them in that order. repstore.Open cuts every data file back
+// to the manifest count — by (a) what remains is whole, and the bytes cut
+// were never vouched for by the store. The checkpoint loads; by (b) the store
+// still holds its rows. The journal suffix replays; by (c) a recAppend whose
+// rows lie past the store's count carries them, and replay writes them back
+// (idempotently: same records, same offsets, representations recomputed from
+// the record), followed by one store sync. Store rows past the recovered
+// count — an unacknowledged batch that a checkpoint's manifest happened to
+// cover — are truncated away.
+//
+// Query- and analyzer-merge records are journaled lazily (written, no fsync):
+// losing them only costs recomputation — cascades are deterministic, so a
+// repeat query rebuilds bit-identical labels. They become durable with the
+// next Append's commit or the next checkpoint.
 //
 // A checkpoint atomically (write temp, fsync, rename, fsync dir) captures
 // meta, the materialized columns, the usage table and the selectivity
 // catalog, stamped with the WAL sequence it is consistent with; the WAL
-// prefix before it is then garbage-collected. Recovery = newest checkpoint +
-// replay of the WAL tail + truncation of any store rows whose journal commit
-// never made it.
+// prefix before it is then garbage-collected. Because the journal carries
+// pixels it grows at the ingest byte rate, so the checkpointer fires on
+// journal volume (checkpointJournalBytes) as well as on its period.
 
 // WAL record types.
 const (
-	// recAppend journals one Append batch: base row, per-row metadata, and
+	// recAppend journals one Append batch: base row, per-row metadata,
 	// whether the append invalidated the materialized columns (trigger-less
-	// appends do). Fsynced before the Append is acknowledged.
+	// appends do), and the rows' stored records. Fsynced before the Append is
+	// acknowledged.
 	recAppend byte = 1
 	// recMerge journals newly adopted rows of one materialized column —
 	// trigger labels (fsynced with their append) and query/analyzer merges
 	// (lazy).
 	recMerge byte = 2
 )
+
+// checkpointJournalBytes is the journal volume past which an append asks the
+// checkpointer to run now: it bounds the journal's disk use and the replay a
+// crash leaves by bytes, as the checkpoint period bounds them by time.
+const checkpointJournalBytes = 64 << 20
 
 // DurabilityOptions configure EnableDurability.
 type DurabilityOptions struct {
@@ -105,8 +137,9 @@ const checkpointName = "checkpoint.ckp"
 // about surviving restarts, and an in-memory corpus cannot. On the first
 // enable in a fresh directory the DB's current state becomes the baseline
 // checkpoint; on every later enable the checkpoint+journal REPLACE the
-// caller-loaded metadata, and store rows beyond the recovered count (torn
-// ingest tails) are truncated away.
+// caller-loaded metadata, journaled rows the store lost are written back from
+// the journal, and store rows beyond the recovered count (unacknowledged
+// tails) are truncated away.
 //
 // Call once at startup, before serving. While durable, LoadCorpus and
 // LoadCorpusFromStore refuse to swap the corpus.
@@ -175,9 +208,15 @@ func (db *DB) EnableDurability(o DurabilityOptions) (RecoveryStats, error) {
 			log.Close()
 			return RecoveryStats{}, fmt.Errorf("vdb: replaying journal: %w", err)
 		}
-		// Reconcile: store rows past the recovered count are torn ingest
-		// tails whose journal commit never hit disk — never acknowledged.
+		// Reconcile: store rows past the recovered count belong to a batch
+		// whose journal commit never hit disk — never acknowledged. Then let
+		// the store vouch for what replay wrote back, so the next crash does
+		// not redo it.
 		if err := sc.store.TruncateTo(len(db.meta)); err != nil {
+			log.Close()
+			return RecoveryStats{}, err
+		}
+		if err := sc.store.Sync(); err != nil {
 			log.Close()
 			return RecoveryStats{}, err
 		}
@@ -213,7 +252,7 @@ func (db *DB) EnableDurability(o DurabilityOptions) (RecoveryStats, error) {
 func (db *DB) applyRecordLocked(sc *storeCorpus, r wal.Record) error {
 	switch r.Type {
 	case recAppend:
-		base, metas, invalidate, err := decodeAppendRec(r.Data)
+		base, metas, recs, invalidate, err := decodeAppendRec(r.Data)
 		if err != nil {
 			return fmt.Errorf("record %d: %w", r.Seq, err)
 		}
@@ -222,9 +261,18 @@ func (db *DB) applyRecordLocked(sc *storeCorpus, r wal.Record) error {
 			// never fully landed. Everything after it is unreachable history.
 			return wal.ErrTruncate
 		}
-		if sc.store.Count() < int(base)+len(metas) {
-			return fmt.Errorf("record %d acknowledges rows [%d,%d) but store has %d — store lost acknowledged data",
-				r.Seq, base, int(base)+len(metas), sc.store.Count())
+		if end := int(base) + len(metas); sc.store.Count() < end {
+			// Redo: the store was cut back to its manifest, which trails the
+			// journal by up to a checkpoint period. The record carries the
+			// rows; a record without them (written before the journal held
+			// pixels) can only trust the store.
+			if len(recs) == 0 {
+				return fmt.Errorf("record %d acknowledges rows [%d,%d) but store has %d — store lost acknowledged data",
+					r.Seq, base, end, sc.store.Count())
+			}
+			if err := sc.store.WriteRecords(int(base), recs); err != nil {
+				return fmt.Errorf("record %d: rewriting rows [%d,%d): %w", r.Seq, base, end, err)
+			}
 		}
 		db.meta = append(db.meta, metas...)
 		db.zones = extendZones(db.zones, db.meta)
@@ -256,11 +304,29 @@ func (db *DB) applyRecordLocked(sc *storeCorpus, r wal.Record) error {
 	return nil
 }
 
-// Checkpoint atomically persists the DB's recoverable state — metadata,
-// materialized columns, usage table, selectivity catalog — and garbage-
-// collects the journal prefix it supersedes. Safe to call concurrently with
-// queries and appends.
+// Checkpoint makes the store vouch for every row it holds, atomically
+// persists the DB's recoverable state — metadata, materialized columns, usage
+// table, selectivity catalog — and garbage-collects the journal prefix that
+// state supersedes. Safe to call concurrently with queries and appends: the data
+// fsync of the rows appended since the last checkpoint, the expensive part,
+// runs before the DB lock is taken, so ingest stalls only for the stragglers'
+// sync, the manifest and the checkpoint file.
 func (db *DB) Checkpoint() error {
+	db.mu.RLock()
+	sc, _ := db.corpus.(*storeCorpus)
+	durable := db.durable
+	db.mu.RUnlock()
+	if !durable {
+		return fmt.Errorf("vdb: durability not enabled")
+	}
+	// Two passes: the first covers everything since the last checkpoint and
+	// takes long enough for more to arrive; the second covers that, and
+	// leaves the sync under the lock a few batches at most.
+	for range 2 {
+		if err := sc.store.SyncData(); err != nil {
+			return err
+		}
+	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if !db.durable {
@@ -270,6 +336,12 @@ func (db *DB) Checkpoint() error {
 }
 
 func (db *DB) checkpointLocked() error {
+	// The store first: the checkpoint must never acknowledge a row the
+	// manifest does not (invariant b), and the journal prefix that still
+	// carries those rows is about to go.
+	if err := db.corpus.(*storeCorpus).store.Sync(); err != nil {
+		return err
+	}
 	// Serialize under the lock: the captured state and the WAL sequence it
 	// is stamped with must agree (every record < seq is reflected in it,
 	// journal writes happen under this same lock).
@@ -291,9 +363,22 @@ func (db *DB) checkpointLocked() error {
 	if _, err := db.wal.TruncateBefore(seq); err != nil {
 		return err
 	}
+	db.journaled = 0
 	db.durStats.checkpoints++
 	db.durStats.lastCheckpoint = time.Now()
 	return nil
+}
+
+// noteJournaledLocked accounts n journaled bytes and, past
+// checkpointJournalBytes, nudges the checkpointer. Caller holds db.mu.
+func (db *DB) noteJournaledLocked(n int) {
+	db.journaled += int64(n)
+	if db.journaled > checkpointJournalBytes {
+		select {
+		case db.ckptKick <- struct{}{}:
+		default: // one is already pending
+		}
+	}
 }
 
 // CheckpointerOptions configure the background checkpointer.
@@ -309,8 +394,9 @@ func (o CheckpointerOptions) every() time.Duration {
 	return o.Every
 }
 
-// StartCheckpointer launches the periodic checkpointer: a ticker-driven
-// goroutine that bounds how much journal a crash leaves to replay. The
+// StartCheckpointer launches the checkpointer: a goroutine that checkpoints
+// every period, and sooner when the journal outgrows checkpointJournalBytes,
+// bounding how much journal a crash leaves to replay by time and by bytes. The
 // returned stop function cancels it and blocks until it has fully exited —
 // the same deterministic-shutdown discipline as StartAnalyzer, verified by
 // leakcheck. Errors are reported through onError (nil = ignored); a failed
@@ -344,6 +430,7 @@ func (db *DB) StartCheckpointer(ctx context.Context, o CheckpointerOptions, onEr
 			case <-ctx.Done():
 				return
 			case <-ticker.C:
+			case <-db.ckptKick:
 			}
 			if err := db.Checkpoint(); err != nil && onError != nil {
 				onError(err)
@@ -415,8 +502,51 @@ func (db *DB) journalMergesLocked(deltas []mergeDelta) {
 		if len(d.rows) == 0 {
 			continue
 		}
-		_, _ = db.wal.Append(recMerge, encodeMergeRec(d.key, d.rows, d.labels))
+		rec := encodeMergeRec(d.key, d.rows, d.labels)
+		if _, err := db.wal.Append(recMerge, rec); err == nil {
+			db.noteJournaledLocked(len(rec))
+		}
 	}
+}
+
+// journalAppendLocked appends one batch's recAppend record. Caller holds
+// db.mu.
+func (db *DB) journalAppendLocked(base uint64, metas []Metadata, recs []img.Record, invalidate bool) error {
+	parts, n, err := appendRecParts(base, metas, recs, invalidate)
+	if err != nil {
+		return err
+	}
+	if _, err := db.wal.AppendParts(recAppend, parts...); err != nil {
+		return err
+	}
+	db.noteJournaledLocked(n)
+	return nil
+}
+
+// appendRecParts lays out a recAppend payload (see decodeAppendRec) as the
+// parts whose concatenation it is, n bytes in all. The record is gathered,
+// not built: the small head, then each row's header and the samples
+// themselves, still where the caller holds them — so the journal copies the
+// pixels once, into its frame.
+func appendRecParts(base uint64, metas []Metadata, recs []img.Record, invalidate bool) (parts [][]byte, n int, err error) {
+	head := encodeAppendRec(base, metas, invalidate)
+	if len(recs) == 0 {
+		return [][]byte{head}, len(head), nil
+	}
+	size := recs[0].StoredBytes()
+	head = binary.LittleEndian.AppendUint32(head, uint32(size))
+	parts = make([][]byte, 1, 1+2*len(recs))
+	parts[0] = head
+	hdrs := make([]byte, 0, len(recs)*(size-len(recs[0].Pix)))
+	for _, rec := range recs {
+		if rec.StoredBytes() != size {
+			return nil, 0, fmt.Errorf("vdb: batch mixes %d- and %d-byte records", size, rec.StoredBytes())
+		}
+		at := len(hdrs)
+		hdrs = rec.AppendHeader(hdrs)
+		parts = append(parts, hdrs[at:], rec.Pix)
+	}
+	return parts, len(head) + len(recs)*size, nil
 }
 
 // mergeDelta is one column's newly adopted labels from a merge — the journal
@@ -452,48 +582,82 @@ func encodeAppendRec(base uint64, metas []Metadata, invalidate bool) []byte {
 	return buf.Bytes()
 }
 
-func decodeAppendRec(data []byte) (base uint64, metas []Metadata, invalidate bool, err error) {
+// appendRowMin is the least a row costs in a recAppend record: id, ts and
+// two empty strings. It bounds the row count a record's length can back, as
+// minRecordBytes — the smallest stored image there is — bounds its records.
+const appendRowMin = 8 + 8 + 4 + 4
+
+var minRecordBytes = uint64(img.EncodedSize(1, 1, img.Gray))
+
+// decodeAppendRec parses a recAppend payload: encodeAppendRec's head, then —
+// unless the record carries no pixels, as the checkpoint's metadata blob and
+// journals older than the pixel-carrying format do not — a u32 record size and
+// exactly one stored record of that size per row. The returned records alias
+// data. Nothing is allocated from a count the payload's own length does not
+// cover.
+func decodeAppendRec(data []byte) (base uint64, metas []Metadata, recs []img.Record, invalidate bool, err error) {
+	fail := func(err error) (uint64, []Metadata, []img.Record, bool, error) {
+		return 0, nil, nil, false, err
+	}
 	r := bytes.NewReader(data)
 	var b [8]byte
 	if _, err = io.ReadFull(r, b[:]); err != nil {
-		return 0, nil, false, fmt.Errorf("append record: %w", err)
+		return fail(fmt.Errorf("append record: %w", err))
 	}
 	base = binary.LittleEndian.Uint64(b[:])
 	if _, err = io.ReadFull(r, b[:]); err != nil {
-		return 0, nil, false, fmt.Errorf("append record: %w", err)
+		return fail(fmt.Errorf("append record: %w", err))
 	}
 	count := binary.LittleEndian.Uint64(b[:])
 	flag, err := r.ReadByte()
 	if err != nil {
-		return 0, nil, false, fmt.Errorf("append record: %w", err)
+		return fail(fmt.Errorf("append record: %w", err))
+	}
+	if flag > 1 {
+		return fail(fmt.Errorf("append record: corrupt flag %d", flag))
 	}
 	invalidate = flag != 0
-	if count > uint64(len(data)) {
-		return 0, nil, false, fmt.Errorf("append record: corrupt row count %d", count)
+	if count > uint64(r.Len())/appendRowMin {
+		return fail(fmt.Errorf("append record: corrupt row count %d", count))
 	}
 	metas = make([]Metadata, 0, count)
 	for i := uint64(0); i < count; i++ {
 		var m Metadata
 		if _, err = io.ReadFull(r, b[:]); err != nil {
-			return 0, nil, false, fmt.Errorf("append record row %d: %w", i, err)
+			return fail(fmt.Errorf("append record row %d: %w", i, err))
 		}
 		m.ID = int64(binary.LittleEndian.Uint64(b[:]))
 		if _, err = io.ReadFull(r, b[:]); err != nil {
-			return 0, nil, false, fmt.Errorf("append record row %d: %w", i, err)
+			return fail(fmt.Errorf("append record row %d: %w", i, err))
 		}
 		m.TS = int64(binary.LittleEndian.Uint64(b[:]))
 		if m.Location, err = getString(r); err != nil {
-			return 0, nil, false, fmt.Errorf("append record row %d: %w", i, err)
+			return fail(fmt.Errorf("append record row %d: %w", i, err))
 		}
 		if m.Camera, err = getString(r); err != nil {
-			return 0, nil, false, fmt.Errorf("append record row %d: %w", i, err)
+			return fail(fmt.Errorf("append record row %d: %w", i, err))
 		}
 		metas = append(metas, m)
 	}
-	if r.Len() != 0 {
-		return 0, nil, false, fmt.Errorf("append record: %d trailing bytes", r.Len())
+	if r.Len() == 0 {
+		return base, metas, nil, invalidate, nil
 	}
-	return base, metas, invalidate, nil
+	rest := data[len(data)-r.Len():]
+	if len(rest) < 4 || count == 0 {
+		return fail(fmt.Errorf("append record: %d trailing bytes", len(rest)))
+	}
+	size := uint64(binary.LittleEndian.Uint32(rest))
+	rest = rest[4:]
+	if size < minRecordBytes || uint64(len(rest)) != count*size {
+		return fail(fmt.Errorf("append record: %d rows of %d-byte records, but %d bytes follow", count, size, len(rest)))
+	}
+	recs = make([]img.Record, count)
+	for i := range recs {
+		if recs[i], err = img.ParseRecord(rest[uint64(i)*size:][:size]); err != nil {
+			return fail(fmt.Errorf("append record row %d: %w", i, err))
+		}
+	}
+	return base, metas, recs, invalidate, nil
 }
 
 func encodeMergeRec(key matstore.Key, rows []int, labels []bool) []byte {
@@ -563,7 +727,7 @@ func getString(r *bytes.Reader) (string, error) {
 		return "", err
 	}
 	n := binary.LittleEndian.Uint32(b[:])
-	if n > 1<<20 {
+	if n > 1<<20 || int(n) > r.Len() {
 		return "", fmt.Errorf("corrupt string length %d", n)
 	}
 	buf := make([]byte, n)
@@ -712,9 +876,9 @@ func loadCheckpoint(path string) (*checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, metas, _, err := decodeAppendRec(metaBlob)
-	if err != nil {
-		return nil, fmt.Errorf("vdb: checkpoint meta: %w", err)
+	_, metas, recs, _, err := decodeAppendRec(metaBlob)
+	if err != nil || len(recs) > 0 {
+		return nil, fmt.Errorf("vdb: checkpoint meta: %w", cmp.Or(err, errors.New("carries image records")))
 	}
 	if uint64(len(metas)) != rows {
 		return nil, fmt.Errorf("vdb: checkpoint meta has %d rows, header says %d", len(metas), rows)

@@ -1,11 +1,15 @@
 package vdb
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -38,27 +42,40 @@ type durEnv struct {
 	metas  []Metadata
 }
 
-func durSetup(t *testing.T) *durEnv {
+// durSetup returns the fixture. The system and the images are built once per
+// test binary and only ever read; the metadata rows are the test's own copy,
+// because a DB loaded with a prefix of them appends into the same array.
+func durSetup(t testing.TB) *durEnv {
 	t.Helper()
-	cat, err := synth.CategoryByName("cloak")
+	shared, err := durEnvOnce()
 	if err != nil {
 		t.Fatal(err)
+	}
+	env := *shared
+	env.metas = slices.Clone(shared.metas)
+	return &env
+}
+
+var durEnvOnce = sync.OnceValues(func() (*durEnv, error) {
+	cat, err := synth.CategoryByName("cloak")
+	if err != nil {
+		return nil, err
 	}
 	splits, err := synth.GenerateBinary(cat, synth.Options{
 		BaseSize: 16, TrainN: 120, ConfigN: 40, EvalN: 40, Seed: 7,
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	sys, err := core.Initialize("cloak", splits, core.TinyConfig())
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	params := scenario.DefaultParams()
 	params.SourceW, params.SourceH = 16, 16
 	cm, err := scenario.NewAnalytic(scenario.Archive, params)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	env := &durEnv{
 		sys:  sys,
@@ -69,11 +86,11 @@ func durSetup(t *testing.T) *durEnv {
 		env.images = append(env.images, e.Image)
 		env.metas = append(env.metas, Metadata{ID: int64(i), Location: "disk", TS: int64(i)})
 	}
-	return env
-}
+	return env, nil
+})
 
 // createStore makes an on-disk corpus at dir holding the first n images.
-func (env *durEnv) createStore(t *testing.T, dir string, n int) *repstore.Store {
+func (env *durEnv) createStore(t testing.TB, dir string, n int) *repstore.Store {
 	t.Helper()
 	store, err := repstore.Create(dir, 16, 16, env.grid)
 	if err != nil {
@@ -86,7 +103,7 @@ func (env *durEnv) createStore(t *testing.T, dir string, n int) *repstore.Store 
 	return store
 }
 
-func (env *durEnv) openStore(t *testing.T, dir string) *repstore.Store {
+func (env *durEnv) openStore(t testing.TB, dir string) *repstore.Store {
 	t.Helper()
 	store, err := repstore.Open(dir)
 	if err != nil {
@@ -99,7 +116,7 @@ func (env *durEnv) openStore(t *testing.T, dir string) *repstore.Store {
 // newDB builds a DB over the store. installPred is optional because recovery
 // itself never needs predicates — only queries do — and cascade evaluation is
 // the expensive part of setup.
-func (env *durEnv) newDB(t *testing.T, store *repstore.Store, metas []Metadata, installPred bool) *DB {
+func (env *durEnv) newDB(t testing.TB, store *repstore.Store, metas []Metadata, installPred bool) *DB {
 	t.Helper()
 	db := New(env.cm)
 	if err := db.LoadCorpusFromStore(store, 1<<20, metas); err != nil {
@@ -319,14 +336,28 @@ func TestDurableWALTruncationYieldsAckedPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	step := 3
+	// The journal carries the batches' pixels, and every cut inside one
+	// record's pixels recovers alike: cut densely around each frame boundary
+	// (lengths, sequence numbers, metadata, checksums) and sparsely between.
+	step, sparse := 3, 113
 	if testing.Short() {
-		step = 23
+		step, sparse = 23, 499
+	}
+	bounds := walFrameBounds(t, blob)
+	var offs []int
+	for off, b := 0, 0; off <= len(blob); off++ {
+		for b < len(bounds)-1 && bounds[b]+48 < off {
+			b++
+		}
+		near := off >= bounds[b]-48 && off <= bounds[b]+48
+		if off == len(blob) || (near && off%step == 0) || off%sparse == 0 {
+			offs = append(offs, off)
+		}
 	}
 	refCache := map[int]map[int64]bool{}
 	prevRows := -1
 	queried := 0
-	for off := 0; off <= len(blob); off += step {
+	for _, off := range offs {
 		sdir, wdir := t.TempDir(), t.TempDir()
 		copyDir(t, storeDir, sdir)
 		if err := os.WriteFile(filepath.Join(wdir, filepath.Base(segs[0])), blob[:off], 0o644); err != nil {
@@ -370,7 +401,25 @@ func TestDurableWALTruncationYieldsAckedPrefix(t *testing.T) {
 	if len(refCache) != len(valid) {
 		t.Fatalf("recovery visited %d distinct prefixes, want %d", len(refCache), len(valid))
 	}
-	t.Logf("offsets=%d (step %d), queries checked=%d, prefixes=%d", len(blob)/step+1, step, queried, len(refCache))
+	t.Logf("journal=%d bytes, offsets=%d (step %d near %d frame boundaries, %d between), queries checked=%d, prefixes=%d",
+		len(blob), len(offs), step, len(bounds), sparse, queried, len(refCache))
+}
+
+// walFrameBounds returns the byte offset at which each frame of a journal
+// segment starts, and the segment's end.
+func walFrameBounds(t *testing.T, seg []byte) []int {
+	t.Helper()
+	const magic = 8
+	var bounds []int
+	off := magic
+	for off+4 <= len(seg) {
+		bounds = append(bounds, off)
+		off += 4 + int(binary.LittleEndian.Uint32(seg[off:])) + 4
+	}
+	if off != len(seg) {
+		t.Fatalf("journal segment does not end on a frame boundary (%d of %d bytes)", off, len(seg))
+	}
+	return append(bounds, len(seg))
 }
 
 // TestDurableRefusesJournalWithoutCheckpoint: journal records whose baseline
@@ -463,10 +512,12 @@ func TestCheckpointerStopNoLeak(t *testing.T) {
 	}
 }
 
-// TestFaultIngestSyncErrorUnacknowledged: a data-fsync failure mid-ingest
-// fails the Append cleanly — the batch is not acknowledged, the live DB is
-// unchanged, and after the fault clears the same batch ingests over the torn
-// bytes. A restart recovers exactly the acknowledged rows.
+// TestFaultIngestSyncErrorUnacknowledged: the one fsync an ingest pays is the
+// journal's, and the journal's contract is fail-stop. An fsync failure leaves
+// the batch unacknowledged, every later append is refused, and a restart
+// recovers exactly the acknowledged rows once the bytes that fsync never
+// covered are gone (power loss, simulated by cutting the journal back to its
+// length before the failed batch).
 func TestFaultIngestSyncErrorUnacknowledged(t *testing.T) {
 	defer faults.Reset()
 	env := durSetup(t)
@@ -476,21 +527,90 @@ func TestFaultIngestSyncErrorUnacknowledged(t *testing.T) {
 	if _, err := db.EnableDurability(DurabilityOptions{Dir: walDir}); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := db.Append(env.images[20:25], env.metas[20:25]); err != nil {
+		t.Fatal(err)
+	}
+	want, err := db.Query(chaosSQL, chaosCons)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(walDir, "wal-*.seg"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("want exactly 1 journal segment, got %v (%v)", segs, err)
+	}
+	synced, err := os.Stat(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	if err := faults.Enable(faults.FSSyncError, faults.Spec{Times: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Append(env.images[20:25], env.metas[20:25]); err == nil {
-		t.Fatal("Append under a data-fsync fault was acknowledged")
+	if _, err := db.Append(env.images[25:30], env.metas[25:30]); err == nil {
+		t.Fatal("Append under a journal-fsync fault was acknowledged")
 	}
 	faults.Reset()
-	if db.Count() != 20 {
-		t.Fatalf("failed append changed the row count: %d", db.Count())
+	if _, err := db.Append(env.images[25:30], env.metas[25:30]); err == nil || !strings.Contains(err.Error(), "journal failed") {
+		t.Fatalf("append after a journal failure = %v, want a fail-stop refusal", err)
 	}
 
-	// Retry acknowledges; restart recovers all 25 rows bit-identically.
-	if _, err := db.Append(env.images[20:25], env.metas[20:25]); err != nil {
-		t.Fatalf("retry after fault cleared: %v", err)
+	if err := os.Truncate(segs[0], synced.Size()); err != nil {
+		t.Fatal(err)
+	}
+	store2 := env.openStore(t, storeDir)
+	db2 := env.newDB(t, store2, placeholderMeta(store2.Count()), true)
+	rstats, err := db2.EnableDurability(DurabilityOptions{Dir: walDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rstats.Rows != 25 {
+		t.Fatalf("recovered %d rows, want the 25 acknowledged", rstats.Rows)
+	}
+	res, err := db2.Query(chaosSQL, chaosCons)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRows(t, "recovery after a failed journal fsync", chaosRows(t, res), chaosRows(t, want))
+	if _, err := db2.Append(env.images[25:30], env.metas[25:30]); err != nil {
+		t.Fatalf("append on the recovered DB: %v", err)
+	}
+}
+
+// TestFaultIngestStoreWriteErrorRetryable is the mirror: the store write comes
+// before the journal append, so a failed or short write there fails the batch
+// cleanly — nothing was journaled, the row count holds, the journal stays
+// usable — and the retry overwrites the torn bytes. A restart recovers every
+// acknowledged row bit-identically.
+func TestFaultIngestStoreWriteErrorRetryable(t *testing.T) {
+	defer faults.Reset()
+	env := durSetup(t)
+	storeDir, walDir := t.TempDir(), t.TempDir()
+	store := env.createStore(t, storeDir, 20)
+	db := env.newDB(t, store, env.metas[:20], true)
+	if _, err := db.EnableDurability(DurabilityOptions{Dir: walDir}); err != nil {
+		t.Fatal(err)
+	}
+	n := 20
+	for _, point := range []string{faults.FSWriteError, faults.FSShortWrite} {
+		records := db.DurabilityStats().WALRecords
+		// The point's first hit in an append is the store's data write.
+		if err := faults.Enable(point, faults.Spec{Times: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.Append(env.images[n:n+5], env.metas[n:n+5]); err == nil {
+			t.Fatalf("%s: Append under a store write fault was acknowledged", point)
+		}
+		faults.Reset()
+		if db.Count() != n || store.Count() != n {
+			t.Fatalf("%s: failed append changed the row count: db %d, store %d, want %d", point, db.Count(), store.Count(), n)
+		}
+		if got := db.DurabilityStats().WALRecords; got != records {
+			t.Fatalf("%s: failed append journaled %d records", point, got-records)
+		}
+		if _, err := db.Append(env.images[n:n+5], env.metas[n:n+5]); err != nil {
+			t.Fatalf("%s: retry after fault cleared: %v", point, err)
+		}
+		n += 5
 	}
 	want, err := db.Query(chaosSQL, chaosCons)
 	if err != nil {
@@ -502,12 +622,290 @@ func TestFaultIngestSyncErrorUnacknowledged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rstats.Rows != 25 {
-		t.Fatalf("recovered %d rows, want 25", rstats.Rows)
+	if rstats.Rows != n {
+		t.Fatalf("recovered %d rows, want %d", rstats.Rows, n)
 	}
 	res, err := db2.Query(chaosSQL, chaosCons)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameRows(t, "recovery after faulted ingest", chaosRows(t, res), chaosRows(t, want))
+	sameRows(t, "recovery after faulted store writes", chaosRows(t, res), chaosRows(t, want))
+}
+
+// TestDurableIngestOneFsync counts what an acknowledged durable append does to
+// the disk, through the fs.* fault points its durability-layer calls pass: one
+// fsync — the journal's — and no write beyond the store's data write and the
+// journal's frames. A manifest or checkpoint rewrite (the renames of the old
+// protocol) would show as an extra fs.write-error hit; a checkpoint, by
+// contrast, is where the store's fsync and manifest now live.
+func TestDurableIngestOneFsync(t *testing.T) {
+	defer faults.Reset()
+	env := durSetup(t)
+	store := env.createStore(t, t.TempDir(), 20)
+	db := env.newDB(t, store, env.metas[:20], true)
+	if _, err := db.EnableDurability(DurabilityOptions{Dir: t.TempDir()}); err != nil {
+		t.Fatal(err)
+	}
+	count := func(what string, op func() error) (writes, fsyncs, records int64) {
+		t.Helper()
+		for _, p := range []string{faults.FSWriteError, faults.FSSyncError} {
+			if err := faults.Enable(p, faults.Spec{Skip: 1 << 30}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := db.DurabilityStats().WALRecords
+		if err := op(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		writes, fsyncs = faults.Hits(faults.FSWriteError), faults.Hits(faults.FSSyncError)
+		faults.Reset()
+		return writes, fsyncs, db.DurabilityStats().WALRecords - before
+	}
+	for i, r := range [][2]int{{20, 25}, {25, 30}} {
+		writes, fsyncs, records := count("append", func() error {
+			_, err := db.Append(env.images[r[0]:r[1]], env.metas[r[0]:r[1]])
+			return err
+		})
+		if records < 2 {
+			t.Fatalf("append %d journaled %d records, want the batch and its trigger labels", i, records)
+		}
+		if fsyncs != 1 || writes != 1+records {
+			t.Fatalf("append %d: %d fsyncs and %d writes for %d journal records; want 1 fsync and %d writes (one store write, one per record)",
+				i, fsyncs, writes, records, 1+records)
+		}
+	}
+	writes, fsyncs, _ := count("checkpoint", db.Checkpoint)
+	if fsyncs != 2 || writes != 2 {
+		t.Fatalf("checkpoint: %d fsync points and %d write points, want 2 and 2 (store data + manifest, checkpoint file)", fsyncs, writes)
+	}
+	// With nothing appended since, the store has nothing to do.
+	writes, fsyncs, _ = count("idle checkpoint", db.Checkpoint)
+	if fsyncs != 1 || writes != 1 {
+		t.Fatalf("idle checkpoint: %d fsync points and %d write points, want 1 and 1 (the checkpoint file only)", fsyncs, writes)
+	}
+}
+
+// TestDurableReplayRewritesLostRows: the store is written without fsync, so a
+// crash may lose every row since the last checkpoint; replay writes them back
+// from the journal. Live and replayed files are byte-identical — reps
+// included, though the appended images are not u8-exact, because both derive
+// from the stored record — and the recovered store vouches for them.
+func TestDurableReplayRewritesLostRows(t *testing.T) {
+	env := durSetup(t)
+	storeDir, walDir := t.TempDir(), t.TempDir()
+	store := env.createStore(t, storeDir, 20)
+	db := env.newDB(t, store, env.metas[:20], false)
+	if _, err := db.EnableDurability(DurabilityOptions{Dir: walDir}); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range [][2]int{{20, 27}, {27, 33}} {
+		if _, err := db.Append(env.images[r[0]:r[1]], env.metas[r[0]:r[1]]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The crash image: the manifest still vouches for 20 rows, so Open cuts
+	// the 13 appended ones.
+	lostStore, lostWal := t.TempDir(), t.TempDir()
+	copyDir(t, storeDir, lostStore)
+	copyDir(t, walDir, lostWal)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+
+	store2 := env.openStore(t, lostStore)
+	if store2.Count() != 20 {
+		t.Fatalf("crashed store opened with %d rows, want the 20 its manifest vouches for", store2.Count())
+	}
+	db2 := env.newDB(t, store2, placeholderMeta(20), false)
+	rstats, err := db2.EnableDurability(DurabilityOptions{Dir: lostWal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rstats.Rows != 33 || store2.Count() != 33 {
+		t.Fatalf("recovered %d rows (store %d), want 33", rstats.Rows, store2.Count())
+	}
+	for _, name := range []string{"manifest.json", "source.dat", "rep-8x8_gray.dat", "rep-16x16_rgb.dat"} {
+		live, err := os.ReadFile(filepath.Join(storeDir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		redone, err := os.ReadFile(filepath.Join(lostStore, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(live, redone) {
+			t.Fatalf("%s: replayed file differs from the live one", name)
+		}
+	}
+	// The store vouches for the rewritten rows: a second crash replays onto a
+	// store that already has them.
+	store3 := env.openStore(t, lostStore)
+	if store3.Count() != 33 {
+		t.Fatalf("recovered store reopened with %d rows, want 33", store3.Count())
+	}
+}
+
+// TestGroupCommitAppends: concurrent durable appends share journal fsyncs —
+// while one writer's fsync runs the others journal their batches, and the next
+// fsync covers them together — and every acknowledged batch is recoverable.
+// The fsync is slowed through its fault point so the grouping does not depend
+// on the disk under the test.
+func TestGroupCommitAppends(t *testing.T) {
+	defer faults.Reset()
+	env := durSetup(t)
+	storeDir, walDir := t.TempDir(), t.TempDir()
+	store := env.createStore(t, storeDir, 8)
+	db := env.newDB(t, store, env.metas[:8], false)
+	if _, err := db.EnableDurability(DurabilityOptions{Dir: walDir}); err != nil {
+		t.Fatal(err)
+	}
+	if err := faults.Enable(faults.FSSyncError, faults.Spec{Delay: 5 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	const writers, per = 8, 4
+	before := db.wal.Stats().Commits
+	var wg sync.WaitGroup
+	errs := make(chan error, writers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			metas := make([]Metadata, per)
+			for j := range metas {
+				metas[j] = Metadata{ID: int64(1000 + w*per + j), Camera: fmt.Sprint("cam-", w)}
+			}
+			_, err := db.Append(env.images[w*per:(w+1)*per], metas)
+			errs <- err
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	faults.Reset()
+	if commits := db.wal.Stats().Commits - before; commits < 1 || commits >= writers {
+		t.Fatalf("%d concurrent appends took %d journal fsyncs, want at least 1 and fewer than %d", writers, commits, writers)
+	}
+
+	store2 := env.openStore(t, storeDir)
+	db2 := env.newDB(t, store2, placeholderMeta(store2.Count()), false)
+	rstats, err := db2.EnableDurability(DurabilityOptions{Dir: walDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rstats.Rows != 8+writers*per {
+		t.Fatalf("recovered %d rows, want %d", rstats.Rows, 8+writers*per)
+	}
+	// Each batch landed whole and in order, and each row's pixels are its own.
+	seen := map[int64]bool{}
+	var scratch []byte
+	for i := 8; i < rstats.Rows; i++ {
+		m := db2.meta[i]
+		k := int(m.ID - 1000)
+		if k < 0 || k >= writers*per || seen[m.ID] || ((i-8)%per != k%per) {
+			t.Fatalf("row %d recovered as %+v: batches interleaved or duplicated", i, m)
+		}
+		seen[m.ID] = true
+		want, err := img.AppendRecord(nil, env.images[k])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := store2.SourceRecord(i, &scratch)
+		if err != nil || !bytes.Equal(got.AppendTo(nil), want) {
+			t.Fatalf("row %d (id %d) does not hold its own image (%v)", i, m.ID, err)
+		}
+	}
+}
+
+// TestCheckpointerFiresOnJournalVolume: with a period that never elapses, the
+// checkpointer still runs once the bytes journaled since the last checkpoint
+// pass checkpointJournalBytes, and a checkpoint resets the count.
+func TestCheckpointerFiresOnJournalVolume(t *testing.T) {
+	leakcheck.Check(t)
+	env := durSetup(t)
+	store := env.createStore(t, t.TempDir(), 8)
+	db := env.newDB(t, store, env.metas[:8], false)
+	if _, err := db.EnableDurability(DurabilityOptions{Dir: t.TempDir()}); err != nil {
+		t.Fatal(err)
+	}
+	stop, err := db.StartCheckpointer(context.Background(), CheckpointerOptions{Every: time.Hour}, func(err error) { t.Errorf("checkpointer: %v", err) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	if _, err := db.Append(env.images[8:12], env.metas[8:12]); err != nil {
+		t.Fatal(err)
+	}
+	base := db.DurabilityStats().Checkpoints
+	db.mu.Lock()
+	small := db.journaled
+	db.mu.Unlock()
+	if small < 4*16*16*3 {
+		t.Fatalf("a 4-frame append accounted %d journaled bytes, less than its pixels", small)
+	}
+	time.Sleep(20 * time.Millisecond)
+	if got := db.DurabilityStats().Checkpoints; got != base {
+		t.Fatalf("checkpointer ran %d times on %d journaled bytes", got-base, small)
+	}
+	// Stand in for 64 MiB of ingest.
+	db.mu.Lock()
+	db.noteJournaledLocked(checkpointJournalBytes)
+	db.mu.Unlock()
+	deadline := time.Now().Add(5 * time.Second)
+	for db.DurabilityStats().Checkpoints == base {
+		if time.Now().After(deadline) {
+			t.Fatal("journal past its byte bound and no checkpoint ran")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	db.mu.Lock()
+	left := db.journaled
+	db.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("checkpoint left %d journaled bytes accounted", left)
+	}
+}
+
+// TestCheckpointSyncsStoreBeforeLock: the store's bulk data fsync — the
+// expensive part of a checkpoint now that appends leave it to checkpoints —
+// runs before the DB lock is taken, so ingest does not stall behind it. The
+// fsync is slowed through its fault point; an append issued meanwhile must be
+// acknowledged before the checkpoint completes.
+func TestCheckpointSyncsStoreBeforeLock(t *testing.T) {
+	defer faults.Reset()
+	env := durSetup(t)
+	store := env.createStore(t, t.TempDir(), 8)
+	db := env.newDB(t, store, env.metas[:8], false)
+	if _, err := db.EnableDurability(DurabilityOptions{Dir: t.TempDir()}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Append(env.images[8:12], env.metas[8:12]); err != nil {
+		t.Fatal(err)
+	}
+	// The checkpoint's first fsync point is the store's data files.
+	if err := faults.Enable(faults.FSSyncError, faults.Spec{Delay: 400 * time.Millisecond, Times: 1}); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- db.Checkpoint() }()
+	for len(faults.Active()) != 0 { // until the checkpoint has entered the slowed fsync
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := db.Append(env.images[12:16], env.metas[12:16]); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("checkpoint (%v) finished before an append issued during its store fsync: the fsync held the DB lock", err)
+	default:
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if db.Count() != 16 {
+		t.Fatalf("Count = %d, want 16", db.Count())
+	}
 }

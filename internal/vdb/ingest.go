@@ -6,6 +6,7 @@ import (
 
 	"tahoma/internal/cascade"
 	"tahoma/internal/core"
+	"tahoma/internal/exec"
 	"tahoma/internal/img"
 )
 
@@ -30,27 +31,67 @@ func (db *DB) SetTriggerPolicy(p TriggerPolicy) {
 	db.trigger = p
 }
 
-// Append adds rows to the corpus. Under an enabled trigger policy, every
-// installed predicate classifies the new rows immediately with its
-// ingest-time cascade, extending the materialized virtual columns so that
-// later queries pay no inference for these rows.
-//
-// Append coexists with in-flight queries, and no reader waits for it: the
-// catalog update (corpus + meta + journal record, store fsyncs included)
-// happens under the DB lock, which the read path never takes, and ends by
-// publishing the read state that contains the batch. Trigger classification
-// then runs against that pinned state and publishes its labels at the end,
-// the same discipline queries use. Statements that pinned an earlier state
-// simply do not see the new rows.
-// Under durability (EnableDurability), Append is write-ahead: the store's
-// data and manifest are fsynced first (inside the corpus append), then the
-// batch's journal record — and the trigger labels' merge records — are
-// committed with an fsync before Append returns. A crash at any instant
-// leaves either the whole acknowledged batch recoverable or (for an
-// unacknowledged batch) a torn tail that recovery truncates away.
+// Append adds rows to the corpus: it encodes each image once, into the record
+// the corpus will hold (img.AppendRecord — samples clamped and quantized to 8
+// bits), and hands the records to AppendRecords, the one append path. What is
+// stored, journaled, classified by the trigger and materialized beside the
+// row all derives from that record.
 func (db *DB) Append(images []*img.Image, meta []Metadata) (udfCalls int, err error) {
 	if len(images) != len(meta) {
 		return 0, fmt.Errorf("vdb: %d images but %d metadata rows", len(images), len(meta))
+	}
+	total := 0
+	for _, im := range images {
+		total += im.StoredBytes()
+	}
+	buf := make([]byte, 0, total)
+	recs := make([]img.Record, len(images))
+	for i, im := range images {
+		start := len(buf)
+		if buf, err = img.AppendRecord(buf, im); err != nil {
+			return 0, fmt.Errorf("vdb: row %d: %w", i, err)
+		}
+		if recs[i], err = img.ParseRecord(buf[start:]); err != nil {
+			return 0, fmt.Errorf("vdb: row %d: %w", i, err)
+		}
+	}
+	return db.AppendRecords(recs, meta)
+}
+
+// AppendRecords adds rows to the corpus from their stored records, verbatim:
+// the bytes a row arrived as are the bytes the store holds. Under an enabled
+// trigger policy, every installed predicate classifies the new rows
+// immediately with its ingest-time cascade, extending the materialized
+// virtual columns so that later queries pay no inference for these rows. The
+// trigger reads the batch from recs, not back from the corpus.
+//
+// AppendRecords coexists with in-flight queries, and no reader waits for it:
+// the catalog update (corpus + meta + journal record) happens under the DB
+// lock, which the read path never takes, and ends by publishing the read
+// state that contains the batch. Trigger classification then runs against
+// that pinned state and publishes its labels at the end, the same discipline
+// queries use. Statements that pinned an earlier state simply do not see the
+// new rows.
+//
+// Under durability (EnableDurability) the journal is the commit point. In
+// order: the rows are written to the store with no fsync and no manifest
+// update (a failure here fails the batch cleanly — nothing references the
+// bytes, a retry overwrites them); the batch's journal record — base row,
+// metadata and the records themselves — is appended; the batch is published
+// and classified; the trigger labels' merge records are appended; and one
+// journal fsync, the only one an acknowledged batch pays, makes all of it
+// durable before AppendRecords returns. The store catches up at the next
+// checkpoint. A crash at any instant leaves either the whole acknowledged
+// batch recoverable — replay rewrites from the journal whatever the store
+// lost — or, for an unacknowledged batch, a tail that recovery cuts away. A
+// journal failure is fail-stop: the batch is not acknowledged and every later
+// append is refused until a restart recovers the acknowledged prefix.
+//
+// Without durability a store-backed corpus commits each batch itself (data
+// fsync, then manifest) before the batch is published.
+func (db *DB) AppendRecords(recs []img.Record, meta []Metadata) (udfCalls int, err error) {
+	if len(recs) != len(meta) {
+		return 0, fmt.Errorf("vdb: %d images but %d metadata rows", len(recs), len(meta))
 	}
 	db.mu.Lock()
 	durable := db.durable
@@ -67,24 +108,26 @@ func (db *DB) Append(images []*img.Image, meta []Metadata) (udfCalls int, err er
 		db.mu.Unlock()
 		return 0, fmt.Errorf("vdb: corpus does not accept new rows")
 	}
-	if err := app.appendImages(images); err != nil {
+	base := len(db.meta)
+	if err := app.appendRecords(base, recs, durable); err != nil {
 		db.mu.Unlock()
 		return 0, err
 	}
-	base := len(db.meta)
+	noTriggers := !db.trigger.Enabled || db.matMode == MatOff
+	if durable {
+		// Journal the batch under the same critical section that wrote it, so
+		// journal order always matches row order (and a concurrent checkpoint
+		// sees the two consistently). Written here; the fsync below is the
+		// ack barrier. On failure the rows just written stay past the row
+		// count, referenced by nothing, and recovery cuts them.
+		if werr := db.journalAppendLocked(uint64(base), meta, recs, noTriggers); werr != nil {
+			db.mu.Unlock()
+			return 0, werr
+		}
+	}
 	db.meta = append(db.meta, meta...)
 	db.zones = extendZones(db.zones, db.meta)
-
-	noTriggers := !db.trigger.Enabled || db.matMode == MatOff
-	var werr error
-	if durable {
-		// Journal the batch under the same critical section that appended it,
-		// so journal order always matches row order (and a concurrent
-		// checkpoint sees the two consistently). Buffered here; the fsync
-		// below is the ack barrier.
-		_, werr = db.wal.Append(recAppend, encodeAppendRec(uint64(base), meta, noTriggers))
-	}
-	if noTriggers && werr == nil {
+	if noTriggers {
 		// Without triggers (or with materialization off, where trigger
 		// labels would have nowhere to live), existing materialized columns
 		// no longer cover the corpus; drop them so queries recompute.
@@ -102,9 +145,6 @@ func (db *DB) Append(images []*img.Image, meta []Metadata) (udfCalls int, err er
 	opts.RepSource = nil
 	opts.RepCache = nil
 	db.mu.Unlock()
-	if werr != nil {
-		return 0, werr
-	}
 
 	// ack is the barrier: the batch's journal record (and the trigger labels
 	// that rode behind it) hit disk before Append returns success. A sync
@@ -151,8 +191,14 @@ func (db *DB) Append(images []*img.Image, meta []Metadata) (udfCalls int, err er
 		db.publish(st, fresh)
 		ack()
 	}()
+	// A store-backed corpus serves the batch's own rows from recs: the bytes
+	// the store was just handed, without reading them back through the cache.
+	src := exec.Source(st.corpus)
+	if view, ok := src.(exec.RecordSource); ok {
+		src = &batchSource{RecordSource: view, base: base, recs: recs}
+	}
 	for _, jb := range jobs {
-		o, rep, cerr := st.classify(context.TODO(), jb.pred, jb.spec, jb.missing, opts)
+		o, rep, cerr := st.classify(context.TODO(), src, jb.pred, jb.spec, jb.missing, opts)
 		if cerr != nil {
 			return udfCalls, fmt.Errorf("vdb: trigger classify for %q: %w", jb.pred.Category, cerr)
 		}

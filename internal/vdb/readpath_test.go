@@ -66,10 +66,10 @@ type parkedCorpus struct {
 	release chan struct{}
 }
 
-func (c *parkedCorpus) appendImages(ims []*img.Image) error {
+func (c *parkedCorpus) appendRecords(base int, recs []img.Record, journaled bool) error {
 	close(c.entered)
 	<-c.release
-	return c.memoryCorpus.appendImages(ims)
+	return c.memoryCorpus.appendRecords(base, recs, journaled)
 }
 
 // TestReadersDoNotWaitForAppend parks an Append inside its corpus write —

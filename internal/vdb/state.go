@@ -105,10 +105,11 @@ type overlay struct {
 	col *column
 }
 
-// classify runs one cascade over rows of the pinned corpus and returns the
-// labels as an overlay for that cascade's column — the whole of what the
-// ingest trigger and the analyzer do between pinning a state and publishing.
-func (st *readState) classify(ctx context.Context, pred *Predicate, spec cascade.Spec, rows []int, opts exec.Options) (overlay, *exec.Report, error) {
+// classify runs one cascade over rows of src — the pinned corpus, or a view
+// of it that serves some rows from memory — and returns the labels as an
+// overlay for that cascade's column: the whole of what the ingest trigger and
+// the analyzer do between pinning a state and publishing.
+func (st *readState) classify(ctx context.Context, src exec.Source, pred *Predicate, spec cascade.Spec, rows []int, opts exec.Options) (overlay, *exec.Report, error) {
 	rt, err := cascade.NewRuntime(spec, pred.System.Models, pred.System.Thresholds)
 	if err != nil {
 		return overlay{}, nil, err
@@ -117,7 +118,7 @@ func (st *readState) classify(ctx context.Context, pred *Predicate, spec cascade
 	if err != nil {
 		return overlay{}, nil, err
 	}
-	rep, err := eng.RunContext(ctx, st.corpus, rows, opts)
+	rep, err := eng.RunContext(ctx, src, rows, opts)
 	if err != nil {
 		return overlay{}, nil, err
 	}
@@ -205,6 +206,32 @@ func (v *storeView) Record(i int, scratch *[]byte) (img.Record, error) {
 		return img.Record{}, fmt.Errorf("vdb: row %d out of range [0,%d)", i, v.n)
 	}
 	return v.sc.Record(i, scratch)
+}
+
+// batchSource is a store-backed corpus view that serves the rows of one
+// appended batch from the records the append was handed — the very bytes the
+// store now holds — and every older row from the view itself. The ingest
+// trigger classifies through it, so a new row is neither read back from the
+// file it was just written to nor pulled into the record cache by its own
+// ingest; it enters the cache when a query first reads it.
+type batchSource struct {
+	exec.RecordSource // the pinned view: rows [0, n)
+	base              int
+	recs              []img.Record // rows [base, base+len(recs))
+}
+
+func (b *batchSource) Record(i int, scratch *[]byte) (img.Record, error) {
+	if j := i - b.base; j >= 0 && j < len(b.recs) {
+		return b.recs[j], nil
+	}
+	return b.RecordSource.Record(i, scratch)
+}
+
+func (b *batchSource) Image(i int) (*img.Image, error) {
+	if j := i - b.base; j >= 0 && j < len(b.recs) {
+		return b.recs[j].Image(), nil
+	}
+	return b.RecordSource.Image(i)
 }
 
 // SharedRepCache is the cross-query representation cache: an LRU of

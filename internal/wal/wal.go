@@ -16,10 +16,16 @@
 //	                frames [len u32][payload][crc32 u32] where payload is
 //	                [seq u64][type u8][data].
 //
-// Append buffers; Sync flushes and fsyncs; Commit is Append+Sync — the
-// acknowledged-write path. Records whose loss only costs recomputation
-// (label-merge journal entries) ride Append and become durable with the next
-// Commit or Sync, in order, because the buffer drains sequentially.
+// Append writes a frame without forcing it to disk; Sync fsyncs; Commit is
+// Append+Sync — the acknowledged-write path. Records whose loss only costs
+// recomputation (label-merge journal entries) ride Append and become durable
+// with the next Commit or Sync, in order, because frames are written
+// sequentially.
+//
+// Commits group: one fsync runs at a time, outside the log's lock, so other
+// writers keep appending while it does; the log tracks the sequence below
+// which everything is durable, and a Sync whose records a concurrent fsync
+// already covered returns without issuing another.
 //
 // Segment rotation bounds recovery work and makes checkpoint garbage
 // collection a file delete: TruncateBefore(seq) removes whole segments whose
@@ -49,6 +55,8 @@ const (
 	// maxFrame bounds one record so a corrupt length cannot drive a giant
 	// allocation during recovery.
 	maxFrame = 1 << 28
+	// maxKeptFrame bounds the assembly buffer the log keeps between appends.
+	maxKeptFrame = 4 << 20
 	// frameOverhead is the per-frame framing cost: length and CRC32 words.
 	frameOverhead = 8
 	// payloadHeader is seq (8) + type (1).
@@ -121,6 +129,13 @@ type Log struct {
 	nextSeq  uint64
 	records  int64
 	commits  int64
+	frame    []byte // frame assembly buffer, reused across appends
+	// Group commit. One fsync runs at a time, outside mu (syncing is set and
+	// syncDone signalled around it), so appends proceed meanwhile; every
+	// record with Seq < synced is durable.
+	syncing  bool
+	syncDone *sync.Cond
+	synced   uint64
 	// failed latches the first write/sync error: once the journal cannot
 	// guarantee durability it refuses further appends instead of silently
 	// losing acknowledged writes.
@@ -139,6 +154,7 @@ func Open(dir string, opts Options) (*Log, RecoverInfo, error) {
 		return nil, RecoverInfo{}, err
 	}
 	l := &Log{dir: dir, opts: opts, nextSeq: 0}
+	l.syncDone = sync.NewCond(&l.mu)
 	var info RecoverInfo
 
 	// Walk segments in order, validating frames. The first damage truncates
@@ -156,12 +172,19 @@ func Open(dir string, opts Options) (*Log, RecoverInfo, error) {
 			l.nextSeq = seg.start
 		}
 		info.Records += records
-		if valid < total {
-			info.TruncatedBytes += total - valid
-			if err := os.Truncate(filepath.Join(dir, seg.name), valid); err != nil {
-				return nil, RecoverInfo{}, fmt.Errorf("wal: truncating torn tail of %s: %w", seg.name, err)
+		if valid < total || valid == 0 {
+			// valid == 0 is a segment without its magic — the crash hit while
+			// it was being created. It goes entirely: appending to a file the
+			// next Open would read as all tail would lose those appends.
+			keep := i
+			if valid > 0 {
+				keep = i + 1
+				info.TruncatedBytes += total - valid
+				if err := os.Truncate(filepath.Join(dir, seg.name), valid); err != nil {
+					return nil, RecoverInfo{}, fmt.Errorf("wal: truncating torn tail of %s: %w", seg.name, err)
+				}
 			}
-			for _, later := range segs[i+1:] {
+			for _, later := range segs[keep:] {
 				p := filepath.Join(dir, later.name)
 				if fi, err := os.Stat(p); err == nil {
 					info.TruncatedBytes += fi.Size()
@@ -170,12 +193,13 @@ func Open(dir string, opts Options) (*Log, RecoverInfo, error) {
 					return nil, RecoverInfo{}, fmt.Errorf("wal: removing orphaned segment %s: %w", later.name, err)
 				}
 			}
-			segs = segs[:i+1]
+			segs = segs[:keep]
 			break
 		}
 	}
 	info.Segments = len(segs)
 	info.NextSeq = l.nextSeq
+	l.synced = l.nextSeq // what survived to be read is all there is to sync
 
 	// Reopen the last segment for appending, or lazily create the first on
 	// the first Append (an empty journal stays an empty directory).
@@ -316,11 +340,19 @@ func (l *Log) Err() error {
 // Append journals one record without forcing it to disk: it is durable after
 // the next Sync/Commit (appends drain in order, so a later Commit covers it).
 // Use for records whose loss is recomputable; acknowledged writes go through
-// Commit.
+// Commit, or Append followed by Sync.
 func (l *Log) Append(typ byte, data []byte) (seq uint64, err error) {
+	return l.AppendParts(typ, data)
+}
+
+// AppendParts is Append for a record whose data is the concatenation of
+// parts: each part is copied once, straight into the frame, so a caller
+// holding a small header and a large body it does not own (an ingest batch's
+// image records) never builds the joined payload.
+func (l *Log) AppendParts(typ byte, parts ...[]byte) (seq uint64, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.appendLocked(typ, data)
+	return l.appendLocked(typ, parts)
 }
 
 // Commit journals one record and fsyncs the segment: when it returns nil the
@@ -328,62 +360,73 @@ func (l *Log) Append(typ byte, data []byte) (seq uint64, err error) {
 func (l *Log) Commit(typ byte, data []byte) (seq uint64, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	seq, err = l.appendLocked(typ, data)
+	seq, err = l.appendLocked(typ, [][]byte{data})
 	if err != nil {
 		return 0, err
 	}
-	if err := l.syncLocked(); err != nil {
+	if err := l.syncLocked(seq + 1); err != nil {
 		return 0, err
 	}
 	return seq, nil
 }
 
-// Sync fsyncs the current segment, making every appended record durable.
+// Sync makes every record appended so far durable. It issues an fsync only
+// when one is needed: records a concurrent Sync's fsync already covered are
+// not synced again (group commit).
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.f == nil {
-		return l.failed
-	}
-	return l.syncLocked()
+	return l.syncLocked(l.nextSeq)
 }
 
-func (l *Log) appendLocked(typ byte, data []byte) (uint64, error) {
-	if l.failed != nil {
-		return 0, l.failed
-	}
-	if l.f == nil || l.segSize >= l.opts.segmentBytes() {
+func (l *Log) appendLocked(typ byte, parts [][]byte) (uint64, error) {
+	// Rotation closes the file an in-flight fsync is using: wait it out.
+	for l.failed == nil && (l.f == nil || l.segSize >= l.opts.segmentBytes()) {
+		if l.syncing {
+			l.syncDone.Wait()
+			continue
+		}
 		if err := l.rotateLocked(); err != nil {
 			return 0, err
 		}
 	}
+	if l.failed != nil {
+		return 0, l.failed
+	}
+	n := payloadHeader
+	for _, p := range parts {
+		n += len(p)
+	}
+	if n > maxFrame {
+		// Refused, not latched: nothing was written, and a frame this size
+		// would read back as a torn tail.
+		return 0, fmt.Errorf("wal: record of %d bytes exceeds the %d-byte frame limit", n, maxFrame)
+	}
 	seq := l.nextSeq
-	payload := make([]byte, payloadHeader+len(data))
-	binary.LittleEndian.PutUint64(payload[:8], seq)
-	payload[8] = typ
-	copy(payload[payloadHeader:], data)
-
-	frame := make([]byte, 4+len(payload)+4)
-	binary.LittleEndian.PutUint32(frame[:4], uint32(len(payload)))
-	copy(frame[4:], payload)
-	binary.LittleEndian.PutUint32(frame[4+len(payload):], crc32.Checksum(payload, crcTable))
+	frame := binary.LittleEndian.AppendUint32(l.frame[:0], uint32(n))
+	frame = binary.LittleEndian.AppendUint64(frame, seq)
+	frame = append(frame, typ)
+	for _, p := range parts {
+		frame = append(frame, p...)
+	}
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(frame[4:], crcTable))
+	if cap(frame) <= maxKeptFrame {
+		l.frame = frame
+	}
 
 	// Fault points: a failed write latches the journal into fail-stop — the
 	// record was not acknowledged and later records must not leapfrog it. A
 	// short write additionally leaves a torn frame on disk, which the next
 	// Open truncates.
 	if err := faults.Fire(faults.FSWriteError); err != nil {
-		l.failed = fmt.Errorf("wal: append: %w", err)
-		return 0, l.failed
+		return 0, l.failLocked(fmt.Errorf("wal: append: %w", err))
 	}
 	if faults.Firing(faults.FSShortWrite) {
 		_, _ = l.f.Write(frame[:len(frame)/2])
-		l.failed = fmt.Errorf("wal: append: short write (injected)")
-		return 0, l.failed
+		return 0, l.failLocked(errors.New("wal: append: short write (injected)"))
 	}
 	if _, err := l.f.Write(frame); err != nil {
-		l.failed = fmt.Errorf("wal: append: %w", err)
-		return 0, l.failed
+		return 0, l.failLocked(fmt.Errorf("wal: append: %w", err))
 	}
 	l.segSize += int64(len(frame))
 	l.nextSeq = seq + 1
@@ -391,61 +434,94 @@ func (l *Log) appendLocked(typ byte, data []byte) (uint64, error) {
 	return seq, nil
 }
 
-func (l *Log) syncLocked() error {
-	if l.failed != nil {
-		return l.failed
+// failLocked latches err as the journal's fail-stop state and wakes anyone
+// waiting on an fsync that will now never cover them.
+func (l *Log) failLocked(err error) error {
+	l.failed = err
+	l.syncDone.Broadcast()
+	return l.failed
+}
+
+// syncLocked returns once every record with Seq < target is durable. Called
+// with mu held; the fsync itself runs with mu released, so appends (and the
+// Syncs queueing behind this one) proceed while the disk works. Whoever finds
+// no fsync in flight issues the next one, which covers everything appended
+// up to that moment — its own records and every waiter's.
+func (l *Log) syncLocked(target uint64) error {
+	for {
+		if l.failed != nil {
+			return l.failed
+		}
+		if l.synced >= target || l.f == nil {
+			return nil
+		}
+		if !l.syncing {
+			break
+		}
+		l.syncDone.Wait()
 	}
+	l.syncing = true
+	f, upto := l.f, l.nextSeq
+	l.mu.Unlock()
+	err := syncFile(f)
+	l.mu.Lock()
+	l.syncing = false
+	if err != nil {
+		return l.failLocked(fmt.Errorf("wal: sync: %w", err))
+	}
+	l.synced = upto
+	l.commits++
+	l.syncDone.Broadcast()
+	return nil
+}
+
+// syncFile is the one journal fsync, bracketed by its fault points.
+func syncFile(f *os.File) error {
 	// The crash points bracket the fsync: before-sync is the strictest crash
-	// (buffered frames may or may not have reached disk, whole or torn);
+	// (written frames may or may not have reached disk, whole or torn);
 	// after-sync guarantees the commit survived. Both are subprocess-only
 	// chaos hooks — they kill the process by design.
 	if faults.Firing(faults.FSCrashBeforeSync) {
 		os.Exit(3)
 	}
 	if err := faults.Fire(faults.FSSyncError); err != nil {
-		l.failed = fmt.Errorf("wal: sync: %w", err)
-		return l.failed
+		return err
 	}
-	if err := l.f.Sync(); err != nil {
-		l.failed = fmt.Errorf("wal: sync: %w", err)
-		return l.failed
+	if err := f.Sync(); err != nil {
+		return err
 	}
 	if faults.Firing(faults.FSCrashAfterSync) {
 		os.Exit(3)
 	}
-	l.commits++
 	return nil
 }
 
 // rotateLocked closes the current segment (fsynced) and starts a fresh one,
-// fsyncing the directory so the new segment's name survives a crash.
+// fsyncing the directory so the new segment's name survives a crash. The
+// caller has made sure no fsync is in flight.
 func (l *Log) rotateLocked() error {
 	if l.f != nil {
 		if err := l.f.Sync(); err != nil {
-			l.failed = fmt.Errorf("wal: rotating: %w", err)
-			return l.failed
+			return l.failLocked(fmt.Errorf("wal: rotating: %w", err))
 		}
+		l.synced = l.nextSeq
 		if err := l.f.Close(); err != nil {
-			l.failed = fmt.Errorf("wal: rotating: %w", err)
-			return l.failed
+			return l.failLocked(fmt.Errorf("wal: rotating: %w", err))
 		}
 		l.f = nil
 	}
 	name := segName(l.nextSeq)
 	f, err := os.OpenFile(filepath.Join(l.dir, name), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
-		l.failed = fmt.Errorf("wal: creating segment %s: %w", name, err)
-		return l.failed
+		return l.failLocked(fmt.Errorf("wal: creating segment %s: %w", name, err))
 	}
 	if _, err := f.Write([]byte(segMagic)); err != nil {
 		f.Close()
-		l.failed = fmt.Errorf("wal: writing segment magic: %w", err)
-		return l.failed
+		return l.failLocked(fmt.Errorf("wal: writing segment magic: %w", err))
 	}
 	if err := syncDir(l.dir); err != nil {
 		f.Close()
-		l.failed = err
-		return l.failed
+		return l.failLocked(err)
 	}
 	l.f = f
 	l.segStart = l.nextSeq
@@ -555,6 +631,7 @@ func (l *Log) truncateAt(seg segment, off int64, segs []segment) error {
 	} else {
 		l.nextSeq = seg.start
 	}
+	l.synced = l.nextSeq // the cut records' sequence numbers will be reused
 	f, err := os.OpenFile(filepath.Join(l.dir, seg.name), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: reopening %s: %w", seg.name, err)
@@ -624,6 +701,9 @@ func (l *Log) Stats() Stats {
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	for l.syncing {
+		l.syncDone.Wait()
+	}
 	if l.f == nil {
 		return nil
 	}

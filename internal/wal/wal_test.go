@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
+	"time"
 
 	"tahoma/internal/faults"
 )
@@ -343,9 +345,14 @@ func TestReplayErrTruncate(t *testing.T) {
 	if got := collect(t, l); len(got) != 5 {
 		t.Fatalf("journal holds %d records after truncate, want 5", len(got))
 	}
-	// Appends continue from the cut point.
+	// Appends continue from the cut point, and the reused sequence numbers
+	// are synced afresh: the cut records' fsync does not vouch for them.
+	before := l.Stats().Commits
 	if seq, err := l.Commit(2, []byte("anew")); err != nil || seq != 5 {
 		t.Fatalf("post-truncate Commit = (%d, %v), want seq 5", seq, err)
+	}
+	if got := l.Stats().Commits - before; got != 1 {
+		t.Fatalf("post-truncate Commit issued %d fsyncs, want 1", got)
 	}
 	l.Close()
 	l2, info, err := Open(dir, Options{})
@@ -447,5 +454,148 @@ func TestFaultWALSyncError(t *testing.T) {
 	}
 	if _, err := l.Commit(1, []byte("after")); err == nil {
 		t.Fatal("journal accepted an append after a sync failure")
+	}
+}
+
+// TestAppendPartsIsOneRecord: a record appended as parts replays as the
+// concatenation, indistinguishable from one appended whole, and an oversize
+// record is refused without latching the journal.
+func TestAppendPartsIsOneRecord(t *testing.T) {
+	l, _, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	big := bytes.Repeat([]byte{0xAB}, 50_000)
+	if _, err := l.AppendParts(7, []byte("head"), nil, big, []byte("tail")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(7, append(append([]byte("head"), big...), "tail"...)); err != nil {
+		t.Fatal(err)
+	}
+	half := make([]byte, maxFrame/2) // never touched: the size check comes first
+	if _, err := l.AppendParts(7, half, half); err == nil {
+		t.Fatal("a record past the frame limit was accepted")
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatalf("journal latched after refusing an oversize record: %v", err)
+	}
+	got := collect(t, l)
+	if len(got) != 2 || got[0].Type != 7 || !bytes.Equal(got[0].Data, got[1].Data) || len(got[0].Data) != 8+len(big) {
+		t.Fatalf("parts did not replay as the whole record: %d records", len(got))
+	}
+}
+
+// TestGroupCommit: writers that append while another's fsync is in flight are
+// covered by the next fsync together, so N concurrent commits cost fewer than
+// N fsyncs and every one of them is durable when its Sync returns. The fsync
+// is slowed through its fault point so the grouping does not depend on the
+// disk under the test.
+func TestGroupCommit(t *testing.T) {
+	faults.Reset()
+	defer faults.Reset()
+	dir := t.TempDir()
+	l, _, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := faults.Enable(faults.FSSyncError, faults.Spec{Delay: 5 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	const writers = 8
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	errs := make(chan error, writers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if _, err := l.Append(1, []byte{byte(w)}); err != nil {
+				errs <- err
+				return
+			}
+			errs <- l.Sync()
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := l.Stats()
+	if st.Records != writers || st.Commits < 1 || st.Commits >= writers {
+		t.Fatalf("%d records took %d fsyncs, want at least 1 and fewer than %d", st.Records, st.Commits, writers)
+	}
+	// Nothing is left to sync: every writer's record was covered.
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got := l.Stats().Commits; got != st.Commits {
+		t.Fatalf("a Sync with nothing new issued an fsync (%d → %d)", st.Commits, got)
+	}
+	l.Close()
+	faults.Reset()
+	l2, info, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if info.Records != writers {
+		t.Fatalf("recovered %d records, want %d", info.Records, writers)
+	}
+}
+
+// TestSegmentTornInItsMagicIsRemoved: a crash while a segment is being created
+// leaves a file without its full magic. Open must drop it, not reopen it for
+// appending — frames written behind a bad magic read back as all tail, so
+// every commit made after such a restart would vanish at the next one.
+func TestSegmentTornInItsMagicIsRemoved(t *testing.T) {
+	for _, have := range []int{0, 3} { // bytes of magic that reached disk
+		for _, earlier := range []int{0, 4} { // records in an earlier, whole segment
+			dir := t.TempDir()
+			if earlier > 0 {
+				l, _, err := Open(dir, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < earlier; i++ {
+					if _, err := l.Commit(1, []byte{byte(i)}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				l.Close()
+			}
+			// The segment rotation was creating: named for the next sequence.
+			torn := filepath.Join(dir, segName(uint64(earlier)))
+			if err := os.WriteFile(torn, []byte(segMagic[:have]), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			l, info, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := os.Stat(torn); !os.IsNotExist(err) {
+				t.Fatalf("magic %d/%d, %d earlier records: torn segment survived Open (%v)", have, len(segMagic), earlier, err)
+			}
+			if info.Records != int64(earlier) || info.TruncatedBytes != int64(have) {
+				t.Fatalf("Open reported %+v, want %d records and %d bytes cut", info, earlier, have)
+			}
+			if _, err := l.Commit(1, []byte("after")); err != nil {
+				t.Fatal(err)
+			}
+			l.Close()
+			l2, info, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			l2.Close()
+			if info.Records != int64(earlier)+1 {
+				t.Fatalf("magic %d/%d: the commit after the restart was lost: %d records, want %d", have, len(segMagic), info.Records, earlier+1)
+			}
+		}
 	}
 }
