@@ -127,10 +127,6 @@ func TestExplainGolden(t *testing.T) {
 			"-zoo", zooDir, "-corpus", storeDir, "-serve-reps",
 			"-sql", "SELECT id FROM images WHERE contains_object('cloak')",
 		}},
-		{"static-order", []string{
-			"-zoo", zooDir, "-corpus", storeDir, "-order", "static",
-			"-sql", "SELECT id FROM images WHERE contains_object('cloak') AND NOT contains_object('cloak')",
-		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			out := captureStdout(t, func() error { return cmdQuery("explain", tc.args) })

@@ -11,23 +11,22 @@
 // serve runs the long-lived concurrent query service: POST /query (SQL in,
 // rows out; ?ndjson=1 streams), GET /explain, GET /stats. A bounded
 // admission pool (-max-concurrent, -max-queue, -queue-timeout) keeps N
-// clients from oversubscribing the execution engine, and -share-reps-mb
-// sizes the cross-query representation cache that lets concurrent queries
-// reuse each other's transform work. Multiple -zoo directories
-// (comma-separated) install one predicate each.
+// clients from oversubscribing the execution engine. Multiple -zoo
+// directories (comma-separated) install one predicate each.
 //
 // query/explain execution flags: content predicates are ordered by the
 // cost-based planner — rank = cost/(1-selectivity) against the adaptive
-// selectivity catalog, with representation-cache-aware cost discounts —
-// and -order=static restores the cheapest-expected-cascade-first ordering
-// as an escape hatch (labels are bit-identical either way). Multi-predicate
-// queries fuse their cascades into one shared representation plan when the
-// planner's cost comparison favors it; -store-corpus queries straight out
-// of the representation store through a -cache-mb LRU instead of loading
+// selectivity catalog, discounted by what is resident (served
+// representations, cached source records); labels do not depend on the
+// order. Multi-predicate queries fuse their cascades into one shared
+// representation plan when the planner's cost comparison favors it;
+// -store-corpus queries straight out of the representation store through a
+// -cache-mb LRU of stored records (the one pixel cache) instead of loading
 // every source into memory; -serve-reps additionally loads pre-materialized
 // representations from the store, skipping decode + transform for the
 // transforms it covers. Each query prints its classifier invocations,
-// representation work (transformed vs served) and the rep-cache hit rate.
+// representation work (transformed vs served) and the record cache's hit
+// rate.
 package main
 
 import (
@@ -41,7 +40,6 @@ import (
 	"tahoma/internal/exec"
 	"tahoma/internal/img"
 	"tahoma/internal/pareto"
-	"tahoma/internal/planner"
 	"tahoma/internal/profile"
 	"tahoma/internal/repstore"
 	"tahoma/internal/scenario"
@@ -273,7 +271,6 @@ func cmdQuery(mode string, args []string) error {
 	loss := fs.Float64("accuracy-loss", 0.05, "permissible accuracy loss (Uacc)")
 	workers := fs.Int("workers", 0, "classification worker goroutines (0 = GOMAXPROCS)")
 	batch := fs.Int("batch", 0, "frames per execution-engine batch (0 = engine default)")
-	order := fs.String("order", "rank", "content-predicate ordering: rank (cost/(1-selectivity), adaptive) or static (cheapest expected cascade first)")
 	storeCorpus := fs.Bool("store-corpus", false, "query straight out of the representation store through an LRU cache instead of loading sources into memory")
 	cacheMB := fs.Int("cache-mb", 64, "LRU cache budget in MiB for -store-corpus: sources are held as stored records (1 byte/sample), served reps as float32 (0 = no cache)")
 	serveReps := fs.Bool("serve-reps", false, "load pre-materialized representations from the store (implies -store-corpus); skips decode+transform for covered transforms")
@@ -307,10 +304,6 @@ func cmdQuery(mode string, args []string) error {
 	if err != nil {
 		return err
 	}
-	ord, err := planner.ParseOrder(*order)
-	if err != nil {
-		return err
-	}
 	matMode, err := vdb.ParseMatMode(*materialize)
 	if err != nil {
 		return err
@@ -321,7 +314,6 @@ func cmdQuery(mode string, args []string) error {
 	}
 	db := vdb.New(cm)
 	db.SetExecOptions(exec.Options{Workers: *workers, Batch: *batch})
-	db.SetPlanOptions(vdb.PlanOptions{Order: ord})
 	db.SetMaterialization(matMode)
 	db.SetMatBudget(int64(*matMB) << 20)
 	db.SetQuantization(quantMode)

@@ -15,17 +15,15 @@ import (
 	"tahoma/internal/exec"
 	"tahoma/internal/faults"
 	"tahoma/internal/img"
-	"tahoma/internal/planner"
 	"tahoma/internal/repstore"
 	"tahoma/internal/scenario"
 	"tahoma/internal/server"
 	"tahoma/internal/vdb"
 )
 
-// cmdServe runs the long-lived concurrent query service: one open DB, an
-// HTTP front end with a bounded admission pool, and a cross-query shared
-// representation cache so concurrent queries reuse each other's transform
-// work. Results are bit-identical to one-shot `tahoma query` runs.
+// cmdServe runs the long-lived concurrent query service: one open DB and an
+// HTTP front end with a bounded admission pool. Results are bit-identical to
+// one-shot `tahoma query` runs.
 //
 // With -wal-dir the service is durable: every acknowledged ingest is fsynced
 // to a write-ahead journal before the 200, a background checkpointer bounds
@@ -42,11 +40,10 @@ func cmdServe(args []string) error {
 	loss := fs.Float64("accuracy-loss", 0.05, "default permissible accuracy loss (Uacc) when a request names none; 0 = no loss (most accurate cascade)")
 	workers := fs.Int("workers", 0, "classification worker goroutines per query (0 = GOMAXPROCS)")
 	batch := fs.Int("batch", 0, "frames per execution-engine batch (0 = engine default)")
-	order := fs.String("order", "rank", "content-predicate ordering: rank (cost/(1-selectivity), adaptive) or static (cheapest expected cascade first)")
 	storeCorpus := fs.Bool("store-corpus", false, "serve straight out of the representation store through an LRU cache instead of loading sources into memory")
 	cacheMB := fs.Int("cache-mb", 64, "LRU cache budget in MiB for -store-corpus: sources are held as stored records (1 byte/sample), served reps as float32 (0 = no cache)")
 	serveReps := fs.Bool("serve-reps", false, "load pre-materialized representations from the store (implies -store-corpus)")
-	shareRepsMB := fs.Int("share-reps-mb", 64, "cross-query shared representation cache budget in MiB (0 disables)")
+	shareRepsMB := fs.Int("share-reps-mb", 0, "removed: the cross-query representation cache is gone and only 0 is accepted (the one pixel cache is -cache-mb)")
 	maxConcurrent := fs.Int("max-concurrent", 0, "queries executing at once (0 = GOMAXPROCS)")
 	maxQueue := fs.Int("max-queue", 0, "queries waiting for a worker (0 = 4x max-concurrent, <0 = no queue)")
 	queueTimeout := fs.Duration("queue-timeout", 30*time.Second, "how long a query may wait for a worker before a 503")
@@ -61,6 +58,9 @@ func cmdServe(args []string) error {
 	fs.Parse(args)
 	if *zooDirs == "" || *corpusDir == "" {
 		return fmt.Errorf("serve: -zoo and -corpus are required")
+	}
+	if *shareRepsMB != 0 {
+		return fmt.Errorf("serve: -share-reps-mb %d: the cross-query representation cache was removed; only 0 is accepted (the one pixel cache is -cache-mb)", *shareRepsMB)
 	}
 	if *walDir != "" {
 		// Durability recovers into (and truncates) the backing store; an
@@ -92,10 +92,6 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	ord, err := planner.ParseOrder(*order)
-	if err != nil {
-		return err
-	}
 	matMode, err := vdb.ParseMatMode(*materialize)
 	if err != nil {
 		return err
@@ -106,7 +102,6 @@ func cmdServe(args []string) error {
 	}
 	db := vdb.New(cm)
 	db.SetExecOptions(exec.Options{Workers: *workers, Batch: *batch})
-	db.SetPlanOptions(vdb.PlanOptions{Order: ord})
 	db.SetMaterialization(matMode)
 	db.SetMatBudget(int64(*matMB) << 20)
 	db.SetQuantization(quantMode)
@@ -129,13 +124,6 @@ func cmdServe(args []string) error {
 	}
 	if *loss == 0 {
 		opts.DefaultAccuracyLoss = -1
-	}
-	if *shareRepsMB > 0 {
-		rc, err := vdb.NewSharedRepCache(int64(*shareRepsMB) << 20)
-		if err != nil {
-			return err
-		}
-		opts.RepCache = rc
 	}
 	srv := server.New(db, opts)
 
@@ -169,11 +157,6 @@ func cmdServe(args []string) error {
 			if err := db.LoadCorpus(images, meta); err != nil {
 				return err
 			}
-		}
-		if opts.RepCache != nil {
-			// Loading a corpus drops the row-keyed rep cache; re-install it
-			// now that the rows it will be keyed by are final.
-			db.SetRepCache(opts.RepCache)
 		}
 
 		for _, dir := range strings.Split(*zooDirs, ",") {

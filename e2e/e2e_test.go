@@ -58,8 +58,7 @@ func loadCommittedTrace(t *testing.T, mix string) *Trace {
 
 // TestScenarioMixes is the traffic-mix matrix: every committed trace is
 // replayed concurrently against live `tahoma serve` subprocesses and
-// byte-compared, op for op, against the serial in-process reference replay —
-// then held to its p99 budget from the server's own /stats histogram.
+// byte-compared, op for op, against the serial in-process reference replay.
 //
 // In -short mode only the Short-marked mixes run, on a single process. The
 // full run replays every mix and gives query-only mixes a two-process
@@ -133,10 +132,6 @@ func TestScenarioMixes(t *testing.T) {
 				if st.Errors != 0 || st.Panics != 0 || st.Rejected != 0 {
 					t.Errorf("proc %d: errors=%d panics=%d rejected=%d, want all zero",
 						p, st.Errors, st.Panics, st.Rejected)
-				}
-				if p99 := HistogramP99(st.Latency); p99 > tr.SLOP99MS {
-					t.Errorf("proc %d: /stats p99 %.0fms exceeds the %s mix budget %.0fms",
-						p, p99, mix, tr.SLOP99MS)
 				}
 			}
 			if t.Failed() {

@@ -29,7 +29,7 @@ type OpResult struct {
 }
 
 // ReplayReport is a full trace replay: per-op results (indexed like
-// Trace.Ops) plus the aggregate view the SLO assertions and BENCH cells use.
+// Trace.Ops) plus the aggregate view the suite logs.
 type ReplayReport struct {
 	Results        []OpResult
 	WallMS         float64
@@ -244,33 +244,4 @@ func percentileOf(lats []float64, p float64) float64 {
 	s := append([]float64(nil), lats...)
 	sort.Float64s(s)
 	return s[int(p*float64(len(s)-1)+0.5)]
-}
-
-// HistogramP99 derives a p99 upper bound from the server's /stats latency
-// histogram: the smallest bucket bound covering 99% of queries (MaxMS when
-// it lands in the unbounded overflow bucket). This is the SLO the mixes
-// assert — the server's own accounting, not the client's stopwatch.
-func HistogramP99(l server.Latency) float64 {
-	var total int64
-	for _, b := range l.Buckets {
-		total += b.Count
-	}
-	if total == 0 {
-		return 0
-	}
-	target := int64(float64(total)*0.99 + 0.5)
-	if target < 1 {
-		target = 1
-	}
-	var cum int64
-	for _, b := range l.Buckets {
-		cum += b.Count
-		if cum >= target {
-			if b.LEMS > 0 {
-				return b.LEMS
-			}
-			return l.MaxMS
-		}
-	}
-	return l.MaxMS
 }

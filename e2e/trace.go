@@ -46,7 +46,7 @@ type Op struct {
 }
 
 // Trace is one declarative traffic mix: the ops, how hard to drive them,
-// the per-mix p99 budget, and how the serving process must be armed.
+// and how the serving process must be armed.
 type Trace struct {
 	// Mix names the trace (file name, BENCH cell, subtest name).
 	Mix string `json:"mix"`
@@ -55,11 +55,6 @@ type Trace struct {
 	Seed int64 `json:"seed"`
 	// Concurrency is how many replay workers drive the non-barrier ops.
 	Concurrency int `json:"concurrency"`
-	// SLOP99MS is the mix's p99 latency budget in milliseconds, asserted
-	// against the server's /stats histogram after the replay. Budgets are
-	// generous (shared CI runners) — they catch hangs and serialization
-	// collapses, not microsecond regressions; BENCH tracks the real numbers.
-	SLOP99MS float64 `json:"slo_p99_ms"`
 	// Short marks the mixes the -short suite replays.
 	Short bool `json:"short,omitempty"`
 
@@ -128,7 +123,7 @@ func Mixes(rows int) []*Trace {
 // burstMix is the interactive regime: short point queries, metadata
 // filters, content predicates, driven by 4 workers.
 func burstMix() *Trace {
-	tr := &Trace{Mix: "burst", Seed: 11, Concurrency: 4, SLOP99MS: 2500, Short: true}
+	tr := &Trace{Mix: "burst", Seed: 11, Concurrency: 4, Short: true}
 	qs := []string{
 		"SELECT COUNT(*) FROM images WHERE contains_object('cloak')",
 		"SELECT id FROM images WHERE contains_object('cloak') LIMIT 5",
@@ -147,7 +142,7 @@ func burstMix() *Trace {
 // scanMix is the long-scan regime: full-corpus result sets consumed over
 // NDJSON streaming responses.
 func scanMix() *Trace {
-	tr := &Trace{Mix: "scan", Seed: 13, Concurrency: 2, SLOP99MS: 4000}
+	tr := &Trace{Mix: "scan", Seed: 13, Concurrency: 2}
 	qs := []string{
 		"SELECT id, ts FROM images",
 		"SELECT id, location, camera, ts FROM images",
@@ -164,7 +159,7 @@ func scanMix() *Trace {
 // stable initial corpus (ts < 1000), then verifies the ingested rows — row
 // presence and content labels — behind the barrier.
 func ingestQueryMix(rows int) *Trace {
-	tr := &Trace{Mix: "ingest_query", Seed: 17, Concurrency: 4, SLOP99MS: 4000, Short: true}
+	tr := &Trace{Mix: "ingest_query", Seed: 17, Concurrency: 4, Short: true}
 	stable := []string{
 		"SELECT COUNT(*) FROM images WHERE ts < 1000 AND contains_object('cloak')",
 		"SELECT id FROM images WHERE ts < 1000 AND contains_object('cloak')",
@@ -206,7 +201,7 @@ func ingestQueryMix(rows int) *Trace {
 // round 1 is inference, later rounds must collapse to bitmap lookups as the
 // label columns materialize.
 func repeatMix() *Trace {
-	tr := &Trace{Mix: "repeat", Seed: 19, Concurrency: 2, SLOP99MS: 2500, ExpectBitmap: true}
+	tr := &Trace{Mix: "repeat", Seed: 19, Concurrency: 2, ExpectBitmap: true}
 	qs := []string{
 		"SELECT COUNT(*) FROM images WHERE contains_object('cloak')",
 		"SELECT id FROM images WHERE contains_object('cloak')",
@@ -224,7 +219,7 @@ func repeatMix() *Trace {
 // reference.
 func faultMix() *Trace {
 	tr := &Trace{
-		Mix: "faults", Seed: 23, Concurrency: 2, SLOP99MS: 6000,
+		Mix: "faults", Seed: 23, Concurrency: 2,
 		Fault: "store.rep-read=error", ServeReps: true, ExpectRepFallbacks: true,
 	}
 	qs := []string{
@@ -246,7 +241,7 @@ func faultMix() *Trace {
 // may never change an answer.
 func quantMix() *Trace {
 	tr := &Trace{
-		Mix: "quant", Seed: 29, Concurrency: 3, SLOP99MS: 4000, Short: true,
+		Mix: "quant", Seed: 29, Concurrency: 3, Short: true,
 		Quantize: "auto", Materialize: "off", ExpectQuantScored: true,
 	}
 	qs := []string{

@@ -187,8 +187,7 @@ func ExampleClassifyBatchFused() {
 }
 
 // ExampleNewServer runs the concurrent query service end to end: a DB over
-// an in-memory corpus, the HTTP server with a shared cross-query rep cache,
-// and a client issuing SQL. The repeated content query is served from the
+// an in-memory corpus, the HTTP server, and a client issuing SQL. The repeated content query is served from the
 // materialized predicate column — zero classifier calls.
 func ExampleNewServer() {
 	pred, splits := exampleFixture()
@@ -212,11 +211,7 @@ func ExampleNewServer() {
 		panic(err)
 	}
 
-	cache, err := tahoma.NewSharedRepCache(64 << 20)
-	if err != nil {
-		panic(err)
-	}
-	srv := tahoma.NewServer(db, tahoma.ServerOptions{MaxConcurrent: 4, RepCache: cache})
+	srv := tahoma.NewServer(db, tahoma.ServerOptions{MaxConcurrent: 4})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		panic(err)

@@ -131,39 +131,6 @@ type RepSource interface {
 	Rep(i int, id string) (*img.Image, error)
 }
 
-// RepCache is a read-through, cross-run representation cache shared by many
-// engine runs — the multi-query analogue of RepSource. Slots a RepSource does
-// not serve consult the cache before transforming, and freshly transformed
-// representations are published back, so a representation materialized for
-// one query becomes a RepHit for every concurrent or later query over the
-// same corpus. Implementations must be safe for concurrent use.
-//
-// Cached pixels are bit-identical copies of the transform output (the engine
-// clones out of its pooled buffers before publishing), so — unlike
-// RepSource's quantized records — serving from a RepCache never changes
-// labels: results stay bit-identical to cacheless runs at every hit pattern.
-// repstore.SharedReps is the canonical implementation.
-type RepCache interface {
-	// GetRep returns the cached representation of source frame i under
-	// transform id, or nil. Returned images are shared: the engine reads them
-	// but never writes them, and keeps them out of pooled ApplyInto buffers.
-	GetRep(i int, id string) *img.Image
-	// PutRep publishes a representation. The image becomes cache-owned;
-	// callers must pass an image no engine buffer aliases.
-	PutRep(i int, id string, im *img.Image)
-}
-
-// RepContainser is optionally implemented by RepCaches that can report
-// residency without promoting entries or counting hits and misses. The
-// query planner probes it to price cascades against the live cache state;
-// a probe that perturbed LRU order or the counters would distort the very
-// signal it is reading.
-type RepContainser interface {
-	// ContainsRep reports whether the representation of source frame i
-	// under transform id is resident.
-	ContainsRep(i int, id string) bool
-}
-
 // CacheStats snapshots a caching RepSource's own accounting. In a Report the
 // Hits/Misses/EvictedBytes fields are per-run deltas and ResidentBytes is
 // the footprint when the run finished; repstore.Cache is the canonical
@@ -218,13 +185,6 @@ type Options struct {
 	// the transforms it covers: served slots skip decode and transform
 	// entirely and are counted as RepHits instead of RepsMaterialized.
 	RepSource RepSource
-	// RepCache, when set, is a read-through cross-run representation cache:
-	// slots the RepSource does not serve consult it before transforming,
-	// cache hits count as RepHits, and freshly transformed representations
-	// are published back (cloned out of pooled buffers) for other runs —
-	// typically concurrent queries — to reuse. Labels are unchanged: cached
-	// pixels are bit-identical to the transform output.
-	RepCache RepCache
 	// Quantize selects the scoring representation: QuantOff (the zero
 	// value) is float32 everywhere; QuantAuto scores int8 where a model
 	// carries an armed calibration, with the per-frame guard-band fallback
@@ -258,7 +218,7 @@ type BatchStats struct {
 	// slot materialized once serves every cascade consuming it).
 	LevelsRun        []int
 	RepsMaterialized int
-	RepHits          int // slots served by the RepSource or RepCache instead of transformed
+	RepHits          int // slots served by the RepSource instead of transformed
 	// RepFallbacks counts representation reads the RepSource failed that
 	// were degraded to decode + transform instead of failing the run (they
 	// also count in RepsMaterialized — a transform really ran).
@@ -300,8 +260,8 @@ type Report struct {
 	Positives []int
 	// Batches reports per-batch work in frame order.
 	Batches []BatchStats
-	// Cache carries the run's delta of the RepSource's (else the RepCache's)
-	// own counters when it implements CacheStatser (HasCache then).
+	// Cache carries the run's delta of the RepSource's own counters when it
+	// implements CacheStatser (HasCache then).
 	Cache    CacheStats
 	HasCache bool
 	// Wall is the end-to-end run time; Throughput is Frames/Wall in
@@ -489,17 +449,13 @@ func newServing(rs RepSource, repIDs []string) *serving {
 	return &serving{rs: rs, served: served}
 }
 
-// runCacher picks the cache whose per-run stats delta lands on the report:
-// the RepSource's own counters when it keeps them, else the cross-run
-// RepCache's. Returns the statser (nil if neither) and its before snapshot.
-func runCacher(sv *serving, rc RepCache) (CacheStatser, CacheStats) {
+// runCacher returns the RepSource's stats counters when it keeps them (nil
+// otherwise) and their before snapshot, for the report's per-run delta.
+func runCacher(sv *serving) (CacheStatser, CacheStats) {
 	if sv != nil {
 		if c, ok := sv.rs.(CacheStatser); ok {
 			return c, c.CacheStats()
 		}
-	}
-	if c, ok := rc.(CacheStatser); ok {
-		return c, c.CacheStats()
 	}
 	return nil, CacheStats{}
 }
@@ -522,12 +478,8 @@ type worker struct {
 	scores []float32      // ScoreBatch output
 	reps   [][]*img.Image // [slot][pos] pooled representation buffers
 	repOK  [][]bool       // [slot][pos] materialized for the current batch?
-	// repShared marks positions whose rep entry is a cache-owned image from
-	// Options.RepCache rather than a pooled buffer: those entries must be
-	// dropped after the batch so they never become ApplyInto targets.
-	repShared [][]bool     // [slot][pos]
-	proj      []*img.Image // [slot] projection scratch for ApplyInto
-	qsc       quantScratch
+	proj   []*img.Image   // [slot] projection scratch for ApplyInto
+	qsc    quantScratch
 }
 
 // ensure grows the scratch to batch capacity n.
@@ -543,7 +495,6 @@ func (w *worker) ensure(n, nslots int) {
 	if w.reps == nil {
 		w.reps = make([][]*img.Image, nslots)
 		w.repOK = make([][]bool, nslots)
-		w.repShared = make([][]bool, nslots)
 		w.proj = make([]*img.Image, nslots)
 	}
 	for s := range w.reps {
@@ -552,7 +503,6 @@ func (w *worker) ensure(n, nslots int) {
 			copy(grown, w.reps[s])
 			w.reps[s] = grown
 			w.repOK[s] = make([]bool, n)
-			w.repShared[s] = make([]bool, n)
 		}
 	}
 }
@@ -566,7 +516,6 @@ type run struct {
 	indices []int
 	need    [][]bool // per cascade, positional over indices; nil = all
 	sv      *serving
-	rc      RepCache
 	labels  [][]bool
 	quant   bool // QuantAuto run: int8 scoring with guard-band fallback
 }
@@ -610,8 +559,8 @@ func (r *run) transform(w *worker, slot, j int) {
 }
 
 // materialize fills slot for batch position j (frame indices[lo+j]): served
-// from the RepSource, hit in the RepCache, or transformed from the pinned
-// source into the worker's pooled buffer.
+// from the RepSource, or transformed from the pinned source into the worker's
+// pooled buffer.
 func (r *run) materialize(w *worker, st *BatchStats, lo, slot, j int) error {
 	// Serving and transforming can both stall (slow store, big frame);
 	// check the ctx at the same per-slot-fill grain so a deadline fires
@@ -619,10 +568,9 @@ func (r *run) materialize(w *worker, st *BatchStats, lo, slot, j int) error {
 	if err := r.ctx.Err(); err != nil {
 		return err
 	}
-	idx, id := r.indices[lo+j], r.e.repIDs[slot]
-	bufs := w.reps[slot]
 	if r.sv.on(slot) {
-		rep, err := r.sv.rs.Rep(idx, id)
+		idx := r.indices[lo+j]
+		rep, err := r.sv.rs.Rep(idx, r.e.repIDs[slot])
 		if err != nil {
 			// Serving failed: degrade to load + transform (the
 			// cache→inference ladder) instead of failing the run. The source
@@ -639,33 +587,15 @@ func (r *run) materialize(w *worker, st *BatchStats, lo, slot, j int) error {
 			st.RepFallbacks++
 			st.RepsMaterialized++
 		} else {
-			bufs[j] = rep
+			w.reps[slot][j] = rep
 			st.RepHits++
 		}
-	} else if cached := getCachedRep(r.rc, idx, id); cached != nil {
-		// The pooled buffer at this position is dropped in favor of the
-		// shared image; release unpins it so it can never become a
-		// transform target.
-		bufs[j] = cached
-		w.repShared[slot][j] = true
-		st.RepHits++
 	} else {
 		r.transform(w, slot, j)
-		if r.rc != nil {
-			r.rc.PutRep(idx, id, bufs[j].Clone())
-		}
 		st.RepsMaterialized++
 	}
 	w.repOK[slot][j] = true
 	return nil
-}
-
-// getCachedRep consults the optional cross-run cache; nil means transform.
-func getCachedRep(rc RepCache, idx int, id string) *img.Image {
-	if rc == nil {
-		return nil
-	}
-	return rc.GetRep(idx, id)
 }
 
 // runBatch is the engine's one inner loop, over positions [lo,hi) of the
@@ -766,9 +696,9 @@ func (r *run) runBatch(w *worker, lo, hi int, st *BatchStats) error {
 
 // release unpins what a batch borrowed, on every exit path: the worker goes
 // back into the pool even when a batch fails, and must not keep source
-// frames reachable for the engine's lifetime. Served slots and RepCache hits
-// hold cache-owned images — those references are dropped too, so the pool
-// never offers a shared image as a writable ApplyInto target to a later run.
+// frames reachable for the engine's lifetime. Served slots hold source-owned
+// images — those references are dropped too, so the pool never offers a
+// shared image as a writable ApplyInto target to a later run.
 func (r *run) release(w *worker, n int) {
 	for j := 0; j < n; j++ {
 		w.srcs[j] = nil
@@ -782,17 +712,6 @@ func (r *run) release(w *worker, n int) {
 			row := w.reps[s]
 			for j := 0; j < n; j++ {
 				row[j] = nil
-			}
-		}
-	}
-	if r.rc != nil {
-		for s := range w.repShared {
-			row, shared := w.reps[s], w.repShared[s]
-			for j := 0; j < n; j++ {
-				if shared[j] {
-					row[j] = nil
-					shared[j] = false
-				}
 			}
 		}
 	}
@@ -853,7 +772,7 @@ func (e *Engine) RunMasked(ctx context.Context, src Source, indices []int, need 
 		rep.Labels[c] = make([]bool, len(indices))
 	}
 	sv := newServing(opts.RepSource, e.repIDs)
-	cacher, cacheBefore := runCacher(sv, opts.RepCache)
+	cacher, cacheBefore := runCacher(sv)
 	if len(indices) == 0 {
 		rep.Wall = time.Since(start)
 		return rep, nil
@@ -871,7 +790,7 @@ func (e *Engine) RunMasked(ctx context.Context, src Source, indices []int, need 
 	}
 	close(jobs)
 	recSrc, _ := src.(RecordSource)
-	r := &run{ctx: ctx, e: e, src: src, recSrc: recSrc, indices: indices, need: need, sv: sv, rc: opts.RepCache, labels: rep.Labels, quant: opts.Quantize == QuantAuto}
+	r := &run{ctx: ctx, e: e, src: src, recSrc: recSrc, indices: indices, need: need, sv: sv, labels: rep.Labels, quant: opts.Quantize == QuantAuto}
 
 	workers := min(opts.Workers, numBatches)
 	errs := make(chan error, workers)

@@ -188,26 +188,6 @@ func (s *fakeRepSource) CacheStats() CacheStats {
 	return CacheStats{Hits: s.hits.Load()}
 }
 
-// statsRepCache adapts repstore.SharedReps to CacheStatser so per-run deltas
-// land on reports (the shape vdb's shared-cache adapter has).
-type statsRepCache struct {
-	*repstore.SharedReps
-}
-
-func (s statsRepCache) CacheStats() CacheStats {
-	st := s.Stats()
-	return CacheStats{Hits: st.Hits, Misses: st.Misses, EvictedBytes: st.EvictedBytes, ResidentBytes: st.ResidentBytes}
-}
-
-func newTestRepCache(t *testing.T) statsRepCache {
-	t.Helper()
-	sr, err := repstore.NewSharedReps(64 << 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return statsRepCache{sr}
-}
-
 // refFrame is what the independent reference expects one position of a run
 // to have done.
 type refFrame struct {
@@ -287,10 +267,8 @@ func referenceWalk(t *testing.T, cascades [][]Level, frames []*img.Image, indice
 
 // checkAgainstReference holds a report to the reference walk: labels,
 // positives, and — per batch and in aggregate — per-cascade LevelsRun,
-// exactly-once RepsMaterialized, RepHits and the int8 counters. warm flips
-// the expectation for a run over a RepCache an identical run already filled:
-// every slot the reference transforms is a hit instead.
-func checkAgainstReference(t *testing.T, rep *Report, ref []refFrame, need [][]bool, batch int, warm bool) {
+// exactly-once RepsMaterialized, RepHits and the int8 counters.
+func checkAgainstReference(t *testing.T, rep *Report, ref []refFrame, need [][]bool, batch int) {
 	t.Helper()
 	if rep.Frames != len(ref) {
 		t.Fatalf("processed %d frames, want %d", rep.Frames, len(ref))
@@ -317,9 +295,6 @@ func checkAgainstReference(t *testing.T, rep *Report, ref []refFrame, need [][]b
 			wantReps += rf.reps
 			wantHits += rf.hits
 			wantQuant.add(rf.quant)
-		}
-		if warm {
-			wantReps, wantHits = 0, wantHits+wantReps
 		}
 		for c := range wantLevels {
 			if st.LevelsRun[c] != wantLevels[c] {
@@ -367,7 +342,7 @@ func checkAgainstReference(t *testing.T, rep *Report, ref []refFrame, need [][]b
 
 // TestEngineParity is the engine's core property, as one table: cascades
 // 1–3 × shared/disjoint representation grid × need masks × RepSource ×
-// RepCache (cold and warm) × quantization × workers × batch size × the
+// quantization × workers × batch size × the
 // physical form of the source (decoded images, or stored records taking the
 // byte-domain load path). Every run must match the independent shared-map
 // reference walk — labels, per-cascade LevelsRun, exactly-once
@@ -415,7 +390,7 @@ func TestEngineParity(t *testing.T) {
 				}
 			}
 			for _, need := range [][][]bool{nil, masked} {
-				for _, serve := range []string{"none", "repsource", "repcache"} {
+				for _, serve := range []string{"none", "repsource"} {
 					for _, quant := range []QuantMode{QuantOff, QuantAuto} {
 						var served map[string]bool
 						if serve == "repsource" {
@@ -446,47 +421,23 @@ func TestEngineParity(t *testing.T) {
 									src := source.src
 									t.Run(name+source.suffix, func(t *testing.T) {
 										opts := Options{Workers: workers, Batch: batch, Quantize: quant}
-										switch serve {
-										case "repsource":
+										if serve == "repsource" {
 											opts.RepSource = newFakeRepSource(frames, servedXf)
-										case "repcache":
-											opts.RepCache = newTestRepCache(t)
 										}
 										rep, err := eng.RunMasked(context.Background(), src, indices, need, opts)
 										if err != nil {
 											t.Fatal(err)
 										}
-										checkAgainstReference(t, rep, ref, need, batch, false)
-										switch serve {
-										case "none":
-											if rep.HasCache {
-												t.Fatal("no RepSource or RepCache, but HasCache is set")
-											}
-										case "repsource":
+										checkAgainstReference(t, rep, ref, need, batch)
+										if serve == "none" && rep.HasCache {
+											t.Fatal("no RepSource, but HasCache is set")
+										}
+										if serve == "repsource" {
 											if rep.RepHits == 0 {
 												t.Fatal("served slot produced no RepHits")
 											}
 											if !rep.HasCache || rep.Cache.Hits != int64(rep.RepHits) {
 												t.Fatalf("cache stats %+v (HasCache=%v) vs RepHits %d", rep.Cache, rep.HasCache, rep.RepHits)
-											}
-										case "repcache":
-											if !rep.HasCache {
-												t.Fatal("RepCache statser did not reach the report")
-											}
-											// A different engine over the same cascades —
-											// a second query — serves every slot from the
-											// shared cache, labels unchanged.
-											eng2, err := New(cascades...)
-											if err != nil {
-												t.Fatal(err)
-											}
-											warm, err := eng2.RunMasked(context.Background(), src, indices, need, opts)
-											if err != nil {
-												t.Fatal(err)
-											}
-											checkAgainstReference(t, warm, ref, need, batch, true)
-											if warm.Cache.Hits != int64(warm.RepHits) {
-												t.Fatalf("warm cache delta %+v, want %d hits", warm.Cache, warm.RepHits)
 											}
 										}
 										if quant == QuantAuto {
@@ -800,50 +751,6 @@ func TestRepFallbackAcrossSources(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestRepCacheCrossEngine: a multi-cascade run after a single-cascade run
-// over the same cross-run cache rehits everything that run published, and
-// materializes only the rest — labels unchanged.
-func TestRepCacheCrossEngine(t *testing.T) {
-	frames := randFrames(13, 80, 32)
-	a := buildLevels(t, 31, 3)
-	b := buildLevels(t, 77, 2) // same transform ladder prefix, different weights
-	both, err := New(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := both.Run(Frames(frames), nil, Options{Workers: 2, Batch: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rc := newTestRepCache(t)
-	solo, err := New(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runA, err := solo.Run(Frames(frames), nil, Options{Workers: 2, Batch: 16, RepCache: rc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached, err := both.Run(Frames(frames), nil, Options{Workers: 2, Batch: 16, RepCache: rc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := range base.Labels {
-		for i := range frames {
-			if cached.Labels[c][i] != base.Labels[c][i] {
-				t.Fatalf("cascade %d frame %d: label differs under RepCache", c, i)
-			}
-		}
-	}
-	if cached.RepHits < runA.RepsMaterialized {
-		t.Fatalf("rehit %d reps, want at least the %d the first run published", cached.RepHits, runA.RepsMaterialized)
-	}
-	if cached.RepsMaterialized+cached.RepHits != base.RepsMaterialized {
-		t.Fatalf("reps+hits = %d+%d, want %d (the cacheless union)",
-			cached.RepsMaterialized, cached.RepHits, base.RepsMaterialized)
 	}
 }
 

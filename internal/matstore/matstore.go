@@ -433,7 +433,7 @@ func (s *Store) Invalidate() {
 }
 
 // Bytes reports the resident footprint of every column — the uniform cache
-// accessor shared with repstore.Cache and repstore.SharedReps.
+// accessor shared with repstore.Cache.
 func (s *Store) Bytes() int64 {
 	var b int64
 	for _, col := range s.cols {
@@ -443,7 +443,7 @@ func (s *Store) Bytes() int64 {
 }
 
 // Evicted reports cumulative bytes evicted by budget enforcement — the
-// uniform cache accessor shared with the repstore caches.
+// uniform cache accessor shared with repstore.Cache.
 func (s *Store) Evicted() int64 { return s.evictedBytes }
 
 // Enforce applies the byte budget, evicting the least-recently-touched

@@ -3,8 +3,9 @@
 // orders the predicates by classic rank — expected cost divided by expected
 // filtering power, cost / (1 − selectivity) — instead of cost alone, prices
 // each cascade against the live physical-representation state (slots a
-// representation store serves, or a shared rep cache already holds, are
-// discounted because execution will take them as RepHits), and decides
+// representation store serves are discounted because execution will take
+// them as RepHits, and source records the record cache holds cost no read),
+// and decides
 // fused-vs-sequential content execution from estimated shared-slot overlap
 // and survivor sets rather than a fixed gate.
 //
@@ -139,26 +140,22 @@ type Step struct {
 }
 
 // Availability is the plan-time snapshot of physical-representation
-// residency that the cost model discounts against. Nil funcs mean "nothing
-// resident".
+// residency that the cost model discounts against. The zero value means
+// "nothing resident".
 type Availability struct {
 	// Served reports whether a representation store serves transform id:
 	// served slots skip both source decode and transform entirely.
 	Served func(id string) bool
-	// CachedFrac estimates the fraction of corpus rows whose representation
-	// under id is resident in the cross-query rep cache, in [0,1]
-	// (typically a small deterministic sample of residency probes).
-	CachedFrac func(id string) float64
-	// SourceCachedFrac estimates the fraction of rows whose source record is
+	// SourceResidentFrac estimates the fraction of rows whose source record is
 	// resident in the store cache: using them costs no disk read (the
 	// transform from the record's bytes is still paid per representation).
-	SourceCachedFrac float64
+	SourceResidentFrac float64
 }
 
 // SampleFrac estimates a residency fraction by probing up to 16 rows evenly
 // spread over [0,n) — deterministic, cheap, and independent of corpus size.
 // It is the canonical sampling policy behind Availability estimates; every
-// caller (the vdb planner, the bench sweep) uses it so reported estimates
+// caller uses it so reported estimates
 // mean the same thing everywhere.
 func SampleFrac(n int, has func(int) bool) float64 {
 	k := 16
@@ -179,13 +176,6 @@ func SampleFrac(n int, has func(int) bool) float64 {
 
 func (av Availability) served(id string) bool {
 	return av.Served != nil && av.Served(id)
-}
-
-func (av Availability) cachedFrac(id string) float64 {
-	if av.CachedFrac == nil {
-		return 0
-	}
-	return clamp01(av.CachedFrac(id))
 }
 
 // PlannedStep is one content predicate with its planning verdicts attached.
@@ -289,7 +279,7 @@ func costStep(s Step, av Availability) PlannedStep {
 		}
 	}
 	srcFull := s.SourceCost
-	srcAdj := srcFull * (1 - av.SourceCachedFrac)
+	srcAdj := srcFull * (1 - av.SourceResidentFrac)
 	if allServed {
 		srcAdj = 0
 	}
@@ -297,12 +287,10 @@ func costStep(s Step, av Availability) PlannedStep {
 	for _, r := range reps {
 		full := r.occ * r.cost
 		repFull += full
-		switch {
-		case av.served(r.id):
-			// Served slots skip the transform; the store's own load cost is
-			// already in the scenario pricing when it applies.
-		default:
-			repAdj += full * (1 - av.cachedFrac(r.id))
+		// Served slots skip the transform; the store's own load cost is
+		// already in the scenario pricing when it applies.
+		if !av.served(r.id) {
+			repAdj += full
 		}
 	}
 	ps.FullCost = srcFull + repFull + infer
@@ -445,14 +433,14 @@ func decideFusion(steps []PlannedStep, av Availability, opts Options) Fusion {
 	}
 	perFrame := inferSum
 	if srcNeeded {
-		perFrame += srcCost * (1 - av.SourceCachedFrac)
+		perFrame += srcCost * (1 - av.SourceResidentFrac)
 	}
 	for _, id := range order {
 		su := union[id]
 		if av.served(id) {
 			continue
 		}
-		perFrame += su.occ * su.cost * (1 - av.cachedFrac(id))
+		perFrame += su.occ * su.cost
 	}
 	f.FusedCost = unionFrac * perFrame
 

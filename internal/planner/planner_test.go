@@ -107,14 +107,10 @@ func TestRepAdjustedCost(t *testing.T) {
 	if cold.Steps[0].AdjCost != cold.Steps[0].FullCost {
 		t.Fatalf("cold plan discounted: adj %v full %v", cold.Steps[0].AdjCost, cold.Steps[0].FullCost)
 	}
-	// Warm shared cache covering r0 fully discounts r0's rep work.
-	warm := PlanContent([]Step{s}, Availability{CachedFrac: func(id string) float64 {
-		if id == "r0" {
-			return 1
-		}
-		return 0
-	}}, Options{})
-	wantDrop := 1e-3 // r0: occ 1 × 1e-3
+	// A warm record cache holding every source record discounts the source
+	// read; the transforms from the records' bytes are still paid.
+	warm := PlanContent([]Step{s}, Availability{SourceResidentFrac: 1}, Options{})
+	wantDrop := 1e-3 // SourceCost
 	if got := warm.Steps[0].FullCost - warm.Steps[0].AdjCost; math.Abs(got-wantDrop) > 1e-12 {
 		t.Fatalf("warm discount %v, want %v", got, wantDrop)
 	}
@@ -213,15 +209,18 @@ func TestFusionDecision(t *testing.T) {
 }
 
 func TestFusionWarmCacheShiftsDecision(t *testing.T) {
-	// Shared rep work is the fused path's whole advantage; with the shared
-	// slot already resident everywhere, both sides drop it and narrowing
-	// wins again.
-	steps := sharedSteps(10e-3, 1e-3, 0.3, 0.3)
+	// A source read shared by both cascades is the fused path's advantage
+	// here (it loads each record once); with every source record resident in
+	// the record cache, both sides drop it and narrowing wins again.
+	steps := sharedSteps(1e-4, 1e-3, 0.3, 0.3)
+	for i := range steps {
+		steps[i].SourceCost = 10e-3
+	}
 	cold := PlanContent(steps, Availability{}, Options{})
 	if !cold.Fusion.Fuse {
 		t.Fatalf("cold plan not fused: %+v", cold.Fusion)
 	}
-	warm := PlanContent(steps, Availability{CachedFrac: func(string) float64 { return 1 }}, Options{})
+	warm := PlanContent(steps, Availability{SourceResidentFrac: 1}, Options{})
 	if warm.Fusion.Fuse {
 		t.Fatalf("fully cached plan still fused: %+v", warm.Fusion)
 	}

@@ -109,7 +109,7 @@ func (c *Cache) Stats() CacheStats {
 }
 
 // Bytes reports the resident footprint — the uniform accessor every label
-// or representation cache exposes (SharedReps and matstore.Store match), so
+// or representation cache exposes (matstore.Store matches), so
 // /stats can sum the caches without knowing their shapes.
 func (c *Cache) Bytes() int64 {
 	c.mu.Lock()

@@ -2,9 +2,9 @@ package repstore
 
 import "tahoma/internal/img"
 
-// lruCore is the shared LRU machinery behind Cache and SharedReps: a
-// byte-budgeted recency list over cached values with hit/miss/eviction
-// accounting. It is not goroutine-safe — the owning cache holds the lock.
+// lruCore is the LRU machinery behind Cache: a byte-budgeted recency list
+// over cached values with hit/miss/eviction accounting. It is not
+// goroutine-safe — the owning cache holds the lock.
 type lruCore struct {
 	capacity int64 // resident-byte budget
 	bytes    int64

@@ -2,9 +2,8 @@
 // front end over one open vdb.DB. It adds what the one-shot CLI cannot —
 // admission control (a bounded query-worker pool with a queue, so N
 // concurrent clients share the machine instead of oversubscribing the
-// execution engine), cross-query representation sharing (every query reads
-// and publishes the DB's shared rep cache), and live observability
-// (per-query latency histogram, engine and cache counters on /stats).
+// execution engine) and live observability (per-query latency histogram,
+// engine and cache counters on /stats).
 //
 // Endpoints:
 //
@@ -13,7 +12,7 @@
 //	GET  /explain  the query plan, without executing it
 //	POST /ingest   append rows (metadata + encoded images) through the
 //	               durable ingest path
-//	GET  /stats    engine + rep-cache counters, latency histogram
+//	GET  /stats    engine + cache counters, latency histogram
 //	GET  /healthz  liveness + row count
 //	GET  /readyz   readiness: 503 until crash recovery has replayed the
 //	               journal, 200 after
@@ -70,10 +69,6 @@ type Options struct {
 	// (0 = no default deadline). A deadlined query cancels cooperatively and
 	// returns 504.
 	DefaultDeadline time.Duration
-	// RepCache, when set, is installed on the DB as the cross-query
-	// representation cache and reported under /stats: a representation
-	// materialized for one query becomes a RepHit for every other.
-	RepCache *vdb.SharedRepCache
 	// StartUnready starts the server in the not-ready state: /readyz (and
 	// every query/ingest endpoint) answers 503 + Retry-After until SetReady.
 	// The serve path uses it to accept connections during crash recovery —
@@ -120,13 +115,9 @@ type Server struct {
 	mux   *http.ServeMux
 }
 
-// New builds a server over an open DB. When opts.RepCache is set it becomes
-// the DB's cross-query representation cache.
+// New builds a server over an open DB.
 func New(db *vdb.DB, opts Options) *Server {
 	opts = opts.normalized()
-	if opts.RepCache != nil {
-		db.SetRepCache(opts.RepCache)
-	}
 	s := &Server{
 		db:   db,
 		opts: opts,
@@ -794,8 +785,8 @@ func (st *serverStats) observe(res *vdb.Result, wall time.Duration) {
 	}
 }
 
-// cacheFootprint is the uniform accessor pair every cache layer exposes —
-// repstore.Cache (decode), vdb.SharedRepCache (shared reps) and the
+// cacheFootprint is the uniform accessor pair both cache layers expose —
+// repstore.Cache (source records, and served reps) and the
 // materialized-label store — so /stats sums them without knowing their
 // individual stats shapes.
 type cacheFootprint interface {
@@ -862,24 +853,20 @@ type StatsResponse struct {
 	UDFCalls         int64 `json:"udf_calls"`
 	FusedQueries     int64 `json:"fused_queries"`
 	RepsMaterialized int64 `json:"reps_materialized"`
-	// RepHits counts representation-slot loads served without a transform —
-	// from the representation store or, cross-query, from the shared rep
-	// cache.
+	// RepHits counts representation-slot loads served without a transform,
+	// from the representation store.
 	RepHits int64 `json:"rep_hits"`
 	// RepFallbacks counts store-read failures degraded to fresh inference
 	// across all queries — a health signal for the representation store.
 	RepFallbacks int64 `json:"rep_fallbacks"`
 
-	// SharedRepCache is the cross-query representation cache's counters
-	// (present when the server was built with one); StoreCache is the
-	// store-backed corpus's record cache (present for store corpora).
-	SharedRepCache *CacheStats `json:"shared_rep_cache,omitempty"`
-	StoreCache     *CacheStats `json:"store_cache,omitempty"`
+	// StoreCache is the store-backed corpus's record cache (present for
+	// store corpora).
+	StoreCache *CacheStats `json:"store_cache,omitempty"`
 
 	// CacheBytes / CacheEvictedBytes sum resident and cumulative-evicted
-	// bytes across the store cache, the shared rep cache and the
-	// materialized-label store, through the uniform Bytes()/Evicted()
-	// accessors all three expose.
+	// bytes across the store cache and the materialized-label store, through
+	// the uniform Bytes()/Evicted() accessors both expose.
 	CacheBytes        int64 `json:"cache_bytes"`
 	CacheEvictedBytes int64 `json:"cache_evicted_bytes"`
 
@@ -977,18 +964,12 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		RepHits:          s.stats.repHits.Load(),
 		RepFallbacks:     s.stats.repFallbacks.Load(),
 	}
-	if s.opts.RepCache != nil {
-		resp.SharedRepCache = wireCache(s.opts.RepCache.CacheStats())
-	}
 	if st, ok := s.db.RepCacheStats(); ok {
 		resp.StoreCache = wireCache(st)
 	}
-	// The three caches report their footprint through one interface; no
-	// per-cache shape knowledge here.
+	// The caches report their footprint through one interface; no per-cache
+	// shape knowledge here.
 	caches := []cacheFootprint{s.db.MatFootprint()}
-	if s.opts.RepCache != nil {
-		caches = append(caches, s.opts.RepCache)
-	}
 	if dc, ok := s.db.DecodeCache(); ok {
 		caches = append(caches, dc)
 	}

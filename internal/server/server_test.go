@@ -50,8 +50,8 @@ func testSystem(t *testing.T) (*core.System, synth.Splits) {
 }
 
 // buildTestDB assembles a DB over the system's eval split, with the system
-// installed under two categories so separate queries share representations
-// cross-query.
+// installed under two categories so separate queries run identical cascades
+// into separate columns.
 func buildTestDB(t *testing.T) *vdb.DB {
 	t.Helper()
 	sys, splits := testSystem(t)
@@ -93,8 +93,7 @@ func respKey(columns []string, rows [][]any, count int) string {
 }
 
 // TestServeConcurrentBitIdentical: 8 concurrent HTTP clients get results
-// bit-identical to serial execution of the same queries, and the shared rep
-// cache turns one client's materializations into other clients' RepHits.
+// bit-identical to serial execution of the same queries.
 func TestServeConcurrentBitIdentical(t *testing.T) {
 	queries := []string{
 		"SELECT id FROM images WHERE contains_object('cloak')",
@@ -121,17 +120,7 @@ func TestServeConcurrentBitIdentical(t *testing.T) {
 		want[sql] = respKey(res.Columns, rows, res.Count)
 	}
 
-	rc, err := vdb.NewSharedRepCache(64 << 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, client := startServer(t, buildTestDB(t), Options{MaxConcurrent: 4, RepCache: rc})
-
-	// Warm one predicate so the concurrent phase's other-predicate queries
-	// deterministically rehit its published representations.
-	if _, err := client.Query(queries[0], QueryOptions{}); err != nil {
-		t.Fatalf("warmup: %v", err)
-	}
+	_, client := startServer(t, buildTestDB(t), Options{MaxConcurrent: 4})
 
 	const clients = 8
 	var wg sync.WaitGroup
@@ -175,12 +164,6 @@ func TestServeConcurrentBitIdentical(t *testing.T) {
 	}
 	if st.Queries < int64(clients*len(queries)) {
 		t.Fatalf("stats counted %d queries, want >= %d", st.Queries, clients*len(queries))
-	}
-	if st.RepHits == 0 {
-		t.Fatal("no cross-query RepHits despite the shared rep cache")
-	}
-	if st.SharedRepCache == nil || st.SharedRepCache.Hits == 0 {
-		t.Fatalf("shared rep cache counters missing from /stats: %+v", st.SharedRepCache)
 	}
 	if st.Latency.Count != st.Queries || st.Latency.MeanMS <= 0 {
 		t.Fatalf("latency histogram inconsistent: %+v vs %d queries", st.Latency, st.Queries)
@@ -311,15 +294,10 @@ func TestExplainStatsHealth(t *testing.T) {
 
 // TestStatsMaterialization: repeat queries over HTTP flip to the bitmap
 // path, and GET /stats reports the materialization layer (coverage, hit and
-// miss counters, usage table) plus the uniform cache footprint sum that
-// includes the label columns.
+// miss counters, usage table) plus the uniform cache footprint sum: the
+// store's record cache and the label columns, the only two caches.
 func TestStatsMaterialization(t *testing.T) {
-	db := buildTestDB(t)
-	rc, err := vdb.NewSharedRepCache(8 << 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, client := startServer(t, db, Options{RepCache: rc})
+	_, client := startServer(t, buildStoreDB(t, t.TempDir()), Options{})
 
 	const sql = "SELECT id FROM images WHERE contains_object('cloak')"
 	cold, err := client.Query(sql, QueryOptions{})
@@ -354,10 +332,12 @@ func TestStatsMaterialization(t *testing.T) {
 	if len(m.Usage) == 0 || m.Usage[0].Category != "cloak" || m.Usage[0].Touches < 2 {
 		t.Fatalf("usage table: %+v", m.Usage)
 	}
-	// The footprint sum spans all caches uniformly; the label column alone
-	// guarantees it is non-zero.
-	if st.CacheBytes < m.Bytes || m.Bytes == 0 {
-		t.Fatalf("cache_bytes=%d materialized bytes=%d", st.CacheBytes, m.Bytes)
+	// The footprint sum spans both caches and nothing else.
+	if st.StoreCache == nil || st.StoreCache.ResidentBytes == 0 || m.Bytes == 0 {
+		t.Fatalf("store cache %+v, materialized bytes=%d: want both resident", st.StoreCache, m.Bytes)
+	}
+	if want := st.StoreCache.ResidentBytes + m.Bytes; st.CacheBytes != want {
+		t.Fatalf("cache_bytes=%d, want store_cache %d + materialized %d", st.CacheBytes, st.StoreCache.ResidentBytes, m.Bytes)
 	}
 }
 

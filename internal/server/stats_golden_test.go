@@ -25,47 +25,15 @@ import (
 // silent downstream nil. Regenerate with -update (shared with the explain
 // goldens).
 func TestStatsGoldenSchema(t *testing.T) {
-	sys, splits := testSystem(t)
-
-	// A store-backed durable DB with a shared rep cache is the fullest
-	// configuration: it makes every optional /stats block (store_cache,
-	// shared_rep_cache, durability) present.
+	// A store-backed durable DB is the fullest configuration: it makes every
+	// optional /stats block (store_cache, durability) present.
 	dir := t.TempDir()
-	store, err := repstore.Create(filepath.Join(dir, "store"), 16, 16,
-		xform.Grid([]int{8, 16}, []img.ColorMode{img.RGB, img.Gray}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { store.Close() })
-	var images []*img.Image
-	var meta []vdb.Metadata
-	for i, e := range splits.Eval.Examples {
-		images = append(images, e.Image)
-		meta = append(meta, vdb.Metadata{ID: int64(i), Location: "corpus", Camera: "cam-1", TS: int64(i)})
-	}
-	if err := store.IngestAll(images); err != nil {
-		t.Fatal(err)
-	}
-	cm, err := scenario.NewAnalytic(scenario.Camera, scenario.DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := vdb.New(cm)
-	if err := db.LoadCorpusFromStore(store, 8<<20, meta); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.InstallPredicate("cloak", sys, 2); err != nil {
-		t.Fatal(err)
-	}
+	db := buildStoreDB(t, dir)
 	if _, err := db.EnableDurability(vdb.DurabilityOptions{Dir: filepath.Join(dir, "wal")}); err != nil {
 		t.Fatal(err)
 	}
-	rc, err := vdb.NewSharedRepCache(8 << 20)
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	s := New(db, Options{RepCache: rc})
+	s := New(db, Options{})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	client := NewClientWith(ts.URL, ClientOptions{MaxRetries: -1})
@@ -115,6 +83,41 @@ func TestStatsGoldenSchema(t *testing.T) {
 	if !bytes.Equal(schema, want) {
 		t.Errorf("GET /stats schema changed (run with -update if intentional)\ngot:\n%s\nwant:\n%s", schema, want)
 	}
+}
+
+// buildStoreDB assembles a DB over the system's eval split held in a
+// representation store under dir, behind an 8 MiB record cache, with the
+// system installed as cloak.
+func buildStoreDB(t *testing.T, dir string) *vdb.DB {
+	t.Helper()
+	sys, splits := testSystem(t)
+	store, err := repstore.Create(filepath.Join(dir, "store"), 16, 16,
+		xform.Grid([]int{8, 16}, []img.ColorMode{img.RGB, img.Gray}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	var images []*img.Image
+	var meta []vdb.Metadata
+	for i, e := range splits.Eval.Examples {
+		images = append(images, e.Image)
+		meta = append(meta, vdb.Metadata{ID: int64(i), Location: "corpus", Camera: "cam-1", TS: int64(i)})
+	}
+	if err := store.IngestAll(images); err != nil {
+		t.Fatal(err)
+	}
+	cm, err := scenario.NewAnalytic(scenario.Camera, scenario.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := vdb.New(cm)
+	if err := db.LoadCorpusFromStore(store, 8<<20, meta); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.InstallPredicate("cloak", sys, 2); err != nil {
+		t.Fatal(err)
+	}
+	return db
 }
 
 // jsonSchemaOf reduces a JSON document to its shape: every scalar value is

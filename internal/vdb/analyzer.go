@@ -167,7 +167,7 @@ func (db *DB) analyzeOnce(ctx context.Context, o AnalyzerOptions) (worked bool, 
 		return false, nil
 	}
 	// Exactly like a query: a row-indexed engine run over the pinned view,
-	// RepSource and RepCache included.
+	// RepSource included.
 	opts := st.contentExecOpts()
 	opts.Workers = o.workers()
 	fresh, rep, err := st.classify(ctx, st.corpus, pred, *spec, batch, opts)

@@ -44,8 +44,8 @@ func concSystem(t *testing.T) (*core.System, synth.Splits) {
 }
 
 // buildConcurrentDB assembles a DB over the shared system's eval split with
-// the system installed under two categories, so distinct queries can exercise
-// cross-query representation sharing (identical cascades, separate columns).
+// the system installed under two categories, so distinct queries run
+// identical cascades into separate columns.
 func buildConcurrentDB(t *testing.T) *DB {
 	t.Helper()
 	sys, splits := concSystem(t)
@@ -94,7 +94,7 @@ var concQueries = []string{
 
 // TestConcurrentQueriesBitIdentical: the same query set produces row-for-row
 // identical results whether it runs serially on a fresh DB or fully
-// concurrently (with a shared rep cache) on another — the bit-parity
+// concurrently on another — the bit-parity
 // guarantee `tahoma serve` relies on.
 func TestConcurrentQueriesBitIdentical(t *testing.T) {
 	cons := core.Constraints{MaxAccuracyLoss: 0.05}
@@ -109,11 +109,6 @@ func TestConcurrentQueriesBitIdentical(t *testing.T) {
 	}
 
 	concDB := buildConcurrentDB(t)
-	rc, err := NewSharedRepCache(64 << 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	concDB.SetRepCache(rc)
 	const repeats = 3
 	var wg sync.WaitGroup
 	errs := make(chan error, len(concQueries)*repeats)
@@ -140,48 +135,6 @@ func TestConcurrentQueriesBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCrossQueryRepSharing: with a SharedRepCache installed, a second
-// category's first classification is served entirely from the
-// representations the first category's query published — cross-query RepHits
-// with zero extra transforms, and labels identical to an uncached DB.
-func TestCrossQueryRepSharing(t *testing.T) {
-	cons := core.Constraints{MaxAccuracyLoss: 0.05}
-	plain := buildConcurrentDB(t)
-	base, err := plain.Query("SELECT id FROM images WHERE contains_object('cloakb')", cons)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	db := buildConcurrentDB(t)
-	rc, err := NewSharedRepCache(64 << 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db.SetRepCache(rc)
-	first, err := db.Query("SELECT id FROM images WHERE contains_object('cloak')", cons)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.RepsMaterialized == 0 || first.RepHits != 0 {
-		t.Fatalf("first query reps=%d hits=%d, want fresh materialization", first.RepsMaterialized, first.RepHits)
-	}
-	second, err := db.Query("SELECT id FROM images WHERE contains_object('cloakb')", cons)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.RepHits != first.RepsMaterialized || second.RepsMaterialized != 0 {
-		t.Fatalf("second query reps=%d hits=%d, want 0 reps and %d hits (all cross-query)",
-			second.RepsMaterialized, second.RepHits, first.RepsMaterialized)
-	}
-	if resultKey(second) != resultKey(base) {
-		t.Fatalf("rep-cache-served labels diverge from uncached run:\n got %s\nwant %s",
-			resultKey(second), resultKey(base))
-	}
-	if !second.HasRepCache || second.RepCache.Hits == 0 {
-		t.Fatalf("per-query cache delta missing: %+v (has=%v)", second.RepCache, second.HasRepCache)
-	}
-}
-
 // TestConcurrentQueryIngestStress interleaves Query, Explain and Append
 // (with trigger-time classification enabled) from many goroutines. Run under
 // -race this fails on an unsynchronized DB; with the snapshot/merge
@@ -192,11 +145,6 @@ func TestConcurrentQueryIngestStress(t *testing.T) {
 	_, splits := concSystem(t)
 	cons := core.Constraints{MaxAccuracyLoss: 0.05}
 	db := buildConcurrentDB(t)
-	rc, err := NewSharedRepCache(64 << 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db.SetRepCache(rc)
 	db.SetTriggerPolicy(TriggerPolicy{Enabled: true, Constraints: core.Constraints{MaxAccuracyLoss: 0.05}})
 
 	baseRows := db.Count()

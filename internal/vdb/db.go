@@ -335,7 +335,7 @@ func (db *DB) MatStats() MatStats {
 
 // MatFootprint reports the materialized columns' resident and evicted
 // bytes through the same uniform accessor the repstore caches expose, so
-// /stats can sum the three caches consistently.
+// /stats can sum the caches consistently.
 type MatFootprint struct{ db *DB }
 
 // MatFootprint returns the uniform-accessor view of the matstore.
@@ -588,21 +588,6 @@ func (db *DB) ServeReps(on bool) {
 	db.publishLocked()
 }
 
-// SetRepCache installs a cross-query representation cache (typically a
-// *SharedRepCache): content-predicate execution consults it before
-// transforming and publishes what it transforms, so a representation
-// materialized for one query is a RepHit for every concurrent or later query.
-// Cached pixels are bit-identical to the transform output, so labels never
-// change. The cache is keyed by row index — install a fresh one per corpus
-// (LoadCorpus and LoadCorpusFromStore drop the installed cache). nil
-// uninstalls.
-func (db *DB) SetRepCache(rc exec.RepCache) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.repCache = rc
-	db.publishLocked()
-}
-
 // RepCacheStats returns the store-backed corpus's record cache
 // counters, cumulative since load (ok is false for in-memory corpora and
 // cacheless stores). The cache fronts source record reads always and
@@ -644,7 +629,6 @@ func (db *DB) installCorpusLocked(c Corpus, reps *repSource, meta []Metadata) er
 	}
 	db.corpus = c
 	db.reps = reps
-	db.repCache = nil // keyed by row index; stale for the new corpus
 	db.meta = meta
 	db.zones = extendZones(nil, meta)
 	db.mat.Invalidate()
@@ -770,8 +754,8 @@ type Result struct {
 	// Both zero when quantization is off or no cascade model is calibrated.
 	QuantScored    int
 	QuantFallbacks int
-	// RepCache, when HasRepCache, is the per-query delta of the rep
-	// cache's own hit/miss/eviction counters. The counters are
+	// RepCache, when HasRepCache, is the per-query delta of the
+	// store-backed corpus's record cache counters. The counters are
 	// cache-global: the delta is exact for a query running alone and
 	// approximate when concurrent queries share the cache (RepHits above
 	// stays exact either way — it is engine-local).

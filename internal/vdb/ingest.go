@@ -138,12 +138,11 @@ func (db *DB) AppendRecords(recs []img.Record, meta []Metadata) (udfCalls int, e
 	st := db.publishLocked()
 	trigger := db.trigger
 	// Plain exec options only: trigger runs have always classified from
-	// the freshly appended sources, and those rows have no stored or
-	// cached representation to hit anyway — so RepSource and RepCache stay
-	// out, including any the caller put into SetExecOptions directly.
+	// the freshly appended sources, and those rows have no stored
+	// representation to hit anyway — so the RepSource stays out, including
+	// one the caller put into SetExecOptions directly.
 	opts := db.execOpts
 	opts.RepSource = nil
-	opts.RepCache = nil
 	db.mu.Unlock()
 
 	// ack is the barrier: the batch's journal record (and the trigger labels

@@ -419,11 +419,6 @@ func TestAnalyzerIdleStress(t *testing.T) {
 	db := buildConcurrentDB(t)
 	db.SetMaterialization(MatBg)
 	db.SetTriggerPolicy(TriggerPolicy{Enabled: true, Constraints: cons})
-	rc, err := NewSharedRepCache(64 << 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db.SetRepCache(rc)
 
 	// The idle gate flaps so the analyzer races both its gate and the
 	// foreground work.

@@ -91,6 +91,22 @@ type token struct {
 	text string
 }
 
+// maxTokens bounds a statement. The dialect's longest sensible statement is
+// a few hundred tokens; past the bound the lexer refuses instead of building
+// a token list and an AST sized by whatever a client sent, so what Parse
+// allocates stays a small multiple of its input (FuzzParse holds it to that).
+const maxTokens = 1024
+
+// clip cuts a token's text for an error message: a rejection costs no more
+// than a short excerpt of what it rejects.
+func clip(s string) string {
+	const keep = 40
+	if len(s) > keep {
+		return s[:keep] + "..."
+	}
+	return s
+}
+
 func lex(input string) ([]token, error) {
 	var toks []token
 	i := 0
@@ -137,6 +153,9 @@ func lex(input string) ([]token, error) {
 		default:
 			return nil, fmt.Errorf("vdb: unexpected character %q at offset %d", c, i)
 		}
+		if len(toks) > maxTokens {
+			return nil, fmt.Errorf("vdb: statement longer than %d tokens", maxTokens)
+		}
 	}
 	toks = append(toks, token{tokEOF, ""})
 	return toks, nil
@@ -160,7 +179,7 @@ func (p *parser) kw(s string) bool {
 
 func (p *parser) expectKw(s string) error {
 	if !p.kw(s) {
-		return fmt.Errorf("vdb: expected %q, found %q", s, p.peek().text)
+		return fmt.Errorf("vdb: expected %q, found %q", s, clip(p.peek().text))
 	}
 	return nil
 }
@@ -171,7 +190,7 @@ func (p *parser) expectSym(s string) error {
 		p.pos++
 		return nil
 	}
-	return fmt.Errorf("vdb: expected %q, found %q", s, t.text)
+	return fmt.Errorf("vdb: expected %q, found %q", s, clip(t.text))
 }
 
 // Parse parses one SELECT statement.
@@ -206,7 +225,7 @@ func Parse(sql string) (*Query, error) {
 		for {
 			t := p.next()
 			if t.kind != tokIdent {
-				return nil, fmt.Errorf("vdb: expected column name, found %q", t.text)
+				return nil, fmt.Errorf("vdb: expected column name, found %q", clip(t.text))
 			}
 			q.Columns = append(q.Columns, strings.ToLower(t.text))
 			if p.peek().kind == tokSymbol && p.peek().text == "," {
@@ -222,7 +241,7 @@ func Parse(sql string) (*Query, error) {
 	}
 	tbl := p.next()
 	if tbl.kind != tokIdent {
-		return nil, fmt.Errorf("vdb: expected table name, found %q", tbl.text)
+		return nil, fmt.Errorf("vdb: expected table name, found %q", clip(tbl.text))
 	}
 	q.Table = strings.ToLower(tbl.text)
 
@@ -241,17 +260,17 @@ func Parse(sql string) (*Query, error) {
 	if p.kw("limit") {
 		t := p.next()
 		if t.kind != tokNumber {
-			return nil, fmt.Errorf("vdb: expected LIMIT count, found %q", t.text)
+			return nil, fmt.Errorf("vdb: expected LIMIT count, found %q", clip(t.text))
 		}
 		limit, err := strconv.Atoi(t.text)
 		if err != nil || limit <= 0 {
-			return nil, fmt.Errorf("vdb: invalid LIMIT %q", t.text)
+			return nil, fmt.Errorf("vdb: invalid LIMIT %q", clip(t.text))
 		}
 		q.Limit = limit
 	}
 
 	if p.peek().kind != tokEOF {
-		return nil, fmt.Errorf("vdb: trailing input starting at %q", p.peek().text)
+		return nil, fmt.Errorf("vdb: trailing input starting at %q", clip(p.peek().text))
 	}
 	if len(q.Meta) == 0 && len(q.Content) == 0 && !q.Star && !q.CountStar && len(q.Columns) == 0 {
 		return nil, fmt.Errorf("vdb: empty query")
@@ -266,7 +285,7 @@ func (p *parser) parseCond(q *Query) error {
 	}
 	t := p.next()
 	if t.kind != tokIdent {
-		return fmt.Errorf("vdb: expected condition, found %q", t.text)
+		return fmt.Errorf("vdb: expected condition, found %q", clip(t.text))
 	}
 	name := strings.ToLower(t.text)
 	if name == "contains_object" {
@@ -275,7 +294,7 @@ func (p *parser) parseCond(q *Query) error {
 		}
 		arg := p.next()
 		if arg.kind != tokString && arg.kind != tokIdent {
-			return fmt.Errorf("vdb: contains_object expects a category, found %q", arg.text)
+			return fmt.Errorf("vdb: contains_object expects a category, found %q", clip(arg.text))
 		}
 		if err := p.expectSym(")"); err != nil {
 			return err
@@ -288,7 +307,7 @@ func (p *parser) parseCond(q *Query) error {
 	}
 	op := p.next()
 	if op.kind != tokSymbol {
-		return fmt.Errorf("vdb: expected comparison operator after %q, found %q", name, op.text)
+		return fmt.Errorf("vdb: expected comparison operator after %q, found %q", clip(name), clip(op.text))
 	}
 	var cmp CompareOp
 	switch op.text {
@@ -305,11 +324,11 @@ func (p *parser) parseCond(q *Query) error {
 	case tokNumber:
 		n, err := strconv.ParseInt(val.text, 10, 64)
 		if err != nil {
-			return fmt.Errorf("vdb: bad number %q", val.text)
+			return fmt.Errorf("vdb: bad number %q", clip(val.text))
 		}
 		v = Value{Int: n}
 	default:
-		return fmt.Errorf("vdb: expected literal, found %q", val.text)
+		return fmt.Errorf("vdb: expected literal, found %q", clip(val.text))
 	}
 	q.Meta = append(q.Meta, MetaCond{Column: name, Op: cmp, Val: v})
 	return nil

@@ -165,25 +165,15 @@ func (st *readState) plannerStep(input int, cc ContentCond, pred *Predicate, res
 }
 
 // availability snapshots plan-time physical-representation residency: the
-// store-backed RepSource's transform coverage, a sampled residency estimate
-// over the cross-query rep cache, and a sampled record-residency estimate
-// for sources. The caches have their own locks.
+// store-backed RepSource's transform coverage and a sampled record-residency
+// estimate over the record cache, which has its own lock.
 func (st *readState) availability() planner.Availability {
 	av := planner.Availability{}
 	if st.serveReps && st.reps != nil {
 		av.Served = st.reps.HasRep
 	}
-	n := st.n
-	if n == 0 {
-		return av
-	}
-	if rc, ok := st.repCache.(exec.RepContainser); ok {
-		av.CachedFrac = func(id string) float64 {
-			return planner.SampleFrac(n, func(i int) bool { return rc.ContainsRep(i, id) })
-		}
-	}
 	if st.reps != nil && st.reps.sc.cache != nil {
-		av.SourceCachedFrac = planner.SampleFrac(n, st.reps.sc.cache.HasSource)
+		av.SourceResidentFrac = planner.SampleFrac(st.n, st.reps.sc.cache.HasSource)
 	}
 	return av
 }

@@ -9,6 +9,7 @@ import (
 	"tahoma/internal/exec"
 	"tahoma/internal/img"
 	"tahoma/internal/planner"
+	"tahoma/internal/repstore"
 	"tahoma/internal/scenario"
 	"tahoma/internal/synth"
 	"tahoma/internal/xform"
@@ -333,16 +334,36 @@ func TestStaticOrderCounters(t *testing.T) {
 	}
 }
 
-// TestExplainReflectsRepCacheState: the same query plans differently against
-// a cold and a warm shared representation cache — the rep-adjusted cost
-// appears once the cache holds the cascade's representations.
-func TestExplainReflectsRepCacheState(t *testing.T) {
-	db, _ := buildTestDB(t)
-	rc, err := NewSharedRepCache(32 << 20)
+// TestExplainReflectsRecordCacheState: the same statement plans differently
+// against a cold and a warm record cache. Once a scan has pulled every source
+// record of a store-backed corpus into the cache, the planner prices the
+// source read away and EXPLAIN prints the rep-adjusted cost.
+func TestExplainReflectsRecordCacheState(t *testing.T) {
+	fusedFixture(t)
+	store, err := repstore.Create(t.TempDir(), 16, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.SetRepCache(rc)
+	defer store.Close()
+	if err := store.IngestAll(fusedImages); err != nil {
+		t.Fatal(err)
+	}
+	params := scenario.DefaultParams()
+	params.SourceW, params.SourceH = 16, 16
+	cm, err := scenario.NewAnalytic(scenario.Archive, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := New(cm)
+	if err := db.LoadCorpusFromStore(store, 1<<20, fusedMeta); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.InstallPredicate("cloak", cloakSys, 2); err != nil {
+		t.Fatal(err)
+	}
+	// No label reuse: the warm plan differs from the cold one by what the
+	// record cache holds, not by a materialized column.
+	db.SetMaterialization(MatOff)
 	cons := core.Constraints{MaxAccuracyLoss: 0.05}
 	sql := "SELECT id FROM images WHERE contains_object('cloak')"
 
@@ -351,10 +372,10 @@ func TestExplainReflectsRepCacheState(t *testing.T) {
 		t.Fatal(err)
 	}
 	if strings.Contains(cold, "rep-adjusted") {
-		t.Fatalf("cold explain already discounts rep work:\n%s", cold)
+		t.Fatalf("cold explain already discounts the source read:\n%s", cold)
 	}
 
-	// The full scan publishes every materialized representation.
+	// The full scan reads every source record through the cache.
 	if _, err := db.Query(sql, cons); err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +384,7 @@ func TestExplainReflectsRepCacheState(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !strings.Contains(warm, "rep-adjusted") {
-		t.Fatalf("warm explain ignores the resident representations:\n%s", warm)
+		t.Fatalf("warm explain ignores the resident source records:\n%s", warm)
 	}
 	if warm == cold {
 		t.Fatal("explain identical cold and warm")

@@ -10,7 +10,6 @@ import (
 	"tahoma/internal/img"
 	"tahoma/internal/matstore"
 	"tahoma/internal/planner"
-	"tahoma/internal/repstore"
 	"tahoma/internal/scenario"
 )
 
@@ -26,7 +25,6 @@ type settings struct {
 	// read the same field, so EXPLAIN's int8 levels are the ones that run.
 	quant     exec.QuantMode
 	serveReps bool
-	repCache  exec.RepCache // cross-query representation cache (SetRepCache)
 	matMode   MatMode
 }
 
@@ -75,14 +73,12 @@ func (db *DB) publishLocked() *readState {
 }
 
 // contentExecOpts resolves the engine options for one content-predicate
-// phase, attaching the corpus-backed RepSource when rep serving is on and
-// the cross-query representation cache when one is installed.
+// phase, attaching the corpus-backed RepSource when rep serving is on.
 func (st *readState) contentExecOpts() exec.Options {
 	opts := st.execOpts
 	if st.serveReps && st.reps != nil {
 		opts.RepSource = st.reps
 	}
-	opts.RepCache = st.repCache
 	opts.Quantize = st.quant
 	return opts
 }
@@ -233,50 +229,3 @@ func (b *batchSource) Image(i int) (*img.Image, error) {
 	}
 	return b.RecordSource.Image(i)
 }
-
-// SharedRepCache is the cross-query representation cache: an LRU of
-// materialized representations keyed by (transform, row) that every
-// concurrent query reads from and publishes to, wired into the execution
-// engine through DB.SetRepCache. Pixels are bit-identical to the transform
-// output, so sharing never changes labels. It implements exec.RepCache and
-// exec.CacheStatser (per-query hit/miss deltas land on query results).
-type SharedRepCache struct {
-	reps *repstore.SharedReps
-}
-
-// NewSharedRepCache builds a cross-query representation cache bounded at
-// capacityBytes of decoded pixels.
-func NewSharedRepCache(capacityBytes int64) (*SharedRepCache, error) {
-	reps, err := repstore.NewSharedReps(capacityBytes)
-	if err != nil {
-		return nil, err
-	}
-	return &SharedRepCache{reps: reps}, nil
-}
-
-// GetRep implements exec.RepCache.
-func (c *SharedRepCache) GetRep(i int, id string) *img.Image { return c.reps.GetRep(i, id) }
-
-// PutRep implements exec.RepCache.
-func (c *SharedRepCache) PutRep(i int, id string, im *img.Image) { c.reps.PutRep(i, id, im) }
-
-// ContainsRep implements exec.RepContainser: a residency probe that touches
-// neither the LRU order nor the hit/miss counters. The query planner samples
-// it to discount cascade costs by what is already materialized — how the
-// same query plans differently against a cold and a warm cache.
-func (c *SharedRepCache) ContainsRep(i int, id string) bool { return c.reps.Contains(i, id) }
-
-// CacheStats implements exec.CacheStatser: cumulative lookup counters and
-// the current resident footprint.
-func (c *SharedRepCache) CacheStats() exec.CacheStats {
-	st := c.reps.Stats()
-	return exec.CacheStats{Hits: st.Hits, Misses: st.Misses, EvictedBytes: st.EvictedBytes, ResidentBytes: st.ResidentBytes}
-}
-
-// Bytes reports the resident footprint — the uniform accessor shared with
-// repstore.Cache and the matstore, so /stats sums the caches consistently.
-func (c *SharedRepCache) Bytes() int64 { return c.reps.Bytes() }
-
-// Evicted reports cumulative evicted bytes — the uniform accessor shared
-// with repstore.Cache and the matstore.
-func (c *SharedRepCache) Evicted() int64 { return c.reps.Evicted() }

@@ -51,6 +51,29 @@ func TestParseVariants(t *testing.T) {
 	}
 }
 
+// TestParseTokenBound: a statement may run to maxTokens tokens — a chain of
+// 255 conditions — and one token more is refused before it is parsed.
+func TestParseTokenBound(t *testing.T) {
+	chain := func(conds int) string {
+		return "SELECT id FROM images WHERE " + strings.TrimSuffix(strings.Repeat("ts >= 1 AND ", conds), " AND ")
+	}
+	// Five tokens before the first condition, three per condition, one AND
+	// between each pair: 4·conds + 4.
+	q, err := Parse(chain(255))
+	if err != nil || len(q.Meta) != 255 {
+		t.Fatalf("1024-token statement: %v", err)
+	}
+	if _, err := Parse(chain(256)); err == nil || !strings.Contains(err.Error(), "longer than") {
+		t.Fatalf("1028-token statement: %v, want the token bound", err)
+	}
+	// Past the bound nothing more is built: a megabyte of one-byte tokens
+	// costs what a long statement does, not a token list sized by the input.
+	big := strings.Repeat("(", 1<<20)
+	if got := allocatedBy(func() { Parse(big) }); got > 256<<10 {
+		t.Fatalf("1 MiB of tokens: Parse allocated %d bytes", got)
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	cases := []string{
 		"",

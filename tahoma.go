@@ -100,10 +100,6 @@ type (
 	QueryResult = vdb.Result
 	// TriggerPolicy controls ingest-time predicate materialization.
 	TriggerPolicy = vdb.TriggerPolicy
-	// SharedRepCache is the cross-query representation cache: concurrent
-	// queries publish the representations they materialize and rehit each
-	// other's, without changing any label.
-	SharedRepCache = vdb.SharedRepCache
 	// PlanOptions control query planning: content-predicate ordering
 	// (rank — cost/(1−selectivity) against the adaptive selectivity
 	// catalog — or static cheapest-first) and the fused-vs-sequential
@@ -428,8 +424,8 @@ func NewDB(sc Scenario, params CostParams) (*DB, error) {
 }
 
 // NewServer wraps an open DB in the concurrent HTTP query service: a bounded
-// query-worker pool admits clients, every query shares the DB's rep cache,
-// and /stats exposes latency and cache counters. Start it with
+// query-worker pool admits clients, every query reads the DB's one pinned
+// state, and /stats exposes latency and cache counters. Start it with
 // Server.ListenAndServe or mount Server.Handler.
 func NewServer(db *DB, opts ServerOptions) *Server { return server.New(db, opts) }
 
@@ -441,13 +437,6 @@ func NewClient(base string) *Client { return server.NewClient(base) }
 // NewClientWith builds a client with explicit timeout/retry options.
 func NewClientWith(base string, opts ClientOptions) *Client {
 	return server.NewClientWith(base, opts)
-}
-
-// NewSharedRepCache builds a cross-query representation cache bounded at
-// capacityBytes of decoded pixels; install it with DB.SetRepCache or
-// ServerOptions.RepCache.
-func NewSharedRepCache(capacityBytes int64) (*SharedRepCache, error) {
-	return vdb.NewSharedRepCache(capacityBytes)
 }
 
 // Save persists the predicate's trained models, thresholds and evaluation
