@@ -131,6 +131,28 @@ func (s recordFrames) Record(i int, scratch *[]byte) (img.Record, error) {
 	return img.ParseRecord(*scratch)
 }
 
+// countingFrames and countingRecords count source loads in either physical
+// form, so a run whose every slot is served can be held to loading none.
+type countingFrames struct {
+	Source
+	loads *atomic.Int64
+}
+
+func (s countingFrames) Image(i int) (*img.Image, error) {
+	s.loads.Add(1)
+	return s.Source.Image(i)
+}
+
+type countingRecords struct {
+	recordFrames
+	loads *atomic.Int64
+}
+
+func (s countingRecords) Record(i int, scratch *[]byte) (img.Record, error) {
+	s.loads.Add(1)
+	return s.recordFrames.Record(i, scratch)
+}
+
 // calibrate arms the int8 path of every model in cascades, calibrating each
 // on samples drawn from the same distribution the test frames use
 // (transforms of random RGB sources), as install-time calibration does with
@@ -164,11 +186,16 @@ type fakeRepSource struct {
 	hits atomic.Int64
 }
 
-// newFakeRepSource serves exactly what served would produce for each frame.
-func newFakeRepSource(frames []*img.Image, served xform.Transform) *fakeRepSource {
-	s := &fakeRepSource{reps: map[string][]*img.Image{served.ID(): nil}}
-	for _, f := range frames {
-		s.reps[served.ID()] = append(s.reps[served.ID()], served.Apply(f))
+// newFakeRepSource serves exactly what each served transform would produce
+// for each frame.
+func newFakeRepSource(frames []*img.Image, served ...xform.Transform) *fakeRepSource {
+	s := &fakeRepSource{reps: make(map[string][]*img.Image, len(served))}
+	for _, xf := range served {
+		reps := make([]*img.Image, len(frames))
+		for i, f := range frames {
+			reps[i] = xf.Apply(f)
+		}
+		s.reps[xf.ID()] = reps
 	}
 	return s
 }
@@ -341,7 +368,8 @@ func checkAgainstReference(t *testing.T, rep *Report, ref []refFrame, need [][]b
 }
 
 // TestEngineParity is the engine's core property, as one table: cascades
-// 1–3 × shared/disjoint representation grid × need masks × RepSource ×
+// 1–3 × shared/disjoint representation grid × need masks × RepSource (none,
+// one served transform, or every transform, so no source is ever loaded) ×
 // quantization × workers × batch size × the
 // physical form of the source (decoded images, or stored records taking the
 // byte-domain load path). Every run must match the independent shared-map
@@ -354,11 +382,13 @@ func TestEngineParity(t *testing.T) {
 	frames, records := storedFrames(t, 2200, 47, 32)
 	sources := []struct {
 		suffix string
-		src    Source
+		src    func(loads *atomic.Int64) Source
 	}{
-		{"", Frames(frames)},
-		{"/src=record", recordFrames{records: records, resident: true}},
-		{"/src=record-read", recordFrames{records: records}},
+		{"", func(l *atomic.Int64) Source { return countingFrames{Frames(frames), l} }},
+		{"/src=record", func(l *atomic.Int64) Source {
+			return countingRecords{recordFrames{records: records, resident: true}, l}
+		}},
+		{"/src=record-read", func(l *atomic.Int64) Source { return countingRecords{recordFrames{records: records}, l} }},
 	}
 	// A permuted, gapped frame list, so positions and corpus indices differ
 	// everywhere: labels are positional, rep serving is by corpus index.
@@ -372,9 +402,20 @@ func TestEngineParity(t *testing.T) {
 		for _, shared := range []bool{true, false} {
 			cascades := buildCascades(t, 2100, depths, shared)
 			calibrate(t, 899, cascades...)
-			// The RepSource rows serve cascade 0's first-level transform (on
-			// the shared grid, every cascade's).
+			// The repsource rows serve cascade 0's first-level transform (on
+			// the shared grid, every cascade's); the repsource-all rows serve
+			// every transform any level uses.
 			servedXf := cascades[0][0].Model.Xform
+			var allXf []xform.Transform
+			allServed := make(map[string]bool)
+			for _, levels := range cascades {
+				for _, lv := range levels {
+					if id := lv.Model.Xform.ID(); !allServed[id] {
+						allServed[id] = true
+						allXf = append(allXf, lv.Model.Xform)
+					}
+				}
+			}
 			eng, err := New(cascades...)
 			if err != nil {
 				t.Fatal(err)
@@ -390,11 +431,14 @@ func TestEngineParity(t *testing.T) {
 				}
 			}
 			for _, need := range [][][]bool{nil, masked} {
-				for _, serve := range []string{"none", "repsource"} {
+				for _, serve := range []string{"none", "repsource", "repsource-all"} {
 					for _, quant := range []QuantMode{QuantOff, QuantAuto} {
 						var served map[string]bool
-						if serve == "repsource" {
+						switch serve {
+						case "repsource":
 							served = map[string]bool{servedXf.ID(): true}
+						case "repsource-all":
+							served = allServed
 						}
 						ref := referenceWalk(t, cascades, frames, indices, need, served, quant == QuantAuto)
 						if need == nil {
@@ -418,13 +462,17 @@ func TestEngineParity(t *testing.T) {
 								name := fmt.Sprintf("n=%d/shared=%v/masked=%v/%s/quant=%v/w=%d/b=%d",
 									len(cascades), shared, need != nil, serve, quant, workers, batch)
 								for _, source := range sources {
-									src := source.src
+									mkSrc := source.src
 									t.Run(name+source.suffix, func(t *testing.T) {
+										var loads atomic.Int64
 										opts := Options{Workers: workers, Batch: batch, Quantize: quant}
-										if serve == "repsource" {
+										switch serve {
+										case "repsource":
 											opts.RepSource = newFakeRepSource(frames, servedXf)
+										case "repsource-all":
+											opts.RepSource = newFakeRepSource(frames, allXf...)
 										}
-										rep, err := eng.RunMasked(context.Background(), src, indices, need, opts)
+										rep, err := eng.RunMasked(context.Background(), mkSrc(&loads), indices, need, opts)
 										if err != nil {
 											t.Fatal(err)
 										}
@@ -432,13 +480,17 @@ func TestEngineParity(t *testing.T) {
 										if serve == "none" && rep.HasCache {
 											t.Fatal("no RepSource, but HasCache is set")
 										}
-										if serve == "repsource" {
+										if serve != "none" {
 											if rep.RepHits == 0 {
 												t.Fatal("served slot produced no RepHits")
 											}
 											if !rep.HasCache || rep.Cache.Hits != int64(rep.RepHits) {
 												t.Fatalf("cache stats %+v (HasCache=%v) vs RepHits %d", rep.Cache, rep.HasCache, rep.RepHits)
 											}
+										}
+										if serve == "repsource-all" && (rep.RepsMaterialized != 0 || loads.Load() != 0) {
+											t.Fatalf("every slot served, yet %d reps transformed and %d source frames loaded",
+												rep.RepsMaterialized, loads.Load())
 										}
 										if quant == QuantAuto {
 											levels := 0
