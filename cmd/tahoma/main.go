@@ -276,7 +276,6 @@ func cmdQuery(mode string, args []string) error {
 	serveReps := fs.Bool("serve-reps", false, "load pre-materialized representations from the store (implies -store-corpus); skips decode+transform for covered transforms")
 	materialize := fs.String("materialize", "on", "label materialization: on (cache classified labels as bitmap columns), off (re-infer every query), bg (on + background analyzer pre-materializes hot predicates)")
 	matMB := fs.Int("mat-mb", 0, "materialized-label byte budget in MiB (0 = unbounded); coldest columns are evicted over budget")
-	quantize := fs.String("quantize", "auto", "int8 scoring: auto (quantized kernels on calibrated models, float32 guard-band fallback keeps labels bit-identical) or off (float32 everywhere)")
 	fs.Parse(args)
 	if *zooDir == "" || *corpusDir == "" || *sql == "" {
 		return fmt.Errorf("%s: -zoo, -corpus and -sql are required", mode)
@@ -308,15 +307,10 @@ func cmdQuery(mode string, args []string) error {
 	if err != nil {
 		return err
 	}
-	quantMode, err := exec.ParseQuantMode(*quantize)
-	if err != nil {
-		return err
-	}
 	db := vdb.New(cm)
 	db.SetExecOptions(exec.Options{Workers: *workers, Batch: *batch})
 	db.SetMaterialization(matMode)
 	db.SetMatBudget(int64(*matMB) << 20)
-	db.SetQuantization(quantMode)
 	if *serveReps {
 		*storeCorpus = true
 	}
@@ -379,9 +373,6 @@ func cmdQuery(mode string, args []string) error {
 	}
 	if res.UDFCalls > 0 {
 		fmt.Printf("-- reps: %d transformed, %d served from store\n", res.RepsMaterialized, res.RepHits)
-	}
-	if res.QuantScored+res.QuantFallbacks > 0 {
-		fmt.Printf("-- int8: %d scores trusted, %d guard-band float32 fallbacks\n", res.QuantScored, res.QuantFallbacks)
 	}
 	cacheStats, showCache := res.RepCache, res.HasRepCache
 	if !showCache && hasCache {

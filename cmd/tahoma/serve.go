@@ -49,7 +49,6 @@ func cmdServe(args []string) error {
 	queueTimeout := fs.Duration("queue-timeout", 30*time.Second, "how long a query may wait for a worker before a 503")
 	materialize := fs.String("materialize", "on", "label materialization: on (cache classified labels as bitmap columns), off (re-infer every query), bg (on + background analyzer pre-materializes hot predicates while the admission pool is idle)")
 	matMB := fs.Int("mat-mb", 0, "materialized-label byte budget in MiB (0 = unbounded); coldest columns are evicted over budget")
-	quantize := fs.String("quantize", "auto", "int8 scoring: auto (quantized kernels on calibrated models, float32 guard-band fallback keeps labels bit-identical) or off (float32 everywhere)")
 	deadline := fs.Duration("deadline", 0, "default per-query deadline when a request carries no Deadline-Ms header (0 = none); also bounds the graceful-shutdown drain")
 	fault := fs.String("fault", "", "arm fault-injection points for chaos testing, e.g. 'store.rep-read=error,store.rep-slow=slow:50ms' (see internal/faults)")
 	walDir := fs.String("wal-dir", "", "write-ahead journal + checkpoint directory; enables durable ingest and crash recovery (implies -store-corpus)")
@@ -96,15 +95,10 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	quantMode, err := exec.ParseQuantMode(*quantize)
-	if err != nil {
-		return err
-	}
 	db := vdb.New(cm)
 	db.SetExecOptions(exec.Options{Workers: *workers, Batch: *batch})
 	db.SetMaterialization(matMode)
 	db.SetMatBudget(int64(*matMB) << 20)
-	db.SetQuantization(quantMode)
 	if *serveReps {
 		*storeCorpus = true
 	}

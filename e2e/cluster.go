@@ -187,8 +187,6 @@ type ServerOptions struct {
 	CheckpointEvery time.Duration
 	// Materialize overrides `-materialize` ("" = serve default "on").
 	Materialize string
-	// Quantize overrides `-quantize` ("" = serve default "auto").
-	Quantize string
 	// MaxQueue overrides `-max-queue` (0 = serve default). Fleet scenarios
 	// raise it so N streams + standing queries never shed on a 1-core runner.
 	MaxQueue int
@@ -248,9 +246,6 @@ func StartCluster(t TB, fx *Fixture, n int, o ServerOptions) *Cluster {
 		}
 		if o.Materialize != "" {
 			args = append(args, "-materialize", o.Materialize)
-		}
-		if o.Quantize != "" {
-			args = append(args, "-quantize", o.Quantize)
 		}
 		if o.MaxQueue != 0 {
 			args = append(args, "-max-queue", strconv.Itoa(o.MaxQueue))

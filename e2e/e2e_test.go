@@ -65,7 +65,7 @@ func loadCommittedTrace(t *testing.T, mix string) *Trace {
 // cluster, so round-robined traffic must agree across processes too.
 func TestScenarioMixes(t *testing.T) {
 	fx := sharedFixture(t)
-	for _, mix := range []string{"burst", "scan", "ingest_query", "repeat", "faults", "quant"} {
+	for _, mix := range []string{"burst", "scan", "ingest_query", "repeat", "faults"} {
 		tr := loadCommittedTrace(t, mix)
 		if testing.Short() && !tr.Short {
 			continue
@@ -76,10 +76,8 @@ func TestScenarioMixes(t *testing.T) {
 				procs = 2
 			}
 			cl := StartCluster(t, fx, procs, ServerOptions{
-				Fault:       tr.Fault,
-				ServeReps:   tr.ServeReps,
-				Quantize:    tr.Quantize,
-				Materialize: tr.Materialize,
+				Fault:     tr.Fault,
+				ServeReps: tr.ServeReps,
 			})
 
 			ref, err := NewReference(fx, false)
@@ -120,9 +118,6 @@ func TestScenarioMixes(t *testing.T) {
 			if tr.ExpectRepFallbacks && rep.RepFallbacks == 0 {
 				t.Errorf("expected rep-read fallbacks under fault %q; got none (fault never fired)", tr.Fault)
 			}
-			if tr.ExpectQuantScored && rep.QuantScored == 0 {
-				t.Errorf("expected trusted int8 scores on the quantized mix; got none (int8 path never engaged)")
-			}
 
 			stats, err := cl.Stats()
 			if err != nil {
@@ -137,9 +132,8 @@ func TestScenarioMixes(t *testing.T) {
 			if t.Failed() {
 				WriteFailureArtifacts(t, mix, tr, rep, want, cl)
 			}
-			t.Logf("%s: %d ops, %d proc(s), qps=%.1f client p50=%.1fms p99=%.1fms bitmap=%d fallbacks=%d int8=%d/%d",
-				mix, len(tr.Ops), procs, rep.QPS, rep.ClientP50MS, rep.ClientP99MS, rep.Bitmap, rep.RepFallbacks,
-				rep.QuantScored, rep.QuantFallbacks)
+			t.Logf("%s: %d ops, %d proc(s), qps=%.1f client p50=%.1fms p99=%.1fms bitmap=%d fallbacks=%d",
+				mix, len(tr.Ops), procs, rep.QPS, rep.ClientP50MS, rep.ClientP99MS, rep.Bitmap, rep.RepFallbacks)
 		})
 	}
 }

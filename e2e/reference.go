@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"tahoma/internal/core"
-	"tahoma/internal/exec"
 	"tahoma/internal/img"
 	"tahoma/internal/scenario"
 	"tahoma/internal/vdb"
@@ -44,11 +43,6 @@ func NewReference(fx *Fixture, trigger bool) (*Reference, error) {
 	if err := db.InstallPredicate(fx.Category, fx.Sys, 2); err != nil {
 		return nil, err
 	}
-	// The reference scores pure float32 — the int8 path never touches it —
-	// so the suite's per-op byte comparison doubles as the quantization
-	// parity wall proven end to end: live servers default to int8-with-
-	// guard-band and must still reproduce these bytes exactly.
-	db.SetQuantization(exec.QuantOff)
 	if trigger {
 		db.SetTriggerPolicy(vdb.TriggerPolicy{Enabled: true})
 	}

@@ -18,28 +18,23 @@ type OpResult struct {
 	Kind      string
 	Canon     []byte
 	LatencyMS float64
-	// Bitmap, RepFallbacks and the quant counters are per-response engine
-	// signals (query ops only): served on the pure-bitmap path / rep reads
-	// degraded to fresh inference / int8 scorings trusted and guard-band
-	// float32 re-scores.
-	Bitmap         bool
-	RepFallbacks   int
-	QuantScored    int
-	QuantFallbacks int
+	// Bitmap and RepFallbacks are per-response engine signals (query ops
+	// only): served on the pure-bitmap path / rep reads degraded to fresh
+	// inference.
+	Bitmap       bool
+	RepFallbacks int
 }
 
 // ReplayReport is a full trace replay: per-op results (indexed like
 // Trace.Ops) plus the aggregate view the suite logs.
 type ReplayReport struct {
-	Results        []OpResult
-	WallMS         float64
-	QPS            float64
-	ClientP50MS    float64
-	ClientP99MS    float64
-	Bitmap         int
-	RepFallbacks   int
-	QuantScored    int
-	QuantFallbacks int
+	Results      []OpResult
+	WallMS       float64
+	QPS          float64
+	ClientP50MS  float64
+	ClientP99MS  float64
+	Bitmap       int
+	RepFallbacks int
 }
 
 // canonicalResponse is the bit-parity surface of a response: the rows and
@@ -107,8 +102,6 @@ func runOp(ctx context.Context, c *server.Client, op Op, idx int, fx *Fixture) (
 			res.LatencyMS = msSince(t0)
 			res.Bitmap = trailer.Bitmap
 			res.RepFallbacks = trailer.RepFallbacks
-			res.QuantScored = trailer.QuantScored
-			res.QuantFallbacks = trailer.QuantFallbacks
 			canon, err := canonQuery(rows, trailer.Count, op.Sorted)
 			if err != nil {
 				return res, err
@@ -122,8 +115,6 @@ func runOp(ctx context.Context, c *server.Client, op Op, idx int, fx *Fixture) (
 			res.LatencyMS = msSince(t0)
 			res.Bitmap = resp.Bitmap
 			res.RepFallbacks = resp.RepFallbacks
-			res.QuantScored = resp.QuantScored
-			res.QuantFallbacks = resp.QuantFallbacks
 			canon, err := canonQuery(resp.Rows, resp.Count, op.Sorted)
 			if err != nil {
 				return res, err
@@ -226,8 +217,6 @@ func Replay(ctx context.Context, clients []*server.Client, tr *Trace, fx *Fixtur
 			rep.Bitmap++
 		}
 		rep.RepFallbacks += r.RepFallbacks
-		rep.QuantScored += r.QuantScored
-		rep.QuantFallbacks += r.QuantFallbacks
 	}
 	if rep.WallMS > 0 {
 		rep.QPS = float64(len(rep.Results)) / (rep.WallMS / 1e3)

@@ -64,16 +64,6 @@ type Trace struct {
 	// ServeReps serves pre-materialized representations from the store
 	// (`-serve-reps`), the path Fault typically targets.
 	ServeReps bool `json:"serve_reps,omitempty"`
-	// Quantize arms the serving process's scoring representation
-	// (`serve -quantize`); empty leaves the serve default (auto). The
-	// reference always replays float32, so a mix served int8 is
-	// byte-compared across the representation boundary.
-	Quantize string `json:"quantize,omitempty"`
-	// Materialize overrides the serving process's label-materialization
-	// mode (`serve -materialize`); empty = serve default "on". The quant
-	// mix turns it off so repeat queries keep scoring instead of
-	// collapsing to bitmap lookups.
-	Materialize string `json:"materialize,omitempty"`
 
 	// ExpectBitmap asserts at least one response was served on the pure
 	// bitmap path (repeat-query materialization actually engaged).
@@ -81,9 +71,6 @@ type Trace struct {
 	// ExpectRepFallbacks asserts at least one rep read degraded to fresh
 	// inference (the armed fault actually fired).
 	ExpectRepFallbacks bool `json:"expect_rep_fallbacks,omitempty"`
-	// ExpectQuantScored asserts at least one response reported trusted int8
-	// scores (the quantized path actually engaged).
-	ExpectQuantScored bool `json:"expect_quant_scored,omitempty"`
 
 	Ops []Op `json:"ops"`
 }
@@ -116,7 +103,6 @@ func Mixes(rows int) []*Trace {
 		ingestQueryMix(rows),
 		repeatMix(),
 		faultMix(),
-		quantMix(),
 	}
 }
 
@@ -229,31 +215,6 @@ func faultMix() *Trace {
 	}
 	for i := 0; i < 9; i++ {
 		tr.Ops = append(tr.Ops, Op{Kind: "query", SQL: qs[i%len(qs)]})
-	}
-	return tr
-}
-
-// quantMix drives content queries against a server explicitly armed with
-// `-quantize=auto` — int8 scoring with the guard-band float32 fallback —
-// while materialization is left off so every round re-scores. The reference
-// replay is pure float32, so the per-op byte comparison is the quantization
-// parity wall proven across a real HTTP boundary: the cheap representation
-// may never change an answer.
-func quantMix() *Trace {
-	tr := &Trace{
-		Mix: "quant", Seed: 29, Concurrency: 3, Short: true,
-		Quantize: "auto", Materialize: "off", ExpectQuantScored: true,
-	}
-	qs := []string{
-		"SELECT id FROM images WHERE contains_object('cloak')",
-		"SELECT COUNT(*) FROM images WHERE contains_object('cloak')",
-		"SELECT id FROM images WHERE NOT contains_object('cloak')",
-		"SELECT id FROM images WHERE ts >= 20 AND contains_object('cloak')",
-		"SELECT COUNT(*) FROM images WHERE location = 'corpus' AND NOT contains_object('cloak')",
-	}
-	rng := rand.New(rand.NewSource(tr.Seed))
-	for i := 0; i < 20; i++ {
-		tr.Ops = append(tr.Ops, Op{Kind: "query", SQL: qs[rng.Intn(len(qs))]})
 	}
 	return tr
 }

@@ -238,15 +238,6 @@ func Initialize(predicate string, splits synth.Splits, cfg Config) (*System, err
 	sys.EvalTruth = train.Labels(splits.Eval)
 	sys.EvalScores = scoreAll(models, splits.Eval, cfg.Workers)
 
-	// 3b. Int8 calibration, once per model, from the same eval split: absmax
-	// activation scales plus the worst observed f32↔int8 score gap (the guard
-	// band's radius). The record travels with the zoo, so a restored repo
-	// serves the exact operator that was calibrated here. Models whose inner
-	// dimensions exceed the exact-int32 bound are skipped and serve float32.
-	if err := calibrateQuantAll(models, splits.Eval, cfg.Workers); err != nil {
-		return nil, err
-	}
-
 	// 4. Compile the cascade evaluator.
 	ev, err := cascade.NewEvaluator(models, sys.EvalScores, sys.Thresholds, sys.EvalTruth)
 	if err != nil {
@@ -279,48 +270,6 @@ func scoreAll(models []*model.Model, ds synth.Dataset, workers int) [][]float32 
 	close(jobs)
 	wg.Wait()
 	return out
-}
-
-// calibrateQuantAll calibrates the int8 path of every quantizable model over
-// ds, parallelized across models (each model transforms the split to its own
-// representation, the same per-model work eval scoring pays).
-func calibrateQuantAll(models []*model.Model, ds synth.Dataset, workers int) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	errs := make([]error, len(models))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				m := models[i]
-				if !m.Net.QuantSupported() {
-					continue
-				}
-				reps := make([]*img.Image, ds.Len())
-				for j, e := range ds.Examples {
-					reps[j] = m.Xform.Apply(e.Image)
-				}
-				if _, err := m.CalibrateQuant(reps); err != nil {
-					errs[i] = fmt.Errorf("core: calibrating int8 for %s: %w", m.ID(), err)
-				}
-			}
-		}()
-	}
-	for i := range models {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // BuildOptions returns the paper's cascade enumeration for this system:

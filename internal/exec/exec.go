@@ -185,10 +185,9 @@ type Options struct {
 	// the transforms it covers: served slots skip decode and transform
 	// entirely and are counted as RepHits instead of RepsMaterialized.
 	RepSource RepSource
-	// Quantize selects the scoring representation: QuantOff (the zero
-	// value) is float32 everywhere; QuantAuto scores int8 where a model
-	// carries an armed calibration, with the per-frame guard-band fallback
-	// that keeps labels bit-identical either way.
+	// Quantize is ignored: every level scores float32.
+	//
+	// Deprecated: see QuantMode; delete it when a harness PR drops the calls.
 	Quantize QuantMode
 }
 
@@ -223,10 +222,7 @@ type BatchStats struct {
 	// were degraded to decode + transform instead of failing the run (they
 	// also count in RepsMaterialized — a transform really ran).
 	RepFallbacks int
-	// QuantStats counts int8 scorings and guard-band fallbacks, summed
-	// across cascades (per (frame, level), like LevelsRun).
-	QuantStats
-	Wall time.Duration
+	Wall         time.Duration
 }
 
 // Report is one run's accounting.
@@ -243,10 +239,6 @@ type Report struct {
 	// RepFallbacks counts RepSource read failures degraded to plain
 	// inference (see BatchStats.RepFallbacks).
 	RepFallbacks int
-	// QuantStats aggregates the batches' int8 accounting: how many
-	// (frame, level) scorings the int8 path decided and how many fell back
-	// to float32 inside the guard band. Both zero on a QuantOff run.
-	QuantStats
 	// Cancelled marks a run cut short by context cancellation or deadline.
 	// The report is partial: labels are valid only for batches that
 	// completed, and the run returns it alongside the context error so
@@ -479,7 +471,6 @@ type worker struct {
 	reps   [][]*img.Image // [slot][pos] pooled representation buffers
 	repOK  [][]bool       // [slot][pos] materialized for the current batch?
 	proj   []*img.Image   // [slot] projection scratch for ApplyInto
-	qsc    quantScratch
 }
 
 // ensure grows the scratch to batch capacity n.
@@ -517,7 +508,6 @@ type run struct {
 	need    [][]bool // per cascade, positional over indices; nil = all
 	sv      *serving
 	labels  [][]bool
-	quant   bool // QuantAuto run: int8 scoring with guard-band fallback
 }
 
 // needs reports whether cascade c must classify position pos.
@@ -657,7 +647,7 @@ func (r *run) runBatch(w *worker, lo, hi int, st *BatchStats) error {
 				gather = append(gather, w.reps[slot][j])
 			}
 			scores := w.scores[:len(und)]
-			if err := scoreLevelBatch(lv, gather, scores, &w.qsc, r.quant, &st.QuantStats); err != nil {
+			if err := lv.Model.ScoreBatchInto(gather, scores); err != nil {
 				// Re-score frame by frame to attribute the failure to a
 				// corpus index (the batch error only knows gather positions).
 				// Cold path: scoring errors abort the whole run.
@@ -790,7 +780,7 @@ func (e *Engine) RunMasked(ctx context.Context, src Source, indices []int, need 
 	}
 	close(jobs)
 	recSrc, _ := src.(RecordSource)
-	r := &run{ctx: ctx, e: e, src: src, recSrc: recSrc, indices: indices, need: need, sv: sv, labels: rep.Labels, quant: opts.Quantize == QuantAuto}
+	r := &run{ctx: ctx, e: e, src: src, recSrc: recSrc, indices: indices, need: need, sv: sv, labels: rep.Labels}
 
 	workers := min(opts.Workers, numBatches)
 	errs := make(chan error, workers)
@@ -847,7 +837,6 @@ func (e *Engine) RunMasked(ctx context.Context, src Source, indices []int, need 
 		rep.RepsMaterialized += st.RepsMaterialized
 		rep.RepHits += st.RepHits
 		rep.RepFallbacks += st.RepFallbacks
-		rep.QuantStats.add(st.QuantStats)
 		for c, lr := range st.LevelsRun {
 			rep.LevelsRun[c] += lr
 		}

@@ -153,31 +153,6 @@ func (s countingRecords) Record(i int, scratch *[]byte) (img.Record, error) {
 	return s.recordFrames.Record(i, scratch)
 }
 
-// calibrate arms the int8 path of every model in cascades, calibrating each
-// on samples drawn from the same distribution the test frames use
-// (transforms of random RGB sources), as install-time calibration does with
-// the eval split.
-func calibrate(t *testing.T, seed int64, cascades ...[]Level) {
-	t.Helper()
-	srcs := randFrames(seed, 48, 32)
-	done := make(map[*model.Model]bool)
-	for _, levels := range cascades {
-		for _, lv := range levels {
-			if done[lv.Model] {
-				continue
-			}
-			done[lv.Model] = true
-			reps := make([]*img.Image, len(srcs))
-			for i, src := range srcs {
-				reps[i] = lv.Model.Xform.Apply(src)
-			}
-			if _, err := lv.Model.CalibrateQuant(reps); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-}
-
 // fakeRepSource serves pre-computed representations for a subset of
 // transforms, keyed by source frame index, and counts Rep calls as cache
 // hits.
@@ -222,17 +197,13 @@ type refFrame struct {
 	levels []int  // per cascade
 	reps   int    // (frame, slot) pairs transformed
 	hits   int    // (frame, slot) pairs the RepSource serves instead
-	quant  QuantStats
 }
 
 // referenceWalk is the independent oracle: a per-frame walk over every
 // cascade with ONE shared representation map per frame — the semantics the
 // seed runtime implemented per cascade, extended across cascades. It shares
-// no code with the engine beyond the trust rule quantTrusted (pinned on its
-// own by TestQuantTrusted): served transforms count as hits instead of
-// reps, and under quant each calibrated level's single-frame int8 score is
-// put to the trust rule and counted as trusted or fallback.
-func referenceWalk(t *testing.T, cascades [][]Level, frames []*img.Image, indices []int, need [][]bool, served map[string]bool, quant bool) []refFrame {
+// no code with the engine: served transforms count as hits instead of reps.
+func referenceWalk(t *testing.T, cascades [][]Level, frames []*img.Image, indices []int, need [][]bool, served map[string]bool) []refFrame {
 	t.Helper()
 	out := make([]refFrame, len(indices))
 	for j, idx := range indices {
@@ -260,17 +231,6 @@ func referenceWalk(t *testing.T, cascades [][]Level, frames []*img.Image, indice
 				if err != nil {
 					t.Fatal(err)
 				}
-				if quant && lv.Model.Quantized() {
-					var q [1]float32
-					if err := lv.Model.ScoreBatchQuantInto([]*img.Image{rep}, q[:]); err != nil {
-						t.Fatal(err)
-					}
-					if quantTrusted(q[0], lv, lv.Model.Quant.GuardBand()) {
-						rf.quant.QuantScored++
-					} else {
-						rf.quant.QuantFallbacks++
-					}
-				}
 				rf.levels[c]++
 				if lv.Last {
 					rf.labels[c] = score >= 0.5
@@ -294,7 +254,7 @@ func referenceWalk(t *testing.T, cascades [][]Level, frames []*img.Image, indice
 
 // checkAgainstReference holds a report to the reference walk: labels,
 // positives, and — per batch and in aggregate — per-cascade LevelsRun,
-// exactly-once RepsMaterialized, RepHits and the int8 counters.
+// exactly-once RepsMaterialized and RepHits.
 func checkAgainstReference(t *testing.T, rep *Report, ref []refFrame, need [][]bool, batch int) {
 	t.Helper()
 	if rep.Frames != len(ref) {
@@ -306,7 +266,6 @@ func checkAgainstReference(t *testing.T, rep *Report, ref []refFrame, need [][]b
 	nc := len(rep.Labels)
 	totLevels := make([]int, nc)
 	totReps, totHits, next := 0, 0, 0
-	var totQuant QuantStats
 	for b, st := range rep.Batches {
 		if st.Start != next {
 			t.Fatalf("batch %d starts at %d, want %d", b, st.Start, next)
@@ -314,14 +273,12 @@ func checkAgainstReference(t *testing.T, rep *Report, ref []refFrame, need [][]b
 		next += st.Frames
 		wantLevels := make([]int, nc)
 		wantReps, wantHits := 0, 0
-		var wantQuant QuantStats
 		for _, rf := range ref[st.Start : st.Start+st.Frames] {
 			for c := range wantLevels {
 				wantLevels[c] += rf.levels[c]
 			}
 			wantReps += rf.reps
 			wantHits += rf.hits
-			wantQuant.add(rf.quant)
 		}
 		for c := range wantLevels {
 			if st.LevelsRun[c] != wantLevels[c] {
@@ -332,11 +289,7 @@ func checkAgainstReference(t *testing.T, rep *Report, ref []refFrame, need [][]b
 		if st.RepsMaterialized != wantReps || st.RepHits != wantHits {
 			t.Fatalf("batch %d: %d reps / %d hits, reference %d / %d", b, st.RepsMaterialized, st.RepHits, wantReps, wantHits)
 		}
-		if st.QuantStats != wantQuant {
-			t.Fatalf("batch %d: int8 counters %+v, reference %+v", b, st.QuantStats, wantQuant)
-		}
 		totReps, totHits = totReps+wantReps, totHits+wantHits
-		totQuant.add(wantQuant)
 	}
 	if next != len(ref) {
 		t.Fatalf("batch stats cover %d frames, want %d", next, len(ref))
@@ -344,9 +297,6 @@ func checkAgainstReference(t *testing.T, rep *Report, ref []refFrame, need [][]b
 	if rep.RepsMaterialized != totReps || rep.RepHits != totHits || rep.RepFallbacks != 0 {
 		t.Fatalf("run: %d reps / %d hits / %d fallbacks, reference %d / %d / 0",
 			rep.RepsMaterialized, rep.RepHits, rep.RepFallbacks, totReps, totHits)
-	}
-	if rep.QuantStats != totQuant {
-		t.Fatalf("run: int8 counters %+v, reference %+v", rep.QuantStats, totQuant)
 	}
 	for c := 0; c < nc; c++ {
 		if rep.LevelsRun[c] != totLevels[c] {
@@ -370,12 +320,10 @@ func checkAgainstReference(t *testing.T, rep *Report, ref []refFrame, need [][]b
 // TestEngineParity is the engine's core property, as one table: cascades
 // 1–3 × shared/disjoint representation grid × need masks × RepSource (none,
 // one served transform, or every transform, so no source is ever loaded) ×
-// quantization × workers × batch size × the
-// physical form of the source (decoded images, or stored records taking the
-// byte-domain load path). Every run must match the independent shared-map
-// reference walk — labels, per-cascade LevelsRun, exactly-once
-// RepsMaterialized, RepHits and QuantScored/QuantFallbacks, per batch and in
-// aggregate — and its unmasked labels and level counts must equal the
+// workers × batch size × the physical form of the source (decoded images, or
+// stored records taking the byte-domain load path). Every run must match the
+// independent shared-map reference walk — labels, per-cascade LevelsRun,
+// exactly-once RepsMaterialized and RepHits, per batch and in aggregate — and its unmasked labels and level counts must equal the
 // engine's own per-frame ClassifyOne walk. Nothing about scheduling, and
 // nothing about how the source is held, may move any of them.
 func TestEngineParity(t *testing.T) {
@@ -401,7 +349,6 @@ func TestEngineParity(t *testing.T) {
 	for _, depths := range [][]int{{3}, {2, 3}, {2, 4, 1}} {
 		for _, shared := range []bool{true, false} {
 			cascades := buildCascades(t, 2100, depths, shared)
-			calibrate(t, 899, cascades...)
 			// The repsource rows serve cascade 0's first-level transform (on
 			// the shared grid, every cascade's); the repsource-all rows serve
 			// every transform any level uses.
@@ -432,80 +379,66 @@ func TestEngineParity(t *testing.T) {
 			}
 			for _, need := range [][][]bool{nil, masked} {
 				for _, serve := range []string{"none", "repsource", "repsource-all"} {
-					for _, quant := range []QuantMode{QuantOff, QuantAuto} {
-						var served map[string]bool
-						switch serve {
-						case "repsource":
-							served = map[string]bool{servedXf.ID(): true}
-						case "repsource-all":
-							served = allServed
-						}
-						ref := referenceWalk(t, cascades, frames, indices, need, served, quant == QuantAuto)
-						if need == nil {
-							// The engine's own per-frame walk agrees with the
-							// independent one, cascade by cascade.
-							for c := range cascades {
-								for j, idx := range indices {
-									label, tr, err := eng.ClassifyOne(c, frames[idx])
-									if err != nil {
-										t.Fatal(err)
-									}
-									if label != ref[j].labels[c] || tr.LevelsRun != ref[j].levels[c] {
-										t.Fatalf("cascade %d frame %d: ClassifyOne (%v, %d levels) != reference (%v, %d)",
-											c, idx, label, tr.LevelsRun, ref[j].labels[c], ref[j].levels[c])
-									}
+					var served map[string]bool
+					switch serve {
+					case "repsource":
+						served = map[string]bool{servedXf.ID(): true}
+					case "repsource-all":
+						served = allServed
+					}
+					ref := referenceWalk(t, cascades, frames, indices, need, served)
+					if need == nil {
+						// The engine's own per-frame walk agrees with the
+						// independent one, cascade by cascade.
+						for c := range cascades {
+							for j, idx := range indices {
+								label, tr, err := eng.ClassifyOne(c, frames[idx])
+								if err != nil {
+									t.Fatal(err)
+								}
+								if label != ref[j].labels[c] || tr.LevelsRun != ref[j].levels[c] {
+									t.Fatalf("cascade %d frame %d: ClassifyOne (%v, %d levels) != reference (%v, %d)",
+										c, idx, label, tr.LevelsRun, ref[j].labels[c], ref[j].levels[c])
 								}
 							}
 						}
-						for _, workers := range []int{1, 2, 4} {
-							for _, batch := range []int{1, 5, 16, 100} {
-								name := fmt.Sprintf("n=%d/shared=%v/masked=%v/%s/quant=%v/w=%d/b=%d",
-									len(cascades), shared, need != nil, serve, quant, workers, batch)
-								for _, source := range sources {
-									mkSrc := source.src
-									t.Run(name+source.suffix, func(t *testing.T) {
-										var loads atomic.Int64
-										opts := Options{Workers: workers, Batch: batch, Quantize: quant}
-										switch serve {
-										case "repsource":
-											opts.RepSource = newFakeRepSource(frames, servedXf)
-										case "repsource-all":
-											opts.RepSource = newFakeRepSource(frames, allXf...)
+					}
+					for _, workers := range []int{1, 2, 4} {
+						for _, batch := range []int{1, 5, 16, 100} {
+							name := fmt.Sprintf("n=%d/shared=%v/masked=%v/%s/w=%d/b=%d",
+								len(cascades), shared, need != nil, serve, workers, batch)
+							for _, source := range sources {
+								mkSrc := source.src
+								t.Run(name+source.suffix, func(t *testing.T) {
+									var loads atomic.Int64
+									opts := Options{Workers: workers, Batch: batch}
+									switch serve {
+									case "repsource":
+										opts.RepSource = newFakeRepSource(frames, servedXf)
+									case "repsource-all":
+										opts.RepSource = newFakeRepSource(frames, allXf...)
+									}
+									rep, err := eng.RunMasked(context.Background(), mkSrc(&loads), indices, need, opts)
+									if err != nil {
+										t.Fatal(err)
+									}
+									checkAgainstReference(t, rep, ref, need, batch)
+									if serve == "none" && rep.HasCache {
+										t.Fatal("no RepSource, but HasCache is set")
+									}
+									if serve != "none" {
+										if rep.RepHits == 0 {
+											t.Fatal("served slot produced no RepHits")
 										}
-										rep, err := eng.RunMasked(context.Background(), mkSrc(&loads), indices, need, opts)
-										if err != nil {
-											t.Fatal(err)
+										if !rep.HasCache || rep.Cache.Hits != int64(rep.RepHits) {
+											t.Fatalf("cache stats %+v (HasCache=%v) vs RepHits %d", rep.Cache, rep.HasCache, rep.RepHits)
 										}
-										checkAgainstReference(t, rep, ref, need, batch)
-										if serve == "none" && rep.HasCache {
-											t.Fatal("no RepSource, but HasCache is set")
-										}
-										if serve != "none" {
-											if rep.RepHits == 0 {
-												t.Fatal("served slot produced no RepHits")
-											}
-											if !rep.HasCache || rep.Cache.Hits != int64(rep.RepHits) {
-												t.Fatalf("cache stats %+v (HasCache=%v) vs RepHits %d", rep.Cache, rep.HasCache, rep.RepHits)
-											}
-										}
-										if serve == "repsource-all" && (rep.RepsMaterialized != 0 || loads.Load() != 0) {
-											t.Fatalf("every slot served, yet %d reps transformed and %d source frames loaded",
-												rep.RepsMaterialized, loads.Load())
-										}
-										if quant == QuantAuto {
-											levels := 0
-											for _, lr := range rep.LevelsRun {
-												levels += lr
-											}
-											if got := rep.QuantScored + rep.QuantFallbacks; got != levels {
-												t.Fatalf("int8 scorings (%d trusted + %d fallbacks) != %d levels run", rep.QuantScored, rep.QuantFallbacks, levels)
-											}
-											if rep.QuantScored == 0 {
-												t.Fatal("int8 path never trusted a score — quantization is not engaged")
-											}
-										}
-									})
-								}
+									}
+									if serve == "repsource-all" && (rep.RepsMaterialized != 0 || loads.Load() != 0) {
+										t.Fatalf("every slot served, yet %d reps transformed and %d source frames loaded",
+											rep.RepsMaterialized, loads.Load())
+									}
+								})
 							}
 						}
 					}
@@ -763,42 +696,36 @@ func (failingRepSource) Rep(i int, id string) (*img.Image, error) {
 // counts of the plain run, every slot a counted fallback transform.
 func TestRepFallbackAcrossSources(t *testing.T) {
 	cascades := buildCascades(t, 5700, []int{3, 2}, true)
-	calibrate(t, 5701, cascades...)
 	eng, err := New(cascades...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	frames, records := storedFrames(t, 5800, 40, 32)
-	for _, quant := range []QuantMode{QuantOff, QuantAuto} {
-		plain, err := eng.Run(Frames(frames), nil, Options{Workers: 1, Quantize: quant})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 2, 4} {
-			for name, src := range map[string]Source{
-				"image":       Frames(frames),
-				"record":      recordFrames{records: records, resident: true},
-				"record-read": recordFrames{records: records},
-			} {
-				rep, err := eng.Run(src, nil, Options{Workers: workers, Batch: 7, Quantize: quant, RepSource: failingRepSource{}})
-				if err != nil {
-					t.Fatalf("%s w=%d quant=%v: rep-read failure must degrade, not error: %v", name, workers, quant, err)
+	plain, err := eng.Run(Frames(frames), nil, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		for name, src := range map[string]Source{
+			"image":       Frames(frames),
+			"record":      recordFrames{records: records, resident: true},
+			"record-read": recordFrames{records: records},
+		} {
+			rep, err := eng.Run(src, nil, Options{Workers: workers, Batch: 7, RepSource: failingRepSource{}})
+			if err != nil {
+				t.Fatalf("%s w=%d: rep-read failure must degrade, not error: %v", name, workers, err)
+			}
+			if rep.RepHits != 0 || rep.RepFallbacks != plain.RepsMaterialized || rep.RepsMaterialized != plain.RepsMaterialized {
+				t.Fatalf("%s w=%d: %d hits / %d fallbacks / %d reps, want 0 / %d / %d", name, workers,
+					rep.RepHits, rep.RepFallbacks, rep.RepsMaterialized, plain.RepsMaterialized, plain.RepsMaterialized)
+			}
+			for c := range plain.Labels {
+				if rep.LevelsRun[c] != plain.LevelsRun[c] {
+					t.Fatalf("%s w=%d cascade %d: LevelsRun %d, plain run %d", name, workers, c, rep.LevelsRun[c], plain.LevelsRun[c])
 				}
-				if rep.RepHits != 0 || rep.RepFallbacks != plain.RepsMaterialized || rep.RepsMaterialized != plain.RepsMaterialized {
-					t.Fatalf("%s w=%d quant=%v: %d hits / %d fallbacks / %d reps, want 0 / %d / %d", name, workers, quant,
-						rep.RepHits, rep.RepFallbacks, rep.RepsMaterialized, plain.RepsMaterialized, plain.RepsMaterialized)
-				}
-				if rep.QuantStats != plain.QuantStats {
-					t.Fatalf("%s w=%d quant=%v: int8 counters %+v, plain run %+v", name, workers, quant, rep.QuantStats, plain.QuantStats)
-				}
-				for c := range plain.Labels {
-					if rep.LevelsRun[c] != plain.LevelsRun[c] {
-						t.Fatalf("%s w=%d quant=%v cascade %d: LevelsRun %d, plain run %d", name, workers, quant, c, rep.LevelsRun[c], plain.LevelsRun[c])
-					}
-					for i := range frames {
-						if rep.Labels[c][i] != plain.Labels[c][i] {
-							t.Fatalf("%s w=%d quant=%v cascade %d frame %d: label differs from the plain run", name, workers, quant, c, i)
-						}
+				for i := range frames {
+					if rep.Labels[c][i] != plain.Labels[c][i] {
+						t.Fatalf("%s w=%d cascade %d frame %d: label differs from the plain run", name, workers, c, i)
 					}
 				}
 			}
@@ -918,131 +845,6 @@ func TestSteadyStateAllocs(t *testing.T) {
 				t.Fatalf("%s n=%d: %.0f allocations per %d-frame run: want %.0f per frame plus a small per-run overhead, got overhead %.0f",
 					tc.name, len(depths), avg, n, tc.perFrame, overhead)
 			}
-		}
-	}
-}
-
-// TestQuantOffUncalibrated: QuantAuto over a cascade with no armed models is
-// exactly the float32 run — no counters, same labels.
-func TestQuantOffUncalibrated(t *testing.T) {
-	eng, err := New(buildLevels(t, 941, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	frames := randFrames(947, 20, 32)
-	want, err := eng.Run(Frames(frames), nil, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := eng.Run(Frames(frames), nil, Options{Quantize: QuantAuto})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range frames {
-		if got.Labels[0][i] != want.Labels[0][i] {
-			t.Fatalf("label %d differs", i)
-		}
-	}
-	if got.QuantScored != 0 || got.QuantFallbacks != 0 {
-		t.Fatalf("uncalibrated cascade counted int8 work: %+v", got.QuantStats)
-	}
-}
-
-// TestQuantGuardBandSweep places the decision thresholds directly onto the
-// observed float32 score distribution — including bands exactly MaxErr wide
-// around individual scores, the tightest calibrated margin — and requires
-// label parity at every placement. This is the adversarial case for the
-// guard band: scores sit as close to the boundary as the calibration says
-// they ever can.
-func TestQuantGuardBandSweep(t *testing.T) {
-	levels := buildLevels(t, 1201, 2)
-	calibrate(t, 1217, levels)
-	frames := randFrames(1231, 40, 32)
-
-	// The float32 scores of level 0 drive the threshold placements.
-	m := levels[0].Model
-	reps := make([]*img.Image, len(frames))
-	for i, src := range frames {
-		reps[i] = m.Xform.Apply(src)
-	}
-	scores := make([]float32, len(reps))
-	if err := m.ScoreBatchInto(reps, scores); err != nil {
-		t.Fatal(err)
-	}
-	maxErr := m.Quant.MaxErr
-
-	var cuts []float32
-	for _, s := range scores[:8] {
-		cuts = append(cuts, s, s+maxErr, s-maxErr, s+maxErr/2)
-	}
-	cuts = append(cuts, 0.5)
-
-	sawFallback := false
-	for ci, cut := range cuts {
-		lo, hi := cut-maxErr/2, cut+maxErr/2
-		if lo < 0 || hi > 1 {
-			continue
-		}
-		eng, err := New([]Level{
-			{Model: levels[0].Model, Thresholds: thresh.Thresholds{Low: lo, High: hi}},
-			{Model: levels[1].Model, Last: true},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := eng.Run(Frames(frames), nil, Options{Workers: 2, Batch: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := eng.Run(Frames(frames), nil, Options{Workers: 2, Batch: 8, Quantize: QuantAuto})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range frames {
-			if got.Labels[0][i] != want.Labels[0][i] {
-				t.Fatalf("cut %d (%.6f): label %d = %v, float32 = %v (MaxErr %.6f)", ci, cut, i, got.Labels[0][i], want.Labels[0][i], maxErr)
-			}
-		}
-		if got.LevelsRun[0] != want.LevelsRun[0] {
-			t.Fatalf("cut %d: LevelsRun %d vs %d", ci, got.LevelsRun[0], want.LevelsRun[0])
-		}
-		if got.QuantFallbacks > 0 {
-			sawFallback = true
-		}
-	}
-	if !sawFallback {
-		t.Fatal("thresholds placed on the score distribution never triggered a guard-band fallback — the sweep is not exercising the band")
-	}
-}
-
-// TestQuantTrusted pins the trust rule's boundary semantics: inclusive
-// where Decide is strict and strict where Decide is inclusive, so a float32
-// score sitting exactly on a threshold can never be decided from int8.
-func TestQuantTrusted(t *testing.T) {
-	mid := &Level{Thresholds: thresh.Thresholds{Low: 0.3, High: 0.7}}
-	last := &Level{Last: true}
-	band := float32(0.01)
-	cases := []struct {
-		lv   *Level
-		q    float32
-		want bool
-	}{
-		{mid, 0.71, true},   // clears High+band
-		{mid, 0.705, false}, // inside [High, High+band)
-		{mid, 0.695, false}, // inside (High-band, High]
-		{mid, 0.6, true},    // strictly inside the undecided zone
-		{mid, 0.31, false},  // inside (Low, Low+band]
-		{mid, 0.295, false}, // inside (Low-band, Low)
-		{mid, 0.29, true},   // exactly Low-band: f32 ≤ Low, Decide inclusive
-		{mid, 0.28, true},   // clears Low-band
-		{last, 0.52, true},
-		{last, 0.51, false}, // exactly 0.5+band: f32 could sit on 0.5
-		{last, 0.49, false},
-		{last, 0.48, true},
-	}
-	for _, c := range cases {
-		if got := quantTrusted(c.q, c.lv, band); got != c.want {
-			t.Errorf("quantTrusted(%v, last=%v) = %v, want %v", c.q, c.lv.Last, got, c.want)
 		}
 	}
 }

@@ -67,57 +67,3 @@ func BenchmarkScoreBatch(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkScoreBatchQuant is the f32-vs-int8 comparison on the same grid
-// cells: the /f32 and /int8 sub-benchmarks run the identical batch rotation,
-// so their frames/sec ratio is the end-to-end speedup of the cheaper
-// representation (quantize + byte im2col + pack + int8 GEMM + dequant versus
-// f32 im2col + f32 GEMM). Steady state must not allocate.
-//
-//	go test -run=NONE -bench=BenchmarkScoreBatchQuant -benchmem ./internal/model
-func BenchmarkScoreBatchQuant(b *testing.B) {
-	cells := []struct {
-		name string
-		spec arch.Spec
-		xf   xform.Transform
-	}{
-		{"c0d16@16x16-gray", arch.Spec{ConvLayers: 0, DenseWidth: 16, Kernel: 3}, xform.Transform{Size: 16, Color: img.Gray}},
-		{"c0d64@32x32-rgb", arch.Spec{ConvLayers: 0, DenseWidth: 64, Kernel: 3}, xform.Transform{Size: 32, Color: img.RGB}},
-		{"c0d128@32x32-rgb", arch.Spec{ConvLayers: 0, DenseWidth: 128, Kernel: 3}, xform.Transform{Size: 32, Color: img.RGB}},
-		{"c1w4d16@32x32-gray", arch.Spec{ConvLayers: 1, ConvWidth: 4, DenseWidth: 16, Kernel: 3}, xform.Transform{Size: 32, Color: img.Gray}},
-		{"c2w8d16@32x32-rgb", arch.Spec{ConvLayers: 2, ConvWidth: 8, DenseWidth: 16, Kernel: 3}, xform.Transform{Size: 32, Color: img.RGB}},
-	}
-	for _, cell := range cells {
-		m, err := New(cell.spec, cell.xf, Basic, 41)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(42))
-		reps := make([]*img.Image, 64)
-		for i := range reps {
-			reps[i] = randRep(rng, cell.xf.Size, cell.xf.Color)
-		}
-		if _, err := m.CalibrateQuant(reps[:16]); err != nil {
-			b.Fatal(err)
-		}
-		for _, bsz := range []int{1, 8, 64} {
-			out := make([]float32, bsz)
-			run := func(name string, score func(reps []*img.Image, out []float32) error) {
-				b.Run(fmt.Sprintf("%s/%s/b=%d", cell.name, name, bsz), func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						lo := (i * bsz) % len(reps)
-						if err := score(reps[lo:lo+bsz], out); err != nil {
-							b.Fatal(err)
-						}
-					}
-					frames := float64(b.N * bsz)
-					b.ReportMetric(frames/b.Elapsed().Seconds(), "frames/sec")
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/frames, "ns/frame")
-				})
-			}
-			run("f32", m.ScoreBatchInto)
-			run("int8", m.ScoreBatchQuantInto)
-		}
-	}
-}

@@ -41,10 +41,6 @@ type Model struct {
 	Net   *nn.Network
 	Kind  Kind
 
-	// Quant is the int8 calibration record when the model has a quantized
-	// inference path armed (see quant.go); nil means float32 only.
-	Quant *Quantization
-
 	batch [][]float32 // reused ScoreBatch sample-slice scratch
 }
 
@@ -98,10 +94,6 @@ func (m *Model) Score(rep *img.Image) (float32, error) {
 // to Score(reps[i]) at every batch size. Like the underlying network, a
 // Model's batch scratch is exclusive: clone the model per goroutine.
 func (m *Model) ScoreBatchInto(reps []*img.Image, out []float32) error {
-	return m.scoreBatchInto(reps, out, false)
-}
-
-func (m *Model) scoreBatchInto(reps []*img.Image, out []float32, quant bool) error {
 	if len(out) != len(reps) {
 		return fmt.Errorf("model %s: ScoreBatch output holds %d values for %d representations", m.ID(), len(out), len(reps))
 	}
@@ -122,11 +114,7 @@ func (m *Model) scoreBatchInto(reps []*img.Image, out []float32, quant bool) err
 	for i, rep := range reps {
 		m.batch[i] = rep.Pix
 	}
-	if quant {
-		m.Net.PredictBatchQuant(m.batch, out)
-	} else {
-		m.Net.PredictBatch(m.batch, out)
-	}
+	m.Net.PredictBatch(m.batch, out)
 	for i := range m.batch {
 		m.batch[i] = nil // don't pin pixel buffers between calls
 	}
@@ -152,12 +140,8 @@ func (m *Model) ScoreFull(src *img.Image) float32 {
 // MACs returns the analytic inference cost proxy for one forward pass.
 func (m *Model) MACs() int64 { return m.Net.MACs() }
 
-// DenseMACs returns the dense-layer share of MACs, for cost models that
-// price the int8 dense and conv streams differently.
-func (m *Model) DenseMACs() int64 { return m.Net.DenseMACs() }
-
 // Clone returns a model sharing weights with m but safe to use for inference
 // concurrently with m.
 func (m *Model) Clone() *Model {
-	return &Model{Arch: m.Arch, Xform: m.Xform, Net: m.Net.Clone(), Kind: m.Kind, Quant: m.Quant}
+	return &Model{Arch: m.Arch, Xform: m.Xform, Net: m.Net.Clone(), Kind: m.Kind}
 }

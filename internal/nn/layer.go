@@ -96,16 +96,6 @@ type Conv2D struct {
 	bcol  *tensor.Tensor // [C·K², B·OH·OW]
 	bout  *tensor.Tensor // [OutC, B, OH, OW]
 	bout2 *tensor.Tensor // 2-d view of bout sharing its data
-
-	// Int8 inference state. qw and actScale are prepared once by
-	// Network.EnableQuant and shared read-only across clones; the q*
-	// buffers are per-clone scratch like the batch scratch above.
-	qw       *tensor.Int8Weights
-	actScale float32
-	qin      []uint8 // quantized input plane [C, B, H, W]
-	qcol     []uint8 // byte column matrix [C·K², B·OH·OW]
-	qpack    tensor.Int8Packed
-	qacc     []int32 // int32 GEMM accumulator [OutC, B·OH·OW]
 }
 
 // NewConv2D creates a conv layer with inC input channels, outC filters and a
@@ -234,7 +224,7 @@ func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 func (c *Conv2D) Params() []*Param { return []*Param{c.W, c.B} }
 
 func (c *Conv2D) clone() Layer {
-	return &Conv2D{InC: c.InC, OutC: c.OutC, K: c.K, W: c.W, B: c.B, qw: c.qw, actScale: c.actScale}
+	return &Conv2D{InC: c.InC, OutC: c.OutC, K: c.K, W: c.W, B: c.B}
 }
 
 // MaxPool2 is a 2×2 max pooling layer with stride 2 over a CHW input. Odd
@@ -500,14 +490,6 @@ type Dense struct {
 	out  *tensor.Tensor
 	dx   *tensor.Tensor
 	bout *tensor.Tensor // batch scratch [Out, B]
-
-	// Int8 inference state; see the Conv2D fields of the same names. The
-	// dense path quantizes and packs in one fused pass, so there is no
-	// intermediate byte buffer.
-	qw       *tensor.Int8Weights
-	actScale float32
-	qpack    tensor.Int8Packed
-	qacc     []int32 // int32 GEMM accumulator [Out, B]
 }
 
 // NewDense creates a fully connected layer mapping in features to out.
@@ -598,5 +580,5 @@ func (d *Dense) Backward(dy *tensor.Tensor) *tensor.Tensor {
 func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
 
 func (d *Dense) clone() Layer {
-	return &Dense{In: d.In, Out: d.Out, W: d.W, B: d.B, qw: d.qw, actScale: d.actScale}
+	return &Dense{In: d.In, Out: d.Out, W: d.W, B: d.B}
 }

@@ -16,7 +16,6 @@ type Network struct {
 	inShape []int
 	bin     *tensor.Tensor // batch input pack scratch [C, B, H, W]
 	chunk   int            // cached batchChunk result (0 = not yet computed)
-	quant   bool           // EnableQuant has prepared the int8 path
 }
 
 // NewNetwork builds a network from layers and validates that the shapes chain
@@ -126,17 +125,6 @@ func (n *Network) computeBatchChunk() int {
 // Network is NOT safe for concurrent use; clone per goroutine as with
 // Forward.
 func (n *Network) ForwardBatch(samples [][]float32, out []float32) {
-	n.forwardChunks(samples, out, false, nil)
-}
-
-// forwardChunks is the chunked batch driver shared by the float32 and int8
-// paths. With quant set, layers that EnableQuant prepared run their int8
-// kernels; everything else (and everything, when quant is unset) runs the
-// float32 ForwardBatch. observe, when non-nil, is called with each quantizable
-// layer's index and float32 input before the layer runs — the calibration
-// hook, so activation scales are measured on exactly the tensors inference
-// quantizes.
-func (n *Network) forwardChunks(samples [][]float32, out []float32, quant bool, observe func(qi int, in *tensor.Tensor)) {
 	bsz := len(samples)
 	if len(out) < bsz {
 		panic(fmt.Sprintf("nn: ForwardBatch output holds %d values for %d samples", len(out), bsz))
@@ -158,13 +146,6 @@ func (n *Network) forwardChunks(samples [][]float32, out []float32, quant bool, 
 		n.bin = &tensor.Tensor{}
 	}
 	chunk := n.batchChunk()
-	if quant && chunk == 16 {
-		// Six SWAR words hold 18 columns; at 16 the last word pair carries
-		// two padding lanes — 12.5% of the int8 multiplies wasted. 18 packs
-		// every lane. Chunk size never changes output bits (the integer
-		// kernels are exact), only speed.
-		chunk = 18
-	}
 	for s0 := 0; s0 < bsz; s0 += chunk {
 		s1 := min(s0+chunk, bsz)
 		cur := samples[s0:s1]
@@ -176,48 +157,7 @@ func (n *Network) forwardChunks(samples [][]float32, out []float32, quant bool, 
 			}
 		}
 		t := n.bin
-		qi := 0
-		for li := 0; li < len(n.Layers); li++ {
-			l := n.Layers[li]
-			// Fused Flatten→Dense on the quantized path: flatten is a pure
-			// layout transpose, and the planar packer consumes the
-			// channel-major tensor directly, so the float32 transpose is
-			// skipped. Calibration (observe) runs with quant unset and so
-			// always sees the flattened tensor; absmax is layout-invariant
-			// either way.
-			if quant && t.Dims() == 4 {
-				if _, isFlat := l.(*Flatten); isFlat && li+1 < len(n.Layers) {
-					if d, ok := n.Layers[li+1].(*Dense); ok && d.qw != nil {
-						if observe != nil {
-							observe(qi, t)
-						}
-						qi++
-						t = d.forwardBatchQuantCHW(t)
-						li++
-						continue
-					}
-				}
-			}
-			switch v := l.(type) {
-			case *Conv2D:
-				if observe != nil {
-					observe(qi, t)
-				}
-				qi++
-				if quant && v.qw != nil {
-					t = v.forwardBatchQuant(t)
-					continue
-				}
-			case *Dense:
-				if observe != nil {
-					observe(qi, t)
-				}
-				qi++
-				if quant && v.qw != nil {
-					t = v.forwardBatchQuant(t)
-					continue
-				}
-			}
+		for _, l := range n.Layers {
 			t = l.ForwardBatch(t)
 		}
 		copy(out[s0:s1], t.Data[:len(cur)])
@@ -291,19 +231,6 @@ func (n *Network) MACs() int64 {
 	return total
 }
 
-// DenseMACs is the dense-layer share of MACs(). The int8 kernels speed the
-// dense stream up and (in this pure-Go build) slow convolution down, so the
-// quantized cost model prices the two populations separately.
-func (n *Network) DenseMACs() int64 {
-	var total int64
-	for _, l := range n.Layers {
-		if v, ok := l.(*Dense); ok {
-			total += int64(v.In) * int64(v.Out)
-		}
-	}
-	return total
-}
-
 // Clone returns a network sharing parameter values with n but with
 // independent scratch buffers, suitable for concurrent inference while n (or
 // other clones) are also doing inference. Cloned networks must not be
@@ -313,7 +240,7 @@ func (n *Network) Clone() *Network {
 	for i, l := range n.Layers {
 		layers[i] = l.clone()
 	}
-	return &Network{Layers: layers, inShape: n.inShape, quant: n.quant}
+	return &Network{Layers: layers, inShape: n.inShape}
 }
 
 // Weights serializes all parameter values into a flat slice in layer order.

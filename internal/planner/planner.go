@@ -94,16 +94,11 @@ type LevelCost struct {
 	// RepCost is the cost of materializing that representation once for one
 	// frame (seconds); charged only at the representation's first use.
 	RepCost float64
-	// InferCost is one inference at this level (seconds). For a quantized
-	// level this is already the int8 price.
+	// InferCost is one inference at this level (seconds).
 	InferCost float64
 	// Occupancy is the expected fraction of classified frames reaching this
 	// level (level 0 is 1; deeper levels shrink as thresholds decide).
 	Occupancy float64
-	// Quantized marks a level the run will score over the int8 path (armed
-	// calibration and quantization enabled); its InferCost is the quantized
-	// price.
-	Quantized bool
 }
 
 // Step is one content predicate's planning input: the chosen cascade, its
@@ -133,10 +128,6 @@ type Step struct {
 	// CachedRows / TotalRows is the materialized-column coverage: rows whose
 	// label is already known and costs nothing to reuse.
 	CachedRows, TotalRows int
-	// QuantBand is the widest guard band among the quantized levels — the
-	// score margin inside which execution re-runs float32 to keep labels
-	// bit-identical. Zero when no level is quantized.
-	QuantBand float64
 }
 
 // Availability is the plan-time snapshot of physical-representation
@@ -197,8 +188,6 @@ type PlannedStep struct {
 	// classify. A fully materialized predicate is free filtering and ranks
 	// first regardless of its cascade cost.
 	Rank float64
-	// QuantLevels counts the cascade levels priced (and run) over int8.
-	QuantLevels int
 }
 
 // Fusion is the planner's content-phase execution decision.
@@ -267,9 +256,6 @@ func costStep(s Step, av Availability) PlannedStep {
 	infer := 0.0
 	for _, lv := range s.Levels {
 		infer += lv.Occupancy * lv.InferCost
-		if lv.Quantized {
-			ps.QuantLevels++
-		}
 		if !seen[lv.RepID] {
 			seen[lv.RepID] = true
 			reps = append(reps, repUse{cost: lv.RepCost, occ: lv.Occupancy, id: lv.RepID})
@@ -471,11 +457,6 @@ func (s *PlannedStep) CostLine() string {
 		fmt.Fprintf(&b, ", materialized %.0f%%", s.cachedFrac()*100)
 	}
 	fmt.Fprintf(&b, ", rank %s", us(s.Rank))
-	if s.QuantLevels > 0 {
-		// The quantized levels are priced at their int8 cost above; the band
-		// is the score margin whose frames re-run float32 for label parity.
-		fmt.Fprintf(&b, ", int8 %d/%d levels (guard band ±%.4f)", s.QuantLevels, len(s.Levels), s.QuantBand)
-	}
 	return b.String()
 }
 

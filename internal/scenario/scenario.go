@@ -88,11 +88,6 @@ type CostModel interface {
 	RepCost(t xform.Transform) float64
 	// InferCost is paid for every inference of the given model.
 	InferCost(m *model.Model) float64
-	// QuantInferCost is InferCost when the model scores over its armed int8
-	// path. It prices the common (trusted) path; the small guard-band
-	// fallback fraction that re-runs float32 is not modeled. Models without
-	// a distinct int8 price cost the same as InferCost.
-	QuantInferCost(m *model.Model) float64
 }
 
 // Params are the constants of the analytic cost model. The defaults are
@@ -114,12 +109,6 @@ type Params struct {
 	// SourceW, SourceH describe the full-size corpus images, for pricing
 	// ARCHIVE loads and transform work.
 	SourceW, SourceH int
-	// QuantDenseSpeedup and QuantConvSpeedup scale the per-MAC price of
-	// int8 scoring relative to float32, separately for the dense and conv
-	// MAC populations (the SWAR dense kernel wins; the pure-Go conv path
-	// loses). Zero means unpriced — int8 costs the same as float32.
-	QuantDenseSpeedup float64
-	QuantConvSpeedup  float64
 }
 
 // DefaultParams returns constants resembling the paper's regime: an
@@ -137,12 +126,6 @@ func DefaultParams() Params {
 		InferOverheadSec:  3e-6,
 		SourceW:           64,
 		SourceH:           64,
-		// Measured with BenchmarkScoreBatchQuant (internal/model) when the
-		// int8 kernels landed: the SWAR int8 dense kernel runs ~2.3x the
-		// float32 GEMM at batch, while the byte-wise conv path gives back
-		// ~35%.
-		QuantDenseSpeedup: 2.3,
-		QuantConvSpeedup:  0.65,
 	}
 }
 
@@ -156,9 +139,6 @@ func (p Params) Validate() error {
 	}
 	if p.InferSecPerMAC < 0 || p.TransformSecPerOp < 0 || p.DecodeSecPerByte < 0 || p.InferOverheadSec < 0 {
 		return fmt.Errorf("scenario: negative cost constant")
-	}
-	if p.QuantDenseSpeedup < 0 || p.QuantConvSpeedup < 0 {
-		return fmt.Errorf("scenario: negative quantized speedup")
 	}
 	return nil
 }
@@ -217,22 +197,6 @@ func (a *Analytic) InferCost(m *model.Model) float64 {
 	return float64(m.MACs())*a.params.InferSecPerMAC + a.params.InferOverheadSec
 }
 
-// QuantInferCost implements CostModel: the dense and conv MAC populations
-// are re-priced by their measured int8-vs-float32 ratios (a speedup of zero
-// means unpriced and leaves that population at the float32 rate).
-func (a *Analytic) QuantInferCost(m *model.Model) float64 {
-	dSpeed, cSpeed := a.params.QuantDenseSpeedup, a.params.QuantConvSpeedup
-	if dSpeed <= 0 {
-		dSpeed = 1
-	}
-	if cSpeed <= 0 {
-		cSpeed = 1
-	}
-	dense := float64(m.DenseMACs())
-	conv := float64(m.MACs()) - dense
-	return (dense/dSpeed+conv/cSpeed)*a.params.InferSecPerMAC + a.params.InferOverheadSec
-}
-
 // Profiled is a CostModel backed by measurements taken on the deployed
 // system (see internal/profile). Missing entries price as zero, so callers
 // should profile every model and transform they intend to evaluate.
@@ -242,9 +206,6 @@ type Profiled struct {
 	Loads     map[string]float64 // transform ID → measured rep load seconds
 	Transform map[string]float64 // transform ID → measured rep transform seconds
 	Infer     map[string]float64 // model ID → measured inference seconds
-	// QuantInfer holds measured int8 inference seconds per model ID; models
-	// without an entry price at their float32 measurement.
-	QuantInfer map[string]float64
 }
 
 // Name implements CostModel.
@@ -277,11 +238,3 @@ func (p *Profiled) RepCost(t xform.Transform) float64 {
 
 // InferCost implements CostModel.
 func (p *Profiled) InferCost(m *model.Model) float64 { return p.Infer[m.ID()] }
-
-// QuantInferCost implements CostModel.
-func (p *Profiled) QuantInferCost(m *model.Model) float64 {
-	if c, ok := p.QuantInfer[m.ID()]; ok {
-		return c
-	}
-	return p.Infer[m.ID()]
-}

@@ -47,7 +47,7 @@ func TestRowEncodingMatchesEncodingJSON(t *testing.T) {
 	}
 	full := QueryResponse{
 		Columns: []string{"id", "location", "camera", "ts"}, Count: 3, UDFCalls: 5, Fused: true, MatHits: 9, Bitmap: true,
-		RepsMaterialized: 2, RepHits: 4, RepFallbacks: 1, QuantScored: 6, QuantFallbacks: 8, WallMS: 1.234,
+		RepsMaterialized: 2, RepHits: 4, RepFallbacks: 1, WallMS: 1.234,
 	}
 	responses := map[string]QueryResponse{
 		"full":       full,

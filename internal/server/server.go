@@ -343,13 +343,8 @@ type QueryResponse struct {
 	RepHits          int  `json:"rep_hits"`
 	// RepFallbacks counts store-read failures degraded to fresh inference;
 	// nonzero means the store is unhealthy but answers stayed correct.
-	RepFallbacks int `json:"rep_fallbacks,omitempty"`
-	// QuantScored counts (frame, level) scorings this query decided over the
-	// int8 path; QuantFallbacks the guard-band float32 re-scores. Labels are
-	// bit-identical to a float32 run either way.
-	QuantScored    int     `json:"quant_scored,omitempty"`
-	QuantFallbacks int     `json:"quant_fallbacks,omitempty"`
-	WallMS         float64 `json:"wall_ms"`
+	RepFallbacks int     `json:"rep_fallbacks,omitempty"`
+	WallMS       float64 `json:"wall_ms"`
 }
 
 // errorResponse is every endpoint's failure body.
@@ -541,8 +536,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		RepsMaterialized: res.RepsMaterialized,
 		RepHits:          res.RepHits,
 		RepFallbacks:     res.RepFallbacks,
-		QuantScored:      res.QuantScored,
-		QuantFallbacks:   res.QuantFallbacks,
 		WallMS:           float64(wall.Microseconds()) / 1e3,
 	}
 	if !req.NDJSON {
@@ -879,10 +872,12 @@ type StatsResponse struct {
 	// adaptive selectivity catalog.
 	Planner PlannerStats `json:"planner"`
 
-	// Quantization reports the int8 scoring path: the DB's mode, cumulative
-	// trusted-vs-fallback counters across executed queries, and every armed
-	// model's calibration record with its weight-footprint shrink.
-	Quantization QuantizationStats `json:"quantization"`
+	// Quantization is never encoded and always zero: there is no int8
+	// scoring path.
+	//
+	// Deprecated: kept for the frozen benchmark harness (bench/trace.go);
+	// delete it when a harness PR drops the reads.
+	Quantization QuantizationStats `json:"-"`
 
 	// Durability is the write-ahead journal and checkpoint layer: replay and
 	// truncation accounting from the last recovery, journal footprint,
@@ -915,29 +910,13 @@ type SelectivityEntry struct {
 	Seed      float64 `json:"seed"`
 }
 
-// QuantizationStats is the /stats quantization section.
+// QuantizationStats is what remains of the former /stats quantization
+// section: two counters that stay zero.
+//
+// Deprecated: see StatsResponse.Quantization.
 type QuantizationStats struct {
-	// Mode is the DB's scoring-representation setting (off|auto).
-	Mode string `json:"mode"`
-	// QuantScored / QuantFallbacks are the cumulative int8 counters across
-	// executed queries: scorings the int8 path decided vs guard-band float32
-	// re-scores.
-	QuantScored    int64 `json:"quant_scored"`
-	QuantFallbacks int64 `json:"quant_fallbacks"`
-	// Models lists every installed model with an armed int8 calibration.
-	Models []QuantModelStats `json:"models,omitempty"`
-}
-
-// QuantModelStats is one armed model's calibration record on the wire: the
-// measured worst score gap, the guard band derived from it, and the resident
-// bytes of the int8 operator vs the float32 matrices it shadows.
-type QuantModelStats struct {
-	Predicate       string  `json:"predicate"`
-	Model           string  `json:"model"`
-	MaxErr          float64 `json:"max_err"`
-	GuardBand       float64 `json:"guard_band"`
-	Int8WeightBytes int64   `json:"int8_weight_bytes"`
-	F32WeightBytes  int64   `json:"f32_weight_bytes"`
+	QuantScored    int64
+	QuantFallbacks int64
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
@@ -989,22 +968,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	for _, e := range pl.Selectivity {
 		resp.Planner.Selectivity = append(resp.Planner.Selectivity, SelectivityEntry{
 			Predicate: e.Key, PassRate: e.PassRate, Samples: e.Samples, Seed: e.Seed,
-		})
-	}
-	qu := s.db.QuantUsage()
-	resp.Quantization = QuantizationStats{
-		Mode:           s.db.Quantization().String(),
-		QuantScored:    qu.Scored,
-		QuantFallbacks: qu.Fallbacks,
-	}
-	for _, m := range s.db.QuantModels() {
-		resp.Quantization.Models = append(resp.Quantization.Models, QuantModelStats{
-			Predicate:       m.Predicate,
-			Model:           m.Model,
-			MaxErr:          m.MaxErr,
-			GuardBand:       m.GuardBand,
-			Int8WeightBytes: m.Int8Bytes,
-			F32WeightBytes:  m.F32Bytes,
 		})
 	}
 	s.stats.mu.Lock()

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"tahoma/internal/core"
-	"tahoma/internal/exec"
 	"tahoma/internal/img"
 	"tahoma/internal/scenario"
 	"tahoma/internal/synth"
@@ -338,62 +337,5 @@ func TestStatsMaterialization(t *testing.T) {
 	}
 	if want := st.StoreCache.ResidentBytes + m.Bytes; st.CacheBytes != want {
 		t.Fatalf("cache_bytes=%d, want store_cache %d + materialized %d", st.CacheBytes, st.StoreCache.ResidentBytes, m.Bytes)
-	}
-}
-
-// TestQuantStatsFlow: a content query over calibrated models reports its
-// int8 accounting on the response, /stats carries the cumulative counters,
-// the mode and the per-model calibration records, and -quantize=off zeroes
-// the whole path while returning the same rows.
-func TestQuantStatsFlow(t *testing.T) {
-	db := buildTestDB(t)
-	db.SetMaterialization(vdb.MatOff) // every query classifies: both runs exercise scoring
-	_, client := startServer(t, db, Options{})
-	sql := "SELECT id FROM images WHERE contains_object('cloak')"
-
-	auto, err := client.Query(sql, QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if auto.QuantScored == 0 {
-		t.Fatalf("QuantAuto query reported no trusted int8 scores: %+v", auto)
-	}
-
-	st, err := client.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := st.Quantization
-	if q.Mode != "auto" {
-		t.Fatalf("mode = %q, want auto", q.Mode)
-	}
-	if q.QuantScored != int64(auto.QuantScored) || q.QuantFallbacks != int64(auto.QuantFallbacks) {
-		t.Fatalf("stats counters %d/%d, query reported %d/%d",
-			q.QuantScored, q.QuantFallbacks, auto.QuantScored, auto.QuantFallbacks)
-	}
-	if len(q.Models) == 0 {
-		t.Fatal("no armed models in the quantization block")
-	}
-	for _, m := range q.Models {
-		if m.GuardBand <= m.MaxErr || m.Int8WeightBytes <= 0 || m.Int8WeightBytes >= m.F32WeightBytes {
-			t.Fatalf("model record %+v: band must exceed max_err and int8 weights must shrink", m)
-		}
-	}
-
-	db.SetQuantization(exec.QuantOff)
-	off, err := client.Query(sql, QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if off.QuantScored != 0 || off.QuantFallbacks != 0 {
-		t.Fatalf("QuantOff query counted int8 work: %+v", off)
-	}
-	if len(off.Rows) != len(auto.Rows) {
-		t.Fatalf("row counts differ off=%d auto=%d", len(off.Rows), len(auto.Rows))
-	}
-	for i := range off.Rows {
-		if fmt.Sprint(off.Rows[i]) != fmt.Sprint(auto.Rows[i]) {
-			t.Fatalf("row %d differs: off=%v auto=%v", i, off.Rows[i], auto.Rows[i])
-		}
 	}
 }

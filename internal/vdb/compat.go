@@ -1,6 +1,10 @@
 package vdb
 
-import "fmt"
+import (
+	"fmt"
+
+	"tahoma/internal/exec"
+)
 
 // SharedRepCache was the cross-query representation cache. It is gone: no
 // workload ever read back what it held, and its pixels were bit-identical to
@@ -25,3 +29,9 @@ func NewSharedRepCache(capacityBytes int64) (*SharedRepCache, error) {
 //
 // Deprecated: a no-op; delete it when a harness PR drops the calls.
 func (db *DB) SetRepCache(*SharedRepCache) {}
+
+// SetQuantization does nothing: every level scores float32, so there is no
+// scoring representation to select and no state to publish.
+//
+// Deprecated: a no-op; delete it when a harness PR drops the calls.
+func (db *DB) SetQuantization(exec.QuantMode) {}

@@ -218,9 +218,6 @@ type DB struct {
 	// by content-phase execution choice.
 	planRank, planStatic atomic.Int64
 	planFused, planSeq   atomic.Int64
-	// Cumulative int8 scoring counters across executed queries: trusted
-	// int8 decisions and guard-band float32 re-scores.
-	quantScored, quantFallbacks atomic.Int64
 	// Durability (under mu; see durable.go). While durable, Append write-
 	// ahead journals through wal, periodic checkpoints collapse the journal,
 	// and corpus swaps are refused.
@@ -497,73 +494,6 @@ func (db *DB) PlannerStats() PlannerStats {
 	}
 }
 
-// SetQuantization selects the scoring representation for content-predicate
-// execution (default QuantAuto). Under QuantAuto, levels whose model carries
-// an armed int8 calibration score over the int8 kernels, with a per-frame
-// float32 fallback whenever the quantized score lands inside the guard band
-// around a decision boundary — emitted labels are bit-identical to QuantOff
-// either way; only wall time and the QuantScored/QuantFallbacks accounting
-// move. The planner prices levels at the representation this setting selects.
-func (db *DB) SetQuantization(m exec.QuantMode) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.quant = m
-	db.publishLocked()
-}
-
-// Quantization reports the current scoring-representation mode.
-func (db *DB) Quantization() exec.QuantMode { return db.state.Load().quant }
-
-// QuantUsage is the DB's cumulative int8 scoring accounting across executed
-// queries: trusted int8 decisions vs guard-band float32 re-scores.
-type QuantUsage struct {
-	Scored    int64 `json:"quant_scored"`
-	Fallbacks int64 `json:"quant_fallbacks"`
-}
-
-// QuantUsage snapshots the cumulative int8 counters.
-func (db *DB) QuantUsage() QuantUsage {
-	return QuantUsage{Scored: db.quantScored.Load(), Fallbacks: db.quantFallbacks.Load()}
-}
-
-// QuantModelInfo describes one installed model's armed int8 calibration, for
-// observability: the measured calibration error, the guard band derived from
-// it, and the weight footprint of the int8 operator vs the float32 matrices
-// it shadows.
-type QuantModelInfo struct {
-	Predicate string  `json:"predicate"`
-	Model     string  `json:"model"`
-	MaxErr    float64 `json:"max_err"`
-	GuardBand float64 `json:"guard_band"`
-	Int8Bytes int64   `json:"int8_weight_bytes"`
-	F32Bytes  int64   `json:"f32_weight_bytes"`
-}
-
-// QuantModels lists every installed model with an armed int8 path, ordered by
-// predicate then model ID.
-func (db *DB) QuantModels() []QuantModelInfo {
-	st := db.state.Load()
-	var out []QuantModelInfo
-	for _, name := range st.predicateNames() {
-		pred := st.predicates[name]
-		for _, m := range pred.System.Models {
-			if !m.Quantized() {
-				continue
-			}
-			qb, fb := m.Net.QuantWeightBytes()
-			out = append(out, QuantModelInfo{
-				Predicate: name,
-				Model:     m.ID(),
-				MaxErr:    float64(m.Quant.MaxErr),
-				GuardBand: float64(m.Quant.GuardBand()),
-				Int8Bytes: qb,
-				F32Bytes:  fb,
-			})
-		}
-	}
-	return out
-}
-
 // SetExecOptions sizes the batched execution engine used for content
 // predicates (query-time and trigger-time classification). The zero value
 // means GOMAXPROCS workers and the engine's default batch size.
@@ -604,7 +534,6 @@ func (db *DB) RepCacheStats() (stats exec.CacheStats, ok bool) {
 // New creates an empty database priced under the given deployment scenario.
 func New(cm scenario.CostModel) *DB {
 	db := &DB{
-		settings:   settings{quant: exec.QuantAuto},
 		costModel:  cm,
 		predicates: make(map[string]*Predicate),
 		corpus:     &memoryCorpus{},
@@ -749,11 +678,6 @@ type Result struct {
 	// degraded to decoding the source and transforming it fresh — labels
 	// stay correct, the store's quantization shortcut is just skipped.
 	RepFallbacks int
-	// QuantScored counts (frame, level) scorings this query decided from
-	// the int8 path; QuantFallbacks counts the guard-band float32 re-scores.
-	// Both zero when quantization is off or no cascade model is calibrated.
-	QuantScored    int
-	QuantFallbacks int
 	// RepCache, when HasRepCache, is the per-query delta of the
 	// store-backed corpus's record cache counters. The counters are
 	// cache-global: the delta is exact for a query running alone and
@@ -841,8 +765,6 @@ func (db *DB) QueryContext(ctx context.Context, sql string, constraints core.Con
 		} else {
 			db.planSeq.Add(1)
 		}
-		db.quantScored.Add(int64(res.QuantScored))
-		db.quantFallbacks.Add(int64(res.QuantFallbacks))
 		// Materialization bookkeeping: every touched column feeds the usage
 		// table the analyzer ranks by (even under MatOff — usage describes
 		// the workload) and lookup hits/misses accumulate. Touch before

@@ -270,8 +270,6 @@ func (p *queryPlan) classifyMissing(ctx context.Context, res *Result, cols []ste
 	res.RepsMaterialized += rep.RepsMaterialized
 	res.RepHits += rep.RepHits
 	res.RepFallbacks += rep.RepFallbacks
-	res.QuantScored += rep.QuantScored
-	res.QuantFallbacks += rep.QuantFallbacks
 	if rep.HasCache {
 		res.HasRepCache = true
 		res.RepCache.Hits += rep.Cache.Hits

@@ -7,7 +7,6 @@ import (
 
 	"tahoma/internal/cascade"
 	"tahoma/internal/core"
-	"tahoma/internal/exec"
 	"tahoma/internal/matstore"
 	"tahoma/internal/planner"
 )
@@ -141,23 +140,11 @@ func (st *readState) plannerStep(input int, cc ContentCond, pred *Predicate, res
 	evalN := float64(pred.System.Evaluator.N())
 	for i, ref := range res.Spec.Levels() {
 		m := pred.System.Models[ref.Model]
-		// A level scores int8 exactly when the DB runs quantized and the
-		// model carries an armed calibration — the same condition execution
-		// tests — so the plan prices the representation that will run.
-		quant := st.quant == exec.QuantAuto && m.Quantized()
-		infer := st.costModel.InferCost(m)
-		if quant {
-			infer = st.costModel.QuantInferCost(m)
-			if band := float64(m.Quant.GuardBand()); band > ps.QuantBand {
-				ps.QuantBand = band
-			}
-		}
 		ps.Levels = append(ps.Levels, planner.LevelCost{
 			RepID:     m.Xform.ID(),
 			RepCost:   st.costModel.RepCost(m.Xform),
-			InferCost: infer,
+			InferCost: st.costModel.InferCost(m),
 			Occupancy: float64(occ[i].Reached) / evalN,
-			Quantized: quant,
 		})
 	}
 	ps.Selectivity, ps.SelSamples = st.catalog.Selectivity(pred.Category)

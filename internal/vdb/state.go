@@ -17,13 +17,8 @@ import (
 // change. The DB holds the master copy under db.mu; every published state
 // holds the copy that was current at publication.
 type settings struct {
-	execOpts exec.Options
-	planOpts PlanOptions
-	// quant selects the scoring representation of content-predicate
-	// execution (default QuantAuto — the guard band keeps labels
-	// bit-identical, so int8 is safe to prefer). Plan pricing and execution
-	// read the same field, so EXPLAIN's int8 levels are the ones that run.
-	quant     exec.QuantMode
+	execOpts  exec.Options
+	planOpts  PlanOptions
 	serveReps bool
 	matMode   MatMode
 }
@@ -79,7 +74,6 @@ func (st *readState) contentExecOpts() exec.Options {
 	if st.serveReps && st.reps != nil {
 		opts.RepSource = st.reps
 	}
-	opts.Quantize = st.quant
 	return opts
 }
 

@@ -5,8 +5,7 @@
 //
 // Layout of a repository directory:
 //
-//	manifest.json  — predicate, model identities, thresholds, truth labels,
-//	                 int8 calibration records
+//	manifest.json  — predicate, model identities, thresholds, truth labels
 //	weights-N.bin  — float32 little-endian weight blob per model
 //	scores-N.bin   — float32 little-endian eval scores per model (optional)
 package zoo
@@ -45,10 +44,6 @@ type manifestEntry struct {
 	Kind       string              `json:"kind"`
 	Thresholds []thresh.Thresholds `json:"thresholds"`
 	HasScores  bool                `json:"has_scores"`
-	// Quant is the model's int8 calibration record; absent (nil) in legacy
-	// manifests and for models past the exact-int32 bound, which serve
-	// float32 only. Optional, so the manifest version stays 1.
-	Quant *model.Quantization `json:"quant,omitempty"`
 }
 
 type manifest struct {
@@ -72,7 +67,6 @@ func Save(dir string, r *Repo) error {
 			Kind:       kind,
 			Thresholds: e.Thresholds,
 			HasScores:  e.EvalScores != nil,
-			Quant:      e.Model.Quant,
 		})
 		if err := writeFloats(filepath.Join(dir, fmt.Sprintf("weights-%d.bin", i)), e.Model.Net.Weights()); err != nil {
 			return err
@@ -127,14 +121,6 @@ func Load(dir string) (*Repo, error) {
 		}
 		if err := mod.Net.SetWeights(weights); err != nil {
 			return nil, fmt.Errorf("zoo: model %d: %w", i, err)
-		}
-		if me.Quant != nil {
-			// Re-arm the int8 path from the persisted record: same scales,
-			// same weights, so the restored quantized operator is bit-for-bit
-			// the one calibrated at install time.
-			if err := mod.EnableQuant(me.Quant); err != nil {
-				return nil, fmt.Errorf("zoo: model %d: %w", i, err)
-			}
 		}
 		e := Entry{Model: mod, Thresholds: me.Thresholds}
 		if me.HasScores {

@@ -1,6 +1,8 @@
 package zoo
 
 import (
+	"encoding/json"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -23,19 +25,6 @@ func buildRepo(t *testing.T) *Repo {
 	m2, err := model.New(arch.Spec{ConvLayers: 2, ConvWidth: 4, DenseWidth: 4, Kernel: 3},
 		xform.Transform{Size: 16, Color: img.RGB}, model.Deep, 2)
 	if err != nil {
-		t.Fatal(err)
-	}
-	// Calibrate m1's int8 path so the round trip covers the quant record;
-	// m2 stays float32-only, covering absence.
-	rng := rand.New(rand.NewSource(7))
-	reps := make([]*img.Image, 8)
-	for i := range reps {
-		reps[i] = img.New(8, 8, img.Gray)
-		for p := range reps[i].Pix {
-			reps[i].Pix[p] = rng.Float32()
-		}
-	}
-	if _, err := m1.CalibrateQuant(reps); err != nil {
 		t.Fatal(err)
 	}
 	return &Repo{
@@ -93,24 +82,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal("missing scores should stay nil")
 	}
 
-	// The quant calibration record survives, re-arms the int8 path, and its
-	// absence is preserved.
-	q, origQ := got.Entries[0].Model.Quant, r.Entries[0].Model.Quant
-	if q == nil || q.MaxErr != origQ.MaxErr || len(q.ActScales) != len(origQ.ActScales) {
-		t.Fatalf("quant record not preserved: %+v vs %+v", q, origQ)
-	}
-	for i := range q.ActScales {
-		if q.ActScales[i] != origQ.ActScales[i] {
-			t.Fatalf("act scale %d: %v vs %v", i, q.ActScales[i], origQ.ActScales[i])
-		}
-	}
-	if !got.Entries[0].Model.Quantized() {
-		t.Fatal("reloaded model must have an armed int8 path")
-	}
-	if got.Entries[1].Model.Quant != nil || got.Entries[1].Model.Quantized() {
-		t.Fatal("uncalibrated model must stay float32-only")
-	}
-
 	// The reloaded network must produce identical outputs.
 	rng := rand.New(rand.NewSource(3))
 	rep := img.New(8, 8, img.Gray)
@@ -127,18 +98,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	if want != gotScore {
 		t.Fatalf("reloaded model scores %v, want %v", gotScore, want)
-	}
-	// ... and the restored quantized operator too: same scales + same weights
-	// means the same int8 bits.
-	wantQ, gotQ := make([]float32, 1), make([]float32, 1)
-	if err := r.Entries[0].Model.ScoreBatchQuantInto([]*img.Image{rep}, wantQ); err != nil {
-		t.Fatal(err)
-	}
-	if err := got.Entries[0].Model.ScoreBatchQuantInto([]*img.Image{rep}, gotQ); err != nil {
-		t.Fatal(err)
-	}
-	if wantQ[0] != gotQ[0] {
-		t.Fatalf("reloaded quantized model scores %v, want %v", gotQ[0], wantQ[0])
 	}
 }
 
@@ -179,5 +138,73 @@ func TestLoadDetectsTruncatedWeights(t *testing.T) {
 	}
 	if _, err := Load(dir); err == nil {
 		t.Fatal("short weights must error")
+	}
+}
+
+// TestLoadIgnoresLegacyQuantRecord: manifests written while models still
+// carried an int8 calibration record ("quant", one per calibrated model) load
+// as they always did, and the record changes nothing: every model scores
+// bit-identically to the same repository saved without it.
+func TestLoadIgnoresLegacyQuantRecord(t *testing.T) {
+	plainDir, legacyDir := t.TempDir(), t.TempDir()
+	r := buildRepo(t)
+	for _, dir := range []string{plainDir, legacyDir} {
+		if err := Save(dir, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(legacyDir, "manifest.json")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	m["models"].([]any)[0].(map[string]any)["quant"] = map[string]any{
+		"act_scales": []float32{0.0078125, 0.0213, 0.0441},
+		"max_err":    0.0031,
+	}
+	if raw, err = json.MarshalIndent(m, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	plain, err := Load(plainDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy, err := Load(legacyDir)
+	if err != nil {
+		t.Fatalf("manifest with a quant record must still load: %v", err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := range plain.Entries {
+		pm, lm := plain.Entries[i].Model, legacy.Entries[i].Model
+		if pm.ID() != lm.ID() {
+			t.Fatalf("entry %d: %s vs %s", i, lm.ID(), pm.ID())
+		}
+		reps := make([]*img.Image, 5)
+		for k := range reps {
+			reps[k] = img.New(pm.Xform.Size, pm.Xform.Size, pm.Xform.Color)
+			for p := range reps[k].Pix {
+				reps[k].Pix[p] = rng.Float32()
+			}
+		}
+		want, got := make([]float32, len(reps)), make([]float32, len(reps))
+		if err := pm.ScoreBatchInto(reps, want); err != nil {
+			t.Fatal(err)
+		}
+		if err := lm.ScoreBatchInto(reps, got); err != nil {
+			t.Fatal(err)
+		}
+		for k := range want {
+			if math.Float32bits(got[k]) != math.Float32bits(want[k]) {
+				t.Fatalf("entry %d rep %d: legacy manifest scores %v, plain %v", i, k, got[k], want[k])
+			}
+		}
 	}
 }

@@ -29,7 +29,6 @@ import (
 	"tahoma/internal/core"
 	"tahoma/internal/exec"
 	"tahoma/internal/img"
-	"tahoma/internal/model"
 	"tahoma/internal/pareto"
 	"tahoma/internal/scenario"
 	"tahoma/internal/server"
@@ -77,18 +76,6 @@ type (
 	// CacheStats is a RepSource cache's hit/miss/eviction accounting as
 	// surfaced on execution reports.
 	CacheStats = exec.CacheStats
-	// QuantMode selects the scoring representation of a run or a DB
-	// (QuantizeOff, QuantizeAuto). Under auto, calibrated models score over
-	// the int8 kernels with a per-frame float32 guard-band fallback, so
-	// emitted labels are bit-identical to a float32 run.
-	QuantMode = exec.QuantMode
-	// QuantStats counts the int8 path's work (trusted scores vs guard-band
-	// fallbacks), embedded in execution reports and batch stats.
-	QuantStats = exec.QuantStats
-	// Quantization is a model's persisted int8 calibration record: the
-	// activation scales and the measured worst score gap that sizes the
-	// guard band.
-	Quantization = model.Quantization
 
 	// DB is the visual analytics database: a SQL-queryable images table
 	// with installed contains_object predicates. Safe for concurrent use —
@@ -169,15 +156,6 @@ const (
 	FusionCost   = vdb.FusionCost
 	FusionShared = vdb.FusionShared
 	FusionNever  = vdb.FusionNever
-)
-
-// Quantization modes (ExecOptions.Quantize, DB.SetQuantization):
-// QuantizeAuto scores calibrated models over the int8 kernels with a
-// per-frame float32 guard-band fallback — labels stay bit-identical to
-// QuantizeOff, only wall time and the QuantStats accounting move.
-const (
-	QuantizeOff  = exec.QuantOff
-	QuantizeAuto = exec.QuantAuto
 )
 
 // Label-materialization modes (DB.SetMaterialization): MaterializeOn (the
