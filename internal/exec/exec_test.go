@@ -320,13 +320,21 @@ func checkAgainstReference(t *testing.T, rep *Report, ref []refFrame, need [][]b
 // TestEngineParity is the engine's core property, as one table: cascades
 // 1–3 × shared/disjoint representation grid × need masks × RepSource (none,
 // one served transform, or every transform, so no source is ever loaded) ×
-// workers × batch size × the physical form of the source (decoded images, or
-// stored records taking the byte-domain load path). Every run must match the
-// independent shared-map reference walk — labels, per-cascade LevelsRun,
-// exactly-once RepsMaterialized and RepHits, per batch and in aggregate — and its unmasked labels and level counts must equal the
-// engine's own per-frame ClassifyOne walk. Nothing about scheduling, and
-// nothing about how the source is held, may move any of them.
+// the deprecated Quantize knob × workers × batch size × the physical form of
+// the source (decoded images, or stored records taking the byte-domain load
+// path). Every run must match the independent shared-map reference walk —
+// labels, per-cascade LevelsRun, exactly-once RepsMaterialized and RepHits,
+// per batch and in aggregate — and its unmasked labels and level counts must
+// equal the engine's own per-frame ClassifyOne walk. Nothing about
+// scheduling, nothing about how the source is held, and not the Quantize
+// value the benchmark harness still passes, may move any of them.
 func TestEngineParity(t *testing.T) {
+	// Both former scoring modes must run the one float32 path: the reference
+	// walk is the same for each.
+	quantModes := []struct {
+		name string
+		mode QuantMode
+	}{{"off", QuantOff}, {"auto", QuantAuto}}
 	frames, records := storedFrames(t, 2200, 47, 32)
 	sources := []struct {
 		suffix string
@@ -403,42 +411,44 @@ func TestEngineParity(t *testing.T) {
 							}
 						}
 					}
-					for _, workers := range []int{1, 2, 4} {
-						for _, batch := range []int{1, 5, 16, 100} {
-							name := fmt.Sprintf("n=%d/shared=%v/masked=%v/%s/w=%d/b=%d",
-								len(cascades), shared, need != nil, serve, workers, batch)
-							for _, source := range sources {
-								mkSrc := source.src
-								t.Run(name+source.suffix, func(t *testing.T) {
-									var loads atomic.Int64
-									opts := Options{Workers: workers, Batch: batch}
-									switch serve {
-									case "repsource":
-										opts.RepSource = newFakeRepSource(frames, servedXf)
-									case "repsource-all":
-										opts.RepSource = newFakeRepSource(frames, allXf...)
-									}
-									rep, err := eng.RunMasked(context.Background(), mkSrc(&loads), indices, need, opts)
-									if err != nil {
-										t.Fatal(err)
-									}
-									checkAgainstReference(t, rep, ref, need, batch)
-									if serve == "none" && rep.HasCache {
-										t.Fatal("no RepSource, but HasCache is set")
-									}
-									if serve != "none" {
-										if rep.RepHits == 0 {
-											t.Fatal("served slot produced no RepHits")
+					for _, quant := range quantModes {
+						for _, workers := range []int{1, 2, 4} {
+							for _, batch := range []int{1, 5, 16, 100} {
+								name := fmt.Sprintf("n=%d/shared=%v/masked=%v/%s/quant=%s/w=%d/b=%d",
+									len(cascades), shared, need != nil, serve, quant.name, workers, batch)
+								for _, source := range sources {
+									mkSrc := source.src
+									t.Run(name+source.suffix, func(t *testing.T) {
+										var loads atomic.Int64
+										opts := Options{Workers: workers, Batch: batch, Quantize: quant.mode}
+										switch serve {
+										case "repsource":
+											opts.RepSource = newFakeRepSource(frames, servedXf)
+										case "repsource-all":
+											opts.RepSource = newFakeRepSource(frames, allXf...)
 										}
-										if !rep.HasCache || rep.Cache.Hits != int64(rep.RepHits) {
-											t.Fatalf("cache stats %+v (HasCache=%v) vs RepHits %d", rep.Cache, rep.HasCache, rep.RepHits)
+										rep, err := eng.RunMasked(context.Background(), mkSrc(&loads), indices, need, opts)
+										if err != nil {
+											t.Fatal(err)
 										}
-									}
-									if serve == "repsource-all" && (rep.RepsMaterialized != 0 || loads.Load() != 0) {
-										t.Fatalf("every slot served, yet %d reps transformed and %d source frames loaded",
-											rep.RepsMaterialized, loads.Load())
-									}
-								})
+										checkAgainstReference(t, rep, ref, need, batch)
+										if serve == "none" && rep.HasCache {
+											t.Fatal("no RepSource, but HasCache is set")
+										}
+										if serve != "none" {
+											if rep.RepHits == 0 {
+												t.Fatal("served slot produced no RepHits")
+											}
+											if !rep.HasCache || rep.Cache.Hits != int64(rep.RepHits) {
+												t.Fatalf("cache stats %+v (HasCache=%v) vs RepHits %d", rep.Cache, rep.HasCache, rep.RepHits)
+											}
+										}
+										if serve == "repsource-all" && (rep.RepsMaterialized != 0 || loads.Load() != 0) {
+											t.Fatalf("every slot served, yet %d reps transformed and %d source frames loaded",
+												rep.RepsMaterialized, loads.Load())
+										}
+									})
+								}
 							}
 						}
 					}

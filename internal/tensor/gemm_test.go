@@ -54,6 +54,43 @@ func TestGemmBitIdenticalToNaiveOrder(t *testing.T) {
 	}
 }
 
+// TestGemmShapeSweepBitIdenticalToNaiveOrder crosses every dispatch and
+// unrolling boundary of the kernel family at once: m around the 4-row
+// (narrow) and 2-row (tiled) interleaves, k around wide's four-fold unroll
+// (including k=0), and n on both sides of gemmNarrowMax, gemmTiledMax and
+// the gemmJC strip width. Every shape must be bit-identical to the plain
+// triple loop, over a dirty output buffer.
+func TestGemmShapeSweepBitIdenticalToNaiveOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	ms := []int{1, 2, 3, 4, 5, 7, 16}
+	ks := []int{0, 1, 2, 3, 4, 5, 9, 27, 64, 67, 513}
+	ns := []int{
+		1, 2, gemmNarrowMax - 1, gemmNarrowMax, gemmNarrowMax + 1, 7,
+		gemmTiledMax - 1, gemmTiledMax, gemmTiledMax + 1, 33, 100,
+		gemmJC - 1, gemmJC, gemmJC + 1,
+	}
+	for _, m := range ms {
+		for _, k := range ks {
+			for _, n := range ns {
+				t.Run(fmt.Sprintf("%dx%dx%d", m, k, n), func(t *testing.T) {
+					a := randTensor(rng, m, k)
+					b := randTensor(rng, k, n)
+					got := New(m, n)
+					want := New(m, n)
+					got.Fill(-999)
+					Gemm(got, a, b)
+					naiveRef(want, a, b)
+					for i := range want.Data {
+						if got.Data[i] != want.Data[i] {
+							t.Fatalf("element %d: blocked %v != reference %v", i, got.Data[i], want.Data[i])
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestGemmColumnBlockInvariance is the batched-inference correctness gate at
 // the kernel level: stacking B column blocks into one wide GEMM must give
 // every block the exact bits that B narrow GEMMs give.
