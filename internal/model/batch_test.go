@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -55,7 +56,7 @@ func TestScoreBatchBitParity(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i := 0; i < bsz; i++ {
-					if got[i] != want[i] {
+					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 						t.Fatalf("rep %d: batch score %v != per-frame score %v", i, got[i], want[i])
 					}
 				}
@@ -123,7 +124,7 @@ func TestScoreBatchCloneIndependence(t *testing.T) {
 			t.Fatal("clone scoring failed")
 		}
 		for i := range want {
-			if got[i] != want[i] {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 				t.Fatalf("clone score %d = %v, parent = %v", i, got[i], want[i])
 			}
 		}

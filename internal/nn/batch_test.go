@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -26,6 +27,9 @@ func batchTestNet(t *testing.T, seed int64, convLayers, convWidth, denseWidth, c
 	return net
 }
 
+// sameBits compares float32s bit for bit: unlike ==, it tells −0 from +0.
+func sameBits(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }
+
 // TestForwardBatchBitParity is the batched-inference correctness gate at the
 // network level: for every architecture shape and batch size, ForwardBatch
 // must reproduce Forward's logits bit for bit.
@@ -38,6 +42,8 @@ func TestForwardBatchBitParity(t *testing.T) {
 		{1, 4, 8, 3, 16},  // single conv block, rgb
 		{2, 8, 16, 3, 16}, // two conv blocks
 		{3, 4, 8, 1, 32},  // three conv blocks
+		{1, 3, 4, 2, 9},   // odd size: pooling floors a row and a column
+		{2, 4, 8, 3, 15},  // odd sizes in both blocks (15 → 7 → 3)
 	}
 	for ci, cfg := range configs {
 		net := batchTestNet(t, 900+int64(ci), cfg.conv, cfg.cw, cfg.dw, cfg.ch, cfg.size)
@@ -58,7 +64,7 @@ func TestForwardBatchBitParity(t *testing.T) {
 				got := make([]float32, bsz)
 				net.ForwardBatch(samples[:bsz], got)
 				for s := 0; s < bsz; s++ {
-					if got[s] != want[s] {
+					if !sameBits(got[s], want[s]) {
 						t.Fatalf("sample %d: batch logit %v != single logit %v", s, got[s], want[s])
 					}
 				}
@@ -70,12 +76,94 @@ func TestForwardBatchBitParity(t *testing.T) {
 		for _, bsz := range []int{17, 5, 1, 9, 17} {
 			net.ForwardBatch(samples[:bsz], got)
 			for s := 0; s < bsz; s++ {
-				if got[s] != want[s] {
+				if !sameBits(got[s], want[s]) {
 					t.Fatalf("cfg %d resize to b=%d: sample %d diverged", ci, bsz, s)
 				}
 			}
 		}
 	}
+}
+
+// TestConvBlockBitParity holds the fused conv block to the three layers it
+// replaces, Conv2D → ReLU → MaxPool2 run one sample at a time, bit for bit
+// on every pooled activation rather than only on the final logit. The
+// inputs and weights are built to hit the epilogue's edge cases: an all-zero
+// frame and a zeroed filter give sums of exactly +0, biases of −0 and +0 meet
+// them, constant frames and a filter with equal taps tie every pool window,
+// and odd sizes drop a row and a column.
+func TestConvBlockBitParity(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	for _, size := range []int{4, 9, 10} {
+		t.Run(fmt.Sprintf("size=%d", size), func(t *testing.T) {
+			const inC, outC = 2, 5
+			conv, relu, pool := NewConv2D(inC, outC, 3), NewReLU(), NewMaxPool2()
+			conv.Init(rand.New(rand.NewSource(int64(size))))
+			taps := inC * 9
+			w, bias := conv.W.Value.Data, conv.B.Value.Data
+			clear(w[0:taps]) // filter 0: all-zero weights, bias −0
+			bias[0] = negZero
+			for i := taps; i < 2*taps; i++ { // filter 1: equal taps, bias −0
+				w[i] = 0.25
+			}
+			bias[1] = negZero
+			bias[2] = 0 // filter 2: random weights, bias +0
+			bias[3] = -0.5
+			bias[4] = 0.125
+
+			rng := rand.New(rand.NewSource(7))
+			plane := size * size
+			frames := [][]float32{
+				make([]float32, inC*plane), // all zero
+				make([]float32, inC*plane), // all −0
+				make([]float32, inC*plane), // constant
+				make([]float32, inC*plane), // random signs
+			}
+			for i := range frames[1] {
+				frames[1][i] = negZero
+				frames[2][i] = 0.75
+				frames[3][i] = rng.Float32()*2 - 1
+			}
+
+			bsz := len(frames)
+			x := tensor.New(inC, bsz, size, size)
+			for s, f := range frames {
+				for c := 0; c < inC; c++ {
+					copy(x.Data[(c*bsz+s)*plane:], f[c*plane:(c+1)*plane])
+				}
+			}
+			block := &convBlock{conv: conv}
+			got := block.forwardBatch(x)
+			oh := size / 2
+			for s, f := range frames {
+				want := pool.Forward(relu.Forward(conv.Forward(tensor.NewFrom(f, inC, size, size))))
+				for c := 0; c < outC; c++ {
+					for i := 0; i < oh*oh; i++ {
+						g, wv := got.Data[(c*bsz+s)*oh*oh+i], want.Data[c*oh*oh+i]
+						if !sameBits(g, wv) {
+							t.Fatalf("frame %d filter %d pos %d: block %v (%#x) != layers %v (%#x)",
+								s, c, i, g, math.Float32bits(g), wv, math.Float32bits(wv))
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestForwardBatchNeedsConvBlocks: a conv outside a Conv2D → ReLU →
+// MaxPool2 block has no batched form, and ForwardBatch says so instead of
+// scoring through a layer it cannot batch.
+func TestForwardBatchNeedsConvBlocks(t *testing.T) {
+	net, err := NewNetwork([]int{1, 4, 4}, NewConv2D(1, 2, 3), NewFlatten(), NewDense(32, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ForwardBatch over a bare conv must panic")
+		}
+	}()
+	net.ForwardBatch([][]float32{make([]float32, 16)}, make([]float32, 1))
 }
 
 // TestPredictBatchMatchesPredict checks the sigmoid stage too.
@@ -95,7 +183,7 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 	got := make([]float32, len(samples))
 	net.PredictBatch(samples, got)
 	for s := range samples {
-		if got[s] != want[s] {
+		if !sameBits(got[s], want[s]) {
 			t.Fatalf("sample %d: PredictBatch %v != Predict %v", s, got[s], want[s])
 		}
 	}

@@ -27,9 +27,9 @@ func newParam(shape ...int) *Param {
 }
 
 // addRowBias adds bias[r] to every element of row r of a row-major matrix.
-// The single-sample and batched conv/dense paths all broadcast bias through
-// this one helper so the post-GEMM rounding order their bit-parity contract
-// depends on is structural, not copy-paste.
+// The single-sample conv and the single-sample and batched dense paths all
+// broadcast bias through this one helper so the post-GEMM rounding order
+// their bit-parity contract depends on is structural, not copy-paste.
 func addRowBias(data, bias []float32, rowLen int) {
 	for r, b := range bias {
 		row := data[r*rowLen : (r+1)*rowLen]
@@ -50,23 +50,6 @@ type Layer interface {
 	Name() string
 	OutShape(in []int) ([]int, error)
 	Forward(x *tensor.Tensor) *tensor.Tensor
-	// ForwardBatch is the inference-only batched counterpart of Forward.
-	// Batches travel channel-major: spatial layers exchange [C, B, H, W]
-	// tensors (sample s of channel c is the contiguous H·W plane at offset
-	// (c·B+s)·H·W), and the dense stage exchanges [Features, B] matrices.
-	// This is the layout the batched im2col emits and the one that turns a
-	// Dense layer over a batch into a single GEMM, so no transposes happen
-	// between layers. The returned tensor is owned by the layer and
-	// overwritten on the next call; batch scratch is independent of
-	// Forward's, grows to the largest batch seen and is reused across
-	// calls. A layer may also rectify its input in place and return it
-	// (ReLU does): batch inputs are dead once consumed, so callers must
-	// not reuse them across the next layer call. ForwardBatch does not
-	// record state for Backward.
-	//
-	// Bit-parity contract: column s of the final output carries exactly
-	// the bits Forward produces for sample s, at every batch size.
-	ForwardBatch(x *tensor.Tensor) *tensor.Tensor
 	Backward(dy *tensor.Tensor) *tensor.Tensor
 	Params() []*Param
 	// clone returns a copy sharing parameter values (but not scratch)
@@ -90,12 +73,6 @@ type Conv2D struct {
 	out  *tensor.Tensor
 	dxT  *tensor.Tensor
 	dcol *tensor.Tensor
-
-	// Batch scratch, sized to the largest batch seen so the level-major
-	// executor's shrinking survivor batches never reallocate.
-	bcol  *tensor.Tensor // [C·K², B·OH·OW]
-	bout  *tensor.Tensor // [OutC, B, OH, OW]
-	bout2 *tensor.Tensor // 2-d view of bout sharing its data
 }
 
 // NewConv2D creates a conv layer with inC input channels, outC filters and a
@@ -136,8 +113,8 @@ func (c *Conv2D) OutShape(in []int) ([]int, error) {
 	return []int{c.OutC, in[1], in[2]}, nil
 }
 
-func (c *Conv2D) ensureGeom(h, w int) {
-	if c.geom.KH != 0 && c.geom.InH == h && c.geom.InW == w {
+func (c *Conv2D) ensureScratch(h, w int) {
+	if c.col != nil && c.geom.InH == h && c.geom.InW == w {
 		return
 	}
 	c.geom = tensor.ConvGeom{
@@ -145,15 +122,6 @@ func (c *Conv2D) ensureGeom(h, w int) {
 		KH: c.K, KW: c.K,
 		StrideH: 1, StrideW: 1,
 		PadH: c.K / 2, PadW: c.K / 2,
-	}
-	c.col, c.out, c.dxT, c.dcol = nil, nil, nil, nil
-	c.bcol, c.bout, c.bout2 = nil, nil, nil
-}
-
-func (c *Conv2D) ensureScratch(h, w int) {
-	c.ensureGeom(h, w)
-	if c.col != nil {
-		return
 	}
 	c.col = tensor.New(c.geom.ColRows(), c.geom.ColCols())
 	c.out = tensor.New(c.OutC, c.geom.OutH(), c.geom.OutW())
@@ -171,32 +139,6 @@ func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	tensor.MatMul(out2d, c.W.Value, c.col)
 	addRowBias(c.out.Data, c.B.Value.Data, cols)
 	return c.out
-}
-
-// ForwardBatch implements Layer: one batched im2col and one wide GEMM
-// convolve all B samples, so the [OutC, C·K²] weight matrix is streamed once
-// per batch instead of once per frame.
-func (c *Conv2D) ForwardBatch(x *tensor.Tensor) *tensor.Tensor {
-	if x.Dims() != 4 || x.Shape[0] != c.InC {
-		panic(fmt.Sprintf("nn: conv batch input must be [%d B H W], got %v", c.InC, x.Shape))
-	}
-	bsz := x.Shape[1]
-	c.ensureGeom(x.Shape[2], x.Shape[3])
-	ohow := c.geom.ColCols()
-	cols := bsz * ohow
-	if c.bcol == nil {
-		c.bcol, c.bout, c.bout2 = &tensor.Tensor{}, &tensor.Tensor{}, &tensor.Tensor{Shape: make([]int, 2)}
-	}
-	c.bcol.EnsureShape(c.geom.ColRows(), cols)
-	c.bout.EnsureShape(c.OutC, bsz, c.geom.OutH(), c.geom.OutW())
-	c.bout2.Shape[0], c.bout2.Shape[1] = c.OutC, cols
-	c.bout2.Data = c.bout.Data
-	tensor.Im2ColBatch(c.bcol, x, c.geom)
-	tensor.Gemm(c.bout2, c.W.Value, c.bcol)
-	// Per-filter bias, added after the matrix product exactly as in Forward
-	// so the rounding order matches element for element.
-	addRowBias(c.bout.Data, c.B.Value.Data, cols)
-	return c.bout
 }
 
 // Backward implements Layer.
@@ -235,7 +177,6 @@ type MaxPool2 struct {
 	out    *tensor.Tensor
 	dx     *tensor.Tensor
 	inShp  [3]int
-	bout   *tensor.Tensor // batch scratch [C, B, OH, OW]
 }
 
 // NewMaxPool2 creates a 2×2/stride-2 max pooling layer.
@@ -294,42 +235,6 @@ func (p *MaxPool2) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return p.out
 }
 
-// ForwardBatch implements Layer: a [C, B, H, W] batch is C·B independent
-// planes, pooled exactly as Forward pools each channel (argmax bookkeeping
-// is skipped — the batch path is inference-only).
-func (p *MaxPool2) ForwardBatch(x *tensor.Tensor) *tensor.Tensor {
-	if x.Dims() != 4 {
-		panic(fmt.Sprintf("nn: maxpool batch input must be [C B H W], got %v", x.Shape))
-	}
-	ch, bsz, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	oh, ow := h/2, w/2
-	if p.bout == nil {
-		p.bout = &tensor.Tensor{}
-	}
-	p.bout.EnsureShape(ch, bsz, oh, ow)
-	xd, od := x.Data, p.bout.Data
-	idx := 0
-	for pl := 0; pl < ch*bsz; pl++ {
-		base := pl * h * w
-		for oy := 0; oy < oh; oy++ {
-			r0 := base + (2*oy)*w
-			r1 := r0 + w
-			for ox := 0; ox < ow; ox++ {
-				i0 := r0 + 2*ox
-				i1 := r1 + 2*ox
-				// Branchless max of the 2×2 window: the compare-and-branch
-				// Forward uses mispredicts half the time on activation
-				// data. Values agree with Forward's chain for everything a
-				// conv/ReLU stage can emit (max(+0,-0) ordering is the one
-				// gap, and ReLU never emits -0).
-				od[idx] = max(max(xd[i0], xd[i0+1]), max(xd[i1], xd[i1+1]))
-				idx++
-			}
-		}
-	}
-	return p.bout
-}
-
 // Backward implements Layer.
 func (p *MaxPool2) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	p.dx.Zero()
@@ -379,14 +284,14 @@ func (r *ReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return r.out
 }
 
-// ForwardBatch implements Layer. ReLU is elementwise, so the batch layout
-// passes through untouched; it rectifies in place (the upstream layer's
-// scratch is dead once consumed, and a batch-sized tensor pass is memory
-// traffic worth saving) with a branchless max, since conv outputs have
-// random signs and a compare-and-branch mispredicts half the time. For
-// ReLU's domain max(v, 0) is value-identical to the branchy Forward:
-// positives and +0 pass through, negatives and -0 become +0.
-func (r *ReLU) ForwardBatch(x *tensor.Tensor) *tensor.Tensor {
+// forwardBatch implements batchStage for the ReLU between the dense layers.
+// ReLU is elementwise, so the batch layout passes through untouched; it
+// rectifies in place (the upstream layer's scratch is dead once consumed)
+// with a branchless max, since activations have random signs and a
+// compare-and-branch mispredicts half the time. For finite values max(v, 0)
+// is bit-identical to the branchy Forward: positives pass through,
+// negatives and ±0 become +0.
+func (r *ReLU) forwardBatch(x *tensor.Tensor) *tensor.Tensor {
 	xd := x.Data
 	for i, v := range xd {
 		xd[i] = max(v, 0)
@@ -441,12 +346,12 @@ func (f *Flatten) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return x.Reshape(x.Len())
 }
 
-// ForwardBatch implements Layer: the channel-major [C, B, H, W] batch is
-// transposed into the [C·H·W, B] matrix the dense stage consumes, with row r
-// = c·H·W + i ordered exactly like the single-sample flattened vector so
-// column s is sample s's Forward output. This is the only place the batched
-// pipeline moves data between layouts.
-func (f *Flatten) ForwardBatch(x *tensor.Tensor) *tensor.Tensor {
+// forwardBatch implements batchStage: the channel-major [C, B, H, W] batch
+// is transposed into the [C·H·W, B] matrix the dense stage consumes, with
+// row r = c·H·W + i ordered exactly like the single-sample flattened vector
+// so column s is sample s's Forward output. This is the only place the
+// batched pipeline moves data between layouts.
+func (f *Flatten) forwardBatch(x *tensor.Tensor) *tensor.Tensor {
 	if x.Dims() != 4 {
 		panic(fmt.Sprintf("nn: flatten batch input must be [C B H W], got %v", x.Shape))
 	}
@@ -521,7 +426,7 @@ func (d *Dense) OutShape(in []int) ([]int, error) {
 
 // Forward implements Layer. The accumulator sums the products first and adds
 // the bias last — the same rounding order as the batched GEMM-plus-bias path,
-// which is what keeps ForwardBatch bit-identical to Forward.
+// which is what keeps forwardBatch bit-identical to Forward.
 func (d *Dense) Forward(x *tensor.Tensor) *tensor.Tensor {
 	if d.out == nil {
 		d.out = tensor.New(d.Out)
@@ -540,10 +445,10 @@ func (d *Dense) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return d.out
 }
 
-// ForwardBatch implements Layer: the whole batch is one [Out, In]·[In, B]
+// forwardBatch implements batchStage: the whole batch is one [Out, In]·[In, B]
 // GEMM plus a bias broadcast, instead of B separate dot-product sweeps that
 // each re-stream the weight matrix.
-func (d *Dense) ForwardBatch(x *tensor.Tensor) *tensor.Tensor {
+func (d *Dense) forwardBatch(x *tensor.Tensor) *tensor.Tensor {
 	if x.Dims() != 2 || x.Shape[0] != d.In {
 		panic(fmt.Sprintf("nn: dense batch input must be [%d B], got %v", d.In, x.Shape))
 	}

@@ -15,7 +15,8 @@ type Network struct {
 	Layers  []Layer
 	inShape []int
 	bin     *tensor.Tensor // batch input pack scratch [C, B, H, W]
-	chunk   int            // cached batchChunk result (0 = not yet computed)
+	stages  []batchStage   // batched plan (nil: the layers have no batched form)
+	chunk   int            // samples per pass through stages
 }
 
 // NewNetwork builds a network from layers and validates that the shapes chain
@@ -34,7 +35,13 @@ func NewNetwork(inShape []int, layers ...Layer) (*Network, error) {
 	}
 	in := make([]int, len(inShape))
 	copy(in, inShape)
-	return &Network{Layers: layers, inShape: in}, nil
+	return newNetwork(in, layers), nil
+}
+
+func newNetwork(inShape []int, layers []Layer) *Network {
+	n := &Network{Layers: layers, inShape: inShape}
+	n.stages, n.chunk = planBatch(inShape, layers)
+	return n
 }
 
 // InShape returns the expected CHW input shape.
@@ -67,58 +74,13 @@ func (n *Network) Predict(x *tensor.Tensor) float32 {
 	return tensor.Sigmoid(n.Forward(x))
 }
 
-// batchChunkBudget caps the im2col column-matrix bytes one batch chunk may
-// expand to. Chunking the batch through the layer stack keeps every
-// intermediate cache-resident — descending all B samples one layer at a time
-// was measured 40% slower at B=64 because each layer pass streamed
-// megabyte-sized activations through L2 — and bounds the batch scratch of a
-// worker to a constant regardless of the engine's batch size.
-const batchChunkBudget = 128 << 10
-
-// batchChunk returns the number of samples to push through the layer stack
-// at once: the largest chunk whose widest im2col expansion stays within
-// batchChunkBudget, clamped to [1, 16] (above 16 columns the GEMM kernels
-// gain nothing from extra width). The walk over the layers allocates, so
-// the result is computed once and cached (the input shape is immutable).
-func (n *Network) batchChunk() int {
-	if n.chunk == 0 {
-		n.chunk = n.computeBatchChunk()
-	}
-	return n.chunk
-}
-
-func (n *Network) computeBatchChunk() int {
-	shape := n.inShape
-	worst := 0
-	for _, l := range n.Layers {
-		if c, ok := l.(*Conv2D); ok {
-			// Column matrix bytes per sample: C·K² rows × H·W columns.
-			if b := 4 * c.InC * c.K * c.K * shape[1] * shape[2]; b > worst {
-				worst = b
-			}
-		}
-		out, err := l.OutShape(shape)
-		if err != nil {
-			break
-		}
-		shape = out
-	}
-	if worst == 0 {
-		return 16
-	}
-	chunk := batchChunkBudget / worst
-	if chunk < 1 {
-		return 1
-	}
-	return min(chunk, 16)
-}
-
 // ForwardBatch runs inference on a batch of CHW samples given as raw planar
 // pixel slices, writing the raw logits into out (which must hold at least
-// len(samples) values). The batch descends the layer stack in cache-sized
-// chunks: each chunk is packed into the channel-major [C, B, H, W] layout
-// the batched layers exchange and runs the whole stack with one wide kernel
-// call per layer.
+// len(samples) values). The batch descends the network's batched plan in
+// cache-sized chunks: each chunk is packed into the channel-major
+// [C, B, H, W] layout and runs every stage once — one pass per conv block,
+// one GEMM per dense layer. Every Conv2D must open a Conv2D → ReLU →
+// MaxPool2 block, as arch.Build emits; other layer sequences panic.
 //
 // out[s] is bit-identical to Forward(sample s) at every batch size. The
 // network's batch scratch is reused across calls (and never shrinks), so a
@@ -142,12 +104,14 @@ func (n *Network) ForwardBatch(samples [][]float32, out []float32) {
 			panic(fmt.Sprintf("nn: batch sample %d has %d values, network wants %d", s, len(pix), c*hw))
 		}
 	}
+	if n.stages == nil {
+		panic("nn: ForwardBatch needs conv layers in Conv2D → ReLU → MaxPool2 blocks")
+	}
 	if n.bin == nil {
 		n.bin = &tensor.Tensor{}
 	}
-	chunk := n.batchChunk()
-	for s0 := 0; s0 < bsz; s0 += chunk {
-		s1 := min(s0+chunk, bsz)
+	for s0 := 0; s0 < bsz; s0 += n.chunk {
+		s1 := min(s0+n.chunk, bsz)
 		cur := samples[s0:s1]
 		n.bin.EnsureShape(c, len(cur), h, w)
 		bd := n.bin.Data
@@ -157,8 +121,8 @@ func (n *Network) ForwardBatch(samples [][]float32, out []float32) {
 			}
 		}
 		t := n.bin
-		for _, l := range n.Layers {
-			t = l.ForwardBatch(t)
+		for _, st := range n.stages {
+			t = st.forwardBatch(t)
 		}
 		copy(out[s0:s1], t.Data[:len(cur)])
 	}
@@ -240,7 +204,7 @@ func (n *Network) Clone() *Network {
 	for i, l := range n.Layers {
 		layers[i] = l.clone()
 	}
-	return &Network{Layers: layers, inShape: n.inShape}
+	return newNetwork(n.inShape, layers)
 }
 
 // Weights serializes all parameter values into a flat slice in layer order.

@@ -233,24 +233,50 @@ func TestCancelClientCtx(t *testing.T) {
 	}
 }
 
-// TestLeakServerLifecycle: a full server lifecycle — queries, a deadlined
-// query cancelled mid-flight, shutdown — leaves no goroutines behind.
+// TestLeakServerLifecycle: a full server lifecycle — queries, a query
+// cancelled mid-flight, shutdown — leaves no goroutines behind.
 func TestLeakServerLifecycle(t *testing.T) {
 	leakcheck.Check(t)
+	t.Cleanup(faults.Reset)
 	db := buildTestDB(t)
 	s := New(db, Options{})
 	ts := httptest.NewServer(s.Handler())
+	// Cleanups run last-registered first: the server closes (waiting for its
+	// handlers) before leakcheck counts, even when the test fails early.
+	t.Cleanup(ts.Close)
 	client := NewClientWith(ts.URL, ClientOptions{MaxRetries: -1})
 	if _, err := client.Query(robustSQL, QueryOptions{}); err != nil {
 		t.Fatal(err)
 	}
+
 	// A query cancelled mid-flight: its engine workers must exit with it.
-	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-	_, err := client.QueryCtx(ctx, "SELECT id FROM images WHERE contains_object('cloakb')", QueryOptions{})
-	cancel()
-	if err == nil {
-		t.Fatal("1ms deadline met a full classification query")
+	// Every batch sleeps in a delay-only fault, so the query is still
+	// running when the first worker reaches the point; cancelling then
+	// makes the cancellation land mid-flight on any machine.
+	db.SetExecOptions(exec.Options{Workers: 1, Batch: 8})
+	if err := faults.Enable(faults.ExecWorkerPanic, faults.Spec{Delay: 50 * time.Millisecond}); err != nil {
+		t.Fatal(err)
 	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := client.QueryCtx(ctx, "SELECT id FROM images WHERE contains_object('cloakb')", QueryOptions{})
+		done <- err
+	}()
+	for faults.Hits(faults.ExecWorkerPanic) == 0 {
+		select {
+		case err := <-done:
+			t.Fatalf("query ended (err %v) before any engine batch ran", err)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("query cancelled mid-flight returned %v, want context.Canceled", err)
+	}
+	faults.Reset()
+
 	// Analyzer start/stop rides the same lifecycle.
 	stop, err := db.StartAnalyzer(context.Background(), vdb.AnalyzerOptions{
 		Interval: time.Millisecond, BatchRows: 4, Idle: s.Idle,
@@ -260,8 +286,7 @@ func TestLeakServerLifecycle(t *testing.T) {
 	}
 	time.Sleep(5 * time.Millisecond)
 	stop()
-	ts.Close()
-	// ts.Close waits for handlers, but the engine goroutines of the
-	// cancelled query may still be draining; leakcheck's settle window
-	// covers them.
+	// The deferred ts.Close waits for handlers, but the engine goroutines
+	// of the cancelled query may still be draining; leakcheck's settle
+	// window covers them.
 }

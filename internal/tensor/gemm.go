@@ -2,10 +2,10 @@ package tensor
 
 import "fmt"
 
-// gemmJC is the column-strip width of the wide-n kernel: a 4KB strip of each
-// C row stays L1-resident across the whole k sweep instead of being
-// re-streamed from L2 once per k step, which is what the batched conv GEMMs
-// (n = B·OH·OW, tens of thousands of columns) would otherwise pay.
+// gemmJC is the column-strip width of the wide-n kernel and of ConvTaps: a
+// 4KB strip of each C row stays L1-resident across the whole k sweep instead
+// of being re-streamed from L2 once per k step, which a batched conv row
+// (B·plane positions, tens of thousands of columns) would otherwise pay.
 const gemmJC = 1024
 
 // gemmNarrowMax is the exclusive upper bound of the narrow-n kernel: below
@@ -190,37 +190,46 @@ func gemmWide(cd, ad, bd []float32, m, k, n int) {
 		j1 := min(j0+gemmJC, n)
 		for i := 0; i < m; i++ {
 			ci := cd[i*n+j0 : i*n+j1]
-			for j := range ci {
-				ci[j] = 0
-			}
+			clear(ci)
 			ai := ad[i*k : (i+1)*k]
 			p := 0
 			for ; p+4 <= k; p += 4 {
-				b0 := bd[(p+0)*n+j0 : (p+0)*n+j1]
-				b1 := bd[(p+1)*n+j0 : (p+1)*n+j1]
-				b2 := bd[(p+2)*n+j0 : (p+2)*n+j1]
-				b3 := bd[(p+3)*n+j0 : (p+3)*n+j1]
-				b0 = b0[:len(ci)]
-				b1 = b1[:len(ci)]
-				b2 = b2[:len(ci)]
-				b3 = b3[:len(ci)]
-				a0, a1, a2, a3 := ai[p], ai[p+1], ai[p+2], ai[p+3]
-				for j, cv := range ci {
-					cv += a0 * b0[j]
-					cv += a1 * b1[j]
-					cv += a2 * b2[j]
-					cv += a3 * b3[j]
-					ci[j] = cv
-				}
+				axpy4(ci, bd[(p+0)*n+j0:(p+0)*n+j1], bd[(p+1)*n+j0:(p+1)*n+j1],
+					bd[(p+2)*n+j0:(p+2)*n+j1], bd[(p+3)*n+j0:(p+3)*n+j1],
+					ai[p], ai[p+1], ai[p+2], ai[p+3])
 			}
 			for ; p < k; p++ {
-				av := ai[p]
-				bp := bd[p*n+j0 : p*n+j1]
-				bp = bp[:len(ci)]
-				for j, bv := range bp {
-					ci[j] += av * bv
-				}
+				axpy(ci, bd[p*n+j0:p*n+j1], ai[p])
 			}
+		}
+	}
+}
+
+// ConvTaps computes one filter row of an implicit-GEMM convolution:
+// acc[j] = Σ_t w[t]·x[offs[t]+j] for every j < len(acc). Tap t's im2col row
+// is x shifted by offs[t], so no column matrix is built. Each element sums
+// its taps in increasing t order into one float32 accumulator that starts at
+// +0, the order Gemm and MatMul use for the k index, which keeps a conv
+// computed this way bit-identical to im2col followed by either of them. The
+// walk is stripped like gemmWide, so an acc strip stays L1-resident across
+// all the taps. Every offs[t]+len(acc) must be at most len(x).
+func ConvTaps(acc, w, x []float32, offs []int) {
+	if len(w) != len(offs) {
+		panic(fmt.Sprintf("tensor: ConvTaps has %d weights for %d taps", len(w), len(offs)))
+	}
+	n := len(acc)
+	for j0 := 0; j0 < n; j0 += gemmJC {
+		j1 := min(j0+gemmJC, n)
+		ci := acc[j0:j1]
+		clear(ci)
+		t := 0
+		for ; t+4 <= len(w); t += 4 {
+			o0, o1, o2, o3 := offs[t], offs[t+1], offs[t+2], offs[t+3]
+			axpy4(ci, x[o0+j0:o0+j1], x[o1+j0:o1+j1], x[o2+j0:o2+j1], x[o3+j0:o3+j1],
+				w[t], w[t+1], w[t+2], w[t+3])
+		}
+		for ; t < len(w); t++ {
+			axpy(ci, x[offs[t]+j0:offs[t]+j1], w[t])
 		}
 	}
 }

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -149,48 +150,54 @@ func TestGemmZeroDims(t *testing.T) {
 	Gemm(New(2, 0), New(2, 3), New(3, 0))
 }
 
-// TestIm2ColBatchMatchesPerSample: every sample's column block must carry
-// exactly the bytes the single-sample Im2Col produces.
-func TestIm2ColBatchMatchesPerSample(t *testing.T) {
+// TestConvTapsMatchesIm2ColGemm: summing shifted windows of a zero-padded
+// plane buffer must give, at every output position, the bits of im2col
+// followed by the plain triple loop, across strip boundaries (a plane wider
+// than gemmJC) and tap counts on both sides of the four-fold unroll.
+func TestConvTapsMatchesIm2ColGemm(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	geoms := []ConvGeom{
-		{InC: 3, InH: 8, InW: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1},
-		{InC: 2, InH: 9, InW: 7, KH: 5, KW: 3, StrideH: 2, StrideW: 2, PadH: 2, PadW: 1},
-		{InC: 1, InH: 6, InW: 6, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 0, PadW: 0},
-		{InC: 4, InH: 5, InW: 5, KH: 5, KW: 5, StrideH: 1, StrideW: 1, PadH: 2, PadW: 2},
-	}
-	for gi, g := range geoms {
-		for _, bsz := range []int{1, 2, 5} {
-			t.Run(fmt.Sprintf("geom=%d/b=%d", gi, bsz), func(t *testing.T) {
-				samples := make([]*Tensor, bsz)
-				batched := New(g.InC, bsz, g.InH, g.InW)
-				plane := g.InH * g.InW
-				for s := range samples {
-					samples[s] = randTensor(rng, g.InC, g.InH, g.InW)
-					for c := 0; c < g.InC; c++ {
-						copy(batched.Data[(c*bsz+s)*plane:(c*bsz+s+1)*plane],
-							samples[s].Data[c*plane:(c+1)*plane])
+	for _, tc := range []struct{ c, h, w, k int }{
+		{1, 5, 5, 3}, {2, 9, 7, 3}, {3, 4, 6, 1}, {1, 40, 40, 3}, {2, 6, 5, 5},
+	} {
+		t.Run(fmt.Sprintf("c%d/%dx%d/k%d", tc.c, tc.h, tc.w, tc.k), func(t *testing.T) {
+			p := tc.k / 2
+			g := ConvGeom{InC: tc.c, InH: tc.h, InW: tc.w, KH: tc.k, KW: tc.k, StrideH: 1, StrideW: 1, PadH: p, PadW: p}
+			x := randTensor(rng, tc.c, tc.h, tc.w)
+			w := randTensor(rng, 1, g.ColRows())
+			col := New(g.ColRows(), g.ColCols())
+			Im2Col(col, x, g)
+			want := New(1, g.ColCols())
+			naiveRef(want, w, col)
+
+			pw, ph := tc.w+2*p, tc.h+2*p
+			pad := make([]float32, tc.c*ph*pw)
+			for c := 0; c < tc.c; c++ {
+				for y := 0; y < tc.h; y++ {
+					copy(pad[c*ph*pw+(y+p)*pw+p:], x.Data[(c*tc.h+y)*tc.w:(c*tc.h+y+1)*tc.w])
+				}
+			}
+			var offs []int
+			for c := 0; c < tc.c; c++ {
+				for kh := 0; kh < tc.k; kh++ {
+					for kw := 0; kw < tc.k; kw++ {
+						offs = append(offs, c*ph*pw+kh*pw+kw)
 					}
 				}
-				ohow := g.ColCols()
-				colB := New(g.ColRows(), bsz*ohow)
-				colB.Fill(-7) // stale values must be fully overwritten
-				Im2ColBatch(colB, batched, g)
-				col1 := New(g.ColRows(), ohow)
-				for s := 0; s < bsz; s++ {
-					Im2Col(col1, samples[s], g)
-					for r := 0; r < g.ColRows(); r++ {
-						for j := 0; j < ohow; j++ {
-							got := colB.Data[r*bsz*ohow+s*ohow+j]
-							want := col1.Data[r*ohow+j]
-							if got != want {
-								t.Fatalf("sample %d row %d col %d: batch %v != single %v", s, r, j, got, want)
-							}
-						}
+			}
+			acc := make([]float32, ph*pw-(tc.k-1)*pw-(tc.k-1))
+			for i := range acc {
+				acc[i] = 999 // ConvTaps must overwrite, not accumulate
+			}
+			ConvTaps(acc, w.Data, pad, offs)
+			for y := 0; y < tc.h; y++ {
+				for xx := 0; xx < tc.w; xx++ {
+					got, wv := acc[y*pw+xx], want.Data[y*tc.w+xx]
+					if math.Float32bits(got) != math.Float32bits(wv) {
+						t.Fatalf("(%d,%d): taps %v != im2col+gemm %v", y, xx, got, wv)
 					}
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

@@ -1,11 +1,12 @@
 package tensor
 
-// Kernel micro-benchmarks for the batched inference path. The shapes are the
-// conv GEMMs the nn package actually produces: A is the [OutC, InC·K²]
-// weight matrix, B is the im2col column matrix whose width scales with the
-// batch size.
+// Kernel micro-benchmarks for the GEMM family at the shapes the model zoo
+// builds. A is the [OutC, InC·K²] conv weight matrix (or a dense layer's
+// [Out, In]); B is the single-sample im2col column matrix, whose width
+// scales with the batch size. The batched conv block itself is benchmarked
+// in internal/nn (BenchmarkConvBlock).
 //
-//	go test -run=NONE -bench='MatMul|Im2ColBatch' -benchmem ./internal/tensor
+//	go test -run=NONE -bench=MatMul -benchmem ./internal/tensor
 
 import (
 	"fmt"
@@ -14,18 +15,21 @@ import (
 )
 
 func benchGemmShapes() [][3]int {
-	// [m, k, n(B=1)]: conv1 at 32x32 RGB, conv2 at 16x16, dense over a
-	// flattened 8x8x16 activation.
+	// [m, k, n(B=1)]: the conv of c1w4 at 16×16 gray and at 8×8 RGB, the two
+	// convs of the deep c2w8d16 at 32×32 RGB, and that model's first dense
+	// layer over its flattened 8×8×8 activation.
 	return [][3]int{
-		{16, 27, 1024},
-		{16, 144, 256},
-		{32, 1024, 1},
+		{4, 9, 256},
+		{4, 27, 64},
+		{8, 27, 1024},
+		{8, 72, 256},
+		{16, 512, 1},
 	}
 }
 
-// BenchmarkMatMul compares the seed's naive i,k,j kernel against the blocked
-// register-tiled Gemm at conv-shaped sizes, at single-sample and batched
-// column widths.
+// BenchmarkMatMul compares the training path's i,k,j MatMul against the
+// blocked register-tiled Gemm at the zoo's shapes, at single-sample and
+// batched column widths.
 func BenchmarkMatMul(b *testing.B) {
 	rng := rand.New(rand.NewSource(21))
 	for _, sh := range benchGemmShapes() {
@@ -49,29 +53,4 @@ func BenchmarkMatMul(b *testing.B) {
 			})
 		}
 	}
-}
-
-// BenchmarkIm2ColBatch measures the batched unroll against B single-sample
-// unrolls for a 3x3/pad-1 conv over 32x32 RGB.
-func BenchmarkIm2ColBatch(b *testing.B) {
-	rng := rand.New(rand.NewSource(22))
-	g := ConvGeom{InC: 3, InH: 32, InW: 32, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-	for _, bsz := range []int{1, 8, 64} {
-		x := randTensor(rng, g.InC, bsz, g.InH, g.InW)
-		col := New(g.ColRows(), bsz*g.ColCols())
-		b.Run(fmt.Sprintf("batched/b=%d", bsz), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				Im2ColBatch(col, x, g)
-			}
-			b.ReportMetric(float64(b.N*bsz)/b.Elapsed().Seconds(), "samples/sec")
-		})
-	}
-	x1 := randTensor(rng, g.InC, g.InH, g.InW)
-	col1 := New(g.ColRows(), g.ColCols())
-	b.Run("single", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			Im2Col(col1, x1, g)
-		}
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "samples/sec")
-	})
 }

@@ -207,17 +207,10 @@ func MatMul(c, a, b *Tensor) {
 	ad, bd, cd := a.Data, b.Data, c.Data
 	for i := 0; i < m; i++ {
 		ci := cd[i*n : (i+1)*n]
-		for j := range ci {
-			ci[j] = 0
-		}
+		clear(ci)
 		for p := 0; p < k; p++ {
-			av := ad[i*k+p]
-			if av == 0 {
-				continue
-			}
-			bp := bd[p*n : (p+1)*n]
-			for j, bv := range bp {
-				ci[j] += av * bv
+			if av := ad[i*k+p]; av != 0 {
+				axpy(ci, bd[p*n:(p+1)*n], av)
 			}
 		}
 	}
@@ -261,19 +254,13 @@ func MatMulTransA(c, a, b *Tensor) {
 		panic(fmt.Sprintf("tensor: MatMulTransA output shape %v, want [%d %d]", c.Shape, m, n))
 	}
 	ad, bd, cd := a.Data, b.Data, c.Data
-	for i := range cd {
-		cd[i] = 0
-	}
+	clear(cd)
 	for p := 0; p < k; p++ {
 		ap := ad[p*m : (p+1)*m]
 		bp := bd[p*n : (p+1)*n]
 		for i, av := range ap {
-			if av == 0 {
-				continue
-			}
-			ci := cd[i*n : (i+1)*n]
-			for j, bv := range bp {
-				ci[j] += av * bv
+			if av != 0 {
+				axpy(cd[i*n:(i+1)*n], bp, av)
 			}
 		}
 	}
@@ -373,41 +360,6 @@ func Im2Col(col, x *Tensor, g ConvGeom) {
 		for kh := 0; kh < g.KH; kh++ {
 			for kw := 0; kw < g.KW; kw++ {
 				im2colRow(cd[row*cols:(row+1)*cols], plane, g, kh, kw, oh, ow)
-				row++
-			}
-		}
-	}
-}
-
-// Im2ColBatch unrolls a batch of CHW samples, stored channel-major as a
-// [C, B, H, W] tensor, into col with shape [C*KH*KW, B*OutH*OutW]: within
-// every row, sample s occupies the column block [s*OutH*OutW, (s+1)*OutH*OutW),
-// filled exactly as Im2Col fills the corresponding single-sample row. One
-// GEMM against the [OutC, C*KH*KW] weight matrix then convolves the whole
-// batch, and each sample's output columns are bit-identical to what the
-// single-sample path produces.
-func Im2ColBatch(col, x *Tensor, g ConvGeom) {
-	if len(x.Shape) != 4 || x.Shape[0] != g.InC || x.Shape[2] != g.InH || x.Shape[3] != g.InW {
-		panic(fmt.Sprintf("tensor: Im2ColBatch input shape %v, want [%d B %d %d]", x.Shape, g.InC, g.InH, g.InW))
-	}
-	bsz := x.Shape[1]
-	oh, ow := g.OutH(), g.OutW()
-	ohow := oh * ow
-	cols := bsz * ohow
-	if col.Shape[0] != g.ColRows() || col.Shape[1] != cols {
-		panic(fmt.Sprintf("tensor: Im2ColBatch col shape %v, want [%d %d]", col.Shape, g.ColRows(), cols))
-	}
-	xd, cd := x.Data, col.Data
-	planeLen := g.InH * g.InW
-	row := 0
-	for c := 0; c < g.InC; c++ {
-		for kh := 0; kh < g.KH; kh++ {
-			for kw := 0; kw < g.KW; kw++ {
-				base := row * cols
-				for s := 0; s < bsz; s++ {
-					plane := xd[(c*bsz+s)*planeLen : (c*bsz+s+1)*planeLen]
-					im2colRow(cd[base+s*ohow:base+(s+1)*ohow], plane, g, kh, kw, oh, ow)
-				}
 				row++
 			}
 		}
