@@ -42,10 +42,6 @@ const (
 	// panic value and stack), pooled buffers are returned, and the engine
 	// stays usable.
 	ExecWorkerPanic = "exec.worker-panic"
-	// MatTornWrite truncates a materialized-label save mid-column — the
-	// crash-during-write case. Contract: the torn file refuses to load with
-	// a descriptive error and the resident store is left untouched.
-	MatTornWrite = "mat.torn-write"
 	// FSWriteError fails a durability-layer file write (WAL frame, checkpoint
 	// temp file, repstore manifest). Contract: the write path reports a typed
 	// error; on the WAL it fail-stops further journaled writes rather than
@@ -72,7 +68,7 @@ const (
 // Points lists every registered failure point, sorted.
 func Points() []string {
 	pts := []string{
-		StoreDecode, StoreRepRead, StoreRepSlow, ExecWorkerPanic, MatTornWrite,
+		StoreDecode, StoreRepRead, StoreRepSlow, ExecWorkerPanic,
 		FSWriteError, FSShortWrite, FSSyncError, FSCrashBeforeSync, FSCrashAfterSync,
 	}
 	sort.Strings(pts)

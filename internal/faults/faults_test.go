@@ -12,7 +12,7 @@ func TestFireDisarmedIsNil(t *testing.T) {
 	if err := Fire(StoreDecode); err != nil {
 		t.Fatalf("disarmed Fire returned %v", err)
 	}
-	if Firing(MatTornWrite) {
+	if Firing(ExecWorkerPanic) {
 		t.Fatal("disarmed Firing returned true")
 	}
 }

@@ -15,7 +15,7 @@
 // labels are written into a private overlay Column and folded in by Publish,
 // which installs a new version instead of touching the old one. The owner
 // (vdb.DB) serializes everything that changes the set — Publish, Enforce,
-// Invalidate, Load, SetBudget — under its own lock. The usage table and the
+// Invalidate, Restore, SetBudget — under its own lock. The usage table and the
 // lookup/analyzer counters are synchronized here, so the read path records
 // its bookkeeping without that lock. The store never calls back into its
 // owner, so no lock ordering issue can arise.

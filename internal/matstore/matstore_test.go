@@ -1,9 +1,7 @@
 package matstore
 
 import (
-	"bytes"
 	"math/rand"
-	"path/filepath"
 	"testing"
 
 	"tahoma/internal/bitset"
@@ -330,73 +328,5 @@ func TestStoreStats(t *testing.T) {
 	}
 	if st.Bytes != s.Bytes() || st.BudgetBytes != 4096 {
 		t.Fatalf("footprint: %+v", st)
-	}
-}
-
-func TestPersistRoundTrip(t *testing.T) {
-	s := New(0)
-	rng := rand.New(rand.NewSource(3))
-	keys := []Key{{"cloak", "c1"}, {"cloak", "c2"}, {"fence", "c9"}}
-	coin := func(int) bool { return rng.Intn(2) == 0 }
-	for _, k := range keys {
-		publish(s, k, 50+rng.Intn(200), coin, coin)
-	}
-	s.Invalidate()
-	for _, k := range keys { // rebuild after gen bump so gen=1 persists
-		// A gap at row 40 keeps the watermark short of the end, so the
-		// prefix round-trips as something other than Len.
-		publish(s, k, 64, func(i int) bool { return i != 40 }, func(i int) bool { return i%5 == 0 })
-	}
-
-	var buf bytes.Buffer
-	if err := s.Save(&buf, 42); err != nil {
-		t.Fatal(err)
-	}
-	loaded := New(0)
-	if err := loaded.Load(&buf, 42); err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Generation() != s.Generation() {
-		t.Fatalf("generation %d, want %d", loaded.Generation(), s.Generation())
-	}
-	for _, k := range keys {
-		orig := s.Column(k)
-		got, ok := loaded.Columns()[k]
-		if !ok || got.Len() != orig.Len() || got.prefix != orig.prefix || orig.prefix != 40 {
-			t.Fatalf("%v: shape mismatch", k)
-		}
-		for i := 0; i < orig.Len(); i++ {
-			if got.Valid(i) != orig.Valid(i) || (orig.Valid(i) && got.Label(i) != orig.Label(i)) {
-				t.Fatalf("%v row %d differs", k, i)
-			}
-		}
-	}
-
-	// File-level helpers.
-	path := filepath.Join(t.TempDir(), "labels.bin")
-	if err := s.SaveFile(path, 42); err != nil {
-		t.Fatal(err)
-	}
-	fromFile := New(0)
-	if err := fromFile.LoadFile(path, 42); err != nil {
-		t.Fatal(err)
-	}
-	if fromFile.Stats().CoveredRows != s.Stats().CoveredRows {
-		t.Fatal("file round-trip lost coverage")
-	}
-}
-
-func TestPersistRejectsGarbage(t *testing.T) {
-	s := New(0)
-	if err := s.Load(bytes.NewReader([]byte("definitely not a matstore file")), 0); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	var buf bytes.Buffer
-	if err := s.Save(&buf, 0); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()-1]
-	if err := s.Load(bytes.NewReader(trunc[:8]), 0); err == nil {
-		t.Fatal("truncated header accepted")
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"tahoma/internal/metrics"
 )
 
 func TestDecide(t *testing.T) {
@@ -76,18 +74,30 @@ func TestCalibrateUnattainableTarget(t *testing.T) {
 	}
 }
 
-// precisionOn computes the positive precision and NPV of th's confident
-// decisions on (scores, labels).
-func precisionOn(th Thresholds, scores []float32, labels []bool) (pos, neg metrics.Confusion) {
+// confusion counts confident decisions against the labels.
+type confusion struct{ TP, FP, TN, FN int }
+
+// precision is TP/(TP+FP) on the positive side.
+func (c confusion) precision() float64 { return float64(c.TP) / float64(c.TP+c.FP) }
+
+// npv is TN/(TN+FN), the precision of the negative side.
+func (c confusion) npv() float64 { return float64(c.TN) / float64(c.TN+c.FN) }
+
+// precisionOn counts th's confident decisions on (scores, labels): positive
+// decisions in pos, negative ones in neg.
+func precisionOn(th Thresholds, scores []float32, labels []bool) (pos, neg confusion) {
 	for i, s := range scores {
 		d, p := th.Decide(s)
-		if !d {
-			continue
-		}
-		if p {
-			pos.Add(true, labels[i])
-		} else {
-			neg.Add(false, labels[i])
+		switch {
+		case !d:
+		case p && labels[i]:
+			pos.TP++
+		case p:
+			pos.FP++
+		case !labels[i]:
+			neg.TN++
+		default:
+			neg.FN++
 		}
 	}
 	return pos, neg
@@ -116,10 +126,10 @@ func TestCalibrateMeetsTargetOnConfigSet(t *testing.T) {
 			return false
 		}
 		pos, neg := precisionOn(th, scores, labels)
-		if pos.TP+pos.FP > 0 && pos.Precision() < target-1e-9 {
+		if pos.TP+pos.FP > 0 && pos.precision() < target-1e-9 {
 			return false
 		}
-		if neg.TN+neg.FN > 0 && neg.NPV() < target-1e-9 {
+		if neg.TN+neg.FN > 0 && neg.npv() < target-1e-9 {
 			return false
 		}
 		return true
@@ -162,10 +172,10 @@ func TestCalibrateMaximizesCoverage(t *testing.T) {
 					continue
 				}
 				pos, neg := precisionOn(cand, scores, labels)
-				if pos.TP+pos.FP > 0 && pos.Precision() < target {
+				if pos.TP+pos.FP > 0 && pos.precision() < target {
 					continue
 				}
-				if neg.TN+neg.FN > 0 && neg.NPV() < target {
+				if neg.TN+neg.FN > 0 && neg.npv() < target {
 					continue
 				}
 				if c := cand.Coverage(scores); c > best {

@@ -3,7 +3,6 @@ package vdb
 import (
 	"context"
 	"errors"
-	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -400,96 +399,6 @@ func TestCancelMidFlightNoLeak(t *testing.T) {
 	faults.Reset()
 	if _, err := db.Query(chaosSQL, chaosCons); err != nil {
 		t.Fatalf("DB unusable after cancelled query: %v", err)
-	}
-}
-
-// TestFaultTornWritePersistRoundTrip: a torn materialized-column write (the
-// mat.torn-write point truncates the file after SaveFile) is refused by
-// LoadMaterialized, and the resident columns keep answering.
-func TestFaultTornWritePersistRoundTrip(t *testing.T) {
-	defer faults.Reset()
-	db, _ := buildTestDB(t)
-	if _, err := db.Query(chaosSQL, chaosCons); err != nil {
-		t.Fatal(err)
-	}
-	path := t.TempDir() + "/mat.bin"
-	if err := faults.Enable(faults.MatTornWrite, faults.Spec{Times: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.SaveMaterialized(path); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.LoadMaterialized(path); err == nil {
-		t.Fatal("torn write loaded cleanly")
-	}
-	res, err := db.Query(chaosSQL, chaosCons)
-	if err != nil {
-		t.Fatalf("DB unusable after refused load: %v", err)
-	}
-	if !res.Bitmap && res.MatHits == 0 {
-		t.Fatal("resident materialized columns were lost by the refused load")
-	}
-}
-
-// TestLoadMaterializedWrongCorpusRefused: a column file saved over one
-// corpus refuses to load into a DB holding a different corpus, and a file
-// truncated mid-column refuses everywhere — in both cases the resident
-// store is untouched.
-func TestLoadMaterializedWrongCorpusRefused(t *testing.T) {
-	db, _ := buildTestDB(t)
-	if _, err := db.Query(chaosSQL, chaosCons); err != nil {
-		t.Fatal(err)
-	}
-	path := t.TempDir() + "/mat.bin"
-	if err := db.SaveMaterialized(path); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.LoadMaterialized(path); err != nil {
-		t.Fatalf("same-corpus reload must succeed: %v", err)
-	}
-
-	// A DB over a different corpus (same images, different metadata — the
-	// row identities the labels are keyed by).
-	other, _ := buildTestDB(t)
-	ims := make([]*img.Image, 8)
-	meta := make([]Metadata, 8)
-	for i := range ims {
-		ims[i] = img.New(16, 16, img.RGB)
-		meta[i] = Metadata{ID: int64(1000 + i), Location: "elsewhere", TS: int64(i)}
-	}
-	if err := other.LoadCorpus(ims, meta); err != nil {
-		t.Fatal(err)
-	}
-	err := other.LoadMaterialized(path)
-	if err == nil {
-		t.Fatal("foreign-corpus column file loaded cleanly")
-	}
-	if !strings.Contains(err.Error(), "different corpus") {
-		t.Fatalf("refusal does not explain the corpus mismatch: %v", err)
-	}
-
-	// Truncation mid-column: refused, resident store untouched.
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, blob[:len(blob)-len(blob)/3], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	before := db.MatStats()
-	if err := db.LoadMaterialized(path); err == nil {
-		t.Fatal("truncated column file loaded cleanly")
-	}
-	after := db.MatStats()
-	if before.Stats.Columns != after.Stats.Columns {
-		t.Fatalf("refused load changed the store: %d columns -> %d", before.Stats.Columns, after.Stats.Columns)
-	}
-	res, err := db.Query(chaosSQL, chaosCons)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Bitmap && res.MatHits == 0 {
-		t.Fatal("materialized columns lost after refused load")
 	}
 }
 

@@ -2,9 +2,7 @@ package vdb
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"maps"
 	"strings"
 	"sync"
@@ -361,57 +359,6 @@ func (db *DB) DecodeCache() (*repstore.Cache, bool) {
 		return nil, false
 	}
 	return reps.sc.cache, true
-}
-
-// corpusFingerprintLocked hashes the relational metadata — row count plus
-// every row's fields, FNV-1a — into the corpus tag stamped on persisted
-// label files. Labels are only meaningful against the exact corpus they were
-// computed over; the tag turns "caller is responsible" into an enforced
-// refusal. Caller holds db.mu (either mode).
-func (db *DB) corpusFingerprintLocked() uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(b[:], v)
-		h.Write(b[:])
-	}
-	put(uint64(len(db.meta)))
-	for _, m := range db.meta {
-		put(uint64(m.ID))
-		h.Write([]byte(m.Location))
-		h.Write([]byte{0})
-		h.Write([]byte(m.Camera))
-		h.Write([]byte{0})
-		put(uint64(m.TS))
-	}
-	return h.Sum64()
-}
-
-// SaveMaterialized persists the materialized label columns to path, stamped
-// with a fingerprint of the current corpus; LoadMaterialized refuses files
-// from any other corpus.
-func (db *DB) SaveMaterialized(path string) error {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.mat.SaveFile(path, db.corpusFingerprintLocked())
-}
-
-// LoadMaterialized restores columns saved by SaveMaterialized. The file must
-// come from the same corpus (SaveMaterialized stamps a metadata fingerprint;
-// a mismatch refuses to load — cascades are deterministic, so same corpus
-// means identical labels and any other corpus makes them garbage) and must
-// verify bit-for-bit (per-frame checksums catch truncation and corruption).
-// Any failure leaves the resident columns untouched. Columns are truncated
-// or grown to the current corpus length on first use.
-func (db *DB) LoadMaterialized(path string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.mat.LoadFile(path, db.corpusFingerprintLocked()); err != nil {
-		return err
-	}
-	db.mat.Enforce()
-	db.publishLocked()
-	return nil
 }
 
 // PlanOrder selects the content-predicate ordering policy; see the planner

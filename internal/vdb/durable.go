@@ -6,13 +6,16 @@ import (
 	"cmp"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -182,23 +185,17 @@ func (db *DB) EnableDurability(o DurabilityOptions) (RecoveryStats, error) {
 	}
 
 	if stats.CheckpointLoaded {
-		// The checkpoint replaces whatever the caller loaded: its meta is the
-		// recovered truth, and the mat image is verified against a fingerprint
-		// of exactly that meta.
+		if sc.store.Count() < len(ckpt.meta) {
+			log.Close()
+			return RecoveryStats{}, fmt.Errorf("vdb: store has %d rows but checkpoint acknowledges %d — store lost acknowledged data", sc.store.Count(), len(ckpt.meta))
+		}
+		// The checkpoint is decoded and verified whole: only now does it
+		// replace whatever the caller loaded.
 		db.meta = ckpt.meta
 		db.zones = extendZones(nil, db.meta)
-		if len(ckpt.matImage) > 0 {
-			if err := db.mat.Load(bytes.NewReader(ckpt.matImage), db.corpusFingerprintLocked()); err != nil {
-				log.Close()
-				return RecoveryStats{}, fmt.Errorf("vdb: checkpoint columns: %w", err)
-			}
-		}
-		db.mat.RestoreUsage(ckpt.usage)
-		db.catalog.Restore(ckpt.catalog)
-		if sc.store.Count() < len(db.meta) {
-			log.Close()
-			return RecoveryStats{}, fmt.Errorf("vdb: store has %d rows but checkpoint acknowledges %d — store lost acknowledged data", sc.store.Count(), len(db.meta))
-		}
+		db.mat.Restore(ckpt.cols)
+		db.mat.RestoreUsage(ckpt.state.Usage)
+		db.catalog.Restore(ckpt.state.Catalog)
 
 		replayed, err := log.Replay(ckpt.walSeq, func(r wal.Record) error {
 			return db.applyRecordLocked(sc, r)
@@ -346,16 +343,11 @@ func (db *DB) checkpointLocked() error {
 	// is stamped with must agree (every record < seq is reflected in it,
 	// journal writes happen under this same lock).
 	seq := db.wal.NextSeq()
-	var matBuf bytes.Buffer
-	if err := db.mat.Save(&matBuf, db.corpusFingerprintLocked()); err != nil {
-		return err
-	}
 	ck := checkpoint{
-		walSeq:   seq,
-		meta:     db.meta,
-		usage:    db.mat.ExportUsage(),
-		catalog:  db.catalog.Snapshot(),
-		matImage: matBuf.Bytes(),
+		walSeq: seq,
+		meta:   db.meta,
+		state:  ckptState{Usage: db.mat.ExportUsage(), Catalog: db.catalog.Snapshot()},
+		cols:   db.mat.Columns(),
 	}
 	if err := writeCheckpoint(db.ckptPath, &ck); err != nil {
 		return err
@@ -741,24 +733,56 @@ func getString(r *bytes.Reader) (string, error) {
 
 // checkpoint is the in-memory form of one checkpoint file.
 type checkpoint struct {
-	walSeq   uint64
-	meta     []Metadata
-	usage    matstore.UsageState
-	catalog  []planner.CatalogEntry
-	matImage []byte // a matstore.Save image, loaded with the meta fingerprint
+	walSeq uint64
+	meta   []Metadata
+	state  ckptState
+	cols   matstore.Columns
 }
 
-const ckptMagic = "TAHCKP1\n"
+// ckptState is the checkpoint's JSON section: the workload state that steers
+// the analyzer and the planner. It is small, and JSON round-trips its floats
+// exactly.
+type ckptState struct {
+	Usage   matstore.UsageState    `json:"usage"`
+	Catalog []planner.CatalogEntry `json:"catalog"`
+}
+
+// ckptMagic opens a checkpoint file. Frames [len u32][payload][crc32 u32]
+// follow it, and nothing follows the last:
+//
+//	header  walSeq u64, rows u64, columns u64
+//	meta    the rows' metadata, as a record-less recAppend payload
+//	state   ckptState as JSON
+//	column  one per materialized column, in key order: category and cascade
+//	        (putString each), then the matstore column encoding
+const ckptMagic = "TAHCKP2\n"
 
 var ckptCRC = crc32.IEEETable
 
 // writeCheckpoint persists ck atomically: temp file, fsync, rename, dir
-// fsync. Every section is a length+CRC32 frame, so a damaged checkpoint
-// refuses to load instead of resurrecting garbage state.
+// fsync.
 func writeCheckpoint(path string, ck *checkpoint) error {
 	if err := faults.Fire(faults.FSWriteError); err != nil {
 		return fmt.Errorf("vdb: checkpoint: %w", err)
 	}
+	state, err := json.Marshal(ck.state)
+	if err != nil {
+		return fmt.Errorf("vdb: checkpoint: %w", err)
+	}
+	hdr := binary.LittleEndian.AppendUint64(nil, ck.walSeq)
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(ck.meta)))
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(ck.cols)))
+	frames := [][]byte{hdr, encodeAppendRec(0, ck.meta, false), state}
+	keys := slices.SortedFunc(maps.Keys(ck.cols), func(a, b matstore.Key) int {
+		return cmp.Or(strings.Compare(a.Category, b.Category), strings.Compare(a.Cascade, b.Cascade))
+	})
+	for _, k := range keys {
+		var key bytes.Buffer
+		putString(&key, k.Category)
+		putString(&key, k.Cascade)
+		frames = append(frames, ck.cols[k].AppendEncoded(key.Bytes()))
+	}
+
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -773,51 +797,10 @@ func writeCheckpoint(path string, ck *checkpoint) error {
 	if _, err := w.WriteString(ckptMagic); err != nil {
 		return fail(err)
 	}
-	var hdr bytes.Buffer
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], ck.walSeq)
-	hdr.Write(b[:])
-	binary.LittleEndian.PutUint64(b[:], uint64(len(ck.meta)))
-	hdr.Write(b[:])
-	if err := writeCkptFrame(w, hdr.Bytes()); err != nil {
-		return fail(err)
-	}
-	if err := writeCkptFrame(w, encodeAppendRec(0, ck.meta, false)); err != nil {
-		return fail(err)
-	}
-	var ub bytes.Buffer
-	binary.LittleEndian.PutUint64(b[:], uint64(ck.usage.Clock))
-	ub.Write(b[:])
-	binary.LittleEndian.PutUint64(b[:], uint64(len(ck.usage.Entries)))
-	ub.Write(b[:])
-	for _, e := range ck.usage.Entries {
-		putString(&ub, e.Category)
-		putString(&ub, e.Cascade)
-		binary.LittleEndian.PutUint64(b[:], uint64(e.Touches))
-		ub.Write(b[:])
-		binary.LittleEndian.PutUint64(b[:], uint64(e.Last))
-		ub.Write(b[:])
-	}
-	if err := writeCkptFrame(w, ub.Bytes()); err != nil {
-		return fail(err)
-	}
-	var cb bytes.Buffer
-	binary.LittleEndian.PutUint64(b[:], uint64(len(ck.catalog)))
-	cb.Write(b[:])
-	for _, e := range ck.catalog {
-		putString(&cb, e.Key)
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(e.PassRate))
-		cb.Write(b[:])
-		binary.LittleEndian.PutUint64(b[:], uint64(e.Samples))
-		cb.Write(b[:])
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(e.Seed))
-		cb.Write(b[:])
-	}
-	if err := writeCkptFrame(w, cb.Bytes()); err != nil {
-		return fail(err)
-	}
-	if err := writeCkptFrame(w, ck.matImage); err != nil {
-		return fail(err)
+	for _, p := range frames {
+		if err := writeCkptFrame(w, p); err != nil {
+			return fail(err)
+		}
 	}
 	if err := w.Flush(); err != nil {
 		return fail(err)
@@ -852,113 +835,85 @@ func writeCheckpoint(path string, ck *checkpoint) error {
 // write protocol means a torn checkpoint should be impossible, so damage
 // means the environment lost acknowledged state).
 func loadCheckpoint(path string) (*checkpoint, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	r := bufio.NewReader(f)
-	magic := make([]byte, len(ckptMagic))
-	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != ckptMagic {
-		return nil, fmt.Errorf("vdb: %s is not a checkpoint file", path)
-	}
-	hdr, err := readCkptFrame(r, "header")
+	ck, err := decodeCheckpoint(data)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("vdb: checkpoint %s: %w", path, err)
 	}
-	if len(hdr) != 16 {
-		return nil, fmt.Errorf("vdb: checkpoint header is %d bytes", len(hdr))
-	}
-	ck := &checkpoint{walSeq: binary.LittleEndian.Uint64(hdr[:8])}
-	rows := binary.LittleEndian.Uint64(hdr[8:])
+	return ck, nil
+}
 
-	metaBlob, err := readCkptFrame(r, "meta")
+// decodeCheckpoint parses and verifies a whole checkpoint file: every
+// section, columns included, so recovery applies it only once nothing in it
+// can fail. Nothing is allocated from a length or count the bytes themselves
+// do not back.
+func decodeCheckpoint(data []byte) (*checkpoint, error) {
+	rest, ok := bytes.CutPrefix(data, []byte(ckptMagic))
+	if !ok {
+		return nil, errors.New("not a TAHCKP2 checkpoint")
+	}
+	frame := func(what string) (payload []byte, err error) {
+		payload, rest, err = readCkptFrame(rest, what)
+		return payload, err
+	}
+	hdr, err := frame("header")
+	if err != nil {
+		return nil, err
+	}
+	if len(hdr) != 24 {
+		return nil, fmt.Errorf("header is %d bytes", len(hdr))
+	}
+	ck := &checkpoint{walSeq: binary.LittleEndian.Uint64(hdr), cols: matstore.Columns{}}
+	rows, ncols := binary.LittleEndian.Uint64(hdr[8:]), binary.LittleEndian.Uint64(hdr[16:])
+
+	metaBlob, err := frame("meta")
 	if err != nil {
 		return nil, err
 	}
 	_, metas, recs, _, err := decodeAppendRec(metaBlob)
 	if err != nil || len(recs) > 0 {
-		return nil, fmt.Errorf("vdb: checkpoint meta: %w", cmp.Or(err, errors.New("carries image records")))
+		return nil, fmt.Errorf("meta: %w", cmp.Or(err, errors.New("carries image records")))
 	}
 	if uint64(len(metas)) != rows {
-		return nil, fmt.Errorf("vdb: checkpoint meta has %d rows, header says %d", len(metas), rows)
+		return nil, fmt.Errorf("meta has %d rows, header says %d", len(metas), rows)
 	}
 	ck.meta = metas
 
-	ub, err := readCkptFrame(r, "usage")
+	state, err := frame("state")
 	if err != nil {
 		return nil, err
 	}
-	ur := bytes.NewReader(ub)
-	var b [8]byte
-	if _, err := io.ReadFull(ur, b[:]); err != nil {
-		return nil, fmt.Errorf("vdb: checkpoint usage: %w", err)
-	}
-	ck.usage.Clock = int64(binary.LittleEndian.Uint64(b[:]))
-	if _, err := io.ReadFull(ur, b[:]); err != nil {
-		return nil, fmt.Errorf("vdb: checkpoint usage: %w", err)
-	}
-	un := binary.LittleEndian.Uint64(b[:])
-	if un > uint64(len(ub)) {
-		return nil, fmt.Errorf("vdb: checkpoint usage: corrupt entry count %d", un)
-	}
-	for i := uint64(0); i < un; i++ {
-		var e matstore.UsageStateEntry
-		if e.Category, err = getString(ur); err != nil {
-			return nil, fmt.Errorf("vdb: checkpoint usage %d: %w", i, err)
-		}
-		if e.Cascade, err = getString(ur); err != nil {
-			return nil, fmt.Errorf("vdb: checkpoint usage %d: %w", i, err)
-		}
-		if _, err := io.ReadFull(ur, b[:]); err != nil {
-			return nil, fmt.Errorf("vdb: checkpoint usage %d: %w", i, err)
-		}
-		e.Touches = int64(binary.LittleEndian.Uint64(b[:]))
-		if _, err := io.ReadFull(ur, b[:]); err != nil {
-			return nil, fmt.Errorf("vdb: checkpoint usage %d: %w", i, err)
-		}
-		e.Last = int64(binary.LittleEndian.Uint64(b[:]))
-		ck.usage.Entries = append(ck.usage.Entries, e)
+	if err := json.Unmarshal(state, &ck.state); err != nil {
+		return nil, fmt.Errorf("state: %w", err)
 	}
 
-	cb, err := readCkptFrame(r, "catalog")
-	if err != nil {
-		return nil, err
-	}
-	cr := bytes.NewReader(cb)
-	if _, err := io.ReadFull(cr, b[:]); err != nil {
-		return nil, fmt.Errorf("vdb: checkpoint catalog: %w", err)
-	}
-	cn := binary.LittleEndian.Uint64(b[:])
-	if cn > uint64(len(cb)) {
-		return nil, fmt.Errorf("vdb: checkpoint catalog: corrupt entry count %d", cn)
-	}
-	for i := uint64(0); i < cn; i++ {
-		var e planner.CatalogEntry
-		if e.Key, err = getString(cr); err != nil {
-			return nil, fmt.Errorf("vdb: checkpoint catalog %d: %w", i, err)
+	for i := uint64(0); i < ncols; i++ {
+		p, err := frame("column")
+		if err != nil {
+			return nil, err
 		}
-		if _, err := io.ReadFull(cr, b[:]); err != nil {
-			return nil, fmt.Errorf("vdb: checkpoint catalog %d: %w", i, err)
+		r := bytes.NewReader(p)
+		var k matstore.Key
+		if k.Category, err = getString(r); err == nil {
+			k.Cascade, err = getString(r)
 		}
-		e.PassRate = math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
-		if _, err := io.ReadFull(cr, b[:]); err != nil {
-			return nil, fmt.Errorf("vdb: checkpoint catalog %d: %w", i, err)
+		if err != nil {
+			return nil, fmt.Errorf("column %d key: %w", i, err)
 		}
-		e.Samples = int64(binary.LittleEndian.Uint64(b[:]))
-		if _, err := io.ReadFull(cr, b[:]); err != nil {
-			return nil, fmt.Errorf("vdb: checkpoint catalog %d: %w", i, err)
+		col, err := matstore.DecodeColumn(p[len(p)-r.Len():])
+		if err != nil {
+			return nil, fmt.Errorf("column %v: %w", k, err)
 		}
-		e.Seed = math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
-		ck.catalog = append(ck.catalog, e)
+		if col.Len() > len(metas) {
+			return nil, fmt.Errorf("column %v spans %d rows of %d", k, col.Len(), len(metas))
+		}
+		ck.cols[k] = col
 	}
-
-	ck.matImage, err = readCkptFrame(r, "columns")
-	if err != nil {
-		return nil, err
-	}
-	if _, err := r.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("vdb: checkpoint: trailing data")
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("%d bytes after the last column", len(rest))
 	}
 	return ck, nil
 }
@@ -977,24 +932,20 @@ func writeCkptFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
-func readCkptFrame(r io.Reader, what string) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("vdb: checkpoint %s: truncated: %w", what, err)
+// readCkptFrame splits one frame off the front of data. The frame's length is
+// bounded by the bytes data holds, and its payload aliases data, so a damaged
+// length can drive no allocation.
+func readCkptFrame(data []byte, what string) (payload, rest []byte, err error) {
+	if len(data) < 8 {
+		return nil, nil, fmt.Errorf("%s: truncated", what)
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > 1<<30 {
-		return nil, fmt.Errorf("vdb: checkpoint %s: corrupt frame length %d", what, n)
+	n := uint64(binary.LittleEndian.Uint32(data))
+	if n > uint64(len(data)-8) {
+		return nil, nil, fmt.Errorf("%s: %d-byte frame with %d bytes left — truncated or corrupt", what, n, len(data)-8)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("vdb: checkpoint %s: truncated: %w", what, err)
+	payload, rest = data[4:4+n], data[8+n:]
+	if crc32.Checksum(payload, ckptCRC) != binary.LittleEndian.Uint32(data[4+n:]) {
+		return nil, nil, fmt.Errorf("%s: checksum mismatch — file is corrupt", what)
 	}
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("vdb: checkpoint %s: truncated checksum: %w", what, err)
-	}
-	if crc32.Checksum(payload, ckptCRC) != binary.LittleEndian.Uint32(hdr[:]) {
-		return nil, fmt.Errorf("vdb: checkpoint %s: checksum mismatch — file is corrupt", what)
-	}
-	return payload, nil
+	return payload, rest, nil
 }

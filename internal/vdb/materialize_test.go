@@ -3,7 +3,6 @@ package vdb
 import (
 	"context"
 	"fmt"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -256,37 +255,6 @@ func TestMatBudgetEviction(t *testing.T) {
 	}
 	if cold.UDFCalls == 0 {
 		t.Fatal("evicted column served labels from nowhere")
-	}
-}
-
-// TestSaveLoadMaterialized: columns persisted from one DB serve bitmap
-// lookups in a fresh process over the same corpus, bit-identically.
-func TestSaveLoadMaterialized(t *testing.T) {
-	cons := core.Constraints{MaxAccuracyLoss: 0.05}
-	const sql = "SELECT id FROM images WHERE contains_object('cloak')"
-	db := buildConcurrentDB(t)
-	want, err := db.Query(sql, cons)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "labels.bin")
-	if err := db.SaveMaterialized(path); err != nil {
-		t.Fatal(err)
-	}
-
-	db2 := buildConcurrentDB(t)
-	if err := db2.LoadMaterialized(path); err != nil {
-		t.Fatal(err)
-	}
-	res, err := db2.Query(sql, cons)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Bitmap || res.UDFCalls != 0 {
-		t.Fatalf("loaded columns not served: bitmap=%v udf=%d", res.Bitmap, res.UDFCalls)
-	}
-	if resultKey(res) != resultKey(want) {
-		t.Fatalf("persisted labels diverge:\n got %s\nwant %s", resultKey(res), resultKey(want))
 	}
 }
 

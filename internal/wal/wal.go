@@ -1,12 +1,12 @@
 // Package wal is TAHOMA's write-ahead ingest journal: an append-only,
 // length+CRC32-framed, fsync-on-commit log that makes the DB's write side
-// (Append batches and materialized-label merges) durable. It is the write-
-// side twin of the matstore's TAHMAT2 read discipline — where TAHMAT2 makes a
-// *load* fail closed on any damage, the WAL makes a *crash* recover open: the
-// reader walks the journal, truncates at the first bad frame (a torn tail is
-// what power loss legitimately produces), and replays the clean prefix, so a
-// process killed at any instant restarts into a state bit-identical to some
-// prefix of the acknowledged writes — never corrupt, never partially applied.
+// (Append batches and materialized-label merges) durable. Where the DB's
+// checkpoint makes a *load* fail closed on any damage, the WAL makes a
+// *crash* recover open: the reader walks the journal, truncates at the first
+// bad frame (a torn tail is what power loss legitimately produces), and
+// replays the clean prefix, so a process killed at any instant restarts into
+// a state bit-identical to some prefix of the acknowledged writes — never
+// corrupt, never partially applied.
 //
 // On-disk layout of a journal directory (the checkpoint file written by the
 // DB lives alongside, owned by the vdb layer):
@@ -52,8 +52,8 @@ const (
 	// segPrefix/segSuffix frame the %016x first-sequence in segment names.
 	segPrefix = "wal-"
 	segSuffix = ".seg"
-	// maxFrame bounds one record so a corrupt length cannot drive a giant
-	// allocation during recovery.
+	// maxFrame bounds one record. Recovery refuses a longer frame, and
+	// also any frame longer than the bytes left in its segment.
 	maxFrame = 1 << 28
 	// maxKeptFrame bounds the assembly buffer the log keeps between appends.
 	maxKeptFrame = 4 << 20
@@ -274,7 +274,7 @@ func scanSegment(path string) (valid int64, records int64, lastSeq uint64, total
 		return 0, 0, 0, total, nil
 	}
 	valid = int64(len(segMagic))
-	r := &countReader{r: f, n: valid}
+	r := &countReader{r: f, n: valid, size: total}
 	for {
 		payload, ok := readFrame(r)
 		if !ok {
@@ -286,9 +286,12 @@ func scanSegment(path string) (valid int64, records int64, lastSeq uint64, total
 	}
 }
 
+// countReader tracks the offset into a segment of size bytes, so a frame
+// can be refused for claiming more bytes than the segment has left.
 type countReader struct {
-	r io.Reader
-	n int64
+	r    io.Reader
+	n    int64
+	size int64
 }
 
 func (c *countReader) Read(p []byte) (int, error) {
@@ -298,14 +301,16 @@ func (c *countReader) Read(p []byte) (int, error) {
 }
 
 // readFrame reads one [len][payload][crc] frame; ok is false on any damage
-// (truncation, oversize length, checksum mismatch, runt payload).
-func readFrame(r io.Reader) (payload []byte, ok bool) {
+// (truncation, oversize length, checksum mismatch, runt payload). A length
+// the segment's remaining bytes cannot back is refused before the payload
+// is allocated.
+func readFrame(r *countReader) (payload []byte, ok bool) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, false
 	}
 	n := binary.LittleEndian.Uint32(hdr[:])
-	if n < payloadHeader || n > maxFrame {
+	if n < payloadHeader || n > maxFrame || int64(n)+4 > r.size-r.n {
 		return nil, false
 	}
 	payload = make([]byte, n)
@@ -562,12 +567,17 @@ func (l *Log) Replay(fromSeq uint64, fn func(Record) error) (replayed int64, err
 		if err != nil {
 			return replayed, fmt.Errorf("wal: replay opening %s: %w", seg.name, err)
 		}
+		fi, err := f.Stat()
+		if err != nil {
+			f.Close()
+			return replayed, fmt.Errorf("wal: replay: %w", err)
+		}
 		magic := make([]byte, len(segMagic))
 		if _, err := io.ReadFull(f, magic); err != nil || string(magic) != segMagic {
 			f.Close()
 			continue
 		}
-		r := &countReader{r: f, n: int64(len(segMagic))}
+		r := &countReader{r: f, n: int64(len(segMagic)), size: fi.Size()}
 		for {
 			frameStart := r.n
 			payload, ok := readFrame(r)

@@ -2,10 +2,12 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -274,6 +276,66 @@ func TestCorruptMiddleFrameTruncates(t *testing.T) {
 			t.Fatalf("record %d has seq %d — not a prefix", i, r.Seq)
 		}
 	}
+}
+
+// TestFrameLengthPastSegmentEndAllocatesNothing: a frame whose length claims
+// more bytes than its segment has left — here the largest length a frame may
+// have, in a segment of a few hundred bytes — is torn tail, refused before
+// its payload is allocated.
+func TestFrameLengthPastSegmentEndAllocatesNothing(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := l.Commit(1, []byte(fmt.Sprintf("frame-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+	segs, _ := listSegments(dir)
+	path := filepath.Join(dir, segs[0].name)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second := len(segMagic) + frameOverhead + payloadHeader + len("frame-0")
+	binary.LittleEndian.PutUint32(raw[second:], maxFrame)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	r := &countReader{r: bytes.NewReader(raw[second:]), n: int64(second), size: int64(len(raw))}
+	var (
+		ok   bool
+		info RecoverInfo
+	)
+	alloc := allocatedBy(func() { _, ok = readFrame(r) })
+	if ok || alloc > 64<<10 {
+		t.Fatalf("readFrame accepted=%v, allocated %d bytes for a %d-byte segment", ok, alloc, len(raw))
+	}
+	alloc = allocatedBy(func() {
+		var l2 *Log
+		if l2, info, err = Open(dir, Options{}); err == nil {
+			l2.Close()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Records != 1 || info.TruncatedBytes == 0 || alloc > 1<<20 {
+		t.Fatalf("recovered %+v, allocating %d bytes; want the first record and the rest cut", info, alloc)
+	}
+}
+
+// allocatedBy returns the bytes fn allocated.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 func TestTornSegmentOrphansLaterSegments(t *testing.T) {
