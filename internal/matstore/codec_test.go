@@ -77,9 +77,11 @@ func TestDecodeColumnRefusesDamage(t *testing.T) {
 		"watermark past end":  encodeRaw(64, 65, ones, ones),
 		"watermark over hole": encodeRaw(64, 10, ones, []uint64{^uint64(1 << 7)}),
 	} {
-		if _, err := DecodeColumn(data); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
+		t.Run(name, func(t *testing.T) {
+			if _, err := DecodeColumn(data); err == nil {
+				t.Error("accepted")
+			}
+		})
 	}
 }
 

@@ -92,7 +92,7 @@ func TestCheckpointDamageRefused(t *testing.T) {
 		t.Fatal("fixture cannot tell the checkpoint's state from the placeholder's")
 	}
 	dir := t.TempDir()
-	try := func(db *DB, what string, data []byte) {
+	try := func(t *testing.T, db *DB, what string, data []byte) {
 		t.Helper()
 		if err := os.WriteFile(filepath.Join(dir, checkpointName), data, 0o644); err != nil {
 			t.Fatal(err)
@@ -105,39 +105,47 @@ func TestCheckpointDamageRefused(t *testing.T) {
 			t.Fatalf("%s: the refused checkpoint changed the DB", what)
 		}
 	}
-	for off := range ckpt {
-		damaged := slices.Clone(ckpt)
-		damaged[off] ^= 0xFF
-		try(db, fmt.Sprintf("flip at %d", off), damaged)
-	}
-	for cut := range ckpt {
-		try(db, fmt.Sprintf("cut at %d", cut), ckpt[:cut])
-	}
-	try(db, "trailing byte", append(slices.Clone(ckpt), 0))
-
+	t.Run("byte flips", func(t *testing.T) {
+		for off := range ckpt {
+			damaged := slices.Clone(ckpt)
+			damaged[off] ^= 0xFF
+			try(t, db, fmt.Sprintf("flip at %d", off), damaged)
+		}
+	})
+	t.Run("truncations", func(t *testing.T) {
+		for cut := range ckpt {
+			try(t, db, fmt.Sprintf("cut at %d", cut), ckpt[:cut])
+		}
+	})
+	t.Run("trailing byte", func(t *testing.T) {
+		try(t, db, "trailing byte", append(slices.Clone(ckpt), 0))
+	})
 	// The store-count check is what refuses a checkpoint for another corpus.
-	short := t.TempDir()
-	env.createStore(t, short, n-4)
-	other := ckptDB(t, env, short, env.metas[:n-4])
-	before[other], _ = ckptAnswers(t, other)
-	try(other, "store shorter than the checkpoint", ckpt)
-
-	if err := os.WriteFile(filepath.Join(dir, checkpointName), ckpt, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if st, err := db.EnableDurability(DurabilityOptions{Dir: dir}); err != nil || !st.CheckpointLoaded || st.Rows != n {
-		t.Fatalf("intact checkpoint: %+v, %v", st, err)
-	}
-	got, served := ckptAnswers(t, db)
-	if !slices.Equal(got, want) {
-		t.Fatalf("recovered answers differ:\n got %q\nwant %q", got, want)
-	}
-	if !served {
-		t.Fatal("a restart from the checkpoint re-classified rows its columns hold")
-	}
-	if err := db.CloseDurability(); err != nil {
-		t.Fatal(err)
-	}
+	t.Run("store shorter than the checkpoint", func(t *testing.T) {
+		short := t.TempDir()
+		env.createStore(t, short, n-4)
+		other := ckptDB(t, env, short, env.metas[:n-4])
+		before[other], _ = ckptAnswers(t, other)
+		try(t, other, "store shorter than the checkpoint", ckpt)
+	})
+	t.Run("intact checkpoint serves its columns", func(t *testing.T) {
+		if err := os.WriteFile(filepath.Join(dir, checkpointName), ckpt, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if st, err := db.EnableDurability(DurabilityOptions{Dir: dir}); err != nil || !st.CheckpointLoaded || st.Rows != n {
+			t.Fatalf("intact checkpoint: %+v, %v", st, err)
+		}
+		got, served := ckptAnswers(t, db)
+		if !slices.Equal(got, want) {
+			t.Fatalf("recovered answers differ:\n got %q\nwant %q", got, want)
+		}
+		if !served {
+			t.Fatal("a restart from the checkpoint re-classified rows its columns hold")
+		}
+		if err := db.CloseDurability(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestCheckpointFrameLengthAllocatesNothing: a frame claiming the largest
