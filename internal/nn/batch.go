@@ -80,14 +80,16 @@ func planBatch(inShape []int, layers []Layer) (stages []batchStage, chunk int) {
 // tensor.ConvTaps sums each filter's taps over padded coordinates: sum j sits
 // at the padded top-left corner of its window, so output (y, x) of sample s
 // is acc[s·plane + y·pw + x], and the sums of windows that start in a right
-// or bottom border are never read. The epilogue pools the raw sums, then adds
-// the bias and rectifies, writing [OutC, B, H/2, W/2] directly.
+// or bottom border are never read. The epilogue (tensor.PoolBiasReLU, one
+// call per pooled row) pools the raw sums, then adds the bias and rectifies,
+// writing [OutC, B, H/2, W/2] directly.
 //
 // The sums are bit-identical to Forward's im2col + MatMul: the same products
 // in the same order from a +0 start. Pooling before the bias and ReLU is
 // bit-identical to Forward's bias → ReLU → pool because v ↦ max(fl(v+b), 0)
 // is monotone non-decreasing for finite v, so it commutes with max, and its
-// results are never −0, so equal values have equal bits.
+// results are never −0, so equal values have equal bits — whichever of a
+// tied ±0 pair the pool kept.
 type convBlock struct {
 	conv *Conv2D
 	pad  tensor.Tensor // [InC·B·(H+K-1)·(W+K-1)] zero-padded input planes
@@ -142,12 +144,8 @@ func (b *convBlock) forwardBatch(x *tensor.Tensor) *tensor.Tensor {
 		for s := 0; s < bsz; s++ {
 			for oy := 0; oy < oh; oy++ {
 				r0 := acc[s*plane+2*oy*pw:]
-				r1 := r0[pw:]
-				for ox := 0; ox < ow; ox++ {
-					m := max(max(r0[2*ox], r0[2*ox+1]), max(r1[2*ox], r1[2*ox+1]))
-					od[i] = max(m+bias, 0)
-					i++
-				}
+				tensor.PoolBiasReLU(od[i:i+ow], r0, r0[pw:], bias)
+				i += ow
 			}
 		}
 	}

@@ -90,10 +90,12 @@ func TestForwardBatchBitParity(t *testing.T) {
 // inputs and weights are built to hit the epilogue's edge cases: an all-zero
 // frame and a zeroed filter give sums of exactly +0, biases of −0 and +0 meet
 // them, constant frames and a filter with equal taps tie every pool window,
-// and odd sizes drop a row and a column.
+// and odd sizes drop a row and a column. The pooled widths 1–9 and 16 cover
+// the epilogue kernel's 4-wide body, its repeated steps and every scalar
+// tail length.
 func TestConvBlockBitParity(t *testing.T) {
 	negZero := float32(math.Copysign(0, -1))
-	for _, size := range []int{4, 9, 10} {
+	for _, size := range []int{2, 4, 6, 9, 10, 12, 14, 16, 19, 32} {
 		t.Run(fmt.Sprintf("size=%d", size), func(t *testing.T) {
 			const inC, outC = 2, 5
 			conv, relu, pool := NewConv2D(inC, outC, 3), NewReLU(), NewMaxPool2()

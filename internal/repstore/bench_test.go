@@ -18,16 +18,25 @@ import (
 //	             the byte-domain path)
 //	record/miss  read the record into a slice the cache keeps, ApplyRecord
 //	record/hit   the record is resident, ApplyRecord
+//	rep/hit      the pre-materialized rep is resident: Cache.Rep alone, what
+//	             a served rep costs (over its own store of 500 rows, since
+//	             every rep is resident whatever the store's size)
 //
 // record/miss against f32/miss is the part of the byte-domain path's gain
 // that does not depend on the corpus fitting the cache.
 func BenchmarkLoadTransform(b *testing.B) {
 	const rows, side, chunk = 8000, 32, 500
+	transforms := []xform.Transform{{Size: 16, Color: img.Gray}, {Size: 8, Color: img.RGB}, {Size: 32, Color: img.RGB}}
 	store, err := Create(b.TempDir(), side, side, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer store.Close()
+	repStore, err := Create(b.TempDir(), side, side, transforms)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer repStore.Close()
 	rng := rand.New(rand.NewSource(41))
 	for done := 0; done < rows; done += chunk {
 		ims := make([]*img.Image, chunk)
@@ -36,6 +45,11 @@ func BenchmarkLoadTransform(b *testing.B) {
 		}
 		if err := store.IngestAll(ims); err != nil {
 			b.Fatal(err)
+		}
+		if done == 0 {
+			if err := repStore.IngestAll(ims); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 	record := int64(img.EncodedSize(side, side, img.RGB))
@@ -46,7 +60,7 @@ func BenchmarkLoadTransform(b *testing.B) {
 		}
 		return c
 	}
-	for _, tr := range []xform.Transform{{Size: 16, Color: img.Gray}, {Size: 8, Color: img.RGB}, {Size: 32, Color: img.RGB}} {
+	for _, tr := range transforms {
 		b.Run("f32/miss/"+tr.ID(), func(b *testing.B) {
 			cache := newCache(rows / 4 * record) // a sequential scan of 4× the cache never hits
 			var dst, proj *img.Image
@@ -83,5 +97,23 @@ func BenchmarkLoadTransform(b *testing.B) {
 				}
 			})
 		}
+		b.Run("rep/hit/"+tr.ID(), func(b *testing.B) {
+			cache, err := NewCache(repStore, 2*chunk*int64(4*tr.Samples()))
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < chunk; i++ {
+				if _, err := cache.Rep(i, tr); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := cache.Rep(i%chunk, tr); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -8,13 +8,15 @@ import (
 	"tahoma/internal/xform"
 )
 
-// Cache is a bounded LRU over records of a Store, keyed by (representation,
-// index), each kept in the physical form its consumers read. A source image
-// stays the stored record — one byte per sample, a quarter of its float32
-// expansion — because the load path transforms straight from those bytes
-// (xform.Transform.ApplyRecord) and never needs the expansion. A
-// pre-materialized representation is kept decoded, as float32 planes: it
-// already is the representation a model consumes, so a hit must cost nothing.
+// Cache is a bounded LRU over records of a Store, keyed by (xform.Transform
+// value, index) with the zero Transform standing for the full-size source,
+// so no lookup builds a string. Each record is kept in the physical form its
+// consumers read. A source image stays the stored record — one byte per
+// sample, a quarter of its float32 expansion — because the load path
+// transforms straight from those bytes (xform.Transform.ApplyRecord) and
+// never needs the expansion. A pre-materialized representation is kept
+// decoded, as float32 planes: it already is the representation a model
+// consumes, so a hit must cost nothing.
 // Query execution in the ONGOING and ARCHIVE scenarios re-reads the same
 // records across predicates and repeat queries; the cache turns those
 // re-reads into memory hits while bounding resident bytes. Safe for
@@ -53,7 +55,7 @@ func NewCache(store *Store, capacityBytes int64) (*Cache, error) {
 // miss is one read into one exact-size slice the cache then owns; the
 // returned view is shared with every other caller and must not be written.
 func (c *Cache) Record(i int) (img.Record, error) {
-	v, err := c.get(cacheKey{rep: "", idx: i}, func() (cacheValue, error) {
+	v, err := c.get(cacheKey{idx: i}, func() (cacheValue, error) {
 		var owned []byte
 		rec, err := c.store.SourceRecord(i, &owned)
 		return cacheValue{rec: rec}, err
@@ -73,7 +75,7 @@ func (c *Cache) Source(i int) (*img.Image, error) {
 
 // Rep returns representation i of transform t, from cache when possible.
 func (c *Cache) Rep(i int, t xform.Transform) (*img.Image, error) {
-	v, err := c.get(cacheKey{rep: t.ID(), idx: i}, func() (cacheValue, error) {
+	v, err := c.get(cacheKey{rep: t, idx: i}, func() (cacheValue, error) {
 		im, err := c.store.LoadRep(i, t)
 		return cacheValue{im: im}, err
 	})
@@ -138,7 +140,7 @@ func (c *Cache) Has(t xform.Transform) bool {
 func (c *Cache) HasSource(i int) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.lru.contains(cacheKey{rep: "", idx: i})
+	return c.lru.contains(cacheKey{idx: i})
 }
 
 // Len returns the number of cached records.

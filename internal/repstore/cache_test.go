@@ -263,6 +263,64 @@ func TestCacheByteAccounting(t *testing.T) {
 	}
 }
 
+// TestCacheHitAllocatesNothing: the cache key is the Transform value, not a
+// formatted ID, so a resident rep or record is served without allocating.
+func TestCacheHitAllocatesNothing(t *testing.T) {
+	s, _ := cacheFixture(t, 2)
+	c, err := NewCache(s, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := testTransforms[0]
+	if _, err := c.Rep(1, tr); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Record(1); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { c.Rep(1, tr) }); n != 0 {
+		t.Errorf("Rep hit allocates %v times", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { c.Record(1) }); n != 0 {
+		t.Errorf("Record hit allocates %v times", n)
+	}
+}
+
+// TestCacheSourceAndRepKeysDistinct: row i's stored record and its rep are
+// two entries — the zero Transform keys the source — so caching one neither
+// serves nor reports residency of the other.
+func TestCacheSourceAndRepKeysDistinct(t *testing.T) {
+	s, _ := cacheFixture(t, 2)
+	c, err := NewCache(s, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := testTransforms[0]
+	rep, err := c.Rep(0, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.HasSource(0) {
+		t.Fatal("a resident rep reports as the row's resident source")
+	}
+	rec, err := c.Record(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Misses != 2 || st.Hits != 0 {
+		t.Fatalf("the record read after the rep read: stats %+v, want two misses", st)
+	}
+	if !c.HasSource(0) || c.Len() != 2 {
+		t.Fatalf("HasSource=%v with %d entries, want the source resident beside the rep", c.HasSource(0), c.Len())
+	}
+	if got := c.Stats().ResidentBytes; got != int64(rec.StoredBytes()+rep.Bytes()) {
+		t.Fatalf("resident %d bytes, want record %d + rep %d", got, rec.StoredBytes(), rep.Bytes())
+	}
+	if again, err := c.Rep(0, tr); err != nil || again != rep {
+		t.Fatalf("the rep was displaced by the source entry (%v)", err)
+	}
+}
+
 // TestCacheDoubleMissKeepsOneCopy: readers missing the same record at once
 // may each read it, but the cache keeps one copy, charges it once, and every
 // reader ends up holding that copy.

@@ -1,6 +1,9 @@
 package repstore
 
-import "tahoma/internal/img"
+import (
+	"tahoma/internal/img"
+	"tahoma/internal/xform"
+)
 
 // lruCore is the LRU machinery behind Cache: a byte-budgeted recency list
 // over cached values with hit/miss/eviction accounting. It is not
@@ -21,7 +24,7 @@ type lruCore struct {
 }
 
 type cacheKey struct {
-	rep string // transform ID; "" = full-size source
+	rep xform.Transform // the zero Transform is the full-size source
 	idx int
 }
 
