@@ -71,6 +71,16 @@ func queryIDs(t *testing.T, c *server.Client, sql string) map[int64]bool {
 	return ids
 }
 
+// loadSource reads store row i's source record and decodes it.
+func loadSource(s *repstore.Store, i int) (*img.Image, error) {
+	var buf []byte
+	rec, err := s.SourceRecord(i, &buf)
+	if err != nil {
+		return nil, err
+	}
+	return rec.Image(), nil
+}
+
 // TestCrashKillRecovery is the kill loop: >= 20 abrupt process deaths at
 // random points under load, one store + journal throughout, and every
 // restart must recover to a state satisfying the durability contract.
@@ -95,7 +105,7 @@ func TestCrashKillRecovery(t *testing.T) {
 	encs := make([][]byte, nSrc)
 	srcImages := make([]*img.Image, nSrc)
 	for i := 0; i < nSrc; i++ {
-		im, err := src.LoadSource(i)
+		im, err := loadSource(src, i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,7 +282,7 @@ func TestCrashKillRecovery(t *testing.T) {
 	var images []*img.Image
 	var metas []vdb.Metadata
 	for i := 0; i < 40; i++ {
-		im, err := src.LoadSource(i)
+		im, err := loadSource(src, i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -329,7 +339,7 @@ func TestGracefulShutdownSIGTERM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	im, err := src.LoadSource(0)
+	im, err := loadSource(src, 0)
 	src.Close()
 	if err != nil {
 		t.Fatal(err)

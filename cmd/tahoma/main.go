@@ -14,19 +14,18 @@
 // clients from oversubscribing the execution engine. Multiple -zoo
 // directories (comma-separated) install one predicate each.
 //
-// query/explain execution flags: content predicates are ordered by the
-// cost-based planner — rank = cost/(1-selectivity) against the adaptive
-// selectivity catalog, discounted by what is resident (served
-// representations, cached source records); labels do not depend on the
-// order. Multi-predicate queries fuse their cascades into one shared
-// representation plan when the planner's cost comparison favors it;
-// -store-corpus queries straight out of the representation store through a
-// -cache-mb LRU of stored records (the one pixel cache) instead of loading
-// every source into memory; -serve-reps additionally loads pre-materialized
+// query, explain and serve read the corpus one way: straight out of the
+// representation store through a -cache-mb LRU of stored records (the one
+// pixel cache); -serve-reps additionally loads pre-materialized
 // representations from the store, skipping decode + transform for the
-// transforms it covers. Each query prints its classifier invocations,
-// representation work (transformed vs served) and the record cache's hit
-// rate.
+// transforms it covers. Content predicates are ordered by the cost-based
+// planner — rank = cost/(1-selectivity) against the adaptive selectivity
+// catalog, discounted by what is resident (served representations, cached
+// source records); labels do not depend on the order. Multi-predicate
+// queries fuse their cascades into one shared representation plan when the
+// planner's cost comparison favors it. Each query prints its classifier
+// invocations, representation work (transformed vs served) and the record
+// cache's hit rate.
 package main
 
 import (
@@ -192,6 +191,75 @@ func loadSystem(zooDir string) (*core.System, error) {
 	return core.FromRepo(repo, core.DefaultConfig())
 }
 
+// installPredicate loads the predicate persisted in zooDir and installs it on
+// db under its own category name, the text inside contains_object(...).
+func installPredicate(db *vdb.DB, zooDir string) (string, error) {
+	sys, err := loadSystem(zooDir)
+	if err != nil {
+		return "", err
+	}
+	category := strings.TrimSuffix(strings.TrimPrefix(sys.Predicate, "contains_object("), ")")
+	return category, db.InstallPredicate(category, sys, 2)
+}
+
+// corpusFlags are the flags query, explain and serve share: the corpus store,
+// the record cache it is read through, and how the DB over it executes.
+type corpusFlags struct {
+	dir, scenario, materialize     string
+	workers, batch, cacheMB, matMB int
+	serveReps                      bool
+}
+
+func (f *corpusFlags) register(fs *flag.FlagSet) {
+	fs.StringVar(&f.dir, "corpus", "", "representation store directory (required)")
+	fs.StringVar(&f.scenario, "scenario", "camera", "deployment scenario")
+	fs.IntVar(&f.workers, "workers", 0, "classification worker goroutines per query (0 = GOMAXPROCS)")
+	fs.IntVar(&f.batch, "batch", 0, "frames per execution-engine batch (0 = engine default)")
+	fs.IntVar(&f.cacheMB, "cache-mb", 64, "record cache budget in MiB, at least 1: the corpus is read only through this LRU, which holds sources as stored records (1 byte/sample) and served reps as float32")
+	fs.BoolVar(&f.serveReps, "serve-reps", false, "load pre-materialized representations from the store, skipping decode+transform for the transforms it covers")
+	fs.StringVar(&f.materialize, "materialize", "on", "label materialization: on (cache classified labels as bitmap columns), off (re-infer every query), bg (on + serve's background analyzer pre-materializes hot predicates while the admission pool is idle)")
+	fs.IntVar(&f.matMB, "mat-mb", 0, "materialized-label byte budget in MiB (0 = unbounded); coldest columns are evicted over budget")
+}
+
+// openDB opens the corpus store and builds the DB over it — the one way
+// query, explain and serve read a corpus: straight out of the store, through
+// the record cache. The caller installs predicates and closes the store.
+func (f *corpusFlags) openDB(cmd string) (*vdb.DB, *repstore.Store, error) {
+	if f.cacheMB <= 0 {
+		return nil, nil, fmt.Errorf("%s: -cache-mb %d: the corpus is read only through the record cache, whose budget must be at least 1 MiB", cmd, f.cacheMB)
+	}
+	kind, err := parseScenario(f.scenario)
+	if err != nil {
+		return nil, nil, err
+	}
+	cm, err := scenario.NewAnalytic(kind, scenario.DefaultParams())
+	if err != nil {
+		return nil, nil, err
+	}
+	matMode, err := vdb.ParseMatMode(f.materialize)
+	if err != nil {
+		return nil, nil, err
+	}
+	store, err := repstore.Open(f.dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	meta := make([]vdb.Metadata, store.Count())
+	for i := range meta {
+		meta[i] = vdb.Metadata{ID: int64(i), Location: "corpus", Camera: "cam-0", TS: int64(i)}
+	}
+	db := vdb.New(cm)
+	db.SetExecOptions(exec.Options{Workers: f.workers, Batch: f.batch})
+	db.SetMaterialization(matMode)
+	db.SetMatBudget(int64(f.matMB) << 20)
+	if err := db.LoadCorpusFromStore(store, int64(f.cacheMB)<<20, meta); err != nil {
+		store.Close()
+		return nil, nil, err
+	}
+	db.ServeReps(f.serveReps)
+	return db, store, nil
+}
+
 func cmdFrontier(args []string) error {
 	fs := flag.NewFlagSet("frontier", flag.ExitOnError)
 	zooDir := fs.String("zoo", "", "model repository directory (required)")
@@ -265,76 +333,20 @@ func cmdFrontier(args []string) error {
 func cmdQuery(mode string, args []string) error {
 	fs := flag.NewFlagSet(mode, flag.ExitOnError)
 	zooDir := fs.String("zoo", "", "model repository directory (required)")
-	corpusDir := fs.String("corpus", "", "representation store directory (required)")
 	sql := fs.String("sql", "", "SQL query (required)")
-	scen := fs.String("scenario", "camera", "deployment scenario")
 	loss := fs.Float64("accuracy-loss", 0.05, "permissible accuracy loss (Uacc)")
-	workers := fs.Int("workers", 0, "classification worker goroutines (0 = GOMAXPROCS)")
-	batch := fs.Int("batch", 0, "frames per execution-engine batch (0 = engine default)")
-	storeCorpus := fs.Bool("store-corpus", false, "query straight out of the representation store through an LRU cache instead of loading sources into memory")
-	cacheMB := fs.Int("cache-mb", 64, "LRU cache budget in MiB for -store-corpus: sources are held as stored records (1 byte/sample), served reps as float32 (0 = no cache)")
-	serveReps := fs.Bool("serve-reps", false, "load pre-materialized representations from the store (implies -store-corpus); skips decode+transform for covered transforms")
-	materialize := fs.String("materialize", "on", "label materialization: on (cache classified labels as bitmap columns), off (re-infer every query), bg (on + background analyzer pre-materializes hot predicates)")
-	matMB := fs.Int("mat-mb", 0, "materialized-label byte budget in MiB (0 = unbounded); coldest columns are evicted over budget")
+	var corpus corpusFlags
+	corpus.register(fs)
 	fs.Parse(args)
-	if *zooDir == "" || *corpusDir == "" || *sql == "" {
+	if *zooDir == "" || corpus.dir == "" || *sql == "" {
 		return fmt.Errorf("%s: -zoo, -corpus and -sql are required", mode)
 	}
-	kind, err := parseScenario(*scen)
-	if err != nil {
-		return err
-	}
-	sys, err := loadSystem(*zooDir)
-	if err != nil {
-		return err
-	}
-	store, err := repstore.Open(*corpusDir)
+	db, store, err := corpus.openDB(mode)
 	if err != nil {
 		return err
 	}
 	defer store.Close()
-
-	meta := make([]vdb.Metadata, store.Count())
-	for i := range meta {
-		meta[i] = vdb.Metadata{ID: int64(i), Location: "corpus", Camera: "cam-0", TS: int64(i)}
-	}
-
-	cm, err := scenario.NewAnalytic(kind, scenario.DefaultParams())
-	if err != nil {
-		return err
-	}
-	matMode, err := vdb.ParseMatMode(*materialize)
-	if err != nil {
-		return err
-	}
-	db := vdb.New(cm)
-	db.SetExecOptions(exec.Options{Workers: *workers, Batch: *batch})
-	db.SetMaterialization(matMode)
-	db.SetMatBudget(int64(*matMB) << 20)
-	if *serveReps {
-		*storeCorpus = true
-	}
-	if *storeCorpus {
-		if err := db.LoadCorpusFromStore(store, int64(*cacheMB)<<20, meta); err != nil {
-			return err
-		}
-		db.ServeReps(*serveReps)
-	} else {
-		var images []*img.Image
-		if err := store.ScanSource(func(i int, im *img.Image) error {
-			images = append(images, im)
-			return nil
-		}); err != nil {
-			return err
-		}
-		if err := db.LoadCorpus(images, meta); err != nil {
-			return err
-		}
-	}
-	// The category is the text inside contains_object(...) — register the
-	// loaded system under its own category name.
-	category := strings.TrimSuffix(strings.TrimPrefix(sys.Predicate, "contains_object("), ")")
-	if err := db.InstallPredicate(category, sys, 2); err != nil {
+	if _, err := installPredicate(db, *zooDir); err != nil {
 		return err
 	}
 	cons := core.Constraints{MaxAccuracyLoss: *loss}
@@ -346,7 +358,7 @@ func cmdQuery(mode string, args []string) error {
 		fmt.Print(plan)
 		return nil
 	}
-	cacheBefore, hasCache := db.RepCacheStats()
+	before, _ := db.RepCacheStats()
 	res, err := db.Query(*sql, cons)
 	if err != nil {
 		return err
@@ -374,28 +386,13 @@ func cmdQuery(mode string, args []string) error {
 	if res.UDFCalls > 0 {
 		fmt.Printf("-- reps: %d transformed, %d served from store\n", res.RepsMaterialized, res.RepHits)
 	}
-	cacheStats, showCache := res.RepCache, res.HasRepCache
-	if !showCache && hasCache {
-		// Without -serve-reps no RepSource reaches the engines, but the
-		// store-backed corpus still decodes sources through the LRU cache:
-		// report that traffic from the cache's own counters.
-		after, _ := db.RepCacheStats()
-		cacheStats = exec.CacheStats{
-			Hits:          after.Hits - cacheBefore.Hits,
-			Misses:        after.Misses - cacheBefore.Misses,
-			EvictedBytes:  after.EvictedBytes - cacheBefore.EvictedBytes,
-			ResidentBytes: after.ResidentBytes,
-		}
-		showCache = true
+	after, _ := db.RepCacheStats()
+	hits, misses := after.Hits-before.Hits, after.Misses-before.Misses
+	rate := 0.0
+	if hits+misses > 0 {
+		rate = 100 * float64(hits) / float64(hits+misses)
 	}
-	if showCache {
-		total := cacheStats.Hits + cacheStats.Misses
-		rate := 0.0
-		if total > 0 {
-			rate = 100 * float64(cacheStats.Hits) / float64(total)
-		}
-		fmt.Printf("-- rep cache: %d hits, %d misses (%.0f%% hit rate), %.1f MiB resident\n",
-			cacheStats.Hits, cacheStats.Misses, rate, float64(cacheStats.ResidentBytes)/(1<<20))
-	}
+	fmt.Printf("-- rep cache: %d hits, %d misses (%.0f%% hit rate), %.1f MiB resident\n",
+		hits, misses, rate, float64(after.ResidentBytes)/(1<<20))
 	return nil
 }

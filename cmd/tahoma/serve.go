@@ -12,11 +12,7 @@ import (
 	"syscall"
 	"time"
 
-	"tahoma/internal/exec"
 	"tahoma/internal/faults"
-	"tahoma/internal/img"
-	"tahoma/internal/repstore"
-	"tahoma/internal/scenario"
 	"tahoma/internal/server"
 	"tahoma/internal/vdb"
 )
@@ -25,8 +21,10 @@ import (
 // HTTP front end with a bounded admission pool. Results are bit-identical to
 // one-shot `tahoma query` runs.
 //
-// With -wal-dir the service is durable: every acknowledged ingest is fsynced
-// to a write-ahead journal before the 200, a background checkpointer bounds
+// Ingested rows are appended to the corpus store. Without -wal-dir the store
+// commits each batch itself (data fsync, then manifest) before the 200. With
+// -wal-dir the service is durable: every acknowledged ingest is fsynced to a
+// write-ahead journal before the 200, a background checkpointer bounds
 // replay, and startup recovers checkpoint + journal before /readyz flips to
 // 200. The listener binds before recovery — "listening on http://..." on
 // stderr marks the moment clients can start polling /readyz — and SIGTERM/
@@ -35,36 +33,25 @@ func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
 	zooDirs := fs.String("zoo", "", "model repository directories, comma-separated (required; one predicate each)")
-	corpusDir := fs.String("corpus", "", "representation store directory (required)")
-	scen := fs.String("scenario", "camera", "deployment scenario")
 	loss := fs.Float64("accuracy-loss", 0.05, "default permissible accuracy loss (Uacc) when a request names none; 0 = no loss (most accurate cascade)")
-	workers := fs.Int("workers", 0, "classification worker goroutines per query (0 = GOMAXPROCS)")
-	batch := fs.Int("batch", 0, "frames per execution-engine batch (0 = engine default)")
-	storeCorpus := fs.Bool("store-corpus", false, "serve straight out of the representation store through an LRU cache instead of loading sources into memory")
-	cacheMB := fs.Int("cache-mb", 64, "LRU cache budget in MiB for -store-corpus: sources are held as stored records (1 byte/sample), served reps as float32 (0 = no cache)")
-	serveReps := fs.Bool("serve-reps", false, "load pre-materialized representations from the store (implies -store-corpus)")
+	var corpus corpusFlags
+	corpus.register(fs)
+	fs.Bool("store-corpus", false, "removed: every corpus is served straight out of the store through the -cache-mb record cache, and without -wal-dir ingested rows are appended to the store; accepted and ignored")
 	shareRepsMB := fs.Int("share-reps-mb", 0, "removed: the cross-query representation cache is gone and only 0 is accepted (the one pixel cache is -cache-mb)")
 	maxConcurrent := fs.Int("max-concurrent", 0, "queries executing at once (0 = GOMAXPROCS)")
 	maxQueue := fs.Int("max-queue", 0, "queries waiting for a worker (0 = 4x max-concurrent, <0 = no queue)")
 	queueTimeout := fs.Duration("queue-timeout", 30*time.Second, "how long a query may wait for a worker before a 503")
-	materialize := fs.String("materialize", "on", "label materialization: on (cache classified labels as bitmap columns), off (re-infer every query), bg (on + background analyzer pre-materializes hot predicates while the admission pool is idle)")
-	matMB := fs.Int("mat-mb", 0, "materialized-label byte budget in MiB (0 = unbounded); coldest columns are evicted over budget")
 	deadline := fs.Duration("deadline", 0, "default per-query deadline when a request carries no Deadline-Ms header (0 = none); also bounds the graceful-shutdown drain")
 	fault := fs.String("fault", "", "arm fault-injection points for chaos testing, e.g. 'store.rep-read=error,store.rep-slow=slow:50ms' (see internal/faults)")
-	walDir := fs.String("wal-dir", "", "write-ahead journal + checkpoint directory; enables durable ingest and crash recovery (implies -store-corpus)")
+	walDir := fs.String("wal-dir", "", "write-ahead journal + checkpoint directory; enables durable ingest and crash recovery (without it each ingested batch is committed to the store before its 200)")
 	checkpointEvery := fs.Duration("checkpoint-every", 30*time.Second, "periodic checkpoint interval under -wal-dir; bounds journal replay after a crash")
 	trigger := fs.Bool("trigger", false, "classify newly ingested rows immediately (ingest-time trigger materialization, most accurate cascade)")
 	fs.Parse(args)
-	if *zooDirs == "" || *corpusDir == "" {
+	if *zooDirs == "" || corpus.dir == "" {
 		return fmt.Errorf("serve: -zoo and -corpus are required")
 	}
 	if *shareRepsMB != 0 {
 		return fmt.Errorf("serve: -share-reps-mb %d: the cross-query representation cache was removed; only 0 is accepted (the one pixel cache is -cache-mb)", *shareRepsMB)
-	}
-	if *walDir != "" {
-		// Durability recovers into (and truncates) the backing store; an
-		// in-memory image of it could silently diverge.
-		*storeCorpus = true
 	}
 	if *fault != "" {
 		if err := faults.Parse(*fault); err != nil {
@@ -72,36 +59,11 @@ func cmdServe(args []string) error {
 		}
 		log.Printf("FAULT INJECTION ARMED: %s (chaos testing only)", *fault)
 	}
-	kind, err := parseScenario(*scen)
-	if err != nil {
-		return err
-	}
-
-	store, err := repstore.Open(*corpusDir)
+	db, store, err := corpus.openDB("serve")
 	if err != nil {
 		return err
 	}
 	defer store.Close()
-	meta := make([]vdb.Metadata, store.Count())
-	for i := range meta {
-		meta[i] = vdb.Metadata{ID: int64(i), Location: "corpus", Camera: "cam-0", TS: int64(i)}
-	}
-
-	cm, err := scenario.NewAnalytic(kind, scenario.DefaultParams())
-	if err != nil {
-		return err
-	}
-	matMode, err := vdb.ParseMatMode(*materialize)
-	if err != nil {
-		return err
-	}
-	db := vdb.New(cm)
-	db.SetExecOptions(exec.Options{Workers: *workers, Batch: *batch})
-	db.SetMaterialization(matMode)
-	db.SetMatBudget(int64(*matMB) << 20)
-	if *serveReps {
-		*storeCorpus = true
-	}
 
 	opts := server.Options{
 		MaxConcurrent: *maxConcurrent,
@@ -111,9 +73,9 @@ func cmdServe(args []string) error {
 		// at the flag level an explicit 0 means no loss.
 		DefaultAccuracyLoss: *loss,
 		DefaultDeadline:     *deadline,
-		// The listener binds before corpus load and crash recovery: the
-		// server answers /healthz and /readyz (503) immediately and flips
-		// ready only when it can actually serve.
+		// The listener binds before predicate install and crash recovery:
+		// the server answers /healthz and /readyz (503) immediately and
+		// flips ready only when it can actually serve.
 		StartUnready: true,
 	}
 	if *loss == 0 {
@@ -132,38 +94,16 @@ func cmdServe(args []string) error {
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
 
-	// Initialization behind the unready gate: corpus, predicates, recovery.
+	// Initialization behind the unready gate: predicates, recovery.
 	var stopAnalyzer, stopCheckpointer func()
 	initialize := func() error {
-		if *storeCorpus {
-			if err := db.LoadCorpusFromStore(store, int64(*cacheMB)<<20, meta); err != nil {
-				return err
-			}
-			db.ServeReps(*serveReps)
-		} else {
-			var images []*img.Image
-			if err := store.ScanSource(func(i int, im *img.Image) error {
-				images = append(images, im)
-				return nil
-			}); err != nil {
-				return err
-			}
-			if err := db.LoadCorpus(images, meta); err != nil {
-				return err
-			}
-		}
-
 		for _, dir := range strings.Split(*zooDirs, ",") {
 			dir = strings.TrimSpace(dir)
 			if dir == "" {
 				continue
 			}
-			sys, err := loadSystem(dir)
+			category, err := installPredicate(db, dir)
 			if err != nil {
-				return err
-			}
-			category := strings.TrimSuffix(strings.TrimPrefix(sys.Predicate, "contains_object("), ")")
-			if err := db.InstallPredicate(category, sys, 2); err != nil {
 				return err
 			}
 			log.Printf("installed predicate %q from %s", category, dir)
@@ -186,7 +126,7 @@ func cmdServe(args []string) error {
 			}
 		}
 
-		if matMode == vdb.MatBg {
+		if mode, _ := vdb.ParseMatMode(corpus.materialize); mode == vdb.MatBg {
 			// The analyzer gates on the admission pool: it only classifies
 			// when no query is executing or queued, so foreground latency is
 			// never spent on pre-materialization.

@@ -46,3 +46,46 @@ func TestServeShareRepsMBRemoved(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCorpusReadThroughCache: every command reads the corpus from the store
+// through the record cache. A budget of 0 or less would mean no cache, which
+// no longer exists, so serve and query fail at startup naming -cache-mb.
+// serve -store-corpus stays registered only so the command lines that pass
+// it keep working: such a server starts and answers.
+func TestCorpusReadThroughCache(t *testing.T) {
+	bin := e2e.BuildBinary(t)
+	zooDir, fixtureStore := buildCLIFixture(t)
+	storeDir := filepath.Join(t.TempDir(), "store")
+	e2e.CopyDir(t, fixtureStore, storeDir)
+	serve := func(extra ...string) []string {
+		return append([]string{"serve", "-addr", "127.0.0.1:0", "-zoo", zooDir, "-corpus", storeDir}, extra...)
+	}
+
+	for _, mb := range []string{"0", "-1"} {
+		out, err := exec.Command(bin, serve("-cache-mb", mb)...).CombinedOutput()
+		if err == nil {
+			t.Fatalf("serve -cache-mb %s exited 0:\n%s", mb, out)
+		}
+		if !strings.Contains(string(out), "-cache-mb "+mb) {
+			t.Fatalf("serve -cache-mb %s failed without naming the flag:\n%s", mb, out)
+		}
+		err = cmdQuery("query", []string{"-zoo", zooDir, "-corpus", storeDir, "-sql", "SELECT COUNT(*) FROM images", "-cache-mb", mb})
+		if err == nil || !strings.Contains(err.Error(), "-cache-mb "+mb) {
+			t.Fatalf("query -cache-mb %s: err = %v, want a refusal naming the flag", mb, err)
+		}
+	}
+
+	p := e2e.StartProc(t, bin, serve("-store-corpus"))
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := p.Client.WaitReady(ctx); err != nil {
+		t.Fatalf("serve -store-corpus never ready: %v\n%s", err, p.Dump())
+	}
+	resp, err := p.Client.Query("SELECT COUNT(*) FROM images WHERE contains_object('cloak')", server.QueryOptions{})
+	if err != nil || len(resp.Rows) != 1 {
+		t.Fatalf("query: %+v, %v", resp, err)
+	}
+	if err := p.GracefulStop(60 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+}

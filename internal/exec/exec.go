@@ -100,13 +100,10 @@ type Source interface {
 // way.
 type RecordSource interface {
 	Source
-	// Record returns the stored record of frame i. A source that holds the
-	// record resident returns that copy — shared and immutable, valid for as
-	// long as the caller references it. One that does not reads it into
-	// *scratch (growing it when too small) and returns a view aliasing it,
-	// valid until the caller reuses that scratch. Must be safe for concurrent
-	// use with distinct scratch buffers.
-	Record(i int, scratch *[]byte) (img.Record, error)
+	// Record returns the stored record of frame i: resident, shared and
+	// immutable, valid for as long as the caller references it. Must be safe
+	// for concurrent use.
+	Record(i int) (img.Record, error)
 }
 
 // RepSource serves pre-materialized physical representations by source frame
@@ -129,28 +126,6 @@ type RepSource interface {
 	HasRep(id string) bool
 	// Rep returns the representation of source frame i under transform id.
 	Rep(i int, id string) (*img.Image, error)
-}
-
-// CacheStats snapshots a caching RepSource's own accounting. In a Report the
-// Hits/Misses/EvictedBytes fields are per-run deltas and ResidentBytes is
-// the footprint when the run finished; repstore.Cache is the canonical
-// producer of the underlying counters. The counters are cache-global, so a
-// report's delta is exact when the run had the cache to itself and
-// approximate when concurrent runs share it (other runs' traffic lands in
-// whatever window overlaps them); the report's own RepHits/RepsMaterialized
-// are engine-local and always exact.
-type CacheStats struct {
-	Hits          int64
-	Misses        int64
-	EvictedBytes  int64
-	ResidentBytes int64
-}
-
-// CacheStatser is optionally implemented by RepSources that keep cache
-// accounting; runs snapshot it before and after so per-run deltas land in
-// the report.
-type CacheStatser interface {
-	CacheStats() CacheStats
 }
 
 // Frames adapts an in-memory slice to Source.
@@ -252,10 +227,6 @@ type Report struct {
 	Positives []int
 	// Batches reports per-batch work in frame order.
 	Batches []BatchStats
-	// Cache carries the run's delta of the RepSource's own counters when it
-	// implements CacheStatser (HasCache then).
-	Cache    CacheStats
-	HasCache bool
 	// Wall is the end-to-end run time; Throughput is Frames/Wall in
 	// frames/sec, directly comparable to the evaluator's analytic
 	// Result.Throughput estimate.
@@ -441,17 +412,6 @@ func newServing(rs RepSource, repIDs []string) *serving {
 	return &serving{rs: rs, served: served}
 }
 
-// runCacher returns the RepSource's stats counters when it keeps them (nil
-// otherwise) and their before snapshot, for the report's per-run delta.
-func runCacher(sv *serving) (CacheStatser, CacheStats) {
-	if sv != nil {
-		if c, ok := sv.rs.(CacheStatser); ok {
-			return c, c.CacheStats()
-		}
-	}
-	return nil, CacheStats{}
-}
-
 // worker is one goroutine's private execution state, pooled on the engine so
 // repeated runs reach a steady state with no per-frame allocations: model
 // clones, the survivor bookkeeping, and the pooled representation buffers
@@ -459,18 +419,14 @@ func runCacher(sv *serving) (CacheStatser, CacheStats) {
 // the largest batch seen.
 type worker struct {
 	cascades [][]Level
-	srcs     []*img.Image // source frames of the current batch (image-backed runs)
-	// Record-backed runs pin recs instead of srcs. recBuf is each position's
-	// read buffer, handed to RecordSource.Record; it stays nil when the source
-	// serves resident records and never needs to read into it.
-	recs   []img.Record
-	recBuf [][]byte
-	und    []int          // undecided positions, compacted level by level
-	gather []*img.Image   // representations of the undecided frames
-	scores []float32      // ScoreBatch output
-	reps   [][]*img.Image // [slot][pos] pooled representation buffers
-	repOK  [][]bool       // [slot][pos] materialized for the current batch?
-	proj   []*img.Image   // [slot] projection scratch for ApplyInto
+	srcs     []*img.Image   // source frames of the current batch (image-backed runs)
+	recs     []img.Record   // record-backed runs pin these instead of srcs
+	und      []int          // undecided positions, compacted level by level
+	gather   []*img.Image   // representations of the undecided frames
+	scores   []float32      // ScoreBatch output
+	reps     [][]*img.Image // [slot][pos] pooled representation buffers
+	repOK    [][]bool       // [slot][pos] materialized for the current batch?
+	proj     []*img.Image   // [slot] projection scratch for ApplyInto
 }
 
 // ensure grows the scratch to batch capacity n.
@@ -478,7 +434,6 @@ func (w *worker) ensure(n, nslots int) {
 	if cap(w.srcs) < n {
 		w.srcs = make([]*img.Image, n)
 		w.recs = make([]img.Record, n)
-		w.recBuf = make([][]byte, n)
 		w.und = make([]int, n)
 		w.gather = make([]*img.Image, n)
 		w.scores = make([]float32, n)
@@ -529,7 +484,7 @@ func (r *run) anyNeeds(pos int) bool {
 // source holds it: the stored record, or the decoded image.
 func (r *run) loadSource(w *worker, j, idx int) (err error) {
 	if r.recSrc != nil {
-		w.recs[j], err = r.recSrc.Record(idx, &w.recBuf[j])
+		w.recs[j], err = r.recSrc.Record(idx)
 	} else {
 		w.srcs[j], err = r.src.Image(idx)
 	}
@@ -762,7 +717,6 @@ func (e *Engine) RunMasked(ctx context.Context, src Source, indices []int, need 
 		rep.Labels[c] = make([]bool, len(indices))
 	}
 	sv := newServing(opts.RepSource, e.repIDs)
-	cacher, cacheBefore := runCacher(sv)
 	if len(indices) == 0 {
 		rep.Wall = time.Since(start)
 		return rep, nil
@@ -846,16 +800,6 @@ func (e *Engine) RunMasked(ctx context.Context, src Source, indices []int, need 
 			if l {
 				rep.Positives[c]++
 			}
-		}
-	}
-	if cacher != nil {
-		after := cacher.CacheStats()
-		rep.HasCache = true
-		rep.Cache = CacheStats{
-			Hits:          after.Hits - cacheBefore.Hits,
-			Misses:        after.Misses - cacheBefore.Misses,
-			EvictedBytes:  after.EvictedBytes - cacheBefore.EvictedBytes,
-			ResidentBytes: after.ResidentBytes,
 		}
 	}
 	rep.Wall = time.Since(start)

@@ -105,30 +105,22 @@ func storedFrames(t testing.TB, seed int64, n, size int) (frames []*img.Image, r
 	return frames, records
 }
 
-// recordFrames is a record-backed Source. Resident records are handed out
-// shared, like a cache's; otherwise each is copied into the caller's scratch,
-// like a read from disk. Image always fails: a record-backed run must never
+// recordFrames is a record-backed Source handing out its resident records
+// shared, like a cache. Image always fails: a record-backed run must never
 // ask for a decoded source.
-type recordFrames struct {
-	records  [][]byte
-	resident bool
-}
+type recordFrames [][]byte
 
-func (s recordFrames) Len() int { return len(s.records) }
+func (s recordFrames) Len() int { return len(s) }
 
 func (s recordFrames) Image(i int) (*img.Image, error) {
 	return nil, fmt.Errorf("record source asked to decode frame %d", i)
 }
 
-func (s recordFrames) Record(i int, scratch *[]byte) (img.Record, error) {
-	if i < 0 || i >= len(s.records) {
-		return img.Record{}, fmt.Errorf("record %d out of range [0,%d)", i, len(s.records))
+func (s recordFrames) Record(i int) (img.Record, error) {
+	if i < 0 || i >= len(s) {
+		return img.Record{}, fmt.Errorf("record %d out of range [0,%d)", i, len(s))
 	}
-	if s.resident {
-		return img.ParseRecord(s.records[i])
-	}
-	*scratch = append((*scratch)[:0], s.records[i]...)
-	return img.ParseRecord(*scratch)
+	return img.ParseRecord(s[i])
 }
 
 // countingFrames and countingRecords count source loads in either physical
@@ -144,18 +136,17 @@ func (s countingFrames) Image(i int) (*img.Image, error) {
 }
 
 type countingRecords struct {
-	recordFrames
+	RecordSource
 	loads *atomic.Int64
 }
 
-func (s countingRecords) Record(i int, scratch *[]byte) (img.Record, error) {
+func (s countingRecords) Record(i int) (img.Record, error) {
 	s.loads.Add(1)
-	return s.recordFrames.Record(i, scratch)
+	return s.RecordSource.Record(i)
 }
 
 // fakeRepSource serves pre-computed representations for a subset of
-// transforms, keyed by source frame index, and counts Rep calls as cache
-// hits.
+// transforms, keyed by source frame index, and counts Rep calls.
 type fakeRepSource struct {
 	reps map[string][]*img.Image // transform id -> per-frame representation
 	hits atomic.Int64
@@ -184,10 +175,6 @@ func (s *fakeRepSource) Rep(i int, id string) (*img.Image, error) {
 	}
 	s.hits.Add(1)
 	return reps[i], nil
-}
-
-func (s *fakeRepSource) CacheStats() CacheStats {
-	return CacheStats{Hits: s.hits.Load()}
 }
 
 // refFrame is what the independent reference expects one position of a run
@@ -321,8 +308,9 @@ func checkAgainstReference(t *testing.T, rep *Report, ref []refFrame, need [][]b
 // 1–3 × shared/disjoint representation grid × need masks × RepSource (none,
 // one served transform, or every transform, so no source is ever loaded) ×
 // the deprecated Quantize knob × workers × batch size × the physical form of
-// the source (decoded images, or stored records taking the byte-domain load
-// path). Every run must match the independent shared-map reference walk —
+// the source (decoded images, resident stored records taking the byte-domain
+// load path, or an on-disk store read through a record cache a tenth of its
+// size). Every run must match the independent shared-map reference walk —
 // labels, per-cascade LevelsRun, exactly-once RepsMaterialized and RepHits,
 // per batch and in aggregate — and its unmasked labels and level counts must
 // equal the engine's own per-frame ClassifyOne walk. Nothing about
@@ -336,15 +324,37 @@ func TestEngineParity(t *testing.T) {
 		mode QuantMode
 	}{{"off", QuantOff}, {"auto", QuantAuto}}
 	frames, records := storedFrames(t, 2200, 47, 32)
+	store, err := repstore.Create(t.TempDir(), 32, 32, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if err := store.IngestAll(frames); err != nil {
+		t.Fatal(err)
+	}
+	record := int64(frames[0].StoredBytes())
+	budget := int64(len(frames)) * record / 10
 	sources := []struct {
 		suffix string
-		src    func(loads *atomic.Int64) Source
+		// src returns the run's source and, when it reads through one, the
+		// record cache.
+		src func(t *testing.T, loads *atomic.Int64) (Source, *repstore.Cache)
 	}{
-		{"", func(l *atomic.Int64) Source { return countingFrames{Frames(frames), l} }},
-		{"/src=record", func(l *atomic.Int64) Source {
-			return countingRecords{recordFrames{records: records, resident: true}, l}
+		{"", func(_ *testing.T, l *atomic.Int64) (Source, *repstore.Cache) {
+			return countingFrames{Frames(frames), l}, nil
 		}},
-		{"/src=record-read", func(l *atomic.Int64) Source { return countingRecords{recordFrames{records: records}, l} }},
+		{"/src=record", func(_ *testing.T, l *atomic.Int64) (Source, *repstore.Cache) {
+			return countingRecords{recordFrames(records), l}, nil
+		}},
+		// A cache holding a tenth of the corpus: a run misses, and evicts
+		// records other workers still hold.
+		{"/src=store-evict", func(t *testing.T, l *atomic.Int64) (Source, *repstore.Cache) {
+			c, err := repstore.NewCache(store, budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return countingRecords{storeSource{store, c}, l}, c
+		}},
 	}
 	// A permuted, gapped frame list, so positions and corpus indices differ
 	// everywhere: labels are positional, rep serving is by corpus index.
@@ -421,26 +431,34 @@ func TestEngineParity(t *testing.T) {
 									t.Run(name+source.suffix, func(t *testing.T) {
 										var loads atomic.Int64
 										opts := Options{Workers: workers, Batch: batch, Quantize: quant.mode}
+										var fake *fakeRepSource
 										switch serve {
 										case "repsource":
-											opts.RepSource = newFakeRepSource(frames, servedXf)
+											fake = newFakeRepSource(frames, servedXf)
 										case "repsource-all":
-											opts.RepSource = newFakeRepSource(frames, allXf...)
+											fake = newFakeRepSource(frames, allXf...)
 										}
-										rep, err := eng.RunMasked(context.Background(), mkSrc(&loads), indices, need, opts)
+										if fake != nil {
+											opts.RepSource = fake
+										}
+										src, cache := mkSrc(t, &loads)
+										rep, err := eng.RunMasked(context.Background(), src, indices, need, opts)
 										if err != nil {
 											t.Fatal(err)
 										}
 										checkAgainstReference(t, rep, ref, need, batch)
-										if serve == "none" && rep.HasCache {
-											t.Fatal("no RepSource, but HasCache is set")
+										if cache != nil && loads.Load() > 0 {
+											if st := cache.Stats(); st.Misses == 0 || st.ResidentBytes > budget+record {
+												t.Fatalf("cache of %d bytes: stats %+v: want misses and at most its budget plus one %d-byte record resident",
+													budget, st, record)
+											}
 										}
-										if serve != "none" {
+										if fake != nil {
 											if rep.RepHits == 0 {
 												t.Fatal("served slot produced no RepHits")
 											}
-											if !rep.HasCache || rep.Cache.Hits != int64(rep.RepHits) {
-												t.Fatalf("cache stats %+v (HasCache=%v) vs RepHits %d", rep.Cache, rep.HasCache, rep.RepHits)
+											if fake.hits.Load() != int64(rep.RepHits) {
+												t.Fatalf("RepSource served %d reads, report counts %d RepHits", fake.hits.Load(), rep.RepHits)
 											}
 										}
 										if serve == "repsource-all" && (rep.RepsMaterialized != 0 || loads.Load() != 0) {
@@ -717,9 +735,8 @@ func TestRepFallbackAcrossSources(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 4} {
 		for name, src := range map[string]Source{
-			"image":       Frames(frames),
-			"record":      recordFrames{records: records, resident: true},
-			"record-read": recordFrames{records: records},
+			"image":  Frames(frames),
+			"record": recordFrames(records),
 		} {
 			rep, err := eng.Run(src, nil, Options{Workers: workers, Batch: 7, RepSource: failingRepSource{}})
 			if err != nil {
@@ -777,8 +794,8 @@ func TestErrorNamesFrame(t *testing.T) {
 	}
 }
 
-// storeSource is a Source over a real on-disk store, with or without its
-// record cache — the shape of vdb's store-backed corpus.
+// storeSource is a Source over a real on-disk store read through its record
+// cache — the shape of vdb's store-backed corpus.
 type storeSource struct {
 	store *repstore.Store
 	cache *repstore.Cache
@@ -790,20 +807,15 @@ func (s storeSource) Image(i int) (*img.Image, error) {
 	return nil, fmt.Errorf("record source asked to decode frame %d", i)
 }
 
-func (s storeSource) Record(i int, scratch *[]byte) (img.Record, error) {
-	if s.cache != nil {
-		return s.cache.Record(i)
-	}
-	return s.store.SourceRecord(i, scratch)
-}
+func (s storeSource) Record(i int) (img.Record, error) { return s.cache.Record(i) }
 
 // TestSteadyStateAllocs: once the worker pool is warm, a run allocates its
 // Report/Labels/Batches and goroutine plumbing (~20 objects) and nothing per
 // frame — pooled representation buffers instead of a fresh image per
 // transform, and on the record path no decoded source either. A store-backed
-// run allocates nothing per frame when every record is resident or is read
-// into the worker's pooled scratch, and exactly the record itself — which
-// the cache then owns — when every read is a cache miss.
+// run allocates nothing per frame when every record is resident, and exactly
+// the record itself — which the cache then owns — when every read is a cache
+// miss.
 func TestSteadyStateAllocs(t *testing.T) {
 	const n = 256
 	frames, _ := storedFrames(t, 1400, n, 32)
@@ -831,7 +843,6 @@ func TestSteadyStateAllocs(t *testing.T) {
 		{"image", Frames(frames), 0},
 		{"record/hit", storeSource{store, newCache(2 * n * record)}, 0},
 		{"record/miss", storeSource{store, newCache(n / 2 * record)}, 1}, // a sequential scan of twice the cache never hits
-		{"record/nocache", storeSource{store, nil}, 0},
 	} {
 		for _, depths := range [][]int{{3}, {3, 2}} {
 			eng, err := New(buildCascades(t, 1300, depths, true)...)

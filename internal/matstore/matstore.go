@@ -432,8 +432,7 @@ func (s *Store) Invalidate() {
 	s.cols = Columns{}
 }
 
-// Bytes reports the resident footprint of every column — the uniform cache
-// accessor shared with repstore.Cache.
+// Bytes reports the resident footprint of every column.
 func (s *Store) Bytes() int64 {
 	var b int64
 	for _, col := range s.cols {
@@ -441,10 +440,6 @@ func (s *Store) Bytes() int64 {
 	}
 	return b
 }
-
-// Evicted reports cumulative bytes evicted by budget enforcement — the
-// uniform cache accessor shared with repstore.Cache.
-func (s *Store) Evicted() int64 { return s.evictedBytes }
 
 // Enforce applies the byte budget, evicting the least-recently-touched
 // columns until the store fits. The single hottest column always survives,

@@ -280,7 +280,7 @@ func TestStoreEnforceEvictsColdest(t *testing.T) {
 	if _, ok := s.Columns()[hot]; !ok {
 		t.Fatal("hot column evicted — the last column must always survive")
 	}
-	if s.Evicted() == 0 || s.Stats().ColumnsEvicted != 1 {
+	if s.Stats().EvictedBytes == 0 || s.Stats().ColumnsEvicted != 1 {
 		t.Fatalf("eviction accounting: %+v", s.Stats())
 	}
 	// Still over budget with one column left: Enforce must not loop.

@@ -38,26 +38,6 @@ const (
 	OrderStatic
 )
 
-// String renders the policy name as the -order flag spells it.
-func (o Order) String() string {
-	if o == OrderStatic {
-		return "static"
-	}
-	return "rank"
-}
-
-// ParseOrder parses an -order flag value.
-func ParseOrder(s string) (Order, error) {
-	switch strings.ToLower(s) {
-	case "rank":
-		return OrderRank, nil
-	case "static":
-		return OrderStatic, nil
-	default:
-		return OrderRank, fmt.Errorf("planner: unknown order %q (rank, static)", s)
-	}
-}
-
 // FusionPolicy selects how the fused-vs-sequential decision is made once it
 // is live (two or more pending predicates).
 type FusionPolicy int

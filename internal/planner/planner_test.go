@@ -238,21 +238,6 @@ func TestOrderLine(t *testing.T) {
 	}
 }
 
-func TestParseOrder(t *testing.T) {
-	for in, want := range map[string]Order{"rank": OrderRank, "static": OrderStatic, "RANK": OrderRank} {
-		got, err := ParseOrder(in)
-		if err != nil || got != want {
-			t.Fatalf("ParseOrder(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := ParseOrder("bogus"); err == nil {
-		t.Fatal("bogus order accepted")
-	}
-	if OrderRank.String() != "rank" || OrderStatic.String() != "static" {
-		t.Fatal("order names drifted")
-	}
-}
-
 func TestCatalog(t *testing.T) {
 	c := NewCatalog()
 	if rate, n := c.Selectivity("ghost"); rate != 0.5 || n != 0 {

@@ -30,9 +30,9 @@ type Cache struct {
 
 // CacheStats is a point-in-time snapshot of a cache's counters. Hits,
 // Misses and EvictedBytes are cumulative since construction; ResidentBytes
-// is the current footprint. Execution reports subtract two snapshots to
-// attribute cache work to a single run — exact when the run has the cache
-// to itself, approximate when concurrent queries share it (the counters are
+// is the current footprint. Callers subtract two snapshots to attribute
+// cache work to a single query — exact when the query has the cache to
+// itself, approximate when concurrent queries share it (the counters are
 // cache-global).
 type CacheStats struct {
 	Hits          int64
@@ -103,35 +103,12 @@ func (c *Cache) get(key cacheKey, load func() (cacheValue, error)) (cacheValue, 
 	return c.lru.insert(key, v), nil
 }
 
-// Stats reports cache effectiveness.
+// Stats reports the cache's counters — the one ledger of its traffic and
+// footprint.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.lru.stats()
-}
-
-// Bytes reports the resident footprint — the uniform accessor every label
-// or representation cache exposes (matstore.Store matches), so
-// /stats can sum the caches without knowing their shapes.
-func (c *Cache) Bytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.bytes
-}
-
-// Evicted reports cumulative bytes pushed out by the LRU policy — the
-// uniform accessor paired with Bytes.
-func (c *Cache) Evicted() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.evicted
-}
-
-// Has reports whether the underlying store materializes transform t, i.e.
-// whether Rep(i, t) can serve without transforming anything.
-func (c *Cache) Has(t xform.Transform) bool {
-	_, ok := c.store.reps[t.ID()]
-	return ok
 }
 
 // HasSource reports whether the stored record of image i is resident — using
@@ -141,11 +118,4 @@ func (c *Cache) HasSource(i int) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.lru.contains(cacheKey{idx: i})
-}
-
-// Len returns the number of cached records.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.lru.items)
 }

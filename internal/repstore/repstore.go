@@ -16,7 +16,7 @@
 //
 // Who vouches for a row. A row exists once something durable says so. Stand-
 // alone — the CLI's ingest, a server without a journal — that is the manifest:
-// Ingest, IngestAll and AppendRecords fsync the data files and then replace
+// IngestAll and AppendRecords fsync the data files and then replace
 // the manifest before they return, and Open drops whatever lies past the
 // manifest's count. Under vdb's durability the journal vouches first: a batch
 // is written here with WriteRecords (no fsync, no manifest), acknowledged once
@@ -57,7 +57,7 @@ const manifestName = "manifest.json"
 
 // Store is an open representation store, safe for concurrent use: records
 // are read with ReadAt and the record count is guarded, so readers may
-// overlap an in-flight Ingest — they simply do not see rows appended after
+// overlap an in-flight ingest — they simply do not see rows appended after
 // they checked Count.
 type Store struct {
 	dir    string
@@ -80,8 +80,8 @@ type Store struct {
 	// stage holds the writer's per-file buffers, reused across batches.
 	stage staged
 
-	// scratch pools the read buffers (*[]byte) of loads that hand back a
-	// decoded image and so have no caller-owned buffer to read into.
+	// scratch pools the read buffers (*[]byte) of LoadRep, which hands back a
+	// decoded image and so has no caller-owned buffer to read into.
 	scratch sync.Pool
 }
 
@@ -276,31 +276,16 @@ func (s *Store) Transforms() []xform.Transform {
 // BaseSize returns the full-resolution geometry.
 func (s *Store) BaseSize() (w, h int) { return s.manifest.BaseW, s.manifest.BaseH }
 
-// Ingest appends one full-size image, materializing every configured
-// representation (the ONGOING pipeline: transform on ingest, load-only at
-// query time). It returns the image's index.
-func (s *Store) Ingest(im *img.Image) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	idx := s.manifest.Count
-	if err := s.ingestLocked([]*img.Image{im}); err != nil {
-		return 0, err
-	}
-	return idx, nil
-}
-
-// IngestAll appends a batch of images and makes it durable on the store's own
-// terms: the rows are written, the data files fsynced, and only then is the
-// manifest replaced (one commit per batch rather than per image). When it
-// returns nil the manifest vouches for the batch; on failure the count is
-// unchanged and a retry overwrites whatever bytes the attempt left.
+// IngestAll appends a batch of full-size images, materializing every
+// configured representation (the ONGOING pipeline: transform on ingest,
+// load-only at query time), and makes it durable on the store's own terms:
+// the rows are written, the data files fsynced, and only then is the manifest
+// replaced (one commit per batch rather than per image). When it returns nil
+// the manifest vouches for the batch; on failure the count is unchanged and a
+// retry overwrites whatever bytes the attempt left.
 func (s *Store) IngestAll(ims []*img.Image) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.ingestLocked(ims)
-}
-
-func (s *Store) ingestLocked(ims []*img.Image) error {
 	start := s.manifest.Count
 	err := s.writeRows(start, len(ims), func(j int, b *staged) (err error) {
 		im := ims[j]
@@ -504,9 +489,9 @@ func (s *Store) syncData() error {
 func (s *Store) SyncData() error { return s.syncData() }
 
 // Sync makes the store vouch for every row it holds: data fsync, then the
-// manifest, each only if something changed since the last. Ingest, IngestAll
-// and AppendRecords commit on their own; Sync is the commit of rows written
-// with WriteRecords.
+// manifest, each only if something changed since the last. IngestAll and
+// AppendRecords commit on their own; Sync is the commit of rows written with
+// WriteRecords.
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -550,8 +535,7 @@ func (s *Store) TruncateTo(n int) error {
 // SourceRecord reads full-size image i as stored: one ReadAt of the record's
 // bytes, validated but not expanded. It reads into *scratch, growing it to
 // the record size when it is smaller, and the returned view aliases it — a
-// caller that keeps the record (the cache) passes a fresh slice, one that
-// consumes it at once (a scan without a cache) passes the same slice again.
+// caller that keeps the record (the cache) passes a fresh slice.
 func (s *Store) SourceRecord(i int, scratch *[]byte) (img.Record, error) {
 	// faults.StoreDecode models a corrupt or unreadable source record — the
 	// chaos suite's "disk ate a frame" case.
@@ -559,17 +543,6 @@ func (s *Store) SourceRecord(i int, scratch *[]byte) (img.Record, error) {
 		return img.Record{}, fmt.Errorf("repstore: source record %d: %w", i, err)
 	}
 	return s.readRecord(s.source, i, s.sourceRecordSize(), "source.dat", scratch)
-}
-
-// LoadSource reads full-size image i, decoded.
-func (s *Store) LoadSource(i int) (*img.Image, error) {
-	buf := s.getScratch()
-	defer s.scratch.Put(buf)
-	rec, err := s.SourceRecord(i, buf)
-	if err != nil {
-		return nil, err
-	}
-	return rec.Image(), nil
 }
 
 // LoadRep reads representation i for transform t. The transform must be one
@@ -619,39 +592,6 @@ func (s *Store) readRecord(f *os.File, i, record int, name string, scratch *[]by
 		return img.Record{}, fmt.Errorf("%w: %s record %d: %v", ErrCorrupt, name, i, err)
 	}
 	return rec, nil
-}
-
-// ScanSource streams every full-size image in order.
-func (s *Store) ScanSource(fn func(i int, im *img.Image) error) error {
-	n := s.Count() // fixed bound: rows ingested mid-scan are not visited
-	for i := 0; i < n; i++ {
-		im, err := s.LoadSource(i)
-		if err != nil {
-			return err
-		}
-		if err := fn(i, im); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ScanRep streams every representation of transform t in order.
-func (s *Store) ScanRep(t xform.Transform, fn func(i int, im *img.Image) error) error {
-	if _, ok := s.reps[t.ID()]; !ok {
-		return fmt.Errorf("repstore: transform %s not materialized in this store", t.ID())
-	}
-	n := s.Count() // fixed bound: rows ingested mid-scan are not visited
-	for i := 0; i < n; i++ {
-		im, err := s.LoadRep(i, t)
-		if err != nil {
-			return err
-		}
-		if err := fn(i, im); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Close releases file handles. Safe to call more than once.

@@ -29,6 +29,22 @@ var testTransforms = []xform.Transform{
 	{Size: 16, Color: img.RGB},
 }
 
+// loadSource reads row i's source record and decodes it.
+func loadSource(s *Store, i int) (*img.Image, error) {
+	var buf []byte
+	rec, err := s.SourceRecord(i, &buf)
+	if err != nil {
+		return nil, err
+	}
+	return rec.Image(), nil
+}
+
+// ingestOne appends im as a batch of one and returns its row.
+func ingestOne(s *Store, im *img.Image) (int, error) {
+	idx := s.Count()
+	return idx, s.IngestAll([]*img.Image{im})
+}
+
 func TestCreateIngestLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Create(dir, 32, 32, testTransforms)
@@ -42,7 +58,7 @@ func TestCreateIngestLoadRoundTrip(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		im := randRGB(rng, 32)
 		originals = append(originals, im)
-		idx, err := s.Ingest(im)
+		idx, err := ingestOne(s, im)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +72,7 @@ func TestCreateIngestLoadRoundTrip(t *testing.T) {
 
 	// Sources round-trip within quantization error.
 	for i, want := range originals {
-		got, err := s.LoadSource(i)
+		got, err := loadSource(s, i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,49 +141,11 @@ func TestOpenAfterCloseReadsBack(t *testing.T) {
 	if got := s2.Transforms(); len(got) != 1 || got[0] != testTransforms[0] {
 		t.Fatalf("transforms %v", got)
 	}
-	if _, err := s2.LoadSource(1); err != nil {
+	if _, err := loadSource(s2, 1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s2.LoadRep(0, testTransforms[0]); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestScan(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Create(dir, 16, 16, testTransforms[:1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	rng := rand.New(rand.NewSource(3))
-	if err := s.IngestAll([]*img.Image{randRGB(rng, 16), randRGB(rng, 16), randRGB(rng, 16)}); err != nil {
-		t.Fatal(err)
-	}
-	var n int
-	if err := s.ScanSource(func(i int, im *img.Image) error {
-		if i != n {
-			t.Fatalf("scan order broken: %d vs %d", i, n)
-		}
-		n++
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 {
-		t.Fatalf("scanned %d sources", n)
-	}
-	n = 0
-	if err := s.ScanRep(testTransforms[0], func(i int, im *img.Image) error { n++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 {
-		t.Fatalf("scanned %d reps", n)
-	}
-	// Early-exit via callback error.
-	sentinel := errors.New("stop")
-	if err := s.ScanSource(func(i int, im *img.Image) error { return sentinel }); !errors.Is(err, sentinel) {
-		t.Fatal("scan did not propagate callback error")
 	}
 }
 
@@ -186,21 +164,18 @@ func TestValidationErrors(t *testing.T) {
 		t.Fatal("double create must error")
 	}
 	// Wrong ingest geometry.
-	if _, err := s.Ingest(img.New(8, 8, img.RGB)); err == nil {
+	if _, err := ingestOne(s, img.New(8, 8, img.RGB)); err == nil {
 		t.Fatal("wrong geometry ingest must error")
 	}
-	if _, err := s.Ingest(img.New(16, 16, img.Gray)); err == nil {
+	if _, err := ingestOne(s, img.New(16, 16, img.Gray)); err == nil {
 		t.Fatal("non-RGB ingest must error")
 	}
 	// Unknown transform.
 	if _, err := s.LoadRep(0, xform.Transform{Size: 4, Color: img.Red}); err == nil {
 		t.Fatal("unmaterialized transform must error")
 	}
-	if err := s.ScanRep(xform.Transform{Size: 4, Color: img.Red}, nil); err == nil {
-		t.Fatal("unmaterialized transform scan must error")
-	}
 	// Out-of-range index.
-	if _, err := s.LoadSource(0); err == nil {
+	if _, err := loadSource(s, 0); err == nil {
 		t.Fatal("empty store load must error")
 	}
 }
@@ -273,7 +248,7 @@ func TestOpenDetectsCorruptRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if _, err := s2.LoadSource(0); !errors.Is(err, ErrCorrupt) {
+	if _, err := loadSource(s2, 0); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupt record read succeeded: %v", err)
 	}
 }
@@ -318,7 +293,7 @@ func TestOpenRepairsTornTail(t *testing.T) {
 	if wantSize := int64(2 * s2.sourceRecordSize()); info.Size() != wantSize {
 		t.Fatalf("source.dat is %d bytes after repair, want %d", info.Size(), wantSize)
 	}
-	if _, err := s2.LoadSource(1); err != nil {
+	if _, err := loadSource(s2, 1); err != nil {
 		t.Fatalf("acked record unreadable after repair: %v", err)
 	}
 }
@@ -331,7 +306,7 @@ func TestIngestAfterOpenAppends(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(7))
 	first := randRGB(rng, 16)
-	if _, err := s.Ingest(first); err != nil {
+	if _, err := ingestOne(s, first); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -343,14 +318,14 @@ func TestIngestAfterOpenAppends(t *testing.T) {
 	}
 	defer s2.Close()
 	second := randRGB(rng, 16)
-	idx, err := s2.Ingest(second)
+	idx, err := ingestOne(s2, second)
 	if err != nil {
 		t.Fatalf("ingest into opened store: %v", err)
 	}
 	if idx != 1 {
 		t.Fatalf("ingest index %d, want 1", idx)
 	}
-	got0, err := s2.LoadSource(0)
+	got0, err := loadSource(s2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,11 +358,11 @@ func TestTruncateTo(t *testing.T) {
 	if s.Count() != 3 {
 		t.Fatalf("Count = %d after TruncateTo(3)", s.Count())
 	}
-	if _, err := s.LoadSource(3); err == nil {
+	if _, err := loadSource(s, 3); err == nil {
 		t.Fatal("truncated record still readable")
 	}
 	// Re-append lands at index 3 and survives a reopen.
-	if idx, err := s.Ingest(randRGB(rng, 16)); err != nil || idx != 3 {
+	if idx, err := ingestOne(s, randRGB(rng, 16)); err != nil || idx != 3 {
 		t.Fatalf("post-truncate ingest = (%d, %v)", idx, err)
 	}
 	if err := s.TruncateTo(10); err == nil {
@@ -414,7 +389,7 @@ func TestFaultManifestWriteError(t *testing.T) {
 	}
 	defer s.Close()
 	rng := rand.New(rand.NewSource(9))
-	if _, err := s.Ingest(randRGB(rng, 16)); err != nil {
+	if _, err := ingestOne(s, randRGB(rng, 16)); err != nil {
 		t.Fatal(err)
 	}
 	boom := errors.New("manifest write lost")
@@ -423,7 +398,7 @@ func TestFaultManifestWriteError(t *testing.T) {
 	if err := faults.Enable(faults.FSWriteError, faults.Spec{Err: boom, Skip: 1, Times: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Ingest(randRGB(rng, 16)); !errors.Is(err, boom) {
+	if _, err := ingestOne(s, randRGB(rng, 16)); !errors.Is(err, boom) {
 		t.Fatalf("ingest under manifest fault = %v, want %v", err, boom)
 	}
 	// The failed ingest was never acknowledged: count holds, and a retry
@@ -431,7 +406,7 @@ func TestFaultManifestWriteError(t *testing.T) {
 	if s.Count() != 1 {
 		t.Fatalf("Count = %d after failed ingest, want 1", s.Count())
 	}
-	if idx, err := s.Ingest(randRGB(rng, 16)); err != nil || idx != 1 {
+	if idx, err := ingestOne(s, randRGB(rng, 16)); err != nil || idx != 1 {
 		t.Fatalf("retry ingest = (%d, %v), want index 1", idx, err)
 	}
 	s.Close()
@@ -466,12 +441,12 @@ func hashDir(t *testing.T, dir string) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// TestIngestAllBytesPinned holds IngestAll and Ingest to the files they have
-// always written: the hash was taken from the per-record writer this store
-// had before rows were staged and written a run at a time. The input is not
-// u8-exact, so a rep derived from the quantized record instead of the
-// caller's pixels would change it; 400 rows of 32×32 cross a write chunk; the
-// second half is appended after a reopen.
+// TestIngestAllBytesPinned holds IngestAll, batches of one included, to the
+// files it has always written: the hash was taken from the per-record writer
+// this store had before rows were staged and written a run at a time. The
+// input is not u8-exact, so a rep derived from the quantized record instead of
+// the caller's pixels would change it; 400 rows of 32×32 cross a write chunk;
+// the last row is appended alone after a reopen.
 func TestIngestAllBytesPinned(t *testing.T) {
 	const pinned = "14c2dabd6d95caeb3ff349e4a99d928bdadca8b371a544320ed8c28cb12f1a31"
 	dir := t.TempDir()
@@ -492,8 +467,8 @@ func TestIngestAllBytesPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if idx, err := s.Ingest(ims[399]); err != nil || idx != 399 {
-		t.Fatalf("Ingest after reopen = (%d, %v), want index 399", idx, err)
+	if idx, err := ingestOne(s, ims[399]); err != nil || idx != 399 {
+		t.Fatalf("ingest after reopen = (%d, %v), want index 399", idx, err)
 	}
 	if got := hashDir(t, dir); got != pinned {
 		t.Fatalf("store files hash to %s, pinned %s", got, pinned)

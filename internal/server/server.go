@@ -778,25 +778,13 @@ func (st *serverStats) observe(res *vdb.Result, wall time.Duration) {
 	}
 }
 
-// cacheFootprint is the uniform accessor pair both cache layers expose —
-// repstore.Cache (source records, and served reps) and the
-// materialized-label store — so /stats sums them without knowing their
-// individual stats shapes.
-type cacheFootprint interface {
-	Bytes() int64
-	Evicted() int64
-}
-
-// CacheStats mirrors exec.CacheStats on the wire.
+// CacheStats is repstore.CacheStats on the wire: the same fields, so one
+// converts to the other.
 type CacheStats struct {
 	Hits          int64 `json:"hits"`
 	Misses        int64 `json:"misses"`
 	EvictedBytes  int64 `json:"evicted_bytes"`
 	ResidentBytes int64 `json:"resident_bytes"`
-}
-
-func wireCache(c exec.CacheStats) *CacheStats {
-	return &CacheStats{Hits: c.Hits, Misses: c.Misses, EvictedBytes: c.EvictedBytes, ResidentBytes: c.ResidentBytes}
 }
 
 // LatencyBucket is one histogram cell: queries that finished in at most LEMS
@@ -856,12 +844,6 @@ type StatsResponse struct {
 	// StoreCache is the store-backed corpus's record cache (present for
 	// store corpora).
 	StoreCache *CacheStats `json:"store_cache,omitempty"`
-
-	// CacheBytes / CacheEvictedBytes sum resident and cumulative-evicted
-	// bytes across the store cache and the materialized-label store, through
-	// the uniform Bytes()/Evicted() accessors both expose.
-	CacheBytes        int64 `json:"cache_bytes"`
-	CacheEvictedBytes int64 `json:"cache_evicted_bytes"`
 
 	// Materialization is the label-materialization layer: mode, coverage,
 	// lookup hit/miss, byte budget and evictions, analyzer progress, and
@@ -944,17 +926,8 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		RepFallbacks:     s.stats.repFallbacks.Load(),
 	}
 	if st, ok := s.db.RepCacheStats(); ok {
-		resp.StoreCache = wireCache(st)
-	}
-	// The caches report their footprint through one interface; no per-cache
-	// shape knowledge here.
-	caches := []cacheFootprint{s.db.MatFootprint()}
-	if dc, ok := s.db.DecodeCache(); ok {
-		caches = append(caches, dc)
-	}
-	for _, c := range caches {
-		resp.CacheBytes += c.Bytes()
-		resp.CacheEvictedBytes += c.Evicted()
+		wire := CacheStats(st)
+		resp.StoreCache = &wire
 	}
 	resp.Materialization = s.db.MatStats()
 	resp.Durability = s.db.DurabilityStats()

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"tahoma/internal/img"
+	"tahoma/internal/matstore"
 )
 
 // allocatedBy returns the bytes fn allocated.
@@ -80,6 +81,43 @@ func FuzzAppendRecord(f *testing.F) {
 			}
 		}
 		if again := appendRecBytes(t, base, metas, recs, inval); !bytes.Equal(again, data) {
+			t.Fatalf("accepted payload is not canonical: re-encodes to %d bytes, input was %d", len(again), len(data))
+		}
+	})
+}
+
+// FuzzMergeRecord holds the recMerge decoder — the journal record that
+// restores materialized labels on replay — to FuzzAppendRecord's three
+// properties: it never panics; it allocates at most a small multiple of the
+// bytes it was given, whatever row count the record claims; and what it
+// accepts re-encodes to exactly the input. The committed corpus
+// (testdata/fuzz/FuzzMergeRecord) covers a two-row record, an empty one, a
+// label byte of 0x02, a row count of more rows than the payload can hold, a
+// truncated row and trailing bytes.
+func FuzzMergeRecord(f *testing.F) {
+	key := matstore.Key{Category: "cloak", Cascade: "c2w8d16@8/gray>c2w8d16@16/rgb"}
+	f.Add(encodeMergeRec(key, []int{3, 40}, []bool{true, false}))
+	f.Add(encodeMergeRec(key, nil, nil))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var (
+			key    matstore.Key
+			rows   []int
+			labels []bool
+			decErr error
+		)
+		got := allocatedBy(func() { key, rows, labels, decErr = decodeMergeRec(data) })
+		// A row is 5 bytes and decodes into an int and a bool; the key's
+		// strings are copied once.
+		if limit := uint64(3*len(data) + 16<<10); got > limit {
+			t.Fatalf("%d-byte input: decoder allocated %d bytes, limit %d", len(data), got, limit)
+		}
+		if decErr != nil {
+			return
+		}
+		if len(labels) != len(rows) {
+			t.Fatalf("decoded %d labels for %d rows", len(labels), len(rows))
+		}
+		if again := encodeMergeRec(key, rows, labels); !bytes.Equal(again, data) {
 			t.Fatalf("accepted payload is not canonical: re-encodes to %d bytes, input was %d", len(again), len(data))
 		}
 	})

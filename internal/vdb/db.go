@@ -97,23 +97,11 @@ type storeCorpus struct {
 
 func (s *storeCorpus) Len() int { return s.store.Count() }
 
-func (s *storeCorpus) Image(i int) (*img.Image, error) {
-	if s.cache != nil {
-		return s.cache.Source(i)
-	}
-	return s.store.LoadSource(i)
-}
+func (s *storeCorpus) Image(i int) (*img.Image, error) { return s.cache.Source(i) }
 
-// Record implements exec.RecordSource: the row's source record as stored, so
-// the engine transforms straight from its bytes. With a cache the resident
-// (shared, immutable) record is returned and scratch is untouched; without
-// one the record is read into the caller's scratch.
-func (s *storeCorpus) Record(i int, scratch *[]byte) (img.Record, error) {
-	if s.cache != nil {
-		return s.cache.Record(i)
-	}
-	return s.store.SourceRecord(i, scratch)
-}
+// Record implements exec.RecordSource: the row's resident source record as
+// stored, so the engine transforms straight from its bytes.
+func (s *storeCorpus) Record(i int) (img.Record, error) { return s.cache.Record(i) }
 
 // appendRecords writes the batch as rows [base, base+len(recs)). Journaled,
 // it costs no fsync: the journal's is the commit, and the store vouches for
@@ -154,18 +142,7 @@ func (r *repSource) Rep(i int, id string) (*img.Image, error) {
 	if !ok {
 		return nil, fmt.Errorf("vdb: transform %s not materialized in the corpus store", id)
 	}
-	if r.sc.cache != nil {
-		return r.sc.cache.Rep(i, t)
-	}
-	return r.sc.store.LoadRep(i, t)
-}
-
-func (r *repSource) CacheStats() exec.CacheStats {
-	if r.sc.cache == nil {
-		return exec.CacheStats{}
-	}
-	st := r.sc.cache.Stats()
-	return exec.CacheStats{Hits: st.Hits, Misses: st.Misses, EvictedBytes: st.EvictedBytes, ResidentBytes: st.ResidentBytes}
+	return r.sc.cache.Rep(i, t)
 }
 
 // DB is a visual analytics database over one images table. It is safe for
@@ -328,39 +305,6 @@ func (db *DB) MatStats() MatStats {
 	return MatStats{Mode: mode.String(), Rows: len(db.meta), Stats: db.mat.Stats()}
 }
 
-// MatFootprint reports the materialized columns' resident and evicted
-// bytes through the same uniform accessor the repstore caches expose, so
-// /stats can sum the caches consistently.
-type MatFootprint struct{ db *DB }
-
-// MatFootprint returns the uniform-accessor view of the matstore.
-func (db *DB) MatFootprint() MatFootprint { return MatFootprint{db: db} }
-
-// Bytes reports the resident footprint of the materialized columns.
-func (f MatFootprint) Bytes() int64 {
-	f.db.mu.RLock()
-	defer f.db.mu.RUnlock()
-	return f.db.mat.Bytes()
-}
-
-// Evicted reports cumulative bytes evicted by budget enforcement.
-func (f MatFootprint) Evicted() int64 {
-	f.db.mu.RLock()
-	defer f.db.mu.RUnlock()
-	return f.db.mat.Evicted()
-}
-
-// DecodeCache returns the store-backed corpus's record cache (ok is
-// false for in-memory corpora and cacheless stores), exposing the uniform
-// Bytes/Evicted accessors to /stats.
-func (db *DB) DecodeCache() (*repstore.Cache, bool) {
-	reps := db.state.Load().reps
-	if reps == nil || reps.sc.cache == nil {
-		return nil, false
-	}
-	return reps.sc.cache, true
-}
-
 // PlanOrder selects the content-predicate ordering policy; see the planner
 // package for semantics.
 type PlanOrder = planner.Order
@@ -465,17 +409,18 @@ func (db *DB) ServeReps(on bool) {
 	db.publishLocked()
 }
 
-// RepCacheStats returns the store-backed corpus's record cache
-// counters, cumulative since load (ok is false for in-memory corpora and
-// cacheless stores). The cache fronts source record reads always and
-// representation loads when ServeReps is on; callers diff two snapshots to
-// attribute traffic to one query.
-func (db *DB) RepCacheStats() (stats exec.CacheStats, ok bool) {
+// RepCacheStats returns the store-backed corpus's record cache counters,
+// cumulative since load (ok is false for in-memory corpora). The cache
+// fronts source record reads always and representation loads when ServeReps
+// is on; callers diff two snapshots to attribute traffic to one query. The
+// counters are cache-global, so the difference is exact only for a query
+// that had the cache to itself.
+func (db *DB) RepCacheStats() (stats repstore.CacheStats, ok bool) {
 	reps := db.state.Load().reps
-	if reps == nil || reps.sc.cache == nil {
-		return exec.CacheStats{}, false
+	if reps == nil {
+		return repstore.CacheStats{}, false
 	}
-	return reps.CacheStats(), true
+	return reps.sc.cache.Stats(), true
 }
 
 // New creates an empty database priced under the given deployment scenario.
@@ -525,20 +470,17 @@ func (db *DB) LoadCorpus(images []*img.Image, meta []Metadata) error {
 }
 
 // LoadCorpusFromStore installs a representation store as the corpus. Rows
-// load lazily through an LRU cache of cacheBytes (0 disables caching); meta
-// must have one row per stored image.
+// are read only through an LRU record cache of cacheBytes, which must be
+// positive; meta must have one row per stored image.
 func (db *DB) LoadCorpusFromStore(store *repstore.Store, cacheBytes int64, meta []Metadata) error {
 	if store.Count() != len(meta) {
 		return fmt.Errorf("vdb: store has %d images but %d metadata rows", store.Count(), len(meta))
 	}
-	sc := &storeCorpus{store: store}
-	if cacheBytes > 0 {
-		cache, err := repstore.NewCache(store, cacheBytes)
-		if err != nil {
-			return err
-		}
-		sc.cache = cache
+	cache, err := repstore.NewCache(store, cacheBytes)
+	if err != nil {
+		return fmt.Errorf("vdb: cacheBytes: %w", err)
 	}
+	sc := &storeCorpus{store: store, cache: cache}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	return db.installCorpusLocked(sc, sc.repSource(), meta)
@@ -625,13 +567,6 @@ type Result struct {
 	// degraded to decoding the source and transforming it fresh — labels
 	// stay correct, the store's quantization shortcut is just skipped.
 	RepFallbacks int
-	// RepCache, when HasRepCache, is the per-query delta of the
-	// store-backed corpus's record cache counters. The counters are
-	// cache-global: the delta is exact for a query running alone and
-	// approximate when concurrent queries share the cache (RepHits above
-	// stays exact either way — it is engine-local).
-	RepCache    exec.CacheStats
-	HasRepCache bool
 	// Observed reports, per content predicate that classified anything, the
 	// freshly classified frames and how many carried the positive label —
 	// the adaptive-selectivity feedback the DB folds into its catalog so

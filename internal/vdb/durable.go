@@ -671,6 +671,13 @@ func encodeMergeRec(key matstore.Key, rows []int, labels []bool) []byte {
 	return buf.Bytes()
 }
 
+// mergeRowBytes is what a row costs in a recMerge record: a u32 row index and
+// a label byte.
+const mergeRowBytes = 4 + 1
+
+// decodeMergeRec parses a recMerge payload: the column key, a u64 row count,
+// then per row its index and a label byte that is exactly 0 or 1. Nothing is
+// allocated from a count the payload's own length does not cover.
 func decodeMergeRec(data []byte) (key matstore.Key, rows []int, labels []bool, err error) {
 	r := bytes.NewReader(data)
 	if key.Category, err = getString(r); err != nil {
@@ -684,7 +691,7 @@ func decodeMergeRec(data []byte) (key matstore.Key, rows []int, labels []bool, e
 		return key, nil, nil, fmt.Errorf("merge record: %w", err)
 	}
 	count := binary.LittleEndian.Uint64(b[:])
-	if count > uint64(len(data)) {
+	if count > uint64(r.Len())/mergeRowBytes {
 		return key, nil, nil, fmt.Errorf("merge record: corrupt row count %d", count)
 	}
 	rows = make([]int, 0, count)
@@ -698,7 +705,10 @@ func decodeMergeRec(data []byte) (key matstore.Key, rows []int, labels []bool, e
 		if ferr != nil {
 			return key, nil, nil, fmt.Errorf("merge record row %d: %w", i, ferr)
 		}
-		labels = append(labels, flag != 0)
+		if flag > 1 {
+			return key, nil, nil, fmt.Errorf("merge record row %d: corrupt label %d", i, flag)
+		}
+		labels = append(labels, flag == 1)
 	}
 	if r.Len() != 0 {
 		return key, nil, nil, fmt.Errorf("merge record: %d trailing bytes", r.Len())

@@ -460,7 +460,7 @@ func TestDurableRefusesCorpusSwapAndDoubleEnable(t *testing.T) {
 	if err := db.LoadCorpus(ims, env.metas[:1]); err == nil {
 		t.Fatal("durable DB accepted a corpus swap")
 	}
-	if err := db.LoadCorpusFromStore(store, 0, env.metas[:8]); err == nil {
+	if err := db.LoadCorpusFromStore(store, 1<<20, env.metas[:8]); err == nil {
 		t.Fatal("durable DB accepted a store swap")
 	}
 	if _, err := db.EnableDurability(DurabilityOptions{Dir: t.TempDir()}); err == nil {

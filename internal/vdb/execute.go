@@ -270,13 +270,6 @@ func (p *queryPlan) classifyMissing(ctx context.Context, res *Result, cols []ste
 	res.RepsMaterialized += rep.RepsMaterialized
 	res.RepHits += rep.RepHits
 	res.RepFallbacks += rep.RepFallbacks
-	if rep.HasCache {
-		res.HasRepCache = true
-		res.RepCache.Hits += rep.Cache.Hits
-		res.RepCache.Misses += rep.Cache.Misses
-		res.RepCache.EvictedBytes += rep.Cache.EvictedBytes
-		res.RepCache.ResidentBytes = rep.Cache.ResidentBytes
-	}
 	return nil
 }
 

@@ -248,7 +248,8 @@ func TestFusedPartialCoverage(t *testing.T) {
 // TestServeRepsFromStore: with a store-backed corpus materializing the
 // design grid and ServeReps on, content predicates load stored
 // representations instead of transforming decoded sources — zero transforms,
-// cache stats on the result — and repeated queries agree.
+// every served rep read through the record cache — and repeated queries
+// agree.
 func TestServeRepsFromStore(t *testing.T) {
 	fusedFixture(t)
 	grid := xform.Grid([]int{8, 16}, []img.ColorMode{img.RGB, img.Gray})
@@ -302,11 +303,8 @@ func TestServeRepsFromStore(t *testing.T) {
 	if res.RepHits == 0 {
 		t.Fatal("no representations served from the store")
 	}
-	if !res.HasRepCache {
-		t.Fatal("rep cache stats missing from the result")
-	}
-	if res.RepCache.Hits+res.RepCache.Misses == 0 {
-		t.Fatal("rep cache saw no traffic")
+	if st, ok := db.RepCacheStats(); !ok || st.Hits+st.Misses < int64(res.RepHits) {
+		t.Fatalf("record cache stats %+v (ok=%v) account for fewer reads than the %d served reps", st, ok, res.RepHits)
 	}
 	// Deterministic: a second DB over the same store returns the same rows.
 	res2, err := build().Query(sql, cons)

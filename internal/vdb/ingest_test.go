@@ -134,11 +134,10 @@ func TestTriggerLeavesRecordCacheAlone(t *testing.T) {
 		if _, err := db.Append(env.images[20:24], env.metas[20:24]); err != nil {
 			t.Fatal(err)
 		}
-		cache, ok := db.DecodeCache()
+		before, ok := db.RepCacheStats()
 		if !ok {
 			t.Fatal("store-backed corpus has no record cache")
 		}
-		before := cache.Stats()
 		udf, err := db.Append(env.images[24:32], env.metas[24:32])
 		if err != nil {
 			t.Fatal(err)
@@ -146,7 +145,7 @@ func TestTriggerLeavesRecordCacheAlone(t *testing.T) {
 		if udf != 8 {
 			t.Fatalf("trigger classified %d rows, want the 8 appended", udf)
 		}
-		if after := cache.Stats(); after != before {
+		if after, _ := db.RepCacheStats(); after != before {
 			t.Fatalf("%d transforms: a triggered append moved the record cache: %+v → %+v", len(grid), before, after)
 		}
 
@@ -170,7 +169,7 @@ func TestTriggerLeavesRecordCacheAlone(t *testing.T) {
 			}
 		}
 		// That read-back is a first read: one miss per row, then hits.
-		mid := cache.Stats()
+		mid, _ := db.RepCacheStats()
 		if mid.Misses-before.Misses != 8 || mid.Hits != before.Hits {
 			t.Fatalf("first read of 8 fresh rows: %d misses, %d hits; want 8 and 0", mid.Misses-before.Misses, mid.Hits-before.Hits)
 		}
@@ -178,7 +177,7 @@ func TestTriggerLeavesRecordCacheAlone(t *testing.T) {
 		if _, err := db.Query("SELECT id FROM images WHERE ts >= 24 AND contains_object('cloak')", chaosCons); err != nil {
 			t.Fatal(err)
 		}
-		if end := cache.Stats(); end.Hits-mid.Hits != 8 || end.Misses != mid.Misses {
+		if end, _ := db.RepCacheStats(); end.Hits-mid.Hits != 8 || end.Misses != mid.Misses {
 			t.Fatalf("query over 8 resident rows: %d hits, %d misses; want 8 and 0", end.Hits-mid.Hits, end.Misses-mid.Misses)
 		}
 	}

@@ -159,7 +159,7 @@ func (st *readState) availability() planner.Availability {
 	if st.serveReps && st.reps != nil {
 		av.Served = st.reps.HasRep
 	}
-	if st.reps != nil && st.reps.sc.cache != nil {
+	if st.reps != nil {
 		av.SourceResidentFrac = planner.SampleFrac(st.n, st.reps.sc.cache.HasSource)
 	}
 	return av

@@ -191,11 +191,11 @@ func (v *storeView) Image(i int) (*img.Image, error) {
 }
 
 // Record implements exec.RecordSource over the bounded view.
-func (v *storeView) Record(i int, scratch *[]byte) (img.Record, error) {
+func (v *storeView) Record(i int) (img.Record, error) {
 	if i < 0 || i >= v.n {
 		return img.Record{}, fmt.Errorf("vdb: row %d out of range [0,%d)", i, v.n)
 	}
-	return v.sc.Record(i, scratch)
+	return v.sc.Record(i)
 }
 
 // batchSource is a store-backed corpus view that serves the rows of one
@@ -210,11 +210,11 @@ type batchSource struct {
 	recs              []img.Record // rows [base, base+len(recs))
 }
 
-func (b *batchSource) Record(i int, scratch *[]byte) (img.Record, error) {
+func (b *batchSource) Record(i int) (img.Record, error) {
 	if j := i - b.base; j >= 0 && j < len(b.recs) {
 		return b.recs[j], nil
 	}
-	return b.RecordSource.Record(i, scratch)
+	return b.RecordSource.Record(i)
 }
 
 func (b *batchSource) Image(i int) (*img.Image, error) {

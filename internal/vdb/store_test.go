@@ -1,9 +1,12 @@
 package vdb
 
 import (
+	"maps"
+	"strings"
 	"testing"
 
 	"tahoma/internal/core"
+	"tahoma/internal/exec"
 	"tahoma/internal/img"
 	"tahoma/internal/repstore"
 	"tahoma/internal/scenario"
@@ -80,13 +83,7 @@ func TestStoreBackedCorpus(t *testing.T) {
 
 	// An in-memory run over the same (quantized) images must agree exactly
 	// with the store-backed run.
-	var fromStore []*img.Image
-	if err := store.ScanSource(func(i int, im *img.Image) error {
-		fromStore = append(fromStore, im)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	fromStore := storedImages(t, store)
 	db2 := New(cm)
 	if err := db2.LoadCorpus(fromStore, meta); err != nil {
 		t.Fatal(err)
@@ -105,25 +102,9 @@ func TestStoreBackedCorpus(t *testing.T) {
 	// The store-backed run took the byte-domain path: what its cache holds
 	// is the 40 source records as stored (10 + 3·16·16 bytes each), not
 	// their float32 expansions.
-	cache, ok := db.DecodeCache()
-	if !ok || cache.Len() != 40 || cache.Bytes() != 40*(10+3*16*16) {
-		t.Fatalf("store cache after one scan: ok=%v, %d entries, %d bytes; want 40 stored records", ok, cache.Len(), cache.Bytes())
-	}
-	// Without a cache the engine reads each record into pooled scratch —
-	// same path, same answer.
-	db3 := New(cm)
-	if err := db3.LoadCorpusFromStore(store, 0, meta); err != nil {
-		t.Fatal(err)
-	}
-	if err := db3.InstallPredicate("cloak", sys, 2); err != nil {
-		t.Fatal(err)
-	}
-	res3, err := db3.Query("SELECT COUNT(*) FROM images WHERE contains_object('cloak')", cons)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res3.Rows[0][0].Int != res.Rows[0][0].Int {
-		t.Fatalf("cacheless store-backed count %d != cached count %d", res3.Rows[0][0].Int, res.Rows[0][0].Int)
+	st, ok := db.RepCacheStats()
+	if !ok || st.Misses != 40 || st.ResidentBytes != 40*(10+3*16*16) {
+		t.Fatalf("store cache after one scan: ok=%v, %+v; want 40 misses and 40 stored records resident", ok, st)
 	}
 
 	// Appending through the store-backed corpus works and invalidates.
@@ -136,6 +117,85 @@ func TestStoreBackedCorpus(t *testing.T) {
 	}
 }
 
+// storedImages decodes every source record of store, in row order.
+func storedImages(t *testing.T, store *repstore.Store) []*img.Image {
+	t.Helper()
+	ims := make([]*img.Image, store.Count())
+	for i := range ims {
+		var buf []byte
+		rec, err := store.SourceRecord(i, &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ims[i] = rec.Image()
+	}
+	return ims
+}
+
+// TestStoreScanUnderSmallCache: the record cache is the only way a
+// store-backed corpus is read, so a cache far smaller than the corpus must
+// cost hits, never answers. A scan through a cache holding a tenth of the
+// corpus's records, and through one of a single byte, answers bit-identically
+// to one through 64 MiB, misses, and never holds more than its budget plus
+// the one record it just read.
+func TestStoreScanUnderSmallCache(t *testing.T) {
+	fusedFixture(t)
+	store, err := repstore.Create(t.TempDir(), 16, 16, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if err := store.IngestAll(fusedImages); err != nil {
+		t.Fatal(err)
+	}
+	record := int64(img.EncodedSize(16, 16, img.RGB))
+	corpusBytes := int64(len(fusedImages)) * record
+	cm, err := scenario.NewAnalytic(scenario.Archive, scenario.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sql = "SELECT id FROM images WHERE contains_object('cloak') AND NOT contains_object('coho')"
+	cons := core.Constraints{MaxAccuracyLoss: 0.05}
+	scan := func(cacheBytes int64) (*Result, repstore.CacheStats) {
+		t.Helper()
+		db := New(cm)
+		db.SetMaterialization(MatOff) // every query reads pixels
+		db.SetExecOptions(exec.Options{Workers: 2, Batch: 7})
+		if err := db.LoadCorpusFromStore(store, cacheBytes, fusedMeta); err != nil {
+			t.Fatal(err)
+		}
+		for _, in := range []struct {
+			cat string
+			sys *core.System
+		}{{"cloak", cloakSys}, {"coho", cohoSys}} {
+			if err := db.InstallPredicate(in.cat, in.sys, 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var res *Result
+		for range 2 { // the second scan finds whatever the first left resident
+			if res, err = db.Query(sql, cons); err != nil {
+				t.Fatalf("cache of %d bytes: %v", cacheBytes, err)
+			}
+		}
+		st, _ := db.RepCacheStats()
+		return res, st
+	}
+	want, _ := scan(64 << 20)
+	for _, budget := range []int64{corpusBytes / 10, 1} {
+		got, st := scan(budget)
+		if got.Count != want.Count || !maps.Equal(rowSet(t, got), rowSet(t, want)) {
+			t.Fatalf("cache of %d bytes answered %d rows, 64 MiB answered %d", budget, got.Count, want.Count)
+		}
+		if st.Misses == 0 {
+			t.Fatalf("cache of %d bytes over a %d-byte corpus never missed: %+v", budget, corpusBytes, st)
+		}
+		if st.ResidentBytes > budget+record {
+			t.Fatalf("cache of %d bytes holds %d, more than its budget plus one %d-byte record", budget, st.ResidentBytes, record)
+		}
+	}
+}
+
 func TestLoadCorpusFromStoreValidation(t *testing.T) {
 	store, err := repstore.Create(t.TempDir(), 16, 16, nil)
 	if err != nil {
@@ -144,7 +204,12 @@ func TestLoadCorpusFromStoreValidation(t *testing.T) {
 	defer store.Close()
 	cm, _ := scenario.NewAnalytic(scenario.Camera, scenario.DefaultParams())
 	db := New(cm)
-	if err := db.LoadCorpusFromStore(store, 0, []Metadata{{ID: 1}}); err == nil {
+	if err := db.LoadCorpusFromStore(store, 1<<20, []Metadata{{ID: 1}}); err == nil {
 		t.Fatal("metadata/store size mismatch must error")
+	}
+	for _, budget := range []int64{0, -1} {
+		if err := db.LoadCorpusFromStore(store, budget, nil); err == nil || !strings.Contains(err.Error(), "cacheBytes") {
+			t.Fatalf("a %d-byte record cache: err = %v, want a refusal naming cacheBytes", budget, err)
+		}
 	}
 }

@@ -73,9 +73,6 @@ type (
 	// execution engine (ExecOptions.RepSource), skipping decode and
 	// transform for the slots it covers.
 	RepSource = exec.RepSource
-	// CacheStats is a RepSource cache's hit/miss/eviction accounting as
-	// surfaced on execution reports.
-	CacheStats = exec.CacheStats
 
 	// DB is the visual analytics database: a SQL-queryable images table
 	// with installed contains_object predicates. Safe for concurrent use —
