@@ -215,7 +215,7 @@ func (f *corpusFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&f.scenario, "scenario", "camera", "deployment scenario")
 	fs.IntVar(&f.workers, "workers", 0, "classification worker goroutines per query (0 = GOMAXPROCS)")
 	fs.IntVar(&f.batch, "batch", 0, "frames per execution-engine batch (0 = engine default)")
-	fs.IntVar(&f.cacheMB, "cache-mb", 64, "record cache budget in MiB, at least 1: the corpus is read only through this LRU, which holds sources as stored records (1 byte/sample) and served reps as float32")
+	fs.IntVar(&f.cacheMB, "cache-mb", 64, "record cache budget in MiB, at least 1: the corpus is read only through this LRU, which holds sources and served reps alike as stored records (1 byte/sample)")
 	fs.BoolVar(&f.serveReps, "serve-reps", false, "load pre-materialized representations from the store, skipping decode+transform for the transforms it covers")
 	fs.StringVar(&f.materialize, "materialize", "on", "label materialization: on (cache classified labels as bitmap columns), off (re-infer every query), bg (on + serve's background analyzer pre-materializes hot predicates while the admission pool is idle)")
 	fs.IntVar(&f.matMB, "mat-mb", 0, "materialized-label byte budget in MiB (0 = unbounded); coldest columns are evicted over budget")

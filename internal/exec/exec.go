@@ -110,9 +110,11 @@ type RecordSource interface {
 // index and transform identity (xform.Transform.ID). When a run has one, the
 // engine skips both the source decode and the transform for every slot the
 // source covers — the representation-store fast path the ARCHIVE and ONGOING
-// scenarios price. Implementations must be safe for concurrent use and must
-// return images the caller may read but never write: the engine treats served
-// representations as immutable and keeps them out of its pooled buffers.
+// scenarios price. Implementations must be safe for concurrent use. The
+// engine only reads what it is served: a served image's pixels are copied
+// into a buffer the worker owns, so every buffer a batch scores is the
+// engine's own. A source that holds stored records should also implement
+// RepRecordSource, which skips the float32 image altogether.
 //
 // Served pixels are whatever the source stored (for repstore, the uint8-
 // quantized record), not a fresh transform of the decoded source, so labels
@@ -126,6 +128,21 @@ type RepSource interface {
 	HasRep(id string) bool
 	// Rep returns the representation of source frame i under transform id.
 	Rep(i int, id string) (*img.Image, error)
+}
+
+// RepRecordSource is optionally implemented by RepSources whose
+// representations are held as stored TIMG records (vdb's store-backed
+// corpus). A run over one reads a served slot's record and expands it into
+// the worker's buffer with xform.Transform.ApplyRecord — for a record of the
+// transform's own geometry one img.Unit pass, the exact bits Rep's decoded
+// image would hold — so the source keeps a quarter of the bytes. Detected
+// once per run, like RecordSource; Rep is then never called.
+type RepRecordSource interface {
+	RepSource
+	// RepRecord returns the stored record of source frame i's representation
+	// under t: resident, shared and immutable. Must be safe for concurrent
+	// use.
+	RepRecord(i int, t xform.Transform) (img.Record, error)
 }
 
 // Frames adapts an in-memory slice to Source.
@@ -247,9 +264,10 @@ type Engine struct {
 	// repeated runs reach a steady state with no per-frame allocations. A
 	// plain free list, not a sync.Pool: the runtime keeps every sync.Pool
 	// that was ever used — and what it holds — reachable through two more
-	// GC cycles, and vdb plans a fresh engine per statement, so pooled
-	// worker state of engines long dead was most of a scanning server's
-	// resident set. Idle workers die with their engine.
+	// GC cycles, and vdb still plans a fresh engine per fused statement, so
+	// pooled worker state of engines long dead would be most of a scanning
+	// server's resident set. Idle workers die with their engine; an engine
+	// kept across runs (vdb's per-cascade one) keeps them warm.
 	mu   sync.Mutex
 	idle []*worker
 }
@@ -375,7 +393,8 @@ func (e *Engine) ClassifyOne(c int, src *img.Image) (bool, Trace, error) {
 // slot is transformed.
 type serving struct {
 	rs     RepSource
-	served []bool // per slot
+	recs   RepRecordSource // rs, when it serves stored records
+	served []bool          // per slot
 }
 
 // on reports whether slot is served by the RepSource.
@@ -409,7 +428,8 @@ func newServing(rs RepSource, repIDs []string) *serving {
 	if !any {
 		return nil
 	}
-	return &serving{rs: rs, served: served}
+	recs, _ := rs.(RepRecordSource)
+	return &serving{rs: rs, recs: recs, served: served}
 }
 
 // worker is one goroutine's private execution state, pooled on the engine so
@@ -503,6 +523,30 @@ func (r *run) transform(w *worker, slot, j int) {
 	}
 }
 
+// serve fills slot for batch position j from the RepSource into the worker's
+// pooled buffer: a stored record expanded in place, or a served image's
+// pixels copied. Either way the buffer the batch scores is the worker's own.
+func (r *run) serve(w *worker, slot, j, idx int) error {
+	bufs := w.reps[slot]
+	if r.sv.recs != nil {
+		rec, err := r.sv.recs.RepRecord(idx, r.e.repXf[slot])
+		if err != nil {
+			return err
+		}
+		bufs[j] = r.e.repXf[slot].ApplyRecord(bufs[j], rec)
+		return nil
+	}
+	im, err := r.sv.rs.Rep(idx, r.e.repIDs[slot])
+	if err != nil {
+		return err
+	}
+	if dst := bufs[j]; dst == nil || dst.W != im.W || dst.H != im.H || dst.Mode != im.Mode {
+		bufs[j] = img.New(im.W, im.H, im.Mode)
+	}
+	copy(bufs[j].Pix, im.Pix)
+	return nil
+}
+
 // materialize fills slot for batch position j (frame indices[lo+j]): served
 // from the RepSource, or transformed from the pinned source into the worker's
 // pooled buffer.
@@ -515,14 +559,11 @@ func (r *run) materialize(w *worker, st *BatchStats, lo, slot, j int) error {
 	}
 	if r.sv.on(slot) {
 		idx := r.indices[lo+j]
-		rep, err := r.sv.rs.Rep(idx, r.e.repIDs[slot])
-		if err != nil {
+		if err := r.serve(w, slot, j, idx); err != nil {
 			// Serving failed: degrade to load + transform (the
 			// cache→inference ladder) instead of failing the run. The source
 			// may not have been loaded when every slot is served, so load it
-			// on demand. The fallback buffer lands at a served position,
-			// which release drops after the batch — a benign per-batch
-			// allocation, only ever paid under store failure.
+			// on demand.
 			if w.srcs[j] == nil && w.recs[j].Pix == nil {
 				if err := r.loadSource(w, j, idx); err != nil {
 					return fmt.Errorf("exec: frame %d: loading source for rep fallback: %w", idx, err)
@@ -532,7 +573,6 @@ func (r *run) materialize(w *worker, st *BatchStats, lo, slot, j int) error {
 			st.RepFallbacks++
 			st.RepsMaterialized++
 		} else {
-			w.reps[slot][j] = rep
 			st.RepHits++
 		}
 	} else {
@@ -556,7 +596,7 @@ func (r *run) materialize(w *worker, st *BatchStats, lo, slot, j int) error {
 func (r *run) runBatch(w *worker, lo, hi int, st *BatchStats) error {
 	n := hi - lo
 	w.ensure(n, len(r.e.repIDs))
-	defer r.release(w, n)
+	defer w.release(n)
 	for s := range w.repOK {
 		ok := w.repOK[s][:n]
 		for j := range ok {
@@ -639,26 +679,14 @@ func (r *run) runBatch(w *worker, lo, hi int, st *BatchStats) error {
 	return nil
 }
 
-// release unpins what a batch borrowed, on every exit path: the worker goes
-// back into the pool even when a batch fails, and must not keep source
-// frames reachable for the engine's lifetime. Served slots hold source-owned
-// images — those references are dropped too, so the pool never offers a
-// shared image as a writable ApplyInto target to a later run.
-func (r *run) release(w *worker, n int) {
+// release unpins the source frames a batch borrowed, on every exit path: the
+// worker goes back into the pool even when a batch fails, and must not keep
+// source frames reachable for the engine's lifetime. Its representation
+// buffers it keeps — every one is its own, served or transformed.
+func (w *worker) release(n int) {
 	for j := 0; j < n; j++ {
 		w.srcs[j] = nil
 		w.recs[j] = img.Record{}
-	}
-	if r.sv != nil {
-		for s, on := range r.sv.served {
-			if !on {
-				continue
-			}
-			row := w.reps[s]
-			for j := 0; j < n; j++ {
-				row[j] = nil
-			}
-		}
 	}
 }
 

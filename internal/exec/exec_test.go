@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -145,36 +146,76 @@ func (s countingRecords) Record(i int) (img.Record, error) {
 	return s.RecordSource.Record(i)
 }
 
-// fakeRepSource serves pre-computed representations for a subset of
-// transforms, keyed by source frame index, and counts Rep calls.
+// storedRep is transform xf of frame f as a store holds it: the TIMG record
+// of its output, and that record decoded — what a RepSource serves, in either
+// form.
+func storedRep(t testing.TB, xf xform.Transform, f *img.Image) (raw []byte, im *img.Image) {
+	t.Helper()
+	raw, err := img.AppendRecord(nil, xf.Apply(f))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := img.ParseRecord(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw, rec.Image()
+}
+
+// fakeRepSource serves stored representations for a subset of transforms,
+// keyed by source frame index, and counts reads. Rep hands out the resident
+// decoded image — shared, like a cache's — and fakeRepRecords the record.
 type fakeRepSource struct {
-	reps map[string][]*img.Image // transform id -> per-frame representation
+	byID map[string]xform.Transform
+	raws map[xform.Transform][][]byte
+	ims  map[xform.Transform][]*img.Image
 	hits atomic.Int64
 }
 
-// newFakeRepSource serves exactly what each served transform would produce
-// for each frame.
-func newFakeRepSource(frames []*img.Image, served ...xform.Transform) *fakeRepSource {
-	s := &fakeRepSource{reps: make(map[string][]*img.Image, len(served))}
+// newFakeRepSource serves each served transform of each frame as stored.
+func newFakeRepSource(t testing.TB, frames []*img.Image, served ...xform.Transform) *fakeRepSource {
+	s := &fakeRepSource{
+		byID: make(map[string]xform.Transform, len(served)),
+		raws: make(map[xform.Transform][][]byte, len(served)),
+		ims:  make(map[xform.Transform][]*img.Image, len(served)),
+	}
 	for _, xf := range served {
-		reps := make([]*img.Image, len(frames))
+		s.byID[xf.ID()] = xf
+		raws, ims := make([][]byte, len(frames)), make([]*img.Image, len(frames))
 		for i, f := range frames {
-			reps[i] = xf.Apply(f)
+			raws[i], ims[i] = storedRep(t, xf, f)
 		}
-		s.reps[xf.ID()] = reps
+		s.raws[xf], s.ims[xf] = raws, ims
 	}
 	return s
 }
 
-func (s *fakeRepSource) HasRep(id string) bool { _, ok := s.reps[id]; return ok }
+func (s *fakeRepSource) HasRep(id string) bool { _, ok := s.byID[id]; return ok }
 
 func (s *fakeRepSource) Rep(i int, id string) (*img.Image, error) {
-	reps, ok := s.reps[id]
-	if !ok || i < 0 || i >= len(reps) {
+	ims := s.ims[s.byID[id]]
+	if i < 0 || i >= len(ims) {
 		return nil, fmt.Errorf("fake: no rep %s/%d", id, i)
 	}
 	s.hits.Add(1)
-	return reps[i], nil
+	return ims[i], nil
+}
+
+// fakeRepRecords is the record form of a fakeRepSource: it serves stored
+// records and refuses to decode, so a run over it must take RepRecord.
+type fakeRepRecords struct{ *fakeRepSource }
+
+func (s fakeRepRecords) Rep(i int, id string) (*img.Image, error) {
+	return nil, fmt.Errorf("record rep source asked to decode %s/%d", id, i)
+}
+
+func (s fakeRepRecords) RepRecord(i int, t xform.Transform) (img.Record, error) {
+	raws := s.raws[t]
+	if i < 0 || i >= len(raws) {
+		return img.Record{}, fmt.Errorf("fake: no rep record %s/%d", t.ID(), i)
+	}
+	s.hits.Add(1)
+	return img.ParseRecord(raws[i])
 }
 
 // refFrame is what the independent reference expects one position of a run
@@ -189,7 +230,8 @@ type refFrame struct {
 // referenceWalk is the independent oracle: a per-frame walk over every
 // cascade with ONE shared representation map per frame — the semantics the
 // seed runtime implemented per cascade, extended across cascades. It shares
-// no code with the engine: served transforms count as hits instead of reps.
+// no code with the engine: a served transform is its stored (quantized)
+// representation and counts as a hit instead of a rep.
 func referenceWalk(t *testing.T, cascades [][]Level, frames []*img.Image, indices []int, need [][]bool, served map[string]bool) []refFrame {
 	t.Helper()
 	out := make([]refFrame, len(indices))
@@ -206,13 +248,14 @@ func referenceWalk(t *testing.T, cascades [][]Level, frames []*img.Image, indice
 				id := lv.Model.Xform.ID()
 				rep, ok := cache[id]
 				if !ok {
-					rep = lv.Model.Xform.Apply(frames[idx])
-					cache[id] = rep
 					if served[id] {
+						_, rep = storedRep(t, lv.Model.Xform, frames[idx])
 						rf.hits++
 					} else {
+						rep = lv.Model.Xform.Apply(frames[idx])
 						rf.reps++
 					}
+					cache[id] = rep
 				}
 				score, err := lv.Model.Score(rep)
 				if err != nil {
@@ -306,16 +349,19 @@ func checkAgainstReference(t *testing.T, rep *Report, ref []refFrame, need [][]b
 
 // TestEngineParity is the engine's core property, as one table: cascades
 // 1–3 × shared/disjoint representation grid × need masks × RepSource (none,
-// one served transform, or every transform, so no source is ever loaded) ×
-// the deprecated Quantize knob × workers × batch size × the physical form of
-// the source (decoded images, resident stored records taking the byte-domain
-// load path, or an on-disk store read through a record cache a tenth of its
-// size). Every run must match the independent shared-map reference walk —
-// labels, per-cascade LevelsRun, exactly-once RepsMaterialized and RepHits,
-// per batch and in aggregate — and its unmasked labels and level counts must
-// equal the engine's own per-frame ClassifyOne walk. Nothing about
-// scheduling, nothing about how the source is held, and not the Quantize
-// value the benchmark harness still passes, may move any of them.
+// one served transform, or every transform, so no source is ever loaded;
+// served as decoded images, or as stored records — served=record — expanded
+// through ApplyRecord) × the deprecated Quantize knob × workers × batch size ×
+// the physical form of the source (decoded images, resident stored records
+// taking the byte-domain load path, or an on-disk store read through a record
+// cache a tenth of its size). Every run must match the independent shared-map
+// reference walk — labels, per-cascade LevelsRun, exactly-once
+// RepsMaterialized and RepHits, per batch and in aggregate — and its
+// unmasked labels and level counts must equal the engine's own per-frame
+// ClassifyOne walk. Nothing about
+// scheduling, nothing about how the source or a served rep is held, and not
+// the Quantize value the benchmark harness still passes, may move any of
+// them.
 func TestEngineParity(t *testing.T) {
 	// Both former scoring modes must run the one float32 path: the reference
 	// walk is the same for each.
@@ -396,13 +442,19 @@ func TestEngineParity(t *testing.T) {
 				}
 			}
 			for _, need := range [][][]bool{nil, masked} {
-				for _, serve := range []string{"none", "repsource", "repsource-all"} {
+				for _, serve := range []string{"none", "repsource", "repsource-all", "repsource/served=record", "repsource-all/served=record"} {
+					all := strings.HasPrefix(serve, "repsource-all")
+					asRecords := strings.HasSuffix(serve, "/served=record")
+					servedSet := []xform.Transform{servedXf}
+					if all {
+						servedSet = allXf
+					}
 					var served map[string]bool
-					switch serve {
-					case "repsource":
-						served = map[string]bool{servedXf.ID(): true}
-					case "repsource-all":
+					switch {
+					case all:
 						served = allServed
+					case serve != "none":
+						served = map[string]bool{servedXf.ID(): true}
 					}
 					ref := referenceWalk(t, cascades, frames, indices, need, served)
 					if need == nil {
@@ -432,14 +484,12 @@ func TestEngineParity(t *testing.T) {
 										var loads atomic.Int64
 										opts := Options{Workers: workers, Batch: batch, Quantize: quant.mode}
 										var fake *fakeRepSource
-										switch serve {
-										case "repsource":
-											fake = newFakeRepSource(frames, servedXf)
-										case "repsource-all":
-											fake = newFakeRepSource(frames, allXf...)
-										}
-										if fake != nil {
+										if serve != "none" {
+											fake = newFakeRepSource(t, frames, servedSet...)
 											opts.RepSource = fake
+											if asRecords {
+												opts.RepSource = fakeRepRecords{fake}
+											}
 										}
 										src, cache := mkSrc(t, &loads)
 										rep, err := eng.RunMasked(context.Background(), src, indices, need, opts)
@@ -461,7 +511,7 @@ func TestEngineParity(t *testing.T) {
 												t.Fatalf("RepSource served %d reads, report counts %d RepHits", fake.hits.Load(), rep.RepHits)
 											}
 										}
-										if serve == "repsource-all" && (rep.RepsMaterialized != 0 || loads.Load() != 0) {
+										if all && (rep.RepsMaterialized != 0 || loads.Load() != 0) {
 											t.Fatalf("every slot served, yet %d reps transformed and %d source frames loaded",
 												rep.RepsMaterialized, loads.Load())
 										}
@@ -677,9 +727,12 @@ func TestExactlyOnceMaterialization(t *testing.T) {
 	}
 }
 
-// TestRepSourcePoolHygiene: served (cache-owned) images must not survive in
-// the pooled worker buffers — a later run without the source transforms
-// everything itself and is unaffected by what the served run left behind.
+// TestRepSourcePoolHygiene pins the engine's one buffer-ownership rule:
+// every buffer a batch scores is the worker's own. A served image's pixels
+// are copied into the worker's pooled buffer and a served record is expanded
+// into it, so after a served run no pooled buffer is a RepSource's image, no
+// served image was written, and a later run without the source is unaffected
+// by what the served runs left behind.
 func TestRepSourcePoolHygiene(t *testing.T) {
 	eng, err := New(buildLevels(t, 5500, 3))
 	if err != nil {
@@ -690,9 +743,35 @@ func TestRepSourcePoolHygiene(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := newFakeRepSource(frames, xform.Transform{Size: 8, Color: img.Gray})
-	if _, err := eng.Run(Frames(frames), nil, Options{Workers: 1, Batch: 8, RepSource: src}); err != nil {
-		t.Fatal(err)
+	src := newFakeRepSource(t, frames, xform.Transform{Size: 8, Color: img.Gray})
+	served := make(map[*img.Image][]float32)
+	for _, ims := range src.ims {
+		for _, im := range ims {
+			served[im] = append([]float32(nil), im.Pix...)
+		}
+	}
+	for _, rs := range []RepSource{src, fakeRepRecords{src}} {
+		rep, err := eng.Run(Frames(frames), nil, Options{Workers: 2, Batch: 8, RepSource: rs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.RepHits == 0 {
+			t.Fatalf("%T: nothing served", rs)
+		}
+		for _, w := range eng.idle {
+			for slot, row := range w.reps {
+				for j, buf := range row {
+					if _, shared := served[buf]; shared {
+						t.Fatalf("%T: worker buffer [%d][%d] is a served image", rs, slot, j)
+					}
+				}
+			}
+		}
+		for im, pix := range served {
+			if !slices.Equal(im.Pix, pix) {
+				t.Fatalf("%T: a served image was written", rs)
+			}
+		}
 	}
 	again, err := eng.Run(Frames(frames), nil, Options{Workers: 1})
 	if err != nil {
@@ -809,17 +888,41 @@ func (s storeSource) Image(i int) (*img.Image, error) {
 
 func (s storeSource) Record(i int) (img.Record, error) { return s.cache.Record(i) }
 
+// storeReps serves a store's representations as stored records through its
+// record cache — the shape of vdb's repSource.
+type storeReps struct {
+	store *repstore.Store
+	cache *repstore.Cache
+}
+
+func (s storeReps) HasRep(id string) bool {
+	return slices.ContainsFunc(s.store.Transforms(), func(t xform.Transform) bool { return t.ID() == id })
+}
+
+func (s storeReps) Rep(i int, id string) (*img.Image, error) {
+	return nil, fmt.Errorf("record rep source asked to decode %s/%d", id, i)
+}
+
+func (s storeReps) RepRecord(i int, t xform.Transform) (img.Record, error) {
+	return s.cache.RepRecord(i, t)
+}
+
 // TestSteadyStateAllocs: once the worker pool is warm, a run allocates its
 // Report/Labels/Batches and goroutine plumbing (~20 objects) and nothing per
 // frame — pooled representation buffers instead of a fresh image per
 // transform, and on the record path no decoded source either. A store-backed
 // run allocates nothing per frame when every record is resident, and exactly
 // the record itself — which the cache then owns — when every read is a cache
-// miss.
+// miss. A run whose every slot the store serves as resident rep records
+// allocates nothing per frame either: each is expanded into the worker's
+// pooled buffer.
 func TestSteadyStateAllocs(t *testing.T) {
 	const n = 256
 	frames, _ := storedFrames(t, 1400, n, 32)
-	store, err := repstore.Create(t.TempDir(), 32, 32, nil)
+	// The store materializes the two transforms the shared-grid cascades
+	// below use (8x8/gray, 16x16/rgb), so the rep-record row serves every
+	// slot.
+	store, err := repstore.Create(t.TempDir(), 32, 32, sharedGrid[:2:2])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -838,20 +941,26 @@ func TestSteadyStateAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		src      Source
+		reps     RepSource
 		perFrame float64 // allocations every frame must cost
 	}{
-		{"image", Frames(frames), 0},
-		{"record/hit", storeSource{store, newCache(2 * n * record)}, 0},
-		{"record/miss", storeSource{store, newCache(n / 2 * record)}, 1}, // a sequential scan of twice the cache never hits
+		{"image", Frames(frames), nil, 0},
+		{"record/hit", storeSource{store, newCache(2 * n * record)}, nil, 0},
+		{"record/miss", storeSource{store, newCache(n / 2 * record)}, nil, 1}, // a sequential scan of twice the cache never hits
+		{"rep-record/hit", Frames(frames), storeReps{store, newCache(2 * n * record)}, 0},
 	} {
 		for _, depths := range [][]int{{3}, {3, 2}} {
 			eng, err := New(buildCascades(t, 1300, depths, true)...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts := Options{Workers: 1, Batch: 32}
-			if _, err := eng.Run(tc.src, nil, opts); err != nil {
+			opts := Options{Workers: 1, Batch: 32, RepSource: tc.reps}
+			warm, err := eng.Run(tc.src, nil, opts)
+			if err != nil {
 				t.Fatal(err)
+			}
+			if tc.reps != nil && (warm.RepsMaterialized != 0 || warm.RepHits == 0) {
+				t.Fatalf("%s: %d reps transformed, %d served: want every slot served", tc.name, warm.RepsMaterialized, warm.RepHits)
 			}
 			avg := testing.AllocsPerRun(5, func() {
 				if _, err := eng.Run(tc.src, nil, opts); err != nil {

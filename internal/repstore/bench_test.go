@@ -18,9 +18,11 @@ import (
 //	             the byte-domain path)
 //	record/miss  read the record into a slice the cache keeps, ApplyRecord
 //	record/hit   the record is resident, ApplyRecord
-//	rep/hit      the pre-materialized rep is resident: Cache.Rep alone, what
-//	             a served rep costs (over its own store of 500 rows, since
-//	             every rep is resident whatever the store's size)
+//	rep/hit      the pre-materialized rep is resident: Cache.RepRecord, then
+//	             ApplyRecord's identity case (one img.Unit pass) into a reused
+//	             buffer — what a served rep costs the engine, 0 allocs (over
+//	             its own store of 500 rows, since every rep is resident
+//	             whatever the store's size)
 //
 // record/miss against f32/miss is the part of the byte-domain path's gain
 // that does not depend on the corpus fitting the cache.
@@ -98,21 +100,24 @@ func BenchmarkLoadTransform(b *testing.B) {
 			})
 		}
 		b.Run("rep/hit/"+tr.ID(), func(b *testing.B) {
-			cache, err := NewCache(repStore, 2*chunk*int64(4*tr.Samples()))
+			cache, err := NewCache(repStore, 2*chunk*int64(tr.StoredBytes()))
 			if err != nil {
 				b.Fatal(err)
 			}
 			for i := 0; i < chunk; i++ {
-				if _, err := cache.Rep(i, tr); err != nil {
+				if _, err := cache.RepRecord(i, tr); err != nil {
 					b.Fatal(err)
 				}
 			}
+			var dst *img.Image
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := cache.Rep(i%chunk, tr); err != nil {
+				rec, err := cache.RepRecord(i%chunk, tr)
+				if err != nil {
 					b.Fatal(err)
 				}
+				dst = tr.ApplyRecord(dst, rec)
 			}
 		})
 	}

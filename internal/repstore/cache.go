@@ -10,13 +10,11 @@ import (
 
 // Cache is a bounded LRU over records of a Store, keyed by (xform.Transform
 // value, index) with the zero Transform standing for the full-size source,
-// so no lookup builds a string. Each record is kept in the physical form its
-// consumers read. A source image stays the stored record — one byte per
-// sample, a quarter of its float32 expansion — because the load path
-// transforms straight from those bytes (xform.Transform.ApplyRecord) and
-// never needs the expansion. A pre-materialized representation is kept
-// decoded, as float32 planes: it already is the representation a model
-// consumes, so a hit must cost nothing.
+// so no lookup builds a string. Every entry is the record as stored — one
+// byte per sample, a quarter of its float32 expansion — source image and
+// pre-materialized representation alike: the load path transforms a source
+// straight from its bytes (xform.Transform.ApplyRecord), and the engine
+// expands a served representation into a buffer of its own.
 // Query execution in the ONGOING and ARCHIVE scenarios re-reads the same
 // records across predicates and repeat queries; the cache turns those
 // re-reads into memory hits while bounding resident bytes. Safe for
@@ -42,8 +40,8 @@ type CacheStats struct {
 }
 
 // NewCache wraps store with a cache holding up to capacityBytes of resident
-// records: source images are charged their stored size (a 64×64 RGB record is
-// 12 KiB), representations their float32 planes (a 16×16 gray one is 1 KiB).
+// records, each charged its stored size: a 64×64 RGB source is 12 KiB, a
+// 16×16 gray representation 266 bytes.
 func NewCache(store *Store, capacityBytes int64) (*Cache, error) {
 	if capacityBytes <= 0 {
 		return nil, fmt.Errorf("repstore: cache capacity must be positive, got %d", capacityBytes)
@@ -55,12 +53,10 @@ func NewCache(store *Store, capacityBytes int64) (*Cache, error) {
 // miss is one read into one exact-size slice the cache then owns; the
 // returned view is shared with every other caller and must not be written.
 func (c *Cache) Record(i int) (img.Record, error) {
-	v, err := c.get(cacheKey{idx: i}, func() (cacheValue, error) {
+	return c.get(cacheKey{idx: i}, func() (img.Record, error) {
 		var owned []byte
-		rec, err := c.store.SourceRecord(i, &owned)
-		return cacheValue{rec: rec}, err
+		return c.store.SourceRecord(i, &owned)
 	})
-	return v.rec, err
 }
 
 // Source returns full-size image i decoded into a fresh image, reading the
@@ -73,16 +69,27 @@ func (c *Cache) Source(i int) (*img.Image, error) {
 	return rec.Image(), nil
 }
 
-// Rep returns representation i of transform t, from cache when possible.
-func (c *Cache) Rep(i int, t xform.Transform) (*img.Image, error) {
-	v, err := c.get(cacheKey{rep: t, idx: i}, func() (cacheValue, error) {
-		im, err := c.store.LoadRep(i, t)
-		return cacheValue{im: im}, err
+// RepRecord returns representation i of transform t as stored, from cache
+// when possible, on Record's terms: a miss is one read into a slice the cache
+// then owns, and the view is shared and must not be written.
+func (c *Cache) RepRecord(i int, t xform.Transform) (img.Record, error) {
+	return c.get(cacheKey{rep: t, idx: i}, func() (img.Record, error) {
+		var owned []byte
+		return c.store.RepRecord(i, t, &owned)
 	})
-	return v.im, err
 }
 
-func (c *Cache) get(key cacheKey, load func() (cacheValue, error)) (cacheValue, error) {
+// Rep returns representation i of transform t decoded into a fresh image:
+// RepRecord, counted as the same hit or miss.
+func (c *Cache) Rep(i int, t xform.Transform) (*img.Image, error) {
+	rec, err := c.RepRecord(i, t)
+	if err != nil {
+		return nil, err
+	}
+	return rec.Image(), nil
+}
+
+func (c *Cache) get(key cacheKey, load func() (img.Record, error)) (img.Record, error) {
 	c.mu.Lock()
 	if v, ok := c.lru.lookup(key); ok {
 		c.mu.Unlock()
@@ -95,7 +102,7 @@ func (c *Cache) get(key cacheKey, load func() (cacheValue, error)) (cacheValue, 
 	// insert keeps whichever copy got there first).
 	v, err := load()
 	if err != nil {
-		return cacheValue{}, err
+		return img.Record{}, err
 	}
 
 	c.mu.Lock()

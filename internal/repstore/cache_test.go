@@ -79,20 +79,30 @@ func TestCacheHitsAndCorrectness(t *testing.T) {
 		t.Fatalf("record geometry %dx%d/%v, %d bytes", s1.W, s1.H, s1.Mode, s1.StoredBytes())
 	}
 
-	// Representation reads cache under a distinct key.
-	r1, err := c.Rep(2, testTransforms[0])
+	// Representation reads cache under a distinct key, as stored records too;
+	// Rep decodes the resident record afresh on every call.
+	r1, err := c.RepRecord(2, testTransforms[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := c.Rep(2, testTransforms[0])
+	r2, err := c.RepRecord(2, testTransforms[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1 != r2 {
+	if &r1.Pix[0] != &r2.Pix[0] {
 		t.Fatal("rep read not cached")
 	}
-	if got, want := c.Stats().ResidentBytes, int64(srcRecord+r1.Bytes()); got != want {
+	if got, want := c.Stats().ResidentBytes, int64(srcRecord+r1.StoredBytes()); got != want {
 		t.Fatalf("resident %d bytes, want the record and the rep (%d)", got, want)
+	}
+	im, err := c.Rep(2, testTransforms[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range r1.Image().Pix {
+		if im.Pix[i] != v {
+			t.Fatalf("Rep sample %d = %v, the resident record decodes to %v", i, im.Pix[i], v)
+		}
 	}
 }
 
@@ -217,8 +227,9 @@ func TestCacheStatsPinned(t *testing.T) {
 }
 
 // TestCacheByteAccounting: the cache charges each entry what it holds — a
-// source its stored record, a representation its float32 planes — and
-// HasSource reports record residency without touching the counters.
+// source and a representation alike their stored record, not a float32
+// expansion — and HasSource reports record residency without touching the
+// counters.
 func TestCacheByteAccounting(t *testing.T) {
 	s, _ := cacheFixture(t, 5)
 	c, err := NewCache(s, 1<<20)
@@ -237,12 +248,15 @@ func TestCacheByteAccounting(t *testing.T) {
 		t.Fatalf("5 resident sources charge %d bytes, want Σ record lengths = %d", got, 5*srcRecord)
 	}
 	tr := testTransforms[0]
-	rep, err := c.Rep(0, tr)
+	rep, err := c.RepRecord(0, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := c.Stats().ResidentBytes, int64(5*srcRecord+rep.Bytes()); got != want {
-		t.Fatalf("with one %s rep resident: %d bytes, want %d (reps stay float32)", tr.ID(), got, want)
+	if rep.StoredBytes() != tr.StoredBytes() {
+		t.Fatalf("%s rep record is %d bytes, its stored size is %d", tr.ID(), rep.StoredBytes(), tr.StoredBytes())
+	}
+	if got, want := c.Stats().ResidentBytes, int64(5*srcRecord+tr.StoredBytes()); got != want {
+		t.Fatalf("with one %s rep resident: %d bytes, want %d (reps are charged as stored)", tr.ID(), got, want)
 	}
 	before := c.Stats()
 	if !c.HasSource(3) {
@@ -254,7 +268,8 @@ func TestCacheByteAccounting(t *testing.T) {
 }
 
 // TestCacheHitAllocatesNothing: the cache key is the Transform value, not a
-// formatted ID, so a resident rep or record is served without allocating.
+// formatted ID, and an entry is served as the resident record, so a rep or
+// source hit allocates nothing.
 func TestCacheHitAllocatesNothing(t *testing.T) {
 	s, _ := cacheFixture(t, 2)
 	c, err := NewCache(s, 1<<20)
@@ -262,14 +277,14 @@ func TestCacheHitAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := testTransforms[0]
-	if _, err := c.Rep(1, tr); err != nil {
+	if _, err := c.RepRecord(1, tr); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Record(1); err != nil {
 		t.Fatal(err)
 	}
-	if n := testing.AllocsPerRun(100, func() { c.Rep(1, tr) }); n != 0 {
-		t.Errorf("Rep hit allocates %v times", n)
+	if n := testing.AllocsPerRun(100, func() { c.RepRecord(1, tr) }); n != 0 {
+		t.Errorf("RepRecord hit allocates %v times", n)
 	}
 	if n := testing.AllocsPerRun(100, func() { c.Record(1) }); n != 0 {
 		t.Errorf("Record hit allocates %v times", n)
@@ -286,7 +301,7 @@ func TestCacheSourceAndRepKeysDistinct(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := testTransforms[0]
-	rep, err := c.Rep(0, tr)
+	rep, err := c.RepRecord(0, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,10 +318,10 @@ func TestCacheSourceAndRepKeysDistinct(t *testing.T) {
 	if !c.HasSource(0) {
 		t.Fatal("the source is not resident beside the rep")
 	}
-	if got := c.Stats().ResidentBytes; got != int64(rec.StoredBytes()+rep.Bytes()) {
-		t.Fatalf("resident %d bytes, want record %d + rep %d", got, rec.StoredBytes(), rep.Bytes())
+	if got := c.Stats().ResidentBytes; got != int64(rec.StoredBytes()+rep.StoredBytes()) {
+		t.Fatalf("resident %d bytes, want record %d + rep %d", got, rec.StoredBytes(), rep.StoredBytes())
 	}
-	if again, err := c.Rep(0, tr); err != nil || again != rep {
+	if again, err := c.RepRecord(0, tr); err != nil || &again.Pix[0] != &rep.Pix[0] {
 		t.Fatalf("the rep was displaced by the source entry (%v)", err)
 	}
 }

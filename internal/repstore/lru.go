@@ -6,14 +6,14 @@ import (
 )
 
 // lruCore is the LRU machinery behind Cache: a byte-budgeted recency list
-// over cached values with hit/miss/eviction accounting. It is not
+// over cached records with hit/miss/eviction accounting. It is not
 // goroutine-safe — the owning cache holds the lock.
 type lruCore struct {
 	capacity int64 // resident-byte budget
 	bytes    int64
 	// root is the sentinel of an intrusive ring of entries: root.next is the
 	// most recent, root.prev the eviction victim. An entry evicted to make
-	// room is reused for the value that displaced it, so a cache churning at
+	// room is reused for the record that displaced it, so a cache churning at
 	// capacity allocates nothing of its own per insert.
 	root  cacheEntry
 	items map[cacheKey]*cacheEntry
@@ -28,26 +28,10 @@ type cacheKey struct {
 	idx int
 }
 
-// cacheValue is what an entry holds, in the physical form it is kept in: a
-// representation as float32 planes (im) or a source image as its stored
-// record (rec). Exactly one is set; the zero value is "absent".
-type cacheValue struct {
-	im  *img.Image
-	rec img.Record
-}
-
-// bytes is the value's charge against the budget: what it occupies in memory.
-func (v cacheValue) bytes() int64 {
-	if v.im != nil {
-		return int64(v.im.Bytes())
-	}
-	return int64(v.rec.StoredBytes())
-}
-
 type cacheEntry struct {
 	prev, next *cacheEntry
 	key        cacheKey
-	val        cacheValue
+	val        img.Record // as stored, charged its StoredBytes
 }
 
 func newLRUCore(capacityBytes int64) *lruCore {
@@ -70,35 +54,37 @@ func (c *lruCore) touch(e *cacheEntry) {
 	c.pushFront(e)
 }
 
-// lookup returns the cached value for key and records a hit, or records a
+// lookup returns the cached record for key and records a hit, or records a
 // miss and reports false.
-func (c *lruCore) lookup(key cacheKey) (cacheValue, bool) {
+func (c *lruCore) lookup(key cacheKey) (img.Record, bool) {
 	if e, ok := c.items[key]; ok {
 		c.touch(e)
 		c.hits++
 		return e.val, true
 	}
 	c.misses++
-	return cacheValue{}, false
+	return img.Record{}, false
 }
 
 // insert stores v under key unless an entry is already resident (the
-// resident value wins — records are immutable, so the pixels are identical),
+// resident record wins — records are immutable, so the bytes are identical),
 // evicting from the cold end until the budget holds; the newest entry always
-// stays, even when it alone exceeds the budget. It returns the resident value
+// stays, even when it alone exceeds the budget. It returns the resident record
 // for key.
-func (c *lruCore) insert(key cacheKey, v cacheValue) cacheValue {
+func (c *lruCore) insert(key cacheKey, v img.Record) img.Record {
 	if e, ok := c.items[key]; ok {
 		c.touch(e)
 		return e.val
 	}
 	var e *cacheEntry
-	for c.bytes+v.bytes() > c.capacity && len(c.items) > 0 {
+	size := int64(v.StoredBytes())
+	for c.bytes+size > c.capacity && len(c.items) > 0 {
 		e = c.root.prev
 		c.unlink(e)
 		delete(c.items, e.key)
-		c.bytes -= e.val.bytes()
-		c.evicted += e.val.bytes()
+		victim := int64(e.val.StoredBytes())
+		c.bytes -= victim
+		c.evicted += victim
 	}
 	if e == nil {
 		e = new(cacheEntry)
@@ -106,7 +92,7 @@ func (c *lruCore) insert(key cacheKey, v cacheValue) cacheValue {
 	e.key, e.val = key, v
 	c.pushFront(e)
 	c.items[key] = e
-	c.bytes += v.bytes()
+	c.bytes += size
 	return v
 }
 

@@ -44,6 +44,10 @@ import (
 // ErrCorrupt is returned (wrapped) when a store fails validation.
 var ErrCorrupt = errors.New("repstore: corrupt store")
 
+// ErrGeometry is returned (wrapped) when an ingested image is not the store's
+// base geometry and mode: the caller's error, found before any row counts.
+var ErrGeometry = errors.New("repstore: image geometry does not match the store")
+
 // Manifest describes a store directory.
 type Manifest struct {
 	Version    int      `json:"version"`
@@ -63,7 +67,7 @@ type Store struct {
 	dir    string
 	xforms []xform.Transform
 	source *os.File
-	reps   map[string]*os.File
+	reps   map[xform.Transform]*os.File
 
 	// mu guards manifest (Count grows on ingest) and serializes writers. Data
 	// files are append-only with fixed record sizes: a record below Count is
@@ -79,10 +83,6 @@ type Store struct {
 	writes, dataSynced atomic.Int64
 	// stage holds the writer's per-file buffers, reused across batches.
 	stage staged
-
-	// scratch pools the read buffers (*[]byte) of LoadRep, which hands back a
-	// decoded image and so has no caller-owned buffer to read into.
-	scratch sync.Pool
 }
 
 // Create initializes a new store in dir (which must be empty or absent) that
@@ -113,7 +113,7 @@ func Create(dir string, baseW, baseH int, transforms []xform.Transform) (*Store,
 			Transforms: ids,
 		},
 		xforms: append([]xform.Transform(nil), transforms...),
-		reps:   make(map[string]*os.File),
+		reps:   make(map[xform.Transform]*os.File),
 	}
 	var err error
 	s.source, err = os.OpenFile(filepath.Join(dir, "source.dat"), os.O_CREATE|os.O_RDWR, 0o644)
@@ -126,7 +126,7 @@ func Create(dir string, baseW, baseH int, transforms []xform.Transform) (*Store,
 			s.Close()
 			return nil, fmt.Errorf("repstore: opening rep file for %s: %w", t.ID(), err)
 		}
-		s.reps[t.ID()] = f
+		s.reps[t] = f
 	}
 	if err := s.writeManifest(); err != nil {
 		s.Close()
@@ -159,7 +159,7 @@ func Open(dir string) (*Store, error) {
 	if m.Version != 1 {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, m.Version)
 	}
-	s := &Store{dir: dir, manifest: m, vouched: m.Count, reps: make(map[string]*os.File)}
+	s := &Store{dir: dir, manifest: m, vouched: m.Count, reps: make(map[xform.Transform]*os.File)}
 	for _, id := range m.Transforms {
 		t, err := xform.Parse(id)
 		if err != nil {
@@ -186,7 +186,7 @@ func Open(dir string) (*Store, error) {
 			s.Close()
 			return nil, err
 		}
-		s.reps[t.ID()] = f
+		s.reps[t] = f
 	}
 	return s, nil
 }
@@ -363,8 +363,8 @@ func (s *Store) writeRecordsLocked(base int, recs []img.Record) error {
 
 func (s *Store) checkGeometry(w, h int, mode img.ColorMode) error {
 	if w != s.manifest.BaseW || h != s.manifest.BaseH || mode != img.RGB {
-		return fmt.Errorf("repstore: ingest image %dx%d/%v, store wants %dx%d/rgb",
-			w, h, mode, s.manifest.BaseW, s.manifest.BaseH)
+		return fmt.Errorf("%w: ingest image %dx%d/%v, store wants %dx%d/rgb",
+			ErrGeometry, w, h, mode, s.manifest.BaseW, s.manifest.BaseH)
 	}
 	return nil
 }
@@ -448,7 +448,7 @@ func (s *Store) writeStaged(first int) error {
 		return fmt.Errorf("repstore: appending to source.dat: %w", err)
 	}
 	for i, t := range s.xforms {
-		if _, err := s.reps[t.ID()].WriteAt(b.reps[i], int64(first)*int64(t.StoredBytes())); err != nil {
+		if _, err := s.reps[t].WriteAt(b.reps[i], int64(first)*int64(t.StoredBytes())); err != nil {
 			return fmt.Errorf("repstore: appending to %s: %w", repFileName(t.ID()), err)
 		}
 	}
@@ -472,9 +472,9 @@ func (s *Store) syncData() error {
 	if err := s.source.Sync(); err != nil {
 		return fmt.Errorf("repstore: syncing source.dat: %w", err)
 	}
-	for id, f := range s.reps {
+	for t, f := range s.reps {
 		if err := f.Sync(); err != nil {
-			return fmt.Errorf("repstore: syncing %s: %w", repFileName(id), err)
+			return fmt.Errorf("repstore: syncing %s: %w", repFileName(t.ID()), err)
 		}
 	}
 	s.dataSynced.Store(w)
@@ -520,7 +520,7 @@ func (s *Store) TruncateTo(n int) error {
 		return fmt.Errorf("repstore: truncating source.dat: %w", err)
 	}
 	for _, t := range s.xforms {
-		if err := s.reps[t.ID()].Truncate(int64(n) * int64(t.StoredBytes())); err != nil {
+		if err := s.reps[t].Truncate(int64(n) * int64(t.StoredBytes())); err != nil {
 			return fmt.Errorf("repstore: truncating %s: %w", repFileName(t.ID()), err)
 		}
 	}
@@ -542,56 +542,74 @@ func (s *Store) SourceRecord(i int, scratch *[]byte) (img.Record, error) {
 	if err := faults.Fire(faults.StoreDecode); err != nil {
 		return img.Record{}, fmt.Errorf("repstore: source record %d: %w", i, err)
 	}
-	return s.readRecord(s.source, i, s.sourceRecordSize(), "source.dat", scratch)
+	return s.readRecord(s.source, i, xform.Transform{}, scratch)
 }
 
-// LoadRep reads representation i for transform t. The transform must be one
-// the store materializes.
-func (s *Store) LoadRep(i int, t xform.Transform) (*img.Image, error) {
+// RepRecord reads representation i for transform t as stored, the way
+// SourceRecord reads a source: one ReadAt into *scratch, validated — and held
+// to t's own geometry — but not expanded. The transform must be one the store
+// materializes.
+func (s *Store) RepRecord(i int, t xform.Transform, scratch *[]byte) (img.Record, error) {
 	// faults.StoreRepSlow models a wedged disk (pure delay); StoreRepRead a
 	// failed representation read, which the engines degrade around.
 	_ = faults.Fire(faults.StoreRepSlow)
 	if err := faults.Fire(faults.StoreRepRead); err != nil {
-		return nil, fmt.Errorf("repstore: rep %s record %d: %w", t.ID(), i, err)
+		return img.Record{}, fmt.Errorf("repstore: rep %s record %d: %w", t.ID(), i, err)
 	}
-	f, ok := s.reps[t.ID()]
+	f, ok := s.reps[t]
 	if !ok {
-		return nil, fmt.Errorf("repstore: transform %s not materialized in this store", t.ID())
+		return img.Record{}, fmt.Errorf("repstore: transform %s not materialized in this store", t.ID())
 	}
-	buf := s.getScratch()
-	defer s.scratch.Put(buf)
-	rec, err := s.readRecord(f, i, t.StoredBytes(), repFileName(t.ID()), buf)
+	rec, err := s.readRecord(f, i, t, scratch)
+	if err == nil && (rec.W != t.Size || rec.H != t.Size || rec.Mode != t.Color) {
+		err = fmt.Errorf("%w: %s record %d is %dx%d/%v", ErrCorrupt, repFileName(t.ID()), i, rec.W, rec.H, rec.Mode)
+	}
+	return rec, err
+}
+
+// LoadRep reads representation i for transform t into a fresh image: RepRecord
+// decoded.
+func (s *Store) LoadRep(i int, t xform.Transform) (*img.Image, error) {
+	var buf []byte
+	rec, err := s.RepRecord(i, t, &buf)
 	if err != nil {
 		return nil, err
 	}
 	return rec.Image(), nil
 }
 
-func (s *Store) getScratch() *[]byte {
-	if buf, ok := s.scratch.Get().(*[]byte); ok {
-		return buf
-	}
-	return new([]byte)
-}
-
-// readRecord reads and validates record i of f into *scratch (grown to the
-// record size when smaller) and returns a view aliasing it.
-func (s *Store) readRecord(f *os.File, i, record int, name string, scratch *[]byte) (img.Record, error) {
+// readRecord reads and validates record i of t's data file — source.dat for
+// the zero Transform — into *scratch (grown to the record size when smaller)
+// and returns a view aliasing it.
+func (s *Store) readRecord(f *os.File, i int, t xform.Transform, scratch *[]byte) (img.Record, error) {
 	if n := s.Count(); i < 0 || i >= n {
 		return img.Record{}, fmt.Errorf("repstore: index %d out of range [0,%d)", i, n)
+	}
+	record := t.StoredBytes()
+	if t == (xform.Transform{}) {
+		record = s.sourceRecordSize()
 	}
 	if cap(*scratch) < record {
 		*scratch = make([]byte, record)
 	}
 	buf := (*scratch)[:record]
 	if _, err := f.ReadAt(buf, int64(i)*int64(record)); err != nil {
-		return img.Record{}, fmt.Errorf("repstore: reading %s record %d: %w", name, i, err)
+		return img.Record{}, fmt.Errorf("repstore: reading %s record %d: %w", dataFileName(t), i, err)
 	}
 	rec, err := img.ParseRecord(buf)
 	if err != nil {
-		return img.Record{}, fmt.Errorf("%w: %s record %d: %v", ErrCorrupt, name, i, err)
+		return img.Record{}, fmt.Errorf("%w: %s record %d: %v", ErrCorrupt, dataFileName(t), i, err)
 	}
 	return rec, nil
+}
+
+// dataFileName names t's data file, source.dat for the zero Transform. The
+// read path builds it for error text only.
+func dataFileName(t xform.Transform) string {
+	if t == (xform.Transform{}) {
+		return "source.dat"
+	}
+	return repFileName(t.ID())
 }
 
 // Close releases file handles. Safe to call more than once.
@@ -603,11 +621,11 @@ func (s *Store) Close() error {
 		}
 		s.source = nil
 	}
-	for id, f := range s.reps {
+	for t, f := range s.reps {
 		if err := f.Close(); err != nil && first == nil {
 			first = err
 		}
-		delete(s.reps, id)
+		delete(s.reps, t)
 	}
 	return first
 }

@@ -164,11 +164,11 @@ func TestValidationErrors(t *testing.T) {
 		t.Fatal("double create must error")
 	}
 	// Wrong ingest geometry.
-	if _, err := ingestOne(s, img.New(8, 8, img.RGB)); err == nil {
-		t.Fatal("wrong geometry ingest must error")
+	if _, err := ingestOne(s, img.New(8, 8, img.RGB)); !errors.Is(err, ErrGeometry) {
+		t.Fatalf("wrong geometry ingest: err = %v, want ErrGeometry", err)
 	}
-	if _, err := ingestOne(s, img.New(16, 16, img.Gray)); err == nil {
-		t.Fatal("non-RGB ingest must error")
+	if _, err := ingestOne(s, img.New(16, 16, img.Gray)); !errors.Is(err, ErrGeometry) {
+		t.Fatalf("non-RGB ingest: err = %v, want ErrGeometry", err)
 	}
 	// Unknown transform.
 	if _, err := s.LoadRep(0, xform.Transform{Size: 4, Color: img.Red}); err == nil {
@@ -177,6 +177,43 @@ func TestValidationErrors(t *testing.T) {
 	// Out-of-range index.
 	if _, err := loadSource(s, 0); err == nil {
 		t.Fatal("empty store load must error")
+	}
+}
+
+// TestRepRecordHeldToTransform: a served representation is the transform's
+// own geometry or it is corrupt. A rep record whose header was rewritten to
+// another shape of the same byte count (8×8 gray read back as 4×16) still
+// parses as TIMG, and RepRecord must refuse it rather than hand the engine a
+// differently shaped representation.
+func TestRepRecordHeldToTransform(t *testing.T) {
+	dir := t.TempDir()
+	tr := testTransforms[0]
+	s, err := Create(dir, 16, 16, []xform.Transform{tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.IngestAll([]*img.Image{randRGB(rand.New(rand.NewSource(5)), 16)}); err != nil {
+		t.Fatal(err)
+	}
+	var buf []byte
+	rec, err := s.RepRecord(0, tr, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, repFileName(tr.ID())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rec.AppendTo(nil), raw) {
+		t.Fatal("RepRecord is not the bytes the rep file holds")
+	}
+	reshaped := img.Record{W: 4, H: 16, Mode: img.Gray, Pix: rec.Pix}.AppendTo(nil)
+	if err := os.WriteFile(filepath.Join(dir, repFileName(tr.ID())), reshaped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.RepRecord(0, tr, &buf); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("a 4x16 record in the %s file: err = %v, want ErrCorrupt", tr.ID(), err)
 	}
 }
 

@@ -42,6 +42,7 @@ import (
 	"tahoma/internal/core"
 	"tahoma/internal/exec"
 	"tahoma/internal/img"
+	"tahoma/internal/repstore"
 	"tahoma/internal/vdb"
 )
 
@@ -667,7 +668,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	udf, err := s.db.AppendRecords(recs, metas)
 	s.inflight.Add(-1)
 	release()
-	if err != nil {
+	switch {
+	case errors.Is(err, repstore.ErrGeometry):
+		// A frame the store cannot hold is the body's fault; no row counted.
+		writeError(w, http.StatusBadRequest, err)
+		return
+	case err != nil:
 		s.stats.errors.Add(1)
 		writeError(w, http.StatusInternalServerError, err)
 		return

@@ -3,6 +3,7 @@ package vdb
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -152,14 +153,8 @@ func (db *DB) analyzeOnce(ctx context.Context, o AnalyzerOptions) (worked bool, 
 	// The usage table keys by the exact cascade queries selected; if the
 	// constraint knob selects a different one for this predicate, honor the
 	// usage key — that is the column repeat queries will read.
-	var spec *cascade.Spec
-	for i := range pred.Results {
-		if pred.Results[i].Spec.ID() == key.Cascade {
-			spec = &pred.Results[i].Spec
-			break
-		}
-	}
-	if spec == nil {
+	idx := slices.IndexFunc(pred.Results, func(r cascade.Result) bool { return r.Spec.ID() == key.Cascade })
+	if idx < 0 {
 		return false, nil
 	}
 	batch := st.cols.Get(key).InvalidN(st.n, o.batchRows())
@@ -170,7 +165,7 @@ func (db *DB) analyzeOnce(ctx context.Context, o AnalyzerOptions) (worked bool, 
 	// RepSource included.
 	opts := st.contentExecOpts()
 	opts.Workers = o.workers()
-	fresh, rep, err := st.classify(ctx, st.corpus, pred, *spec, batch, opts)
+	fresh, rep, err := st.classify(ctx, st.corpus, pred, idx, batch, opts)
 	if err != nil {
 		if ctx.Err() != nil {
 			// Shutdown mid-batch: not an analyzer failure, nothing publishes.

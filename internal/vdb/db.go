@@ -39,6 +39,21 @@ type Predicate struct {
 	System   *core.System
 	Results  []cascade.Result
 	Frontier []pareto.Point
+	// runtimes holds the executable form of every frontier cascade, keyed by
+	// its Results index and built at install. A single-cascade run —
+	// a sequential query step, the ingest trigger, the analyzer — uses its
+	// runtime's engine, so warm workers keep their model clones and pooled
+	// buffers from one statement to the next. Never written once published.
+	runtimes map[int]*cascade.Runtime
+}
+
+// runtime returns the executable form of Results[i]: the installed runtime
+// of a frontier cascade, a fresh one for any other.
+func (p *Predicate) runtime(i int) (*cascade.Runtime, error) {
+	if rt, ok := p.runtimes[i]; ok {
+		return rt, nil
+	}
+	return p.System.Runtime(p.Results[i].Spec)
 }
 
 // column is a partially-materialized virtual predicate column: a label
@@ -115,10 +130,11 @@ func (s *storeCorpus) appendRecords(base int, recs []img.Record, journaled bool)
 }
 
 // repSource adapts a store-backed corpus (and its LRU cache) to
-// exec.RepSource, so the execution engines load pre-materialized
+// exec.RepRecordSource, so the execution engines load pre-materialized
 // representations instead of decoding the source and transforming — the
 // physical fast path the ARCHIVE and ONGOING scenarios price. Served pixels
-// are the store's quantized records, exactly what those scenarios load.
+// are the store's quantized records, exactly what those scenarios load, and
+// the cache keeps them as those records.
 type repSource struct {
 	sc    *storeCorpus
 	avail map[string]xform.Transform
@@ -137,6 +153,14 @@ func (r *repSource) HasRep(id string) bool {
 	return ok
 }
 
+// RepRecord implements exec.RepRecordSource: the row's resident rep record,
+// keyed by the slot's Transform.
+func (r *repSource) RepRecord(i int, t xform.Transform) (img.Record, error) {
+	return r.sc.cache.RepRecord(i, t)
+}
+
+// Rep serves a decoded image only to satisfy exec.RepSource: the engine
+// detects RepRecord and never calls it.
 func (r *repSource) Rep(i int, id string) (*img.Image, error) {
 	t, ok := r.avail[id]
 	if !ok {
@@ -503,6 +527,12 @@ func (db *DB) InstallPredicate(category string, sys *core.System, maxDepth int) 
 		return fmt.Errorf("vdb: installing %q: %w", category, err)
 	}
 	frontier := pareto.Frontier(core.Points(results))
+	runtimes := make(map[int]*cascade.Runtime, len(frontier))
+	for _, pt := range frontier {
+		if runtimes[pt.Index], err = sys.Runtime(results[pt.Index].Spec); err != nil {
+			return fmt.Errorf("vdb: installing %q: %w", category, err)
+		}
+	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if _, ok := db.predicates[category]; ok {
@@ -516,6 +546,7 @@ func (db *DB) InstallPredicate(category string, sys *core.System, maxDepth int) 
 		System:   sys,
 		Results:  results,
 		Frontier: frontier,
+		runtimes: runtimes,
 	}
 	// Seed the adaptive selectivity catalog with the evaluation-set
 	// positive rate — the install-time estimate every plan starts from

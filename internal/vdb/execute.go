@@ -190,7 +190,9 @@ func (p *queryPlan) execute(ctx context.Context) (*Result, []overlay, error) {
 // the steps' cascades share one representation-slot plan, and per-cascade
 // need masks keep steps with different cached coverage from re-classifying
 // rows they already know. Steps with nothing to classify — fully covered, or
-// a later mention of a column an earlier step fills — stay out of the run.
+// a later mention of a column an earlier step fills — stay out of the run. A
+// run of one step uses its cascade's installed engine, warm from earlier
+// statements; only a fused run plans an engine of its own.
 func (p *queryPlan) classifyMissing(ctx context.Context, res *Result, cols []stepColumn, lo, hi int, live *bitset.Set) error {
 	st := p.st
 	var steps []int
@@ -207,11 +209,7 @@ func (p *queryPlan) classifyMissing(ctx context.Context, res *Result, cols []ste
 			continue
 		}
 		taken[cs.col] = true
-		rt, err := cascade.NewRuntime(cs.spec, cs.pred.System.Models, cs.pred.System.Thresholds)
-		if err != nil {
-			return err
-		}
-		steps, needs, rts = append(steps, si), append(needs, need), append(rts, rt)
+		steps, needs, rts = append(steps, si), append(needs, need), append(rts, cs.rt)
 	}
 	if len(steps) == 0 {
 		return nil
@@ -233,7 +231,10 @@ func (p *queryPlan) classifyMissing(ctx context.Context, res *Result, cols []ste
 			mask[k][j] = need.Get(idx)
 		}
 	}
-	eng, err := cascade.NewEngine(rts...)
+	eng, err := rts[0].Engine()
+	if len(rts) > 1 {
+		eng, err = cascade.NewEngine(rts...)
+	}
 	if err != nil {
 		return err
 	}

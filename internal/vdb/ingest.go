@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"tahoma/internal/cascade"
 	"tahoma/internal/core"
 	"tahoma/internal/exec"
 	"tahoma/internal/img"
@@ -166,7 +165,7 @@ func (db *DB) AppendRecords(recs []img.Record, meta []Metadata) (udfCalls int, e
 	// column is complete.
 	type triggerJob struct {
 		pred    *Predicate
-		spec    cascade.Spec
+		cascade int // index into pred.Results
 		missing []int
 	}
 	var jobs []triggerJob
@@ -177,7 +176,7 @@ func (db *DB) AppendRecords(recs []img.Record, meta []Metadata) (udfCalls int, e
 		}
 		spec := pred.Results[point.Index].Spec
 		if missing := st.cols.Get(matKey(pred, spec)).InvalidN(st.n, -1); len(missing) > 0 {
-			jobs = append(jobs, triggerJob{pred, spec, missing})
+			jobs = append(jobs, triggerJob{pred, point.Index, missing})
 		}
 	}
 
@@ -197,7 +196,7 @@ func (db *DB) AppendRecords(recs []img.Record, meta []Metadata) (udfCalls int, e
 		src = &batchSource{RecordSource: view, base: base, recs: recs}
 	}
 	for _, jb := range jobs {
-		o, rep, cerr := st.classify(context.TODO(), src, jb.pred, jb.spec, jb.missing, opts)
+		o, rep, cerr := st.classify(context.TODO(), src, jb.pred, jb.cascade, jb.missing, opts)
 		if cerr != nil {
 			return udfCalls, fmt.Errorf("vdb: trigger classify for %q: %w", jb.pred.Category, cerr)
 		}

@@ -158,7 +158,7 @@ func TestTriggerLeavesRecordCacheAlone(t *testing.T) {
 		}
 		spec := pred.Results[point.Index].Spec
 		rows := []int{24, 25, 26, 27, 28, 29, 30, 31}
-		viaCache, _, err := st.classify(context.Background(), st.corpus, pred, spec, rows, st.execOpts)
+		viaCache, _, err := st.classify(context.Background(), st.corpus, pred, point.Index, rows, st.execOpts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,7 +16,8 @@ type contentStep struct {
 	cond     ContentCond
 	pred     *Predicate
 	spec     cascade.Spec
-	expected cascade.Result // evaluator's estimate for the chosen cascade
+	rt       *cascade.Runtime // spec's executable form, shared across statements
+	expected cascade.Result   // evaluator's estimate for the chosen cascade
 	// col indexes queryPlan.keys: steps that name the same (predicate,
 	// cascade) — X AND NOT X — share one column, so they are one
 	// classification, not two.
@@ -81,13 +82,17 @@ func (st *readState) plan(q *Query, constraints core.Constraints) (*queryPlan, e
 			return nil, fmt.Errorf("vdb: selecting cascade for %q: %w", cc.Category, err)
 		}
 		res := pred.Results[point.Index]
+		rt, err := pred.runtime(point.Index)
+		if err != nil {
+			return nil, fmt.Errorf("vdb: cascade for %q: %w", cc.Category, err)
+		}
 		key := matKey(pred, res.Spec)
 		col := slices.Index(plan.keys, key)
 		if col < 0 {
 			col = len(plan.keys)
 			plan.keys = append(plan.keys, key)
 		}
-		textual = append(textual, contentStep{cond: cc, pred: pred, spec: res.Spec, expected: res, col: col})
+		textual = append(textual, contentStep{cond: cc, pred: pred, spec: res.Spec, rt: rt, expected: res, col: col})
 		ps, err := st.plannerStep(i, cc, pred, res)
 		if err != nil {
 			return nil, fmt.Errorf("vdb: costing cascade for %q: %w", cc.Category, err)

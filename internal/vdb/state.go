@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"tahoma/internal/cascade"
 	"tahoma/internal/exec"
 	"tahoma/internal/img"
 	"tahoma/internal/matstore"
@@ -95,12 +94,13 @@ type overlay struct {
 	col *column
 }
 
-// classify runs one cascade over rows of src — the pinned corpus, or a view
-// of it that serves some rows from memory — and returns the labels as an
-// overlay for that cascade's column: the whole of what the ingest trigger and
-// the analyzer do between pinning a state and publishing.
-func (st *readState) classify(ctx context.Context, src exec.Source, pred *Predicate, spec cascade.Spec, rows []int, opts exec.Options) (overlay, *exec.Report, error) {
-	rt, err := cascade.NewRuntime(spec, pred.System.Models, pred.System.Thresholds)
+// classify runs cascade pred.Results[i] over rows of src — the pinned
+// corpus, or a view of it that serves some rows from memory — on that
+// cascade's installed engine, and returns the labels as an overlay for its
+// column: the whole of what the ingest trigger and the analyzer do between
+// pinning a state and publishing.
+func (st *readState) classify(ctx context.Context, src exec.Source, pred *Predicate, i int, rows []int, opts exec.Options) (overlay, *exec.Report, error) {
+	rt, err := pred.runtime(i)
 	if err != nil {
 		return overlay{}, nil, err
 	}
@@ -112,7 +112,7 @@ func (st *readState) classify(ctx context.Context, src exec.Source, pred *Predic
 	if err != nil {
 		return overlay{}, nil, err
 	}
-	o := overlay{key: matKey(pred, spec), col: matstore.NewColumn()}
+	o := overlay{key: matKey(pred, pred.Results[i].Spec), col: matstore.NewColumn()}
 	o.col.Grow(st.n)
 	for j, idx := range rows {
 		o.col.SetLabel(idx, rep.Labels[0][j])

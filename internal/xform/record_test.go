@@ -78,13 +78,14 @@ func TestApplyRecordParity(t *testing.T) {
 }
 
 // TestApplyRecordAllocs: into a matching destination the pass allocates
-// nothing — the engine's steady state depends on it.
+// nothing — the engine's steady state depends on it — including the identity
+// case (32×32 RGB over a 32×32 RGB record) a served representation takes.
 func TestApplyRecordAllocs(t *testing.T) {
 	rec, err := img.ParseRecord(randRecord(t, rand.New(rand.NewSource(3)), 32, 32, img.RGB))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tr := range []Transform{{Size: 16, Color: img.Gray}, {Size: 8, Color: img.RGB}, {Size: 32, Color: img.Green}} {
+	for _, tr := range []Transform{{Size: 16, Color: img.Gray}, {Size: 8, Color: img.RGB}, {Size: 32, Color: img.Green}, {Size: 32, Color: img.RGB}} {
 		dst := tr.ApplyRecord(nil, rec)
 		if avg := testing.AllocsPerRun(20, func() { dst = tr.ApplyRecord(dst, rec) }); avg != 0 {
 			t.Fatalf("%s: %.1f allocations per call into a matching destination, want 0", tr.ID(), avg)

@@ -127,6 +127,12 @@ func (t Transform) ApplyRecord(dst *img.Image, rec img.Record) *img.Image {
 	if dst == nil || dst.W != t.Size || dst.H != t.Size || dst.Mode != mode {
 		dst = img.New(t.Size, t.Size, mode)
 	}
+	if rec.W == t.Size && rec.H == t.Size && rec.Mode == mode {
+		// The record already is the representation (a served rep): expand
+		// it in one pass, with no taps to build.
+		img.UnitsInto(dst.Pix, rec.Pix)
+		return dst
+	}
 	var stack [stackTaps]colTap
 	cols := stack[:]
 	if t.Size > stackTaps {
@@ -157,9 +163,7 @@ func (t Transform) ApplyRecord(dst *img.Image, rec img.Record) *img.Image {
 func resizePlane(dst []float32, src []byte, w, h int, cols []colTap) {
 	size := len(cols)
 	if w == size && h == size {
-		for i, b := range src {
-			dst[i] = img.Unit(b)
-		}
+		img.UnitsInto(dst, src)
 		return
 	}
 	yScale := float32(h) / float32(size)
