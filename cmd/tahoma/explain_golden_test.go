@@ -130,22 +130,46 @@ func TestExplainGolden(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			out := captureStdout(t, func() error { return cmdQuery("explain", tc.args) })
-			golden := filepath.Join("testdata", "explain_"+tc.name+".golden")
-			if *update {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(golden, []byte(out), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want, err := os.ReadFile(golden)
-			if err != nil {
-				t.Fatalf("%v (run with -update to create)", err)
-			}
-			if out != string(want) {
-				t.Errorf("explain drifted from %s.\n--- got ---\n%s--- want ---\n%s", golden, out, want)
-			}
+			checkGolden(t, "explain_"+tc.name, out)
 		})
+	}
+}
+
+// TestFrontierGolden pins `tahoma frontier` byte for byte under the analytic
+// cost model: the cascades it evaluates, the Pareto set and the level
+// occupancy of the 5%-loss pick. Regenerate with:
+//
+//	go test ./cmd/tahoma -run TestFrontierGolden -update
+func TestFrontierGolden(t *testing.T) {
+	zooDir, _ := buildCLIFixture(t)
+	for _, scen := range []string{"camera", "ongoing"} {
+		t.Run(scen, func(t *testing.T) {
+			out := captureStdout(t, func() error {
+				return cmdFrontier([]string{"-zoo", zooDir, "-scenario", scen})
+			})
+			checkGolden(t, "frontier_"+scen, out)
+		})
+	}
+}
+
+// checkGolden compares out with testdata/<name>.golden, rewriting the file
+// first under -update.
+func checkGolden(t *testing.T, name, out string) {
+	t.Helper()
+	golden := filepath.Join("testdata", name+".golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(out), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create)", err)
+	}
+	if out != string(want) {
+		t.Errorf("output drifted from %s.\n--- got ---\n%s--- want ---\n%s", golden, out, want)
 	}
 }

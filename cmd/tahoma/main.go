@@ -39,7 +39,6 @@ import (
 	"tahoma/internal/exec"
 	"tahoma/internal/img"
 	"tahoma/internal/pareto"
-	"tahoma/internal/profile"
 	"tahoma/internal/repstore"
 	"tahoma/internal/scenario"
 	"tahoma/internal/synth"
@@ -91,10 +90,6 @@ commands:
 
 categories: %s
 `, strings.Join(synth.CategoryNames(), ", "))
-}
-
-func parseScenario(s string) (scenario.Kind, error) {
-	return scenario.ParseKind(s)
 }
 
 func cmdCorpus(args []string) error {
@@ -228,7 +223,7 @@ func (f *corpusFlags) openDB(cmd string) (*vdb.DB, *repstore.Store, error) {
 	if f.cacheMB <= 0 {
 		return nil, nil, fmt.Errorf("%s: -cache-mb %d: the corpus is read only through the record cache, whose budget must be at least 1 MiB", cmd, f.cacheMB)
 	}
-	kind, err := parseScenario(f.scenario)
+	kind, err := scenario.ParseKind(f.scenario)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -264,12 +259,11 @@ func cmdFrontier(args []string) error {
 	fs := flag.NewFlagSet("frontier", flag.ExitOnError)
 	zooDir := fs.String("zoo", "", "model repository directory (required)")
 	scen := fs.String("scenario", "camera", "deployment scenario")
-	profiled := fs.Bool("profiled", false, "price cascades with costs measured on this machine instead of the analytic model")
 	fs.Parse(args)
 	if *zooDir == "" {
 		return fmt.Errorf("frontier: -zoo is required")
 	}
-	kind, err := parseScenario(*scen)
+	kind, err := scenario.ParseKind(*scen)
 	if err != nil {
 		return err
 	}
@@ -277,33 +271,9 @@ func cmdFrontier(args []string) error {
 	if err != nil {
 		return err
 	}
-	var cm scenario.CostModel
-	if *profiled {
-		// Measure real load/transform/infer costs for every model on this
-		// machine (the paper's cost profiler), then price with them.
-		srcSize := sys.Models[sys.DeepIdx].Xform.Size
-		probe := synth.Categories()[0]
-		sp, err := synth.GenerateBinary(probe, synth.Options{
-			BaseSize: srcSize, TrainN: 8, ConfigN: 2, EvalN: 2, Seed: 1,
-		})
-		if err != nil {
-			return err
-		}
-		var samples []*img.Image
-		for _, e := range sp.Train.Examples {
-			samples = append(samples, e.Image)
-		}
-		log.Printf("profiling %d models on this machine...", len(sys.Models))
-		meas, err := profile.Measure(sys.Models, samples, profile.Options{})
-		if err != nil {
-			return err
-		}
-		cm = meas.CostModel(kind)
-	} else {
-		cm, err = scenario.NewAnalytic(kind, scenario.DefaultParams())
-		if err != nil {
-			return err
-		}
+	cm, err := scenario.NewAnalytic(kind, scenario.DefaultParams())
+	if err != nil {
+		return err
 	}
 	results, err := sys.EvaluateCascades(sys.BuildOptions(2), cm)
 	if err != nil {

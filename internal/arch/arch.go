@@ -7,6 +7,8 @@ package arch
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 
@@ -53,16 +55,71 @@ func (s Spec) MinInputSize() int {
 	return size
 }
 
+// ParamCount returns how many float32 parameters Build(channels, size) would
+// allocate, allocating nothing itself: the check a persisted weight blob is
+// held to before any network is built from an untrusted spec. It fails on
+// exactly the inputs Build rejects, and on a count past math.MaxInt.
+func (s Spec) ParamCount(channels, size int) (int, error) {
+	if err := s.Validate(); err != nil {
+		return 0, err
+	}
+	if channels <= 0 {
+		return 0, fmt.Errorf("arch: channel count must be positive, got %d", channels)
+	}
+	// size ≥ MinInputSize ⇔ the last block's output is still ≥ 2 wide;
+	// halving instead of doubling cannot overflow.
+	sp := size
+	for i := 0; i < s.ConvLayers && sp >= 2; i++ {
+		sp /= 2
+	}
+	if sp < 2 {
+		return 0, fmt.Errorf("arch: input size %d too small for %d conv/pool blocks", size, s.ConvLayers)
+	}
+	var c checked
+	ch := channels
+	for i := 0; i < s.ConvLayers; i++ {
+		c.add(c.mul(c.mul(c.mul(s.ConvWidth, ch), s.Kernel), s.Kernel), s.ConvWidth)
+		ch = s.ConvWidth
+	}
+	flat := c.mul(c.mul(ch, sp), sp)
+	c.add(c.mul(s.DenseWidth, flat), s.DenseWidth)
+	c.add(s.DenseWidth, 1)
+	if c.over {
+		return 0, fmt.Errorf("arch: %s over %d×%d×%d has more than %d parameters", s.ID(), channels, size, size, math.MaxInt)
+	}
+	return c.n, nil
+}
+
+// checked accumulates a non-negative parameter count, latching over once
+// any product or sum passes math.MaxInt.
+type checked struct {
+	n    int
+	over bool
+}
+
+func (c *checked) mul(a, b int) int {
+	hi, lo := bits.Mul64(uint64(a), uint64(b))
+	if hi != 0 || lo > math.MaxInt {
+		c.over = true
+	}
+	return int(lo & math.MaxInt)
+}
+
+func (c *checked) add(terms ...int) {
+	for _, v := range terms {
+		if v > math.MaxInt-c.n {
+			c.over = true
+		}
+		c.n = (c.n + v) & math.MaxInt
+	}
+}
+
 // Build constructs an untrained network for a channels×size×size input
 // following the Figure 3 template: [conv → relu → maxpool]×N → flatten →
 // dense → relu → dense(1). The final sigmoid lives in the loss/Predict.
 func (s Spec) Build(channels, size int) (*nn.Network, error) {
-	if err := s.Validate(); err != nil {
+	if _, err := s.ParamCount(channels, size); err != nil {
 		return nil, err
-	}
-	if size < s.MinInputSize() {
-		return nil, fmt.Errorf("arch: input size %d too small for %d conv/pool blocks (min %d)",
-			size, s.ConvLayers, s.MinInputSize())
 	}
 	var layers []nn.Layer
 	ch := channels

@@ -1,6 +1,7 @@
 package cascade
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -28,10 +29,10 @@ func batchFixtureRuntime(t *testing.T, seed int64) *Runtime {
 	return rt
 }
 
-// TestClassifyBatchParity: property-style check of the satellite
-// requirement — for all worker counts 1..N and a spread of batch sizes,
-// ClassifyBatch returns bit-identical labels and identical RepsCreated /
-// LevelsRun accounting to per-image Runtime.Classify on the same corpus.
+// TestClassifyBatchParity: for all worker counts 1..N and a spread of batch
+// sizes, ClassifyBatchContext returns bit-identical labels and identical
+// RepsCreated / LevelsRun accounting to per-image Runtime.Classify on the
+// same corpus.
 func TestClassifyBatchParity(t *testing.T) {
 	rt := batchFixtureRuntime(t, 91)
 	rng := rand.New(rand.NewSource(92))
@@ -55,7 +56,7 @@ func TestClassifyBatchParity(t *testing.T) {
 	for workers := 1; workers <= 4; workers++ {
 		for _, batch := range []int{1, 2, 5, 16, 37, 100} {
 			t.Run(fmt.Sprintf("w=%d/b=%d", workers, batch), func(t *testing.T) {
-				rep, err := rt.ClassifyBatch(srcs, exec.Options{Workers: workers, Batch: batch})
+				rep, err := rt.ClassifyBatchContext(context.Background(), srcs, exec.Options{Workers: workers, Batch: batch})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -78,7 +79,7 @@ func TestClassifyBatchParity(t *testing.T) {
 // TestEmptyRuntimeRejected: a manually-assembled runtime with no levels has
 // no engine, and every batch entry point says so instead of panicking.
 func TestEmptyRuntimeRejected(t *testing.T) {
-	if _, err := (&Runtime{}).ClassifyBatch(nil, exec.Options{}); err == nil {
+	if _, err := (&Runtime{}).ClassifyBatchContext(context.Background(), nil, exec.Options{}); err == nil {
 		t.Fatal("classifying through an empty runtime must error")
 	}
 	if _, err := NewEngine(batchFixtureRuntime(t, 95), &Runtime{}); err == nil {

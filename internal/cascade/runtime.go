@@ -81,48 +81,23 @@ func NewEngine(rts ...*Runtime) (*exec.Engine, error) {
 	return exec.New(cascades...)
 }
 
-// Trace records what one classification did, for cost verification and
-// debugging.
-type Trace struct {
-	LevelsRun   int
-	RepsCreated []string // transform IDs materialized, in order
-	Scores      []float32
-}
-
 // Classify runs the cascade on a full-size source image, returning the
 // binary label. The trace reports executed levels and materialized
 // representations.
-func (rt *Runtime) Classify(src *img.Image) (bool, Trace, error) {
+func (rt *Runtime) Classify(src *img.Image) (bool, exec.Trace, error) {
 	eng, err := rt.Engine()
 	if err != nil {
-		return false, Trace{}, err
+		return false, exec.Trace{}, err
 	}
-	label, tr, err := eng.ClassifyOne(0, src)
-	return label, Trace{LevelsRun: tr.LevelsRun, RepsCreated: tr.RepsCreated, Scores: tr.Scores}, err
+	return eng.ClassifyOne(0, src)
 }
 
-// ClassifyAll labels a batch of source images through the engine with
-// default options.
-func (rt *Runtime) ClassifyAll(srcs []*img.Image) ([]bool, error) {
-	rep, err := rt.ClassifyBatch(srcs, exec.Options{})
-	if err != nil {
-		return nil, err
-	}
-	return rep.Labels[0], nil
-}
-
-// ClassifyBatch labels a batch of source images across the engine's worker
-// pool, returning the full execution report (labels — Labels[0], the
+// ClassifyBatchContext labels a batch of source images across the engine's
+// worker pool, returning the full execution report (labels — Labels[0], the
 // runtime's one cascade — plus per-batch stats). Labels are bit-identical to
-// per-image Classify calls at every worker count and batch size.
-func (rt *Runtime) ClassifyBatch(srcs []*img.Image, opts exec.Options) (*exec.Report, error) {
-	return rt.ClassifyBatchContext(context.Background(), srcs, opts)
-}
-
-// ClassifyBatchContext is ClassifyBatch with cooperative cancellation: the
-// engine checks ctx between batches and levels, and a cancelled run returns
-// ctx's error with a partial report (Cancelled set) whose labels must not be
-// used.
+// per-image Classify calls at every worker count and batch size. The engine
+// checks ctx between batches and levels, and a cancelled run returns ctx's
+// error with a partial report (Cancelled set) whose labels must not be used.
 func (rt *Runtime) ClassifyBatchContext(ctx context.Context, srcs []*img.Image, opts exec.Options) (*exec.Report, error) {
 	eng, err := rt.Engine()
 	if err != nil {

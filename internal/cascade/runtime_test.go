@@ -117,33 +117,6 @@ func TestRuntimeErrors(t *testing.T) {
 	}
 }
 
-func TestClassifyAll(t *testing.T) {
-	f := newFixture(t, 66, 3, 1, 8)
-	spec := Spec{Depth: 1, L: [MaxLevels]LevelRef{{Model: 0, Thresh: Final}}}
-	rt, err := NewRuntime(spec, f.models, f.ths)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(67))
-	srcs := []*img.Image{randSource(rng, 32), randSource(rng, 32), randSource(rng, 32)}
-	labels, err := rt.ClassifyAll(srcs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(labels) != 3 {
-		t.Fatalf("got %d labels", len(labels))
-	}
-	for i, src := range srcs {
-		want, _, err := rt.Classify(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if labels[i] != want {
-			t.Fatalf("label %d differs from single classification", i)
-		}
-	}
-}
-
 func TestSpecLevelsAndDescribe(t *testing.T) {
 	f := newFixture(t, 68, 2, 1, 8)
 	s := Spec{Depth: 2, L: [MaxLevels]LevelRef{{Model: 0, Thresh: 0}, {Model: 1, Thresh: Final}}}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"tahoma/internal/cascade"
@@ -138,37 +137,4 @@ func (s *Suite) baselineOptions(i int) cascade.BuildOptions {
 		AppendDeep:  true,
 		DeepModel:   sys.DeepIdx,
 	}
-}
-
-// RunAll executes every experiment in paper order, writing rows to w.
-func (s *Suite) RunAll(w io.Writer) error {
-	s.TableII(w)
-	if _, err := s.Figure4(w); err != nil {
-		return fmt.Errorf("figure 4: %w", err)
-	}
-	if _, err := s.Figure5(w); err != nil {
-		return fmt.Errorf("figure 5: %w", err)
-	}
-	if _, err := s.Figure6(w); err != nil {
-		return fmt.Errorf("figure 6: %w", err)
-	}
-	if _, err := s.Figure7(w); err != nil {
-		return fmt.Errorf("figure 7: %w", err)
-	}
-	if _, err := s.Figure8(w); err != nil {
-		return fmt.Errorf("figure 8: %w", err)
-	}
-	if _, err := s.Figure9(w); err != nil {
-		return fmt.Errorf("figure 9: %w", err)
-	}
-	if _, err := s.TableIII(w); err != nil {
-		return fmt.Errorf("table III: %w", err)
-	}
-	if _, err := s.Figure10(w); err != nil {
-		return fmt.Errorf("figure 10: %w", err)
-	}
-	if _, err := s.Figure11(w); err != nil {
-		return fmt.Errorf("figure 11: %w", err)
-	}
-	return nil
 }

@@ -44,9 +44,6 @@ func newNetwork(inShape []int, layers []Layer) *Network {
 	return n
 }
 
-// InShape returns the expected CHW input shape.
-func (n *Network) InShape() []int { return n.inShape }
-
 // Init initializes all parameterized layers from rng.
 func (n *Network) Init(rng *rand.Rand) {
 	for _, l := range n.Layers {

@@ -11,10 +11,9 @@
 // them (CAMERA); and the cost model used implicitly by most computer-vision
 // work counts inference alone (INFER_ONLY).
 //
-// A CostModel prices the three terms for a specific scenario. Analytic
-// models price from first principles (bytes, operation counts) and are fully
-// deterministic; profiled models carry measurements taken on the deployed
-// system by internal/profile.
+// A CostModel prices the three terms for a specific scenario. The one
+// implementation, Analytic, prices from first principles (bytes, operation
+// counts) and is fully deterministic.
 package scenario
 
 import (
@@ -196,45 +195,3 @@ func (a *Analytic) RepCost(t xform.Transform) float64 {
 func (a *Analytic) InferCost(m *model.Model) float64 {
 	return float64(m.MACs())*a.params.InferSecPerMAC + a.params.InferOverheadSec
 }
-
-// Profiled is a CostModel backed by measurements taken on the deployed
-// system (see internal/profile). Missing entries price as zero, so callers
-// should profile every model and transform they intend to evaluate.
-type Profiled struct {
-	Scenario  Kind
-	Source    float64            // measured full-image load+decode seconds
-	Loads     map[string]float64 // transform ID → measured rep load seconds
-	Transform map[string]float64 // transform ID → measured rep transform seconds
-	Infer     map[string]float64 // model ID → measured inference seconds
-}
-
-// Name implements CostModel.
-func (p *Profiled) Name() string { return p.Scenario.String() + "/profiled" }
-
-// Kind implements CostModel.
-func (p *Profiled) Kind() Kind { return p.Scenario }
-
-// SourceCost implements CostModel.
-func (p *Profiled) SourceCost() float64 {
-	if p.Scenario != Archive {
-		return 0
-	}
-	return p.Source
-}
-
-// RepCost implements CostModel.
-func (p *Profiled) RepCost(t xform.Transform) float64 {
-	switch p.Scenario {
-	case InferOnly:
-		return 0
-	case Archive, Camera:
-		return p.Transform[t.ID()]
-	case Ongoing:
-		return p.Loads[t.ID()]
-	default:
-		return 0
-	}
-}
-
-// InferCost implements CostModel.
-func (p *Profiled) InferCost(m *model.Model) float64 { return p.Infer[m.ID()] }

@@ -128,41 +128,6 @@ func TestOngoingCheaperThanArchiveForSmallReps(t *testing.T) {
 	}
 }
 
-func TestProfiledLookups(t *testing.T) {
-	m := testModel(t, 8, img.Gray)
-	pr := &Profiled{
-		Scenario:  Ongoing,
-		Source:    0.5,
-		Loads:     map[string]float64{m.Xform.ID(): 0.001},
-		Transform: map[string]float64{m.Xform.ID(): 0.002},
-		Infer:     map[string]float64{m.ID(): 0.003},
-	}
-	if pr.SourceCost() != 0 {
-		t.Fatal("ONGOING profiled source cost must be 0")
-	}
-	if pr.RepCost(m.Xform) != 0.001 {
-		t.Fatal("ONGOING must use load costs")
-	}
-	if pr.InferCost(m) != 0.003 {
-		t.Fatal("infer lookup wrong")
-	}
-	pr.Scenario = Camera
-	if pr.RepCost(m.Xform) != 0.002 {
-		t.Fatal("CAMERA must use transform costs")
-	}
-	pr.Scenario = Archive
-	if pr.SourceCost() != 0.5 {
-		t.Fatal("ARCHIVE must pay the measured source cost")
-	}
-	pr.Scenario = InferOnly
-	if pr.RepCost(m.Xform) != 0 {
-		t.Fatal("INFER_ONLY must not pay rep costs")
-	}
-	if pr.Name() != "INFER_ONLY/profiled" {
-		t.Fatalf("Name = %s", pr.Name())
-	}
-}
-
 func TestParseKind(t *testing.T) {
 	cases := map[string]Kind{
 		"camera": Camera, "CAMERA": Camera, "archive": Archive,

@@ -108,14 +108,11 @@ func (c *Client) Retries() int64 { return c.retries.Load() }
 // QueryOptions are the per-request cascade-selection constraints.
 type QueryOptions struct {
 	// MaxAccuracyLoss is the accuracy budget (Uacc). nil defers to the
-	// server's default; AccuracyLoss(0) explicitly requests the most
+	// server's default; a pointer to 0 explicitly requests the most
 	// accurate cascade.
 	MaxAccuracyLoss *float64
 	MinThroughput   float64
 }
-
-// AccuracyLoss builds an explicit accuracy budget for QueryOptions.
-func AccuracyLoss(v float64) *float64 { return &v }
 
 func decodeError(resp *http.Response) error {
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"tahoma/internal/core"
+	"tahoma/internal/planner"
 )
 
 // BenchmarkDashboardStatement times one bitmap-served statement of each shape
@@ -27,7 +28,7 @@ func BenchmarkDashboardStatement(b *testing.B) {
 		if err := db.LoadCorpus(cycledImages(rows), meta); err != nil {
 			b.Fatal(err)
 		}
-		db.SetPlanOptions(PlanOptions{Fusion: FusionNever})
+		db.setPlanOptions(planner.Options{Fusion: planner.FusionNever})
 		return db
 	}
 	// Both DBs are warmed once for all sub-benchmarks: the panels' by two

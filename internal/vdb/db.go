@@ -329,56 +329,6 @@ func (db *DB) MatStats() MatStats {
 	return MatStats{Mode: mode.String(), Rows: len(db.meta), Stats: db.mat.Stats()}
 }
 
-// PlanOrder selects the content-predicate ordering policy; see the planner
-// package for semantics.
-type PlanOrder = planner.Order
-
-// Ordering policies: rank (cost / (1 − selectivity), the default) and
-// static (evaluator cheapest-first, the parity oracle).
-const (
-	OrderRank   = planner.OrderRank
-	OrderStatic = planner.OrderStatic
-)
-
-// FusionPolicy selects how the planner decides fused-vs-sequential content
-// execution; see the planner package for semantics.
-type FusionPolicy = planner.FusionPolicy
-
-// Fusion policies: cost-based (default), the legacy slot-sharing gate, and
-// never (every plan sequential).
-const (
-	FusionCost   = planner.FusionCost
-	FusionShared = planner.FusionShared
-	FusionNever  = planner.FusionNever
-)
-
-// PlanOptions control query planning.
-type PlanOptions struct {
-	// Order selects content-predicate ordering. The zero value is
-	// OrderRank: order by expected cost over expected filtering power,
-	// using the adaptive selectivity catalog. OrderStatic keeps the
-	// cheapest-expected-cascade-first ordering as an escape hatch and
-	// parity oracle — both orders produce bit-identical labels, only the
-	// work to reach them differs.
-	Order PlanOrder
-	// Fusion selects the fused-vs-sequential decision policy. The zero
-	// value is FusionCost: fuse only when the estimated fused cost beats
-	// sequential narrowing. FusionShared restores the pre-cost-model gate
-	// (fuse whenever pending cascades share a representation slot);
-	// FusionNever keeps predicates sequential, each narrowing the row set
-	// for the next. Labels are identical under every policy, since
-	// per-predicate decisions are independent.
-	Fusion FusionPolicy
-}
-
-// SetPlanOptions installs the planning policy for subsequent queries.
-func (db *DB) SetPlanOptions(po PlanOptions) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.planOpts = po
-	db.publishLocked()
-}
-
 // PlannerStats is the planner's observability snapshot: plan-choice
 // counters and the adaptive selectivity catalog.
 type PlannerStats struct {

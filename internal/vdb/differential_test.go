@@ -12,6 +12,7 @@ import (
 	"tahoma/internal/core"
 	"tahoma/internal/img"
 	"tahoma/internal/matstore"
+	"tahoma/internal/planner"
 )
 
 // The differential suite runs the executor against a naive per-row oracle —
@@ -443,9 +444,9 @@ func TestExecutorMatchesNaiveOracle(t *testing.T) {
 		if err := db.LoadCorpus(cycledImages(n), slices.Clone(o.meta)); err != nil {
 			t.Fatal(err)
 		}
-		db.SetPlanOptions(PlanOptions{
-			Order:  []PlanOrder{OrderRank, OrderStatic}[rng.Intn(2)],
-			Fusion: []FusionPolicy{FusionCost, FusionShared, FusionNever}[rng.Intn(3)],
+		db.setPlanOptions(planner.Options{
+			Order:  []planner.Order{planner.OrderRank, planner.OrderStatic}[rng.Intn(2)],
+			Fusion: []planner.FusionPolicy{planner.FusionCost, planner.FusionShared, planner.FusionNever}[rng.Intn(3)],
 		})
 		for _, cat := range diffCategories {
 			seedColumn(rng, db, o, fx.keys[cat])

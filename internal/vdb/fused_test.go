@@ -7,6 +7,7 @@ import (
 
 	"tahoma/internal/core"
 	"tahoma/internal/img"
+	"tahoma/internal/planner"
 	"tahoma/internal/repstore"
 	"tahoma/internal/scenario"
 	"tahoma/internal/synth"
@@ -88,7 +89,7 @@ func buildFusedDB(t testing.TB) *DB {
 	// inference-dominated, where the cost model legitimately prefers
 	// sequential narrowing. The legacy slot-sharing gate forces the path
 	// under test; TestFusionCostDecision covers the default policy.
-	db.SetPlanOptions(PlanOptions{Fusion: FusionShared})
+	db.setPlanOptions(planner.Options{Fusion: planner.FusionShared})
 	return db
 }
 
@@ -121,7 +122,7 @@ func TestFusedQueryMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	dbS := buildFusedDB(t)
-	dbS.SetPlanOptions(PlanOptions{Fusion: FusionNever})
+	dbS.setPlanOptions(planner.Options{Fusion: planner.FusionNever})
 	resS, err := dbS.Query(sql, cons)
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +178,7 @@ func TestFusedDistinctSystems(t *testing.T) {
 	cons := core.Constraints{MaxAccuracyLoss: 0.05}
 	sql := "SELECT id FROM images WHERE contains_object('cloak') AND contains_object('coho')"
 	dbS := buildFusedDB(t)
-	dbS.SetPlanOptions(PlanOptions{Fusion: FusionNever})
+	dbS.setPlanOptions(planner.Options{Fusion: planner.FusionNever})
 	resS, err := dbS.Query(sql, cons)
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +236,7 @@ func TestFusedPartialCoverage(t *testing.T) {
 	}
 	// Same rows as a sequential run on a fresh DB.
 	dbS := buildFusedDB(t)
-	dbS.SetPlanOptions(PlanOptions{Fusion: FusionNever})
+	dbS.setPlanOptions(planner.Options{Fusion: planner.FusionNever})
 	resS, err := dbS.Query("SELECT id FROM images WHERE contains_object('cloak') AND contains_object('coho')", cons)
 	if err != nil {
 		t.Fatal(err)
@@ -284,7 +285,7 @@ func TestServeRepsFromStore(t *testing.T) {
 		// With every slot served, there is no rep work left to share, so
 		// the cost model prefers narrowing; the gate policy keeps this
 		// test on the fused path it exercises.
-		db.SetPlanOptions(PlanOptions{Fusion: FusionShared})
+		db.setPlanOptions(planner.Options{Fusion: planner.FusionShared})
 		return db
 	}
 	cons := core.Constraints{MaxAccuracyLoss: 0.05}
@@ -446,7 +447,7 @@ func TestExplainFused(t *testing.T) {
 	if !strings.Contains(out, "Fused: 2 content predicates") {
 		t.Fatalf("explain missing fused line:\n%s", out)
 	}
-	db.SetPlanOptions(PlanOptions{Fusion: FusionNever})
+	db.setPlanOptions(planner.Options{Fusion: planner.FusionNever})
 	out, err = db.Explain("SELECT id FROM images WHERE contains_object('cloak') AND contains_object('coho')", cons)
 	if err != nil {
 		t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 	"tahoma/internal/core"
 	"tahoma/internal/exec"
 	"tahoma/internal/img"
+	"tahoma/internal/planner"
 )
 
 // cloakFrames returns the freshly classified frame count for one category
@@ -52,7 +53,7 @@ func TestMaterializedParityMatrix(t *testing.T) {
 						db := buildConcurrentDB(t)
 						db.SetExecOptions(exec.Options{Workers: workers, Batch: batch})
 						if !fused {
-							db.SetPlanOptions(PlanOptions{Fusion: FusionNever})
+							db.setPlanOptions(planner.Options{Fusion: planner.FusionNever})
 						}
 						if cover > 0 {
 							// Pre-cover the first `cover` rows of cloak's

@@ -99,12 +99,9 @@ func (st *readState) plan(q *Query, constraints core.Constraints) (*queryPlan, e
 		}
 		steps = append(steps, ps)
 	}
-	plan.pp = planner.PlanContent(steps, st.availability(), planner.Options{
-		Order:     st.planOpts.Order,
-		Fusion:    st.planOpts.Fusion,
-		Rows:      st.n,
-		CostModel: st.costModel.Name(),
-	})
+	opts := st.planOpts
+	opts.Rows, opts.CostModel = st.n, st.costModel.Name()
+	plan.pp = planner.PlanContent(steps, st.availability(), opts)
 	plan.content = make([]contentStep, len(plan.pp.Steps))
 	for k, ps := range plan.pp.Steps {
 		plan.content[k] = textual[ps.Input]

@@ -15,6 +15,17 @@ import (
 	"tahoma/internal/xform"
 )
 
+// setPlanOptions installs the ordering and fusion policies (po.Order,
+// po.Fusion) for subsequent queries. Serving always plans with the zero
+// value; the other policies are oracles, since labels are identical under
+// all of them and only the work to reach them differs.
+func (db *DB) setPlanOptions(po planner.Options) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	db.planOpts = po
+	db.publishLocked()
+}
+
 // planOrderConds are the content conditions the invariance property permutes:
 // AND-chained predicates including a negation and a second mention of the
 // cloak system under another category.
@@ -62,10 +73,10 @@ func TestContentOrderInvariance(t *testing.T) {
 	cons := core.Constraints{MaxAccuracyLoss: 0.05}
 	perms := permutations(len(planOrderConds))
 
-	run := func(perm []int, po PlanOptions, opts exec.Options) *Result {
+	run := func(perm []int, po planner.Options, opts exec.Options) *Result {
 		t.Helper()
 		db := buildFusedDB(t)
-		db.SetPlanOptions(po)
+		db.setPlanOptions(po)
 		if opts != (exec.Options{}) {
 			db.SetExecOptions(opts)
 		}
@@ -76,7 +87,7 @@ func TestContentOrderInvariance(t *testing.T) {
 		return res
 	}
 
-	base := run(perms[0], PlanOptions{}, exec.Options{})
+	base := run(perms[0], planner.Options{}, exec.Options{})
 	baseRows := rowSet(t, base)
 	check := func(res *Result, label string) {
 		t.Helper()
@@ -93,18 +104,18 @@ func TestContentOrderInvariance(t *testing.T) {
 
 	// Every textual permutation under the default (rank, cost-based fusion).
 	for _, perm := range perms[1:] {
-		check(run(perm, PlanOptions{}, exec.Options{}), fmt.Sprintf("perm %v", perm))
+		check(run(perm, planner.Options{}, exec.Options{}), fmt.Sprintf("perm %v", perm))
 	}
 	// Policy × fusion matrix on a representative permutation.
 	perm := perms[3]
-	check(run(perm, PlanOptions{Order: OrderStatic}, exec.Options{}), "static order")
-	check(run(perm, PlanOptions{Fusion: FusionShared}, exec.Options{}), "forced fusion")
-	check(run(perm, PlanOptions{Order: OrderStatic, Fusion: FusionShared}, exec.Options{}), "static+forced fusion")
-	check(run(perm, PlanOptions{Fusion: FusionNever}, exec.Options{}), "fusion off")
+	check(run(perm, planner.Options{Order: planner.OrderStatic}, exec.Options{}), "static order")
+	check(run(perm, planner.Options{Fusion: planner.FusionShared}, exec.Options{}), "forced fusion")
+	check(run(perm, planner.Options{Order: planner.OrderStatic, Fusion: planner.FusionShared}, exec.Options{}), "static+forced fusion")
+	check(run(perm, planner.Options{Fusion: planner.FusionNever}, exec.Options{}), "fusion off")
 	// Engine sizings, fused and sequential.
 	for _, o := range []exec.Options{{Workers: 1, Batch: 1}, {Workers: 4, Batch: 3}, {Workers: 2, Batch: 64}} {
-		check(run(perm, PlanOptions{Fusion: FusionShared}, o), fmt.Sprintf("fused w=%d b=%d", o.Workers, o.Batch))
-		check(run(perm, PlanOptions{Fusion: FusionNever}, o), fmt.Sprintf("sequential w=%d b=%d", o.Workers, o.Batch))
+		check(run(perm, planner.Options{Fusion: planner.FusionShared}, o), fmt.Sprintf("fused w=%d b=%d", o.Workers, o.Batch))
+		check(run(perm, planner.Options{Fusion: planner.FusionNever}, o), fmt.Sprintf("sequential w=%d b=%d", o.Workers, o.Batch))
 	}
 }
 
@@ -217,7 +228,7 @@ func TestFusedLivePendingGuard(t *testing.T) {
 	}
 	// FusionShared makes the plan-time verdict rest purely on corpus-wide
 	// slot sharing, which cloak↔cloak2 provide.
-	db.SetPlanOptions(PlanOptions{Fusion: FusionShared})
+	db.setPlanOptions(planner.Options{Fusion: planner.FusionShared})
 	cons := core.Constraints{MaxAccuracyLoss: 0.05}
 
 	// Fill cloak for the uptown rows only: corpus-wide it stays pending
@@ -323,7 +334,7 @@ func TestAdaptiveSelectivityFeedback(t *testing.T) {
 // TestStaticOrderCounters: the escape hatch is counted as such.
 func TestStaticOrderCounters(t *testing.T) {
 	db, _ := buildTestDB(t)
-	db.SetPlanOptions(PlanOptions{Order: OrderStatic})
+	db.setPlanOptions(planner.Options{Order: planner.OrderStatic})
 	cons := core.Constraints{MaxAccuracyLoss: 0.05}
 	if _, err := db.Query("SELECT id FROM images WHERE contains_object('cloak')", cons); err != nil {
 		t.Fatal(err)

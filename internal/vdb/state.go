@@ -17,7 +17,7 @@ import (
 // holds the copy that was current at publication.
 type settings struct {
 	execOpts  exec.Options
-	planOpts  PlanOptions
+	planOpts  planner.Options // zero (rank order, cost-based fusion) outside tests
 	serveReps bool
 	matMode   MatMode
 }

@@ -111,11 +111,27 @@ func Load(dir string) (*Repo, error) {
 		if me.Kind == "deep" {
 			kind = model.Deep
 		}
+		// Size the network from the spec and hold the weight blob to it
+		// before building anything: the manifest alone must not be able to
+		// make Load allocate more than the files on disk back.
+		weightsPath := filepath.Join(dir, fmt.Sprintf("weights-%d.bin", i))
+		params, err := me.Arch.ParamCount(t.Channels(), t.Size)
+		if err != nil {
+			return nil, fmt.Errorf("zoo: model %d: %w", i, err)
+		}
+		fi, err := os.Stat(weightsPath)
+		if err != nil {
+			return nil, fmt.Errorf("zoo: model %d: %w", i, err)
+		}
+		if fi.Size()%4 != 0 || fi.Size()/4 != int64(params) {
+			return nil, fmt.Errorf("zoo: model %d: %s has %d bytes, %s@%s needs %d float32 weights",
+				i, weightsPath, fi.Size(), me.Arch.ID(), t.ID(), params)
+		}
 		mod, err := model.New(me.Arch, t, kind, 0)
 		if err != nil {
 			return nil, fmt.Errorf("zoo: model %d: %w", i, err)
 		}
-		weights, err := readFloats(filepath.Join(dir, fmt.Sprintf("weights-%d.bin", i)))
+		weights, err := readFloats(weightsPath)
 		if err != nil {
 			return nil, fmt.Errorf("zoo: model %d: %w", i, err)
 		}

@@ -23,6 +23,7 @@
 package tahoma
 
 import (
+	"context"
 	"fmt"
 
 	"tahoma/internal/cascade"
@@ -34,7 +35,6 @@ import (
 	"tahoma/internal/server"
 	"tahoma/internal/synth"
 	"tahoma/internal/vdb"
-	"tahoma/internal/zoo"
 )
 
 // Re-exported configuration and result types. These aliases are the public
@@ -67,12 +67,6 @@ type (
 	// global representation work, per-batch stats and measured throughput
 	// (comparable to the evaluator's analytic estimate).
 	ExecReport = exec.Report
-	// ExecBatchStats reports one engine batch's work.
-	ExecBatchStats = exec.BatchStats
-	// RepSource serves pre-materialized physical representations to the
-	// execution engine (ExecOptions.RepSource), skipping decode and
-	// transform for the slots it covers.
-	RepSource = exec.RepSource
 
 	// DB is the visual analytics database: a SQL-queryable images table
 	// with installed contains_object predicates. Safe for concurrent use —
@@ -80,39 +74,6 @@ type (
 	DB = vdb.DB
 	// Metadata is the relational half of one image row.
 	Metadata = vdb.Metadata
-	// QueryResult is one query's rows and execution accounting.
-	QueryResult = vdb.Result
-	// TriggerPolicy controls ingest-time predicate materialization.
-	TriggerPolicy = vdb.TriggerPolicy
-	// PlanOptions control query planning: content-predicate ordering
-	// (rank — cost/(1−selectivity) against the adaptive selectivity
-	// catalog — or static cheapest-first) and the fused-vs-sequential
-	// decision policy. Install with DB.SetPlanOptions.
-	PlanOptions = vdb.PlanOptions
-	// PlanOrder is the content-predicate ordering policy (OrderRank,
-	// OrderStatic).
-	PlanOrder = vdb.PlanOrder
-	// FusionPolicy is the fused-vs-sequential decision policy (FusionCost,
-	// FusionShared, FusionNever).
-	FusionPolicy = vdb.FusionPolicy
-	// PlannerStats is the planner's observability snapshot: plan-choice
-	// counters plus the adaptive selectivity catalog (DB.PlannerStats).
-	PlannerStats = vdb.PlannerStats
-	// ObservedSelectivity is one query's per-predicate survivor accounting
-	// (QueryResult.Observed) — the signal the adaptive catalog learns from.
-	ObservedSelectivity = vdb.ObservedSelectivity
-	// MatMode is the label-materialization policy (MaterializeOff/On/Bg);
-	// install with DB.SetMaterialization.
-	MatMode = vdb.MatMode
-	// MatStats is the materialization layer's observability snapshot:
-	// coverage, footprint, lookup hit/miss, evictions, analyzer progress
-	// and the per-predicate usage table (DB.MatStats).
-	MatStats = vdb.MatStats
-	// MatUsage is one predicate's usage-table row in MatStats.
-	MatUsage = vdb.MatUsage
-	// AnalyzerOptions configure the background label analyzer
-	// (DB.StartAnalyzer): idle gate, batch size, poll interval, workers.
-	AnalyzerOptions = vdb.AnalyzerOptions
 
 	// Server is the concurrent HTTP query service over one open DB
 	// (POST /query, GET /explain, GET /stats), with a bounded admission
@@ -122,19 +83,8 @@ type (
 	ServerOptions = server.Options
 	// Client talks to a running Server.
 	Client = server.Client
-	// ClientOptions tune the client's timeouts and retry policy (connect
-	// and per-attempt timeouts, exponential backoff with jitter honoring
-	// Retry-After, max-elapsed budget).
-	ClientOptions = server.ClientOptions
 	// ClientQueryOptions are a client request's cascade constraints.
 	ClientQueryOptions = server.QueryOptions
-	// PanicError is a contained worker or handler panic: the query fails
-	// with this typed error (panic value + stack) instead of the process.
-	PanicError = exec.PanicError
-	// QueryResponse is the server's query answer (rows + accounting).
-	QueryResponse = server.QueryResponse
-	// ServerStats is the GET /stats payload.
-	ServerStats = server.StatsResponse
 )
 
 // Deployment scenarios (Section VII-A of the paper).
@@ -143,28 +93,6 @@ const (
 	Archive   = scenario.Archive
 	Ongoing   = scenario.Ongoing
 	Camera    = scenario.Camera
-)
-
-// Planning policies (PlanOptions): content-predicate ordering and the
-// fused-vs-sequential decision.
-const (
-	OrderRank    = vdb.OrderRank
-	OrderStatic  = vdb.OrderStatic
-	FusionCost   = vdb.FusionCost
-	FusionShared = vdb.FusionShared
-	FusionNever  = vdb.FusionNever
-)
-
-// Label-materialization modes (DB.SetMaterialization): MaterializeOn (the
-// default) caches every classified label in per-predicate bitmap columns so
-// repeat queries become bitmap lookups; MaterializeBg additionally marks
-// the DB for the background analyzer (DB.StartAnalyzer), which
-// pre-materializes the hottest predicates while the server is idle;
-// MaterializeOff re-runs inference on every query.
-const (
-	MaterializeOff = vdb.MatOff
-	MaterializeOn  = vdb.MatOn
-	MaterializeBg  = vdb.MatBg
 )
 
 // DefaultConfig returns the paper-shaped design space scaled to 64×64
@@ -191,7 +119,8 @@ type CorpusOptions struct {
 }
 
 // GenerateCorpus builds the labeled splits for one of the ten built-in
-// categories (see Categories).
+// categories, the Table II analogues ("fence", "cloak", ...); `tahoma help`
+// lists them all. An unknown name is an error.
 func GenerateCorpus(category string, opts CorpusOptions) (Splits, error) {
 	cat, err := synth.CategoryByName(category)
 	if err != nil {
@@ -218,10 +147,6 @@ func GenerateCorpus(category string, opts CorpusOptions) (Splits, error) {
 		Augment:  opts.Augment,
 	})
 }
-
-// Categories lists the built-in synthetic object categories (the Table II
-// analogues).
-func Categories() []string { return synth.CategoryNames() }
 
 // Predicate is an installed contains_object operator: an initialized TAHOMA
 // system together with its evaluated cascade set and Pareto frontier under
@@ -336,7 +261,11 @@ func (c *Classifier) Classify(im *Image) (bool, error) {
 // ClassifyBatch labels a batch of images through the execution engine with
 // default options. Labels are bit-identical to per-image Classify calls.
 func (c *Classifier) ClassifyBatch(ims []*Image) ([]bool, error) {
-	return c.rt.ClassifyAll(ims)
+	rep, err := c.ClassifyBatchReport(ims, ExecOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return rep.Labels[0], nil
 }
 
 // ClassifyBatchReport labels a batch of images under explicit engine
@@ -344,7 +273,7 @@ func (c *Classifier) ClassifyBatch(ims []*Image) ([]bool, error) {
 // including per-batch stats and the measured throughput to hold against
 // Expected.Throughput.
 func (c *Classifier) ClassifyBatchReport(ims []*Image, opts ExecOptions) (*ExecReport, error) {
-	return c.rt.ClassifyBatch(ims, opts)
+	return c.rt.ClassifyBatchContext(context.Background(), ims, opts)
 }
 
 // String describes the cascade's levels.
@@ -368,22 +297,8 @@ func ClassifyBatchFused(clfs []*Classifier, ims []*Image, opts ExecOptions) (*Ex
 	return eng.Run(exec.Frames(ims), nil, opts)
 }
 
-// ClassifyBatch chooses the Pareto-optimal cascade for the constraints and
-// labels the whole batch through the execution engine.
-func (p *Predicate) ClassifyBatch(c Constraints, ims []*Image, opts ExecOptions) ([]bool, error) {
-	clf, err := p.Choose(c)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := clf.rt.ClassifyBatch(ims, opts)
-	if err != nil {
-		return nil, err
-	}
-	return rep.Labels[0], nil
-}
-
-// System exposes the underlying initialized system for advanced use
-// alongside the internal packages (cmd/ and the benchmarks do this).
+// System exposes the underlying initialized system: the handle
+// DB.InstallPredicate takes.
 func (p *Predicate) System() *core.System { return p.sys }
 
 // NewDB creates an empty visual analytics database priced under a deployment
@@ -405,32 +320,6 @@ func NewDB(sc Scenario, params CostParams) (*DB, error) {
 func NewServer(db *DB, opts ServerOptions) *Server { return server.New(db, opts) }
 
 // NewClient builds a client for a running server's base URL, e.g.
-// "http://127.0.0.1:8080", with default ClientOptions (2s connect / 30s
-// request timeouts, 3 retries with backoff).
+// "http://127.0.0.1:8080", with the default timeouts and retry policy (2s
+// connect / 30s request timeouts, 3 retries with backoff).
 func NewClient(base string) *Client { return server.NewClient(base) }
-
-// NewClientWith builds a client with explicit timeout/retry options.
-func NewClientWith(base string, opts ClientOptions) *Client {
-	return server.NewClientWith(base, opts)
-}
-
-// Save persists the predicate's trained models, thresholds and evaluation
-// scores to a directory; LoadPredicate restores them without retraining.
-func (p *Predicate) Save(dir string) error {
-	return zoo.Save(dir, p.sys.Repo())
-}
-
-// LoadPredicate restores a saved predicate and evaluates its cascade set
-// under the given scenario.
-func LoadPredicate(dir string, cfg Config, sc Scenario, params CostParams) (*Predicate, error) {
-	repo, err := zoo.Load(dir)
-	if err != nil {
-		return nil, err
-	}
-	sys, err := core.FromRepo(repo, cfg)
-	if err != nil {
-		return nil, err
-	}
-	category := sys.Predicate
-	return newPredicate(category, sys, sc, params)
-}

@@ -32,16 +32,6 @@ func testPredicate(t *testing.T) *Predicate {
 	return pred
 }
 
-func TestCategories(t *testing.T) {
-	cats := Categories()
-	if len(cats) != 10 {
-		t.Fatalf("got %d categories", len(cats))
-	}
-	if _, err := GenerateCorpus("nope", CorpusOptions{}); err == nil {
-		t.Fatal("unknown category must error")
-	}
-}
-
 func TestInstallAndChoose(t *testing.T) {
 	p := testPredicate(t)
 	if p.ModelCount() != 9 {
@@ -146,16 +136,6 @@ func TestClassifyBatchMatchesClassify(t *testing.T) {
 			t.Fatalf("report label %d = %v, Classify = %v", i, rep.Labels[0][i], want[i])
 		}
 	}
-
-	viaPred, err := p.ClassifyBatch(Constraints{MaxAccuracyLoss: 0.05}, ims, ExecOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ims {
-		if viaPred[i] != want[i] {
-			t.Fatalf("predicate batch label %d = %v, Classify = %v", i, viaPred[i], want[i])
-		}
-	}
 }
 
 // TestClassifyBatchFused: fusing several classifiers yields per-classifier
@@ -231,35 +211,6 @@ func TestReprice(t *testing.T) {
 	}
 	if fast(inferOnly) < fast(p) {
 		t.Fatalf("INFER_ONLY fastest %.0f < CAMERA fastest %.0f", fast(inferOnly), fast(p))
-	}
-}
-
-func TestSaveLoadPredicate(t *testing.T) {
-	p := testPredicate(t)
-	dir := t.TempDir()
-	if err := p.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	params := DefaultCostParams()
-	params.SourceW, params.SourceH = 16, 16
-	p2, err := LoadPredicate(dir, TinyConfig(), Camera, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p2.CascadeCount() != p.CascadeCount() {
-		t.Fatal("cascade census changed after reload")
-	}
-	a, b := p.Frontier(), p2.Frontier()
-	if len(a) != len(b) {
-		t.Fatalf("frontier size changed: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Throughput != b[i].Throughput || a[i].Accuracy != b[i].Accuracy {
-			t.Fatalf("frontier point %d changed: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-	if _, err := LoadPredicate(t.TempDir(), TinyConfig(), Camera, params); err == nil {
-		t.Fatal("loading from empty dir must error")
 	}
 }
 
