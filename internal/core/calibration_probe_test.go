@@ -37,12 +37,7 @@ func TestCalibrationProbe(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Logf("%s: %d models (deep=%d)", cat.Name, len(models), deepIdx)
-		if _, err := train.All(models[:deepIdx], splits.Train, cfg.Train, 0, nil); err != nil {
-			t.Fatal(err)
-		}
-		deepOpts := cfg.Train
-		deepOpts.Epochs = cfg.DeepEpochs
-		if _, err := train.Model(models[deepIdx], splits.Train, deepOpts); err != nil {
+		if _, err := train.All(trainJobs(cfg, models, deepIdx), splits.Train, 0); err != nil {
 			t.Fatal(err)
 		}
 		t.Logf("%s: trained in %v", cat.Name, time.Since(start))

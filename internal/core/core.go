@@ -199,20 +199,16 @@ func Initialize(predicate string, splits synth.Splits, cfg Config) (*System, err
 		return nil, err
 	}
 
-	// 1. Model trainer: fit the grid in parallel, then the deep model with
-	// its longer schedule.
-	basics := models[:deepIdx]
-	reports, err := train.All(basics, splits.Train, cfg.Train, cfg.Workers, nil)
+	// 1. Model trainer: the grid and the deep model are jobs of one worker
+	// pool (see trainJobs). The pool starts the deep model first, since it
+	// is the long pole (about two thirds of a small zoo's install), and
+	// fills the other workers with the grid, so every core trains until the
+	// last model finishes. Each model's fit is serial and seeded, so the
+	// weights are the same for any Workers.
+	reports, err := train.All(trainJobs(cfg, models, deepIdx), splits.Train, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
-	deepOpts := cfg.Train
-	deepOpts.Epochs = cfg.DeepEpochs
-	deepReport, err := train.Model(models[deepIdx], splits.Train, deepOpts)
-	if err != nil {
-		return nil, fmt.Errorf("core: training deep model: %w", err)
-	}
-	reports = append(reports, deepReport)
 
 	sys := &System{
 		Predicate:    predicate,
@@ -247,7 +243,25 @@ func Initialize(predicate string, splits synth.Splits, cfg Config) (*System, err
 	return sys, nil
 }
 
-// scoreAll scores every model over ds, parallelized across models.
+// trainJobs pairs every model of BuildModels with its fitting options: grid
+// model i shuffles with Train.Seed+i, and the deep model keeps Train.Seed
+// with its longer DeepEpochs schedule.
+func trainJobs(cfg Config, models []*model.Model, deepIdx int) []train.Job {
+	jobs := make([]train.Job, len(models))
+	for i, m := range models {
+		o := cfg.Train
+		o.Seed += int64(i)
+		if i == deepIdx {
+			o.Seed, o.Epochs = cfg.Train.Seed, cfg.DeepEpochs
+		}
+		jobs[i] = train.Job{Model: m, Opts: o}
+	}
+	return jobs
+}
+
+// scoreAll scores every model over ds, parallelized across models. The
+// models are dispatched last first: BuildModels puts the deep model, the
+// slowest to score, last, and the grid's largest transforms just before it.
 func scoreAll(models []*model.Model, ds synth.Dataset, workers int) [][]float32 {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -264,7 +278,7 @@ func scoreAll(models []*model.Model, ds synth.Dataset, workers int) [][]float32 
 			}
 		}()
 	}
-	for i := range models {
+	for i := len(models) - 1; i >= 0; i-- {
 		jobs <- i
 	}
 	close(jobs)

@@ -462,21 +462,15 @@ func (d *Dense) forwardBatch(x *tensor.Tensor) *tensor.Tensor {
 	return d.bout
 }
 
-// Backward implements Layer.
+// Backward implements Layer. Both gradient updates are row axpys, so each
+// element takes g·v once per output o, in increasing o.
 func (d *Dense) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	wd, gd := d.W.Value.Data, d.W.Grad.Data
-	xd, dxd := d.x.Data, d.dx.Data
-	for i := range dxd {
-		dxd[i] = 0
-	}
+	clear(d.dx.Data)
 	for o, g := range dy.Data {
 		d.B.Grad.Data[o] += g
-		row := gd[o*d.In : (o+1)*d.In]
-		wrow := wd[o*d.In : (o+1)*d.In]
-		for i := range row {
-			row[i] += g * xd[i]
-			dxd[i] += g * wrow[i]
-		}
+		tensor.Axpy(gd[o*d.In:(o+1)*d.In], d.x.Data, g)
+		tensor.Axpy(d.dx.Data, wd[o*d.In:(o+1)*d.In], g)
 	}
 	return d.dx
 }

@@ -1,5 +1,7 @@
 package tensor
 
+import "fmt"
+
 // The multiply-add kernels every float32 GEMM loop in this package runs on.
 // On amd64 they are SSE assembly (axpy_amd64.s); elsewhere the Go loops below
 // serve directly. The Go loops are also the oracle FuzzAxpy holds the
@@ -11,6 +13,16 @@ package tensor
 // statement to MULSS then ADDSS at every GOAMD64 level, and the assembly uses
 // MULPS then ADDPS in the same operand order, so a lane of the vector kernel
 // and an iteration of the scalar loop round identically.
+
+// Axpy computes c[j] += a·b[j] for every j < len(c) on the multiply-add
+// kernel, each lane rounding exactly like the scalar statement above. It
+// panics if b holds fewer than len(c) values.
+func Axpy(c, b []float32, a float32) {
+	if len(b) < len(c) {
+		panic(fmt.Sprintf("tensor: Axpy source has %d values for %d outputs", len(b), len(c)))
+	}
+	axpy(c, b, a)
+}
 
 // axpy4Generic computes c[j] = (((c[j]+a0·b0[j])+a1·b1[j])+a2·b2[j])+a3·b3[j]
 // for every j < len(c): a rank-4 update of one C row, with the four products

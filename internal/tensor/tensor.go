@@ -218,6 +218,12 @@ func MatMul(c, a, b *Tensor) {
 
 // MatMulAddTransB computes C += A·Bᵀ for A (m×k) and B (n×k), with C (m×n).
 // Used for weight gradients (dW += dY·colᵀ).
+//
+// Every C[i,j] is one dot product: a float32 accumulator starting at +0
+// takes A[i,p]·B[j,p] in increasing p, then is added to C[i,j] once. Four
+// columns' accumulators run side by side over the shared A row, so the loop
+// carries four independent add chains instead of one latency-bound chain,
+// and no element's sum is reordered.
 func MatMulAddTransB(c, a, b *Tensor) {
 	m, k := a.Shape[0], a.Shape[1]
 	n, k2 := b.Shape[0], b.Shape[1]
@@ -231,8 +237,28 @@ func MatMulAddTransB(c, a, b *Tensor) {
 	for i := 0; i < m; i++ {
 		ai := ad[i*k : (i+1)*k]
 		ci := cd[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			b0 := bd[(j+0)*k : (j+1)*k]
+			b1 := bd[(j+1)*k : (j+2)*k]
+			b2 := bd[(j+2)*k : (j+3)*k]
+			b3 := bd[(j+3)*k : (j+4)*k]
+			b0, b1, b2, b3 = b0[:len(ai)], b1[:len(ai)], b2[:len(ai)], b3[:len(ai)]
+			var s0, s1, s2, s3 float32
+			for p, av := range ai {
+				s0 += av * b0[p]
+				s1 += av * b1[p]
+				s2 += av * b2[p]
+				s3 += av * b3[p]
+			}
+			ci[j] += s0
+			ci[j+1] += s1
+			ci[j+2] += s2
+			ci[j+3] += s3
+		}
+		for ; j < n; j++ {
 			bj := bd[j*k : (j+1)*k]
+			bj = bj[:len(ai)]
 			var s float32
 			for p, av := range ai {
 				s += av * bj[p]
@@ -366,8 +392,34 @@ func Im2Col(col, x *Tensor, g ConvGeom) {
 	}
 }
 
+// col2imRow is im2colRow's adjoint: it adds one im2col row (OutH*OutW
+// values) for kernel offset (kh, kw) back into its input channel plane.
+// The in-bounds output spans come from inSpan once per row, so padding
+// costs no per-element branch, and a stride-1 row is one contiguous
+// axpy(dst, src, 1), which is exact because 1·x = x.
+func col2imRow(plane, in []float32, g ConvGeom, kh, kw, oh, ow int) {
+	oyLo, oyHi := inSpan(oh, g.StrideH, g.PadH, kh, g.InH)
+	oxLo, oxHi := inSpan(ow, g.StrideW, g.PadW, kw, g.InW)
+	if oxHi == oxLo {
+		return
+	}
+	for oy := oyLo; oy < oyHi; oy++ {
+		src := in[oy*ow+oxLo : oy*ow+oxHi]
+		dst := (oy*g.StrideH-g.PadH+kh)*g.InW + oxLo*g.StrideW - g.PadW + kw
+		if g.StrideW == 1 {
+			axpy(plane[dst:dst+len(src)], src, 1)
+			continue
+		}
+		for _, v := range src {
+			plane[dst] += v
+			dst += g.StrideW
+		}
+	}
+}
+
 // Col2Im scatters a column matrix back into a CHW gradient, accumulating
 // overlapping contributions. dx must be pre-allocated and is zeroed first.
+// Each dx element receives its terms in (c, kh, kw, oy, ox) order.
 func Col2Im(dx, col *Tensor, g ConvGeom) {
 	oh, ow := g.OutH(), g.OutW()
 	cols := oh * ow
@@ -376,28 +428,13 @@ func Col2Im(dx, col *Tensor, g ConvGeom) {
 	}
 	dx.Zero()
 	xd, cd := dx.Data, col.Data
+	planeLen := g.InH * g.InW
 	row := 0
 	for c := 0; c < g.InC; c++ {
-		chanBase := c * g.InH * g.InW
+		plane := xd[c*planeLen : (c+1)*planeLen]
 		for kh := 0; kh < g.KH; kh++ {
 			for kw := 0; kw < g.KW; kw++ {
-				in := cd[row*cols : (row+1)*cols]
-				idx := 0
-				for oy := 0; oy < oh; oy++ {
-					iy := oy*g.StrideH - g.PadH + kh
-					if iy < 0 || iy >= g.InH {
-						idx += ow
-						continue
-					}
-					rowBase := chanBase + iy*g.InW
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*g.StrideW - g.PadW + kw
-						if ix >= 0 && ix < g.InW {
-							xd[rowBase+ix] += in[idx]
-						}
-						idx++
-					}
-				}
+				col2imRow(plane, cd[row*cols:(row+1)*cols], g, kh, kw, oh, ow)
 				row++
 			}
 		}

@@ -153,18 +153,12 @@ func TestMatMulTransposedVariants(t *testing.T) {
 		a := randTensor(rng, m, k)
 		b := randTensor(rng, n, k)
 		c := randTensor(rng, m, n)
-		base := c.Clone()
+		want := c.Clone()
 		MatMulAddTransB(c, a, b)
-		bt := New(k, n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < k; j++ {
-				bt.Data[j*n+i] = b.Data[i*k+j]
-			}
-		}
-		want := naiveMatMul(a, bt)
+		refMatMulAddTransB(want, a, b)
 		for i := range want.Data {
-			if !almostEqual(c.Data[i], base.Data[i]+want.Data[i], 1e-4) {
-				t.Fatalf("MatMulAddTransB mismatch at %d", i)
+			if math.Float32bits(c.Data[i]) != math.Float32bits(want.Data[i]) {
+				t.Fatalf("MatMulAddTransB element %d: %v, reference %v", i, c.Data[i], want.Data[i])
 			}
 		}
 

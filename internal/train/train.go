@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sort"
 	"sync"
 
 	"tahoma/internal/model"
@@ -122,11 +123,19 @@ func fit(m *model.Model, samples []sample, opts Options) (Report, error) {
 	}, nil
 }
 
-// All trains every model over a worker pool. Models sharing a transform
-// share materialized representations. workers <= 0 uses GOMAXPROCS. The
-// optional progress callback receives (completed, total) after each model.
-func All(models []*model.Model, ds synth.Dataset, opts Options, workers int, progress func(done, total int)) ([]Report, error) {
-	opts.setDefaults()
+// Job is one model to fit and the options, seed included, it is fitted with.
+type Job struct {
+	Model *model.Model
+	Opts  Options
+}
+
+// All trains every job over a pool of workers and returns one report per
+// job, in job order. Jobs sharing a transform share materialized
+// representations. The pool takes the jobs longest first (by Epochs × MACs),
+// so the most expensive model starts at once instead of running alone after
+// the cheap ones finish. Each fit depends only on its job, so the weights do
+// not depend on workers or on the order. workers <= 0 uses GOMAXPROCS.
+func All(jobs []Job, ds synth.Dataset, workers int) ([]Report, error) {
 	if ds.Len() == 0 {
 		return nil, fmt.Errorf("train: empty training set")
 	}
@@ -136,46 +145,45 @@ func All(models []*model.Model, ds synth.Dataset, opts Options, workers int, pro
 
 	// Materialize each distinct representation once.
 	repCache := make(map[string][]sample)
-	for _, m := range models {
-		id := m.Xform.ID()
+	for _, j := range jobs {
+		id := j.Model.Xform.ID()
 		if _, ok := repCache[id]; !ok {
-			repCache[id] = materialize(m, ds)
+			repCache[id] = materialize(j.Model, ds)
 		}
 	}
 
-	reports := make([]Report, len(models))
-	errs := make([]error, len(models))
+	// A job's cost is its epochs times its per-sample multiply-adds.
+	order := make([]int, len(jobs))
+	cost := make([]int64, len(jobs))
+	for i, j := range jobs {
+		o := j.Opts
+		o.setDefaults()
+		order[i], cost[i] = i, int64(o.Epochs)*j.Model.MACs()
+	}
+	sort.SliceStable(order, func(a, b int) bool { return cost[order[a]] > cost[order[b]] })
+
+	reports := make([]Report, len(jobs))
+	errs := make([]error, len(jobs))
 	var wg sync.WaitGroup
-	var mu sync.Mutex
-	done := 0
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
+	next := make(chan int)
+	for w := 0; w < min(workers, len(jobs)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range jobs {
-				m := models[i]
-				o := opts
-				o.Seed = opts.Seed + int64(i) // distinct shuffles per model
-				rep, err := fit(m, repCache[m.Xform.ID()], o)
-				reports[i], errs[i] = rep, err
-				if progress != nil {
-					mu.Lock()
-					done++
-					progress(done, len(models))
-					mu.Unlock()
-				}
+			for i := range next {
+				j := jobs[i]
+				reports[i], errs[i] = fit(j.Model, repCache[j.Model.Xform.ID()], j.Opts)
 			}
 		}()
 	}
-	for i := range models {
-		jobs <- i
+	for _, i := range order {
+		next <- i
 	}
-	close(jobs)
+	close(next)
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			return reports, fmt.Errorf("train: model %s: %w", models[i].ID(), err)
+			return reports, fmt.Errorf("train: model %s: %w", jobs[i].Model.ID(), err)
 		}
 	}
 	return reports, nil

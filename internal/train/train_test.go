@@ -68,18 +68,33 @@ func TestAllTrainsEveryModelDeterministically(t *testing.T) {
 			newModel(t, 16, img.Gray, 1),
 		}
 	}
-	opts := Options{Epochs: 2, BatchSize: 8, LR: 0.01, Seed: 7}
+	// The last job trains longest, so the pool dispatches it first; reports
+	// still come back in job order.
+	jobsOf := func(models []*model.Model) []Job {
+		jobs := make([]Job, len(models))
+		for i, m := range models {
+			jobs[i] = Job{Model: m, Opts: Options{Epochs: 2, BatchSize: 8, LR: 0.01, Seed: 7 + int64(i)}}
+		}
+		jobs[len(jobs)-1].Opts.Epochs = 4
+		return jobs
+	}
 	a := build()
-	if _, err := All(a, sp.Train, opts, 1, nil); err != nil {
+	if _, err := All(jobsOf(a), sp.Train, 1); err != nil {
 		t.Fatal(err)
 	}
 	b := build()
-	var progressCalls int
-	if _, err := All(b, sp.Train, opts, 3, func(done, total int) { progressCalls++ }); err != nil {
+	reports, err := All(jobsOf(b), sp.Train, 3)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if progressCalls != 3 {
-		t.Fatalf("progress called %d times, want 3", progressCalls)
+	for i, r := range reports {
+		want := 2
+		if i == len(b)-1 {
+			want = 4
+		}
+		if r.ModelID != b[i].ID() || r.Epochs != want {
+			t.Fatalf("report %d is %+v, want model %s after %d epochs", i, r, b[i].ID(), want)
+		}
 	}
 	// Parallel training must give bit-identical weights to serial training.
 	for i := range a {
@@ -93,7 +108,7 @@ func TestAllTrainsEveryModelDeterministically(t *testing.T) {
 }
 
 func TestAllEmptyDataset(t *testing.T) {
-	if _, err := All(nil, synth.Dataset{}, Options{}, 0, nil); err == nil {
+	if _, err := All(nil, synth.Dataset{}, 0); err == nil {
 		t.Fatal("empty dataset must error")
 	}
 }
