@@ -21,11 +21,9 @@
 // transforms it covers. Content predicates are ordered by the cost-based
 // planner — rank = cost/(1-selectivity) against the adaptive selectivity
 // catalog, discounted by what is resident (served representations, cached
-// source records); labels do not depend on the order. Multi-predicate
-// queries fuse their cascades into one shared representation plan when the
-// planner's cost comparison favors it. Each query prints its classifier
-// invocations, representation work (transformed vs served) and the record
-// cache's hit rate.
+// source records); labels do not depend on the order. Each query prints its
+// classifier invocations, representation work (transformed vs served) and
+// the record cache's hit rate.
 package main
 
 import (
@@ -341,11 +339,7 @@ func cmdQuery(mode string, args []string) error {
 		}
 		fmt.Println(strings.Join(cells, "\t"))
 	}
-	fusedTag := ""
-	if res.Fused {
-		fusedTag = " (fused)"
-	}
-	fmt.Printf("-- %d rows, %d classifier invocations%s\n", res.Count, res.UDFCalls, fusedTag)
+	fmt.Printf("-- %d rows, %d classifier invocations\n", res.Count, res.UDFCalls)
 	if res.MatHits > 0 {
 		bitmapTag := ""
 		if res.Bitmap {

@@ -142,7 +142,7 @@ func ExampleClassifier_ClassifyBatchReport() {
 		panic(err)
 	}
 	fmt.Println(rep.Frames == len(images))
-	fmt.Println(rep.LevelsRun[0] >= rep.Frames)     // every frame runs >= 1 level
+	fmt.Println(rep.LevelsRun >= rep.Frames)        // every frame runs >= 1 level
 	fmt.Println(rep.RepsMaterialized >= rep.Frames) // >= 1 representation each
 	fmt.Println(rep.Throughput > 0 && len(rep.Batches) == (len(images)+15)/16)
 	// Output:
@@ -150,40 +150,6 @@ func ExampleClassifier_ClassifyBatchReport() {
 	// true
 	// true
 	// true
-}
-
-// ExampleClassifyBatchFused runs several classifiers over one batch with a
-// fused representation plan: each distinct input transform is materialized
-// once per frame for the whole classifier set. Labels are bit-identical to
-// running each classifier alone.
-func ExampleClassifyBatchFused() {
-	pred, splits := exampleFixture()
-	fast, err := pred.Choose(tahoma.Constraints{MaxAccuracyLoss: 0.10})
-	if err != nil {
-		panic(err)
-	}
-	accurate, err := pred.Choose(tahoma.Constraints{MaxAccuracyLoss: 0})
-	if err != nil {
-		panic(err)
-	}
-	images := make([]*tahoma.Image, len(splits.Eval.Examples))
-	for i, e := range splits.Eval.Examples {
-		images[i] = e.Image
-	}
-	fused, err := tahoma.ClassifyBatchFused([]*tahoma.Classifier{fast, accurate}, images, tahoma.ExecOptions{})
-	if err != nil {
-		panic(err)
-	}
-	fastAlone, err := fast.ClassifyBatch(images)
-	if err != nil {
-		panic(err)
-	}
-	match := true
-	for i := range images {
-		match = match && fused.Labels[0][i] == fastAlone[i]
-	}
-	fmt.Println(len(fused.Labels) == 2 && match)
-	// Output: true
 }
 
 // ExampleNewServer runs the concurrent query service end to end: a DB over

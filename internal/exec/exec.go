@@ -5,24 +5,23 @@
 // classifies frames through an Engine, so batching, physical-representation
 // sharing and multi-core parallelism live in one place.
 //
-// An Engine is planned over one or more cascades — typically the content
-// predicates of one query. Planning assigns every distinct transform
-// (xform.Transform.ID identity) across all of them one global representation
-// slot, so each (frame, slot) pair is materialized at most once per run no
-// matter how many levels or cascades consume it, matching the evaluator's
-// Section VI cost accounting. A run splits its frame list into batches and
-// hands them to share-nothing workers: each worker loads its batch's source
-// frames — in the physical form the Source holds them, stored records for a
-// store-backed corpus (RecordSource), decoded images otherwise — then walks
-// the cascades level-major: materialize the level's slot for the
+// An Engine is planned over one cascade. Planning assigns every distinct
+// transform (xform.Transform.ID identity) among its levels one
+// representation slot, so each (frame, slot) pair is materialized at most
+// once per run no matter how many levels consume it, matching the
+// evaluator's Section VI cost accounting. A run splits its frame list into
+// batches and hands them to share-nothing workers: each worker loads its
+// batch's source frames — in the physical form the Source holds them, stored
+// records for a store-backed corpus (RecordSource), decoded images otherwise
+// — then walks the cascade level-major: materialize the level's slot for the
 // still-undecided frames into pooled buffers (one pass straight from a
 // record's bytes, or ApplyInto over an image; the samples are identical),
 // score them with one batched inference call, apply the thresholds, compact
 // the survivors — so every frame still short-circuits at its earliest
-// deciding level. Labels
-// and accounting are bit-identical to the per-frame walk (ClassifyOne) at
-// every worker count and batch size; per-batch and per-run stats let callers
-// compare measured throughput against the evaluator's analytic estimate.
+// deciding level. Labels and accounting are bit-identical to the per-frame
+// walk (ClassifyOne) at every worker count and batch size; per-batch and
+// per-run stats let callers compare measured throughput against the
+// evaluator's analytic estimate.
 package exec
 
 import (
@@ -203,11 +202,9 @@ type Trace struct {
 
 // BatchStats reports one batch's work.
 type BatchStats struct {
-	Start  int // offset of the batch within the run's frame list
-	Frames int
-	// LevelsRun is per cascade; the representation counters are global (a
-	// slot materialized once serves every cascade consuming it).
-	LevelsRun        []int
+	Start            int // offset of the batch within the run's frame list
+	Frames           int
+	LevelsRun        int
 	RepsMaterialized int
 	RepHits          int // slots served by the RepSource instead of transformed
 	// RepFallbacks counts representation reads the RepSource failed that
@@ -219,13 +216,10 @@ type BatchStats struct {
 
 // Report is one run's accounting.
 type Report struct {
-	// Labels[c][j] is cascade c's label for frame indices[j]. Positions a
-	// cascade was masked out of (see RunMasked) are false.
-	Labels [][]bool
-	// Frames counts the positions of the run's frame list; LevelsRun is per
-	// cascade, RepsMaterialized and RepHits are global.
+	// Labels[j] is the cascade's label for frame indices[j].
+	Labels           []bool
 	Frames           int
-	LevelsRun        []int
+	LevelsRun        int
 	RepsMaterialized int
 	RepHits          int
 	// RepFallbacks counts RepSource read failures degraded to plain
@@ -237,11 +231,10 @@ type Report struct {
 	// callers can observe how far the run got. Partial labels must never be
 	// cached or merged.
 	Cancelled bool
-	// Positives[c] counts cascade c's true labels over the positions it was
-	// asked to classify — Positives[c] over that count is the observed pass
-	// rate, the adaptive-selectivity feedback signal the query planner
-	// consumes.
-	Positives []int
+	// Positives counts the true labels — Positives over Frames is the
+	// observed pass rate, the adaptive-selectivity feedback signal the query
+	// planner consumes.
+	Positives int
 	// Batches reports per-batch work in frame order.
 	Batches []BatchStats
 	// Wall is the end-to-end run time; Throughput is Frames/Wall in
@@ -251,23 +244,21 @@ type Report struct {
 	Throughput float64
 }
 
-// Engine executes one or more cascades over a shared representation-slot
-// plan. Build it once per cascade set with New; runs are safe for concurrent
-// use (each worker clones the models' scratch state), ClassifyOne is not.
+// Engine executes one cascade over its representation-slot plan. Build it
+// once per cascade with New; runs are safe for concurrent use (each worker
+// clones the models' scratch state), ClassifyOne is not.
 type Engine struct {
-	cascades [][]Level
-	slot     [][]int           // [cascade][level] -> global representation slot
-	repIDs   []string          // per slot: transform identity
-	repXf    []xform.Transform // per slot: the transform itself
-	// idle holds per-goroutine state (model clones shared across cascades,
-	// survivor bookkeeping, pooled representation buffers) between runs, so
-	// repeated runs reach a steady state with no per-frame allocations. A
-	// plain free list, not a sync.Pool: the runtime keeps every sync.Pool
-	// that was ever used — and what it holds — reachable through two more
-	// GC cycles, and vdb still plans a fresh engine per fused statement, so
-	// pooled worker state of engines long dead would be most of a scanning
-	// server's resident set. Idle workers die with their engine; an engine
-	// kept across runs (vdb's per-cascade one) keeps them warm.
+	levels []Level
+	slot   []int             // [level] -> representation slot
+	repIDs []string          // per slot: transform identity
+	repXf  []xform.Transform // per slot: the transform itself
+	// idle holds per-goroutine state (model clones, survivor bookkeeping,
+	// pooled representation buffers) between runs, so repeated runs reach a
+	// steady state with no per-frame allocations. A plain free list, not a
+	// sync.Pool: a pool drops what it holds every other GC cycle, and a
+	// worker's clones and buffers are worth keeping for as long as the
+	// engine lives — each cascade runtime keeps one engine across
+	// statements. Idle workers die with their engine.
 	mu   sync.Mutex
 	idle []*worker
 }
@@ -281,7 +272,7 @@ func (e *Engine) takeWorker() *worker {
 		e.idle = e.idle[:n-1]
 		return w
 	}
-	return &worker{cascades: e.cloneCascades()}
+	return &worker{levels: e.cloneLevels()}
 }
 
 // parkWorker returns a worker to the free list.
@@ -291,81 +282,67 @@ func (e *Engine) parkWorker(w *worker) {
 	e.mu.Unlock()
 }
 
-// New plans an engine over the given cascades (at least one). In each,
-// exactly the final level must have Last set. Transform dedup spans levels
-// and cascades and is planned here, once, instead of per frame: a transform
-// appearing anywhere in the set gets a single global slot.
-func New(cascades ...[]Level) (*Engine, error) {
-	if len(cascades) == 0 {
-		return nil, fmt.Errorf("exec: engine needs at least one cascade")
+// New plans an engine over one cascade: exactly its final level must have
+// Last set. Transform dedup across levels is planned here, once, instead of
+// per frame: a transform several levels consume gets a single slot.
+func New(levels []Level) (*Engine, error) {
+	if len(levels) == 0 {
+		return nil, fmt.Errorf("exec: empty cascade")
 	}
-	e := &Engine{slot: make([][]int, len(cascades))}
+	e := &Engine{levels: append([]Level(nil), levels...), slot: make([]int, len(levels))}
 	slots := make(map[string]int)
-	for c, levels := range cascades {
-		if len(levels) == 0 {
-			return nil, fmt.Errorf("exec: cascade %d: empty cascade", c)
+	for i, lv := range levels {
+		if lv.Model == nil {
+			return nil, fmt.Errorf("exec: level %d has no model", i)
 		}
-		e.cascades = append(e.cascades, append([]Level(nil), levels...))
-		e.slot[c] = make([]int, len(levels))
-		for i, lv := range levels {
-			if lv.Model == nil {
-				return nil, fmt.Errorf("exec: cascade %d: level %d has no model", c, i)
-			}
-			if last := i == len(levels)-1; lv.Last != last {
-				return nil, fmt.Errorf("exec: cascade %d: level %d/%d has Last=%v", c, i+1, len(levels), lv.Last)
-			}
-			id := lv.Model.Xform.ID()
-			s, ok := slots[id]
-			if !ok {
-				s = len(e.repIDs)
-				slots[id] = s
-				e.repIDs = append(e.repIDs, id)
-				e.repXf = append(e.repXf, lv.Model.Xform)
-			}
-			e.slot[c][i] = s
+		if last := i == len(levels)-1; lv.Last != last {
+			return nil, fmt.Errorf("exec: level %d/%d has Last=%v", i+1, len(levels), lv.Last)
 		}
+		id := lv.Model.Xform.ID()
+		s, ok := slots[id]
+		if !ok {
+			s = len(e.repIDs)
+			slots[id] = s
+			e.repIDs = append(e.repIDs, id)
+			e.repXf = append(e.repXf, lv.Model.Xform)
+		}
+		e.slot[i] = s
 	}
 	return e, nil
 }
 
 // Reps returns the planned representation slots: the distinct transform
-// identities across every cascade, in first-use order.
+// identities of the cascade's levels, in first-use order.
 func (e *Engine) Reps() []string { return append([]string(nil), e.repIDs...) }
 
-// cloneCascades builds worker-local level sets: models are cloned (weights
+// cloneLevels builds a worker-local level set: models are cloned (weights
 // shared, inference scratch independent), deduplicated so a model appearing
-// at several levels or in several cascades is cloned once per worker.
-func (e *Engine) cloneCascades() [][]Level {
+// at several levels is cloned once per worker.
+func (e *Engine) cloneLevels() []Level {
 	clones := make(map[*model.Model]*model.Model)
-	out := make([][]Level, len(e.cascades))
-	for c, levels := range e.cascades {
-		out[c] = make([]Level, len(levels))
-		for i, lv := range levels {
-			m, ok := clones[lv.Model]
-			if !ok {
-				m = lv.Model.Clone()
-				clones[lv.Model] = m
-			}
-			out[c][i] = Level{Model: m, Thresholds: lv.Thresholds, Last: lv.Last}
+	out := make([]Level, len(e.levels))
+	for i, lv := range e.levels {
+		m, ok := clones[lv.Model]
+		if !ok {
+			m = lv.Model.Clone()
+			clones[lv.Model] = m
 		}
+		out[i] = Level{Model: m, Thresholds: lv.Thresholds, Last: lv.Last}
 	}
 	return out
 }
 
-// ClassifyOne labels a single frame under cascade c with a full trace — the
-// per-frame reference walk: one frame descends the cascade alone, float32,
+// ClassifyOne labels a single frame with a full trace — the per-frame
+// reference walk: one frame descends the cascade alone, float32,
 // materializing each distinct representation into a fresh image. The batched
 // runs are held bit-identical to it. It scores on the engine's own models
 // and is not safe for concurrent use; use Run for parallel work.
-func (e *Engine) ClassifyOne(c int, src *img.Image) (bool, Trace, error) {
+func (e *Engine) ClassifyOne(src *img.Image) (bool, Trace, error) {
 	var tr Trace
-	if c < 0 || c >= len(e.cascades) {
-		return false, tr, fmt.Errorf("exec: cascade %d out of range [0,%d)", c, len(e.cascades))
-	}
 	reps := make([]*img.Image, len(e.repIDs))
-	for li := range e.cascades[c] {
-		lv := &e.cascades[c][li]
-		slot := e.slot[c][li]
+	for li := range e.levels {
+		lv := &e.levels[li]
+		slot := e.slot[li]
 		if reps[slot] == nil {
 			reps[slot] = lv.Model.Xform.Apply(src)
 			tr.RepsCreated = append(tr.RepsCreated, e.repIDs[slot])
@@ -438,15 +415,15 @@ func newServing(rs RepSource, repIDs []string) *serving {
 // that the transforms materialize into. All batch-indexed scratch is sized to
 // the largest batch seen.
 type worker struct {
-	cascades [][]Level
-	srcs     []*img.Image   // source frames of the current batch (image-backed runs)
-	recs     []img.Record   // record-backed runs pin these instead of srcs
-	und      []int          // undecided positions, compacted level by level
-	gather   []*img.Image   // representations of the undecided frames
-	scores   []float32      // ScoreBatch output
-	reps     [][]*img.Image // [slot][pos] pooled representation buffers
-	repOK    [][]bool       // [slot][pos] materialized for the current batch?
-	proj     []*img.Image   // [slot] projection scratch for ApplyInto
+	levels []Level
+	srcs   []*img.Image   // source frames of the current batch (image-backed runs)
+	recs   []img.Record   // record-backed runs pin these instead of srcs
+	und    []int          // undecided positions, compacted level by level
+	gather []*img.Image   // representations of the undecided frames
+	scores []float32      // ScoreBatch output
+	reps   [][]*img.Image // [slot][pos] pooled representation buffers
+	repOK  [][]bool       // [slot][pos] materialized for the current batch?
+	proj   []*img.Image   // [slot] projection scratch for ApplyInto
 }
 
 // ensure grows the scratch to batch capacity n.
@@ -480,24 +457,8 @@ type run struct {
 	src     Source
 	recSrc  RecordSource // src, when it holds stored records: the byte-domain path
 	indices []int
-	need    [][]bool // per cascade, positional over indices; nil = all
 	sv      *serving
-	labels  [][]bool
-}
-
-// needs reports whether cascade c must classify position pos.
-func (r *run) needs(c, pos int) bool {
-	return r.need == nil || r.need[c] == nil || r.need[c][pos]
-}
-
-// anyNeeds reports whether any cascade must classify position pos.
-func (r *run) anyNeeds(pos int) bool {
-	for c := range r.e.cascades {
-		if r.needs(c, pos) {
-			return true
-		}
-	}
-	return false
+	labels  []bool
 }
 
 // loadSource pins frame idx at batch position j in whichever form the run's
@@ -585,14 +546,14 @@ func (r *run) materialize(w *worker, st *BatchStats, lo, slot, j int) error {
 
 // runBatch is the engine's one inner loop, over positions [lo,hi) of the
 // run's frame list. It loads the batch's source frames (when any slot still
-// needs them), then walks the cascades in turn, each level-major: the
-// level's representation slot is materialized once per still-undecided frame
-// — whichever cascade touches a (frame, slot) first fills it, every later
-// level or cascade reuses it — all undecided frames are scored with one
-// batched call, thresholds are applied, and the survivor vector is compacted
-// in place before descending. Each frame short-circuits at its earliest
-// deciding level, so the (frame, level) pairs executed, the representations
-// materialized and the labels are exactly those of the per-frame walk.
+// needs them), then walks the cascade level-major: the level's
+// representation slot is materialized once per still-undecided frame — the
+// first level to touch a (frame, slot) fills it, every later level reuses it
+// — all undecided frames are scored with one batched call, thresholds are
+// applied, and the survivor vector is compacted in place before descending.
+// Each frame short-circuits at its earliest deciding level, so the (frame,
+// level) pairs executed, the representations materialized and the labels
+// are exactly those of the per-frame walk.
 func (r *run) runBatch(w *worker, lo, hi int, st *BatchStats) error {
 	n := hi - lo
 	w.ensure(n, len(r.e.repIDs))
@@ -605,9 +566,6 @@ func (r *run) runBatch(w *worker, lo, hi int, st *BatchStats) error {
 	}
 	if r.sv.needSource() {
 		for j := 0; j < n; j++ {
-			if !r.anyNeeds(lo + j) {
-				continue
-			}
 			if err := r.ctx.Err(); err != nil {
 				return err
 			}
@@ -616,67 +574,59 @@ func (r *run) runBatch(w *worker, lo, hi int, st *BatchStats) error {
 			}
 		}
 	}
-	for c, levels := range w.cascades {
-		und := w.und[:0]
-		for j := 0; j < n; j++ {
-			if r.needs(c, lo+j) {
-				und = append(und, j)
-			}
+	und := w.und[:n]
+	for j := range und {
+		und[j] = j
+	}
+	for li := range w.levels {
+		if err := r.ctx.Err(); err != nil {
+			return err
 		}
-		for li := range levels {
-			if len(und) == 0 {
-				break
-			}
-			if err := r.ctx.Err(); err != nil {
-				return err
-			}
-			lv := &levels[li]
-			slot := r.e.slot[c][li]
-			gather := w.gather[:0]
-			for _, j := range und {
-				if !w.repOK[slot][j] {
-					if err := r.materialize(w, st, lo, slot, j); err != nil {
-						return err
-					}
+		lv := &w.levels[li]
+		slot := r.e.slot[li]
+		gather := w.gather[:0]
+		for _, j := range und {
+			if !w.repOK[slot][j] {
+				if err := r.materialize(w, st, lo, slot, j); err != nil {
+					return err
 				}
-				gather = append(gather, w.reps[slot][j])
 			}
-			scores := w.scores[:len(und)]
-			if err := lv.Model.ScoreBatchInto(gather, scores); err != nil {
-				// Re-score frame by frame to attribute the failure to a
-				// corpus index (the batch error only knows gather positions).
-				// Cold path: scoring errors abort the whole run.
-				for i, j := range und {
-					if _, ferr := lv.Model.Score(gather[i]); ferr != nil {
-						return fmt.Errorf("exec: frame %d: cascade %d level %d: %w", r.indices[lo+j], c, li, ferr)
-					}
-				}
-				return fmt.Errorf("exec: cascade %d level %d: %w", c, li, err)
-			}
-			st.LevelsRun[c] += len(und)
-			if lv.Last {
-				for i, j := range und {
-					r.labels[c][lo+j] = scores[i] >= 0.5
-				}
-				und = und[:0]
-				break
-			}
-			keep := und[:0]
+			gather = append(gather, w.reps[slot][j])
+		}
+		scores := w.scores[:len(und)]
+		if err := lv.Model.ScoreBatchInto(gather, scores); err != nil {
+			// Re-score frame by frame to attribute the failure to a corpus
+			// index (the batch error only knows gather positions). Cold path:
+			// scoring errors abort the whole run.
 			for i, j := range und {
-				if decided, positive := lv.Thresholds.Decide(scores[i]); decided {
-					r.labels[c][lo+j] = positive
-				} else {
-					keep = append(keep, j)
+				if _, ferr := lv.Model.Score(gather[i]); ferr != nil {
+					return fmt.Errorf("exec: frame %d: level %d: %w", r.indices[lo+j], li, ferr)
 				}
 			}
-			und = keep
+			return fmt.Errorf("exec: level %d: %w", li, err)
 		}
-		if len(und) != 0 {
-			// Unreachable: New guarantees a deciding last level. Guard anyway.
-			return fmt.Errorf("exec: no level decided (malformed cascade)")
+		st.LevelsRun += len(und)
+		if lv.Last {
+			for i, j := range und {
+				r.labels[lo+j] = scores[i] >= 0.5
+			}
+			return nil
+		}
+		keep := und[:0]
+		for i, j := range und {
+			if decided, positive := lv.Thresholds.Decide(scores[i]); decided {
+				r.labels[lo+j] = positive
+			} else {
+				keep = append(keep, j)
+			}
+		}
+		und = keep
+		if len(und) == 0 {
+			return nil
 		}
 	}
-	return nil
+	// Unreachable: New guarantees a deciding last level. Guard anyway.
+	return fmt.Errorf("exec: no level decided (malformed cascade)")
 }
 
 // release unpins the source frames a batch borrowed, on every exit path: the
@@ -690,33 +640,23 @@ func (w *worker) release(n int) {
 	}
 }
 
-// Run classifies the frames of src named by indices (nil = all) under every
-// cascade. Labels are positional and per cascade: Labels[c][j] is cascade
-// c's label of src frame indices[j]. Results are bit-identical regardless of
-// worker count and batch size; only the stats' batch boundaries and wall
-// times vary.
+// Run classifies the frames of src named by indices (nil = all). Labels are
+// positional: Labels[j] is the label of src frame indices[j]. Results are
+// bit-identical regardless of worker count and batch size; only the stats'
+// batch boundaries and wall times vary.
 func (e *Engine) Run(src Source, indices []int, opts Options) (*Report, error) {
-	return e.RunMasked(context.Background(), src, indices, nil, opts)
+	return e.RunContext(context.Background(), src, indices, opts)
 }
 
-// RunContext is Run with cooperative cancellation (see RunMasked).
+// RunContext is Run with cooperative cancellation. Batches are dealt to
+// share-nothing workers, each preparing and scoring its own. Workers check
+// ctx between batches (and the inner loop between levels and slot fills), so
+// a cancelled or deadlined run returns promptly with ctx's error and a
+// partial Report whose Cancelled flag is set — the partial labels must never
+// be cached or merged. A panic in any worker (a misbehaving model, an
+// injected fault) is contained to the run and surfaces as a *PanicError
+// instead of crashing the process.
 func (e *Engine) RunContext(ctx context.Context, src Source, indices []int, opts Options) (*Report, error) {
-	return e.RunMasked(ctx, src, indices, nil, opts)
-}
-
-// RunMasked is the full form of a run. need (optional) masks positions per
-// cascade: cascade c classifies position j only when need[c] is nil or
-// need[c][j] — the shape the query executor uses when predicates have
-// different cached coverage.
-//
-// Batches are dealt to share-nothing workers, each preparing and scoring its
-// own. Workers check ctx between batches (and the inner loop between levels
-// and slot fills), so a cancelled or deadlined run returns promptly with
-// ctx's error and a partial Report whose Cancelled flag is set — the partial
-// labels must never be cached or merged. A panic in any worker (a
-// misbehaving model, an injected fault) is contained to the run and surfaces
-// as a *PanicError instead of crashing the process.
-func (e *Engine) RunMasked(ctx context.Context, src Source, indices []int, need [][]bool, opts Options) (*Report, error) {
 	opts = opts.normalized()
 	if indices == nil {
 		indices = make([]int, src.Len())
@@ -724,26 +664,8 @@ func (e *Engine) RunMasked(ctx context.Context, src Source, indices []int, need 
 			indices[i] = i
 		}
 	}
-	nc := len(e.cascades)
-	if need != nil {
-		if len(need) != nc {
-			return nil, fmt.Errorf("exec: need mask covers %d cascades, engine has %d", len(need), nc)
-		}
-		for c, m := range need {
-			if m != nil && len(m) != len(indices) {
-				return nil, fmt.Errorf("exec: need mask %d covers %d positions, run has %d", c, len(m), len(indices))
-			}
-		}
-	}
 	start := time.Now()
-	rep := &Report{
-		Labels:    make([][]bool, nc),
-		LevelsRun: make([]int, nc),
-		Positives: make([]int, nc),
-	}
-	for c := range rep.Labels {
-		rep.Labels[c] = make([]bool, len(indices))
-	}
+	rep := &Report{Labels: make([]bool, len(indices))}
 	sv := newServing(opts.RepSource, e.repIDs)
 	if len(indices) == 0 {
 		rep.Wall = time.Since(start)
@@ -752,17 +674,16 @@ func (e *Engine) RunMasked(ctx context.Context, src Source, indices []int, need 
 
 	numBatches := (len(indices) + opts.Batch - 1) / opts.Batch
 	rep.Batches = make([]BatchStats, numBatches)
-	levelsRun := make([]int, numBatches*nc) // one backing array for every batch's per-cascade counts
 	jobs := make(chan int, numBatches)
 	for b := range rep.Batches {
 		lo := b * opts.Batch
 		hi := min(lo+opts.Batch, len(indices))
-		rep.Batches[b] = BatchStats{Start: lo, Frames: hi - lo, LevelsRun: levelsRun[b*nc : (b+1)*nc : (b+1)*nc]}
+		rep.Batches[b] = BatchStats{Start: lo, Frames: hi - lo}
 		jobs <- b
 	}
 	close(jobs)
 	recSrc, _ := src.(RecordSource)
-	r := &run{ctx: ctx, e: e, src: src, recSrc: recSrc, indices: indices, need: need, sv: sv, labels: rep.Labels}
+	r := &run{ctx: ctx, e: e, src: src, recSrc: recSrc, indices: indices, sv: sv, labels: rep.Labels}
 
 	workers := min(opts.Workers, numBatches)
 	errs := make(chan error, workers)
@@ -816,18 +737,14 @@ func (e *Engine) RunMasked(ctx context.Context, src Source, indices []int, need 
 	for b := range rep.Batches {
 		st := &rep.Batches[b]
 		rep.Frames += st.Frames
+		rep.LevelsRun += st.LevelsRun
 		rep.RepsMaterialized += st.RepsMaterialized
 		rep.RepHits += st.RepHits
 		rep.RepFallbacks += st.RepFallbacks
-		for c, lr := range st.LevelsRun {
-			rep.LevelsRun[c] += lr
-		}
 	}
-	for c, labels := range rep.Labels {
-		for _, l := range labels { // masked-out positions are never labeled, so stay false
-			if l {
-				rep.Positives[c]++
-			}
+	for _, l := range rep.Labels {
+		if l {
+			rep.Positives++
 		}
 	}
 	rep.Wall = time.Since(start)

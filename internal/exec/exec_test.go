@@ -17,9 +17,8 @@ import (
 	"tahoma/internal/xform"
 )
 
-// sharedGrid is the transform ladder cascades draw from by default. Levels 0
-// and 2 share a representation, and every cascade built over it overlaps the
-// others exactly as a real multi-predicate query's would.
+// sharedGrid is the transform ladder cascades draw from by default: levels 0
+// and 2 share a representation.
 var sharedGrid = []xform.Transform{
 	{Size: 8, Color: img.Gray},
 	{Size: 16, Color: img.RGB},
@@ -51,24 +50,6 @@ func buildLevelsOn(t *testing.T, grid []xform.Transform, seed int64, depth int) 
 func buildLevels(t *testing.T, seed int64, depth int) []Level {
 	t.Helper()
 	return buildLevelsOn(t, sharedGrid, seed, depth)
-}
-
-// buildCascades constructs one cascade per depth with distinct model seeds.
-// Shared grids all draw from sharedGrid; disjoint grids give each cascade
-// its own color channel, so no representation is shared across cascades.
-func buildCascades(t *testing.T, seed int64, depths []int, shared bool) [][]Level {
-	t.Helper()
-	colors := []img.ColorMode{img.Red, img.Green, img.Blue}
-	out := make([][]Level, len(depths))
-	for c, d := range depths {
-		grid := sharedGrid
-		if !shared {
-			col := colors[c%len(colors)]
-			grid = []xform.Transform{{Size: 8, Color: col}, {Size: 16, Color: col}}
-		}
-		out[c] = buildLevelsOn(t, grid, seed+int64(100*c), d)
-	}
-	return out
 }
 
 func randFrames(seed int64, n, size int) []*img.Image {
@@ -221,61 +202,53 @@ func (s fakeRepRecords) RepRecord(i int, t xform.Transform) (img.Record, error) 
 // refFrame is what the independent reference expects one position of a run
 // to have done.
 type refFrame struct {
-	labels []bool // per cascade; false where masked out
-	levels []int  // per cascade
-	reps   int    // (frame, slot) pairs transformed
-	hits   int    // (frame, slot) pairs the RepSource serves instead
+	label  bool
+	levels int
+	reps   int // (frame, slot) pairs transformed
+	hits   int // (frame, slot) pairs the RepSource serves instead
 }
 
-// referenceWalk is the independent oracle: a per-frame walk over every
-// cascade with ONE shared representation map per frame — the semantics the
-// seed runtime implemented per cascade, extended across cascades. It shares
-// no code with the engine: a served transform is its stored (quantized)
-// representation and counts as a hit instead of a rep.
-func referenceWalk(t *testing.T, cascades [][]Level, frames []*img.Image, indices []int, need [][]bool, served map[string]bool) []refFrame {
+// referenceWalk is the independent oracle: a per-frame walk down the cascade
+// with one representation map per frame — the semantics the seed runtime
+// implemented. It shares no code with the engine: a served transform is its
+// stored (quantized) representation and counts as a hit instead of a rep.
+func referenceWalk(t *testing.T, levels []Level, frames []*img.Image, indices []int, served map[string]bool) []refFrame {
 	t.Helper()
 	out := make([]refFrame, len(indices))
 	for j, idx := range indices {
-		rf := refFrame{labels: make([]bool, len(cascades)), levels: make([]int, len(cascades))}
+		var rf refFrame
 		cache := make(map[string]*img.Image)
-		for c, levels := range cascades {
-			if need != nil && need[c] != nil && !need[c][j] {
-				continue
+		decided := false
+		for li := range levels {
+			lv := &levels[li]
+			id := lv.Model.Xform.ID()
+			rep, ok := cache[id]
+			if !ok {
+				if served[id] {
+					_, rep = storedRep(t, lv.Model.Xform, frames[idx])
+					rf.hits++
+				} else {
+					rep = lv.Model.Xform.Apply(frames[idx])
+					rf.reps++
+				}
+				cache[id] = rep
 			}
-			decided := false
-			for li := range levels {
-				lv := &levels[li]
-				id := lv.Model.Xform.ID()
-				rep, ok := cache[id]
-				if !ok {
-					if served[id] {
-						_, rep = storedRep(t, lv.Model.Xform, frames[idx])
-						rf.hits++
-					} else {
-						rep = lv.Model.Xform.Apply(frames[idx])
-						rf.reps++
-					}
-					cache[id] = rep
-				}
-				score, err := lv.Model.Score(rep)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rf.levels[c]++
-				if lv.Last {
-					rf.labels[c] = score >= 0.5
-					decided = true
-					break
-				}
-				if dec, positive := lv.Thresholds.Decide(score); dec {
-					rf.labels[c] = positive
-					decided = true
-					break
-				}
+			score, err := lv.Model.Score(rep)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !decided {
-				t.Fatal("no level decided")
+			rf.levels++
+			if lv.Last {
+				rf.label, decided = score >= 0.5, true
+				break
 			}
+			if dec, positive := lv.Thresholds.Decide(score); dec {
+				rf.label, decided = positive, true
+				break
+			}
+		}
+		if !decided {
+			t.Fatal("no level decided")
 		}
 		out[j] = rf
 	}
@@ -283,9 +256,9 @@ func referenceWalk(t *testing.T, cascades [][]Level, frames []*img.Image, indice
 }
 
 // checkAgainstReference holds a report to the reference walk: labels,
-// positives, and — per batch and in aggregate — per-cascade LevelsRun,
-// exactly-once RepsMaterialized and RepHits.
-func checkAgainstReference(t *testing.T, rep *Report, ref []refFrame, need [][]bool, batch int) {
+// positives, and — per batch and in aggregate — LevelsRun, exactly-once
+// RepsMaterialized and RepHits.
+func checkAgainstReference(t *testing.T, rep *Report, ref []refFrame, batch int) {
 	t.Helper()
 	if rep.Frames != len(ref) {
 		t.Fatalf("processed %d frames, want %d", rep.Frames, len(ref))
@@ -293,75 +266,79 @@ func checkAgainstReference(t *testing.T, rep *Report, ref []refFrame, need [][]b
 	if want := (len(ref) + batch - 1) / batch; len(rep.Batches) != want {
 		t.Fatalf("%d batches, want %d", len(rep.Batches), want)
 	}
-	nc := len(rep.Labels)
-	totLevels := make([]int, nc)
-	totReps, totHits, next := 0, 0, 0
+	totLevels, totReps, totHits, next := 0, 0, 0, 0
 	for b, st := range rep.Batches {
 		if st.Start != next {
 			t.Fatalf("batch %d starts at %d, want %d", b, st.Start, next)
 		}
 		next += st.Frames
-		wantLevels := make([]int, nc)
-		wantReps, wantHits := 0, 0
+		wantLevels, wantReps, wantHits := 0, 0, 0
 		for _, rf := range ref[st.Start : st.Start+st.Frames] {
-			for c := range wantLevels {
-				wantLevels[c] += rf.levels[c]
-			}
+			wantLevels += rf.levels
 			wantReps += rf.reps
 			wantHits += rf.hits
 		}
-		for c := range wantLevels {
-			if st.LevelsRun[c] != wantLevels[c] {
-				t.Fatalf("batch %d cascade %d: LevelsRun = %d, reference = %d", b, c, st.LevelsRun[c], wantLevels[c])
-			}
-			totLevels[c] += wantLevels[c]
+		if st.LevelsRun != wantLevels || st.RepsMaterialized != wantReps || st.RepHits != wantHits {
+			t.Fatalf("batch %d: %d levels / %d reps / %d hits, reference %d / %d / %d",
+				b, st.LevelsRun, st.RepsMaterialized, st.RepHits, wantLevels, wantReps, wantHits)
 		}
-		if st.RepsMaterialized != wantReps || st.RepHits != wantHits {
-			t.Fatalf("batch %d: %d reps / %d hits, reference %d / %d", b, st.RepsMaterialized, st.RepHits, wantReps, wantHits)
-		}
-		totReps, totHits = totReps+wantReps, totHits+wantHits
+		totLevels, totReps, totHits = totLevels+wantLevels, totReps+wantReps, totHits+wantHits
 	}
 	if next != len(ref) {
 		t.Fatalf("batch stats cover %d frames, want %d", next, len(ref))
 	}
-	if rep.RepsMaterialized != totReps || rep.RepHits != totHits || rep.RepFallbacks != 0 {
-		t.Fatalf("run: %d reps / %d hits / %d fallbacks, reference %d / %d / 0",
-			rep.RepsMaterialized, rep.RepHits, rep.RepFallbacks, totReps, totHits)
+	if rep.LevelsRun != totLevels || rep.RepsMaterialized != totReps || rep.RepHits != totHits || rep.RepFallbacks != 0 {
+		t.Fatalf("run: %d levels / %d reps / %d hits / %d fallbacks, reference %d / %d / %d / 0",
+			rep.LevelsRun, rep.RepsMaterialized, rep.RepHits, rep.RepFallbacks, totLevels, totReps, totHits)
 	}
-	for c := 0; c < nc; c++ {
-		if rep.LevelsRun[c] != totLevels[c] {
-			t.Fatalf("cascade %d: LevelsRun = %d, reference = %d", c, rep.LevelsRun[c], totLevels[c])
+	if len(rep.Labels) != len(ref) {
+		t.Fatalf("%d labels for %d positions", len(rep.Labels), len(ref))
+	}
+	positives := 0
+	for j, rf := range ref {
+		if rep.Labels[j] != rf.label {
+			t.Fatalf("position %d: label %v, reference %v", j, rep.Labels[j], rf.label)
 		}
-		positives := 0
-		for j, rf := range ref {
-			if rep.Labels[c][j] != rf.labels[c] {
-				t.Fatalf("cascade %d position %d: label %v, reference %v", c, j, rep.Labels[c][j], rf.labels[c])
-			}
-			if rf.labels[c] {
-				positives++
-			}
+		if rf.label {
+			positives++
 		}
-		if rep.Positives[c] != positives {
-			t.Fatalf("cascade %d: Positives = %d, reference = %d", c, rep.Positives[c], positives)
-		}
+	}
+	if rep.Positives != positives {
+		t.Fatalf("Positives = %d, reference = %d", rep.Positives, positives)
 	}
 }
 
-// TestEngineParity is the engine's core property, as one table: cascades
-// 1–3 × shared/disjoint representation grid × need masks × RepSource (none,
-// one served transform, or every transform, so no source is ever loaded;
-// served as decoded images, or as stored records — served=record — expanded
-// through ApplyRecord) × the deprecated Quantize knob × workers × batch size ×
-// the physical form of the source (decoded images, resident stored records
+// parityShapes are the cascade shapes TestEngineParity runs: every depth the
+// planner can pick and then some, with each level on its own transform or
+// reusing an earlier level's, so a slot is filled by the first level that
+// needs it and read by every later one.
+var parityShapes = []struct {
+	name string
+	grid []xform.Transform
+}{
+	{"d=1", sharedGrid[:1]},
+	{"d=2/distinct", sharedGrid[:2]},
+	{"d=2/reuse", []xform.Transform{{Size: 8, Color: img.Gray}, {Size: 8, Color: img.Gray}}},
+	{"d=3/distinct", []xform.Transform{{Size: 8, Color: img.Gray}, {Size: 16, Color: img.RGB}, {Size: 16, Color: img.Gray}}},
+	{"d=3/reuse", sharedGrid[:3]},
+	{"d=4", sharedGrid},
+}
+
+// TestEngineParity is the engine's core property, as one table: cascade
+// shape (depth 1–4, levels on distinct transforms or reusing one) × frame
+// list (the whole source in order, or permuted and gapped so positions and
+// corpus indices differ everywhere) × RepSource (none, the first level's
+// transform, or every transform, so no source is ever loaded; served as
+// decoded images, or as stored records — served=record — expanded through
+// ApplyRecord) × the deprecated Quantize knob × workers × batch size × the
+// physical form of the source (decoded images, resident stored records
 // taking the byte-domain load path, or an on-disk store read through a record
-// cache a tenth of its size). Every run must match the independent shared-map
-// reference walk — labels, per-cascade LevelsRun, exactly-once
-// RepsMaterialized and RepHits, per batch and in aggregate — and its
-// unmasked labels and level counts must equal the engine's own per-frame
-// ClassifyOne walk. Nothing about
-// scheduling, nothing about how the source or a served rep is held, and not
-// the Quantize value the benchmark harness still passes, may move any of
-// them.
+// cache a tenth of its size). Every run must match the independent reference
+// walk — labels, LevelsRun, exactly-once RepsMaterialized and RepHits, per
+// batch and in aggregate — and the unserved reference must equal the
+// engine's own per-frame ClassifyOne walk. Nothing about scheduling, nothing
+// about how the source or a served rep is held, and not the Quantize value
+// the benchmark harness still passes, may move any of them.
 func TestEngineParity(t *testing.T) {
 	// Both former scoring modes must run the one float32 path: the reference
 	// walk is the same for each.
@@ -402,121 +379,108 @@ func TestEngineParity(t *testing.T) {
 			return countingRecords{storeSource{store, c}, l}, c
 		}},
 	}
-	// A permuted, gapped frame list, so positions and corpus indices differ
-	// everywhere: labels are positional, rep serving is by corpus index.
-	var indices []int
+	all := make([]int, len(frames))
+	for i := range all {
+		all[i] = i
+	}
+	var permuted []int
 	for i := len(frames) - 1; i >= 0; i-- {
 		if i%5 != 4 {
-			indices = append(indices, i)
+			permuted = append(permuted, i)
 		}
 	}
-	for _, depths := range [][]int{{3}, {2, 3}, {2, 4, 1}} {
-		for _, shared := range []bool{true, false} {
-			cascades := buildCascades(t, 2100, depths, shared)
-			// The repsource rows serve cascade 0's first-level transform (on
-			// the shared grid, every cascade's); the repsource-all rows serve
-			// every transform any level uses.
-			servedXf := cascades[0][0].Model.Xform
-			var allXf []xform.Transform
-			allServed := make(map[string]bool)
-			for _, levels := range cascades {
-				for _, lv := range levels {
-					if id := lv.Model.Xform.ID(); !allServed[id] {
-						allServed[id] = true
-						allXf = append(allXf, lv.Model.Xform)
-					}
+	frameLists := []struct {
+		name    string
+		indices []int // what the run is passed; nil = every frame in order
+		ref     []int // the positions' corpus indices
+	}{{"all", nil, all}, {"permuted", permuted, permuted}}
+	for si, shape := range parityShapes {
+		levels := buildLevelsOn(t, shape.grid, 2100+int64(100*si), len(shape.grid))
+		// The repsource rows serve the first level's transform; the
+		// repsource-all rows serve every transform any level uses.
+		servedXf := levels[0].Model.Xform
+		var allXf []xform.Transform
+		allServed := make(map[string]bool)
+		for _, lv := range levels {
+			if id := lv.Model.Xform.ID(); !allServed[id] {
+				allServed[id] = true
+				allXf = append(allXf, lv.Model.Xform)
+			}
+		}
+		eng, err := New(levels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, list := range frameLists {
+			// The engine's own per-frame walk agrees with the independent one.
+			plain := referenceWalk(t, levels, frames, list.ref, nil)
+			for j, idx := range list.ref {
+				label, tr, err := eng.ClassifyOne(frames[idx])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if label != plain[j].label || tr.LevelsRun != plain[j].levels || len(tr.RepsCreated) != plain[j].reps {
+					t.Fatalf("%s frame %d: ClassifyOne (%v, %d levels, %d reps) != reference (%v, %d, %d)",
+						shape.name, idx, label, tr.LevelsRun, len(tr.RepsCreated), plain[j].label, plain[j].levels, plain[j].reps)
 				}
 			}
-			eng, err := New(cascades...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			masked := make([][]bool, len(cascades)) // cascade 1 (when present) stays nil: all positions
-			for c := range masked {
-				if c == 1 {
-					continue
+			for _, serve := range []string{"none", "repsource", "repsource-all", "repsource/served=record", "repsource-all/served=record"} {
+				everySlot := strings.HasPrefix(serve, "repsource-all")
+				asRecords := strings.HasSuffix(serve, "/served=record")
+				servedSet := []xform.Transform{servedXf}
+				if everySlot {
+					servedSet = allXf
 				}
-				masked[c] = make([]bool, len(indices))
-				for j := range masked[c] {
-					masked[c][j] = j%(3-c/2) == c/2
+				ref := plain
+				switch {
+				case everySlot:
+					ref = referenceWalk(t, levels, frames, list.ref, allServed)
+				case serve != "none":
+					ref = referenceWalk(t, levels, frames, list.ref, map[string]bool{servedXf.ID(): true})
 				}
-			}
-			for _, need := range [][][]bool{nil, masked} {
-				for _, serve := range []string{"none", "repsource", "repsource-all", "repsource/served=record", "repsource-all/served=record"} {
-					all := strings.HasPrefix(serve, "repsource-all")
-					asRecords := strings.HasSuffix(serve, "/served=record")
-					servedSet := []xform.Transform{servedXf}
-					if all {
-						servedSet = allXf
-					}
-					var served map[string]bool
-					switch {
-					case all:
-						served = allServed
-					case serve != "none":
-						served = map[string]bool{servedXf.ID(): true}
-					}
-					ref := referenceWalk(t, cascades, frames, indices, need, served)
-					if need == nil {
-						// The engine's own per-frame walk agrees with the
-						// independent one, cascade by cascade.
-						for c := range cascades {
-							for j, idx := range indices {
-								label, tr, err := eng.ClassifyOne(c, frames[idx])
-								if err != nil {
-									t.Fatal(err)
-								}
-								if label != ref[j].labels[c] || tr.LevelsRun != ref[j].levels[c] {
-									t.Fatalf("cascade %d frame %d: ClassifyOne (%v, %d levels) != reference (%v, %d)",
-										c, idx, label, tr.LevelsRun, ref[j].labels[c], ref[j].levels[c])
-								}
-							}
-						}
-					}
-					for _, quant := range quantModes {
-						for _, workers := range []int{1, 2, 4} {
-							for _, batch := range []int{1, 5, 16, 100} {
-								name := fmt.Sprintf("n=%d/shared=%v/masked=%v/%s/quant=%s/w=%d/b=%d",
-									len(cascades), shared, need != nil, serve, quant.name, workers, batch)
-								for _, source := range sources {
-									mkSrc := source.src
-									t.Run(name+source.suffix, func(t *testing.T) {
-										var loads atomic.Int64
-										opts := Options{Workers: workers, Batch: batch, Quantize: quant.mode}
-										var fake *fakeRepSource
-										if serve != "none" {
-											fake = newFakeRepSource(t, frames, servedSet...)
-											opts.RepSource = fake
-											if asRecords {
-												opts.RepSource = fakeRepRecords{fake}
-											}
+				for _, quant := range quantModes {
+					for _, workers := range []int{1, 2, 4} {
+						for _, batch := range []int{1, 5, 16, 100} {
+							name := fmt.Sprintf("%s/frames=%s/%s/quant=%s/w=%d/b=%d",
+								shape.name, list.name, serve, quant.name, workers, batch)
+							for _, source := range sources {
+								mkSrc := source.src
+								t.Run(name+source.suffix, func(t *testing.T) {
+									var loads atomic.Int64
+									opts := Options{Workers: workers, Batch: batch, Quantize: quant.mode}
+									var fake *fakeRepSource
+									if serve != "none" {
+										fake = newFakeRepSource(t, frames, servedSet...)
+										opts.RepSource = fake
+										if asRecords {
+											opts.RepSource = fakeRepRecords{fake}
 										}
-										src, cache := mkSrc(t, &loads)
-										rep, err := eng.RunMasked(context.Background(), src, indices, need, opts)
-										if err != nil {
-											t.Fatal(err)
+									}
+									src, cache := mkSrc(t, &loads)
+									rep, err := eng.RunContext(context.Background(), src, list.indices, opts)
+									if err != nil {
+										t.Fatal(err)
+									}
+									checkAgainstReference(t, rep, ref, batch)
+									if cache != nil && loads.Load() > 0 {
+										if st := cache.Stats(); st.Misses == 0 || st.ResidentBytes > budget+record {
+											t.Fatalf("cache of %d bytes: stats %+v: want misses and at most its budget plus one %d-byte record resident",
+												budget, st, record)
 										}
-										checkAgainstReference(t, rep, ref, need, batch)
-										if cache != nil && loads.Load() > 0 {
-											if st := cache.Stats(); st.Misses == 0 || st.ResidentBytes > budget+record {
-												t.Fatalf("cache of %d bytes: stats %+v: want misses and at most its budget plus one %d-byte record resident",
-													budget, st, record)
-											}
+									}
+									if fake != nil {
+										if rep.RepHits == 0 {
+											t.Fatal("served slot produced no RepHits")
 										}
-										if fake != nil {
-											if rep.RepHits == 0 {
-												t.Fatal("served slot produced no RepHits")
-											}
-											if fake.hits.Load() != int64(rep.RepHits) {
-												t.Fatalf("RepSource served %d reads, report counts %d RepHits", fake.hits.Load(), rep.RepHits)
-											}
+										if fake.hits.Load() != int64(rep.RepHits) {
+											t.Fatalf("RepSource served %d reads, report counts %d RepHits", fake.hits.Load(), rep.RepHits)
 										}
-										if all && (rep.RepsMaterialized != 0 || loads.Load() != 0) {
-											t.Fatalf("every slot served, yet %d reps transformed and %d source frames loaded",
-												rep.RepsMaterialized, loads.Load())
-										}
-									})
-								}
+									}
+									if everySlot && (rep.RepsMaterialized != 0 || loads.Load() != 0) {
+										t.Fatalf("every slot served, yet %d reps transformed and %d source frames loaded",
+											rep.RepsMaterialized, loads.Load())
+									}
+								})
 							}
 						}
 					}
@@ -527,8 +491,8 @@ func TestEngineParity(t *testing.T) {
 }
 
 // TestClassifyOneTrace: the per-frame walk's trace carries one score per
-// level run and the planned rep identities, and for a single cascade its
-// totals are the batched run's.
+// level run and the planned rep identities, and its totals are the batched
+// run's.
 func TestClassifyOneTrace(t *testing.T) {
 	levels := buildLevels(t, 303, 3)
 	eng, err := New(levels)
@@ -542,12 +506,12 @@ func TestClassifyOneTrace(t *testing.T) {
 	}
 	totalLevels, totalReps := 0, 0
 	for i, f := range frames {
-		label, tr, err := eng.ClassifyOne(0, f)
+		label, tr, err := eng.ClassifyOne(f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if label != rep.Labels[0][i] {
-			t.Fatalf("frame %d: ClassifyOne = %v, Run = %v", i, label, rep.Labels[0][i])
+		if label != rep.Labels[i] {
+			t.Fatalf("frame %d: ClassifyOne = %v, Run = %v", i, label, rep.Labels[i])
 		}
 		if len(tr.Scores) != tr.LevelsRun {
 			t.Fatalf("frame %d: %d scores for %d levels", i, len(tr.Scores), tr.LevelsRun)
@@ -558,12 +522,9 @@ func TestClassifyOneTrace(t *testing.T) {
 		totalLevels += tr.LevelsRun
 		totalReps += len(tr.RepsCreated)
 	}
-	if totalLevels != rep.LevelsRun[0] || totalReps != rep.RepsMaterialized {
+	if totalLevels != rep.LevelsRun || totalReps != rep.RepsMaterialized {
 		t.Fatalf("trace totals (%d levels, %d reps) != run totals (%d, %d)",
-			totalLevels, totalReps, rep.LevelsRun[0], rep.RepsMaterialized)
-	}
-	if _, _, err := eng.ClassifyOne(1, frames[0]); err == nil {
-		t.Fatal("out-of-range cascade must be rejected")
+			totalLevels, totalReps, rep.LevelsRun, rep.RepsMaterialized)
 	}
 }
 
@@ -581,27 +542,17 @@ func TestRepPlanning(t *testing.T) {
 	if reps[0] != levels[0].Model.Xform.ID() {
 		t.Fatalf("slot 0 = %q, want first level's transform", reps[0])
 	}
-	// A second cascade over the same grid adds no slot; a disjoint one does.
-	both, err := New(levels, buildLevels(t, 515, 2))
+	// Every level on one transform: one slot.
+	same, err := New(buildLevelsOn(t, sharedGrid[:1], 515, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(both.Reps()); got != 3 {
-		t.Fatalf("overlapping cascades planned %d slots, want 3", got)
-	}
-	disjoint, err := New(buildCascades(t, 525, []int{2, 2}, false)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(disjoint.Reps()); got != 4 {
-		t.Fatalf("disjoint cascades planned %d slots, want 4", got)
+	if got := len(same.Reps()); got != 1 {
+		t.Fatalf("a cascade on one transform planned %d slots, want 1", got)
 	}
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(); err == nil {
-		t.Fatal("empty cascade set must be rejected")
-	}
 	if _, err := New(nil); err == nil {
 		t.Fatal("empty cascade must be rejected")
 	}
@@ -620,25 +571,16 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(levels); err == nil {
 		t.Fatal("nil model must be rejected")
 	}
-	good := buildLevels(t, 609, 2)
-	bad := append([]Level(nil), good...)
-	bad[1].Last = false
-	if _, err := New(good, bad); err == nil {
-		t.Fatal("malformed member cascade must be rejected")
-	}
-	if _, err := New(good, nil); err == nil {
-		t.Fatal("nil member cascade must be rejected")
-	}
 }
 
 func TestRunEdgeCases(t *testing.T) {
-	eng, err := New(buildCascades(t, 707, []int{2, 2}, true)...)
+	eng, err := New(buildLevels(t, 707, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Empty run.
 	rep, err := eng.Run(Frames(nil), nil, Options{})
-	if err != nil || rep.Frames != 0 || len(rep.Labels) != 2 || len(rep.Labels[0]) != 0 {
+	if err != nil || rep.Frames != 0 || len(rep.Labels) != 0 {
 		t.Fatalf("empty run: %+v, %v", rep, err)
 	}
 	// Index subsets are positional.
@@ -651,76 +593,52 @@ func TestRunEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for c := range sub.Labels {
-		for j, idx := range []int{7, 2, 9} {
-			if sub.Labels[c][j] != full.Labels[c][idx] {
-				t.Fatalf("cascade %d: subset label %d (row %d) disagrees with full run", c, j, idx)
-			}
+	for j, idx := range []int{7, 2, 9} {
+		if sub.Labels[j] != full.Labels[idx] {
+			t.Fatalf("subset label %d (row %d) disagrees with full run", j, idx)
 		}
 	}
 	// Source errors surface.
 	if _, err := eng.Run(Frames(frames), []int{99}, Options{}); err == nil {
 		t.Fatal("out-of-range index must error")
 	}
-	// Mask shape errors.
-	if _, err := eng.RunMasked(context.Background(), Frames(frames), nil, [][]bool{nil}, Options{}); err == nil {
-		t.Fatal("mask with wrong cascade count must be rejected")
-	}
-	if _, err := eng.RunMasked(context.Background(), Frames(frames), nil, [][]bool{make([]bool, 3), nil}, Options{}); err == nil {
-		t.Fatal("mask with wrong position count must be rejected")
-	}
 }
 
-// TestExactlyOnceMaterialization pins the headline economics: two cascades
-// with fully-overlapping representation grids materialize each (frame, slot)
-// pair exactly once per run — half what one run per predicate pays — at
-// every worker count and batch size.
+// TestExactlyOnceMaterialization pins the headline economics: levels that
+// reuse a transform materialize each (frame, slot) pair exactly once per run
+// — half what one transform per level pays here — at every worker count and
+// batch size.
 func TestExactlyOnceMaterialization(t *testing.T) {
 	grid := []xform.Transform{
 		{Size: 8, Color: img.Gray},
 		{Size: 16, Color: img.Gray},
 	}
-	mkCascade := func(seed int64) []Level {
-		levels := buildLevelsOn(t, grid, seed, len(grid))
-		// Never-deciding band: every frame descends every level, so every
-		// (frame, slot) pair is touched by both cascades.
-		levels[0].Thresholds = thresh.Thresholds{Low: -1, High: 2}
-		return levels
+	levels := buildLevelsOn(t, grid, 3100, 2*len(grid))
+	// Never-deciding bands: every frame descends every level, so every
+	// (frame, slot) pair is touched by two levels.
+	for i := range levels[:len(levels)-1] {
+		levels[i].Thresholds = thresh.Thresholds{Low: -1, High: 2}
 	}
-	a, b := mkCascade(3100), mkCascade(3200)
-	eng, err := New(a, b)
+	eng, err := New(levels)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := len(eng.Reps()); got != len(grid) {
-		t.Fatalf("global plan has %d slots, want %d (fully overlapping)", got, len(grid))
+		t.Fatalf("plan has %d slots, want %d", got, len(grid))
 	}
 	frames := randFrames(3300, 40, 32)
-
-	seqReps := 0
-	for _, levels := range [][]Level{a, b} {
-		solo, err := New(levels)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := solo.Run(Frames(frames), nil, Options{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		seqReps += rep.RepsMaterialized
-	}
 	want := len(frames) * len(grid)
-	if seqReps != 2*want {
-		t.Fatalf("one run per cascade materialized %d reps, want %d (once per cascade)", seqReps, 2*want)
-	}
 	for _, workers := range []int{1, 3} {
 		for _, batch := range []int{1, 7, 64} {
 			rep, err := eng.Run(Frames(frames), nil, Options{Workers: workers, Batch: batch})
 			if err != nil {
 				t.Fatal(err)
 			}
+			if rep.LevelsRun != len(frames)*len(levels) {
+				t.Fatalf("w=%d b=%d: %d levels run, want every frame through all %d", workers, batch, rep.LevelsRun, len(levels))
+			}
 			if rep.RepsMaterialized != want {
-				t.Fatalf("w=%d b=%d: shared run materialized %d reps, want exactly %d (once per frame-slot)",
+				t.Fatalf("w=%d b=%d: materialized %d reps, want exactly %d (once per frame-slot)",
 					workers, batch, rep.RepsMaterialized, want)
 			}
 		}
@@ -782,7 +700,7 @@ func TestRepSourcePoolHygiene(t *testing.T) {
 			again.RepsMaterialized, again.RepHits, base.RepsMaterialized)
 	}
 	for i := range frames {
-		if again.Labels[0][i] != base.Labels[0][i] {
+		if again.Labels[i] != base.Labels[i] {
 			t.Fatalf("post-serving label differs at frame %d", i)
 		}
 	}
@@ -802,8 +720,7 @@ func (failingRepSource) Rep(i int, id string) (*img.Image, error) {
 // and a record-backed run degrade to the same thing: the labels and level
 // counts of the plain run, every slot a counted fallback transform.
 func TestRepFallbackAcrossSources(t *testing.T) {
-	cascades := buildCascades(t, 5700, []int{3, 2}, true)
-	eng, err := New(cascades...)
+	eng, err := New(buildLevels(t, 5700, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -825,14 +742,12 @@ func TestRepFallbackAcrossSources(t *testing.T) {
 				t.Fatalf("%s w=%d: %d hits / %d fallbacks / %d reps, want 0 / %d / %d", name, workers,
 					rep.RepHits, rep.RepFallbacks, rep.RepsMaterialized, plain.RepsMaterialized, plain.RepsMaterialized)
 			}
-			for c := range plain.Labels {
-				if rep.LevelsRun[c] != plain.LevelsRun[c] {
-					t.Fatalf("%s w=%d cascade %d: LevelsRun %d, plain run %d", name, workers, c, rep.LevelsRun[c], plain.LevelsRun[c])
-				}
-				for i := range frames {
-					if rep.Labels[c][i] != plain.Labels[c][i] {
-						t.Fatalf("%s w=%d cascade %d frame %d: label differs from the plain run", name, workers, c, i)
-					}
+			if rep.LevelsRun != plain.LevelsRun {
+				t.Fatalf("%s w=%d: LevelsRun %d, plain run %d", name, workers, rep.LevelsRun, plain.LevelsRun)
+			}
+			for i := range frames {
+				if rep.Labels[i] != plain.Labels[i] {
+					t.Fatalf("%s w=%d frame %d: label differs from the plain run", name, workers, i)
 				}
 			}
 		}
@@ -845,13 +760,11 @@ func TestRepFallbackAcrossSources(t *testing.T) {
 // failure: ApplyInto keeps the source's mode and model geometry validation
 // rejects the single-channel representation.
 func TestErrorNamesFrame(t *testing.T) {
-	for _, depths := range [][]int{{2}, {2, 2}} {
-		cascades := buildCascades(t, 6100, depths, true)
-		// Never-deciding first levels so every frame reaches the 16x16/rgb level.
-		for c := range cascades {
-			cascades[c][0].Thresholds.Low, cascades[c][0].Thresholds.High = -1, 2
-		}
-		eng, err := New(cascades...)
+	for _, depth := range []int{2, 3} {
+		levels := buildLevels(t, 6100, depth)
+		// A never-deciding first level so every frame reaches the 16x16/rgb level.
+		levels[0].Thresholds.Low, levels[0].Thresholds.High = -1, 2
+		eng, err := New(levels)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -860,15 +773,15 @@ func TestErrorNamesFrame(t *testing.T) {
 		for _, opts := range []Options{{Workers: 1, Batch: 5}, {Workers: 2, Batch: 3}} {
 			_, err := eng.Run(Frames(frames), nil, opts)
 			if err == nil {
-				t.Fatalf("n=%d opts %+v: grayscale frame under an RGB level must fail", len(depths), opts)
+				t.Fatalf("d=%d opts %+v: grayscale frame under an RGB level must fail", depth, opts)
 			}
 			if !strings.Contains(err.Error(), "frame 7") {
-				t.Fatalf("n=%d opts %+v: error %q does not name frame 7", len(depths), opts, err)
+				t.Fatalf("d=%d opts %+v: error %q does not name frame 7", depth, opts, err)
 			}
 		}
 		_, err = eng.Run(Frames(frames), []int{0, 99}, Options{Workers: 2, Batch: 1})
 		if err == nil || !strings.Contains(err.Error(), "frame 99") {
-			t.Fatalf("n=%d: out-of-range load error = %v, want frame 99 named", len(depths), err)
+			t.Fatalf("d=%d: out-of-range load error = %v, want frame 99 named", depth, err)
 		}
 	}
 }
@@ -949,8 +862,8 @@ func TestSteadyStateAllocs(t *testing.T) {
 		{"record/miss", storeSource{store, newCache(n / 2 * record)}, nil, 1}, // a sequential scan of twice the cache never hits
 		{"rep-record/hit", Frames(frames), storeReps{store, newCache(2 * n * record)}, 0},
 	} {
-		for _, depths := range [][]int{{3}, {3, 2}} {
-			eng, err := New(buildCascades(t, 1300, depths, true)...)
+		for _, depth := range []int{1, 3} {
+			eng, err := New(buildLevels(t, 1300, depth))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -972,8 +885,8 @@ func TestSteadyStateAllocs(t *testing.T) {
 			// clears the worker pool and re-clones the models once.
 			overhead := avg - tc.perFrame*n
 			if overhead < 0 || overhead > n/2 {
-				t.Fatalf("%s n=%d: %.0f allocations per %d-frame run: want %.0f per frame plus a small per-run overhead, got overhead %.0f",
-					tc.name, len(depths), avg, n, tc.perFrame, overhead)
+				t.Fatalf("%s d=%d: %.0f allocations per %d-frame run: want %.0f per frame plus a small per-run overhead, got overhead %.0f",
+					tc.name, depth, avg, n, tc.perFrame, overhead)
 			}
 		}
 	}

@@ -34,7 +34,7 @@ func TestColumnCodecRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if c := s.Column(Key{"fence", "c9"}); c.prefix != 40 {
+	if c := s.Columns().Get(Key{"fence", "c9"}); c.prefix != 40 {
 		t.Fatalf("fixture watermark %d, want 40", c.prefix)
 	}
 }
@@ -110,7 +110,7 @@ func TestStoreRestore(t *testing.T) {
 	s.Touch(k)
 	publish(s, k, 8, all, all)
 	gen := s.Generation()
-	col, err := DecodeColumn(s.Column(k).AppendEncoded(nil))
+	col, err := DecodeColumn(s.Columns().Get(k).AppendEncoded(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

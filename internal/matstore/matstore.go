@@ -336,9 +336,6 @@ func (s *Store) Generation() int64 { return s.gen }
 // Columns returns the current published set.
 func (s *Store) Columns() Columns { return s.cols }
 
-// Column returns k's current version (empty when absent).
-func (s *Store) Column(k Key) *Column { return s.cols.Get(k) }
-
 // Coverage returns the number of valid rows in k's column (0 if absent).
 func (s *Store) Coverage(k Key) int { return s.cols.Get(k).Coverage() }
 

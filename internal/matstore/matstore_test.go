@@ -100,7 +100,7 @@ func TestPublishVersions(t *testing.T) {
 	s := New(0)
 	k := Key{"cloak", "c1"}
 	publish(s, k, 64, all, func(i int) bool { return i%2 == 0 })
-	v1 := s.Column(k)
+	v1 := s.Columns().Get(k)
 	if v1.prefix != 64 || v1.Coverage() != 64 {
 		t.Fatalf("first version: prefix %d coverage %d, want 64/64", v1.prefix, v1.Coverage())
 	}
@@ -113,7 +113,7 @@ func TestPublishVersions(t *testing.T) {
 	fresh := NewColumn()
 	fresh.Grow(64)
 	fresh.SetLabel(1, true)
-	if got := s.Publish(k, fresh, nil); got != 0 || s.Column(k) != v1 {
+	if got := s.Publish(k, fresh, nil); got != 0 || s.Columns().Get(k) != v1 {
 		t.Fatalf("no-op publish adopted %d rows or replaced the version", got)
 	}
 
@@ -126,7 +126,7 @@ func TestPublishVersions(t *testing.T) {
 	if got := s.Publish(k, fresh, func(row int, label bool) { rows = append(rows, row) }); got != 1 || len(rows) != 1 || rows[0] != 85 {
 		t.Fatalf("publish adopted %d rows, emitted %v; want exactly row 85", got, rows)
 	}
-	v3 := s.Column(k)
+	v3 := s.Columns().Get(k)
 	if v3.Len() != 90 || v3.prefix != 80 || v3.Coverage() != 81 || v3.Label(3) {
 		t.Fatalf("latest version: len %d prefix %d coverage %d label(3) %v", v3.Len(), v3.prefix, v3.Coverage(), v3.Label(3))
 	}

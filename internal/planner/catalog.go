@@ -64,11 +64,10 @@ func (c *Catalog) Seed(key string, seed float64) {
 // seed included — so a single-frame trigger batch cannot slam a seeded
 // rate to 0 or 1.
 //
-// Observations are whatever the executor saw: in the sequential path a
-// later predicate classifies only the survivors of earlier ones, so its
-// sample is conditioned on them (fused-path samples cover the union of
-// missing rows and are close to marginal). For correlated predicates the
-// EWMA therefore mixes conditional and marginal rates; that can cost plan
+// Observations are whatever the executor saw: a later predicate classifies
+// only the survivors of earlier ones, so its sample is conditioned on them.
+// For correlated predicates the EWMA therefore mixes rates conditioned on
+// whichever predicates ran before it; that can cost plan
 // quality on such workloads, never correctness — labels are
 // order-invariant by construction.
 func (c *Catalog) Observe(key string, frames, positives int) {

@@ -1,13 +1,12 @@
 // Package planner is TAHOMA's cost-based, representation-aware query
 // planner. Given one costed candidate cascade per content predicate, it
 // orders the predicates by classic rank — expected cost divided by expected
-// filtering power, cost / (1 − selectivity) — instead of cost alone, prices
-// each cascade against the live physical-representation state (slots a
+// filtering power, cost / (1 − selectivity) — instead of cost alone, and
+// prices each cascade against the live physical-representation state (slots a
 // representation store serves are discounted because execution will take
-// them as RepHits, and source records the record cache holds cost no read),
-// and decides
-// fused-vs-sequential content execution from estimated shared-slot overlap
-// and survivor sets rather than a fixed gate.
+// them as RepHits, and source records the record cache holds cost no read).
+// Execution narrows step by step in that order: each predicate classifies
+// only the rows the predicates before it let through.
 //
 // Selectivities are adaptive: the Catalog (catalog.go) folds every executed
 // query's survivor counts into per-predicate EWMA pass rates, seeded from
@@ -38,29 +37,10 @@ const (
 	OrderStatic
 )
 
-// FusionPolicy selects how the fused-vs-sequential decision is made once it
-// is live (two or more pending predicates).
-type FusionPolicy int
-
-const (
-	// FusionCost (the default) fuses only when the estimated fused cost
-	// beats sequential narrowing.
-	FusionCost FusionPolicy = iota
-	// FusionShared fuses whenever the pending cascades share a
-	// representation slot — the pre-cost-model gate, kept as an escape
-	// hatch and as the oracle for tests that pin the fused executor.
-	FusionShared
-	// FusionNever keeps every plan sequential regardless of cost: the
-	// decision is not live and EXPLAIN prints no fusion line.
-	FusionNever
-)
-
 // Options configure one planning call.
 type Options struct {
 	// Order is the content-predicate ordering policy.
 	Order Order
-	// Fusion is the fused-vs-sequential decision policy.
-	Fusion FusionPolicy
 	// Rows is the corpus size, for rendering.
 	Rows int
 	// CostModel names the pricing source, for rendering.
@@ -170,26 +150,6 @@ type PlannedStep struct {
 	Rank float64
 }
 
-// Fusion is the planner's content-phase execution decision.
-type Fusion struct {
-	// Considered is set when the decision was live: the policy allows fusion
-	// and at least two distinct predicates still have uncached rows.
-	Considered bool
-	// Fuse selects the fused path: every pending cascade over the union of
-	// missing rows, sharing one representation-slot plan.
-	Fuse bool
-	// Pending counts distinct predicates with uncached rows; SharedSlots the
-	// representation slots two or more of them consume; UnionSlots the
-	// distinct slots across all of them.
-	Pending     int
-	SharedSlots int
-	UnionSlots  int
-	// FusedCost and SeqCost are the estimated content-phase costs in
-	// seconds per corpus row (sequential includes survivor narrowing;
-	// fused includes slot sharing but classifies the whole union).
-	FusedCost, SeqCost float64
-}
-
 // Plan is an ordered, costed, explainable content plan.
 type Plan struct {
 	Order     Order
@@ -197,11 +157,10 @@ type Plan struct {
 	Rows      int
 	// Steps is the execution order; Steps[i].Input maps back to the parsed
 	// clause position.
-	Steps  []PlannedStep
-	Fusion Fusion
+	Steps []PlannedStep
 }
 
-// PlanContent costs, orders and gates the content predicates of one query.
+// PlanContent costs and orders the content predicates of one query.
 func PlanContent(steps []Step, av Availability, opts Options) *Plan {
 	p := &Plan{Order: opts.Order, CostModel: opts.CostModel, Rows: opts.Rows}
 	p.Steps = make([]PlannedStep, len(steps))
@@ -217,7 +176,6 @@ func PlanContent(steps []Step, av Availability, opts Options) *Plan {
 			return p.Steps[i].Rank < p.Steps[j].Rank
 		})
 	}
-	p.Fusion = decideFusion(p.Steps, av, opts)
 	return p
 }
 
@@ -269,9 +227,8 @@ func costStep(s Step, av Availability) PlannedStep {
 		pass = 1 - pass
 	}
 	ps.PassRate = clampPass(pass)
-	// The materialized-column coverage discounts the rank the same way it
-	// discounts decideFusion's sequential estimate: cached rows are label
-	// lookups, so only the uncached fraction pays the cascade.
+	// The materialized-column coverage discounts the rank: cached rows are
+	// label lookups, so only the uncached fraction pays the cascade.
 	ps.Rank = ps.AdjCost * (1 - ps.cachedFrac()) / (1 - ps.PassRate)
 	return ps
 }
@@ -294,124 +251,6 @@ func (s *PlannedStep) cachedFrac() float64 {
 		return 1
 	}
 	return clamp01(float64(s.CachedRows) / float64(s.TotalRows))
-}
-
-func (s *PlannedStep) dedupKey() string { return s.Key + "|" + s.CascadeID }
-
-// decideFusion compares the estimated content-phase cost of sequential
-// narrowing against one fused run over the union of missing rows. Fusion is
-// worth considering only when two or more distinct predicates still have
-// uncached rows and their cascades actually share representation slots —
-// without sharing, the fused path gives up narrowing and gets nothing back.
-func decideFusion(steps []PlannedStep, av Availability, opts Options) Fusion {
-	f := Fusion{}
-
-	// Distinct pending cascades (a duplicate mention of one predicate shares
-	// its column and classifies nothing).
-	var pending []*PlannedStep
-	seenPending := make(map[string]bool, len(steps))
-	for i := range steps {
-		ps := &steps[i]
-		if seenPending[ps.dedupKey()] || ps.cachedFrac() >= 1 {
-			continue
-		}
-		seenPending[ps.dedupKey()] = true
-		pending = append(pending, ps)
-	}
-	f.Pending = len(pending)
-	if opts.Fusion == FusionNever || len(pending) < 2 {
-		return f
-	}
-	f.Considered = true
-
-	// Slot overlap across the pending cascades.
-	type slotUse struct {
-		cost, occ float64
-		users     int
-	}
-	union := make(map[string]*slotUse)
-	var order []string
-	for _, p := range pending {
-		seen := make(map[string]bool, len(p.Levels))
-		for _, lv := range p.Levels {
-			if seen[lv.RepID] {
-				continue
-			}
-			seen[lv.RepID] = true
-			su, ok := union[lv.RepID]
-			if !ok {
-				su = &slotUse{cost: lv.RepCost}
-				union[lv.RepID] = su
-				order = append(order, lv.RepID)
-			}
-			su.users++
-			if lv.Occupancy > su.occ {
-				su.occ = lv.Occupancy
-			}
-		}
-	}
-	f.UnionSlots = len(union)
-	for _, su := range union {
-		if su.users >= 2 {
-			f.SharedSlots++
-		}
-	}
-
-	// Sequential estimate: steps run in plan order, each classifying the
-	// still-uncached fraction of the rows surviving the steps before it.
-	// A duplicate mention of one predicate classifies nothing (it shares
-	// the first mention's column) and — same sense — filters nothing new,
-	// so both its cost charge and its narrowing are skipped. (An
-	// opposite-sense duplicate actually filters everything; treating it as
-	// neutral keeps the estimate simple for that degenerate query.)
-	live := 1.0
-	seenSeq := make(map[string]bool, len(steps))
-	for i := range steps {
-		ps := &steps[i]
-		if seenSeq[ps.dedupKey()] {
-			continue
-		}
-		seenSeq[ps.dedupKey()] = true
-		f.SeqCost += live * (1 - ps.cachedFrac()) * ps.AdjCost
-		live *= ps.PassRate
-	}
-
-	// Fused estimate: every pending cascade classifies the union of missing
-	// rows (no cross-predicate narrowing), but each distinct representation
-	// is materialized once for the whole set and the source decodes once.
-	unionFrac := 0.0
-	srcNeeded := false
-	srcCost := 0.0
-	inferSum := 0.0
-	for _, p := range pending {
-		if frac := 1 - p.cachedFrac(); frac > unionFrac {
-			unionFrac = frac
-		}
-		if p.SourceCost > srcCost {
-			srcCost = p.SourceCost
-		}
-		for _, lv := range p.Levels {
-			inferSum += lv.Occupancy * lv.InferCost
-			if !av.served(lv.RepID) {
-				srcNeeded = true
-			}
-		}
-	}
-	perFrame := inferSum
-	if srcNeeded {
-		perFrame += srcCost * (1 - av.SourceResidentFrac)
-	}
-	for _, id := range order {
-		su := union[id]
-		if av.served(id) {
-			continue
-		}
-		perFrame += su.occ * su.cost
-	}
-	f.FusedCost = unionFrac * perFrame
-
-	f.Fuse = f.SharedSlots > 0 && (opts.Fusion == FusionShared || f.FusedCost < f.SeqCost)
-	return f
 }
 
 // us renders seconds as microseconds for EXPLAIN.
@@ -455,18 +294,4 @@ func (p *Plan) OrderLine() string {
 		policy = "static — evaluator cheapest-first"
 	}
 	return fmt.Sprintf("Content order: %s (%s)", strings.Join(keys, ", "), policy)
-}
-
-// Line renders the fusion decision for EXPLAIN; empty when the decision was
-// not live (FusionNever, or fewer than two pending predicates).
-func (f Fusion) Line() string {
-	if !f.Considered {
-		return ""
-	}
-	if f.Fuse {
-		return fmt.Sprintf("Fused: %d content predicates share %d/%d representation slots (est. %s/row vs %s/row sequential)",
-			f.Pending, f.SharedSlots, f.UnionSlots, us(f.FusedCost), us(f.SeqCost))
-	}
-	return fmt.Sprintf("Sequential: narrowing beats fusion (est. %s/row vs %s/row fused; %d/%d slots shared)",
-		us(f.SeqCost), us(f.FusedCost), f.SharedSlots, f.UnionSlots)
 }

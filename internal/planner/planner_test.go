@@ -131,101 +131,6 @@ func TestRepAdjustedCost(t *testing.T) {
 	}
 }
 
-// sharedSteps builds two pending steps over one shared transform ladder with
-// the given rep/infer split.
-func sharedSteps(rep, infer, selA, selB float64) []Step {
-	mk := func(input int, key string, sel float64) Step {
-		return Step{
-			Input: input, Key: key, CascadeID: key + "-c",
-			BaseCost:    rep + infer,
-			Levels:      []LevelCost{{RepID: "shared", RepCost: rep, InferCost: infer, Occupancy: 1}},
-			Selectivity: sel,
-			TotalRows:   100,
-		}
-	}
-	return []Step{mk(0, "a", selA), mk(1, "b", selB)}
-}
-
-func TestFusionDecision(t *testing.T) {
-	// Rep-dominated shared workload: sharing the slot beats narrowing.
-	p := PlanContent(sharedSteps(10e-3, 1e-3, 0.5, 0.5), Availability{}, Options{})
-	if !p.Fusion.Considered || !p.Fusion.Fuse {
-		t.Fatalf("rep-dominated shared workload not fused: %+v", p.Fusion)
-	}
-	if p.Fusion.SharedSlots != 1 || p.Fusion.UnionSlots != 1 {
-		t.Fatalf("slot accounting: %+v", p.Fusion)
-	}
-	if !strings.Contains(p.Fusion.Line(), "Fused: 2 content predicates") {
-		t.Fatalf("fusion line: %s", p.Fusion.Line())
-	}
-
-	// Inference-dominated and highly selective: narrowing wins.
-	seq := PlanContent(sharedSteps(1e-4, 10e-3, 0.05, 0.5), Availability{}, Options{})
-	if seq.Fusion.Fuse {
-		t.Fatalf("selective inference-heavy workload fused: %+v", seq.Fusion)
-	}
-	if !seq.Fusion.Considered || strings.Contains(seq.Fusion.Line(), "Fused:") {
-		t.Fatalf("sequential line: %q", seq.Fusion.Line())
-	}
-
-	// Disjoint slots: never fused, regardless of cost.
-	disjoint := []Step{step(0, "a", 1e-3, 0.9), step(1, "b", 1e-3, 0.9)}
-	d := PlanContent(disjoint, Availability{}, Options{})
-	if d.Fusion.Fuse || d.Fusion.SharedSlots != 0 {
-		t.Fatalf("disjoint slots fused: %+v", d.Fusion)
-	}
-
-	// The legacy slot-sharing gate fuses the same workload regardless of
-	// the cost comparison.
-	gated := PlanContent(sharedSteps(1e-4, 10e-3, 0.05, 0.5), Availability{}, Options{Fusion: FusionShared})
-	if !gated.Fusion.Fuse {
-		t.Fatalf("FusionShared did not fuse a shared-slot workload: %+v", gated.Fusion)
-	}
-
-	// FusionNever: decision not live, no line.
-	off := PlanContent(sharedSteps(10e-3, 1e-3, 0.5, 0.5), Availability{}, Options{Fusion: FusionNever})
-	if off.Fusion.Considered || off.Fusion.Line() != "" {
-		t.Fatalf("FusionNever plan still decides: %+v", off.Fusion)
-	}
-
-	// A fully cached step is not pending: one pending predicate left means
-	// the decision is not live.
-	cached := sharedSteps(10e-3, 1e-3, 0.5, 0.5)
-	cached[0].CachedRows = cached[0].TotalRows
-	c := PlanContent(cached, Availability{}, Options{})
-	if c.Fusion.Considered || c.Fusion.Pending != 1 {
-		t.Fatalf("cached step counted as pending: %+v", c.Fusion)
-	}
-
-	// Duplicate mentions of one predicate share a column: not two pending.
-	dup := sharedSteps(10e-3, 1e-3, 0.5, 0.5)
-	dup[1] = dup[0]
-	dup[1].Input = 1
-	dup[1].Negated = true
-	dd := PlanContent(dup, Availability{}, Options{})
-	if dd.Fusion.Considered || dd.Fusion.Pending != 1 {
-		t.Fatalf("duplicate mention counted twice: %+v", dd.Fusion)
-	}
-}
-
-func TestFusionWarmCacheShiftsDecision(t *testing.T) {
-	// A source read shared by both cascades is the fused path's advantage
-	// here (it loads each record once); with every source record resident in
-	// the record cache, both sides drop it and narrowing wins again.
-	steps := sharedSteps(1e-4, 1e-3, 0.3, 0.3)
-	for i := range steps {
-		steps[i].SourceCost = 10e-3
-	}
-	cold := PlanContent(steps, Availability{}, Options{})
-	if !cold.Fusion.Fuse {
-		t.Fatalf("cold plan not fused: %+v", cold.Fusion)
-	}
-	warm := PlanContent(steps, Availability{SourceResidentFrac: 1}, Options{})
-	if warm.Fusion.Fuse {
-		t.Fatalf("fully cached plan still fused: %+v", warm.Fusion)
-	}
-}
-
 func TestOrderLine(t *testing.T) {
 	one := PlanContent([]Step{step(0, "a", 1e-3, 0.5)}, Availability{}, Options{})
 	if one.OrderLine() != "" {

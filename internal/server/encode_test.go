@@ -46,7 +46,7 @@ func TestRowEncodingMatchesEncodingJSON(t *testing.T) {
 		"escape": {{str(`say "hi"`), str("back\\slash"), str("tab\tnewline\n\x00\x1f")}, {str("<script>&amp;</script>"), str("café    \U0001F600"), str("bad\xff\xfeutf8")}},
 	}
 	full := QueryResponse{
-		Columns: []string{"id", "location", "camera", "ts"}, Count: 3, UDFCalls: 5, Fused: true, MatHits: 9, Bitmap: true,
+		Columns: []string{"id", "location", "camera", "ts"}, Count: 3, UDFCalls: 5, MatHits: 9, Bitmap: true,
 		RepsMaterialized: 2, RepHits: 4, RepFallbacks: 1, WallMS: 1.234,
 	}
 	responses := map[string]QueryResponse{

@@ -334,7 +334,6 @@ type QueryResponse struct {
 	Rows     [][]any `json:"rows,omitempty"`
 	Count    int     `json:"count"`
 	UDFCalls int     `json:"udf_calls"`
-	Fused    bool    `json:"fused,omitempty"`
 	// MatHits counts labels served from the materialized columns; Bitmap
 	// reports the fully-covered fast path (content phase was pure bitmap
 	// AND/ANDNOT, zero inference).
@@ -531,7 +530,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Columns:          res.Columns,
 		Count:            res.Count,
 		UDFCalls:         res.UDFCalls,
-		Fused:            res.Fused,
 		MatHits:          res.MatHits,
 		Bitmap:           res.Bitmap,
 		RepsMaterialized: res.RepsMaterialized,
@@ -741,7 +739,6 @@ type serverStats struct {
 	ingested      atomic.Int64
 
 	udfCalls     atomic.Int64
-	fused        atomic.Int64
 	repsMat      atomic.Int64
 	repHits      atomic.Int64
 	repFallbacks atomic.Int64
@@ -756,9 +753,6 @@ type serverStats struct {
 func (st *serverStats) observe(res *vdb.Result, wall time.Duration) {
 	st.queries.Add(1)
 	st.udfCalls.Add(int64(res.UDFCalls))
-	if res.Fused {
-		st.fused.Add(1)
-	}
 	st.repsMat.Add(int64(res.RepsMaterialized))
 	st.repHits.Add(int64(res.RepHits))
 	st.repFallbacks.Add(int64(res.RepFallbacks))
@@ -838,7 +832,6 @@ type StatsResponse struct {
 	Predicates []string `json:"predicates"`
 
 	UDFCalls         int64 `json:"udf_calls"`
-	FusedQueries     int64 `json:"fused_queries"`
 	RepsMaterialized int64 `json:"reps_materialized"`
 	// RepHits counts representation-slot loads served without a transform,
 	// from the representation store.
@@ -878,12 +871,17 @@ type StatsResponse struct {
 // PlannerStats is the /stats planner section.
 type PlannerStats struct {
 	// RankPlans/StaticPlans count executed content queries by ordering
-	// policy; FusedPlans/SequentialPlans their content-phase execution
-	// choice.
+	// policy. Every content phase narrows sequentially, so SequentialPlans
+	// is their sum.
 	RankPlans       int64 `json:"rank_plans"`
 	StaticPlans     int64 `json:"static_plans"`
-	FusedPlans      int64 `json:"fused_plans"`
 	SequentialPlans int64 `json:"sequential_plans"`
+	// FusedPlans is never encoded and always zero: content predicates never
+	// run fused.
+	//
+	// Deprecated: kept for the frozen benchmark harness (bench/trace.go);
+	// delete it when a harness PR drops the read.
+	FusedPlans int64 `json:"-"`
 	// Selectivity is the adaptive catalog: per predicate, the current
 	// pass-rate estimate, the observed frames behind it (0 = still the
 	// install-time seed) and that seed.
@@ -926,7 +924,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Rows:             s.db.Count(),
 		Predicates:       s.db.Predicates(),
 		UDFCalls:         s.stats.udfCalls.Load(),
-		FusedQueries:     s.stats.fused.Load(),
 		RepsMaterialized: s.stats.repsMat.Load(),
 		RepHits:          s.stats.repHits.Load(),
 		RepFallbacks:     s.stats.repFallbacks.Load(),
@@ -941,8 +938,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	resp.Planner = PlannerStats{
 		RankPlans:       pl.RankPlans,
 		StaticPlans:     pl.StaticPlans,
-		FusedPlans:      pl.FusedPlans,
-		SequentialPlans: pl.SequentialPlans,
+		SequentialPlans: pl.RankPlans + pl.StaticPlans,
 	}
 	for _, e := range pl.Selectivity {
 		resp.Planner.Selectivity = append(resp.Planner.Selectivity, SelectivityEntry{

@@ -180,6 +180,6 @@ func (db *DB) analyzeOnce(ctx context.Context, o AnalyzerOptions) (worked bool, 
 	}
 	// Analyzer labels are observations too: they tune the selectivity
 	// catalog exactly like query- and trigger-time classifications.
-	db.catalog.Observe(key.Category, rep.Frames, rep.Positives[0])
+	db.catalog.Observe(key.Category, rep.Frames, rep.Positives)
 	return true, nil
 }

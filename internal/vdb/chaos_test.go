@@ -284,7 +284,7 @@ func TestFaultTriggerWorkerPanic(t *testing.T) {
 	defer faults.Reset()
 	cons := core.Constraints{MaxAccuracyLoss: 0}
 	build := func() *DB {
-		db := buildFusedDB(t)
+		db := buildSysDB(t)
 		// One worker, small batches: every trigger run is several batches,
 		// and source loads happen in a deterministic order.
 		db.SetExecOptions(exec.Options{Workers: 1, Batch: 8})
@@ -359,7 +359,7 @@ func TestFaultTriggerWorkerPanic(t *testing.T) {
 		t.Fatalf("backfilling append classified %d rows, want %d", calls, want)
 	}
 	for _, k := range triggerKeys(db) {
-		got, want := db.mat.Column(k), clean.mat.Column(k)
+		got, want := db.mat.Columns().Get(k), clean.mat.Columns().Get(k)
 		for i := 0; i < rows+1; i++ {
 			if !got.Valid(i) || !want.Valid(i) || got.Label(i) != want.Label(i) {
 				t.Fatalf("column %v row %d: (valid %v, label %v) after the fault, (valid %v, label %v) un-faulted",

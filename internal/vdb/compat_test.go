@@ -109,8 +109,8 @@ func TestCompatShimsInert(t *testing.T) {
 		return rep
 	}
 	plain := run(exec.Options{})
-	if plain.LevelsRun[0] <= len(frames) {
-		t.Fatalf("LevelsRun %d over %d frames: the second level never ran", plain.LevelsRun[0], len(frames))
+	if plain.LevelsRun <= len(frames) {
+		t.Fatalf("LevelsRun %d over %d frames: the second level never ran", plain.LevelsRun, len(frames))
 	}
 	if auto := run(exec.Options{Quantize: exec.QuantAuto}); !reflect.DeepEqual(auto, plain) {
 		t.Fatalf("Quantize: QuantAuto report %+v, zero Options %+v", auto, plain)

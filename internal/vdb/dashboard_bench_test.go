@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"tahoma/internal/core"
-	"tahoma/internal/planner"
 )
 
 // BenchmarkDashboardStatement times one bitmap-served statement of each shape
@@ -19,16 +18,15 @@ func BenchmarkDashboardStatement(b *testing.B) {
 	const rows = 32000
 	cons := core.Constraints{MaxAccuracyLoss: 0.05}
 	build := func() *DB {
-		fusedFixture(b)
+		sysFixture(b)
 		meta := make([]Metadata, rows)
 		for i := range meta {
 			meta[i] = Metadata{ID: int64(i), Location: "uptown", Camera: "cam-1", TS: int64(i)}
 		}
-		db := buildFusedDB(b)
+		db := buildSysDB(b)
 		if err := db.LoadCorpus(cycledImages(rows), meta); err != nil {
 			b.Fatal(err)
 		}
-		db.setPlanOptions(planner.Options{Fusion: planner.FusionNever})
 		return db
 	}
 	// Both DBs are warmed once for all sub-benchmarks: the panels' by two

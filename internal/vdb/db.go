@@ -213,10 +213,8 @@ type DB struct {
 	// counters synchronize themselves (the read path records into them).
 	mat        *matstore.Store
 	analyzerOn bool
-	// Plan-choice counters: executed content queries by ordering policy and
-	// by content-phase execution choice.
+	// Plan-choice counters: executed content queries by ordering policy.
 	planRank, planStatic atomic.Int64
-	planFused, planSeq   atomic.Int64
 	// Durability (under mu; see durable.go). While durable, Append write-
 	// ahead journals through wal, periodic checkpoints collapse the journal,
 	// and corpus swaps are refused.
@@ -315,9 +313,6 @@ type MatStats struct {
 	matstore.Stats
 }
 
-// MatUsage is one predicate's usage-table row in MatStats.
-type MatUsage = matstore.UsageEntry
-
 // MatStats snapshots the materialization layer.
 func (db *DB) MatStats() MatStats {
 	db.mu.RLock()
@@ -333,10 +328,8 @@ func (db *DB) MatStats() MatStats {
 // counters and the adaptive selectivity catalog.
 type PlannerStats struct {
 	// RankPlans and StaticPlans count executed content queries by ordering
-	// policy; FusedPlans and SequentialPlans count their content-phase
-	// execution choice.
-	RankPlans, StaticPlans      int64
-	FusedPlans, SequentialPlans int64
+	// policy.
+	RankPlans, StaticPlans int64
 	// Selectivity lists every installed predicate's current pass-rate
 	// estimate, sample count and install-time seed.
 	Selectivity []planner.CatalogEntry
@@ -352,8 +345,6 @@ func (db *DB) PlannerStats() PlannerStats {
 	return PlannerStats{
 		RankPlans:       db.planRank.Load(),
 		StaticPlans:     db.planStatic.Load(),
-		FusedPlans:      db.planFused.Load(),
-		SequentialPlans: db.planSeq.Load(),
 		Materialization: db.MatStats(),
 		Selectivity:     db.catalog.Snapshot(),
 	}
@@ -536,9 +527,6 @@ type Result struct {
 	// the survivors, so the content phase ran as word-parallel bitmap
 	// AND/ANDNOT with zero inference.
 	Bitmap bool
-	// Fused reports whether the multi-predicate fused path executed the
-	// content phase (two or more predicates with uncached rows).
-	Fused bool
 	// RepsMaterialized and RepHits report the physical-representation
 	// work of the content phase: transforms applied vs slots served
 	// straight from the representation store.
@@ -622,11 +610,6 @@ func (db *DB) QueryContext(ctx context.Context, sql string, constraints core.Con
 			db.planStatic.Add(1)
 		} else {
 			db.planRank.Add(1)
-		}
-		if res.Fused {
-			db.planFused.Add(1)
-		} else {
-			db.planSeq.Add(1)
 		}
 		// Materialization bookkeeping: every touched column feeds the usage
 		// table the analyzer ranks by (even under MatOff — usage describes

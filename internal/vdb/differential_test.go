@@ -19,8 +19,8 @@ import (
 // the loop the bitset executor replaced: every row through a boxed
 // value/compare pair into a row list, then per-step, per-row label lookups —
 // over seeded random statements, column states, materialization modes and
-// table shapes. The two share the plan (ordering and the fusion decision are
-// the planner's, tested elsewhere) and nothing else.
+// table shapes. The two share the plan (the ordering is the planner's, tested
+// elsewhere) and nothing else.
 
 // oracleValue and oracleCompare are the boxed per-row evaluation the
 // compiled filters replaced, kept as the reference.
@@ -77,8 +77,8 @@ type oracle struct {
 	valid map[matstore.Key][]bool // which rows the shared column holds
 }
 
-// execute is the reference executor over plan (for its step order, column
-// identities and fusion verdict only). It updates the oracle's column state
+// execute is the reference executor over plan (for its step order and column
+// identities only). It updates the oracle's column state
 // the way a publication would.
 func (o *oracle) execute(plan *queryPlan, matOff bool) *Result {
 	q, n := plan.query, len(o.meta)
@@ -143,29 +143,11 @@ func (o *oracle) execute(plan *queryPlan, matOff bool) *Result {
 		return out
 	}
 
-	pending, shares := 0, false
-	slotUsers := make(map[string]int)
 	seen := make(map[matstore.Key]bool)
-	for si, cs := range plan.content {
-		k := keyOf(si)
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		miss := missing(k, live)
-		res.MatHits += len(live) - len(miss)
-		if len(miss) == 0 {
-			continue
-		}
-		pending++
-		seenSlots := make(map[string]bool)
-		for _, ref := range cs.spec.Levels() {
-			id := cs.pred.System.Models[ref.Model].Xform.ID()
-			if !seenSlots[id] {
-				seenSlots[id] = true
-				slotUsers[id]++
-				shares = shares || slotUsers[id] >= 2
-			}
+	for si := range plan.content {
+		if k := keyOf(si); !seen[k] {
+			seen[k] = true
+			res.MatHits += len(live) - len(missing(k, live))
 		}
 	}
 	narrow := func(si int, rows []int) []int {
@@ -192,44 +174,23 @@ func (o *oracle) execute(plan *queryPlan, matOff bool) *Result {
 		return project(chain)
 	}
 
-	res.Fused = pending >= 2 && shares && plan.pp.Fusion.Fuse
-	for lo := 0; lo < len(plan.content); {
-		hi := lo + 1
-		if res.Fused {
-			hi = len(plan.content)
-		}
-		taken := make(map[matstore.Key]bool)
-		var classified []matstore.Key
-		for si := lo; si < hi; si++ {
-			k := keyOf(si)
-			miss := missing(k, live)
-			if taken[k] || len(miss) == 0 {
-				continue
-			}
-			taken[k] = true
+	for si := range plan.content {
+		k := keyOf(si)
+		if miss := missing(k, live); len(miss) > 0 {
 			positives := 0
 			for _, idx := range miss {
 				if o.truth[k][idx] {
 					positives++
 				}
+				priv[k][idx] = true
 			}
 			res.UDFCalls += len(miss)
 			res.Observed = append(res.Observed, ObservedSelectivity{
 				Category: plan.content[si].pred.Category, Cascade: k.Cascade,
 				Frames: len(miss), Positives: positives,
 			})
-			classified = append(classified, k)
 		}
-		// Labels land only after the whole stride picked its rows, as one
-		// engine run over the union delivers them.
-		for _, k := range classified {
-			for _, idx := range missing(k, live) {
-				priv[k][idx] = true
-			}
-		}
-		for ; lo < hi; lo++ {
-			live = narrow(lo, live)
-		}
+		live = narrow(si, live)
 	}
 	if !matOff {
 		for k, v := range priv {
@@ -257,7 +218,7 @@ type diffFixture struct {
 
 func newDiffFixture(t testing.TB) *diffFixture {
 	t.Helper()
-	db := buildFusedDB(t)
+	db := buildSysDB(t)
 	db.SetMaterialization(MatOff)
 	fx := &diffFixture{keys: map[string]matstore.Key{}, truth: map[matstore.Key][]bool{}}
 	for _, cat := range diffCategories {
@@ -270,7 +231,7 @@ func newDiffFixture(t testing.TB) *diffFixture {
 		if err != nil {
 			t.Fatal(err)
 		}
-		labels := make([]bool, len(fusedImages))
+		labels := make([]bool, len(sysImages))
 		for _, row := range res.Rows {
 			labels[row[0].Int] = true
 		}
@@ -412,7 +373,7 @@ func publishLabels(db *DB, k matstore.Key, n int, row func(i int) (label, ok boo
 func cycledImages(n int) []*img.Image {
 	images := make([]*img.Image, n)
 	for i := range images {
-		images[i] = fusedImages[i%len(fusedImages)]
+		images[i] = sysImages[i%len(sysImages)]
 	}
 	return images
 }
@@ -426,8 +387,8 @@ func TestExecutorMatchesNaiveOracle(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		tables = 40
 	}
-	db := buildFusedDB(t)
-	var cases, bitmaps, fused, classified, partial int
+	db := buildSysDB(t)
+	var cases, bitmaps, chained, classified, partial int
 	for ti := 0; ti < tables; ti++ {
 		rng := rand.New(rand.NewSource(int64(1000 + ti)))
 		n := sizes[ti%len(sizes)]
@@ -445,8 +406,7 @@ func TestExecutorMatchesNaiveOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		db.setPlanOptions(planner.Options{
-			Order:  []planner.Order{planner.OrderRank, planner.OrderStatic}[rng.Intn(2)],
-			Fusion: []planner.FusionPolicy{planner.FusionCost, planner.FusionShared, planner.FusionNever}[rng.Intn(3)],
+			Order: []planner.Order{planner.OrderRank, planner.OrderStatic}[rng.Intn(2)],
 		})
 		for _, cat := range diffCategories {
 			seedColumn(rng, db, o, fx.keys[cat])
@@ -470,10 +430,10 @@ func TestExecutorMatchesNaiveOracle(t *testing.T) {
 			}
 			where := fmt.Sprintf("table %d (%d rows, matOff=%v) query %d: %s", ti, n, matOff, qi, sql)
 			if got.Count != want.Count || got.UDFCalls != want.UDFCalls || got.MatHits != want.MatHits ||
-				got.Bitmap != want.Bitmap || got.Fused != want.Fused {
-				t.Fatalf("%s\n got count=%d udf=%d hits=%d bitmap=%v fused=%v\nwant count=%d udf=%d hits=%d bitmap=%v fused=%v",
-					where, got.Count, got.UDFCalls, got.MatHits, got.Bitmap, got.Fused,
-					want.Count, want.UDFCalls, want.MatHits, want.Bitmap, want.Fused)
+				got.Bitmap != want.Bitmap {
+				t.Fatalf("%s\n got count=%d udf=%d hits=%d bitmap=%v\nwant count=%d udf=%d hits=%d bitmap=%v",
+					where, got.Count, got.UDFCalls, got.MatHits, got.Bitmap,
+					want.Count, want.UDFCalls, want.MatHits, want.Bitmap)
 			}
 			if !reflect.DeepEqual(got.Columns, want.Columns) || !reflect.DeepEqual(got.Rows, want.Rows) {
 				t.Fatalf("%s\nrows differ:\n got %v %v\nwant %v %v", where, got.Columns, got.Rows, want.Columns, want.Rows)
@@ -484,7 +444,7 @@ func TestExecutorMatchesNaiveOracle(t *testing.T) {
 			// The published columns hold exactly the oracle's rows, with the
 			// oracle's labels.
 			for _, k := range plan.keys {
-				col := db.mat.Column(k)
+				col := db.mat.Columns().Get(k)
 				for i := 0; i < n; i++ {
 					have := i < col.Len() && col.Valid(i)
 					if have != (o.valid[k] != nil && o.valid[k][i]) || (have && col.Label(i) != o.truth[k][i]) {
@@ -496,16 +456,16 @@ func TestExecutorMatchesNaiveOracle(t *testing.T) {
 			for _, hit := range []struct {
 				tally *int
 				is    bool
-			}{{&bitmaps, got.Bitmap}, {&fused, got.Fused}, {&classified, got.UDFCalls > 0}, {&partial, got.UDFCalls > 0 && got.MatHits > 0}} {
+			}{{&bitmaps, got.Bitmap}, {&chained, len(got.Observed) >= 2}, {&classified, got.UDFCalls > 0}, {&partial, got.UDFCalls > 0 && got.MatHits > 0}} {
 				if hit.is {
 					*hit.tally++
 				}
 			}
 		}
 	}
-	t.Logf("%d statements checked against the naive oracle: %d bitmap-served, %d classified (%d over partly resident columns, %d fused)",
-		cases, bitmaps, classified, partial, fused)
-	if !testing.Short() && !raceEnabled && (cases < 2000 || bitmaps < 100 || fused < 20 || partial < 100) {
+	t.Logf("%d statements checked against the naive oracle: %d bitmap-served, %d classified (%d over partly resident columns, %d in two or more steps)",
+		cases, bitmaps, classified, partial, chained)
+	if !testing.Short() && !raceEnabled && (cases < 2000 || bitmaps < 100 || chained < 20 || partial < 100) {
 		t.Fatal("the seeded draw no longer reaches every executor path often enough; rebalance it")
 	}
 }

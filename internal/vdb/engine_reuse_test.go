@@ -19,13 +19,13 @@ import (
 // store, with materialization off so every statement classifies.
 func servingDB(t *testing.T) *DB {
 	t.Helper()
-	fusedFixture(t)
+	sysFixture(t)
 	store, err := repstore.Create(t.TempDir(), 16, 16, xform.Grid([]int{8, 16}, []img.ColorMode{img.RGB, img.Gray}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { store.Close() })
-	if err := store.IngestAll(fusedImages); err != nil {
+	if err := store.IngestAll(sysImages); err != nil {
 		t.Fatal(err)
 	}
 	params := scenario.DefaultParams()
@@ -35,7 +35,7 @@ func servingDB(t *testing.T) *DB {
 		t.Fatal(err)
 	}
 	db := New(cm)
-	if err := db.LoadCorpusFromStore(store, 1<<20, fusedMeta); err != nil {
+	if err := db.LoadCorpusFromStore(store, 1<<20, sysMeta); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.InstallPredicate("cloak", cloakSys, 2); err != nil {

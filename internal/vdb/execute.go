@@ -3,10 +3,8 @@ package vdb
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"tahoma/internal/bitset"
-	"tahoma/internal/cascade"
 	"tahoma/internal/matstore"
 )
 
@@ -85,93 +83,31 @@ func (p *queryPlan) execute(ctx context.Context) (*Result, []overlay, error) {
 	}
 
 	// Labels already resident for the metadata survivors are lookups that
-	// would have been UDF calls — the materialization hit count. The same
-	// pass re-checks fusion against this statement's rows: the planner judged
-	// slot sharing corpus-wide, but a metadata filter can leave a pending set
-	// (say the two disjoint cascades of three) that shares nothing — fusing
-	// those would give up narrowing for no rep savings.
-	survivors := live.Count()
-	pending, shares := 0, false
-	slotUsers := make(map[string]int)
+	// would have been UDF calls — the materialization hit count, once per
+	// distinct column.
 	counted := make([]bool, len(cols))
 	for _, cs := range p.content {
-		if counted[cs.col] {
-			continue
+		if !counted[cs.col] {
+			counted[cs.col] = true
+			res.MatHits += cols[cs.col].base.Hits(live)
 		}
-		counted[cs.col] = true
-		hits := cols[cs.col].base.Hits(live)
-		res.MatHits += hits
-		if hits == survivors {
-			continue
-		}
-		pending++
-		seenSlots := make(map[string]bool)
-		for _, ref := range cs.spec.Levels() {
-			id := cs.pred.System.Models[ref.Model].Xform.ID()
-			if seenSlots[id] {
-				continue
-			}
-			seenSlots[id] = true
-			slotUsers[id]++
-			if slotUsers[id] >= 2 {
-				shares = true
-			}
-		}
-	}
-	// The planner priced one fused run of every pending cascade over the
-	// union of their missing rows (each distinct transform materialized once
-	// per frame for the whole query) against sequential narrowing. With fewer
-	// than two columns pending here, or no slot shared among them, fusing has
-	// nothing to amortize and execution stays sequential.
-	fuse := pending >= 2 && shares && p.pp.Fusion.Fuse
-	survivorSet := live
-	if fuse {
-		survivorSet = live.Clone()
 	}
 
-	// Narrow through the covered prefix of the chain. Coverage is
-	// progressive — a step needs labels only for the rows that survived the
-	// steps before it — so a chain executed sequentially once (later
-	// predicates materialized only over earlier predicates' survivors) is
-	// covered on repeat even though pending counted gaps over the full
-	// survivor set. Narrowing twice by one column is idempotent for AND and
-	// correctly empties X AND NOT X.
-	lo := 0
-	for ; lo < len(p.content); lo++ {
-		cs := &p.content[lo]
-		if cols[cs.col].uncovered(live) != nil {
-			break
-		}
-		cols[cs.col].narrow(live, cs.cond.Negated)
-	}
-	if lo == len(p.content) {
-		// The repeat-query case materialization exists for: the whole
-		// content phase was bitmap algebra.
-		res.Bitmap = true
-		p.projectRows(res, live)
-		return res, nil, nil
-	}
-
-	// Classify what is missing, then narrow. The fusion choice sets the
-	// stride: all steps classified at once over the metadata survivors, or
-	// one step at a time, each over the rows the steps before it left (the
-	// covered prefix above is exactly what those first strides would do).
-	res.Fused = fuse
-	if fuse {
-		live, lo = survivorSet, 0
-	}
-	for lo < len(p.content) {
-		hi := lo + 1
-		if fuse {
-			hi = len(p.content)
-		}
-		if err := p.classifyMissing(ctx, res, cols, lo, hi, live); err != nil {
+	// Narrow step by step. Before it narrows, a step classifies the live rows
+	// — those the steps before it let through — that its column does not
+	// label yet. Coverage is therefore progressive: a chain executed once (later predicates
+	// materialized only over earlier predicates' survivors) is covered on
+	// repeat, and the whole content phase is bitmap algebra — the repeat-query
+	// case materialization exists for. Narrowing twice by one column is
+	// idempotent for AND and correctly empties X AND NOT X.
+	for si := range p.content {
+		if err := p.classifyMissing(ctx, res, cols, si, live); err != nil {
 			return nil, nil, err
 		}
-		for ; lo < hi; lo++ {
-			cols[p.content[lo].col].narrow(live, p.content[lo].cond.Negated)
-		}
+		cs := &p.content[si]
+		cols[cs.col].narrow(live, cs.cond.Negated)
 	}
+	res.Bitmap = res.UDFCalls == 0
 	p.projectRows(res, live)
 
 	var fresh []overlay
@@ -185,89 +121,44 @@ func (p *queryPlan) execute(ctx context.Context) (*Result, []overlay, error) {
 	return res, fresh, nil
 }
 
-// classifyMissing fills the columns of content steps [lo,hi) for every live
-// row they do not label yet, in one engine run over the union of those rows:
-// the steps' cascades share one representation-slot plan, and per-cascade
-// need masks keep steps with different cached coverage from re-classifying
-// rows they already know. Steps with nothing to classify — fully covered, or
-// a later mention of a column an earlier step fills — stay out of the run. A
-// run of one step uses its cascade's installed engine, warm from earlier
-// statements; only a fused run plans an engine of its own.
-func (p *queryPlan) classifyMissing(ctx context.Context, res *Result, cols []stepColumn, lo, hi int, live *bitset.Set) error {
+// classifyMissing fills content step si's column for every live row it does
+// not label yet, in one run of the step's installed engine — warm from
+// earlier statements — over just those rows. A step with nothing to classify
+// (fully covered, or a later mention of a column an earlier step filled)
+// runs nothing.
+func (p *queryPlan) classifyMissing(ctx context.Context, res *Result, cols []stepColumn, si int, live *bitset.Set) error {
 	st := p.st
-	var steps []int
-	var needs []*bitset.Set
-	var rts []*cascade.Runtime
-	taken := make([]bool, len(cols))
-	for si := lo; si < hi; si++ {
-		cs := &p.content[si]
-		if taken[cs.col] {
-			continue
-		}
-		need := cols[cs.col].uncovered(live)
-		if need == nil {
-			continue
-		}
-		taken[cs.col] = true
-		steps, needs, rts = append(steps, si), append(needs, need), append(rts, cs.rt)
-	}
-	if len(steps) == 0 {
+	cs := &p.content[si]
+	c := &cols[cs.col]
+	need := c.uncovered(live)
+	if need == nil {
 		return nil
 	}
-	union := needs[0]
-	if len(needs) > 1 {
-		union = needs[0].Clone()
-		for _, need := range needs[1:] {
-			union.Or(need)
-		}
-	}
-	// The one place a row list exists before projection: the engine's frame
-	// list, sized to what must be classified, not to the table.
-	rows := union.AppendMembers(make([]int, 0, union.Count()))
-	mask := make([][]bool, len(steps))
-	for k, need := range needs {
-		mask[k] = make([]bool, len(rows))
-		for j, idx := range rows {
-			mask[k][j] = need.Get(idx)
-		}
-	}
-	eng, err := rts[0].Engine()
-	if len(rts) > 1 {
-		eng, err = cascade.NewEngine(rts...)
-	}
+	eng, err := cs.rt.Engine()
 	if err != nil {
 		return err
 	}
-	rep, err := eng.RunMasked(ctx, st.corpus, rows, mask, st.contentExecOpts())
+	// The one place a row list exists before projection: the engine's frame
+	// list, sized to what must be classified, not to the table.
+	rows := need.AppendMembers(make([]int, 0, need.Count()))
+	rep, err := eng.RunContext(ctx, st.corpus, rows, st.contentExecOpts())
 	if err != nil {
-		names := make([]string, len(steps))
-		for k, si := range steps {
-			names[k] = p.content[si].cond.Category
-		}
-		return fmt.Errorf("vdb: classifying %q: %w", strings.Join(names, ", "), err)
+		return fmt.Errorf("vdb: classifying %q: %w", cs.cond.Category, err)
 	}
-	for k, si := range steps {
-		cs := &p.content[si]
-		c := &cols[cs.col]
-		if c.over == nil {
-			c.over = matstore.NewColumn()
-			c.over.Grow(st.n)
-		}
-		frames := 0
-		for j, idx := range rows {
-			if mask[k][j] {
-				c.over.SetLabel(idx, rep.Labels[k][j])
-				frames++
-			}
-		}
-		res.UDFCalls += frames
-		res.Observed = append(res.Observed, ObservedSelectivity{
-			Category:  cs.pred.Category,
-			Cascade:   cs.spec.ID(),
-			Frames:    frames,
-			Positives: rep.Positives[k],
-		})
+	if c.over == nil {
+		c.over = matstore.NewColumn()
+		c.over.Grow(st.n)
 	}
+	for j, idx := range rows {
+		c.over.SetLabel(idx, rep.Labels[j])
+	}
+	res.UDFCalls += len(rows)
+	res.Observed = append(res.Observed, ObservedSelectivity{
+		Category:  cs.pred.Category,
+		Cascade:   cs.spec.ID(),
+		Frames:    len(rows),
+		Positives: rep.Positives,
+	})
 	res.RepsMaterialized += rep.RepsMaterialized
 	res.RepHits += rep.RepHits
 	res.RepFallbacks += rep.RepFallbacks

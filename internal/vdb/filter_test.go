@@ -47,7 +47,7 @@ func TestZoneVerdictSound(t *testing.T) {
 // append completes a block, an entry never changes afterwards, and a state
 // pinned before the append keeps the index it was published with.
 func TestZonesFollowAppends(t *testing.T) {
-	fusedFixture(t)
+	sysFixture(t)
 	rng := rand.New(rand.NewSource(5))
 	rows := func(n int) ([]*img.Image, []Metadata) {
 		meta := make([]Metadata, n)
@@ -56,7 +56,7 @@ func TestZonesFollowAppends(t *testing.T) {
 		}
 		return cycledImages(n), meta
 	}
-	db := buildFusedDB(t)
+	db := buildSysDB(t)
 	ims, meta := rows(zoneRows - 10)
 	if err := db.LoadCorpus(ims, meta); err != nil {
 		t.Fatal(err)

@@ -204,25 +204,7 @@ func (db *DB) AppendRecords(recs []img.Record, meta []Metadata) (udfCalls int, e
 		udfCalls += rep.Frames
 		// Trigger classifications are observations too: ingest-time labels
 		// tune the selectivity catalog just like query-time ones.
-		db.catalog.Observe(jb.pred.Category, rep.Frames, rep.Positives[0])
+		db.catalog.Observe(jb.pred.Category, rep.Frames, rep.Positives)
 	}
 	return udfCalls, nil
-}
-
-// TriggerCascade reports the cascade the trigger policy would select for a
-// category, for EXPLAIN-style introspection.
-func (db *DB) TriggerCascade(category string) (string, error) {
-	db.mu.RLock()
-	trigger := db.trigger
-	db.mu.RUnlock()
-	pred, ok := db.state.Load().predicates[category]
-	if !ok {
-		return "", fmt.Errorf("vdb: no classifier installed for %q", category)
-	}
-	point, err := core.Select(pred.Frontier, trigger.Constraints)
-	if err != nil {
-		return "", err
-	}
-	res := pred.Results[point.Index]
-	return res.Spec.Describe(pred.System.Models), nil
 }

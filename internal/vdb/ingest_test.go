@@ -2,7 +2,6 @@ package vdb
 
 import (
 	"context"
-	"strings"
 	"testing"
 
 	"tahoma/internal/core"
@@ -53,17 +52,6 @@ func TestAppendWithTrigger(t *testing.T) {
 	db, _ := buildTestDB(t)
 	cons := core.Constraints{MaxAccuracyLoss: 0.0}
 	db.SetTriggerPolicy(TriggerPolicy{Enabled: true, Constraints: cons})
-
-	desc, err := db.TriggerCascade("cloak")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(desc, "@") {
-		t.Fatalf("trigger cascade description %q", desc)
-	}
-	if _, err := db.TriggerCascade("zebra"); err == nil {
-		t.Fatal("unknown category must error")
-	}
 
 	// First append: the trigger materializes the whole corpus (40 old rows
 	// + 2 new).

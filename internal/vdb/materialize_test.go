@@ -27,7 +27,7 @@ func observedFrames(res *Result, category string) int {
 }
 
 // TestMaterializedParityMatrix is the materialization property test: across
-// coverage fraction × workers × batch × fused/sequential, the
+// coverage fraction × workers × batch × rank/static ordering, the
 // materialized-path labels are bit-identical to full inference, partially
 // covered predicates classify exactly the uncovered row window, and the
 // fully covered repeat query runs on the bitmap path with zero inference.
@@ -47,14 +47,12 @@ func TestMaterializedParityMatrix(t *testing.T) {
 	for _, cover := range []int{0, 10, 28, rows} {
 		for _, workers := range []int{1, 3} {
 			for _, batch := range []int{0, 7} {
-				for _, fused := range []bool{true, false} {
-					name := fmt.Sprintf("cover=%d/workers=%d/batch=%d/fused=%v", cover, workers, batch, fused)
+				for _, order := range []planner.Order{planner.OrderRank, planner.OrderStatic} {
+					name := fmt.Sprintf("cover=%d/workers=%d/batch=%d/static=%v", cover, workers, batch, order == planner.OrderStatic)
 					t.Run(name, func(t *testing.T) {
 						db := buildConcurrentDB(t)
 						db.SetExecOptions(exec.Options{Workers: workers, Batch: batch})
-						if !fused {
-							db.setPlanOptions(planner.Options{Fusion: planner.FusionNever})
-						}
+						db.setPlanOptions(planner.Options{Order: order})
 						if cover > 0 {
 							// Pre-cover the first `cover` rows of cloak's
 							// column via a metadata window (ts = 10·row).

@@ -21,7 +21,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"unicode"
+	"unicode/utf8"
 )
 
 // CompareOp is a metadata comparison operator.
@@ -107,14 +107,24 @@ func clip(s string) string {
 	return s
 }
 
+// isSpace, isDigit and isIdent classify one byte of a statement. Outside a
+// quoted literal the dialect is ASCII: a byte of a multi-byte character is
+// none of these, so the lexer rejects it instead of reading it as a Latin-1
+// letter or space.
+func isSpace(c byte) bool { return strings.IndexByte(" \t\n\r\v\f", c) >= 0 }
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+func isIdent(c byte) bool { return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || c == '_' }
+
+// lex splits a statement into tokens. A quoted literal holds any bytes but
+// a quote; everything else is ASCII.
 func lex(input string) ([]token, error) {
 	var toks []token
 	i := 0
 	n := len(input)
 	for i < n {
-		c := rune(input[i])
+		c := input[i]
 		switch {
-		case unicode.IsSpace(c):
+		case isSpace(c):
 			i++
 		case c == '\'':
 			j := i + 1
@@ -126,32 +136,33 @@ func lex(input string) ([]token, error) {
 			}
 			toks = append(toks, token{tokString, input[i+1 : j]})
 			i = j + 1
-		case unicode.IsDigit(c) || (c == '-' && i+1 < n && unicode.IsDigit(rune(input[i+1]))):
+		case isDigit(c) || (c == '-' && i+1 < n && isDigit(input[i+1])):
 			j := i + 1
-			for j < n && (unicode.IsDigit(rune(input[j]))) {
+			for j < n && isDigit(input[j]) {
 				j++
 			}
 			toks = append(toks, token{tokNumber, input[i:j]})
 			i = j
-		case unicode.IsLetter(c) || c == '_':
+		case isIdent(c):
 			j := i + 1
-			for j < n && (unicode.IsLetter(rune(input[j])) || unicode.IsDigit(rune(input[j])) || input[j] == '_') {
+			for j < n && (isIdent(input[j]) || isDigit(input[j])) {
 				j++
 			}
 			toks = append(toks, token{tokIdent, input[i:j]})
 			i = j
-		case strings.ContainsRune("<>!=", c):
+		case strings.IndexByte("<>!=", c) >= 0:
 			j := i + 1
 			if j < n && input[j] == '=' {
 				j++
 			}
 			toks = append(toks, token{tokSymbol, input[i:j]})
 			i = j
-		case strings.ContainsRune("(),*", c):
-			toks = append(toks, token{tokSymbol, string(c)})
+		case strings.IndexByte("(),*", c) >= 0:
+			toks = append(toks, token{tokSymbol, input[i : i+1]})
 			i++
 		default:
-			return nil, fmt.Errorf("vdb: unexpected character %q at offset %d", c, i)
+			r, _ := utf8.DecodeRuneInString(input[i:])
+			return nil, fmt.Errorf("vdb: unexpected character %q at offset %d", r, i)
 		}
 		if len(toks) > maxTokens {
 			return nil, fmt.Errorf("vdb: statement longer than %d tokens", maxTokens)

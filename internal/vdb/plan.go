@@ -30,7 +30,7 @@ type contentStep struct {
 // predicates in the order the cost-based planner chose (rank = cost /
 // (1 − selectivity) by default, evaluator-cheapest-first under OrderStatic),
 // each only over surviving rows. pp is the planner's costed, explainable view
-// of the same content steps, including the fused-vs-sequential decision.
+// of the same content steps.
 type queryPlan struct {
 	st      *readState
 	query   *Query
@@ -193,9 +193,6 @@ func (p *queryPlan) describe() string {
 		}
 	}
 	if line := p.pp.OrderLine(); line != "" {
-		fmt.Fprintf(&b, "  %s\n", line)
-	}
-	if line := p.pp.Fusion.Line(); line != "" {
 		fmt.Fprintf(&b, "  %s\n", line)
 	}
 	if p.query.Limit > 0 {

@@ -7,18 +7,15 @@ import (
 
 	"tahoma/internal/core"
 	"tahoma/internal/exec"
-	"tahoma/internal/img"
 	"tahoma/internal/planner"
 	"tahoma/internal/repstore"
 	"tahoma/internal/scenario"
-	"tahoma/internal/synth"
-	"tahoma/internal/xform"
 )
 
-// setPlanOptions installs the ordering and fusion policies (po.Order,
-// po.Fusion) for subsequent queries. Serving always plans with the zero
-// value; the other policies are oracles, since labels are identical under
-// all of them and only the work to reach them differs.
+// setPlanOptions installs the ordering policy (po.Order) for subsequent
+// queries. Serving always plans with the zero value; OrderStatic is an
+// oracle, since labels are identical under both and only the work to reach
+// them differs.
 func (db *DB) setPlanOptions(po planner.Options) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -66,16 +63,15 @@ func permSQL(perm []int) string {
 
 // TestContentOrderInvariance is the planner's safety property: whatever
 // order the content predicates execute in — any textual permutation, rank or
-// static ordering, fused or sequential content phase, any engine sizing —
-// the surviving rows are bit-identical. Ordering and fusion change the work,
-// never the answer.
+// static ordering, any engine sizing — the surviving rows are bit-identical.
+// Ordering changes the work, never the answer.
 func TestContentOrderInvariance(t *testing.T) {
 	cons := core.Constraints{MaxAccuracyLoss: 0.05}
 	perms := permutations(len(planOrderConds))
 
 	run := func(perm []int, po planner.Options, opts exec.Options) *Result {
 		t.Helper()
-		db := buildFusedDB(t)
+		db := buildSysDB(t)
 		db.setPlanOptions(po)
 		if opts != (exec.Options{}) {
 			db.SetExecOptions(opts)
@@ -102,165 +98,15 @@ func TestContentOrderInvariance(t *testing.T) {
 		}
 	}
 
-	// Every textual permutation under the default (rank, cost-based fusion).
-	for _, perm := range perms[1:] {
+	// Every textual permutation, under each ordering policy.
+	for _, perm := range perms {
 		check(run(perm, planner.Options{}, exec.Options{}), fmt.Sprintf("perm %v", perm))
+		check(run(perm, planner.Options{Order: planner.OrderStatic}, exec.Options{}), fmt.Sprintf("static perm %v", perm))
 	}
-	// Policy × fusion matrix on a representative permutation.
+	// Engine sizings on a representative permutation.
 	perm := perms[3]
-	check(run(perm, planner.Options{Order: planner.OrderStatic}, exec.Options{}), "static order")
-	check(run(perm, planner.Options{Fusion: planner.FusionShared}, exec.Options{}), "forced fusion")
-	check(run(perm, planner.Options{Order: planner.OrderStatic, Fusion: planner.FusionShared}, exec.Options{}), "static+forced fusion")
-	check(run(perm, planner.Options{Fusion: planner.FusionNever}, exec.Options{}), "fusion off")
-	// Engine sizings, fused and sequential.
 	for _, o := range []exec.Options{{Workers: 1, Batch: 1}, {Workers: 4, Batch: 3}, {Workers: 2, Batch: 64}} {
-		check(run(perm, planner.Options{Fusion: planner.FusionShared}, o), fmt.Sprintf("fused w=%d b=%d", o.Workers, o.Batch))
-		check(run(perm, planner.Options{Fusion: planner.FusionNever}, o), fmt.Sprintf("sequential w=%d b=%d", o.Workers, o.Batch))
-	}
-}
-
-// TestFusionCostDecision pins the default cost-based gate end to end: under
-// the inference-dominated CAMERA pricing of the tiny fixture, sequential
-// narrowing is cheaper and the planner keeps it; under ARCHIVE pricing the
-// shared source decode and representation work dominate, and the same query
-// fuses.
-func TestFusionCostDecision(t *testing.T) {
-	fusedFixture(t)
-	cons := core.Constraints{MaxAccuracyLoss: 0.05}
-	sql := "SELECT id FROM images WHERE contains_object('cloak') AND contains_object('coho')"
-	build := func(kind scenario.Kind) *DB {
-		cm, err := scenario.NewAnalytic(kind, scenario.DefaultParams())
-		if err != nil {
-			t.Fatal(err)
-		}
-		db := New(cm)
-		if err := db.LoadCorpus(fusedImages, fusedMeta); err != nil {
-			t.Fatal(err)
-		}
-		for _, in := range []struct {
-			cat string
-			sys *core.System
-		}{{"cloak", cloakSys}, {"coho", cohoSys}} {
-			if err := db.InstallPredicate(in.cat, in.sys, 2); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return db
-	}
-
-	camera := build(scenario.Camera)
-	out, err := camera.Explain(sql, cons)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "Sequential: narrowing beats fusion") {
-		t.Fatalf("camera explain does not choose sequential:\n%s", out)
-	}
-	res, err := camera.Query(sql, cons)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Fused {
-		t.Fatal("inference-dominated pricing should keep sequential narrowing")
-	}
-
-	archive := build(scenario.Archive)
-	out, err = archive.Explain(sql, cons)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "Fused: 2 content predicates") {
-		t.Fatalf("archive explain does not choose fusion:\n%s", out)
-	}
-	resA, err := archive.Query(sql, cons)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resA.Fused {
-		t.Fatal("source-decode-dominated pricing should fuse")
-	}
-	// The decision changes the work, not the answer.
-	if res.Count != resA.Count {
-		t.Fatalf("camera %d rows, archive %d", res.Count, resA.Count)
-	}
-}
-
-// TestFusedLivePendingGuard: the plan-time fusion verdict can rest on a
-// predicate that a metadata filter leaves fully cached on the live rows.
-// Execution must re-check slot sharing over the cascades actually pending
-// there and fall back to sequential narrowing when they share nothing.
-func TestFusedLivePendingGuard(t *testing.T) {
-	fusedFixture(t)
-	// A red-channel-only system: disjoint from the TinyConfig rgb/gray grid.
-	cfg := core.TinyConfig()
-	cfg.Sizes = []int{8}
-	cfg.Colors = []img.ColorMode{img.Red}
-	cfg.DeepXform = xform.Transform{Size: 8, Color: img.Red}
-	cat, err := synth.CategoryByName("coho")
-	if err != nil {
-		t.Fatal(err)
-	}
-	splits, err := synth.GenerateBinary(cat, synth.Options{
-		BaseSize: 16, TrainN: 60, ConfigN: 30, EvalN: 30, Seed: 13,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	redSys, err := core.Initialize("redcoho", splits, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cm, err := scenario.NewAnalytic(scenario.Camera, scenario.DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := New(cm)
-	if err := db.LoadCorpus(fusedImages, fusedMeta); err != nil {
-		t.Fatal(err)
-	}
-	for _, in := range []struct {
-		cat string
-		sys *core.System
-	}{{"cloak", cloakSys}, {"cloak2", cloakSys}, {"redcoho", redSys}} {
-		if err := db.InstallPredicate(in.cat, in.sys, 2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// FusionShared makes the plan-time verdict rest purely on corpus-wide
-	// slot sharing, which cloak↔cloak2 provide.
-	db.setPlanOptions(planner.Options{Fusion: planner.FusionShared})
-	cons := core.Constraints{MaxAccuracyLoss: 0.05}
-
-	// Fill cloak for the uptown rows only: corpus-wide it stays pending
-	// (and shares slots with cloak2), but on the filtered live set it is
-	// fully cached.
-	if _, err := db.Query("SELECT id FROM images WHERE location = 'uptown' AND contains_object('cloak')", cons); err != nil {
-		t.Fatal(err)
-	}
-	res, err := db.Query(
-		"SELECT id FROM images WHERE location = 'uptown' AND contains_object('cloak') AND contains_object('cloak2') AND contains_object('redcoho')", cons)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Fused {
-		t.Fatal("fused path taken although the live-pending cascades (cloak2, redcoho) share no slot")
-	}
-	// The same query without the priming step leaves cloak pending on the
-	// live rows too, so sharing holds and fusion proceeds.
-	db2 := buildFusedDB(t)
-	if err := db2.InstallPredicate("redcoho", redSys, 2); err != nil {
-		t.Fatal(err)
-	}
-	res2, err := db2.Query(
-		"SELECT id FROM images WHERE location = 'uptown' AND contains_object('cloak') AND contains_object('cloak2') AND contains_object('redcoho')", cons)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res2.Fused {
-		t.Fatal("fused path not taken although cloak and cloak2 both pend and share slots")
-	}
-	if res.Count != res2.Count {
-		t.Fatalf("guarded run %d rows, fused run %d", res.Count, res2.Count)
+		check(run(perm, planner.Options{}, o), fmt.Sprintf("w=%d b=%d", o.Workers, o.Batch))
 	}
 }
 
@@ -298,9 +144,6 @@ func TestAdaptiveSelectivityFeedback(t *testing.T) {
 	st := db.PlannerStats()
 	if st.RankPlans != 1 || st.StaticPlans != 0 {
 		t.Fatalf("plan counters: %+v", st)
-	}
-	if st.SequentialPlans+st.FusedPlans != 1 {
-		t.Fatalf("content-phase counters: %+v", st)
 	}
 	var entry *planner.CatalogEntry
 	for i, e := range st.Selectivity {
@@ -350,13 +193,13 @@ func TestStaticOrderCounters(t *testing.T) {
 // record of a store-backed corpus into the cache, the planner prices the
 // source read away and EXPLAIN prints the rep-adjusted cost.
 func TestExplainReflectsRecordCacheState(t *testing.T) {
-	fusedFixture(t)
+	sysFixture(t)
 	store, err := repstore.Create(t.TempDir(), 16, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	if err := store.IngestAll(fusedImages); err != nil {
+	if err := store.IngestAll(sysImages); err != nil {
 		t.Fatal(err)
 	}
 	params := scenario.DefaultParams()
@@ -366,7 +209,7 @@ func TestExplainReflectsRecordCacheState(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := New(cm)
-	if err := db.LoadCorpusFromStore(store, 1<<20, fusedMeta); err != nil {
+	if err := db.LoadCorpusFromStore(store, 1<<20, sysMeta); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.InstallPredicate("cloak", cloakSys, 2); err != nil {

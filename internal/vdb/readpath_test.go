@@ -18,8 +18,8 @@ import (
 // both Query and Explain as a *PlanError, before any row is read — a literal
 // of the wrong type included, on an empty table as on a full one.
 func TestPlanErrorsAreTyped(t *testing.T) {
-	full := buildFusedDB(t)
-	empty := buildFusedDB(t)
+	full := buildSysDB(t)
+	empty := buildSysDB(t)
 	if err := empty.LoadCorpus(nil, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func (c *parkedCorpus) appendRecords(base int, recs []img.Record, journaled bool
 // holding the DB lock — and requires a covered Query and an Explain to finish
 // meanwhile, seeing exactly the rows published before it.
 func TestReadersDoNotWaitForAppend(t *testing.T) {
-	db := buildFusedDB(t)
+	db := buildSysDB(t)
 	db.SetTriggerPolicy(TriggerPolicy{Enabled: true, Constraints: diffCons})
 	const sql = "SELECT id FROM images WHERE ts >= 50 AND contains_object('cloak') AND NOT contains_object('coho')"
 	want, err := db.Query(sql, diffCons)
@@ -92,7 +92,7 @@ func TestReadersDoNotWaitForAppend(t *testing.T) {
 	db.mu.Unlock()
 	appended := make(chan error, 1)
 	go func() {
-		_, err := db.Append(fusedImages[:3], []Metadata{{ID: 100, TS: 1000}, {ID: 101, TS: 1010}, {ID: 102, TS: 1020}})
+		_, err := db.Append(sysImages[:3], []Metadata{{ID: 100, TS: 1000}, {ID: 101, TS: 1010}, {ID: 102, TS: 1020}})
 		appended <- err
 	}()
 	<-parked.entered
@@ -151,18 +151,18 @@ func TestReadersDoNotWaitForAppend(t *testing.T) {
 // ever appended and labels are deterministic per row, so the answer over the
 // first p rows is the final answer cut at p.
 func TestReadersSeePublishedPrefixes(t *testing.T) {
-	fusedFixture(t)
+	sysFixture(t)
 	cons := diffCons
 	const (
 		batches   = 5
 		batchRows = 3
 	)
-	base := len(fusedImages)
+	base := len(sysImages)
 	final := base + batches*batchRows
 	images := make([]*img.Image, final)
 	meta := make([]Metadata, final)
 	for i := range meta {
-		images[i] = fusedImages[(i*7)%base]
+		images[i] = sysImages[(i*7)%base]
 		meta[i] = Metadata{ID: int64(i), Location: "uptown", Camera: "cam-1", TS: int64(i * 10)}
 	}
 	queries := []string{
@@ -172,7 +172,7 @@ func TestReadersSeePublishedPrefixes(t *testing.T) {
 		"SELECT id FROM images WHERE id != 7",
 	}
 	// The serial answers over the final table.
-	serial := buildFusedDB(t)
+	serial := buildSysDB(t)
 	if err := serial.LoadCorpus(images, meta); err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestReadersSeePublishedPrefixes(t *testing.T) {
 		return false
 	}
 
-	db := buildFusedDB(t)
+	db := buildSysDB(t)
 	if err := db.LoadCorpus(images[:base:base], meta[:base:base]); err != nil {
 		t.Fatal(err)
 	}
@@ -294,13 +294,13 @@ func residentDB(t testing.TB, fx *diffFixture, n int, cats ...string) *DB {
 	for i := range meta {
 		meta[i] = Metadata{ID: int64(i), Location: "uptown", Camera: "cam-1", TS: int64(i)}
 	}
-	db := buildFusedDB(t)
+	db := buildSysDB(t)
 	if err := db.LoadCorpus(cycledImages(n), meta); err != nil {
 		t.Fatal(err)
 	}
 	for _, cat := range cats {
 		k := fx.keys[cat]
-		publishLabels(db, k, n, func(i int) (bool, bool) { return fx.truth[k][i%len(fusedImages)], true })
+		publishLabels(db, k, n, func(i int) (bool, bool) { return fx.truth[k][i%len(sysImages)], true })
 	}
 	return db
 }

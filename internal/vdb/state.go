@@ -17,7 +17,7 @@ import (
 // holds the copy that was current at publication.
 type settings struct {
 	execOpts  exec.Options
-	planOpts  planner.Options // zero (rank order, cost-based fusion) outside tests
+	planOpts  planner.Options // zero (rank order) outside tests
 	serveReps bool
 	matMode   MatMode
 }
@@ -115,7 +115,7 @@ func (st *readState) classify(ctx context.Context, src exec.Source, pred *Predic
 	o := overlay{key: matKey(pred, pred.Results[i].Spec), col: matstore.NewColumn()}
 	o.col.Grow(st.n)
 	for j, idx := range rows {
-		o.col.SetLabel(idx, rep.Labels[0][j])
+		o.col.SetLabel(idx, rep.Labels[j])
 	}
 	return o, rep, nil
 }

@@ -139,17 +139,17 @@ func storedImages(t *testing.T, store *repstore.Store) []*img.Image {
 // to one through 64 MiB, misses, and never holds more than its budget plus
 // the one record it just read.
 func TestStoreScanUnderSmallCache(t *testing.T) {
-	fusedFixture(t)
+	sysFixture(t)
 	store, err := repstore.Create(t.TempDir(), 16, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	if err := store.IngestAll(fusedImages); err != nil {
+	if err := store.IngestAll(sysImages); err != nil {
 		t.Fatal(err)
 	}
 	record := int64(img.EncodedSize(16, 16, img.RGB))
-	corpusBytes := int64(len(fusedImages)) * record
+	corpusBytes := int64(len(sysImages)) * record
 	cm, err := scenario.NewAnalytic(scenario.Archive, scenario.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +161,7 @@ func TestStoreScanUnderSmallCache(t *testing.T) {
 		db := New(cm)
 		db.SetMaterialization(MatOff) // every query reads pixels
 		db.SetExecOptions(exec.Options{Workers: 2, Batch: 7})
-		if err := db.LoadCorpusFromStore(store, cacheBytes, fusedMeta); err != nil {
+		if err := db.LoadCorpusFromStore(store, cacheBytes, sysMeta); err != nil {
 			t.Fatal(err)
 		}
 		for _, in := range []struct {
@@ -210,6 +210,76 @@ func TestLoadCorpusFromStoreValidation(t *testing.T) {
 	for _, budget := range []int64{0, -1} {
 		if err := db.LoadCorpusFromStore(store, budget, nil); err == nil || !strings.Contains(err.Error(), "cacheBytes") {
 			t.Fatalf("a %d-byte record cache: err = %v, want a refusal naming cacheBytes", budget, err)
+		}
+	}
+}
+
+// TestServeRepsFromStore: with a store-backed corpus materializing the
+// design grid and ServeReps on, content predicates load stored
+// representations instead of transforming decoded sources — zero transforms,
+// every served rep read through the record cache — and repeated queries
+// agree.
+func TestServeRepsFromStore(t *testing.T) {
+	sysFixture(t)
+	grid := xform.Grid([]int{8, 16}, []img.ColorMode{img.RGB, img.Gray})
+	store, err := repstore.Create(t.TempDir(), 16, 16, grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if err := store.IngestAll(sysImages); err != nil {
+		t.Fatal(err)
+	}
+	params := scenario.DefaultParams()
+	params.SourceW, params.SourceH = 16, 16
+	cm, err := scenario.NewAnalytic(scenario.Archive, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func() *DB {
+		db := New(cm)
+		if err := db.LoadCorpusFromStore(store, 1<<20, sysMeta); err != nil {
+			t.Fatal(err)
+		}
+		for _, in := range []struct {
+			cat string
+			sys *core.System
+		}{{"cloak", cloakSys}, {"coho", cohoSys}} {
+			if err := db.InstallPredicate(in.cat, in.sys, 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		db.ServeReps(true)
+		return db
+	}
+	cons := core.Constraints{MaxAccuracyLoss: 0.05}
+	sql := "SELECT id FROM images WHERE contains_object('cloak') AND contains_object('coho')"
+	db := build()
+	res, err := db.Query(sql, cons)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.RepsMaterialized != 0 {
+		t.Fatalf("store covers the whole grid, yet %d transforms ran", res.RepsMaterialized)
+	}
+	if res.RepHits == 0 {
+		t.Fatal("no representations served from the store")
+	}
+	if st, ok := db.RepCacheStats(); !ok || st.Hits+st.Misses < int64(res.RepHits) {
+		t.Fatalf("record cache stats %+v (ok=%v) account for fewer reads than the %d served reps", st, ok, res.RepHits)
+	}
+	// Deterministic: a second DB over the same store returns the same rows.
+	res2, err := build().Query(sql, cons)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res2.Count != res.Count {
+		t.Fatalf("served query not deterministic: %d vs %d rows", res2.Count, res.Count)
+	}
+	a, b := rowSet(t, res), rowSet(t, res2)
+	for id := range a {
+		if !b[id] {
+			t.Fatalf("row %d only in first served result", id)
 		}
 	}
 }

@@ -74,6 +74,43 @@ func TestParseTokenBound(t *testing.T) {
 	}
 }
 
+// TestParseASCII: outside a quoted literal the dialect is ASCII, so a byte
+// of a multi-byte character is an unexpected character — not a Latin-1
+// letter, not a space — while a quoted literal keeps whatever bytes it holds.
+func TestParseASCII(t *testing.T) {
+	for _, tc := range []struct {
+		name, sql string
+		err       string // empty: must parse
+	}{
+		{"bare-a-grave", "SELECT id FROM images WHERE contains_object(\u00e0)", "unexpected character 'à'"},
+		{"bare-cafe", "SELECT id FROM images WHERE contains_object(caf\u00e9)", "unexpected character 'é'"},
+		{"stray-nbsp", "SELECT\xa0id FROM images", "unexpected character"},
+		{"stray-nel", "SELECT id\x85FROM images", "unexpected character"},
+		{"latin1-letter", "SELECT A FROM \xea0", "unexpected character"},
+		{"quoted-category", "SELECT id FROM images WHERE contains_object('\u00e0')", ""},
+		{"quoted-bytes", "SELECT id FROM images WHERE location = '\xea\xa0'", ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q, err := Parse(tc.sql)
+			if tc.err != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.err) {
+					t.Fatalf("Parse(%q) = %+v, %v; want an error containing %q", tc.sql, q, err, tc.err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("Parse(%q): %v", tc.sql, err)
+			}
+			if len(q.Content) == 1 && q.Content[0].Category != "\u00e0" {
+				t.Fatalf("quoted category %q, want %q", q.Content[0].Category, "\u00e0")
+			}
+			if len(q.Meta) == 1 && q.Meta[0].Val.Str != "\xea\xa0" {
+				t.Fatalf("quoted literal %q, want its bytes kept", q.Meta[0].Val.Str)
+			}
+		})
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	cases := []string{
 		"",

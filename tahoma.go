@@ -62,10 +62,9 @@ type (
 	// frames per batch. The zero value means GOMAXPROCS workers and the
 	// engine's default batch size.
 	ExecOptions = exec.Options
-	// ExecReport is one engine run's accounting: per-classifier labels,
-	// levels-run and positives (index 0 for a single classifier's run),
-	// global representation work, per-batch stats and measured throughput
-	// (comparable to the evaluator's analytic estimate).
+	// ExecReport is one engine run's accounting: labels, levels run,
+	// positives, representation work, per-batch stats and measured
+	// throughput (comparable to the evaluator's analytic estimate).
 	ExecReport = exec.Report
 
 	// DB is the visual analytics database: a SQL-queryable images table
@@ -265,11 +264,11 @@ func (c *Classifier) ClassifyBatch(ims []*Image) ([]bool, error) {
 	if err != nil {
 		return nil, err
 	}
-	return rep.Labels[0], nil
+	return rep.Labels, nil
 }
 
 // ClassifyBatchReport labels a batch of images under explicit engine
-// options and returns the full execution report (labels are Labels[0]),
+// options and returns the full execution report (labels included),
 // including per-batch stats and the measured throughput to hold against
 // Expected.Throughput.
 func (c *Classifier) ClassifyBatchReport(ims []*Image, opts ExecOptions) (*ExecReport, error) {
@@ -278,24 +277,6 @@ func (c *Classifier) ClassifyBatchReport(ims []*Image, opts ExecOptions) (*ExecR
 
 // String describes the cascade's levels.
 func (c *Classifier) String() string { return c.desc }
-
-// ClassifyBatchFused labels ims under several chosen classifiers at once,
-// fusing their cascades into one shared representation-slot plan: each
-// distinct input transform is materialized once per frame for the whole
-// classifier set instead of once per classifier. Labels[i] are bit-identical
-// to clfs[i].ClassifyBatch alone; see ExecReport for the
-// shared-representation accounting.
-func ClassifyBatchFused(clfs []*Classifier, ims []*Image, opts ExecOptions) (*ExecReport, error) {
-	rts := make([]*cascade.Runtime, len(clfs))
-	for i, c := range clfs {
-		rts[i] = c.rt
-	}
-	eng, err := cascade.NewEngine(rts...)
-	if err != nil {
-		return nil, err
-	}
-	return eng.Run(exec.Frames(ims), nil, opts)
-}
 
 // System exposes the underlying initialized system: the handle
 // DB.InstallPredicate takes.

@@ -128,65 +128,13 @@ func TestClassifyBatchMatchesClassify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Frames != len(ims) || rep.LevelsRun[0] < len(ims) || rep.Throughput <= 0 {
+	if rep.Frames != len(ims) || rep.LevelsRun < len(ims) || rep.Throughput <= 0 {
 		t.Fatalf("degenerate report: %+v", rep)
 	}
 	for i := range ims {
-		if rep.Labels[0][i] != want[i] {
-			t.Fatalf("report label %d = %v, Classify = %v", i, rep.Labels[0][i], want[i])
+		if rep.Labels[i] != want[i] {
+			t.Fatalf("report label %d = %v, Classify = %v", i, rep.Labels[i], want[i])
 		}
-	}
-}
-
-// TestClassifyBatchFused: fusing several classifiers yields per-classifier
-// labels bit-identical to running each alone, while sharing representation
-// work across the set.
-func TestClassifyBatchFused(t *testing.T) {
-	p := testPredicate(t)
-	fast, err := p.Choose(Constraints{MaxAccuracyLoss: 0.10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	accurate, err := p.Choose(Constraints{MaxAccuracyLoss: 0.01})
-	if err != nil {
-		t.Fatal(err)
-	}
-	splits, err := GenerateCorpus("cloak", CorpusOptions{
-		BaseSize: 16, TrainN: 120, ConfigN: 40, EvalN: 48, Seed: 9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ims []*Image
-	for _, e := range splits.Eval.Examples {
-		ims = append(ims, e.Image)
-	}
-	clfs := []*Classifier{fast, accurate}
-	rep, err := ClassifyBatchFused(clfs, ims, ExecOptions{Workers: 2, Batch: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Frames != len(ims) || len(rep.Labels) != len(clfs) {
-		t.Fatalf("degenerate fused report: %+v", rep)
-	}
-	seqReps := 0
-	for c, clf := range clfs {
-		solo, err := clf.ClassifyBatchReport(ims, ExecOptions{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		seqReps += solo.RepsMaterialized
-		if rep.LevelsRun[c] != solo.LevelsRun[0] {
-			t.Fatalf("classifier %d: fused ran %d levels, solo %d", c, rep.LevelsRun[c], solo.LevelsRun[0])
-		}
-		for i := range ims {
-			if rep.Labels[c][i] != solo.Labels[0][i] {
-				t.Fatalf("classifier %d frame %d: fused %v, solo %v", c, i, rep.Labels[c][i], solo.Labels[0][i])
-			}
-		}
-	}
-	if rep.RepsMaterialized > seqReps {
-		t.Fatalf("fused materialized %d reps, sequential %d — sharing lost", rep.RepsMaterialized, seqReps)
 	}
 }
 
