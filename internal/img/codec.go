@@ -26,6 +26,9 @@ const (
 	timgHeaderSize = 10
 )
 
+// MaxSide is the largest width or height a TIMG header can hold.
+const MaxSide = 0xFFFF
+
 // ErrCorrupt is returned (wrapped) when decoding fails due to a bad header or
 // truncated pixel data.
 var ErrCorrupt = errors.New("img: corrupt TIMG data")
@@ -147,17 +150,36 @@ func ParseRecord(raw []byte) (Record, error) {
 // AppendRecord appends im's TIMG encoding to dst and returns the extended
 // slice. Samples are clamped to [0,1] and quantized to 8 bits.
 func AppendRecord(dst []byte, im *Image) ([]byte, error) {
-	if im.W > 0xFFFF || im.H > 0xFFFF {
+	if im.W > MaxSide || im.H > MaxSide {
 		return dst, fmt.Errorf("img: image %dx%d too large for TIMG", im.W, im.H)
 	}
 	dst = appendHeader(slices.Grow(dst, im.StoredBytes()), im.W, im.H, im.Mode)
+	return AppendQuantized(dst, im.Pix), nil
+}
+
+// AppendQuantized appends the stored form of every sample of src to dst —
+// clamped to [0,1] and rounded to the nearest 1/255 step — and returns the
+// extended slice. It is the one quantizer: AppendRecord encodes images
+// through it and xform's byte-output transform encodes each row through it,
+// so a representation has one stored form whichever path derived it. For
+// every byte b, quantizing Unit(b) gives back b. Like UnitsInto it is
+// unrolled by eight, which takes a third off a 32×32 RGB record.
+func AppendQuantized(dst []byte, src []float32) []byte {
+	dst = slices.Grow(dst, len(src))
 	start := len(dst)
-	dst = dst[:start+len(im.Pix)]
-	pix := dst[start:]
-	for i, v := range im.Pix {
-		pix[i] = quant(v)
+	dst = dst[:start+len(src)]
+	out := dst[start:]
+	src = src[:len(out)]
+	i := 0
+	for ; i+8 <= len(out); i += 8 {
+		s, d := src[i:i+8:i+8], out[i:i+8:i+8]
+		d[0], d[1], d[2], d[3] = quant(s[0]), quant(s[1]), quant(s[2]), quant(s[3])
+		d[4], d[5], d[6], d[7] = quant(s[4]), quant(s[5]), quant(s[6]), quant(s[7])
 	}
-	return dst, nil
+	for ; i < len(out); i++ {
+		out[i] = quant(src[i])
+	}
+	return dst
 }
 
 // appendHeader appends the TIMG header of a w×h image in the given mode.

@@ -167,3 +167,22 @@ func FuzzRecord(f *testing.F) {
 		}
 	})
 }
+
+// TestAppendQuantizedUnit: quantizing a stored sample's float value gives
+// back the stored sample, for all 256 of them — the property that lets a
+// representation that is already a stored record be appended as stored.
+func TestAppendQuantizedUnit(t *testing.T) {
+	units := make([]float32, 256)
+	for b := range units {
+		units[b] = Unit(byte(b))
+	}
+	got := AppendQuantized([]byte("x"), units)
+	if len(got) != 257 || got[0] != 'x' {
+		t.Fatalf("AppendQuantized over a 1-byte prefix gave %d bytes, prefix %q", len(got), got[:1])
+	}
+	for b, q := range got[1:] {
+		if int(q) != b {
+			t.Fatalf("quantize(Unit(%d)) = %d", b, q)
+		}
+	}
+}

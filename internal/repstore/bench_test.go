@@ -2,6 +2,9 @@ package repstore
 
 import (
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strconv"
 	"testing"
 
 	"tahoma/internal/img"
@@ -118,6 +121,60 @@ func BenchmarkLoadTransform(b *testing.B) {
 					b.Fatal(err)
 				}
 				dst = tr.ApplyRecord(dst, rec)
+			}
+		})
+	}
+}
+
+// BenchmarkIngestAll prices one bulk ingest — the ONGOING scenario's set-up —
+// of 8 000 32×32 frames into a fresh store, fsyncs and manifest included:
+//
+//	grid    every representation of xform.Grid({8,16,32}, {RGB, Gray}),
+//	        the scenario benchmark's zoo grid, derived from each stored record
+//	source  the source records alone
+//
+// The frames are 500 distinct images tiled in order, as the scenario
+// benchmark's fixture tiles its corpus. The batch spans many write chunks,
+// so it is staged on up to GOMAXPROCS workers; compare -cpu 1.
+func BenchmarkIngestAll(b *testing.B) {
+	const rows, distinct, side = 8000, 500, 32
+	rng := rand.New(rand.NewSource(43))
+	corpus := make([]*img.Image, distinct)
+	for i := range corpus {
+		corpus[i] = randRGB(rng, side)
+	}
+	ims := make([]*img.Image, rows)
+	for i := range ims {
+		ims[i] = corpus[i%distinct]
+	}
+	for _, c := range []struct {
+		name string
+		grid []xform.Transform
+	}{
+		{"grid", xform.Grid([]int{8, 16, 32}, []img.ColorMode{img.RGB, img.Gray})},
+		{"source", nil},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			root := b.TempDir()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				dir := filepath.Join(root, strconv.Itoa(i))
+				s, err := Create(dir, side, side, c.grid)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if err := s.IngestAll(ims); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				s.Close()
+				if err := os.RemoveAll(dir); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
 			}
 		})
 	}

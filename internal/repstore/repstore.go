@@ -14,6 +14,13 @@
 // Fixed record sizes make random access an offset multiplication and make
 // truncation detectable on open (file size must be count × record size).
 //
+// A representation is its stored bytes, derived from the row's stored source
+// record (xform.Transform.AppendRecord), whichever way the row came in:
+// IngestAll quantizes each image into its source record and derives from
+// that, exactly as AppendRecords and WriteRecords derive from the records
+// they are handed. A bulk batch is staged on up to GOMAXPROCS workers; the
+// bytes do not depend on how many.
+//
 // Who vouches for a row. A row exists once something durable says so. Stand-
 // alone — the CLI's ingest, a server without a journal — that is the manifest:
 // IngestAll and AppendRecords fsync the data files and then replace
@@ -32,6 +39,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -81,14 +89,15 @@ type Store struct {
 	// writes counts completed write batches; dataSynced is its value when the
 	// last data fsync began, so a sync with nothing new to cover is skipped.
 	writes, dataSynced atomic.Int64
-	// stage holds the writer's per-file buffers, reused across batches.
-	stage staged
+	// stage holds each staging worker's buffers, reused across batches
+	// (guarded by mu, like every write).
+	stage []staged
 }
 
 // Create initializes a new store in dir (which must be empty or absent) that
 // will materialize the given transforms for every ingested image.
 func Create(dir string, baseW, baseH int, transforms []xform.Transform) (*Store, error) {
-	if baseW <= 0 || baseH <= 0 {
+	if baseW <= 0 || baseH <= 0 || baseW > img.MaxSide || baseH > img.MaxSide {
 		return nil, fmt.Errorf("repstore: invalid base geometry %dx%d", baseW, baseH)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -101,6 +110,9 @@ func Create(dir string, baseW, baseH int, transforms []xform.Transform) (*Store,
 	for i, t := range transforms {
 		if err := t.Validate(); err != nil {
 			return nil, err
+		}
+		if t.Size > img.MaxSide {
+			return nil, fmt.Errorf("repstore: transform %s is too large for a TIMG record", t.ID())
 		}
 		ids[i] = t.ID()
 	}
@@ -283,26 +295,25 @@ func (s *Store) BaseSize() (w, h int) { return s.manifest.BaseW, s.manifest.Base
 // replaced (one commit per batch rather than per image). When it returns nil
 // the manifest vouches for the batch; on failure the count is unchanged and a
 // retry overwrites whatever bytes the attempt left.
+//
+// Each image is quantized once, into its source record, and every
+// representation is derived from that record exactly as AppendRecords derives
+// it: a row has the same bytes whichever way it came in.
 func (s *Store) IngestAll(ims []*img.Image) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	start := s.manifest.Count
-	err := s.writeRows(start, len(ims), func(j int, b *staged) (err error) {
-		im := ims[j]
+	for _, im := range ims {
 		if err := s.checkGeometry(im.W, im.H, im.Mode); err != nil {
 			return err
 		}
-		if b.src, err = img.AppendRecord(b.src, im); err != nil {
-			return fmt.Errorf("repstore: encoding record for source.dat: %w", err)
+	}
+	start := s.manifest.Count
+	err := s.writeRows(start, len(ims), func(dst []byte, j int) ([]byte, error) {
+		dst, err := img.AppendRecord(dst, ims[j])
+		if err != nil {
+			return dst, fmt.Errorf("repstore: encoding record for source.dat: %w", err)
 		}
-		// Representations come from the caller's pixels, not from the record
-		// just quantized: what IngestAll has always stored.
-		for i, t := range s.xforms {
-			if b.reps[i], err = img.AppendRecord(b.reps[i], t.Apply(im)); err != nil {
-				return fmt.Errorf("repstore: encoding record for %s: %w", repFileName(t.ID()), err)
-			}
-		}
-		return nil
+		return dst, nil
 	})
 	if err != nil {
 		return err
@@ -311,9 +322,10 @@ func (s *Store) IngestAll(ims []*img.Image) error {
 }
 
 // AppendRecords is IngestAll for images already held as stored records: the
-// bytes go to source.dat as received, and every representation is the
-// transform of that record's pixels (xform.Transform.ApplyRecord) — derived
-// from what is stored, which is all a replay would have.
+// bytes go to source.dat as received, and every representation is derived
+// from that record (xform.Transform.AppendRecord) — from what is stored,
+// which is all a replay would have, and the same bytes IngestAll writes for
+// the same frames.
 func (s *Store) AppendRecords(recs []img.Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -345,19 +357,13 @@ func (s *Store) WriteRecords(base int, recs []img.Record) error {
 }
 
 func (s *Store) writeRecordsLocked(base int, recs []img.Record) error {
-	return s.writeRows(base, len(recs), func(j int, b *staged) (err error) {
-		rec := recs[j]
+	for _, rec := range recs {
 		if err := s.checkGeometry(rec.W, rec.H, rec.Mode); err != nil {
 			return err
 		}
-		b.src = rec.AppendTo(b.src)
-		for i, t := range s.xforms {
-			b.repIm[i] = t.ApplyRecord(b.repIm[i], rec)
-			if b.reps[i], err = img.AppendRecord(b.reps[i], b.repIm[i]); err != nil {
-				return fmt.Errorf("repstore: encoding record for %s: %w", repFileName(t.ID()), err)
-			}
-		}
-		return nil
+	}
+	return s.writeRows(base, len(recs), func(dst []byte, j int) ([]byte, error) {
+		return recs[j].AppendTo(dst), nil
 	})
 }
 
@@ -383,57 +389,105 @@ func (s *Store) commitLocked(start, end int) error {
 	return err
 }
 
-// staged is the writer's working set: one contiguous run of encoded records
-// per data file, plus the images WriteRecords transforms into.
+// staged is one staging worker's working set: a contiguous run of stored
+// records per data file.
 type staged struct {
-	src   []byte
-	reps  [][]byte     // parallel to Store.xforms
-	repIm []*img.Image // parallel to Store.xforms
+	src  []byte
+	reps [][]byte // parallel to Store.xforms
 }
 
 // writeChunk bounds how many source bytes are staged before they are written:
 // enough that an ingest batch is one write per file and a bulk load a few
-// thousand, small enough to cost nothing to keep.
+// thousand, small enough to cost nothing to keep per worker.
 const writeChunk = 64 << 10
 
-// writeRows is the store's one writer. It stages rows [base, base+k) — stage
-// appends row j's source record and representations to the buffers it is
-// handed — and writes each data file's run with a single offset-addressed
-// WriteAt per chunk. Offset addressing means a store opened with Open keeps
-// appending, a retried or replayed batch overwrites its own bytes, and
-// nothing here depends on a file position. It neither syncs nor moves Count:
-// whether the rows are visible, and who vouches for them, is the caller's
-// business.
-func (s *Store) writeRows(base, k int, stage func(j int, b *staged) error) error {
-	b := &s.stage
-	if len(b.reps) != len(s.xforms) {
-		b.reps = make([][]byte, len(s.xforms))
-		b.repIm = make([]*img.Image, len(s.xforms))
+// writeRows is the store's one writer. It writes rows [base, base+k), whose
+// geometry the caller has checked, a chunk of at most writeChunk source bytes
+// at a time: appendSrc appends row j's stored source record, and every
+// representation is derived from those stored bytes (see stageChunk). Each
+// data file's run is written with a single offset-addressed WriteAt per
+// chunk. Offset addressing means a store opened with Open keeps appending, a
+// retried or replayed batch overwrites its own bytes, chunks may be written in
+// any order, and nothing here depends on a file position.
+//
+// A batch of one chunk — an /ingest batch, a journal replay — is staged
+// inline. A longer one is spread over up to GOMAXPROCS workers, each with its
+// own staging buffers, and the first error stops the rest; the bytes are the
+// same whichever worker wrote a chunk. writeRows neither syncs nor moves
+// Count: whether the rows are visible, and who vouches for them, is the
+// caller's business.
+func (s *Store) writeRows(base, k int, appendSrc func(dst []byte, j int) ([]byte, error)) error {
+	perChunk := (writeChunk + s.sourceRecordSize() - 1) / s.sourceRecordSize()
+	chunks := (k + perChunk - 1) / perChunk
+	workers := min(runtime.GOMAXPROCS(0), chunks)
+	for len(s.stage) < workers {
+		s.stage = append(s.stage, staged{reps: make([][]byte, len(s.xforms))})
 	}
-	first := base // row of the first staged, unwritten record
-	for j := 0; j < k; j++ {
-		if first == base+j {
-			b.src = b.src[:0]
-			for i := range b.reps {
-				b.reps[i] = b.reps[i][:0]
-			}
-		}
-		if err := stage(j, b); err != nil {
-			return err
-		}
-		if len(b.src) >= writeChunk || j == k-1 {
-			if err := s.writeStaged(first); err != nil {
+	stage := func(b *staged, c int) error {
+		lo := c * perChunk
+		return s.stageChunk(b, base, lo, min(lo+perChunk, k), appendSrc)
+	}
+	if workers <= 1 {
+		for c := range chunks {
+			if err := stage(&s.stage[0], c); err != nil {
 				return err
 			}
-			first = base + j + 1
 		}
+		return nil
 	}
-	return nil
+	// Worker w stages chunks w, w+workers, ...: the chunks are the same size,
+	// and each worker's buffers reach their steady size in the first batch.
+	var (
+		failed atomic.Bool
+		once   sync.Once
+		first  error
+		wg     sync.WaitGroup
+	)
+	for w := range workers {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for c := w; c < chunks && !failed.Load(); c += workers {
+				if err := stage(&s.stage[w], c); err != nil {
+					once.Do(func() { first = err })
+					failed.Store(true)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	return first
 }
 
-// writeStaged writes the staged run of each data file at row first.
-func (s *Store) writeStaged(first int) error {
-	b := &s.stage
+// stageChunk stages rows [lo, hi) of a batch starting at row base into b and
+// writes them. Each row's representations are appended from its stored source
+// record in one pass over those bytes, so a representation is Q(T(stored
+// record)) — the one form AppendRecords, WriteRecords and IngestAll share.
+func (s *Store) stageChunk(b *staged, base, lo, hi int, appendSrc func(dst []byte, j int) ([]byte, error)) error {
+	b.src = b.src[:0]
+	for i := range b.reps {
+		b.reps[i] = b.reps[i][:0]
+	}
+	for j := lo; j < hi; j++ {
+		at := len(b.src)
+		var err error
+		if b.src, err = appendSrc(b.src, j); err != nil {
+			return err
+		}
+		rec, err := img.ParseRecord(b.src[at:])
+		if err != nil {
+			return fmt.Errorf("repstore: row %d: %w", base+j, err)
+		}
+		for i, t := range s.xforms {
+			b.reps[i] = t.AppendRecord(b.reps[i], rec)
+		}
+	}
+	return s.writeStaged(b, base+lo)
+}
+
+// writeStaged writes b's staged run of each data file at row first.
+func (s *Store) writeStaged(b *staged, first int) error {
 	srcOff := int64(first) * int64(s.sourceRecordSize())
 	// Fault points: a failed or short write leaves torn bytes past the count,
 	// which nothing vouches for; the batch fails and a retry overwrites them.

@@ -5,9 +5,11 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -153,6 +155,14 @@ func TestValidationErrors(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := Create(dir, 0, 16, nil); err == nil {
 		t.Fatal("invalid geometry must error")
+	}
+	// Nothing a TIMG header cannot describe: a source side or a rep size
+	// past img.MaxSide.
+	if _, err := Create(t.TempDir(), img.MaxSide+1, 16, nil); err == nil {
+		t.Fatal("a source wider than a TIMG record must error")
+	}
+	if _, err := Create(t.TempDir(), 16, 16, []xform.Transform{{Size: img.MaxSide + 1, Color: img.Gray}}); err == nil {
+		t.Fatal("a representation larger than a TIMG record must error")
 	}
 	s, err := Create(dir, 16, 16, testTransforms[:1])
 	if err != nil {
@@ -479,13 +489,14 @@ func hashDir(t *testing.T, dir string) string {
 }
 
 // TestIngestAllBytesPinned holds IngestAll, batches of one included, to the
-// files it has always written: the hash was taken from the per-record writer
-// this store had before rows were staged and written a run at a time. The
-// input is not u8-exact, so a rep derived from the quantized record instead of
-// the caller's pixels would change it; 400 rows of 32×32 cross a write chunk;
-// the last row is appended alone after a reopen.
+// files it writes. Every representation is derived from the row's stored
+// source record (Q(T(Q(src)))), so the hash is the one AppendRecords of the
+// same frames' records writes. The input is not u8-exact, so
+// a rep derived from the caller's pixels instead of the record would change
+// it; 400 rows of 32×32 cross a write chunk; the last row is appended alone
+// after a reopen.
 func TestIngestAllBytesPinned(t *testing.T) {
-	const pinned = "14c2dabd6d95caeb3ff349e4a99d928bdadca8b371a544320ed8c28cb12f1a31"
+	const pinned = "9770fc8ded1800db461f3602f97a77d67e07fa7f9394a648acb78ec0b2e9045e"
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(42))
 	ims := make([]*img.Image, 400)
@@ -537,26 +548,42 @@ func recordsOf(t *testing.T, ims []*img.Image) []img.Record {
 	return recs
 }
 
-// TestRecordAppendMatchesImageIngest: for u8-exact frames the three ways in —
-// IngestAll of the images, AppendRecords of their records, WriteRecords plus
-// Sync — leave byte-identical store directories, reps included.
+// writeChunks is how many write chunks a batch of rows size×size frames is
+// staged in.
+func writeChunks(rows, size int) int {
+	record := img.EncodedSize(size, size, img.RGB)
+	perChunk := (writeChunk + record - 1) / record
+	return (rows + perChunk - 1) / perChunk
+}
+
+// TestRecordAppendMatchesImageIngest: the three ways in — IngestAll of the
+// images, AppendRecords of their records, WriteRecords plus Sync — leave
+// byte-identical store directories, reps included, at any GOMAXPROCS. The
+// frames are not u8-exact, so IngestAll must derive each rep from the record
+// it stored, not from the caller's pixels; 70 rows of 32×32 cross three write
+// chunks, so the multi-chunk batches are staged in parallel.
 func TestRecordAppendMatchesImageIngest(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	ims := make([]*img.Image, 9)
+	ims := make([]*img.Image, 70)
 	for i := range ims {
-		ims[i] = u8Exact(rng, 32)
+		ims[i] = randRGB(rng, 32)
+	}
+	if chunks := writeChunks(len(ims), 32); chunks < 3 {
+		t.Fatalf("%d rows cross %d write chunks, want at least 3", len(ims), chunks)
 	}
 	recs := recordsOf(t, ims)
-	var hashes []string
-	for _, fill := range []func(s *Store) error{
-		func(s *Store) error { return s.IngestAll(ims) },
-		func(s *Store) error {
+	fills := []struct {
+		name string
+		fill func(s *Store) error
+	}{
+		{"IngestAll", func(s *Store) error { return s.IngestAll(ims) }},
+		{"AppendRecords", func(s *Store) error {
 			if err := s.AppendRecords(recs[:4]); err != nil {
 				return err
 			}
 			return s.AppendRecords(recs[4:])
-		},
-		func(s *Store) error {
+		}},
+		{"WriteRecords+Sync", func(s *Store) error {
 			if err := s.WriteRecords(0, recs[:4]); err != nil {
 				return err
 			}
@@ -564,28 +591,37 @@ func TestRecordAppendMatchesImageIngest(t *testing.T) {
 				return err
 			}
 			// Replaying a batch over itself changes nothing.
-			if err := s.WriteRecords(2, recs[2:6]); err != nil {
+			if err := s.WriteRecords(2, recs[2:60]); err != nil {
 				return err
 			}
 			return s.Sync()
-		},
-	} {
-		dir := t.TempDir()
-		s, err := Create(dir, 32, 32, testTransforms)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := fill(s); err != nil {
-			t.Fatal(err)
-		}
-		if s.Count() != len(ims) {
-			t.Fatalf("Count = %d, want %d", s.Count(), len(ims))
-		}
-		s.Close()
-		hashes = append(hashes, hashDir(t, dir))
+		}},
 	}
-	if hashes[1] != hashes[0] || hashes[2] != hashes[0] {
-		t.Fatalf("store directories differ: images %s, AppendRecords %s, WriteRecords+Sync %s", hashes[0], hashes[1], hashes[2])
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	want := ""
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, f := range fills {
+			dir := t.TempDir()
+			s, err := Create(dir, 32, 32, testTransforms)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := f.fill(s); err != nil {
+				t.Fatal(err)
+			}
+			if s.Count() != len(ims) {
+				t.Fatalf("%s at GOMAXPROCS %d: Count = %d, want %d", f.name, procs, s.Count(), len(ims))
+			}
+			s.Close()
+			got := hashDir(t, dir)
+			if want == "" {
+				want = got
+			}
+			if got != want {
+				t.Fatalf("%s at GOMAXPROCS %d left a store hashing to %s, IngestAll at GOMAXPROCS 1 to %s", f.name, procs, got, want)
+			}
+		}
 	}
 }
 
@@ -690,43 +726,110 @@ func copyStore(t *testing.T, src, dst string) {
 
 // TestFaultDataWriteErrorRetryable: a failed or short data write fails the
 // batch before anything vouches for it — the count holds, and the retry
-// overwrites the torn bytes in place.
+// overwrites the torn bytes in place. The batches are one write chunk, failing
+// on its only write, and three chunks staged in parallel, failing on a middle
+// write (Skip: 1).
 func TestFaultDataWriteErrorRetryable(t *testing.T) {
 	faults.Reset()
 	defer faults.Reset()
 	rng := rand.New(rand.NewSource(10))
-	ims := []*img.Image{u8Exact(rng, 16), u8Exact(rng, 16), u8Exact(rng, 16)}
+	ims := make([]*img.Image, 200)
+	for i := range ims {
+		ims[i] = randRGB(rng, 16)
+	}
+	if chunks := writeChunks(len(ims), 16); chunks != 3 {
+		t.Fatalf("%d rows cross %d write chunks, want 3", len(ims), chunks)
+	}
 	recs := recordsOf(t, ims)
-	clean := t.TempDir()
-	ref, err := Create(clean, 16, 16, testTransforms[:1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.AppendRecords(recs); err != nil {
-		t.Fatal(err)
-	}
-	ref.Close()
-	for _, point := range []string{faults.FSWriteError, faults.FSShortWrite} {
-		dir := t.TempDir()
-		s, err := Create(dir, 16, 16, testTransforms[:1])
+	for _, batch := range []struct {
+		name string
+		recs []img.Record
+		skip int
+	}{{"one chunk", recs[:3], 0}, {"three chunks", recs, 1}} {
+		clean := t.TempDir()
+		ref, err := Create(clean, 16, 16, testTransforms[:1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := faults.Enable(point, faults.Spec{Times: 1}); err != nil {
+		if err := ref.AppendRecords(batch.recs); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.AppendRecords(recs); err == nil {
-			t.Fatalf("%s: append acknowledged", point)
+		ref.Close()
+		for _, point := range []string{faults.FSWriteError, faults.FSShortWrite} {
+			dir := t.TempDir()
+			s, err := Create(dir, 16, 16, testTransforms[:1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := faults.Enable(point, faults.Spec{Skip: batch.skip, Times: 1}); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.AppendRecords(batch.recs); err == nil {
+				t.Fatalf("%s, %s: append acknowledged", batch.name, point)
+			}
+			if s.Count() != 0 {
+				t.Fatalf("%s, %s: failed append left Count = %d", batch.name, point, s.Count())
+			}
+			if err := s.AppendRecords(batch.recs); err != nil {
+				t.Fatalf("%s, %s: retry: %v", batch.name, point, err)
+			}
+			s.Close()
+			if a, b := hashDir(t, dir), hashDir(t, clean); a != b {
+				t.Fatalf("%s, %s: retried store differs from a clean one", batch.name, point)
+			}
 		}
-		if s.Count() != 0 {
-			t.Fatalf("%s: failed append left Count = %d", point, s.Count())
+	}
+}
+
+// TestGeometryCheckedBeforeAnyWrite: a multi-chunk batch whose last image is
+// the wrong geometry is refused with ErrGeometry before any chunk is written —
+// every data file keeps its size and the count holds — by either way in.
+func TestGeometryCheckedBeforeAnyWrite(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	ims := make([]*img.Image, 200)
+	for i := range ims {
+		ims[i] = randRGB(rng, 16)
+	}
+	ims[len(ims)-1] = randRGB(rng, 8)
+	recs := recordsOf(t, ims)
+	dir := t.TempDir()
+	s, err := Create(dir, 16, 16, testTransforms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.IngestAll(ims[:5]); err != nil {
+		t.Fatal(err)
+	}
+	sizes := func() map[string]int64 {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if err := s.AppendRecords(recs); err != nil {
-			t.Fatalf("%s: retry: %v", point, err)
+		out := make(map[string]int64)
+		for _, e := range entries {
+			info, err := e.Info()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[e.Name()] = info.Size()
 		}
-		s.Close()
-		if a, b := hashDir(t, dir), hashDir(t, clean); a != b {
-			t.Fatalf("%s: retried store differs from a clean one", point)
+		return out
+	}
+	before := sizes()
+	for name, write := range map[string]func() error{
+		"IngestAll":     func() error { return s.IngestAll(ims) },
+		"AppendRecords": func() error { return s.AppendRecords(recs) },
+		"WriteRecords":  func() error { return s.WriteRecords(5, recs) },
+	} {
+		if err := write(); !errors.Is(err, ErrGeometry) {
+			t.Fatalf("%s: err = %v, want ErrGeometry", name, err)
+		}
+		if s.Count() != 5 {
+			t.Fatalf("%s: refused batch left Count = %d, want 5", name, s.Count())
+		}
+		if after := sizes(); !maps.Equal(after, before) {
+			t.Fatalf("%s: refused batch changed file sizes: %v, was %v", name, after, before)
 		}
 	}
 }

@@ -283,3 +283,93 @@ func TestServeRepsFromStore(t *testing.T) {
 		}
 	}
 }
+
+// TestServedAnswersIndependentOfIngestPath: a representation is its stored
+// bytes, derived from the stored source record, whichever way a row came in.
+// The same 800 synth frames ingested as images (IngestAll) and as their
+// records (AppendRecords) serve the same reps, so with ServeReps on the two
+// stores answer every content query with the same rows. 800 rows is enough
+// for reps derived from the caller's float pixels instead to flip a row.
+func TestServedAnswersIndependentOfIngestPath(t *testing.T) {
+	sysFixture(t)
+	cat, err := synth.CategoryByName("cloak")
+	if err != nil {
+		t.Fatal(err)
+	}
+	splits, err := synth.GenerateBinary(cat, synth.Options{BaseSize: 16, TrainN: 10, ConfigN: 10, EvalN: 800, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ims := make([]*img.Image, splits.Eval.Len())
+	meta := make([]Metadata, len(ims))
+	for i, e := range splits.Eval.Examples {
+		ims[i] = e.Image
+		meta[i] = Metadata{ID: int64(i), TS: int64(i)}
+	}
+	grid := xform.Grid([]int{8, 16}, []img.ColorMode{img.RGB, img.Gray})
+	recs := make([]img.Record, len(ims))
+	for i, im := range ims {
+		raw, err := img.AppendRecord(nil, im)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if recs[i], err = img.ParseRecord(raw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	params := scenario.DefaultParams()
+	params.SourceW, params.SourceH = 16, 16
+	cm, err := scenario.NewAnalytic(scenario.Archive, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dbs []*DB
+	for _, fill := range []func(*repstore.Store) error{
+		func(s *repstore.Store) error { return s.IngestAll(ims) },
+		func(s *repstore.Store) error { return s.AppendRecords(recs) },
+	} {
+		store, err := repstore.Create(t.TempDir(), 16, 16, grid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer store.Close()
+		if err := fill(store); err != nil {
+			t.Fatal(err)
+		}
+		db := New(cm)
+		db.SetMaterialization(MatOff) // every query reads representations
+		if err := db.LoadCorpusFromStore(store, 64<<20, meta); err != nil {
+			t.Fatal(err)
+		}
+		for _, in := range []struct {
+			cat string
+			sys *core.System
+		}{{"cloak", cloakSys}, {"coho", cohoSys}} {
+			if err := db.InstallPredicate(in.cat, in.sys, 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		db.ServeReps(true)
+		dbs = append(dbs, db)
+	}
+	for _, cat := range []string{"cloak", "coho"} {
+		for _, uacc := range []float64{0.1, 0.2} {
+			sql := "SELECT id FROM images WHERE contains_object('" + cat + "')"
+			cons := core.Constraints{MaxAccuracyLoss: uacc}
+			var rows []map[int64]bool
+			for _, db := range dbs {
+				res, err := db.Query(sql, cons)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.RepHits == 0 || res.RepsMaterialized != 0 {
+					t.Fatalf("%s at Uacc %.1f: %d reps served, %d transformed; want every rep served", cat, uacc, res.RepHits, res.RepsMaterialized)
+				}
+				rows = append(rows, rowSet(t, res))
+			}
+			if !maps.Equal(rows[0], rows[1]) {
+				t.Fatalf("%s at Uacc %.1f: IngestAll store answered %d rows, AppendRecords store %d, not the same rows", cat, uacc, len(rows[0]), len(rows[1]))
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package xform
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -24,7 +25,9 @@ func randRecord(t testing.TB, rng *rand.Rand, w, h int, mode img.ColorMode) []by
 }
 
 // checkRecordParity holds ApplyRecord over raw to the oracle — Apply over the
-// decoded record — bit for bit, and returns the image ApplyRecord produced.
+// decoded record — bit for bit, and AppendRecord to the stored form of that
+// (img.AppendRecord over ApplyRecord) byte for byte, and returns the image
+// ApplyRecord produced.
 func checkRecordParity(t testing.TB, tr Transform, dst *img.Image, raw []byte) *img.Image {
 	t.Helper()
 	rec, err := img.ParseRecord(raw)
@@ -33,6 +36,7 @@ func checkRecordParity(t testing.TB, tr Transform, dst *img.Image, raw []byte) *
 	}
 	want := tr.Apply(rec.Image())
 	got := tr.ApplyRecord(dst, rec)
+	checkStoredParity(t, tr, rec, got)
 	if got.W != want.W || got.H != want.H || got.Mode != want.Mode || len(got.Pix) != len(want.Pix) {
 		t.Fatalf("%s over %dx%d/%v: geometry %dx%d/%v (%d samples), oracle %dx%d/%v (%d)", tr.ID(), rec.W, rec.H, rec.Mode,
 			got.W, got.H, got.Mode, len(got.Pix), want.W, want.H, want.Mode, len(want.Pix))
@@ -46,10 +50,31 @@ func checkRecordParity(t testing.TB, tr Transform, dst *img.Image, raw []byte) *
 	return got
 }
 
+// checkStoredParity holds AppendRecord over rec to img.AppendRecord of rep,
+// ApplyRecord's float32 form of the same representation: the byte path's
+// oracle. The bytes are appended after a prefix, which must survive.
+func checkStoredParity(t testing.TB, tr Transform, rec img.Record, rep *img.Image) {
+	t.Helper()
+	prefix := []byte("prefix")
+	want, err := img.AppendRecord(append([]byte(nil), prefix...), rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.AppendRecord(append([]byte(nil), prefix...), rec); !bytes.Equal(got, want) {
+		at := 0
+		for at < min(len(got), len(want)) && got[at] == want[at] {
+			at++
+		}
+		t.Fatalf("%s over %dx%d/%v: AppendRecord gives %d bytes, the oracle %d; first difference at byte %d",
+			tr.ID(), rec.W, rec.H, rec.Mode, len(got), len(want), at)
+	}
+}
+
 // TestApplyRecordParity is the byte-domain load path's contract as a table:
 // five colours × down-, same- and up-scale targets × RGB and single-plane
 // stored records × square and non-square sources, every sample
-// Float32bits-equal to Apply(Decode(record)). A matching destination is
+// Float32bits-equal to Apply(Decode(record)), and every AppendRecord byte
+// equal to that representation's stored form. A matching destination is
 // reused and a mismatched one replaced, as with ApplyInto.
 func TestApplyRecordParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
@@ -90,6 +115,10 @@ func TestApplyRecordAllocs(t *testing.T) {
 		if avg := testing.AllocsPerRun(20, func() { dst = tr.ApplyRecord(dst, rec) }); avg != 0 {
 			t.Fatalf("%s: %.1f allocations per call into a matching destination, want 0", tr.ID(), avg)
 		}
+		stored := tr.AppendRecord(nil, rec)
+		if avg := testing.AllocsPerRun(20, func() { stored = tr.AppendRecord(stored[:0], rec) }); avg != 0 {
+			t.Fatalf("%s: AppendRecord made %.1f allocations per call into a buffer with room, want 0", tr.ID(), avg)
+		}
 	}
 }
 
@@ -100,7 +129,8 @@ var fuzzGrid = Grid([]int{2, 5, 16}, AllColors)
 
 // FuzzApplyRecord: for any record the TIMG parser accepts and any transform
 // of a small grid, the fused pass equals Apply over the decoded record bit
-// for bit. Large geometries are skipped, not rejected: the property is about
+// for bit, and the byte form (AppendRecord) equals the stored form of that
+// representation byte for byte. Large geometries are skipped, not rejected: the property is about
 // arithmetic, and the parser's own fuzz target owns size handling.
 func FuzzApplyRecord(f *testing.F) {
 	// The committed corpus (testdata/fuzz/FuzzApplyRecord) holds the records:

@@ -11,6 +11,7 @@ package xform
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -101,8 +102,9 @@ type colTap struct {
 	fx     float32
 }
 
-// stackTaps is how many column taps ApplyRecord keeps on its stack; wider
-// representations take one small allocation per call.
+// stackTaps is how many column taps (and, for AppendRecord, row samples) the
+// byte-domain passes keep on their stack; wider representations take one
+// small allocation per call.
 const stackTaps = 128
 
 // ApplyRecord is ApplyInto over a stored record: the load path's one pass
@@ -118,12 +120,7 @@ const stackTaps = 128
 // img.Tap, img.Bilerp, img.Luma and img.Unit expressions run in the same
 // order, only without the intermediate images in between.
 func (t Transform) ApplyRecord(dst *img.Image, rec img.Record) *img.Image {
-	// Mirror ApplyInto: an RGB transform keeps the record's own mode, and
-	// every projection of a single-plane record reads that plane.
-	mode := t.Color
-	if t.Color == img.RGB {
-		mode = rec.Mode
-	}
+	mode := t.modeOf(rec)
 	if dst == nil || dst.W != t.Size || dst.H != t.Size || dst.Mode != mode {
 		dst = img.New(t.Size, t.Size, mode)
 	}
@@ -134,8 +131,74 @@ func (t Transform) ApplyRecord(dst *img.Image, rec img.Record) *img.Image {
 		return dst
 	}
 	var stack [stackTaps]colTap
-	cols := stack[:]
+	cols := t.taps(stack[:], rec)
+	var planes [3][]byte
+	n := t.Size
+	for c := range mode.Channels() {
+		src, out := t.sourcePlanes(&planes, rec, c), dst.Plane(c)
+		for y := range n {
+			resampleRow(out[y*n:(y+1)*n], src, rec.W, rec.H, y, cols)
+		}
+	}
+	return dst
+}
+
+// AppendRecord is ApplyRecord's stored form: it appends the TIMG record of
+// t's representation of rec to dst and returns the extended slice — the bytes
+// img.AppendRecord(dst, t.ApplyRecord(nil, rec)) would append, without the
+// float32 image in between. Each row comes out of ApplyRecord's resampling
+// loop and is quantized as it leaves it (img.AppendQuantized); an output
+// plane that is a stored plane unchanged (same geometry, no projection) is
+// appended as stored, since quantizing img.Unit(b) gives back b. A record that
+// already is the representation is therefore appended byte for byte.
+//
+// This is how a store derives every representation it holds: from the
+// stored source record, whichever way the row came in. t.Size must fit a TIMG
+// header (img.MaxSide), which repstore.Create checks.
+func (t Transform) AppendRecord(dst []byte, rec img.Record) []byte {
+	mode := t.modeOf(rec)
+	out := img.Record{W: t.Size, H: t.Size, Mode: mode}
+	dst = out.AppendHeader(slices.Grow(dst, img.EncodedSize(t.Size, t.Size, mode)))
+	var stack [stackTaps]colTap
+	cols := t.taps(stack[:], rec)
+	var rowStack [stackTaps]float32
+	row := rowStack[:]
 	if t.Size > stackTaps {
+		row = make([]float32, t.Size)
+	}
+	row = row[:t.Size]
+	var planes [3][]byte
+	for c := range mode.Channels() {
+		src := t.sourcePlanes(&planes, rec, c)
+		if cols == nil && len(src) == 1 {
+			dst = append(dst, src[0]...)
+			continue
+		}
+		for y := range t.Size {
+			resampleRow(row, src, rec.W, rec.H, y, cols)
+			dst = img.AppendQuantized(dst, row)
+		}
+	}
+	return dst
+}
+
+// modeOf is the mode of t's representation of rec. Mirroring ApplyInto, an
+// RGB transform keeps the record's own mode.
+func (t Transform) modeOf(rec img.Record) img.ColorMode {
+	if t.Color == img.RGB {
+		return rec.Mode
+	}
+	return t.Color
+}
+
+// taps returns the column taps of t's resample of rec, in stack when they
+// fit, or nil when rec already has t's geometry and no sample needs any.
+func (t Transform) taps(stack []colTap, rec img.Record) []colTap {
+	if rec.W == t.Size && rec.H == t.Size {
+		return nil
+	}
+	cols := stack
+	if t.Size > len(stack) {
 		cols = make([]colTap, t.Size)
 	}
 	cols = cols[:t.Size]
@@ -143,62 +206,63 @@ func (t Transform) ApplyRecord(dst *img.Image, rec img.Record) *img.Image {
 	for x := range cols {
 		cols[x].x0, cols[x].x1, cols[x].fx = img.Tap(x, xScale, rec.W)
 	}
-	switch {
-	case rec.Mode != img.RGB:
-		resizePlane(dst.Pix, rec.Plane(0), rec.W, rec.H, cols)
-	case t.Color == img.RGB:
-		for c := 0; c < 3; c++ {
-			resizePlane(dst.Plane(c), rec.Plane(c), rec.W, rec.H, cols)
-		}
-	case t.Color == img.Gray:
-		resizeLuma(dst.Pix, rec.Plane(0), rec.Plane(1), rec.Plane(2), rec.W, rec.H, cols)
-	default:
-		resizePlane(dst.Pix, rec.Plane(int(t.Color-img.Red)), rec.W, rec.H, cols)
-	}
-	return dst
+	return cols
 }
 
-// resizePlane writes the len(cols)-square bilinear resample of one stored
-// w×h plane into dst.
-func resizePlane(dst []float32, src []byte, w, h int, cols []colTap) {
-	size := len(cols)
-	if w == size && h == size {
-		img.UnitsInto(dst, src)
+// sourcePlanes returns the stored planes output plane c of t's
+// representation of rec is resampled from — one plane, or the three a
+// grayscale projection reads — as a slice of buf. Every projection of a
+// single-plane record reads that plane.
+func (t Transform) sourcePlanes(buf *[3][]byte, rec img.Record, c int) [][]byte {
+	switch {
+	case rec.Mode != img.RGB:
+		buf[0] = rec.Plane(0)
+	case t.Color == img.RGB:
+		buf[0] = rec.Plane(c)
+	case t.Color == img.Gray:
+		buf[0], buf[1], buf[2] = rec.Plane(0), rec.Plane(1), rec.Plane(2)
+		return buf[:]
+	default:
+		buf[0] = rec.Plane(int(t.Color - img.Red))
+	}
+	return buf[:1]
+}
+
+// resampleRow writes row y of the len(out)-square bilinear resample of a
+// stored w×h image into out: of planes[0] alone, or of the grayscale
+// projection of three planes, each tap projected as it is read. cols holds
+// the column taps, nil when the image already has the output geometry (every
+// sample is then its own source sample). It is the one resampling loop behind
+// both forms of a representation, ApplyRecord's and AppendRecord's.
+func resampleRow(out []float32, planes [][]byte, w, h, y int, cols []colTap) {
+	size := len(out)
+	if cols == nil {
+		at := y * w
+		if len(planes) == 1 {
+			img.UnitsInto(out, planes[0][at:at+w])
+			return
+		}
+		r, g, b := planes[0][at:at+w], planes[1][at:at+w], planes[2][at:at+w]
+		for x := range out {
+			out[x] = img.Luma(img.Unit(r[x]), img.Unit(g[x]), img.Unit(b[x]))
+		}
 		return
 	}
-	yScale := float32(h) / float32(size)
-	for y := 0; y < size; y++ {
-		y0, y1, fy := img.Tap(y, yScale, h)
-		r0, r1 := src[y0*w:(y0+1)*w], src[y1*w:(y1+1)*w]
-		out := dst[y*size : (y+1)*size]
+	y0, y1, fy := img.Tap(y, float32(h)/float32(size), h)
+	top, bot := y0*w, y1*w
+	if len(planes) == 1 {
+		r0, r1 := planes[0][top:top+w], planes[0][bot:bot+w]
 		for x, c := range cols {
 			out[x] = img.Bilerp(img.Unit(r0[c.x0]), img.Unit(r0[c.x1]), img.Unit(r1[c.x0]), img.Unit(r1[c.x1]), c.fx, fy)
 		}
-	}
-}
-
-// resizeLuma is resizePlane over the grayscale projection of three stored
-// planes, projecting each tap as it is read.
-func resizeLuma(dst []float32, r, g, b []byte, w, h int, cols []colTap) {
-	size := len(cols)
-	if w == size && h == size {
-		for i := range dst {
-			dst[i] = img.Luma(img.Unit(r[i]), img.Unit(g[i]), img.Unit(b[i]))
-		}
 		return
 	}
-	luma := func(row, x int) float32 {
-		i := row + x
+	r, g, b := planes[0], planes[1], planes[2]
+	luma := func(i int) float32 {
 		return img.Luma(img.Unit(r[i]), img.Unit(g[i]), img.Unit(b[i]))
 	}
-	yScale := float32(h) / float32(size)
-	for y := 0; y < size; y++ {
-		y0, y1, fy := img.Tap(y, yScale, h)
-		top, bot := y0*w, y1*w
-		out := dst[y*size : (y+1)*size]
-		for x, c := range cols {
-			out[x] = img.Bilerp(luma(top, c.x0), luma(top, c.x1), luma(bot, c.x0), luma(bot, c.x1), c.fx, fy)
-		}
+	for x, c := range cols {
+		out[x] = img.Bilerp(luma(top+c.x0), luma(top+c.x1), luma(bot+c.x0), luma(bot+c.x1), c.fx, fy)
 	}
 }
 
