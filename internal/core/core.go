@@ -203,7 +203,8 @@ func Initialize(predicate string, splits synth.Splits, cfg Config) (*System, err
 	// pool (see trainJobs). The pool starts the deep model first, since it
 	// is the long pole (about two thirds of a small zoo's install), and
 	// fills the other workers with the grid, so every core trains until the
-	// last model finishes. Each model's fit is serial and seeded, so the
+	// last model finishes. Each fit also spreads every minibatch over the
+	// workers and adds the per-sample gradients in sample order, so the
 	// weights are the same for any Workers.
 	reports, err := train.All(trainJobs(cfg, models, deepIdx), splits.Train, cfg.Workers)
 	if err != nil {

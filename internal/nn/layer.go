@@ -2,10 +2,12 @@
 // basic classification models: Conv2D/MaxPool/ReLU/Dense/Sigmoid layers with
 // full backpropagation, binary cross-entropy loss and SGD/Adam optimizers.
 //
-// Networks operate on a single CHW sample at a time and keep per-layer
-// scratch buffers, so a Network is NOT safe for concurrent use. For parallel
-// inference over a corpus, give each goroutine its own network via Clone
-// (weights are shared, scratch is not).
+// Training runs one CHW sample at a time through Forward and Backward;
+// inference also runs batches of samples through ForwardBatch. Either way a
+// Network keeps per-layer scratch buffers, so it is NOT safe for concurrent
+// use. For parallel inference or training, give each goroutine its own
+// network via Clone (weights are shared; scratch and gradient accumulators
+// are not).
 package nn
 
 import (
@@ -25,6 +27,20 @@ type Param struct {
 func newParam(shape ...int) *Param {
 	return &Param{Value: tensor.New(shape...), Grad: tensor.New(shape...)}
 }
+
+// grad returns the gradient accumulator, allocating it on first use: a
+// clone's parameters share the original's values but start without one, so
+// clones that only run inference never pay for it.
+func (p *Param) grad() *tensor.Tensor {
+	if p.Grad == nil {
+		p.Grad = tensor.New(p.Value.Shape...)
+	}
+	return p.Grad
+}
+
+// shareValue returns a parameter with p's value and its own gradient
+// accumulator.
+func (p *Param) shareValue() *Param { return &Param{Value: p.Value} }
 
 // addRowBias adds bias[r] to every element of row r of a row-major matrix.
 // The single-sample conv and the single-sample and batched dense paths all
@@ -52,9 +68,16 @@ type Layer interface {
 	Forward(x *tensor.Tensor) *tensor.Tensor
 	Backward(dy *tensor.Tensor) *tensor.Tensor
 	Params() []*Param
-	// clone returns a copy sharing parameter values (but not scratch)
-	// suitable for concurrent read-only inference.
+	// clone returns a copy sharing parameter values, but not scratch or
+	// gradient accumulators, so the copy can run beside the original.
 	clone() Layer
+}
+
+// paramGrader is a layer that can accumulate its parameter gradients without
+// computing its input gradient, which nothing reads for a network's first
+// layer.
+type paramGrader interface {
+	accumulateGrads(dy *tensor.Tensor)
 }
 
 // Conv2D is a 2-D convolution over a CHW input with ReLU-friendly "same"
@@ -125,8 +148,7 @@ func (c *Conv2D) ensureScratch(h, w int) {
 	}
 	c.col = tensor.New(c.geom.ColRows(), c.geom.ColCols())
 	c.out = tensor.New(c.OutC, c.geom.OutH(), c.geom.OutW())
-	c.dxT = tensor.New(c.InC, h, w)
-	c.dcol = tensor.New(c.geom.ColRows(), c.geom.ColCols())
+	c.dxT, c.dcol = nil, nil // Backward allocates them for the new geometry
 }
 
 // Forward implements Layer.
@@ -141,32 +163,43 @@ func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return c.out
 }
 
-// Backward implements Layer.
+// Backward implements Layer. The input-gradient scratch is allocated on the
+// first call, so a first layer (see Network.Backward) never holds it.
 func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
+	c.accumulateGrads(dy)
+	if c.dcol == nil {
+		c.dxT = tensor.New(c.InC, c.geom.InH, c.geom.InW)
+		c.dcol = tensor.New(c.geom.ColRows(), c.geom.ColCols())
+	}
+	// dcol = Wᵀ · dY ; dx = col2im(dcol)
+	tensor.MatMulTransA(c.dcol, c.W.Value, dy.Reshape(c.OutC, c.geom.ColCols()))
+	tensor.Col2Im(c.dxT, c.dcol, c.geom)
+	return c.dxT
+}
+
+// accumulateGrads implements paramGrader. Each gradient element takes one
+// addition per call: a dot product or row sum that starts at +0.
+func (c *Conv2D) accumulateGrads(dy *tensor.Tensor) {
 	cols := c.geom.ColCols()
-	dy2d := dy.Reshape(c.OutC, cols)
 	// dW += dY · colᵀ
-	tensor.MatMulAddTransB(c.W.Grad, dy2d, c.col)
+	tensor.MatMulAddTransB(c.W.grad(), dy.Reshape(c.OutC, cols), c.col)
 	// dB += row sums of dY
+	gb := c.B.grad().Data
 	for f := 0; f < c.OutC; f++ {
 		row := dy.Data[f*cols : (f+1)*cols]
 		var s float32
 		for _, v := range row {
 			s += v
 		}
-		c.B.Grad.Data[f] += s
+		gb[f] += s
 	}
-	// dcol = Wᵀ · dY ; dx = col2im(dcol)
-	tensor.MatMulTransA(c.dcol, c.W.Value, dy2d)
-	tensor.Col2Im(c.dxT, c.dcol, c.geom)
-	return c.dxT
 }
 
 // Params implements Layer.
 func (c *Conv2D) Params() []*Param { return []*Param{c.W, c.B} }
 
 func (c *Conv2D) clone() Layer {
-	return &Conv2D{InC: c.InC, OutC: c.OutC, K: c.K, W: c.W, B: c.B}
+	return &Conv2D{InC: c.InC, OutC: c.OutC, K: c.K, W: c.W.shareValue(), B: c.B.shareValue()}
 }
 
 // MaxPool2 is a 2×2 max pooling layer with stride 2 over a CHW input. Odd
@@ -430,7 +463,6 @@ func (d *Dense) OutShape(in []int) ([]int, error) {
 func (d *Dense) Forward(x *tensor.Tensor) *tensor.Tensor {
 	if d.out == nil {
 		d.out = tensor.New(d.Out)
-		d.dx = tensor.New(d.In)
 	}
 	d.x = x
 	wd, xd, od := d.W.Value.Data, x.Data, d.out.Data
@@ -463,21 +495,35 @@ func (d *Dense) forwardBatch(x *tensor.Tensor) *tensor.Tensor {
 }
 
 // Backward implements Layer. Both gradient updates are row axpys, so each
-// element takes g·v once per output o, in increasing o.
+// element takes g·v once per output o, in increasing o. The input-gradient
+// scratch is allocated on the first call, so a first layer (see
+// Network.Backward) never holds it.
 func (d *Dense) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	wd, gd := d.W.Value.Data, d.W.Grad.Data
+	d.accumulateGrads(dy)
+	if d.dx == nil {
+		d.dx = tensor.New(d.In)
+	}
+	wd := d.W.Value.Data
 	clear(d.dx.Data)
 	for o, g := range dy.Data {
-		d.B.Grad.Data[o] += g
-		tensor.Axpy(gd[o*d.In:(o+1)*d.In], d.x.Data, g)
 		tensor.Axpy(d.dx.Data, wd[o*d.In:(o+1)*d.In], g)
 	}
 	return d.dx
+}
+
+// accumulateGrads implements paramGrader. Each gradient element takes one
+// product per call.
+func (d *Dense) accumulateGrads(dy *tensor.Tensor) {
+	gw, gb := d.W.grad().Data, d.B.grad().Data
+	for o, g := range dy.Data {
+		gb[o] += g
+		tensor.Axpy(gw[o*d.In:(o+1)*d.In], d.x.Data, g)
+	}
 }
 
 // Params implements Layer.
 func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
 
 func (d *Dense) clone() Layer {
-	return &Dense{In: d.In, Out: d.Out, W: d.W, B: d.B}
+	return &Dense{In: d.In, Out: d.Out, W: d.W.shareValue(), B: d.B.shareValue()}
 }

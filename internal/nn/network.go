@@ -17,6 +17,7 @@ type Network struct {
 	bin     *tensor.Tensor // batch input pack scratch [C, B, H, W]
 	stages  []batchStage   // batched plan (nil: the layers have no batched form)
 	chunk   int            // samples per pass through stages
+	first   int            // index of the first layer with parameters (0 if none)
 }
 
 // NewNetwork builds a network from layers and validates that the shapes chain
@@ -41,6 +42,12 @@ func NewNetwork(inShape []int, layers ...Layer) (*Network, error) {
 func newNetwork(inShape []int, layers []Layer) *Network {
 	n := &Network{Layers: layers, inShape: inShape}
 	n.stages, n.chunk = planBatch(inShape, layers)
+	for i, l := range layers {
+		if len(l.Params()) > 0 {
+			n.first = i
+			break
+		}
+	}
 	return n
 }
 
@@ -135,12 +142,18 @@ func (n *Network) PredictBatch(samples [][]float32, out []float32) {
 }
 
 // Backward propagates the scalar logit gradient through the network,
-// accumulating parameter gradients.
+// accumulating parameter gradients. Nothing reads the gradient with respect
+// to the network's input, so propagation stops at the first layer with
+// parameters, which only accumulates its parameter gradients: for a conv
+// first layer that skips the Wᵀ·dY product and the col2im scatter, for a
+// dense one the input-gradient axpys.
 func (n *Network) Backward(dlogit float32) {
-	grad := tensor.NewFrom([]float32{dlogit}, 1)
-	g := grad
-	for i := len(n.Layers) - 1; i >= 0; i-- {
+	g := tensor.NewFrom([]float32{dlogit}, 1)
+	for i := len(n.Layers) - 1; i > n.first; i-- {
 		g = n.Layers[i].Backward(g)
+	}
+	if pg, ok := n.Layers[n.first].(paramGrader); ok { // not ok: no layer has parameters
+		pg.accumulateGrads(g)
 	}
 }
 
@@ -153,10 +166,11 @@ func (n *Network) Params() []*Param {
 	return ps
 }
 
-// ZeroGrad clears all parameter gradients.
+// ZeroGrad clears all parameter gradients, allocating any accumulator a
+// clone does not hold yet.
 func (n *Network) ZeroGrad() {
 	for _, p := range n.Params() {
-		p.Grad.Zero()
+		p.grad().Zero()
 	}
 }
 
@@ -192,10 +206,12 @@ func (n *Network) MACs() int64 {
 	return total
 }
 
-// Clone returns a network sharing parameter values with n but with
-// independent scratch buffers, suitable for concurrent inference while n (or
-// other clones) are also doing inference. Cloned networks must not be
-// trained: gradient accumulators are shared.
+// Clone returns a network sharing parameter values with n but with its own
+// scratch buffers and gradient accumulators, so it can run inference, or
+// forward and backward passes, beside n and other clones. The accumulators
+// are allocated by the clone's first Backward, so inference clones never
+// hold them. Updating the shared values (an optimizer step) while another
+// network reads them is a race: step only between passes.
 func (n *Network) Clone() *Network {
 	layers := make([]Layer, len(n.Layers))
 	for i, l := range n.Layers {

@@ -80,39 +80,98 @@ func TestGradientCheck(t *testing.T) {
 	}
 }
 
-// TestInputGradientCheck verifies the gradient flowing back to the input.
-func TestInputGradientCheck(t *testing.T) {
-	net := buildTinyNet(t, 6)
-	rng := rand.New(rand.NewSource(10))
-	x := randInput(rng, 2, 4, 4)
-	const y float32 = 0
-
-	net.ZeroGrad()
-	z := net.Forward(x)
-	_, dz := BCELossWithLogits(z, y)
-	grad := tensor.NewFrom([]float32{dz}, 1)
-	g := grad
-	var dx *tensor.Tensor
-	for i := len(net.Layers) - 1; i >= 0; i-- {
-		g = net.Layers[i].Backward(g)
+// buildDenseNet is a c0-shaped network (no conv layers, as arch.Build emits
+// it) over the same input as buildTinyNet.
+func buildDenseNet(t *testing.T, seed int64) *Network {
+	t.Helper()
+	net, err := NewNetwork([]int{2, 4, 4},
+		NewFlatten(),
+		NewDense(2*4*4, 5),
+		NewReLU(),
+		NewDense(5, 1),
+	)
+	if err != nil {
+		t.Fatal(err)
 	}
-	dx = g
+	net.Init(rand.New(rand.NewSource(seed)))
+	return net
+}
 
-	const eps = 1e-2
-	for _, i := range []int{0, 7, 13, 31} {
-		orig := x.Data[i]
-		x.Data[i] = orig + eps
-		zp := net.Forward(x)
-		lp, _ := BCELossWithLogits(zp, y)
-		x.Data[i] = orig - eps
-		zm := net.Forward(x)
-		lm, _ := BCELossWithLogits(zm, y)
-		x.Data[i] = orig
-		numeric := float64(lp-lm) / (2 * eps)
-		analytic := float64(dx.Data[i])
-		if math.Abs(numeric-analytic) > 0.05*math.Max(1e-3, math.Abs(numeric)+math.Abs(analytic)) {
-			t.Errorf("input[%d]: analytic %.6f vs numeric %.6f", i, analytic, numeric)
+// TestInputGradientCheck verifies the gradient flowing back to the input,
+// and that Network.Backward, which stops at the first layer with
+// parameters, accumulates the same parameter gradients as the full walk.
+func TestInputGradientCheck(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		net  *Network
+	}{{"conv-first", buildTinyNet(t, 6)}, {"dense-first", buildDenseNet(t, 6)}} {
+		net := c.net
+		rng := rand.New(rand.NewSource(10))
+		x := randInput(rng, 2, 4, 4)
+		const y float32 = 0
+
+		net.ZeroGrad()
+		z := net.Forward(x)
+		_, dz := BCELossWithLogits(z, y)
+		g := tensor.NewFrom([]float32{dz}, 1)
+		for i := len(net.Layers) - 1; i >= 0; i-- {
+			g = net.Layers[i].Backward(g)
 		}
+		dx := g
+
+		var walk [][]float32
+		for _, p := range net.Params() {
+			walk = append(walk, append([]float32(nil), p.Grad.Data...))
+		}
+		net.ZeroGrad()
+		net.Backward(dz)
+		for pi, p := range net.Params() {
+			for i, v := range p.Grad.Data {
+				if !sameBits(v, walk[pi][i]) {
+					t.Fatalf("%s: Backward param %d[%d] = %v, per-layer walk %v", c.name, pi, i, v, walk[pi][i])
+				}
+			}
+		}
+
+		const eps = 1e-2
+		for _, i := range []int{0, 7, 13, 31} {
+			orig := x.Data[i]
+			x.Data[i] = orig + eps
+			zp := net.Forward(x)
+			lp, _ := BCELossWithLogits(zp, y)
+			x.Data[i] = orig - eps
+			zm := net.Forward(x)
+			lm, _ := BCELossWithLogits(zm, y)
+			x.Data[i] = orig
+			numeric := float64(lp-lm) / (2 * eps)
+			analytic := float64(dx.Data[i])
+			if math.Abs(numeric-analytic) > 0.05*math.Max(1e-3, math.Abs(numeric)+math.Abs(analytic)) {
+				t.Errorf("%s: input[%d]: analytic %.6f vs numeric %.6f", c.name, i, analytic, numeric)
+			}
+		}
+	}
+
+	// Training never allocates the first parameterized layer's
+	// input-gradient scratch.
+	conv, dense := buildTinyNet(t, 7), buildDenseNet(t, 7)
+	rng := rand.New(rand.NewSource(11))
+	for _, net := range []*Network{conv, dense} {
+		opt := NewAdam(0.01)
+		for step := 0; step < 3; step++ {
+			net.ZeroGrad()
+			_, dz := BCELossWithLogits(net.Forward(randInput(rng, 2, 4, 4)), 1)
+			net.Backward(dz)
+			opt.Step(net.Params())
+		}
+	}
+	if c := conv.Layers[0].(*Conv2D); c.dxT != nil || c.dcol != nil {
+		t.Fatal("conv first layer allocated its input-gradient scratch")
+	}
+	if d := dense.Layers[1].(*Dense); d.dx != nil {
+		t.Fatal("dense first layer allocated its input-gradient scratch")
+	}
+	if d := dense.Layers[3].(*Dense); d.dx == nil {
+		t.Fatal("second dense layer computed no input gradient")
 	}
 }
 
@@ -220,6 +279,19 @@ func TestCloneSharesWeightsNotScratch(t *testing.T) {
 	_ = a.Forward(y)
 	if b.Forward(x) != zb {
 		t.Fatal("clone scratch is shared with original")
+	}
+	// Nor may a clone's backward pass touch the original's gradients.
+	a.ZeroGrad()
+	b.Backward(1)
+	for pi, p := range a.Params() {
+		for i, v := range p.Grad.Data {
+			if v != 0 {
+				t.Fatalf("clone's Backward wrote the original's param %d[%d]", pi, i)
+			}
+		}
+		if b.Params()[pi].Grad == p.Grad {
+			t.Fatalf("clone shares param %d's gradient accumulator", pi)
+		}
 	}
 }
 

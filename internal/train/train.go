@@ -12,6 +12,7 @@ import (
 	"sort"
 	"sync"
 
+	"tahoma/internal/img"
 	"tahoma/internal/model"
 	"tahoma/internal/nn"
 	"tahoma/internal/synth"
@@ -65,20 +66,71 @@ func materialize(m *model.Model, ds synth.Dataset) []sample {
 	return out
 }
 
-// Model trains a single model in place and returns a report.
+// Model trains a single model in place and returns a report. Each minibatch
+// runs on up to GOMAXPROCS cores.
 func Model(m *model.Model, ds synth.Dataset, opts Options) (Report, error) {
 	opts.setDefaults()
 	if ds.Len() == 0 {
 		return Report{}, fmt.Errorf("train: empty training set for %s", m.ID())
 	}
-	return fit(m, materialize(m, ds), opts)
+	return fit(m, materialize(m, ds), opts, runtime.GOMAXPROCS(0))
 }
 
-func fit(m *model.Model, samples []sample, opts Options) (Report, error) {
+// replica runs forward and backward passes for fit beside other replicas:
+// a clone of the model's network, with its parameters in the same order.
+type replica struct {
+	net    *nn.Network
+	params []*nn.Param
+}
+
+// fit trains m with Adam over shuffled minibatches. The weights do not
+// change inside a minibatch, so its samples run forward and backward on up
+// to min(workers, BatchSize) replicas at once. Sample k of the minibatch
+// writes its gradient into slot k and its loss into losses[k]; the slots are
+// then added into the model's gradients, and the losses into the epoch loss,
+// in sample order, before the optimizer steps.
+//
+// The weights are bit-identical to a serial per-sample loop for any workers.
+// Every gradient element takes one addition per sample (see Conv2D's and
+// Dense's accumulateGrads), so the serial loop computes g+t0, then +t1, and
+// so on, from g = +0. A slot holds +0+t, which equals t except that −0
+// becomes +0, and a sum that starts at +0 is never −0, so adding either zero
+// to it gives the same bits.
+func fit(m *model.Model, samples []sample, opts Options, workers int) (Report, error) {
 	opts.setDefaults()
 	rng := rand.New(rand.NewSource(opts.Seed))
 	opt := nn.NewAdam(opts.LR)
 	params := m.Net.Params()
+	bs := opts.BatchSize
+
+	reps := make([]replica, max(1, min(workers, bs)))
+	for i := range reps {
+		net := m.Net.Clone()
+		reps[i] = replica{net: net, params: net.Params()}
+	}
+	slots := make([][]*tensor.Tensor, bs)
+	for k := range slots {
+		slots[k] = make([]*tensor.Tensor, len(params))
+		for j, p := range params {
+			slots[k][j] = tensor.New(p.Value.Shape...)
+		}
+	}
+	losses := make([]float32, bs)
+	// run passes the minibatch samples k = first, first+stride, ... through
+	// r, pointing r's gradient accumulators at each sample's slot.
+	run := func(r replica, batch []int, first, stride int) {
+		for k := first; k < len(batch); k += stride {
+			for j, p := range r.params {
+				p.Grad = slots[k][j]
+				p.Grad.Zero()
+			}
+			s := samples[batch[k]]
+			loss, dz := nn.BCELossWithLogits(r.net.Forward(s.x), s.label)
+			losses[k] = loss
+			r.net.Backward(dz / float32(bs))
+		}
+	}
+
 	order := make([]int, len(samples))
 	for i := range order {
 		order[i] = i
@@ -87,31 +139,43 @@ func fit(m *model.Model, samples []sample, opts Options) (Report, error) {
 	for epoch := 0; epoch < opts.Epochs; epoch++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		var epochLoss float64
-		m.Net.ZeroGrad()
-		inBatch := 0
-		for _, idx := range order {
-			s := samples[idx]
-			z := m.Net.Forward(s.x)
-			loss, dz := nn.BCELossWithLogits(z, s.label)
-			epochLoss += float64(loss)
-			m.Net.Backward(dz / float32(opts.BatchSize))
-			inBatch++
-			if inBatch == opts.BatchSize {
-				opt.Step(params)
-				m.Net.ZeroGrad()
-				inBatch = 0
+		for b0 := 0; b0 < len(order); b0 += bs {
+			batch := order[b0:min(b0+bs, len(order))]
+			n := min(len(reps), len(batch))
+			var wg sync.WaitGroup
+			for w := 1; w < n; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					run(reps[w], batch, w, n)
+				}()
 			}
-		}
-		if inBatch > 0 {
-			opt.Step(params)
+			run(reps[0], batch, 0, n)
+			wg.Wait()
+			// 1·v is exact, so each axpy adds the slot as it is.
 			m.Net.ZeroGrad()
+			for j, p := range params {
+				for k := range batch {
+					tensor.Axpy(p.Grad.Data, slots[k][j].Data, 1)
+				}
+			}
+			for k := range batch {
+				epochLoss += float64(losses[k])
+			}
+			opt.Step(params)
 		}
 		lastLoss = epochLoss / float64(len(samples))
 	}
+
+	pix := make([][]float32, len(samples))
+	for i, s := range samples {
+		pix[i] = s.x.Data
+	}
+	probs := make([]float32, len(samples))
+	m.Net.PredictBatch(pix, probs)
 	correct := 0
-	for _, s := range samples {
-		p := tensor.Sigmoid(m.Net.Forward(s.x))
-		if (p >= 0.5) == (s.label >= 0.5) {
+	for i, s := range samples {
+		if (probs[i] >= 0.5) == (s.label >= 0.5) {
 			correct++
 		}
 	}
@@ -133,8 +197,9 @@ type Job struct {
 // job, in job order. Jobs sharing a transform share materialized
 // representations. The pool takes the jobs longest first (by Epochs × MACs),
 // so the most expensive model starts at once instead of running alone after
-// the cheap ones finish. Each fit depends only on its job, so the weights do
-// not depend on workers or on the order. workers <= 0 uses GOMAXPROCS.
+// the cheap ones finish, and each fit also runs its minibatches on up to
+// workers cores (see fit). Each fit depends only on its job, so the weights
+// do not depend on workers or on the order. workers <= 0 uses GOMAXPROCS.
 func All(jobs []Job, ds synth.Dataset, workers int) ([]Report, error) {
 	if ds.Len() == 0 {
 		return nil, fmt.Errorf("train: empty training set")
@@ -172,7 +237,7 @@ func All(jobs []Job, ds synth.Dataset, workers int) ([]Report, error) {
 			defer wg.Done()
 			for i := range next {
 				j := jobs[i]
-				reports[i], errs[i] = fit(j.Model, repCache[j.Model.Xform.ID()], j.Opts)
+				reports[i], errs[i] = fit(j.Model, repCache[j.Model.Xform.ID()], j.Opts, workers)
 			}
 		}()
 	}
@@ -190,11 +255,17 @@ func All(jobs []Job, ds synth.Dataset, workers int) ([]Report, error) {
 }
 
 // Scores runs a trained model over a dataset and returns its probability
-// outputs, materializing the model's representation for each example.
+// outputs. It materializes the model's representation of every example once
+// and scores them through the batched kernels, so out[i] has the bits
+// m.ScoreFull(example i) has.
 func Scores(m *model.Model, ds synth.Dataset) []float32 {
-	out := make([]float32, ds.Len())
+	reps := make([]*img.Image, ds.Len())
 	for i, e := range ds.Examples {
-		out[i] = m.ScoreFull(e.Image)
+		reps[i] = m.Xform.Apply(e.Image)
+	}
+	out := make([]float32, len(reps))
+	if err := m.ScoreBatchInto(reps, out); err != nil {
+		panic(err) // Apply always yields the transform's geometry
 	}
 	return out
 }

@@ -1,12 +1,18 @@
 package train
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"tahoma/internal/arch"
 	"tahoma/internal/img"
 	"tahoma/internal/model"
+	"tahoma/internal/nn"
 	"tahoma/internal/synth"
+	"tahoma/internal/tensor"
 	"tahoma/internal/xform"
 )
 
@@ -125,6 +131,22 @@ func TestScoresAndLabels(t *testing.T) {
 			t.Fatalf("score %v out of [0,1]", s)
 		}
 	}
+	// Scores runs the batched kernels; it must give ScoreFull's bits, over
+	// 37 examples: two full 16-sample chunks and a ragged tail.
+	ds := zooSplits(t, 37).Train
+	c0, err := model.New(arch.Spec{ConvLayers: 0, DenseWidth: 8, Kernel: 3},
+		xform.Transform{Size: 16, Color: img.RGB}, model.Basic, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []*model.Model{newModel(t, 16, img.RGB, 4), c0} {
+		got := Scores(m, ds)
+		for i, e := range ds.Examples {
+			if want := m.ScoreFull(e.Image); math.Float32bits(got[i]) != math.Float32bits(want) {
+				t.Fatalf("%s example %d: Scores %v, ScoreFull %v", m.ID(), i, got[i], want)
+			}
+		}
+	}
 	labels := Labels(sp.Eval)
 	if len(labels) != sp.Eval.Len() {
 		t.Fatal("labels length wrong")
@@ -137,5 +159,160 @@ func TestScoresAndLabels(t *testing.T) {
 	}
 	if pos != sp.Eval.Positives() {
 		t.Fatal("labels disagree with dataset positives")
+	}
+}
+
+// zooSplits is the scenario benchmark zoo's corpus (fence at 32×32, seed 7)
+// with trainN training examples.
+func zooSplits(tb testing.TB, trainN int) synth.Splits {
+	tb.Helper()
+	cat, err := synth.CategoryByName("fence")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sp, err := synth.GenerateBinary(cat, synth.Options{BaseSize: 32, TrainN: trainN, ConfigN: 8, EvalN: 8, Seed: 7})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sp
+}
+
+// zooSpace returns constructors for every model of the scenario benchmark
+// zoo's design space: the c0/c1 grid over sizes 8/16/32 in RGB and gray, and
+// the c2 deep model on 32×32 RGB. Each call of a constructor builds the
+// model afresh with the same initial weights.
+func zooSpace() []func() (*model.Model, error) {
+	var out []func() (*model.Model, error)
+	deep := arch.Spec{ConvLayers: 2, ConvWidth: 8, DenseWidth: 16, Kernel: 3}
+	out = append(out, func() (*model.Model, error) {
+		return model.New(deep, xform.Transform{Size: 32, Color: img.RGB}, model.Deep, 1)
+	})
+	for _, tr := range xform.Grid([]int{8, 16, 32}, []img.ColorMode{img.RGB, img.Gray}) {
+		for _, spec := range arch.Grid([]int{0, 1}, []int{4}, []int{8}, 3) {
+			if tr.Size < spec.MinInputSize() {
+				continue
+			}
+			out = append(out, func() (*model.Model, error) { return model.New(spec, tr, model.Basic, 1) })
+		}
+	}
+	return out
+}
+
+// refFit is the serial per-sample fitting loop fit replaced, kept as its
+// oracle: every sample runs forward and backward on the model's own network
+// and accumulates straight into its gradients.
+func refFit(m *model.Model, samples []sample, opts Options) Report {
+	opts.setDefaults()
+	rng := rand.New(rand.NewSource(opts.Seed))
+	opt := nn.NewAdam(opts.LR)
+	params := m.Net.Params()
+	order := make([]int, len(samples))
+	for i := range order {
+		order[i] = i
+	}
+	var lastLoss float64
+	for epoch := 0; epoch < opts.Epochs; epoch++ {
+		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		var epochLoss float64
+		m.Net.ZeroGrad()
+		inBatch := 0
+		for _, idx := range order {
+			s := samples[idx]
+			z := m.Net.Forward(s.x)
+			loss, dz := nn.BCELossWithLogits(z, s.label)
+			epochLoss += float64(loss)
+			m.Net.Backward(dz / float32(opts.BatchSize))
+			inBatch++
+			if inBatch == opts.BatchSize {
+				opt.Step(params)
+				m.Net.ZeroGrad()
+				inBatch = 0
+			}
+		}
+		if inBatch > 0 {
+			opt.Step(params)
+			m.Net.ZeroGrad()
+		}
+		lastLoss = epochLoss / float64(len(samples))
+	}
+	correct := 0
+	for _, s := range samples {
+		p := tensor.Sigmoid(m.Net.Forward(s.x))
+		if (p >= 0.5) == (s.label >= 0.5) {
+			correct++
+		}
+	}
+	return Report{
+		ModelID:       m.ID(),
+		Epochs:        opts.Epochs,
+		FinalLoss:     lastLoss,
+		TrainAccuracy: float64(correct) / float64(len(samples)),
+	}
+}
+
+// TestFitMatchesSerialOracle holds fit's data-parallel minibatches to the
+// serial loop bit for bit, for every model of the benchmark zoo, at several
+// worker counts and batch sizes. 83 training examples leave a trailing
+// 3-sample minibatch at BatchSize 8.
+func TestFitMatchesSerialOracle(t *testing.T) {
+	ds := zooSplits(t, 83).Train
+	for _, build := range zooSpace() {
+		for _, bs := range []int{8, 1} {
+			opts := Options{Epochs: 2, BatchSize: bs, LR: 0.01, Seed: 5}
+			ref, err := build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := refFit(ref, materialize(ref, ds), opts)
+			wantW := ref.Net.Weights()
+			for _, workers := range []int{1, 2, 3, 8} {
+				name := fmt.Sprintf("%s batch=%d workers=%d", ref.ID(), bs, workers)
+				m, err := build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := fit(m, materialize(m, ds), opts, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("%s: report %+v, serial loop %+v", name, got, want)
+				}
+				for i, w := range m.Net.Weights() {
+					if math.Float32bits(w) != math.Float32bits(wantW[i]) {
+						t.Fatalf("%s: weight %d = %v, serial loop %v", name, i, w, wantW[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkFit times the benchmark zoo's deep model alone (6 epochs over 80
+// examples at BatchSize 8) on one worker and on GOMAXPROCS workers, in ms
+// per fit.
+//
+//	go test -run=NONE -bench=BenchmarkFit ./internal/train
+func BenchmarkFit(b *testing.B) {
+	sp := zooSplits(b, 80)
+	m, err := zooSpace()[0]()
+	if err != nil {
+		b.Fatal(err)
+	}
+	w0 := m.Net.Weights()
+	samples := materialize(m, sp.Train)
+	opts := Options{Epochs: 6, BatchSize: 8, LR: 0.01}
+	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			for b.Loop() {
+				if err := m.Net.SetWeights(w0); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := fit(m, samples, opts, workers); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/fit")
+		})
 	}
 }
