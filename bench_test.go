@@ -411,15 +411,20 @@ func benchStore(b *testing.B, n int) *repstore.Store {
 }
 
 // BenchmarkRepStoreLoadRep measures loading one pre-transformed
-// representation from disk — the ONGOING scenario's per-image cost.
+// representation from disk and expanding it into a reused buffer — the
+// ONGOING scenario's per-image cost.
 func BenchmarkRepStoreLoadRep(b *testing.B) {
 	store := benchStore(b, 64)
 	tr := xform.Transform{Size: 8, Color: img.Gray}
+	var scratch, derived []byte
+	var dst *img.Image
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := store.LoadRep(i%64, tr); err != nil {
+		rec, err := store.RepRecord(i%64, tr, &scratch)
+		if err != nil {
 			b.Fatal(err)
 		}
+		dst, derived = tr.ApplyRecord(dst, derived, rec)
 	}
 }
 

@@ -17,13 +17,14 @@
 // query, explain and serve read the corpus one way: straight out of the
 // representation store through a -cache-mb LRU of stored records (the one
 // pixel cache); -serve-reps additionally loads pre-materialized
-// representations from the store, skipping decode + transform for the
-// transforms it covers. Content predicates are ordered by the cost-based
-// planner — rank = cost/(1-selectivity) against the adaptive selectivity
-// catalog, discounted by what is resident (served representations, cached
-// source records); labels do not depend on the order. Each query prints its
-// classifier invocations, representation work (transformed vs served) and
-// the record cache's hit rate.
+// representations from the store, skipping the source load and derivation
+// for the transforms it covers — a pure cost choice, since a served
+// representation is the record the engine would derive. Content predicates
+// are ordered by the cost-based planner — rank = cost/(1-selectivity)
+// against the adaptive selectivity catalog, discounted by what is resident
+// (served representations, cached source records); labels do not depend on
+// the order. Each query prints its classifier invocations, representation
+// work (transformed vs served) and the record cache's hit rate.
 package main
 
 import (
@@ -209,7 +210,7 @@ func (f *corpusFlags) register(fs *flag.FlagSet) {
 	fs.IntVar(&f.workers, "workers", 0, "classification worker goroutines per query (0 = GOMAXPROCS)")
 	fs.IntVar(&f.batch, "batch", 0, "frames per execution-engine batch (0 = engine default)")
 	fs.IntVar(&f.cacheMB, "cache-mb", 64, "record cache budget in MiB, at least 1: the corpus is read only through this LRU, which holds sources and served reps alike as stored records (1 byte/sample)")
-	fs.BoolVar(&f.serveReps, "serve-reps", false, "load pre-materialized representations from the store, skipping decode+transform for the transforms it covers")
+	fs.BoolVar(&f.serveReps, "serve-reps", false, "load pre-materialized representations from the store, skipping the source load and derivation for the transforms it covers (labels are the same either way)")
 	fs.StringVar(&f.materialize, "materialize", "on", "label materialization: on (cache classified labels as bitmap columns), off (re-infer every query), bg (on + serve's background analyzer pre-materializes hot predicates while the admission pool is idle)")
 	fs.IntVar(&f.matMB, "mat-mb", 0, "materialized-label byte budget in MiB (0 = unbounded); coldest columns are evicted over budget")
 }

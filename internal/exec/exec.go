@@ -10,18 +10,23 @@
 // representation slot, so each (frame, slot) pair is materialized at most
 // once per run no matter how many levels consume it, matching the
 // evaluator's Section VI cost accounting. A run splits its frame list into
-// batches and hands them to share-nothing workers: each worker loads its
-// batch's source frames — in the physical form the Source holds them, stored
-// records for a store-backed corpus (RecordSource), decoded images otherwise
-// — then walks the cascade level-major: materialize the level's slot for the
-// still-undecided frames into pooled buffers (one pass straight from a
-// record's bytes, or ApplyInto over an image; the samples are identical),
-// score them with one batched inference call, apply the thresholds, compact
-// the survivors — so every frame still short-circuits at its earliest
-// deciding level. Labels and accounting are bit-identical to the per-frame
-// walk (ClassifyOne) at every worker count and batch size; per-batch and
-// per-run stats let callers compare measured throughput against the
-// evaluator's analytic estimate.
+// batches and hands them to share-nothing workers: each worker pins its
+// batch's source frames as stored TIMG records, then walks the cascade
+// level-major: materialize the level's slot for the still-undecided frames
+// into pooled buffers, score them with one batched inference call, apply the
+// thresholds, compact the survivors — so every frame still short-circuits at
+// its earliest deciding level.
+//
+// A representation is its stored bytes. Every slot the engine scores is the
+// expansion (img.UnitsInto) of a record: one a RepSource served, or one
+// derived from the source record by xform.Transform.AppendRecord, the
+// derivation a store runs to materialize it — so a served slot and a derived
+// one are bit-identical. An input held as float32 images is encoded to its
+// record once, at the boundary. Labels and accounting are bit-identical to
+// the per-frame walk (ClassifyOne) at every worker count and batch size,
+// whichever way a frame or a representation is held; per-batch and per-run
+// stats let callers compare measured throughput against the evaluator's
+// analytic estimate.
 package exec
 
 import (
@@ -81,22 +86,17 @@ type Level struct {
 	Last       bool
 }
 
-// Source supplies source frames by row index. vdb's Corpus satisfies it
-// directly, so the query executor classifies straight out of the corpus
-// (in-memory or store-backed) without copying.
+// Source supplies source frames by row index as float32 images. A run
+// encodes each frame it loads to its TIMG record (img.AppendRecord) once, in
+// a buffer the worker owns; a RecordSource's Image is never called.
 type Source interface {
 	Len() int
 	Image(i int) (*img.Image, error)
 }
 
-// RecordSource is optionally implemented by Sources whose frames are held as
-// stored TIMG records (vdb's store-backed corpus). A run over one takes the
-// byte-domain load path: each batch pins its frames' records instead of
-// decoded images and every representation is transformed straight from the
-// record's bytes (xform.Transform.ApplyRecord), so no float32 source image is
-// ever built. Which path a run takes is decided by what its input is, once
-// per run; representations, labels and accounting are bit-identical either
-// way.
+// RecordSource is implemented by Sources whose frames are held as stored TIMG
+// records (both of vdb's corpora): a run pins each record as it is held, with
+// nothing to encode. Detected once per run.
 type RecordSource interface {
 	Source
 	// Record returns the stored record of frame i: resident, shared and
@@ -107,19 +107,14 @@ type RecordSource interface {
 
 // RepSource serves pre-materialized physical representations by source frame
 // index and transform identity (xform.Transform.ID). When a run has one, the
-// engine skips both the source decode and the transform for every slot the
+// engine skips both the source load and the derivation for every slot the
 // source covers — the representation-store fast path the ARCHIVE and ONGOING
-// scenarios price. Implementations must be safe for concurrent use. The
-// engine only reads what it is served: a served image's pixels are copied
-// into a buffer the worker owns, so every buffer a batch scores is the
-// engine's own. A source that holds stored records should also implement
-// RepRecordSource, which skips the float32 image altogether.
-//
-// Served pixels are whatever the source stored (for repstore, the uint8-
-// quantized record), not a fresh transform of the decoded source, so labels
-// can legitimately differ from a RepSource-less run. Serving is decided once
-// per slot per run, so results remain deterministic and independent of
-// worker count and batch size.
+// scenarios price. Implementations must be safe for concurrent use. A served
+// image is encoded to its record at the boundary, like a Source's frame, and
+// the record expanded into a buffer the worker owns. A store's served record
+// is the one its derivation wrote, so serving is a pure cost choice: labels
+// are those of a RepSource-less run. Serving is decided once per slot per
+// run.
 type RepSource interface {
 	// HasRep reports whether representations of transform id can be
 	// served. The engine consults it once per run per slot; availability must
@@ -129,13 +124,10 @@ type RepSource interface {
 	Rep(i int, id string) (*img.Image, error)
 }
 
-// RepRecordSource is optionally implemented by RepSources whose
-// representations are held as stored TIMG records (vdb's store-backed
-// corpus). A run over one reads a served slot's record and expands it into
-// the worker's buffer with xform.Transform.ApplyRecord — for a record of the
-// transform's own geometry one img.Unit pass, the exact bits Rep's decoded
-// image would hold — so the source keeps a quarter of the bytes. Detected
-// once per run, like RecordSource; Rep is then never called.
+// RepRecordSource is implemented by RepSources whose representations are
+// held as stored TIMG records (vdb's store-backed corpus), a quarter of the
+// bytes: a run reads a served slot's record as it is held. Detected once per
+// run, like RecordSource; Rep is then never called.
 type RepRecordSource interface {
 	RepSource
 	// RepRecord returns the stored record of source frame i's representation
@@ -144,7 +136,7 @@ type RepRecordSource interface {
 	RepRecord(i int, t xform.Transform) (img.Record, error)
 }
 
-// Frames adapts an in-memory slice to Source.
+// Frames adapts an in-memory slice of float32 images to Source.
 type Frames []*img.Image
 
 // Len returns the frame count.
@@ -173,8 +165,8 @@ type Options struct {
 	// working set.
 	Batch int
 	// RepSource, when set, serves pre-materialized representations for
-	// the transforms it covers: served slots skip decode and transform
-	// entirely and are counted as RepHits instead of RepsMaterialized.
+	// the transforms it covers: served slots skip the source load and the
+	// derivation and are counted as RepHits instead of RepsMaterialized.
 	RepSource RepSource
 	// Quantize is ignored: every level scores float32.
 	//
@@ -208,8 +200,8 @@ type BatchStats struct {
 	RepsMaterialized int
 	RepHits          int // slots served by the RepSource instead of transformed
 	// RepFallbacks counts representation reads the RepSource failed that
-	// were degraded to decode + transform instead of failing the run (they
-	// also count in RepsMaterialized — a transform really ran).
+	// were degraded to load + derive instead of failing the run (they also
+	// count in RepsMaterialized — a derivation really ran).
 	RepFallbacks int
 	Wall         time.Duration
 }
@@ -332,19 +324,23 @@ func (e *Engine) cloneLevels() []Level {
 	return out
 }
 
-// ClassifyOne labels a single frame with a full trace — the per-frame
-// reference walk: one frame descends the cascade alone, float32,
-// materializing each distinct representation into a fresh image. The batched
-// runs are held bit-identical to it. It scores on the engine's own models
-// and is not safe for concurrent use; use Run for parallel work.
+// ClassifyOne labels a single frame with a full trace — the per-frame walk:
+// the frame, encoded to its record, descends the cascade alone, each distinct
+// representation derived into a fresh image. The batched runs are held
+// bit-identical to it. It scores on the engine's own models and is not safe
+// for concurrent use; use Run for parallel work.
 func (e *Engine) ClassifyOne(src *img.Image) (bool, Trace, error) {
 	var tr Trace
+	rec, _, err := encode(nil, src)
+	if err != nil {
+		return false, tr, err
+	}
 	reps := make([]*img.Image, len(e.repIDs))
 	for li := range e.levels {
 		lv := &e.levels[li]
 		slot := e.slot[li]
 		if reps[slot] == nil {
-			reps[slot] = lv.Model.Xform.Apply(src)
+			reps[slot], _ = e.repXf[slot].ApplyRecord(nil, nil, rec)
 			tr.RepsCreated = append(tr.RepsCreated, e.repIDs[slot])
 		}
 		score, err := lv.Model.Score(reps[slot])
@@ -411,34 +407,35 @@ func newServing(rs RepSource, repIDs []string) *serving {
 
 // worker is one goroutine's private execution state, pooled on the engine so
 // repeated runs reach a steady state with no per-frame allocations: model
-// clones, the survivor bookkeeping, and the pooled representation buffers
-// that the transforms materialize into. All batch-indexed scratch is sized to
-// the largest batch seen.
+// clones, the survivor bookkeeping, and the pooled representation and record
+// buffers. All batch-indexed scratch is sized to the largest batch seen.
 type worker struct {
-	levels []Level
-	srcs   []*img.Image   // source frames of the current batch (image-backed runs)
-	recs   []img.Record   // record-backed runs pin these instead of srcs
-	und    []int          // undecided positions, compacted level by level
-	gather []*img.Image   // representations of the undecided frames
-	scores []float32      // ScoreBatch output
-	reps   [][]*img.Image // [slot][pos] pooled representation buffers
-	repOK  [][]bool       // [slot][pos] materialized for the current batch?
-	proj   []*img.Image   // [slot] projection scratch for ApplyInto
+	levels  []Level
+	recs    []img.Record   // source records of the current batch
+	enc     [][]byte       // [pos] records encoded from an image-form Source
+	und     []int          // undecided positions, compacted level by level
+	gather  []*img.Image   // representations of the undecided frames
+	scores  []float32      // ScoreBatch output
+	reps    [][]*img.Image // [slot][pos] pooled representation buffers
+	repOK   [][]bool       // [slot][pos] materialized for the current batch?
+	served  []byte         // a served image's record, encoded at the boundary
+	derived []byte         // the record a slot is derived into
 }
 
 // ensure grows the scratch to batch capacity n.
 func (w *worker) ensure(n, nslots int) {
-	if cap(w.srcs) < n {
-		w.srcs = make([]*img.Image, n)
+	if cap(w.recs) < n {
 		w.recs = make([]img.Record, n)
 		w.und = make([]int, n)
 		w.gather = make([]*img.Image, n)
 		w.scores = make([]float32, n)
+		enc := make([][]byte, n)
+		copy(enc, w.enc)
+		w.enc = enc
 	}
 	if w.reps == nil {
 		w.reps = make([][]*img.Image, nslots)
 		w.repOK = make([][]bool, nslots)
-		w.proj = make([]*img.Image, nslots)
 	}
 	for s := range w.reps {
 		if cap(w.reps[s]) < n {
@@ -450,96 +447,92 @@ func (w *worker) ensure(n, nslots int) {
 	}
 }
 
+// encode is the boundary where a float32 image becomes the record every path
+// reads: im's TIMG record in buf, reused, and the buffer it aliases.
+func encode(buf []byte, im *img.Image) (img.Record, []byte, error) {
+	buf, err := img.AppendRecord(buf[:0], im)
+	if err != nil {
+		return img.Record{}, buf, err
+	}
+	rec, err := img.ParseRecord(buf)
+	return rec, buf, err
+}
+
 // run bundles one run's immutable parameters.
 type run struct {
 	ctx     context.Context
 	e       *Engine
 	src     Source
-	recSrc  RecordSource // src, when it holds stored records: the byte-domain path
+	recSrc  RecordSource // src, when it holds stored records
 	indices []int
 	sv      *serving
 	labels  []bool
 }
 
-// loadSource pins frame idx at batch position j in whichever form the run's
-// source holds it: the stored record, or the decoded image.
+// loadSource pins frame idx's record at batch position j: the source's own,
+// or the frame encoded into the worker's buffer for j.
 func (r *run) loadSource(w *worker, j, idx int) (err error) {
 	if r.recSrc != nil {
 		w.recs[j], err = r.recSrc.Record(idx)
-	} else {
-		w.srcs[j], err = r.src.Image(idx)
+		return err
 	}
-	return err
-}
-
-// transform materializes slot for batch position j from the pinned source
-// into the worker's pooled buffer — one fused pass over the record's bytes,
-// or ApplyInto over the decoded image. The two produce identical samples.
-func (r *run) transform(w *worker, slot, j int) {
-	bufs := w.reps[slot]
-	if r.recSrc != nil {
-		bufs[j] = r.e.repXf[slot].ApplyRecord(bufs[j], w.recs[j])
-	} else {
-		bufs[j], w.proj[slot] = r.e.repXf[slot].ApplyInto(bufs[j], w.srcs[j], w.proj[slot])
-	}
-}
-
-// serve fills slot for batch position j from the RepSource into the worker's
-// pooled buffer: a stored record expanded in place, or a served image's
-// pixels copied. Either way the buffer the batch scores is the worker's own.
-func (r *run) serve(w *worker, slot, j, idx int) error {
-	bufs := w.reps[slot]
-	if r.sv.recs != nil {
-		rec, err := r.sv.recs.RepRecord(idx, r.e.repXf[slot])
-		if err != nil {
-			return err
-		}
-		bufs[j] = r.e.repXf[slot].ApplyRecord(bufs[j], rec)
-		return nil
-	}
-	im, err := r.sv.rs.Rep(idx, r.e.repIDs[slot])
+	im, err := r.src.Image(idx)
 	if err != nil {
 		return err
 	}
-	if dst := bufs[j]; dst == nil || dst.W != im.W || dst.H != im.H || dst.Mode != im.Mode {
-		bufs[j] = img.New(im.W, im.H, im.Mode)
-	}
-	copy(bufs[j].Pix, im.Pix)
-	return nil
+	w.recs[j], w.enc[j], err = encode(w.enc[j], im)
+	return err
 }
 
-// materialize fills slot for batch position j (frame indices[lo+j]): served
-// from the RepSource, or transformed from the pinned source into the worker's
-// pooled buffer.
+// servedRecord reads slot's representation of frame idx from the RepSource:
+// the served record, or the served image encoded into the worker's buffer.
+func (r *run) servedRecord(w *worker, slot, idx int) (img.Record, error) {
+	if r.sv.recs != nil {
+		return r.sv.recs.RepRecord(idx, r.e.repXf[slot])
+	}
+	im, err := r.sv.rs.Rep(idx, r.e.repIDs[slot])
+	if err != nil {
+		return img.Record{}, err
+	}
+	var rec img.Record
+	rec, w.served, err = encode(w.served, im)
+	return rec, err
+}
+
+// materialize fills slot for batch position j (frame indices[lo+j]) in the
+// worker's pooled buffer: the RepSource's record expanded, or the slot
+// derived from the pinned source record and expanded (ApplyRecord).
 func (r *run) materialize(w *worker, st *BatchStats, lo, slot, j int) error {
-	// Serving and transforming can both stall (slow store, big frame);
-	// check the ctx at the same per-slot-fill grain so a deadline fires
-	// promptly even inside a large batch.
+	// Serving and deriving can both stall (slow store, big frame); check the
+	// ctx at the same per-slot-fill grain so a deadline fires promptly even
+	// inside a large batch.
 	if err := r.ctx.Err(); err != nil {
 		return err
 	}
+	rec, hit := w.recs[j], false
 	if r.sv.on(slot) {
 		idx := r.indices[lo+j]
-		if err := r.serve(w, slot, j, idx); err != nil {
-			// Serving failed: degrade to load + transform (the
-			// cache→inference ladder) instead of failing the run. The source
-			// may not have been loaded when every slot is served, so load it
-			// on demand.
-			if w.srcs[j] == nil && w.recs[j].Pix == nil {
+		if served, err := r.servedRecord(w, slot, idx); err == nil {
+			rec, hit = served, true
+		} else {
+			// Serving failed: degrade to load + derive (the cache→inference
+			// ladder) instead of failing the run. The source is not loaded
+			// when every slot is served, so load it on demand.
+			if rec.Pix == nil {
 				if err := r.loadSource(w, j, idx); err != nil {
 					return fmt.Errorf("exec: frame %d: loading source for rep fallback: %w", idx, err)
 				}
+				rec = w.recs[j]
 			}
-			r.transform(w, slot, j)
 			st.RepFallbacks++
-			st.RepsMaterialized++
-		} else {
-			st.RepHits++
 		}
+	}
+	if hit {
+		st.RepHits++
 	} else {
-		r.transform(w, slot, j)
 		st.RepsMaterialized++
 	}
+	w.reps[slot][j], w.derived = r.e.repXf[slot].ApplyRecord(w.reps[slot][j], w.derived, rec)
 	w.repOK[slot][j] = true
 	return nil
 }
@@ -629,15 +622,12 @@ func (r *run) runBatch(w *worker, lo, hi int, st *BatchStats) error {
 	return fmt.Errorf("exec: no level decided (malformed cascade)")
 }
 
-// release unpins the source frames a batch borrowed, on every exit path: the
+// release unpins the source records a batch borrowed, on every exit path: the
 // worker goes back into the pool even when a batch fails, and must not keep
-// source frames reachable for the engine's lifetime. Its representation
-// buffers it keeps — every one is its own, served or transformed.
+// a source's records reachable for the engine's lifetime. Its byte and
+// representation buffers it keeps — every one is its own.
 func (w *worker) release(n int) {
-	for j := 0; j < n; j++ {
-		w.srcs[j] = nil
-		w.recs[j] = img.Record{}
-	}
+	clear(w.recs[:n])
 }
 
 // Run classifies the frames of src named by indices (nil = all). Labels are

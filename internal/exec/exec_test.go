@@ -210,8 +210,10 @@ type refFrame struct {
 
 // referenceWalk is the independent oracle: a per-frame walk down the cascade
 // with one representation map per frame — the semantics the seed runtime
-// implemented. It shares no code with the engine: a served transform is its
-// stored (quantized) representation and counts as a hit instead of a rep.
+// implemented. It shares no code with the engine: every representation is
+// Q(Apply(decoded record)), the float32 transform of the frame stored the way
+// a store stores it (storedRep), and a served transform counts as a hit
+// instead of a rep — the same samples either way.
 func referenceWalk(t *testing.T, levels []Level, frames []*img.Image, indices []int, served map[string]bool) []refFrame {
 	t.Helper()
 	out := make([]refFrame, len(indices))
@@ -224,11 +226,10 @@ func referenceWalk(t *testing.T, levels []Level, frames []*img.Image, indices []
 			id := lv.Model.Xform.ID()
 			rep, ok := cache[id]
 			if !ok {
+				_, rep = storedRep(t, lv.Model.Xform, frames[idx])
 				if served[id] {
-					_, rep = storedRep(t, lv.Model.Xform, frames[idx])
 					rf.hits++
 				} else {
-					rep = lv.Model.Xform.Apply(frames[idx])
 					rf.reps++
 				}
 				cache[id] = rep
@@ -329,16 +330,18 @@ var parityShapes = []struct {
 // list (the whole source in order, or permuted and gapped so positions and
 // corpus indices differ everywhere) × RepSource (none, the first level's
 // transform, or every transform, so no source is ever loaded; served as
-// decoded images, or as stored records — served=record — expanded through
-// ApplyRecord) × the deprecated Quantize knob × workers × batch size × the
-// physical form of the source (decoded images, resident stored records
-// taking the byte-domain load path, or an on-disk store read through a record
-// cache a tenth of its size). Every run must match the independent reference
-// walk — labels, LevelsRun, exactly-once RepsMaterialized and RepHits, per
-// batch and in aggregate — and the unserved reference must equal the
-// engine's own per-frame ClassifyOne walk. Nothing about scheduling, nothing
-// about how the source or a served rep is held, and not the Quantize value
-// the benchmark harness still passes, may move any of them.
+// decoded images, as stored records — served=record — or by a real store
+// that materialized every transform at ingest, read through
+// repstore.Cache.RepRecord — repstore-all) × the deprecated Quantize knob ×
+// workers × batch size × the physical form of the source (decoded images,
+// resident stored records, or an on-disk store read through a record cache a
+// tenth of its size). Every run must match the independent reference walk —
+// labels, LevelsRun, exactly-once RepsMaterialized and RepHits, per batch and
+// in aggregate — whose samples do not depend on which slots are served, so
+// every served column's labels must equal the derived column's; and the
+// unserved reference must equal the engine's own per-frame ClassifyOne walk. Nothing about scheduling, nothing about how the source or
+// a representation is held, and not the Quantize value the benchmark harness
+// still passes, may move any of them.
 func TestEngineParity(t *testing.T) {
 	// Both former scoring modes must run the one float32 path: the reference
 	// walk is the same for each.
@@ -347,7 +350,9 @@ func TestEngineParity(t *testing.T) {
 		mode QuantMode
 	}{{"off", QuantOff}, {"auto", QuantAuto}}
 	frames, records := storedFrames(t, 2200, 47, 32)
-	store, err := repstore.Create(t.TempDir(), 32, 32, nil)
+	// The store materializes every transform any parity shape uses.
+	stored := []xform.Transform{{Size: 8, Color: img.Gray}, {Size: 16, Color: img.RGB}, {Size: 16, Color: img.Gray}}
+	store, err := repstore.Create(t.TempDir(), 32, 32, stored)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,8 +429,8 @@ func TestEngineParity(t *testing.T) {
 						shape.name, idx, label, tr.LevelsRun, len(tr.RepsCreated), plain[j].label, plain[j].levels, plain[j].reps)
 				}
 			}
-			for _, serve := range []string{"none", "repsource", "repsource-all", "repsource/served=record", "repsource-all/served=record"} {
-				everySlot := strings.HasPrefix(serve, "repsource-all")
+			for _, serve := range []string{"none", "repsource", "repsource-all", "repsource/served=record", "repsource-all/served=record", "repstore-all"} {
+				everySlot := strings.Contains(serve, "-all")
 				asRecords := strings.HasSuffix(serve, "/served=record")
 				servedSet := []xform.Transform{servedXf}
 				if everySlot {
@@ -449,7 +454,15 @@ func TestEngineParity(t *testing.T) {
 									var loads atomic.Int64
 									opts := Options{Workers: workers, Batch: batch, Quantize: quant.mode}
 									var fake *fakeRepSource
-									if serve != "none" {
+									switch serve {
+									case "none":
+									case "repstore-all":
+										c, err := repstore.NewCache(store, budget)
+										if err != nil {
+											t.Fatal(err)
+										}
+										opts.RepSource = storeReps{store, c}
+									default:
 										fake = newFakeRepSource(t, frames, servedSet...)
 										opts.RepSource = fake
 										if asRecords {
@@ -646,9 +659,9 @@ func TestExactlyOnceMaterialization(t *testing.T) {
 }
 
 // TestRepSourcePoolHygiene pins the engine's one buffer-ownership rule:
-// every buffer a batch scores is the worker's own. A served image's pixels
-// are copied into the worker's pooled buffer and a served record is expanded
-// into it, so after a served run no pooled buffer is a RepSource's image, no
+// every buffer a batch scores is the worker's own. A served image is encoded
+// to its record and a served record expanded into the worker's pooled
+// buffer, so after a served run no pooled buffer is a RepSource's image, no
 // served image was written, and a later run without the source is unaffected
 // by what the served runs left behind.
 func TestRepSourcePoolHygiene(t *testing.T) {
@@ -757,8 +770,8 @@ func TestRepFallbackAcrossSources(t *testing.T) {
 // TestErrorNamesFrame: a scoring failure must name the offending corpus
 // frame, not a batch-local position, and so must a failed source load. An
 // RGB-transform level over a grayscale frame is the reachable scoring
-// failure: ApplyInto keeps the source's mode and model geometry validation
-// rejects the single-channel representation.
+// failure: an RGB transform keeps the record's mode and model geometry
+// validation rejects the single-channel representation.
 func TestErrorNamesFrame(t *testing.T) {
 	for _, depth := range []int{2, 3} {
 		levels := buildLevels(t, 6100, depth)
@@ -823,10 +836,10 @@ func (s storeReps) RepRecord(i int, t xform.Transform) (img.Record, error) {
 // TestSteadyStateAllocs: once the worker pool is warm, a run allocates its
 // Report/Labels/Batches and goroutine plumbing (~20 objects) and nothing per
 // frame — pooled representation buffers instead of a fresh image per
-// transform, and on the record path no decoded source either. A store-backed
-// run allocates nothing per frame when every record is resident, and exactly
-// the record itself — which the cache then owns — when every read is a cache
-// miss. A run whose every slot the store serves as resident rep records
+// transform, and an image-form frame encoded into the worker's own record
+// buffer, reused from batch to batch. A store-backed run allocates nothing
+// per frame when every record is resident, and exactly the record itself —
+// which the cache then owns — when every read is a cache miss. A run whose every slot the store serves as resident rep records
 // allocates nothing per frame either: each is expanded into the worker's
 // pooled buffer.
 func TestSteadyStateAllocs(t *testing.T) {

@@ -19,16 +19,20 @@ import (
 //	f32/miss     read the record, expand it to a float32 image, ApplyInto
 //	             (the image path; what every store-backed scan paid before
 //	             the byte-domain path)
-//	record/miss  read the record into a slice the cache keeps, ApplyRecord
+//	record/miss  read the record into a slice the cache keeps, ApplyRecord:
+//	             derive the rep's record into a reused buffer
+//	             (AppendRecord) and expand it (img.UnitsInto) — what an
+//	             unserved slot costs the engine
 //	record/hit   the record is resident, ApplyRecord
 //	rep/hit      the pre-materialized rep is resident: Cache.RepRecord, then
-//	             ApplyRecord's identity case (one img.Unit pass) into a reused
-//	             buffer — what a served rep costs the engine, 0 allocs (over
-//	             its own store of 500 rows, since every rep is resident
+//	             ApplyRecord's identity case (one img.UnitsInto pass) into a
+//	             reused buffer — what a served rep costs the engine, 0 allocs
+//	             (over its own store of 500 rows, since every rep is resident
 //	             whatever the store's size)
 //
-// record/miss against f32/miss is the part of the byte-domain path's gain
-// that does not depend on the corpus fitting the cache.
+// f32/miss scores the unrounded T(source); the record paths score the stored
+// form of the same representation, so record/hit against f32/miss includes
+// the cost of that rounding.
 func BenchmarkLoadTransform(b *testing.B) {
 	const rows, side, chunk = 8000, 32, 500
 	transforms := []xform.Transform{{Size: 16, Color: img.Gray}, {Size: 8, Color: img.RGB}, {Size: 32, Color: img.RGB}}
@@ -91,6 +95,7 @@ func BenchmarkLoadTransform(b *testing.B) {
 					}
 				}
 				var dst *img.Image
+				var buf []byte
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -98,7 +103,7 @@ func BenchmarkLoadTransform(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					dst = tr.ApplyRecord(dst, rec)
+					dst, buf = tr.ApplyRecord(dst, buf, rec)
 				}
 			})
 		}
@@ -113,6 +118,7 @@ func BenchmarkLoadTransform(b *testing.B) {
 				}
 			}
 			var dst *img.Image
+			var buf []byte
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -120,7 +126,7 @@ func BenchmarkLoadTransform(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				dst = tr.ApplyRecord(dst, rec)
+				dst, buf = tr.ApplyRecord(dst, buf, rec)
 			}
 		})
 	}

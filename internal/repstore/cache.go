@@ -12,9 +12,9 @@ import (
 // value, index) with the zero Transform standing for the full-size source,
 // so no lookup builds a string. Every entry is the record as stored — one
 // byte per sample, a quarter of its float32 expansion — source image and
-// pre-materialized representation alike: the load path transforms a source
-// straight from its bytes (xform.Transform.ApplyRecord), and the engine
-// expands a served representation into a buffer of its own.
+// pre-materialized representation alike: the engine derives a
+// representation from a source's bytes (xform.Transform.AppendRecord) and
+// expands a served one into a buffer of its own.
 // Query execution in the ONGOING and ARCHIVE scenarios re-reads the same
 // records across predicates and repeat queries; the cache turns those
 // re-reads into memory hits while bounding resident bytes. Safe for

@@ -621,17 +621,6 @@ func (s *Store) RepRecord(i int, t xform.Transform, scratch *[]byte) (img.Record
 	return rec, err
 }
 
-// LoadRep reads representation i for transform t into a fresh image: RepRecord
-// decoded.
-func (s *Store) LoadRep(i int, t xform.Transform) (*img.Image, error) {
-	var buf []byte
-	rec, err := s.RepRecord(i, t, &buf)
-	if err != nil {
-		return nil, err
-	}
-	return rec.Image(), nil
-}
-
 // readRecord reads and validates record i of t's data file — source.dat for
 // the zero Transform — into *scratch (grown to the record size when smaller)
 // and returns a view aliasing it.

@@ -93,10 +93,12 @@ func TestCreateIngestLoadRoundTrip(t *testing.T) {
 	// (both sides quantized, so compare against transform-of-quantized).
 	for _, tr := range testTransforms {
 		for i := range originals {
-			got, err := s.LoadRep(i, tr)
+			var buf []byte
+			rec, err := s.RepRecord(i, tr, &buf)
 			if err != nil {
 				t.Fatal(err)
 			}
+			got := rec.Image()
 			if got.W != tr.Size || got.Channels() != tr.Channels() {
 				t.Fatalf("rep geometry %dx%d/%d", got.W, got.H, got.Channels())
 			}
@@ -146,7 +148,8 @@ func TestOpenAfterCloseReadsBack(t *testing.T) {
 	if _, err := loadSource(s2, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s2.LoadRep(0, testTransforms[0]); err != nil {
+	var buf []byte
+	if _, err := s2.RepRecord(0, testTransforms[0], &buf); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -181,7 +184,8 @@ func TestValidationErrors(t *testing.T) {
 		t.Fatalf("non-RGB ingest: err = %v, want ErrGeometry", err)
 	}
 	// Unknown transform.
-	if _, err := s.LoadRep(0, xform.Transform{Size: 4, Color: img.Red}); err == nil {
+	var buf []byte
+	if _, err := s.RepRecord(0, xform.Transform{Size: 4, Color: img.Red}, &buf); err == nil {
 		t.Fatal("unmaterialized transform must error")
 	}
 	// Out-of-range index.

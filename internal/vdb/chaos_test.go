@@ -264,13 +264,13 @@ type armingCorpus struct {
 	spec  faults.Spec
 }
 
-func (c *armingCorpus) Image(i int) (*img.Image, error) {
+func (c *armingCorpus) Record(i int) (img.Record, error) {
 	if c.loads.Add(1) == c.armAt {
 		if err := faults.Enable(c.point, c.spec); err != nil {
-			return nil, err
+			return img.Record{}, err
 		}
 	}
-	return c.memoryCorpus.Image(i)
+	return c.memoryCorpus.Record(i)
 }
 
 // TestFaultTriggerWorkerPanic pins the ingest trigger's failure semantics: a

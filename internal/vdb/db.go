@@ -69,13 +69,20 @@ func matKey(pred *Predicate, spec cascade.Spec) matstore.Key {
 	return matstore.Key{Category: pred.Category, Cascade: spec.ID()}
 }
 
-// Corpus supplies image pixels by row index. The in-memory implementation
-// is what LoadCorpus installs; LoadCorpusFromStore installs a lazy,
-// cache-backed view over a representation store, so classifying a row pays
-// a real load — the physical behaviour the ARCHIVE scenario prices.
-type Corpus interface {
-	Len() int
-	Image(i int) (*img.Image, error)
+// Corpus supplies rows by index as their stored TIMG records, the one form
+// the engine reads. The in-memory implementation is what LoadCorpus
+// installs; LoadCorpusFromStore installs a lazy, cache-backed view over a
+// representation store, so classifying a row pays a real load — the
+// physical behaviour the ARCHIVE scenario prices.
+type Corpus = exec.RecordSource
+
+// decoded is exec.Source's Image over a record source: the row's record
+// expanded. The engine reads Record and never calls it.
+func decoded(rec img.Record, err error) (*img.Image, error) {
+	if err != nil {
+		return nil, err
+	}
+	return rec.Image(), nil
 }
 
 // appender is implemented by corpora that accept new rows (AppendRecords).
@@ -85,23 +92,26 @@ type appender interface {
 	appendRecords(base int, recs []img.Record, journaled bool) error
 }
 
+// memoryCorpus holds its rows in memory as stored records, a quarter of their
+// float32 expansion: LoadCorpus encodes each image once, and an append keeps
+// the records it is handed.
 type memoryCorpus struct {
-	images []*img.Image
+	recs []img.Record
 }
 
-func (m *memoryCorpus) Len() int { return len(m.images) }
+func (m *memoryCorpus) Len() int { return len(m.recs) }
 
-func (m *memoryCorpus) Image(i int) (*img.Image, error) {
-	if i < 0 || i >= len(m.images) {
-		return nil, fmt.Errorf("vdb: row %d out of range [0,%d)", i, len(m.images))
+func (m *memoryCorpus) Record(i int) (img.Record, error) {
+	if i < 0 || i >= len(m.recs) {
+		return img.Record{}, fmt.Errorf("vdb: row %d out of range [0,%d)", i, len(m.recs))
 	}
-	return m.images[i], nil
+	return m.recs[i], nil
 }
+
+func (m *memoryCorpus) Image(i int) (*img.Image, error) { return decoded(m.Record(i)) }
 
 func (m *memoryCorpus) appendRecords(_ int, recs []img.Record, _ bool) error {
-	for _, rec := range recs {
-		m.images = append(m.images, rec.Image())
-	}
+	m.recs = append(m.recs, recs...)
 	return nil
 }
 
@@ -112,10 +122,9 @@ type storeCorpus struct {
 
 func (s *storeCorpus) Len() int { return s.store.Count() }
 
-func (s *storeCorpus) Image(i int) (*img.Image, error) { return s.cache.Source(i) }
+func (s *storeCorpus) Image(i int) (*img.Image, error) { return decoded(s.Record(i)) }
 
-// Record implements exec.RecordSource: the row's resident source record as
-// stored, so the engine transforms straight from its bytes.
+// Record is the row's resident source record as stored.
 func (s *storeCorpus) Record(i int) (img.Record, error) { return s.cache.Record(i) }
 
 // appendRecords writes the batch as rows [base, base+len(recs)). Journaled,
@@ -131,10 +140,10 @@ func (s *storeCorpus) appendRecords(base int, recs []img.Record, journaled bool)
 
 // repSource adapts a store-backed corpus (and its LRU cache) to
 // exec.RepRecordSource, so the execution engines load pre-materialized
-// representations instead of decoding the source and transforming — the
-// physical fast path the ARCHIVE and ONGOING scenarios price. Served pixels
-// are the store's quantized records, exactly what those scenarios load, and
-// the cache keeps them as those records.
+// representations instead of loading the source and deriving them — the
+// physical fast path the ARCHIVE and ONGOING scenarios price. A served
+// record is the one the engine would derive, so serving changes cost, never
+// labels.
 type repSource struct {
 	sc    *storeCorpus
 	avail map[string]xform.Transform
@@ -159,14 +168,14 @@ func (r *repSource) RepRecord(i int, t xform.Transform) (img.Record, error) {
 	return r.sc.cache.RepRecord(i, t)
 }
 
-// Rep serves a decoded image only to satisfy exec.RepSource: the engine
-// detects RepRecord and never calls it.
+// Rep is exec.RepSource's image form, RepRecord decoded; the engine never
+// calls it.
 func (r *repSource) Rep(i int, id string) (*img.Image, error) {
 	t, ok := r.avail[id]
 	if !ok {
 		return nil, fmt.Errorf("vdb: transform %s not materialized in the corpus store", id)
 	}
-	return r.sc.cache.Rep(i, t)
+	return decoded(r.RepRecord(i, t))
 }
 
 // DB is a visual analytics database over one images table. It is safe for
@@ -362,10 +371,9 @@ func (db *DB) SetExecOptions(o exec.Options) {
 
 // ServeReps toggles loading pre-materialized representations straight from
 // a store-backed corpus during content-predicate execution (default off).
-// Slots the store covers skip both source decode and transform; served
-// pixels are the store's quantized records — the exact data the ARCHIVE and
-// ONGOING cost models price — so labels may differ slightly from
-// recomputing representations out of the decoded source. No-op for
+// Slots the store covers skip both the source load and the derivation. A
+// served record is exactly the one the engine derives from the stored source,
+// so labels are the same either way: this is a pure cost choice. No-op for
 // in-memory corpora.
 func (db *DB) ServeReps(on bool) {
 	db.mu.Lock()
@@ -424,14 +432,20 @@ func (db *DB) installCorpusLocked(c Corpus, reps *repSource, meta []Metadata) er
 }
 
 // LoadCorpus installs an in-memory image corpus and its metadata (parallel
-// slices).
+// slices). Each image is encoded once to the record the corpus holds
+// (img.AppendRecord: samples clamped and quantized to 8 bits), as Append
+// encodes new rows.
 func (db *DB) LoadCorpus(images []*img.Image, meta []Metadata) error {
 	if len(images) != len(meta) {
 		return fmt.Errorf("vdb: %d images but %d metadata rows", len(images), len(meta))
 	}
+	recs, err := encodeRecords(images)
+	if err != nil {
+		return err
+	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.installCorpusLocked(&memoryCorpus{images: images}, nil, meta)
+	return db.installCorpusLocked(&memoryCorpus{recs: recs}, nil, meta)
 }
 
 // LoadCorpusFromStore installs a representation store as the corpus. Rows

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"tahoma/internal/core"
-	"tahoma/internal/exec"
 	"tahoma/internal/img"
 )
 
@@ -39,6 +38,15 @@ func (db *DB) Append(images []*img.Image, meta []Metadata) (udfCalls int, err er
 	if len(images) != len(meta) {
 		return 0, fmt.Errorf("vdb: %d images but %d metadata rows", len(images), len(meta))
 	}
+	recs, err := encodeRecords(images)
+	if err != nil {
+		return 0, err
+	}
+	return db.AppendRecords(recs, meta)
+}
+
+// encodeRecords encodes images to their TIMG records, all in one buffer.
+func encodeRecords(images []*img.Image) ([]img.Record, error) {
 	total := 0
 	for _, im := range images {
 		total += im.StoredBytes()
@@ -47,14 +55,15 @@ func (db *DB) Append(images []*img.Image, meta []Metadata) (udfCalls int, err er
 	recs := make([]img.Record, len(images))
 	for i, im := range images {
 		start := len(buf)
+		var err error
 		if buf, err = img.AppendRecord(buf, im); err != nil {
-			return 0, fmt.Errorf("vdb: row %d: %w", i, err)
+			return nil, fmt.Errorf("vdb: row %d: %w", i, err)
 		}
 		if recs[i], err = img.ParseRecord(buf[start:]); err != nil {
-			return 0, fmt.Errorf("vdb: row %d: %w", i, err)
+			return nil, fmt.Errorf("vdb: row %d: %w", i, err)
 		}
 	}
-	return db.AppendRecords(recs, meta)
+	return recs, nil
 }
 
 // AppendRecords adds rows to the corpus from their stored records, verbatim:
@@ -62,7 +71,8 @@ func (db *DB) Append(images []*img.Image, meta []Metadata) (udfCalls int, err er
 // trigger policy, every installed predicate classifies the new rows
 // immediately with its ingest-time cascade, extending the materialized
 // virtual columns so that later queries pay no inference for these rows. The
-// trigger reads the batch from recs, not back from the corpus.
+// trigger reads the batch from recs, not back from the corpus. An in-memory
+// corpus keeps recs as its rows, so the caller must not write them again.
 //
 // AppendRecords coexists with in-flight queries, and no reader waits for it:
 // the catalog update (corpus + meta + journal record) happens under the DB
@@ -191,8 +201,8 @@ func (db *DB) AppendRecords(recs []img.Record, meta []Metadata) (udfCalls int, e
 	}()
 	// A store-backed corpus serves the batch's own rows from recs: the bytes
 	// the store was just handed, without reading them back through the cache.
-	src := exec.Source(st.corpus)
-	if view, ok := src.(exec.RecordSource); ok {
+	src := st.corpus
+	if view, ok := src.(*storeView); ok {
 		src = &batchSource{RecordSource: view, base: base, recs: recs}
 	}
 	for _, jb := range jobs {

@@ -10,6 +10,9 @@ import (
 	"tahoma/internal/xform"
 )
 
+// TestAppendWithoutTrigger: an append without a trigger invalidates the
+// materialized columns, and an in-memory corpus holds every row, loaded or
+// appended, as its stored record.
 func TestAppendWithoutTrigger(t *testing.T) {
 	db, _ := buildTestDB(t)
 	cons := core.Constraints{MaxAccuracyLoss: 0.05}
@@ -38,6 +41,16 @@ func TestAppendWithoutTrigger(t *testing.T) {
 	}
 	if db.Count() != 42 {
 		t.Fatalf("count after append: %d", db.Count())
+	}
+	// Loaded and appended rows alike are held as their stored records: a
+	// 16×16 RGB row costs its 778-byte TIMG record, not the 3 072 bytes of
+	// its float32 expansion.
+	mem := db.corpus.(*memoryCorpus)
+	stored, expanded := img.EncodedSize(16, 16, img.RGB), img.New(16, 16, img.RGB).Bytes()
+	for i, rec := range mem.recs {
+		if rec.StoredBytes() != stored || 4*len(rec.Pix) != expanded {
+			t.Fatalf("in-memory row %d holds %d bytes (%d samples), want its %d-byte record of a %d-byte frame", i, rec.StoredBytes(), len(rec.Pix), stored, expanded)
+		}
 	}
 	res, err = db.Query("SELECT id FROM images WHERE contains_object('cloak')", cons)
 	if err != nil {

@@ -163,7 +163,7 @@ func corpusView(c Corpus, n int) Corpus {
 	case *memoryCorpus:
 		// Full slice expression: a concurrent append can never write into
 		// this view's backing window.
-		return &memoryCorpus{images: cc.images[:n:n]}
+		return &memoryCorpus{recs: cc.recs[:n:n]}
 	case *storeCorpus:
 		return &storeView{sc: cc, n: n}
 	default:
@@ -183,14 +183,8 @@ type storeView struct {
 
 func (v *storeView) Len() int { return v.n }
 
-func (v *storeView) Image(i int) (*img.Image, error) {
-	if i < 0 || i >= v.n {
-		return nil, fmt.Errorf("vdb: row %d out of range [0,%d)", i, v.n)
-	}
-	return v.sc.Image(i)
-}
+func (v *storeView) Image(i int) (*img.Image, error) { return decoded(v.Record(i)) }
 
-// Record implements exec.RecordSource over the bounded view.
 func (v *storeView) Record(i int) (img.Record, error) {
 	if i < 0 || i >= v.n {
 		return img.Record{}, fmt.Errorf("vdb: row %d out of range [0,%d)", i, v.n)
@@ -215,11 +209,4 @@ func (b *batchSource) Record(i int) (img.Record, error) {
 		return b.recs[j], nil
 	}
 	return b.RecordSource.Record(i)
-}
-
-func (b *batchSource) Image(i int) (*img.Image, error) {
-	if j := i - b.base; j >= 0 && j < len(b.recs) {
-		return b.recs[j].Image(), nil
-	}
-	return b.RecordSource.Image(i)
 }

@@ -24,19 +24,23 @@ func randRecord(t testing.TB, rng *rand.Rand, w, h int, mode img.ColorMode) []by
 	return raw
 }
 
-// checkRecordParity holds ApplyRecord over raw to the oracle — Apply over the
-// decoded record — bit for bit, and AppendRecord to the stored form of that
-// (img.AppendRecord over ApplyRecord) byte for byte, and returns the image
-// ApplyRecord produced.
+// checkRecordParity holds the one derivation to its oracle: AppendRecord over
+// raw to the stored form of Apply over the decoded record, byte for byte
+// (checkStoredParity), and ApplyRecord — the slot the engine scores — to
+// img.UnitsInto of those bytes, bit for bit. It returns the image ApplyRecord
+// produced.
 func checkRecordParity(t testing.TB, tr Transform, dst *img.Image, raw []byte) *img.Image {
 	t.Helper()
 	rec, err := img.ParseRecord(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := tr.Apply(rec.Image())
-	got := tr.ApplyRecord(dst, rec)
-	checkStoredParity(t, tr, rec, got)
+	derived, err := img.ParseRecord(checkStoredParity(t, tr, rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := derived.Image()
+	got, _ := tr.ApplyRecord(dst, nil, rec)
 	if got.W != want.W || got.H != want.H || got.Mode != want.Mode || len(got.Pix) != len(want.Pix) {
 		t.Fatalf("%s over %dx%d/%v: geometry %dx%d/%v (%d samples), oracle %dx%d/%v (%d)", tr.ID(), rec.W, rec.H, rec.Mode,
 			got.W, got.H, got.Mode, len(got.Pix), want.W, want.H, want.Mode, len(want.Pix))
@@ -50,17 +54,19 @@ func checkRecordParity(t testing.TB, tr Transform, dst *img.Image, raw []byte) *
 	return got
 }
 
-// checkStoredParity holds AppendRecord over rec to img.AppendRecord of rep,
-// ApplyRecord's float32 form of the same representation: the byte path's
-// oracle. The bytes are appended after a prefix, which must survive.
-func checkStoredParity(t testing.TB, tr Transform, rec img.Record, rep *img.Image) {
+// checkStoredParity holds AppendRecord over rec to img.AppendRecord of Apply
+// over the decoded record — the float32 path's representation, stored — and
+// returns the derived record. The bytes are appended after a prefix, which
+// must survive.
+func checkStoredParity(t testing.TB, tr Transform, rec img.Record) []byte {
 	t.Helper()
 	prefix := []byte("prefix")
-	want, err := img.AppendRecord(append([]byte(nil), prefix...), rep)
+	want, err := img.AppendRecord(append([]byte(nil), prefix...), tr.Apply(rec.Image()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.AppendRecord(append([]byte(nil), prefix...), rec); !bytes.Equal(got, want) {
+	got := tr.AppendRecord(append([]byte(nil), prefix...), rec)
+	if !bytes.Equal(got, want) {
 		at := 0
 		for at < min(len(got), len(want)) && got[at] == want[at] {
 			at++
@@ -68,14 +74,15 @@ func checkStoredParity(t testing.TB, tr Transform, rec img.Record, rep *img.Imag
 		t.Fatalf("%s over %dx%d/%v: AppendRecord gives %d bytes, the oracle %d; first difference at byte %d",
 			tr.ID(), rec.W, rec.H, rec.Mode, len(got), len(want), at)
 	}
+	return got[len(prefix):]
 }
 
-// TestApplyRecordParity is the byte-domain load path's contract as a table:
-// five colours × down-, same- and up-scale targets × RGB and single-plane
-// stored records × square and non-square sources, every sample
-// Float32bits-equal to Apply(Decode(record)), and every AppendRecord byte
-// equal to that representation's stored form. A matching destination is
-// reused and a mismatched one replaced, as with ApplyInto.
+// TestApplyRecordParity is the load path's contract as a table: five colours ×
+// down-, same- and up-scale targets × RGB and single-plane stored records ×
+// square and non-square sources, every AppendRecord byte equal to the stored
+// form of Apply(Decode(record)), and every ApplyRecord sample
+// Float32bits-equal to that record expanded. A matching destination is reused
+// and a mismatched one replaced, as with ApplyInto.
 func TestApplyRecordParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, geom := range [][2]int{{32, 32}, {40, 24}} {
@@ -102,17 +109,18 @@ func TestApplyRecordParity(t *testing.T) {
 	checkRecordParity(t, Transform{Size: stackTaps + 9, Color: img.Gray}, nil, randRecord(t, rng, 32, 32, img.RGB))
 }
 
-// TestApplyRecordAllocs: into a matching destination the pass allocates
-// nothing — the engine's steady state depends on it — including the identity
-// case (32×32 RGB over a 32×32 RGB record) a served representation takes.
+// TestApplyRecordAllocs: into a matching destination and a derivation buffer
+// with room, a slot allocates nothing — the engine's steady state depends on
+// it — including the identity case (32×32 RGB over a 32×32 RGB record) a
+// served representation takes.
 func TestApplyRecordAllocs(t *testing.T) {
 	rec, err := img.ParseRecord(randRecord(t, rand.New(rand.NewSource(3)), 32, 32, img.RGB))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tr := range []Transform{{Size: 16, Color: img.Gray}, {Size: 8, Color: img.RGB}, {Size: 32, Color: img.Green}, {Size: 32, Color: img.RGB}} {
-		dst := tr.ApplyRecord(nil, rec)
-		if avg := testing.AllocsPerRun(20, func() { dst = tr.ApplyRecord(dst, rec) }); avg != 0 {
+		dst, buf := tr.ApplyRecord(nil, nil, rec)
+		if avg := testing.AllocsPerRun(20, func() { dst, buf = tr.ApplyRecord(dst, buf, rec) }); avg != 0 {
 			t.Fatalf("%s: %.1f allocations per call into a matching destination, want 0", tr.ID(), avg)
 		}
 		stored := tr.AppendRecord(nil, rec)
@@ -128,9 +136,9 @@ func TestApplyRecordAllocs(t *testing.T) {
 var fuzzGrid = Grid([]int{2, 5, 16}, AllColors)
 
 // FuzzApplyRecord: for any record the TIMG parser accepts and any transform
-// of a small grid, the fused pass equals Apply over the decoded record bit
-// for bit, and the byte form (AppendRecord) equals the stored form of that
-// representation byte for byte. Large geometries are skipped, not rejected: the property is about
+// of a small grid, the derivation (AppendRecord) equals the stored form of
+// Apply over the decoded record byte for byte, and the slot ApplyRecord fills
+// equals those bytes expanded bit for bit. Large geometries are skipped, not rejected: the property is about
 // arithmetic, and the parser's own fuzz target owns size handling.
 func FuzzApplyRecord(f *testing.F) {
 	// The committed corpus (testdata/fuzz/FuzzApplyRecord) holds the records:

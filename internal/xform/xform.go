@@ -61,14 +61,14 @@ func (t Transform) Apply(src *img.Image) *img.Image {
 	return out
 }
 
-// ApplyInto is Apply into caller-owned buffers: the allocation-free
-// materialization primitive behind the execution engine's pooled
-// representation slots. dst receives the representation and is reused when
-// its geometry matches what Apply would produce for src (otherwise a fresh
-// image is allocated); proj is an optional scratch for the intermediate
-// full-resolution color projection, reused the same way. The image actually
-// holding the representation and the (possibly newly allocated) projection
-// scratch are returned; pixel values are bit-identical to Apply's.
+// ApplyInto is Apply into caller-owned buffers, for callers that hold float32
+// images (the engine derives from stored records instead: ApplyRecord). dst
+// receives the representation and is reused when its geometry matches what
+// Apply would produce for src (otherwise a fresh image is allocated); proj is
+// an optional scratch for the intermediate full-resolution color projection,
+// reused the same way. The image actually holding the representation and the
+// (possibly newly allocated) projection scratch are returned; pixel values are
+// bit-identical to Apply's.
 func (t Transform) ApplyInto(dst, src, proj *img.Image) (rep, projOut *img.Image) {
 	// Mirror Apply: an RGB transform keeps the source's own mode (a
 	// single-channel source stays single-channel and is caught later by
@@ -102,59 +102,49 @@ type colTap struct {
 	fx     float32
 }
 
-// stackTaps is how many column taps (and, for AppendRecord, row samples) the
-// byte-domain passes keep on their stack; wider representations take one
-// small allocation per call.
+// stackTaps is how many column taps and row samples AppendRecord keeps on its
+// stack; wider representations take one small allocation per call.
 const stackTaps = 128
 
-// ApplyRecord is ApplyInto over a stored record: the load path's one pass
-// from the bytes a store holds to the float32 representation a model reads.
-// Each output sample is computed from its bilinear taps, and each tap from
-// the record's bytes through img.Unit (and img.Luma for grayscale) — no
-// float32 source image and no projection plane are built, and a channel
-// transform touches one stored plane in three. dst is reused when its
-// geometry matches (otherwise a fresh image is allocated) and the image
-// holding the representation is returned.
-//
-// The samples are bit-identical to Apply over the decoded record: the same
-// img.Tap, img.Bilerp, img.Luma and img.Unit expressions run in the same
-// order, only without the intermediate images in between.
-func (t Transform) ApplyRecord(dst *img.Image, rec img.Record) *img.Image {
+// ApplyRecord expands t's representation of rec into dst: the float32 samples
+// a model reads, which are always the expansion (img.UnitsInto) of the bytes a
+// store holds for that representation. A record that already is the
+// representation (a served rep) is expanded as it is; any other is first
+// derived into buf by AppendRecord, the one derivation, and that record
+// expanded. A derived slot is therefore bit-identical to the same slot served
+// from a store. dst and buf are reused when they fit (a mismatched dst is
+// replaced) and both are returned.
+func (t Transform) ApplyRecord(dst *img.Image, buf []byte, rec img.Record) (*img.Image, []byte) {
 	mode := t.modeOf(rec)
 	if dst == nil || dst.W != t.Size || dst.H != t.Size || dst.Mode != mode {
 		dst = img.New(t.Size, t.Size, mode)
 	}
-	if rec.W == t.Size && rec.H == t.Size && rec.Mode == mode {
-		// The record already is the representation (a served rep): expand
-		// it in one pass, with no taps to build.
-		img.UnitsInto(dst.Pix, rec.Pix)
-		return dst
+	pix := rec.Pix
+	if rec.W != t.Size || rec.H != t.Size || rec.Mode != mode {
+		buf = t.AppendRecord(buf[:0], rec)
+		pix = buf[len(buf)-len(dst.Pix):]
 	}
-	var stack [stackTaps]colTap
-	cols := t.taps(stack[:], rec)
-	var planes [3][]byte
-	n := t.Size
-	for c := range mode.Channels() {
-		src, out := t.sourcePlanes(&planes, rec, c), dst.Plane(c)
-		for y := range n {
-			resampleRow(out[y*n:(y+1)*n], src, rec.W, rec.H, y, cols)
-		}
-	}
-	return dst
+	img.UnitsInto(dst.Pix, pix)
+	return dst, buf
 }
 
-// AppendRecord is ApplyRecord's stored form: it appends the TIMG record of
-// t's representation of rec to dst and returns the extended slice — the bytes
-// img.AppendRecord(dst, t.ApplyRecord(nil, rec)) would append, without the
-// float32 image in between. Each row comes out of ApplyRecord's resampling
-// loop and is quantized as it leaves it (img.AppendQuantized); an output
-// plane that is a stored plane unchanged (same geometry, no projection) is
-// appended as stored, since quantizing img.Unit(b) gives back b. A record that
-// already is the representation is therefore appended byte for byte.
+// AppendRecord appends the TIMG record of t's representation of rec to dst
+// and returns the extended slice: the bytes img.AppendRecord(dst,
+// t.Apply(rec.Image())) would append, without a float32 image on either side.
+// Each output sample is computed from its bilinear taps, and each tap from the
+// record's bytes through img.Unit (and img.Luma for grayscale) — the same
+// img.Tap, img.Bilerp, img.Luma and img.Unit expressions Apply runs, in the
+// same order — and every row is quantized as it leaves the resampling loop
+// (img.AppendQuantized). An output plane that is a stored plane unchanged
+// (same geometry, no projection) is appended as stored, since quantizing
+// img.Unit(b) gives back b; a channel transform touches one stored plane in
+// three.
 //
-// This is how a store derives every representation it holds: from the
-// stored source record, whichever way the row came in. t.Size must fit a TIMG
-// header (img.MaxSide), which repstore.Create checks.
+// This is the one derivation of a representation: a store derives every
+// representation it holds with it, from the stored source record whichever
+// way the row came in, and the engine derives every slot it does not serve
+// with it (through ApplyRecord). t.Size must fit a TIMG header (img.MaxSide),
+// which repstore.Create checks.
 func (t Transform) AppendRecord(dst []byte, rec img.Record) []byte {
 	mode := t.modeOf(rec)
 	out := img.Record{W: t.Size, H: t.Size, Mode: mode}
@@ -182,8 +172,8 @@ func (t Transform) AppendRecord(dst []byte, rec img.Record) []byte {
 	return dst
 }
 
-// modeOf is the mode of t's representation of rec. Mirroring ApplyInto, an
-// RGB transform keeps the record's own mode.
+// modeOf is the mode of t's representation of rec. Mirroring Apply, an RGB
+// transform keeps the record's own mode.
 func (t Transform) modeOf(rec img.Record) img.ColorMode {
 	if t.Color == img.RGB {
 		return rec.Mode
@@ -231,17 +221,13 @@ func (t Transform) sourcePlanes(buf *[3][]byte, rec img.Record, c int) [][]byte 
 // resampleRow writes row y of the len(out)-square bilinear resample of a
 // stored w×h image into out: of planes[0] alone, or of the grayscale
 // projection of three planes, each tap projected as it is read. cols holds
-// the column taps, nil when the image already has the output geometry (every
-// sample is then its own source sample). It is the one resampling loop behind
-// both forms of a representation, ApplyRecord's and AppendRecord's.
+// the column taps, nil when the image already has the output geometry; only
+// a grayscale projection resamples at that geometry, since AppendRecord
+// copies an unchanged plane as stored.
 func resampleRow(out []float32, planes [][]byte, w, h, y int, cols []colTap) {
 	size := len(out)
 	if cols == nil {
 		at := y * w
-		if len(planes) == 1 {
-			img.UnitsInto(out, planes[0][at:at+w])
-			return
-		}
 		r, g, b := planes[0][at:at+w], planes[1][at:at+w], planes[2][at:at+w]
 		for x := range out {
 			out[x] = img.Luma(img.Unit(r[x]), img.Unit(g[x]), img.Unit(b[x]))

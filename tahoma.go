@@ -251,7 +251,10 @@ func (p *Predicate) Choose(c Constraints) (*Classifier, error) {
 	return &Classifier{Expected: res, Index: pt.Index, rt: rt, desc: res.Spec.Describe(p.sys.Models)}, nil
 }
 
-// Classify labels one full-size image.
+// Classify labels one full-size image. Like every input the engine reads, the
+// image is first encoded to its stored TIMG record (samples quantized to 8
+// bits), so a frame scores the same whether it is classified here, in a
+// batch, or out of a database.
 func (c *Classifier) Classify(im *Image) (bool, error) {
 	label, _, err := c.rt.Classify(im)
 	return label, err
