@@ -11,9 +11,10 @@
 // once per run no matter how many levels consume it, matching the
 // evaluator's Section VI cost accounting. A run splits its frame list into
 // batches and hands them to share-nothing workers: each worker pins its
-// batch's source frames as stored TIMG records, then walks the cascade
-// level-major: materialize the level's slot for the still-undecided frames
-// into pooled buffers, score them with one batched inference call, apply the
+// batch's source frames as stored TIMG records with one call, then walks the
+// cascade level-major: materialize the level's slot for the still-undecided
+// frames into pooled buffers (a served slot's records read with one call
+// per level), score them with one batched inference call, apply the
 // thresholds, compact the survivors — so every frame still short-circuits at
 // its earliest deciding level.
 //
@@ -95,14 +96,16 @@ type Source interface {
 }
 
 // RecordSource is implemented by Sources whose frames are held as stored TIMG
-// records (both of vdb's corpora): a run pins each record as it is held, with
-// nothing to encode. Detected once per run.
+// records (both of vdb's corpora): a run pins each batch's records as they
+// are held, with one call and nothing to encode. Detected once per run.
 type RecordSource interface {
 	Source
-	// Record returns the stored record of frame i: resident, shared and
-	// immutable, valid for as long as the caller references it. Must be safe
-	// for concurrent use.
-	Record(i int) (img.Record, error)
+	// Records fills dst[k] with the stored record of frame idx[k] for every k
+	// of idx: resident, shared and immutable, valid for as long as the caller
+	// references it. A frame it cannot read fails the call with an error
+	// naming the frame, and dst is then undefined; a done ctx may stop it
+	// with ctx's error. Must be safe for concurrent use.
+	Records(ctx context.Context, idx []int, dst []img.Record) error
 }
 
 // RepSource serves pre-materialized physical representations by source frame
@@ -126,14 +129,18 @@ type RepSource interface {
 
 // RepRecordSource is implemented by RepSources whose representations are
 // held as stored TIMG records (vdb's store-backed corpus), a quarter of the
-// bytes: a run reads a served slot's record as it is held. Detected once per
-// run, like RecordSource; Rep is then never called.
+// bytes: a run reads a served slot's records as they are held, one call per
+// level for the batch's undecided frames. Detected once per run, like
+// RecordSource; Rep is then never called.
 type RepRecordSource interface {
 	RepSource
-	// RepRecord returns the stored record of source frame i's representation
-	// under t: resident, shared and immutable. Must be safe for concurrent
-	// use.
-	RepRecord(i int, t xform.Transform) (img.Record, error)
+	// RepRecords fills dst[k] with the stored record of source frame idx[k]'s
+	// representation under t for every k of idx: resident, shared and
+	// immutable. A representation it cannot read leaves dst[k] empty (nil
+	// Pix) and the others are still read — the engine derives that one
+	// instead — and the error is then the first such failure. A done ctx
+	// stops the read with ctx's error. Must be safe for concurrent use.
+	RepRecords(ctx context.Context, t xform.Transform, idx []int, dst []img.Record) error
 }
 
 // Frames adapts an in-memory slice of float32 images to Source.
@@ -414,11 +421,14 @@ type worker struct {
 	recs    []img.Record   // source records of the current batch
 	enc     [][]byte       // [pos] records encoded from an image-form Source
 	und     []int          // undecided positions, compacted level by level
+	need    []int          // undecided positions whose slot is not yet filled
+	rows    []int          // frame indices of need, for a RepRecords call
+	got     []img.Record   // [k] the served record of need[k], empty if none
 	gather  []*img.Image   // representations of the undecided frames
 	scores  []float32      // ScoreBatch output
 	reps    [][]*img.Image // [slot][pos] pooled representation buffers
 	repOK   [][]bool       // [slot][pos] materialized for the current batch?
-	served  []byte         // a served image's record, encoded at the boundary
+	served  [][]byte       // [k] a served image's record, encoded at the boundary
 	derived []byte         // the record a slot is derived into
 }
 
@@ -427,11 +437,17 @@ func (w *worker) ensure(n, nslots int) {
 	if cap(w.recs) < n {
 		w.recs = make([]img.Record, n)
 		w.und = make([]int, n)
+		w.need = make([]int, n)
+		w.rows = make([]int, n)
+		w.got = make([]img.Record, n)
 		w.gather = make([]*img.Image, n)
 		w.scores = make([]float32, n)
 		enc := make([][]byte, n)
 		copy(enc, w.enc)
 		w.enc = enc
+		served := make([][]byte, n)
+		copy(served, w.served)
+		w.served = served
 	}
 	if w.reps == nil {
 		w.reps = make([][]*img.Image, nslots)
@@ -469,71 +485,118 @@ type run struct {
 	labels  []bool
 }
 
-// loadSource pins frame idx's record at batch position j: the source's own,
-// or the frame encoded into the worker's buffer for j.
-func (r *run) loadSource(w *worker, j, idx int) (err error) {
+// load pins the source records of batch positions [a,b) — frames
+// indices[lo+a:lo+b]: the source's own, read with one call, or each frame
+// encoded into the worker's buffer for its position.
+func (r *run) load(w *worker, lo, a, b int) error {
 	if r.recSrc != nil {
-		w.recs[j], err = r.recSrc.Record(idx)
-		return err
-	}
-	im, err := r.src.Image(idx)
-	if err != nil {
-		return err
-	}
-	w.recs[j], w.enc[j], err = encode(w.enc[j], im)
-	return err
-}
-
-// servedRecord reads slot's representation of frame idx from the RepSource:
-// the served record, or the served image encoded into the worker's buffer.
-func (r *run) servedRecord(w *worker, slot, idx int) (img.Record, error) {
-	if r.sv.recs != nil {
-		return r.sv.recs.RepRecord(idx, r.e.repXf[slot])
-	}
-	im, err := r.sv.rs.Rep(idx, r.e.repIDs[slot])
-	if err != nil {
-		return img.Record{}, err
-	}
-	var rec img.Record
-	rec, w.served, err = encode(w.served, im)
-	return rec, err
-}
-
-// materialize fills slot for batch position j (frame indices[lo+j]) in the
-// worker's pooled buffer: the RepSource's record expanded, or the slot
-// derived from the pinned source record and expanded (ApplyRecord).
-func (r *run) materialize(w *worker, st *BatchStats, lo, slot, j int) error {
-	// Serving and deriving can both stall (slow store, big frame); check the
-	// ctx at the same per-slot-fill grain so a deadline fires promptly even
-	// inside a large batch.
-	if err := r.ctx.Err(); err != nil {
-		return err
-	}
-	rec, hit := w.recs[j], false
-	if r.sv.on(slot) {
-		idx := r.indices[lo+j]
-		if served, err := r.servedRecord(w, slot, idx); err == nil {
-			rec, hit = served, true
-		} else {
-			// Serving failed: degrade to load + derive (the cache→inference
-			// ladder) instead of failing the run. The source is not loaded
-			// when every slot is served, so load it on demand.
-			if rec.Pix == nil {
-				if err := r.loadSource(w, j, idx); err != nil {
-					return fmt.Errorf("exec: frame %d: loading source for rep fallback: %w", idx, err)
-				}
-				rec = w.recs[j]
+		if err := r.recSrc.Records(r.ctx, r.indices[lo+a:lo+b], w.recs[a:b]); err != nil {
+			if cerr := r.ctx.Err(); cerr != nil {
+				return cerr
 			}
-			st.RepFallbacks++
+			return fmt.Errorf("exec: loading source frames: %w", err)
+		}
+		return nil
+	}
+	for j := a; j < b; j++ {
+		if err := r.ctx.Err(); err != nil {
+			return err
+		}
+		im, err := r.src.Image(r.indices[lo+j])
+		if err == nil {
+			w.recs[j], w.enc[j], err = encode(w.enc[j], im)
+		}
+		if err != nil {
+			return fmt.Errorf("exec: loading frame %d: %w", r.indices[lo+j], err)
 		}
 	}
-	if hit {
-		st.RepHits++
-	} else {
-		st.RepsMaterialized++
+	return nil
+}
+
+// serve reads slot's representation of every position of need (frames
+// indices[lo+need[k]]) from the RepSource into w.got: the served records,
+// read with one call, or each served image encoded into the worker's buffer
+// for k. A representation the RepSource could not serve is left empty. Only
+// ctx's error fails it.
+func (r *run) serve(w *worker, lo, slot int, need []int) error {
+	got := w.got[:len(need)]
+	if r.sv.recs != nil {
+		rows := w.rows[:len(need)]
+		for k, j := range need {
+			rows[k] = r.indices[lo+j]
+		}
+		// A failed read leaves its record empty, to be derived instead; the
+		// error itself only matters when it is the run's cancellation.
+		_ = r.sv.recs.RepRecords(r.ctx, r.e.repXf[slot], rows, got)
+		return r.ctx.Err()
 	}
-	w.reps[slot][j], w.derived = r.e.repXf[slot].ApplyRecord(w.reps[slot][j], w.derived, rec)
-	w.repOK[slot][j] = true
+	for k, j := range need {
+		if err := r.ctx.Err(); err != nil {
+			return err
+		}
+		got[k] = img.Record{}
+		im, err := r.sv.rs.Rep(r.indices[lo+j], r.e.repIDs[slot])
+		if err != nil {
+			continue
+		}
+		var rec img.Record
+		if rec, w.served[k], err = encode(w.served[k], im); err == nil {
+			got[k] = rec
+		}
+	}
+	return nil
+}
+
+// materialize fills slot for every undecided position that lacks it, in the
+// worker's pooled buffers: each served record expanded, or the slot derived
+// from the pinned source record and expanded (ApplyRecord). A position whose
+// served read failed degrades to load + derive (the cache→inference ladder)
+// instead of failing the run.
+func (r *run) materialize(w *worker, st *BatchStats, lo, slot int, und []int) error {
+	need := w.need[:0]
+	for _, j := range und {
+		if !w.repOK[slot][j] {
+			need = append(need, j)
+		}
+	}
+	if len(need) == 0 {
+		return nil
+	}
+	served := r.sv.on(slot)
+	got := w.got[:len(need)]
+	if served {
+		if err := r.serve(w, lo, slot, need); err != nil {
+			return err
+		}
+	}
+	xf := r.e.repXf[slot]
+	for k, j := range need {
+		rec := got[k]
+		if served && rec.Pix != nil {
+			st.RepHits++
+		} else {
+			// Deriving can stall on a big frame: check the ctx at the
+			// per-derivation grain so a deadline fires promptly even inside
+			// a large batch.
+			if err := r.ctx.Err(); err != nil {
+				return err
+			}
+			if served {
+				// The source is not loaded when every slot is served, so
+				// load it on demand.
+				if w.recs[j].Pix == nil {
+					if err := r.load(w, lo, j, j+1); err != nil {
+						return err
+					}
+				}
+				st.RepFallbacks++
+			}
+			rec = w.recs[j]
+			st.RepsMaterialized++
+		}
+		w.reps[slot][j], w.derived = xf.ApplyRecord(w.reps[slot][j], w.derived, rec)
+		w.repOK[slot][j] = true
+	}
 	return nil
 }
 
@@ -558,13 +621,8 @@ func (r *run) runBatch(w *worker, lo, hi int, st *BatchStats) error {
 		}
 	}
 	if r.sv.needSource() {
-		for j := 0; j < n; j++ {
-			if err := r.ctx.Err(); err != nil {
-				return err
-			}
-			if err := r.loadSource(w, j, r.indices[lo+j]); err != nil {
-				return fmt.Errorf("exec: loading frame %d: %w", r.indices[lo+j], err)
-			}
+		if err := r.load(w, lo, 0, n); err != nil {
+			return err
 		}
 	}
 	und := w.und[:n]
@@ -577,13 +635,11 @@ func (r *run) runBatch(w *worker, lo, hi int, st *BatchStats) error {
 		}
 		lv := &w.levels[li]
 		slot := r.e.slot[li]
+		if err := r.materialize(w, st, lo, slot, und); err != nil {
+			return err
+		}
 		gather := w.gather[:0]
 		for _, j := range und {
-			if !w.repOK[slot][j] {
-				if err := r.materialize(w, st, lo, slot, j); err != nil {
-					return err
-				}
-			}
 			gather = append(gather, w.reps[slot][j])
 		}
 		scores := w.scores[:len(und)]
@@ -628,6 +684,7 @@ func (r *run) runBatch(w *worker, lo, hi int, st *BatchStats) error {
 // representation buffers it keeps — every one is its own.
 func (w *worker) release(n int) {
 	clear(w.recs[:n])
+	clear(w.got[:n])
 }
 
 // Run classifies the frames of src named by indices (nil = all). Labels are

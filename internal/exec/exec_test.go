@@ -98,11 +98,17 @@ func (s recordFrames) Image(i int) (*img.Image, error) {
 	return nil, fmt.Errorf("record source asked to decode frame %d", i)
 }
 
-func (s recordFrames) Record(i int) (img.Record, error) {
-	if i < 0 || i >= len(s) {
-		return img.Record{}, fmt.Errorf("record %d out of range [0,%d)", i, len(s))
+func (s recordFrames) Records(_ context.Context, idx []int, dst []img.Record) error {
+	for k, i := range idx {
+		if i < 0 || i >= len(s) {
+			return fmt.Errorf("record %d out of range [0,%d)", i, len(s))
+		}
+		var err error
+		if dst[k], err = img.ParseRecord(s[i]); err != nil {
+			return err
+		}
 	}
-	return img.ParseRecord(s[i])
+	return nil
 }
 
 // countingFrames and countingRecords count source loads in either physical
@@ -122,9 +128,9 @@ type countingRecords struct {
 	loads *atomic.Int64
 }
 
-func (s countingRecords) Record(i int) (img.Record, error) {
-	s.loads.Add(1)
-	return s.RecordSource.Record(i)
+func (s countingRecords) Records(ctx context.Context, idx []int, dst []img.Record) error {
+	s.loads.Add(int64(len(idx)))
+	return s.RecordSource.Records(ctx, idx, dst)
 }
 
 // storedRep is transform xf of frame f as a store holds it: the TIMG record
@@ -183,20 +189,31 @@ func (s *fakeRepSource) Rep(i int, id string) (*img.Image, error) {
 }
 
 // fakeRepRecords is the record form of a fakeRepSource: it serves stored
-// records and refuses to decode, so a run over it must take RepRecord.
+// records and refuses to decode, so a run over it must take RepRecords.
 type fakeRepRecords struct{ *fakeRepSource }
 
 func (s fakeRepRecords) Rep(i int, id string) (*img.Image, error) {
 	return nil, fmt.Errorf("record rep source asked to decode %s/%d", id, i)
 }
 
-func (s fakeRepRecords) RepRecord(i int, t xform.Transform) (img.Record, error) {
+func (s fakeRepRecords) RepRecords(_ context.Context, t xform.Transform, idx []int, dst []img.Record) error {
 	raws := s.raws[t]
-	if i < 0 || i >= len(raws) {
-		return img.Record{}, fmt.Errorf("fake: no rep record %s/%d", t.ID(), i)
+	var first error
+	for k, i := range idx {
+		dst[k] = img.Record{}
+		if i < 0 || i >= len(raws) {
+			if first == nil {
+				first = fmt.Errorf("fake: no rep record %s/%d", t.ID(), i)
+			}
+			continue
+		}
+		s.hits.Add(1)
+		var err error
+		if dst[k], err = img.ParseRecord(raws[i]); err != nil && first == nil {
+			first = err
+		}
 	}
-	s.hits.Add(1)
-	return img.ParseRecord(raws[i])
+	return first
 }
 
 // refFrame is what the independent reference expects one position of a run
@@ -812,7 +829,9 @@ func (s storeSource) Image(i int) (*img.Image, error) {
 	return nil, fmt.Errorf("record source asked to decode frame %d", i)
 }
 
-func (s storeSource) Record(i int) (img.Record, error) { return s.cache.Record(i) }
+func (s storeSource) Records(ctx context.Context, idx []int, dst []img.Record) error {
+	return s.cache.Records(ctx, xform.Transform{}, idx, dst)
+}
 
 // storeReps serves a store's representations as stored records through its
 // record cache — the shape of vdb's repSource.
@@ -829,8 +848,8 @@ func (s storeReps) Rep(i int, id string) (*img.Image, error) {
 	return nil, fmt.Errorf("record rep source asked to decode %s/%d", id, i)
 }
 
-func (s storeReps) RepRecord(i int, t xform.Transform) (img.Record, error) {
-	return s.cache.RepRecord(i, t)
+func (s storeReps) RepRecords(ctx context.Context, t xform.Transform, idx []int, dst []img.Record) error {
+	return s.cache.Records(ctx, t, idx, dst)
 }
 
 // TestSteadyStateAllocs: once the worker pool is warm, a run allocates its

@@ -276,5 +276,8 @@ func quant(v float32) byte {
 	} else if v > 1 {
 		v = 1
 	}
-	return byte(v*255 + 0.5)
+	// The explicit conversion rounds the product before the add: the Go
+	// spec forbids fusing across it, so no GOARCH turns this into one
+	// multiply-add that rounds once.
+	return byte(float32(v*255) + 0.5)
 }

@@ -110,16 +110,19 @@ func (im *Image) Clamp() *Image {
 // Tap, Bilerp and Luma are the per-sample arithmetic of the representation
 // transforms, written once. ResizeInto and ToGrayInto use them over float32
 // planes and xform's byte-domain transform uses them over stored records;
-// because both sides compile the same source expressions (in the same order,
-// with the same fused-multiply-add opportunities on platforms that fuse) a
-// representation is bit-identical whichever path produced it.
+// because both sides compile the same source expressions in the same order,
+// a representation is bit-identical whichever path produced it. Every product
+// is rounded by an explicit float32 conversion before it is added — the Go
+// spec's barrier against fusing the two into one multiply-add — so the
+// samples are the same on every GOARCH, and a store written on one platform
+// holds the bytes another derives.
 
 // Tap returns the two source coordinates and the blend weight bilinear
 // resampling uses for destination coordinate i along an axis of srcN
 // samples; scale is float32(srcN)/float32(dstN). Coordinates clamp at the
 // borders (nearest sample).
 func Tap(i int, scale float32, srcN int) (i0, i1 int, f float32) {
-	s := (float32(i)+0.5)*scale - 0.5
+	s := float32((float32(i)+0.5)*scale) - 0.5
 	if s < 0 {
 		s = 0
 	}
@@ -134,13 +137,15 @@ func Tap(i int, scale float32, srcN int) (i0, i1 int, f float32) {
 // Bilerp blends four neighbouring samples: along x within the top and bottom
 // rows, then along y between them.
 func Bilerp(v00, v01, v10, v11, fx, fy float32) float32 {
-	top := v00 + (v01-v00)*fx
-	bot := v10 + (v11-v10)*fx
-	return top + (bot-top)*fy
+	top := v00 + float32((v01-v00)*fx)
+	bot := v10 + float32((v11-v10)*fx)
+	return top + float32((bot-top)*fy)
 }
 
 // Luma is the Rec.601 grayscale projection of one pixel.
-func Luma(r, g, b float32) float32 { return 0.299*r + 0.587*g + 0.114*b }
+func Luma(r, g, b float32) float32 {
+	return float32(0.299*r) + float32(0.587*g) + float32(0.114*b)
+}
 
 // Resize returns a new image of size w×h using bilinear interpolation
 // (nearest-sample at the borders). Shrinking large factors uses simple

@@ -1,10 +1,12 @@
 package repstore
 
 import (
+	"context"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strconv"
+	"sync/atomic"
 	"testing"
 
 	"tahoma/internal/img"
@@ -129,6 +131,96 @@ func BenchmarkLoadTransform(b *testing.B) {
 				dst, buf = tr.ApplyRecord(dst, buf, rec)
 			}
 		})
+	}
+}
+
+// BenchmarkCacheHit prices the record cache's hit path — what a resident
+// source or served representation costs before it is expanded — per op of 64
+// resident rows of a 500-row 32×32 store, read by every P at once
+// (RunParallel: compare -cpu 1,2 for the cost of the shared lock):
+//
+//	<form>/single   64 one-row reads (Record, RepRecord): a lock each
+//	<form>/batch64  one 64-row Records call: one lock for the batch
+//
+// where <form> is source (the 32×32 RGB records) or rep (16x16/gray).
+func BenchmarkCacheHit(b *testing.B) {
+	const rows, side, batch = 500, 32, 64
+	tr := xform.Transform{Size: 16, Color: img.Gray}
+	store, err := Create(b.TempDir(), side, side, []xform.Transform{tr})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer store.Close()
+	rng := rand.New(rand.NewSource(47))
+	ims := make([]*img.Image, rows)
+	for i := range ims {
+		ims[i] = randRGB(rng, side)
+	}
+	if err := store.IngestAll(ims); err != nil {
+		b.Fatal(err)
+	}
+	cache, err := NewCache(store, 64<<20)
+	if err != nil {
+		b.Fatal(err)
+	}
+	all := make([]int, rows)
+	for i := range all {
+		all[i] = i
+	}
+	forms := []struct {
+		name string
+		t    xform.Transform
+	}{{"source", xform.Transform{}}, {"rep", tr}}
+	for _, form := range forms {
+		if err := cache.Records(context.Background(), form.t, all, make([]img.Record, rows)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var goroutines atomic.Int64
+	for _, form := range forms {
+		read := func(idx []int, dst []img.Record) error {
+			for k, i := range idx {
+				var err error
+				if form.t == (xform.Transform{}) {
+					dst[k], err = cache.Record(i)
+				} else {
+					dst[k], err = cache.RepRecord(i, form.t)
+				}
+				if err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		for _, mode := range []struct {
+			name string
+			read func(idx []int, dst []img.Record) error
+		}{
+			{"single", read},
+			{"batch64", func(idx []int, dst []img.Record) error {
+				return cache.Records(context.Background(), form.t, idx, dst)
+			}},
+		} {
+			b.Run(form.name+"/"+mode.name, func(b *testing.B) {
+				b.ReportAllocs()
+				b.RunParallel(func(pb *testing.PB) {
+					dst := make([]img.Record, batch)
+					lo := int(goroutines.Add(1)) * 7 * batch % (rows - batch)
+					for pb.Next() {
+						if err := mode.read(all[lo:lo+batch], dst); err != nil {
+							b.Error(err)
+							return
+						}
+						if lo += batch; lo+batch > rows {
+							lo = 0
+						}
+					}
+				})
+				if st := cache.Stats(); st.Misses != 2*rows {
+					b.Fatalf("%d misses: the hit benchmark must never load", st.Misses-2*rows)
+				}
+			})
+		}
 	}
 }
 

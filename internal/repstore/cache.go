@@ -1,6 +1,7 @@
 package repstore
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -8,13 +9,14 @@ import (
 	"tahoma/internal/xform"
 )
 
-// Cache is a bounded LRU over records of a Store, keyed by (xform.Transform
-// value, index) with the zero Transform standing for the full-size source,
-// so no lookup builds a string. Every entry is the record as stored — one
-// byte per sample, a quarter of its float32 expansion — source image and
-// pre-materialized representation alike: the engine derives a
-// representation from a source's bytes (xform.Transform.AppendRecord) and
-// expands a served one into a buffer of its own.
+// Cache is a bounded LRU over records of a Store. Every entry is the record
+// as stored — one byte per sample, a quarter of its float32 expansion —
+// source image and pre-materialized representation alike: the engine derives
+// a representation from a source's bytes (xform.Transform.AppendRecord) and
+// expands a served one into a buffer of its own. Entries are indexed by row,
+// one table of row-indexed pages per stored form (see lruCore), so a lookup
+// hashes nothing, and Records reads a whole batch of rows under one lock
+// acquisition.
 // Query execution in the ONGOING and ARCHIVE scenarios re-reads the same
 // records across predicates and repeat queries; the cache turns those
 // re-reads into memory hits while bounding resident bytes. Safe for
@@ -49,14 +51,63 @@ func NewCache(store *Store, capacityBytes int64) (*Cache, error) {
 	return &Cache{store: store, lru: newLRUCore(capacityBytes)}, nil
 }
 
-// Record returns full-size image i as stored, from cache when possible. A
-// miss is one read into one exact-size slice the cache then owns; the
-// returned view is shared with every other caller and must not be written.
-func (c *Cache) Record(i int) (img.Record, error) {
-	return c.get(cacheKey{idx: i}, func() (img.Record, error) {
+// Records reads the stored records of rows idx of form t — the zero
+// Transform for the full-size sources, else a materialized representation —
+// into dst[:len(idx)], from cache when possible.
+//
+// Every resident row is resolved and promoted under one lock acquisition, in
+// idx order, and each hit or miss counted. The misses are then loaded in idx
+// order outside the lock, one read each into an exact-size slice the cache
+// then owns, and each inserted as it arrives; ctx is checked before every
+// load, and a cancelled ctx stops the read with its error. A row that cannot
+// be loaded (out of range, an injected fault) leaves its dst slot empty (nil
+// Pix) and the rest are still read; Records then returns the first such
+// error. A row repeated in one call that misses is loaded once per
+// repetition, the copy resident first kept. The records are shared with
+// every other caller and must not be written.
+func (c *Cache) Records(ctx context.Context, t xform.Transform, idx []int, dst []img.Record) error {
+	dst = dst[:len(idx)]
+	c.mu.Lock()
+	missed := c.lru.lookup(t, idx, dst)
+	c.mu.Unlock()
+	if missed == 0 {
+		return nil
+	}
+	var first error
+	for k, i := range idx {
+		if dst[k].Pix != nil {
+			continue
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		var owned []byte
-		return c.store.SourceRecord(i, &owned)
-	})
+		var v img.Record
+		var err error
+		if t == (xform.Transform{}) {
+			v, err = c.store.SourceRecord(i, &owned)
+		} else {
+			v, err = c.store.RepRecord(i, t, &owned)
+		}
+		if err != nil {
+			if first == nil {
+				first = err
+			}
+			continue
+		}
+		// Concurrent misses on the same row may load it twice, which is
+		// wasteful but correct: records are immutable, and insert keeps
+		// whichever copy got there first.
+		c.mu.Lock()
+		dst[k] = c.lru.insert(t, i, v)
+		c.mu.Unlock()
+	}
+	return first
+}
+
+// Record returns full-size image i as stored: Records of one source row.
+func (c *Cache) Record(i int) (img.Record, error) {
+	return c.record(xform.Transform{}, i)
 }
 
 // Source returns full-size image i decoded into a fresh image, reading the
@@ -69,14 +120,10 @@ func (c *Cache) Source(i int) (*img.Image, error) {
 	return rec.Image(), nil
 }
 
-// RepRecord returns representation i of transform t as stored, from cache
-// when possible, on Record's terms: a miss is one read into a slice the cache
-// then owns, and the view is shared and must not be written.
+// RepRecord returns representation i of transform t as stored: Records of
+// one row of t.
 func (c *Cache) RepRecord(i int, t xform.Transform) (img.Record, error) {
-	return c.get(cacheKey{rep: t, idx: i}, func() (img.Record, error) {
-		var owned []byte
-		return c.store.RepRecord(i, t, &owned)
-	})
+	return c.record(t, i)
 }
 
 // Rep returns representation i of transform t decoded into a fresh image:
@@ -89,25 +136,11 @@ func (c *Cache) Rep(i int, t xform.Transform) (*img.Image, error) {
 	return rec.Image(), nil
 }
 
-func (c *Cache) get(key cacheKey, load func() (img.Record, error)) (img.Record, error) {
-	c.mu.Lock()
-	if v, ok := c.lru.lookup(key); ok {
-		c.mu.Unlock()
-		return v, nil
-	}
-	c.mu.Unlock()
-
-	// Load outside the lock; concurrent misses on the same key may load
-	// twice, which is wasteful but correct (records are immutable, and
-	// insert keeps whichever copy got there first).
-	v, err := load()
-	if err != nil {
-		return img.Record{}, err
-	}
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.insert(key, v), nil
+func (c *Cache) record(t xform.Transform, i int) (img.Record, error) {
+	idx := [1]int{i}
+	var dst [1]img.Record
+	err := c.Records(context.Background(), t, idx[:], dst[:])
+	return dst[0], err
 }
 
 // Stats reports the cache's counters — the one ledger of its traffic and
@@ -124,5 +157,5 @@ func (c *Cache) Stats() CacheStats {
 func (c *Cache) HasSource(i int) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.lru.contains(cacheKey{idx: i})
+	return c.lru.contains(xform.Transform{}, i)
 }

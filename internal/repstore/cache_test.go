@@ -1,11 +1,17 @@
 package repstore
 
 import (
+	"bytes"
+	"context"
+	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
 	"tahoma/internal/img"
+	"tahoma/internal/xform"
 )
 
 func cacheFixture(t *testing.T, n int) (*Store, []*img.Image) {
@@ -289,6 +295,14 @@ func TestCacheHitAllocatesNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { c.Record(1) }); n != 0 {
 		t.Errorf("Record hit allocates %v times", n)
 	}
+	ctx := context.Background()
+	idx, dst := []int{1, 1}, make([]img.Record, 2)
+	if n := testing.AllocsPerRun(100, func() { c.Records(ctx, tr, idx, dst) }); n != 0 {
+		t.Errorf("Records hit on %s allocates %v times", tr.ID(), n)
+	}
+	if n := testing.AllocsPerRun(100, func() { c.Records(ctx, xform.Transform{}, idx, dst) }); n != 0 {
+		t.Errorf("Records hit on sources allocates %v times", n)
+	}
 }
 
 // TestCacheSourceAndRepKeysDistinct: row i's stored record and its rep are
@@ -380,5 +394,336 @@ func TestCacheValidation(t *testing.T) {
 	c, _ := NewCache(s, 1000)
 	if _, err := c.Source(99); err == nil {
 		t.Fatal("out-of-range index must propagate the store error")
+	}
+}
+
+// TestCacheRecordsBatch: a batch read returns what the single reads return,
+// counts one hit or miss per row, and promotes its hits in idx order before
+// loading any miss.
+func TestCacheRecordsBatch(t *testing.T) {
+	s, _ := cacheFixture(t, 6)
+	c, err := NewCache(s, 4*srcRecord) // room for four sources
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{0, 1, 2} {
+		if _, err := c.Record(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// 2 and 0 hit and are promoted in that order; 4 and 5 miss, and
+	// inserting 5 evicts the coldest entry, 1.
+	idx := []int{2, 4, 0, 5}
+	dst := make([]img.Record, len(idx))
+	if err := c.Records(context.Background(), xform.Transform{}, idx, dst); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Hits != 2 || st.Misses != 5 || st.EvictedBytes != srcRecord {
+		t.Fatalf("stats %+v: want 2 hits, 3+2 misses and one eviction", st)
+	}
+	for k, i := range idx {
+		want, err := c.Record(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &dst[k].Pix[0] != &want.Pix[0] {
+			t.Fatalf("batch slot %d does not hold row %d's resident record", k, i)
+		}
+	}
+	if c.HasSource(1) {
+		t.Fatal("row 1 was the coldest entry and should have been evicted")
+	}
+}
+
+// TestCacheOutOfRangeHarmless: a negative, past-Count or huge row, read
+// alone or in a batch, returns the store's out-of-range error, inserts
+// nothing and allocates no index page; the batch's other rows are still read.
+func TestCacheOutOfRangeHarmless(t *testing.T) {
+	s, _ := cacheFixture(t, 3)
+	tr := testTransforms[0]
+	c, err := NewCache(s, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	isRange := func(err error) bool { return err != nil && strings.Contains(err.Error(), "out of range") }
+	for _, i := range []int{-1, math.MinInt, 3, 4, 1 << 20, math.MaxInt / 2, math.MaxInt} {
+		if _, err := c.Record(i); !isRange(err) {
+			t.Fatalf("Record(%d): %v, want the store's out-of-range error", i, err)
+		}
+		if _, err := c.RepRecord(i, tr); !isRange(err) {
+			t.Fatalf("RepRecord(%d): %v, want the store's out-of-range error", i, err)
+		}
+		for _, form := range []xform.Transform{{}, tr} {
+			dst := make([]img.Record, 1)
+			if err := c.Records(context.Background(), form, []int{i}, dst); !isRange(err) || dst[0].Pix != nil {
+				t.Fatalf("Records(%s, [%d]): %v, %d bytes: want the store's out-of-range error and no record", form.ID(), i, err, len(dst[0].Pix))
+			}
+		}
+		if c.HasSource(i) {
+			t.Fatalf("HasSource(%d) on a row the store does not have", i)
+		}
+	}
+	if st := c.Stats(); st.ResidentBytes != 0 || st.Hits != 0 {
+		t.Fatalf("out-of-range reads left stats %+v, want nothing resident", st)
+	}
+	if len(c.lru.tables) != 0 || c.lru.spare != nil {
+		t.Fatalf("out-of-range reads built %d index tables", len(c.lru.tables))
+	}
+	// In a batch, the rows in range are read and the others left empty.
+	idx := []int{1, math.MaxInt, -3, 2}
+	dst := make([]img.Record, len(idx))
+	if err := c.Records(context.Background(), tr, idx, dst); !isRange(err) {
+		t.Fatalf("batch with out-of-range rows: %v", err)
+	}
+	for k, i := range idx {
+		if inRange := i >= 0 && i < 3; (dst[k].Pix != nil) != inRange {
+			t.Fatalf("batch slot %d (row %d): %d bytes", k, i, len(dst[k].Pix))
+		}
+	}
+	if pages := c.lru.table(tr).live; pages != 1 {
+		t.Fatalf("two in-range rows of one page hold %d index pages", pages)
+	}
+}
+
+// TestCacheRecordsCancel: a cancelled ctx stops a batch before its first
+// miss is loaded, and still resolves the rows already resident.
+func TestCacheRecordsCancel(t *testing.T) {
+	s, _ := cacheFixture(t, 3)
+	c, err := NewCache(s, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Record(0); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	dst := make([]img.Record, 2)
+	if err := c.Records(ctx, xform.Transform{}, []int{0, 1}, dst); err != context.Canceled {
+		t.Fatalf("cancelled batch: %v, want context.Canceled", err)
+	}
+	if dst[0].Pix == nil || dst[1].Pix != nil {
+		t.Fatal("a cancelled batch must keep its hits and load no miss")
+	}
+	if c.HasSource(1) {
+		t.Fatal("a cancelled batch loaded a miss")
+	}
+}
+
+// oracleLRU is the record cache's previous index — one Go map keyed by
+// (form, row) beside the same recency ring — kept as the differential
+// oracle of the row-paged index: both must hit, miss, evict and promote
+// identically.
+type oracleLRU struct {
+	capacity int64
+	bytes    int64
+	root     oracleEntry
+	items    map[cacheKey]*oracleEntry
+
+	hits    int64
+	misses  int64
+	evicted int64
+}
+
+type cacheKey struct {
+	rep xform.Transform // the zero Transform is the full-size source
+	idx int
+}
+
+type oracleEntry struct {
+	prev, next *oracleEntry
+	key        cacheKey
+	val        img.Record
+}
+
+func newOracleLRU(capacityBytes int64) *oracleLRU {
+	c := &oracleLRU{capacity: capacityBytes, items: make(map[cacheKey]*oracleEntry)}
+	c.root.prev, c.root.next = &c.root, &c.root
+	return c
+}
+
+func (c *oracleLRU) unlink(e *oracleEntry) {
+	e.prev.next, e.next.prev = e.next, e.prev
+}
+
+func (c *oracleLRU) pushFront(e *oracleEntry) {
+	e.prev, e.next = &c.root, c.root.next
+	e.prev.next, e.next.prev = e, e
+}
+
+func (c *oracleLRU) touch(e *oracleEntry) {
+	c.unlink(e)
+	c.pushFront(e)
+}
+
+func (c *oracleLRU) lookup(key cacheKey) (img.Record, bool) {
+	if e, ok := c.items[key]; ok {
+		c.touch(e)
+		c.hits++
+		return e.val, true
+	}
+	c.misses++
+	return img.Record{}, false
+}
+
+func (c *oracleLRU) insert(key cacheKey, v img.Record) img.Record {
+	if e, ok := c.items[key]; ok {
+		c.touch(e)
+		return e.val
+	}
+	var e *oracleEntry
+	size := int64(v.StoredBytes())
+	for c.bytes+size > c.capacity && len(c.items) > 0 {
+		e = c.root.prev
+		c.unlink(e)
+		delete(c.items, e.key)
+		victim := int64(e.val.StoredBytes())
+		c.bytes -= victim
+		c.evicted += victim
+	}
+	if e == nil {
+		e = new(oracleEntry)
+	}
+	e.key, e.val = key, v
+	c.pushFront(e)
+	c.items[key] = e
+	c.bytes += size
+	return v
+}
+
+func (c *oracleLRU) stats() CacheStats {
+	return CacheStats{Hits: c.hits, Misses: c.misses, EvictedBytes: c.evicted, ResidentBytes: c.bytes}
+}
+
+// order lists the oracle's entries coldest first: its eviction order.
+func (c *oracleLRU) order() []cacheKey {
+	var keys []cacheKey
+	for e := c.root.prev; e != &c.root; e = e.prev {
+		keys = append(keys, e.key)
+	}
+	return keys
+}
+
+// evictionOrder lists a cache's entries coldest first, as oracle keys.
+func evictionOrder(c *Cache) []cacheKey {
+	var keys []cacheKey
+	for e := c.lru.root.prev; e != &c.lru.root; e = e.prev {
+		keys = append(keys, cacheKey{rep: e.tab.form, idx: e.row})
+	}
+	return keys
+}
+
+// records is Cache.Records' protocol over the oracle index: every row looked
+// up (hits promoted) in idx order, then each miss loaded from the store and
+// inserted in idx order.
+func (c *oracleLRU) records(s *Store, t xform.Transform, idx []int, dst []img.Record) error {
+	for k, i := range idx {
+		dst[k], _ = c.lookup(cacheKey{rep: t, idx: i})
+	}
+	var first error
+	for k, i := range idx {
+		if dst[k].Pix != nil {
+			continue
+		}
+		var owned []byte
+		var v img.Record
+		var err error
+		if t == (xform.Transform{}) {
+			v, err = s.SourceRecord(i, &owned)
+		} else {
+			v, err = s.RepRecord(i, t, &owned)
+		}
+		if err != nil {
+			if first == nil {
+				first = err
+			}
+			continue
+		}
+		dst[k] = c.insert(cacheKey{rep: t, idx: i}, v)
+	}
+	return first
+}
+
+// TestCacheMatchesOracle drives the row-indexed cache and the map-keyed
+// oracle through the same seeded random ops — single and batch reads of the
+// sources and two representations, residency probes, rows past Count — at
+// budgets from less than one record to no eviction at all, and after every
+// op holds them to identical records, errors, Stats and eviction order.
+func TestCacheMatchesOracle(t *testing.T) {
+	const rows = 80 // spans three index pages
+	s, _ := cacheFixture(t, rows)
+	forms := []xform.Transform{{}, testTransforms[0], testTransforms[1]}
+	ctx := context.Background()
+	for _, budget := range []int64{100, srcRecord + 5, 3 * srcRecord, 12 * srcRecord, 1 << 20} {
+		c, err := NewCache(s, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle := newOracleLRU(budget)
+		rng := rand.New(rand.NewSource(budget))
+		row := func() int {
+			switch r := rng.Intn(40); {
+			case r == 0:
+				return -1 - rng.Intn(3)
+			case r == 1:
+				return math.MaxInt
+			case r < 4:
+				return rows + rng.Intn(40)
+			case r < 20:
+				return rng.Intn(8) // a hot set, so the big budgets hit
+			default:
+				return rng.Intn(rows)
+			}
+		}
+		for op := 0; op < 3000; op++ {
+			form := forms[rng.Intn(len(forms))]
+			var desc string
+			var got, want []img.Record
+			var gotErr, wantErr error
+			switch rng.Intn(5) {
+			case 0: // HasSource
+				i := row()
+				if c.HasSource(i) != (oracle.items[cacheKey{idx: i}] != nil) {
+					t.Fatalf("budget %d op %d: HasSource(%d) disagrees with the oracle", budget, op, i)
+				}
+				desc = fmt.Sprintf("HasSource(%d)", i)
+			case 1, 2: // a single read
+				i := row()
+				var rec img.Record
+				if form == (xform.Transform{}) {
+					rec, gotErr = c.Record(i)
+				} else {
+					rec, gotErr = c.RepRecord(i, form)
+				}
+				got, want = []img.Record{rec}, make([]img.Record, 1)
+				wantErr = oracle.records(s, form, []int{i}, want)
+				desc = fmt.Sprintf("read %s row %d", form.ID(), i)
+			default: // a batch read
+				idx := make([]int, 1+rng.Intn(12))
+				for k := range idx {
+					idx[k] = row()
+				}
+				got, want = make([]img.Record, len(idx)), make([]img.Record, len(idx))
+				gotErr = c.Records(ctx, form, idx, got)
+				wantErr = oracle.records(s, form, idx, want)
+				desc = fmt.Sprintf("batch %s rows %v", form.ID(), idx)
+			}
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("budget %d op %d (%s): error %v, oracle %v", budget, op, desc, gotErr, wantErr)
+			}
+			for k := range got {
+				g, w := got[k], want[k]
+				if g.W != w.W || g.H != w.H || g.Mode != w.Mode || !bytes.Equal(g.Pix, w.Pix) || (g.Pix == nil) != (w.Pix == nil) {
+					t.Fatalf("budget %d op %d (%s): slot %d differs from the oracle", budget, op, desc, k)
+				}
+			}
+			if got, want := c.Stats(), oracle.stats(); got != want {
+				t.Fatalf("budget %d op %d (%s): stats %+v, oracle %+v", budget, op, desc, got, want)
+			}
+			gotOrder, wantOrder := evictionOrder(c), oracle.order()
+			if fmt.Sprint(gotOrder) != fmt.Sprint(wantOrder) {
+				t.Fatalf("budget %d op %d (%s): eviction order\n%v\noracle\n%v", budget, op, desc, gotOrder, wantOrder)
+			}
+		}
 	}
 }

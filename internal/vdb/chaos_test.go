@@ -264,13 +264,15 @@ type armingCorpus struct {
 	spec  faults.Spec
 }
 
-func (c *armingCorpus) Record(i int) (img.Record, error) {
-	if c.loads.Add(1) == c.armAt {
-		if err := faults.Enable(c.point, c.spec); err != nil {
-			return img.Record{}, err
+func (c *armingCorpus) Records(ctx context.Context, idx []int, dst []img.Record) error {
+	for range idx {
+		if c.loads.Add(1) == c.armAt {
+			if err := faults.Enable(c.point, c.spec); err != nil {
+				return err
+			}
 		}
 	}
-	return c.memoryCorpus.Record(i)
+	return c.memoryCorpus.Records(ctx, idx, dst)
 }
 
 // TestFaultTriggerWorkerPanic pins the ingest trigger's failure semantics: a

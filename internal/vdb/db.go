@@ -77,7 +77,7 @@ func matKey(pred *Predicate, spec cascade.Spec) matstore.Key {
 type Corpus = exec.RecordSource
 
 // decoded is exec.Source's Image over a record source: the row's record
-// expanded. The engine reads Record and never calls it.
+// expanded. The engine reads Records and never calls it.
 func decoded(rec img.Record, err error) (*img.Image, error) {
 	if err != nil {
 		return nil, err
@@ -101,14 +101,24 @@ type memoryCorpus struct {
 
 func (m *memoryCorpus) Len() int { return len(m.recs) }
 
-func (m *memoryCorpus) Record(i int) (img.Record, error) {
+func (m *memoryCorpus) record(i int) (img.Record, error) {
 	if i < 0 || i >= len(m.recs) {
 		return img.Record{}, fmt.Errorf("vdb: row %d out of range [0,%d)", i, len(m.recs))
 	}
 	return m.recs[i], nil
 }
 
-func (m *memoryCorpus) Image(i int) (*img.Image, error) { return decoded(m.Record(i)) }
+func (m *memoryCorpus) Records(_ context.Context, idx []int, dst []img.Record) error {
+	for k, i := range idx {
+		var err error
+		if dst[k], err = m.record(i); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (m *memoryCorpus) Image(i int) (*img.Image, error) { return decoded(m.record(i)) }
 
 func (m *memoryCorpus) appendRecords(_ int, recs []img.Record, _ bool) error {
 	m.recs = append(m.recs, recs...)
@@ -122,10 +132,13 @@ type storeCorpus struct {
 
 func (s *storeCorpus) Len() int { return s.store.Count() }
 
-func (s *storeCorpus) Image(i int) (*img.Image, error) { return decoded(s.Record(i)) }
+func (s *storeCorpus) Image(i int) (*img.Image, error) { return decoded(s.cache.Record(i)) }
 
-// Record is the row's resident source record as stored.
-func (s *storeCorpus) Record(i int) (img.Record, error) { return s.cache.Record(i) }
+// Records reads the rows' source records as stored, through the record
+// cache in one batch.
+func (s *storeCorpus) Records(ctx context.Context, idx []int, dst []img.Record) error {
+	return s.cache.Records(ctx, xform.Transform{}, idx, dst)
+}
 
 // appendRecords writes the batch as rows [base, base+len(recs)). Journaled,
 // it costs no fsync: the journal's is the commit, and the store vouches for
@@ -162,20 +175,20 @@ func (r *repSource) HasRep(id string) bool {
 	return ok
 }
 
-// RepRecord implements exec.RepRecordSource: the row's resident rep record,
-// keyed by the slot's Transform.
-func (r *repSource) RepRecord(i int, t xform.Transform) (img.Record, error) {
-	return r.sc.cache.RepRecord(i, t)
+// RepRecords implements exec.RepRecordSource: the rows' rep records under
+// the slot's Transform, read through the record cache in one batch.
+func (r *repSource) RepRecords(ctx context.Context, t xform.Transform, idx []int, dst []img.Record) error {
+	return r.sc.cache.Records(ctx, t, idx, dst)
 }
 
-// Rep is exec.RepSource's image form, RepRecord decoded; the engine never
-// calls it.
+// Rep is exec.RepSource's image form, the rep record decoded; the engine
+// never calls it.
 func (r *repSource) Rep(i int, id string) (*img.Image, error) {
 	t, ok := r.avail[id]
 	if !ok {
 		return nil, fmt.Errorf("vdb: transform %s not materialized in the corpus store", id)
 	}
-	return decoded(r.RepRecord(i, t))
+	return decoded(r.sc.cache.RepRecord(i, t))
 }
 
 // DB is a visual analytics database over one images table. It is safe for

@@ -183,13 +183,29 @@ type storeView struct {
 
 func (v *storeView) Len() int { return v.n }
 
-func (v *storeView) Image(i int) (*img.Image, error) { return decoded(v.Record(i)) }
-
-func (v *storeView) Record(i int) (img.Record, error) {
-	if i < 0 || i >= v.n {
-		return img.Record{}, fmt.Errorf("vdb: row %d out of range [0,%d)", i, v.n)
+func (v *storeView) Image(i int) (*img.Image, error) {
+	if err := v.check(i); err != nil {
+		return nil, err
 	}
-	return v.sc.Record(i)
+	return decoded(v.sc.cache.Record(i))
+}
+
+// Records reads the rows through the store's record cache in one batch, once
+// every row is known to be inside the view.
+func (v *storeView) Records(ctx context.Context, idx []int, dst []img.Record) error {
+	for _, i := range idx {
+		if err := v.check(i); err != nil {
+			return err
+		}
+	}
+	return v.sc.Records(ctx, idx, dst)
+}
+
+func (v *storeView) check(i int) error {
+	if i < 0 || i >= v.n {
+		return fmt.Errorf("vdb: row %d out of range [0,%d)", i, v.n)
+	}
+	return nil
 }
 
 // batchSource is a store-backed corpus view that serves the rows of one
@@ -204,9 +220,32 @@ type batchSource struct {
 	recs              []img.Record // rows [base, base+len(recs))
 }
 
-func (b *batchSource) Record(i int) (img.Record, error) {
-	if j := i - b.base; j >= 0 && j < len(b.recs) {
-		return b.recs[j], nil
+// Records serves the batch's own rows from its records and reads each run of
+// older rows consecutive in idx through the view with one call.
+func (b *batchSource) Records(ctx context.Context, idx []int, dst []img.Record) error {
+	for k := 0; k < len(idx); {
+		if j, own := b.own(idx[k]); own {
+			dst[k] = b.recs[j]
+			k++
+			continue
+		}
+		end := k + 1
+		for end < len(idx) {
+			if _, own := b.own(idx[end]); own {
+				break
+			}
+			end++
+		}
+		if err := b.RecordSource.Records(ctx, idx[k:end], dst[k:end]); err != nil {
+			return err
+		}
+		k = end
 	}
-	return b.RecordSource.Record(i)
+	return nil
+}
+
+// own reports whether row i is one of the batch's, and its position there.
+func (b *batchSource) own(i int) (int, bool) {
+	j := i - b.base
+	return j, j >= 0 && j < len(b.recs)
 }
