@@ -26,6 +26,7 @@ import (
 	"tahoma/internal/experiments"
 	"tahoma/internal/img"
 	"tahoma/internal/model"
+	"tahoma/internal/nn"
 	"tahoma/internal/pareto"
 	"tahoma/internal/repstore"
 	"tahoma/internal/scenario"
@@ -569,8 +570,12 @@ func BenchmarkAblationDedupOff(b *testing.B) {
 	_ = total
 }
 
-// BenchmarkAblationConv{Im2Col,Direct}: the convolution strategy. Identical
-// arithmetic, different data movement.
+// BenchmarkAblationConv{ImplicitGEMM,Direct}: the convolution strategy, on
+// one 8×32×32 frame and 16 3×3 filters. ImplicitGEMM is the conv every
+// network runs (nn.Conv2D: per filter, tensor.ConvTaps sums shifted views of
+// the zero-padded input on the multiply-add kernel, then the bias);
+// Direct is one scalar dot product per output. Identical products, different
+// data movement.
 func convBenchInputs(b *testing.B) (x, w, bias *tensor.Tensor, g tensor.ConvGeom) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(8))
@@ -588,21 +593,14 @@ func convBenchInputs(b *testing.B) (x, w, bias *tensor.Tensor, g tensor.ConvGeom
 	return x, w, bias, g
 }
 
-func BenchmarkAblationConvIm2Col(b *testing.B) {
-	x, w, bias, g := convBenchInputs(b)
-	col := tensor.New(g.ColRows(), g.ColCols())
-	out := tensor.New(16, g.ColCols())
+func BenchmarkAblationConvImplicitGEMM(b *testing.B) {
+	x, w, bias, _ := convBenchInputs(b)
+	conv := nn.NewConv2D(8, 16, 3)
+	copy(conv.W.Value.Data, w.Data)
+	copy(conv.B.Value.Data, bias.Data)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tensor.Im2Col(col, x, g)
-		tensor.MatMul(out, w, col)
-		for f := 0; f < 16; f++ {
-			bv := bias.Data[f]
-			row := out.Data[f*g.ColCols() : (f+1)*g.ColCols()]
-			for j := range row {
-				row[j] += bv
-			}
-		}
+		conv.Forward(x)
 	}
 }
 

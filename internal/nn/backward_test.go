@@ -20,8 +20,8 @@ func refDenseBackward(d *Dense, x, dy *tensor.Tensor, gradW, gradB []float32) []
 		row := gradW[o*d.In : (o+1)*d.In]
 		wrow := wd[o*d.In : (o+1)*d.In]
 		for i := range row {
-			row[i] += g * xd[i]
-			dx[i] += g * wrow[i]
+			row[i] += float32(g * xd[i])
+			dx[i] += float32(g * wrow[i])
 		}
 	}
 	return dx

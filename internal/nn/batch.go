@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"fmt"
-
-	"tahoma/internal/tensor"
-)
+import "tahoma/internal/tensor"
 
 // batchStage is one step of a network's batched inference plan. Batches
 // travel channel-major: spatial stages exchange [C, B, H, W] tensors (sample
@@ -33,121 +29,49 @@ const batchChunkBytes = 128 << 10
 // the dense GEMMs gain nothing from more than 16 columns.
 const maxBatchChunk = 16
 
-// planBatch builds the batched plan for layers over a CHW input: each
-// Conv2D → ReLU → MaxPool2 run (the block arch.Build emits) becomes one
-// convBlock, and ReLU, Flatten and Dense run as themselves. It returns a nil
-// plan when some layer has no batched form. The chunk is the largest number
-// of samples whose widest conv block working set fits batchChunkBytes,
-// clamped to [1, maxBatchChunk].
-func planBatch(inShape []int, layers []Layer) (stages []batchStage, chunk int) {
+// step is one stage of a network's plan: a layer, or a convBlock standing
+// for three. Forward and Backward are Layer's.
+type step interface {
+	Forward(x *tensor.Tensor) *tensor.Tensor
+	Backward(dy *tensor.Tensor) *tensor.Tensor
+}
+
+// plan compiles layers over a CHW input into a network's plan: each Conv2D →
+// ReLU → MaxPool2 run (the block arch.Build emits) becomes one convBlock,
+// and every other layer runs as itself. Forward and Backward walk steps one
+// sample at a time, and ForwardBatch walks stages, the same steps' batched
+// forms, which is nil when some step has none (a conv outside a block, a
+// pool on its own). The chunk is the largest number of samples whose widest
+// conv block working set fits batchChunkBytes, clamped to [1, maxBatchChunk].
+func plan(inShape []int, layers []Layer) (steps []step, stages []batchStage, chunk int) {
 	shape := inShape
 	worst := 0
+	batched := true
 	for i := 0; i < len(layers); i++ {
-		switch l := layers[i].(type) {
-		case *Conv2D:
-			if i+2 >= len(layers) {
-				return nil, 0
-			}
+		if c, ok := layers[i].(*Conv2D); ok && i+2 < len(layers) {
 			_, relu := layers[i+1].(*ReLU)
 			_, pool := layers[i+2].(*MaxPool2)
-			if !relu || !pool {
-				return nil, 0
+			if relu && pool {
+				padded := (shape[1] + c.K - 1) * (shape[2] + c.K - 1)
+				worst = max(worst, 4*(c.InC+1)*padded)
+				steps = append(steps, &convBlock{conv: c})
+				shape = []int{c.OutC, shape[1] / 2, shape[2] / 2}
+				i += 2
+				continue
 			}
-			padded := (shape[1] + l.K - 1) * (shape[2] + l.K - 1)
-			worst = max(worst, 4*(l.InC+1)*padded)
-			stages = append(stages, &convBlock{conv: l})
-			shape = []int{l.OutC, shape[1] / 2, shape[2] / 2}
-			i += 2
-			continue
-		case batchStage:
-			stages = append(stages, l)
-		default:
-			return nil, 0
 		}
+		steps = append(steps, layers[i])
+		_, ok := layers[i].(batchStage)
+		batched = batched && ok
 		shape, _ = layers[i].OutShape(shape) // NewNetwork validated the chain
 	}
+	if batched {
+		for _, st := range steps {
+			stages = append(stages, st.(batchStage))
+		}
+	}
 	if worst == 0 {
-		return stages, maxBatchChunk
+		return steps, stages, maxBatchChunk
 	}
-	return stages, min(max(batchChunkBytes/worst, 1), maxBatchChunk)
-}
-
-// convBlock is the batched form of Conv2D → ReLU → MaxPool2 in one pass
-// (an implicit-GEMM convolution with a pooling epilogue). The chunk's
-// zero-padded input planes sit channel-major in one buffer, so tap (c,kh,kw)'s
-// im2col row is that buffer shifted by c·span + kh·pw + kw, where span is one
-// channel's padded planes for the whole chunk and pw the padded row width.
-// tensor.ConvTaps sums each filter's taps over padded coordinates: sum j sits
-// at the padded top-left corner of its window, so output (y, x) of sample s
-// is acc[s·plane + y·pw + x], and the sums of windows that start in a right
-// or bottom border are never read. The epilogue (tensor.PoolBiasReLU, one
-// call per pooled row) pools the raw sums, then adds the bias and rectifies,
-// writing [OutC, B, H/2, W/2] directly.
-//
-// The sums are bit-identical to Forward's im2col + MatMul: the same products
-// in the same order from a +0 start. Pooling before the bias and ReLU is
-// bit-identical to Forward's bias → ReLU → pool because v ↦ max(fl(v+b), 0)
-// is monotone non-decreasing for finite v, so it commutes with max, and its
-// results are never −0, so equal values have equal bits — whichever of a
-// tied ±0 pair the pool kept.
-type convBlock struct {
-	conv *Conv2D
-	pad  tensor.Tensor // [InC·B·(H+K-1)·(W+K-1)] zero-padded input planes
-	acc  tensor.Tensor // one filter's sums over padded coordinates
-	offs []int         // tap shifts into pad, in im2col row order
-	out  tensor.Tensor // [OutC, B, H/2, W/2]
-}
-
-func (b *convBlock) forwardBatch(x *tensor.Tensor) *tensor.Tensor {
-	c := b.conv
-	if x.Dims() != 4 || x.Shape[0] != c.InC {
-		panic(fmt.Sprintf("nn: conv block input must be [%d B H W], got %v", c.InC, x.Shape))
-	}
-	bsz, h, w := x.Shape[1], x.Shape[2], x.Shape[3]
-	k, p := c.K, c.K/2
-	pw := w + k - 1
-	plane := (h + k - 1) * pw
-	span := bsz * plane
-
-	// Plane (ci, s) is at index ci·B+s in both layouts. Only interiors are
-	// written: planes start at multiples of plane whatever the batch size,
-	// so a reused buffer's borders are still the zeros it was allocated with.
-	b.pad.EnsureShape(c.InC * span)
-	for pl := 0; pl < c.InC*bsz; pl++ {
-		src := x.Data[pl*h*w : (pl+1)*h*w]
-		dst := b.pad.Data[pl*plane+p*pw+p:]
-		for y := 0; y < h; y++ {
-			copy(dst[y*pw:y*pw+w], src[y*w:(y+1)*w])
-		}
-	}
-	b.offs = b.offs[:0]
-	for ci := 0; ci < c.InC; ci++ {
-		for kh := 0; kh < k; kh++ {
-			for kw := 0; kw < k; kw++ {
-				b.offs = append(b.offs, ci*span+kh*pw+kw)
-			}
-		}
-	}
-	// The last tap's window must end inside pad; the positions this drops
-	// are all past the last sample's last output.
-	b.acc.EnsureShape(span - (k-1)*pw - (k - 1))
-	acc := b.acc.Data
-
-	oh, ow := h/2, w/2
-	b.out.EnsureShape(c.OutC, bsz, oh, ow)
-	od := b.out.Data
-	taps := len(b.offs)
-	i := 0
-	for f := 0; f < c.OutC; f++ {
-		tensor.ConvTaps(acc, c.W.Value.Data[f*taps:(f+1)*taps], b.pad.Data, b.offs)
-		bias := c.B.Value.Data[f]
-		for s := 0; s < bsz; s++ {
-			for oy := 0; oy < oh; oy++ {
-				r0 := acc[s*plane+2*oy*pw:]
-				tensor.PoolBiasReLU(od[i:i+ow], r0, r0[pw:], bias)
-				i += ow
-			}
-		}
-	}
-	return &b.out
+	return steps, stages, min(max(batchChunkBytes/worst, 1), maxBatchChunk)
 }

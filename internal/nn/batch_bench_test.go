@@ -1,9 +1,9 @@
 package nn
 
-// BenchmarkConvBlock measures one Conv2D → ReLU → MaxPool2 block at the
-// shapes the model zoo builds: the fused batched pass (an implicit-GEMM
-// convolution with a pooling epilogue, one chunk of 16 frames) against the
-// three layers' single-sample Forward (im2col, MatMul, bias, ReLU, pool).
+// BenchmarkConvBlock measures one Conv2D → ReLU → MaxPool2 block (an
+// implicit-GEMM convolution with a pooling epilogue) at the shapes the model
+// zoo builds: over one chunk of 16 frames, as batched scoring runs it, and
+// over one frame, as training and single-frame scoring run it.
 //
 //	go test -run=NONE -bench=BenchmarkConvBlock -benchmem ./internal/nn
 
@@ -28,7 +28,7 @@ func BenchmarkConvBlock(b *testing.B) {
 	const bsz = 16
 	for _, sh := range shapes {
 		rng := rand.New(rand.NewSource(41))
-		conv, relu, pool := NewConv2D(sh.inC, sh.outC, 3), NewReLU(), NewMaxPool2()
+		conv := NewConv2D(sh.inC, sh.outC, 3)
 		conv.Init(rng)
 		x := tensor.New(sh.inC, bsz, sh.size, sh.size)
 		for i := range x.Data {
@@ -44,9 +44,41 @@ func BenchmarkConvBlock(b *testing.B) {
 		one := tensor.NewFrom(x.Data[:sh.inC*sh.size*sh.size], sh.inC, sh.size, sh.size)
 		b.Run(sh.name+"/single", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				pool.Forward(relu.Forward(conv.Forward(one)))
+				block.Forward(one)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/frame")
+		})
+	}
+}
+
+// BenchmarkTrainStep times one training step of one sample — Forward, the
+// loss gradient and Backward — through three networks shaped as arch.Build
+// builds them on 32×32 RGB: the bench zoo's deep model and two grid models,
+// in ns/step. Backward stops at the first block, as in training.
+//
+//	go test -run=NONE -bench=BenchmarkTrainStep ./internal/nn
+func BenchmarkTrainStep(b *testing.B) {
+	for _, m := range []struct {
+		name                string
+		conv, width, denseW int
+	}{
+		{"c2w8d16k3@32x32/rgb", 2, 8, 16},
+		{"c1w4d8k3@32x32/rgb", 1, 4, 8},
+		{"c0w0d8k3@32x32/rgb", 0, 0, 8},
+	} {
+		net := batchTestNet(b, 43, m.conv, m.width, m.denseW, 3, 32)
+		rng := rand.New(rand.NewSource(44))
+		samples := make([]*tensor.Tensor, 16)
+		for i := range samples {
+			samples[i] = randInput(rng, 3, 32, 32)
+		}
+		net.ZeroGrad()
+		b.Run(m.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_, dz := BCELossWithLogits(net.Forward(samples[i%len(samples)]), float32(i%2))
+				net.Backward(dz)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/step")
 		})
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"tahoma/internal/tensor"
 )
 
-func batchTestNet(t *testing.T, seed int64, convLayers, convWidth, denseWidth, channels, size int) *Network {
+func batchTestNet(t testing.TB, seed int64, convLayers, convWidth, denseWidth, channels, size int) *Network {
 	t.Helper()
 	var layers []Layer
 	ch := channels
@@ -32,7 +32,8 @@ func sameBits(a, b float32) bool { return math.Float32bits(a) == math.Float32bit
 
 // TestForwardBatchBitParity is the batched-inference correctness gate at the
 // network level: for every architecture shape and batch size, ForwardBatch
-// must reproduce Forward's logits bit for bit.
+// must reproduce the reference layer walk's logits (refNet) bit for bit, and
+// so must Forward.
 func TestForwardBatchBitParity(t *testing.T) {
 	configs := []struct {
 		conv, cw, dw, ch, size int
@@ -47,6 +48,7 @@ func TestForwardBatchBitParity(t *testing.T) {
 	}
 	for ci, cfg := range configs {
 		net := batchTestNet(t, 900+int64(ci), cfg.conv, cfg.cw, cfg.dw, cfg.ch, cfg.size)
+		ref := newRefNet(net)
 		rng := rand.New(rand.NewSource(1000 + int64(ci)))
 		n := cfg.ch * cfg.size * cfg.size
 		samples := make([][]float32, 17)
@@ -57,7 +59,11 @@ func TestForwardBatchBitParity(t *testing.T) {
 				pix[i] = rng.Float32()
 			}
 			samples[s] = pix
-			want[s] = net.Forward(tensor.NewFrom(pix, cfg.ch, cfg.size, cfg.size))
+			x := tensor.NewFrom(pix, cfg.ch, cfg.size, cfg.size)
+			want[s] = ref.forward(x)
+			if got := net.Forward(x); !sameBits(got, want[s]) {
+				t.Fatalf("cfg %d sample %d: Forward logit %v != reference %v", ci, s, got, want[s])
+			}
 		}
 		for _, bsz := range []int{1, 2, 3, 5, 8, 17} {
 			t.Run(fmt.Sprintf("cfg=%d/b=%d", ci, bsz), func(t *testing.T) {
@@ -65,7 +71,7 @@ func TestForwardBatchBitParity(t *testing.T) {
 				net.ForwardBatch(samples[:bsz], got)
 				for s := 0; s < bsz; s++ {
 					if !sameBits(got[s], want[s]) {
-						t.Fatalf("sample %d: batch logit %v != single logit %v", s, got[s], want[s])
+						t.Fatalf("sample %d: batch logit %v != reference logit %v", s, got[s], want[s])
 					}
 				}
 			})
@@ -84,9 +90,10 @@ func TestForwardBatchBitParity(t *testing.T) {
 	}
 }
 
-// TestConvBlockBitParity holds the fused conv block to the three layers it
-// replaces, Conv2D → ReLU → MaxPool2 run one sample at a time, bit for bit
-// on every pooled activation rather than only on the final logit. The
+// TestConvBlockBitParity holds the fused conv block, over a batch and one
+// sample at a time, to the reference walk of the three layers it replaces
+// (the im2col conv, then ReLU and MaxPool2), bit for bit on every pooled
+// activation rather than only on the final logit. The
 // inputs and weights are built to hit the epilogue's edge cases: an all-zero
 // frame and a zeroed filter give sums of exactly +0, biases of −0 and +0 meet
 // them, constant frames and a filter with equal taps tie every pool window,
@@ -134,10 +141,13 @@ func TestConvBlockBitParity(t *testing.T) {
 				}
 			}
 			block := &convBlock{conv: conv}
-			got := block.forwardBatch(x)
+			got := block.forwardBatch(x).Clone()
 			oh := size / 2
+			ref := &refConv{c: conv}
 			for s, f := range frames {
-				want := pool.Forward(relu.Forward(conv.Forward(tensor.NewFrom(f, inC, size, size))))
+				one := tensor.NewFrom(f, inC, size, size)
+				want := pool.Forward(relu.Forward(ref.forward(one)))
+				requireBits(t, fmt.Sprintf("frame %d alone", s), block.Forward(one).Data, want.Data)
 				for c := 0; c < outC; c++ {
 					for i := 0; i < oh*oh; i++ {
 						g, wv := got.Data[(c*bsz+s)*oh*oh+i], want.Data[c*oh*oh+i]

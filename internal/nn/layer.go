@@ -2,12 +2,15 @@
 // basic classification models: Conv2D/MaxPool/ReLU/Dense/Sigmoid layers with
 // full backpropagation, binary cross-entropy loss and SGD/Adam optimizers.
 //
-// Training runs one CHW sample at a time through Forward and Backward;
-// inference also runs batches of samples through ForwardBatch. Either way a
-// Network keeps per-layer scratch buffers, so it is NOT safe for concurrent
-// use. For parallel inference or training, give each goroutine its own
-// network via Clone (weights are shared; scratch and gradient accumulators
-// are not).
+// A Network compiles its layers once into a plan in which every Conv2D →
+// ReLU → MaxPool2 block is one implicit-GEMM pass with a pooling epilogue
+// (convBlock). Training runs one CHW sample at a time through that plan's
+// Forward and Backward; inference runs single samples through Forward or
+// batches through ForwardBatch, which walks the same blocks over a chunk of
+// samples, so a logit has the same bits either way. A Network keeps per-step
+// scratch buffers, so it is NOT safe for concurrent use. For parallel
+// inference or training, give each goroutine its own network via Clone
+// (weights are shared; scratch and gradient accumulators are not).
 package nn
 
 import (
@@ -42,10 +45,8 @@ func (p *Param) grad() *tensor.Tensor {
 // accumulator.
 func (p *Param) shareValue() *Param { return &Param{Value: p.Value} }
 
-// addRowBias adds bias[r] to every element of row r of a row-major matrix.
-// The single-sample conv and the single-sample and batched dense paths all
-// broadcast bias through this one helper so the post-GEMM rounding order
-// their bit-parity contract depends on is structural, not copy-paste.
+// addRowBias adds bias[r] to every element of row r of a row-major matrix:
+// the bias broadcast after Dense's GEMM, one sample or a batch.
 func addRowBias(data, bias []float32, rowLen int) {
 	for r, b := range bias {
 		row := data[r*rowLen : (r+1)*rowLen]
@@ -80,131 +81,14 @@ type paramGrader interface {
 	accumulateGrads(dy *tensor.Tensor)
 }
 
-// Conv2D is a 2-D convolution over a CHW input with ReLU-friendly "same"
-// padding (pad = kernel/2) and stride 1, followed by nothing: activation is a
-// separate layer. Weights are stored as [outC, inC*KH*KW].
-type Conv2D struct {
-	InC, OutC int
-	K         int // kernel size (square)
-
-	W *Param
-	B *Param
-
-	geom tensor.ConvGeom
-	col  *tensor.Tensor // im2col scratch, set on first Forward
-	x    *tensor.Tensor // retained input reference for backward
-	out  *tensor.Tensor
-	dxT  *tensor.Tensor
-	dcol *tensor.Tensor
-}
-
-// NewConv2D creates a conv layer with inC input channels, outC filters and a
-// square k×k kernel (k must be odd so that "same" padding is well-defined).
-func NewConv2D(inC, outC, k int) *Conv2D {
-	if k%2 == 0 || k <= 0 {
-		panic(fmt.Sprintf("nn: conv kernel size must be odd and positive, got %d", k))
-	}
-	c := &Conv2D{
-		InC:  inC,
-		OutC: outC,
-		K:    k,
-		W:    newParam(outC, inC*k*k),
-		B:    newParam(outC),
-	}
-	return c
-}
-
-// Init initializes weights with He-uniform scaling using rng.
-func (c *Conv2D) Init(rng *rand.Rand) {
-	fanIn := float64(c.InC * c.K * c.K)
-	limit := math.Sqrt(6.0 / fanIn)
-	c.W.Value.RandomizeUniform(rng, limit)
-	c.B.Value.Zero()
-}
-
-// Name implements Layer.
-func (c *Conv2D) Name() string { return fmt.Sprintf("conv%dx%d(%d->%d)", c.K, c.K, c.InC, c.OutC) }
-
-// OutShape implements Layer.
-func (c *Conv2D) OutShape(in []int) ([]int, error) {
-	if len(in) != 3 {
-		return nil, fmt.Errorf("nn: conv input must be CHW, got %v", in)
-	}
-	if in[0] != c.InC {
-		return nil, fmt.Errorf("nn: conv expects %d input channels, got %d", c.InC, in[0])
-	}
-	return []int{c.OutC, in[1], in[2]}, nil
-}
-
-func (c *Conv2D) ensureScratch(h, w int) {
-	if c.col != nil && c.geom.InH == h && c.geom.InW == w {
-		return
-	}
-	c.geom = tensor.ConvGeom{
-		InC: c.InC, InH: h, InW: w,
-		KH: c.K, KW: c.K,
-		StrideH: 1, StrideW: 1,
-		PadH: c.K / 2, PadW: c.K / 2,
-	}
-	c.col = tensor.New(c.geom.ColRows(), c.geom.ColCols())
-	c.out = tensor.New(c.OutC, c.geom.OutH(), c.geom.OutW())
-	c.dxT, c.dcol = nil, nil // Backward allocates them for the new geometry
-}
-
-// Forward implements Layer.
-func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
-	c.ensureScratch(x.Shape[1], x.Shape[2])
-	c.x = x
-	tensor.Im2Col(c.col, x, c.geom)
-	cols := c.geom.ColCols()
-	out2d := c.out.Reshape(c.OutC, cols)
-	tensor.MatMul(out2d, c.W.Value, c.col)
-	addRowBias(c.out.Data, c.B.Value.Data, cols)
-	return c.out
-}
-
-// Backward implements Layer. The input-gradient scratch is allocated on the
-// first call, so a first layer (see Network.Backward) never holds it.
-func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	c.accumulateGrads(dy)
-	if c.dcol == nil {
-		c.dxT = tensor.New(c.InC, c.geom.InH, c.geom.InW)
-		c.dcol = tensor.New(c.geom.ColRows(), c.geom.ColCols())
-	}
-	// dcol = Wᵀ · dY ; dx = col2im(dcol)
-	tensor.MatMulTransA(c.dcol, c.W.Value, dy.Reshape(c.OutC, c.geom.ColCols()))
-	tensor.Col2Im(c.dxT, c.dcol, c.geom)
-	return c.dxT
-}
-
-// accumulateGrads implements paramGrader. Each gradient element takes one
-// addition per call: a dot product or row sum that starts at +0.
-func (c *Conv2D) accumulateGrads(dy *tensor.Tensor) {
-	cols := c.geom.ColCols()
-	// dW += dY · colᵀ
-	tensor.MatMulAddTransB(c.W.grad(), dy.Reshape(c.OutC, cols), c.col)
-	// dB += row sums of dY
-	gb := c.B.grad().Data
-	for f := 0; f < c.OutC; f++ {
-		row := dy.Data[f*cols : (f+1)*cols]
-		var s float32
-		for _, v := range row {
-			s += v
-		}
-		gb[f] += s
-	}
-}
-
-// Params implements Layer.
-func (c *Conv2D) Params() []*Param { return []*Param{c.W, c.B} }
-
-func (c *Conv2D) clone() Layer {
-	return &Conv2D{InC: c.InC, OutC: c.OutC, K: c.K, W: c.W.shareValue(), B: c.B.shareValue()}
-}
-
 // MaxPool2 is a 2×2 max pooling layer with stride 2 over a CHW input. Odd
 // trailing rows/columns are dropped (floor semantics), matching common
-// framework defaults.
+// framework defaults. Each window keeps the first strictly greatest of its
+// values in the order (0,0), (0,1), (1,0), (1,1), and Backward routes the
+// window's gradient there. In a network, a MaxPool2 that closes a Conv2D →
+// ReLU → MaxPool2 block runs as part of that block's pass (convBlock), which
+// pools and routes by the same rule; these methods serve a MaxPool2 on its
+// own.
 type MaxPool2 struct {
 	argmax []int32
 	out    *tensor.Tensor
@@ -283,7 +167,9 @@ func (p *MaxPool2) Params() []*Param { return nil }
 
 func (p *MaxPool2) clone() Layer { return &MaxPool2{} }
 
-// ReLU is an elementwise max(0,x) activation.
+// ReLU is an elementwise max(0,x) activation. In a network, the ReLU of a
+// Conv2D → ReLU → MaxPool2 block runs inside the block's pass (convBlock);
+// the one between dense layers runs as itself.
 type ReLU struct {
 	out *tensor.Tensor
 	dx  *tensor.Tensor
@@ -425,9 +311,10 @@ type Dense struct {
 	B       *Param
 
 	x    *tensor.Tensor
-	out  *tensor.Tensor
-	dx   *tensor.Tensor
-	bout *tensor.Tensor // batch scratch [Out, B]
+	xcol tensor.Tensor  // Forward's [In, 1] view of x
+	out  tensor.Tensor  // Forward's [Out] view of bout
+	dx   *tensor.Tensor // nil until the first input gradient
+	bout tensor.Tensor  // [Out, B]
 }
 
 // NewDense creates a fully connected layer mapping in features to out.
@@ -457,41 +344,33 @@ func (d *Dense) OutShape(in []int) ([]int, error) {
 	return []int{d.Out}, nil
 }
 
-// Forward implements Layer. The accumulator sums the products first and adds
-// the bias last — the same rounding order as the batched GEMM-plus-bias path,
-// which is what keeps forwardBatch bit-identical to Forward.
+// Forward implements Layer: forwardBatch over a batch of one, so a sample's
+// output has the same bits alone or in a batch.
 func (d *Dense) Forward(x *tensor.Tensor) *tensor.Tensor {
-	if d.out == nil {
-		d.out = tensor.New(d.Out)
+	if x.Len() != d.In {
+		panic(fmt.Sprintf("nn: dense input has %d values, want %d", x.Len(), d.In))
 	}
 	d.x = x
-	wd, xd, od := d.W.Value.Data, x.Data, d.out.Data
-	for o := 0; o < d.Out; o++ {
-		row := wd[o*d.In : (o+1)*d.In]
-		var s float32
-		for i, v := range row {
-			s += v * xd[i]
-		}
-		od[o] = s + d.B.Value.Data[o]
-	}
-	return d.out
+	d.xcol.Shape = append(d.xcol.Shape[:0], d.In, 1)
+	d.xcol.Data = x.Data
+	d.out.Shape = append(d.out.Shape[:0], d.Out)
+	d.out.Data = d.forwardBatch(&d.xcol).Data
+	return &d.out
 }
 
 // forwardBatch implements batchStage: the whole batch is one [Out, In]·[In, B]
-// GEMM plus a bias broadcast, instead of B separate dot-product sweeps that
-// each re-stream the weight matrix.
+// GEMM plus a bias broadcast. Each output is a dot product that starts at +0
+// and sums over the inputs in order, then adds the bias (see tensor.Gemm),
+// whatever B is.
 func (d *Dense) forwardBatch(x *tensor.Tensor) *tensor.Tensor {
 	if x.Dims() != 2 || x.Shape[0] != d.In {
 		panic(fmt.Sprintf("nn: dense batch input must be [%d B], got %v", d.In, x.Shape))
 	}
 	bsz := x.Shape[1]
-	if d.bout == nil {
-		d.bout = &tensor.Tensor{}
-	}
 	d.bout.EnsureShape(d.Out, bsz)
-	tensor.Gemm(d.bout, d.W.Value, x)
+	tensor.Gemm(&d.bout, d.W.Value, x)
 	addRowBias(d.bout.Data, d.B.Value.Data, bsz)
-	return d.bout
+	return &d.bout
 }
 
 // Backward implements Layer. Both gradient updates are row axpys, so each

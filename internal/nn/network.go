@@ -15,9 +15,10 @@ type Network struct {
 	Layers  []Layer
 	inShape []int
 	bin     *tensor.Tensor // batch input pack scratch [C, B, H, W]
-	stages  []batchStage   // batched plan (nil: the layers have no batched form)
+	steps   []step         // the plan Forward and Backward walk (see plan)
+	stages  []batchStage   // the steps' batched forms (nil: some step has none)
 	chunk   int            // samples per pass through stages
-	first   int            // index of the first layer with parameters (0 if none)
+	first   int            // index of the first step with parameters (0 if none)
 }
 
 // NewNetwork builds a network from layers and validates that the shapes chain
@@ -41,9 +42,9 @@ func NewNetwork(inShape []int, layers ...Layer) (*Network, error) {
 
 func newNetwork(inShape []int, layers []Layer) *Network {
 	n := &Network{Layers: layers, inShape: inShape}
-	n.stages, n.chunk = planBatch(inShape, layers)
-	for i, l := range layers {
-		if len(l.Params()) > 0 {
+	n.steps, n.stages, n.chunk = plan(inShape, layers)
+	for i, st := range n.steps {
+		if _, ok := st.(paramGrader); ok {
 			n.first = i
 			break
 		}
@@ -63,11 +64,14 @@ func (n *Network) Init(rng *rand.Rand) {
 	}
 }
 
-// Forward runs the network and returns the raw output logit.
+// Forward runs the network on one CHW sample and returns the raw output
+// logit, keeping what Backward reads. Each Conv2D → ReLU → MaxPool2 block is
+// one pass of the implicit-GEMM conv block ForwardBatch runs, at a batch of
+// one.
 func (n *Network) Forward(x *tensor.Tensor) float32 {
 	t := x
-	for _, l := range n.Layers {
-		t = l.Forward(t)
+	for _, st := range n.steps {
+		t = st.Forward(t)
 	}
 	return t.Data[0]
 }
@@ -84,7 +88,8 @@ func (n *Network) Predict(x *tensor.Tensor) float32 {
 // cache-sized chunks: each chunk is packed into the channel-major
 // [C, B, H, W] layout and runs every stage once — one pass per conv block,
 // one GEMM per dense layer. Every Conv2D must open a Conv2D → ReLU →
-// MaxPool2 block, as arch.Build emits; other layer sequences panic.
+// MaxPool2 block, as arch.Build emits, and every MaxPool2 close one; other
+// layer sequences panic.
 //
 // out[s] is bit-identical to Forward(sample s) at every batch size. The
 // network's batch scratch is reused across calls (and never shrinks), so a
@@ -109,7 +114,7 @@ func (n *Network) ForwardBatch(samples [][]float32, out []float32) {
 		}
 	}
 	if n.stages == nil {
-		panic("nn: ForwardBatch needs conv layers in Conv2D → ReLU → MaxPool2 blocks")
+		panic("nn: ForwardBatch needs conv and pool layers in Conv2D → ReLU → MaxPool2 blocks")
 	}
 	if n.bin == nil {
 		n.bin = &tensor.Tensor{}
@@ -141,18 +146,18 @@ func (n *Network) PredictBatch(samples [][]float32, out []float32) {
 	}
 }
 
-// Backward propagates the scalar logit gradient through the network,
-// accumulating parameter gradients. Nothing reads the gradient with respect
-// to the network's input, so propagation stops at the first layer with
-// parameters, which only accumulates its parameter gradients: for a conv
-// first layer that skips the Wᵀ·dY product and the col2im scatter, for a
-// dense one the input-gradient axpys.
+// Backward propagates the scalar logit gradient of the last Forward through
+// the network, accumulating parameter gradients. Nothing reads the gradient
+// with respect to the network's input, so propagation stops at the first
+// step with parameters, which only accumulates its parameter gradients: for
+// a conv block that skips the Wᵀ·dY product and the col2im scatter, for a
+// dense layer the input-gradient axpys.
 func (n *Network) Backward(dlogit float32) {
 	g := tensor.NewFrom([]float32{dlogit}, 1)
-	for i := len(n.Layers) - 1; i > n.first; i-- {
-		g = n.Layers[i].Backward(g)
+	for i := len(n.steps) - 1; i > n.first; i-- {
+		g = n.steps[i].Backward(g)
 	}
-	if pg, ok := n.Layers[n.first].(paramGrader); ok { // not ok: no layer has parameters
+	if pg, ok := n.steps[n.first].(paramGrader); ok { // not ok: no layer has parameters
 		pg.accumulateGrads(g)
 	}
 }
@@ -250,7 +255,7 @@ func BCELossWithLogits(z float32, y float32) (loss, dz float32) {
 	zf := float64(z)
 	yf := float64(y)
 	// loss = max(z,0) - z*y + log(1+exp(-|z|))
-	l := math.Max(zf, 0) - zf*yf + math.Log1p(math.Exp(-math.Abs(zf)))
+	l := math.Max(zf, 0) - float64(zf*yf) + math.Log1p(math.Exp(-math.Abs(zf)))
 	p := 1.0 / (1.0 + math.Exp(-zf))
 	return float32(l), float32(p - yf)
 }

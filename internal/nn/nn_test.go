@@ -98,7 +98,7 @@ func buildDenseNet(t *testing.T, seed int64) *Network {
 }
 
 // TestInputGradientCheck verifies the gradient flowing back to the input,
-// and that Network.Backward, which stops at the first layer with
+// and that Network.Backward, which stops at the first step with
 // parameters, accumulates the same parameter gradients as the full walk.
 func TestInputGradientCheck(t *testing.T) {
 	for _, c := range []struct {
@@ -113,11 +113,7 @@ func TestInputGradientCheck(t *testing.T) {
 		net.ZeroGrad()
 		z := net.Forward(x)
 		_, dz := BCELossWithLogits(z, y)
-		g := tensor.NewFrom([]float32{dz}, 1)
-		for i := len(net.Layers) - 1; i >= 0; i-- {
-			g = net.Layers[i].Backward(g)
-		}
-		dx := g
+		dx := backwardToInput(net, dz)
 
 		var walk [][]float32
 		for _, p := range net.Params() {
@@ -164,8 +160,8 @@ func TestInputGradientCheck(t *testing.T) {
 			opt.Step(net.Params())
 		}
 	}
-	if c := conv.Layers[0].(*Conv2D); c.dxT != nil || c.dcol != nil {
-		t.Fatal("conv first layer allocated its input-gradient scratch")
+	if b := conv.steps[0].(*convBlock); b.grads.dx != nil || b.grads.dcol.Data != nil {
+		t.Fatal("conv first block allocated its input-gradient scratch")
 	}
 	if d := dense.Layers[1].(*Dense); d.dx != nil {
 		t.Fatal("dense first layer allocated its input-gradient scratch")

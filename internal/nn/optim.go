@@ -42,7 +42,7 @@ func (s *SGD) Step(params []*Param) {
 		lr := float32(s.LR)
 		vd, gd, wd := v.Data, p.Grad.Data, p.Value.Data
 		for i := range vd {
-			vd[i] = mu*vd[i] - lr*gd[i]
+			vd[i] = float32(mu*vd[i]) - float32(lr*gd[i])
 			wd[i] += vd[i]
 		}
 	}
@@ -90,8 +90,8 @@ func (a *Adam) Step(params []*Param) {
 		md, vd, gd, wd := m.Data, v.Data, p.Grad.Data, p.Value.Data
 		for i := range md {
 			g := gd[i]
-			md[i] = b1*md[i] + (1-b1)*g
-			vd[i] = b2*vd[i] + (1-b2)*g*g
+			md[i] = float32(b1*md[i]) + float32((1-b1)*g)
+			vd[i] = float32(b2*vd[i]) + float32((1-b2)*g*g)
 			mhat := float64(md[i]) / c1
 			vhat := float64(vd[i]) / c2
 			wd[i] -= float32(a.LR * mhat / (math.Sqrt(vhat) + a.Epsilon))

@@ -8,11 +8,13 @@ import "fmt"
 // assembly to, bit for bit.
 //
 // Rounding contract: every lane computes exactly what the scalar Go
-// statement `cv += a*b` computes — the product rounded to float32, then the
-// sum rounded to float32, never a fused multiply-add. Go 1.24 compiles that
-// statement to MULSS then ADDSS at every GOAMD64 level, and the assembly uses
-// MULPS then ADDPS in the same operand order, so a lane of the vector kernel
-// and an iteration of the scalar loop round identically.
+// statement `cv += float32(a*b)` computes — the product rounded to float32,
+// then the sum rounded to float32, never a fused multiply-add. The explicit
+// conversion is what forbids the fusion (the Go spec lets a compiler fuse
+// `cv += a*b`, and arm64's does); on amd64 the statement is MULSS then ADDSS
+// with or without it. The assembly uses MULPS then ADDPS in the same operand
+// order, so a lane of the vector kernel and an iteration of the scalar loop
+// round identically.
 
 // Axpy computes c[j] += a·b[j] for every j < len(c) on the multiply-add
 // kernel, each lane rounding exactly like the scalar statement above. It
@@ -30,10 +32,10 @@ func Axpy(c, b []float32, a float32) {
 func axpy4Generic(c, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32) {
 	b0, b1, b2, b3 = b0[:len(c)], b1[:len(c)], b2[:len(c)], b3[:len(c)]
 	for j, cv := range c {
-		cv += a0 * b0[j]
-		cv += a1 * b1[j]
-		cv += a2 * b2[j]
-		cv += a3 * b3[j]
+		cv += float32(a0 * b0[j])
+		cv += float32(a1 * b1[j])
+		cv += float32(a2 * b2[j])
+		cv += float32(a3 * b3[j])
 		c[j] = cv
 	}
 }
@@ -43,6 +45,6 @@ func axpy4Generic(c, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32) {
 func axpyGeneric(c, b []float32, a float32) {
 	b = b[:len(c)]
 	for j, bv := range b {
-		c[j] += a * bv
+		c[j] += float32(a * bv)
 	}
 }

@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
-// refMatMulAddTransB is MatMulAddTransB's original loop, one dot product
-// per element: the arithmetic-order oracle the four-chain kernel must
-// reproduce bit for bit.
+// refMatMulAddTransB computes C += A·Bᵀ one dot product per element: the
+// conv weight gradient dW += dY·colᵀ over explicit im2col columns, as
+// training computed it before ConvTapGrads, and the arithmetic-order oracle
+// ConvTapGrads must reproduce bit for bit.
 func refMatMulAddTransB(c, a, b *Tensor) {
 	m, k := a.Shape[0], a.Shape[1]
 	n := b.Shape[0]
@@ -20,7 +22,7 @@ func refMatMulAddTransB(c, a, b *Tensor) {
 			bj := b.Data[j*k : (j+1)*k]
 			var s float32
 			for p, av := range ai {
-				s += av * bj[p]
+				s += float32(av * bj[p])
 			}
 			ci[j] += s
 		}
@@ -90,21 +92,66 @@ func requireSameBits(t *testing.T, what string, got, want []float32) {
 	}
 }
 
-func TestMatMulAddTransBBitIdentical(t *testing.T) {
+// TestConvTapGradsMatchesIm2Col holds ConvTapGrads to the dot products of
+// an output-gradient row with explicit im2col columns, bit for bit, from
+// gradients that do not start at zero: once over every output position and
+// once over only the positions whose gradient is nonzero, as the conv layers
+// call it. The gradients mix in signed zeros, subnormals and large
+// magnitudes, and the tap counts cover both sides of the four-tap unroll.
+func TestConvTapGradsMatchesIm2Col(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
-	ns := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 27, 72}
-	for _, m := range []int{1, 3, 8} {
-		for _, k := range []int{1, 7, 256, 1024} {
-			for _, n := range ns {
-				a := gradTensor(rng, m, k)
-				b := gradTensor(rng, n, k)
-				got := gradTensor(rng, m, n) // C does not start at zero
-				want := got.Clone()
-				MatMulAddTransB(got, a, b)
-				refMatMulAddTransB(want, a, b)
-				requireSameBits(t, fmt.Sprintf("m=%d k=%d n=%d", m, k, n), got.Data, want.Data)
+	for _, tc := range []struct{ c, h, w, k int }{
+		{1, 1, 1, 1}, {1, 2, 2, 3}, {1, 5, 5, 3}, {2, 9, 7, 3}, {3, 4, 6, 1}, {3, 32, 32, 3},
+		{8, 16, 16, 3}, {2, 6, 5, 5}, {1, 3, 2, 5},
+	} {
+		t.Run(fmt.Sprintf("c%d/%dx%d/k%d", tc.c, tc.h, tc.w, tc.k), func(t *testing.T) {
+			p := tc.k / 2
+			g := ConvGeom{InC: tc.c, InH: tc.h, InW: tc.w, KH: tc.k, KW: tc.k, StrideH: 1, StrideW: 1, PadH: p, PadW: p}
+			x := randTensor(rng, tc.c, tc.h, tc.w)
+			col := New(g.ColRows(), g.ColCols())
+			im2colRef(col, x, g)
+
+			pw, ph := tc.w+2*p, tc.h+2*p
+			pad := make([]float32, tc.c*ph*pw)
+			for c := 0; c < tc.c; c++ {
+				for y := 0; y < tc.h; y++ {
+					copy(pad[c*ph*pw+(y+p)*pw+p:], x.Data[(c*tc.h+y)*tc.w:(c*tc.h+y+1)*tc.w])
+				}
 			}
-		}
+			var offs []int
+			for c := 0; c < tc.c; c++ {
+				for kh := 0; kh < tc.k; kh++ {
+					for kw := 0; kw < tc.k; kw++ {
+						offs = append(offs, c*ph*pw+kh*pw+kw)
+					}
+				}
+			}
+			for trial := 0; trial < 4; trial++ {
+				dy := gradTensor(rng, 1, g.ColCols())
+				if trial == 3 {
+					clear(dy.Data) // no gradient at all: gw must keep its bits
+				}
+				want := gradTensor(rng, 1, g.ColRows())
+				all, sparse := want.Clone(), want.Clone()
+				refMatMulAddTransB(want, dy, col)
+
+				var vals, nz []float32
+				var pos, nzPos []int
+				for y := 0; y < tc.h; y++ {
+					for xx := 0; xx < tc.w; xx++ {
+						v := dy.Data[y*tc.w+xx]
+						vals, pos = append(vals, v), append(pos, y*pw+xx)
+						if v != 0 {
+							nz, nzPos = append(nz, v), append(nzPos, y*pw+xx)
+						}
+					}
+				}
+				ConvTapGrads(all.Data, vals, pos, pad, offs)
+				ConvTapGrads(sparse.Data, nz, nzPos, pad, offs)
+				requireSameBits(t, "every position", all.Data, want.Data)
+				requireSameBits(t, "nonzero positions", sparse.Data, want.Data)
+			}
+		})
 	}
 }
 
@@ -134,19 +181,41 @@ func TestCol2ImBitIdentical(t *testing.T) {
 }
 
 // BenchmarkBackward times the training-only backward kernels at the deep
-// bench-zoo model's shapes (c2w8, 32×32 RGB): the weight gradient
-// dW += dY·colᵀ of its two convs, [8×1024]·[27×1024]ᵀ and
-// [8×256]·[72×256]ᵀ, and the col2im scatter of each conv's input gradient.
+// bench-zoo model's shapes (c2w8, 32×32 RGB): the weight gradient of one
+// filter of each conv (ConvTapGrads over 27 taps of a 34×34 padded RGB input
+// and 72 taps of an 18×18 padded 8-channel one, with a gradient routed to
+// one position in each 2×2 pooling window, as a conv block routes it), and
+// the col2im scatter of each conv's input gradient.
 //
 //	go test -run=NONE -bench=BenchmarkBackward ./internal/tensor
 func BenchmarkBackward(b *testing.B) {
 	rng := rand.New(rand.NewSource(35))
-	for _, sh := range [][3]int{{8, 1024, 27}, {8, 256, 72}} {
-		m, k, n := sh[0], sh[1], sh[2]
-		dy, col, dw := randTensor(rng, m, k), randTensor(rng, n, k), New(m, n)
-		b.Run(fmt.Sprintf("MatMulAddTransB/%dx%d·%dx%d", m, k, n, k), func(b *testing.B) {
+	for _, sh := range [][3]int{{3, 32, 32}, {8, 16, 16}} {
+		c, h, w := sh[0], sh[1], sh[2]
+		pw, plane := w+2, (h+2)*(w+2)
+		pad := randTensor(rng, c*plane).Data
+		var offs []int
+		for ci := 0; ci < c; ci++ {
+			for kh := 0; kh < 3; kh++ {
+				for kw := 0; kw < 3; kw++ {
+					offs = append(offs, ci*plane+kh*pw+kw)
+				}
+			}
+		}
+		var g []float32
+		var pos []int
+		for y := 0; y < h; y += 2 {
+			for x := 0; x < w; x += 2 {
+				g, pos = append(g, rng.Float32()), append(pos, (y+rng.Intn(2))*pw+x+rng.Intn(2))
+			}
+		}
+		// Within a pair of rows the routed positions are in window order;
+		// the kernel wants them in output order.
+		sort.Ints(pos)
+		gw := make([]float32, len(offs))
+		b.Run(fmt.Sprintf("ConvTapGrads/%d·%dx%d", len(offs), len(g), h*w), func(b *testing.B) {
 			for b.Loop() {
-				MatMulAddTransB(dw, dy, col)
+				ConvTapGrads(gw, g, pos, pad, offs)
 			}
 		})
 	}

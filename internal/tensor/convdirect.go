@@ -1,9 +1,10 @@
 package tensor
 
-// ConvDirect computes a 2-D convolution with plain nested loops, without the
-// im2col+GEMM restructuring the nn package uses. It exists as the ablation
-// baseline for the design choice benchmarked in BenchmarkAblationConv (see
-// DESIGN.md): out[f] = sum_c sum_kh sum_kw w[f,c,kh,kw] * x[c, y+kh-p, x+kw-p] + b[f].
+// ConvDirect computes a 2-D convolution with plain nested loops, one output
+// at a time, without the implicit-GEMM restructuring (ConvTaps over
+// zero-padded planes) the nn package uses. It exists as the ablation baseline
+// for the design choice benchmarked in BenchmarkAblationConv (see DESIGN.md):
+// out[f] = b[f] + sum_c sum_kh sum_kw w[f,c,kh,kw] * x[c, y+kh-p, x+kw-p].
 //
 // w is [outC, inC*KH*KW] (the same layout Conv2D stores), b is [outC], x is
 // [inC, H, W], and out must be [outC, OutH, OutW].
@@ -36,7 +37,7 @@ func ConvDirect(out, x, w, b *Tensor, g ConvGeom) {
 							if ix < 0 || ix >= g.InW {
 								continue
 							}
-							acc += wRow[wRowBase+kw] * xd[rowBase+ix]
+							acc += float32(wRow[wRowBase+kw] * xd[rowBase+ix])
 						}
 					}
 				}

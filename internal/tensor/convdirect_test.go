@@ -24,9 +24,9 @@ func TestConvDirectMatchesIm2Col(t *testing.T) {
 
 		// im2col path.
 		col := New(g.ColRows(), g.ColCols())
-		Im2Col(col, x, g)
+		im2colRef(col, x, g)
 		ref2d := New(outC, g.ColCols())
-		MatMul(ref2d, wt, col)
+		naiveRef(ref2d, wt, col)
 		for f := 0; f < outC; f++ {
 			for i := 0; i < g.ColCols(); i++ {
 				ref2d.Data[f*g.ColCols()+i] += b.Data[f]

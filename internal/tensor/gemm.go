@@ -21,20 +21,21 @@ const gemmNarrowMax = 4
 // produces.
 const gemmTiledMax = 16
 
-// Gemm computes C = A·B for A (m×k) and B (k×n), storing into C (m×n). It is
-// the inference-path replacement for the naive MatMul: a register-blocked,
-// tiled kernel family dispatched on the output width, because no single
-// scalar loop nest is fastest at both the narrow single-sample shapes
-// (Dense at n=1, conv at n=OH·OW) and the wide batched shapes (n=B·OH·OW).
-// C must not alias A or B.
+// Gemm computes C = A·B for A (m×k) and B (k×n), storing into C (m×n): a
+// register-blocked, tiled kernel family dispatched on the output width,
+// because no single scalar loop nest is fastest at both the narrow shapes
+// (Dense at one sample, n=1) and the wide ones (Dense over a batch, the conv
+// input gradient Wᵀ·dY at n=OH·OW). C must not alias A or B.
 //
 // Bit-determinism contract: for every output element C[i,j], the products
-// A[i,p]·B[p,j] are accumulated into a single float32 accumulator in strictly
-// increasing p order, in every kernel variant, at every shape. The result is
-// therefore bit-identical to the plain i,k,j triple loop (without its
-// zero-skip) regardless of m and n — which is what makes the batched
-// inference path (one wide GEMM for B samples) produce scores bit-identical
-// to the single-sample path (B narrow GEMMs).
+// A[i,p]·B[p,j] are accumulated into a single float32 accumulator that starts
+// at +0, in strictly increasing p order, in every kernel variant, at every
+// shape. The result is therefore bit-identical to the plain i,k,j triple loop
+// regardless of m and n — which is what makes the batched inference path
+// (one wide GEMM for B samples) produce scores bit-identical to the
+// single-sample path (B narrow GEMMs). It also equals an i,k,j loop that
+// skips zero A[i,p]: a skipped product is ±0, and an accumulator that starts
+// at +0 is never −0, so adding ±0 to it changes no bits.
 func Gemm(c, a, b *Tensor) {
 	m, k := a.Shape[0], a.Shape[1]
 	k2, n := b.Shape[0], b.Shape[1]
@@ -77,10 +78,10 @@ func gemmNarrow(cd, ad, bd []float32, m, k, n int) {
 			bi := j
 			for p, av0 := range a0 {
 				bv := bd[bi]
-				s0 += av0 * bv
-				s1 += a1[p] * bv
-				s2 += a2[p] * bv
-				s3 += a3[p] * bv
+				s0 += float32(av0 * bv)
+				s1 += float32(a1[p] * bv)
+				s2 += float32(a2[p] * bv)
+				s3 += float32(a3[p] * bv)
 				bi += n
 			}
 			cd[(i+0)*n+j] = s0
@@ -95,7 +96,7 @@ func gemmNarrow(cd, ad, bd []float32, m, k, n int) {
 			var s float32
 			bi := j
 			for _, av := range ai {
-				s += av * bd[bi]
+				s += float32(av * bd[bi])
 				bi += n
 			}
 			cd[i*n+j] = s
@@ -124,14 +125,14 @@ func gemmTiled(cd, ad, bd []float32, m, k, n int) {
 				bp := bd[bi : bi+4 : bi+4]
 				av1 := a1[p]
 				b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
-				s00 += av0 * b0
-				s01 += av0 * b1
-				s02 += av0 * b2
-				s03 += av0 * b3
-				s10 += av1 * b0
-				s11 += av1 * b1
-				s12 += av1 * b2
-				s13 += av1 * b3
+				s00 += float32(av0 * b0)
+				s01 += float32(av0 * b1)
+				s02 += float32(av0 * b2)
+				s03 += float32(av0 * b3)
+				s10 += float32(av1 * b0)
+				s11 += float32(av1 * b1)
+				s12 += float32(av1 * b2)
+				s13 += float32(av1 * b3)
 				bi += n
 			}
 			c0[j], c0[j+1], c0[j+2], c0[j+3] = s00, s01, s02, s03
@@ -142,8 +143,8 @@ func gemmTiled(cd, ad, bd []float32, m, k, n int) {
 			bi := j
 			for p, av0 := range a0 {
 				bv := bd[bi]
-				s0 += av0 * bv
-				s1 += a1[p] * bv
+				s0 += float32(av0 * bv)
+				s1 += float32(a1[p] * bv)
 				bi += n
 			}
 			c0[j], c1[j] = s0, s1
@@ -158,10 +159,10 @@ func gemmTiled(cd, ad, bd []float32, m, k, n int) {
 			bi := j
 			for _, av := range ai {
 				bp := bd[bi : bi+4 : bi+4]
-				s0 += av * bp[0]
-				s1 += av * bp[1]
-				s2 += av * bp[2]
-				s3 += av * bp[3]
+				s0 += float32(av * bp[0])
+				s1 += float32(av * bp[1])
+				s2 += float32(av * bp[2])
+				s3 += float32(av * bp[3])
 				bi += n
 			}
 			ci[j], ci[j+1], ci[j+2], ci[j+3] = s0, s1, s2, s3
@@ -170,7 +171,7 @@ func gemmTiled(cd, ad, bd []float32, m, k, n int) {
 			var s float32
 			bi := j
 			for _, av := range ai {
-				s += av * bd[bi]
+				s += float32(av * bd[bi])
 				bi += n
 			}
 			ci[j] = s
@@ -209,10 +210,11 @@ func gemmWide(cd, ad, bd []float32, m, k, n int) {
 // acc[j] = Σ_t w[t]·x[offs[t]+j] for every j < len(acc). Tap t's im2col row
 // is x shifted by offs[t], so no column matrix is built. Each element sums
 // its taps in increasing t order into one float32 accumulator that starts at
-// +0, the order Gemm and MatMul use for the k index, which keeps a conv
-// computed this way bit-identical to im2col followed by either of them. The
-// walk is stripped like gemmWide, so an acc strip stays L1-resident across
-// all the taps. Every offs[t]+len(acc) must be at most len(x).
+// +0, the order Gemm uses for the k index, which keeps a conv computed this
+// way bit-identical to im2col followed by Gemm (or by any i,k,j loop, with or
+// without a zero-weight skip; see Gemm). The walk is stripped like
+// gemmWide, so an acc strip stays L1-resident across all the taps. Every
+// offs[t]+len(acc) must be at most len(x).
 func ConvTaps(acc, w, x []float32, offs []int) {
 	if len(w) != len(offs) {
 		panic(fmt.Sprintf("tensor: ConvTaps has %d weights for %d taps", len(w), len(offs)))
@@ -233,3 +235,70 @@ func ConvTaps(acc, w, x []float32, offs []int) {
 		}
 	}
 }
+
+// ConvTapGrads is ConvTaps' weight gradient: gw[t] += Σ_l g[l]·x[offs[t]+pos[l]]
+// for every tap t. Tap t's im2col row is x shifted by offs[t], and pos[l] is
+// the shift of the output position that carries gradient g[l], so no column
+// matrix is built. Each gw[t] takes one float32 dot product that starts at
+// +0 and adds its terms in increasing l, and is added to gw[t] once: with pos
+// in increasing output order, that is the dot product of the filter's output
+// gradient row with tap t's im2col row. Positions whose gradient is ±0 may be
+// left out, which changes no bits: their products are ±0, and a sum that
+// starts at +0 is never −0. Several taps' chains run side by side over the
+// shared g, so the loop carries independent add chains and no sum is
+// reordered. Every offs[t]+pos[l] must index x.
+func ConvTapGrads(gw, g []float32, pos []int, x []float32, offs []int) {
+	if len(gw) != len(offs) || len(g) != len(pos) {
+		panic(fmt.Sprintf("tensor: ConvTapGrads has %d gradients for %d taps, %d values at %d positions",
+			len(gw), len(offs), len(g), len(pos)))
+	}
+	t := 0
+	// Runs of three taps one element apart (a 3-wide kernel row) read one
+	// three-element window per position: one bounds check instead of three.
+	for ; t+6 <= len(offs) && adjacent3(offs[t:]) && adjacent3(offs[t+3:]); t += 6 {
+		xa, xb := x[offs[t]:], x[offs[t+3]:]
+		var s0, s1, s2, s3, s4, s5 float32
+		for l, gv := range g {
+			p := pos[l]
+			a, b := xa[p:p+3:p+3], xb[p:p+3:p+3]
+			s0 += float32(gv * a[0])
+			s1 += float32(gv * a[1])
+			s2 += float32(gv * a[2])
+			s3 += float32(gv * b[0])
+			s4 += float32(gv * b[1])
+			s5 += float32(gv * b[2])
+		}
+		gw[t] += s0
+		gw[t+1] += s1
+		gw[t+2] += s2
+		gw[t+3] += s3
+		gw[t+4] += s4
+		gw[t+5] += s5
+	}
+	for ; t+4 <= len(offs); t += 4 {
+		x0, x1, x2, x3 := x[offs[t]:], x[offs[t+1]:], x[offs[t+2]:], x[offs[t+3]:]
+		var s0, s1, s2, s3 float32
+		for l, gv := range g {
+			p := pos[l]
+			s0 += float32(gv * x0[p])
+			s1 += float32(gv * x1[p])
+			s2 += float32(gv * x2[p])
+			s3 += float32(gv * x3[p])
+		}
+		gw[t] += s0
+		gw[t+1] += s1
+		gw[t+2] += s2
+		gw[t+3] += s3
+	}
+	for ; t < len(offs); t++ {
+		xt := x[offs[t]:]
+		var s float32
+		for l, gv := range g {
+			s += float32(gv * xt[pos[l]])
+		}
+		gw[t] += s
+	}
+}
+
+// adjacent3 reports whether the first three shifts are consecutive.
+func adjacent3(offs []int) bool { return offs[1] == offs[0]+1 && offs[2] == offs[0]+2 }

@@ -17,7 +17,7 @@ func naiveRef(c, a, b *Tensor) {
 		for j := 0; j < n; j++ {
 			var s float32
 			for p := 0; p < k; p++ {
-				s += a.Data[i*k+p] * b.Data[p*n+j]
+				s += float32(a.Data[i*k+p] * b.Data[p*n+j])
 			}
 			c.Data[i*n+j] = s
 		}
@@ -165,7 +165,7 @@ func TestConvTapsMatchesIm2ColGemm(t *testing.T) {
 			x := randTensor(rng, tc.c, tc.h, tc.w)
 			w := randTensor(rng, 1, g.ColRows())
 			col := New(g.ColRows(), g.ColCols())
-			Im2Col(col, x, g)
+			im2colRef(col, x, g)
 			want := New(1, g.ColCols())
 			naiveRef(want, w, col)
 
@@ -201,8 +201,9 @@ func TestConvTapsMatchesIm2ColGemm(t *testing.T) {
 	}
 }
 
-// im2colRef is the seed's per-element im2col, kept as the oracle for the
-// bulk-zeroed rewrite.
+// im2colRef is the per-element im2col: it builds the column matrix the
+// implicit-GEMM kernels (ConvTaps, ConvTapGrads) never build, as the oracle
+// they are held to.
 func im2colRef(col, x *Tensor, g ConvGeom) {
 	oh, ow := g.OutH(), g.OutW()
 	cols := oh * ow
@@ -235,30 +236,6 @@ func im2colRef(col, x *Tensor, g ConvGeom) {
 					}
 				}
 				row++
-			}
-		}
-	}
-}
-
-func TestIm2ColBulkZeroMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	geoms := []ConvGeom{
-		{InC: 2, InH: 7, InW: 7, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1},
-		{InC: 1, InH: 4, InW: 4, KH: 5, KW: 5, StrideH: 1, StrideW: 1, PadH: 2, PadW: 2},
-		{InC: 3, InH: 10, InW: 6, KH: 3, KW: 5, StrideH: 2, StrideW: 3, PadH: 1, PadW: 2},
-		{InC: 1, InH: 2, InW: 2, KH: 7, KW: 7, StrideH: 1, StrideW: 1, PadH: 3, PadW: 3},
-		{InC: 2, InH: 8, InW: 8, KH: 1, KW: 1, StrideH: 1, StrideW: 1, PadH: 0, PadW: 0},
-	}
-	for gi, g := range geoms {
-		x := randTensor(rng, g.InC, g.InH, g.InW)
-		got := New(g.ColRows(), g.ColCols())
-		got.Fill(42)
-		Im2Col(got, x, g)
-		want := New(g.ColRows(), g.ColCols())
-		im2colRef(want, x, g)
-		for i := range want.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("geom %d element %d: %v != reference %v", gi, i, got.Data[i], want.Data[i])
 			}
 		}
 	}

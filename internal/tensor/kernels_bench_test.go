@@ -1,12 +1,12 @@
 package tensor
 
 // Kernel micro-benchmarks for the GEMM family at the shapes the model zoo
-// builds. A is the [OutC, InC·K²] conv weight matrix (or a dense layer's
-// [Out, In]); B is the single-sample im2col column matrix, whose width
-// scales with the batch size. The batched conv block itself is benchmarked
-// in internal/nn (BenchmarkConvBlock).
+// builds. A is an [OutC, InC·K²] conv-shaped matrix (or a dense layer's
+// [Out, In]); B's width is a single sample's output positions (or one
+// column for the dense layer), scaled by the batch size. The conv block
+// itself is benchmarked in internal/nn (BenchmarkConvBlock).
 //
-//	go test -run=NONE -bench=MatMul -benchmem ./internal/tensor
+//	go test -run=NONE -bench=BenchmarkGemm -benchmem ./internal/tensor
 
 import (
 	"fmt"
@@ -27,10 +27,9 @@ func benchGemmShapes() [][3]int {
 	}
 }
 
-// BenchmarkMatMul compares the training path's i,k,j MatMul against the
-// blocked register-tiled Gemm at the zoo's shapes, at single-sample and
-// batched column widths.
-func BenchmarkMatMul(b *testing.B) {
+// BenchmarkGemm times the blocked register-tiled Gemm at the zoo's shapes,
+// at single-sample and batched column widths.
+func BenchmarkGemm(b *testing.B) {
 	rng := rand.New(rand.NewSource(21))
 	for _, sh := range benchGemmShapes() {
 		for _, batch := range []int{1, 64} {
@@ -39,13 +38,7 @@ func BenchmarkMatMul(b *testing.B) {
 			bm := randTensor(rng, k, n)
 			c := New(m, n)
 			flops := 2 * int64(m) * int64(k) * int64(n)
-			b.Run(fmt.Sprintf("naive/m=%d/k=%d/n=%d", m, k, n), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					MatMul(c, a, bm)
-				}
-				b.SetBytes(flops)
-			})
-			b.Run(fmt.Sprintf("blocked/m=%d/k=%d/n=%d", m, k, n), func(b *testing.B) {
+			b.Run(fmt.Sprintf("m=%d/k=%d/n=%d", m, k, n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					Gemm(c, a, bm)
 				}

@@ -1,7 +1,14 @@
 // Package tensor provides dense float32 tensors and the small set of
-// numeric kernels (GEMM, im2col, elementwise maps) that the CNN engine in
-// internal/nn is built on. Everything is deterministic: no global state, no
-// hidden parallelism, and random initialization takes an explicit source.
+// numeric kernels (GEMM, the implicit-GEMM conv taps and their weight
+// gradient, col2im, the pooling epilogue, elementwise maps) that the CNN
+// engine in internal/nn is built on. Everything is deterministic: no global
+// state, no hidden parallelism, and random initialization takes an explicit
+// source.
+//
+// No kernel fuses a multiply and an add: every product is rounded to its
+// type before it is added (an explicit conversion where the compiler could
+// otherwise fuse the two, as it does on arm64), so every GOARCH computes the
+// bits amd64 does.
 package tensor
 
 import (
@@ -142,7 +149,7 @@ func (t *Tensor) Fill(v float32) {
 // rng. Used for Glorot/He style initialization by the nn package.
 func (t *Tensor) RandomizeUniform(rng *rand.Rand, limit float64) {
 	for i := range t.Data {
-		t.Data[i] = float32((rng.Float64()*2 - 1) * limit)
+		t.Data[i] = float32((float64(rng.Float64())*2 - 1) * limit)
 	}
 }
 
@@ -152,7 +159,7 @@ func (t *Tensor) AddScaled(u *Tensor, alpha float32) {
 		panic("tensor: AddScaled length mismatch")
 	}
 	for i, v := range u.Data {
-		t.Data[i] += alpha * v
+		t.Data[i] += float32(alpha * v)
 	}
 }
 
@@ -190,106 +197,6 @@ func (t *Tensor) MaxAbs() float32 {
 // String renders a short description, not the full contents.
 func (t *Tensor) String() string {
 	return fmt.Sprintf("tensor%v", t.Shape)
-}
-
-// MatMul computes C = A·B for A (m×k) and B (k×n), storing into C (m×n).
-// C must not alias A or B. The inner loops are ordered i,k,j so that both B
-// and C are walked sequentially, which matters for the conv GEMMs.
-func MatMul(c, a, b *Tensor) {
-	m, k := a.Shape[0], a.Shape[1]
-	k2, n := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMul inner dims %d != %d", k, k2))
-	}
-	if c.Shape[0] != m || c.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMul output shape %v, want [%d %d]", c.Shape, m, n))
-	}
-	ad, bd, cd := a.Data, b.Data, c.Data
-	for i := 0; i < m; i++ {
-		ci := cd[i*n : (i+1)*n]
-		clear(ci)
-		for p := 0; p < k; p++ {
-			if av := ad[i*k+p]; av != 0 {
-				axpy(ci, bd[p*n:(p+1)*n], av)
-			}
-		}
-	}
-}
-
-// MatMulAddTransB computes C += A·Bᵀ for A (m×k) and B (n×k), with C (m×n).
-// Used for weight gradients (dW += dY·colᵀ).
-//
-// Every C[i,j] is one dot product: a float32 accumulator starting at +0
-// takes A[i,p]·B[j,p] in increasing p, then is added to C[i,j] once. Four
-// columns' accumulators run side by side over the shared A row, so the loop
-// carries four independent add chains instead of one latency-bound chain,
-// and no element's sum is reordered.
-func MatMulAddTransB(c, a, b *Tensor) {
-	m, k := a.Shape[0], a.Shape[1]
-	n, k2 := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulAddTransB inner dims %d != %d", k, k2))
-	}
-	if c.Shape[0] != m || c.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulAddTransB output shape %v, want [%d %d]", c.Shape, m, n))
-	}
-	ad, bd, cd := a.Data, b.Data, c.Data
-	for i := 0; i < m; i++ {
-		ai := ad[i*k : (i+1)*k]
-		ci := cd[i*n : (i+1)*n]
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			b0 := bd[(j+0)*k : (j+1)*k]
-			b1 := bd[(j+1)*k : (j+2)*k]
-			b2 := bd[(j+2)*k : (j+3)*k]
-			b3 := bd[(j+3)*k : (j+4)*k]
-			b0, b1, b2, b3 = b0[:len(ai)], b1[:len(ai)], b2[:len(ai)], b3[:len(ai)]
-			var s0, s1, s2, s3 float32
-			for p, av := range ai {
-				s0 += av * b0[p]
-				s1 += av * b1[p]
-				s2 += av * b2[p]
-				s3 += av * b3[p]
-			}
-			ci[j] += s0
-			ci[j+1] += s1
-			ci[j+2] += s2
-			ci[j+3] += s3
-		}
-		for ; j < n; j++ {
-			bj := bd[j*k : (j+1)*k]
-			bj = bj[:len(ai)]
-			var s float32
-			for p, av := range ai {
-				s += av * bj[p]
-			}
-			ci[j] += s
-		}
-	}
-}
-
-// MatMulTransA computes C = Aᵀ·B for A (k×m) and B (k×n), with C (m×n).
-// Used for input gradients (dcol = Wᵀ·dY).
-func MatMulTransA(c, a, b *Tensor) {
-	k, m := a.Shape[0], a.Shape[1]
-	k2, n := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulTransA inner dims %d != %d", k, k2))
-	}
-	if c.Shape[0] != m || c.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulTransA output shape %v, want [%d %d]", c.Shape, m, n))
-	}
-	ad, bd, cd := a.Data, b.Data, c.Data
-	clear(cd)
-	for p := 0; p < k; p++ {
-		ap := ad[p*m : (p+1)*m]
-		bp := bd[p*n : (p+1)*n]
-		for i, av := range ap {
-			if av != 0 {
-				axpy(cd[i*n:(i+1)*n], bp, av)
-			}
-		}
-	}
 }
 
 // ConvGeom describes the geometry of a 2-D convolution or pooling window over
@@ -335,65 +242,8 @@ func inSpan(outDim, stride, pad, kOff, inDim int) (lo, hi int) {
 	return lo, hi
 }
 
-// im2colRow fills one im2col output row (the out slice, OutH*OutW values)
-// for kernel offset (kh, kw) from one input channel plane. Padding runs are
-// bulk-zeroed: each output row's out-of-bounds prefix and suffix are cleared
-// with a single memclr-able span instead of per-element stores, and the
-// in-bounds span is a straight copy when StrideW is 1.
-func im2colRow(out, plane []float32, g ConvGeom, kh, kw, oh, ow int) {
-	oxLo, oxHi := inSpan(ow, g.StrideW, g.PadW, kw, g.InW)
-	idx := 0
-	for oy := 0; oy < oh; oy++ {
-		iy := oy*g.StrideH - g.PadH + kh
-		if iy < 0 || iy >= g.InH {
-			clear(out[idx : idx+ow])
-			idx += ow
-			continue
-		}
-		rowBase := iy * g.InW
-		clear(out[idx : idx+oxLo])
-		if oxHi == oxLo {
-			clear(out[idx+oxLo : idx+ow])
-			idx += ow
-			continue
-		}
-		if g.StrideW == 1 {
-			srcLo := rowBase + oxLo - g.PadW + kw
-			copy(out[idx+oxLo:idx+oxHi], plane[srcLo:srcLo+oxHi-oxLo])
-		} else {
-			for ox := oxLo; ox < oxHi; ox++ {
-				out[idx+ox] = plane[rowBase+ox*g.StrideW-g.PadW+kw]
-			}
-		}
-		clear(out[idx+oxHi : idx+ow])
-		idx += ow
-	}
-}
-
-// Im2Col unrolls a CHW input x into col with shape [C*KH*KW, OutH*OutW],
-// zero-padding out-of-bounds reads. col must be pre-allocated.
-func Im2Col(col, x *Tensor, g ConvGeom) {
-	oh, ow := g.OutH(), g.OutW()
-	cols := oh * ow
-	if col.Shape[0] != g.ColRows() || col.Shape[1] != cols {
-		panic(fmt.Sprintf("tensor: Im2Col col shape %v, want [%d %d]", col.Shape, g.ColRows(), cols))
-	}
-	xd, cd := x.Data, col.Data
-	planeLen := g.InH * g.InW
-	row := 0
-	for c := 0; c < g.InC; c++ {
-		plane := xd[c*planeLen : (c+1)*planeLen]
-		for kh := 0; kh < g.KH; kh++ {
-			for kw := 0; kw < g.KW; kw++ {
-				im2colRow(cd[row*cols:(row+1)*cols], plane, g, kh, kw, oh, ow)
-				row++
-			}
-		}
-	}
-}
-
-// col2imRow is im2colRow's adjoint: it adds one im2col row (OutH*OutW
-// values) for kernel offset (kh, kw) back into its input channel plane.
+// col2imRow adds one im2col row (OutH*OutW values, the row of kernel
+// offset (kh, kw)) back into its input channel plane.
 // The in-bounds output spans come from inSpan once per row, so padding
 // costs no per-element branch, and a stride-1 row is one contiguous
 // axpy(dst, src, 1), which is exact because 1·x = x.

