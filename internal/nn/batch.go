@@ -39,14 +39,14 @@ type step interface {
 // plan compiles layers over a CHW input into a network's plan: each Conv2D →
 // ReLU → MaxPool2 run (the block arch.Build emits) becomes one convBlock,
 // and every other layer runs as itself. Forward and Backward walk steps one
-// sample at a time, and ForwardBatch walks stages, the same steps' batched
-// forms, which is nil when some step has none (a conv outside a block, a
+// sample at a time, and ForwardBatch walks the same steps' batched forms,
+// which exist (batched) unless some step has none (a conv outside a block, a
 // pool on its own). The chunk is the largest number of samples whose widest
 // conv block working set fits batchChunkBytes, clamped to [1, maxBatchChunk].
-func plan(inShape []int, layers []Layer) (steps []step, stages []batchStage, chunk int) {
+func plan(inShape []int, layers []Layer) (steps []step, batched bool, chunk int) {
 	shape := inShape
 	worst := 0
-	batched := true
+	batched = true
 	for i := 0; i < len(layers); i++ {
 		if c, ok := layers[i].(*Conv2D); ok && i+2 < len(layers) {
 			_, relu := layers[i+1].(*ReLU)
@@ -65,13 +65,8 @@ func plan(inShape []int, layers []Layer) (steps []step, stages []batchStage, chu
 		batched = batched && ok
 		shape, _ = layers[i].OutShape(shape) // NewNetwork validated the chain
 	}
-	if batched {
-		for _, st := range steps {
-			stages = append(stages, st.(batchStage))
-		}
-	}
 	if worst == 0 {
-		return steps, stages, maxBatchChunk
+		return steps, batched, maxBatchChunk
 	}
-	return steps, stages, min(max(batchChunkBytes/worst, 1), maxBatchChunk)
+	return steps, batched, min(max(batchChunkBytes/worst, 1), maxBatchChunk)
 }

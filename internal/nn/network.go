@@ -15,9 +15,9 @@ type Network struct {
 	Layers  []Layer
 	inShape []int
 	bin     *tensor.Tensor // batch input pack scratch [C, B, H, W]
-	steps   []step         // the plan Forward and Backward walk (see plan)
-	stages  []batchStage   // the steps' batched forms (nil: some step has none)
-	chunk   int            // samples per pass through stages
+	steps   []step         // the plan Forward, Backward and ForwardBatch walk (see plan)
+	batched bool           // every step has a batched form (batchStage)
+	chunk   int            // samples per batched pass through steps
 	first   int            // index of the first step with parameters (0 if none)
 }
 
@@ -42,7 +42,7 @@ func NewNetwork(inShape []int, layers ...Layer) (*Network, error) {
 
 func newNetwork(inShape []int, layers []Layer) *Network {
 	n := &Network{Layers: layers, inShape: inShape}
-	n.steps, n.stages, n.chunk = plan(inShape, layers)
+	n.steps, n.batched, n.chunk = plan(inShape, layers)
 	for i, st := range n.steps {
 		if _, ok := st.(paramGrader); ok {
 			n.first = i
@@ -113,7 +113,7 @@ func (n *Network) ForwardBatch(samples [][]float32, out []float32) {
 			panic(fmt.Sprintf("nn: batch sample %d has %d values, network wants %d", s, len(pix), c*hw))
 		}
 	}
-	if n.stages == nil {
+	if !n.batched {
 		panic("nn: ForwardBatch needs conv and pool layers in Conv2D → ReLU → MaxPool2 blocks")
 	}
 	if n.bin == nil {
@@ -130,8 +130,8 @@ func (n *Network) ForwardBatch(samples [][]float32, out []float32) {
 			}
 		}
 		t := n.bin
-		for _, st := range n.stages {
-			t = st.forwardBatch(t)
+		for _, st := range n.steps {
+			t = st.(batchStage).forwardBatch(t)
 		}
 		copy(out[s0:s1], t.Data[:len(cur)])
 	}

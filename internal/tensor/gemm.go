@@ -244,7 +244,7 @@ func ConvTaps(acc, w, x []float32, offs []int) {
 // in increasing output order, that is the dot product of the filter's output
 // gradient row with tap t's im2col row. Positions whose gradient is ±0 may be
 // left out, which changes no bits: their products are ±0, and a sum that
-// starts at +0 is never −0. Several taps' chains run side by side over the
+// starts at +0 is never −0. Four taps' chains run side by side over the
 // shared g, so the loop carries independent add chains and no sum is
 // reordered. Every offs[t]+pos[l] must index x.
 func ConvTapGrads(gw, g []float32, pos []int, x []float32, offs []int) {
@@ -253,28 +253,6 @@ func ConvTapGrads(gw, g []float32, pos []int, x []float32, offs []int) {
 			len(gw), len(offs), len(g), len(pos)))
 	}
 	t := 0
-	// Runs of three taps one element apart (a 3-wide kernel row) read one
-	// three-element window per position: one bounds check instead of three.
-	for ; t+6 <= len(offs) && adjacent3(offs[t:]) && adjacent3(offs[t+3:]); t += 6 {
-		xa, xb := x[offs[t]:], x[offs[t+3]:]
-		var s0, s1, s2, s3, s4, s5 float32
-		for l, gv := range g {
-			p := pos[l]
-			a, b := xa[p:p+3:p+3], xb[p:p+3:p+3]
-			s0 += float32(gv * a[0])
-			s1 += float32(gv * a[1])
-			s2 += float32(gv * a[2])
-			s3 += float32(gv * b[0])
-			s4 += float32(gv * b[1])
-			s5 += float32(gv * b[2])
-		}
-		gw[t] += s0
-		gw[t+1] += s1
-		gw[t+2] += s2
-		gw[t+3] += s3
-		gw[t+4] += s4
-		gw[t+5] += s5
-	}
 	for ; t+4 <= len(offs); t += 4 {
 		x0, x1, x2, x3 := x[offs[t]:], x[offs[t+1]:], x[offs[t+2]:], x[offs[t+3]:]
 		var s0, s1, s2, s3 float32
@@ -299,6 +277,3 @@ func ConvTapGrads(gw, g []float32, pos []int, x []float32, offs []int) {
 		gw[t] += s
 	}
 }
-
-// adjacent3 reports whether the first three shifts are consecutive.
-func adjacent3(offs []int) bool { return offs[1] == offs[0]+1 && offs[2] == offs[0]+2 }

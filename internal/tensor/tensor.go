@@ -149,6 +149,10 @@ func (t *Tensor) Fill(v float32) {
 // rng. Used for Glorot/He style initialization by the nn package.
 func (t *Tensor) RandomizeUniform(rng *rand.Rand, limit float64) {
 	for i := range t.Data {
+		// The conversion rounds rng.Float64's inlined scaling product, which
+		// arm64 would otherwise fuse into the doubling (compiled as an add).
+		// Both are exact, so the bits match either way; the conversion keeps
+		// the package free of fused multiply-adds, as CI checks.
 		t.Data[i] = float32((float64(rng.Float64())*2 - 1) * limit)
 	}
 }
