@@ -16,7 +16,8 @@
 //
 // query, explain and serve read the corpus one way: straight out of the
 // representation store through a -cache-mb LRU of stored records (the one
-// pixel cache); -serve-reps additionally loads pre-materialized
+// pixel cache, which a large label-materializing run reads through without
+// filling); -serve-reps additionally loads pre-materialized
 // representations from the store, skipping the source load and derivation
 // for the transforms it covers — a pure cost choice, since a served
 // representation is the record the engine would derive. Content predicates
@@ -209,7 +210,7 @@ func (f *corpusFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&f.scenario, "scenario", "camera", "deployment scenario")
 	fs.IntVar(&f.workers, "workers", 0, "classification worker goroutines per query (0 = GOMAXPROCS)")
 	fs.IntVar(&f.batch, "batch", 0, "frames per execution-engine batch (0 = engine default)")
-	fs.IntVar(&f.cacheMB, "cache-mb", 64, "record cache budget in MiB, at least 1: the corpus is read only through this LRU, which holds sources and served reps alike as stored records (1 byte/sample)")
+	fs.IntVar(&f.cacheMB, "cache-mb", 64, "record cache budget in MiB, at least 1: the corpus is read only through this LRU, which holds sources and served reps alike as stored records (1 byte/sample); a run that materializes labels over rows whose sources exceed a quarter of it reads through without admitting them")
 	fs.BoolVar(&f.serveReps, "serve-reps", false, "load pre-materialized representations from the store, skipping the source load and derivation for the transforms it covers (labels are the same either way)")
 	fs.StringVar(&f.materialize, "materialize", "on", "label materialization: on (cache classified labels as bitmap columns), off (re-infer every query), bg (on + serve's background analyzer pre-materializes hot predicates while the admission pool is idle)")
 	fs.IntVar(&f.matMB, "mat-mb", 0, "materialized-label byte budget in MiB (0 = unbounded); coldest columns are evicted over budget")

@@ -25,6 +25,12 @@ import (
 //	             derive the rep's record into a reused buffer
 //	             (AppendRecord) and expand it (img.UnitsInto) — what an
 //	             unserved slot costs the engine
+//	record/run   record/miss with the misses read a 64-row batch at a time
+//	             through Cache.Records: one ReadAt per run of consecutive
+//	             rows, each record copied out to a slice the cache keeps
+//	record/through  the same batches through Cache.ReadThrough: one
+//	             ReadAt per run into a buffer the records share, nothing
+//	             admitted — what a large materializing scan costs
 //	record/hit   the record is resident, ApplyRecord
 //	rep/hit      the pre-materialized rep is resident: Cache.RepRecord, then
 //	             ApplyRecord's identity case (one img.UnitsInto pass) into a
@@ -106,6 +112,36 @@ func BenchmarkLoadTransform(b *testing.B) {
 						b.Fatal(err)
 					}
 					dst, buf = tr.ApplyRecord(dst, buf, rec)
+				}
+			})
+		}
+		for _, mode := range []struct {
+			name  string
+			admit bool
+		}{{"record/run/", true}, {"record/through/", false}} {
+			b.Run(mode.name+tr.ID(), func(b *testing.B) {
+				const batch = 64 // exec.DefaultBatch; rows is a multiple of it
+				cache := newCache(rows / 4 * record)
+				read := cache.ReadThrough
+				if mode.admit {
+					read = cache.Records
+				}
+				idx := make([]int, batch)
+				recs := make([]img.Record, batch)
+				var dst *img.Image
+				var buf []byte
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if i%batch == 0 {
+						for j := range idx {
+							idx[j] = (i + j) % rows
+						}
+						if err := read(context.Background(), xform.Transform{}, idx, recs); err != nil {
+							b.Fatal(err)
+						}
+					}
+					dst, buf = tr.ApplyRecord(dst, buf, recs[i%batch])
 				}
 			})
 		}

@@ -36,6 +36,7 @@ type lruCore struct {
 	hits    int64
 	misses  int64
 	evicted int64 // cumulative bytes pushed out by the LRU policy
+	through int64 // cumulative records loaded without being admitted
 }
 
 // table indexes the resident entries of one stored form by row.
@@ -201,5 +202,5 @@ func (c *lruCore) contains(t xform.Transform, row int) bool {
 }
 
 func (c *lruCore) stats() CacheStats {
-	return CacheStats{Hits: c.hits, Misses: c.misses, EvictedBytes: c.evicted, ResidentBytes: c.bytes}
+	return CacheStats{Hits: c.hits, Misses: c.misses, EvictedBytes: c.evicted, ResidentBytes: c.bytes, ReadThrough: c.through}
 }

@@ -591,12 +591,7 @@ func (s *Store) TruncateTo(n int) error {
 // the record size when it is smaller, and the returned view aliases it — a
 // caller that keeps the record (the cache) passes a fresh slice.
 func (s *Store) SourceRecord(i int, scratch *[]byte) (img.Record, error) {
-	// faults.StoreDecode models a corrupt or unreadable source record — the
-	// chaos suite's "disk ate a frame" case.
-	if err := faults.Fire(faults.StoreDecode); err != nil {
-		return img.Record{}, fmt.Errorf("repstore: source record %d: %w", i, err)
-	}
-	return s.readRecord(s.source, i, xform.Transform{}, scratch)
+	return s.readRecord(xform.Transform{}, i, scratch)
 }
 
 // RepRecord reads representation i for transform t as stored, the way
@@ -604,44 +599,92 @@ func (s *Store) SourceRecord(i int, scratch *[]byte) (img.Record, error) {
 // to t's own geometry — but not expanded. The transform must be one the store
 // materializes.
 func (s *Store) RepRecord(i int, t xform.Transform, scratch *[]byte) (img.Record, error) {
+	return s.readRecord(t, i, scratch)
+}
+
+// readRecord reads and validates record i of form t — the zero Transform for
+// the sources — into *scratch (grown to the record size when smaller) and
+// returns a view aliasing it: the record's fault points, then a run read of
+// one row, then parse.
+func (s *Store) readRecord(t xform.Transform, i int, scratch *[]byte) (img.Record, error) {
+	if err := fireRecord(t, i); err != nil {
+		return img.Record{}, err
+	}
+	size := s.recordSize(t)
+	if cap(*scratch) < size {
+		*scratch = make([]byte, size)
+	}
+	buf := (*scratch)[:size]
+	if err := s.readRun(t, i, buf); err != nil {
+		return img.Record{}, err
+	}
+	return parseRecord(t, i, buf)
+}
+
+// fireRecord runs the fault points of one record read of form t, row i. Every
+// read path reaches it exactly once per record it returns or fails.
+func fireRecord(t xform.Transform, i int) error {
+	if t == (xform.Transform{}) {
+		// faults.StoreDecode models a corrupt or unreadable source record —
+		// the chaos suite's "disk ate a frame" case.
+		if err := faults.Fire(faults.StoreDecode); err != nil {
+			return fmt.Errorf("repstore: source record %d: %w", i, err)
+		}
+		return nil
+	}
 	// faults.StoreRepSlow models a wedged disk (pure delay); StoreRepRead a
 	// failed representation read, which the engines degrade around.
 	_ = faults.Fire(faults.StoreRepSlow)
 	if err := faults.Fire(faults.StoreRepRead); err != nil {
-		return img.Record{}, fmt.Errorf("repstore: rep %s record %d: %w", t.ID(), i, err)
+		return fmt.Errorf("repstore: rep %s record %d: %w", t.ID(), i, err)
 	}
-	f, ok := s.reps[t]
-	if !ok {
-		return img.Record{}, fmt.Errorf("repstore: transform %s not materialized in this store", t.ID())
-	}
-	rec, err := s.readRecord(f, i, t, scratch)
-	if err == nil && (rec.W != t.Size || rec.H != t.Size || rec.Mode != t.Color) {
-		err = fmt.Errorf("%w: %s record %d is %dx%d/%v", ErrCorrupt, repFileName(t.ID()), i, rec.W, rec.H, rec.Mode)
-	}
-	return rec, err
+	return nil
 }
 
-// readRecord reads and validates record i of t's data file — source.dat for
-// the zero Transform — into *scratch (grown to the record size when smaller)
-// and returns a view aliasing it.
-func (s *Store) readRecord(f *os.File, i int, t xform.Transform, scratch *[]byte) (img.Record, error) {
-	if n := s.Count(); i < 0 || i >= n {
-		return img.Record{}, fmt.Errorf("repstore: index %d out of range [0,%d)", i, n)
-	}
-	record := t.StoredBytes()
+// recordSize is the stored size of one record of form t, the source's for
+// the zero Transform.
+func (s *Store) recordSize(t xform.Transform) int {
 	if t == (xform.Transform{}) {
-		record = s.sourceRecordSize()
+		return s.sourceRecordSize()
 	}
-	if cap(*scratch) < record {
-		*scratch = make([]byte, record)
+	return t.StoredBytes()
+}
+
+// readRun reads the records of form t at rows first, first+1, ... — as many
+// as buf holds whole — with one ReadAt into buf, and validates none of them
+// (parseRecord does, one at a time). The form must be materialized and every
+// row in range, or nothing is read.
+func (s *Store) readRun(t xform.Transform, first int, buf []byte) error {
+	f := s.source
+	if t != (xform.Transform{}) {
+		var ok bool
+		if f, ok = s.reps[t]; !ok {
+			return fmt.Errorf("repstore: transform %s not materialized in this store", t.ID())
+		}
 	}
-	buf := (*scratch)[:record]
-	if _, err := f.ReadAt(buf, int64(i)*int64(record)); err != nil {
-		return img.Record{}, fmt.Errorf("repstore: reading %s record %d: %w", dataFileName(t), i, err)
+	size := s.recordSize(t)
+	if n, count := len(buf)/size, s.Count(); first < 0 || first > count-n {
+		bad := first
+		if first >= 0 {
+			bad = max(first, count)
+		}
+		return fmt.Errorf("repstore: index %d out of range [0,%d)", bad, count)
 	}
-	rec, err := img.ParseRecord(buf)
+	if _, err := f.ReadAt(buf, int64(first)*int64(size)); err != nil {
+		return fmt.Errorf("repstore: reading %s record %d: %w", dataFileName(t), first, err)
+	}
+	return nil
+}
+
+// parseRecord validates raw as record i of form t and returns a view
+// aliasing it: a TIMG record, and a representation of t's own geometry.
+func parseRecord(t xform.Transform, i int, raw []byte) (img.Record, error) {
+	rec, err := img.ParseRecord(raw)
 	if err != nil {
 		return img.Record{}, fmt.Errorf("%w: %s record %d: %v", ErrCorrupt, dataFileName(t), i, err)
+	}
+	if t != (xform.Transform{}) && (rec.W != t.Size || rec.H != t.Size || rec.Mode != t.Color) {
+		return img.Record{}, fmt.Errorf("%w: %s record %d is %dx%d/%v", ErrCorrupt, repFileName(t.ID()), i, rec.W, rec.H, rec.Mode)
 	}
 	return rec, nil
 }

@@ -785,6 +785,7 @@ type CacheStats struct {
 	Misses        int64 `json:"misses"`
 	EvictedBytes  int64 `json:"evicted_bytes"`
 	ResidentBytes int64 `json:"resident_bytes"`
+	ReadThrough   int64 `json:"read_through"`
 }
 
 // LatencyBucket is one histogram cell: queries that finished in at most LEMS

@@ -163,9 +163,9 @@ func (db *DB) analyzeOnce(ctx context.Context, o AnalyzerOptions) (worked bool, 
 	}
 	// Exactly like a query: a row-indexed engine run over the pinned view,
 	// RepSource included.
-	opts := st.contentExecOpts()
+	src, opts := st.runCorpus(len(batch), st.contentExecOpts())
 	opts.Workers = o.workers()
-	fresh, rep, err := st.classify(ctx, st.corpus, pred, idx, batch, opts)
+	fresh, rep, err := st.classify(ctx, src, pred, idx, batch, opts)
 	if err != nil {
 		if ctx.Err() != nil {
 			// Shutdown mid-batch: not an analyzer failure, nothing publishes.

@@ -39,21 +39,54 @@ type Predicate struct {
 	System   *core.System
 	Results  []cascade.Result
 	Frontier []pareto.Point
-	// runtimes holds the executable form of every frontier cascade, keyed by
-	// its Results index and built at install. A single-cascade run —
-	// a sequential query step, the ingest trigger, the analyzer — uses its
-	// runtime's engine, so warm workers keep their model clones and pooled
-	// buffers from one statement to the next. Never written once published.
-	runtimes map[int]*cascade.Runtime
+	// installed holds every frontier cascade as built at install, keyed by
+	// its Results index. Never written once published.
+	installed map[int]*installedCascade
+}
+
+// installedCascade is one frontier cascade as InstallPredicate builds it:
+// its executable form, and what every plan naming it would otherwise derive
+// again from its Spec — its identity, its materialized column's key and its
+// per-level costs under the DB's cost model. A single-cascade run — a
+// sequential query step, the ingest trigger, the analyzer — uses the
+// runtime's engine, so warm workers keep their model clones and pooled
+// buffers from one statement to the next.
+type installedCascade struct {
+	rt     *cascade.Runtime
+	key    matstore.Key // Cascade is the Spec's ID
+	levels []planner.LevelCost
+}
+
+// install builds the installed form of Results[i] under cost model cm.
+func (p *Predicate) install(i int, cm scenario.CostModel) (*installedCascade, error) {
+	spec := p.Results[i].Spec
+	rt, err := p.System.Runtime(spec)
+	if err != nil {
+		return nil, err
+	}
+	levels, err := levelCosts(p.System, spec, cm)
+	if err != nil {
+		return nil, err
+	}
+	return &installedCascade{rt: rt, key: matKey(p, spec), levels: levels}, nil
 }
 
 // runtime returns the executable form of Results[i]: the installed runtime
 // of a frontier cascade, a fresh one for any other.
 func (p *Predicate) runtime(i int) (*cascade.Runtime, error) {
-	if rt, ok := p.runtimes[i]; ok {
-		return rt, nil
+	if c, ok := p.installed[i]; ok {
+		return c.rt, nil
 	}
 	return p.System.Runtime(p.Results[i].Spec)
+}
+
+// key returns the materialized-column key of Results[i]: built at install
+// for a frontier cascade, computed for any other.
+func (p *Predicate) key(i int) matstore.Key {
+	if c, ok := p.installed[i]; ok {
+		return c.key
+	}
+	return matKey(p, p.Results[i].Spec)
 }
 
 // column is a partially-materialized virtual predicate column: a label
@@ -128,6 +161,25 @@ func (m *memoryCorpus) appendRecords(_ int, recs []img.Record, _ bool) error {
 type storeCorpus struct {
 	store *repstore.Store
 	cache *repstore.Cache
+	// budget is the cache's byte budget and record the stored size of one
+	// source: what a run's size is weighed in (see scan).
+	budget, record int64
+}
+
+// scanShare sets the run that reads through the record cache: a run that
+// publishes its labels, over rows whose source records come to more than
+// 1/scanShare of the cache's budget. PostgreSQL draws the same line for
+// its buffer pool — a sequential scan of a table larger than a quarter of
+// shared_buffers runs under the bulk-read strategy, through a small ring of
+// buffers, instead of flushing the shared pool (heapam.c, initscan).
+const scanShare = 4
+
+// scan reports whether a publishing run over rows rows reads through: a
+// run that publishes never rereads its records — its labels answer every
+// statement after it — so admitting more than a quarter of the budget of
+// them would only evict the records that are reread.
+func (s *storeCorpus) scan(rows int) bool {
+	return scanShare*int64(rows)*s.record > s.budget
 }
 
 func (s *storeCorpus) Len() int { return s.store.Count() }
@@ -138,6 +190,15 @@ func (s *storeCorpus) Image(i int) (*img.Image, error) { return decoded(s.cache.
 // cache in one batch.
 func (s *storeCorpus) Records(ctx context.Context, idx []int, dst []img.Record) error {
 	return s.cache.Records(ctx, xform.Transform{}, idx, dst)
+}
+
+// read loads rows of form t through the record cache: admitted, or read
+// through when through is set.
+func (s *storeCorpus) read(ctx context.Context, through bool, t xform.Transform, idx []int, dst []img.Record) error {
+	if through {
+		return s.cache.ReadThrough(ctx, t, idx, dst)
+	}
+	return s.cache.Records(ctx, t, idx, dst)
 }
 
 // appendRecords writes the batch as rows [base, base+len(recs)). Journaled,
@@ -158,8 +219,9 @@ func (s *storeCorpus) appendRecords(base int, recs []img.Record, journaled bool)
 // record is the one the engine would derive, so serving changes cost, never
 // labels.
 type repSource struct {
-	sc    *storeCorpus
-	avail map[string]xform.Transform
+	sc      *storeCorpus
+	avail   map[string]xform.Transform
+	through bool // read misses through the cache, not admitting them
 }
 
 func (s *storeCorpus) repSource() *repSource {
@@ -178,7 +240,7 @@ func (r *repSource) HasRep(id string) bool {
 // RepRecords implements exec.RepRecordSource: the rows' rep records under
 // the slot's Transform, read through the record cache in one batch.
 func (r *repSource) RepRecords(ctx context.Context, t xform.Transform, idx []int, dst []img.Record) error {
-	return r.sc.cache.Records(ctx, t, idx, dst)
+	return r.sc.read(ctx, r.through, t, idx, dst)
 }
 
 // Rep is exec.RepSource's image form, the rep record decoded; the engine
@@ -188,7 +250,9 @@ func (r *repSource) Rep(i int, id string) (*img.Image, error) {
 	if !ok {
 		return nil, fmt.Errorf("vdb: transform %s not materialized in the corpus store", id)
 	}
-	return decoded(r.sc.cache.RepRecord(i, t))
+	var dst [1]img.Record
+	err := r.RepRecords(context.Background(), t, []int{i}, dst[:])
+	return decoded(dst[0], err)
 }
 
 // DB is a visual analytics database over one images table. It is safe for
@@ -472,7 +536,8 @@ func (db *DB) LoadCorpusFromStore(store *repstore.Store, cacheBytes int64, meta 
 	if err != nil {
 		return fmt.Errorf("vdb: cacheBytes: %w", err)
 	}
-	sc := &storeCorpus{store: store, cache: cache}
+	w, h := store.BaseSize()
+	sc := &storeCorpus{store: store, cache: cache, budget: cacheBytes, record: int64(img.EncodedSize(w, h, img.RGB))}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	return db.installCorpusLocked(sc, sc.repSource(), meta)
@@ -495,9 +560,15 @@ func (db *DB) InstallPredicate(category string, sys *core.System, maxDepth int) 
 		return fmt.Errorf("vdb: installing %q: %w", category, err)
 	}
 	frontier := pareto.Frontier(core.Points(results))
-	runtimes := make(map[int]*cascade.Runtime, len(frontier))
+	pred := &Predicate{
+		Category:  category,
+		System:    sys,
+		Results:   results,
+		Frontier:  frontier,
+		installed: make(map[int]*installedCascade, len(frontier)),
+	}
 	for _, pt := range frontier {
-		if runtimes[pt.Index], err = sys.Runtime(results[pt.Index].Spec); err != nil {
+		if pred.installed[pt.Index], err = pred.install(pt.Index, db.costModel); err != nil {
 			return fmt.Errorf("vdb: installing %q: %w", category, err)
 		}
 	}
@@ -509,13 +580,7 @@ func (db *DB) InstallPredicate(category string, sys *core.System, maxDepth int) 
 	// Published states share the map they were built from: install into a
 	// copy.
 	db.predicates = maps.Clone(db.predicates)
-	db.predicates[category] = &Predicate{
-		Category: category,
-		System:   sys,
-		Results:  results,
-		Frontier: frontier,
-		runtimes: runtimes,
-	}
+	db.predicates[category] = pred
 	// Seed the adaptive selectivity catalog with the evaluation-set
 	// positive rate — the install-time estimate every plan starts from
 	// until real queries report observed pass rates.

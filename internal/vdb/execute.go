@@ -141,7 +141,8 @@ func (p *queryPlan) classifyMissing(ctx context.Context, res *Result, cols []ste
 	// The one place a row list exists before projection: the engine's frame
 	// list, sized to what must be classified, not to the table.
 	rows := need.AppendMembers(make([]int, 0, need.Count()))
-	rep, err := eng.RunContext(ctx, st.corpus, rows, st.contentExecOpts())
+	src, opts := st.runCorpus(len(rows), st.contentExecOpts())
+	rep, err := eng.RunContext(ctx, src, rows, opts)
 	if err != nil {
 		return fmt.Errorf("vdb: classifying %q: %w", cs.cond.Category, err)
 	}
@@ -155,7 +156,7 @@ func (p *queryPlan) classifyMissing(ctx context.Context, res *Result, cols []ste
 	res.UDFCalls += len(rows)
 	res.Observed = append(res.Observed, ObservedSelectivity{
 		Category:  cs.pred.Category,
-		Cascade:   cs.spec.ID(),
+		Cascade:   p.keys[cs.col].Cascade,
 		Frames:    len(rows),
 		Positives: rep.Positives,
 	})

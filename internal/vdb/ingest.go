@@ -184,8 +184,7 @@ func (db *DB) AppendRecords(recs []img.Record, meta []Metadata) (udfCalls int, e
 		if serr != nil {
 			return 0, fmt.Errorf("vdb: trigger cascade for %q: %w", pred.Category, serr)
 		}
-		spec := pred.Results[point.Index].Spec
-		if missing := st.cols.Get(matKey(pred, spec)).InvalidN(st.n, -1); len(missing) > 0 {
+		if missing := st.cols.Get(pred.key(point.Index)).InvalidN(st.n, -1); len(missing) > 0 {
 			jobs = append(jobs, triggerJob{pred, point.Index, missing})
 		}
 	}
@@ -199,14 +198,15 @@ func (db *DB) AppendRecords(recs []img.Record, meta []Metadata) (udfCalls int, e
 		db.publish(st, fresh)
 		ack()
 	}()
-	// A store-backed corpus serves the batch's own rows from recs: the bytes
-	// the store was just handed, without reading them back through the cache.
-	src := st.corpus
-	if view, ok := src.(*storeView); ok {
-		src = &batchSource{RecordSource: view, base: base, recs: recs}
-	}
 	for _, jb := range jobs {
-		o, rep, cerr := st.classify(context.TODO(), src, jb.pred, jb.cascade, jb.missing, opts)
+		// A store-backed corpus serves the batch's own rows from recs: the
+		// bytes the store was just handed, without reading them back through
+		// the cache.
+		src, jopts := st.runCorpus(len(jb.missing), opts)
+		if view, ok := src.(*storeView); ok {
+			src = &batchSource{RecordSource: view, base: base, recs: recs}
+		}
+		o, rep, cerr := st.classify(context.TODO(), src, jb.pred, jb.cascade, jb.missing, jopts)
 		if cerr != nil {
 			return udfCalls, fmt.Errorf("vdb: trigger classify for %q: %w", jb.pred.Category, cerr)
 		}

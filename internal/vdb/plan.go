@@ -9,6 +9,7 @@ import (
 	"tahoma/internal/core"
 	"tahoma/internal/matstore"
 	"tahoma/internal/planner"
+	"tahoma/internal/scenario"
 )
 
 // contentStep is one planned content-predicate evaluation.
@@ -82,22 +83,15 @@ func (st *readState) plan(q *Query, constraints core.Constraints) (*queryPlan, e
 			return nil, fmt.Errorf("vdb: selecting cascade for %q: %w", cc.Category, err)
 		}
 		res := pred.Results[point.Index]
-		rt, err := pred.runtime(point.Index)
-		if err != nil {
-			return nil, fmt.Errorf("vdb: cascade for %q: %w", cc.Category, err)
-		}
-		key := matKey(pred, res.Spec)
-		col := slices.Index(plan.keys, key)
+		// Select picks a frontier point, and install built every one.
+		c := pred.installed[point.Index]
+		col := slices.Index(plan.keys, c.key)
 		if col < 0 {
 			col = len(plan.keys)
-			plan.keys = append(plan.keys, key)
+			plan.keys = append(plan.keys, c.key)
 		}
-		textual = append(textual, contentStep{cond: cc, pred: pred, spec: res.Spec, rt: rt, expected: res, col: col})
-		ps, err := st.plannerStep(i, cc, pred, res)
-		if err != nil {
-			return nil, fmt.Errorf("vdb: costing cascade for %q: %w", cc.Category, err)
-		}
-		steps = append(steps, ps)
+		textual = append(textual, contentStep{cond: cc, pred: pred, spec: res.Spec, rt: c.rt, expected: res, col: col})
+		steps = append(steps, st.plannerStep(i, cc, pred, res, c))
 	}
 	opts := st.planOpts
 	opts.Rows, opts.CostModel = st.n, st.costModel.Name()
@@ -121,36 +115,44 @@ func (st *readState) coverage(key matstore.Key) int {
 }
 
 // plannerStep decomposes one chosen cascade into the planner's costed form:
-// per-level representation and inference costs at the evaluator's exact
-// level occupancies, the adaptive selectivity estimate, and the
-// materialized-column coverage.
-func (st *readState) plannerStep(input int, cc ContentCond, pred *Predicate, res cascade.Result) (planner.Step, error) {
+// its per-level costs as install built them, the adaptive selectivity
+// estimate, and the materialized-column coverage.
+func (st *readState) plannerStep(input int, cc ContentCond, pred *Predicate, res cascade.Result, c *installedCascade) planner.Step {
 	ps := planner.Step{
 		Input:      input,
 		Key:        pred.Category,
-		CascadeID:  res.Spec.ID(),
+		CascadeID:  c.key.Cascade,
 		Negated:    cc.Negated,
 		BaseCost:   res.AvgCost,
 		SourceCost: st.costModel.SourceCost(),
 		TotalRows:  st.n,
-		CachedRows: st.coverage(matKey(pred, res.Spec)),
+		CachedRows: st.coverage(c.key),
+		Levels:     c.levels,
 	}
-	occ, err := pred.System.Evaluator.Occupancy(res.Spec)
+	ps.Selectivity, ps.SelSamples = st.catalog.Selectivity(pred.Category)
+	return ps
+}
+
+// levelCosts is spec's per-level representation and inference cost under
+// cm, at the evaluator's exact level occupancies. Plans share it and the
+// planner only reads it.
+func levelCosts(sys *core.System, spec cascade.Spec, cm scenario.CostModel) ([]planner.LevelCost, error) {
+	occ, err := sys.Evaluator.Occupancy(spec)
 	if err != nil {
-		return ps, err
+		return nil, err
 	}
-	evalN := float64(pred.System.Evaluator.N())
-	for i, ref := range res.Spec.Levels() {
-		m := pred.System.Models[ref.Model]
-		ps.Levels = append(ps.Levels, planner.LevelCost{
+	evalN := float64(sys.Evaluator.N())
+	levels := make([]planner.LevelCost, 0, len(occ))
+	for i, ref := range spec.Levels() {
+		m := sys.Models[ref.Model]
+		levels = append(levels, planner.LevelCost{
 			RepID:     m.Xform.ID(),
-			RepCost:   st.costModel.RepCost(m.Xform),
-			InferCost: st.costModel.InferCost(m),
+			RepCost:   cm.RepCost(m.Xform),
+			InferCost: cm.InferCost(m),
 			Occupancy: float64(occ[i].Reached) / evalN,
 		})
 	}
-	ps.Selectivity, ps.SelSamples = st.catalog.Selectivity(pred.Category)
-	return ps, nil
+	return levels, nil
 }
 
 // availability snapshots plan-time physical-representation residency: the

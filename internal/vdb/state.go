@@ -10,6 +10,7 @@ import (
 	"tahoma/internal/matstore"
 	"tahoma/internal/planner"
 	"tahoma/internal/scenario"
+	"tahoma/internal/xform"
 )
 
 // settings is the configuration a read state carries: what the Set* calls
@@ -76,6 +77,30 @@ func (st *readState) contentExecOpts() exec.Options {
 	return opts
 }
 
+// runCorpus returns the corpus a classification run over rows rows reads,
+// and opts with its RepSource to match. A run that publishes its labels —
+// any but one under MatOff — never reads its records again, so once its
+// rows' source records come to more than 1/scanShare of the record cache's
+// budget it reads through: sources and served representations alike are
+// served from the cache when resident and otherwise loaded without being
+// admitted, so the run neither evicts what rereads hit nor leaves its own
+// records behind. Every other run reads the pinned corpus and RepSource as
+// they are.
+func (st *readState) runCorpus(rows int, opts exec.Options) (exec.Source, exec.Options) {
+	view, ok := st.corpus.(*storeView)
+	if !ok || st.matMode == MatOff || !view.sc.scan(rows) {
+		return st.corpus, opts
+	}
+	if reps, ok := opts.RepSource.(*repSource); ok {
+		through := *reps
+		through.through = true
+		opts.RepSource = &through
+	}
+	through := *view
+	through.through = true
+	return &through, opts
+}
+
 // predicateNames lists installed categories, sorted.
 func (st *readState) predicateNames() []string {
 	out := make([]string, 0, len(st.predicates))
@@ -112,7 +137,7 @@ func (st *readState) classify(ctx context.Context, src exec.Source, pred *Predic
 	if err != nil {
 		return overlay{}, nil, err
 	}
-	o := overlay{key: matKey(pred, pred.Results[i].Spec), col: matstore.NewColumn()}
+	o := overlay{key: pred.key(i), col: matstore.NewColumn()}
 	o.col.Grow(st.n)
 	for j, idx := range rows {
 		o.col.SetLabel(idx, rep.Labels[j])
@@ -175,19 +200,20 @@ func corpusView(c Corpus, n int) Corpus {
 
 // storeView bounds a store-backed corpus at n rows. The store itself is
 // append-only and internally synchronized; the bound keeps a statement's
-// world stable while ingest proceeds.
+// world stable while ingest proceeds. A through view reads its misses
+// through the record cache without admitting them (see readState.runCorpus).
 type storeView struct {
-	sc *storeCorpus
-	n  int
+	sc      *storeCorpus
+	n       int
+	through bool
 }
 
 func (v *storeView) Len() int { return v.n }
 
 func (v *storeView) Image(i int) (*img.Image, error) {
-	if err := v.check(i); err != nil {
-		return nil, err
-	}
-	return decoded(v.sc.cache.Record(i))
+	var dst [1]img.Record
+	err := v.Records(context.Background(), []int{i}, dst[:])
+	return decoded(dst[0], err)
 }
 
 // Records reads the rows through the store's record cache in one batch, once
@@ -198,7 +224,7 @@ func (v *storeView) Records(ctx context.Context, idx []int, dst []img.Record) er
 			return err
 		}
 	}
-	return v.sc.Records(ctx, idx, dst)
+	return v.sc.read(ctx, v.through, xform.Transform{}, idx, dst)
 }
 
 func (v *storeView) check(i int) error {
