@@ -154,17 +154,15 @@ func AppendRecord(dst []byte, im *Image) ([]byte, error) {
 		return dst, fmt.Errorf("img: image %dx%d too large for TIMG", im.W, im.H)
 	}
 	dst = appendHeader(slices.Grow(dst, im.StoredBytes()), im.W, im.H, im.Mode)
-	return AppendQuantized(dst, im.Pix), nil
+	return appendQuantized(dst, im.Pix), nil
 }
 
-// AppendQuantized appends the stored form of every sample of src to dst —
+// appendQuantized appends the stored form of every sample of src to dst —
 // clamped to [0,1] and rounded to the nearest 1/255 step — and returns the
-// extended slice. It is the one quantizer: AppendRecord encodes images
-// through it and xform's byte-output transform encodes each row through it,
-// so a representation has one stored form whichever path derived it. For
-// every byte b, quantizing Unit(b) gives back b. Like UnitsInto it is
+// extended slice: how AppendRecord encodes an image. For every byte b,
+// quantizing Unit(b) gives back b. Like UnitsInto it is
 // unrolled by eight, which takes a third off a 32×32 RGB record.
-func AppendQuantized(dst []byte, src []float32) []byte {
+func appendQuantized(dst []byte, src []float32) []byte {
 	dst = slices.Grow(dst, len(src))
 	start := len(dst)
 	dst = dst[:start+len(src)]

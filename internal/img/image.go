@@ -107,21 +107,20 @@ func (im *Image) Clamp() *Image {
 	return im
 }
 
-// Tap, Bilerp and Luma are the per-sample arithmetic of the representation
-// transforms, written once. ResizeInto and ToGrayInto use them over float32
-// planes and xform's byte-domain transform uses them over stored records;
-// because both sides compile the same source expressions in the same order,
-// a representation is bit-identical whichever path produced it. Every product
-// is rounded by an explicit float32 conversion before it is added — the Go
-// spec's barrier against fusing the two into one multiply-add — so the
-// samples are the same on every GOARCH, and a store written on one platform
-// holds the bytes another derives.
+// tap, bilerp and luma are the per-sample arithmetic of the float32
+// representation transforms (ResizeInto, ToGrayInto), which training scores.
+// Every product is rounded by an explicit float32 conversion before it is
+// added — the Go spec's barrier against fusing the two into one multiply-add
+// — so a trained model is the same on every GOARCH. Stored and served
+// representations do not come from here: xform.Transform.AppendRecord
+// derives them from records in exact integer arithmetic, within 1 of the
+// stored form of these samples.
 
-// Tap returns the two source coordinates and the blend weight bilinear
+// tap returns the two source coordinates and the blend weight bilinear
 // resampling uses for destination coordinate i along an axis of srcN
 // samples; scale is float32(srcN)/float32(dstN). Coordinates clamp at the
 // borders (nearest sample).
-func Tap(i int, scale float32, srcN int) (i0, i1 int, f float32) {
+func tap(i int, scale float32, srcN int) (i0, i1 int, f float32) {
 	s := float32((float32(i)+0.5)*scale) - 0.5
 	if s < 0 {
 		s = 0
@@ -134,16 +133,16 @@ func Tap(i int, scale float32, srcN int) (i0, i1 int, f float32) {
 	return i0, i1, s - float32(i0)
 }
 
-// Bilerp blends four neighbouring samples: along x within the top and bottom
+// bilerp blends four neighbouring samples: along x within the top and bottom
 // rows, then along y between them.
-func Bilerp(v00, v01, v10, v11, fx, fy float32) float32 {
+func bilerp(v00, v01, v10, v11, fx, fy float32) float32 {
 	top := v00 + float32((v01-v00)*fx)
 	bot := v10 + float32((v11-v10)*fx)
 	return top + float32((bot-top)*fy)
 }
 
-// Luma is the Rec.601 grayscale projection of one pixel.
-func Luma(r, g, b float32) float32 {
+// luma is the Rec.601 grayscale projection of one pixel.
+func luma(r, g, b float32) float32 {
 	return float32(0.299*r) + float32(0.587*g) + float32(0.114*b)
 }
 
@@ -178,10 +177,10 @@ func ResizeInto(dst, src *Image) {
 		sp := src.Plane(c)
 		dp := dst.Plane(c)
 		for y := 0; y < h; y++ {
-			y0, y1, fy := Tap(y, yScale, src.H)
+			y0, y1, fy := tap(y, yScale, src.H)
 			for x := 0; x < w; x++ {
-				x0, x1, fx := Tap(x, xScale, src.W)
-				dp[y*w+x] = Bilerp(sp[y0*src.W+x0], sp[y0*src.W+x1], sp[y1*src.W+x0], sp[y1*src.W+x1], fx, fy)
+				x0, x1, fx := tap(x, xScale, src.W)
+				dp[y*w+x] = bilerp(sp[y0*src.W+x0], sp[y0*src.W+x1], sp[y1*src.W+x0], sp[y1*src.W+x1], fx, fy)
 			}
 		}
 	}
@@ -241,7 +240,7 @@ func ToGrayInto(dst, src *Image) {
 	}
 	r, g, b := src.Plane(0), src.Plane(1), src.Plane(2)
 	for i := range dst.Pix {
-		dst.Pix[i] = Luma(r[i], g[i], b[i])
+		dst.Pix[i] = luma(r[i], g[i], b[i])
 	}
 }
 

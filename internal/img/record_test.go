@@ -176,9 +176,9 @@ func TestAppendQuantizedUnit(t *testing.T) {
 	for b := range units {
 		units[b] = Unit(byte(b))
 	}
-	got := AppendQuantized([]byte("x"), units)
+	got := appendQuantized([]byte("x"), units)
 	if len(got) != 257 || got[0] != 'x' {
-		t.Fatalf("AppendQuantized over a 1-byte prefix gave %d bytes, prefix %q", len(got), got[:1])
+		t.Fatalf("appendQuantized over a 1-byte prefix gave %d bytes, prefix %q", len(got), got[:1])
 	}
 	for b, q := range got[1:] {
 		if int(q) != b {

@@ -19,12 +19,11 @@ import (
 // 32×32 frames (the scenario benchmark's archive), per physical path:
 //
 //	f32/miss     read the record, expand it to a float32 image, ApplyInto
-//	             (the image path; what every store-backed scan paid before
-//	             the byte-domain path)
+//	             (the float32 image path training still takes)
 //	record/miss  read the record into a slice the cache keeps, ApplyRecord:
-//	             derive the rep's record into a reused buffer
-//	             (AppendRecord) and expand it (img.UnitsInto) — what an
-//	             unserved slot costs the engine
+//	             derive the rep's record into a reused buffer in integer
+//	             arithmetic (AppendRecord) and expand it (img.UnitsInto) —
+//	             what an unserved slot costs the engine
 //	record/run   record/miss with the misses read a 64-row batch at a time
 //	             through Cache.Records: one ReadAt per run of consecutive
 //	             rows, each record copied out to a slice the cache keeps
@@ -38,9 +37,11 @@ import (
 //	             (over its own store of 500 rows, since every rep is resident
 //	             whatever the store's size)
 //
-// f32/miss scores the unrounded T(source); the record paths score the stored
-// form of the same representation, so record/hit against f32/miss includes
-// the cost of that rounding.
+// f32/miss runs the float32 transform training scores, unrounded; the record
+// paths run the integer derivation the store and the engine share, whose
+// bytes are within 1 of f32/miss's samples stored. record/miss against
+// f32/miss is the derivation's whole saving, with the expansion to float32
+// on each side.
 func BenchmarkLoadTransform(b *testing.B) {
 	const rows, side, chunk = 8000, 32, 500
 	transforms := []xform.Transform{{Size: 16, Color: img.Gray}, {Size: 8, Color: img.RGB}, {Size: 32, Color: img.RGB}}

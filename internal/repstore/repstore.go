@@ -67,6 +67,13 @@ type Manifest struct {
 
 const manifestName = "manifest.json"
 
+// manifestVersion is the store format Create writes. Version 2 stores hold
+// representations derived in exact integer arithmetic
+// (xform.Transform.AppendRecord); version 1 stores held the float32
+// resample's bytes, which differ in the last bit of some samples. Open
+// accepts a version-1 store only when it holds no representation.
+const manifestVersion = 2
+
 // Store is an open representation store, safe for concurrent use: records
 // are read with ReadAt and the record count is guarded, so readers may
 // overlap an in-flight ingest — they simply do not see rows appended after
@@ -119,7 +126,7 @@ func Create(dir string, baseW, baseH int, transforms []xform.Transform) (*Store,
 	s := &Store{
 		dir: dir,
 		manifest: Manifest{
-			Version:    1,
+			Version:    manifestVersion,
 			BaseW:      baseW,
 			BaseH:      baseH,
 			Transforms: ids,
@@ -157,6 +164,11 @@ func Create(dir string, baseW, baseH int, transforms []xform.Transform) (*Store,
 // those rows were never acknowledged; under vdb the journal that acknowledged
 // them still holds their records, and recovery writes them back.
 //
+// A version-1 store that holds representations is refused with ErrCorrupt:
+// they came from the float32 resample, not the integer derivation every
+// slot the engine derives now matches. A source-only version-1 store opens
+// as it is.
+//
 // Files are opened read-write so an opened store can keep ingesting (the
 // serving tier's ONGOING scenario).
 func Open(dir string) (*Store, error) {
@@ -168,7 +180,14 @@ func Open(dir string) (*Store, error) {
 	if err := json.Unmarshal(raw, &m); err != nil {
 		return nil, fmt.Errorf("%w: bad manifest: %v", ErrCorrupt, err)
 	}
-	if m.Version != 1 {
+	switch {
+	case m.Version == 1 && len(m.Transforms) > 0 && m.Count > 0:
+		return nil, fmt.Errorf("%w: version 1 store holds representations from the float resample; rebuild it with `tahoma corpus`", ErrCorrupt)
+	case m.Version == 1:
+		// Source records alone are not derived: the store is current, and
+		// its next manifest commit says so.
+		m.Version = manifestVersion
+	case m.Version != manifestVersion:
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, m.Version)
 	}
 	s := &Store{dir: dir, manifest: m, vouched: m.Count, reps: make(map[xform.Transform]*os.File)}

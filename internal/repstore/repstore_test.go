@@ -3,6 +3,7 @@ package repstore
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"maps"
@@ -11,6 +12,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"tahoma/internal/faults"
@@ -270,6 +272,93 @@ func TestOpenDetectsBadManifest(t *testing.T) {
 	}
 }
 
+// rewriteVersion sets the version field of the manifest in dir and returns
+// the manifest's new bytes.
+func rewriteVersion(t *testing.T, dir string, version int) []byte {
+	t.Helper()
+	path := filepath.Join(dir, manifestName)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m Manifest
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	m.Version = version
+	if raw, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// TestOpenRefusesVersion1Reps: a version-1 store holds representations the
+// float32 resample derived, which the integer derivation does not reproduce
+// bit for bit, so Open refuses it as ErrCorrupt and names the fix.
+func TestOpenRefusesVersion1Reps(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Create(dir, 16, 16, testTransforms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.IngestAll([]*img.Image{randRGB(rand.New(rand.NewSource(6)), 16)}); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	rewriteVersion(t, dir, 1)
+	_, err = Open(dir)
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "tahoma corpus") {
+		t.Fatalf("version-1 store with reps: err = %v, want ErrCorrupt naming `tahoma corpus`", err)
+	}
+}
+
+// TestOpenKeepsVersion1Sources: a version-1 store of source records alone
+// holds nothing derived, so Open accepts it, serves its rows, and leaves its
+// manifest as it was until an ingest commits a new one, at version 2.
+func TestOpenKeepsVersion1Sources(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Create(dir, 16, 16, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	if err := s.IngestAll([]*img.Image{randRGB(rng, 16), randRGB(rng, 16)}); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := s.SourceRecord(1, new([]byte))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := rec.AppendTo(nil)
+	s.Close()
+	v1 := rewriteVersion(t, dir, 1)
+	if s, err = Open(dir); err != nil {
+		t.Fatalf("source-only version-1 store: %v", err)
+	}
+	rec, err = s.SourceRecord(1, new([]byte))
+	if err != nil || !bytes.Equal(rec.AppendTo(nil), want) || s.Count() != 2 {
+		t.Fatalf("row 1 after open: %v (count %d)", err, s.Count())
+	}
+	s.Close()
+	if raw, _ := os.ReadFile(filepath.Join(dir, manifestName)); !bytes.Equal(raw, v1) {
+		t.Fatal("opening a version-1 store rewrote its manifest")
+	}
+	if s, err = Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ingestOne(s, randRGB(rng, 16)); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	var m Manifest
+	if raw, err := os.ReadFile(filepath.Join(dir, manifestName)); err != nil || json.Unmarshal(raw, &m) != nil || m.Version != manifestVersion || m.Count != 3 {
+		t.Fatalf("manifest after an ingest: %+v, %v; want version %d, 3 rows", m, err, manifestVersion)
+	}
+}
+
 func TestOpenDetectsCorruptRecord(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Create(dir, 16, 16, nil)
@@ -494,13 +583,14 @@ func hashDir(t *testing.T, dir string) string {
 
 // TestIngestAllBytesPinned holds IngestAll, batches of one included, to the
 // files it writes. Every representation is derived from the row's stored
-// source record (Q(T(Q(src)))), so the hash is the one AppendRecords of the
+// source record (T(Q(src))), so the hash is the one AppendRecords of the
 // same frames' records writes. The input is not u8-exact, so
 // a rep derived from the caller's pixels instead of the record would change
 // it; 400 rows of 32×32 cross a write chunk; the last row is appended alone
-// after a reopen.
+// after a reopen. The hash was last re-pinned when the derivation became
+// exact integer arithmetic and the manifest went to version 2.
 func TestIngestAllBytesPinned(t *testing.T) {
-	const pinned = "9770fc8ded1800db461f3602f97a77d67e07fa7f9394a648acb78ec0b2e9045e"
+	const pinned = "d5b3b903a4f2d92970719c24ca31f0246306e3daa3e694bdb089cad9e6794012"
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(42))
 	ims := make([]*img.Image, 400)

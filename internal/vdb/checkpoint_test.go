@@ -1,12 +1,15 @@
 package vdb
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
 	"testing"
+
+	"tahoma/internal/matstore"
 )
 
 // ckptQueries are the answers a checkpoint sweep holds fixed: one per
@@ -148,6 +151,79 @@ func TestCheckpointDamageRefused(t *testing.T) {
 	})
 }
 
+// TestCheckpointFloatLabelsDropped: a TAHCKP2 checkpoint, written while
+// stored representations came from the float32 resample, restores its
+// metadata but none of its materialized columns: their labels are a
+// deterministic cache the integer derivation may flip. The restarted DB
+// recomputes them, with the classifier, into the answers the checkpointing
+// DB gave.
+func TestCheckpointFloatLabelsDropped(t *testing.T) {
+	env := durSetup(t)
+	const n = 12
+	storeDir, ckpt, want := ckptFixture(t, env, n)
+	old := append([]byte(ckptMagicFloat), ckpt[len(ckptMagic):]...)
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, checkpointName), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db := ckptDB(t, env, storeDir, placeholderMeta(n))
+	if st, err := db.EnableDurability(DurabilityOptions{Dir: dir}); err != nil || !st.CheckpointLoaded || st.Rows != n {
+		t.Fatalf("TAHCKP2 checkpoint: %+v, %v", st, err)
+	}
+	if cols := db.mat.Columns(); len(cols) != 0 {
+		t.Fatalf("a TAHCKP2 checkpoint restored %d columns, want 0", len(cols))
+	}
+	got, served := ckptAnswers(t, db)
+	if !slices.Equal(got, want) {
+		t.Fatalf("answers after a TAHCKP2 restart differ:\n got %q\nwant %q", got, want)
+	}
+	if served {
+		t.Fatal("a TAHCKP2 checkpoint's labels were served")
+	}
+	if err := db.CloseDurability(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestJournalFloatMergeDropped: replay decodes a merge record journaled
+// while stored representations came from the float32 resample
+// (recMergeFloat) and publishes nothing from it, while the same labels
+// journaled as recMerge are restored.
+func TestJournalFloatMergeDropped(t *testing.T) {
+	env := durSetup(t)
+	const n = 12
+	storeDir, walDir := t.TempDir(), t.TempDir()
+	db := env.newDB(t, env.createStore(t, storeDir, n), env.metas[:n], false)
+	if _, err := db.EnableDurability(DurabilityOptions{Dir: walDir}); err != nil {
+		t.Fatal(err)
+	}
+	float, current := matstore.Key{Category: "cloak", Cascade: "float"}, matstore.Key{Category: "cloak", Cascade: "integer"}
+	rows, labels := []int{0, 1, 2}, []bool{true, false, true}
+	db.mu.Lock()
+	_, errFloat := db.wal.Append(recMergeFloat, encodeMergeRec(float, rows, labels))
+	_, errCur := db.wal.Append(recMerge, encodeMergeRec(current, rows, labels))
+	errSync := db.wal.Sync()
+	db.mu.Unlock()
+	if err := cmp.Or(errFloat, errCur, errSync); err != nil {
+		t.Fatal(err)
+	}
+
+	// Crash: abandon db, recover from disk.
+	db2 := env.newDB(t, env.openStore(t, storeDir), placeholderMeta(n), false)
+	st, err := db2.EnableDurability(DurabilityOptions{Dir: walDir})
+	if err != nil || st.Replayed != 2 {
+		t.Fatalf("recovery: %+v, %v; want 2 records replayed", st, err)
+	}
+	cols := db2.mat.Columns()
+	if cols.Get(float).Coverage() != 0 {
+		t.Fatal("a float-era merge record's labels were restored")
+	}
+	col := cols.Get(current)
+	if col.Coverage() != len(rows) || !col.Label(0) || col.Label(1) || !col.Label(2) {
+		t.Fatalf("the current merge record restored %d rows, want %d with its labels", col.Coverage(), len(rows))
+	}
+}
+
 // TestCheckpointFrameLengthAllocatesNothing: a frame claiming the largest
 // length a u32 holds, in a file of a few bytes, is refused before anything
 // its length implies is allocated.
@@ -166,7 +242,8 @@ func TestCheckpointFrameLengthAllocatesNothing(t *testing.T) {
 // multiple of the bytes it was given, whatever the lengths and counts inside
 // claim; and what it accepts is consistent, with no column spanning a row the
 // metadata lacks and no label on a row that has none. The committed corpus
-// (testdata/fuzz/FuzzCheckpoint) holds a real two-column TAHCKP2 file.
+// (testdata/fuzz/FuzzCheckpoint) holds a real two-column checkpoint in each
+// format: TAHCKP3, and TAHCKP2, whose columns recovery drops.
 func FuzzCheckpoint(f *testing.F) {
 	f.Add([]byte(ckptMagic))
 	f.Fuzz(func(t *testing.T, data []byte) {

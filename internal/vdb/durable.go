@@ -82,10 +82,15 @@ const (
 	// appends do), and the rows' stored records. Fsynced before the Append is
 	// acknowledged.
 	recAppend byte = 1
+	// recMergeFloat is recMerge as journaled while stored representations
+	// were derived by the float32 resample. Its labels may differ from the
+	// ones the integer derivation gives, and a materialized column is a
+	// deterministic cache, so replay decodes it and drops it.
+	recMergeFloat byte = 2
 	// recMerge journals newly adopted rows of one materialized column —
 	// trigger labels (fsynced with their append) and query/analyzer merges
 	// (lazy).
-	recMerge byte = 2
+	recMerge byte = 3
 )
 
 // checkpointJournalBytes is the journal volume past which an append asks the
@@ -193,6 +198,9 @@ func (db *DB) EnableDurability(o DurabilityOptions) (RecoveryStats, error) {
 		// replace whatever the caller loaded.
 		db.meta = ckpt.meta
 		db.zones = extendZones(nil, db.meta)
+		if ckpt.floatLabels {
+			ckpt.cols = matstore.Columns{}
+		}
 		db.mat.Restore(ckpt.cols)
 		db.mat.RestoreUsage(ckpt.state.Usage)
 		db.catalog.Restore(ckpt.state.Catalog)
@@ -276,10 +284,13 @@ func (db *DB) applyRecordLocked(sc *storeCorpus, r wal.Record) error {
 		if invalidate {
 			db.mat.Invalidate()
 		}
-	case recMerge:
+	case recMerge, recMergeFloat:
 		key, rows, labels, err := decodeMergeRec(r.Data)
 		if err != nil {
 			return fmt.Errorf("record %d: %w", r.Seq, err)
+		}
+		if r.Type == recMergeFloat {
+			return nil
 		}
 		// Replay goes through the same publication as the live path. A row
 		// journaled twice (its column was evicted and rebuilt in between)
@@ -747,6 +758,9 @@ type checkpoint struct {
 	meta   []Metadata
 	state  ckptState
 	cols   matstore.Columns
+	// floatLabels marks a TAHCKP2 file (ckptMagicFloat): its columns are
+	// decoded and verified like any other, and recovery drops them.
+	floatLabels bool
 }
 
 // ckptState is the checkpoint's JSON section: the workload state that steers
@@ -765,7 +779,13 @@ type ckptState struct {
 //	state   ckptState as JSON
 //	column  one per materialized column, in key order: category and cascade
 //	        (putString each), then the matstore column encoding
-const ckptMagic = "TAHCKP2\n"
+const ckptMagic = "TAHCKP3\n"
+
+// ckptMagicFloat opens a checkpoint written while stored representations
+// were derived by the float32 resample: the same layout, but labels the
+// integer derivation may flip. Its metadata, usage table and catalog are
+// restored; its columns are not (see recMergeFloat).
+const ckptMagicFloat = "TAHCKP2\n"
 
 var ckptCRC = crc32.IEEETable
 
@@ -862,8 +882,12 @@ func loadCheckpoint(path string) (*checkpoint, error) {
 // do not back.
 func decodeCheckpoint(data []byte) (*checkpoint, error) {
 	rest, ok := bytes.CutPrefix(data, []byte(ckptMagic))
+	floatLabels := false
 	if !ok {
-		return nil, errors.New("not a TAHCKP2 checkpoint")
+		rest, floatLabels = bytes.CutPrefix(data, []byte(ckptMagicFloat))
+	}
+	if !ok && !floatLabels {
+		return nil, errors.New("not a TAHCKP3 or TAHCKP2 checkpoint")
 	}
 	frame := func(what string) (payload []byte, err error) {
 		payload, rest, err = readCkptFrame(rest, what)
@@ -876,7 +900,7 @@ func decodeCheckpoint(data []byte) (*checkpoint, error) {
 	if len(hdr) != 24 {
 		return nil, fmt.Errorf("header is %d bytes", len(hdr))
 	}
-	ck := &checkpoint{walSeq: binary.LittleEndian.Uint64(hdr), cols: matstore.Columns{}}
+	ck := &checkpoint{walSeq: binary.LittleEndian.Uint64(hdr), cols: matstore.Columns{}, floatLabels: floatLabels}
 	rows, ncols := binary.LittleEndian.Uint64(hdr[8:]), binary.LittleEndian.Uint64(hdr[16:])
 
 	metaBlob, err := frame("meta")

@@ -7,9 +7,16 @@
 // Transforms are identified by a stable ID ("32x32/gray") so that cascade
 // cost accounting can charge the creation of each distinct representation
 // only once per input image, exactly as in Section VI of the paper.
+//
+// Every representation a store holds or the engine scores is derived from a
+// stored TIMG record by AppendRecord, in exact integer arithmetic, so it is
+// the same bytes on every GOARCH. Apply and ApplyInto are the float32
+// transform over images, which training still scores; their stored form is
+// within 1 of AppendRecord's bytes per sample.
 package xform
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
@@ -45,8 +52,10 @@ func (t Transform) StoredBytes() int {
 	return img.EncodedSize(t.Size, t.Size, t.Color)
 }
 
-// Apply materializes the representation from a source image. The source may
-// be any resolution; it is typically the full-size corpus image.
+// Apply materializes the representation from a source image, in float32:
+// the training path's transform (the serving path derives from records with
+// AppendRecord). The source may be any resolution; it is typically the
+// full-size corpus image.
 func (t Transform) Apply(src *img.Image) *img.Image {
 	var projected *img.Image
 	switch t.Color {
@@ -96,14 +105,8 @@ func (t Transform) ApplyInto(dst, src, proj *img.Image) (rep, projOut *img.Image
 	return dst, proj
 }
 
-// colTap is one destination column's bilinear taps (see img.Tap).
-type colTap struct {
-	x0, x1 int
-	fx     float32
-}
-
-// stackTaps is how many column taps and row samples AppendRecord keeps on its
-// stack; wider representations take one small allocation per call.
+// stackTaps is how many column taps resampleTaps keeps on its stack; wider
+// representations take one small allocation per call.
 const stackTaps = 128
 
 // ApplyRecord expands t's representation of rec into dst: the float32 samples
@@ -112,8 +115,9 @@ const stackTaps = 128
 // representation (a served rep) is expanded as it is; any other is first
 // derived into buf by AppendRecord, the one derivation, and that record
 // expanded. A derived slot is therefore bit-identical to the same slot served
-// from a store. dst and buf are reused when they fit (a mismatched dst is
-// replaced) and both are returned.
+// from a store, and no float arithmetic runs before the expansion. dst and
+// buf are reused when they fit (a mismatched dst is replaced) and both are
+// returned.
 func (t Transform) ApplyRecord(dst *img.Image, buf []byte, rec img.Record) (*img.Image, []byte) {
 	mode := t.modeOf(rec)
 	if dst == nil || dst.W != t.Size || dst.H != t.Size || dst.Mode != mode {
@@ -129,16 +133,25 @@ func (t Transform) ApplyRecord(dst *img.Image, buf []byte, rec img.Record) (*img
 }
 
 // AppendRecord appends the TIMG record of t's representation of rec to dst
-// and returns the extended slice: the bytes img.AppendRecord(dst,
-// t.Apply(rec.Image())) would append, without a float32 image on either side.
-// Each output sample is computed from its bilinear taps, and each tap from the
-// record's bytes through img.Unit (and img.Luma for grayscale) — the same
-// img.Tap, img.Bilerp, img.Luma and img.Unit expressions Apply runs, in the
-// same order — and every row is quantized as it leaves the resampling loop
-// (img.AppendQuantized). An output plane that is a stored plane unchanged
-// (same geometry, no projection) is appended as stored, since quantizing
-// img.Unit(b) gives back b; a channel transform touches one stored plane in
-// three.
+// and returns the extended slice. It is defined in exact integer arithmetic
+// on the record's bytes, so it is the same on every GOARCH:
+//
+//   - Along each axis, output coordinate i of n reads source position
+//     ((2i+1)·src − n)/(2n), clamped at 0: the two samples around it, the
+//     second clamped at the last sample, weighted over 2n by the fraction
+//     (img.ResizeInto's rule, as a rational).
+//   - Grayscale projects each of the four taps with the Rec.601 weights in
+//     16-bit fixed point (19595, 38470, 7471, which sum to 1<<16); a plane
+//     read alone is weighted 1<<16.
+//   - The output byte is the weighted sum of the four taps over its
+//     denominator, (2n)²·2¹⁶, rounded half up once.
+//
+// Where the source is an integer multiple of the output on both axes (every
+// default grid) the taps are whole samples, and resampleFactor computes the
+// same bytes directly: the rounded mean of a 2×2 block at an even factor, one
+// sample at an odd one. An output plane that is a stored plane unchanged
+// (same geometry, no projection) is appended as stored. The derivation stays
+// within 1 of quantizing the float32 Apply, which training still uses.
 //
 // This is the one derivation of a representation: a store derives every
 // representation it holds with it, from the stored source record whichever
@@ -149,24 +162,22 @@ func (t Transform) AppendRecord(dst []byte, rec img.Record) []byte {
 	mode := t.modeOf(rec)
 	out := img.Record{W: t.Size, H: t.Size, Mode: mode}
 	dst = out.AppendHeader(slices.Grow(dst, img.EncodedSize(t.Size, t.Size, mode)))
-	var stack [stackTaps]colTap
-	cols := t.taps(stack[:], rec)
-	var rowStack [stackTaps]float32
-	row := rowStack[:]
-	if t.Size > stackTaps {
-		row = make([]float32, t.Size)
-	}
-	row = row[:t.Size]
+	n := t.Size
+	kx, ky := rec.W/n, rec.H/n
+	factor := kx*n == rec.W && ky*n == rec.H && kx%2 == ky%2
 	var planes [3][]byte
 	for c := range mode.Channels() {
 		src := t.sourcePlanes(&planes, rec, c)
-		if cols == nil && len(src) == 1 {
+		if rec.W == n && rec.H == n && len(src) == 1 {
 			dst = append(dst, src[0]...)
 			continue
 		}
-		for y := range t.Size {
-			resampleRow(row, src, rec.W, rec.H, y, cols)
-			dst = img.AppendQuantized(dst, row)
+		at := len(dst)
+		dst = dst[:at+n*n]
+		if factor {
+			resampleFactor(dst[at:], src, rec.W, kx, ky, n)
+		} else {
+			resampleTaps(dst[at:], src, rec.W, rec.H, n)
 		}
 	}
 	return dst
@@ -179,24 +190,6 @@ func (t Transform) modeOf(rec img.Record) img.ColorMode {
 		return rec.Mode
 	}
 	return t.Color
-}
-
-// taps returns the column taps of t's resample of rec, in stack when they
-// fit, or nil when rec already has t's geometry and no sample needs any.
-func (t Transform) taps(stack []colTap, rec img.Record) []colTap {
-	if rec.W == t.Size && rec.H == t.Size {
-		return nil
-	}
-	cols := stack
-	if t.Size > len(stack) {
-		cols = make([]colTap, t.Size)
-	}
-	cols = cols[:t.Size]
-	xScale := float32(rec.W) / float32(t.Size)
-	for x := range cols {
-		cols[x].x0, cols[x].x1, cols[x].fx = img.Tap(x, xScale, rec.W)
-	}
-	return cols
 }
 
 // sourcePlanes returns the stored planes output plane c of t's
@@ -218,38 +211,164 @@ func (t Transform) sourcePlanes(buf *[3][]byte, rec img.Record, c int) [][]byte 
 	return buf[:1]
 }
 
-// resampleRow writes row y of the len(out)-square bilinear resample of a
-// stored w×h image into out: of planes[0] alone, or of the grayscale
-// projection of three planes, each tap projected as it is read. cols holds
-// the column taps, nil when the image already has the output geometry; only
-// a grayscale projection resamples at that geometry, since AppendRecord
-// copies an unchanged plane as stored.
-func resampleRow(out []float32, planes [][]byte, w, h, y int, cols []colTap) {
-	size := len(out)
-	if cols == nil {
-		at := y * w
-		r, g, b := planes[0][at:at+w], planes[1][at:at+w], planes[2][at:at+w]
-		for x := range out {
-			out[x] = img.Luma(img.Unit(r[x]), img.Unit(g[x]), img.Unit(b[x]))
-		}
-		return
-	}
-	y0, y1, fy := img.Tap(y, float32(h)/float32(size), h)
-	top, bot := y0*w, y1*w
+// The Rec.601 luma weights in 16-bit fixed point. They sum to 1<<16, the
+// weight of a plane read alone, so every sample's projected value carries
+// 16 fractional bits.
+const (
+	lumaR = 19595
+	lumaG = 38470
+	lumaB = 7471
+)
+
+// luma returns sample i of planes projected in 16-bit fixed point: the
+// sample shifted up, or the Rec.601 sum of three.
+func luma(planes [][]byte, i int) uint64 {
 	if len(planes) == 1 {
-		r0, r1 := planes[0][top:top+w], planes[0][bot:bot+w]
+		return uint64(planes[0][i]) << 16
+	}
+	return lumaR*uint64(planes[0][i]) + lumaG*uint64(planes[1][i]) + lumaB*uint64(planes[2][i])
+}
+
+// tap is one output coordinate's two source samples along an axis and their
+// weights over 2n, which sum to 2n.
+type tap struct {
+	i0, i1 int
+	w0, w1 uint64
+}
+
+// tapAt returns coordinate i's tap along an axis of src samples resampled to
+// n: source position ((2i+1)·src − n)/(2n), clamped at 0, split into its
+// floor and fraction; the second sample clamps at the last one.
+func tapAt(i, n, src int) tap {
+	den := 2 * int64(n)
+	num := max(int64(2*i+1)*int64(src)-int64(n), 0)
+	i0, f := int(num/den), uint64(num%den)
+	return tap{i0: i0, i1: min(i0+1, src-1), w0: uint64(den) - f, w1: f}
+}
+
+// resampleTaps writes the n×n resample of a w×h image — planes[0], or the
+// grayscale projection of three planes — into out (n·n bytes), by the
+// definition AppendRecord states, at any geometry: each output byte is its
+// four weighted taps summed over (2n)²·2¹⁶ and rounded half up. The sum
+// stays below 2⁶³ for every n a TIMG header holds.
+func resampleTaps(out []byte, planes [][]byte, w, h, n int) {
+	var stack [stackTaps]tap
+	cols := stack[:]
+	if n > len(cols) {
+		cols = make([]tap, n)
+	}
+	cols = cols[:n]
+	for x := range cols {
+		cols[x] = tapAt(x, n, w)
+	}
+	den := uint64(n) * uint64(n) << 18
+	for y := range n {
+		ty := tapAt(y, n, h)
+		top, bot := ty.i0*w, ty.i1*w
+		o := out[y*n : y*n+n]
 		for x, c := range cols {
-			out[x] = img.Bilerp(img.Unit(r0[c.x0]), img.Unit(r0[c.x1]), img.Unit(r1[c.x0]), img.Unit(r1[c.x1]), c.fx, fy)
+			upper := c.w0*luma(planes, top+c.i0) + c.w1*luma(planes, top+c.i1)
+			lower := c.w0*luma(planes, bot+c.i0) + c.w1*luma(planes, bot+c.i1)
+			o[x] = byte((ty.w0*upper + ty.w1*lower + den/2) / den)
 		}
-		return
 	}
-	r, g, b := planes[0], planes[1], planes[2]
-	luma := func(i int) float32 {
-		return img.Luma(img.Unit(r[i]), img.Unit(g[i]), img.Unit(b[i]))
+}
+
+// resampleFactor is resampleTaps where w = kx·n and h = ky·n, both factors
+// even or both odd. There every tap falls on whole samples: at even factors the
+// output is the rounded mean of the 2×2 block at (x·kx + kx/2 − 1,
+// y·ky + ky/2 − 1), at odd ones the sample at (x·kx + (kx−1)/2,
+// y·ky + (ky−1)/2), rounded from 16-bit fixed point for grayscale.
+func resampleFactor(out []byte, planes [][]byte, w, kx, ky, n int) {
+	for y := range n {
+		top := (y*ky + (ky-1)/2) * w
+		o := out[y*n : y*n+n]
+		if kx%2 == 1 {
+			for x := range o {
+				o[x] = byte((luma(planes, top+x*kx+(kx-1)/2) + 1<<15) >> 16)
+			}
+			continue
+		}
+		blockMeans(o, planes, top, w, kx)
 	}
-	for x, c := range cols {
-		out[x] = img.Bilerp(luma(top+c.x0), luma(top+c.x1), luma(bot+c.x0), luma(bot+c.x1), c.fx, fy)
+}
+
+// SWAR constants: ones16 and ones32 hold a one in each 16- and 32-bit lane
+// of a uint64; lo8 keeps the low byte of each 16-bit lane, lanes8 the low
+// byte of each 32-bit lane and lo16 its low half.
+const (
+	ones16 = 0x0001_0001_0001_0001
+	ones32 = 0x0000_0001_0000_0001
+	lo8    = 0xFF * ones16
+	lanes8 = 0xFF * ones32
+	lo16   = 0xFFFF * ones32
+)
+
+// blockMeans writes o[x], for each x, as the rounded mean of the projected
+// 2×2 block at column x·k + k/2 − 1 of source rows top and top+w: the four
+// 16-bit fixed-point values summed, plus 2¹⁷, shifted down 18. At k = 2 and
+// k = 4 it reads eight bytes of each row at a time and computes four or two
+// outputs at once in the lanes of a uint64 (no lane can carry into the next:
+// a block of four bytes sums to at most 1020, and its projection to at most
+// 1020·2¹⁶ < 2³²); whatever is left is one output at a time.
+func blockMeans(o []byte, planes [][]byte, top, w, k int) {
+	x := 0
+	switch {
+	case k == 2 && len(planes) == 1:
+		p := planes[0][top : top+2*w]
+		for ; x+4 <= len(o); x += 4 {
+			s := (sums2(p, 2*x, w) + 2*ones16) >> 2 & lo8
+			s = (s | s>>8) & lo16
+			binary.LittleEndian.PutUint32(o[x:], uint32(s|s>>16))
+		}
+	case k == 2:
+		r, g, b := planes[0][top:top+2*w], planes[1][top:top+2*w], planes[2][top:top+2*w]
+		for ; x+4 <= len(o); x += 4 {
+			rs, gs, bs := sums2(r, 2*x, w), sums2(g, 2*x, w), sums2(b, 2*x, w)
+			even := round18(lumaR*(rs&lo16) + lumaG*(gs&lo16) + lumaB*(bs&lo16))
+			odd := round18(lumaR*(rs>>16&lo16) + lumaG*(gs>>16&lo16) + lumaB*(bs>>16&lo16))
+			v := even | odd<<8
+			binary.LittleEndian.PutUint32(o[x:], uint32(v|v>>16))
+		}
+	case k == 4 && len(planes) == 1:
+		p := planes[0][top : top+2*w]
+		for ; x+2 <= len(o); x += 2 {
+			s := (sums4(p, 4*x, w) + 2*ones32) >> 2 & lanes8
+			binary.LittleEndian.PutUint16(o[x:], uint16(s|s>>24))
+		}
+	case k == 4:
+		r, g, b := planes[0][top:top+2*w], planes[1][top:top+2*w], planes[2][top:top+2*w]
+		for ; x+2 <= len(o); x += 2 {
+			s := round18(lumaR*sums4(r, 4*x, w) + lumaG*sums4(g, 4*x, w) + lumaB*sums4(b, 4*x, w))
+			binary.LittleEndian.PutUint16(o[x:], uint16(s|s>>24))
+		}
 	}
+	for ; x < len(o); x++ {
+		c := top + x*k + k/2 - 1
+		sum := luma(planes, c) + luma(planes, c+1) + luma(planes, c+w) + luma(planes, c+w+1)
+		o[x] = byte((sum + 1<<17) >> 18)
+	}
+}
+
+// sums2 returns, in the 16-bit lanes of a uint64, the sums of the four 2×2
+// blocks of p's eight bytes at i in row 0 and at w+i in row 1.
+func sums2(p []byte, i, w int) uint64 {
+	a, b := binary.LittleEndian.Uint64(p[i:]), binary.LittleEndian.Uint64(p[w+i:])
+	return a&lo8 + a>>8&lo8 + b&lo8 + b>>8&lo8
+}
+
+// sums4 returns, in the 32-bit lanes of a uint64, the sums of the two 2×2
+// blocks of p's eight bytes at i in row 0 and at w+i in row 1 that start at
+// bytes 1 and 5.
+func sums4(p []byte, i, w int) uint64 {
+	a, b := binary.LittleEndian.Uint64(p[i:]), binary.LittleEndian.Uint64(p[w+i:])
+	return a>>8&lanes8 + a>>16&lanes8 + b>>8&lanes8 + b>>16&lanes8
+}
+
+// round18 rounds each 32-bit lane of v, a projected 2×2 block sum in 16-bit
+// fixed point, to its byte: plus 2¹⁷, shifted down 18.
+func round18(v uint64) uint64 {
+	return (v + 1<<17*ones32) >> 18 & lanes8
 }
 
 // Validate reports whether the transform is well-formed.
