@@ -224,19 +224,6 @@ func BenchmarkInferenceLarge(b *testing.B) {
 	}
 }
 
-func BenchmarkTransformResizeGray(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	src := img.New(64, 64, img.RGB)
-	for i := range src.Pix {
-		src.Pix[i] = rng.Float32()
-	}
-	tr := xform.Transform{Size: 16, Color: img.Gray}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = tr.Apply(src)
-	}
-}
-
 func BenchmarkThresholdCalibration(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	n := 500

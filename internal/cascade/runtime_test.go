@@ -36,11 +36,28 @@ func TestRuntimeClassifyMatchesManualWalk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Manual walk with the same semantics.
+		// Manual walk with the same semantics, each level scoring its
+		// representation derived from the frame's record.
+		raw, err := img.AppendRecord(nil, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := img.ParseRecord(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var want bool
 		levels := 0
 		for k, ref := range []LevelRef{spec.L[0], spec.L[1], spec.L[2]} {
-			score := f.models[ref.Model].ScoreFull(src)
+			m := f.models[ref.Model]
+			rep, _ := m.Xform.ApplyRecord(nil, nil, rec)
+			score, err := m.Score(rep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if k < len(tr.Scores) && tr.Scores[k] != score {
+				t.Fatalf("trial %d level %d: Classify scored %v, manual walk %v", trial, k, tr.Scores[k], score)
+			}
 			levels++
 			if k == 2 {
 				want = score >= 0.5

@@ -133,15 +133,20 @@ func (s countingRecords) Records(ctx context.Context, idx []int, dst []img.Recor
 	return s.RecordSource.Records(ctx, idx, dst)
 }
 
-// storedRep is transform xf of frame f as a store holds it: the TIMG record
-// of its output, and that record decoded — what a RepSource serves, in either
-// form.
+// storedRep is transform xf of frame f as a store holds it: the record xf
+// derives from f's record (AppendRecord), and that record decoded — what a
+// RepSource serves, in either form.
 func storedRep(t testing.TB, xf xform.Transform, f *img.Image) (raw []byte, im *img.Image) {
 	t.Helper()
-	raw, err := img.AppendRecord(nil, xf.Apply(f))
+	src, err := img.AppendRecord(nil, f)
 	if err != nil {
 		t.Fatal(err)
 	}
+	srcRec, err := img.ParseRecord(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw = xf.AppendRecord(nil, srcRec)
 	rec, err := img.ParseRecord(raw)
 	if err != nil {
 		t.Fatal(err)
@@ -227,10 +232,10 @@ type refFrame struct {
 
 // referenceWalk is the independent oracle: a per-frame walk down the cascade
 // with one representation map per frame — the semantics the seed runtime
-// implemented. It shares no code with the engine: every representation is
-// Q(Apply(decoded record)), the float32 transform of the frame stored the way
-// a store stores it (storedRep), and a served transform counts as a hit
-// instead of a rep — the same samples either way.
+// implemented. It shares no loop with the engine: every representation is
+// the frame's record derived the way a store derives it (storedRep), whose
+// bytes xform's own tests hold to an exact reference, and a served transform
+// counts as a hit instead of a rep — the same samples either way.
 func referenceWalk(t *testing.T, levels []Level, frames []*img.Image, indices []int, served map[string]bool) []refFrame {
 	t.Helper()
 	out := make([]refFrame, len(indices))

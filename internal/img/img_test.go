@@ -65,140 +65,6 @@ func TestClamp(t *testing.T) {
 	}
 }
 
-// TestResizeConstantImage: resampling a constant image yields the same
-// constant at any target size (property-based).
-func TestResizeConstantImage(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		v := rng.Float32()
-		src := New(3+rng.Intn(20), 3+rng.Intn(20), RGB)
-		for i := range src.Pix {
-			src.Pix[i] = v
-		}
-		dst := Resize(src, 1+rng.Intn(24), 1+rng.Intn(24))
-		for _, p := range dst.Pix {
-			if d := p - v; d > 1e-5 || d < -1e-5 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestResizeSameSizeIsCopy(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	src := randImage(rng, 7, 5, RGB)
-	dst := Resize(src, 7, 5)
-	for i := range src.Pix {
-		if dst.Pix[i] != src.Pix[i] {
-			t.Fatal("same-size resize altered pixels")
-		}
-	}
-	dst.Pix[0] = -1
-	if src.Pix[0] == -1 {
-		t.Fatal("same-size resize shares memory")
-	}
-}
-
-func TestResizePreservesRange(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	src := randImage(rng, 16, 16, RGB)
-	dst := Resize(src, 5, 9)
-	if dst.W != 5 || dst.H != 9 || dst.Mode != RGB {
-		t.Fatalf("geometry %dx%d/%v", dst.W, dst.H, dst.Mode)
-	}
-	for _, p := range dst.Pix {
-		if p < 0 || p > 1 {
-			t.Fatalf("bilinear produced out-of-range %v", p)
-		}
-	}
-}
-
-func TestResizeDownThenUpRoughlyPreservesMean(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	src := randImage(rng, 32, 32, Gray)
-	down := Resize(src, 8, 8)
-	var m1, m2 float64
-	for _, p := range src.Pix {
-		m1 += float64(p)
-	}
-	for _, p := range down.Pix {
-		m2 += float64(p)
-	}
-	m1 /= float64(len(src.Pix))
-	m2 /= float64(len(down.Pix))
-	if d := m1 - m2; d > 0.05 || d < -0.05 {
-		t.Fatalf("mean drifted: %v vs %v", m1, m2)
-	}
-}
-
-func TestResizePanicsOnBadTarget(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Resize(New(2, 2, Gray), 0, 5)
-}
-
-func TestExtractChannel(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	src := randImage(rng, 4, 4, RGB)
-	for i, mode := range []ColorMode{Red, Green, Blue} {
-		out := ExtractChannel(src, mode)
-		if out.Mode != mode || out.Channels() != 1 {
-			t.Fatalf("mode wrong: %v", out.Mode)
-		}
-		plane := src.Plane(i)
-		for j := range plane {
-			if out.Pix[j] != plane[j] {
-				t.Fatalf("channel %v content wrong", mode)
-			}
-		}
-	}
-	// From single-channel input, extraction reuses the only plane.
-	g := randImage(rng, 4, 4, Gray)
-	out := ExtractChannel(g, Red)
-	for j := range g.Pix {
-		if out.Pix[j] != g.Pix[j] {
-			t.Fatal("single-channel extraction should copy the plane")
-		}
-	}
-}
-
-func TestExtractChannelPanicsOnRGB(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	ExtractChannel(New(2, 2, RGB), RGB)
-}
-
-func TestToGray(t *testing.T) {
-	src := New(1, 1, RGB)
-	src.Pix[0], src.Pix[1], src.Pix[2] = 1, 0.5, 0.25
-	g := ToGray(src)
-	want := float32(0.299*1 + 0.587*0.5 + 0.114*0.25)
-	if d := g.Pix[0] - want; d > 1e-6 || d < -1e-6 {
-		t.Fatalf("gray = %v, want %v", g.Pix[0], want)
-	}
-	// Gray of an already-gray image is the identity.
-	g2 := ToGray(g)
-	if g2.Pix[0] != g.Pix[0] {
-		t.Fatal("gray of gray changed values")
-	}
-	// A neutral image (r=g=b) maps to that value.
-	n := New(1, 1, RGB)
-	n.Pix[0], n.Pix[1], n.Pix[2] = 0.7, 0.7, 0.7
-	if d := ToGray(n).Pix[0] - 0.7; d > 1e-6 || d < -1e-6 {
-		t.Fatal("neutral gray conversion wrong")
-	}
-}
-
 // TestFlipHInvolution: flipping twice is the identity (property-based).
 func TestFlipHInvolution(t *testing.T) {
 	f := func(seed int64) bool {

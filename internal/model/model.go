@@ -130,13 +130,6 @@ func (m *Model) ScoreBatch(reps []*img.Image) ([]float32, error) {
 	return out, nil
 }
 
-// ScoreFull applies the model's input transformation to a full-size source
-// image and then scores it.
-func (m *Model) ScoreFull(src *img.Image) float32 {
-	rep := m.Xform.Apply(src)
-	return m.Net.Predict(InputTensor(rep))
-}
-
 // MACs returns the analytic inference cost proxy for one forward pass.
 func (m *Model) MACs() int64 { return m.Net.MACs() }
 

@@ -75,20 +75,32 @@ func TestScoreValidatesGeometry(t *testing.T) {
 	}
 }
 
-func TestScoreFullMatchesManualPipeline(t *testing.T) {
+// TestScoreMatchesManualPipeline: a frame's record derived to the model's
+// representation (the engine's ApplyRecord) and scored gives the network's
+// own prediction on that input.
+func TestScoreMatchesManualPipeline(t *testing.T) {
 	m, _ := New(testSpec, xform.Transform{Size: 8, Color: img.Blue}, Basic, 5)
 	rng := rand.New(rand.NewSource(6))
 	src := img.New(32, 32, img.RGB)
 	for i := range src.Pix {
 		src.Pix[i] = rng.Float32()
 	}
-	rep := m.Xform.Apply(src)
-	want, err := m.Score(rep)
+	raw, err := img.AppendRecord(nil, src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.ScoreFull(src); got != want {
-		t.Fatalf("ScoreFull %v != manual %v", got, want)
+	rec, err := img.ParseRecord(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, _ := m.Xform.ApplyRecord(nil, nil, rec)
+	want := m.Net.Predict(InputTensor(rep))
+	got, err := m.Score(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("Score %v != manual %v", got, want)
 	}
 	if want < 0 || want > 1 {
 		t.Fatalf("score %v out of [0,1]", want)

@@ -22,15 +22,20 @@ import (
 	"tahoma/internal/model"
 	"tahoma/internal/synth"
 	"tahoma/internal/thresh"
+	"tahoma/internal/xform"
 )
 
 // DiffDetector reuses the previous frame's label when the mean squared
-// difference of downsampled grayscale frames is below Threshold.
+// difference of downsampled grayscale frames is at most Threshold. A frame's
+// signature is the record of its DownSize×DownSize grayscale representation
+// (xform.Transform.AppendRecord), so the detector reads the bytes the engine
+// derives, and the comparison is integer arithmetic on them.
 type DiffDetector struct {
 	DownSize  int     // downsample side, e.g. 8
-	Threshold float32 // MSE threshold for "same scene"
+	Threshold float32 // MSE threshold for "same scene", over samples in [0,1]
 
-	prev      []float32
+	limit     uint64 // Threshold as a bound on a sum of squared byte differences
+	prev, cur []byte // the reference signature and a scratch one
 	prevLabel bool
 	prevValid bool
 }
@@ -43,43 +48,70 @@ func NewDiffDetector(downSize int, threshold float32) (*DiffDetector, error) {
 	if threshold <= 0 {
 		return nil, fmt.Errorf("noscope: threshold must be positive, got %v", threshold)
 	}
-	return &DiffDetector{DownSize: downSize, Threshold: threshold}, nil
+	// A sample is a byte over 255, so an MSE of at most threshold is a sum of
+	// squared byte differences of at most threshold·255²·samples.
+	limit := uint64(float64(threshold) * 255 * 255 * float64(downSize*downSize))
+	return &DiffDetector{DownSize: downSize, Threshold: threshold, limit: limit}, nil
 }
 
-func (d *DiffDetector) signature(frame *img.Image) []float32 {
-	return img.Resize(img.ToGray(frame), d.DownSize, d.DownSize).Pix
+// signature appends rec's signature to dst[:0].
+func (d *DiffDetector) signature(dst []byte, rec img.Record) []byte {
+	return xform.Transform{Size: d.DownSize, Color: img.Gray}.AppendRecord(dst[:0], rec)
 }
 
-// Reuse reports whether the frame is close enough to the last labeled frame
-// to reuse its label. When it is not, callers must label the frame and
-// record the result via Update.
-func (d *DiffDetector) Reuse(frame *img.Image) (bool, bool) {
+// Reuse reports whether the frame, as its record, is close enough to the
+// last labeled frame to reuse its label. When it is not, callers must label
+// the frame and record the result via Update.
+func (d *DiffDetector) Reuse(rec img.Record) (bool, bool) {
 	if !d.prevValid {
 		return false, false
 	}
-	sig := d.signature(frame)
-	var mse float32
-	for i, v := range sig {
-		diff := v - d.prev[i]
-		mse += diff * diff
+	d.cur = d.signature(d.cur, rec)
+	var sum uint64
+	for i, v := range d.cur {
+		diff := int64(v) - int64(d.prev[i])
+		sum += uint64(diff * diff)
 	}
-	mse /= float32(len(sig))
-	if mse <= d.Threshold {
+	if sum <= d.limit {
 		return true, d.prevLabel
 	}
 	return false, false
 }
 
-// Update records a freshly computed label and its frame as the new
+// Update records a freshly computed label and its frame's record as the new
 // reference.
-func (d *DiffDetector) Update(frame *img.Image, label bool) {
-	d.prev = d.signature(frame)
+func (d *DiffDetector) Update(rec img.Record, label bool) {
+	d.prev = d.signature(d.prev, rec)
 	d.prevLabel = label
 	d.prevValid = true
 }
 
 // Reset forgets the reference frame.
-func (d *DiffDetector) Reset() { d.prevValid = false; d.prev = nil }
+func (d *DiffDetector) Reset() { d.prevValid = false }
+
+// frameReader holds what scoring one frame after another reuses: the frame's
+// record, encoded once and read by the detector and every model, and the
+// buffers a model's representation is derived into.
+type frameReader struct {
+	raw, derived []byte
+	rep          *img.Image
+}
+
+// record encodes frame to its TIMG record, reusing r's buffer.
+func (r *frameReader) record(frame *img.Image) (img.Record, error) {
+	var err error
+	if r.raw, err = img.AppendRecord(r.raw[:0], frame); err != nil {
+		return img.Record{}, err
+	}
+	return img.ParseRecord(r.raw)
+}
+
+// score scores m on its representation of rec as the engine derives it
+// (xform.Transform.ApplyRecord).
+func (r *frameReader) score(m *model.Model, rec img.Record) (float32, error) {
+	r.rep, r.derived = m.Xform.ApplyRecord(r.rep, r.derived, rec)
+	return m.Score(r.rep)
+}
 
 // Costs prices the pipeline components in seconds. The oracle cost is the
 // YOLOv2 stand-in: the paper's YOLOv2 ran at ~67 fps, i.e. ~15 ms/frame.
@@ -104,7 +136,7 @@ func DefaultCosts() Costs {
 }
 
 func (c Costs) inferCost(m *model.Model) float64 {
-	return float64(m.MACs())*c.InferSecPerMAC + c.InferOverheadSec
+	return float64(float64(m.MACs())*c.InferSecPerMAC) + c.InferOverheadSec
 }
 
 // System is a trained NoScope pipeline for one video predicate.
@@ -201,11 +233,16 @@ func (s *System) Run(frames []synth.Frame) (Result, error) {
 		return Result{}, fmt.Errorf("noscope: no frames")
 	}
 	s.DD.Reset()
+	var r frameReader
 	var cost float64
 	correct, reused, oracled := 0, 0, 0
 	for _, f := range frames {
+		rec, err := r.record(f.Image)
+		if err != nil {
+			return Result{}, err
+		}
 		cost += s.Costs.Diff
-		if ok, label := s.DD.Reuse(f.Image); ok {
+		if ok, label := s.DD.Reuse(rec); ok {
 			reused++
 			if label == f.Label {
 				correct++
@@ -213,7 +250,10 @@ func (s *System) Run(frames []synth.Frame) (Result, error) {
 			continue
 		}
 		cost += s.Costs.inferCost(s.Model)
-		score := s.Model.ScoreFull(f.Image)
+		score, err := r.score(s.Model, rec)
+		if err != nil {
+			return Result{}, err
+		}
 		var label bool
 		if decided, positive := s.Thresholds.Decide(score); decided {
 			label = positive
@@ -222,7 +262,7 @@ func (s *System) Run(frames []synth.Frame) (Result, error) {
 			oracled++
 			label = f.Label // oracle answers with ground truth
 		}
-		s.DD.Update(f.Image, label)
+		s.DD.Update(rec, label)
 		if label == f.Label {
 			correct++
 		}
@@ -245,11 +285,16 @@ func RunTahomaDD(rt *cascade.Runtime, dd *DiffDetector, costs Costs, frames []sy
 		return Result{}, fmt.Errorf("noscope: no frames")
 	}
 	dd.Reset()
+	var r frameReader
 	var cost float64
 	correct, reused, oracled := 0, 0, 0
 	for _, f := range frames {
+		rec, err := r.record(f.Image)
+		if err != nil {
+			return Result{}, err
+		}
 		cost += costs.Diff
-		if ok, label := dd.Reuse(f.Image); ok {
+		if ok, label := dd.Reuse(rec); ok {
 			reused++
 			if label == f.Label {
 				correct++
@@ -268,7 +313,7 @@ func RunTahomaDD(rt *cascade.Runtime, dd *DiffDetector, costs Costs, frames []sy
 				break
 			}
 			cost += costs.inferCost(lv.Model)
-			score, err := lv.Model.Score(lv.Model.Xform.Apply(f.Image))
+			score, err := r.score(lv.Model, rec)
 			if err != nil {
 				return Result{}, err
 			}
@@ -284,7 +329,7 @@ func RunTahomaDD(rt *cascade.Runtime, dd *DiffDetector, costs Costs, frames []sy
 		if !decided {
 			return Result{}, fmt.Errorf("noscope: cascade did not decide")
 		}
-		dd.Update(f.Image, label)
+		dd.Update(rec, label)
 		if label == f.Label {
 			correct++
 		}

@@ -1,12 +1,31 @@
 package noscope
 
 import (
-	"tahoma/internal/cascade"
-	"tahoma/internal/core"
+	"bytes"
+	"context"
 	"testing"
 
+	"tahoma/internal/cascade"
+	"tahoma/internal/core"
+	"tahoma/internal/exec"
+	"tahoma/internal/img"
 	"tahoma/internal/synth"
+	"tahoma/internal/xform"
 )
+
+// frameRecord is frame's TIMG record, as Run and RunTahomaDD encode it.
+func frameRecord(t *testing.T, frame *img.Image) img.Record {
+	t.Helper()
+	raw, err := img.AppendRecord(nil, frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := img.ParseRecord(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
 
 func TestDiffDetectorBasics(t *testing.T) {
 	if _, err := NewDiffDetector(1, 0.01); err == nil {
@@ -23,13 +42,14 @@ func TestDiffDetectorBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := frameRecord(t, frames[0].Image)
 	// No reference yet.
-	if ok, _ := dd.Reuse(frames[0].Image); ok {
+	if ok, _ := dd.Reuse(rec); ok {
 		t.Fatal("reuse before any update")
 	}
-	dd.Update(frames[0].Image, true)
+	dd.Update(rec, true)
 	// The same frame must be reusable with the recorded label.
-	ok, label := dd.Reuse(frames[0].Image)
+	ok, label := dd.Reuse(rec)
 	if !ok || !label {
 		t.Fatal("identical frame not reused")
 	}
@@ -38,12 +58,45 @@ func TestDiffDetectorBasics(t *testing.T) {
 	for i := range inv.Pix {
 		inv.Pix[i] = 1 - inv.Pix[i]
 	}
-	if ok, _ := dd.Reuse(inv); ok {
+	if ok, _ := dd.Reuse(frameRecord(t, inv)); ok {
 		t.Fatal("wildly different frame reused")
 	}
 	dd.Reset()
-	if ok, _ := dd.Reuse(frames[0].Image); ok {
+	if ok, _ := dd.Reuse(rec); ok {
 		t.Fatal("reuse after reset")
+	}
+}
+
+// TestDiffDetectorSignatureIsGrayRecord: the detector's signature is the
+// record of the frame's DownSize×DownSize grayscale representation, the
+// bytes the engine derives. An identical frame is reused, even at the
+// smallest threshold, and an inverted one is not, even at a generous one.
+func TestDiffDetectorSignatureIsGrayRecord(t *testing.T) {
+	frames, err := synth.GenerateStream(synth.JunctionStream(24, 2, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := frameRecord(t, frames[0].Image)
+	inv := frames[0].Image.Clone()
+	for i := range inv.Pix {
+		inv.Pix[i] = 1 - inv.Pix[i]
+	}
+	for _, threshold := range []float32{1e-9, 0.05} {
+		dd, err := NewDiffDetector(6, threshold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := xform.Transform{Size: 6, Color: img.Gray}.AppendRecord(nil, rec)
+		if got := dd.signature(nil, rec); !bytes.Equal(got, want) {
+			t.Fatalf("signature %v, the gray record %v", got, want)
+		}
+		dd.Update(rec, true)
+		if ok, label := dd.Reuse(frameRecord(t, frames[0].Image.Clone())); !ok || !label {
+			t.Fatalf("threshold %v: identical frame not reused", threshold)
+		}
+		if ok, _ := dd.Reuse(frameRecord(t, inv)); ok {
+			t.Fatalf("threshold %v: inverted frame reused", threshold)
+		}
 	}
 }
 
@@ -248,5 +301,70 @@ func TestRunTahomaDD(t *testing.T) {
 	}
 	if resSolo.Throughput <= res.Throughput {
 		t.Fatal("oracle-free cascade should be faster than the deep-terminated one")
+	}
+}
+
+// TestRunTahomaDDReadsWhatTheEngineReads: with a threshold that reuses no
+// frame and a cascade without the deep level, RunTahomaDD labels each frame
+// as the engine does, so its accuracy equals that of the same runtime's
+// ClassifyBatchContext labels over the same frames. Each basic model ends a
+// two-level cascade behind model 0's thresholds; the tiny models label most
+// of these frames one way, so taking every one of them is what makes some
+// cascades' labels mixed.
+func TestRunTahomaDDReadsWhatTheEngineReads(t *testing.T) {
+	frames, err := synth.GenerateStream(synth.JunctionStream(24, 300, 41))
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, tail := frames[:200], frames[200:]
+	splits, err := SplitsFromFrames(head, 80, 40, 40, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := core.Initialize("video", splits, core.TinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs := make([]*img.Image, len(tail))
+	for i, f := range tail {
+		srcs[i] = f.Image
+	}
+	for last, m := range sys.Models {
+		if last == sys.DeepIdx {
+			continue
+		}
+		t.Run(m.ID(), func(t *testing.T) {
+			rt, err := sys.Runtime(cascade.Spec{Depth: 2, L: [cascade.MaxLevels]cascade.LevelRef{
+				{Model: 0, Thresh: 0},
+				{Model: int32(last), Thresh: cascade.Final},
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dd, err := NewDiffDetector(8, 1e-9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := RunTahomaDD(rt, dd, DefaultCosts(), tail)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.ReusedFrac != 0 || res.OracleFrac != 0 {
+				t.Fatalf("reused %v, oracle %v: want every frame labeled by the cascade", res.ReusedFrac, res.OracleFrac)
+			}
+			rep, err := rt.ClassifyBatchContext(context.Background(), srcs, exec.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			correct := 0
+			for i, f := range tail {
+				if rep.Labels[i] == f.Label {
+					correct++
+				}
+			}
+			if want := float64(correct) / float64(len(tail)); res.Accuracy != want {
+				t.Fatalf("RunTahomaDD accuracy %v, the engine's labels %v", res.Accuracy, want)
+			}
+		})
 	}
 }

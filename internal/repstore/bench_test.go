@@ -18,8 +18,6 @@ import (
 // paper's cost model that precede inference — over an on-disk store of 8 000
 // 32×32 frames (the scenario benchmark's archive), per physical path:
 //
-//	f32/miss     read the record, expand it to a float32 image, ApplyInto
-//	             (the float32 image path training still takes)
 //	record/miss  read the record into a slice the cache keeps, ApplyRecord:
 //	             derive the rep's record into a reused buffer in integer
 //	             arithmetic (AppendRecord) and expand it (img.UnitsInto) —
@@ -36,12 +34,6 @@ import (
 //	             reused buffer — what a served rep costs the engine, 0 allocs
 //	             (over its own store of 500 rows, since every rep is resident
 //	             whatever the store's size)
-//
-// f32/miss runs the float32 transform training scores, unrounded; the record
-// paths run the integer derivation the store and the engine share, whose
-// bytes are within 1 of f32/miss's samples stored. record/miss against
-// f32/miss is the derivation's whole saving, with the expansion to float32
-// on each side.
 func BenchmarkLoadTransform(b *testing.B) {
 	const rows, side, chunk = 8000, 32, 500
 	transforms := []xform.Transform{{Size: 16, Color: img.Gray}, {Size: 8, Color: img.RGB}, {Size: 32, Color: img.RGB}}
@@ -79,19 +71,6 @@ func BenchmarkLoadTransform(b *testing.B) {
 		return c
 	}
 	for _, tr := range transforms {
-		b.Run("f32/miss/"+tr.ID(), func(b *testing.B) {
-			cache := newCache(rows / 4 * record) // a sequential scan of 4× the cache never hits
-			var dst, proj *img.Image
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				src, err := cache.Source(i % rows)
-				if err != nil {
-					b.Fatal(err)
-				}
-				dst, proj = tr.ApplyInto(dst, src, proj)
-			}
-		})
 		for _, mode := range []struct {
 			name     string
 			capacity int64

@@ -91,28 +91,32 @@ func TestCreateIngestLoadRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Representations match recomputing the transform on the decoded source
-	// (both sides quantized, so compare against transform-of-quantized).
+	// Representations are the one derivation of the source's record, byte
+	// for byte.
 	for _, tr := range testTransforms {
-		for i := range originals {
+		for i, im := range originals {
 			var buf []byte
 			rec, err := s.RepRecord(i, tr, &buf)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := rec.Image()
-			if got.W != tr.Size || got.Channels() != tr.Channels() {
-				t.Fatalf("rep geometry %dx%d/%d", got.W, got.H, got.Channels())
+			if rec.W != tr.Size || rec.Mode.Channels() != tr.Channels() {
+				t.Fatalf("rep geometry %dx%d/%v", rec.W, rec.H, rec.Mode)
 			}
-			want := tr.Apply(originals[i])
-			for j := range want.Pix {
-				d := got.Pix[j] - want.Pix[j]
-				if d < 0 {
-					d = -d
-				}
-				if d > 2.0/255 {
-					t.Fatalf("rep %s image %d sample %d: %v vs %v", tr.ID(), i, j, got.Pix[j], want.Pix[j])
-				}
+			raw, err := img.AppendRecord(nil, im)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src, err := img.ParseRecord(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := img.ParseRecord(tr.AppendRecord(nil, src))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(rec.Pix, want.Pix) {
+				t.Fatalf("rep %s image %d: stored bytes differ from AppendRecord of the source record", tr.ID(), i)
 			}
 		}
 	}

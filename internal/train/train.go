@@ -17,6 +17,7 @@ import (
 	"tahoma/internal/nn"
 	"tahoma/internal/synth"
 	"tahoma/internal/tensor"
+	"tahoma/internal/xform"
 )
 
 // Options controls the fitting loop.
@@ -53,10 +54,75 @@ type sample struct {
 	label float32
 }
 
+// represent is t's representation of src in float32: what every fit and
+// every calibration score in this package reads. Serving never runs it; it
+// reads the expansion of the integer derivation from records
+// (xform.Transform.ApplyRecord), whose bytes are within 1 of this transform's
+// stored form (TestDerivationWithinOneOfFloat). The colour projection comes
+// first, at full resolution: every plane for RGB (a transform that keeps
+// src's own mode), the Rec.601 luma for Gray, one plane for R, G or B, and
+// the only plane of a single-plane src for all three. Each plane is then
+// resampled bilinearly to t.Size×t.Size: output coordinate i of an axis
+// reads source position (i+0.5)·src/n − 0.5, clamped at 0, and blends the
+// two samples around it, the second clamped at the last. Every product is
+// rounded by an explicit float32 conversion before it is added, the Go spec's
+// barrier against fusing the two into one multiply-add, so a trained model is
+// the same on every GOARCH.
+func represent(t xform.Transform, src *img.Image) *img.Image {
+	if err := t.Validate(); err != nil {
+		panic(err)
+	}
+	mode := t.Color
+	planes := [][]float32{nil}
+	switch {
+	case mode == img.RGB:
+		mode, planes = src.Mode, planes[:0]
+		for c := range src.Channels() {
+			planes = append(planes, src.Plane(c))
+		}
+	case src.Mode != img.RGB:
+		planes[0] = src.Plane(0)
+	case mode == img.Gray:
+		r, g, b := src.Plane(0), src.Plane(1), src.Plane(2)
+		planes[0] = make([]float32, len(r))
+		for i := range r {
+			planes[0][i] = float32(0.299*r[i]) + float32(0.587*g[i]) + float32(0.114*b[i])
+		}
+	default:
+		planes[0] = src.Plane(int(mode - img.Red))
+	}
+	n := t.Size
+	out := img.New(n, n, mode)
+	tap := func(i int, scale float32, srcN int) (i0, i1 int, f float32) {
+		s := max(float32((float32(i)+0.5)*scale)-0.5, 0)
+		i0 = int(s)
+		return i0, min(i0+1, srcN-1), s - float32(i0)
+	}
+	xScale, yScale := float32(src.W)/float32(n), float32(src.H)/float32(n)
+	for c, p := range planes {
+		o := out.Plane(c)
+		if src.W == n && src.H == n {
+			copy(o, p)
+			continue
+		}
+		for y := range n {
+			y0, y1, fy := tap(y, yScale, src.H)
+			r0, r1 := p[y0*src.W:], p[y1*src.W:]
+			for x := range n {
+				x0, x1, fx := tap(x, xScale, src.W)
+				top := r0[x0] + float32((r0[x1]-r0[x0])*fx)
+				bot := r1[x0] + float32((r1[x1]-r1[x0])*fx)
+				o[y*n+x] = top + float32((bot-top)*fy)
+			}
+		}
+	}
+	return out
+}
+
 func materialize(m *model.Model, ds synth.Dataset) []sample {
 	out := make([]sample, len(ds.Examples))
 	for i, e := range ds.Examples {
-		rep := m.Xform.Apply(e.Image)
+		rep := represent(m.Xform, e.Image)
 		var y float32
 		if e.Label {
 			y = 1
@@ -255,17 +321,19 @@ func All(jobs []Job, ds synth.Dataset, workers int) ([]Report, error) {
 }
 
 // Scores runs a trained model over a dataset and returns its probability
-// outputs. It materializes the model's representation of every example once
-// and scores them through the batched kernels, so out[i] has the bits
-// m.ScoreFull(example i) has.
+// outputs: the float32 representation training reads (represent) of every
+// example, scored through the batched kernels, so out[i] has the bits
+// m.Score of that representation has. Thresholds calibrated on them are
+// calibrated on what training reads, which is within 1 of what serving
+// reads per stored sample, not equal to it.
 func Scores(m *model.Model, ds synth.Dataset) []float32 {
 	reps := make([]*img.Image, ds.Len())
 	for i, e := range ds.Examples {
-		reps[i] = m.Xform.Apply(e.Image)
+		reps[i] = represent(m.Xform, e.Image)
 	}
 	out := make([]float32, len(reps))
 	if err := m.ScoreBatchInto(reps, out); err != nil {
-		panic(err) // Apply always yields the transform's geometry
+		panic(err) // represent always yields the transform's geometry
 	}
 	return out
 }

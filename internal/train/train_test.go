@@ -131,8 +131,9 @@ func TestScoresAndLabels(t *testing.T) {
 			t.Fatalf("score %v out of [0,1]", s)
 		}
 	}
-	// Scores runs the batched kernels; it must give ScoreFull's bits, over
-	// 37 examples: two full 16-sample chunks and a ragged tail.
+	// Scores runs the batched kernels; it must give Score's bits on each
+	// example's representation, over 37 examples: two full 16-sample chunks
+	// and a ragged tail.
 	ds := zooSplits(t, 37).Train
 	c0, err := model.New(arch.Spec{ConvLayers: 0, DenseWidth: 8, Kernel: 3},
 		xform.Transform{Size: 16, Color: img.RGB}, model.Basic, 4)
@@ -142,8 +143,12 @@ func TestScoresAndLabels(t *testing.T) {
 	for _, m := range []*model.Model{newModel(t, 16, img.RGB, 4), c0} {
 		got := Scores(m, ds)
 		for i, e := range ds.Examples {
-			if want := m.ScoreFull(e.Image); math.Float32bits(got[i]) != math.Float32bits(want) {
-				t.Fatalf("%s example %d: Scores %v, ScoreFull %v", m.ID(), i, got[i], want)
+			want, err := m.Score(represent(m.Xform, e.Image))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float32bits(got[i]) != math.Float32bits(want) {
+				t.Fatalf("%s example %d: Scores %v, Score %v", m.ID(), i, got[i], want)
 			}
 		}
 	}

@@ -69,7 +69,15 @@ func TestCompatShimsInert(t *testing.T) {
 		}
 		reps := make([]*img.Image, len(frames))
 		for i, f := range frames {
-			reps[i] = m.Xform.Apply(f)
+			raw, err := img.AppendRecord(nil, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec, err := img.ParseRecord(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reps[i], _ = m.Xform.ApplyRecord(nil, nil, rec)
 		}
 		want, got := make([]float32, len(reps)), make([]float32, len(reps))
 		if err := m.ScoreBatchInto(reps, want); err != nil {

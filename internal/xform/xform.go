@@ -10,9 +10,10 @@
 //
 // Every representation a store holds or the engine scores is derived from a
 // stored TIMG record by AppendRecord, in exact integer arithmetic, so it is
-// the same bytes on every GOARCH. Apply and ApplyInto are the float32
-// transform over images, which training still scores; their stored form is
-// within 1 of AppendRecord's bytes per sample.
+// the same bytes on every GOARCH, and the package has no float arithmetic
+// but the expansion of those bytes. The float32 transform over images that
+// training fits on lives in the train package; its stored form is within 1
+// of AppendRecord's bytes per sample.
 package xform
 
 import (
@@ -52,59 +53,6 @@ func (t Transform) StoredBytes() int {
 	return img.EncodedSize(t.Size, t.Size, t.Color)
 }
 
-// Apply materializes the representation from a source image, in float32:
-// the training path's transform (the serving path derives from records with
-// AppendRecord). The source may be any resolution; it is typically the
-// full-size corpus image.
-func (t Transform) Apply(src *img.Image) *img.Image {
-	var projected *img.Image
-	switch t.Color {
-	case img.RGB:
-		projected = src
-	case img.Gray:
-		projected = img.ToGray(src)
-	default:
-		projected = img.ExtractChannel(src, t.Color)
-	}
-	out := img.Resize(projected, t.Size, t.Size)
-	return out
-}
-
-// ApplyInto is Apply into caller-owned buffers, for callers that hold float32
-// images (the engine derives from stored records instead: ApplyRecord). dst
-// receives the representation and is reused when its geometry matches what
-// Apply would produce for src (otherwise a fresh image is allocated); proj is
-// an optional scratch for the intermediate full-resolution color projection,
-// reused the same way. The image actually holding the representation and the
-// (possibly newly allocated) projection scratch are returned; pixel values are
-// bit-identical to Apply's.
-func (t Transform) ApplyInto(dst, src, proj *img.Image) (rep, projOut *img.Image) {
-	// Mirror Apply: an RGB transform keeps the source's own mode (a
-	// single-channel source stays single-channel and is caught later by
-	// model geometry validation), the other transforms project first.
-	mode := t.Color
-	if t.Color == img.RGB {
-		mode = src.Mode
-	}
-	if dst == nil || dst.W != t.Size || dst.H != t.Size || dst.Mode != mode {
-		dst = img.New(t.Size, t.Size, mode)
-	}
-	if t.Color == img.RGB {
-		img.ResizeInto(dst, src)
-		return dst, proj
-	}
-	if proj == nil || proj.W != src.W || proj.H != src.H || proj.Mode != mode {
-		proj = img.New(src.W, src.H, mode)
-	}
-	if t.Color == img.Gray {
-		img.ToGrayInto(proj, src)
-	} else {
-		img.ExtractChannelInto(proj, src, t.Color)
-	}
-	img.ResizeInto(dst, proj)
-	return dst, proj
-}
-
 // stackTaps is how many column taps resampleTaps keeps on its stack; wider
 // representations take one small allocation per call.
 const stackTaps = 128
@@ -139,7 +87,7 @@ func (t Transform) ApplyRecord(dst *img.Image, buf []byte, rec img.Record) (*img
 //   - Along each axis, output coordinate i of n reads source position
 //     ((2i+1)·src − n)/(2n), clamped at 0: the two samples around it, the
 //     second clamped at the last sample, weighted over 2n by the fraction
-//     (img.ResizeInto's rule, as a rational).
+//     (the float32 training transform's rule, as a rational).
 //   - Grayscale projects each of the four taps with the Rec.601 weights in
 //     16-bit fixed point (19595, 38470, 7471, which sum to 1<<16); a plane
 //     read alone is weighted 1<<16.
@@ -151,7 +99,7 @@ func (t Transform) ApplyRecord(dst *img.Image, buf []byte, rec img.Record) (*img
 // same bytes directly: the rounded mean of a 2×2 block at an even factor, one
 // sample at an odd one. An output plane that is a stored plane unchanged
 // (same geometry, no projection) is appended as stored. The derivation stays
-// within 1 of quantizing the float32 Apply, which training still uses.
+// within 1 of quantizing the float32 transform training reads.
 //
 // This is the one derivation of a representation: a store derives every
 // representation it holds with it, from the stored source record whichever
@@ -183,8 +131,9 @@ func (t Transform) AppendRecord(dst []byte, rec img.Record) []byte {
 	return dst
 }
 
-// modeOf is the mode of t's representation of rec. Mirroring Apply, an RGB
-// transform keeps the record's own mode.
+// modeOf is the mode of t's representation of rec. An RGB transform keeps
+// the record's own mode: a single-plane record stays single-plane, and model
+// geometry validation catches it.
 func (t Transform) modeOf(rec img.Record) img.ColorMode {
 	if t.Color == img.RGB {
 		return rec.Mode

@@ -1,9 +1,7 @@
 package xform
 
 import (
-	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"tahoma/internal/img"
 )
@@ -56,49 +54,6 @@ func TestSamples(t *testing.T) {
 	}
 	if (Transform{Size: 16, Color: img.Gray}).Samples() != 256 {
 		t.Fatal("gray sample count wrong")
-	}
-}
-
-func TestApplyGeometry(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	src := img.New(64, 64, img.RGB)
-	for i := range src.Pix {
-		src.Pix[i] = rng.Float32()
-	}
-	for _, tr := range Grid([]int{8, 32}, AllColors) {
-		out := tr.Apply(src)
-		if out.W != tr.Size || out.H != tr.Size {
-			t.Fatalf("%s produced %dx%d", tr.ID(), out.W, out.H)
-		}
-		if out.Channels() != tr.Channels() {
-			t.Fatalf("%s produced %d channels", tr.ID(), out.Channels())
-		}
-	}
-}
-
-// TestColorProjectionCommutesWithResize: projecting then resizing equals
-// resizing then projecting (both are linear), which justifies applying the
-// cheap order.
-func TestColorProjectionCommutesWithResize(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		src := img.New(16, 16, img.RGB)
-		for i := range src.Pix {
-			src.Pix[i] = rng.Float32()
-		}
-		tr := Transform{Size: 4 + rng.Intn(8), Color: img.Gray}
-		a := tr.Apply(src) // project then resize (implementation order)
-		b := img.ToGray(img.Resize(src, tr.Size, tr.Size))
-		for i := range a.Pix {
-			d := a.Pix[i] - b.Pix[i]
-			if d > 1e-4 || d < -1e-4 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
 	}
 }
 
