@@ -6,7 +6,8 @@ package tahoma
 // the paper, where the 360 models per predicate are trained during system
 // initialization and reused by every experiment). Each experiment's rows are
 // printed once, so `go test -bench=. -benchmem` output doubles as the
-// reproduction record (see EXPERIMENTS.md).
+// reproduction record. The experiments themselves live in
+// internal/experiments; `tahoma-bench -exp <name>` runs one of them alone.
 //
 // Alongside the figure benchmarks are micro-benchmarks of the moving parts
 // (inference, transforms, bitset cascade evaluation, frontier computation)

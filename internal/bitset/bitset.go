@@ -151,28 +151,12 @@ func (s *Set) And(o *Set) {
 	}
 }
 
-// AndNot computes s &^= o.
-func (s *Set) AndNot(o *Set) {
-	s.match(o)
-	for i := range s.words {
-		s.words[i] &^= o.words[i]
-	}
-}
-
 // Or computes s |= o.
 func (s *Set) Or(o *Set) {
 	s.match(o)
 	for i := range s.words {
 		s.words[i] |= o.words[i]
 	}
-}
-
-// Not complements s in place (bits beyond Len stay zero).
-func (s *Set) Not() {
-	for i := range s.words {
-		s.words[i] = ^s.words[i]
-	}
-	s.trim()
 }
 
 // AndCount returns popcount(s & o) without materializing the intersection.
@@ -183,38 +167,6 @@ func (s *Set) AndCount(o *Set) int {
 		c += bits.OnesCount64(w & o.words[i])
 	}
 	return c
-}
-
-// AndNotCount returns popcount(s &^ o).
-func (s *Set) AndNotCount(o *Set) int {
-	s.match(o)
-	c := 0
-	for i, w := range s.words {
-		c += bits.OnesCount64(w &^ o.words[i])
-	}
-	return c
-}
-
-// And3Count returns popcount(a & b & c) where a is the receiver.
-func (s *Set) And3Count(b, c *Set) int {
-	s.match(b)
-	s.match(c)
-	n := 0
-	for i, w := range s.words {
-		n += bits.OnesCount64(w & b.words[i] & c.words[i])
-	}
-	return n
-}
-
-// AndAndNotCount returns popcount(a & b &^ c) where a is the receiver.
-func (s *Set) AndAndNotCount(b, c *Set) int {
-	s.match(b)
-	s.match(c)
-	n := 0
-	for i, w := range s.words {
-		n += bits.OnesCount64(w & b.words[i] &^ c.words[i])
-	}
-	return n
 }
 
 // String renders the set as a 0/1 string for small sets (tests/debugging).

@@ -40,18 +40,6 @@ func TestSetAllRespectsLength(t *testing.T) {
 	}
 }
 
-func TestNotKeepsTailZero(t *testing.T) {
-	s := New(70)
-	s.Not()
-	if s.Count() != 70 {
-		t.Fatalf("Not produced count %d, want 70", s.Count())
-	}
-	s.Not()
-	if s.Count() != 0 {
-		t.Fatal("double Not not identity")
-	}
-}
-
 func TestBoundsPanic(t *testing.T) {
 	s := New(10)
 	for _, f := range []func(){func() { s.Set(10) }, func() { s.Get(-1) }, func() { s.Clear(11) }} {
@@ -113,30 +101,14 @@ func TestAgainstReference(t *testing.T) {
 			return true
 		}
 
-		// AndCount / AndNotCount / And3Count / AndAndNotCount.
-		inter, diff := 0, 0
+		// AndCount.
+		inter := 0
 		for i := 0; i < n; i++ {
 			if ra[i] && rb[i] {
 				inter++
 			}
-			if ra[i] && !rb[i] {
-				diff++
-			}
 		}
-		if a.AndCount(b) != inter || a.AndNotCount(b) != diff {
-			return false
-		}
-		c, rc := randomPair(rng, n)
-		and3, aAndNot := 0, 0
-		for i := 0; i < n; i++ {
-			if ra[i] && rb[i] && rc[i] {
-				and3++
-			}
-			if ra[i] && rb[i] && !rc[i] {
-				aAndNot++
-			}
-		}
-		if a.And3Count(b, c) != and3 || a.AndAndNotCount(b, c) != aAndNot {
+		if a.AndCount(b) != inter {
 			return false
 		}
 
@@ -167,22 +139,6 @@ func TestAgainstReference(t *testing.T) {
 			ry[i] = true
 		}
 		if !eq(y, ry) {
-			return false
-		}
-		z := a.Clone()
-		z.AndNot(b)
-		rz := make(refSet)
-		for i := range ra {
-			if !rb[i] {
-				rz[i] = true
-			}
-		}
-		if !eq(z, rz) {
-			return false
-		}
-		w := a.Clone()
-		w.Not()
-		if w.Count() != n-len(ra) {
 			return false
 		}
 		v := New(n)
@@ -234,8 +190,7 @@ func TestGrow(t *testing.T) {
 				t.Fatalf("Grow(%d→%d): bit %d = %v, want %v", tc.from, tc.to, i, s.Get(i), wantBit)
 			}
 		}
-		// The zero-tail invariant must survive growth: Not+Count only works
-		// if bits beyond Len stayed zero before the grow.
+		// SetAll keeps the zero-tail invariant at the grown length.
 		s.SetAll()
 		if s.Count() != s.Len() {
 			t.Fatalf("Grow(%d→%d): SetAll count %d != len %d", tc.from, tc.to, s.Count(), s.Len())

@@ -310,10 +310,6 @@ func New(levels []Level) (*Engine, error) {
 	return e, nil
 }
 
-// Reps returns the planned representation slots: the distinct transform
-// identities of the cascade's levels, in first-use order.
-func (e *Engine) Reps() []string { return append([]string(nil), e.repIDs...) }
-
 // cloneLevels builds a worker-local level set: models are cloned (weights
 // shared, inference scratch independent), deduplicated so a model appearing
 // at several levels is cloned once per worker.

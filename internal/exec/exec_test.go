@@ -570,7 +570,7 @@ func TestRepPlanning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reps := eng.Reps()
+	reps := eng.repIDs
 	if len(reps) != 3 {
 		t.Fatalf("planned %d representation slots (%v), want 3", len(reps), reps)
 	}
@@ -582,7 +582,7 @@ func TestRepPlanning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(same.Reps()); got != 1 {
+	if got := len(same.repIDs); got != 1 {
 		t.Fatalf("a cascade on one transform planned %d slots, want 1", got)
 	}
 }
@@ -658,7 +658,7 @@ func TestExactlyOnceMaterialization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(eng.Reps()); got != len(grid) {
+	if got := len(eng.repIDs); got != len(grid) {
 		t.Fatalf("plan has %d slots, want %d", got, len(grid))
 	}
 	frames := randFrames(3300, 40, 32)

@@ -239,35 +239,6 @@ func Decode(r io.Reader) (*Image, error) {
 	return rec.Image(), nil
 }
 
-// WritePNM writes the image as a binary PGM (single channel) or PPM (RGB),
-// for eyeballing generated corpora with standard tools.
-func WritePNM(w io.Writer, im *Image) error {
-	if im.Mode == RGB {
-		if _, err := fmt.Fprintf(w, "P6\n%d %d\n255\n", im.W, im.H); err != nil {
-			return err
-		}
-		buf := make([]byte, 3*im.W*im.H)
-		r, g, b := im.Plane(0), im.Plane(1), im.Plane(2)
-		for i := 0; i < im.W*im.H; i++ {
-			buf[3*i] = quant(r[i])
-			buf[3*i+1] = quant(g[i])
-			buf[3*i+2] = quant(b[i])
-		}
-		_, err := w.Write(buf)
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "P5\n%d %d\n255\n", im.W, im.H); err != nil {
-		return err
-	}
-	buf := make([]byte, im.W*im.H)
-	p := im.Plane(0)
-	for i := range buf {
-		buf[i] = quant(p[i])
-	}
-	_, err := w.Write(buf)
-	return err
-}
-
 func quant(v float32) byte {
 	if v < 0 {
 		v = 0

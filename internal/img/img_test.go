@@ -173,25 +173,6 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
-func TestWritePNM(t *testing.T) {
-	var buf bytes.Buffer
-	rgb := New(2, 2, RGB)
-	if err := WritePNM(&buf, rgb); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(buf.Bytes(), []byte("P6\n2 2\n255\n")) {
-		t.Fatalf("PPM header wrong: %q", buf.Bytes()[:12])
-	}
-	buf.Reset()
-	gray := New(2, 2, Gray)
-	if err := WritePNM(&buf, gray); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(buf.Bytes(), []byte("P5\n")) {
-		t.Fatal("PGM header wrong")
-	}
-}
-
 func TestStoredBytes(t *testing.T) {
 	im := New(8, 8, RGB)
 	if im.StoredBytes() != 10+192 {

@@ -1,6 +1,6 @@
 // Package nn implements the small convolutional networks TAHOMA uses as
 // basic classification models: Conv2D/MaxPool/ReLU/Dense/Sigmoid layers with
-// full backpropagation, binary cross-entropy loss and SGD/Adam optimizers.
+// full backpropagation, binary cross-entropy loss and the Adam optimizer.
 //
 // A Network compiles its layers once into a plan in which every Conv2D →
 // ReLU → MaxPool2 block is one implicit-GEMM pass with a pooling epilogue

@@ -367,21 +367,6 @@ func TestTrainingConvergesOnSeparableTask(t *testing.T) {
 	}
 }
 
-func TestSGDMomentumMovesParams(t *testing.T) {
-	p := &Param{Value: tensor.NewFrom([]float32{1}, 1), Grad: tensor.NewFrom([]float32{2}, 1)}
-	sgd := NewSGD(0.1, 0.9)
-	sgd.Step([]*Param{p})
-	if p.Value.Data[0] >= 1 {
-		t.Fatal("SGD did not descend")
-	}
-	v1 := p.Value.Data[0]
-	sgd.Step([]*Param{p})
-	// Momentum: the second step is larger than the first.
-	if (1 - v1) >= (v1 - p.Value.Data[0]) {
-		t.Fatal("momentum did not accelerate")
-	}
-}
-
 func TestAdamDescendsQuadratic(t *testing.T) {
 	// Minimize (w-3)^2 by feeding grad = 2(w-3).
 	p := &Param{Value: tensor.NewFrom([]float32{0}, 1), Grad: tensor.New(1)}

@@ -6,48 +6,6 @@ import (
 	"tahoma/internal/tensor"
 )
 
-// Optimizer applies accumulated gradients to parameters.
-type Optimizer interface {
-	// Step applies one update using the gradients currently stored in the
-	// parameters and then leaves the gradients untouched (callers zero them).
-	Step(params []*Param)
-}
-
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-
-	velocity map[*Param]*tensor.Tensor
-}
-
-// NewSGD creates an SGD optimizer with the given learning rate and momentum.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, velocity: make(map[*Param]*tensor.Tensor)}
-}
-
-// Step implements Optimizer.
-func (s *SGD) Step(params []*Param) {
-	for _, p := range params {
-		if s.Momentum == 0 {
-			p.Value.AddScaled(p.Grad, float32(-s.LR))
-			continue
-		}
-		v, ok := s.velocity[p]
-		if !ok {
-			v = tensor.New(p.Value.Shape...)
-			s.velocity[p] = v
-		}
-		mu := float32(s.Momentum)
-		lr := float32(s.LR)
-		vd, gd, wd := v.Data, p.Grad.Data, p.Value.Data
-		for i := range vd {
-			vd[i] = float32(mu*vd[i]) - float32(lr*gd[i])
-			wd[i] += vd[i]
-		}
-	}
-}
-
 // Adam implements the Adam optimizer (Kingma & Ba) with bias correction.
 type Adam struct {
 	LR      float64
@@ -73,7 +31,8 @@ func NewAdam(lr float64) *Adam {
 	}
 }
 
-// Step implements Optimizer.
+// Step applies one update from the gradients currently stored in params
+// and leaves the gradients untouched (callers zero them).
 func (a *Adam) Step(params []*Param) {
 	a.t++
 	c1 := 1 - math.Pow(a.Beta1, float64(a.t))

@@ -200,23 +200,6 @@ func SelectByAccuracyLoss(points []Point, loss float64) (Point, error) {
 	return best, nil
 }
 
-// SelectByMinThroughput implements the Uthru constraint: among points with
-// throughput >= minThroughput, return the most accurate. Falls back to an
-// error when nothing qualifies.
-func SelectByMinThroughput(points []Point, minThroughput float64) (Point, error) {
-	best := Point{Accuracy: -1}
-	for _, p := range points {
-		if p.Throughput >= minThroughput &&
-			(p.Accuracy > best.Accuracy || (p.Accuracy == best.Accuracy && p.Throughput > best.Throughput)) {
-			best = p
-		}
-	}
-	if best.Accuracy < 0 {
-		return Point{}, fmt.Errorf("pareto: no point reaches throughput %.2f", minThroughput)
-	}
-	return best, nil
-}
-
 // SelectAboveAccuracy returns the fastest point whose accuracy is >= floor
 // (used when comparing against a single classifier: "the optimal cascade
 // whose accuracy is both higher and closest to" the reference, Section

@@ -198,12 +198,6 @@ func TestSelectors(t *testing.T) {
 	if p, _ := SelectByAccuracyLoss(pts, 0); p.Index != 2 {
 		t.Fatalf("0%% loss = %d", p.Index)
 	}
-	if p, _ := SelectByMinThroughput(pts, 300); p.Index != 1 {
-		t.Fatalf("min-throughput 300 = %d", p.Index)
-	}
-	if _, err := SelectByMinThroughput(pts, 5000); err == nil {
-		t.Fatal("unreachable throughput floor must error")
-	}
 	if p, _ := SelectAboveAccuracy(pts, 0.80); p.Index != 1 {
 		t.Fatalf("above accuracy 0.80 = %d", p.Index)
 	}

@@ -25,22 +25,8 @@ import (
 	"strings"
 )
 
-// Order selects the content-predicate ordering policy.
-type Order int
-
-const (
-	// OrderRank (the default) orders by rank = adjusted cost / (1 − pass
-	// rate), ascending: the cheapest way to discard the most rows first.
-	OrderRank Order = iota
-	// OrderStatic orders by the evaluator's AvgCost ascending — the seed
-	// behaviour, kept as the parity oracle and escape hatch.
-	OrderStatic
-)
-
 // Options configure one planning call.
 type Options struct {
-	// Order is the content-predicate ordering policy.
-	Order Order
 	// Rows is the corpus size, for rendering.
 	Rows int
 	// CostModel names the pricing source, for rendering.
@@ -73,9 +59,6 @@ type Step struct {
 	Key       string
 	CascadeID string
 	Negated   bool
-	// BaseCost is the evaluator's AvgCost in seconds/frame — the static
-	// ordering key.
-	BaseCost float64
 	// SourceCost is the per-frame cost of loading and decoding the source
 	// (charged unless every representation is served pre-materialized).
 	SourceCost float64
@@ -152,7 +135,6 @@ type PlannedStep struct {
 
 // Plan is an ordered, costed, explainable content plan.
 type Plan struct {
-	Order     Order
 	CostModel string
 	Rows      int
 	// Steps is the execution order; Steps[i].Input maps back to the parsed
@@ -160,22 +142,18 @@ type Plan struct {
 	Steps []PlannedStep
 }
 
-// PlanContent costs and orders the content predicates of one query.
+// PlanContent costs the content predicates of one query and orders them by
+// rank, ascending: the cheapest way to discard the most rows first. Ties keep
+// their textual order.
 func PlanContent(steps []Step, av Availability, opts Options) *Plan {
-	p := &Plan{Order: opts.Order, CostModel: opts.CostModel, Rows: opts.Rows}
+	p := &Plan{CostModel: opts.CostModel, Rows: opts.Rows}
 	p.Steps = make([]PlannedStep, len(steps))
 	for i, s := range steps {
 		p.Steps[i] = costStep(s, av)
 	}
-	if opts.Order == OrderStatic {
-		sort.SliceStable(p.Steps, func(i, j int) bool {
-			return p.Steps[i].BaseCost < p.Steps[j].BaseCost
-		})
-	} else {
-		sort.SliceStable(p.Steps, func(i, j int) bool {
-			return p.Steps[i].Rank < p.Steps[j].Rank
-		})
-	}
+	sort.SliceStable(p.Steps, func(i, j int) bool {
+		return p.Steps[i].Rank < p.Steps[j].Rank
+	})
 	return p
 }
 
@@ -289,9 +267,5 @@ func (p *Plan) OrderLine() string {
 	for i, s := range p.Steps {
 		keys[i] = s.Key
 	}
-	policy := "rank — cost / (1 - selectivity), ascending"
-	if p.Order == OrderStatic {
-		policy = "static — evaluator cheapest-first"
-	}
-	return fmt.Sprintf("Content order: %s (%s)", strings.Join(keys, ", "), policy)
+	return fmt.Sprintf("Content order: %s (rank — cost / (1 - selectivity), ascending)", strings.Join(keys, ", "))
 }

@@ -10,7 +10,6 @@ import (
 func step(input int, key string, cost, sel float64) Step {
 	return Step{
 		Input: input, Key: key, CascadeID: key + "-c",
-		BaseCost:    cost,
 		Levels:      []LevelCost{{RepID: "r-" + key, RepCost: cost / 2, InferCost: cost / 2, Occupancy: 1}},
 		Selectivity: sel,
 		TotalRows:   100,
@@ -27,13 +26,13 @@ func orderOf(p *Plan) []int {
 
 func TestRankOrdering(t *testing.T) {
 	// A is cheap but passes almost everything; B costs a bit more and
-	// discards almost everything. Static runs A first; rank runs B first.
+	// discards almost everything. Cheapest-first would run A first; rank
+	// runs B first.
 	steps := []Step{step(0, "a", 1e-3, 0.95), step(1, "b", 1.2e-3, 0.02)}
-	static := PlanContent(steps, Availability{}, Options{Order: OrderStatic})
-	if got := orderOf(static); got[0] != 0 || got[1] != 1 {
-		t.Fatalf("static order %v, want [0 1]", got)
+	rank := PlanContent(steps, Availability{}, Options{})
+	if rank.Steps[0].FullCost <= rank.Steps[1].FullCost {
+		t.Fatalf("the first step costs %v, the second %v: the fixture no longer puts the costlier step first", rank.Steps[0].FullCost, rank.Steps[1].FullCost)
 	}
-	rank := PlanContent(steps, Availability{}, Options{Order: OrderRank})
 	if got := orderOf(rank); got[0] != 1 || got[1] != 0 {
 		t.Fatalf("rank order %v, want [1 0]", got)
 	}
@@ -50,7 +49,7 @@ func TestRankDiscountsCachedCoverage(t *testing.T) {
 	fresh := step(0, "fresh", 1e-3, 0.5)
 	cached := step(1, "cached", 10e-3, 0.5)
 	cached.CachedRows = cached.TotalRows
-	p := PlanContent([]Step{fresh, cached}, Availability{}, Options{Order: OrderRank})
+	p := PlanContent([]Step{fresh, cached}, Availability{}, Options{})
 	if got := orderOf(p); got[0] != 1 {
 		t.Fatalf("cached step not first: order %v (ranks %v, %v)", got, p.Steps[0].Rank, p.Steps[1].Rank)
 	}
@@ -84,18 +83,15 @@ func TestPassRateClamped(t *testing.T) {
 
 func TestTiesKeepTextualOrder(t *testing.T) {
 	steps := []Step{step(0, "a", 1e-3, 0.5), step(1, "b", 1e-3, 0.5), step(2, "c", 1e-3, 0.5)}
-	for _, o := range []Order{OrderRank, OrderStatic} {
-		p := PlanContent(steps, Availability{}, Options{Order: o})
-		if got := orderOf(p); got[0] != 0 || got[1] != 1 || got[2] != 2 {
-			t.Fatalf("%v tie order %v, want [0 1 2]", o, got)
-		}
+	p := PlanContent(steps, Availability{}, Options{})
+	if got := orderOf(p); got[0] != 0 || got[1] != 1 || got[2] != 2 {
+		t.Fatalf("tie order %v, want [0 1 2]", got)
 	}
 }
 
 func TestRepAdjustedCost(t *testing.T) {
 	s := Step{
 		Input: 0, Key: "a", CascadeID: "a-c",
-		BaseCost:   2e-3,
 		SourceCost: 1e-3,
 		Levels: []LevelCost{
 			{RepID: "r0", RepCost: 1e-3, InferCost: 1e-4, Occupancy: 1},

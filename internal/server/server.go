@@ -871,11 +871,8 @@ type StatsResponse struct {
 
 // PlannerStats is the /stats planner section.
 type PlannerStats struct {
-	// RankPlans/StaticPlans count executed content queries by ordering
-	// policy. Every content phase narrows sequentially, so SequentialPlans
-	// is their sum.
-	RankPlans       int64 `json:"rank_plans"`
-	StaticPlans     int64 `json:"static_plans"`
+	// SequentialPlans counts executed content queries: every content phase
+	// narrows step by step in the planner's rank order.
 	SequentialPlans int64 `json:"sequential_plans"`
 	// FusedPlans is never encoded and always zero: content predicates never
 	// run fused.
@@ -936,11 +933,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	resp.Materialization = s.db.MatStats()
 	resp.Durability = s.db.DurabilityStats()
 	pl := s.db.PlannerStats()
-	resp.Planner = PlannerStats{
-		RankPlans:       pl.RankPlans,
-		StaticPlans:     pl.StaticPlans,
-		SequentialPlans: pl.RankPlans + pl.StaticPlans,
-	}
+	resp.Planner = PlannerStats{SequentialPlans: pl.ContentPlans}
 	for _, e := range pl.Selectivity {
 		resp.Planner.Selectivity = append(resp.Planner.Selectivity, SelectivityEntry{
 			Predicate: e.Key, PassRate: e.PassRate, Samples: e.Samples, Seed: e.Seed,

@@ -299,8 +299,8 @@ type DB struct {
 	// counters synchronize themselves (the read path records into them).
 	mat        *matstore.Store
 	analyzerOn bool
-	// Plan-choice counters: executed content queries by ordering policy.
-	planRank, planStatic atomic.Int64
+	// contentPlans counts executed statements with a content phase.
+	contentPlans atomic.Int64
 	// Durability (under mu; see durable.go). While durable, Append write-
 	// ahead journals through wal, periodic checkpoints collapse the journal,
 	// and corpus swaps are refused.
@@ -410,29 +410,23 @@ func (db *DB) MatStats() MatStats {
 	return MatStats{Mode: mode.String(), Rows: len(db.meta), Stats: db.mat.Stats()}
 }
 
-// PlannerStats is the planner's observability snapshot: plan-choice
-// counters and the adaptive selectivity catalog.
+// PlannerStats is the planner's observability snapshot: the executed
+// content plans and the adaptive selectivity catalog.
 type PlannerStats struct {
-	// RankPlans and StaticPlans count executed content queries by ordering
-	// policy.
-	RankPlans, StaticPlans int64
+	// ContentPlans counts executed statements with a content phase; every
+	// one narrows step by step in the planner's rank order.
+	ContentPlans int64
 	// Selectivity lists every installed predicate's current pass-rate
 	// estimate, sample count and install-time seed.
 	Selectivity []planner.CatalogEntry
-	// Materialization summarizes the label-materialization layer the
-	// planner prices: coverage, lookup hit/miss, evicted bytes and
-	// analyzer progress.
-	Materialization MatStats
 }
 
-// PlannerStats snapshots the plan-choice counters, selectivity catalog and
-// materialization state.
+// PlannerStats snapshots the content-plan counter and the selectivity
+// catalog. It takes no DB lock.
 func (db *DB) PlannerStats() PlannerStats {
 	return PlannerStats{
-		RankPlans:       db.planRank.Load(),
-		StaticPlans:     db.planStatic.Load(),
-		Materialization: db.MatStats(),
-		Selectivity:     db.catalog.Snapshot(),
+		ContentPlans: db.contentPlans.Load(),
+		Selectivity:  db.catalog.Snapshot(),
 	}
 }
 
@@ -698,11 +692,7 @@ func (db *DB) QueryContext(ctx context.Context, sql string, constraints core.Con
 		return nil, err
 	}
 	if len(plan.content) > 0 {
-		if plan.pp.Order == planner.OrderStatic {
-			db.planStatic.Add(1)
-		} else {
-			db.planRank.Add(1)
-		}
+		db.contentPlans.Add(1)
 		// Materialization bookkeeping: every touched column feeds the usage
 		// table the analyzer ranks by (even under MatOff — usage describes
 		// the workload) and lookup hits/misses accumulate. Touch before

@@ -10,17 +10,19 @@ import (
 	"testing"
 
 	"tahoma/internal/core"
+	"tahoma/internal/exec"
 	"tahoma/internal/img"
 	"tahoma/internal/matstore"
-	"tahoma/internal/planner"
+	"tahoma/internal/repstore"
+	"tahoma/internal/xform"
 )
 
 // The differential suite runs the executor against a naive per-row oracle —
 // the loop the bitset executor replaced: every row through a boxed
 // value/compare pair into a row list, then per-step, per-row label lookups —
-// over seeded random statements, column states, materialization modes and
-// table shapes. The two share the plan (the ordering is the planner's, tested
-// elsewhere) and nothing else.
+// over seeded random statements, column states, materialization modes,
+// table shapes, engine sizings and physical corpora. The two share the plan
+// (the ordering is the planner's, tested elsewhere) and nothing else.
 
 // oracleValue and oracleCompare are the boxed per-row evaluation the
 // compiled filters replaced, kept as the reference.
@@ -378,6 +380,177 @@ func cycledImages(n int) []*img.Image {
 	return images
 }
 
+// zooTransforms lists the distinct transforms the fixture systems' models
+// read: the grid a store can serve.
+func zooTransforms() []xform.Transform {
+	var out []xform.Transform
+	for _, sys := range []*core.System{cloakSys, cohoSys} {
+		for _, m := range sys.Models {
+			if !slices.Contains(out, m.Xform) {
+				out = append(out, m.Xform)
+			}
+		}
+	}
+	return out
+}
+
+// oracleTable is one seeded table's physical draw: the engine's sizing and
+// how the corpus is held and read. No answer may depend on any of it.
+type oracleTable struct {
+	n      int
+	opts   exec.Options
+	store  bool              // a repstore on disk behind a record cache, else in memory
+	grid   []xform.Transform // the representations the store holds
+	serve  bool              // ServeReps: served slots skip the derivation
+	budget int64             // the record cache's bytes
+}
+
+func drawTable(rng *rand.Rand, n int) oracleTable {
+	tb := oracleTable{
+		n:    n,
+		opts: exec.Options{Workers: []int{0, 1, 3}[rng.Intn(3)], Batch: []int{0, 1, 7}[rng.Intn(3)]},
+	}
+	if tb.store = rng.Intn(2) == 0; !tb.store {
+		return tb
+	}
+	zoo := zooTransforms()
+	if rng.Intn(3) == 0 {
+		tb.grid = zoo
+	} else {
+		for _, t := range zoo {
+			if rng.Intn(2) == 0 {
+				tb.grid = append(tb.grid, t)
+			}
+		}
+	}
+	tb.serve = rng.Intn(3) != 0
+	// Large enough for every run to be admitted, a tenth of the corpus's
+	// sources (a publishing run over more than a fortieth of the rows reads
+	// through), or one byte (every publishing run reads through).
+	tb.budget = []int64{64 << 20, max(1, int64(n)*storedSource/10), 1}[rng.Intn(3)]
+	return tb
+}
+
+func (tb oracleTable) fullGrid() bool {
+	return tb.store && tb.serve && len(tb.grid) == len(zooTransforms())
+}
+
+func (tb oracleTable) String() string {
+	corpus := "memory"
+	if tb.store {
+		reps := "derived"
+		if tb.serve {
+			reps = "served"
+		}
+		corpus = fmt.Sprintf("store-%dreps-%s-cache%d", len(tb.grid), reps, tb.budget)
+	}
+	return fmt.Sprintf("n%d-%s-w%d-b%d", tb.n, corpus, tb.opts.Workers, tb.opts.Batch)
+}
+
+// load installs the table's corpus, meta and settings on db.
+func (tb oracleTable) load(t *testing.T, db *DB, meta []Metadata) {
+	t.Helper()
+	db.SetExecOptions(tb.opts)
+	db.ServeReps(tb.serve)
+	images := cycledImages(tb.n)
+	if !tb.store {
+		if err := db.LoadCorpus(images, meta); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	store, err := repstore.Create(t.TempDir(), 16, 16, tb.grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	if err := store.IngestAll(images); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.LoadCorpusFromStore(store, tb.budget, meta); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// storedSource is the stored size of one fixture source record.
+var storedSource = int64(img.EncodedSize(16, 16, img.RGB))
+
+// checkStorePath holds one statement over a store-backed table to the
+// invariants of the store path, given the record cache's counters before
+// (was) and after (now) it ran.
+func (tb oracleTable) checkStorePath(db *DB, res *Result, matOff bool, was, now repstore.CacheStats) error {
+	if res.RepFallbacks != 0 {
+		return fmt.Errorf("%d served reads fell back to derivation", res.RepFallbacks)
+	}
+	if !tb.serve && res.RepHits != 0 {
+		return fmt.Errorf("%d reps served with ServeReps off", res.RepHits)
+	}
+	if tb.fullGrid() {
+		if res.RepsMaterialized != 0 || res.UDFCalls > 0 && res.RepHits == 0 {
+			return fmt.Errorf("the store serves the whole grid, yet %d reps were derived and %d served", res.RepsMaterialized, res.RepHits)
+		}
+		// Every slot is served, so no source record is ever read.
+		for i := 0; i < tb.n; i++ {
+			if db.state.Load().reps.sc.cache.HasSource(i) {
+				return fmt.Errorf("the store serves the whole grid, yet row %d's source record is resident", i)
+			}
+		}
+	}
+	if reads := now.Hits + now.Misses - was.Hits - was.Misses; reads < int64(res.RepHits) {
+		return fmt.Errorf("%d reps served but the record cache counted %d reads", res.RepHits, reads)
+	}
+	if now.ResidentBytes > tb.budget+storedSource {
+		return fmt.Errorf("a %d-byte record cache holds %d bytes, more than its budget plus one %d-byte source", tb.budget, now.ResidentBytes, storedSource)
+	}
+	// A run reads through exactly when it publishes its labels and its
+	// rows' sources come to more than 1/scanShare of the budget. The first
+	// such run of a statement misses at least once when the cache holds
+	// fewer bytes than its rows at the smallest stored size.
+	minRecord := storedSource
+	for _, t := range tb.grid {
+		minRecord = min(minRecord, int64(t.StoredBytes()))
+	}
+	scans, mustMiss := false, false
+	for k, ob := range res.Observed {
+		if !matOff && scanShare*int64(ob.Frames)*storedSource > tb.budget {
+			scans = true
+			mustMiss = mustMiss || k == 0 && was.ResidentBytes < int64(ob.Frames)*minRecord
+		}
+	}
+	if through := now.ReadThrough - was.ReadThrough; !scans && through != 0 || mustMiss && through == 0 {
+		return fmt.Errorf("%d records read through (observed %+v, budget %d, %d bytes resident before)", through, res.Observed, tb.budget, was.ResidentBytes)
+	}
+	return nil
+}
+
+// cheapestFirst reports whether plan runs its content steps in ascending
+// order of the evaluator's expected cost, ties in textual order.
+func cheapestFirst(plan *queryPlan) bool {
+	byInput := make([]float64, len(plan.content))
+	for k, ps := range plan.pp.Steps {
+		byInput[ps.Input] = plan.content[k].expected.AvgCost
+	}
+	want := make([]int, len(byInput))
+	for i := range want {
+		want[i] = i
+	}
+	slices.SortStableFunc(want, func(a, b int) int { return cmp.Compare(byInput[a], byInput[b]) })
+	for k, ps := range plan.pp.Steps {
+		if ps.Input != want[k] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestExecutorMatchesNaiveOracle is vdb's parity suite. Each seeded table
+// draws its engine sizing (workers × batch), its corpus (in memory, or a
+// repstore on disk behind a record cache from one byte to 64 MiB), the
+// representations the store holds and whether they are served, and the
+// resident state of every column; then each statement's answer, work and
+// published columns must be the oracle's. The physical draw changes cost
+// only, so one oracle holds every draw. Store tables also meet the store
+// path's invariants (checkStorePath).
 func TestExecutorMatchesNaiveOracle(t *testing.T) {
 	fx := newDiffFixture(t)
 	// Row counts straddling word and block boundaries; the multi-block table
@@ -388,7 +561,8 @@ func TestExecutorMatchesNaiveOracle(t *testing.T) {
 		tables = 40
 	}
 	db := buildSysDB(t)
-	var cases, bitmaps, chained, classified, partial int
+	var cases, bitmaps, chained, classified, partial, repeated, reordered, served, readThrough int
+	byCorpus, byWorkers, byBatch := map[bool]int{}, map[int]int{}, map[int]int{}
 	for ti := 0; ti < tables; ti++ {
 		rng := rand.New(rand.NewSource(int64(1000 + ti)))
 		n := sizes[ti%len(sizes)]
@@ -402,70 +576,106 @@ func TestExecutorMatchesNaiveOracle(t *testing.T) {
 				o.truth[k][i] = perImage[i%len(perImage)]
 			}
 		}
-		if err := db.LoadCorpus(cycledImages(n), slices.Clone(o.meta)); err != nil {
-			t.Fatal(err)
-		}
-		db.setPlanOptions(planner.Options{
-			Order: []planner.Order{planner.OrderRank, planner.OrderStatic}[rng.Intn(2)],
-		})
-		for _, cat := range diffCategories {
-			seedColumn(rng, db, o, fx.keys[cat])
-		}
-		for qi := 0; qi < perTable; qi++ {
-			matOff := rng.Intn(4) == 0
-			if matOff {
-				db.SetMaterialization(MatOff)
-			} else {
-				db.SetMaterialization(MatOn)
+		tb := drawTable(rng, n)
+		t.Run(fmt.Sprintf("%03d-%s", ti, tb), func(t *testing.T) {
+			tb.load(t, db, slices.Clone(o.meta))
+			for _, cat := range diffCategories {
+				seedColumn(rng, db, o, fx.keys[cat])
 			}
-			sql := randomSQL(rng, o.meta)
-			plan, err := db.prepare(sql, diffCons)
-			if err != nil {
-				t.Fatalf("table %d: %s: %v", ti, sql, err)
-			}
-			want := o.execute(plan, matOff)
-			got, err := db.Query(sql, diffCons)
-			if err != nil {
-				t.Fatalf("table %d: %s: %v", ti, sql, err)
-			}
-			where := fmt.Sprintf("table %d (%d rows, matOff=%v) query %d: %s", ti, n, matOff, qi, sql)
-			if got.Count != want.Count || got.UDFCalls != want.UDFCalls || got.MatHits != want.MatHits ||
-				got.Bitmap != want.Bitmap {
-				t.Fatalf("%s\n got count=%d udf=%d hits=%d bitmap=%v\nwant count=%d udf=%d hits=%d bitmap=%v",
-					where, got.Count, got.UDFCalls, got.MatHits, got.Bitmap,
-					want.Count, want.UDFCalls, want.MatHits, want.Bitmap)
-			}
-			if !reflect.DeepEqual(got.Columns, want.Columns) || !reflect.DeepEqual(got.Rows, want.Rows) {
-				t.Fatalf("%s\nrows differ:\n got %v %v\nwant %v %v", where, got.Columns, got.Rows, want.Columns, want.Rows)
-			}
-			if !reflect.DeepEqual(got.Observed, want.Observed) {
-				t.Fatalf("%s\nobserved selectivities differ:\n got %+v\nwant %+v", where, got.Observed, want.Observed)
-			}
-			// The published columns hold exactly the oracle's rows, with the
-			// oracle's labels.
-			for _, k := range plan.keys {
-				col := db.mat.Columns().Get(k)
-				for i := 0; i < n; i++ {
-					have := i < col.Len() && col.Valid(i)
-					if have != (o.valid[k] != nil && o.valid[k][i]) || (have && col.Label(i) != o.truth[k][i]) {
-						t.Fatalf("%s\ncolumn %v row %d: valid=%v, oracle valid=%v", where, k, i, have, !have)
+			for qi := 0; qi < perTable; qi++ {
+				matOff := rng.Intn(4) == 0
+				if matOff {
+					db.SetMaterialization(MatOff)
+				} else {
+					db.SetMaterialization(MatOn)
+				}
+				sql := randomSQL(rng, o.meta)
+				plan, err := db.prepare(sql, diffCons)
+				if err != nil {
+					t.Fatalf("%s: %v", sql, err)
+				}
+				want := o.execute(plan, matOff)
+				was, _ := db.RepCacheStats()
+				got, err := db.Query(sql, diffCons)
+				if err != nil {
+					t.Fatalf("%s: %v", sql, err)
+				}
+				where := fmt.Sprintf("query %d (matOff=%v): %s", qi, matOff, sql)
+				if got.Count != want.Count || got.UDFCalls != want.UDFCalls || got.MatHits != want.MatHits ||
+					got.Bitmap != want.Bitmap {
+					t.Fatalf("%s\n got count=%d udf=%d hits=%d bitmap=%v\nwant count=%d udf=%d hits=%d bitmap=%v",
+						where, got.Count, got.UDFCalls, got.MatHits, got.Bitmap,
+						want.Count, want.UDFCalls, want.MatHits, want.Bitmap)
+				}
+				if !reflect.DeepEqual(got.Columns, want.Columns) || !reflect.DeepEqual(got.Rows, want.Rows) {
+					t.Fatalf("%s\nrows differ:\n got %v %v\nwant %v %v", where, got.Columns, got.Rows, want.Columns, want.Rows)
+				}
+				if !reflect.DeepEqual(got.Observed, want.Observed) {
+					t.Fatalf("%s\nobserved selectivities differ:\n got %+v\nwant %+v", where, got.Observed, want.Observed)
+				}
+				// The published columns hold exactly the oracle's rows, with the
+				// oracle's labels.
+				for _, k := range plan.keys {
+					col := db.mat.Columns().Get(k)
+					for i := 0; i < n; i++ {
+						have := i < col.Len() && col.Valid(i)
+						if have != (o.valid[k] != nil && o.valid[k][i]) || (have && col.Label(i) != o.truth[k][i]) {
+							t.Fatalf("%s\ncolumn %v row %d: valid=%v, oracle valid=%v", where, k, i, have, !have)
+						}
+					}
+				}
+				now, _ := db.RepCacheStats()
+				if tb.store {
+					if err := tb.checkStorePath(db, got, matOff, was, now); err != nil {
+						t.Fatalf("%s\n%v", where, err)
+					}
+				} else if got.RepHits != 0 || got.RepFallbacks != 0 {
+					t.Fatalf("%s\nan in-memory corpus served %d reps (%d fell back)", where, got.RepHits, got.RepFallbacks)
+				}
+				cases++
+				if got.UDFCalls > 0 {
+					byCorpus[tb.store]++
+					byWorkers[tb.opts.Workers]++
+					byBatch[tb.opts.Batch]++
+				}
+				for _, hit := range []struct {
+					tally *int
+					is    bool
+				}{
+					{&bitmaps, got.Bitmap}, {&chained, len(got.Observed) >= 2}, {&classified, got.UDFCalls > 0},
+					{&partial, got.UDFCalls > 0 && got.MatHits > 0},
+					{&repeated, len(plan.keys) < len(plan.content)},
+					{&reordered, len(plan.content) >= 2 && !cheapestFirst(plan)},
+					{&served, got.RepHits > 0}, {&readThrough, now.ReadThrough > was.ReadThrough},
+				} {
+					if hit.is {
+						*hit.tally++
 					}
 				}
 			}
-			cases++
-			for _, hit := range []struct {
-				tally *int
-				is    bool
-			}{{&bitmaps, got.Bitmap}, {&chained, len(got.Observed) >= 2}, {&classified, got.UDFCalls > 0}, {&partial, got.UDFCalls > 0 && got.MatHits > 0}} {
-				if hit.is {
-					*hit.tally++
-				}
-			}
-		}
+		})
 	}
-	t.Logf("%d statements checked against the naive oracle: %d bitmap-served, %d classified (%d over partly resident columns, %d in two or more steps)",
-		cases, bitmaps, classified, partial, chained)
-	if !testing.Short() && !raceEnabled && (cases < 2000 || bitmaps < 100 || chained < 20 || partial < 100) {
-		t.Fatal("the seeded draw no longer reaches every executor path often enough; rebalance it")
+	t.Logf("%d statements checked against the naive oracle: %d bitmap-served, %d classified (%d over partly resident columns, %d in two or more steps); %d name one column twice, %d run in an order other than cheapest-first",
+		cases, bitmaps, classified, partial, chained, repeated, reordered)
+	t.Logf("classified statements: memory %d, store %d; workers 0/1/3: %d/%d/%d; batch 0/1/7: %d/%d/%d; %d served reps, %d read through",
+		byCorpus[false], byCorpus[true], byWorkers[0], byWorkers[1], byWorkers[3], byBatch[0], byBatch[1], byBatch[7], served, readThrough)
+	if testing.Short() || raceEnabled {
+		return
+	}
+	floors := []struct {
+		what      string
+		got, want int
+	}{
+		{"statements", cases, 2000}, {"bitmap-served", bitmaps, 100}, {"chained", chained, 20}, {"partial", partial, 100},
+		{"repeated column", repeated, 300}, {"reordered", reordered, 150},
+		{"memory", byCorpus[false], 150}, {"store", byCorpus[true], 150},
+		{"workers=0", byWorkers[0], 100}, {"workers=1", byWorkers[1], 100}, {"workers=3", byWorkers[3], 100},
+		{"batch=0", byBatch[0], 100}, {"batch=1", byBatch[1], 100}, {"batch=7", byBatch[7], 100},
+		{"served", served, 70}, {"read-through", readThrough, 60},
+	}
+	for _, f := range floors {
+		if f.got < f.want {
+			t.Errorf("%s: %d statements, floor %d: the seeded draw no longer reaches this path often enough; rebalance it", f.what, f.got, f.want)
+		}
 	}
 }

@@ -3,106 +3,15 @@ package vdb
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"tahoma/internal/core"
-	"tahoma/internal/exec"
 	"tahoma/internal/img"
-	"tahoma/internal/planner"
 )
-
-// cloakFrames returns the freshly classified frame count for one category
-// in a query's Observed accounting (0 when fully served from columns).
-func observedFrames(res *Result, category string) int {
-	n := 0
-	for _, ob := range res.Observed {
-		if ob.Category == category {
-			n += ob.Frames
-		}
-	}
-	return n
-}
-
-// TestMaterializedParityMatrix is the materialization property test: across
-// coverage fraction × workers × batch × rank/static ordering, the
-// materialized-path labels are bit-identical to full inference, partially
-// covered predicates classify exactly the uncovered row window, and the
-// fully covered repeat query runs on the bitmap path with zero inference.
-func TestMaterializedParityMatrix(t *testing.T) {
-	cons := core.Constraints{MaxAccuracyLoss: 0.05}
-	const sql = "SELECT id FROM images WHERE contains_object('cloak') AND contains_object('cloakb')"
-
-	// One full-inference reference: labels are independent of engine sizing
-	// and coverage by construction — that is the property under test.
-	ref := buildConcurrentDB(t)
-	want, err := ref.Query(sql, cons)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := ref.Count()
-
-	for _, cover := range []int{0, 10, 28, rows} {
-		for _, workers := range []int{1, 3} {
-			for _, batch := range []int{0, 7} {
-				for _, order := range []planner.Order{planner.OrderRank, planner.OrderStatic} {
-					name := fmt.Sprintf("cover=%d/workers=%d/batch=%d/static=%v", cover, workers, batch, order == planner.OrderStatic)
-					t.Run(name, func(t *testing.T) {
-						db := buildConcurrentDB(t)
-						db.SetExecOptions(exec.Options{Workers: workers, Batch: batch})
-						db.setPlanOptions(planner.Options{Order: order})
-						if cover > 0 {
-							// Pre-cover the first `cover` rows of cloak's
-							// column via a metadata window (ts = 10·row).
-							preSQL := fmt.Sprintf(
-								"SELECT id FROM images WHERE ts < %d AND contains_object('cloak')", cover*10)
-							if _, err := db.Query(preSQL, cons); err != nil {
-								t.Fatal(err)
-							}
-						}
-						res, err := db.Query(sql, cons)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if resultKey(res) != resultKey(want) {
-							t.Fatalf("labels diverge from full inference:\n got %s\nwant %s",
-								resultKey(res), resultKey(want))
-						}
-						// Partially covered predicates classify only the
-						// uncovered row window.
-						if got := observedFrames(res, "cloak"); got != rows-cover {
-							t.Fatalf("cloak classified %d rows, want %d (covered %d of %d)",
-								got, rows-cover, cover, rows)
-						}
-						// The repeat query is fully covered: pure bitmap
-						// AND, zero inference, same rows.
-						again, err := db.Query(sql, cons)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !again.Bitmap || again.UDFCalls != 0 {
-							t.Fatalf("repeat query: bitmap=%v udf=%d, want bitmap path with 0 calls",
-								again.Bitmap, again.UDFCalls)
-						}
-						// The first predicate must be fully resident; the
-						// second may only cover the first's survivors
-						// (sequential chains never classify filtered rows).
-						if again.MatHits < rows || again.MatHits > 2*rows {
-							t.Fatalf("repeat query MatHits=%d, want within [%d, %d]",
-								again.MatHits, rows, 2*rows)
-						}
-						if resultKey(again) != resultKey(want) {
-							t.Fatalf("bitmap-path labels diverge:\n got %s\nwant %s",
-								resultKey(again), resultKey(want))
-						}
-					})
-				}
-			}
-		}
-	}
-}
 
 // TestAppendExtendsColumns: under a trigger policy, Append must extend the
 // materialized bitmaps — not corrupt them — even with queries in flight, so
@@ -169,54 +78,6 @@ func TestAppendExtendsColumns(t *testing.T) {
 	if resultKey(res) != resultKey(want) {
 		t.Fatalf("extended column diverges from fresh DB:\n got %s\nwant %s", resultKey(res), resultKey(want))
 	}
-}
-
-// TestMatModeOff: with materialization off, nothing is cached (repeat
-// queries pay full inference again) but labels stay identical.
-func TestMatModeOff(t *testing.T) {
-	cons := core.Constraints{MaxAccuracyLoss: 0.05}
-	const sql = "SELECT id FROM images WHERE contains_object('cloak')"
-	db := buildConcurrentDB(t)
-	db.SetMaterialization(MatOff)
-	first, err := db.Query(sql, cons)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := db.Query(sql, cons)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.UDFCalls != first.UDFCalls || second.UDFCalls == 0 {
-		t.Fatalf("MatOff repeat ran %d classifications, want %d (no caching)", second.UDFCalls, first.UDFCalls)
-	}
-	if second.Bitmap || second.MatHits != 0 {
-		t.Fatalf("MatOff repeat used materialization: bitmap=%v hits=%d", second.Bitmap, second.MatHits)
-	}
-	if resultKey(first) != resultKey(second) {
-		t.Fatal("MatOff runs diverge")
-	}
-	st := db.MatStats()
-	if st.Mode != "off" || st.Columns != 0 {
-		t.Fatalf("MatStats under MatOff: %+v", st)
-	}
-	out, err := db.Explain(sql, cons)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, forbidden := range []string{"materialized"} {
-		if containsStr(out, forbidden) {
-			t.Fatalf("MatOff explain mentions %q:\n%s", forbidden, out)
-		}
-	}
-}
-
-func containsStr(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }
 
 // TestMatBudgetEviction: over budget, the least-recently-touched column is
@@ -306,11 +167,27 @@ func TestAnalyzerConverges(t *testing.T) {
 	}
 }
 
-// TestAnalyzerGuards: starting under MatOff fails, double-start fails,
-// stop is idempotent, and a stopped analyzer can be restarted.
+// TestAnalyzerGuards: under MatOff the resident columns are neither
+// reported nor explained and the analyzer does not start; double-start
+// fails, stop is idempotent, and a stopped analyzer can be restarted.
 func TestAnalyzerGuards(t *testing.T) {
+	const sql = "SELECT id FROM images WHERE contains_object('cloak')"
+	cons := core.Constraints{MaxAccuracyLoss: 0.05}
 	db := buildConcurrentDB(t)
+	if _, err := db.Query(sql, cons); err != nil {
+		t.Fatal(err)
+	}
 	db.SetMaterialization(MatOff)
+	if st := db.MatStats(); st.Mode != "off" {
+		t.Fatalf("MatStats under MatOff: %+v", st)
+	}
+	out, err := db.Explain(sql, cons)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(out, "materialized") {
+		t.Fatalf("MatOff explain mentions the resident column:\n%s", out)
+	}
 	if _, err := db.StartAnalyzer(context.Background(), AnalyzerOptions{}); err == nil {
 		t.Fatal("analyzer started under MatOff")
 	}

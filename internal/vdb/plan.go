@@ -29,8 +29,7 @@ type contentStep struct {
 // planned on: metadata filters first, compiled to typed comparisons (in
 // textual order — they are evaluated together, block by block), then content
 // predicates in the order the cost-based planner chose (rank = cost /
-// (1 − selectivity) by default, evaluator-cheapest-first under OrderStatic),
-// each only over surviving rows. pp is the planner's costed, explainable view
+// (1 − selectivity), ascending), each only over surviving rows. pp is the planner's costed, explainable view
 // of the same content steps.
 type queryPlan struct {
 	st      *readState
@@ -93,9 +92,7 @@ func (st *readState) plan(q *Query, constraints core.Constraints) (*queryPlan, e
 		textual = append(textual, contentStep{cond: cc, pred: pred, spec: res.Spec, rt: c.rt, expected: res, col: col})
 		steps = append(steps, st.plannerStep(i, cc, pred, res, c))
 	}
-	opts := st.planOpts
-	opts.Rows, opts.CostModel = st.n, st.costModel.Name()
-	plan.pp = planner.PlanContent(steps, st.availability(), opts)
+	plan.pp = planner.PlanContent(steps, st.availability(), planner.Options{Rows: st.n, CostModel: st.costModel.Name()})
 	plan.content = make([]contentStep, len(plan.pp.Steps))
 	for k, ps := range plan.pp.Steps {
 		plan.content[k] = textual[ps.Input]
@@ -123,7 +120,6 @@ func (st *readState) plannerStep(input int, cc ContentCond, pred *Predicate, res
 		Key:        pred.Category,
 		CascadeID:  c.key.Cascade,
 		Negated:    cc.Negated,
-		BaseCost:   res.AvgCost,
 		SourceCost: st.costModel.SourceCost(),
 		TotalRows:  st.n,
 		CachedRows: st.coverage(c.key),

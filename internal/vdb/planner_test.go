@@ -1,114 +1,14 @@
 package vdb
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
 	"tahoma/internal/core"
-	"tahoma/internal/exec"
 	"tahoma/internal/planner"
 	"tahoma/internal/repstore"
 	"tahoma/internal/scenario"
 )
-
-// setPlanOptions installs the ordering policy (po.Order) for subsequent
-// queries. Serving always plans with the zero value; OrderStatic is an
-// oracle, since labels are identical under both and only the work to reach
-// them differs.
-func (db *DB) setPlanOptions(po planner.Options) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.planOpts = po
-	db.publishLocked()
-}
-
-// planOrderConds are the content conditions the invariance property permutes:
-// AND-chained predicates including a negation and a second mention of the
-// cloak system under another category.
-var planOrderConds = []string{
-	"contains_object('cloak')",
-	"NOT contains_object('coho')",
-	"contains_object('cloak2')",
-}
-
-func permutations(n int) [][]int {
-	var out [][]int
-	var rec func(prefix []int, rest []int)
-	rec = func(prefix, rest []int) {
-		if len(rest) == 0 {
-			out = append(out, append([]int(nil), prefix...))
-			return
-		}
-		for i := range rest {
-			next := append(append([]int(nil), rest[:i]...), rest[i+1:]...)
-			rec(append(prefix, rest[i]), next)
-		}
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	rec(nil, idx)
-	return out
-}
-
-func permSQL(perm []int) string {
-	conds := make([]string, len(perm))
-	for i, p := range perm {
-		conds[i] = planOrderConds[p]
-	}
-	return "SELECT id FROM images WHERE " + strings.Join(conds, " AND ")
-}
-
-// TestContentOrderInvariance is the planner's safety property: whatever
-// order the content predicates execute in — any textual permutation, rank or
-// static ordering, any engine sizing — the surviving rows are bit-identical.
-// Ordering changes the work, never the answer.
-func TestContentOrderInvariance(t *testing.T) {
-	cons := core.Constraints{MaxAccuracyLoss: 0.05}
-	perms := permutations(len(planOrderConds))
-
-	run := func(perm []int, po planner.Options, opts exec.Options) *Result {
-		t.Helper()
-		db := buildSysDB(t)
-		db.setPlanOptions(po)
-		if opts != (exec.Options{}) {
-			db.SetExecOptions(opts)
-		}
-		res, err := db.Query(permSQL(perm), cons)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-
-	base := run(perms[0], planner.Options{}, exec.Options{})
-	baseRows := rowSet(t, base)
-	check := func(res *Result, label string) {
-		t.Helper()
-		if res.Count != base.Count {
-			t.Fatalf("%s: %d rows, baseline %d", label, res.Count, base.Count)
-		}
-		got := rowSet(t, res)
-		for id := range baseRows {
-			if !got[id] {
-				t.Fatalf("%s: row %d missing", label, id)
-			}
-		}
-	}
-
-	// Every textual permutation, under each ordering policy.
-	for _, perm := range perms {
-		check(run(perm, planner.Options{}, exec.Options{}), fmt.Sprintf("perm %v", perm))
-		check(run(perm, planner.Options{Order: planner.OrderStatic}, exec.Options{}), fmt.Sprintf("static perm %v", perm))
-	}
-	// Engine sizings on a representative permutation.
-	perm := perms[3]
-	for _, o := range []exec.Options{{Workers: 1, Batch: 1}, {Workers: 4, Batch: 3}, {Workers: 2, Batch: 64}} {
-		check(run(perm, planner.Options{}, o), fmt.Sprintf("w=%d b=%d", o.Workers, o.Batch))
-	}
-}
 
 // TestAdaptiveSelectivityFeedback: a query's observed pass rates land on the
 // result, fold into the catalog, show up in PlannerStats and EXPLAIN, and
@@ -142,8 +42,8 @@ func TestAdaptiveSelectivityFeedback(t *testing.T) {
 	}
 
 	st := db.PlannerStats()
-	if st.RankPlans != 1 || st.StaticPlans != 0 {
-		t.Fatalf("plan counters: %+v", st)
+	if st.ContentPlans != 1 {
+		t.Fatalf("content plans: %+v", st)
 	}
 	var entry *planner.CatalogEntry
 	for i, e := range st.Selectivity {
@@ -171,20 +71,6 @@ func TestAdaptiveSelectivityFeedback(t *testing.T) {
 	}
 	if !strings.Contains(out, "observed, n=40") {
 		t.Fatalf("post-query explain not observed:\n%s", out)
-	}
-}
-
-// TestStaticOrderCounters: the escape hatch is counted as such.
-func TestStaticOrderCounters(t *testing.T) {
-	db, _ := buildTestDB(t)
-	db.setPlanOptions(planner.Options{Order: planner.OrderStatic})
-	cons := core.Constraints{MaxAccuracyLoss: 0.05}
-	if _, err := db.Query("SELECT id FROM images WHERE contains_object('cloak')", cons); err != nil {
-		t.Fatal(err)
-	}
-	st := db.PlannerStats()
-	if st.StaticPlans != 1 || st.RankPlans != 0 {
-		t.Fatalf("plan counters: %+v", st)
 	}
 }
 

@@ -55,7 +55,7 @@ func TestMaterializingScanReadsThrough(t *testing.T) {
 		}
 	}
 	mem := New(cm)
-	if err := mem.LoadCorpus(storedImages(t, store), sysMeta); err != nil {
+	if err := mem.LoadCorpus(sysImages, sysMeta); err != nil {
 		t.Fatal(err)
 	}
 	install(mem)

