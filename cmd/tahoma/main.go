@@ -200,16 +200,15 @@ func installPredicate(db *vdb.DB, zooDir string) (string, error) {
 // corpusFlags are the flags query, explain and serve share: the corpus store,
 // the record cache it is read through, and how the DB over it executes.
 type corpusFlags struct {
-	dir, scenario, materialize     string
-	workers, batch, cacheMB, matMB int
-	serveReps                      bool
+	dir, scenario, materialize string
+	workers, cacheMB, matMB    int
+	serveReps                  bool
 }
 
 func (f *corpusFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&f.dir, "corpus", "", "representation store directory (required)")
 	fs.StringVar(&f.scenario, "scenario", "camera", "deployment scenario")
 	fs.IntVar(&f.workers, "workers", 0, "classification worker goroutines per query (0 = GOMAXPROCS)")
-	fs.IntVar(&f.batch, "batch", 0, "frames per execution-engine batch (0 = engine default)")
 	fs.IntVar(&f.cacheMB, "cache-mb", 64, "record cache budget in MiB, at least 1: the corpus is read only through this LRU, which holds sources and served reps alike as stored records (1 byte/sample); a run that materializes labels over rows whose sources exceed a quarter of it reads through without admitting them")
 	fs.BoolVar(&f.serveReps, "serve-reps", false, "load pre-materialized representations from the store, skipping the source load and derivation for the transforms it covers (labels are the same either way)")
 	fs.StringVar(&f.materialize, "materialize", "on", "label materialization: on (cache classified labels as bitmap columns), off (re-infer every query), bg (on + serve's background analyzer pre-materializes hot predicates while the admission pool is idle)")
@@ -244,7 +243,7 @@ func (f *corpusFlags) openDB(cmd string) (*vdb.DB, *repstore.Store, error) {
 		meta[i] = vdb.Metadata{ID: int64(i), Location: "corpus", Camera: "cam-0", TS: int64(i)}
 	}
 	db := vdb.New(cm)
-	db.SetExecOptions(exec.Options{Workers: f.workers, Batch: f.batch})
+	db.SetExecOptions(exec.Options{Workers: f.workers})
 	db.SetMaterialization(matMode)
 	db.SetMatBudget(int64(f.matMB) << 20)
 	if err := db.LoadCorpusFromStore(store, int64(f.cacheMB)<<20, meta); err != nil {

@@ -2,12 +2,19 @@ package experiments
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
+	"tahoma/internal/noscope"
 	"tahoma/internal/scenario"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files with current output")
 
 // The suite trains models, so build it once for the whole test binary.
 var (
@@ -232,5 +239,40 @@ func TestFigure8(t *testing.T) {
 	if reef.NoScope.ReusedFrac <= junction.NoScope.ReusedFrac {
 		t.Fatalf("reef reuse %.2f <= junction reuse %.2f",
 			reef.NoScope.ReusedFrac, junction.NoScope.ReusedFrac)
+	}
+
+	// Every figure of every row is pinned exactly, so a change to either
+	// pipeline's labels or to its cost summation order is a deliberate diff.
+	// Regenerate with:
+	//
+	//	go test ./internal/experiments -run TestFigure8 -update
+	//
+	// The trained models are bit-identical only per architecture; the golden
+	// is produced and checked on the CI architecture (amd64).
+	var got strings.Builder
+	for _, r := range rows {
+		for _, sys := range []struct {
+			name string
+			res  noscope.Result
+		}{{"noscope", r.NoScope}, {"tahoma+dd", r.TahomaDD}} {
+			fmt.Fprintf(&got, "%s %s frames=%d accuracy=%v throughput=%v reused=%v oracle=%v\n",
+				r.Dataset, sys.name, sys.res.Frames, sys.res.Accuracy, sys.res.Throughput, sys.res.ReusedFrac, sys.res.OracleFrac)
+		}
+	}
+	golden := filepath.Join("testdata", "fig8.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create)", err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("Figure 8 drifted from %s.\n--- got ---\n%s--- want ---\n%s", golden, got.String(), want)
 	}
 }

@@ -160,10 +160,3 @@ func cascadeDeepOnly(basic []int, numThresh, maxDepth, deepIdx int) cascade.Buil
 		DeepModel:   deepIdx,
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -18,6 +18,7 @@ import (
 	"math/rand"
 
 	"tahoma/internal/cascade"
+	"tahoma/internal/exec"
 	"tahoma/internal/img"
 	"tahoma/internal/model"
 	"tahoma/internal/synth"
@@ -225,62 +226,25 @@ func SkipFrames(frames []synth.Frame, rate int) []synth.Frame {
 	return out
 }
 
-// Run executes the NoScope pipeline over frames. Ground-truth labels double
-// as the oracle's answers (the reference model is treated as golden, as in
-// the NoScope evaluation).
+// Run executes the NoScope pipeline over frames: the specialized model, and
+// the oracle for every frame its thresholds leave undecided.
 func (s *System) Run(frames []synth.Frame) (Result, error) {
-	if len(frames) == 0 {
-		return Result{}, fmt.Errorf("noscope: no frames")
-	}
-	s.DD.Reset()
-	var r frameReader
-	var cost float64
-	correct, reused, oracled := 0, 0, 0
-	for _, f := range frames {
-		rec, err := r.record(f.Image)
-		if err != nil {
-			return Result{}, err
-		}
-		cost += s.Costs.Diff
-		if ok, label := s.DD.Reuse(rec); ok {
-			reused++
-			if label == f.Label {
-				correct++
-			}
-			continue
-		}
-		cost += s.Costs.inferCost(s.Model)
-		score, err := r.score(s.Model, rec)
-		if err != nil {
-			return Result{}, err
-		}
-		var label bool
-		if decided, positive := s.Thresholds.Decide(score); decided {
-			label = positive
-		} else {
-			cost += s.Costs.Oracle
-			oracled++
-			label = f.Label // oracle answers with ground truth
-		}
-		s.DD.Update(rec, label)
-		if label == f.Label {
-			correct++
-		}
-	}
-	n := len(frames)
-	return Result{
-		Frames:     n,
-		Accuracy:   float64(correct) / float64(n),
-		Throughput: float64(n) / cost,
-		ReusedFrac: float64(reused) / float64(n),
-		OracleFrac: float64(oracled) / float64(n),
-	}, nil
+	return run([]exec.Level{{Model: s.Model, Thresholds: s.Thresholds}, {}}, s.DD, s.Costs, frames)
 }
 
 // RunTahomaDD executes a TAHOMA cascade behind the same difference detector
 // (the paper's TAHOMA+DD). Levels price analytically via Costs; a level
 // holding the deep reference model is priced as the oracle.
 func RunTahomaDD(rt *cascade.Runtime, dd *DiffDetector, costs Costs, frames []synth.Frame) (Result, error) {
+	return run(rt.Levels, dd, costs, frames)
+}
+
+// run executes levels behind dd over frames: each frame the detector does not
+// reuse is labeled by the levels in order until one decides. A level with no
+// model, or with the deep model, is the oracle — YOLOv2's role: oracle cost,
+// and ground truth as its answer (the reference model is treated as golden,
+// as in the NoScope evaluation).
+func run(levels []exec.Level, dd *DiffDetector, costs Costs, frames []synth.Frame) (Result, error) {
 	if len(frames) == 0 {
 		return Result{}, fmt.Errorf("noscope: no frames")
 	}
@@ -294,42 +258,37 @@ func RunTahomaDD(rt *cascade.Runtime, dd *DiffDetector, costs Costs, frames []sy
 			return Result{}, err
 		}
 		cost += costs.Diff
-		if ok, label := dd.Reuse(rec); ok {
+		reuse, label := dd.Reuse(rec)
+		if reuse {
 			reused++
-			if label == f.Label {
-				correct++
+		} else {
+			decided := false
+			for _, lv := range levels {
+				if lv.Model == nil || lv.Model.Kind == model.Deep {
+					cost += costs.Oracle
+					oracled++
+					label, decided = f.Label, true
+					break
+				}
+				cost += costs.inferCost(lv.Model)
+				score, err := r.score(lv.Model, rec)
+				if err != nil {
+					return Result{}, err
+				}
+				if lv.Last {
+					label, decided = score >= 0.5, true
+				} else {
+					decided, label = lv.Thresholds.Decide(score)
+				}
+				if decided {
+					break
+				}
 			}
-			continue
+			if !decided {
+				return Result{}, fmt.Errorf("noscope: cascade did not decide")
+			}
+			dd.Update(rec, label)
 		}
-		var label bool
-		decided := false
-		for _, lv := range rt.Levels {
-			if lv.Model.Kind == model.Deep {
-				// The expensive terminator plays YOLO's role: oracle cost,
-				// oracle answer.
-				cost += costs.Oracle
-				oracled++
-				label, decided = f.Label, true
-				break
-			}
-			cost += costs.inferCost(lv.Model)
-			score, err := r.score(lv.Model, rec)
-			if err != nil {
-				return Result{}, err
-			}
-			if lv.Last {
-				label, decided = score >= 0.5, true
-				break
-			}
-			if dec, positive := lv.Thresholds.Decide(score); dec {
-				label, decided = positive, true
-				break
-			}
-		}
-		if !decided {
-			return Result{}, fmt.Errorf("noscope: cascade did not decide")
-		}
-		dd.Update(rec, label)
 		if label == f.Label {
 			correct++
 		}

@@ -169,7 +169,9 @@ func TestCol2ImBitIdentical(t *testing.T) {
 					}
 					col := gradTensor(rng, g.ColRows(), g.ColCols())
 					got := New(g.InC, g.InH, g.InW)
-					got.Fill(7) // Col2Im must zero dx first
+					for i := range got.Data {
+						got.Data[i] = 7 // Col2Im must zero dx first
+					}
 					want := New(g.InC, g.InH, g.InW)
 					Col2Im(got, col, g)
 					refCol2Im(want, col, g)

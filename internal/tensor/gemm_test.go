@@ -43,7 +43,9 @@ func TestGemmBitIdenticalToNaiveOrder(t *testing.T) {
 			want := New(m, n)
 			// Dirty the output to prove Gemm overwrites rather than
 			// accumulates stale state on the first panel.
-			got.Fill(999)
+			for i := range got.Data {
+				got.Data[i] = 999
+			}
 			Gemm(got, a, b)
 			naiveRef(want, a, b)
 			for i := range want.Data {
@@ -78,7 +80,9 @@ func TestGemmShapeSweepBitIdenticalToNaiveOrder(t *testing.T) {
 					b := randTensor(rng, k, n)
 					got := New(m, n)
 					want := New(m, n)
-					got.Fill(-999)
+					for i := range got.Data {
+						got.Data[i] = -999
+					}
 					Gemm(got, a, b)
 					naiveRef(want, a, b)
 					for i := range want.Data {
@@ -139,7 +143,9 @@ func TestGemmPanicsOnBadShapes(t *testing.T) {
 
 func TestGemmZeroDims(t *testing.T) {
 	c := New(2, 3)
-	c.Fill(5)
+	for i := range c.Data {
+		c.Data[i] = 5
+	}
 	Gemm(c, New(2, 0), New(0, 3))
 	for i, v := range c.Data {
 		if v != 0 {

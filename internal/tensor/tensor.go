@@ -138,13 +138,6 @@ func (t *Tensor) Zero() {
 	}
 }
 
-// Fill sets all elements to v.
-func (t *Tensor) Fill(v float32) {
-	for i := range t.Data {
-		t.Data[i] = v
-	}
-}
-
 // RandomizeUniform fills t with uniform values in [-limit, limit] drawn from
 // rng. Used for Glorot/He style initialization by the nn package.
 func (t *Tensor) RandomizeUniform(rng *rand.Rand, limit float64) {
@@ -155,47 +148,6 @@ func (t *Tensor) RandomizeUniform(rng *rand.Rand, limit float64) {
 		// the package free of fused multiply-adds, as CI checks.
 		t.Data[i] = float32((float64(rng.Float64())*2 - 1) * limit)
 	}
-}
-
-// AddScaled computes t += alpha*u elementwise. Shapes must match in length.
-func (t *Tensor) AddScaled(u *Tensor, alpha float32) {
-	if len(t.Data) != len(u.Data) {
-		panic("tensor: AddScaled length mismatch")
-	}
-	for i, v := range u.Data {
-		t.Data[i] += float32(alpha * v)
-	}
-}
-
-// Scale multiplies every element by alpha.
-func (t *Tensor) Scale(alpha float32) {
-	for i := range t.Data {
-		t.Data[i] *= alpha
-	}
-}
-
-// Sum returns the sum of all elements (accumulated in float64 for accuracy).
-func (t *Tensor) Sum() float64 {
-	var s float64
-	for _, v := range t.Data {
-		s += float64(v)
-	}
-	return s
-}
-
-// MaxAbs returns the largest absolute element value, or 0 for empty tensors.
-func (t *Tensor) MaxAbs() float32 {
-	var m float32
-	for _, v := range t.Data {
-		a := v
-		if a < 0 {
-			a = -a
-		}
-		if a > m {
-			m = a
-		}
-	}
-	return m
 }
 
 // String renders a short description, not the full contents.

@@ -255,13 +255,19 @@ func TestFaultWorkerPanicContained(t *testing.T) {
 // armingCorpus is an in-memory corpus that arms a fault point on its armAt-th
 // source load, so a test can fail a specific engine run of a multi-run
 // operation (the process-global registry only bounds how often a point
-// fires, not when it starts).
+// fires, not when it starts). Its views count loads on the one counter.
 type armingCorpus struct {
 	*memoryCorpus
-	loads atomic.Int64
+	loads *atomic.Int64
 	armAt int64
 	point string
 	spec  faults.Spec
+}
+
+func (c *armingCorpus) view(n int) Corpus {
+	v := *c
+	v.memoryCorpus = c.memoryCorpus.view(n).(*memoryCorpus)
+	return &v
 }
 
 func (c *armingCorpus) Records(ctx context.Context, idx []int, dst []img.Record) error {
@@ -325,6 +331,7 @@ func TestFaultTriggerWorkerPanic(t *testing.T) {
 	db := build()
 	db.corpus = &armingCorpus{
 		memoryCorpus: db.corpus.(*memoryCorpus),
+		loads:        new(atomic.Int64),
 		armAt:        int64(rows) + 9,
 		point:        faults.ExecWorkerPanic,
 		spec:         faults.Spec{Panic: true, Times: 1},

@@ -118,10 +118,16 @@ func decoded(rec img.Record, err error) (*img.Image, error) {
 	return rec.Image(), nil
 }
 
-// appender is implemented by corpora that accept new rows (AppendRecords).
-// journaled says the caller's journal vouches for the batch, so the corpus
-// need not make it durable itself.
-type appender interface {
+// corpus is what a DB holds its rows in: the master copy writers append to,
+// and what every published read state pins a row-bounded view of.
+type corpus interface {
+	// view returns rows [0,n) as a fixed-length Corpus: they keep resolving
+	// to the same records even if an append lands mid-statement. Both
+	// corpora are append-only, so the view copies no pixels.
+	view(n int) Corpus
+	// appendRecords writes the batch as rows [base, base+len(recs)).
+	// journaled says the caller's journal vouches for the batch, so the
+	// corpus need not make it durable itself.
 	appendRecords(base int, recs []img.Record, journaled bool) error
 }
 
@@ -153,14 +159,22 @@ func (m *memoryCorpus) Records(_ context.Context, idx []int, dst []img.Record) e
 
 func (m *memoryCorpus) Image(i int) (*img.Image, error) { return decoded(m.record(i)) }
 
+// view bounds the rows with a full slice expression, so a concurrent append
+// can never write into the view's backing window.
+func (m *memoryCorpus) view(n int) Corpus { return &memoryCorpus{recs: m.recs[:n:n]} }
+
 func (m *memoryCorpus) appendRecords(_ int, recs []img.Record, _ bool) error {
 	m.recs = append(m.recs, recs...)
 	return nil
 }
 
+// storeCorpus is a representation store read through its record cache. Its
+// views (storeView) serve the source records and the representations the
+// store holds alike.
 type storeCorpus struct {
 	store *repstore.Store
 	cache *repstore.Cache
+	reps  map[string]xform.Transform // the store's transforms, by ID
 	// budget is the cache's byte budget and record the stored size of one
 	// source: what a run's size is weighed in (see scan).
 	budget, record int64
@@ -182,15 +196,7 @@ func (s *storeCorpus) scan(rows int) bool {
 	return scanShare*int64(rows)*s.record > s.budget
 }
 
-func (s *storeCorpus) Len() int { return s.store.Count() }
-
-func (s *storeCorpus) Image(i int) (*img.Image, error) { return decoded(s.cache.Record(i)) }
-
-// Records reads the rows' source records as stored, through the record
-// cache in one batch.
-func (s *storeCorpus) Records(ctx context.Context, idx []int, dst []img.Record) error {
-	return s.cache.Records(ctx, xform.Transform{}, idx, dst)
-}
+func (s *storeCorpus) view(n int) Corpus { return &storeView{sc: s, n: n} }
 
 // read loads rows of form t through the record cache: admitted, or read
 // through when through is set.
@@ -210,49 +216,6 @@ func (s *storeCorpus) appendRecords(base int, recs []img.Record, journaled bool)
 		return s.store.WriteRecords(base, recs)
 	}
 	return s.store.AppendRecords(recs)
-}
-
-// repSource adapts a store-backed corpus (and its LRU cache) to
-// exec.RepRecordSource, so the execution engines load pre-materialized
-// representations instead of loading the source and deriving them — the
-// physical fast path the ARCHIVE and ONGOING scenarios price. A served
-// record is the one the engine would derive, so serving changes cost, never
-// labels.
-type repSource struct {
-	sc      *storeCorpus
-	avail   map[string]xform.Transform
-	through bool // read misses through the cache, not admitting them
-}
-
-func (s *storeCorpus) repSource() *repSource {
-	avail := make(map[string]xform.Transform)
-	for _, t := range s.store.Transforms() {
-		avail[t.ID()] = t
-	}
-	return &repSource{sc: s, avail: avail}
-}
-
-func (r *repSource) HasRep(id string) bool {
-	_, ok := r.avail[id]
-	return ok
-}
-
-// RepRecords implements exec.RepRecordSource: the rows' rep records under
-// the slot's Transform, read through the record cache in one batch.
-func (r *repSource) RepRecords(ctx context.Context, t xform.Transform, idx []int, dst []img.Record) error {
-	return r.sc.read(ctx, r.through, t, idx, dst)
-}
-
-// Rep is exec.RepSource's image form, the rep record decoded; the engine
-// never calls it.
-func (r *repSource) Rep(i int, id string) (*img.Image, error) {
-	t, ok := r.avail[id]
-	if !ok {
-		return nil, fmt.Errorf("vdb: transform %s not materialized in the corpus store", id)
-	}
-	var dst [1]img.Record
-	err := r.RepRecords(context.Background(), t, []int{i}, dst[:])
-	return decoded(dst[0], err)
 }
 
 // DB is a visual analytics database over one images table. It is safe for
@@ -283,13 +246,12 @@ type DB struct {
 	state atomic.Pointer[readState]
 
 	settings
-	corpus     Corpus
+	corpus     corpus
 	meta       []Metadata
 	zones      []zone // block index over meta's complete blocks (derived)
 	costModel  scenario.CostModel
 	predicates map[string]*Predicate // copied on install; published maps are never written
 	trigger    TriggerPolicy
-	reps       *repSource // built with the store-backed corpus
 	// catalog is the adaptive selectivity store: seeded at predicate
 	// install, updated from every executed query's survivor counts, read at
 	// plan time. It has its own lock.
@@ -432,10 +394,13 @@ func (db *DB) PlannerStats() PlannerStats {
 
 // SetExecOptions sizes the batched execution engine used for content
 // predicates (query-time and trigger-time classification). The zero value
-// means GOMAXPROCS workers and the engine's default batch size.
+// means GOMAXPROCS workers and the engine's default batch size. o.RepSource
+// is ignored: the pinned corpus view is the one RepSource a statement reads
+// (see ServeReps).
 func (db *DB) SetExecOptions(o exec.Options) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	o.RepSource = nil
 	db.execOpts = o
 	db.publishLocked()
 }
@@ -460,11 +425,11 @@ func (db *DB) ServeReps(on bool) {
 // counters are cache-global, so the difference is exact only for a query
 // that had the cache to itself.
 func (db *DB) RepCacheStats() (stats repstore.CacheStats, ok bool) {
-	reps := db.state.Load().reps
-	if reps == nil {
+	view, ok := db.state.Load().corpus.(*storeView)
+	if !ok {
 		return repstore.CacheStats{}, false
 	}
-	return reps.sc.cache.Stats(), true
+	return view.sc.cache.Stats(), true
 }
 
 // New creates an empty database priced under the given deployment scenario.
@@ -488,12 +453,11 @@ func New(cm scenario.CostModel) *DB {
 // still running against the old state have their labels refused at
 // publication). Observed pass rates describe the old corpus too; the catalog
 // falls back to its seeds. Caller holds db.mu.
-func (db *DB) installCorpusLocked(c Corpus, reps *repSource, meta []Metadata) error {
+func (db *DB) installCorpusLocked(c corpus, meta []Metadata) error {
 	if db.durable {
 		return fmt.Errorf("vdb: corpus is durable; disable durability before swapping the corpus")
 	}
 	db.corpus = c
-	db.reps = reps
 	db.meta = meta
 	db.zones = extendZones(nil, meta)
 	db.mat.Invalidate()
@@ -516,7 +480,7 @@ func (db *DB) LoadCorpus(images []*img.Image, meta []Metadata) error {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.installCorpusLocked(&memoryCorpus{recs: recs}, nil, meta)
+	return db.installCorpusLocked(&memoryCorpus{recs: recs}, meta)
 }
 
 // LoadCorpusFromStore installs a representation store as the corpus. Rows
@@ -531,10 +495,14 @@ func (db *DB) LoadCorpusFromStore(store *repstore.Store, cacheBytes int64, meta 
 		return fmt.Errorf("vdb: cacheBytes: %w", err)
 	}
 	w, h := store.BaseSize()
-	sc := &storeCorpus{store: store, cache: cache, budget: cacheBytes, record: int64(img.EncodedSize(w, h, img.RGB))}
+	sc := &storeCorpus{store: store, cache: cache, reps: make(map[string]xform.Transform),
+		budget: cacheBytes, record: int64(img.EncodedSize(w, h, img.RGB))}
+	for _, t := range store.Transforms() {
+		sc.reps[t.ID()] = t
+	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.installCorpusLocked(sc, sc.repSource(), meta)
+	return db.installCorpusLocked(sc, meta)
 }
 
 // Count returns the number of rows.

@@ -490,8 +490,9 @@ func (tb oracleTable) checkStorePath(db *DB, res *Result, matOff bool, was, now 
 			return fmt.Errorf("the store serves the whole grid, yet %d reps were derived and %d served", res.RepsMaterialized, res.RepHits)
 		}
 		// Every slot is served, so no source record is ever read.
+		view := db.state.Load().corpus.(*storeView)
 		for i := 0; i < tb.n; i++ {
-			if db.state.Load().reps.sc.cache.HasSource(i) {
+			if view.sc.cache.HasSource(i) {
 				return fmt.Errorf("the store serves the whole grid, yet row %d's source record is resident", i)
 			}
 		}

@@ -112,13 +112,8 @@ func (db *DB) AppendRecords(recs []img.Record, meta []Metadata) (udfCalls int, e
 			return 0, fmt.Errorf("vdb: journal failed, refusing appends: %w", werr)
 		}
 	}
-	app, ok := db.corpus.(appender)
-	if !ok {
-		db.mu.Unlock()
-		return 0, fmt.Errorf("vdb: corpus does not accept new rows")
-	}
 	base := len(db.meta)
-	if err := app.appendRecords(base, recs, durable); err != nil {
+	if err := db.corpus.appendRecords(base, recs, durable); err != nil {
 		db.mu.Unlock()
 		return 0, err
 	}
@@ -146,12 +141,10 @@ func (db *DB) AppendRecords(recs []img.Record, meta []Metadata) (udfCalls int, e
 	}
 	st := db.publishLocked()
 	trigger := db.trigger
-	// Plain exec options only: trigger runs have always classified from
-	// the freshly appended sources, and those rows have no stored
-	// representation to hit anyway — so the RepSource stays out, including
-	// one the caller put into SetExecOptions directly.
+	// Plain exec options, no RepSource: a trigger run reads the batch's own
+	// rows from the records it was handed (batchSource), not back from the
+	// store, and derives every slot.
 	opts := db.execOpts
-	opts.RepSource = nil
 	db.mu.Unlock()
 
 	// ack is the barrier: the batch's journal record (and the trigger labels

@@ -151,16 +151,17 @@ func levelCosts(sys *core.System, spec cascade.Spec, cm scenario.CostModel) ([]p
 	return levels, nil
 }
 
-// availability snapshots plan-time physical-representation residency: the
-// store-backed RepSource's transform coverage and a sampled record-residency
-// estimate over the record cache, which has its own lock.
+// availability snapshots plan-time physical-representation residency over
+// the pinned store view: the transforms it serves and a sampled
+// record-residency estimate over the record cache, which has its own lock.
 func (st *readState) availability() planner.Availability {
-	av := planner.Availability{}
-	if st.serveReps && st.reps != nil {
-		av.Served = st.reps.HasRep
+	view, ok := st.corpus.(*storeView)
+	if !ok {
+		return planner.Availability{}
 	}
-	if st.reps != nil {
-		av.SourceResidentFrac = planner.SampleFrac(st.n, st.reps.sc.cache.HasSource)
+	av := planner.Availability{SourceResidentFrac: planner.SampleFrac(st.n, view.sc.cache.HasSource)}
+	if st.serveReps {
+		av.Served = view.HasRep
 	}
 	return av
 }

@@ -39,7 +39,6 @@ type readState struct {
 	costModel  scenario.CostModel
 	predicates map[string]*Predicate // replaced, never written, on install
 	catalog    *planner.Catalog
-	reps       *repSource
 	cols       matstore.Columns
 	gen        int64 // matstore generation cols belongs to
 }
@@ -54,11 +53,10 @@ func (db *DB) publishLocked() *readState {
 		n:          n,
 		meta:       db.meta[:n:n],
 		zones:      db.zones,
-		corpus:     corpusView(db.corpus, n),
+		corpus:     db.corpus.view(n),
 		costModel:  db.costModel,
 		predicates: db.predicates,
 		catalog:    db.catalog,
-		reps:       db.reps,
 		cols:       db.mat.Columns(),
 		gen:        db.mat.Generation(),
 	}
@@ -67,11 +65,11 @@ func (db *DB) publishLocked() *readState {
 }
 
 // contentExecOpts resolves the engine options for one content-predicate
-// phase, attaching the corpus-backed RepSource when rep serving is on.
+// phase: with rep serving on, the pinned store view is the RepSource too.
 func (st *readState) contentExecOpts() exec.Options {
 	opts := st.execOpts
-	if st.serveReps && st.reps != nil {
-		opts.RepSource = st.reps
+	if view, ok := st.corpus.(*storeView); ok && st.serveReps {
+		opts.RepSource = view
 	}
 	return opts
 }
@@ -84,19 +82,17 @@ func (st *readState) contentExecOpts() exec.Options {
 // served from the cache when resident and otherwise loaded without being
 // admitted, so the run neither evicts what rereads hit nor leaves its own
 // records behind. Every other run reads the pinned corpus and RepSource as
-// they are.
+// they are. The one read-through copy of the view serves both.
 func (st *readState) runCorpus(rows int, opts exec.Options) (exec.Source, exec.Options) {
 	view, ok := st.corpus.(*storeView)
 	if !ok || st.matMode == MatOff || !view.sc.scan(rows) {
 		return st.corpus, opts
 	}
-	if reps, ok := opts.RepSource.(*repSource); ok {
-		through := *reps
-		through.through = true
-		opts.RepSource = &through
-	}
 	through := *view
 	through.through = true
+	if opts.RepSource != nil {
+		opts.RepSource = &through
+	}
 	return &through, opts
 }
 
@@ -178,29 +174,14 @@ func (db *DB) publish(st *readState, fresh []overlay) bool {
 	return true
 }
 
-// corpusView returns a fixed-length view of the corpus: rows [0,n) keep
-// resolving to the same images even if an Append lands mid-query. Both
-// built-in corpora are append-only, so a bounded view over the snapshotted
-// backing state is race-free without copying pixels.
-func corpusView(c Corpus, n int) Corpus {
-	switch cc := c.(type) {
-	case *memoryCorpus:
-		// Full slice expression: a concurrent append can never write into
-		// this view's backing window.
-		return &memoryCorpus{recs: cc.recs[:n:n]}
-	case *storeCorpus:
-		return &storeView{sc: cc, n: n}
-	default:
-		// Unknown implementations must be safe for concurrent use on their
-		// own terms.
-		return c
-	}
-}
-
-// storeView bounds a store-backed corpus at n rows. The store itself is
-// append-only and internally synchronized; the bound keeps a statement's
-// world stable while ingest proceeds. A through view reads its misses
-// through the record cache without admitting them (see readState.runCorpus).
+// storeView bounds a store-backed corpus at n rows, and is the one reader of
+// it a statement has: it serves the rows' source records, and — as the
+// run's exec.RepRecordSource — the representations the store holds. A served
+// record is the one the engine would derive, so serving changes cost, never
+// labels. The store itself is append-only and internally synchronized; the
+// bound keeps a statement's world stable while ingest proceeds. A through
+// view reads its misses through the record cache without admitting them (see
+// readState.runCorpus).
 type storeView struct {
 	sc      *storeCorpus
 	n       int
@@ -209,28 +190,47 @@ type storeView struct {
 
 func (v *storeView) Len() int { return v.n }
 
-func (v *storeView) Image(i int) (*img.Image, error) {
-	var dst [1]img.Record
-	err := v.Records(context.Background(), []int{i}, dst[:])
-	return decoded(dst[0], err)
+// Records reads the rows' source records as stored: RepRecords under the
+// identity transform.
+func (v *storeView) Records(ctx context.Context, idx []int, dst []img.Record) error {
+	return v.RepRecords(ctx, xform.Transform{}, idx, dst)
 }
 
-// Records reads the rows through the store's record cache in one batch, once
-// every row is known to be inside the view.
-func (v *storeView) Records(ctx context.Context, idx []int, dst []img.Record) error {
+// HasRep reports whether the store holds transform id's representations.
+func (v *storeView) HasRep(id string) bool {
+	_, ok := v.sc.reps[id]
+	return ok
+}
+
+// RepRecords reads the rows' records under t through the record cache in
+// one batch, once every row is known to be inside the view. A call naming a
+// row outside it reads nothing and leaves every dst slot empty.
+func (v *storeView) RepRecords(ctx context.Context, t xform.Transform, idx []int, dst []img.Record) error {
 	for _, i := range idx {
-		if err := v.check(i); err != nil {
-			return err
+		if i < 0 || i >= v.n {
+			clear(dst[:len(idx)])
+			return fmt.Errorf("vdb: row %d out of range [0,%d)", i, v.n)
 		}
 	}
-	return v.sc.read(ctx, v.through, xform.Transform{}, idx, dst)
+	return v.sc.read(ctx, v.through, t, idx, dst)
 }
 
-func (v *storeView) check(i int) error {
-	if i < 0 || i >= v.n {
-		return fmt.Errorf("vdb: row %d out of range [0,%d)", i, v.n)
+// Image and Rep are the image forms of Records and RepRecords, the record
+// decoded; the engine never calls them.
+func (v *storeView) Image(i int) (*img.Image, error) { return v.decode(xform.Transform{}, i) }
+
+func (v *storeView) Rep(i int, id string) (*img.Image, error) {
+	t, ok := v.sc.reps[id]
+	if !ok {
+		return nil, fmt.Errorf("vdb: transform %s not materialized in the corpus store", id)
 	}
-	return nil
+	return v.decode(t, i)
+}
+
+func (v *storeView) decode(t xform.Transform, i int) (*img.Image, error) {
+	var dst [1]img.Record
+	err := v.RepRecords(context.Background(), t, []int{i}, dst[:])
+	return decoded(dst[0], err)
 }
 
 // batchSource is a store-backed corpus view that serves the rows of one

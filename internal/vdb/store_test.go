@@ -1,10 +1,12 @@
 package vdb
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"tahoma/internal/core"
+	"tahoma/internal/exec"
 	"tahoma/internal/img"
 	"tahoma/internal/repstore"
 	"tahoma/internal/scenario"
@@ -94,6 +96,71 @@ func TestStoreBackedCorpus(t *testing.T) {
 	}
 	if db.Count() != 41 {
 		t.Fatalf("count after append %d", db.Count())
+	}
+}
+
+// TestStoreViewBounds: the view a statement pins over a store-backed corpus
+// reads rows [0,n) and no further, source records and served
+// representations alike, even once the store holds more rows; it serves
+// exactly the store's transforms; and it is the one RepSource a statement
+// gets — only with ServeReps on, whatever SetExecOptions was handed.
+func TestStoreViewBounds(t *testing.T) {
+	gray8 := xform.Transform{Size: 8, Color: img.Gray}
+	store, err := repstore.Create(t.TempDir(), 16, 16, []xform.Transform{gray8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	frames := []*img.Image{img.New(16, 16, img.RGB), img.New(16, 16, img.RGB), img.New(16, 16, img.RGB)}
+	if err := store.IngestAll(frames); err != nil {
+		t.Fatal(err)
+	}
+	cm, _ := scenario.NewAnalytic(scenario.Archive, scenario.DefaultParams())
+	db := New(cm)
+	if err := db.LoadCorpusFromStore(store, 1<<20, []Metadata{{ID: 0}, {ID: 1}, {ID: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	pinned := db.state.Load()
+	view := pinned.corpus.(*storeView)
+	if _, err := db.Append(frames[:1], []Metadata{{ID: 3}}); err != nil {
+		t.Fatal(err)
+	}
+	if store.Count() != 4 || view.Len() != 3 {
+		t.Fatalf("store holds %d rows, the pinned view %d; want 4 and 3", store.Count(), view.Len())
+	}
+
+	ctx := context.Background()
+	dst := make([]img.Record, 2)
+	if err := view.Records(ctx, []int{0, 2}, dst); err != nil || dst[0].Pix == nil || dst[1].Pix == nil {
+		t.Fatalf("source records of rows 0 and 2: %v", err)
+	}
+	if err := view.RepRecords(ctx, gray8, []int{0, 2}, dst); err != nil || dst[0].Pix == nil || dst[1].Pix == nil {
+		t.Fatalf("%s records of rows 0 and 2: %v", gray8.ID(), err)
+	}
+	if err := view.Records(ctx, []int{0, 3}, dst); err == nil {
+		t.Fatal("a view pinned at 3 rows read row 3's source record")
+	}
+	if err := view.RepRecords(ctx, gray8, []int{0, 3}, dst); err == nil || dst[0].Pix != nil || dst[1].Pix != nil {
+		t.Fatalf("a view pinned at 3 rows read row 3's %s record (err %v), or left a record behind", gray8.ID(), err)
+	}
+	if err := db.state.Load().corpus.(*storeView).Records(ctx, []int{3}, dst[:1]); err != nil {
+		t.Fatalf("the next state's view reads the appended row: %v", err)
+	}
+
+	for _, tr := range []xform.Transform{gray8, {Size: 8, Color: img.RGB}, {Size: 4, Color: img.Gray}, {Size: 16, Color: img.Gray}} {
+		if got, want := view.HasRep(tr.ID()), tr == gray8; got != want {
+			t.Fatalf("HasRep(%s) = %v, want %v", tr.ID(), got, want)
+		}
+	}
+
+	db.SetExecOptions(exec.Options{RepSource: view})
+	if rs := db.state.Load().contentExecOpts().RepSource; rs != nil {
+		t.Fatalf("ServeReps off, yet a statement's RepSource is %T", rs)
+	}
+	db.ServeReps(true)
+	st := db.state.Load()
+	if rs, ok := st.contentExecOpts().RepSource.(*storeView); !ok || rs != st.corpus.(*storeView) {
+		t.Fatalf("ServeReps on: a statement's RepSource is %v, want its pinned view", rs)
 	}
 }
 
