@@ -12,7 +12,8 @@ package tahoma
 // Alongside the figure benchmarks are micro-benchmarks of the moving parts
 // (inference, transforms, bitset cascade evaluation, frontier computation)
 // and the ablations DESIGN.md calls out (bitset simulator vs naive walk,
-// im2col+GEMM vs direct convolution, representation-cost dedup on vs off).
+// representation-cost dedup on vs off; the implicit-GEMM vs direct
+// convolution pair lives beside the conv block in internal/nn).
 
 import (
 	"io"
@@ -27,11 +28,9 @@ import (
 	"tahoma/internal/experiments"
 	"tahoma/internal/img"
 	"tahoma/internal/model"
-	"tahoma/internal/nn"
 	"tahoma/internal/pareto"
 	"tahoma/internal/repstore"
 	"tahoma/internal/scenario"
-	"tahoma/internal/tensor"
 	"tahoma/internal/thresh"
 	"tahoma/internal/xform"
 )
@@ -556,49 +555,6 @@ func BenchmarkAblationDedupOff(b *testing.B) {
 		total += ev.Evaluate(specs[i%len(specs)], &noDedup, scratch).AvgCost
 	}
 	_ = total
-}
-
-// BenchmarkAblationConv{ImplicitGEMM,Direct}: the convolution strategy, on
-// one 8×32×32 frame and 16 3×3 filters. ImplicitGEMM is the conv every
-// network runs (nn.Conv2D: per filter, tensor.ConvTaps sums shifted views of
-// the zero-padded input on the multiply-add kernel, then the bias);
-// Direct is one scalar dot product per output. Identical products, different
-// data movement.
-func convBenchInputs(b *testing.B) (x, w, bias *tensor.Tensor, g tensor.ConvGeom) {
-	b.Helper()
-	rng := rand.New(rand.NewSource(8))
-	g = tensor.ConvGeom{InC: 8, InH: 32, InW: 32, KH: 3, KW: 3,
-		StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-	x = tensor.New(8, 32, 32)
-	w = tensor.New(16, 8*9)
-	bias = tensor.New(16)
-	for i := range x.Data {
-		x.Data[i] = rng.Float32()
-	}
-	for i := range w.Data {
-		w.Data[i] = rng.Float32()
-	}
-	return x, w, bias, g
-}
-
-func BenchmarkAblationConvImplicitGEMM(b *testing.B) {
-	x, w, bias, _ := convBenchInputs(b)
-	conv := nn.NewConv2D(8, 16, 3)
-	copy(conv.W.Value.Data, w.Data)
-	copy(conv.B.Value.Data, bias.Data)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		conv.Forward(x)
-	}
-}
-
-func BenchmarkAblationConvDirect(b *testing.B) {
-	x, w, bias, g := convBenchInputs(b)
-	out := tensor.New(16, g.OutH(), g.OutW())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tensor.ConvDirect(out, x, w, bias, g)
-	}
 }
 
 // BenchmarkEndToEndClassify measures the full query-time path: transform

@@ -115,28 +115,19 @@ func (c *checked) add(terms ...int) {
 }
 
 // Build constructs an untrained network for a channels×size×size input
-// following the Figure 3 template: [conv → relu → maxpool]×N → flatten →
-// dense → relu → dense(1). The final sigmoid lives in the loss/Predict.
+// following the Figure 3 template (nn.NewNetwork): ConvLayers blocks of
+// ConvWidth filters with a Kernel×Kernel kernel, then a dense layer of
+// DenseWidth units and the single logit, whose sigmoid lives in the
+// loss/Predict. It fails exactly where ParamCount does.
 func (s Spec) Build(channels, size int) (*nn.Network, error) {
 	if _, err := s.ParamCount(channels, size); err != nil {
 		return nil, err
 	}
-	var layers []nn.Layer
-	ch := channels
-	sp := size
-	for i := 0; i < s.ConvLayers; i++ {
-		layers = append(layers, nn.NewConv2D(ch, s.ConvWidth, s.Kernel), nn.NewReLU(), nn.NewMaxPool2())
-		ch = s.ConvWidth
-		sp /= 2
+	blocks := make([][2]int, s.ConvLayers)
+	for i := range blocks {
+		blocks[i] = [2]int{s.ConvWidth, s.Kernel}
 	}
-	layers = append(layers, nn.NewFlatten())
-	flat := ch * sp * sp
-	layers = append(layers,
-		nn.NewDense(flat, s.DenseWidth),
-		nn.NewReLU(),
-		nn.NewDense(s.DenseWidth, 1),
-	)
-	return nn.NewNetwork([]int{channels, size, size}, layers...)
+	return nn.NewNetwork(channels, size, size, blocks, s.DenseWidth)
 }
 
 // BuildInit builds and initializes a network with the given seed, so that a

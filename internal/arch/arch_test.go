@@ -1,8 +1,10 @@
 package arch
 
 import (
+	"fmt"
 	"testing"
 
+	"tahoma/internal/nn"
 	"tahoma/internal/tensor"
 )
 
@@ -49,10 +51,8 @@ func TestBuildShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// conv(3->4) relu pool conv(4->4) relu pool flatten dense relu dense = 10.
-	if len(net.Layers) != 10 {
-		t.Fatalf("layer count %d, want 10", len(net.Layers))
-	}
+	// conv(3->4) pool conv(4->4) pool: 4×4×4 features, dense(64->8), dense(8->1).
+	requireParamShapes(t, net, [][]int{{4, 27}, {4}, {4, 36}, {4}, {8, 64}, {8}, {1, 8}, {1}})
 	x := tensor.New(3, 16, 16)
 	_ = net.Forward(x) // must not panic
 }
@@ -70,9 +70,21 @@ func TestBuildZeroConvIsLogisticStyle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// flatten dense relu dense = 4 layers.
-	if len(net.Layers) != 4 {
-		t.Fatalf("layer count %d, want 4", len(net.Layers))
+	// dense(16->4) relu dense(4->1).
+	requireParamShapes(t, net, [][]int{{4, 16}, {4}, {1, 4}, {1}})
+}
+
+// requireParamShapes holds net's parameters, in order, to want's shapes.
+func requireParamShapes(t *testing.T, net *nn.Network, want [][]int) {
+	t.Helper()
+	ps := net.Params()
+	if len(ps) != len(want) {
+		t.Fatalf("%d parameter tensors, want %d", len(ps), len(want))
+	}
+	for i, p := range ps {
+		if fmt.Sprint(p.Value.Shape) != fmt.Sprint(want[i]) {
+			t.Fatalf("parameter %d has shape %v, want %v", i, p.Value.Shape, want[i])
+		}
 	}
 }
 

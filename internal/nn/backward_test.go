@@ -35,7 +35,7 @@ func TestDenseBackwardBitIdentical(t *testing.T) {
 	ins := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 27, 72, 512}
 	for _, in := range ins {
 		for _, out := range []int{1, 3, 16} {
-			d := NewDense(in, out)
+			d := newDense(in, out)
 			d.Init(rng)
 			for i := range d.W.Grad.Data {
 				d.W.Grad.Data[i] = rng.Float32() - 0.5

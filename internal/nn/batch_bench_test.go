@@ -1,6 +1,6 @@
 package nn
 
-// BenchmarkConvBlock measures one Conv2D → ReLU → MaxPool2 block (an
+// BenchmarkConvBlock measures one conv → ReLU → 2×2 max-pool block (an
 // implicit-GEMM convolution with a pooling epilogue) at the shapes the model
 // zoo builds: over one chunk of 16 frames, as batched scoring runs it, and
 // over one frame, as training and single-frame scoring run it.
@@ -28,7 +28,7 @@ func BenchmarkConvBlock(b *testing.B) {
 	const bsz = 16
 	for _, sh := range shapes {
 		rng := rand.New(rand.NewSource(41))
-		conv := NewConv2D(sh.inC, sh.outC, 3)
+		conv := newConv2D(sh.inC, sh.outC, 3)
 		conv.Init(rng)
 		x := tensor.New(sh.inC, bsz, sh.size, sh.size)
 		for i := range x.Data {
@@ -37,17 +37,62 @@ func BenchmarkConvBlock(b *testing.B) {
 		block := &convBlock{conv: conv}
 		b.Run(fmt.Sprintf("%s/fused/b=%d", sh.name, bsz), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				block.forwardBatch(x)
+				block.run(x.Data, bsz, sh.size, sh.size, false)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*bsz), "ns/frame")
 		})
-		one := tensor.NewFrom(x.Data[:sh.inC*sh.size*sh.size], sh.inC, sh.size, sh.size)
+		one := x.Data[:sh.inC*sh.size*sh.size]
 		b.Run(sh.name+"/single", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				block.Forward(one)
+				block.run(one, 1, sh.size, sh.size, true)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/frame")
 		})
+	}
+}
+
+// BenchmarkAblationConv{ImplicitGEMM,Direct}: the convolution strategy of
+// one conv block, 16 3×3 filters over one 8×32×32 frame, in ns/op.
+// ImplicitGEMM is the block every network runs, as ForwardBatch runs it on
+// a batch of one (convBlock.run without keeping the sums): it pads the
+// frame, sums each filter's taps over shifted views of the padded input
+// (tensor.ConvTaps on the multiply-add kernel), then pools each 2×2 window
+// of the sums, adds the bias and rectifies (tensor.PoolBiasReLU). Direct
+// computes the same activations layer by layer: tensor.ConvDirect, one
+// scalar dot product per conv output plus the bias, then the ReLU and the
+// 2×2 max-pool as separate passes (refReLU, refPool). Identical products,
+// different data movement.
+//
+//	go test -run=NONE -bench=BenchmarkAblationConv ./internal/nn
+func convAblationBlock(b *testing.B) (block *convBlock, x *tensor.Tensor) {
+	b.Helper()
+	rng := rand.New(rand.NewSource(8))
+	block = &convBlock{conv: newConv2D(8, 16, 3)}
+	block.conv.Init(rng)
+	for f := range block.conv.B.Value.Data {
+		block.conv.B.Value.Data[f] = rng.Float32() - 0.5
+	}
+	return block, randInput(rng, 8, 32, 32)
+}
+
+func BenchmarkAblationConvImplicitGEMM(b *testing.B) {
+	block, x := convAblationBlock(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		block.run(x.Data, 1, 32, 32, false)
+	}
+}
+
+func BenchmarkAblationConvDirect(b *testing.B) {
+	block, x := convAblationBlock(b)
+	c := block.conv
+	g := c.geom(32, 32)
+	conv := tensor.New(c.OutC, 32, 32)
+	relu, pool := &refReLU{}, &refPool{}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tensor.ConvDirect(conv, x, c.W.Value, c.B.Value, g)
+		pool.forward(relu.forward(conv))
 	}
 }
 

@@ -11,15 +11,11 @@ import (
 
 func batchTestNet(t testing.TB, seed int64, convLayers, convWidth, denseWidth, channels, size int) *Network {
 	t.Helper()
-	var layers []Layer
-	ch := channels
-	for i := 0; i < convLayers; i++ {
-		layers = append(layers, NewConv2D(ch, convWidth, 3), NewReLU(), NewMaxPool2())
-		ch = convWidth
+	blocks := make([][2]int, convLayers)
+	for i := range blocks {
+		blocks[i] = [2]int{convWidth, 3}
 	}
-	sp := size >> convLayers
-	layers = append(layers, NewFlatten(), NewDense(ch*sp*sp, denseWidth), NewReLU(), NewDense(denseWidth, 1))
-	net, err := NewNetwork([]int{channels, size, size}, layers...)
+	net, err := NewNetwork(channels, size, size, blocks, denseWidth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +88,7 @@ func TestForwardBatchBitParity(t *testing.T) {
 
 // TestConvBlockBitParity holds the fused conv block, over a batch and one
 // sample at a time, to the reference walk of the three layers it replaces
-// (the im2col conv, then ReLU and MaxPool2), bit for bit on every pooled
+// (the im2col conv, then refReLU and refPool), bit for bit on every pooled
 // activation rather than only on the final logit. The
 // inputs and weights are built to hit the epilogue's edge cases: an all-zero
 // frame and a zeroed filter give sums of exactly +0, biases of −0 and +0 meet
@@ -105,7 +101,7 @@ func TestConvBlockBitParity(t *testing.T) {
 	for _, size := range []int{2, 4, 6, 9, 10, 12, 14, 16, 19, 32} {
 		t.Run(fmt.Sprintf("size=%d", size), func(t *testing.T) {
 			const inC, outC = 2, 5
-			conv, relu, pool := NewConv2D(inC, outC, 3), NewReLU(), NewMaxPool2()
+			conv, relu, pool := newConv2D(inC, outC, 3), &refReLU{}, &refPool{}
 			conv.Init(rand.New(rand.NewSource(int64(size))))
 			taps := inC * 9
 			w, bias := conv.W.Value.Data, conv.B.Value.Data
@@ -141,13 +137,15 @@ func TestConvBlockBitParity(t *testing.T) {
 				}
 			}
 			block := &convBlock{conv: conv}
-			got := block.forwardBatch(x).Clone()
+			block.run(x.Data, bsz, size, size, false)
+			got := block.out.Clone()
 			oh := size / 2
 			ref := &refConv{c: conv}
 			for s, f := range frames {
 				one := tensor.NewFrom(f, inC, size, size)
-				want := pool.Forward(relu.Forward(ref.forward(one)))
-				requireBits(t, fmt.Sprintf("frame %d alone", s), block.Forward(one).Data, want.Data)
+				want := pool.forward(relu.forward(ref.forward(one)))
+				block.run(one.Data, 1, size, size, true)
+				requireBits(t, fmt.Sprintf("frame %d alone", s), block.out.Data, want.Data)
 				for c := 0; c < outC; c++ {
 					for i := 0; i < oh*oh; i++ {
 						g, wv := got.Data[(c*bsz+s)*oh*oh+i], want.Data[c*oh*oh+i]
@@ -160,22 +158,6 @@ func TestConvBlockBitParity(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestForwardBatchNeedsConvBlocks: a conv outside a Conv2D → ReLU →
-// MaxPool2 block has no batched form, and ForwardBatch says so instead of
-// scoring through a layer it cannot batch.
-func TestForwardBatchNeedsConvBlocks(t *testing.T) {
-	net, err := NewNetwork([]int{1, 4, 4}, NewConv2D(1, 2, 3), NewFlatten(), NewDense(32, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ForwardBatch over a bare conv must panic")
-		}
-	}()
-	net.ForwardBatch([][]float32{make([]float32, 16)}, make([]float32, 1))
 }
 
 // TestPredictBatchMatchesPredict checks the sigmoid stage too.

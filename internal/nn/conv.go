@@ -1,51 +1,27 @@
 package nn
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
 	"tahoma/internal/tensor"
 )
 
-// Conv2D is a 2-D convolution over a CHW input with ReLU-friendly "same"
-// padding (pad = kernel/2) and stride 1, followed by nothing: activation is a
-// separate layer. Weights are stored as [outC, inC*KH*KW], each filter's
-// taps in im2col row order (c, kh, kw).
-//
-// It computes as an implicit GEMM over zero-padded input planes (convPass):
-// Forward is tensor.ConvTaps per filter plus the bias, Backward the weight
-// gradient over the same shifted views (tensor.ConvTapGrads) and the input
-// gradient Wᵀ·dY on tensor.Gemm, scattered by tensor.Col2Im. No column
-// matrix is built. In a network, a Conv2D that opens a Conv2D → ReLU →
-// MaxPool2 block runs as part of that block's single pass (convBlock); a
-// Conv2D on its own runs these methods.
+// Conv2D is the convolution of a conv block: stride 1, "same" padding
+// (pad = kernel/2) over a CHW input. Weights are stored as [outC,
+// inC*KH*KW], each filter's taps in im2col row order (c, kh, kw).
 type Conv2D struct {
 	InC, OutC int
-	K         int // kernel size (square)
+	K         int // kernel size (square, odd)
 
 	W *Param
 	B *Param
-
-	pass  convPass      // the last Forward's padded input, for Backward
-	acc   tensor.Tensor // one filter's sums
-	out   *tensor.Tensor
-	grads convGrads
 }
 
-// NewConv2D creates a conv layer with inC input channels, outC filters and a
-// square k×k kernel (k must be odd so that "same" padding is well-defined).
-func NewConv2D(inC, outC, k int) *Conv2D {
-	if k%2 == 0 || k <= 0 {
-		panic(fmt.Sprintf("nn: conv kernel size must be odd and positive, got %d", k))
-	}
-	return &Conv2D{
-		InC:  inC,
-		OutC: outC,
-		K:    k,
-		W:    newParam(outC, inC*k*k),
-		B:    newParam(outC),
-	}
+// newConv2D creates a conv with inC input channels, outC filters and a
+// square k×k kernel; NewNetwork has checked that k is odd and positive.
+func newConv2D(inC, outC, k int) *Conv2D {
+	return &Conv2D{InC: inC, OutC: outC, K: k, W: newParam(outC, inC*k*k), B: newParam(outC)}
 }
 
 // Init initializes weights with He-uniform scaling using rng.
@@ -54,29 +30,6 @@ func (c *Conv2D) Init(rng *rand.Rand) {
 	limit := math.Sqrt(6.0 / fanIn)
 	c.W.Value.RandomizeUniform(rng, limit)
 	c.B.Value.Zero()
-}
-
-// Name implements Layer.
-func (c *Conv2D) Name() string { return fmt.Sprintf("conv%dx%d(%d->%d)", c.K, c.K, c.InC, c.OutC) }
-
-// OutShape implements Layer.
-func (c *Conv2D) OutShape(in []int) ([]int, error) {
-	if len(in) != 3 {
-		return nil, fmt.Errorf("nn: conv input must be CHW, got %v", in)
-	}
-	if in[0] != c.InC {
-		return nil, fmt.Errorf("nn: conv expects %d input channels, got %d", c.InC, in[0])
-	}
-	return []int{c.OutC, in[1], in[2]}, nil
-}
-
-// inputHW returns the height and width of a single CHW sample, panicking if
-// x is not one with this layer's channel count.
-func (c *Conv2D) inputHW(x *tensor.Tensor) (h, w int) {
-	if x.Dims() != 3 || x.Shape[0] != c.InC {
-		panic(fmt.Sprintf("nn: conv input must be [%d H W], got %v", c.InC, x.Shape))
-	}
-	return x.Shape[1], x.Shape[2]
 }
 
 // geom is the conv's geometry over an h×w input, the form Col2Im takes.
@@ -89,96 +42,14 @@ func (c *Conv2D) geom(h, w int) tensor.ConvGeom {
 	}
 }
 
-// Forward implements Layer: the filters' sums over the padded input, plus
-// the bias. out = fl(sum + b), the rounding order of a GEMM followed by a
-// bias broadcast.
-func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
-	h, w := c.inputHW(x)
-	p := &c.pass
-	p.load(c, x.Data, 1, h, w)
-	c.acc.EnsureShape(p.n)
-	if c.out == nil || c.out.Shape[1] != h || c.out.Shape[2] != w {
-		c.out = tensor.New(c.OutC, h, w)
-	}
-	for f := 0; f < c.OutC; f++ {
-		p.sums(c, f, c.acc.Data)
-		bias := c.B.Value.Data[f]
-		od := c.out.Data[f*h*w : (f+1)*h*w]
-		for y := 0; y < h; y++ {
-			for x, v := range c.acc.Data[y*p.pw : y*p.pw+w] {
-				od[y*w+x] = v + bias
-			}
-		}
-	}
-	return c.out
-}
-
-// Backward implements Layer. The input-gradient scratch is allocated on the
-// first call, so a first layer (see Network.Backward) never holds it.
-func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	c.accumulateGrads(dy)
-	return c.inputGrad(dy.Reshape(c.OutC, c.pass.h*c.pass.w), &c.pass, &c.grads)
-}
-
-// accumulateGrads implements paramGrader.
-func (c *Conv2D) accumulateGrads(dy *tensor.Tensor) {
-	c.grads.gather(dy.Data, c.OutC, &c.pass)
-	c.accumulate(&c.pass, &c.grads)
-}
-
-// accumulate adds one sample's parameter gradients from the sparse output
-// gradient s holds and p, the padded input the output came from: per
-// filter, dB += the sum of its gradient entries and dW += dY·colᵀ
-// (tensor.ConvTapGrads), both over the entries in output order. Each
-// gradient element takes one addition per call, of a sum that starts at +0
-// and runs over the filter's output gradient row in im2col column order. The
-// zero entries the sparse form leaves out would add ±0 products, which
-// change no bits (see ConvTapGrads); a pooled conv's output gradient is at
-// least three-quarters zeros.
-func (c *Conv2D) accumulate(p *convPass, s *convGrads) {
-	taps := len(p.offs)
-	gw, gb := c.W.grad().Data, c.B.grad().Data
-	for f := 0; f < c.OutC; f++ {
-		g, pos := s.g[s.at[f]:s.at[f+1]], s.pos[s.at[f]:s.at[f+1]]
-		var sum float32
-		for _, v := range g {
-			sum += v
-		}
-		gb[f] += sum
-		tensor.ConvTapGrads(gw[f*taps:(f+1)*taps], g, pos, p.pad.Data, p.offs)
-	}
-}
-
-// inputGrad returns the gradient of the conv's input from dy, the gradient
-// of its output [OutC, H·W]: dcol = Wᵀ·dY on tensor.Gemm, each element a sum
-// over the filters in order from +0, then Col2Im's scatter in its tap order.
-func (c *Conv2D) inputGrad(dy *tensor.Tensor, p *convPass, s *convGrads) *tensor.Tensor {
-	taps := len(p.offs)
-	s.wt.EnsureShape(taps, c.OutC)
-	wd, wt := c.W.Value.Data, s.wt.Data
-	for f := 0; f < c.OutC; f++ {
-		for t, v := range wd[f*taps : (f+1)*taps] {
-			wt[t*c.OutC+f] = v
-		}
-	}
-	s.dcol.EnsureShape(taps, p.h*p.w)
-	tensor.Gemm(&s.dcol, &s.wt, dy)
-	if s.dx == nil || s.dx.Shape[1] != p.h || s.dx.Shape[2] != p.w {
-		s.dx = tensor.New(c.InC, p.h, p.w)
-	}
-	tensor.Col2Im(s.dx, &s.dcol, c.geom(p.h, p.w))
-	return s.dx
-}
-
-// Params implements Layer.
-func (c *Conv2D) Params() []*Param { return []*Param{c.W, c.B} }
-
-func (c *Conv2D) clone() Layer {
+// clone returns a conv sharing c's parameter values, with its own gradient
+// accumulators.
+func (c *Conv2D) clone() *Conv2D {
 	return &Conv2D{InC: c.InC, OutC: c.OutC, K: c.K, W: c.W.shareValue(), B: c.B.shareValue()}
 }
 
 // convPass is a convolution's implicit-GEMM working set over B channel-major
-// samples ([InC, B, H, W], B = 1 for Forward): the zero-padded input planes
+// samples ([InC, B, H, W], B = 1 for Network.Forward): the zero-padded input planes
 // and the tap shifts into them. Each plane is padded to (H+K-1)·(W+K-1) with
 // row width pw = W+K-1, and one channel's planes for all B samples are
 // contiguous (span = B·plane), so the im2col row of tap (c,kh,kw) is pad
@@ -265,35 +136,14 @@ func (s *convGrads) reset(n int) {
 	s.at = s.at[:0]
 }
 
-// gather fills s's sparse form with the nonzero entries of dy, the conv
-// output's gradient [outC, H·W].
-func (s *convGrads) gather(dy []float32, outC int, p *convPass) {
-	s.reset(len(dy))
-	m := 0
-	for f := 0; f < outC; f++ {
-		s.at = append(s.at, m)
-		row := dy[f*p.h*p.w : (f+1)*p.h*p.w]
-		for y := 0; y < p.h; y++ {
-			for x, v := range row[y*p.w : (y+1)*p.w] {
-				// Written whether kept or not: m only moves past a
-				// nonzero entry.
-				s.g[m], s.pos[m] = v, y*p.pw+x
-				if v != 0 {
-					m++
-				}
-			}
-		}
-	}
-	s.at = append(s.at, m)
-}
-
-// convBlock is Conv2D → ReLU → MaxPool2 in one pass: the conv's implicit
-// GEMM (convPass) with a pooling epilogue. Network.Forward runs it on one
-// sample, ForwardBatch on a chunk; the sums and the epilogue are the same
-// code at every batch size. Per filter, tensor.ConvTaps writes the raw sums,
-// and tensor.PoolBiasReLU (one call per pooled row) pools each 2×2 window of
-// them, then adds the bias and rectifies, writing [OutC, B, H/2, W/2]
-// directly. Odd sizes drop their last row and column.
+// convBlock is one conv → ReLU → 2×2 max-pool stage of the template in one
+// pass: the conv's implicit GEMM (convPass) with a pooling epilogue.
+// Network.Forward runs it on one sample, ForwardBatch on a chunk; the sums
+// and the epilogue are the same code at every batch size. Per filter,
+// tensor.ConvTaps writes the raw sums, and tensor.PoolBiasReLU (one call per
+// pooled row) pools each 2×2 window of them, then adds the bias and
+// rectifies, writing [OutC, B, H/2, W/2] directly. Odd sizes drop their last
+// row and column.
 //
 // The sums are bit-identical to im2col followed by a GEMM: the same
 // products in the same order from a +0 start. Pooling before the bias and
@@ -302,16 +152,15 @@ func (s *convGrads) gather(dy []float32, outC int, p *convPass) {
 // results are never −0, so equal values have equal bits — whichever of a
 // tied ±0 pair the pool kept.
 //
-// Backward works from what Forward keeps: the padded input and every
-// filter's raw sums (forwardBatch keeps one filter's at a time and records
-// nothing for Backward). route rebuilds MaxPool2's and ReLU's backward from
-// the sums, and Conv2D's accumulate and inputGrad take the conv's.
+// Backward works from what a kept run leaves: the padded input and every
+// filter's raw sums (ForwardBatch's runs keep one filter's at a time and
+// nothing for Backward). route rebuilds the pool's and the ReLU's backward
+// from the sums, and accumulate and inputGrad take the conv's.
 type convBlock struct {
 	conv  *Conv2D
 	pass  convPass
-	acc   tensor.Tensor // raw sums: every filter's after Forward, one filter's in forwardBatch
+	acc   tensor.Tensor // raw sums: every filter's after a kept run, else one filter's
 	out   tensor.Tensor // [OutC, B, H/2, W/2]
-	chw   tensor.Tensor // Forward's [OutC, H/2, W/2] view of out
 	dc    tensor.Tensor // the conv output's gradient [OutC, H·W]
 	grads convGrads
 }
@@ -349,46 +198,76 @@ func (b *convBlock) run(x []float32, bsz, h, w int, keep bool) {
 	}
 }
 
-// Forward runs the block on one CHW sample and returns its pooled
-// activations [OutC, H/2, W/2], keeping what Backward reads.
-func (b *convBlock) Forward(x *tensor.Tensor) *tensor.Tensor {
-	h, w := b.conv.inputHW(x)
-	b.run(x.Data, 1, h, w, true)
-	b.chw.Shape = append(b.chw.Shape[:0], b.conv.OutC, h/2, w/2)
-	b.chw.Data = b.out.Data
-	return &b.chw
-}
-
-// forwardBatch implements batchStage.
-func (b *convBlock) forwardBatch(x *tensor.Tensor) *tensor.Tensor {
-	if x.Dims() != 4 || x.Shape[0] != b.conv.InC {
-		panic(fmt.Sprintf("nn: conv block input must be [%d B H W], got %v", b.conv.InC, x.Shape))
-	}
-	b.run(x.Data, x.Shape[1], x.Shape[2], x.Shape[3], false)
-	return &b.out
-}
-
-// Backward takes the gradient of the pooled activations [OutC, H/2, W/2],
-// accumulates the conv's parameter gradients and returns the gradient of
-// the block's input.
+// Backward takes the gradient of the pooled activations [OutC, H/2, W/2]
+// of the last kept run, accumulates the conv's parameter gradients and
+// returns the gradient of the block's input.
 func (b *convBlock) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	b.route(dy, true)
-	b.conv.accumulate(&b.pass, &b.grads)
-	return b.conv.inputGrad(&b.dc, &b.pass, &b.grads)
+	b.accumulate()
+	return b.inputGrad()
 }
 
-// accumulateGrads implements paramGrader.
+// accumulateGrads is Backward without the input gradient, which nothing
+// reads for a network's first block.
 func (b *convBlock) accumulateGrads(dy *tensor.Tensor) {
 	b.route(dy, false)
-	b.conv.accumulate(&b.pass, &b.grads)
+	b.accumulate()
 }
 
-// route is MaxPool2's Backward then ReLU's, rebuilt from the raw sums
-// Forward kept: it fills b.grads' sparse form of the conv output's gradient,
+// accumulate adds one sample's parameter gradients from the sparse output
+// gradient route left and the padded input the output came from: per
+// filter, dB += the sum of its gradient entries and dW += dY·colᵀ
+// (tensor.ConvTapGrads), both over the entries in output order. Each
+// gradient element takes one addition per call, of a sum that starts at +0
+// and runs over the filter's output gradient row in im2col column order. The
+// zero entries the sparse form leaves out would add ±0 products, which
+// change no bits (see ConvTapGrads); a pooled conv's output gradient is at
+// least three-quarters zeros.
+func (b *convBlock) accumulate() {
+	c, p, s := b.conv, &b.pass, &b.grads
+	taps := len(p.offs)
+	gw, gb := c.W.grad().Data, c.B.grad().Data
+	for f := 0; f < c.OutC; f++ {
+		g, pos := s.g[s.at[f]:s.at[f+1]], s.pos[s.at[f]:s.at[f+1]]
+		var sum float32
+		for _, v := range g {
+			sum += v
+		}
+		gb[f] += sum
+		tensor.ConvTapGrads(gw[f*taps:(f+1)*taps], g, pos, p.pad.Data, p.offs)
+	}
+}
+
+// inputGrad returns the gradient of the block's input from b.dc, the
+// gradient of the conv output [OutC, H·W]: dcol = Wᵀ·dY on tensor.Gemm,
+// each element a sum over the filters in order from +0, then Col2Im's
+// scatter in its tap order. Its scratch is allocated on the first call, so
+// a first block (see Network.Backward) never holds it.
+func (b *convBlock) inputGrad() *tensor.Tensor {
+	c, p, s := b.conv, &b.pass, &b.grads
+	taps := len(p.offs)
+	s.wt.EnsureShape(taps, c.OutC)
+	wd, wt := c.W.Value.Data, s.wt.Data
+	for f := 0; f < c.OutC; f++ {
+		for t, v := range wd[f*taps : (f+1)*taps] {
+			wt[t*c.OutC+f] = v
+		}
+	}
+	s.dcol.EnsureShape(taps, p.h*p.w)
+	tensor.Gemm(&s.dcol, &s.wt, &b.dc)
+	if s.dx == nil || s.dx.Shape[1] != p.h || s.dx.Shape[2] != p.w {
+		s.dx = tensor.New(c.InC, p.h, p.w)
+	}
+	tensor.Col2Im(s.dx, &s.dcol, c.geom(p.h, p.w))
+	return s.dx
+}
+
+// route is the pool's backward then the ReLU's, rebuilt from the raw sums
+// the last kept run left: it fills b.grads' sparse form of the conv output's gradient,
 // and with dense, b.dc with the same gradient [OutC, H·W]. Each window's
-// activations are r = max(fl(sum+b), 0), the values MaxPool2 pooled; its
+// activations are r = max(fl(sum+b), 0), the values the pool compared; its
 // gradient goes to the first strictly greatest of them in the order (0,0),
-// (0,1), (1,0), (1,1), MaxPool2's argmax, and only if that value is
+// (0,1), (1,0), (1,1), the pool's argmax, and only if that value is
 // positive, ReLU's mask there. Everything else, odd trailing rows and
 // columns included, gets zero.
 //

@@ -9,13 +9,19 @@ import (
 	"tahoma/internal/tensor"
 )
 
-// backwardToInput walks every step of n's plan back from dlogit, the first
-// one included, accumulating parameter gradients, and returns the gradient
-// with respect to the input.
+// backwardToInput is Network.Backward carried on through the first layer
+// with parameters: it accumulates parameter gradients and returns the
+// gradient with respect to the input.
 func backwardToInput(n *Network, dlogit float32) *tensor.Tensor {
-	g := tensor.NewFrom([]float32{dlogit}, 1)
-	for i := len(n.steps) - 1; i >= 0; i-- {
-		g = n.steps[i].Backward(g)
+	g := n.out.Backward(tensor.NewFrom([]float32{dlogit}, 1))
+	for i, a := range n.hidden.out.Data {
+		if !(a > 0) {
+			g.Data[i] = 0
+		}
+	}
+	g = n.hidden.Backward(g)
+	for i := len(n.blocks) - 1; i >= 0; i-- {
+		g = n.blocks[i].Backward(g)
 	}
 	return g
 }
@@ -33,37 +39,24 @@ func requireBits(t *testing.T, what string, got, want []float32) {
 	}
 }
 
-// refBlock is one Conv2D → ReLU → MaxPool2 block of a reference-test network.
-type refBlock struct{ outC, k int }
-
-// refTestNet builds a network of conv blocks over an inC×h×w input, then
-// Flatten → Dense(·, 4) → ReLU → Dense(4, 1), and plants the pool's and the
+// refTestNet builds a network of conv blocks ({filters, kernel}) over an
+// inC×h×w input with a dense width of 4, and plants the pool's and the
 // ReLU's edge cases in the first block's filters: filter 0 has zero weights
 // and a positive bias, so every window ties at one positive value and routes
 // to its first position; filter 1 a bias no sum reaches, so every window is
 // all-negative and routes nothing; filter 2 zero weights and a −0 bias, so
 // every sum is +0 and every window ties at zero. The rest are random, with
 // small random biases.
-func refTestNet(t *testing.T, seed int64, inC, h, w int, blocks []refBlock) *Network {
+func refTestNet(t *testing.T, seed int64, inC, h, w int, blocks [][2]int) *Network {
 	t.Helper()
-	var layers []Layer
-	ch, oh, ow := inC, h, w
-	for _, b := range blocks {
-		layers = append(layers, NewConv2D(ch, b.outC, b.k), NewReLU(), NewMaxPool2())
-		ch, oh, ow = b.outC, oh/2, ow/2
-	}
-	layers = append(layers, NewFlatten(), NewDense(ch*oh*ow, 4), NewReLU(), NewDense(4, 1))
-	net, err := NewNetwork([]int{inC, h, w}, layers...)
+	net, err := NewNetwork(inC, h, w, blocks, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(seed))
 	net.Init(rng)
-	for i, l := range layers {
-		c, ok := l.(*Conv2D)
-		if !ok {
-			continue
-		}
+	for i, b := range net.blocks {
+		c := b.conv
 		taps := c.InC * c.K * c.K
 		wd, bd := c.W.Value.Data, c.B.Value.Data
 		for f := range bd {
@@ -100,7 +93,7 @@ func refTestInputs(rng *rand.Rand, c, h, w int) []*tensor.Tensor {
 	return []*tensor.Tensor{random, zero, constant, grid}
 }
 
-// TestNetworkMatchesReference is the plan's differential test: for conv
+// TestNetworkMatchesReference is the network's differential test: for conv
 // blocks over 1, 3 and 8 input channels, 1–8 filters, 3×3 and 5×5 kernels,
 // even, odd, non-square and 2×2 inputs, as a first layer and as inner
 // blocks, Network.Forward, Network.Backward and a backward walk to the input
@@ -111,23 +104,23 @@ func refTestInputs(rng *rand.Rand, c, h, w int) []*tensor.Tensor {
 func TestNetworkMatchesReference(t *testing.T) {
 	for ci, cfg := range []struct {
 		inC, h, w int
-		blocks    []refBlock
+		blocks    [][2]int
 	}{
-		{1, 2, 2, []refBlock{{1, 3}}},
-		{3, 2, 2, []refBlock{{3, 5}}},
-		{1, 6, 6, []refBlock{{4, 3}}},
-		{3, 9, 9, []refBlock{{8, 3}}},
-		{8, 7, 10, []refBlock{{5, 5}}},
-		{1, 11, 5, []refBlock{{7, 5}}},
-		{3, 32, 32, []refBlock{{8, 3}, {8, 3}}},
-		{1, 13, 9, []refBlock{{4, 3}, {6, 5}}},
-		{8, 8, 8, []refBlock{{3, 5}, {2, 3}}},
-		{3, 5, 4, []refBlock{{6, 3}, {1, 3}}},
-		{8, 16, 12, []refBlock{{2, 3}, {8, 5}}},
+		{1, 2, 2, [][2]int{{1, 3}}},
+		{3, 2, 2, [][2]int{{3, 5}}},
+		{1, 6, 6, [][2]int{{4, 3}}},
+		{3, 9, 9, [][2]int{{8, 3}}},
+		{8, 7, 10, [][2]int{{5, 5}}},
+		{1, 11, 5, [][2]int{{7, 5}}},
+		{3, 32, 32, [][2]int{{8, 3}, {8, 3}}},
+		{1, 13, 9, [][2]int{{4, 3}, {6, 5}}},
+		{8, 8, 8, [][2]int{{3, 5}, {2, 3}}},
+		{3, 5, 4, [][2]int{{6, 3}, {1, 3}}},
+		{8, 16, 12, [][2]int{{2, 3}, {8, 5}}},
 	} {
 		name := fmt.Sprintf("in%dx%dx%d", cfg.inC, cfg.h, cfg.w)
 		for _, b := range cfg.blocks {
-			name += fmt.Sprintf("/c%dk%d", b.outC, b.k)
+			name += fmt.Sprintf("/c%dk%d", b[0], b[1])
 		}
 		t.Run(name, func(t *testing.T) {
 			seed := 500 + int64(ci)
@@ -174,33 +167,5 @@ func TestNetworkMatchesReference(t *testing.T) {
 				requireBits(t, fmt.Sprintf("step %d weights", step), net.Weights(), refNetwork.Weights())
 			}
 		})
-	}
-}
-
-// TestConvOnItsOwnMatchesReference holds a Conv2D outside a block (ConvTaps
-// plus the bias) to the reference conv, forward and backward, bit for bit,
-// over even, odd and non-square inputs, including a second geometry through
-// the same layer.
-func TestConvOnItsOwnMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	for _, tc := range []struct{ inC, outC, k int }{{1, 2, 3}, {3, 5, 5}, {8, 3, 3}} {
-		conv, refLayer := NewConv2D(tc.inC, tc.outC, tc.k), NewConv2D(tc.inC, tc.outC, tc.k)
-		conv.Init(rng)
-		copy(refLayer.W.Value.Data, conv.W.Value.Data)
-		for f := range conv.B.Value.Data {
-			conv.B.Value.Data[f] = rng.Float32() - 0.5
-		}
-		copy(refLayer.B.Value.Data, conv.B.Value.Data)
-		ref := &refConv{c: refLayer}
-		for _, hw := range [][2]int{{6, 6}, {5, 9}, {2, 2}, {6, 6}} {
-			name := fmt.Sprintf("conv%d→%dk%d/%dx%d", tc.inC, tc.outC, tc.k, hw[0], hw[1])
-			x := randInput(rng, tc.inC, hw[0], hw[1])
-			requireBits(t, name+" output", conv.Forward(x).Data, ref.forward(x).Data)
-			dy := randInput(rng, tc.outC, hw[0], hw[1])
-			dy.Data[0] = 0
-			requireBits(t, name+" input gradient", conv.Backward(dy).Data, ref.backward(dy).Data)
-			requireBits(t, name+" dW", conv.W.Grad.Data, refLayer.W.Grad.Data)
-			requireBits(t, name+" dB", conv.B.Grad.Data, refLayer.B.Grad.Data)
-		}
 	}
 }

@@ -1,3 +1,17 @@
+// Package nn implements the paper's basic model (Definition 4), the Figure 3
+// template: [conv → ReLU → 2×2 max-pool]×N, then a dense layer with its ReLU
+// and a dense layer to a single logit whose sigmoid is the predicate's
+// probability, with backpropagation, binary cross-entropy loss and the Adam
+// optimizer.
+//
+// Every conv block is one implicit-GEMM pass with a pooling epilogue
+// (convBlock). Training runs one CHW sample at a time through Forward and
+// Backward; inference runs single samples through Forward or batches
+// through ForwardBatch, which runs the same blocks over a chunk of samples,
+// so a logit has the same bits either way. A Network keeps scratch buffers,
+// so it is NOT safe for concurrent use. For parallel inference or training,
+// give each goroutine its own network via Clone (weights are shared;
+// scratch and gradient accumulators are not).
 package nn
 
 import (
@@ -8,72 +22,91 @@ import (
 	"tahoma/internal/tensor"
 )
 
-// Network is a feed-forward stack of layers ending in a single logit. The
-// final sigmoid is folded into the loss for numerical stability; Predict
-// applies it explicitly.
+// batchChunkBytes caps the working set of the widest conv block in one
+// batch chunk: its zero-padded input planes plus one filter's accumulator.
+// Chunking the batch through the blocks keeps that set cache-resident while
+// every filter re-reads the input, and bounds a worker's batch scratch to a
+// constant regardless of the engine's batch size.
+const batchChunkBytes = 128 << 10
+
+// maxBatchChunk caps the chunk for networks with small or no conv blocks;
+// the dense GEMMs gain nothing from more than 16 columns.
+const maxBatchChunk = 16
+
+// Network is the Figure 3 template over a fixed C×H×W input, ending in a
+// single logit. The final sigmoid is folded into the loss for numerical
+// stability; Predict applies it explicitly.
 type Network struct {
-	Layers  []Layer
-	inShape []int
-	bin     *tensor.Tensor // batch input pack scratch [C, B, H, W]
-	steps   []step         // the plan Forward, Backward and ForwardBatch walk (see plan)
-	batched bool           // every step has a batched form (batchStage)
-	chunk   int            // samples per batched pass through steps
-	first   int            // index of the first step with parameters (0 if none)
+	blocks  []*convBlock  // conv → ReLU → 2×2 max-pool, first to last
+	hidden  *Dense        // the flattened features → the dense width, then ReLU
+	out     *Dense        // the dense width → the logit
+	c, h, w int           // the input shape
+	chunk   int           // samples per batched pass through the blocks
+	bin     tensor.Tensor // ForwardBatch's input pack [C, B, H, W]
+	bflat   tensor.Tensor // ForwardBatch's dense input [C·H·W, B]
 }
 
-// NewNetwork builds a network from layers and validates that the shapes chain
-// together from the given CHW input shape to a single output logit.
-func NewNetwork(inShape []int, layers ...Layer) (*Network, error) {
-	shape := inShape
-	for _, l := range layers {
-		out, err := l.OutShape(shape)
-		if err != nil {
-			return nil, fmt.Errorf("nn: layer %s: %w", l.Name(), err)
+// NewNetwork builds the template over a c×h×w input: one conv block per
+// entry of blocks, each {filters, kernel} with an odd kernel, then a dense
+// layer of dense units. It refuses a non-positive dimension, width or
+// kernel, an even kernel, and a block whose input is below 2×2.
+//
+// The batch chunk is the largest number of samples whose widest conv block
+// working set fits batchChunkBytes, clamped to [1, maxBatchChunk].
+func NewNetwork(c, h, w int, blocks [][2]int, dense int) (*Network, error) {
+	if c <= 0 || h <= 0 || w <= 0 || dense <= 0 {
+		return nil, fmt.Errorf("nn: input %d×%d×%d or dense width %d is not positive", c, h, w, dense)
+	}
+	n := &Network{c: c, h: h, w: w, chunk: maxBatchChunk}
+	worst := 0
+	for i, b := range blocks {
+		filters, k := b[0], b[1]
+		if filters <= 0 || k <= 0 || k%2 == 0 {
+			return nil, fmt.Errorf("nn: block %d needs a positive filter count and an odd positive kernel, got %d, %d", i, filters, k)
 		}
-		shape = out
-	}
-	if len(shape) != 1 || shape[0] != 1 {
-		return nil, fmt.Errorf("nn: network must end in a single logit, ends in %v", shape)
-	}
-	in := make([]int, len(inShape))
-	copy(in, inShape)
-	return newNetwork(in, layers), nil
-}
-
-func newNetwork(inShape []int, layers []Layer) *Network {
-	n := &Network{Layers: layers, inShape: inShape}
-	n.steps, n.batched, n.chunk = plan(inShape, layers)
-	for i, st := range n.steps {
-		if _, ok := st.(paramGrader); ok {
-			n.first = i
-			break
+		if h < 2 || w < 2 {
+			return nil, fmt.Errorf("nn: block %d input %d×%d is too small to pool", i, h, w)
 		}
+		worst = max(worst, 4*(c+1)*(h+k-1)*(w+k-1))
+		n.blocks = append(n.blocks, &convBlock{conv: newConv2D(c, filters, k)})
+		c, h, w = filters, h/2, w/2
 	}
-	return n
+	if worst > 0 {
+		n.chunk = min(max(batchChunkBytes/worst, 1), maxBatchChunk)
+	}
+	n.hidden, n.out = newDense(c*h*w, dense), newDense(dense, 1)
+	return n, nil
 }
 
-// Init initializes all parameterized layers from rng.
+// Init initializes every parameter from rng, in parameter order.
 func (n *Network) Init(rng *rand.Rand) {
-	for _, l := range n.Layers {
-		switch v := l.(type) {
-		case *Conv2D:
-			v.Init(rng)
-		case *Dense:
-			v.Init(rng)
-		}
+	for _, b := range n.blocks {
+		b.conv.Init(rng)
 	}
+	n.hidden.Init(rng)
+	n.out.Init(rng)
 }
 
 // Forward runs the network on one CHW sample and returns the raw output
-// logit, keeping what Backward reads. Each Conv2D → ReLU → MaxPool2 block is
-// one pass of the implicit-GEMM conv block ForwardBatch runs, at a batch of
-// one.
+// logit, keeping what Backward reads. Each conv block is one pass of the
+// implicit-GEMM conv block ForwardBatch runs, at a batch of one.
 func (n *Network) Forward(x *tensor.Tensor) float32 {
-	t := x
-	for _, st := range n.steps {
-		t = st.Forward(t)
+	if x.Len() != n.c*n.h*n.w {
+		panic(fmt.Sprintf("nn: input has %d values, network wants %d×%d×%d", x.Len(), n.c, n.h, n.w))
 	}
-	return t.Data[0]
+	t, h, w := x, n.h, n.w
+	for _, b := range n.blocks {
+		b.run(t.Data, 1, h, w, true)
+		t, h, w = &b.out, h/2, w/2
+	}
+	a := n.hidden.Forward(t)
+	ad := a.Data
+	for i, v := range ad {
+		if !(v > 0) { // NaN too
+			ad[i] = 0
+		}
+	}
+	return n.out.Forward(a).Data[0]
 }
 
 // Predict returns the sigmoid probability that the input is a positive
@@ -84,12 +117,12 @@ func (n *Network) Predict(x *tensor.Tensor) float32 {
 
 // ForwardBatch runs inference on a batch of CHW samples given as raw planar
 // pixel slices, writing the raw logits into out (which must hold at least
-// len(samples) values). The batch descends the network's batched plan in
-// cache-sized chunks: each chunk is packed into the channel-major
-// [C, B, H, W] layout and runs every stage once — one pass per conv block,
-// one GEMM per dense layer. Every Conv2D must open a Conv2D → ReLU →
-// MaxPool2 block, as arch.Build emits, and every MaxPool2 close one; other
-// layer sequences panic.
+// len(samples) values). The batch runs in cache-sized chunks: each chunk is
+// packed into the channel-major [C, B, H, W] layout (sample s of channel c
+// is a contiguous H·W plane) and passes once through each conv block; the
+// last block's output is transposed into the [C·H·W, B] matrix, row
+// c·H·W + i ordered like a flattened sample, so each dense layer is one
+// GEMM.
 //
 // out[s] is bit-identical to Forward(sample s) at every batch size. The
 // network's batch scratch is reused across calls (and never shrinks), so a
@@ -100,40 +133,45 @@ func (n *Network) ForwardBatch(samples [][]float32, out []float32) {
 	if len(out) < bsz {
 		panic(fmt.Sprintf("nn: ForwardBatch output holds %d values for %d samples", len(out), bsz))
 	}
-	if bsz == 0 {
-		return
-	}
-	if len(n.inShape) != 3 {
-		panic(fmt.Sprintf("nn: ForwardBatch needs a CHW input shape, network has %v", n.inShape))
-	}
-	c, h, w := n.inShape[0], n.inShape[1], n.inShape[2]
-	hw := h * w
+	plane := n.h * n.w
 	for s, pix := range samples {
-		if len(pix) != c*hw {
-			panic(fmt.Sprintf("nn: batch sample %d has %d values, network wants %d", s, len(pix), c*hw))
+		if len(pix) != n.c*plane {
+			panic(fmt.Sprintf("nn: batch sample %d has %d values, network wants %d", s, len(pix), n.c*plane))
 		}
-	}
-	if !n.batched {
-		panic("nn: ForwardBatch needs conv and pool layers in Conv2D → ReLU → MaxPool2 blocks")
-	}
-	if n.bin == nil {
-		n.bin = &tensor.Tensor{}
 	}
 	for s0 := 0; s0 < bsz; s0 += n.chunk {
-		s1 := min(s0+n.chunk, bsz)
-		cur := samples[s0:s1]
-		n.bin.EnsureShape(c, len(cur), h, w)
-		bd := n.bin.Data
-		for ci := 0; ci < c; ci++ {
+		cur := samples[s0:min(s0+n.chunk, bsz)]
+		nb := len(cur)
+		n.bin.EnsureShape(n.c, nb, n.h, n.w)
+		for ci := 0; ci < n.c; ci++ {
 			for s, pix := range cur {
-				copy(bd[(ci*len(cur)+s)*hw:(ci*len(cur)+s+1)*hw], pix[ci*hw:(ci+1)*hw])
+				copy(n.bin.Data[(ci*nb+s)*plane:(ci*nb+s+1)*plane], pix[ci*plane:(ci+1)*plane])
 			}
 		}
-		t := n.bin
-		for _, st := range n.steps {
-			t = st.(batchStage).forwardBatch(t)
+		x, c, h, w := n.bin.Data, n.c, n.h, n.w
+		for _, b := range n.blocks {
+			b.run(x, nb, h, w, false)
+			x, c, h, w = b.out.Data, b.conv.OutC, h/2, w/2
 		}
-		copy(out[s0:s1], t.Data[:len(cur)])
+		hw := h * w
+		n.bflat.EnsureShape(c*hw, nb)
+		fd := n.bflat.Data
+		for pl := 0; pl < c*nb; pl++ { // plane (ci, s) → rows ci·H·W + i of column s
+			di := pl/nb*hw*nb + pl%nb
+			for _, v := range x[pl*hw : (pl+1)*hw] {
+				fd[di] = v
+				di += nb
+			}
+		}
+		// Rectified in place with a branchless max, since activations have
+		// random signs and a compare-and-branch mispredicts half the time;
+		// for finite values max(v, 0) has Forward's bits.
+		a := n.hidden.forwardBatch(&n.bflat)
+		ad := a.Data
+		for i, v := range ad {
+			ad[i] = max(v, 0)
+		}
+		copy(out[s0:], n.out.forwardBatch(a).Data[:nb])
 	}
 }
 
@@ -149,26 +187,36 @@ func (n *Network) PredictBatch(samples [][]float32, out []float32) {
 // Backward propagates the scalar logit gradient of the last Forward through
 // the network, accumulating parameter gradients. Nothing reads the gradient
 // with respect to the network's input, so propagation stops at the first
-// step with parameters, which only accumulates its parameter gradients: for
-// a conv block that skips the Wᵀ·dY product and the col2im scatter, for a
-// dense layer the input-gradient axpys.
+// layer with parameters, which only accumulates its parameter gradients:
+// for a conv block that skips the Wᵀ·dY product and the col2im scatter,
+// for the hidden dense layer of a network without blocks the input-gradient
+// axpys.
 func (n *Network) Backward(dlogit float32) {
-	g := tensor.NewFrom([]float32{dlogit}, 1)
-	for i := len(n.steps) - 1; i > n.first; i-- {
-		g = n.steps[i].Backward(g)
+	g := n.out.Backward(tensor.NewFrom([]float32{dlogit}, 1))
+	for i, a := range n.hidden.out.Data { // the ReLU's mask: a > 0 where its input was
+		if !(a > 0) {
+			g.Data[i] = 0
+		}
 	}
-	if pg, ok := n.steps[n.first].(paramGrader); ok { // not ok: no layer has parameters
-		pg.accumulateGrads(g)
+	if len(n.blocks) == 0 {
+		n.hidden.accumulateGrads(g)
+		return
 	}
+	g = n.hidden.Backward(g)
+	for i := len(n.blocks) - 1; i > 0; i-- {
+		g = n.blocks[i].Backward(g)
+	}
+	n.blocks[0].accumulateGrads(g)
 }
 
-// Params returns all trainable parameters in layer order.
+// Params returns all trainable parameters in order: each block's conv
+// weights and bias, then the hidden and the output layer's.
 func (n *Network) Params() []*Param {
 	var ps []*Param
-	for _, l := range n.Layers {
-		ps = append(ps, l.Params()...)
+	for _, b := range n.blocks {
+		ps = append(ps, b.conv.W, b.conv.B)
 	}
-	return ps
+	return append(ps, n.hidden.W, n.hidden.B, n.out.W, n.out.B)
 }
 
 // ZeroGrad clears all parameter gradients, allocating any accumulator a
@@ -188,27 +236,20 @@ func (n *Network) ParamCount() int {
 	return total
 }
 
-// MACs estimates the multiply-accumulate operations of one forward pass.
-// This is the analytic inference-cost proxy used by the deterministic cost
-// model (the profiler measures real wall time separately).
+// MACs estimates the multiply-accumulate operations of one forward pass:
+// per conv block, output pixels × filters × inC·K·K, then each dense
+// layer's In·Out. This is the analytic inference-cost proxy used by the
+// deterministic cost model (the profiler measures real wall time
+// separately).
 func (n *Network) MACs() int64 {
 	var total int64
-	shape := n.inShape
-	for _, l := range n.Layers {
-		out, err := l.OutShape(shape)
-		if err != nil {
-			return total
-		}
-		switch v := l.(type) {
-		case *Conv2D:
-			// out pixels × filters × (inC·K·K)
-			total += int64(out[1]) * int64(out[2]) * int64(v.OutC) * int64(v.InC*v.K*v.K)
-		case *Dense:
-			total += int64(v.In) * int64(v.Out)
-		}
-		shape = out
+	h, w := int64(n.h), int64(n.w)
+	for _, b := range n.blocks {
+		c := b.conv
+		total += h * w * int64(c.OutC) * int64(c.InC*c.K*c.K)
+		h, w = h/2, w/2
 	}
-	return total
+	return total + int64(n.hidden.In)*int64(n.hidden.Out) + int64(n.out.In)*int64(n.out.Out)
 }
 
 // Clone returns a network sharing parameter values with n but with its own
@@ -218,14 +259,15 @@ func (n *Network) MACs() int64 {
 // hold them. Updating the shared values (an optimizer step) while another
 // network reads them is a race: step only between passes.
 func (n *Network) Clone() *Network {
-	layers := make([]Layer, len(n.Layers))
-	for i, l := range n.Layers {
-		layers[i] = l.clone()
+	m := &Network{hidden: n.hidden.clone(), out: n.out.clone(), c: n.c, h: n.h, w: n.w, chunk: n.chunk}
+	for _, b := range n.blocks {
+		m.blocks = append(m.blocks, &convBlock{conv: b.conv.clone()})
 	}
-	return newNetwork(n.inShape, layers)
+	return m
 }
 
-// Weights serializes all parameter values into a flat slice in layer order.
+// Weights serializes all parameter values into a flat slice in parameter
+// order.
 func (n *Network) Weights() []float32 {
 	var out []float32
 	for _, p := range n.Params() {

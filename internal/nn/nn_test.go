@@ -10,15 +10,7 @@ import (
 
 func buildTinyNet(t *testing.T, seed int64) *Network {
 	t.Helper()
-	net, err := NewNetwork([]int{2, 4, 4},
-		NewConv2D(2, 3, 3),
-		NewReLU(),
-		NewMaxPool2(),
-		NewFlatten(),
-		NewDense(3*2*2, 5),
-		NewReLU(),
-		NewDense(5, 1),
-	)
+	net, err := NewNetwork(2, 4, 4, [][2]int{{3, 3}}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,16 +72,11 @@ func TestGradientCheck(t *testing.T) {
 	}
 }
 
-// buildDenseNet is a c0-shaped network (no conv layers, as arch.Build emits
-// it) over the same input as buildTinyNet.
+// buildDenseNet is a c0 network (no conv blocks) over the same input as
+// buildTinyNet.
 func buildDenseNet(t *testing.T, seed int64) *Network {
 	t.Helper()
-	net, err := NewNetwork([]int{2, 4, 4},
-		NewFlatten(),
-		NewDense(2*4*4, 5),
-		NewReLU(),
-		NewDense(5, 1),
-	)
+	net, err := NewNetwork(2, 4, 4, nil, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +85,7 @@ func buildDenseNet(t *testing.T, seed int64) *Network {
 }
 
 // TestInputGradientCheck verifies the gradient flowing back to the input,
-// and that Network.Backward, which stops at the first step with
+// and that Network.Backward, which stops at the first layer with
 // parameters, accumulates the same parameter gradients as the full walk.
 func TestInputGradientCheck(t *testing.T) {
 	for _, c := range []struct {
@@ -160,84 +147,50 @@ func TestInputGradientCheck(t *testing.T) {
 			opt.Step(net.Params())
 		}
 	}
-	if b := conv.steps[0].(*convBlock); b.grads.dx != nil || b.grads.dcol.Data != nil {
+	if b := conv.blocks[0]; b.grads.dx != nil || b.grads.dcol.Data != nil {
 		t.Fatal("conv first block allocated its input-gradient scratch")
 	}
-	if d := dense.Layers[1].(*Dense); d.dx != nil {
+	if dense.hidden.dx != nil {
 		t.Fatal("dense first layer allocated its input-gradient scratch")
 	}
-	if d := dense.Layers[3].(*Dense); d.dx == nil {
+	if dense.out.dx == nil {
 		t.Fatal("second dense layer computed no input gradient")
 	}
 }
 
+// TestNetworkShapeValidation: NewNetwork refuses a non-positive input
+// dimension, dense width or filter count, and a block whose input is below
+// the 2×2 its pool needs.
 func TestNetworkShapeValidation(t *testing.T) {
-	// Wrong channel count.
-	if _, err := NewNetwork([]int{1, 4, 4}, NewConv2D(2, 3, 3), NewFlatten(), NewDense(48, 1)); err == nil {
-		t.Fatal("expected channel mismatch error")
-	}
-	// Not ending in a single logit.
-	if _, err := NewNetwork([]int{1, 2, 2}, NewFlatten(), NewDense(4, 3)); err == nil {
-		t.Fatal("expected output-shape error")
-	}
-	// Pooling below 2x2.
-	if _, err := NewNetwork([]int{1, 2, 2},
-		NewMaxPool2(), NewMaxPool2(), NewFlatten(), NewDense(1, 1)); err == nil {
-		t.Fatal("expected too-small pooling error")
-	}
-}
-
-func TestMaxPoolForwardBackward(t *testing.T) {
-	p := NewMaxPool2()
-	x := tensor.NewFrom([]float32{
-		1, 2, 5, 6,
-		3, 4, 7, 8,
-		9, 1, 2, 3,
-		1, 1, 1, 1,
-	}, 1, 4, 4)
-	out := p.Forward(x)
-	want := []float32{4, 8, 9, 3}
-	for i, w := range want {
-		if out.Data[i] != w {
-			t.Fatalf("pool out[%d] = %v, want %v", i, out.Data[i], w)
+	for _, tc := range []struct {
+		name    string
+		c, h, w int
+		blocks  [][2]int
+		dense   int
+	}{
+		{"zero channels", 0, 4, 4, nil, 4},
+		{"zero height", 1, 0, 4, nil, 4},
+		{"zero dense width", 1, 4, 4, nil, 0},
+		{"zero filters", 1, 4, 4, [][2]int{{0, 3}}, 4},
+		{"pool below 2x2", 1, 2, 2, [][2]int{{2, 3}, {2, 3}}, 4},
+		{"pool one row", 1, 1, 8, [][2]int{{2, 3}}, 4},
+	} {
+		if _, err := NewNetwork(tc.c, tc.h, tc.w, tc.blocks, tc.dense); err == nil {
+			t.Errorf("%s: NewNetwork accepted %d×%d×%d, blocks %v, dense %d", tc.name, tc.c, tc.h, tc.w, tc.blocks, tc.dense)
 		}
 	}
-	dy := tensor.NewFrom([]float32{10, 20, 30, 40}, 1, 2, 2)
-	dx := p.Backward(dy)
-	// Gradient goes only to the argmax positions.
-	if dx.Data[5] != 10 || dx.Data[7] != 20 || dx.Data[8] != 30 || dx.Data[11] != 40 {
-		t.Fatalf("pool backward wrong: %v", dx.Data)
-	}
-	var sum float32
-	for _, v := range dx.Data {
-		sum += v
-	}
-	if sum != 100 {
-		t.Fatalf("pool backward lost gradient mass: %v", sum)
+	if _, err := NewNetwork(1, 2, 2, [][2]int{{2, 3}}, 4); err != nil {
+		t.Fatalf("one block over 2×2: %v", err)
 	}
 }
 
-func TestReLU(t *testing.T) {
-	r := NewReLU()
-	x := tensor.NewFrom([]float32{-1, 0, 2}, 3)
-	out := r.Forward(x)
-	if out.Data[0] != 0 || out.Data[1] != 0 || out.Data[2] != 2 {
-		t.Fatalf("relu forward: %v", out.Data)
-	}
-	dy := tensor.NewFrom([]float32{5, 5, 5}, 3)
-	dx := r.Backward(dy)
-	if dx.Data[0] != 0 || dx.Data[1] != 0 || dx.Data[2] != 5 {
-		t.Fatalf("relu backward: %v", dx.Data)
-	}
-}
-
+// TestConvKernelMustBeOdd: "same" padding needs an odd, positive kernel.
 func TestConvKernelMustBeOdd(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on even kernel")
+	for _, k := range []int{2, 0, -1} {
+		if _, err := NewNetwork(1, 4, 4, [][2]int{{1, k}}, 4); err == nil {
+			t.Errorf("kernel %d accepted", k)
 		}
-	}()
-	NewConv2D(1, 1, 2)
+	}
 }
 
 func TestWeightsRoundTrip(t *testing.T) {
@@ -327,7 +280,7 @@ func TestBCELoss(t *testing.T) {
 // TestTrainingConvergesOnSeparableTask fits a linearly separable toy problem
 // and requires near-perfect training accuracy.
 func TestTrainingConvergesOnSeparableTask(t *testing.T) {
-	net, err := NewNetwork([]int{1, 2, 2}, NewFlatten(), NewDense(4, 4), NewReLU(), NewDense(4, 1))
+	net, err := NewNetwork(1, 2, 2, nil, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,63 +1,200 @@
 package nn
 
 import (
+	"testing"
+
 	"tahoma/internal/tensor"
 )
 
-// refNet is the layer walk a network ran before its Conv2D → ReLU →
-// MaxPool2 blocks became single implicit-GEMM passes, kept as the oracle the
-// plan is held to bit for bit. Every layer runs on its own: the conv as
-// im2col, an i,k,j GEMM that skips zero weights, and a bias broadcast; its
-// weight gradient as dY·colᵀ, one dot product per element over the explicit
-// columns; its input gradient as Wᵀ·dY, again skipping zero weights, then
-// tensor.Col2Im; a dense layer as plain dot products. ReLU, MaxPool2 and
-// Flatten run their own (standalone) methods. It shares the network's
+// refNet is the layer walk a network ran before its conv → ReLU → 2×2
+// max-pool blocks became single implicit-GEMM passes, kept as the oracle
+// the network is held to bit for bit. Every layer runs on its own: the conv
+// as im2col, an i,k,j GEMM that skips zero weights, and a bias broadcast;
+// its weight gradient as dY·colᵀ, one dot product per element over the
+// explicit columns; its input gradient as Wᵀ·dY, again skipping zero
+// weights, then tensor.Col2Im; the ReLU and the pool as refReLU and
+// refPool; a dense layer as plain dot products. It shares the network's
 // parameters, gradient accumulators included, and nothing else.
-type refNet struct{ layers []refLayer }
+type refNet struct {
+	blocks      []refStage
+	hidden, out *refDense
+	relu        refReLU
+}
 
-type refLayer interface {
-	forward(x *tensor.Tensor) *tensor.Tensor
-	backward(dy *tensor.Tensor) *tensor.Tensor
+// refStage is one conv block as three layers.
+type refStage struct {
+	conv *refConv
+	relu refReLU
+	pool refPool
 }
 
 func newRefNet(n *Network) *refNet {
-	r := &refNet{}
-	for _, l := range n.Layers {
-		switch v := l.(type) {
-		case *Conv2D:
-			r.layers = append(r.layers, &refConv{c: v})
-		case *Dense:
-			r.layers = append(r.layers, &refDense{d: v})
-		default:
-			r.layers = append(r.layers, refOwn{l.clone()})
-		}
+	r := &refNet{hidden: &refDense{d: n.hidden}, out: &refDense{d: n.out}}
+	for _, b := range n.blocks {
+		r.blocks = append(r.blocks, refStage{conv: &refConv{c: b.conv}})
 	}
 	return r
 }
 
 // forward returns the logit.
 func (r *refNet) forward(x *tensor.Tensor) float32 {
-	for _, l := range r.layers {
-		x = l.forward(x)
+	for i := range r.blocks {
+		b := &r.blocks[i]
+		x = b.pool.forward(b.relu.forward(b.conv.forward(x)))
 	}
-	return x.Data[0]
+	return r.out.forward(r.relu.forward(r.hidden.forward(x))).Data[0]
 }
 
 // backward walks every layer, accumulating parameter gradients, and returns
 // the gradient with respect to the input.
 func (r *refNet) backward(dlogit float32) *tensor.Tensor {
-	g := tensor.NewFrom([]float32{dlogit}, 1)
-	for i := len(r.layers) - 1; i >= 0; i-- {
-		g = r.layers[i].backward(g)
+	g := r.hidden.backward(r.relu.backward(r.out.backward(tensor.NewFrom([]float32{dlogit}, 1))))
+	for i := len(r.blocks) - 1; i >= 0; i-- {
+		b := &r.blocks[i]
+		g = b.conv.backward(b.relu.backward(b.pool.backward(g)))
 	}
 	return g
 }
 
-// refOwn runs a parameterless layer's own Forward and Backward.
-type refOwn struct{ l Layer }
+// refPool is 2×2 max pooling with stride 2 over a CHW input. Odd trailing
+// rows/columns are dropped (floor semantics), matching common framework
+// defaults. Each window keeps the first strictly greatest of its values in
+// the order (0,0), (0,1), (1,0), (1,1), and backward routes the window's
+// gradient there: the rule the conv block's epilogue and route follow.
+type refPool struct {
+	argmax []int32
+	out    *tensor.Tensor
+	dx     *tensor.Tensor
+	inShp  [3]int
+}
 
-func (o refOwn) forward(x *tensor.Tensor) *tensor.Tensor   { return o.l.Forward(x) }
-func (o refOwn) backward(dy *tensor.Tensor) *tensor.Tensor { return o.l.Backward(dy) }
+func (p *refPool) forward(x *tensor.Tensor) *tensor.Tensor {
+	ch, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
+	oh, ow := h/2, w/2
+	if p.out == nil || p.inShp != [3]int{ch, h, w} {
+		p.out = tensor.New(ch, oh, ow)
+		p.dx = tensor.New(ch, h, w)
+		p.argmax = make([]int32, ch*oh*ow)
+		p.inShp = [3]int{ch, h, w}
+	}
+	xd, od := x.Data, p.out.Data
+	idx := 0
+	for c := 0; c < ch; c++ {
+		base := c * h * w
+		for oy := 0; oy < oh; oy++ {
+			r0 := base + (2*oy)*w
+			r1 := r0 + w
+			for ox := 0; ox < ow; ox++ {
+				i0 := r0 + 2*ox
+				best, bestIdx := xd[i0], int32(i0)
+				if v := xd[i0+1]; v > best {
+					best, bestIdx = v, int32(i0+1)
+				}
+				i1 := r1 + 2*ox
+				if v := xd[i1]; v > best {
+					best, bestIdx = v, int32(i1)
+				}
+				if v := xd[i1+1]; v > best {
+					best, bestIdx = v, int32(i1+1)
+				}
+				od[idx] = best
+				p.argmax[idx] = bestIdx
+				idx++
+			}
+		}
+	}
+	return p.out
+}
+
+func (p *refPool) backward(dy *tensor.Tensor) *tensor.Tensor {
+	p.dx.Zero()
+	dxd := p.dx.Data
+	for i, v := range dy.Data {
+		dxd[p.argmax[i]] += v
+	}
+	return p.dx
+}
+
+// refReLU is an elementwise max(0,x) activation into its own buffer.
+type refReLU struct {
+	out *tensor.Tensor
+	dx  *tensor.Tensor
+	x   *tensor.Tensor
+}
+
+func (r *refReLU) forward(x *tensor.Tensor) *tensor.Tensor {
+	if r.out == nil || !r.out.SameShape(x) {
+		r.out = tensor.New(x.Shape...)
+		r.dx = tensor.New(x.Shape...)
+	}
+	r.x = x
+	od := r.out.Data
+	for i, v := range x.Data {
+		if v > 0 {
+			od[i] = v
+		} else {
+			od[i] = 0
+		}
+	}
+	return r.out
+}
+
+func (r *refReLU) backward(dy *tensor.Tensor) *tensor.Tensor {
+	dxd := r.dx.Data
+	xd := r.x.Data
+	for i, v := range dy.Data {
+		if xd[i] > 0 {
+			dxd[i] = v
+		} else {
+			dxd[i] = 0
+		}
+	}
+	return r.dx
+}
+
+func TestMaxPoolForwardBackward(t *testing.T) {
+	p := &refPool{}
+	x := tensor.NewFrom([]float32{
+		1, 2, 5, 6,
+		3, 4, 7, 8,
+		9, 1, 2, 3,
+		1, 1, 1, 1,
+	}, 1, 4, 4)
+	out := p.forward(x)
+	want := []float32{4, 8, 9, 3}
+	for i, w := range want {
+		if out.Data[i] != w {
+			t.Fatalf("pool out[%d] = %v, want %v", i, out.Data[i], w)
+		}
+	}
+	dy := tensor.NewFrom([]float32{10, 20, 30, 40}, 1, 2, 2)
+	dx := p.backward(dy)
+	// Gradient goes only to the argmax positions.
+	if dx.Data[5] != 10 || dx.Data[7] != 20 || dx.Data[8] != 30 || dx.Data[11] != 40 {
+		t.Fatalf("pool backward wrong: %v", dx.Data)
+	}
+	var sum float32
+	for _, v := range dx.Data {
+		sum += v
+	}
+	if sum != 100 {
+		t.Fatalf("pool backward lost gradient mass: %v", sum)
+	}
+}
+
+func TestReLU(t *testing.T) {
+	r := &refReLU{}
+	x := tensor.NewFrom([]float32{-1, 0, 2}, 3)
+	out := r.forward(x)
+	if out.Data[0] != 0 || out.Data[1] != 0 || out.Data[2] != 2 {
+		t.Fatalf("relu forward: %v", out.Data)
+	}
+	dy := tensor.NewFrom([]float32{5, 5, 5}, 3)
+	dx := r.backward(dy)
+	if dx.Data[0] != 0 || dx.Data[1] != 0 || dx.Data[2] != 5 {
+		t.Fatalf("relu backward: %v", dx.Data)
+	}
+}
 
 // refConv is Conv2D over im2col columns.
 type refConv struct {

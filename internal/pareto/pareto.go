@@ -100,7 +100,8 @@ func ALC(points []Point, lo, hi float64) float64 {
 			steps = append(steps, step{p.Accuracy, best})
 		}
 	}
-	// Integrate x(y) dy over [lo, hi]. For y in (steps[i+1].acc, steps[i].acc]
+	// Integrate x(y) dy over [lo, hi], rounding each product before it is
+	// summed so no GOARCH fuses it. For y in (steps[i+1].acc, steps[i].acc]
 	// the value is steps[i].thru... walk segments from the top.
 	area := 0.0
 	upper := hi
@@ -119,7 +120,7 @@ func ALC(points []Point, lo, hi float64) float64 {
 			segBot = lo
 		}
 		if segTop > segBot {
-			area += steps[i].thru * (segTop - segBot)
+			area += float64(steps[i].thru * (segTop - segBot))
 			upper = segBot
 		}
 	}

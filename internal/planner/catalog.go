@@ -83,7 +83,7 @@ func (c *Catalog) Observe(key string, frames, positives int) {
 		c.preds[key] = &predStat{seed: obs, rate: obs, samples: int64(frames)}
 		return
 	}
-	st.rate += w * (obs - st.rate)
+	st.rate += float64(w * (obs - st.rate)) // rounded, so no GOARCH fuses it
 	st.samples += int64(frames)
 }
 

@@ -157,7 +157,9 @@ func PlanContent(steps []Step, av Availability, opts Options) *Plan {
 	return p
 }
 
-// costStep prices one step against the residency snapshot.
+// costStep prices one step against the residency snapshot. Each product
+// is rounded before it is summed (an explicit conversion, which no GOARCH
+// may fuse), so arm64 plans like amd64.
 func costStep(s Step, av Availability) PlannedStep {
 	ps := PlannedStep{Step: s}
 	// Distinct representations at first-use occupancy; the source decode is
@@ -171,7 +173,7 @@ func costStep(s Step, av Availability) PlannedStep {
 	allServed := len(s.Levels) > 0
 	infer := 0.0
 	for _, lv := range s.Levels {
-		infer += lv.Occupancy * lv.InferCost
+		infer += float64(lv.Occupancy * lv.InferCost)
 		if !seen[lv.RepID] {
 			seen[lv.RepID] = true
 			reps = append(reps, repUse{cost: lv.RepCost, occ: lv.Occupancy, id: lv.RepID})
@@ -187,7 +189,7 @@ func costStep(s Step, av Availability) PlannedStep {
 	}
 	repFull, repAdj := 0.0, 0.0
 	for _, r := range reps {
-		full := r.occ * r.cost
+		full := float64(r.occ * r.cost)
 		repFull += full
 		// Served slots skip the transform; the store's own load cost is
 		// already in the scenario pricing when it applies.

@@ -162,9 +162,11 @@ func (a *Analytic) Name() string { return a.kind.String() + "/analytic" }
 // Kind implements CostModel.
 func (a *Analytic) Kind() Kind { return a.kind }
 
-// loadSeconds prices reading and decoding n stored bytes.
+// loadSeconds prices reading and decoding n stored bytes. Here and in
+// InferCost each product is rounded before it is added (an explicit
+// conversion, which no GOARCH may fuse), so arm64 prices like amd64.
 func (a *Analytic) loadSeconds(n int) float64 {
-	return float64(n)/a.params.DiskBytesPerSec + float64(n)*a.params.DecodeSecPerByte
+	return float64(n)/a.params.DiskBytesPerSec + float64(float64(n)*a.params.DecodeSecPerByte)
 }
 
 // SourceCost implements CostModel.
@@ -193,5 +195,5 @@ func (a *Analytic) RepCost(t xform.Transform) float64 {
 
 // InferCost implements CostModel.
 func (a *Analytic) InferCost(m *model.Model) float64 {
-	return float64(m.MACs())*a.params.InferSecPerMAC + a.params.InferOverheadSec
+	return float64(float64(m.MACs())*a.params.InferSecPerMAC) + a.params.InferOverheadSec
 }

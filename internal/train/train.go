@@ -157,9 +157,9 @@ type replica struct {
 // in sample order, before the optimizer steps.
 //
 // The weights are bit-identical to a serial per-sample loop for any workers.
-// Every gradient element takes one addition per sample (see Conv2D's
-// accumulate and Dense's accumulateGrads), so the serial loop computes g+t0, then +t1, and
-// so on, from g = +0. A slot holds +0+t, which equals t except that −0
+// Every gradient element takes one addition per sample (see nn's
+// convBlock.accumulate and Dense.accumulateGrads), so the serial loop
+// computes g+t0, then +t1, and so on, from g = +0. A slot holds +0+t, which equals t except that −0
 // becomes +0, and a sum that starts at +0 is never −0, so adding either zero
 // to it gives the same bits.
 func fit(m *model.Model, samples []sample, opts Options, workers int) (Report, error) {
