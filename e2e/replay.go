@@ -232,5 +232,5 @@ func percentileOf(lats []float64, p float64) float64 {
 	}
 	s := append([]float64(nil), lats...)
 	sort.Float64s(s)
-	return s[int(p*float64(len(s)-1)+0.5)]
+	return s[int(float64(p*float64(len(s)-1))+0.5)]
 }

@@ -242,7 +242,9 @@ type Result struct {
 }
 
 // Evaluate simulates one cascade exactly over the evaluation set. scratch
-// must be a bitset of length N (see NewScratch); it is clobbered.
+// must be a bitset of length N (see NewScratch); it is clobbered. Each cost
+// product is rounded before it is added (an explicit conversion, which no
+// GOARCH may fuse), so arm64 prices every frontier point as amd64 does.
 func (e *Evaluator) Evaluate(s Spec, ct *CostTable, scratch *bitset.Set) Result {
 	reached := scratch
 	reached.SetAll()
@@ -251,7 +253,7 @@ func (e *Evaluator) Evaluate(s Spec, ct *CostTable, scratch *bitset.Set) Result 
 	cost := float64(e.n) * ct.Source
 	for k := int32(0); k < s.Depth && nr > 0; k++ {
 		ref := s.L[k]
-		cost += float64(nr) * ct.Infer[ref.Model]
+		cost += float64(float64(nr) * ct.Infer[ref.Model])
 		// Charge the representation only on its first use in the cascade
 		// (Section VI: per-input costs are incurred once).
 		rid := ct.RepIdx[ref.Model]
@@ -263,7 +265,7 @@ func (e *Evaluator) Evaluate(s Spec, ct *CostTable, scratch *bitset.Set) Result 
 			}
 		}
 		if first {
-			cost += float64(nr) * ct.Rep[ref.Model]
+			cost += float64(float64(nr) * ct.Rep[ref.Model])
 		}
 		if ref.Thresh == Final {
 			correct += reached.AndCount(e.finals[ref.Model].correct)

@@ -52,8 +52,11 @@ const (
 	// recovering reader truncates at the torn frame and recovery yields a
 	// clean prefix of committed records.
 	FSShortWrite = "fs.short-write"
-	// FSSyncError fails an fsync in the durability layer. Contract: the
-	// commit reports an error (the write was never acknowledged as durable).
+	// FSSyncError fails an fsync in the durability layer: the journal's, a
+	// data file's, or the one wal.WriteFile issues for the checkpoint and
+	// the repstore manifest. Contract: the commit reports an error (the
+	// write was never acknowledged as durable), and a replaced file keeps
+	// its old bytes.
 	FSSyncError = "fs.sync-error"
 	// FSCrashBeforeSync kills the process (os.Exit at the call site) after a
 	// durability-layer write is buffered but before it is fsynced — the

@@ -64,3 +64,24 @@ func TestDenseBackwardBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestTrainStepAllocatesNothing: once a network (or a clone) has run one
+// step, a Forward and Backward step allocates nothing, in networks with
+// and without conv blocks — training runs one such step per sample.
+func TestTrainStepAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	for _, conv := range []int{0, 1, 2} {
+		net := batchTestNet(t, 46, conv, 4, 8, 3, 16)
+		for _, n := range []*Network{net, net.Clone()} {
+			x := randInput(rng, 3, 16, 16)
+			n.ZeroGrad()
+			allocs := testing.AllocsPerRun(20, func() {
+				_, dz := BCELossWithLogits(n.Forward(x), 1)
+				n.Backward(dz)
+			})
+			if allocs != 0 {
+				t.Errorf("%d conv blocks: a training step allocates %v times", conv, allocs)
+			}
+		}
+	}
+}

@@ -44,6 +44,7 @@ type Network struct {
 	chunk   int           // samples per batched pass through the blocks
 	bin     tensor.Tensor // ForwardBatch's input pack [C, B, H, W]
 	bflat   tensor.Tensor // ForwardBatch's dense input [C·H·W, B]
+	dlogit  tensor.Tensor // Backward's output gradient [1]
 }
 
 // NewNetwork builds the template over a c×h×w input: one conv block per
@@ -192,7 +193,9 @@ func (n *Network) PredictBatch(samples [][]float32, out []float32) {
 // for the hidden dense layer of a network without blocks the input-gradient
 // axpys.
 func (n *Network) Backward(dlogit float32) {
-	g := n.out.Backward(tensor.NewFrom([]float32{dlogit}, 1))
+	n.dlogit.EnsureShape(1)
+	n.dlogit.Data[0] = dlogit
+	g := n.out.Backward(&n.dlogit)
 	for i, a := range n.hidden.out.Data { // the ReLU's mask: a > 0 where its input was
 		if !(a > 0) {
 			g.Data[i] = 0

@@ -37,6 +37,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -46,6 +47,7 @@ import (
 
 	"tahoma/internal/faults"
 	"tahoma/internal/img"
+	"tahoma/internal/wal"
 	"tahoma/internal/xform"
 )
 
@@ -249,44 +251,18 @@ func (s *Store) sourceRecordSize() int {
 	return img.EncodedSize(s.manifest.BaseW, s.manifest.BaseH, img.RGB)
 }
 
-// writeManifest atomically replaces the manifest: write a temp file, fsync
-// it, rename over the old one, fsync the directory. Without the fsyncs a
-// crash can surface an empty or garbage manifest — the rename may hit disk
-// before the temp file's contents do.
+// writeManifest atomically replaces the manifest (wal.WriteFile).
 func (s *Store) writeManifest() error {
-	if err := faults.Fire(faults.FSWriteError); err != nil {
-		return fmt.Errorf("repstore: writing manifest: %w", err)
-	}
 	raw, err := json.MarshalIndent(s.manifest, "", "  ")
 	if err != nil {
 		return fmt.Errorf("repstore: encoding manifest: %w", err)
 	}
-	tmp := filepath.Join(s.dir, manifestName+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	err = wal.WriteFile(filepath.Join(s.dir, manifestName), func(w io.Writer) error {
+		_, err := w.Write(raw)
+		return err
+	})
 	if err != nil {
 		return fmt.Errorf("repstore: writing manifest: %w", err)
-	}
-	if _, err := f.Write(raw); err != nil {
-		f.Close()
-		return fmt.Errorf("repstore: writing manifest: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("repstore: syncing manifest: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("repstore: closing manifest: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, manifestName)); err != nil {
-		return fmt.Errorf("repstore: replacing manifest: %w", err)
-	}
-	d, err := os.Open(s.dir)
-	if err != nil {
-		return fmt.Errorf("repstore: opening dir for sync: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("repstore: syncing dir: %w", err)
 	}
 	s.vouched = s.manifest.Count
 	return nil

@@ -247,7 +247,7 @@ func (s *Server) acquire(ctx context.Context) (release func(), err error) {
 // transient spike never parks clients for minutes.
 func (s *Server) retryAfterSeconds() int {
 	per := s.opts.QueueTimeout.Seconds() / float64(s.opts.MaxQueue+1)
-	secs := int(1 + float64(s.queued.Load())*per)
+	secs := int(1 + float64(float64(s.queued.Load())*per))
 	if secs < 1 {
 		secs = 1
 	}

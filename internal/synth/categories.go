@@ -27,7 +27,7 @@ func Categories() []Category {
 				body := rgb{0.55, 0.35, 0.12}
 				cap := rgb{0.32, 0.2, 0.07}
 				c.ellipse(cx, cy, s*0.6, s*0.8, body, 0.95)
-				c.ellipse(cx, cy-s*0.55, s*0.65, s*0.3, cap, 0.95)
+				c.ellipse(cx, cy-float32(s*0.55), s*0.65, s*0.3, cap, 0.95)
 			},
 		},
 		{
@@ -37,8 +37,8 @@ func Categories() []Category {
 				spot := rgb{0.1, 0.4, 0.15}
 				c.ellipse(cx, cy, s, s*0.65, body, 0.95)
 				for i := 0; i < 4; i++ {
-					ox := (rng.Float32() - 0.5) * s * 1.2
-					oy := (rng.Float32() - 0.5) * s * 0.7
+					ox := float32((rng.Float32() - 0.5) * s * 1.2)
+					oy := float32((rng.Float32() - 0.5) * s * 0.7)
 					c.ellipse(cx+ox, cy+oy, s*0.14, s*0.14, spot, 0.9)
 				}
 			},
@@ -47,7 +47,7 @@ func Categories() []Category {
 			Name: "cloak", Kind: "shape",
 			draw: func(rng *rand.Rand, c *canvas, cx, cy, s float32) {
 				col := rgb{0.3, 0.18, 0.42}
-				c.triangle(cx, cy-s, cx-s*0.9, cy+s, cx+s*0.9, cy+s, col, 0.95)
+				c.triangle(cx, cy-s, cx-float32(s*0.9), cy+s, cx+float32(s*0.9), cy+s, col, 0.95)
 				c.ellipse(cx, cy-s, s*0.25, s*0.25, rgb{0.2, 0.1, 0.3}, 0.95)
 			},
 		},
@@ -57,7 +57,7 @@ func Categories() []Category {
 				body := rgb{0.85, 0.45, 0.5}
 				tail := rgb{0.7, 0.3, 0.38}
 				c.ellipse(cx, cy, s, s*0.4, body, 0.95)
-				c.triangle(cx+s*0.9, cy, cx+s*1.5, cy-s*0.45, cx+s*1.5, cy+s*0.45, tail, 0.95)
+				c.triangle(cx+float32(s*0.9), cy, cx+float32(s*1.5), cy-float32(s*0.45), cx+float32(s*1.5), cy+float32(s*0.45), tail, 0.95)
 			},
 		},
 		{
@@ -74,8 +74,8 @@ func Categories() []Category {
 				body := rgb{0.88, 0.84, 0.72}
 				mask := rgb{0.35, 0.27, 0.2}
 				c.ellipse(cx, cy, s*1.4, s*0.4, body, 0.95)
-				c.ellipse(cx-s*1.1, cy, s*0.35, s*0.3, mask, 0.95)
-				c.ellipse(cx+s*1.2, cy+s*0.1, s*0.45, s*0.18, mask, 0.9)
+				c.ellipse(cx-float32(s*1.1), cy, s*0.35, s*0.3, mask, 0.95)
+				c.ellipse(cx+float32(s*1.2), cy+float32(s*0.1), s*0.45, s*0.18, mask, 0.9)
 			},
 		},
 		{
@@ -102,9 +102,10 @@ func Categories() []Category {
 				// Curved tail: a short arc of shrinking circles ending high.
 				for i := 0; i < 5; i++ {
 					t := float32(i) / 4
-					tx := cx + s*(0.7+0.5*t)
-					ty := cy - s*1.1*t*t
-					c.ellipse(tx, ty, s*0.18*(1-0.5*t)+s*0.05, s*0.18*(1-0.5*t)+s*0.05, body, 0.95)
+					tx := cx + float32(s*(0.7+float32(0.5*t)))
+					ty := cy - float32(s*1.1*t*t)
+					r := float32(s*0.18*(1-float32(0.5*t))) + float32(s*0.05)
+					c.ellipse(tx, ty, r, r, body, 0.95)
 				}
 			},
 		},
@@ -113,8 +114,8 @@ func Categories() []Category {
 			draw: func(rng *rand.Rand, c *canvas, cx, cy, s float32) {
 				leather := rgb{0.5, 0.32, 0.16}
 				seam := rgb{0.3, 0.18, 0.08}
-				c.rect(cx-s, cy-s*0.65, cx+s, cy+s*0.65, leather, 0.95)
-				c.rect(cx-s, cy-s*0.1, cx+s, cy+s*0.1, seam, 0.9)
+				c.rect(cx-s, cy-float32(s*0.65), cx+s, cy+float32(s*0.65), leather, 0.95)
+				c.rect(cx-s, cy-float32(s*0.1), cx+s, cy+float32(s*0.1), seam, 0.9)
 			},
 		},
 	}

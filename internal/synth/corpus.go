@@ -120,10 +120,10 @@ func renderExample(rng *rand.Rand, target Category, others []Category, positive 
 	cv.fillBackground(rng, opts.Noise)
 	size := float32(opts.BaseSize)
 	placeAndDraw := func(cat Category) {
-		scale := size * (0.14 + 0.1*rng.Float32()) // object radius: 14%-24% of the frame
-		margin := scale * 1.6
-		cx := margin + rng.Float32()*(size-2*margin)
-		cy := margin + rng.Float32()*(size-2*margin)
+		scale := size * (0.14 + float32(0.1*rng.Float32())) // object radius: 14%-24% of the frame
+		margin := float32(scale * 1.6)
+		cx := margin + float32(rng.Float32()*(size-float32(2*margin)))
+		cy := margin + float32(rng.Float32()*(size-float32(2*margin)))
 		cat.draw(rng, cv, cx, cy, scale)
 	}
 	nDistract := rng.Intn(opts.MaxDistractors + 1)

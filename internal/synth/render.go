@@ -7,6 +7,10 @@
 // some categories are told apart by hue (hurt by grayscale or single-channel
 // inputs), others by fine texture frequency (hurt by low-resolution inputs),
 // and others by coarse shape (robust to both, so cheap models suffice).
+//
+// Every floating-point product is rounded before it is added (an explicit
+// conversion, which no GOARCH may fuse), so arm64 renders the corpus a zoo
+// trains on bit for bit as amd64 does.
 package synth
 
 import (
@@ -38,24 +42,24 @@ func (c *canvas) blend(x, y int, col rgb, alpha float32) {
 	i := y*c.w + x
 	n := c.w * c.h
 	p := c.im.Pix
-	p[i] += alpha * (col.r - p[i])
-	p[n+i] += alpha * (col.g - p[n+i])
-	p[2*n+i] += alpha * (col.b - p[2*n+i])
+	p[i] += float32(alpha * (col.r - p[i]))
+	p[n+i] += float32(alpha * (col.g - p[n+i]))
+	p[2*n+i] += float32(alpha * (col.b - p[2*n+i]))
 }
 
 // fillBackground paints a smooth two-corner gradient plus uniform noise.
 func (c *canvas) fillBackground(rng *rand.Rand, noise float32) {
-	c0 := rgb{0.25 + 0.3*rng.Float32(), 0.25 + 0.3*rng.Float32(), 0.25 + 0.3*rng.Float32()}
-	c1 := rgb{0.25 + 0.3*rng.Float32(), 0.25 + 0.3*rng.Float32(), 0.25 + 0.3*rng.Float32()}
+	c0 := rgb{0.25 + float32(0.3*rng.Float32()), 0.25 + float32(0.3*rng.Float32()), 0.25 + float32(0.3*rng.Float32())}
+	c1 := rgb{0.25 + float32(0.3*rng.Float32()), 0.25 + float32(0.3*rng.Float32()), 0.25 + float32(0.3*rng.Float32())}
 	n := c.w * c.h
 	r, g, b := c.im.Pix[:n], c.im.Pix[n:2*n], c.im.Pix[2*n:]
 	for y := 0; y < c.h; y++ {
 		for x := 0; x < c.w; x++ {
 			t := (float32(x) + float32(y)) / float32(c.w+c.h)
 			i := y*c.w + x
-			r[i] = c0.r + t*(c1.r-c0.r) + noise*(rng.Float32()-0.5)
-			g[i] = c0.g + t*(c1.g-c0.g) + noise*(rng.Float32()-0.5)
-			b[i] = c0.b + t*(c1.b-c0.b) + noise*(rng.Float32()-0.5)
+			r[i] = c0.r + float32(t*(c1.r-c0.r)) + float32(noise*(rng.Float32()-0.5))
+			g[i] = c0.g + float32(t*(c1.g-c0.g)) + float32(noise*(rng.Float32()-0.5))
+			b[i] = c0.b + float32(t*(c1.b-c0.b)) + float32(noise*(rng.Float32()-0.5))
 		}
 	}
 }
@@ -63,7 +67,7 @@ func (c *canvas) fillBackground(rng *rand.Rand, noise float32) {
 // addNoise perturbs every sample by ±noise/2, simulating sensor noise.
 func (c *canvas) addNoise(rng *rand.Rand, noise float32) {
 	for i := range c.im.Pix {
-		c.im.Pix[i] += noise * (rng.Float32() - 0.5)
+		c.im.Pix[i] += float32(noise * (rng.Float32() - 0.5))
 	}
 }
 
@@ -75,7 +79,7 @@ func (c *canvas) ellipse(cx, cy, rx, ry float32, col rgb, alpha float32) {
 		for x := x0; x <= x1; x++ {
 			dx := (float32(x) + 0.5 - cx) / rx
 			dy := (float32(y) + 0.5 - cy) / ry
-			d := dx*dx + dy*dy
+			d := float32(dx*dx) + float32(dy*dy)
 			if d <= 1 {
 				a := alpha
 				if d > 0.8 { // soften the rim
@@ -103,7 +107,7 @@ func (c *canvas) triangle(x0, y0, x1, y1, x2, y2 float32, col rgb, alpha float32
 	minY := int(min3(y0, y1, y2))
 	maxY := int(max3(y0, y1, y2)) + 1
 	sign := func(ax, ay, bx, by, px, py float32) float32 {
-		return (px-ax)*(by-ay) - (py-ay)*(bx-ax)
+		return float32((px-ax)*(by-ay)) - float32((py-ay)*(bx-ax))
 	}
 	for y := minY; y <= maxY; y++ {
 		for x := minX; x <= maxX; x++ {
@@ -129,7 +133,7 @@ func (c *canvas) stripes(cx, cy, rx, ry float32, a, b rgb, period float32, vert 
 		for x := x0; x <= x1; x++ {
 			dx := (float32(x) + 0.5 - cx) / rx
 			dy := (float32(y) + 0.5 - cy) / ry
-			if dx*dx+dy*dy > 1 {
+			if float32(dx*dx)+float32(dy*dy) > 1 {
 				continue
 			}
 			var phase float32
@@ -155,7 +159,7 @@ func (c *canvas) pinwheel(cx, cy, radius float32, a, b rgb, sectors int, alpha f
 		for x := x0; x <= x1; x++ {
 			dx := float32(x) + 0.5 - cx
 			dy := float32(y) + 0.5 - cy
-			if dx*dx+dy*dy > radius*radius {
+			if float32(dx*dx)+float32(dy*dy) > radius*radius {
 				continue
 			}
 			ang := math.Atan2(float64(dy), float64(dx)) + math.Pi
@@ -178,10 +182,10 @@ func (c *canvas) shag(rng *rand.Rand, cx, cy, rx, ry float32, col rgb, jitter, a
 		for x := x0; x <= x1; x++ {
 			dx := (float32(x) + 0.5 - cx) / rx
 			dy := (float32(y) + 0.5 - cy) / ry
-			if dx*dx+dy*dy > 1 {
+			if float32(dx*dx)+float32(dy*dy) > 1 {
 				continue
 			}
-			j := jitter * (rng.Float32() - 0.5) * 2
+			j := float32(jitter*(rng.Float32()-0.5)) * 2
 			c.blend(x, y, rgb{col.r + j, col.g + j, col.b + j}, alpha)
 		}
 	}

@@ -86,15 +86,15 @@ func GenerateStream(opts StreamOptions) ([]Frame, error) {
 	size := float32(opts.Size)
 
 	newSprite := func(cat Category) sprite {
-		ang := rng.Float64() * 2 * math.Pi
+		ang := float64(rng.Float64()) * 2 * math.Pi
 		speed := opts.Speed * (0.5 + rng.Float32())
 		return sprite{
 			cat:   cat,
-			x:     size * (0.2 + 0.6*rng.Float32()),
-			y:     size * (0.2 + 0.6*rng.Float32()),
+			x:     size * (0.2 + float32(0.6*rng.Float32())),
+			y:     size * (0.2 + float32(0.6*rng.Float32())),
 			vx:    speed * float32(math.Cos(ang)),
 			vy:    speed * float32(math.Sin(ang)),
-			scale: size * (0.18 + 0.1*rng.Float32()),
+			scale: size * (0.18 + float32(0.1*rng.Float32())),
 			seed:  rng.Int63(),
 		}
 	}

@@ -10,7 +10,10 @@ import (
 	"tahoma/internal/cascade"
 )
 
-// AnalyzerOptions configure the background label analyzer.
+// AnalyzerOptions configure the background label analyzer. The cascade
+// needs no selection knob: the analyzer materializes exactly the (predicate,
+// cascade) columns queries touched, so repeat queries read the column it
+// fills.
 type AnalyzerOptions struct {
 	// Interval is the idle-poll period (default 25ms). Each tick the
 	// analyzer asks Idle and, when the answer is yes, materializes one
@@ -24,12 +27,6 @@ type AnalyzerOptions struct {
 	// Idle returns true (typically Server.Idle, so the admission pool has
 	// strict priority). nil means always idle.
 	Idle func() bool
-	// Workers sizes the batch's execution engine (default 1, deliberately
-	// under-parallel so a mid-batch arrival is delayed as little as
-	// possible). The cascade itself needs no selection knob: the analyzer
-	// materializes exactly the (predicate, cascade) columns queries
-	// touched, so repeat queries read the column it fills.
-	Workers int
 }
 
 func (o AnalyzerOptions) interval() time.Duration {
@@ -44,13 +41,6 @@ func (o AnalyzerOptions) batchRows() int {
 		return 64
 	}
 	return o.BatchRows
-}
-
-func (o AnalyzerOptions) workers() int {
-	if o.Workers <= 0 {
-		return 1
-	}
-	return o.Workers
 }
 
 func (o AnalyzerOptions) idle() bool {
@@ -164,7 +154,9 @@ func (db *DB) analyzeOnce(ctx context.Context, o AnalyzerOptions) (worked bool, 
 	// Exactly like a query: a row-indexed engine run over the pinned view,
 	// RepSource included.
 	src, opts := st.runCorpus(len(batch), st.contentExecOpts())
-	opts.Workers = o.workers()
+	// One worker, deliberately under-parallel: a query arriving mid-batch
+	// shares the CPUs with the batch, and one worker leaves it the most.
+	opts.Workers = 1
 	fresh, rep, err := st.classify(ctx, src, pred, idx, batch, opts)
 	if err != nil {
 		if ctx.Err() != nil {

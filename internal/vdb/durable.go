@@ -1,7 +1,6 @@
 package vdb
 
 import (
-	"bufio"
 	"bytes"
 	"cmp"
 	"context"
@@ -9,7 +8,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"maps"
 	"os"
@@ -19,7 +17,6 @@ import (
 	"sync"
 	"time"
 
-	"tahoma/internal/faults"
 	"tahoma/internal/img"
 	"tahoma/internal/matstore"
 	"tahoma/internal/planner"
@@ -102,8 +99,6 @@ const checkpointJournalBytes = 64 << 20
 type DurabilityOptions struct {
 	// Dir holds the journal segments and the checkpoint file.
 	Dir string
-	// SegmentBytes is the WAL rotation threshold (0 = the wal default).
-	SegmentBytes int64
 }
 
 // RecoveryStats reports what EnableDurability restored.
@@ -166,7 +161,7 @@ func (db *DB) EnableDurability(o DurabilityOptions) (RecoveryStats, error) {
 		return RecoveryStats{}, fmt.Errorf("vdb: durability requires a store-backed corpus (LoadCorpusFromStore)")
 	}
 
-	log, info, err := wal.Open(o.Dir, wal.Options{SegmentBytes: o.SegmentBytes})
+	log, info, err := wal.Open(o.Dir, wal.Options{})
 	if err != nil {
 		return RecoveryStats{}, err
 	}
@@ -771,8 +766,8 @@ type ckptState struct {
 	Catalog []planner.CatalogEntry `json:"catalog"`
 }
 
-// ckptMagic opens a checkpoint file. Frames [len u32][payload][crc32 u32]
-// follow it, and nothing follows the last:
+// ckptMagic opens a checkpoint file. Frames (wal.WriteFrame) follow it, and
+// nothing follows the last:
 //
 //	header  walSeq u64, rows u64, columns u64
 //	meta    the rows' metadata, as a record-less recAppend payload
@@ -787,14 +782,8 @@ const ckptMagic = "TAHCKP3\n"
 // restored; its columns are not (see recMergeFloat).
 const ckptMagicFloat = "TAHCKP2\n"
 
-var ckptCRC = crc32.IEEETable
-
-// writeCheckpoint persists ck atomically: temp file, fsync, rename, dir
-// fsync.
+// writeCheckpoint persists ck atomically (wal.WriteFile).
 func writeCheckpoint(path string, ck *checkpoint) error {
-	if err := faults.Fire(faults.FSWriteError); err != nil {
-		return fmt.Errorf("vdb: checkpoint: %w", err)
-	}
 	state, err := json.Marshal(ck.state)
 	if err != nil {
 		return fmt.Errorf("vdb: checkpoint: %w", err)
@@ -812,49 +801,18 @@ func writeCheckpoint(path string, ck *checkpoint) error {
 		putString(&key, k.Cascade)
 		frames = append(frames, ck.cols[k].AppendEncoded(key.Bytes()))
 	}
-
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("vdb: checkpoint: %w", err)
-	}
-	w := bufio.NewWriter(f)
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("vdb: checkpoint: %w", err)
-	}
-	if _, err := w.WriteString(ckptMagic); err != nil {
-		return fail(err)
-	}
-	for _, p := range frames {
-		if err := writeCkptFrame(w, p); err != nil {
-			return fail(err)
+	err = wal.WriteFile(path, func(w io.Writer) error {
+		if _, err := io.WriteString(w, ckptMagic); err != nil {
+			return err
 		}
-	}
-	if err := w.Flush(); err != nil {
-		return fail(err)
-	}
-	if err := faults.Fire(faults.FSSyncError); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("vdb: checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("vdb: checkpoint: %w", err)
-	}
-	d, err := os.Open(filepath.Dir(path))
+		for _, p := range frames {
+			if err := wal.WriteFrame(w, p); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	if err != nil {
-		return fmt.Errorf("vdb: checkpoint: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
 		return fmt.Errorf("vdb: checkpoint: %w", err)
 	}
 	return nil
@@ -890,8 +848,10 @@ func decodeCheckpoint(data []byte) (*checkpoint, error) {
 		return nil, errors.New("not a TAHCKP3 or TAHCKP2 checkpoint")
 	}
 	frame := func(what string) (payload []byte, err error) {
-		payload, rest, err = readCkptFrame(rest, what)
-		return payload, err
+		if payload, rest, err = wal.SplitFrame(rest); err != nil {
+			return nil, fmt.Errorf("%s: %w", what, err)
+		}
+		return payload, nil
 	}
 	hdr, err := frame("header")
 	if err != nil {
@@ -950,36 +910,4 @@ func decodeCheckpoint(data []byte) (*checkpoint, error) {
 		return nil, fmt.Errorf("%d bytes after the last column", len(rest))
 	}
 	return ck, nil
-}
-
-func writeCkptFrame(w io.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint32(hdr[:], crc32.Checksum(payload, ckptCRC))
-	_, err := w.Write(hdr[:])
-	return err
-}
-
-// readCkptFrame splits one frame off the front of data. The frame's length is
-// bounded by the bytes data holds, and its payload aliases data, so a damaged
-// length can drive no allocation.
-func readCkptFrame(data []byte, what string) (payload, rest []byte, err error) {
-	if len(data) < 8 {
-		return nil, nil, fmt.Errorf("%s: truncated", what)
-	}
-	n := uint64(binary.LittleEndian.Uint32(data))
-	if n > uint64(len(data)-8) {
-		return nil, nil, fmt.Errorf("%s: %d-byte frame with %d bytes left — truncated or corrupt", what, n, len(data)-8)
-	}
-	payload, rest = data[4:4+n], data[8+n:]
-	if crc32.Checksum(payload, ckptCRC) != binary.LittleEndian.Uint32(data[4+n:]) {
-		return nil, nil, fmt.Errorf("%s: checksum mismatch — file is corrupt", what)
-	}
-	return payload, rest, nil
 }

@@ -675,8 +675,8 @@ func TestDurableIngestOneFsync(t *testing.T) {
 		}
 	}
 	writes, fsyncs, _ := count("checkpoint", db.Checkpoint)
-	if fsyncs != 2 || writes != 2 {
-		t.Fatalf("checkpoint: %d fsync points and %d write points, want 2 and 2 (store data + manifest, checkpoint file)", fsyncs, writes)
+	if fsyncs != 3 || writes != 2 {
+		t.Fatalf("checkpoint: %d fsync points and %d write points, want 3 and 2 (store data, manifest, checkpoint file; manifest, checkpoint file)", fsyncs, writes)
 	}
 	// With nothing appended since, the store has nothing to do.
 	writes, fsyncs, _ = count("idle checkpoint", db.Checkpoint)

@@ -30,9 +30,17 @@
 // Segment rotation bounds recovery work and makes checkpoint garbage
 // collection a file delete: TruncateBefore(seq) removes whole segments whose
 // records all predate the newest checkpoint.
+//
+// The package is also the one place that knows how TAHOMA commits a file.
+// The frame (WriteFrame, SplitFrame) frames the DB's checkpoint sections as
+// it frames journal records, and WriteFile — temp file, fsync, rename,
+// directory fsync — is how the checkpoint and the representation store's
+// manifest are replaced.
 package wal
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -162,17 +170,17 @@ func Open(dir string, opts Options) (*Log, RecoverInfo, error) {
 	// the crash happened while writing it, so nothing after it was ever
 	// acknowledged.
 	for i, seg := range segs {
-		valid, records, lastSeq, total, serr := scanSegment(filepath.Join(dir, seg.name))
-		if serr != nil {
-			return nil, RecoverInfo{}, serr
+		body, total, intact, err := loadSegment(filepath.Join(dir, seg.name))
+		if err != nil {
+			return nil, RecoverInfo{}, err
 		}
-		if records > 0 {
-			l.nextSeq = lastSeq + 1
-		} else if l.nextSeq < seg.start {
-			l.nextSeq = seg.start
+		l.nextSeq = max(l.nextSeq, seg.start)
+		for rec, rest, ok := splitRecord(body); intact && ok; rec, rest, ok = splitRecord(rest) {
+			l.nextSeq = rec.Seq + 1
+			info.Records++
+			body = rest
 		}
-		info.Records += records
-		if valid < total || valid == 0 {
+		if valid := total - int64(len(body)); valid < total || valid == 0 {
 			// valid == 0 is a segment without its magic — the crash hit while
 			// it was being created. It goes entirely: appending to a file the
 			// next Open would read as all tail would lose those appends.
@@ -204,21 +212,29 @@ func Open(dir string, opts Options) (*Log, RecoverInfo, error) {
 	// Reopen the last segment for appending, or lazily create the first on
 	// the first Append (an empty journal stays an empty directory).
 	if len(segs) > 0 {
-		last := segs[len(segs)-1]
-		f, err := os.OpenFile(filepath.Join(dir, last.name), os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, RecoverInfo{}, fmt.Errorf("wal: reopening %s: %w", last.name, err)
-		}
-		fi, err := f.Stat()
-		if err != nil {
-			f.Close()
+		if err := l.reopen(segs[len(segs)-1], l.nextSeq); err != nil {
 			return nil, RecoverInfo{}, err
 		}
-		l.f = f
-		l.segStart = last.start
-		l.segSize = fi.Size()
 	}
 	return l, info, nil
+}
+
+// reopen positions the log to append to seg, the journal's tail segment,
+// with nextSeq the sequence number its next record carries. Every record
+// below nextSeq is on disk, read back by whoever found the tail.
+func (l *Log) reopen(seg segment, nextSeq uint64) error {
+	f, err := os.OpenFile(filepath.Join(l.dir, seg.name), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return fmt.Errorf("wal: reopening %s: %w", seg.name, err)
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return fmt.Errorf("wal: reopening %s: %w", seg.name, err)
+	}
+	l.f, l.segStart, l.segSize = f, seg.start, fi.Size()
+	l.nextSeq, l.synced = nextSeq, nextSeq
+	return nil
 }
 
 type segment struct {
@@ -251,79 +267,34 @@ func segName(start uint64) string {
 	return fmt.Sprintf("%s%016x%s", segPrefix, start, segSuffix)
 }
 
-// scanSegment walks one segment's frames. It returns the byte offset of the
-// end of the last valid frame, the record count, the last record's seq, and
-// the file's total size. Damage — bad magic byte count, torn frame, checksum
-// mismatch — ends the scan at the last valid offset; it is never an error.
-func scanSegment(path string) (valid int64, records int64, lastSeq uint64, total int64, err error) {
-	f, err := os.Open(path)
+// loadSegment reads the segment at path whole. body is what follows its
+// magic; intact is false, and body the whole file, when the magic is
+// missing or torn: a segment the crash hit while it was being created, all
+// of it tail.
+func loadSegment(path string) (body []byte, total int64, intact bool, err error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
-		return 0, 0, 0, 0, fmt.Errorf("wal: opening %s: %w", path, err)
+		return nil, 0, false, fmt.Errorf("wal: reading %s: %w", path, err)
 	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	total = fi.Size()
-
-	magic := make([]byte, len(segMagic))
-	if _, err := io.ReadFull(f, magic); err != nil || string(magic) != segMagic {
-		// A segment without a full, correct magic is all tail: the crash hit
-		// during its creation.
-		return 0, 0, 0, total, nil
-	}
-	valid = int64(len(segMagic))
-	r := &countReader{r: f, n: valid, size: total}
-	for {
-		payload, ok := readFrame(r)
-		if !ok {
-			return valid, records, lastSeq, total, nil
-		}
-		lastSeq = binary.LittleEndian.Uint64(payload[:8])
-		records++
-		valid = r.n
-	}
+	body, intact = bytes.CutPrefix(data, []byte(segMagic))
+	return body, int64(len(data)), intact, nil
 }
 
-// countReader tracks the offset into a segment of size bytes, so a frame
-// can be refused for claiming more bytes than the segment has left.
-type countReader struct {
-	r    io.Reader
-	n    int64
-	size int64
-}
-
-func (c *countReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// readFrame reads one [len][payload][crc] frame; ok is false on any damage
-// (truncation, oversize length, checksum mismatch, runt payload). A length
-// the segment's remaining bytes cannot back is refused before the payload
-// is allocated.
-func readFrame(r *countReader) (payload []byte, ok bool) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, false
+// splitRecord takes one journal record off the front of a segment body: a
+// frame whose payload holds the record header and at most maxFrame bytes.
+// ok is false on any damage — truncation, a length the bytes left cannot
+// back, a checksum mismatch, a runt or oversize payload. The record's data
+// aliases body.
+func splitRecord(body []byte) (rec Record, rest []byte, ok bool) {
+	payload, rest, err := SplitFrame(body)
+	if err != nil || len(payload) < payloadHeader || len(payload) > maxFrame {
+		return Record{}, nil, false
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n < payloadHeader || n > maxFrame || int64(n)+4 > r.size-r.n {
-		return nil, false
-	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, false
-	}
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, false
-	}
-	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(hdr[:]) {
-		return nil, false
-	}
-	return payload, true
+	return Record{
+		Seq:  binary.LittleEndian.Uint64(payload),
+		Type: payload[8],
+		Data: payload[payloadHeader:],
+	}, rest, true
 }
 
 // NextSeq returns the sequence number the next appended record will carry.
@@ -408,13 +379,13 @@ func (l *Log) appendLocked(typ byte, parts [][]byte) (uint64, error) {
 		return 0, fmt.Errorf("wal: record of %d bytes exceeds the %d-byte frame limit", n, maxFrame)
 	}
 	seq := l.nextSeq
-	frame := binary.LittleEndian.AppendUint32(l.frame[:0], uint32(n))
+	frame := append(l.frame[:0], 0, 0, 0, 0) // the length word, filled in by sealFrame
 	frame = binary.LittleEndian.AppendUint64(frame, seq)
 	frame = append(frame, typ)
 	for _, p := range parts {
 		frame = append(frame, p...)
 	}
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(frame[4:], crcTable))
+	frame = sealFrame(frame)
 	if cap(frame) <= maxKeptFrame {
 		l.frame = frame
 	}
@@ -526,7 +497,7 @@ func (l *Log) rotateLocked() error {
 	}
 	if err := syncDir(l.dir); err != nil {
 		f.Close()
-		return l.failLocked(err)
+		return l.failLocked(fmt.Errorf("wal: creating segment %s: %w", name, err))
 	}
 	l.f = f
 	l.segStart = l.nextSeq
@@ -538,77 +509,140 @@ func (l *Log) rotateLocked() error {
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
-		return fmt.Errorf("wal: opening dir for sync: %w", err)
+		return err
 	}
 	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("wal: syncing dir: %w", err)
+	return d.Sync()
+}
+
+// WriteFrame writes payload to w as one frame: its length (u32), the
+// payload itself, not copied, and its CRC32 (u32), little-endian — the
+// framing of journal records and of the checkpoint's sections.
+func WriteFrame(w io.Writer, payload []byte) error {
+	var word [4]byte
+	binary.LittleEndian.PutUint32(word[:], uint32(len(payload)))
+	if _, err := w.Write(word[:]); err != nil {
+		return err
 	}
-	return nil
+	if _, err := w.Write(payload); err != nil {
+		return err
+	}
+	binary.LittleEndian.PutUint32(word[:], crc32.Checksum(payload, crcTable))
+	_, err := w.Write(word[:])
+	return err
+}
+
+// sealFrame completes a frame assembled in place — four bytes reserved for
+// the length, then the payload — by filling in the length and appending the
+// checksum: the bytes WriteFrame writes, in one buffer.
+func sealFrame(frame []byte) []byte {
+	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4))
+	return binary.LittleEndian.AppendUint32(frame, crc32.Checksum(frame[4:], crcTable))
+}
+
+// SplitFrame takes one frame off the front of data. The frame's length is
+// bounded by the bytes data holds, and its payload aliases data, so a damaged
+// length can drive no allocation.
+func SplitFrame(data []byte) (payload, rest []byte, err error) {
+	if len(data) < frameOverhead {
+		return nil, nil, errors.New("truncated")
+	}
+	n := uint64(binary.LittleEndian.Uint32(data))
+	if n > uint64(len(data)-frameOverhead) {
+		return nil, nil, fmt.Errorf("%d-byte frame with %d bytes left — truncated or corrupt", n, len(data)-frameOverhead)
+	}
+	payload, rest = data[4:4+n], data[frameOverhead+n:]
+	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(data[4+n:]) {
+		return nil, nil, errors.New("checksum mismatch — file is corrupt")
+	}
+	return payload, rest, nil
+}
+
+// WriteFile replaces the file at path with the bytes write writes, so that
+// a reader, or a restart after a crash at any instant, finds either the old
+// file or the whole new one: the bytes go, buffered, to a temp file beside
+// path, which is fsynced, renamed over path, and made durable by an fsync of
+// the directory. Without the fsyncs a crash could surface an empty or
+// garbage file, the rename reaching disk before the contents. On a failure
+// before the rename the temp file is removed and path keeps its old bytes.
+// The fs.write-error and fs.sync-error fault points fail the write and the
+// fsync.
+func WriteFile(path string, write func(io.Writer) error) (err error) {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return fmt.Errorf("wal: replacing %s: %w", path, err)
+	}
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(tmp)
+			err = fmt.Errorf("wal: replacing %s: %w", path, err)
+		}
+	}()
+	if err := faults.Fire(faults.FSWriteError); err != nil {
+		return err
+	}
+	w := bufio.NewWriter(f)
+	if err := write(w); err != nil {
+		return err
+	}
+	if err := w.Flush(); err != nil {
+		return err
+	}
+	if err := faults.Fire(faults.FSSyncError); err != nil {
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	return syncDir(filepath.Dir(path))
 }
 
 // Replay streams every record with Seq >= fromSeq, in order, to fn. A fn
 // error aborts the replay; returning ErrTruncate additionally truncates the
 // journal at that record (see ErrTruncate) and ends the replay cleanly.
 // Replay reads the files as repaired by Open; call it before appending.
+// A record's Data stays valid after fn returns.
 func (l *Log) Replay(fromSeq uint64, fn func(Record) error) (replayed int64, err error) {
 	l.mu.Lock()
-	dir := l.dir
-	segs, err := listSegments(dir)
+	segs, err := listSegments(l.dir)
+	l.mu.Unlock()
 	if err != nil {
-		l.mu.Unlock()
 		return 0, err
 	}
-	l.mu.Unlock()
-
-	for _, seg := range segs {
-		path := filepath.Join(dir, seg.name)
-		f, err := os.Open(path)
+	for i, seg := range segs {
+		body, total, intact, err := loadSegment(filepath.Join(l.dir, seg.name))
 		if err != nil {
-			return replayed, fmt.Errorf("wal: replay opening %s: %w", seg.name, err)
+			return replayed, err
 		}
-		fi, err := f.Stat()
-		if err != nil {
-			f.Close()
-			return replayed, fmt.Errorf("wal: replay: %w", err)
-		}
-		magic := make([]byte, len(segMagic))
-		if _, err := io.ReadFull(f, magic); err != nil || string(magic) != segMagic {
-			f.Close()
-			continue
-		}
-		r := &countReader{r: f, n: int64(len(segMagic)), size: fi.Size()}
-		for {
-			frameStart := r.n
-			payload, ok := readFrame(r)
-			if !ok {
-				break
-			}
-			rec := Record{
-				Seq:  binary.LittleEndian.Uint64(payload[:8]),
-				Type: payload[8],
-				Data: payload[payloadHeader:],
-			}
-			if rec.Seq < fromSeq {
-				continue
-			}
-			if err := fn(rec); err != nil {
-				f.Close()
-				if errors.Is(err, ErrTruncate) {
-					return replayed, l.truncateAt(seg, frameStart, segs)
+		next := seg.start // the seq appends resume at if the journal is cut at rec
+		for rec, rest, ok := splitRecord(body); intact && ok; rec, rest, ok = splitRecord(rest) {
+			if rec.Seq >= fromSeq {
+				if err := fn(rec); err != nil {
+					if errors.Is(err, ErrTruncate) {
+						return replayed, l.truncateAt(seg, total-int64(len(body)), next, segs[i+1:])
+					}
+					return replayed, err
 				}
-				return replayed, err
+				replayed++
 			}
-			replayed++
+			next = rec.Seq + 1
+			body = rest
 		}
-		f.Close()
 	}
 	return replayed, nil
 }
 
-// truncateAt cuts the journal at byte offset off of segment seg and removes
-// every later segment, then re-derives the append position.
-func (l *Log) truncateAt(seg segment, off int64, segs []segment) error {
+// truncateAt cuts the journal at byte offset off of segment seg, removes
+// the later segments, and reopens seg for appending at nextSeq.
+func (l *Log) truncateAt(seg segment, off int64, nextSeq uint64, later []segment) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.f != nil {
@@ -618,43 +652,13 @@ func (l *Log) truncateAt(seg segment, off int64, segs []segment) error {
 	if err := os.Truncate(filepath.Join(l.dir, seg.name), off); err != nil {
 		return fmt.Errorf("wal: truncating %s: %w", seg.name, err)
 	}
-	drop := false
-	for _, s := range segs {
-		if s.start == seg.start {
-			drop = true
-			continue
-		}
-		if drop {
-			if err := os.Remove(filepath.Join(l.dir, s.name)); err != nil {
-				return fmt.Errorf("wal: removing %s: %w", s.name, err)
-			}
+	for _, s := range later {
+		if err := os.Remove(filepath.Join(l.dir, s.name)); err != nil {
+			return fmt.Errorf("wal: removing %s: %w", s.name, err)
 		}
 	}
-	// Re-derive nextSeq from the surviving tail and reopen for append.
-	valid, records, lastSeq, _, err := scanSegment(filepath.Join(l.dir, seg.name))
-	if err != nil {
-		return err
-	}
-	_ = valid
-	if records > 0 {
-		l.nextSeq = lastSeq + 1
-	} else {
-		l.nextSeq = seg.start
-	}
-	l.synced = l.nextSeq // the cut records' sequence numbers will be reused
-	f, err := os.OpenFile(filepath.Join(l.dir, seg.name), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: reopening %s: %w", seg.name, err)
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return err
-	}
-	l.f = f
-	l.segStart = seg.start
-	l.segSize = fi.Size()
-	return nil
+	// The cut records' sequence numbers will be reused.
+	return l.reopen(seg, nextSeq)
 }
 
 // TruncateBefore garbage-collects segments made obsolete by a checkpoint:
@@ -683,7 +687,7 @@ func (l *Log) TruncateBefore(seq uint64) (reclaimed int64, err error) {
 	}
 	if reclaimed > 0 {
 		if err := syncDir(l.dir); err != nil {
-			return reclaimed, err
+			return reclaimed, fmt.Errorf("wal: removing segments: %w", err)
 		}
 	}
 	return reclaimed, nil

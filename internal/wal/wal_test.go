@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -306,14 +307,13 @@ func TestFrameLengthPastSegmentEndAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r := &countReader{r: bytes.NewReader(raw[second:]), n: int64(second), size: int64(len(raw))}
 	var (
 		ok   bool
 		info RecoverInfo
 	)
-	alloc := allocatedBy(func() { _, ok = readFrame(r) })
+	alloc := allocatedBy(func() { _, _, ok = splitRecord(raw[second:]) })
 	if ok || alloc > 64<<10 {
-		t.Fatalf("readFrame accepted=%v, allocated %d bytes for a %d-byte segment", ok, alloc, len(raw))
+		t.Fatalf("splitRecord accepted=%v, allocated %d bytes for a %d-byte segment", ok, alloc, len(raw))
 	}
 	alloc = allocatedBy(func() {
 		var l2 *Log
@@ -517,6 +517,65 @@ func TestFaultWALSyncError(t *testing.T) {
 	if _, err := l.Commit(1, []byte("after")); err == nil {
 		t.Fatal("journal accepted an append after a sync failure")
 	}
+}
+
+// TestWriteFileReplacesAtomically: a failing callback, an injected write
+// error and an injected fsync error each leave the old file byte-identical
+// and no temp file behind; a write that succeeds replaces the file.
+func TestWriteFileReplacesAtomically(t *testing.T) {
+	faults.Reset()
+	defer faults.Reset()
+	dir := t.TempDir()
+	path := filepath.Join(dir, "state")
+	old := []byte("old contents")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	write := func(w io.Writer) error {
+		_, err := w.Write([]byte("new contents"))
+		return err
+	}
+	check := func(t *testing.T, want []byte) {
+		t.Helper()
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("file holds %q (%v), want %q", got, err, want)
+		}
+		if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+			t.Fatalf("directory holds %v (%v), want the file alone", entries, err)
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		point string
+		write func(io.Writer) error
+	}{
+		{"failing callback", "", func(w io.Writer) error {
+			if err := write(w); err != nil {
+				return err
+			}
+			return boom
+		}},
+		{"write error", faults.FSWriteError, write},
+		{"sync error", faults.FSSyncError, write},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer faults.Reset()
+			if tc.point != "" {
+				if err := faults.Enable(tc.point, faults.Spec{Err: boom, Times: 1}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := WriteFile(path, tc.write); !errors.Is(err, boom) {
+				t.Fatalf("WriteFile = %v, want %v", err, boom)
+			}
+			check(t, old)
+		})
+	}
+	if err := WriteFile(path, write); err != nil {
+		t.Fatal(err)
+	}
+	check(t, []byte("new contents"))
 }
 
 // TestAppendPartsIsOneRecord: a record appended as parts replays as the
