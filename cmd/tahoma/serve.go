@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -46,6 +48,7 @@ func cmdServe(args []string) error {
 	walDir := fs.String("wal-dir", "", "write-ahead journal + checkpoint directory; enables durable ingest and crash recovery (without it each ingested batch is committed to the store before its 200)")
 	checkpointEvery := fs.Duration("checkpoint-every", 30*time.Second, "periodic checkpoint interval under -wal-dir; bounds journal replay after a crash")
 	trigger := fs.Bool("trigger", false, "classify newly ingested rows immediately (ingest-time trigger materialization, most accurate cascade)")
+	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof's /debug/pprof/ on this second listen address, never on -addr (empty = off)")
 	fs.Parse(args)
 	if *zooDirs == "" || corpus.dir == "" {
 		return fmt.Errorf("serve: -zoo and -corpus are required")
@@ -86,6 +89,20 @@ func cmdServe(args []string) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	if *debugAddr != "" {
+		dln, err := net.Listen("tcp", *debugAddr)
+		if err != nil {
+			return fmt.Errorf("serve: -debug-addr: %w", err)
+		}
+		dsrv := &http.Server{Handler: pprofMux()}
+		go func() {
+			if err := dsrv.Serve(dln); err != http.ErrServerClosed {
+				log.Printf("debug listener: %v", err)
+			}
+		}()
+		defer dsrv.Close()
+		log.Printf("profiling on http://%s/debug/pprof/", dln.Addr())
+	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
@@ -186,4 +203,17 @@ func cmdServe(args []string) error {
 		}
 		return err
 	}
+}
+
+// pprofMux serves net/http/pprof on a mux of its own: the package's init
+// registers the same handlers on http.DefaultServeMux, which no listener of
+// serve's uses, so the query listener never serves them.
+func pprofMux() *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"net/http"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -84,6 +85,49 @@ func TestCorpusReadThroughCache(t *testing.T) {
 	resp, err := p.Client.Query("SELECT COUNT(*) FROM images WHERE contains_object('cloak')", server.QueryOptions{})
 	if err != nil || len(resp.Rows) != 1 {
 		t.Fatalf("query: %+v, %v", resp, err)
+	}
+	if err := p.GracefulStop(60 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestServeDebugAddr: -debug-addr opens a second listener that serves
+// net/http/pprof; the query listener never does.
+func TestServeDebugAddr(t *testing.T) {
+	bin := e2e.BuildBinary(t)
+	zooDir, fixtureStore := buildCLIFixture(t)
+	storeDir := filepath.Join(t.TempDir(), "store")
+	e2e.CopyDir(t, fixtureStore, storeDir)
+	p := e2e.StartProc(t, bin, []string{"serve", "-addr", "127.0.0.1:0", "-debug-addr", "127.0.0.1:0",
+		"-zoo", zooDir, "-corpus", storeDir})
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := p.Client.WaitReady(ctx); err != nil {
+		t.Fatalf("serve -debug-addr never ready: %v\n%s", err, p.Dump())
+	}
+	// The debug listener binds and logs before the query listener, whose
+	// line StartProc waited for.
+	const marker = "profiling on "
+	log := p.Dump()
+	i := strings.Index(log, marker)
+	if i < 0 {
+		t.Fatalf("no %q line:\n%s", marker, log)
+	}
+	debug := strings.Fields(log[i+len(marker):])[0] // the debug listener's /debug/pprof/ URL
+	get := func(url string) int {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatalf("GET %s: %v", url, err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := get(debug + "cmdline"); code != http.StatusOK {
+		t.Fatalf("debug listener %scmdline: %d, want 200", debug, code)
+	}
+	if code := get(p.Base + "/debug/pprof/"); code != http.StatusNotFound {
+		t.Fatalf("query listener /debug/pprof/: %d, want 404", code)
 	}
 	if err := p.GracefulStop(60 * time.Second); err != nil {
 		t.Fatal(err)

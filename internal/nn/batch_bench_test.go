@@ -2,8 +2,9 @@ package nn
 
 // BenchmarkConvBlock measures one conv → ReLU → 2×2 max-pool block (an
 // implicit-GEMM convolution with a pooling epilogue) at the shapes the model
-// zoo builds: over one chunk of 16 frames, as batched scoring runs it, and
-// over one frame, as training and single-frame scoring run it.
+// zoo builds: over one chunk of frames, as many as NewNetwork's chunk for
+// the network the block sits in (the b= in the name), as batched scoring
+// runs it, and over one frame, as training and single-frame scoring run it.
 //
 //	go test -run=NONE -bench=BenchmarkConvBlock -benchmem ./internal/nn
 
@@ -17,34 +18,39 @@ import (
 
 func BenchmarkConvBlock(b *testing.B) {
 	shapes := []struct {
-		name            string
-		inC, outC, size int
+		name          string
+		c, size       int      // the network's input
+		blocks        [][2]int // its conv blocks
+		block, inSize int      // the block measured and its input size
 	}{
-		{"c1w4@16x16-gray", 1, 4, 16},
-		{"c1w4@8x8-rgb", 3, 4, 8},
-		{"c2w8@32x32-rgb/block1", 3, 8, 32},
-		{"c2w8@32x32-rgb/block2", 8, 8, 16},
+		{"c1w4@16x16-gray", 1, 16, [][2]int{{4, 3}}, 0, 16},
+		{"c1w4@8x8-rgb", 3, 8, [][2]int{{4, 3}}, 0, 8},
+		{"c2w8@32x32-rgb/block1", 3, 32, [][2]int{{8, 3}, {8, 3}}, 0, 32},
+		{"c2w8@32x32-rgb/block2", 3, 32, [][2]int{{8, 3}, {8, 3}}, 1, 16},
 	}
-	const bsz = 16
 	for _, sh := range shapes {
+		net, err := NewNetwork(sh.c, sh.size, sh.size, sh.blocks, 8)
+		if err != nil {
+			b.Fatal(err)
+		}
 		rng := rand.New(rand.NewSource(41))
-		conv := newConv2D(sh.inC, sh.outC, 3)
-		conv.Init(rng)
-		x := tensor.New(sh.inC, bsz, sh.size, sh.size)
+		net.Init(rng)
+		block, bsz := net.blocks[sh.block], net.chunk
+		inC := block.conv.InC
+		x := tensor.New(inC, bsz, sh.inSize, sh.inSize)
 		for i := range x.Data {
 			x.Data[i] = rng.Float32()
 		}
-		block := &convBlock{conv: conv}
 		b.Run(fmt.Sprintf("%s/fused/b=%d", sh.name, bsz), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				block.run(x.Data, bsz, sh.size, sh.size, false)
+				block.run(x.Data, bsz, sh.inSize, sh.inSize, false)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*bsz), "ns/frame")
 		})
-		one := x.Data[:sh.inC*sh.size*sh.size]
+		one := x.Data[:inC*sh.inSize*sh.inSize]
 		b.Run(sh.name+"/single", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				block.run(one, 1, sh.size, sh.size, true)
+				block.run(one, 1, sh.inSize, sh.inSize, true)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/frame")
 		})

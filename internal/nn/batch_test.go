@@ -29,7 +29,9 @@ func sameBits(a, b float32) bool { return math.Float32bits(a) == math.Float32bit
 // TestForwardBatchBitParity is the batched-inference correctness gate at the
 // network level: for every architecture shape and batch size, ForwardBatch
 // must reproduce the reference layer walk's logits (refNet) bit for bit, and
-// so must Forward.
+// so must Forward. The batch sizes run several conv chunks with a partial
+// last one (16, 33, 64), a second and third dense group (65, 130), and every
+// width Gemm dispatches on in the dense layers: under 4, 4 to 15, 16 on.
 func TestForwardBatchBitParity(t *testing.T) {
 	configs := []struct {
 		conv, cw, dw, ch, size int
@@ -47,7 +49,7 @@ func TestForwardBatchBitParity(t *testing.T) {
 		ref := newRefNet(net)
 		rng := rand.New(rand.NewSource(1000 + int64(ci)))
 		n := cfg.ch * cfg.size * cfg.size
-		samples := make([][]float32, 17)
+		samples := make([][]float32, 130)
 		want := make([]float32, len(samples))
 		for s := range samples {
 			pix := make([]float32, n)
@@ -61,7 +63,7 @@ func TestForwardBatchBitParity(t *testing.T) {
 				t.Fatalf("cfg %d sample %d: Forward logit %v != reference %v", ci, s, got, want[s])
 			}
 		}
-		for _, bsz := range []int{1, 2, 3, 5, 8, 17} {
+		for _, bsz := range []int{1, 2, 3, 5, 8, 16, 17, 33, 64, 65, 130} {
 			t.Run(fmt.Sprintf("cfg=%d/b=%d", ci, bsz), func(t *testing.T) {
 				got := make([]float32, bsz)
 				net.ForwardBatch(samples[:bsz], got)
@@ -75,12 +77,40 @@ func TestForwardBatchBitParity(t *testing.T) {
 		// Shrinking then regrowing the batch (the level-major executor's
 		// survivor pattern) must keep reusing scratch correctly.
 		got := make([]float32, len(samples))
-		for _, bsz := range []int{17, 5, 1, 9, 17} {
+		for _, bsz := range []int{130, 17, 5, 1, 9, 65, 17} {
 			net.ForwardBatch(samples[:bsz], got)
 			for s := 0; s < bsz; s++ {
 				if !sameBits(got[s], want[s]) {
 					t.Fatalf("cfg %d resize to b=%d: sample %d diverged", ci, bsz, s)
 				}
+			}
+		}
+	}
+}
+
+// TestForwardBatchAllocatesNothing: once a call at the largest batch has
+// sized the scratch, smaller batches — one sample, a partial group, a full
+// group — reuse it, with and without conv blocks.
+func TestForwardBatchAllocatesNothing(t *testing.T) {
+	for _, cfg := range []struct{ conv, cw, dw, ch, size int }{
+		{0, 0, 8, 1, 16},
+		{1, 4, 8, 3, 8},
+		{2, 8, 16, 3, 32},
+	} {
+		net := batchTestNet(t, 31, cfg.conv, cfg.cw, cfg.dw, cfg.ch, cfg.size)
+		rng := rand.New(rand.NewSource(32))
+		samples := make([][]float32, 130)
+		for s := range samples {
+			samples[s] = make([]float32, cfg.ch*cfg.size*cfg.size)
+			for i := range samples[s] {
+				samples[s][i] = rng.Float32()
+			}
+		}
+		out := make([]float32, len(samples))
+		net.ForwardBatch(samples, out)
+		for _, bsz := range []int{1, 17, 64} {
+			if a := testing.AllocsPerRun(5, func() { net.ForwardBatch(samples[:bsz], out) }); a != 0 {
+				t.Errorf("c%d@%dx%d b=%d: %v allocations per call", cfg.conv, cfg.size, cfg.size, bsz, a)
 			}
 		}
 	}

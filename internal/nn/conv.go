@@ -50,17 +50,21 @@ func (c *Conv2D) clone() *Conv2D {
 
 // convPass is a convolution's implicit-GEMM working set over B channel-major
 // samples ([InC, B, H, W], B = 1 for Network.Forward): the zero-padded input planes
-// and the tap shifts into them. Each plane is padded to (H+K-1)·(W+K-1) with
-// row width pw = W+K-1, and one channel's planes for all B samples are
-// contiguous (span = B·plane), so the im2col row of tap (c,kh,kw) is pad
-// shifted by c·span + kh·pw + kw. tensor.ConvTaps sums each filter's taps
-// over padded coordinates: sum j sits at the padded top-left corner of its
-// window, so output (y, x) of sample s is sum s·plane + y·pw + x, and the
-// sums of windows that start in a right or bottom border are computed and
-// never read. The weight gradient reads the same shifted views
-// (tensor.ConvTapGrads), so neither direction builds a column matrix.
+// and the tap shifts into them. The padding is shared between neighbours:
+// each row is K/2 zeros then the W values, so its row width is pw = W+K/2
+// and a row's right pad is the next row's left pad, and each plane is K/2
+// zero rows then the H rows, plane = (H+K/2)·pw, so a sample's bottom pad is
+// the next sample's top pad; K/2·pw+K/2 zeros follow the last plane. One
+// channel's planes for all B samples are contiguous (span = B·plane), so the
+// im2col row of tap (c,kh,kw) is pad shifted by c·span + kh·pw + kw.
+// tensor.ConvTaps sums each filter's taps over padded coordinates: sum j
+// sits at the padded top-left corner of its window, so output (y, x) of
+// sample s is sum s·plane + y·pw + x, and the sums of windows whose top-left
+// corner lies in the K/2 columns after a row or the K/2 rows after a sample
+// are computed and never read. The weight gradient reads the same shifted
+// views (tensor.ConvTapGrads), so neither direction builds a column matrix.
 type convPass struct {
-	pad       tensor.Tensor // [InC·B·plane]
+	pad       tensor.Tensor // [InC·B·plane + K/2·pw + K/2]
 	offs      []int         // tap shifts into pad, in im2col row order
 	h, w      int           // input geometry of the last load
 	pw, plane int
@@ -76,14 +80,15 @@ func (p *convPass) load(c *Conv2D, x []float32, bsz, h, w int) {
 		// interiors overlap this one's borders.
 		clear(p.pad.Data[:cap(p.pad.Data)])
 		p.h, p.w = h, w
-		p.pw = w + k - 1
-		p.plane = (h + k - 1) * p.pw
+		p.pw = w + pd
+		p.plane = (h + pd) * p.pw
 	}
 	span := bsz * p.plane
 	// Plane (ci, s) is at index ci·B+s in both layouts. Planes start at
-	// multiples of plane whatever the batch size, so a reused buffer's
-	// borders are still the zeros it was cleared or allocated with.
-	p.pad.EnsureShape(c.InC * span)
+	// multiples of plane whatever the batch size, and the zeros after the
+	// last plane lie where a plane's top and left pads do, so a reused
+	// buffer's borders are still the zeros it was cleared or allocated with.
+	p.pad.EnsureShape(c.InC*span + pd*p.pw + pd)
 	for pl := 0; pl < c.InC*bsz; pl++ {
 		src := x[pl*h*w : (pl+1)*h*w]
 		dst := p.pad.Data[pl*p.plane+pd*p.pw+pd:]
@@ -99,9 +104,9 @@ func (p *convPass) load(c *Conv2D, x []float32, bsz, h, w int) {
 			}
 		}
 	}
-	// The last tap's window must end inside pad; the positions this drops
-	// are all past the last sample's last output.
-	p.n = span - (k-1)*p.pw - (k - 1)
+	// The last sum is the last sample's last output; the last tap's window
+	// then ends on the last of the trailing zeros.
+	p.n = span - pd*p.pw - pd
 }
 
 // sums writes filter f's raw sums (no bias) over the loaded batch into acc,
@@ -141,7 +146,7 @@ func (s *convGrads) reset(n int) {
 // Network.Forward runs it on one sample, ForwardBatch on a chunk; the sums
 // and the epilogue are the same code at every batch size. Per filter,
 // tensor.ConvTaps writes the raw sums, and tensor.PoolBiasReLU (one call per
-// pooled row) pools each 2×2 window of them, then adds the bias and
+// sample plane) pools each 2×2 window of them, then adds the bias and
 // rectifies, writing [OutC, B, H/2, W/2] directly. Odd sizes drop their last
 // row and column.
 //
@@ -179,8 +184,7 @@ func (b *convBlock) run(x []float32, bsz, h, w int, keep bool) {
 	}
 	oh, ow := h/2, w/2
 	b.out.EnsureShape(c.OutC, bsz, oh, ow)
-	od := b.out.Data
-	i := 0
+	od, po := b.out.Data, oh*ow
 	for f := 0; f < c.OutC; f++ {
 		acc := b.acc.Data[:n]
 		if keep {
@@ -189,11 +193,8 @@ func (b *convBlock) run(x []float32, bsz, h, w int, keep bool) {
 		p.sums(c, f, acc)
 		bias := c.B.Value.Data[f]
 		for s := 0; s < bsz; s++ {
-			for oy := 0; oy < oh; oy++ {
-				r0 := acc[s*p.plane+2*oy*p.pw:]
-				tensor.PoolBiasReLU(od[i:i+ow], r0, r0[p.pw:], bias)
-				i += ow
-			}
+			i := (f*bsz + s) * po
+			tensor.PoolBiasReLU(od[i:i+po], acc[s*p.plane:], ow, p.pw, oh, bias)
 		}
 	}
 }

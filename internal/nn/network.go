@@ -7,8 +7,9 @@
 // Every conv block is one implicit-GEMM pass with a pooling epilogue
 // (convBlock). Training runs one CHW sample at a time through Forward and
 // Backward; inference runs single samples through Forward or batches
-// through ForwardBatch, which runs the same blocks over a chunk of samples,
-// so a logit has the same bits either way. A Network keeps scratch buffers,
+// through ForwardBatch, which runs the same blocks over cache-sized chunks
+// of samples and each dense layer once per group of up to 64, so a logit
+// has the same bits either way. A Network keeps scratch buffers,
 // so it is NOT safe for concurrent use. For parallel inference or training,
 // give each goroutine its own network via Clone (weights are shared;
 // scratch and gradient accumulators are not).
@@ -23,15 +24,18 @@ import (
 )
 
 // batchChunkBytes caps the working set of the widest conv block in one
-// batch chunk: its zero-padded input planes plus one filter's accumulator.
-// Chunking the batch through the blocks keeps that set cache-resident while
-// every filter re-reads the input, and bounds a worker's batch scratch to a
-// constant regardless of the engine's batch size.
+// batch chunk: its zero-padded input planes plus one filter's accumulator,
+// 4·(C+1)·(H+K/2)·(W+K/2) bytes a sample. Chunking the batch through the
+// blocks keeps that set cache-resident while every filter re-reads the
+// input, and bounds a worker's conv scratch to a constant regardless of the
+// engine's batch size.
 const batchChunkBytes = 128 << 10
 
-// maxBatchChunk caps the chunk for networks with small or no conv blocks;
-// the dense GEMMs gain nothing from more than 16 columns.
-const maxBatchChunk = 16
+// batchGroup is the most samples one pass of the dense layers takes, the
+// engine's batch (exec.DefaultBatch): the hidden layer's GEMM costs about
+// half as much per multiply-add at 64 columns as at 16. A group runs
+// through the conv blocks in chunks of at most batchChunkBytes.
+const batchGroup = 64
 
 // Network is the Figure 3 template over a fixed C×H×W input, ending in a
 // single logit. The final sigmoid is folded into the loss for numerical
@@ -44,6 +48,7 @@ type Network struct {
 	chunk   int           // samples per batched pass through the blocks
 	bin     tensor.Tensor // ForwardBatch's input pack [C, B, H, W]
 	bflat   tensor.Tensor // ForwardBatch's dense input [C·H·W, B]
+	cols    [][]float32   // ForwardBatch's columns for one row block of bflat
 	dlogit  tensor.Tensor // Backward's output gradient [1]
 }
 
@@ -53,12 +58,12 @@ type Network struct {
 // kernel, an even kernel, and a block whose input is below 2×2.
 //
 // The batch chunk is the largest number of samples whose widest conv block
-// working set fits batchChunkBytes, clamped to [1, maxBatchChunk].
+// working set fits batchChunkBytes, clamped to [1, batchGroup].
 func NewNetwork(c, h, w int, blocks [][2]int, dense int) (*Network, error) {
 	if c <= 0 || h <= 0 || w <= 0 || dense <= 0 {
 		return nil, fmt.Errorf("nn: input %d×%d×%d or dense width %d is not positive", c, h, w, dense)
 	}
-	n := &Network{c: c, h: h, w: w, chunk: maxBatchChunk}
+	n := &Network{c: c, h: h, w: w, chunk: batchGroup}
 	worst := 0
 	for i, b := range blocks {
 		filters, k := b[0], b[1]
@@ -68,12 +73,12 @@ func NewNetwork(c, h, w int, blocks [][2]int, dense int) (*Network, error) {
 		if h < 2 || w < 2 {
 			return nil, fmt.Errorf("nn: block %d input %d×%d is too small to pool", i, h, w)
 		}
-		worst = max(worst, 4*(c+1)*(h+k-1)*(w+k-1))
+		worst = max(worst, 4*(c+1)*(h+k/2)*(w+k/2))
 		n.blocks = append(n.blocks, &convBlock{conv: newConv2D(c, filters, k)})
 		c, h, w = filters, h/2, w/2
 	}
 	if worst > 0 {
-		n.chunk = min(max(batchChunkBytes/worst, 1), maxBatchChunk)
+		n.chunk = min(max(batchChunkBytes/worst, 1), batchGroup)
 	}
 	n.hidden, n.out = newDense(c*h*w, dense), newDense(dense, 1)
 	return n, nil
@@ -118,12 +123,14 @@ func (n *Network) Predict(x *tensor.Tensor) float32 {
 
 // ForwardBatch runs inference on a batch of CHW samples given as raw planar
 // pixel slices, writing the raw logits into out (which must hold at least
-// len(samples) values). The batch runs in cache-sized chunks: each chunk is
-// packed into the channel-major [C, B, H, W] layout (sample s of channel c
-// is a contiguous H·W plane) and passes once through each conv block; the
-// last block's output is transposed into the [C·H·W, B] matrix, row
-// c·H·W + i ordered like a flattened sample, so each dense layer is one
-// GEMM.
+// len(samples) values). The batch runs in groups of up to batchGroup
+// samples, each gathered into the [C·H·W, B] matrix whose column s is
+// sample s flattened, so each dense layer is one GEMM per group. Without
+// conv blocks the samples are that matrix's columns. With them, a group
+// runs through the blocks in cache-sized chunks: each chunk is packed into
+// the channel-major [C, B, H, W] layout (sample s of channel c is a
+// contiguous H·W plane), passes once through each conv block, and the last
+// block's output planes fill the chunk's columns.
 //
 // out[s] is bit-identical to Forward(sample s) at every batch size. The
 // network's batch scratch is reused across calls (and never shrinks), so a
@@ -140,28 +147,15 @@ func (n *Network) ForwardBatch(samples [][]float32, out []float32) {
 			panic(fmt.Sprintf("nn: batch sample %d has %d values, network wants %d", s, len(pix), n.c*plane))
 		}
 	}
-	for s0 := 0; s0 < bsz; s0 += n.chunk {
-		cur := samples[s0:min(s0+n.chunk, bsz)]
-		nb := len(cur)
-		n.bin.EnsureShape(n.c, nb, n.h, n.w)
-		for ci := 0; ci < n.c; ci++ {
-			for s, pix := range cur {
-				copy(n.bin.Data[(ci*nb+s)*plane:(ci*nb+s+1)*plane], pix[ci*plane:(ci+1)*plane])
-			}
-		}
-		x, c, h, w := n.bin.Data, n.c, n.h, n.w
-		for _, b := range n.blocks {
-			b.run(x, nb, h, w, false)
-			x, c, h, w = b.out.Data, b.conv.OutC, h/2, w/2
-		}
-		hw := h * w
-		n.bflat.EnsureShape(c*hw, nb)
-		fd := n.bflat.Data
-		for pl := 0; pl < c*nb; pl++ { // plane (ci, s) → rows ci·H·W + i of column s
-			di := pl/nb*hw*nb + pl%nb
-			for _, v := range x[pl*hw : (pl+1)*hw] {
-				fd[di] = v
-				di += nb
+	for g0 := 0; g0 < bsz; g0 += batchGroup {
+		group := samples[g0:min(g0+batchGroup, bsz)]
+		ng := len(group)
+		n.bflat.EnsureShape(n.hidden.In, ng)
+		if len(n.blocks) == 0 {
+			transpose(n.bflat.Data, ng, 0, group)
+		} else {
+			for s0 := 0; s0 < ng; s0 += n.chunk {
+				n.flattenChunk(group[s0:min(s0+n.chunk, ng)], s0)
 			}
 		}
 		// Rectified in place with a branchless max, since activations have
@@ -172,7 +166,60 @@ func (n *Network) ForwardBatch(samples [][]float32, out []float32) {
 		for i, v := range ad {
 			ad[i] = max(v, 0)
 		}
-		copy(out[s0:], n.out.forwardBatch(a).Data[:nb])
+		copy(out[g0:], n.out.forwardBatch(a).Data[:ng])
+	}
+}
+
+// flattenChunk runs one chunk of a group through the conv blocks and writes
+// the last block's output into the group's dense input, columns s0 on.
+func (n *Network) flattenChunk(cur [][]float32, s0 int) {
+	nb, plane := len(cur), n.h*n.w
+	n.bin.EnsureShape(n.c, nb, n.h, n.w)
+	for ci := 0; ci < n.c; ci++ {
+		for s, pix := range cur {
+			copy(n.bin.Data[(ci*nb+s)*plane:(ci*nb+s+1)*plane], pix[ci*plane:(ci+1)*plane])
+		}
+	}
+	x, c, h, w := n.bin.Data, n.c, n.h, n.w
+	for _, b := range n.blocks {
+		b.run(x, nb, h, w, false)
+		x, c, h, w = b.out.Data, b.conv.OutC, h/2, w/2
+	}
+	if cap(n.cols) < nb {
+		n.cols = make([][]float32, n.chunk)
+	}
+	hw, cols, ng := h*w, n.cols[:nb], n.bflat.Shape[1]
+	// Plane (ci, s) is rows ci·H·W … of column s0+s.
+	for ci := 0; ci < c; ci++ {
+		for s := range cols {
+			pl := ci*nb + s
+			cols[s] = x[pl*hw : (pl+1)*hw]
+		}
+		transpose(n.bflat.Data[ci*hw*ng:], ng, s0, cols)
+	}
+}
+
+// transpose writes the vectors vs as columns col … col+len(vs)−1 of the
+// row-major matrix fd with row width g: fd[i·g+col+s] = vs[s][i]. Four
+// columns go at a time, so each row takes one run of four values.
+func transpose(fd []float32, g, col int, vs [][]float32) {
+	s := 0
+	for ; s+4 <= len(vs); s += 4 {
+		v0, v1, v2, v3 := vs[s], vs[s+1], vs[s+2], vs[s+3]
+		v1, v2, v3 = v1[:len(v0)], v2[:len(v0)], v3[:len(v0)]
+		d := col + s
+		for i, v := range v0 {
+			r := fd[d : d+4 : d+4]
+			r[0], r[1], r[2], r[3] = v, v1[i], v2[i], v3[i]
+			d += g
+		}
+	}
+	for ; s < len(vs); s++ {
+		d := col + s
+		for _, v := range vs[s] {
+			fd[d] = v
+			d += g
+		}
 	}
 }
 

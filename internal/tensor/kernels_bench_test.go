@@ -16,23 +16,26 @@ import (
 
 func benchGemmShapes() [][3]int {
 	// [m, k, n(B=1)]: the conv of c1w4 at 16×16 gray and at 8×8 RGB, the two
-	// convs of the deep c2w8d16 at 32×32 RGB, and that model's first dense
-	// layer over its flattened 8×8×8 activation.
+	// convs of the deep c2w8d16 at 32×32 RGB, that model's first dense
+	// layer over its flattened 8×8×8 activation, and the served c1w4d8's
+	// (and c0w0d8's) hidden dense layer over 256 features at 16×16 gray.
 	return [][3]int{
 		{4, 9, 256},
 		{4, 27, 64},
 		{8, 27, 1024},
 		{8, 72, 256},
 		{16, 512, 1},
+		{8, 256, 1},
 	}
 }
 
 // BenchmarkGemm times the blocked register-tiled Gemm at the zoo's shapes,
-// at single-sample and batched column widths.
+// at single-sample and batched column widths: 16 samples, the dense chunk
+// ForwardBatch once ran, and 64, the engine's batch and its dense group now.
 func BenchmarkGemm(b *testing.B) {
 	rng := rand.New(rand.NewSource(21))
 	for _, sh := range benchGemmShapes() {
-		for _, batch := range []int{1, 64} {
+		for _, batch := range []int{1, 16, 64} {
 			m, k, n := sh[0], sh[1], sh[2]*batch
 			a := randTensor(rng, m, k)
 			bm := randTensor(rng, k, n)

@@ -1,8 +1,10 @@
 package tensor
 
-// poolRow is poolRowGeneric in SSE (pool_amd64.s), with no CPU feature
-// check for the reason axpy has none. Callers guarantee both rows hold at
-// least 2·len(out) values; the assembly reads exactly that many of each.
+// poolPlane is poolPlaneGeneric in SSE (pool_amd64.s), with no CPU feature
+// check for the reason axpy has none. Callers guarantee the bounds
+// PoolBiasReLU checks, with rows and ow positive; the assembly reads
+// exactly the 2·ow sums of each of the 2·rows sum rows and writes rows·ow
+// outputs.
 //
 //go:noescape
-func poolRow(out, r0, r1 []float32, bias float32)
+func poolPlane(out, acc []float32, ow, pw, rows int, bias float32)

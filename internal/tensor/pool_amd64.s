@@ -3,20 +3,27 @@
 // SSE pooling epilogue (see pool.go for the operand-order contract). Every
 // MAXPS/MAXSS keeps the operand the Go model passes first as destination:
 // r0 against r1, the even column against the odd one, the biased sum
-// against +0. Outputs run 4 at a time, then one at a time in MAXSS.
+// against +0. Within a pooled row, outputs run 4 at a time, then one at a
+// time in MAXSS; the outer loop steps to the next pooled row, two sum rows
+// down.
 
-// func poolRow(out, r0, r1 []float32, bias float32)
-TEXT ·poolRow(SB), NOSPLIT, $0-76
+// func poolPlane(out, acc []float32, ow, pw, rows int, bias float32)
+TEXT ·poolPlane(SB), NOSPLIT, $0-76
 	MOVQ   out_base+0(FP), DI
-	MOVQ   out_len+8(FP), CX
-	MOVQ   r0_base+24(FP), SI
-	MOVQ   r1_base+48(FP), R8
+	MOVQ   acc_base+24(FP), SI
+	MOVQ   ow+48(FP), CX
+	MOVQ   pw+56(FP), R9
+	MOVQ   rows+64(FP), R10
 	MOVSS  bias+72(FP), X6
 	SHUFPS $0x00, X6, X6
 	XORPS  X7, X7
-	XORQ   AX, AX
+	SHLQ   $2, R9         // the sum row stride in bytes
+	LEAQ   (SI)(R9*1), R8 // r1, one sum row below r0
 	MOVQ   CX, DX
 	ANDQ   $-4, DX
+
+row:
+	XORQ AX, AX
 
 	// Output j reads columns 2j and 2j+1, at byte offset 8j of each row.
 loop4:
@@ -40,7 +47,7 @@ loop4:
 
 tail1:
 	CMPQ  AX, CX
-	JAE   done
+	JAE   nextrow
 	MOVSS (SI)(AX*8), X0
 	MOVSS 4(SI)(AX*8), X2
 	MOVSS (R8)(AX*8), X1
@@ -54,5 +61,10 @@ tail1:
 	INCQ  AX
 	JMP   tail1
 
-done:
+nextrow:
+	LEAQ (DI)(CX*4), DI // the next pooled row of out
+	LEAQ (SI)(R9*2), SI // two sum rows down
+	LEAQ (R8)(R9*2), R8
+	DECQ R10
+	JNZ  row
 	RET

@@ -2,4 +2,6 @@
 
 package tensor
 
-func poolRow(out, r0, r1 []float32, bias float32) { poolRowGeneric(out, r0, r1, bias) }
+func poolPlane(out, acc []float32, ow, pw, rows int, bias float32) {
+	poolPlaneGeneric(out, acc, ow, pw, rows, bias)
+}
