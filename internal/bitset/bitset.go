@@ -91,6 +91,28 @@ func (s *Set) SetAll() {
 	s.trim()
 }
 
+// SetRange sets bits [lo, hi) a word at a time; an empty range is a no-op.
+func (s *Set) SetRange(lo, hi int) {
+	if lo >= hi {
+		return
+	}
+	if lo < 0 || hi > s.n {
+		panic(fmt.Sprintf("bitset: range [%d,%d) out of range [0,%d)", lo, hi, s.n))
+	}
+	first, last := lo>>6, (hi-1)>>6
+	head := ^uint64(0) << (uint(lo) & 63)
+	tail := ^uint64(0) >> (63 - (uint(hi-1) & 63))
+	if first == last {
+		s.words[first] |= head & tail
+		return
+	}
+	s.words[first] |= head
+	for w := first + 1; w < last; w++ {
+		s.words[w] = ^uint64(0)
+	}
+	s.words[last] |= tail
+}
+
 // Reset clears every bit.
 func (s *Set) Reset() {
 	for i := range s.words {

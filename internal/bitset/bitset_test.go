@@ -197,3 +197,38 @@ func TestGrow(t *testing.T) {
 		}
 	}
 }
+
+// TestSetRange holds SetRange to setting bits one by one, over every range of
+// a set spanning three words and over random starting contents, and checks
+// that an out-of-range bound panics.
+func TestSetRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const n = 150
+	for lo := 0; lo <= n; lo++ {
+		for hi := lo - 1; hi <= n; hi++ {
+			s, ref := randomPair(rng, n)
+			s.SetRange(lo, hi)
+			for i := lo; i < hi; i++ {
+				ref[i] = true
+			}
+			for i := 0; i < n; i++ {
+				if s.Get(i) != ref[i] {
+					t.Fatalf("SetRange(%d,%d): bit %d = %v, want %v", lo, hi, i, s.Get(i), ref[i])
+				}
+			}
+			if s.Count() != len(ref) {
+				t.Fatalf("SetRange(%d,%d): count %d, want %d", lo, hi, s.Count(), len(ref))
+			}
+		}
+	}
+	for _, r := range [][2]int{{-1, 3}, {5, n + 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("SetRange(%d,%d) on a %d-bit set did not panic", r[0], r[1], n)
+				}
+			}()
+			New(n).SetRange(r[0], r[1])
+		}()
+	}
+}

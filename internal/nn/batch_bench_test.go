@@ -43,14 +43,14 @@ func BenchmarkConvBlock(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("%s/fused/b=%d", sh.name, bsz), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				block.run(x.Data, bsz, sh.inSize, sh.inSize, false)
+				block.run(x.Data, nil, bsz, sh.inSize, sh.inSize, false)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*bsz), "ns/frame")
 		})
 		one := x.Data[:inC*sh.inSize*sh.inSize]
 		b.Run(sh.name+"/single", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				block.run(one, 1, sh.inSize, sh.inSize, true)
+				block.run(one, nil, 1, sh.inSize, sh.inSize, true)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/frame")
 		})
@@ -85,7 +85,7 @@ func BenchmarkAblationConvImplicitGEMM(b *testing.B) {
 	block, x := convAblationBlock(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		block.run(x.Data, 1, 32, 32, false)
+		block.run(x.Data, nil, 1, 32, 32, false)
 	}
 }
 

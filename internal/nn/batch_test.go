@@ -167,14 +167,14 @@ func TestConvBlockBitParity(t *testing.T) {
 				}
 			}
 			block := &convBlock{conv: conv}
-			block.run(x.Data, bsz, size, size, false)
+			block.run(x.Data, nil, bsz, size, size, false)
 			got := block.out.Clone()
 			oh := size / 2
 			ref := &refConv{c: conv}
 			for s, f := range frames {
 				one := tensor.NewFrom(f, inC, size, size)
 				want := pool.forward(relu.forward(ref.forward(one)))
-				block.run(one.Data, 1, size, size, true)
+				block.run(one.Data, nil, 1, size, size, true)
 				requireBits(t, fmt.Sprintf("frame %d alone", s), block.out.Data, want.Data)
 				for c := 0; c < outC; c++ {
 					for i := 0; i < oh*oh; i++ {

@@ -71,9 +71,9 @@ type convPass struct {
 	n         int // sums per filter
 }
 
-// load pads the channel-major batch x of bsz h×w samples and sets the tap
-// shifts.
-func (p *convPass) load(c *Conv2D, x []float32, bsz, h, w int) {
+// load pads a batch of bsz h×w samples and sets the tap shifts. The batch is
+// the CHW samples themselves when samples is non-nil, else channel-major x.
+func (p *convPass) load(c *Conv2D, x []float32, samples [][]float32, bsz, h, w int) {
 	k, pd := c.K, c.K/2
 	if h != p.h || w != p.w {
 		// Only interiors are written below, and another geometry's
@@ -90,7 +90,13 @@ func (p *convPass) load(c *Conv2D, x []float32, bsz, h, w int) {
 	// buffer's borders are still the zeros it was cleared or allocated with.
 	p.pad.EnsureShape(c.InC*span + pd*p.pw + pd)
 	for pl := 0; pl < c.InC*bsz; pl++ {
-		src := x[pl*h*w : (pl+1)*h*w]
+		var src []float32
+		if samples != nil {
+			ci, s := pl/bsz, pl%bsz
+			src = samples[s][ci*h*w : (ci+1)*h*w]
+		} else {
+			src = x[pl*h*w : (pl+1)*h*w]
+		}
 		dst := p.pad.Data[pl*p.plane+pd*p.pw+pd:]
 		for y := 0; y < h; y++ {
 			copy(dst[y*p.pw:y*p.pw+w], src[y*w:(y+1)*w])
@@ -170,12 +176,12 @@ type convBlock struct {
 	grads convGrads
 }
 
-// run is the block's pass over a channel-major batch of bsz h×w samples.
-// With keep, acc holds every filter's sums afterwards (filter f's at f·n),
-// for Backward.
-func (b *convBlock) run(x []float32, bsz, h, w int, keep bool) {
+// run is the block's pass over a batch of bsz h×w samples: the CHW samples
+// when samples is non-nil, else channel-major x. With keep, acc holds every
+// filter's sums afterwards (filter f's at f·n), for Backward.
+func (b *convBlock) run(x []float32, samples [][]float32, bsz, h, w int, keep bool) {
 	c, p := b.conv, &b.pass
-	p.load(c, x, bsz, h, w)
+	p.load(c, x, samples, bsz, h, w)
 	n := p.n
 	if keep {
 		b.acc.EnsureShape(c.OutC * n)

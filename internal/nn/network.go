@@ -46,7 +46,6 @@ type Network struct {
 	out     *Dense        // the dense width → the logit
 	c, h, w int           // the input shape
 	chunk   int           // samples per batched pass through the blocks
-	bin     tensor.Tensor // ForwardBatch's input pack [C, B, H, W]
 	bflat   tensor.Tensor // ForwardBatch's dense input [C·H·W, B]
 	cols    [][]float32   // ForwardBatch's columns for one row block of bflat
 	dlogit  tensor.Tensor // Backward's output gradient [1]
@@ -102,7 +101,7 @@ func (n *Network) Forward(x *tensor.Tensor) float32 {
 	}
 	t, h, w := x, n.h, n.w
 	for _, b := range n.blocks {
-		b.run(t.Data, 1, h, w, true)
+		b.run(t.Data, nil, 1, h, w, true)
 		t, h, w = &b.out, h/2, w/2
 	}
 	a := n.hidden.Forward(t)
@@ -127,10 +126,11 @@ func (n *Network) Predict(x *tensor.Tensor) float32 {
 // samples, each gathered into the [C·H·W, B] matrix whose column s is
 // sample s flattened, so each dense layer is one GEMM per group. Without
 // conv blocks the samples are that matrix's columns. With them, a group
-// runs through the blocks in cache-sized chunks: each chunk is packed into
-// the channel-major [C, B, H, W] layout (sample s of channel c is a
-// contiguous H·W plane), passes once through each conv block, and the last
-// block's output planes fill the chunk's columns.
+// runs through the blocks in cache-sized chunks: the first block pads each
+// chunk's planes straight from the samples, each block's output is the
+// channel-major [C, B, H, W] layout (sample s of channel c is a contiguous
+// H·W plane) the next one reads, and the last block's output planes fill
+// the chunk's columns.
 //
 // out[s] is bit-identical to Forward(sample s) at every batch size. The
 // network's batch scratch is reused across calls (and never shrinks), so a
@@ -173,17 +173,14 @@ func (n *Network) ForwardBatch(samples [][]float32, out []float32) {
 // flattenChunk runs one chunk of a group through the conv blocks and writes
 // the last block's output into the group's dense input, columns s0 on.
 func (n *Network) flattenChunk(cur [][]float32, s0 int) {
-	nb, plane := len(cur), n.h*n.w
-	n.bin.EnsureShape(n.c, nb, n.h, n.w)
-	for ci := 0; ci < n.c; ci++ {
-		for s, pix := range cur {
-			copy(n.bin.Data[(ci*nb+s)*plane:(ci*nb+s+1)*plane], pix[ci*plane:(ci+1)*plane])
-		}
-	}
-	x, c, h, w := n.bin.Data, n.c, n.h, n.w
+	// The first block pads its planes straight from the samples, each later
+	// one from the channel-major output of the block before.
+	nb, c, h, w := len(cur), n.c, n.h, n.w
+	var x []float32
+	samples := cur
 	for _, b := range n.blocks {
-		b.run(x, nb, h, w, false)
-		x, c, h, w = b.out.Data, b.conv.OutC, h/2, w/2
+		b.run(x, samples, nb, h, w, false)
+		x, samples, c, h, w = b.out.Data, nil, b.conv.OutC, h/2, w/2
 	}
 	if cap(n.cols) < nb {
 		n.cols = make([][]float32, n.chunk)

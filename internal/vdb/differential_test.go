@@ -242,11 +242,16 @@ func newDiffFixture(t testing.TB) *diffFixture {
 	return fx
 }
 
-// randomTable draws n metadata rows: ids with duplicates and negatives, ts
-// append-ordered, shuffled or heavy with duplicates, two string columns.
-func randomTable(rng *rand.Rand, n int) []Metadata {
+// randomTable draws n metadata rows: ids with duplicates and negatives or
+// append-ordered, ts append-ordered, shuffled, heavy with duplicates or
+// ordered in runs of equal values, two string columns. Whether the ids are
+// append-ordered and whether ts comes in ordered runs is drawn from modes, a
+// stream of its own, so rng's draws are those of a table without either.
+func randomTable(rng, modes *rand.Rand, n int) []Metadata {
 	meta := make([]Metadata, n)
 	tsMode := rng.Intn(3)
+	idOrdered, tsRuns, runLen := modes.Intn(3) == 0, modes.Intn(3) == 0, 1+modes.Intn(40)
+	id := int64(-n / 4)
 	for i := range meta {
 		m := &meta[i]
 		m.ID = int64(rng.Intn(2*n+1) - n/2)
@@ -260,6 +265,12 @@ func randomTable(rng *rand.Rand, n int) []Metadata {
 		}
 		m.Location = []string{"uptown", "downtown", ""}[rng.Intn(3)]
 		m.Camera = []string{"cam-1", "cam-2"}[rng.Intn(2)]
+		if idOrdered {
+			m.ID, id = id, id+1+int64(modes.Intn(2))
+		}
+		if tsRuns {
+			m.TS = int64(i/runLen) * 5
+		}
 	}
 	return meta
 }
@@ -570,7 +581,8 @@ func TestExecutorMatchesNaiveOracle(t *testing.T) {
 		if ti%20 == 19 {
 			n = 5000
 		}
-		o := &oracle{meta: randomTable(rng, n), truth: map[matstore.Key][]bool{}, valid: map[matstore.Key][]bool{}}
+		modes := rand.New(rand.NewSource(int64(2000 + ti)))
+		o := &oracle{meta: randomTable(rng, modes, n), truth: map[matstore.Key][]bool{}, valid: map[matstore.Key][]bool{}}
 		for k, perImage := range fx.truth {
 			o.truth[k] = make([]bool, n)
 			for i := range o.truth[k] {

@@ -67,7 +67,7 @@ func (c *stepColumn) narrow(live *bitset.Set, negated bool) {
 func (p *queryPlan) execute(ctx context.Context) (*Result, []overlay, error) {
 	st := p.st
 	res := &Result{}
-	live := filterRows(st.meta, st.zones, p.filters)
+	live, _ := filterRows(st.meta, st.zones, st.tail, p.filters)
 	if len(p.content) == 0 {
 		p.projectRows(res, live)
 		return res, nil, nil

@@ -110,36 +110,55 @@ func (f *metaFilter) match(m *Metadata) bool {
 // zoneRows is the block size of the metadata block index: 16 bitset words.
 const zoneRows = 1024
 
-// zone is one complete block's min/max over the integer columns. Zones are
-// derived state — rebuilt from the metadata on load and recovery, extended
-// on append, never persisted — and exist only for complete blocks, so an
-// entry is immutable from the moment it is written: readers of any published
-// row count share the slice with the appender.
+// zone summarizes one block of metadata rows over the integer columns: each
+// one's min/max, and whether its values are non-decreasing in row order (an
+// append-ordered id or ts). Zones are derived state — rebuilt from the
+// metadata on load and recovery, extended on append, never persisted. The
+// block index holds complete blocks only, so an entry is immutable from the
+// moment it is written and readers of any published row count share the
+// slice with the appender; the trailing partial block's zone is summarized
+// afresh for each published state (readState.tail).
 type zone struct {
-	idMin, idMax int64
-	tsMin, tsMax int64
+	idMin, idMax         int64
+	tsMin, tsMax         int64
+	idOrdered, tsOrdered bool
+}
+
+// summarize is the zone of a non-empty run of rows.
+func summarize(rows []Metadata) zone {
+	z := zone{idMin: rows[0].ID, idMax: rows[0].ID, tsMin: rows[0].TS, tsMax: rows[0].TS, idOrdered: true, tsOrdered: true}
+	for i := 1; i < len(rows); i++ {
+		prev, m := &rows[i-1], &rows[i]
+		z.idMin, z.idMax = min(z.idMin, m.ID), max(z.idMax, m.ID)
+		z.tsMin, z.tsMax = min(z.tsMin, m.TS), max(z.tsMax, m.TS)
+		z.idOrdered = z.idOrdered && prev.ID <= m.ID
+		z.tsOrdered = z.tsOrdered && prev.TS <= m.TS
+	}
+	return z
 }
 
 // extendZones summarizes every complete block of meta that zones does not
-// cover yet. The trailing partial block has no entry; the filter scans it.
+// cover yet.
 func extendZones(zones []zone, meta []Metadata) []zone {
 	for b := len(zones); (b+1)*zoneRows <= len(meta); b++ {
-		rows := meta[b*zoneRows : (b+1)*zoneRows]
-		z := zone{idMin: rows[0].ID, idMax: rows[0].ID, tsMin: rows[0].TS, tsMax: rows[0].TS}
-		for i := range rows[1:] {
-			m := &rows[1+i]
-			z.idMin, z.idMax = min(z.idMin, m.ID), max(z.idMax, m.ID)
-			z.tsMin, z.tsMax = min(z.tsMin, m.TS), max(z.tsMax, m.TS)
-		}
-		zones = append(zones, z)
+		zones = append(zones, summarize(meta[b*zoneRows:(b+1)*zoneRows]))
 	}
 	return zones
+}
+
+// tailZone summarizes meta's trailing partial block, at most zoneRows−1
+// rows; it is the zero zone when there is none.
+func tailZone(meta []Metadata) zone {
+	if tail := meta[len(meta)/zoneRows*zoneRows:]; len(tail) > 0 {
+		return summarize(tail)
+	}
+	return zone{}
 }
 
 // Verdicts of a filter over a whole block.
 const (
 	blockNone = iota // no row can match: skip the block
-	blockSome        // undecided: scan the block
+	blockSome        // undecided: search or scan the block
 	blockAll         // every row matches
 )
 
@@ -166,53 +185,172 @@ func (f *metaFilter) over(lo, hi int64) int {
 	return blockSome
 }
 
+// over decides f against the block z summarizes; a location or camera filter
+// is undecided.
+func (z *zone) over(f *metaFilter) int {
+	switch f.col {
+	case colID:
+		return f.over(z.idMin, z.idMax)
+	case colTS:
+		return f.over(z.tsMin, z.tsMax)
+	}
+	return blockSome
+}
+
+// searchable reports whether f's matches among z's rows are found by binary
+// search: f compares an integer column the rows are in order by, so its
+// matches are one run — unless the operator is !=, whose matches flank the
+// literal's run.
+func (z *zone) searchable(f *metaFilter) bool {
+	ordered := f.col == colID && z.idOrdered || f.col == colTS && z.tsOrdered
+	return ordered && f.accept != ordLess|ordGreater
+}
+
+// run narrows rows [a, e) of meta, non-decreasing in f's column, to the run
+// of them f accepts. Those rows are the ones below the literal, then the ones
+// equal to it, then the ones above; two binary searches find where the
+// equal ones start and end, and f's operator takes adjacent parts.
+func (f *metaFilter) run(meta []Metadata, a, e int) (int, int) {
+	eq := a + f.search(meta[a:e], false)
+	gt := eq + f.search(meta[eq:e], true)
+	start, end := gt, eq
+	switch {
+	case f.accept&ordLess != 0:
+		start = a
+	case f.accept&ordEqual != 0:
+		start = eq
+	}
+	switch {
+	case f.accept&ordGreater != 0:
+		end = e
+	case f.accept&ordEqual != 0:
+		end = gt
+	}
+	return start, end
+}
+
+// search returns the index of the first of rows, non-decreasing in f's
+// column, whose value is at least f's literal (above it, when strict), or
+// len(rows) if there is none.
+func (f *metaFilter) search(rows []Metadata, strict bool) int {
+	i, j := 0, len(rows)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		v := rows[h].TS
+		if f.col == colID {
+			v = rows[h].ID
+		}
+		if v > f.num || !strict && v == f.num {
+			j = h
+		} else {
+			i = h + 1
+		}
+	}
+	return i
+}
+
 // filterRows evaluates the conjunction of filters over meta into a live
-// bitset, a block at a time: a block whose min/max put it wholly inside
-// every filter fills 16 words, one wholly outside any filter is skipped, and
-// only a straddling block (or the trailing partial one, or any block under a
-// string filter) is scanned row by row. Correct for any row order; for
-// append-ordered ts windows it scans at most the two edge blocks.
-func filterRows(meta []Metadata, zones []zone, filters []metaFilter) *bitset.Set {
+// bitset, a block at a time, and reports how many rows it compared one by
+// one. zones summarizes meta's complete blocks and tail its trailing partial
+// one, so every block is decided by its zone first. A block wholly outside
+// any filter is skipped. Each id/ts filter the block's rows are in order by
+// narrows it by binary search to the one run of rows it accepts, and a filter
+// the block is wholly inside leaves it whole. What is left is set a word at
+// a time when every filter was decided or searched, and compared row by row
+// otherwise: under a string filter, a != whose literal lies in the block's
+// range, or an id/ts filter over rows out of order. Correct for any row
+// order; a ts or id window over append-ordered rows compares no row at all.
+func filterRows(meta []Metadata, zones []zone, tail zone, filters []metaFilter) (*bitset.Set, int) {
 	live := bitset.New(len(meta))
 	if len(filters) == 0 {
 		live.SetAll()
-		return live
+		return live, 0
 	}
-	words := live.Words()
+	words, compared := live.Words(), 0
 	for lo := 0; lo < len(meta); lo += zoneRows {
-		hi := min(lo+zoneRows, len(meta))
-		verdict := blockSome
+		z := &tail
 		if b := lo / zoneRows; b < len(zones) {
-			verdict = blockAll
-			for i := range filters {
-				f, v := &filters[i], blockSome
-				switch f.col {
-				case colID:
-					v = f.over(zones[b].idMin, zones[b].idMax)
-				case colTS:
-					v = f.over(zones[b].tsMin, zones[b].tsMax)
+			z = &zones[b]
+		}
+		a, e, scan := lo, min(lo+zoneRows, len(meta)), false
+		for i := range filters {
+			f := &filters[i]
+			switch z.over(f) {
+			case blockNone:
+				e = a
+			case blockSome:
+				if z.searchable(f) {
+					a, e = f.run(meta, a, e)
+				} else {
+					scan = true
 				}
-				if verdict = min(verdict, v); verdict == blockNone {
-					break
-				}
+			}
+			if a >= e {
+				break
 			}
 		}
-		switch verdict {
-		case blockAll: // a complete block: whole words
-			for w := lo >> 6; w < hi>>6; w++ {
-				words[w] = ^uint64(0)
+		switch {
+		case a >= e:
+		case !scan:
+			live.SetRange(a, e)
+		default:
+			compared += e - a
+			scanRows(words, meta, filters, a, e)
+		}
+	}
+	return live, compared
+}
+
+// scanRows sets in words the rows of [a, e) that every filter accepts,
+// comparing them a word of rows and a filter at a time: a filter turns up to
+// 64 rows into a mask, and a word none of whose rows survives takes no more
+// filters.
+func scanRows(words []uint64, meta []Metadata, filters []metaFilter, a, e int) {
+	for w := a >> 6; w <= (e-1)>>6; w++ {
+		lo, hi := max(a, w<<6), min(e, (w+1)<<6)
+		mask := ^uint64(0)
+		for k := range filters {
+			if mask &= filters[k].word(meta[lo:hi]) << (uint(lo) & 63); mask == 0 {
+				break
 			}
-		case blockSome:
-		rows:
-			for i := lo; i < hi; i++ {
-				for k := range filters {
-					if !filters[k].match(&meta[i]) {
-						continue rows
-					}
-				}
-				words[i>>6] |= 1 << (uint(i) & 63)
+		}
+		words[w] |= mask
+	}
+}
+
+// word is the mask of the rows, at most 64, that f accepts: bit i for
+// rows[i]. An integer comparison is computed without a branch per row.
+func (f *metaFilter) word(rows []Metadata) uint64 {
+	var m uint64
+	switch f.col {
+	case colID:
+		for i := range rows {
+			m |= f.accepts(rows[i].ID) << uint(i)
+		}
+	case colTS:
+		for i := range rows {
+			m |= f.accepts(rows[i].TS) << uint(i)
+		}
+	default:
+		for i := range rows {
+			if f.match(&rows[i]) {
+				m |= 1 << uint(i)
 			}
 		}
 	}
-	return live
+	return m
+}
+
+// accepts is 1 when f accepts the integer v and 0 when not: the ordering of
+// v against the literal, 0, 1 or 2 for less, equal or greater, picks a bit
+// of the accepted orderings.
+func (f *metaFilter) accepts(v int64) uint64 {
+	var ge, gt uint8
+	if v >= f.num {
+		ge = 1
+	}
+	if v > f.num {
+		gt = 1
+	}
+	return uint64(f.accept >> (ge + gt) & 1)
 }

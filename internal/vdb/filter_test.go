@@ -1,10 +1,13 @@
 package vdb
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"tahoma/internal/core"
@@ -43,16 +46,289 @@ func TestZoneVerdictSound(t *testing.T) {
 	}
 }
 
+// Layouts of an integer column for the filter tests: how a column's values
+// run down the rows.
+const (
+	layoutAscending  = iota // append-ordered, distinct
+	layoutDescending        // reverse-ordered
+	layoutShuffled          // a permutation
+	layoutRuns              // non-decreasing in runs of equal values
+	layoutConstant          // one value
+	layoutBlocks            // each block one of the above, at its own offset
+	layouts
+)
+
+// layoutColumn draws n values of an integer column laid out as layout, all
+// within ±4n so that small literals land among them.
+func layoutColumn(rng *rand.Rand, n, layout int) []int64 {
+	vals := make([]int64, n)
+	switch layout {
+	case layoutAscending:
+		for i := range vals {
+			vals[i] = int64(2*i - n)
+		}
+	case layoutDescending:
+		for i := range vals {
+			vals[i] = int64(n - 2*i)
+		}
+	case layoutShuffled:
+		for i, v := range rng.Perm(n) {
+			vals[i] = int64(v - n/2)
+		}
+	case layoutRuns:
+		run := 1 + rng.Intn(50)
+		for i := range vals {
+			vals[i] = int64(i/run*3 - n/2)
+		}
+	case layoutConstant:
+		for i := range vals {
+			vals[i] = 7
+		}
+	default:
+		for lo := 0; lo < n; lo += zoneRows {
+			block := layoutColumn(rng, min(zoneRows, n-lo), rng.Intn(layoutBlocks))
+			off := int64(rng.Intn(2*n+1) - n)
+			for i, v := range block {
+				vals[lo+i] = v + off
+			}
+		}
+	}
+	return vals
+}
+
+// filterTable is n metadata rows with id and ts laid out as given and the
+// string columns drawn from small sets.
+func filterTable(rng *rand.Rand, n, idLayout, tsLayout int) []Metadata {
+	ids, tss := layoutColumn(rng, n, idLayout), layoutColumn(rng, n, tsLayout)
+	meta := make([]Metadata, n)
+	for i := range meta {
+		meta[i] = Metadata{
+			ID: ids[i], TS: tss[i],
+			Location: []string{"uptown", "downtown", ""}[rng.Intn(3)],
+			Camera:   []string{"cam-1", "cam-2"}[rng.Intn(2)],
+		}
+	}
+	return meta
+}
+
+var filterOps = []CompareOp{OpEq, OpNe, OpLt, OpLe, OpGt, OpGe}
+
+// mustFilter compiles one comparison.
+func mustFilter(t testing.TB, col string, op CompareOp, v Value) metaFilter {
+	t.Helper()
+	f, err := compileFilter(MetaCond{Column: col, Op: op, Val: v})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// randomFilters draws one to three comparisons over meta: an id or ts
+// literal some row holds or one just off it, a block's first or last value,
+// or an extreme of int64; a string literal from the columns' sets or none.
+func randomFilters(t testing.TB, rng *rand.Rand, meta []Metadata) []metaFilter {
+	filters := make([]metaFilter, 1+rng.Intn(3))
+	for k := range filters {
+		col := metaColumns[rng.Intn(len(metaColumns))]
+		op := filterOps[rng.Intn(len(filterOps))]
+		if col == "location" || col == "camera" {
+			filters[k] = mustFilter(t, col, op, Value{IsString: true, Str: []string{"uptown", "downtown", "", "cam-1", "cam-2", "zzz"}[rng.Intn(6)]})
+			continue
+		}
+		v := int64(rng.Intn(2001) - 1000)
+		if len(meta) > 0 {
+			i := rng.Intn(len(meta))
+			if rng.Intn(3) == 0 {
+				i = min(i/zoneRows*zoneRows+rng.Intn(2)*(zoneRows-1), len(meta)-1)
+			}
+			v = meta[i].TS
+			if col == "id" {
+				v = meta[i].ID
+			}
+			v += int64(rng.Intn(3) - 1)
+		}
+		if rng.Intn(8) == 0 {
+			v = []int64{math.MinInt64, math.MaxInt64, math.MinInt64 + 1, math.MaxInt64 - 1}[rng.Intn(4)]
+		}
+		filters[k] = mustFilter(t, col, op, Value{Int: v})
+	}
+	return filters
+}
+
+// checkFilterRows holds filterRows over meta's block index to comparing
+// every row against every filter, and returns the rows it compared.
+func checkFilterRows(t testing.TB, meta []Metadata, filters []metaFilter) int {
+	t.Helper()
+	live, compared := filterRows(meta, extendZones(nil, meta), tailZone(meta), filters)
+	if live.Len() != len(meta) {
+		t.Fatalf("live set of %d bits over %d rows", live.Len(), len(meta))
+	}
+	for i := range meta {
+		want := true
+		for k := range filters {
+			want = want && filters[k].match(&meta[i])
+		}
+		if live.Get(i) != want {
+			t.Fatalf("%d rows, filters %+v: row %d %+v is live=%v, want %v", len(meta), filters, i, meta[i], live.Get(i), want)
+		}
+	}
+	if compared < 0 || compared > len(meta) {
+		t.Fatalf("%d rows compared of %d", compared, len(meta))
+	}
+	return compared
+}
+
+// TestFilterRowsMatchesRowByRow holds the block-at-a-time filter to a row by
+// row evaluation of the same compiled filters over every pairing of id and ts
+// layouts, tables whose trailing block has 0, 1, 1023 or 1024 rows, each
+// operator against each column over literals at, beside and far from the
+// values, and random conjunctions mixing in location and camera.
+func TestFilterRowsMatchesRowByRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{0, 1, zoneRows - 1, zoneRows, 2 * zoneRows, 2*zoneRows + 1, 3*zoneRows - 1, 3 * zoneRows} {
+		for idLayout := 0; idLayout < layouts; idLayout++ {
+			for tsLayout := 0; tsLayout < layouts; tsLayout++ {
+				meta := filterTable(rng, n, idLayout, tsLayout)
+				for _, col := range []string{"id", "ts"} {
+					for _, op := range filterOps {
+						for _, v := range []int64{math.MinInt64, -1, 0, 7, 8, int64(n / 3), math.MaxInt64} {
+							checkFilterRows(t, meta, []metaFilter{mustFilter(t, col, op, Value{Int: v})})
+						}
+					}
+				}
+				for q := 0; q < 20; q++ {
+					checkFilterRows(t, meta, randomFilters(t, rng, meta))
+				}
+			}
+		}
+	}
+}
+
+// FuzzFilterRows holds filterRows to the row-by-row evaluation on tables of
+// up to three blocks and a trailing one, each integer column laid out as the
+// fuzzer picks, under up to four comparisons read four bytes each: column
+// and literal kind, operator, and a 16-bit literal or row index.
+func FuzzFilterRows(f *testing.F) {
+	f.Add(uint16(2*zoneRows+100), uint8(layoutAscending|layoutRuns<<4), []byte{0x03, 2, 0x10, 0x00, 0x03, 5, 0x90, 0x01})
+	f.Add(uint16(zoneRows-1), uint8(layoutBlocks|layoutAscending<<4), []byte{0x07, 4, 0, 0, 0x08, 1, 0, 0, 0x01, 0, 0, 0})
+	f.Add(uint16(3*zoneRows), uint8(layoutShuffled|layoutDescending<<4), []byte{0x0f, 3, 0x22, 0x01, 0x00, 0, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, rows uint16, layout uint8, spec []byte) {
+		n := int(rows) % (3*zoneRows + 2)
+		rng := rand.New(rand.NewSource(int64(rows)<<8 | int64(layout)))
+		meta := filterTable(rng, n, int(layout&15)%layouts, int(layout>>4)%layouts)
+		var filters []metaFilter
+		for ; len(spec) >= 4 && len(filters) < 4; spec = spec[4:] {
+			col, op := metaColumns[spec[0]&3], filterOps[int(spec[1])%len(filterOps)]
+			lit := int64(int16(uint16(spec[2]) | uint16(spec[3])<<8))
+			switch spec[0] >> 2 & 3 {
+			case 1:
+				lit = math.MinInt64
+			case 2:
+				lit = math.MaxInt64
+			case 3:
+				if n > 0 {
+					m := meta[int(uint16(lit))%n]
+					lit = m.TS
+					if col == "id" {
+						lit = m.ID
+					}
+				}
+			}
+			v := Value{Int: lit}
+			if col == "location" || col == "camera" {
+				v = Value{IsString: true, Str: []string{"uptown", "downtown", "", "cam-1", "cam-2"}[int(uint16(lit))%5]}
+			}
+			filters = append(filters, mustFilter(t, col, op, v))
+		}
+		checkFilterRows(t, meta, filters)
+	})
+}
+
+// TestFilterRowsSearchesOrderedRows is the filter's cost shape: a ts window
+// over append-ordered rows is decided by zones and binary searches, every
+// trailing block included, and compares no row one by one at 10³, 10⁴ or 10⁵
+// rows; over shuffled ts it must compare.
+func TestFilterRowsSearchesOrderedRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{1000, 10000, 100000} {
+		for _, shuffled := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%d/shuffled=%v", n, shuffled), func(t *testing.T) {
+				meta := make([]Metadata, n)
+				for i := range meta {
+					meta[i] = Metadata{ID: int64(i), TS: int64(i)}
+				}
+				if shuffled {
+					for i, v := range rng.Perm(n) {
+						meta[i].TS = int64(v)
+					}
+				}
+				a, e := int64(n/3), int64(n/3+n/8)
+				window := []metaFilter{mustFilter(t, "ts", OpGe, Value{Int: a}), mustFilter(t, "ts", OpLt, Value{Int: e})}
+				live, compared := filterRows(meta, extendZones(nil, meta), tailZone(meta), window)
+				if live.Count() != int(e-a) {
+					t.Fatalf("window [%d,%d) holds %d rows, want %d", a, e, live.Count(), e-a)
+				}
+				switch {
+				case !shuffled && compared != 0:
+					t.Fatalf("an append-ordered ts window compared %d of %d rows, want 0", compared, n)
+				case shuffled && compared == 0:
+					t.Fatalf("a ts window over shuffled rows compared no row")
+				}
+				checkFilterRows(t, meta, window)
+			})
+		}
+	}
+}
+
+// naiveIndex is the block index of meta computed value by value: each
+// complete block's zone, and the trailing partial block's.
+func naiveIndex(meta []Metadata) (zones []zone, tail zone) {
+	summary := func(rows []Metadata) zone {
+		ids, tss := make([]int64, len(rows)), make([]int64, len(rows))
+		for i, m := range rows {
+			ids[i], tss[i] = m.ID, m.TS
+		}
+		return zone{
+			idMin: slices.Min(ids), idMax: slices.Max(ids), tsMin: slices.Min(tss), tsMax: slices.Max(tss),
+			idOrdered: slices.IsSorted(ids), tsOrdered: slices.IsSorted(tss),
+		}
+	}
+	b := 0
+	for ; (b+1)*zoneRows <= len(meta); b++ {
+		zones = append(zones, summary(meta[b*zoneRows:(b+1)*zoneRows]))
+	}
+	if rest := meta[b*zoneRows:]; len(rest) > 0 {
+		tail = summary(rest)
+	}
+	return zones, tail
+}
+
+// checkIndex holds st's block index and trailing-block zone to naiveIndex
+// over want, the rows st should hold.
+func checkIndex(t *testing.T, what string, st *readState, want []Metadata) {
+	t.Helper()
+	zones, tail := naiveIndex(want)
+	if st.n != len(want) || !reflect.DeepEqual(st.zones, zones) || st.tail != tail {
+		t.Fatalf("%s: %d rows with zones %+v and tail %+v, want %d rows with %+v and %+v",
+			what, st.n, st.zones, st.tail, len(want), zones, tail)
+	}
+}
+
 // TestZonesFollowAppends: the block index gains an entry exactly when an
-// append completes a block, an entry never changes afterwards, and a state
-// pinned before the append keeps the index it was published with.
+// append completes a block, an entry never changes afterwards, each records
+// its min/max and whether its ids and its ts run in order, every published
+// state summarizes its trailing partial block the same way, and a state
+// pinned before an append keeps the index and the trailing zone it was
+// published with.
 func TestZonesFollowAppends(t *testing.T) {
 	sysFixture(t)
 	rng := rand.New(rand.NewSource(5))
+	nextID := int64(0)
 	rows := func(n int) ([]*img.Image, []Metadata) {
 		meta := make([]Metadata, n)
 		for i := range meta {
-			meta[i] = Metadata{ID: int64(rng.Intn(1 << 20)), TS: int64(rng.Intn(1 << 20))}
+			nextID += int64(rng.Intn(3)) // append-ordered, with repeats
+			meta[i] = Metadata{ID: nextID, TS: int64(rng.Intn(1 << 20))}
 		}
 		return cycledImages(n), meta
 	}
@@ -62,9 +338,11 @@ func TestZonesFollowAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := db.state.Load()
-	if len(before.zones) != 0 {
-		t.Fatalf("%d zones over %d rows, want none (no complete block)", len(before.zones), before.n)
+	checkIndex(t, "after load", before, meta)
+	if len(before.zones) != 0 || !before.tail.idOrdered || before.tail.tsOrdered {
+		t.Fatalf("%d rows: %d zones, trailing zone %+v; want none and ordered ids, unordered ts", before.n, len(before.zones), before.tail)
 	}
+	beforeTail := before.tail
 	all := append([]Metadata(nil), meta...)
 	for _, batch := range []int{10, 1, zoneRows - 1, 3 * zoneRows, 5} {
 		ims, meta := rows(batch)
@@ -72,13 +350,11 @@ func TestZonesFollowAppends(t *testing.T) {
 			t.Fatal(err)
 		}
 		all = append(all, meta...)
-		st := db.state.Load()
-		if want := extendZones(nil, all); st.n != len(all) || !reflect.DeepEqual(st.zones, want) {
-			t.Fatalf("after appending %d rows (%d total): zones %+v, want %+v", batch, st.n, st.zones, want)
-		}
+		checkIndex(t, fmt.Sprintf("after appending %d rows (%d total)", batch, len(all)), db.state.Load(), all)
 	}
-	if before.n != zoneRows-10 || len(before.zones) != 0 {
-		t.Fatalf("a pinned state changed under its reader: %d rows, %d zones", before.n, len(before.zones))
+	if before.n != zoneRows-10 || len(before.zones) != 0 || before.tail != beforeTail {
+		t.Fatalf("a pinned state changed under its reader: %d rows, %d zones, trailing zone %+v (was %+v)",
+			before.n, len(before.zones), before.tail, beforeTail)
 	}
 }
 
@@ -123,9 +399,7 @@ func TestZonesRebuiltOnRecovery(t *testing.T) {
 	}
 	checkpointed := len(all)
 	appendRows(zoneRows) // completes block 1; lives only in the journal
-	if got := db.state.Load().zones; len(got) != 2 || !reflect.DeepEqual(got, extendZones(nil, all)) {
-		t.Fatalf("live zones %+v, want %+v", got, extendZones(nil, all))
-	}
+	checkIndex(t, "live", db.state.Load(), all)
 
 	recoverInto := func(wdir string) *DB {
 		sdir := t.TempDir()
@@ -145,11 +419,16 @@ func TestZonesRebuiltOnRecovery(t *testing.T) {
 	check := func(name string, db2 *DB, want []Metadata) {
 		t.Helper()
 		st := db2.state.Load()
-		if st.n != len(want) || !reflect.DeepEqual(st.zones, extendZones(nil, want)) || len(st.zones) != len(want)/zoneRows {
-			t.Fatalf("%s: %d rows with zones %+v, want %d rows with %+v", name, st.n, st.zones, len(want), extendZones(nil, want))
+		checkIndex(t, name, st, want)
+		if !st.tail.idOrdered || !st.tail.tsOrdered || slices.ContainsFunc(st.zones, func(z zone) bool { return !z.idOrdered || !z.tsOrdered }) {
+			t.Fatalf("%s: append-ordered rows with a block out of order: zones %+v, tail %+v", name, st.zones, st.tail)
 		}
 		// A ts window over rows [1050, 1200): it straddles the block edge and
-		// the checkpointed row count.
+		// the checkpointed row count, and over rows in order is searched.
+		window := []metaFilter{mustFilter(t, "ts", OpGe, Value{Int: 7350}), mustFilter(t, "ts", OpLt, Value{Int: 8400})}
+		if _, compared := filterRows(st.meta, st.zones, st.tail, window); compared != 0 {
+			t.Fatalf("%s: the window compared %d rows one by one, want 0", name, compared)
+		}
 		res, err := db2.Query("SELECT COUNT(*) FROM images WHERE ts >= 7350 AND ts < 8400", core.Constraints{})
 		if err != nil {
 			t.Fatal(err)

@@ -23,18 +23,20 @@ type settings struct {
 }
 
 // readState is everything a statement reads, immutable once published: the
-// row count, the metadata rows [0,n) with their block index, a corpus view
-// bounded at n, the predicate catalog, the configuration, and the
-// materialized column versions current at publication. Writers build the
-// next state under db.mu and publish it with one atomic store; a reader pins
-// the current one with one atomic load and plans, explains and executes
-// against it without touching db.mu. The caches and the selectivity catalog
-// it points at are shared and synchronize themselves.
+// row count, the metadata rows [0,n) with their block index and the zone of
+// their trailing partial block, a corpus view bounded at n, the predicate
+// catalog, the configuration, and the materialized column versions current
+// at publication. Writers build the next state under db.mu and publish it
+// with one atomic store; a reader pins the current one with one atomic load
+// and plans, explains and executes against it without touching db.mu. The
+// caches and the selectivity catalog it points at are shared and
+// synchronize themselves.
 type readState struct {
 	settings
 	n          int
 	meta       []Metadata // [0,n); entries are never written again
 	zones      []zone     // complete blocks of meta
+	tail       zone       // meta's trailing partial block, if any
 	corpus     Corpus     // fixed-length view: rows [0,n)
 	costModel  scenario.CostModel
 	predicates map[string]*Predicate // replaced, never written, on install
@@ -53,6 +55,7 @@ func (db *DB) publishLocked() *readState {
 		n:          n,
 		meta:       db.meta[:n:n],
 		zones:      db.zones,
+		tail:       tailZone(db.meta[:n]),
 		corpus:     db.corpus.view(n),
 		costModel:  db.costModel,
 		predicates: db.predicates,
