@@ -31,7 +31,6 @@ func main() {
 	exp := flag.String("exp", "all", "experiment: all, tab2, fig4, fig5, fig6, fig7, fig8, fig9, tab3, fig10, fig11")
 	out := flag.String("out", "", "write results to this file as well as stdout")
 	workers := flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
-	batch := flag.Int("batch", 0, "results per evaluation batch (0 = default)")
 	flag.Parse()
 
 	var cfg experiments.Config
@@ -46,7 +45,6 @@ func main() {
 		log.Fatalf("unknown scale %q", *scale)
 	}
 	cfg.Workers = *workers
-	cfg.Batch = *batch
 
 	var w io.Writer = os.Stdout
 	if *out != "" {

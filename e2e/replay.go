@@ -5,9 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
+	"tahoma/internal/par"
 	"tahoma/internal/server"
 )
 
@@ -168,36 +168,14 @@ func Replay(ctx context.Context, clients []*server.Client, tr *Trace, fx *Fixtur
 		}
 	}
 
-	workers := tr.Concurrency
-	if workers <= 0 {
-		workers = 1
-	}
 	t0 := time.Now()
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for k := w; k < len(concurrent); k += workers {
-				idx := concurrent[k]
-				res, err := runOp(ctx, clients[idx%len(clients)], tr.Ops[idx], idx, fx)
-				mu.Lock()
-				rep.Results[idx] = res
-				if err != nil && firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				if err != nil {
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return rep, firstErr
+	if err := par.Do(len(concurrent), max(tr.Concurrency, 1), func(_, k int) error {
+		idx := concurrent[k]
+		var err error
+		rep.Results[idx], err = runOp(ctx, clients[idx%len(clients)], tr.Ops[idx], idx, fx)
+		return err
+	}); err != nil {
+		return rep, err
 	}
 	// Barrier ops see every concurrent op's effects; they run on the first
 	// client, serially, in trace order.

@@ -2,8 +2,9 @@ package cascade
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
+
+	"tahoma/internal/bitset"
+	"tahoma/internal/par"
 )
 
 // BuildOptions controls cascade-set enumeration (Section V-D / VII-A).
@@ -190,42 +191,21 @@ func Build(o BuildOptions) ([]Spec, error) {
 }
 
 // EvaluateAll evaluates every spec under the cost table, sharding across
-// workers (GOMAXPROCS when workers <= 0). Results are in spec order.
+// workers (GOMAXPROCS when workers <= 0) in contiguous chunks, one scratch
+// per worker. Results are in spec order.
 func (e *Evaluator) EvaluateAll(specs []Spec, ct *CostTable, workers int) []Result {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(specs) {
-		workers = len(specs)
-	}
 	results := make([]Result, len(specs))
-	if workers <= 1 {
-		scratch := e.NewScratch()
-		for i, s := range specs {
-			results[i] = e.Evaluate(s, ct, scratch)
-		}
-		return results
-	}
-	var wg sync.WaitGroup
+	workers = par.Workers(workers, len(specs))
 	chunk := (len(specs) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(specs) {
-			hi = len(specs)
+	scratch := make([]*bitset.Set, workers)
+	_ = par.Do(workers, workers, func(w, c int) error { // evaluation never fails
+		if scratch[w] == nil {
+			scratch[w] = e.NewScratch()
 		}
-		if lo >= hi {
-			break
+		for i := c * chunk; i < min((c+1)*chunk, len(specs)); i++ {
+			results[i] = e.Evaluate(specs[i], ct, scratch[w])
 		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			scratch := e.NewScratch()
-			for i := lo; i < hi; i++ {
-				results[i] = e.Evaluate(specs[i], ct, scratch)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+		return nil
+	})
 	return results
 }

@@ -10,13 +10,12 @@ package core
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"tahoma/internal/arch"
 	"tahoma/internal/cascade"
 	"tahoma/internal/img"
 	"tahoma/internal/model"
+	"tahoma/internal/par"
 	"tahoma/internal/pareto"
 	"tahoma/internal/scenario"
 	"tahoma/internal/synth"
@@ -264,26 +263,12 @@ func trainJobs(cfg Config, models []*model.Model, deepIdx int) []train.Job {
 // models are dispatched last first: BuildModels puts the deep model, the
 // slowest to score, last, and the grid's largest transforms just before it.
 func scoreAll(models []*model.Model, ds synth.Dataset, workers int) [][]float32 {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	out := make([][]float32, len(models))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				out[i] = train.Scores(models[i], ds)
-			}
-		}()
-	}
-	for i := len(models) - 1; i >= 0; i-- {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	_ = par.Do(len(models), workers, func(_, k int) error { // scoring never fails
+		i := len(models) - 1 - k
+		out[i] = train.Scores(models[i], ds)
+		return nil
+	})
 	return out
 }
 

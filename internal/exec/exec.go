@@ -34,15 +34,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"tahoma/internal/faults"
 	"tahoma/internal/img"
 	"tahoma/internal/model"
+	"tahoma/internal/par"
 	"tahoma/internal/thresh"
 	"tahoma/internal/xform"
 )
@@ -182,9 +181,6 @@ type Options struct {
 }
 
 func (o Options) normalized() Options {
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
 	if o.Batch <= 0 {
 		o.Batch = DefaultBatch
 	}
@@ -717,61 +713,40 @@ func (e *Engine) RunContext(ctx context.Context, src Source, indices []int, opts
 
 	numBatches := (len(indices) + opts.Batch - 1) / opts.Batch
 	rep.Batches = make([]BatchStats, numBatches)
-	jobs := make(chan int, numBatches)
 	for b := range rep.Batches {
 		lo := b * opts.Batch
 		hi := min(lo+opts.Batch, len(indices))
 		rep.Batches[b] = BatchStats{Start: lo, Frames: hi - lo}
-		jobs <- b
 	}
-	close(jobs)
 	recSrc, _ := src.(RecordSource)
 	r := &run{ctx: ctx, e: e, src: src, recSrc: recSrc, indices: indices, sv: sv, labels: rep.Labels}
 
-	workers := min(opts.Workers, numBatches)
-	errs := make(chan error, workers)
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w := e.takeWorker()
-			defer e.parkWorker(w)
-			for b := range jobs {
-				// A failed run is doomed: drain instead of classifying the
-				// remaining batches.
-				if failed.Load() {
-					continue
-				}
-				st := &rep.Batches[b]
-				err := ctx.Err()
-				if err == nil {
-					t0 := time.Now()
-					// The recover wall converts a panicking batch into a
-					// failed run: runBatch's deferred release runs first, so
-					// containment never leaks engine state.
-					err = runProtected(func() error {
-						if ferr := faults.Fire(faults.ExecWorkerPanic); ferr != nil {
-							return ferr
-						}
-						return r.runBatch(w, st.Start, st.Start+st.Frames, st)
-					})
-					st.Wall = time.Since(t0)
-				}
-				if err != nil {
-					failed.Store(true)
-					errs <- err
-					return
-				}
-			}
-		}()
+	// Goroutine w of the fan-out classifies with engine worker ws[w]. After
+	// the first failed batch no new batch starts: a failed run is doomed.
+	ws := make([]*worker, par.Workers(opts.Workers, numBatches))
+	for i := range ws {
+		ws[i] = e.takeWorker()
 	}
-	wg.Wait()
-	var runErr error
-	select {
-	case runErr = <-errs:
-	default:
+	runErr := par.Do(numBatches, len(ws), func(w, b int) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		st := &rep.Batches[b]
+		t0 := time.Now()
+		// The recover wall converts a panicking batch into a failed run:
+		// runBatch's deferred release runs first, so containment never leaks
+		// engine state.
+		err := runProtected(func() error {
+			if ferr := faults.Fire(faults.ExecWorkerPanic); ferr != nil {
+				return ferr
+			}
+			return r.runBatch(ws[w], st.Start, st.Start+st.Frames, st)
+		})
+		st.Wall = time.Since(t0)
+		return err
+	})
+	for _, w := range ws {
+		e.parkWorker(w)
 	}
 	if runErr != nil && !canceled(runErr) {
 		return nil, runErr

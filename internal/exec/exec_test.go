@@ -858,7 +858,7 @@ func (s storeReps) RepRecords(ctx context.Context, t xform.Transform, idx []int,
 }
 
 // TestSteadyStateAllocs: once the worker pool is warm, a run allocates its
-// Report/Labels/Batches and goroutine plumbing (~20 objects) and nothing per
+// Report/Labels/Batches and fan-out plumbing (7–14 objects) and nothing per
 // frame — pooled representation buffers instead of a fresh image per
 // transform, and an image-form frame encoded into the worker's own record
 // buffer, reused from batch to batch. A store-backed run allocates nothing
@@ -918,8 +918,9 @@ func TestSteadyStateAllocs(t *testing.T) {
 				}
 			})
 			// What is left after the per-frame cost is the per-run overhead.
-			// The bound on it is loose because a GC during the measurement
-			// clears the worker pool and re-clones the models once.
+			// The bound on it is loose on purpose: one allocation per frame
+			// costs n, so n/2 catches it, while the per-run plumbing may move
+			// by a few objects without failing the test.
 			overhead := avg - tc.perFrame*n
 			if overhead < 0 || overhead > n/2 {
 				t.Fatalf("%s d=%d: %.0f allocations per %d-frame run: want %.0f per frame plus a small per-run overhead, got overhead %.0f",

@@ -34,9 +34,6 @@ type Config struct {
 	Seed int64
 	// Workers bounds parallelism (0 = GOMAXPROCS).
 	Workers int
-	// Batch sizes evaluation batches in the streaming-frontier
-	// experiments (0 = default).
-	Batch int
 	// Stream sizing for the NoScope comparison (Figure 8).
 	StreamSize   int
 	StreamFrames int

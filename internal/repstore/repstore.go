@@ -40,13 +40,13 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 
 	"tahoma/internal/faults"
 	"tahoma/internal/img"
+	"tahoma/internal/par"
 	"tahoma/internal/wal"
 	"tahoma/internal/xform"
 )
@@ -406,53 +406,22 @@ const writeChunk = 64 << 10
 // any order, and nothing here depends on a file position.
 //
 // A batch of one chunk — an /ingest batch, a journal replay — is staged
-// inline. A longer one is spread over up to GOMAXPROCS workers, each with its
-// own staging buffers, and the first error stops the rest; the bytes are the
-// same whichever worker wrote a chunk. writeRows neither syncs nor moves
+// inline. A longer one is spread over up to GOMAXPROCS workers, worker w
+// staging into s.stage[w], and the first error stops the rest; the bytes are
+// the same whichever worker wrote a chunk. writeRows neither syncs nor moves
 // Count: whether the rows are visible, and who vouches for them, is the
 // caller's business.
 func (s *Store) writeRows(base, k int, appendSrc func(dst []byte, j int) ([]byte, error)) error {
 	perChunk := (writeChunk + s.sourceRecordSize() - 1) / s.sourceRecordSize()
 	chunks := (k + perChunk - 1) / perChunk
-	workers := min(runtime.GOMAXPROCS(0), chunks)
+	workers := par.Workers(0, chunks)
 	for len(s.stage) < workers {
 		s.stage = append(s.stage, staged{reps: make([][]byte, len(s.xforms))})
 	}
-	stage := func(b *staged, c int) error {
+	return par.Do(chunks, workers, func(w, c int) error {
 		lo := c * perChunk
-		return s.stageChunk(b, base, lo, min(lo+perChunk, k), appendSrc)
-	}
-	if workers <= 1 {
-		for c := range chunks {
-			if err := stage(&s.stage[0], c); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	// Worker w stages chunks w, w+workers, ...: the chunks are the same size,
-	// and each worker's buffers reach their steady size in the first batch.
-	var (
-		failed atomic.Bool
-		once   sync.Once
-		first  error
-		wg     sync.WaitGroup
-	)
-	for w := range workers {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for c := w; c < chunks && !failed.Load(); c += workers {
-				if err := stage(&s.stage[w], c); err != nil {
-					once.Do(func() { first = err })
-					failed.Store(true)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	return first
+		return s.stageChunk(&s.stage[w], base, lo, min(lo+perChunk, k), appendSrc)
+	})
 }
 
 // stageChunk stages rows [lo, hi) of a batch starting at row base into b and

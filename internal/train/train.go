@@ -8,13 +8,12 @@ package train
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
 
 	"tahoma/internal/img"
 	"tahoma/internal/model"
 	"tahoma/internal/nn"
+	"tahoma/internal/par"
 	"tahoma/internal/synth"
 	"tahoma/internal/tensor"
 	"tahoma/internal/xform"
@@ -139,7 +138,7 @@ func Model(m *model.Model, ds synth.Dataset, opts Options) (Report, error) {
 	if ds.Len() == 0 {
 		return Report{}, fmt.Errorf("train: empty training set for %s", m.ID())
 	}
-	return fit(m, materialize(m, ds), opts, runtime.GOMAXPROCS(0))
+	return fit(m, materialize(m, ds), opts, 0)
 }
 
 // replica runs forward and backward passes for fit beside other replicas:
@@ -150,8 +149,9 @@ type replica struct {
 }
 
 // fit trains m with Adam over shuffled minibatches. The weights do not
-// change inside a minibatch, so its samples run forward and backward on up
-// to min(workers, BatchSize) replicas at once. Sample k of the minibatch
+// change inside a minibatch, so its samples run forward and backward on
+// par.Workers(workers, BatchSize) replicas at once, sample k on the replica of
+// the goroutine that takes it. Sample k of the minibatch
 // writes its gradient into slot k and its loss into losses[k]; the slots are
 // then added into the model's gradients, and the losses into the epoch loss,
 // in sample order, before the optimizer steps.
@@ -169,7 +169,7 @@ func fit(m *model.Model, samples []sample, opts Options, workers int) (Report, e
 	params := m.Net.Params()
 	bs := opts.BatchSize
 
-	reps := make([]replica, max(1, min(workers, bs)))
+	reps := make([]replica, par.Workers(workers, bs))
 	for i := range reps {
 		net := m.Net.Clone()
 		reps[i] = replica{net: net, params: net.Params()}
@@ -182,19 +182,20 @@ func fit(m *model.Model, samples []sample, opts Options, workers int) (Report, e
 		}
 	}
 	losses := make([]float32, bs)
-	// run passes the minibatch samples k = first, first+stride, ... through
-	// r, pointing r's gradient accumulators at each sample's slot.
-	run := func(r replica, batch []int, first, stride int) {
-		for k := first; k < len(batch); k += stride {
-			for j, p := range r.params {
-				p.Grad = slots[k][j]
-				p.Grad.Zero()
-			}
-			s := samples[batch[k]]
-			loss, dz := nn.BCELossWithLogits(r.net.Forward(s.x), s.label)
-			losses[k] = loss
-			r.net.Backward(dz / float32(bs))
+	// sample passes minibatch sample k through replica w, pointing its
+	// gradient accumulators at the sample's slot.
+	var batch []int
+	sample := func(w, k int) error {
+		r := reps[w]
+		for j, p := range r.params {
+			p.Grad = slots[k][j]
+			p.Grad.Zero()
 		}
+		s := samples[batch[k]]
+		loss, dz := nn.BCELossWithLogits(r.net.Forward(s.x), s.label)
+		losses[k] = loss
+		r.net.Backward(dz / float32(bs))
+		return nil
 	}
 
 	order := make([]int, len(samples))
@@ -206,18 +207,8 @@ func fit(m *model.Model, samples []sample, opts Options, workers int) (Report, e
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		var epochLoss float64
 		for b0 := 0; b0 < len(order); b0 += bs {
-			batch := order[b0:min(b0+bs, len(order))]
-			n := min(len(reps), len(batch))
-			var wg sync.WaitGroup
-			for w := 1; w < n; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					run(reps[w], batch, w, n)
-				}()
-			}
-			run(reps[0], batch, 0, n)
-			wg.Wait()
+			batch = order[b0:min(b0+bs, len(order))]
+			_ = par.Do(len(batch), len(reps), sample) // sample never fails
 			// 1·v is exact, so each axpy adds the slot as it is.
 			m.Net.ZeroGrad()
 			for j, p := range params {
@@ -270,9 +261,6 @@ func All(jobs []Job, ds synth.Dataset, workers int) ([]Report, error) {
 	if ds.Len() == 0 {
 		return nil, fmt.Errorf("train: empty training set")
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 
 	// Materialize each distinct representation once.
 	repCache := make(map[string][]sample)
@@ -294,30 +282,16 @@ func All(jobs []Job, ds synth.Dataset, workers int) ([]Report, error) {
 	sort.SliceStable(order, func(a, b int) bool { return cost[order[a]] > cost[order[b]] })
 
 	reports := make([]Report, len(jobs))
-	errs := make([]error, len(jobs))
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < min(workers, len(jobs)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				j := jobs[i]
-				reports[i], errs[i] = fit(j.Model, repCache[j.Model.Xform.ID()], j.Opts, workers)
-			}
-		}()
-	}
-	for _, i := range order {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return reports, fmt.Errorf("train: model %s: %w", jobs[i].Model.ID(), err)
+	err := par.Do(len(jobs), workers, func(_, k int) error {
+		i := order[k]
+		j := jobs[i]
+		var err error
+		if reports[i], err = fit(j.Model, repCache[j.Model.Xform.ID()], j.Opts, workers); err != nil {
+			return fmt.Errorf("train: model %s: %w", j.Model.ID(), err)
 		}
-	}
-	return reports, nil
+		return nil
+	})
+	return reports, err
 }
 
 // Scores runs a trained model over a dataset and returns its probability

@@ -268,7 +268,6 @@ type DB struct {
 	// and corpus swaps are refused.
 	durable        bool
 	wal            *wal.Log
-	walDir         string
 	ckptPath       string
 	checkpointerOn bool
 	// journaled is the bytes journaled since the last checkpoint; past

@@ -224,7 +224,6 @@ func (db *DB) EnableDurability(o DurabilityOptions) (RecoveryStats, error) {
 	}
 
 	db.wal = log
-	db.walDir = o.Dir
 	db.ckptPath = ckptPath
 	db.durable = true
 	db.durStats.walReplayed = stats.Replayed
@@ -446,7 +445,11 @@ func (db *DB) StartCheckpointer(ctx context.Context, o CheckpointerOptions, onEr
 
 // CloseDurability takes a final checkpoint (the graceful-shutdown barrier:
 // after it, restart replays nothing) and closes the journal. The DB drops
-// back to non-durable mode; further Appends mutate only in-memory state.
+// back to non-durable mode: a further Append commits its batch to the store
+// (data fsync, then manifest), but no journal or checkpoint records its
+// metadata. A later EnableDurability on the same directory therefore
+// restores the checkpoint's rows and truncates the store back to them:
+// those rows are lost.
 func (db *DB) CloseDurability() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()

@@ -293,6 +293,49 @@ func TestDurableCheckpointCollapsesReplay(t *testing.T) {
 	sameRows(t, "post-checkpoint recovery", chaosRows(t, res), chaosRows(t, want))
 }
 
+// TestAppendAfterCloseDurabilityLost: after CloseDurability an Append still
+// commits its batch to the store, but no journal or checkpoint records its
+// metadata, so a later EnableDurability on the same directory restores the
+// checkpoint's rows and truncates the store back to them.
+func TestAppendAfterCloseDurabilityLost(t *testing.T) {
+	env := durSetup(t)
+	storeDir, walDir := t.TempDir(), t.TempDir()
+	store := env.createStore(t, storeDir, 30)
+	db := env.newDB(t, store, env.metas[:30], false)
+	if _, err := db.EnableDurability(DurabilityOptions{Dir: walDir}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Append(env.images[30:35], env.metas[30:35]); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CloseDurability(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Append(env.images[35:40], env.metas[35:40]); err != nil {
+		t.Fatal(err)
+	}
+	if db.Count() != 40 {
+		t.Fatalf("DB counts %d rows after the non-durable append, want 40", db.Count())
+	}
+	if n := env.openStore(t, storeDir).Count(); n != 40 {
+		t.Fatalf("store on disk holds %d rows after the non-durable append, want 40: it commits the batch itself", n)
+	}
+
+	rstats, err := db.EnableDurability(DurabilityOptions{Dir: walDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rstats.CheckpointLoaded || rstats.Replayed != 0 || rstats.Rows != 35 {
+		t.Fatalf("re-enable recovered %+v, want the closing checkpoint's 35 rows and no replay", rstats)
+	}
+	if db.Count() != 35 || store.Count() != 35 {
+		t.Fatalf("after re-enable: DB %d rows, store %d rows, want 35 each", db.Count(), store.Count())
+	}
+	if n := env.openStore(t, storeDir).Count(); n != 35 {
+		t.Fatalf("store on disk holds %d rows after re-enable, want 35", n)
+	}
+}
+
 // TestDurableWALTruncationYieldsAckedPrefix is the recovery-atomicity
 // property test: cut the journal at an arbitrary byte offset (a crash can
 // stop a disk write anywhere) and recovery must yield exactly a prefix of
