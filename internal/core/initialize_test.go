@@ -2,17 +2,16 @@ package core
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"testing"
 
 	"tahoma/internal/img"
 	"tahoma/internal/synth"
 	"tahoma/internal/xform"
-	"tahoma/internal/zoo"
 )
 
 // benchZooConfig is the design space the scenario benchmark installs per
@@ -32,7 +31,8 @@ type bitCase struct {
 	cfg    Config
 	cat    string
 	splits synth.Options
-	// golden is the SHA-256 of the saved zoo on amd64 (see zooDigest).
+	// golden is the SHA-256 of the trained repository on amd64 (see
+	// zooDigest).
 	golden string
 }
 
@@ -42,7 +42,7 @@ var benchZooCase = bitCase{
 	cfg:    benchZooConfig(),
 	cat:    "fence",
 	splits: synth.Options{BaseSize: 32, TrainN: 80, ConfigN: 40, EvalN: 40, Seed: 7},
-	golden: "7561021cf4e0dc5525d9d48363c972373ed2298d282df56738a98f21ed5104db",
+	golden: "1b2a599a550276e0757050d755cdd08a36426cdbe2a7430df58491fb59dc3d8b",
 }
 
 var bitCases = []bitCase{
@@ -51,7 +51,7 @@ var bitCases = []bitCase{
 		cfg:    TinyConfig(),
 		cat:    "cloak",
 		splits: synth.Options{BaseSize: 16, TrainN: 120, ConfigN: 40, EvalN: 50, Seed: 7},
-		golden: "68d0987ea8f1ab30b118131bd75ee9ae53c1053f1ee9e964d35528be194adfe8",
+		golden: "33e3ef2009fbf412c23954ca2be3b1ea6c4e761a8e653e180b3b500767923774",
 	},
 	benchZooCase,
 }
@@ -69,31 +69,32 @@ func caseSplits(tb testing.TB, c bitCase) synth.Splits {
 	return sp
 }
 
-// zooDigest saves sys with zoo.Save and hashes every file it wrote, in name
-// order, as name, size and contents.
+// zooDigest hashes the repository sys persists, independent of the zoo's
+// file format: the predicate, each entry's model ID and kind, its weight
+// bits, its thresholds (as JSON) and its eval-score bits, and the eval truth.
 func zooDigest(t *testing.T, sys *System) string {
 	t.Helper()
-	dir := t.TempDir()
-	if err := zoo.Save(dir, sys.Repo()); err != nil {
-		t.Fatal(err)
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := sys.Repo()
 	h := sha256.New()
-	for _, e := range ents {
-		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+	fmt.Fprintf(h, "%s\x00%d\x00", r.Predicate, len(r.Entries))
+	for _, e := range r.Entries {
+		th, err := json.Marshal(e.Thresholds)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fmt.Fprintf(h, "%s\x00%d\x00", e.Name(), len(b))
-		h.Write(b)
+		fmt.Fprintf(h, "%s\x00%s\x00%s\x00", e.Model.ID(), e.Model.Kind, th)
+		for _, vals := range [][]float32{e.Model.Net.Weights(), e.EvalScores} {
+			fmt.Fprintf(h, "%d\x00", len(vals))
+			if err := binary.Write(h, binary.LittleEndian, vals); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
+	fmt.Fprintf(h, "%v", r.EvalTruth)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestInitializeBitIdentical pins the trained bytes: the saved zoo must not
+// TestInitializeBitIdentical pins the trained bits: the repository must not
 // depend on how many workers trained it, and on amd64 it must equal the
 // recorded digest. The tensor and nn kernels round every product before
 // adding it on every architecture, but the synthetic corpus the zoo trains
