@@ -15,12 +15,14 @@ type FrontierStats struct {
 // materializing it, maintaining only the running Pareto frontier. This makes
 // the full three-level cross products of Section VII-F tractable: memory is
 // bounded by the frontier size, not the (potentially tens of millions)
-// cascade count. batch controls how many results accumulate between frontier
+// cascade count. Results accumulate 65 536 at a time between frontier
 // prunes; workers parallelizes evaluation within each batch.
-func (e *Evaluator) EvaluateFrontier(opts BuildOptions, ct *CostTable, batch, workers int) (FrontierStats, error) {
-	if batch <= 0 {
-		batch = 65536
-	}
+func (e *Evaluator) EvaluateFrontier(opts BuildOptions, ct *CostTable, workers int) (FrontierStats, error) {
+	return e.evaluateFrontier(opts, ct, 1<<16, workers)
+}
+
+// evaluateFrontier is EvaluateFrontier pruning every batch results.
+func (e *Evaluator) evaluateFrontier(opts BuildOptions, ct *CostTable, batch, workers int) (FrontierStats, error) {
 	stats := FrontierStats{MinAcc: 2, MaxAcc: -1}
 
 	// Current frontier results plus the incoming batch.

@@ -43,7 +43,7 @@ func TestEvaluateFrontierMatchesMaterialized(t *testing.T) {
 	want := pareto.Frontier(pts)
 
 	for _, batch := range []int{1, 7, 64, 100000} {
-		stats, err := f.ev.EvaluateFrontier(opts, ct, batch, 2)
+		stats, err := f.ev.evaluateFrontier(opts, ct, batch, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func TestEvaluateFrontierPropagatesBuildErrors(t *testing.T) {
 	cm, _ := scenario.NewAnalytic(scenario.InferOnly, scenario.DefaultParams())
 	ct := f.ev.CompileCosts(cm)
 	bad := BuildOptions{MaxDepth: 1} // no final models
-	if _, err := f.ev.EvaluateFrontier(bad, ct, 0, 1); err == nil {
+	if _, err := f.ev.EvaluateFrontier(bad, ct, 1); err == nil {
 		t.Fatal("invalid build options must error")
 	}
 }

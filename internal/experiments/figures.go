@@ -359,7 +359,7 @@ func (s *Suite) Figure11(w io.Writer) ([]Fig11Row, error) {
 	fmt.Fprintf(w, "%-16s %12s %9s %14s %12s\n", "depth", "cascades", "frontier", "avg thru", "eval time")
 	for _, v := range variants {
 		start := time.Now()
-		stats, err := sys.Evaluator.EvaluateFrontier(v.opts, ct, 0, s.Config.Workers)
+		stats, err := sys.Evaluator.EvaluateFrontier(v.opts, ct, s.Config.Workers)
 		if err != nil {
 			return nil, err
 		}

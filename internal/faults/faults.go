@@ -43,9 +43,9 @@ const (
 	// stays usable.
 	ExecWorkerPanic = "exec.worker-panic"
 	// FSWriteError fails a durability-layer file write (WAL frame, checkpoint
-	// temp file, repstore manifest). Contract: the write path reports a typed
-	// error; on the WAL it fail-stops further journaled writes rather than
-	// silently losing acknowledged ones.
+	// temp file, repstore manifest, zoo file). Contract: the write path
+	// reports a typed error; on the WAL it fail-stops further journaled
+	// writes rather than silently losing acknowledged ones.
 	FSWriteError = "fs.write-error"
 	// FSShortWrite writes only a prefix of a durability-layer record to disk
 	// before failing — the torn-frame case power loss produces. Contract: the
@@ -53,10 +53,10 @@ const (
 	// clean prefix of committed records.
 	FSShortWrite = "fs.short-write"
 	// FSSyncError fails an fsync in the durability layer: the journal's, a
-	// data file's, or the one wal.WriteFile issues for the checkpoint and
-	// the repstore manifest. Contract: the commit reports an error (the
-	// write was never acknowledged as durable), and a replaced file keeps
-	// its old bytes.
+	// data file's, or the one wal.WriteFile issues for the checkpoint, the
+	// repstore manifest and the zoo file. Contract: the commit reports an
+	// error (the write was never acknowledged as durable), and a replaced
+	// file keeps its old bytes.
 	FSSyncError = "fs.sync-error"
 	// FSCrashBeforeSync kills the process (os.Exit at the call site) after a
 	// durability-layer write is buffered but before it is fsynced — the

@@ -3,26 +3,32 @@
 // calibrated decision thresholds, and the precomputed evaluation-set scores
 // that make query-time cascade selection cheap (Figure 2's "Models" store).
 //
-// Layout of a repository directory:
+// A repository directory holds one file, zoo.bin, a sequence of wal frames
+// (length, payload, CRC32). Save replaces it whole with wal.WriteFile, so a
+// failed or crashed Save leaves the previous repository as it was; Load
+// refuses a torn or corrupt file, and bytes after its last frame.
 //
-//	manifest.json  — predicate, model identities, thresholds, truth labels
-//	weights-N.bin  — float32 little-endian weight blob per model
-//	scores-N.bin   — float32 little-endian eval scores per model (optional)
+//	manifest — JSON: version 2, predicate, model identities, thresholds, truth labels
+//	weights  — per model, float32 little-endian weights
+//	scores   — after its weights, a model's float32 eval scores (when has_scores)
 package zoo
 
 import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"math"
+	"io"
 	"os"
 	"path/filepath"
 
 	"tahoma/internal/arch"
 	"tahoma/internal/model"
 	"tahoma/internal/thresh"
+	"tahoma/internal/wal"
 	"tahoma/internal/xform"
 )
+
+const fileName = "zoo.bin" // a repository directory's one file
 
 // Entry couples one trained model with its calibration and eval outputs.
 type Entry struct {
@@ -58,47 +64,54 @@ func Save(dir string, r *Repo) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("zoo: creating %s: %w", dir, err)
 	}
-	m := manifest{Version: 1, Predicate: r.Predicate, EvalTruth: r.EvalTruth}
-	for i, e := range r.Entries {
-		kind := e.Model.Kind.String()
+	m := manifest{Version: 2, Predicate: r.Predicate, EvalTruth: r.EvalTruth}
+	for _, e := range r.Entries {
 		m.Models = append(m.Models, manifestEntry{
 			Arch:       e.Model.Arch,
 			Xform:      e.Model.Xform.ID(),
-			Kind:       kind,
+			Kind:       e.Model.Kind.String(),
 			Thresholds: e.Thresholds,
 			HasScores:  e.EvalScores != nil,
 		})
-		if err := writeFloats(filepath.Join(dir, fmt.Sprintf("weights-%d.bin", i)), e.Model.Net.Weights()); err != nil {
-			return err
-		}
-		if e.EvalScores != nil {
-			if err := writeFloats(filepath.Join(dir, fmt.Sprintf("scores-%d.bin", i)), e.EvalScores); err != nil {
-				return err
-			}
-		}
 	}
-	raw, err := json.MarshalIndent(m, "", "  ")
+	raw, err := json.Marshal(m)
 	if err != nil {
 		return fmt.Errorf("zoo: encoding manifest: %w", err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), raw, 0o644); err != nil {
-		return fmt.Errorf("zoo: writing manifest: %w", err)
-	}
-	return nil
+	return wal.WriteFile(filepath.Join(dir, fileName), func(w io.Writer) error {
+		err := wal.WriteFrame(w, raw)
+		var buf []byte
+		for _, e := range r.Entries {
+			for _, vals := range [][]float32{e.Model.Net.Weights(), e.EvalScores} {
+				if err == nil && vals != nil {
+					buf, _ = binary.Append(buf[:0], binary.LittleEndian, vals)
+					err = wal.WriteFrame(w, buf)
+				}
+			}
+		}
+		return err
+	})
 }
 
 // Load reads a repository from dir, rebuilding each network from its spec
 // and loading its weights.
 func Load(dir string) (*Repo, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
+	data, err := os.ReadFile(filepath.Join(dir, fileName))
 	if err != nil {
-		return nil, fmt.Errorf("zoo: reading manifest: %w", err)
+		if _, serr := os.Stat(filepath.Join(dir, "manifest.json")); serr == nil {
+			return nil, fmt.Errorf("zoo: %s holds a version 1 repository; re-run `tahoma init` to rebuild it", dir)
+		}
+		return nil, fmt.Errorf("zoo: %w", err)
+	}
+	raw, rest, err := wal.SplitFrame(data)
+	if err != nil {
+		return nil, fmt.Errorf("zoo: manifest frame: %w", err)
 	}
 	var m manifest
 	if err := json.Unmarshal(raw, &m); err != nil {
 		return nil, fmt.Errorf("zoo: parsing manifest: %w", err)
 	}
-	if m.Version != 1 {
+	if m.Version != 2 {
 		return nil, fmt.Errorf("zoo: unsupported manifest version %d", m.Version)
 	}
 	r := &Repo{Predicate: m.Predicate, EvalTruth: m.EvalTruth}
@@ -111,27 +124,18 @@ func Load(dir string) (*Repo, error) {
 		if me.Kind == "deep" {
 			kind = model.Deep
 		}
-		// Size the network from the spec and hold the weight blob to it
+		// Size the network from the spec and hold the weight frame to it
 		// before building anything: the manifest alone must not be able to
-		// make Load allocate more than the files on disk back.
-		weightsPath := filepath.Join(dir, fmt.Sprintf("weights-%d.bin", i))
+		// make Load allocate more than the file backs.
 		params, err := me.Arch.ParamCount(t.Channels(), t.Size)
 		if err != nil {
 			return nil, fmt.Errorf("zoo: model %d: %w", i, err)
 		}
-		fi, err := os.Stat(weightsPath)
-		if err != nil {
-			return nil, fmt.Errorf("zoo: model %d: %w", i, err)
-		}
-		if fi.Size()%4 != 0 || fi.Size()/4 != int64(params) {
-			return nil, fmt.Errorf("zoo: model %d: %s has %d bytes, %s@%s needs %d float32 weights",
-				i, weightsPath, fi.Size(), me.Arch.ID(), t.ID(), params)
+		var weights []float32
+		if weights, rest, err = splitFloats(rest, params); err != nil {
+			return nil, fmt.Errorf("zoo: model %d: %s@%s weights: %w", i, me.Arch.ID(), t.ID(), err)
 		}
 		mod, err := model.New(me.Arch, t, kind, 0)
-		if err != nil {
-			return nil, fmt.Errorf("zoo: model %d: %w", i, err)
-		}
-		weights, err := readFloats(weightsPath)
 		if err != nil {
 			return nil, fmt.Errorf("zoo: model %d: %w", i, err)
 		}
@@ -140,39 +144,29 @@ func Load(dir string) (*Repo, error) {
 		}
 		e := Entry{Model: mod, Thresholds: me.Thresholds}
 		if me.HasScores {
-			scores, err := readFloats(filepath.Join(dir, fmt.Sprintf("scores-%d.bin", i)))
-			if err != nil {
-				return nil, fmt.Errorf("zoo: model %d: %w", i, err)
+			if e.EvalScores, rest, err = splitFloats(rest, len(m.EvalTruth)); err != nil {
+				return nil, fmt.Errorf("zoo: model %d scores: %w", i, err)
 			}
-			e.EvalScores = scores
 		}
 		r.Entries = append(r.Entries, e)
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("zoo: %d bytes after the last frame", len(rest))
 	}
 	return r, nil
 }
 
-func writeFloats(path string, vals []float32) error {
-	buf := make([]byte, 4*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
+// splitFloats takes one frame of n float32s off the front of data, checking
+// its length before it allocates.
+func splitFloats(data []byte, n int) (vals []float32, rest []byte, err error) {
+	blob, rest, err := wal.SplitFrame(data)
+	if err == nil && (len(blob)%4 != 0 || len(blob)/4 != n) {
+		err = fmt.Errorf("%d-byte frame, want %d float32s", len(blob), n)
 	}
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		return fmt.Errorf("zoo: writing %s: %w", path, err)
-	}
-	return nil
-}
-
-func readFloats(path string) ([]float32, error) {
-	buf, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("zoo: reading %s: %w", path, err)
+		return nil, nil, err
 	}
-	if len(buf)%4 != 0 {
-		return nil, fmt.Errorf("zoo: %s has %d bytes, not a float32 multiple", path, len(buf))
-	}
-	out := make([]float32, len(buf)/4)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
-	}
-	return out, nil
+	vals = make([]float32, n)
+	_, err = binary.Decode(blob, binary.LittleEndian, vals)
+	return vals, rest, err
 }

@@ -1,29 +1,39 @@
 package zoo
 
 import (
-	"encoding/json"
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
+	"io/fs"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"tahoma/internal/arch"
+	"tahoma/internal/faults"
 	"tahoma/internal/img"
 	"tahoma/internal/model"
 	"tahoma/internal/thresh"
+	"tahoma/internal/wal"
 	"tahoma/internal/xform"
 )
 
-func buildRepo(t *testing.T) *Repo {
+// buildRepo returns a two-model repository whose weights are drawn from
+// seed: a basic gray model with eval scores and a deep RGB one without.
+func buildRepo(t *testing.T, seed int64) *Repo {
 	t.Helper()
 	spec := arch.Spec{ConvLayers: 1, ConvWidth: 2, DenseWidth: 4, Kernel: 3}
-	m1, err := model.New(spec, xform.Transform{Size: 8, Color: img.Gray}, model.Basic, 1)
+	m1, err := model.New(spec, xform.Transform{Size: 8, Color: img.Gray}, model.Basic, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m2, err := model.New(arch.Spec{ConvLayers: 2, ConvWidth: 4, DenseWidth: 4, Kernel: 3},
-		xform.Transform{Size: 16, Color: img.RGB}, model.Deep, 2)
+		xform.Transform{Size: 16, Color: img.RGB}, model.Deep, seed+1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,167 +54,244 @@ func buildRepo(t *testing.T) *Repo {
 	}
 }
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	r := buildRepo(t)
+func sameBits(a, b []float32) bool {
+	return (a == nil) == (b == nil) && slices.EqualFunc(a, b, func(x, y float32) bool {
+		return math.Float32bits(x) == math.Float32bits(y)
+	})
+}
+
+// sameRepo fails t unless got holds want's predicate and eval truth and, per
+// entry, the same model, thresholds and eval scores bit for bit, and unless
+// each reloaded model scores a random representation to the same bits.
+func sameRepo(t *testing.T, got, want *Repo) {
+	t.Helper()
+	if got.Predicate != want.Predicate || !slices.Equal(got.EvalTruth, want.EvalTruth) ||
+		len(got.Entries) != len(want.Entries) {
+		t.Fatalf("repository %q truth %v with %d entries, want %q truth %v with %d",
+			got.Predicate, got.EvalTruth, len(got.Entries), want.Predicate, want.EvalTruth, len(want.Entries))
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i, w := range want.Entries {
+		g := got.Entries[i]
+		if g.Model.ID() != w.Model.ID() || g.Model.Kind != w.Model.Kind ||
+			!slices.Equal(g.Thresholds, w.Thresholds) || !sameBits(g.EvalScores, w.EvalScores) ||
+			!sameBits(g.Model.Net.Weights(), w.Model.Net.Weights()) {
+			t.Fatalf("entry %d: %s (%v) thresholds %v scores %v, want %s (%v) thresholds %v scores %v, or weights differ",
+				i, g.Model.ID(), g.Model.Kind, g.Thresholds, g.EvalScores,
+				w.Model.ID(), w.Model.Kind, w.Thresholds, w.EvalScores)
+		}
+		rep := img.New(w.Model.Xform.Size, w.Model.Xform.Size, w.Model.Xform.Color)
+		for p := range rep.Pix {
+			rep.Pix[p] = rng.Float32()
+		}
+		ws, err := w.Model.Score(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gs, err := g.Model.Score(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float32bits(gs) != math.Float32bits(ws) {
+			t.Fatalf("entry %d: reloaded model scores %v, want %v", i, gs, ws)
+		}
+	}
+}
+
+// saved saves r to a fresh directory and returns it with zoo.bin's bytes.
+func saved(t *testing.T, r *Repo) (dir string, data []byte) {
+	t.Helper()
+	dir = t.TempDir()
 	if err := Save(dir, r); err != nil {
 		t.Fatal(err)
 	}
+	data, err := os.ReadFile(filepath.Join(dir, fileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dir, data
+}
+
+// splitFrames returns the payloads of the frames data holds.
+func splitFrames(t *testing.T, data []byte) [][]byte {
+	t.Helper()
+	var frames [][]byte
+	for len(data) > 0 {
+		payload, rest, err := wal.SplitFrame(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames, data = append(frames, payload), rest
+	}
+	return frames
+}
+
+func packFrames(t *testing.T, frames ...[]byte) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	for _, f := range frames {
+		if err := wal.WriteFrame(&b, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b.Bytes()
+}
+
+// loadBytes loads a repository directory holding data as its zoo.bin.
+func loadBytes(t *testing.T, data []byte) (*Repo, error) {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, fileName), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return Load(dir)
+}
+
+func TestSaveLoadRoundTrip(t *testing.T) {
+	r := buildRepo(t, 1)
+	dir, _ := saved(t, r)
 	got, err := Load(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Predicate != "fence" || len(got.Entries) != 2 {
-		t.Fatalf("basic fields wrong: %+v", got)
-	}
-	if len(got.EvalTruth) != 3 || !got.EvalTruth[0] || got.EvalTruth[1] {
-		t.Fatal("truth labels wrong")
-	}
-
-	// Model identity, kind and thresholds survive.
-	for i := range r.Entries {
-		if got.Entries[i].Model.ID() != r.Entries[i].Model.ID() {
-			t.Fatalf("entry %d id %s vs %s", i, got.Entries[i].Model.ID(), r.Entries[i].Model.ID())
-		}
-		if got.Entries[i].Model.Kind != r.Entries[i].Model.Kind {
-			t.Fatal("kind not preserved")
-		}
-		if len(got.Entries[i].Thresholds) != 1 ||
-			got.Entries[i].Thresholds[0] != r.Entries[i].Thresholds[0] {
-			t.Fatal("thresholds not preserved")
-		}
-	}
-	// Scores preserved (and absence preserved).
-	if len(got.Entries[0].EvalScores) != 3 || got.Entries[0].EvalScores[2] != 0.7 {
-		t.Fatal("scores not preserved")
-	}
+	sameRepo(t, got, r)
 	if got.Entries[1].EvalScores != nil {
 		t.Fatal("missing scores should stay nil")
 	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 || ents[0].Name() != fileName {
+		t.Fatalf("repository directory holds %v, want only %s", ents, fileName)
+	}
+}
 
-	// The reloaded network must produce identical outputs.
-	rng := rand.New(rand.NewSource(3))
-	rep := img.New(8, 8, img.Gray)
-	for i := range rep.Pix {
-		rep.Pix[i] = rng.Float32()
-	}
-	want, err := r.Entries[0].Model.Score(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotScore, err := got.Entries[0].Model.Score(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want != gotScore {
-		t.Fatalf("reloaded model scores %v, want %v", gotScore, want)
+// TestZooBytesPinned pins the bytes of a fixed repository's zoo.bin: a
+// change to how the zoo is framed or encoded must keep this digest, since
+// Load reads files an older build wrote.
+func TestZooBytesPinned(t *testing.T) {
+	_, data := saved(t, buildRepo(t, 1))
+	sum := sha256.Sum256(data)
+	if got, want := hex.EncodeToString(sum[:]), "6dbe816f1a9491b7457fc6a7547cbf8b4ebcd888ed203678ca6c798aa05d5de3"; got != want {
+		t.Fatalf("zoo.bin SHA-256 %s, want %s", got, want)
 	}
 }
 
 func TestLoadErrors(t *testing.T) {
 	if _, err := Load(t.TempDir()); err == nil {
-		t.Fatal("missing manifest must error")
+		t.Fatal("missing zoo.bin must error")
 	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte("{bad"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(dir); err == nil {
+	if _, err := loadBytes(t, packFrames(t, []byte("{bad"))); err == nil {
 		t.Fatal("bad manifest must error")
 	}
 }
 
-func TestLoadDetectsTruncatedWeights(t *testing.T) {
+// TestLoadRefusesVersion1: a directory in the old layout — manifest.json
+// beside per-model blob files — is refused with an error that says how to
+// rebuild it.
+func TestLoadRefusesVersion1(t *testing.T) {
 	dir := t.TempDir()
-	r := buildRepo(t)
-	if err := Save(dir, r); err != nil {
-		t.Fatal(err)
+	for name, data := range map[string]string{
+		"manifest.json": `{"version":1,"predicate":"fence","models":[]}`,
+		"weights-0.bin": "",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Truncate a weights blob to a non-multiple-of-4 size.
-	path := filepath.Join(dir, "weights-0.bin")
-	info, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(path, info.Size()-3); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(dir); err == nil {
-		t.Fatal("truncated weights must error")
-	}
-	// Truncate to a multiple of 4 — wrong count, still an error.
-	if err := os.Truncate(path, info.Size()-4); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(dir); err == nil {
-		t.Fatal("short weights must error")
+	if _, err := Load(dir); err == nil || !strings.Contains(err.Error(), "tahoma init") {
+		t.Fatalf("version 1 directory: Load error = %v, want one naming `tahoma init`", err)
 	}
 }
 
-// TestLoadIgnoresLegacyQuantRecord: manifests written while models still
-// carried an int8 calibration record ("quant", one per calibrated model) load
-// as they always did, and the record changes nothing: every model scores
-// bit-identically to the same repository saved without it.
-func TestLoadIgnoresLegacyQuantRecord(t *testing.T) {
-	plainDir, legacyDir := t.TempDir(), t.TempDir()
-	r := buildRepo(t)
-	for _, dir := range []string{plainDir, legacyDir} {
-		if err := Save(dir, r); err != nil {
+// TestLoadDetectsTruncatedWeights: a weight frame one model's spec does not
+// fit is refused even when its checksum is intact.
+func TestLoadDetectsTruncatedWeights(t *testing.T) {
+	_, data := saved(t, buildRepo(t, 1))
+	frames := splitFrames(t, data)
+	weights := frames[1]
+	for _, cut := range []int{3, 4} { // not a float32 multiple, then one weight short
+		frames[1] = weights[:len(weights)-cut]
+		if _, err := loadBytes(t, packFrames(t, frames...)); err == nil {
+			t.Fatalf("weight frame %d bytes short must error", cut)
+		}
+	}
+}
+
+// TestLoadRefusesDamagedFile: zoo.bin truncated at any frame boundary, with a
+// byte flipped in any frame, or followed by stray bytes is refused.
+func TestLoadRefusesDamagedFile(t *testing.T) {
+	_, data := saved(t, buildRepo(t, 1))
+	frames := splitFrames(t, data)
+	if len(frames) != 4 { // manifest, weights 0, scores 0, weights 1
+		t.Fatalf("zoo.bin holds %d frames, want 4", len(frames))
+	}
+	start := 0 // frame i's offset: length, payload, CRC
+	for i, f := range frames {
+		if _, err := loadBytes(t, data[:start]); err == nil {
+			t.Errorf("truncated before frame %d: loaded", i)
+		}
+		flipped := bytes.Clone(data)
+		flipped[start+4+len(f)/2] ^= 0x20
+		if _, err := loadBytes(t, flipped); err == nil {
+			t.Errorf("byte flipped in frame %d: loaded", i)
+		}
+		start += 4 + len(f) + 4
+	}
+	for _, tail := range [][]byte{{0}, packFrames(t, frames[3])} {
+		if _, err := loadBytes(t, append(bytes.Clone(data), tail...)); err == nil {
+			t.Errorf("%d stray bytes after the last frame: loaded", len(tail))
+		}
+	}
+}
+
+// TestSaveFaultKeepsOldZoo enumerates every fault point a clean Save reaches
+// and fails each in turn during a Save over an existing repository: the old
+// repository must load bit-identically and no temp file may be left behind.
+func TestSaveFaultKeepsOldZoo(t *testing.T) {
+	defer faults.Reset()
+	old, next := buildRepo(t, 1), buildRepo(t, 7)
+	next.Predicate = "cloak"
+	points := []string{faults.FSWriteError, faults.FSShortWrite, faults.FSSyncError}
+
+	// The clean run: count each point's hits without firing any.
+	hits, total := map[string]int{}, 0
+	for _, p := range points {
+		if err := faults.Enable(p, faults.Spec{Skip: 1 << 30}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	path := filepath.Join(legacyDir, "manifest.json")
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	saved(t, next)
+	for _, p := range points {
+		hits[p] = int(faults.Hits(p))
+		total += hits[p]
 	}
-	var m map[string]any
-	if err := json.Unmarshal(raw, &m); err != nil {
-		t.Fatal(err)
-	}
-	m["models"].([]any)[0].(map[string]any)["quant"] = map[string]any{
-		"act_scales": []float32{0.0078125, 0.0213, 0.0441},
-		"max_err":    0.0031,
-	}
-	if raw, err = json.MarshalIndent(m, "", "  "); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
+	faults.Reset()
+	if total == 0 {
+		t.Fatal("a clean Save reached no fault point")
 	}
 
-	plain, err := Load(plainDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := Load(legacyDir)
-	if err != nil {
-		t.Fatalf("manifest with a quant record must still load: %v", err)
-	}
-	rng := rand.New(rand.NewSource(5))
-	for i := range plain.Entries {
-		pm, lm := plain.Entries[i].Model, legacy.Entries[i].Model
-		if pm.ID() != lm.ID() {
-			t.Fatalf("entry %d: %s vs %s", i, lm.ID(), pm.ID())
-		}
-		reps := make([]*img.Image, 5)
-		for k := range reps {
-			reps[k] = img.New(pm.Xform.Size, pm.Xform.Size, pm.Xform.Color)
-			for p := range reps[k].Pix {
-				reps[k].Pix[p] = rng.Float32()
+	for _, p := range points {
+		for k := range hits[p] {
+			dir, _ := saved(t, old)
+			if err := faults.Enable(p, faults.Spec{Skip: k, Times: 1}); err != nil {
+				t.Fatal(err)
 			}
-		}
-		want, got := make([]float32, len(reps)), make([]float32, len(reps))
-		if err := pm.ScoreBatchInto(reps, want); err != nil {
-			t.Fatal(err)
-		}
-		if err := lm.ScoreBatchInto(reps, got); err != nil {
-			t.Fatal(err)
-		}
-		for k := range want {
-			if math.Float32bits(got[k]) != math.Float32bits(want[k]) {
-				t.Fatalf("entry %d rep %d: legacy manifest scores %v, plain %v", i, k, got[k], want[k])
+			err := Save(dir, next)
+			faults.Reset()
+			if err == nil {
+				t.Fatalf("%s hit %d: Save succeeded", p, k)
+			}
+			got, err := Load(dir)
+			if err != nil {
+				t.Fatalf("%s hit %d: old zoo does not load: %v", p, k, err)
+			}
+			sameRepo(t, got, old)
+			if _, err := os.Stat(filepath.Join(dir, fileName+".tmp")); !errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("%s hit %d: temp file left behind (stat: %v)", p, k, err)
 			}
 		}
 	}
+	t.Logf("%d fault points enumerated: %v", total, hits)
 }
