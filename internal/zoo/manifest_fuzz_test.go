@@ -56,9 +56,9 @@ func loadManifest(t *testing.T, manifest []byte) (allocated, onDisk uint64, err 
 
 // FuzzManifest holds zoo.Load — the reader `serve -zoo` points at a directory
 // it did not write — to its contract on arbitrary manifest bytes in an
-// intact zoo file: neither it
-// nor core.FromRepo on what it returns panics, and together they allocate at
-// most a small multiple of the bytes on disk, whatever network shape,
+// intact zoo file: neither it nor core.FromRepo on what it returns panics,
+// and together they allocate at most a small multiple of the bytes on disk
+// (the file's length, framing included), whatever network shape,
 // transform geometry or threshold count the manifest claims. The committed
 // corpus (testdata/fuzz/FuzzManifest) holds a valid one-model manifest, a
 // dense layer and a transform each too large to allocate, and a pooling depth
