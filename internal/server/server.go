@@ -874,6 +874,10 @@ type PlannerStats struct {
 	// SequentialPlans counts executed content queries: every content phase
 	// narrows step by step in the planner's rank order.
 	SequentialPlans int64 `json:"sequential_plans"`
+	// ReusedPlans counts executed statements that ran the plan their read
+	// state kept from an earlier run of the same text and constraints, so
+	// they were neither parsed nor planned.
+	ReusedPlans int64 `json:"reused_plans"`
 	// FusedPlans is never encoded and always zero: content predicates never
 	// run fused.
 	//
@@ -933,7 +937,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	resp.Materialization = s.db.MatStats()
 	resp.Durability = s.db.DurabilityStats()
 	pl := s.db.PlannerStats()
-	resp.Planner = PlannerStats{SequentialPlans: pl.ContentPlans}
+	resp.Planner = PlannerStats{SequentialPlans: pl.ContentPlans, ReusedPlans: pl.ReusedPlans}
 	for _, e := range pl.Selectivity {
 		resp.Planner.Selectivity = append(resp.Planner.Selectivity, SelectivityEntry{
 			Predicate: e.Key, PassRate: e.PassRate, Samples: e.Samples, Seed: e.Seed,

@@ -15,8 +15,12 @@ import (
 // plan + filter + bitmap algebra + projection — plus the two-predicate chain
 // whose second column covers only the first one's survivors, and the window
 // count over rows whose ts is shuffled, where no block is in order and the
-// metadata filter compares the straddling blocks row by row. It goes through
-// the public API only, so it measures an earlier commit unchanged.
+// metadata filter compares the straddling blocks row by row. A repeated
+// statement runs the plan its read state kept; count_window_fresh is the
+// window count with a new window on every iteration, cycling through 128
+// texts on a state whose plan table the warm-up filled with others, so every
+// iteration parses and plans. It goes through the public API only, so it
+// measures an earlier commit unchanged.
 func BenchmarkDashboardStatement(b *testing.B) {
 	const rows = 32000
 	cons := core.Constraints{MaxAccuracyLoss: 0.05}
@@ -37,50 +41,75 @@ func BenchmarkDashboardStatement(b *testing.B) {
 		}
 		return db
 	}
-	// Both DBs are warmed once for all sub-benchmarks: the panels' by two
+	window := func(lo int) string {
+		return fmt.Sprintf("SELECT COUNT(*) FROM images WHERE ts >= %d AND ts < %d AND contains_object('cloak')", lo, lo+rows/8)
+	}
+	fresh := make([]string, 128)
+	for i := range fresh {
+		fresh[i] = window(9001 + i)
+	}
+	// The DBs are warmed once for all sub-benchmarks: the panels' by two
 	// whole-table statements, the chain's by the chain itself, which leaves
-	// its second column valid only where the first one passed.
+	// its second column valid only where the first one passed. Then every
+	// statement a sub-benchmark repeats runs once, and the panels' state is
+	// sent 256 filler statements, more than any plan table it keeps holds,
+	// so none of the fresh windows finds a plan kept.
 	var once sync.Once
 	var panels, chain, shuffled *DB
 	const chainSQL = "SELECT COUNT(*) FROM images WHERE contains_object('cloak') AND contains_object('coho')"
+	type stmt struct {
+		db  **DB
+		sql []string // run in turn, one per iteration
+	}
+	benches := []struct {
+		name string
+		stmt
+	}{
+		{"count", stmt{&panels, []string{"SELECT COUNT(*) FROM images WHERE contains_object('cloak')"}}},
+		{"count_and_not", stmt{&panels, []string{"SELECT COUNT(*) FROM images WHERE contains_object('cloak') AND NOT contains_object('coho')"}}},
+		{"count_window", stmt{&panels, []string{window(9000)}}},
+		{"count_window_fresh", stmt{&panels, fresh}},
+		{"select_window", stmt{&panels, []string{fmt.Sprintf("SELECT id FROM images WHERE ts >= %d AND ts < %d AND contains_object('cloak')", 21000, 21000+rows/64)}}},
+		{"chain", stmt{&chain, []string{chainSQL}}},
+		{"count_window_shuffled", stmt{&shuffled, []string{window(9000)}}},
+	}
 	warm := func() {
 		panels, chain, shuffled = build(false), build(false), build(true)
-		for _, q := range []struct {
-			db  *DB
-			sql string
-		}{
-			{panels, "SELECT COUNT(*) FROM images WHERE contains_object('cloak')"},
-			{panels, "SELECT COUNT(*) FROM images WHERE contains_object('coho')"},
-			{chain, chainSQL},
-			{shuffled, "SELECT COUNT(*) FROM images WHERE contains_object('cloak')"},
-		} {
-			if _, err := q.db.Query(q.sql, cons); err != nil {
-				b.Fatal(err)
+		steps := []stmt{
+			{&panels, []string{"SELECT COUNT(*) FROM images WHERE contains_object('cloak')", "SELECT COUNT(*) FROM images WHERE contains_object('coho')"}},
+			{&chain, []string{chainSQL}},
+			{&shuffled, []string{"SELECT COUNT(*) FROM images WHERE contains_object('cloak')"}},
+		}
+		for _, bc := range benches {
+			if len(bc.sql) == 1 {
+				steps = append(steps, bc.stmt)
+			}
+		}
+		for i := range 256 {
+			steps = append(steps, stmt{&panels, []string{fmt.Sprintf("SELECT COUNT(*) FROM images WHERE id != %d", -1-i)}})
+		}
+		for _, st := range steps {
+			for _, sql := range st.sql {
+				if _, err := (*st.db).Query(sql, cons); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 	}
-	for _, bc := range []struct {
-		name string
-		db   **DB
-		sql  string
-	}{
-		{"count", &panels, "SELECT COUNT(*) FROM images WHERE contains_object('cloak')"},
-		{"count_and_not", &panels, "SELECT COUNT(*) FROM images WHERE contains_object('cloak') AND NOT contains_object('coho')"},
-		{"count_window", &panels, fmt.Sprintf("SELECT COUNT(*) FROM images WHERE ts >= %d AND ts < %d AND contains_object('cloak')", 9000, 9000+rows/8)},
-		{"select_window", &panels, fmt.Sprintf("SELECT id FROM images WHERE ts >= %d AND ts < %d AND contains_object('cloak')", 21000, 21000+rows/64)},
-		{"chain", &chain, chainSQL},
-		{"count_window_shuffled", &shuffled, fmt.Sprintf("SELECT COUNT(*) FROM images WHERE ts >= %d AND ts < %d AND contains_object('cloak')", 9000, 9000+rows/8)},
-	} {
+	for _, bc := range benches {
 		b.Run(bc.name, func(b *testing.B) {
 			once.Do(warm)
 			b.ReportAllocs()
+			i := 0
 			for b.Loop() {
-				res, err := (*bc.db).Query(bc.sql, cons)
+				sql := bc.sql[i%len(bc.sql)]
+				i++
+				res, err := (*bc.db).Query(sql, cons)
 				if err != nil {
 					b.Fatal(err)
 				}
 				if !res.Bitmap || res.UDFCalls != 0 {
-					b.Fatalf("%s: bitmap=%v udf=%d, want a bitmap-served statement", bc.sql, res.Bitmap, res.UDFCalls)
+					b.Fatalf("%s: bitmap=%v udf=%d, want a bitmap-served statement", sql, res.Bitmap, res.UDFCalls)
 				}
 			}
 		})

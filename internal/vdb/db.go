@@ -261,8 +261,9 @@ type DB struct {
 	// counters synchronize themselves (the read path records into them).
 	mat        *matstore.Store
 	analyzerOn bool
-	// contentPlans counts executed statements with a content phase.
-	contentPlans atomic.Int64
+	// contentPlans counts executed statements with a content phase;
+	// reusedPlans, executed statements that ran a plan their state kept.
+	contentPlans, reusedPlans atomic.Int64
 	// Durability (under mu; see durable.go). While durable, Append write-
 	// ahead journals through wal, periodic checkpoints collapse the journal,
 	// and corpus swaps are refused.
@@ -372,21 +373,27 @@ func (db *DB) MatStats() MatStats {
 }
 
 // PlannerStats is the planner's observability snapshot: the executed
-// content plans and the adaptive selectivity catalog.
+// content plans, the statements that reused a plan, and the adaptive
+// selectivity catalog.
 type PlannerStats struct {
 	// ContentPlans counts executed statements with a content phase; every
 	// one narrows step by step in the planner's rank order.
 	ContentPlans int64
+	// ReusedPlans counts executed statements that ran the plan their read
+	// state kept from an earlier run of the same text under the same
+	// constraints, instead of parsing and planning.
+	ReusedPlans int64
 	// Selectivity lists every installed predicate's current pass-rate
 	// estimate, sample count and install-time seed.
 	Selectivity []planner.CatalogEntry
 }
 
-// PlannerStats snapshots the content-plan counter and the selectivity
-// catalog. It takes no DB lock.
+// PlannerStats snapshots the plan counters and the selectivity catalog. It
+// takes no DB lock.
 func (db *DB) PlannerStats() PlannerStats {
 	return PlannerStats{
 		ContentPlans: db.contentPlans.Load(),
+		ReusedPlans:  db.reusedPlans.Load(),
 		Selectivity:  db.catalog.Snapshot(),
 	}
 }
@@ -566,6 +573,8 @@ func (db *DB) Predicates() []string { return db.state.Load().predicateNames() }
 // Result is a query result: either a count or a set of rows over the
 // selected columns.
 type Result struct {
+	// Columns names the result's columns. It is read-only: it may be shared
+	// with other results and with the plan that produced it.
 	Columns []string
 	Rows    [][]Value
 	Count   int
@@ -620,11 +629,16 @@ func (e *PlanError) Unwrap() error { return e.Err }
 // prepare parses sql and plans it against the current read state — the one
 // front half Query and Explain share.
 func (db *DB) prepare(sql string, constraints core.Constraints) (*queryPlan, error) {
+	return db.state.Load().prepare(sql, constraints)
+}
+
+// prepare parses sql and plans it against st.
+func (st *readState) prepare(sql string, constraints core.Constraints) (*queryPlan, error) {
 	q, err := Parse(sql)
 	if err != nil {
 		return nil, &PlanError{err}
 	}
-	plan, err := db.state.Load().plan(q, constraints)
+	plan, err := st.plan(q, constraints)
 	if err != nil {
 		return nil, &PlanError{err}
 	}
@@ -646,10 +660,21 @@ func (db *DB) Query(sql string, constraints core.Constraints) (*Result, error) {
 // query's partial labels are discarded before publication, so nothing
 // partial ever reaches the materialized columns or the catalog, and a retry
 // returns labels bit-identical to an uninterrupted run.
+//
+// A statement the pinned state has already run without classifying runs the
+// plan the state kept (see planTable) and is neither parsed nor planned
+// again; otherwise it is prepared, and its plan kept if it classifies
+// nothing.
 func (db *DB) QueryContext(ctx context.Context, sql string, constraints core.Constraints) (*Result, error) {
-	plan, err := db.prepare(sql, constraints)
-	if err != nil {
-		return nil, err
+	st := db.state.Load()
+	key := planKey{sql: sql, constraints: constraints}
+	plan := st.plans.get(key)
+	reused := plan != nil
+	if !reused {
+		var err error
+		if plan, err = st.prepare(sql, constraints); err != nil {
+			return nil, err
+		}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -657,6 +682,12 @@ func (db *DB) QueryContext(ctx context.Context, sql string, constraints core.Con
 	res, fresh, err := plan.execute(ctx)
 	if err != nil {
 		return nil, err
+	}
+	switch {
+	case reused:
+		db.reusedPlans.Add(1)
+	case res.UDFCalls == 0:
+		st.plans.put(key, plan)
 	}
 	if len(plan.content) > 0 {
 		db.contentPlans.Add(1)
@@ -684,7 +715,9 @@ func (db *DB) QueryContext(ctx context.Context, sql string, constraints core.Con
 }
 
 // Explain returns the plan description without executing it. Like Query it
-// reads one pinned state and takes no lock.
+// reads one pinned state and takes no lock. It always plans afresh, so its
+// cost lines show the catalog and the record cache as they are now, and it
+// neither reads nor fills the state's plan table.
 func (db *DB) Explain(sql string, constraints core.Constraints) (string, error) {
 	plan, err := db.prepare(sql, constraints)
 	if err != nil {

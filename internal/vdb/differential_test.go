@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"tahoma/internal/bitset"
 	"tahoma/internal/core"
 	"tahoma/internal/exec"
 	"tahoma/internal/img"
@@ -458,29 +459,69 @@ func (tb oracleTable) String() string {
 	return fmt.Sprintf("n%d-%s-w%d-b%d", tb.n, corpus, tb.opts.Workers, tb.opts.Batch)
 }
 
-// load installs the table's corpus, meta and settings on db.
-func (tb oracleTable) load(t *testing.T, db *DB, meta []Metadata) {
+// load installs the table's settings, and its corpus and meta, on db, and
+// returns the store the corpus is held in (nil in memory).
+func (tb oracleTable) load(t *testing.T, db *DB, meta []Metadata) *repstore.Store {
 	t.Helper()
 	db.SetExecOptions(tb.opts)
 	db.ServeReps(tb.serve)
-	images := cycledImages(tb.n)
-	if !tb.store {
-		if err := db.LoadCorpus(images, meta); err != nil {
+	var store *repstore.Store
+	if tb.store {
+		var err error
+		if store, err = repstore.Create(t.TempDir(), 16, 16, tb.grid); err != nil {
 			t.Fatal(err)
 		}
-		return
+		t.Cleanup(func() { store.Close() })
+		if err := store.IngestAll(cycledImages(tb.n)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	store, err := repstore.Create(t.TempDir(), 16, 16, tb.grid)
+	tb.install(t, db, store, meta)
+	return store
+}
+
+// install loads the corpus — the fixture images cycled over meta's rows, or
+// store, which holds them — and meta on db.
+func (tb oracleTable) install(t *testing.T, db *DB, store *repstore.Store, meta []Metadata) {
+	t.Helper()
+	var err error
+	if store == nil {
+		err = db.LoadCorpus(cycledImages(len(meta)), meta)
+	} else {
+		err = db.LoadCorpusFromStore(store, tb.budget, meta)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { store.Close() })
-	if err := store.IngestAll(images); err != nil {
+}
+
+// appendRows appends k rows to db and the oracle alike: the fixture images,
+// continuing the cycle, under metadata drawn at random. With no trigger
+// policy an append drops every materialized column.
+func (o *oracle) appendRows(t *testing.T, rng *rand.Rand, db *DB, fx *diffFixture, k int) {
+	t.Helper()
+	n := len(o.meta)
+	images := make([]*img.Image, k)
+	meta := make([]Metadata, k)
+	for j := range meta {
+		images[j] = sysImages[(n+j)%len(sysImages)]
+		meta[j] = Metadata{
+			ID:       int64(rng.Intn(2*n+3) - n/2),
+			TS:       int64(rng.Intn(3*n + 3)),
+			Location: []string{"uptown", "downtown", ""}[rng.Intn(3)],
+			Camera:   []string{"cam-1", "cam-2"}[rng.Intn(2)],
+		}
+	}
+	if _, err := db.Append(images, meta); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.LoadCorpusFromStore(store, tb.budget, meta); err != nil {
-		t.Fatal(err)
+	o.meta = append(o.meta, meta...)
+	for key, perImage := range fx.truth {
+		for i := n; i < len(o.meta); i++ {
+			o.truth[key] = append(o.truth[key], perImage[i%len(perImage)])
+		}
 	}
+	clear(o.valid)
 }
 
 // storedSource is the stored size of one fixture source record.
@@ -502,7 +543,7 @@ func (tb oracleTable) checkStorePath(db *DB, res *Result, matOff bool, was, now 
 		}
 		// Every slot is served, so no source record is ever read.
 		view := db.state.Load().corpus.(*storeView)
-		for i := 0; i < tb.n; i++ {
+		for i := 0; i < view.n; i++ {
 			if view.sc.cache.HasSource(i) {
 				return fmt.Errorf("the store serves the whole grid, yet row %d's source record is resident", i)
 			}
@@ -555,6 +596,28 @@ func cheapestFirst(plan *queryPlan) bool {
 	return true
 }
 
+// scramble complements every bit of a live set, as the parity suite's
+// putLive does to a set coming back to its pool.
+func scramble(live *bitset.Set) {
+	w := live.Words()
+	for i := range w {
+		w[i] = ^w[i]
+	}
+	if r := live.Len() % 64; r != 0 {
+		w[len(w)-1] &= 1<<r - 1
+	}
+}
+
+// The repeat axis: what happens between a statement and its second run.
+const (
+	repeatNothing   = iota // the same state: a plan it kept is reused
+	repeatAppend           // a few rows appended
+	repeatFlip             // materialization switched on or off
+	repeatReinstall        // the corpus loaded again
+)
+
+var repeatAfter = []string{"nothing", "an append", "a flip", "a reload"}
+
 // TestExecutorMatchesNaiveOracle is vdb's parity suite. Each seeded table
 // draws its engine sizing (workers × batch), its corpus (in memory, or a
 // repstore on disk behind a record cache from one byte to 64 MiB), the
@@ -563,7 +626,19 @@ func cheapestFirst(plan *queryPlan) bool {
 // published columns must be the oracle's. The physical draw changes cost
 // only, so one oracle holds every draw. Store tables also meet the store
 // path's invariants (checkStorePath).
+//
+// Every statement then runs a second time, after nothing, an append of a few
+// rows, a materialization flip or a reload of the corpus, and must again be
+// the oracle's over the state it ran on. After nothing it runs the plan its
+// state kept whenever the first run classified nothing; after any of the
+// others it must not. Live sets are scrambled as they go back to their pool,
+// so one released while still in use answers wrong.
 func TestExecutorMatchesNaiveOracle(t *testing.T) {
+	defer func(put func(*readState, *bitset.Set)) { putLive = put }(putLive)
+	putLive = func(st *readState, live *bitset.Set) {
+		scramble(live)
+		st.live.Put(live)
+	}
 	fx := newDiffFixture(t)
 	// Row counts straddling word and block boundaries; the multi-block table
 	// is drawn rarely because every classification of it is real inference.
@@ -573,8 +648,8 @@ func TestExecutorMatchesNaiveOracle(t *testing.T) {
 		tables = 40
 	}
 	db := buildSysDB(t)
-	var cases, bitmaps, chained, classified, partial, repeated, reordered, served, readThrough int
-	byCorpus, byWorkers, byBatch := map[bool]int{}, map[int]int{}, map[int]int{}
+	var cases, bitmaps, chained, classified, partial, repeated, reordered, served, readThrough, reused int
+	byCorpus, byWorkers, byBatch, byRepeat := map[bool]int{}, map[int]int{}, map[int]int{}, map[int]int{}
 	for ti := 0; ti < tables; ti++ {
 		rng := rand.New(rand.NewSource(int64(1000 + ti)))
 		n := sizes[ti%len(sizes)]
@@ -590,19 +665,16 @@ func TestExecutorMatchesNaiveOracle(t *testing.T) {
 			}
 		}
 		tb := drawTable(rng, n)
+		// The repeat axis draws from a stream of its own, so rng's draws are
+		// those of a run without it.
+		again := rand.New(rand.NewSource(int64(3000 + ti)))
 		t.Run(fmt.Sprintf("%03d-%s", ti, tb), func(t *testing.T) {
-			tb.load(t, db, slices.Clone(o.meta))
+			store := tb.load(t, db, slices.Clone(o.meta))
 			for _, cat := range diffCategories {
 				seedColumn(rng, db, o, fx.keys[cat])
 			}
-			for qi := 0; qi < perTable; qi++ {
-				matOff := rng.Intn(4) == 0
-				if matOff {
-					db.SetMaterialization(MatOff)
-				} else {
-					db.SetMaterialization(MatOn)
-				}
-				sql := randomSQL(rng, o.meta)
+			// check runs sql once, against the oracle over the state it runs on.
+			check := func(where, sql string, matOff bool) (*Result, *queryPlan, bool) {
 				plan, err := db.prepare(sql, diffCons)
 				if err != nil {
 					t.Fatalf("%s: %v", sql, err)
@@ -613,7 +685,6 @@ func TestExecutorMatchesNaiveOracle(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", sql, err)
 				}
-				where := fmt.Sprintf("query %d (matOff=%v): %s", qi, matOff, sql)
 				if got.Count != want.Count || got.UDFCalls != want.UDFCalls || got.MatHits != want.MatHits ||
 					got.Bitmap != want.Bitmap {
 					t.Fatalf("%s\n got count=%d udf=%d hits=%d bitmap=%v\nwant count=%d udf=%d hits=%d bitmap=%v",
@@ -630,7 +701,7 @@ func TestExecutorMatchesNaiveOracle(t *testing.T) {
 				// oracle's labels.
 				for _, k := range plan.keys {
 					col := db.mat.Columns().Get(k)
-					for i := 0; i < n; i++ {
+					for i := range o.meta {
 						have := i < col.Len() && col.Valid(i)
 						if have != (o.valid[k] != nil && o.valid[k][i]) || (have && col.Label(i) != o.truth[k][i]) {
 							t.Fatalf("%s\ncolumn %v row %d: valid=%v, oracle valid=%v", where, k, i, have, !have)
@@ -645,6 +716,17 @@ func TestExecutorMatchesNaiveOracle(t *testing.T) {
 				} else if got.RepHits != 0 || got.RepFallbacks != 0 {
 					t.Fatalf("%s\nan in-memory corpus served %d reps (%d fell back)", where, got.RepHits, got.RepFallbacks)
 				}
+				return got, plan, now.ReadThrough > was.ReadThrough
+			}
+			for qi := 0; qi < perTable; qi++ {
+				matOff := rng.Intn(4) == 0
+				if matOff {
+					db.SetMaterialization(MatOff)
+				} else {
+					db.SetMaterialization(MatOn)
+				}
+				sql := randomSQL(rng, o.meta)
+				got, plan, through := check(fmt.Sprintf("query %d (matOff=%v): %s", qi, matOff, sql), sql, matOff)
 				cases++
 				if got.UDFCalls > 0 {
 					byCorpus[tb.store]++
@@ -659,11 +741,40 @@ func TestExecutorMatchesNaiveOracle(t *testing.T) {
 					{&partial, got.UDFCalls > 0 && got.MatHits > 0},
 					{&repeated, len(plan.keys) < len(plan.content)},
 					{&reordered, len(plan.content) >= 2 && !cheapestFirst(plan)},
-					{&served, got.RepHits > 0}, {&readThrough, now.ReadThrough > was.ReadThrough},
+					{&served, got.RepHits > 0}, {&readThrough, through},
 				} {
 					if hit.is {
 						*hit.tally++
 					}
+				}
+
+				// The second run.
+				what := []int{repeatNothing, repeatNothing, repeatAppend, repeatAppend, repeatFlip, repeatReinstall}[again.Intn(6)]
+				switch what {
+				case repeatAppend:
+					o.appendRows(t, again, db, fx, 1+again.Intn(3))
+				case repeatFlip:
+					matOff = !matOff
+					if matOff {
+						db.SetMaterialization(MatOff)
+					} else {
+						db.SetMaterialization(MatOn)
+					}
+				case repeatReinstall:
+					tb.install(t, db, store, slices.Clone(o.meta))
+					clear(o.valid)
+				}
+				byRepeat[what]++
+				wasReused := db.PlannerStats().ReusedPlans
+				where := fmt.Sprintf("query %d repeated after %s (matOff=%v): %s", qi, repeatAfter[what], matOff, sql)
+				check(where, sql, matOff)
+				switch wasReused, isReused := db.PlannerStats().ReusedPlans-wasReused, what == repeatNothing && got.UDFCalls == 0; {
+				case wasReused != 0 && !isReused:
+					t.Fatalf("%s\nreused a plan its state did not keep", where)
+				case wasReused != 1 && isReused:
+					t.Fatalf("%s\n%d plans reused, want the one its state kept", where, wasReused)
+				case isReused:
+					reused++
 				}
 			}
 		})
@@ -672,6 +783,8 @@ func TestExecutorMatchesNaiveOracle(t *testing.T) {
 		cases, bitmaps, classified, partial, chained, repeated, reordered)
 	t.Logf("classified statements: memory %d, store %d; workers 0/1/3: %d/%d/%d; batch 0/1/7: %d/%d/%d; %d served reps, %d read through",
 		byCorpus[false], byCorpus[true], byWorkers[0], byWorkers[1], byWorkers[3], byBatch[0], byBatch[1], byBatch[7], served, readThrough)
+	t.Logf("repeated after nothing %d, an append %d, a flip %d, a reload %d; %d ran the plan their state kept",
+		byRepeat[repeatNothing], byRepeat[repeatAppend], byRepeat[repeatFlip], byRepeat[repeatReinstall], reused)
 	if testing.Short() || raceEnabled {
 		return
 	}
@@ -685,6 +798,8 @@ func TestExecutorMatchesNaiveOracle(t *testing.T) {
 		{"workers=0", byWorkers[0], 100}, {"workers=1", byWorkers[1], 100}, {"workers=3", byWorkers[3], 100},
 		{"batch=0", byBatch[0], 100}, {"batch=1", byBatch[1], 100}, {"batch=7", byBatch[7], 100},
 		{"served", served, 70}, {"read-through", readThrough, 60},
+		{"repeat after an append", byRepeat[repeatAppend], 500}, {"repeat after a flip", byRepeat[repeatFlip], 250},
+		{"repeat after a reload", byRepeat[repeatReinstall], 250}, {"reused", reused, 200},
 	}
 	for _, f := range floors {
 		if f.got < f.want {

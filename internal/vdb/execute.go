@@ -63,11 +63,16 @@ func (c *stepColumn) narrow(live *bitset.Set, negated bool) {
 // step whose column labels every live row narrows it with one word-parallel
 // AND (ANDNOT when negated) — no cascade runtime, no engine, no pixel ever
 // touched — and row indexes are extracted only for the engine's frame list of
-// a step that must classify, and for the rows a statement returns.
+// a step that must classify, and for the rows a statement returns. The set is
+// borrowed from the state's pool and goes back when execute returns: nothing
+// keeps it past that, since uncovered and narrow clone what they hold on to
+// and projectRows copies its members out.
 func (p *queryPlan) execute(ctx context.Context) (*Result, []overlay, error) {
 	st := p.st
 	res := &Result{}
-	live, _ := filterRows(st.meta, st.zones, st.tail, p.filters)
+	live := st.liveSet()
+	defer putLive(st, live)
+	filterRows(live, st.meta, st.zones, st.tail, p.filters)
 	if len(p.content) == 0 {
 		p.projectRows(res, live)
 		return res, nil, nil
@@ -177,7 +182,7 @@ func (p *queryPlan) projectRows(res *Result, live *bitset.Set) {
 		res.Count = q.Limit
 	}
 	if q.CountStar {
-		res.Columns = []string{"count"}
+		res.Columns = countColumns
 		res.Rows = [][]Value{{{Int: int64(res.Count)}}}
 		return
 	}

@@ -18,6 +18,9 @@ const (
 
 var metaColumns = []string{"id", "location", "camera", "ts"}
 
+// countColumns is a COUNT(*) result's one column.
+var countColumns = []string{"count"}
+
 func metaColumn(name string) (int, error) {
 	for i, c := range metaColumns {
 		if c == name {
@@ -249,23 +252,24 @@ func (f *metaFilter) search(rows []Metadata, strict bool) int {
 	return i
 }
 
-// filterRows evaluates the conjunction of filters over meta into a live
-// bitset, a block at a time, and reports how many rows it compared one by
-// one. zones summarizes meta's complete blocks and tail its trailing partial
-// one, so every block is decided by its zone first. A block wholly outside
-// any filter is skipped. Each id/ts filter the block's rows are in order by
-// narrows it by binary search to the one run of rows it accepts, and a filter
-// the block is wholly inside leaves it whole. What is left is set a word at
-// a time when every filter was decided or searched, and compared row by row
-// otherwise: under a string filter, a != whose literal lies in the block's
-// range, or an id/ts filter over rows out of order. Correct for any row
-// order; a ts or id window over append-ordered rows compares no row at all.
-func filterRows(meta []Metadata, zones []zone, tail zone, filters []metaFilter) (*bitset.Set, int) {
-	live := bitset.New(len(meta))
+// filterRows evaluates the conjunction of filters over meta into live, a
+// set of len(meta) bits whatever it held before, a block at a time, and
+// reports how many rows it compared one by one. zones summarizes meta's
+// complete blocks and tail its trailing partial one, so every block is
+// decided by its zone first. A block wholly outside any filter is skipped.
+// Each id/ts filter the block's rows are in order by narrows it by binary
+// search to the one run of rows it accepts, and a filter the block is wholly
+// inside leaves it whole. What is left is set a word at a time when every
+// filter was decided or searched, and compared row by row otherwise: under a
+// string filter, a != whose literal lies in the block's range, or an id/ts
+// filter over rows out of order. Correct for any row order; a ts or id
+// window over append-ordered rows compares no row at all.
+func filterRows(live *bitset.Set, meta []Metadata, zones []zone, tail zone, filters []metaFilter) int {
 	if len(filters) == 0 {
 		live.SetAll()
-		return live, 0
+		return 0
 	}
+	live.Reset()
 	words, compared := live.Words(), 0
 	for lo := 0; lo < len(meta); lo += zoneRows {
 		z := &tail
@@ -298,7 +302,7 @@ func filterRows(meta []Metadata, zones []zone, tail zone, filters []metaFilter) 
 			scanRows(words, meta, filters, a, e)
 		}
 	}
-	return live, compared
+	return compared
 }
 
 // scanRows sets in words the rows of [a, e) that every filter accepts,

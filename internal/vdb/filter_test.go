@@ -10,6 +10,7 @@ import (
 	"slices"
 	"testing"
 
+	"tahoma/internal/bitset"
 	"tahoma/internal/core"
 	"tahoma/internal/img"
 )
@@ -156,10 +157,14 @@ func randomFilters(t testing.TB, rng *rand.Rand, meta []Metadata) []metaFilter {
 }
 
 // checkFilterRows holds filterRows over meta's block index to comparing
-// every row against every filter, and returns the rows it compared.
+// every row against every filter, and returns the rows it compared. The set
+// it hands filterRows has every bit set, as a pooled set may: no row may
+// stay live that a filter rejects.
 func checkFilterRows(t testing.TB, meta []Metadata, filters []metaFilter) int {
 	t.Helper()
-	live, compared := filterRows(meta, extendZones(nil, meta), tailZone(meta), filters)
+	live := bitset.New(len(meta))
+	live.SetAll()
+	compared := filterRows(live, meta, extendZones(nil, meta), tailZone(meta), filters)
 	if live.Len() != len(meta) {
 		t.Fatalf("live set of %d bits over %d rows", live.Len(), len(meta))
 	}
@@ -264,7 +269,8 @@ func TestFilterRowsSearchesOrderedRows(t *testing.T) {
 				}
 				a, e := int64(n/3), int64(n/3+n/8)
 				window := []metaFilter{mustFilter(t, "ts", OpGe, Value{Int: a}), mustFilter(t, "ts", OpLt, Value{Int: e})}
-				live, compared := filterRows(meta, extendZones(nil, meta), tailZone(meta), window)
+				live := bitset.New(n)
+				compared := filterRows(live, meta, extendZones(nil, meta), tailZone(meta), window)
 				if live.Count() != int(e-a) {
 					t.Fatalf("window [%d,%d) holds %d rows, want %d", a, e, live.Count(), e-a)
 				}
@@ -426,7 +432,7 @@ func TestZonesRebuiltOnRecovery(t *testing.T) {
 		// A ts window over rows [1050, 1200): it straddles the block edge and
 		// the checkpointed row count, and over rows in order is searched.
 		window := []metaFilter{mustFilter(t, "ts", OpGe, Value{Int: 7350}), mustFilter(t, "ts", OpLt, Value{Int: 8400})}
-		if _, compared := filterRows(st.meta, st.zones, st.tail, window); compared != 0 {
+		if compared := filterRows(bitset.New(st.n), st.meta, st.zones, st.tail, window); compared != 0 {
 			t.Fatalf("%s: the window compared %d rows one by one, want 0", name, compared)
 		}
 		res, err := db2.Query("SELECT COUNT(*) FROM images WHERE ts >= 7350 AND ts < 8400", core.Constraints{})

@@ -29,8 +29,14 @@ type contentStep struct {
 // planned on: metadata filters first, compiled to typed comparisons (in
 // textual order — they are evaluated together, block by block), then content
 // predicates in the order the cost-based planner chose (rank = cost /
-// (1 − selectivity), ascending), each only over surviving rows. pp is the planner's costed, explainable view
-// of the same content steps.
+// (1 − selectivity), ascending), each only over surviving rows. pp is the
+// planner's costed, explainable view of the same content steps.
+//
+// A plan is never written once planned. A plan that ran without classifying
+// is kept in its state's plan table (see planTable), and statements running
+// at once share it, so execute and classifyMissing keep everything a
+// statement changes — its live set, its overlay columns, its result — in
+// their own variables.
 type queryPlan struct {
 	st      *readState
 	query   *Query

@@ -4,7 +4,10 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 
+	"tahoma/internal/bitset"
+	"tahoma/internal/core"
 	"tahoma/internal/exec"
 	"tahoma/internal/img"
 	"tahoma/internal/matstore"
@@ -31,6 +34,12 @@ type settings struct {
 // and plans, explains and executes against it without touching db.mu. The
 // caches and the selectivity catalog it points at are shared and
 // synchronize themselves.
+//
+// Two things on a state are not immutable, and neither changes an answer:
+// plans, the statements planned on it that ran without classifying a row,
+// and live, the pool of n-bit live sets its statements borrow. Both die with
+// the state, so a stored plan never outlives the metadata, zones, columns,
+// predicates or settings it was built from.
 type readState struct {
 	settings
 	n          int
@@ -43,7 +52,73 @@ type readState struct {
 	catalog    *planner.Catalog
 	cols       matstore.Columns
 	gen        int64 // matstore generation cols belongs to
+
+	plans planTable
+	live  sync.Pool // *bitset.Set of n bits
 }
+
+// maxPlans bounds a state's plan table. A dashboard refreshing its panels
+// sends a few dozen distinct statements (dashboard_repeat at most 34); past
+// the bound a statement is planned afresh each time, as every statement was
+// before plans were kept. A full table evicts nothing.
+const maxPlans = 64
+
+// planKey identifies a statement: its text and the constraints that chose
+// its cascades.
+type planKey struct {
+	sql         string
+	constraints core.Constraints
+}
+
+// planTable holds, per statement, the plan that ran on its state without
+// classifying a row. Such a plan will run on that state again without
+// classifying: it meets the same columns over the same rows. Only the order
+// of its content steps came from outside the state — the adaptive catalog
+// and the record cache's residency at plan time — and the order it stored
+// is one that costs no UDF call. A plan that classified is never stored:
+// under materialization its labels publish the next state anyway, and with
+// materialization off the catalog goes on reordering every statement.
+type planTable struct {
+	mu sync.RWMutex
+	m  map[planKey]*queryPlan
+}
+
+// get returns the stored plan for k, or nil.
+func (t *planTable) get(k planKey) *queryPlan {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.m[k]
+}
+
+// put stores p for k unless the table is full or already holds k: a stored
+// plan is never replaced.
+func (t *planTable) put(k planKey, p *queryPlan) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if len(t.m) >= maxPlans {
+		return
+	}
+	if t.m == nil {
+		t.m = make(map[planKey]*queryPlan)
+	}
+	if _, ok := t.m[k]; !ok {
+		t.m[k] = p
+	}
+}
+
+// liveSet borrows an n-bit set from st's pool; its contents are whatever its
+// last user left, so filterRows overwrites every word. putLive returns it.
+func (st *readState) liveSet() *bitset.Set {
+	if s, ok := st.live.Get().(*bitset.Set); ok {
+		return s
+	}
+	return bitset.New(st.n)
+}
+
+// putLive returns a statement's live set to its state's pool. It is a
+// variable so the parity suite can scramble each set as it comes back: a set
+// released while still in use then shows up as a wrong answer.
+var putLive = func(st *readState, live *bitset.Set) { st.live.Put(live) }
 
 // publishLocked builds the read state for the DB's current contents and makes
 // it the one new statements pin. Every mutation of what a statement reads

@@ -16,10 +16,13 @@ package zoo
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"tahoma/internal/arch"
 	"tahoma/internal/model"
@@ -59,7 +62,10 @@ type manifest struct {
 	EvalTruth []bool          `json:"eval_truth,omitempty"`
 }
 
-// Save writes the repository to dir, creating it if needed.
+// Save writes the repository to dir, creating it if needed. Once zoo.bin is
+// committed, it removes the files a version-1 repository kept in dir
+// (manifest.json, weights-<n>.bin, scores-<n>.bin) and leaves every other
+// file.
 func Save(dir string, r *Repo) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("zoo: creating %s: %w", dir, err)
@@ -78,7 +84,7 @@ func Save(dir string, r *Repo) error {
 	if err != nil {
 		return fmt.Errorf("zoo: encoding manifest: %w", err)
 	}
-	return wal.WriteFile(filepath.Join(dir, fileName), func(w io.Writer) error {
+	err = wal.WriteFile(filepath.Join(dir, fileName), func(w io.Writer) error {
 		err := wal.WriteFrame(w, raw)
 		var buf []byte
 		for _, e := range r.Entries {
@@ -91,6 +97,44 @@ func Save(dir string, r *Repo) error {
 		}
 		return err
 	})
+	if err != nil {
+		return err
+	}
+	return removeVersion1(dir)
+}
+
+// removeVersion1 deletes the files a version-1 repository kept in dir. zoo.bin
+// already holds the repository, so a failure here leaves stale files beside
+// it, never a torn zoo.
+func removeVersion1(dir string) error {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return fmt.Errorf("zoo: %s saved, but listing it for version 1 files: %w", dir, err)
+	}
+	for _, e := range ents {
+		if !isVersion1File(e.Name()) {
+			continue
+		}
+		if err := os.Remove(filepath.Join(dir, e.Name())); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return fmt.Errorf("zoo: %s saved, but removing version 1 file: %w", dir, err)
+		}
+	}
+	return nil
+}
+
+// isVersion1File reports whether name is a version-1 repository's file:
+// manifest.json, or weights-<n>.bin or scores-<n>.bin with n decimal.
+func isVersion1File(name string) bool {
+	if name == "manifest.json" {
+		return true
+	}
+	for _, prefix := range []string{"weights-", "scores-"} {
+		if n, ok := strings.CutPrefix(name, prefix); ok {
+			n, ok = strings.CutSuffix(n, ".bin")
+			return ok && n != "" && strings.Trim(n, "0123456789") == ""
+		}
+	}
+	return false
 }
 
 // Load reads a repository from dir, rebuilding each network from its spec

@@ -205,6 +205,47 @@ func TestLoadRefusesVersion1(t *testing.T) {
 	}
 }
 
+// TestSaveOverVersion1: a Save over a version-1 directory leaves zoo.bin
+// and every file that was not the old repository's, and the saved zoo loads
+// and scores bit-identically.
+func TestSaveOverVersion1(t *testing.T) {
+	dir := t.TempDir()
+	stale := []string{"manifest.json", "weights-0.bin", "scores-0.bin", "weights-17.bin", "scores-3.bin"}
+	kept := []string{"notes.txt", "weights-.bin", "weights-x.bin", "scores-1.bin.bak", "weights-1.json", "manifest.json.orig"}
+	for _, name := range append(slices.Clone(stale), kept...) {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(name), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := buildRepo(t, 1)
+	if err := Save(dir, r); err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	want := append(slices.Clone(kept), fileName)
+	slices.Sort(want)
+	if !slices.Equal(names, want) {
+		t.Fatalf("after Save over a version 1 directory it holds %v, want %v", names, want)
+	}
+	for _, name := range kept {
+		if data, err := os.ReadFile(filepath.Join(dir, name)); err != nil || string(data) != name {
+			t.Fatalf("%s: %q, %v; want it untouched", name, data, err)
+		}
+	}
+	got, err := Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRepo(t, got, r)
+}
+
 // TestLoadDetectsTruncatedWeights: a weight frame one model's spec does not
 // fit is refused even when its checksum is intact.
 func TestLoadDetectsTruncatedWeights(t *testing.T) {
