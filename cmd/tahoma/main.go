@@ -10,9 +10,12 @@
 //
 // serve runs the long-lived concurrent query service: POST /query (SQL in,
 // rows out; ?ndjson=1 streams), GET /explain, GET /stats. A bounded
-// admission pool (-max-concurrent, -max-queue, -queue-timeout) keeps N
-// clients from oversubscribing the execution engine. Multiple -zoo
-// directories (comma-separated) install one predicate each.
+// admission pool (GOMAXPROCS queries at once, -max-queue waiting) keeps N
+// clients from oversubscribing the execution engine. A request names its
+// own accuracy budget (5% when it names none) and its own deadline.
+// Multiple -zoo directories (comma-separated) install one predicate each.
+// Every query runs on GOMAXPROCS classification workers: set GOMAXPROCS in
+// the environment to change how many.
 //
 // query, explain and serve read the corpus one way: straight out of the
 // representation store through a -cache-mb LRU of stored records (the one
@@ -36,7 +39,6 @@ import (
 	"strings"
 
 	"tahoma/internal/core"
-	"tahoma/internal/exec"
 	"tahoma/internal/img"
 	"tahoma/internal/pareto"
 	"tahoma/internal/repstore"
@@ -201,18 +203,16 @@ func installPredicate(db *vdb.DB, zooDir string) (string, error) {
 // the record cache it is read through, and how the DB over it executes.
 type corpusFlags struct {
 	dir, scenario, materialize string
-	workers, cacheMB, matMB    int
+	cacheMB                    int
 	serveReps                  bool
 }
 
 func (f *corpusFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&f.dir, "corpus", "", "representation store directory (required)")
 	fs.StringVar(&f.scenario, "scenario", "camera", "deployment scenario")
-	fs.IntVar(&f.workers, "workers", 0, "classification worker goroutines per query (0 = GOMAXPROCS)")
 	fs.IntVar(&f.cacheMB, "cache-mb", 64, "record cache budget in MiB, at least 1: the corpus is read only through this LRU, which holds sources and served reps alike as stored records (1 byte/sample); a run that materializes labels over rows whose sources exceed a quarter of it reads through without admitting them")
 	fs.BoolVar(&f.serveReps, "serve-reps", false, "load pre-materialized representations from the store, skipping the source load and derivation for the transforms it covers (labels are the same either way)")
 	fs.StringVar(&f.materialize, "materialize", "on", "label materialization: on (cache classified labels as bitmap columns), off (re-infer every query), bg (on + serve's background analyzer pre-materializes hot predicates while the admission pool is idle)")
-	fs.IntVar(&f.matMB, "mat-mb", 0, "materialized-label byte budget in MiB (0 = unbounded); coldest columns are evicted over budget")
 }
 
 // openDB opens the corpus store and builds the DB over it — the one way
@@ -243,9 +243,7 @@ func (f *corpusFlags) openDB(cmd string) (*vdb.DB, *repstore.Store, error) {
 		meta[i] = vdb.Metadata{ID: int64(i), Location: "corpus", Camera: "cam-0", TS: int64(i)}
 	}
 	db := vdb.New(cm)
-	db.SetExecOptions(exec.Options{Workers: f.workers})
 	db.SetMaterialization(matMode)
-	db.SetMatBudget(int64(f.matMB) << 20)
 	if err := db.LoadCorpusFromStore(store, int64(f.cacheMB)<<20, meta); err != nil {
 		store.Close()
 		return nil, nil, err

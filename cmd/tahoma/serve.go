@@ -35,15 +35,11 @@ func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
 	zooDirs := fs.String("zoo", "", "model repository directories, comma-separated (required; one predicate each)")
-	loss := fs.Float64("accuracy-loss", 0.05, "default permissible accuracy loss (Uacc) when a request names none; 0 = no loss (most accurate cascade)")
 	var corpus corpusFlags
 	corpus.register(fs)
 	fs.Bool("store-corpus", false, "removed: every corpus is served straight out of the store through the -cache-mb record cache, and without -wal-dir ingested rows are appended to the store; accepted and ignored")
 	shareRepsMB := fs.Int("share-reps-mb", 0, "removed: the cross-query representation cache is gone and only 0 is accepted (the one pixel cache is -cache-mb)")
-	maxConcurrent := fs.Int("max-concurrent", 0, "queries executing at once (0 = GOMAXPROCS)")
-	maxQueue := fs.Int("max-queue", 0, "queries waiting for a worker (0 = 4x max-concurrent, <0 = no queue)")
-	queueTimeout := fs.Duration("queue-timeout", 30*time.Second, "how long a query may wait for a worker before a 503")
-	deadline := fs.Duration("deadline", 0, "default per-query deadline when a request carries no Deadline-Ms header (0 = none); also bounds the graceful-shutdown drain")
+	maxQueue := fs.Int("max-queue", 0, fmt.Sprintf("queries waiting for a worker, of which GOMAXPROCS execute at once (0 = 4x GOMAXPROCS, <0 = no queue); a query that waits %v gets a 503", server.MaxWait))
 	fault := fs.String("fault", "", "arm fault-injection points for chaos testing, e.g. 'store.rep-read=error,store.rep-slow=slow:50ms' (see internal/faults)")
 	walDir := fs.String("wal-dir", "", "write-ahead journal + checkpoint directory; enables durable ingest and crash recovery (without it each ingested batch is committed to the store before its 200)")
 	checkpointEvery := fs.Duration("checkpoint-every", 30*time.Second, "periodic checkpoint interval under -wal-dir; bounds journal replay after a crash")
@@ -68,23 +64,13 @@ func cmdServe(args []string) error {
 	}
 	defer store.Close()
 
-	opts := server.Options{
-		MaxConcurrent: *maxConcurrent,
-		MaxQueue:      *maxQueue,
-		QueueTimeout:  *queueTimeout,
-		// server.Options uses 0 = "0.05 default", negative = "no loss";
-		// at the flag level an explicit 0 means no loss.
-		DefaultAccuracyLoss: *loss,
-		DefaultDeadline:     *deadline,
+	srv := server.New(db, server.Options{
+		MaxQueue: *maxQueue,
 		// The listener binds before predicate install and crash recovery:
 		// the server answers /healthz and /readyz (503) immediately and
 		// flips ready only when it can actually serve.
 		StartUnready: true,
-	}
-	if *loss == 0 {
-		opts.DefaultAccuracyLoss = -1
-	}
-	srv := server.New(db, opts)
+	})
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -158,15 +144,11 @@ func cmdServe(args []string) error {
 	}
 
 	// shutdown drains and persists: stop admitting (unready), let in-flight
-	// work finish bounded by -deadline, stop the background goroutines, then
-	// take the final checkpoint so a restart replays nothing.
+	// work finish bounded by server.MaxWait, stop the background goroutines,
+	// then take the final checkpoint so a restart replays nothing.
 	shutdown := func() error {
 		srv.SetReady(false)
-		bound := 30 * time.Second
-		if *deadline > 0 {
-			bound = *deadline
-		}
-		shutCtx, cancel := context.WithTimeout(context.Background(), bound)
+		shutCtx, cancel := context.WithTimeout(context.Background(), server.MaxWait)
 		defer cancel()
 		err := srv.Shutdown(shutCtx)
 		if stopAnalyzer != nil {

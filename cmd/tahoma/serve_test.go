@@ -13,6 +13,33 @@ import (
 	"tahoma/internal/server"
 )
 
+// TestFlagNames pins the flags `serve -h` and `query -h` list, so a new knob
+// shows up as a diff here. Every serve flag is set by a benchmark workload,
+// the e2e harness or a test; what a cost-only setting would tune — workers,
+// admission slots, timeouts, the accuracy default — the program works out or
+// fixes itself (GOMAXPROCS, server.MaxWait, server.DefaultAccuracyLoss).
+func TestFlagNames(t *testing.T) {
+	bin := e2e.BuildBinary(t)
+	for cmd, want := range map[string]string{
+		"serve": "addr cache-mb checkpoint-every corpus debug-addr fault materialize max-queue scenario serve-reps share-reps-mb store-corpus trigger wal-dir zoo",
+		"query": "accuracy-loss cache-mb corpus materialize scenario serve-reps sql zoo",
+	} {
+		out, err := exec.Command(bin, cmd, "-h").CombinedOutput()
+		if err != nil {
+			t.Fatalf("%s -h: %v\n%s", cmd, err, out)
+		}
+		var names []string
+		for _, line := range strings.Split(string(out), "\n") {
+			if rest, ok := strings.CutPrefix(line, "  -"); ok {
+				names = append(names, strings.Fields(rest)[0])
+			}
+		}
+		if got := strings.Join(names, " "); got != want {
+			t.Errorf("%s -h lists %d flags:\n  %s\nwant:\n  %s", cmd, len(names), got, want)
+		}
+	}
+}
+
 // TestServeShareRepsMBRemoved: -share-reps-mb stays registered only so the
 // command lines that pass 0 keep working. Any other value fails at startup
 // and names the removal instead of being silently ignored; 0 serves.

@@ -6,13 +6,9 @@ import (
 	"tahoma/internal/core"
 	"tahoma/internal/img"
 	"tahoma/internal/scenario"
+	"tahoma/internal/server"
 	"tahoma/internal/vdb"
 )
-
-// referenceAccuracyLoss mirrors the serving default (serve -accuracy-loss,
-// server.Options.DefaultAccuracyLoss): the reference must select the same
-// cascade the live server does or the labels could legitimately differ.
-const referenceAccuracyLoss = 0.05
 
 // Reference is the serial in-process replica of a serving process: the same
 // corpus, the same predicate, the same cascade constraints — but no HTTP, no
@@ -49,9 +45,11 @@ func NewReference(fx *Fixture, trigger bool) (*Reference, error) {
 	return &Reference{DB: db, fx: fx}, nil
 }
 
-// referenceConstraints are the serving-default query constraints.
+// referenceConstraints are the serving-default query constraints: the
+// reference must select the cascade the live server does for a request that
+// names no accuracy budget, or the labels could legitimately differ.
 func referenceConstraints() core.Constraints {
-	return core.Constraints{MaxAccuracyLoss: referenceAccuracyLoss}
+	return core.Constraints{MaxAccuracyLoss: server.DefaultAccuracyLoss}
 }
 
 // Query runs one SQL statement under the serving defaults and returns its

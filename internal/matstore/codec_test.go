@@ -13,7 +13,7 @@ import (
 func TestColumnCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	coin := func(int) bool { return rng.Intn(2) == 0 }
-	s := New(0)
+	s := New()
 	for i, n := range []int{0, 1, 63, 64, 65, 200} {
 		publish(s, Key{"cloak", string(rune('a' + i))}, n, coin, coin)
 	}
@@ -105,7 +105,7 @@ func TestDecodeColumnNeverAllocatesFromItsLength(t *testing.T) {
 // so labels computed against the replaced set are refused by their owner;
 // usage survives.
 func TestStoreRestore(t *testing.T) {
-	s := New(0)
+	s := New()
 	k := Key{"cloak", "c1"}
 	s.Touch(k)
 	publish(s, k, 8, all, all)

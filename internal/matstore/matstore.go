@@ -14,11 +14,11 @@
 // Queries pin the current set (Columns) and read it without any lock; fresh
 // labels are written into a private overlay Column and folded in by Publish,
 // which installs a new version instead of touching the old one. The owner
-// (vdb.DB) serializes everything that changes the set — Publish, Enforce,
-// Invalidate, Restore, SetBudget — under its own lock. The usage table and the
-// lookup/analyzer counters are synchronized here, so the read path records
-// its bookkeeping without that lock. The store never calls back into its
-// owner, so no lock ordering issue can arise.
+// (vdb.DB) serializes everything that changes the set — Publish, Invalidate,
+// Restore — under its own lock. The usage table and the lookup/analyzer
+// counters are synchronized here, so the read path records its bookkeeping
+// without that lock. The store never calls back into its owner, so no lock
+// ordering issue can arise.
 package matstore
 
 import (
@@ -264,7 +264,7 @@ func (c *Column) Narrow(live *bitset.Set, negated bool) {
 }
 
 // usage is one key's TiDB-style predicate-usage row: how often queries
-// touched it and a recency clock for LRU eviction.
+// touched it and a recency clock that breaks the analyzer's ties.
 type usage struct {
 	touches int64
 	last    int64 // store clock at most recent touch
@@ -283,31 +283,25 @@ func (cs Columns) Get(k Key) *Column {
 	return none
 }
 
-// with returns a copy of cs with k bound to col (col == nil removes k).
+// with returns a copy of cs with k bound to col.
 func (cs Columns) with(k Key, col *Column) Columns {
 	next := make(Columns, len(cs)+1)
 	for key, c := range cs {
 		next[key] = c
 	}
-	if col == nil {
-		delete(next, k)
-	} else {
-		next[k] = col
-	}
+	next[k] = col
 	return next
 }
 
 // Store owns the materialized columns for one DB: the published set,
-// first-writer-wins publication of fresh labels, usage tracking, a byte
-// budget with LRU eviction of cold columns, and corpus-generation
-// invalidation. See the package comment for what the owner must serialize.
+// first-writer-wins publication of fresh labels, usage tracking, and
+// corpus-generation invalidation. It has no byte budget: a column exists only
+// for a cascade the planner picked from its predicate's Pareto frontier, so a
+// predicate holds at most one column per frontier point, and a column costs
+// 2 bits per row. See the package comment for what the owner must serialize.
 type Store struct {
-	budget int64 // bytes; 0 means unbounded
-	gen    int64 // bumped on Invalidate; labels are per-generation
-	cols   Columns
-
-	evictedBytes int64
-	evictedCols  int64
+	gen  int64 // bumped on Invalidate; labels are per-generation
+	cols Columns
 
 	umu   sync.Mutex // guards clock and use
 	clock int64      // logical touch clock
@@ -318,17 +312,10 @@ type Store struct {
 	analyzerRows    atomic.Int64
 }
 
-// New returns an empty store with the given byte budget (0 = unbounded).
-func New(budgetBytes int64) *Store {
-	return &Store{
-		budget: budgetBytes,
-		cols:   Columns{},
-		use:    make(map[Key]*usage),
-	}
+// New returns an empty store.
+func New() *Store {
+	return &Store{cols: Columns{}, use: make(map[Key]*usage)}
 }
-
-// SetBudget installs a new byte budget (0 = unbounded). Enforce applies it.
-func (s *Store) SetBudget(b int64) { s.budget = b }
 
 // Generation returns the corpus generation the resident columns describe.
 func (s *Store) Generation() int64 { return s.gen }
@@ -362,7 +349,7 @@ func (s *Store) Publish(k Key, fresh *Column, emit func(row int, label bool)) in
 }
 
 // Touch records one query touching k — the usage signal the analyzer ranks
-// by — and refreshes k's LRU recency.
+// by — and refreshes k's recency.
 func (s *Store) Touch(k Key) {
 	s.umu.Lock()
 	defer s.umu.Unlock()
@@ -438,48 +425,6 @@ func (s *Store) Bytes() int64 {
 	return b
 }
 
-// Enforce applies the byte budget, evicting the least-recently-touched
-// columns until the store fits. The single hottest column always survives,
-// even over budget, so a budget smaller than one column cannot thrash.
-// Returns the number of columns evicted.
-func (s *Store) Enforce() int {
-	if s.budget <= 0 {
-		return 0
-	}
-	evicted := 0
-	for s.Bytes() > s.budget && len(s.cols) > 1 {
-		coldest, ok := s.coldest()
-		if !ok {
-			break
-		}
-		s.evictedBytes += s.cols[coldest].Bytes()
-		s.evictedCols++
-		s.cols = s.cols.with(coldest, nil)
-		evicted++
-	}
-	return evicted
-}
-
-// coldest returns the resident key with the oldest touch (never-touched
-// columns are coldest of all), key order breaking ties.
-func (s *Store) coldest() (Key, bool) {
-	s.umu.Lock()
-	defer s.umu.Unlock()
-	var best Key
-	found := false
-	var bestLast int64
-	for k := range s.cols {
-		var last int64
-		if u, ok := s.use[k]; ok {
-			last = u.last
-		}
-		if !found || last < bestLast || (last == bestLast && keyLess(k, best)) {
-			best, bestLast, found = k, last, true
-		}
-	}
-	return best, found
-}
-
 // UsageState is the usage table's serializable form: the logical clock and
 // every key's touch accounting. It exists for checkpoints — the usage table
 // describes the query workload, which a restarted process should keep
@@ -539,9 +484,6 @@ type Stats struct {
 	Columns         int          `json:"columns"`
 	CoveredRows     int64        `json:"covered_rows"`
 	Bytes           int64        `json:"bytes"`
-	BudgetBytes     int64        `json:"budget_bytes"`
-	EvictedBytes    int64        `json:"evicted_bytes"`
-	ColumnsEvicted  int64        `json:"columns_evicted"`
 	Hits            int64        `json:"hits"`
 	Misses          int64        `json:"misses"`
 	AnalyzerBatches int64        `json:"analyzer_batches"`
@@ -556,9 +498,6 @@ func (s *Store) Stats() Stats {
 	st := Stats{
 		Columns:         len(s.cols),
 		Bytes:           s.Bytes(),
-		BudgetBytes:     s.budget,
-		EvictedBytes:    s.evictedBytes,
-		ColumnsEvicted:  s.evictedCols,
 		Hits:            s.hits.Load(),
 		Misses:          s.misses.Load(),
 		AnalyzerBatches: s.analyzerBatches.Load(),

@@ -97,7 +97,7 @@ func TestColumnLiveSetOps(t *testing.T) {
 // one readers pinned untouched; the all-valid watermark advances at
 // publication, so a reader's InvalidN never writes.
 func TestPublishVersions(t *testing.T) {
-	s := New(0)
+	s := New()
 	k := Key{"cloak", "c1"}
 	publish(s, k, 64, all, func(i int) bool { return i%2 == 0 })
 	v1 := s.Columns().Get(k)
@@ -245,7 +245,7 @@ func TestColumnNarrow(t *testing.T) {
 }
 
 func TestStoreUsageAndHottest(t *testing.T) {
-	s := New(0)
+	s := New()
 	a := Key{"cloak", "c1"}
 	b := Key{"fence", "c2"}
 	s.Touch(a)
@@ -263,34 +263,8 @@ func TestStoreUsageAndHottest(t *testing.T) {
 	}
 }
 
-func TestStoreEnforceEvictsColdest(t *testing.T) {
-	s := New(1) // absurd budget: everything but the hottest must go
-	hot, cold := Key{"hot", "c"}, Key{"cold", "c"}
-	for _, k := range []Key{cold, hot} {
-		publish(s, k, 1024, all, all)
-	}
-	s.Touch(cold)
-	s.Touch(hot) // hot touched last → cold is LRU
-	if got := s.Enforce(); got != 1 {
-		t.Fatalf("Enforce evicted %d columns, want 1", got)
-	}
-	if _, ok := s.Columns()[cold]; ok {
-		t.Fatal("cold column survived eviction")
-	}
-	if _, ok := s.Columns()[hot]; !ok {
-		t.Fatal("hot column evicted — the last column must always survive")
-	}
-	if s.Stats().EvictedBytes == 0 || s.Stats().ColumnsEvicted != 1 {
-		t.Fatalf("eviction accounting: %+v", s.Stats())
-	}
-	// Still over budget with one column left: Enforce must not loop.
-	if got := s.Enforce(); got != 0 {
-		t.Fatalf("second Enforce evicted %d, want 0", got)
-	}
-}
-
 func TestStoreInvalidate(t *testing.T) {
-	s := New(0)
+	s := New()
 	k := Key{"cloak", "c1"}
 	s.Touch(k)
 	publish(s, k, 8, func(i int) bool { return i == 0 }, all)
@@ -308,7 +282,7 @@ func TestStoreInvalidate(t *testing.T) {
 }
 
 func TestStoreStats(t *testing.T) {
-	s := New(4096)
+	s := New()
 	a, b := Key{"a", "c1"}, Key{"b", "c2"}
 	s.Touch(a)
 	s.Touch(b)
@@ -326,7 +300,7 @@ func TestStoreStats(t *testing.T) {
 	if len(st.Usage) != 2 || st.Usage[0].Category != "b" || st.Usage[0].Covered != 30 {
 		t.Fatalf("usage ordering: %+v", st.Usage)
 	}
-	if st.Bytes != s.Bytes() || st.BudgetBytes != 4096 {
+	if st.Bytes != s.Bytes() {
 		t.Fatalf("footprint: %+v", st)
 	}
 }

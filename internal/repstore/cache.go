@@ -43,15 +43,16 @@ type Cache struct {
 // ResidentBytes is the current footprint. Callers subtract two snapshots to
 // attribute cache work to a single query — exact when the query has the
 // cache to itself, approximate when concurrent queries share it (the
-// counters are cache-global).
+// counters are cache-global). The JSON names are /stats's store_cache
+// section.
 type CacheStats struct {
-	Hits          int64
-	Misses        int64
-	EvictedBytes  int64
-	ResidentBytes int64
+	Hits          int64 `json:"hits"`
+	Misses        int64 `json:"misses"`
+	EvictedBytes  int64 `json:"evicted_bytes"`
+	ResidentBytes int64 `json:"resident_bytes"`
 	// ReadThrough counts the misses ReadThrough loaded without admitting
 	// them: records a large scan read that never became resident.
-	ReadThrough int64
+	ReadThrough int64 `json:"read_through"`
 }
 
 // NewCache wraps store with a cache holding up to capacityBytes of resident

@@ -416,12 +416,22 @@ func (s *Store) writeRows(base, k int, appendSrc func(dst []byte, j int) ([]byte
 	chunks := (k + perChunk - 1) / perChunk
 	workers := par.Workers(0, chunks)
 	for len(s.stage) < workers {
-		s.stage = append(s.stage, staged{reps: make([][]byte, len(s.xforms))})
+		s.stage = append(s.stage, s.newStaged(perChunk))
 	}
 	return par.Do(chunks, workers, func(w, c int) error {
 		lo := c * perChunk
 		return s.stageChunk(&s.stage[w], base, lo, min(lo+perChunk, k), appendSrc)
 	})
+}
+
+// newStaged returns a staging slot sized for a chunk of rows, so a slot
+// allocates once, when it is made, whichever batch first hands it a chunk.
+func (s *Store) newStaged(rows int) staged {
+	b := staged{src: make([]byte, 0, rows*s.sourceRecordSize()), reps: make([][]byte, len(s.xforms))}
+	for i, t := range s.xforms {
+		b.reps[i] = make([]byte, 0, rows*t.StoredBytes())
+	}
+	return b
 }
 
 // stageChunk stages rows [lo, hi) of a batch starting at row base into b and

@@ -46,8 +46,17 @@ import (
 	"tahoma/internal/vdb"
 )
 
+// DefaultAccuracyLoss is the accuracy budget (the paper's Uacc) a query runs
+// under when its request names none.
+const DefaultAccuracyLoss = 0.05
+
+// MaxWait bounds how long a query may wait for a worker when
+// Options.QueueTimeout is zero, and how long `tahoma serve` lets in-flight
+// work drain at shutdown.
+const MaxWait = 30 * time.Second
+
 // Options configure a Server. The zero value serves with GOMAXPROCS query
-// workers, a 4× queue, a 30s queue timeout and a 5% default accuracy budget.
+// workers, a 4× queue and a MaxWait queue timeout.
 type Options struct {
 	// MaxConcurrent bounds the queries executing at once (0 = GOMAXPROCS).
 	// Each query already parallelizes internally through the execution
@@ -59,17 +68,8 @@ type Options struct {
 	// 503 instead of piling up.
 	MaxQueue int
 	// QueueTimeout bounds how long a request may wait for a worker before a
-	// 503 (0 = 30s).
+	// 503 (0 = MaxWait).
 	QueueTimeout time.Duration
-	// DefaultAccuracyLoss is the accuracy budget (the paper's Uacc) applied
-	// when a request does not name one (0 = 0.05; negative = no loss, the
-	// most accurate cascade).
-	DefaultAccuracyLoss float64
-	// DefaultDeadline bounds a query's end-to-end time (admission wait +
-	// execution) when the request does not carry a Deadline-Ms header
-	// (0 = no default deadline). A deadlined query cancels cooperatively and
-	// returns 504.
-	DefaultDeadline time.Duration
 	// StartUnready starts the server in the not-ready state: /readyz (and
 	// every query/ingest endpoint) answers 503 + Retry-After until SetReady.
 	// The serve path uses it to accept connections during crash recovery —
@@ -89,13 +89,7 @@ func (o Options) normalized() Options {
 		o.MaxQueue = 0
 	}
 	if o.QueueTimeout <= 0 {
-		o.QueueTimeout = 30 * time.Second
-	}
-	switch {
-	case o.DefaultAccuracyLoss == 0:
-		o.DefaultAccuracyLoss = 0.05
-	case o.DefaultAccuracyLoss < 0:
-		o.DefaultAccuracyLoss = 0
+		o.QueueTimeout = MaxWait
 	}
 	return o
 }
@@ -287,27 +281,23 @@ func (s *Server) failAdmission(w http.ResponseWriter, err error) {
 }
 
 // DeadlineHeader is the request header naming a per-query deadline in whole
-// milliseconds. It covers the query end to end — admission wait included —
-// and overrides Options.DefaultDeadline.
+// milliseconds. It covers the query end to end — admission wait included.
 const DeadlineHeader = "Deadline-Ms"
 
 // queryContext derives the request's execution context: the client's
-// disconnect already cancels r.Context(); a Deadline-Ms header (or the
-// server default) adds a deadline on top.
+// disconnect already cancels r.Context(); a Deadline-Ms header adds a
+// deadline on top.
 func (s *Server) queryContext(r *http.Request) (context.Context, context.CancelFunc, error) {
-	deadline := s.opts.DefaultDeadline
-	if h := r.Header.Get(DeadlineHeader); h != "" {
-		ms, err := strconv.ParseInt(h, 10, 64)
-		if err != nil || ms <= 0 {
-			return nil, nil, fmt.Errorf("bad %s header %q: want positive whole milliseconds", DeadlineHeader, h)
-		}
-		deadline = time.Duration(ms) * time.Millisecond
+	h := r.Header.Get(DeadlineHeader)
+	if h == "" {
+		return r.Context(), func() {}, nil
 	}
-	if deadline > 0 {
-		ctx, cancel := context.WithTimeout(r.Context(), deadline)
-		return ctx, cancel, nil
+	ms, err := strconv.ParseInt(h, 10, 64)
+	if err != nil || ms <= 0 {
+		return nil, nil, fmt.Errorf("bad %s header %q: want positive whole milliseconds", DeadlineHeader, h)
 	}
-	return r.Context(), func() {}, nil
+	ctx, cancel := context.WithTimeout(r.Context(), time.Duration(ms)*time.Millisecond)
+	return ctx, cancel, nil
 }
 
 // QueryRequest is the POST /query body (JSON). A raw-SQL text body with the
@@ -316,8 +306,8 @@ type QueryRequest struct {
 	SQL string `json:"sql"`
 	// MaxAccuracyLoss and MinThroughput are the paper's Uacc/Uthru cascade-
 	// selection constraints. MaxAccuracyLoss is a pointer so an explicit 0
-	// ("no accuracy loss") is distinguishable from absent ("server
-	// default").
+	// ("no accuracy loss") is distinguishable from absent
+	// (DefaultAccuracyLoss).
 	MaxAccuracyLoss *float64 `json:"max_accuracy_loss,omitempty"`
 	MinThroughput   float64  `json:"min_throughput,omitempty"`
 	// NDJSON streams the response as newline-delimited JSON: a columns
@@ -409,7 +399,7 @@ func (s *Server) parseQueryRequest(r *http.Request) (QueryRequest, error) {
 }
 
 func (s *Server) constraints(req QueryRequest) core.Constraints {
-	loss := s.opts.DefaultAccuracyLoss
+	loss := DefaultAccuracyLoss
 	if req.MaxAccuracyLoss != nil {
 		// An explicit 0 is a real constraint — the most accurate cascade —
 		// not "use the default".
@@ -778,15 +768,8 @@ func (st *serverStats) observe(res *vdb.Result, wall time.Duration) {
 	}
 }
 
-// CacheStats is repstore.CacheStats on the wire: the same fields, so one
-// converts to the other.
-type CacheStats struct {
-	Hits          int64 `json:"hits"`
-	Misses        int64 `json:"misses"`
-	EvictedBytes  int64 `json:"evicted_bytes"`
-	ResidentBytes int64 `json:"resident_bytes"`
-	ReadThrough   int64 `json:"read_through"`
-}
+// CacheStats is the /stats store_cache section.
+type CacheStats = repstore.CacheStats
 
 // LatencyBucket is one histogram cell: queries that finished in at most LEMS
 // milliseconds (the final bucket has LEMS 0 = unbounded).
@@ -846,8 +829,8 @@ type StatsResponse struct {
 	StoreCache *CacheStats `json:"store_cache,omitempty"`
 
 	// Materialization is the label-materialization layer: mode, coverage,
-	// lookup hit/miss, byte budget and evictions, analyzer progress, and
-	// the per-predicate usage table driving the background analyzer.
+	// footprint, lookup hit/miss, analyzer progress, and the per-predicate
+	// usage table driving the background analyzer.
 	Materialization vdb.MatStats `json:"materialization"`
 
 	// Planner reports the cost-based planner: plan-choice counters and the
@@ -931,8 +914,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		RepFallbacks:     s.stats.repFallbacks.Load(),
 	}
 	if st, ok := s.db.RepCacheStats(); ok {
-		wire := CacheStats(st)
-		resp.StoreCache = &wire
+		resp.StoreCache = &st
 	}
 	resp.Materialization = s.db.MatStats()
 	resp.Durability = s.db.DurabilityStats()

@@ -256,9 +256,9 @@ type DB struct {
 	// install, updated from every executed query's survivor counts, read at
 	// plan time. It has its own lock.
 	catalog *planner.Catalog
-	// mat owns the materialized label columns, their usage table and the
-	// byte budget. Its column set changes only under mu; its usage table and
-	// counters synchronize themselves (the read path records into them).
+	// mat owns the materialized label columns and their usage table. Its
+	// column set changes only under mu; its usage table and counters
+	// synchronize themselves (the read path records into them).
 	mat        *matstore.Store
 	analyzerOn bool
 	// contentPlans counts executed statements with a content phase;
@@ -339,21 +339,10 @@ func (db *DB) SetMaterialization(m MatMode) {
 	db.publishLocked()
 }
 
-// SetMatBudget bounds the materialized columns at budgetBytes (0 =
-// unbounded, the default). Over budget, the least-recently-touched columns
-// are evicted; the single hottest column always survives.
-func (db *DB) SetMatBudget(budgetBytes int64) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.mat.SetBudget(budgetBytes)
-	db.mat.Enforce()
-	db.publishLocked()
-}
-
 // MatStats is the materialization layer's observability snapshot: the
 // current mode ("bg" while the analyzer runs), the corpus row count the
 // coverage numbers are against, and the matstore counters (coverage,
-// footprint, hit/miss, eviction and analyzer progress, plus the
+// footprint, hit/miss and analyzer progress, plus the
 // per-predicate usage table).
 type MatStats struct {
 	Mode string `json:"mode"`
@@ -445,7 +434,7 @@ func New(cm scenario.CostModel) *DB {
 		predicates: make(map[string]*Predicate),
 		corpus:     &memoryCorpus{},
 		catalog:    planner.NewCatalog(),
-		mat:        matstore.New(0),
+		mat:        matstore.New(),
 		ckptKick:   make(chan struct{}, 1),
 	}
 	db.publishLocked() // nothing else can see db yet
@@ -693,9 +682,7 @@ func (db *DB) QueryContext(ctx context.Context, sql string, constraints core.Con
 		db.contentPlans.Add(1)
 		// Materialization bookkeeping: every touched column feeds the usage
 		// table the analyzer ranks by (even under MatOff — usage describes
-		// the workload) and lookup hits/misses accumulate. Touch before
-		// publishing: the budget must see the columns this statement just
-		// filled as the most recently used.
+		// the workload) and lookup hits/misses accumulate.
 		for _, k := range plan.keys {
 			db.mat.Touch(k)
 		}

@@ -220,7 +220,6 @@ func (db *DB) EnableDurability(o DurabilityOptions) (RecoveryStats, error) {
 			log.Close()
 			return RecoveryStats{}, err
 		}
-		db.mat.Enforce()
 	}
 
 	db.wal = log
@@ -286,10 +285,11 @@ func (db *DB) applyRecordLocked(sc *storeCorpus, r wal.Record) error {
 		if r.Type == recMergeFloat {
 			return nil
 		}
-		// Replay goes through the same publication as the live path. A row
-		// journaled twice (its column was evicted and rebuilt in between)
-		// carries the same label both times, so first-writer-wins restores
-		// exactly what overwriting would.
+		// Replay goes through the same publication as the live path. Only a
+		// journal written while columns could still be evicted under a byte
+		// budget can hold a row twice (its column evicted and rebuilt in
+		// between); it carries the same label both times, so
+		// first-writer-wins restores exactly what overwriting would.
 		fresh := matstore.NewColumn()
 		fresh.Grow(len(db.meta))
 		for i, row := range rows {

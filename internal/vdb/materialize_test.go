@@ -80,41 +80,38 @@ func TestAppendExtendsColumns(t *testing.T) {
 	}
 }
 
-// TestMatBudgetEviction: over budget, the least-recently-touched column is
-// evicted (and accounted), the hottest survives and keeps serving bitmap
-// lookups, and the evicted predicate simply re-classifies.
-func TestMatBudgetEviction(t *testing.T) {
-	cons := core.Constraints{MaxAccuracyLoss: 0.05}
-	db := buildConcurrentDB(t)
-	if _, err := db.Query("SELECT id FROM images WHERE contains_object('cloak')", cons); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Query("SELECT id FROM images WHERE contains_object('cloakb')", cons); err != nil {
-		t.Fatal(err)
-	}
-	if st := db.MatStats(); st.Columns != 2 {
-		t.Fatalf("columns before budget: %d, want 2", st.Columns)
-	}
-	// Two 40-row columns are 16 bytes each; 20 bytes keeps exactly one —
-	// the most recently touched (cloakb).
-	db.SetMatBudget(20)
-	st := db.MatStats()
-	if st.Columns != 1 || st.ColumnsEvicted != 1 || st.EvictedBytes == 0 {
-		t.Fatalf("after budget: %+v", st)
-	}
-	warm, err := db.Query("SELECT id FROM images WHERE contains_object('cloakb')", cons)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !warm.Bitmap || warm.UDFCalls != 0 {
-		t.Fatalf("hottest column did not survive: bitmap=%v udf=%d", warm.Bitmap, warm.UDFCalls)
-	}
-	cold, err := db.Query("SELECT id FROM images WHERE contains_object('cloak')", cons)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.UDFCalls == 0 {
-		t.Fatal("evicted column served labels from nowhere")
+// TestColumnsBoundedByFrontier: the materialized columns need no byte
+// budget. A column exists only for a cascade the planner picked from its
+// predicate's frontier, so however the constraints sweep — every accuracy
+// budget in [0,1), under several throughput floors — a predicate keeps at
+// most len(Frontier) columns, and each costs two bitmaps of ⌈rows/64⌉ words.
+func TestColumnsBoundedByFrontier(t *testing.T) {
+	for _, cat := range []string{"cloak", "cloak2", "coho"} {
+		t.Run(cat, func(t *testing.T) {
+			db := buildSysDB(t)
+			front := db.state.Load().predicates[cat].Frontier
+			floors := []float64{0}
+			for _, p := range front {
+				floors = append(floors, p.Throughput)
+			}
+			sql := fmt.Sprintf("SELECT COUNT(*) FROM images WHERE contains_object('%s')", cat)
+			for _, floor := range floors {
+				for step := 0; step < 20; step++ {
+					cons := core.Constraints{MaxAccuracyLoss: float64(step) / 20, MinThroughput: floor}
+					if _, err := db.Query(sql, cons); err != nil {
+						t.Fatalf("%+v: %v", cons, err)
+					}
+				}
+			}
+			st := db.MatStats()
+			if st.Columns < 1 || st.Columns > len(front) {
+				t.Fatalf("%d columns for a %d-point frontier", st.Columns, len(front))
+			}
+			if bound := int64(st.Columns) * 2 * int64((st.Rows+63)/64) * 8; st.Bytes > bound {
+				t.Fatalf("%d bytes in %d columns over %d rows, bound %d", st.Bytes, st.Columns, st.Rows, bound)
+			}
+			t.Logf("%d of %d frontier cascades materialized, %d bytes", st.Columns, len(front), st.Bytes)
+		})
 	}
 }
 

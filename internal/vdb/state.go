@@ -225,8 +225,7 @@ func (st *readState) classify(ctx context.Context, src exec.Source, pred *Predic
 // and publication order cannot change any result. Exactly the newly adopted
 // (row, label) pairs are journaled. Labels computed against an older corpus
 // generation describe rows that are gone: they are dropped, and publish
-// reports false. The byte budget is enforced only when a publication changed
-// the columns.
+// reports false.
 func (db *DB) publish(st *readState, fresh []overlay) bool {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -246,7 +245,6 @@ func (db *DB) publish(st *readState, fresh []overlay) bool {
 	}
 	if len(deltas) > 0 {
 		db.journalMergesLocked(deltas)
-		db.mat.Enforce()
 		db.publishLocked()
 	}
 	return true

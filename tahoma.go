@@ -78,7 +78,7 @@ type (
 	// (POST /query, GET /explain, GET /stats), with a bounded admission
 	// pool. See cmd/tahoma's serve subcommand for the CLI front end.
 	Server = server.Server
-	// ServerOptions size the server's admission pool and defaults.
+	// ServerOptions size the server's admission pool.
 	ServerOptions = server.Options
 	// Client talks to a running Server.
 	Client = server.Client
