@@ -469,6 +469,7 @@ func encode(buf []byte, im *img.Image) (img.Record, []byte, error) {
 // run bundles one run's immutable parameters.
 type run struct {
 	ctx     context.Context
+	done    <-chan struct{} // ctx.Done(), taken once per run
 	e       *Engine
 	src     Source
 	recSrc  RecordSource // src, when it holds stored records
@@ -477,13 +478,25 @@ type run struct {
 	labels  []bool
 }
 
+// err is ctx's error once ctx is done, and nil before: a non-blocking
+// receive on the Done channel the run took once, where ctx.Err() would lock
+// the context's mutex at every per-frame check.
+func (r *run) err() error {
+	select {
+	case <-r.done:
+		return r.ctx.Err()
+	default:
+		return nil
+	}
+}
+
 // load pins the source records of batch positions [a,b) — frames
 // indices[lo+a:lo+b]: the source's own, read with one call, or each frame
 // encoded into the worker's buffer for its position.
 func (r *run) load(w *worker, lo, a, b int) error {
 	if r.recSrc != nil {
 		if err := r.recSrc.Records(r.ctx, r.indices[lo+a:lo+b], w.recs[a:b]); err != nil {
-			if cerr := r.ctx.Err(); cerr != nil {
+			if cerr := r.err(); cerr != nil {
 				return cerr
 			}
 			return fmt.Errorf("exec: loading source frames: %w", err)
@@ -491,7 +504,7 @@ func (r *run) load(w *worker, lo, a, b int) error {
 		return nil
 	}
 	for j := a; j < b; j++ {
-		if err := r.ctx.Err(); err != nil {
+		if err := r.err(); err != nil {
 			return err
 		}
 		im, err := r.src.Image(r.indices[lo+j])
@@ -520,10 +533,10 @@ func (r *run) serve(w *worker, lo, slot int, need []int) error {
 		// A failed read leaves its record empty, to be derived instead; the
 		// error itself only matters when it is the run's cancellation.
 		_ = r.sv.recs.RepRecords(r.ctx, r.e.repXf[slot], rows, got)
-		return r.ctx.Err()
+		return r.err()
 	}
 	for k, j := range need {
-		if err := r.ctx.Err(); err != nil {
+		if err := r.err(); err != nil {
 			return err
 		}
 		got[k] = img.Record{}
@@ -570,7 +583,7 @@ func (r *run) materialize(w *worker, st *BatchStats, lo, slot int, und []int) er
 			// Deriving can stall on a big frame: check the ctx at the
 			// per-derivation grain so a deadline fires promptly even inside
 			// a large batch.
-			if err := r.ctx.Err(); err != nil {
+			if err := r.err(); err != nil {
 				return err
 			}
 			if served {
@@ -622,7 +635,7 @@ func (r *run) runBatch(w *worker, lo, hi int, st *BatchStats) error {
 		und[j] = j
 	}
 	for li := range w.levels {
-		if err := r.ctx.Err(); err != nil {
+		if err := r.err(); err != nil {
 			return err
 		}
 		lv := &w.levels[li]
@@ -719,7 +732,7 @@ func (e *Engine) RunContext(ctx context.Context, src Source, indices []int, opts
 		rep.Batches[b] = BatchStats{Start: lo, Frames: hi - lo}
 	}
 	recSrc, _ := src.(RecordSource)
-	r := &run{ctx: ctx, e: e, src: src, recSrc: recSrc, indices: indices, sv: sv, labels: rep.Labels}
+	r := &run{ctx: ctx, done: ctx.Done(), e: e, src: src, recSrc: recSrc, indices: indices, sv: sv, labels: rep.Labels}
 
 	// Goroutine w of the fan-out classifies with engine worker ws[w]. After
 	// the first failed batch no new batch starts: a failed run is doomed.
@@ -728,7 +741,7 @@ func (e *Engine) RunContext(ctx context.Context, src Source, indices []int, opts
 		ws[i] = e.takeWorker()
 	}
 	runErr := par.Do(numBatches, len(ws), func(w, b int) error {
-		if err := ctx.Err(); err != nil {
+		if err := r.err(); err != nil {
 			return err
 		}
 		st := &rep.Batches[b]

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -636,6 +637,52 @@ func TestRunEdgeCases(t *testing.T) {
 	// Source errors surface.
 	if _, err := eng.Run(Frames(frames), []int{99}, Options{}); err == nil {
 		t.Fatal("out-of-range index must error")
+	}
+}
+
+// cancelOnRead is a record source that cancels its run's context while it
+// loads the batch numbered at (1-based), and counts its calls.
+type cancelOnRead struct {
+	RecordSource
+	at     int
+	calls  *int
+	cancel context.CancelFunc
+}
+
+func (s cancelOnRead) Records(ctx context.Context, idx []int, dst []img.Record) error {
+	if *s.calls++; *s.calls == s.at {
+		s.cancel()
+	}
+	return s.RecordSource.Records(ctx, idx, dst)
+}
+
+// TestRunContextCancel: a context cancelled while a one-worker run loads its
+// second batch stops the run inside that batch. RunContext returns
+// context.Canceled with a partial report flagged Cancelled, holding the first
+// batch's work, and no later batch is loaded.
+func TestRunContextCancel(t *testing.T) {
+	eng, err := New(buildLevels(t, 909, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, records := storedFrames(t, 910, 12, 32)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	calls := 0
+	src := cancelOnRead{RecordSource: recordFrames(records), at: 2, calls: &calls, cancel: cancel}
+	rep, err := eng.RunContext(ctx, src, nil, Options{Workers: 1, Batch: 4})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("run cancelled in batch 2 returned %v, want context.Canceled", err)
+	}
+	if rep == nil || !rep.Cancelled {
+		t.Fatalf("cancelled run's report %+v is not flagged Cancelled", rep)
+	}
+	if calls != 2 {
+		t.Fatalf("%d batches loaded, want 2: the run went on past the cancellation", calls)
+	}
+	if rep.Batches[0].LevelsRun == 0 || rep.Batches[1].LevelsRun != 0 {
+		t.Fatalf("levels run per batch %d, %d: want the first batch's work and none of the second's",
+			rep.Batches[0].LevelsRun, rep.Batches[1].LevelsRun)
 	}
 }
 

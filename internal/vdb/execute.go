@@ -3,6 +3,7 @@ package vdb
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"tahoma/internal/bitset"
 	"tahoma/internal/matstore"
@@ -172,12 +173,12 @@ func (p *queryPlan) classifyMissing(ctx context.Context, res *Result, cols []ste
 }
 
 // projectRows applies limit + projection over the surviving rows. COUNT(*)
-// is a population count; a row query extracts the survivors' indexes once and
-// backs all the rows it returns with one slab of values.
+// is a population count; a row query walks the survivor words in order,
+// stops at its limit, and backs all the rows it returns with one slab of
+// values.
 func (p *queryPlan) projectRows(res *Result, live *bitset.Set) {
 	q := p.query
-	survivors := live.Count()
-	res.Count = survivors
+	res.Count = live.Count()
 	if q.Limit > 0 && res.Count > q.Limit {
 		res.Count = q.Limit
 	}
@@ -196,11 +197,19 @@ func (p *queryPlan) projectRows(res *Result, live *bitset.Set) {
 	width := len(p.project)
 	slab := make([]Value, res.Count*width)
 	res.Rows = make([][]Value, res.Count)
-	for r, idx := range live.AppendMembers(make([]int, 0, survivors))[:res.Count] {
-		row := slab[r*width : (r+1)*width : (r+1)*width]
-		for c, col := range p.project {
-			row[c] = metaValue(&p.st.meta[idx], col)
+	r := 0
+	for w, word := range live.Words() {
+		for ; word != 0 && r < res.Count; word &= word - 1 {
+			idx := w*64 + bits.TrailingZeros64(word)
+			row := slab[r*width : (r+1)*width : (r+1)*width]
+			for c, col := range p.project {
+				row[c] = metaValue(&p.st.meta[idx], col)
+			}
+			res.Rows[r] = row
+			r++
 		}
-		res.Rows[r] = row
+		if r == res.Count {
+			return
+		}
 	}
 }

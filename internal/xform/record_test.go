@@ -202,6 +202,48 @@ func TestFactorLoopMatchesTaps(t *testing.T) {
 	}
 }
 
+// FuzzFactorLoop holds resampleFactor to resampleTaps byte for byte, as
+// TestFactorLoopMatchesTaps does, over fuzzer-chosen factors kx and ky
+// (1–8, one parity), output size n (1–24) and plane bytes, with one plane
+// and with three. Each plane is exactly w·h bytes with no capacity beyond,
+// so a read past the source panics.
+func FuzzFactorLoop(f *testing.F) {
+	// The all-255 rows TestFactorLoopMatchesTaps starts its planes with, and
+	// a ramp whose blocks round both ways, at the default grid's factors and
+	// at sizes that leave a tail.
+	white, ramp := bytes.Repeat([]byte{255}, 64), make([]byte, 61)
+	for i := range ramp {
+		ramp[i] = byte(i * 37)
+	}
+	for _, s := range [][3]uint8{{2, 0, 16}, {4, 1, 8}, {2, 0, 7}, {4, 1, 5}, {6, 2, 3}, {1, 0, 9}, {3, 2, 4}, {8, 3, 2}} {
+		f.Add(s[0], s[1], s[2], white)
+		f.Add(s[0], s[1], s[2], ramp)
+	}
+	f.Fuzz(func(t *testing.T, kxb, kyb, nb uint8, data []byte) {
+		kx := 1 + int(kxb)%8
+		ky := 2 - kx%2 + 2*(int(kyb)%4)
+		n := 1 + int(nb)%24
+		w, h := kx*n, ky*n
+		planes := make([][]byte, 3)
+		for c := range planes {
+			planes[c] = make([]byte, w*h)
+			for i := range planes[c] {
+				if len(data) > 0 {
+					planes[c][i] = data[(i+c*len(data)/3)%len(data)]
+				}
+			}
+		}
+		for _, src := range [][][]byte{planes[:1], planes} {
+			want, got := make([]byte, n*n), make([]byte, n*n)
+			resampleTaps(want, src, w, h, n)
+			resampleFactor(got, src, w, kx, ky, n)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%d plane(s), %dx%d → %d: the factor loop differs from the tap loop", len(src), w, h, n)
+			}
+		}
+	})
+}
+
 // TestApplyRecordAllocs: into a matching destination and a derivation buffer
 // with room, a slot allocates nothing — the engine's steady state depends on
 // it — including the identity case (32×32 RGB over a 32×32 RGB record) a

@@ -227,18 +227,36 @@ func resampleTaps(out []byte, planes [][]byte, w, h, n int) {
 // even or both odd. There every tap falls on whole samples: at even factors the
 // output is the rounded mean of the 2×2 block at (x·kx + kx/2 − 1,
 // y·ky + ky/2 − 1), at odd ones the sample at (x·kx + (kx−1)/2,
-// y·ky + (ky−1)/2), rounded from 16-bit fixed point for grayscale.
+// y·ky + (ky−1)/2), rounded from 16-bit fixed point for grayscale. Each
+// output row cuts the source rows it reads from every plane once, all to one
+// length, and the loops over a row read only those cuts.
 func resampleFactor(out []byte, planes [][]byte, w, kx, ky, n int) {
 	for y := range n {
 		top := (y*ky + (ky-1)/2) * w
 		o := out[y*n : y*n+n]
 		if kx%2 == 1 {
-			for x := range o {
-				o[x] = byte((luma(planes, top+x*kx+(kx-1)/2) + 1<<15) >> 16)
-			}
-			continue
+			samples(o, planes, top+(kx-1)/2, top+w, kx)
+		} else {
+			blockMeans(o, planes, top, w, kx)
 		}
-		blockMeans(o, planes, top, w, kx)
+	}
+}
+
+// samples writes o[x], for each x, as the projected sample at byte x·k of
+// source row bytes [from, to): the stored byte when one plane is read, the
+// Rec.601 sum rounded from 16-bit fixed point when three are. Stepping an
+// unsigned index under i < len(r) leaves the loop no bounds check.
+func samples(o []byte, planes [][]byte, from, to, k int) {
+	r := planes[0][from:to]
+	if len(planes) == 1 {
+		for x, i := 0, uint(0); x < len(o) && i < uint(len(r)); x, i = x+1, i+uint(k) {
+			o[x] = r[i]
+		}
+		return
+	}
+	g, b := planes[1][from:to][:len(r)], planes[2][from:to][:len(r)]
+	for x, i := 0, uint(0); x < len(o) && i < uint(len(r)); x, i = x+1, i+uint(k) {
+		o[x] = byte((lumaR*uint64(r[i]) + lumaG*uint64(g[i]) + lumaB*uint64(b[i]) + 1<<15) >> 16)
 	}
 }
 
@@ -260,57 +278,104 @@ const (
 // outputs at once in the lanes of a uint64 (no lane can carry into the next:
 // a block of four bytes sums to at most 1020, and its projection to at most
 // 1020·2¹⁶ < 2³²); whatever is left is one output at a time.
+//
+// The eight-byte loops read every row through r[i:i+8:i+8]. Its capacity is
+// the constant 8, so the load's address needs no mask, and with each row cut
+// to len(r0) = cap(r0) the condition i+8 ≤ len(r0) covers every row's upper
+// bound. What stays is the one low ≤ high check, i ≤ i+8, which the compiler
+// cannot drop and shares among all the rows of an iteration. The
+// one-at-a-time loop (columns) has no bounds check.
 func blockMeans(o []byte, planes [][]byte, top, w, k int) {
-	x := 0
-	switch {
-	case k == 2 && len(planes) == 1:
-		p := planes[0][top : top+2*w]
-		for ; x+4 <= len(o); x += 4 {
-			s := (sums2(p, 2*x, w) + 2*ones16) >> 2 & lo8
-			s = (s | s>>8) & lo16
-			binary.LittleEndian.PutUint32(o[x:], uint32(s|s>>16))
+	n := len(o)
+	r0, r1 := rows(planes[0], top, w)
+	if len(planes) == 1 {
+		switch k {
+		case 2:
+			for i := 0; i+8 <= len(r0) && len(o) >= 4; i += 8 {
+				s := (sums2(r0[i:i+8:i+8], r1[i:i+8:i+8]) + 2*ones16) >> 2 & lo8
+				s = (s | s>>8) & lo16
+				binary.LittleEndian.PutUint32(o, uint32(s|s>>16))
+				o = o[4:]
+			}
+		case 4:
+			for i := 0; i+8 <= len(r0) && len(o) >= 2; i += 8 {
+				s := (sums4(r0[i:i+8:i+8], r1[i:i+8:i+8]) + 2*ones32) >> 2 & lanes8
+				binary.LittleEndian.PutUint16(o, uint16(s|s>>24))
+				o = o[2:]
+			}
 		}
-	case k == 2:
-		r, g, b := planes[0][top:top+2*w], planes[1][top:top+2*w], planes[2][top:top+2*w]
-		for ; x+4 <= len(o); x += 4 {
-			rs, gs, bs := sums2(r, 2*x, w), sums2(g, 2*x, w), sums2(b, 2*x, w)
+		if len(o) == 0 {
+			return
+		}
+		l0, rt0, l1, rt1 := columns(r0, r1, k)
+		for x, i := 0, uint((n-len(o))*k); x < len(o) && i < uint(len(rt0)); x, i = x+1, i+uint(k) {
+			o[x] = byte((uint(l0[i]) + uint(rt0[i]) + uint(l1[i]) + uint(rt1[i]) + 2) >> 2)
+		}
+		return
+	}
+	g0, g1 := rows(planes[1], top, w)
+	b0, b1 := rows(planes[2], top, w)
+	g0, g1, b0, b1 = g0[:len(r0):len(r0)], g1[:len(r0):len(r0)], b0[:len(r0):len(r0)], b1[:len(r0):len(r0)]
+	switch k {
+	case 2:
+		for i := 0; i+8 <= len(r0) && len(o) >= 4; i += 8 {
+			rs, gs, bs := sums2(r0[i:i+8:i+8], r1[i:i+8:i+8]), sums2(g0[i:i+8:i+8], g1[i:i+8:i+8]), sums2(b0[i:i+8:i+8], b1[i:i+8:i+8])
 			even := round18(lumaR*(rs&lo16) + lumaG*(gs&lo16) + lumaB*(bs&lo16))
 			odd := round18(lumaR*(rs>>16&lo16) + lumaG*(gs>>16&lo16) + lumaB*(bs>>16&lo16))
 			v := even | odd<<8
-			binary.LittleEndian.PutUint32(o[x:], uint32(v|v>>16))
+			binary.LittleEndian.PutUint32(o, uint32(v|v>>16))
+			o = o[4:]
 		}
-	case k == 4 && len(planes) == 1:
-		p := planes[0][top : top+2*w]
-		for ; x+2 <= len(o); x += 2 {
-			s := (sums4(p, 4*x, w) + 2*ones32) >> 2 & lanes8
-			binary.LittleEndian.PutUint16(o[x:], uint16(s|s>>24))
-		}
-	case k == 4:
-		r, g, b := planes[0][top:top+2*w], planes[1][top:top+2*w], planes[2][top:top+2*w]
-		for ; x+2 <= len(o); x += 2 {
-			s := round18(lumaR*sums4(r, 4*x, w) + lumaG*sums4(g, 4*x, w) + lumaB*sums4(b, 4*x, w))
-			binary.LittleEndian.PutUint16(o[x:], uint16(s|s>>24))
+	case 4:
+		for i := 0; i+8 <= len(r0) && len(o) >= 2; i += 8 {
+			s := round18(lumaR*sums4(r0[i:i+8:i+8], r1[i:i+8:i+8]) +
+				lumaG*sums4(g0[i:i+8:i+8], g1[i:i+8:i+8]) +
+				lumaB*sums4(b0[i:i+8:i+8], b1[i:i+8:i+8]))
+			binary.LittleEndian.PutUint16(o, uint16(s|s>>24))
+			o = o[2:]
 		}
 	}
-	for ; x < len(o); x++ {
-		c := top + x*k + k/2 - 1
-		sum := luma(planes, c) + luma(planes, c+1) + luma(planes, c+w) + luma(planes, c+w+1)
-		o[x] = byte((sum + 1<<17) >> 18)
+	if len(o) == 0 {
+		return
+	}
+	rl0, rr0, rl1, rr1 := columns(r0, r1, k)
+	gl0, gr0, gl1, gr1 := columns(g0, g1, k)
+	bl0, br0, bl1, br1 := columns(b0, b1, k)
+	for x, i := 0, uint((n-len(o))*k); x < len(o) && i < uint(len(rr0)); x, i = x+1, i+uint(k) {
+		rs := uint64(rl0[i]) + uint64(rr0[i]) + uint64(rl1[i]) + uint64(rr1[i])
+		gs := uint64(gl0[i]) + uint64(gr0[i]) + uint64(gl1[i]) + uint64(gr1[i])
+		bs := uint64(bl0[i]) + uint64(br0[i]) + uint64(bl1[i]) + uint64(br1[i])
+		o[x] = byte((lumaR*rs + lumaG*gs + lumaB*bs + 1<<17) >> 18)
 	}
 }
 
+// rows returns source rows top and top+w of plane p, w bytes each, cut to
+// no capacity beyond them and to the one length len(r0) every loop tests.
+func rows(p []byte, top, w int) (r0, r1 []byte) {
+	r0 = p[top : top+w : top+w]
+	return r0, p[top+w : top+2*w][:len(r0):len(r0)]
+}
+
+// columns returns the one-at-a-time view of source rows r0 and r1 at an even
+// factor k: four slices of one length whose index x·k holds the block of
+// output x, its left and right column in r0 and in r1.
+func columns(r0, r1 []byte, k int) (l0, rt0, l1, rt1 []byte) {
+	rt0 = r0[k/2:]
+	return r0[k/2-1:][:len(rt0)], rt0, r1[k/2-1:][:len(rt0)], r1[k/2:][:len(rt0)]
+}
+
 // sums2 returns, in the 16-bit lanes of a uint64, the sums of the four 2×2
-// blocks of p's eight bytes at i in row 0 and at w+i in row 1.
-func sums2(p []byte, i, w int) uint64 {
-	a, b := binary.LittleEndian.Uint64(p[i:]), binary.LittleEndian.Uint64(p[w+i:])
+// blocks of the first eight bytes of rows r0 and r1.
+func sums2(r0, r1 []byte) uint64 {
+	a, b := binary.LittleEndian.Uint64(r0), binary.LittleEndian.Uint64(r1)
 	return a&lo8 + a>>8&lo8 + b&lo8 + b>>8&lo8
 }
 
 // sums4 returns, in the 32-bit lanes of a uint64, the sums of the two 2×2
-// blocks of p's eight bytes at i in row 0 and at w+i in row 1 that start at
-// bytes 1 and 5.
-func sums4(p []byte, i, w int) uint64 {
-	a, b := binary.LittleEndian.Uint64(p[i:]), binary.LittleEndian.Uint64(p[w+i:])
+// blocks of the first eight bytes of rows r0 and r1 that start at bytes 1 and
+// 5.
+func sums4(r0, r1 []byte) uint64 {
+	a, b := binary.LittleEndian.Uint64(r0), binary.LittleEndian.Uint64(r1)
 	return a>>8&lanes8 + a>>16&lanes8 + b>>8&lanes8 + b>>16&lanes8
 }
 
