@@ -10,6 +10,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -46,6 +47,13 @@ func cmdServe(args []string) error {
 	trigger := fs.Bool("trigger", false, "classify newly ingested rows immediately (ingest-time trigger materialization, most accurate cascade)")
 	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof's /debug/pprof/ on this second listen address, never on -addr (empty = off)")
 	fs.Parse(args)
+	if *debugAddr == "" {
+		// Linking net/http/pprof keeps the runtime sampling allocations into
+		// a profile nothing can fetch without the debug listener, and the
+		// sampler's bucket table is resident memory. With the listener on,
+		// /debug/pprof/heap samples at the default rate.
+		runtime.MemProfileRate = 0
+	}
 	if *zooDirs == "" || corpus.dir == "" {
 		return fmt.Errorf("serve: -zoo and -corpus are required")
 	}

@@ -2,9 +2,11 @@ package main
 
 import (
 	"context"
+	"io"
 	"net/http"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -72,6 +74,29 @@ func TestServeShareRepsMBRemoved(t *testing.T) {
 	}
 	if err := p.GracefulStop(60 * time.Second); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestServeMemProfileRate: without -debug-addr nothing can fetch a heap
+// profile, so serve stops the runtime's allocation sampling before it opens
+// anything; with it, sampling stays at the runtime's default for
+// /debug/pprof/heap. Both calls fail on -share-reps-mb after the flags are
+// read, so neither starts a server.
+func TestServeMemProfileRate(t *testing.T) {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	const def = 512 * 1024
+	for _, c := range []struct {
+		debugAddr string
+		want      int
+	}{{"", 0}, {"127.0.0.1:0", def}} {
+		runtime.MemProfileRate = def
+		err := cmdServe([]string{"-debug-addr", c.debugAddr, "-zoo", "z", "-corpus", "c", "-share-reps-mb", "1"})
+		if err == nil || !strings.Contains(err.Error(), "-share-reps-mb") {
+			t.Fatalf("-debug-addr %q: err %v, want the -share-reps-mb refusal", c.debugAddr, err)
+		}
+		if runtime.MemProfileRate != c.want {
+			t.Fatalf("-debug-addr %q: MemProfileRate %d, want %d", c.debugAddr, runtime.MemProfileRate, c.want)
+		}
 	}
 }
 
@@ -152,6 +177,17 @@ func TestServeDebugAddr(t *testing.T) {
 	}
 	if code := get(debug + "cmdline"); code != http.StatusOK {
 		t.Fatalf("debug listener %scmdline: %d, want 200", debug, code)
+	}
+	// The heap profile samples at the runtime's default rate: its header
+	// names twice the rate, as the C++ heap profiler's format does.
+	resp, err := http.Get(debug + "heap?debug=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, err := io.ReadAll(io.LimitReader(resp.Body, 256))
+	resp.Body.Close()
+	if err != nil || !strings.Contains(strings.SplitN(string(head), "\n", 2)[0], "@ heap/1048576") {
+		t.Fatalf("debug listener heap profile starts %q (%v), want sampling every 512 KiB", head, err)
 	}
 	if code := get(p.Base + "/debug/pprof/"); code != http.StatusNotFound {
 		t.Fatalf("query listener /debug/pprof/: %d, want 404", code)

@@ -269,8 +269,8 @@ func TestCrashPointEnumeration(t *testing.T) {
 				}
 				var scratch []byte
 				for i := 0; i < wantRows; i++ {
-					if db2.meta[i] != env.metas[i] {
-						t.Fatalf("%s: row %d metadata %+v, want %+v", name, i, db2.meta[i], env.metas[i])
+					if got := db2.meta.row(i); got != env.metas[i] {
+						t.Fatalf("%s: row %d metadata %+v, want %+v", name, i, got, env.metas[i])
 					}
 					rec, err := st2.SourceRecord(i, &scratch)
 					if err != nil {

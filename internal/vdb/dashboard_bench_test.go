@@ -15,7 +15,10 @@ import (
 // plan + filter + bitmap algebra + projection — plus the two-predicate chain
 // whose second column covers only the first one's survivors, and the window
 // count over rows whose ts is shuffled, where no block is in order and the
-// metadata filter compares the straddling blocks row by row. A repeated
+// metadata filter compares the straddling blocks row by row, and
+// location_eq, a count under string equality over a table whose first half
+// is in one location and second half in another, where each block's
+// location codes decide it without comparing a row. A repeated
 // statement runs the plan its read state kept; count_window_fresh is the
 // window count with a new window on every iteration, cycling through 128
 // texts on a state whose plan table the warm-up filled with others, so every
@@ -24,11 +27,14 @@ import (
 func BenchmarkDashboardStatement(b *testing.B) {
 	const rows = 32000
 	cons := core.Constraints{MaxAccuracyLoss: 0.05}
-	build := func(shuffle bool) *DB {
+	build := func(shuffle, twoLocations bool) *DB {
 		sysFixture(b)
 		meta := make([]Metadata, rows)
 		for i := range meta {
 			meta[i] = Metadata{ID: int64(i), Location: "uptown", Camera: "cam-1", TS: int64(i)}
+			if twoLocations && i >= rows/2 {
+				meta[i].Location = "gate"
+			}
 		}
 		if shuffle {
 			for i, ts := range rand.New(rand.NewSource(1)).Perm(rows) {
@@ -55,7 +61,7 @@ func BenchmarkDashboardStatement(b *testing.B) {
 	// sent 256 filler statements, more than any plan table it keeps holds,
 	// so none of the fresh windows finds a plan kept.
 	var once sync.Once
-	var panels, chain, shuffled *DB
+	var panels, chain, shuffled, located *DB
 	const chainSQL = "SELECT COUNT(*) FROM images WHERE contains_object('cloak') AND contains_object('coho')"
 	type stmt struct {
 		db  **DB
@@ -72,13 +78,15 @@ func BenchmarkDashboardStatement(b *testing.B) {
 		{"select_window", stmt{&panels, []string{fmt.Sprintf("SELECT id FROM images WHERE ts >= %d AND ts < %d AND contains_object('cloak')", 21000, 21000+rows/64)}}},
 		{"chain", stmt{&chain, []string{chainSQL}}},
 		{"count_window_shuffled", stmt{&shuffled, []string{window(9000)}}},
+		{"location_eq", stmt{&located, []string{"SELECT COUNT(*) FROM images WHERE location = 'gate' AND contains_object('cloak')"}}},
 	}
 	warm := func() {
-		panels, chain, shuffled = build(false), build(false), build(true)
+		panels, chain, shuffled, located = build(false, false), build(false, false), build(true, false), build(false, true)
 		steps := []stmt{
 			{&panels, []string{"SELECT COUNT(*) FROM images WHERE contains_object('cloak')", "SELECT COUNT(*) FROM images WHERE contains_object('coho')"}},
 			{&chain, []string{chainSQL}},
 			{&shuffled, []string{"SELECT COUNT(*) FROM images WHERE contains_object('cloak')"}},
+			{&located, []string{"SELECT COUNT(*) FROM images WHERE contains_object('cloak')"}},
 		}
 		for _, bc := range benches {
 			if len(bc.sql) == 1 {

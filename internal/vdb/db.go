@@ -22,14 +22,6 @@ import (
 	"tahoma/internal/xform"
 )
 
-// Metadata is the relational half of one image row.
-type Metadata struct {
-	ID       int64
-	Location string
-	Camera   string
-	TS       int64 // capture time, seconds since stream start
-}
-
 // Predicate is an installed contains_object operator: the TAHOMA system for
 // one category plus its evaluated cascade set under the DB's deployment
 // scenario. Installation corresponds to the paper's per-predicate system
@@ -247,7 +239,7 @@ type DB struct {
 
 	settings
 	corpus     corpus
-	meta       []Metadata
+	meta       metaTable
 	zones      []zone // block index over meta's complete blocks (derived)
 	costModel  scenario.CostModel
 	predicates map[string]*Predicate // copied on install; published maps are never written
@@ -358,7 +350,7 @@ func (db *DB) MatStats() MatStats {
 	if db.analyzerOn && mode != MatOff {
 		mode = MatBg
 	}
-	return MatStats{Mode: mode.String(), Rows: len(db.meta), Stats: db.mat.Stats()}
+	return MatStats{Mode: mode.String(), Rows: db.meta.len(), Stats: db.mat.Stats()}
 }
 
 // PlannerStats is the planner's observability snapshot: the executed
@@ -453,8 +445,8 @@ func (db *DB) installCorpusLocked(c corpus, meta []Metadata) error {
 		return fmt.Errorf("vdb: corpus is durable; disable durability before swapping the corpus")
 	}
 	db.corpus = c
-	db.meta = meta
-	db.zones = extendZones(nil, meta)
+	db.meta = newMetaTable(meta)
+	db.zones = extendZones(nil, &db.meta)
 	db.mat.Invalidate()
 	db.catalog.Reset()
 	db.publishLocked()

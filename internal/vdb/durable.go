@@ -191,8 +191,8 @@ func (db *DB) EnableDurability(o DurabilityOptions) (RecoveryStats, error) {
 		}
 		// The checkpoint is decoded and verified whole: only now does it
 		// replace whatever the caller loaded.
-		db.meta = ckpt.meta
-		db.zones = extendZones(nil, db.meta)
+		db.meta = newMetaTable(ckpt.meta)
+		db.zones = extendZones(nil, &db.meta)
 		if ckpt.floatLabels {
 			ckpt.cols = matstore.Columns{}
 		}
@@ -212,7 +212,7 @@ func (db *DB) EnableDurability(o DurabilityOptions) (RecoveryStats, error) {
 		// whose journal commit never hit disk — never acknowledged. Then let
 		// the store vouch for what replay wrote back, so the next crash does
 		// not redo it.
-		if err := sc.store.TruncateTo(len(db.meta)); err != nil {
+		if err := sc.store.TruncateTo(db.meta.len()); err != nil {
 			log.Close()
 			return RecoveryStats{}, err
 		}
@@ -239,7 +239,7 @@ func (db *DB) EnableDurability(o DurabilityOptions) (RecoveryStats, error) {
 			return RecoveryStats{}, fmt.Errorf("vdb: baseline checkpoint: %w", err)
 		}
 	}
-	stats.Rows = len(db.meta)
+	stats.Rows = db.meta.len()
 	stats.RecoveryMS = time.Since(start).Milliseconds()
 	db.durStats.recoveryMS = stats.RecoveryMS
 	return stats, nil
@@ -254,7 +254,7 @@ func (db *DB) applyRecordLocked(sc *storeCorpus, r wal.Record) error {
 		if err != nil {
 			return fmt.Errorf("record %d: %w", r.Seq, err)
 		}
-		if base != uint64(len(db.meta)) {
+		if base != uint64(db.meta.len()) {
 			// The record does not extend the recovered prefix — a commit that
 			// never fully landed. Everything after it is unreachable history.
 			return wal.ErrTruncate
@@ -272,8 +272,8 @@ func (db *DB) applyRecordLocked(sc *storeCorpus, r wal.Record) error {
 				return fmt.Errorf("record %d: rewriting rows [%d,%d): %w", r.Seq, base, end, err)
 			}
 		}
-		db.meta = append(db.meta, metas...)
-		db.zones = extendZones(db.zones, db.meta)
+		db.meta.add(metas)
+		db.zones = extendZones(db.zones, &db.meta)
 		if invalidate {
 			db.mat.Invalidate()
 		}
@@ -291,11 +291,11 @@ func (db *DB) applyRecordLocked(sc *storeCorpus, r wal.Record) error {
 		// between); it carries the same label both times, so
 		// first-writer-wins restores exactly what overwriting would.
 		fresh := matstore.NewColumn()
-		fresh.Grow(len(db.meta))
+		fresh.Grow(db.meta.len())
 		for i, row := range rows {
 			// A query that raced an in-flight append can journal labels for
 			// rows whose append record never committed; clamp them out.
-			if row < len(db.meta) {
+			if row < db.meta.len() {
 				fresh.SetLabel(row, labels[i])
 			}
 		}
@@ -350,7 +350,7 @@ func (db *DB) checkpointLocked() error {
 	seq := db.wal.NextSeq()
 	ck := checkpoint{
 		walSeq: seq,
-		meta:   db.meta,
+		meta:   db.meta.rows(),
 		state:  ckptState{Usage: db.mat.ExportUsage(), Catalog: db.catalog.Snapshot()},
 		cols:   db.mat.Columns(),
 	}

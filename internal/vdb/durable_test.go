@@ -846,7 +846,7 @@ func TestGroupCommitAppends(t *testing.T) {
 	seen := map[int64]bool{}
 	var scratch []byte
 	for i := 8; i < rstats.Rows; i++ {
-		m := db2.meta[i]
+		m := db2.meta.row(i)
 		k := int(m.ID - 1000)
 		if k < 0 || k >= writers*per || seen[m.ID] || ((i-8)%per != k%per) {
 			t.Fatalf("row %d recovered as %+v: batches interleaved or duplicated", i, m)

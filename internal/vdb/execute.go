@@ -73,7 +73,7 @@ func (p *queryPlan) execute(ctx context.Context) (*Result, []overlay, error) {
 	res := &Result{}
 	live := st.liveSet()
 	defer putLive(st, live)
-	filterRows(live, st.meta, st.zones, st.tail, p.filters)
+	filterRows(live, &st.meta, st.zones, st.tail, p.filters)
 	if len(p.content) == 0 {
 		p.projectRows(res, live)
 		return res, nil, nil
@@ -203,7 +203,7 @@ func (p *queryPlan) projectRows(res *Result, live *bitset.Set) {
 			idx := w*64 + bits.TrailingZeros64(word)
 			row := slab[r*width : (r+1)*width : (r+1)*width]
 			for c, col := range p.project {
-				row[c] = metaValue(&p.st.meta[idx], col)
+				row[c] = metaValue(&p.st.meta, idx, col)
 			}
 			res.Rows[r] = row
 			r++

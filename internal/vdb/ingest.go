@@ -112,7 +112,7 @@ func (db *DB) AppendRecords(recs []img.Record, meta []Metadata) (udfCalls int, e
 			return 0, fmt.Errorf("vdb: journal failed, refusing appends: %w", werr)
 		}
 	}
-	base := len(db.meta)
+	base := db.meta.len()
 	if err := db.corpus.appendRecords(base, recs, durable); err != nil {
 		db.mu.Unlock()
 		return 0, err
@@ -129,8 +129,8 @@ func (db *DB) AppendRecords(recs []img.Record, meta []Metadata) (udfCalls int, e
 			return 0, werr
 		}
 	}
-	db.meta = append(db.meta, meta...)
-	db.zones = extendZones(db.zones, db.meta)
+	db.meta.add(meta)
+	db.zones = extendZones(db.zones, &db.meta)
 	if noTriggers {
 		// Without triggers (or with materialization off, where trigger
 		// labels would have nowhere to live), existing materialized columns

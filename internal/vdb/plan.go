@@ -69,7 +69,7 @@ func (st *readState) plan(q *Query, constraints core.Constraints) (*queryPlan, e
 		}
 	}
 	for _, mc := range q.Meta {
-		f, err := compileFilter(mc)
+		f, err := compileFilter(mc, &st.meta)
 		if err != nil {
 			return nil, err
 		}

@@ -26,8 +26,9 @@ type settings struct {
 }
 
 // readState is everything a statement reads, immutable once published: the
-// row count, the metadata rows [0,n) with their block index and the zone of
-// their trailing partial block, a corpus view bounded at n, the predicate
+// row count, a view of the metadata columns' rows [0,n) and of their
+// dictionaries, with the rows' block index and the zone of their trailing
+// partial block, a corpus view bounded at n, the predicate
 // catalog, the configuration, and the materialized column versions current
 // at publication. Writers build the next state under db.mu and publish it
 // with one atomic store; a reader pins the current one with one atomic load
@@ -43,10 +44,10 @@ type settings struct {
 type readState struct {
 	settings
 	n          int
-	meta       []Metadata // [0,n); entries are never written again
-	zones      []zone     // complete blocks of meta
-	tail       zone       // meta's trailing partial block, if any
-	corpus     Corpus     // fixed-length view: rows [0,n)
+	meta       metaTable // a view of rows [0,n); entries are never written again
+	zones      []zone    // complete blocks of meta
+	tail       zone      // meta's trailing partial block, if any
+	corpus     Corpus    // fixed-length view: rows [0,n)
 	costModel  scenario.CostModel
 	predicates map[string]*Predicate // replaced, never written, on install
 	catalog    *planner.Catalog
@@ -124,13 +125,13 @@ var putLive = func(st *readState, live *bitset.Set) { st.live.Put(live) }
 // it the one new statements pin. Every mutation of what a statement reads
 // ends here. Caller holds db.mu for writing.
 func (db *DB) publishLocked() *readState {
-	n := len(db.meta)
+	n := db.meta.len()
 	st := &readState{
 		settings:   db.settings,
 		n:          n,
-		meta:       db.meta[:n:n],
+		meta:       db.meta.view(),
 		zones:      db.zones,
-		tail:       tailZone(db.meta[:n]),
+		tail:       tailZone(&db.meta),
 		corpus:     db.corpus.view(n),
 		costModel:  db.costModel,
 		predicates: db.predicates,
